@@ -3,6 +3,7 @@
 //! the per-destination segment softmax.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fedda_bench::suite::{gemm_case, GEMM_SHAPES};
 use fedda_tensor::{Graph, Matrix, Segments};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,51 +17,22 @@ fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
     )
 }
 
+/// The GEMM shapes an FL round issues (`fedda_bench::suite::GEMM_SHAPES`),
+/// every layout, through the `Matrix` entry points.
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
     let mut rng = StdRng::seed_from_u64(0);
-    for &n in &[64usize, 256] {
-        let a = rand_matrix(&mut rng, n, n);
-        let b = rand_matrix(&mut rng, n, n);
-        group.bench_with_input(BenchmarkId::new("nn", n), &n, |bench, _| {
-            bench.iter(|| a.matmul(&b))
-        });
-        group.bench_with_input(BenchmarkId::new("tn", n), &n, |bench, _| {
-            bench.iter(|| a.matmul_tn(&b))
-        });
-        group.bench_with_input(BenchmarkId::new("nt", n), &n, |bench, _| {
-            bench.iter(|| a.matmul_nt(&b))
+    for &(layout, m, k, n) in GEMM_SHAPES {
+        let (a, b, kernel) = gemm_case(&mut rng, layout, (m, k, n));
+        let shape = format!("{m}x{k}x{n}");
+        group.bench_with_input(BenchmarkId::new(layout, &shape), &shape, |bench, _| {
+            bench.iter(|| kernel(&a, &b))
         });
     }
     group.finish();
 }
 
-/// Blocked+parallel dispatch vs the naive reference loops at a shape well
-/// above the dispatch threshold. The acceptance target for the blocked
-/// kernel is ≥2× over naive at 512³ on a ≥4-core machine.
-fn bench_matmul_blocked_vs_naive(c: &mut Criterion) {
-    let mut group = c.benchmark_group("matmul_blocked_vs_naive");
-    let mut rng = StdRng::seed_from_u64(3);
-    for &n in &[256usize, 512] {
-        let a = rand_matrix(&mut rng, n, n);
-        let b = rand_matrix(&mut rng, n, n);
-        group.bench_with_input(BenchmarkId::new("blocked_nn", n), &n, |bench, _| {
-            bench.iter(|| fedda_tensor::gemm::gemm_nn(&a, &b))
-        });
-        group.bench_with_input(BenchmarkId::new("naive_nn", n), &n, |bench, _| {
-            bench.iter(|| a.matmul_naive(&b))
-        });
-        group.bench_with_input(BenchmarkId::new("blocked_nt", n), &n, |bench, _| {
-            bench.iter(|| fedda_tensor::gemm::gemm_nt(&a, &b))
-        });
-        group.bench_with_input(BenchmarkId::new("naive_nt", n), &n, |bench, _| {
-            bench.iter(|| a.matmul_nt_naive(&b))
-        });
-    }
-    group.finish();
-}
-
-/// Thread scaling of the blocked kernel: 1 thread vs the full
+/// Thread scaling above the threading cut-off: 1 thread vs the full
 /// `FEDDA_THREADS` budget (results are bit-identical either way; only
 /// wall-clock should differ).
 fn bench_matmul_thread_scaling(c: &mut Criterion) {
@@ -71,11 +43,11 @@ fn bench_matmul_thread_scaling(c: &mut Criterion) {
     let a = rand_matrix(&mut rng, n, n);
     let b = rand_matrix(&mut rng, n, n);
     group.bench_with_input(BenchmarkId::new("threads", 1), &n, |bench, _| {
-        bench.iter(|| gemm::with_kernel_threads(1, || gemm::gemm_nn(&a, &b)))
+        bench.iter(|| gemm::with_kernel_threads(1, || a.matmul(&b)))
     });
     let full = gemm::configured_threads();
     group.bench_with_input(BenchmarkId::new("threads", full), &n, |bench, _| {
-        bench.iter(|| gemm::gemm_nn(&a, &b))
+        bench.iter(|| a.matmul(&b))
     });
     group.finish();
 }
@@ -131,7 +103,7 @@ fn bench_segment_softmax(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_matmul, bench_matmul_blocked_vs_naive, bench_matmul_thread_scaling,
-        bench_gather_scatter, bench_segment_softmax
+    targets = bench_matmul, bench_matmul_thread_scaling, bench_gather_scatter,
+        bench_segment_softmax
 }
 criterion_main!(benches);

@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn identical_snapshots_pass() {
-        let a = snap(&[("gemm/nn/64/blocked", 1000), ("hgn/forward", 5000)]);
+        let a = snap(&[("gemm/nn/2525x48x16", 1000), ("hgn/forward", 5000)]);
         let cmp = compare(&a, &a.clone(), DEFAULT_THRESHOLD).unwrap();
         assert!(cmp.passes());
         assert_eq!(cmp.deltas.len(), 2);

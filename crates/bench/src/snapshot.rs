@@ -23,7 +23,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// iteration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CaseResult {
-    /// Stable case identifier, e.g. `gemm/nn/256/blocked`.
+    /// Stable case identifier, e.g. `gemm/nn/2525x48x48`.
     pub name: String,
     /// Timed iterations per sample.
     pub iters: u64,
@@ -321,7 +321,7 @@ mod tests {
             },
             cases: vec![
                 CaseResult {
-                    name: "gemm/nn/64/blocked".into(),
+                    name: "gemm/nn/2525x48x16".into(),
                     iters: 3,
                     samples: 5,
                     median_ns: 1_000,

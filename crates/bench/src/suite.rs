@@ -3,9 +3,10 @@
 //! Three tiers mirror the criterion benches (`benches/`) so snapshot
 //! numbers track the same entry points the micro-benchmarks exercise:
 //!
-//! 1. **GEMM** — square matmuls over the paper-relevant shapes in all
-//!    three layouts (`nn`/`tn`/`nt`), blocked dispatch vs the naive
-//!    reference loops (`fedda_tensor::gemm` vs `Matrix::matmul_*_naive`);
+//! 1. **GEMM** — the products an FL round actually issues
+//!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
+//!    `tn`/`nt` backward forms and the single-column attention
+//!    projections;
 //! 2. **HGN** — Simple-HGN forward and forward+backward at the experiment
 //!    model size on a DBLP-like graph;
 //! 3. **FL round** — one full federated round (local updates +
@@ -26,7 +27,7 @@ use fedda::fl::{
 use fedda_hetgraph::split::split_edges;
 use fedda_hetgraph::LinkSampler;
 use fedda_hgn::{GraphView, SimpleHgn};
-use fedda_tensor::{gemm, Graph, Matrix, TapeBindings};
+use fedda_tensor::{Graph, Matrix, TapeBindings};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -59,14 +60,6 @@ impl SuiteConfig {
         self.samples.unwrap_or(if self.smoke { 3 } else { 5 })
     }
 
-    fn gemm_shapes(&self) -> &'static [usize] {
-        if self.smoke {
-            &[64, 256]
-        } else {
-            &[64, 256, 512]
-        }
-    }
-
     fn hgn_scale(&self) -> f64 {
         if self.smoke {
             0.001
@@ -90,6 +83,44 @@ impl SuiteConfig {
             &[1_000, 10_000]
         }
     }
+}
+
+/// The GEMM shape histogram of one federated round, as
+/// `(layout, m, k, n)` with an `m × n` output over a shared dimension
+/// `k`, taken from the repo benchmark's workloads: `amazon_large`'s
+/// 2 525-node client graphs under the paper model (16 × 3 heads) — the
+/// layer product and its two backward forms, then the attention
+/// projection (a matvec) and its two — and the fleet's 128-wide model on
+/// 101-node clients.
+pub const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
+    ("nn", 2525, 48, 16),
+    ("nn", 2525, 48, 48),
+    ("tn", 48, 2525, 16),
+    ("nt", 2525, 16, 48),
+    ("nn", 2525, 16, 1),
+    ("tn", 16, 2525, 1),
+    ("nt", 2525, 1, 16),
+    ("nn", 101, 128, 32),
+    ("nn", 101, 128, 128),
+    ("tn", 128, 101, 32),
+    ("nt", 101, 32, 128),
+];
+
+/// Random operands for one [`GEMM_SHAPES`] entry, stored the way the
+/// layout reads them, and the `Matrix` entry point that multiplies them.
+pub fn gemm_case(
+    rng: &mut StdRng,
+    layout: &str,
+    (m, k, n): (usize, usize, usize),
+) -> (Matrix, Matrix, fn(&Matrix, &Matrix) -> Matrix) {
+    type Kernel = fn(&Matrix, &Matrix) -> Matrix;
+    let ((ar, ac), (br, bc), kernel) = match layout {
+        "nn" => ((m, k), (k, n), Matrix::matmul as Kernel),
+        "tn" => ((k, m), (k, n), Matrix::matmul_tn as Kernel),
+        "nt" => ((m, k), (n, k), Matrix::matmul_nt as Kernel),
+        other => panic!("unknown GEMM layout {other}"),
+    };
+    (rand_matrix(rng, ar, ac), rand_matrix(rng, br, bc), kernel)
 }
 
 fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
@@ -116,37 +147,21 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<CaseResult> {
         cases.push(case);
     };
 
-    // 1. GEMM shapes, blocked vs naive, all layouts.
+    // 1. The GEMM shapes of a real round, every layout.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    for &n in cfg.gemm_shapes() {
-        let a = rand_matrix(&mut rng, n, n);
-        let b = rand_matrix(&mut rng, n, n);
-        // Larger shapes amortise a sample over fewer iterations.
-        let iters = match n {
-            0..=64 => 10,
-            65..=256 => 2,
-            _ => 1,
-        };
-        type Kernel = fn(&Matrix, &Matrix) -> Matrix;
-        let kernels: [(&str, &str, Kernel); 6] = [
-            ("nn", "blocked", gemm::gemm_nn as Kernel),
-            ("nn", "naive", Matrix::matmul_naive as Kernel),
-            ("tn", "blocked", gemm::gemm_tn as Kernel),
-            ("tn", "naive", Matrix::matmul_tn_naive as Kernel),
-            ("nt", "blocked", gemm::gemm_nt as Kernel),
-            ("nt", "naive", Matrix::matmul_nt_naive as Kernel),
-        ];
-        for (layout, variant, kernel) in kernels {
-            let case = time_case(
-                &format!("gemm/{layout}/{n}/{variant}"),
-                cfg.samples(),
-                iters,
-                || {
-                    black_box(kernel(&a, &b));
-                },
-            );
-            push(&mut out, case);
-        }
+    for &(layout, m, k, n) in GEMM_SHAPES {
+        let (a, b, kernel) = gemm_case(&mut rng, layout, (m, k, n));
+        // Enough iterations that one sample is about a millisecond.
+        let iters = (4_000_000 / (m * k * n)).max(1) as u64;
+        let case = time_case(
+            &format!("gemm/{layout}/{m}x{k}x{n}"),
+            cfg.samples(),
+            iters,
+            || {
+                black_box(kernel(&a, &b));
+            },
+        );
+        push(&mut out, case);
     }
 
     // 2. Simple-HGN forward / forward+backward at the experiment model
@@ -385,7 +400,6 @@ mod tests {
         };
         assert_eq!(smoke.label(), "smoke");
         assert_eq!(full.label(), "full");
-        assert!(smoke.gemm_shapes().len() < full.gemm_shapes().len());
         assert!(smoke.fl_scales().len() < full.fl_scales().len());
         assert!(smoke.samples() < full.samples());
         assert_eq!(

@@ -1,19 +1,35 @@
-//! Parallel, cache-blocked GEMM kernels behind [`Matrix::matmul`] and its
-//! fused-transpose variants.
+//! Register-tiled GEMM kernels behind [`Matrix::matmul`] and its
+//! fused-transpose variants: one production path per layout, at every
+//! shape.
 //!
 //! # Bitwise reproducibility
 //!
 //! The FedDA simulator's seeded-run tests compare results to the last bit,
-//! so these kernels are built around one invariant: **every output element
-//! is produced by exactly the same sequence of f32 operations as the naive
-//! kernels in `matrix.rs`** — a single accumulator chain over `k` in
-//! ascending order, including the naive kernels' `a == 0.0` skip. Cache
-//! blocking only changes *which* elements are worked on when (k-blocks for
-//! one output element are still visited in ascending order), packing only
-//! changes where the B operand is read from, and threads partition output
-//! **rows**, so each output element is written by exactly one thread.
-//! Consequently the blocked kernels return bit-identical results to the
-//! naive ones at every shape and every thread count.
+//! so the kernels are built around one contract: **every output element is
+//! a single accumulator chain that starts at `+0.0` and adds `a·b` for `k`
+//! in ascending order** — the f32 operation sequence of a scalar triple
+//! loop, which is what the test-only oracle (`tests/oracle/mod.rs`) runs.
+//! f32 addition is not associative, so a tile vectorises across output
+//! columns and rows, never across `k`; threads partition output **rows**,
+//! so each element is written by exactly one thread. Results are therefore
+//! bit-identical at every shape, tile edge and thread count.
+//!
+//! No term is skipped: `0·NaN` and `0·Inf` reach the output as NaN in all
+//! three layouts, so a corrupted operand stays visible to
+//! [`Matrix::has_non_finite`]. On finite inputs a zero-skip would change
+//! nothing — a chain started at `+0.0` can never become `-0.0` — so
+//! FedDA's exactly-zero masked weights need no special case.
+//!
+//! # Tiling
+//!
+//! An `M×N` block of accumulators lives in locals for the whole `k` walk
+//! and is stored once. `nn` broadcasts `A[i..][p]` against the strip
+//! `B[p][j..]`; `tn` reads `A[p][i..]` and `B[p][j..]` in place, both
+//! contiguous; `nt` materialises the small `Bᵀ` and runs the `nn` tile,
+//! whose chain is exactly the row·row dot product. The tile shape follows
+//! the output width (2×16, 4×8 below 16 columns, 8×1 for a single column —
+//! measured, see `run`); ragged edges fall to narrower instances of the
+//! same tile function.
 //!
 //! # Threading
 //!
@@ -22,27 +38,26 @@
 //! [`with_kernel_threads`] applies a thread-local cap on top, which is how
 //! the FL simulator keeps `per-client threads × kernel threads` from
 //! oversubscribing the machine (see `fedda_fl::system`). Threads are
-//! scoped (crossbeam), spawned per call; row ranges are contiguous.
+//! scoped (crossbeam), spawned per call for products of at least
+//! [`BLOCK_THRESHOLD`] multiply-adds; row ranges are contiguous.
 
 use crate::Matrix;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-/// Dispatch threshold: problems with `m·k·n` at or above this run the
-/// blocked parallel path; smaller ones use the naive loops, whose overhead
-/// is lower. 64³ — roughly where packing + spawn costs amortise.
-pub const BLOCK_THRESHOLD: usize = 64 * 64 * 64;
-
-/// k-extent of a packed B panel (inner blocking over the shared dimension).
-const KC: usize = 256;
-
-/// n-extent of a packed B panel. `KC × NC` f32 = 512 KiB at the defaults,
-/// sized to sit in L2 while the A rows stream past it.
-const NC: usize = 512;
-
-/// j-extent of the B-row block in the NT kernel (rows of B kept hot while
-/// every A row in the partition is dotted against them).
-const NT_JB: usize = 64;
+/// Threading cut-off: products with fewer than this many multiply-adds
+/// (`m·k·n`) run on the calling thread.
+///
+/// Measured on the two-core reference box with the tile at ~14
+/// multiply-adds per ns: a scoped spawn + join costs 30 µs at best, but its
+/// tail runs to milliseconds whenever the sibling core is busy. Median
+/// times on 1 → 2 threads: `2525×48·48×48` (5.8 M, the largest product of
+/// a paper-sized round) 0.48 → 0.54 ms with the p90 at 0.74 → 0.77 ms and
+/// worse under load; 10–17 M flips with the load; `2525×96·96×96` (23 M)
+/// 2.9 → 2.0 ms; `2525×128·128×128` (41 M) 6.0 → 3.3 ms. So threads pay
+/// from about 2²⁴ up, and no product of the benchmark's federated rounds
+/// is large enough to want them.
+pub const BLOCK_THRESHOLD: usize = 1 << 24;
 
 static CONFIGURED_THREADS: OnceLock<usize> = OnceLock::new();
 
@@ -99,19 +114,24 @@ pub fn kernel_threads() -> usize {
     configured_threads().min(THREAD_CAP.with(|c| c.get()))
 }
 
-/// Whether an `m×k @ k×n` product is large enough for the blocked path.
-#[inline]
-pub fn use_blocked(m: usize, k: usize, n: usize) -> bool {
+/// Threads to launch for an `m×k @ k×n` product: the [`kernel_threads`]
+/// budget from [`BLOCK_THRESHOLD`] multiply-adds up, the calling thread
+/// alone below.
+fn threads_for(m: usize, k: usize, n: usize) -> usize {
     // Saturating: shapes near usize::MAX would wrap to small products.
-    m.saturating_mul(k).saturating_mul(n) >= BLOCK_THRESHOLD
+    if m.saturating_mul(k).saturating_mul(n) >= BLOCK_THRESHOLD {
+        kernel_threads()
+    } else {
+        1
+    }
 }
 
-/// Split `m` output rows across up to `threads` workers and run `body` on
-/// each `(first_row, out_chunk)` pair, in parallel when it pays.
-fn partition_rows(out: &mut Matrix, n: usize, body: impl Fn(usize, &mut [f32]) + Sync) {
-    let m = out.rows();
-    let threads = kernel_threads().min(m).max(1);
-    if threads <= 1 || n == 0 {
+/// Split `out`'s rows into contiguous chunks, one per thread (at most one
+/// thread per row), and run `body` on each `(first_row, chunk)` pair.
+fn partition_rows(out: &mut Matrix, threads: usize, body: impl Fn(usize, &mut [f32]) + Sync) {
+    let (m, n) = out.shape();
+    let threads = threads.min(m);
+    if threads <= 1 {
         body(0, out.as_mut_slice());
         return;
     }
@@ -126,118 +146,157 @@ fn partition_rows(out: &mut Matrix, n: usize, body: impl Fn(usize, &mut [f32]) +
     .expect("gemm worker panicked");
 }
 
-/// Blocked, parallel `a @ b`. Same shape contract as [`Matrix::matmul`];
-/// bit-identical output (see module docs).
+/// `op(A)` and `B` of one product, as the tile reads them.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f32],
+    /// Row stride of `a`: `k` for `nn`, `m` for `tn`.
+    lda: usize,
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+/// `op(A) @ B` into a fresh `m × n` matrix on `threads` threads; `TN`
+/// selects `op(A) = Aᵀ`.
+///
+/// Tile shapes were picked by measurement on the baseline (SSE2, 16
+/// registers of 4 lanes) build: 2×16 — 8 accumulator registers, 4 for the
+/// `B` strip, one broadcast — runs the real `n ∈ {16, 32, 48, 128}` widths
+/// at ~28 GFlop/s against ~23 for 4×8 and ~20 for 6×8 (4×16 spills);
+/// widths below 16 take 4×8, and single-column products (attention
+/// projections and their `tn` backward) take eight rows at once so their
+/// chains run side by side.
+fn run<const TN: bool>(ops: Operands<'_>, m: usize, threads: usize) -> Matrix {
+    let Operands { k, n, .. } = ops;
+    let mut out = Matrix::zeros(m, n);
+    if k == 0 || n == 0 {
+        return out; // empty sums: the zero matrix is the answer
+    }
+    partition_rows(&mut out, threads, |row0, chunk| match n {
+        1 => rows::<TN, 8, 1>(ops, row0, chunk),
+        2..=15 => rows::<TN, 4, 8>(ops, row0, chunk),
+        _ => rows::<TN, 2, 16>(ops, row0, chunk),
+    });
+    out
+}
+
+/// `a @ b`. Same shape contract as [`Matrix::matmul`].
 pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
-    assert_eq!(k, b.rows(), "gemm_nn: {}x{} @ {}x{}", m, k, b.rows(), n);
-    let mut out = Matrix::zeros(m, n);
-    let (a, b_data) = (a.as_slice(), b.as_slice());
-    partition_rows(&mut out, n, |row0, chunk| {
-        nn_block(a, b_data, chunk, row0, k, n);
-    });
-    out
+    assert_eq!(k, b.rows(), "matmul: {}x{} @ {}x{}", m, k, b.rows(), n);
+    let (a, b) = (a.as_slice(), b.as_slice());
+    run::<false>(Operands { a, lda: k, b, k, n }, m, threads_for(m, k, n))
 }
 
-/// Blocked, parallel `a^T @ b`. The transpose is materialised once
-/// (`O(m·k)`, negligible against `O(m·k·n)`) and fed through the NN driver:
-/// the naive TN kernel's per-element operation sequence — ascending `p`,
-/// skip on `a[p][i] == 0` — is exactly the NN sequence on `a^T`.
+/// `a^T @ b`, with `a` read in place (no transpose is materialised).
 pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let (k, m) = a.shape();
+    let n = b.cols();
+    assert_eq!(k, b.rows(), "matmul_tn: ({k}x{m})^T @ {}x{n}", b.rows());
+    let (a, b) = (a.as_slice(), b.as_slice());
+    run::<true>(Operands { a, lda: m, b, k, n }, m, threads_for(m, k, n))
+}
+
+/// `a @ b^T`: `b^T` is materialised (`O(k·n)`; `b` is a weight matrix on
+/// every hot call) and fed to the `nn` tile.
+pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k) = a.shape();
     assert_eq!(
-        a.rows(),
-        b.rows(),
-        "gemm_tn: ({}x{})^T @ {}x{}",
-        a.rows(),
-        a.cols(),
+        k,
+        b.cols(),
+        "matmul_nt: {m}x{k} @ ({}x{})^T",
         b.rows(),
         b.cols()
     );
-    gemm_nn(&a.transpose(), b)
+    gemm_nn(a, &b.transpose())
 }
 
-/// Blocked, parallel `a @ b^T`. Each output element is a full-length dot
-/// with a single accumulator (matching the naive NT kernel), so k cannot be
-/// blocked; instead B's rows are processed in blocks that stay cache-hot
-/// across the A rows of the partition.
-pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    let (m, k) = a.shape();
-    let n = b.rows();
-    assert_eq!(k, b.cols(), "gemm_nt: {}x{} @ ({}x{})^T", m, k, n, b.cols());
-    let mut out = Matrix::zeros(m, n);
-    let (a, b_data) = (a.as_slice(), b.as_slice());
-    partition_rows(&mut out, n, |row0, chunk| {
-        nt_block(a, b_data, chunk, row0, k, n);
-    });
-    out
-}
-
-/// Cache-blocked NN on one contiguous row partition.
-///
-/// Loop nest: `jc` (N blocks) → `pc` (K blocks) → pack → rows. For a fixed
-/// output column block, K blocks are visited in ascending order, so each
-/// output element accumulates over the full `k` range in order.
-fn nn_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    if n == 0 {
-        return;
+/// One contiguous partition of output rows starting at `row0`: `M`-row
+/// panels, single rows at the ragged end.
+fn rows<const TN: bool, const M: usize, const N: usize>(
+    ops: Operands<'_>,
+    row0: usize,
+    out: &mut [f32],
+) {
+    let n = ops.n;
+    let mut panels = out.chunks_exact_mut(M * n);
+    let mut i = row0;
+    for panel in &mut panels {
+        self::panel::<TN, M, N>(ops, i, panel);
+        i += M;
     }
-    let rows = out.len() / n;
-    let mut panel = vec![0.0f32; KC * NC.min(n)];
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            // Pack B[pc.., jc..] into a contiguous kc × nc panel so the
-            // innermost loop streams one cache-resident buffer.
-            for p in 0..kc {
-                let src = (pc + p) * n + jc;
-                panel[p * nc..(p + 1) * nc].copy_from_slice(&b[src..src + nc]);
-            }
-            for i in 0..rows {
-                let a_off = (row0 + i) * k + pc;
-                let a_row = &a[a_off..a_off + kc];
-                let out_row = &mut out[i * n + jc..i * n + jc + nc];
-                for (p, &av) in a_row.iter().enumerate() {
-                    // Same sparsity skip as the naive kernel — required for
-                    // bit-identity, and FedDA's masked weights really are
-                    // zero-heavy.
-                    // fedda-lint: allow(float-eq, reason = "exact-zero sparsity skip; masked weights are written as literal 0.0, and the skip must match the naive kernel bit-for-bit")
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_row = &panel[p * nc..(p + 1) * nc];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
+    for row in panels.into_remainder().chunks_exact_mut(n) {
+        self::panel::<TN, 1, N>(ops, i, row);
+        i += 1;
     }
 }
 
-/// B-row-blocked NT on one contiguous row partition.
-fn nt_block(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
-    if n == 0 {
-        return;
+/// The `M` output rows from `i`: `N`-wide tiles, then one 8-wide tile if a
+/// 16-wide strip left room for it, then single columns.
+fn panel<const TN: bool, const M: usize, const N: usize>(
+    ops: Operands<'_>,
+    i: usize,
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + N <= ops.n {
+        tile::<TN, M, N>(ops, i, j, out);
+        j += N;
     }
-    let rows = out.len() / n;
-    for jb in (0..n).step_by(NT_JB) {
-        let je = (jb + NT_JB).min(n);
-        for i in 0..rows {
-            let a_off = (row0 + i) * k;
-            let a_row = &a[a_off..a_off + k];
-            for j in jb..je {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                out[i * n + j] = acc;
+    if N > 8 && j + 8 <= ops.n {
+        tile::<TN, M, 8>(ops, i, j, out);
+        j += 8;
+    }
+    while j < ops.n {
+        tile::<TN, M, 1>(ops, i, j, out);
+        j += 1;
+    }
+}
+
+/// The `M×N` tile of output rows `i..` and columns `j..`, written into the
+/// `M`-row panel `out`. The accumulators stay in locals for the whole `k`
+/// walk; the `r`/`c` loops have constant bounds and unroll into vector
+/// multiply-adds.
+#[inline(always)]
+fn tile<const TN: bool, const M: usize, const N: usize>(
+    ops: Operands<'_>,
+    i: usize,
+    j: usize,
+    out: &mut [f32],
+) {
+    let Operands { a, lda, b, k, n } = ops;
+    let mut acc = [[0.0f32; N]; M];
+    for p in 0..k {
+        let av: [f32; M] = if TN {
+            load(a, p * lda + i)
+        } else {
+            std::array::from_fn(|r| a[(i + r) * lda + p])
+        };
+        let bv: [f32; N] = load(b, p * n + j);
+        for r in 0..M {
+            for c in 0..N {
+                acc[r][c] += av[r] * bv[c];
             }
         }
     }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n + j..r * n + j + N].copy_from_slice(acc_row);
+    }
 }
+
+#[inline(always)]
+fn load<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
+    let mut v = [0.0f32; N];
+    v.copy_from_slice(&s[at..at + N]);
+    v
+}
+
+/// The scalar triple-loop oracle the tests compare against, bit for bit.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -261,50 +320,98 @@ mod tests {
         )
     }
 
-    /// Bit-identity at shapes straddling block boundaries, with zeros mixed
-    /// in to exercise the sparsity skip.
+    fn nn_on(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+        let (m, k) = a.shape();
+        let n = b.cols();
+        let (a, b) = (a.as_slice(), b.as_slice());
+        run::<false>(Operands { a, lda: k, b, k, n }, m, threads)
+    }
+
+    fn tn_on(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+        let (k, m) = a.shape();
+        let n = b.cols();
+        let (a, b) = (a.as_slice(), b.as_slice());
+        run::<true>(Operands { a, lda: m, b, k, n }, m, threads)
+    }
+
+    /// Bit-identity with the scalar oracle at shapes straddling every tile
+    /// edge (rows 1/2/4/8, columns 1/8/16) on zero-heavy inputs, with the
+    /// thread count forced so that partitions split panels too.
     #[test]
     fn blocked_kernels_match_naive_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
         for &(m, k, n) in &[
             (1, 1, 1),
+            (9, 5, 1),
+            (17, 1, 8),
             (3, 70, 5),
+            (7, 9, 15),
+            (5, 33, 16),
+            (11, 3, 17),
+            (13, 20, 25),
+            (19, 7, 41),
             (65, 64, 63),
-            (130, 300, 17),
-            (40, 513, 520),
         ] {
+            let dims = (m, k, n);
             let a = rand_matrix(&mut rng, m, k, 0.3);
             let b = rand_matrix(&mut rng, k, n, 0.3);
-            assert_eq!(
-                gemm_nn(&a, &b).as_slice(),
-                a.matmul_naive(&b).as_slice(),
-                "nn {m}x{k}x{n}"
-            );
             let at = rand_matrix(&mut rng, k, m, 0.3);
-            assert_eq!(
-                gemm_tn(&at, &b).as_slice(),
-                at.matmul_tn_naive(&b).as_slice(),
-                "tn {m}x{k}x{n}"
-            );
             let bt = rand_matrix(&mut rng, n, k, 0.3);
+            let want_nn = oracle::bits(&oracle::nn(a.as_slice(), b.as_slice(), dims));
+            let want_tn = oracle::bits(&oracle::tn(at.as_slice(), b.as_slice(), dims));
+            let want_nt = oracle::bits(&oracle::nt(a.as_slice(), bt.as_slice(), dims));
+            for threads in [1, 2, 3, 8] {
+                let ctx = format!("{m}x{k}x{n} on {threads} threads");
+                let got = nn_on(&a, &b, threads);
+                assert_eq!(got.shape(), (m, n));
+                assert_eq!(oracle::bits(got.as_slice()), want_nn, "nn {ctx}");
+                let got = tn_on(&at, &b, threads);
+                assert_eq!(got.shape(), (m, n));
+                assert_eq!(oracle::bits(got.as_slice()), want_tn, "tn {ctx}");
+                let got = nn_on(&a, &bt.transpose(), threads);
+                assert_eq!(oracle::bits(got.as_slice()), want_nt, "nt {ctx}");
+            }
+            assert_eq!(oracle::bits(gemm_nt(&a, &bt).as_slice()), want_nt);
+        }
+    }
+
+    /// Through the public entry points, above the threading cut-off:
+    /// results must not depend on the thread count (row partitioning).
+    #[test]
+    fn thread_count_does_not_change_results() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let (m, k, n) = (261, 257, 259);
+        assert!(m * k * n >= BLOCK_THRESHOLD);
+        let a = rand_matrix(&mut rng, m, k, 0.2);
+        let b = rand_matrix(&mut rng, k, n, 0.2);
+        let single = with_kernel_threads(1, || gemm_nn(&a, &b));
+        for threads in [2, 3, 8] {
+            let multi = with_kernel_threads(threads, || gemm_nn(&a, &b));
             assert_eq!(
-                gemm_nt(&a, &bt).as_slice(),
-                a.matmul_nt_naive(&bt).as_slice(),
-                "nt {m}x{k}x{n}"
+                oracle::bits(single.as_slice()),
+                oracle::bits(multi.as_slice()),
+                "threads={threads}"
             );
         }
     }
 
-    /// Results must not depend on the thread count (row partitioning).
+    /// ROADMAP item 2's audit: a zero operand must not hide a non-finite
+    /// one from the corruption guard, in any layout.
     #[test]
-    fn thread_count_does_not_change_results() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let a = rand_matrix(&mut rng, 97, 120, 0.2);
-        let b = rand_matrix(&mut rng, 120, 85, 0.2);
-        let single = with_kernel_threads(1, || gemm_nn(&a, &b));
-        for threads in [2, 3, 8] {
-            let multi = with_kernel_threads(threads, || gemm_nn(&a, &b));
-            assert_eq!(single.as_slice(), multi.as_slice(), "threads={threads}");
+    fn zero_times_non_finite_propagates_in_every_layout() {
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // a = [0, 1], b = [bad, 1]^T: the only path to `bad` is 0·bad.
+            let row = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+            let col = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
+            let bad_col = Matrix::from_vec(2, 1, vec![bad, 1.0]);
+            let bad_row = Matrix::from_vec(1, 2, vec![bad, 1.0]);
+            assert!(gemm_nn(&row, &bad_col).has_non_finite(), "nn 0*{bad}");
+            assert!(gemm_tn(&col, &bad_col).has_non_finite(), "tn 0*{bad}");
+            assert!(gemm_nt(&row, &bad_row).has_non_finite(), "nt 0*{bad}");
+            // ... and symmetrically with the non-finite value on the left.
+            assert!(gemm_nn(&bad_row, &col).has_non_finite(), "nn {bad}*0");
+            assert!(gemm_tn(&bad_col, &col).has_non_finite(), "tn {bad}*0");
+            assert!(gemm_nt(&bad_row, &row).has_non_finite(), "nt {bad}*0");
         }
     }
 
@@ -320,10 +427,14 @@ mod tests {
 
     #[test]
     fn dispatch_threshold_is_volume_based() {
-        assert!(!use_blocked(63, 63, 63));
-        assert!(use_blocked(64, 64, 64));
-        assert!(use_blocked(1, 1, usize::MAX)); // saturating, no overflow
-        assert!(!use_blocked(0, 1000, 1000));
+        with_kernel_threads(1, || assert_eq!(threads_for(1 << 10, 1 << 10, 1 << 10), 1));
+        let budget = kernel_threads();
+        assert_eq!(threads_for(2525, 48, 48), 1);
+        assert_eq!(threads_for(1, 1, BLOCK_THRESHOLD - 1), 1);
+        assert_eq!(threads_for(1, 1, BLOCK_THRESHOLD), budget);
+        assert_eq!(threads_for(2525, 96, 96), budget);
+        assert_eq!(threads_for(1, 2, usize::MAX), budget); // saturating, no overflow
+        assert_eq!(threads_for(0, 1 << 20, 1 << 20), 1);
     }
 
     #[test]
@@ -332,10 +443,21 @@ mod tests {
         let b = Matrix::zeros(0, 7);
         let c = gemm_nn(&a, &b);
         assert_eq!(c.shape(), (5, 7));
-        assert!(c.as_slice().iter().all(|&x| x == 0.0));
+        assert_eq!(oracle::bits(c.as_slice()), vec![0u32; 35]);
         let d = gemm_nn(&Matrix::zeros(0, 4), &Matrix::zeros(4, 3));
         assert_eq!(d.shape(), (0, 3));
         let e = gemm_nt(&Matrix::zeros(2, 3), &Matrix::zeros(0, 3));
         assert_eq!(e.shape(), (2, 0));
+        let f = gemm_tn(&Matrix::zeros(0, 4), &Matrix::zeros(0, 3));
+        assert_eq!(f.shape(), (4, 3));
+        assert_eq!(oracle::bits(f.as_slice()), vec![0u32; 12]);
+        // More threads than rows, and a zero-row output, must not spawn
+        // empty partitions.
+        let g = nn_on(&Matrix::full(2, 3, 1.0), &Matrix::full(3, 2, 1.0), 8);
+        assert_eq!(g.as_slice(), &[3.0; 4]);
+        assert_eq!(
+            nn_on(&Matrix::zeros(0, 3), &Matrix::zeros(3, 2), 8).shape(),
+            (0, 2)
+        );
     }
 }

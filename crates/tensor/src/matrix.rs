@@ -5,7 +5,8 @@
 //! matrices); this keeps shape logic simple and the kernels flat and
 //! vectorisable. Kernels never allocate inside inner loops, and the
 //! mutating variants (`add_assign`, `scale_assign`, …) exist so optimisers
-//! and gradient accumulation can reuse buffers.
+//! and gradient accumulation can reuse buffers. The three matrix products
+//! are thin entry points onto the register-tiled kernels in [`crate::gemm`].
 
 use std::fmt;
 
@@ -188,134 +189,29 @@ impl Matrix {
         out
     }
 
-    /// `self @ other` — plain matrix multiply.
-    ///
-    /// Large products (see [`crate::gemm::use_blocked`]) run on the
-    /// parallel cache-blocked kernel; small ones use the naive loop. Both
-    /// paths return bit-identical results (see the `gemm` module docs).
+    /// `self @ other` — plain matrix multiply on the register-tiled kernel
+    /// ([`crate::gemm`]), bit-identical at every shape and thread count.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        if crate::gemm::use_blocked(self.rows, self.cols, other.cols) {
-            crate::gemm::gemm_nn(self, other)
-        } else {
-            self.matmul_naive(other)
-        }
+        crate::gemm::gemm_nn(self, other)
     }
 
-    /// Single-threaded i-k-j matmul — the reference kernel the blocked path
-    /// must match bit-for-bit, and the fast path for small shapes.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        // i-k-j loop order: the inner loop walks contiguous memory in both
-        // `other` and `out`, which is what lets LLVM vectorise it.
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                // fedda-lint: allow(float-eq, reason = "exact-zero sparsity skip: adding a*b with a == 0.0 is a bitwise no-op, so skipping preserves bit-identity")
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self^T @ other` without materialising the transpose (large
-    /// products dispatch to the blocked kernel, which does materialise it —
-    /// the `O(m·k)` copy is noise next to the `O(m·k·n)` product).
+    /// `self^T @ other` without materialising the transpose.
+    ///
+    /// # Panics
+    /// Panics when the row counts differ.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_tn: ({}x{})^T @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        if crate::gemm::use_blocked(self.cols, self.rows, other.cols) {
-            crate::gemm::gemm_tn(self, other)
-        } else {
-            self.matmul_tn_naive(other)
-        }
+        crate::gemm::gemm_tn(self, other)
     }
 
-    /// Single-threaded p-outer `self^T @ other` reference kernel.
-    pub fn matmul_tn_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_tn: ({}x{})^T @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                // fedda-lint: allow(float-eq, reason = "exact-zero sparsity skip: adding a*b with a == 0.0 is a bitwise no-op, so skipping preserves bit-identity")
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self @ other^T` without materialising the transpose.
+    /// `self @ other^T`.
+    ///
+    /// # Panics
+    /// Panics when the column counts differ.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        if crate::gemm::use_blocked(self.rows, self.cols, other.rows) {
-            crate::gemm::gemm_nt(self, other)
-        } else {
-            self.matmul_nt_naive(other)
-        }
-    }
-
-    /// Single-threaded dot-product `self @ other^T` reference kernel.
-    pub fn matmul_nt_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-        out
+        crate::gemm::gemm_nt(self, other)
     }
 
     /// Elementwise `self += other`.

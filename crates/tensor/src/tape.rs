@@ -103,6 +103,24 @@ pub struct Graph {
     nodes: Vec<Node>,
 }
 
+/// `out[r][c] = f(a[r][c], row[c])` in one pass over `a`.
+fn zip_row(a: &Matrix, row: &[f32], f: impl Fn(f32, f32) -> f32) -> Matrix {
+    let mut data = Vec::with_capacity(a.len());
+    for a_row in a.rows_iter() {
+        data.extend(a_row.iter().zip(row).map(|(&x, &y)| f(x, y)));
+    }
+    Matrix::from_vec(a.rows(), a.cols(), data)
+}
+
+/// `out[r][c] = a[r][c] * col[r]` in one pass over `a`.
+fn scale_rows(a: &Matrix, col: &[f32]) -> Matrix {
+    let mut data = Vec::with_capacity(a.len());
+    for (a_row, &s) in a.rows_iter().zip(col) {
+        data.extend(a_row.iter().map(|&x| x * s));
+    }
+    Matrix::from_vec(a.rows(), a.cols(), data)
+}
+
 impl Graph {
     /// Create an empty tape.
     pub fn new() -> Self {
@@ -197,65 +215,42 @@ impl Graph {
 
     /// `[m,n] + [1,n]`: add a bias row to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let (m, n) = self.shape(a);
+        let (_, n) = self.shape(a);
         let (br, bc) = self.shape(bias);
         assert_eq!(
             (br, bc),
             (1, n),
             "add_row_broadcast: bias must be 1x{n}, got {br}x{bc}"
         );
-        let mut value = self.value(a).clone();
-        {
-            let b = self.nodes[bias.0].value.as_slice().to_vec();
-            for r in 0..m {
-                for (o, &bv) in value.row_mut(r).iter_mut().zip(&b) {
-                    *o += bv;
-                }
-            }
-        }
+        let value = zip_row(self.value(a), self.value(bias).as_slice(), |x, b| x + b);
         let rg = self.requires(a) || self.requires(bias);
         self.push(value, Op::AddRowBroadcast(a, bias), rg)
     }
 
     /// `[m,n] * [m,1]`: scale each row of `a` by the matching scalar in `c`.
     pub fn mul_col_broadcast(&mut self, a: Var, c: Var) -> Var {
-        let (m, n) = self.shape(a);
+        let (m, _) = self.shape(a);
         let (cr, cc) = self.shape(c);
         assert_eq!(
             (cr, cc),
             (m, 1),
             "mul_col_broadcast: scale must be {m}x1, got {cr}x{cc}"
         );
-        let mut value = self.value(a).clone();
-        for r in 0..m {
-            let s = self.nodes[c.0].value.get(r, 0);
-            for o in value.row_mut(r) {
-                *o *= s;
-            }
-        }
-        let _ = n;
+        let value = scale_rows(self.value(a), self.value(c).as_slice());
         let rg = self.requires(a) || self.requires(c);
         self.push(value, Op::MulColBroadcast(a, c), rg)
     }
 
     /// `[m,n] * [1,n]`: scale each column of `a` by the matching scalar in `r`.
     pub fn mul_row_broadcast(&mut self, a: Var, rvec: Var) -> Var {
-        let (m, n) = self.shape(a);
+        let (_, n) = self.shape(a);
         let (rr, rc) = self.shape(rvec);
         assert_eq!(
             (rr, rc),
             (1, n),
             "mul_row_broadcast: scale must be 1x{n}, got {rr}x{rc}"
         );
-        let mut value = self.value(a).clone();
-        {
-            let rv = self.nodes[rvec.0].value.as_slice().to_vec();
-            for r in 0..m {
-                for (o, &s) in value.row_mut(r).iter_mut().zip(&rv) {
-                    *o *= s;
-                }
-            }
-        }
+        let value = zip_row(self.value(a), self.value(rvec).as_slice(), |x, s| x * s);
         let rg = self.requires(a) || self.requires(rvec);
         self.push(value, Op::MulRowBroadcast(a, rvec), rg)
     }
@@ -693,34 +688,16 @@ impl Graph {
             }
             Op::MulColBroadcast(a, c) => {
                 let (a, c) = (*a, *c);
-                let (m, _n) = g.shape();
-                let da = if self.requires(a) {
-                    let mut da = g.clone();
-                    for r in 0..m {
-                        let s = self.nodes[c.0].value.get(r, 0);
-                        for x in da.row_mut(r) {
-                            *x *= s;
-                        }
-                    }
-                    Some(da)
-                } else {
-                    None
-                };
-                let dc = if self.requires(c) {
-                    let mut dc = Matrix::zeros(m, 1);
-                    for r in 0..m {
-                        let dot: f32 = g
-                            .row(r)
-                            .iter()
-                            .zip(self.nodes[a.0].value.row(r))
-                            .map(|(&gv, &av)| gv * av)
-                            .sum();
-                        dc.set(r, 0, dot);
-                    }
-                    Some(dc)
-                } else {
-                    None
-                };
+                let da = self
+                    .requires(a)
+                    .then(|| scale_rows(&g, self.value(c).as_slice()));
+                let dc = self.requires(c).then(|| {
+                    let row_dot = |(g_row, a_row): (&[f32], &[f32])| -> f32 {
+                        g_row.iter().zip(a_row).map(|(&gv, &av)| gv * av).sum()
+                    };
+                    let rows = g.rows_iter().zip(self.value(a).rows_iter());
+                    Matrix::col_vector(rows.map(row_dot).collect())
+                });
                 self.put_grad(i, g);
                 if let Some(da) = da {
                     self.accum_owned(a, da);
@@ -733,17 +710,9 @@ impl Graph {
             Op::MulRowBroadcast(a, rv) => {
                 let (a, rv) = (*a, *rv);
                 let (m, n) = g.shape();
-                let da = if self.requires(a) {
-                    let mut da = g.clone();
-                    for r in 0..m {
-                        for (x, &s) in da.row_mut(r).iter_mut().zip(self.nodes[rv.0].value.row(0)) {
-                            *x *= s;
-                        }
-                    }
-                    Some(da)
-                } else {
-                    None
-                };
+                let da = self
+                    .requires(a)
+                    .then(|| zip_row(&g, self.value(rv).as_slice(), |x, s| x * s));
                 let dr = if self.requires(rv) {
                     let mut dr = Matrix::zeros(1, n);
                     for r in 0..m {

@@ -1,8 +1,59 @@
 //! Property-based tests over the tensor kernels and autodiff invariants.
 
-use fedda_tensor::{Graph, Matrix, ParamSet, Segments};
+use fedda_tensor::{gemm, Graph, Matrix, ParamSet, Segments};
 use proptest::prelude::*;
+use rand::Rng;
 use std::sync::Arc;
+
+mod oracle;
+
+/// A third exact zeros of either sign, so that the kernels' treatment of
+/// FedDA's masked (literally zero) weights is always in play.
+fn zero_heavy(rng: &mut rand::rngs::StdRng, r: usize, c: usize) -> Matrix {
+    let data = (0..r * c).map(|_| match rng.gen_range(0u8..6) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.gen_range(-2.0f32..2.0),
+    });
+    Matrix::from_vec(r, c, data.collect())
+}
+
+/// Above the threading cut-off the row partitions of 2, 3 and 8 kernel
+/// threads split the 2-row panels of a ragged shape at different places;
+/// every layout must still match the scalar oracle bit for bit.
+#[test]
+fn dispatched_matmul_is_exact_above_threshold() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6E44);
+    let dims @ (m, k, n) = (261, 257, 259);
+    assert!(m * k * n >= gemm::BLOCK_THRESHOLD);
+    let a = zero_heavy(&mut rng, m, k);
+    let at = zero_heavy(&mut rng, k, m);
+    let b = zero_heavy(&mut rng, k, n);
+    let bt = zero_heavy(&mut rng, n, k);
+    let want_nn = oracle::bits(&oracle::nn(a.as_slice(), b.as_slice(), dims));
+    let want_tn = oracle::bits(&oracle::tn(at.as_slice(), b.as_slice(), dims));
+    let want_nt = oracle::bits(&oracle::nt(a.as_slice(), bt.as_slice(), dims));
+    for threads in [1, 2, 3, 8] {
+        gemm::with_kernel_threads(threads, || {
+            assert_eq!(
+                oracle::bits(a.matmul(&b).as_slice()),
+                want_nn,
+                "nn, {threads} threads"
+            );
+            assert_eq!(
+                oracle::bits(at.matmul_tn(&b).as_slice()),
+                want_tn,
+                "tn, {threads} threads"
+            );
+            assert_eq!(
+                oracle::bits(a.matmul_nt(&bt).as_slice()),
+                want_nt,
+                "nt, {threads} threads"
+            );
+        });
+    }
+}
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
@@ -49,41 +100,36 @@ proptest! {
         }
     }
 
+    /// Every layout, through the public entry points, against the scalar
+    /// oracle bit for bit: ragged shapes straddling every tile edge (rows
+    /// 1/2/4/8, columns 1/8/16), empty and unit dimensions, zero-heavy
+    /// inputs (signed zeros included).
     #[test]
     fn blocked_gemm_matches_naive(
-        m in 1usize..20, k in 1usize..20, n in 1usize..20,
+        m in 0usize..21, k in 0usize..21, n in 0usize..36,
         seed in any::<u64>(),
     ) {
-        use fedda_tensor::gemm;
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut fill = |r: usize, c: usize| Matrix::from_vec(r, c, (0..r*c).map(|_| {
-            // sprinkle exact zeros so the naive kernel's zero-skip is hit
-            if rng.gen_range(0u8..4) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) }
-        }).collect());
-        let a = fill(m, k);
-        let at = fill(k, m); // A stored transposed, for the tn kernel
-        let b = fill(k, n);
-        let bt = fill(n, k); // B stored transposed, for the nt kernel
-        // The blocked kernels replay the naive per-element operation order,
-        // so agreement is exact (bitwise), not approximate — below AND above
-        // the dispatch threshold.
-        prop_assert_eq!(gemm::gemm_nn(&a, &b), a.matmul_naive(&b));
-        prop_assert_eq!(gemm::gemm_tn(&at, &b), at.matmul_tn_naive(&b));
-        prop_assert_eq!(gemm::gemm_nt(&a, &bt), a.matmul_nt_naive(&bt));
-    }
-
-    #[test]
-    fn dispatched_matmul_is_exact_above_threshold(seed in any::<u64>()) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // 65³ > BLOCK_THRESHOLD = 64³, so Matrix::matmul takes the blocked
-        // path; the naive reference must still match exactly. (ISSUE asks
-        // ≤ 1e-4 relative here — bit-equality is strictly stronger.)
-        let d = 65usize;
-        let a = Matrix::from_vec(d, d, (0..d*d).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-        let b = Matrix::from_vec(d, d, (0..d*d).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-        prop_assert_eq!(a.matmul(&b), a.matmul_naive(&b));
+        let dims = (m, k, n);
+        let a = zero_heavy(&mut rng, m, k);
+        let at = zero_heavy(&mut rng, k, m); // A stored transposed, for tn
+        let b = zero_heavy(&mut rng, k, n);
+        let bt = zero_heavy(&mut rng, n, k); // B stored transposed, for nt
+        let (nn, tn, nt) = (a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt));
+        prop_assert_eq!((nn.shape(), tn.shape(), nt.shape()), ((m, n), (m, n), (m, n)));
+        prop_assert_eq!(
+            oracle::bits(nn.as_slice()),
+            oracle::bits(&oracle::nn(a.as_slice(), b.as_slice(), dims))
+        );
+        prop_assert_eq!(
+            oracle::bits(tn.as_slice()),
+            oracle::bits(&oracle::tn(at.as_slice(), b.as_slice(), dims))
+        );
+        prop_assert_eq!(
+            oracle::bits(nt.as_slice()),
+            oracle::bits(&oracle::nt(a.as_slice(), bt.as_slice(), dims))
+        );
     }
 
     #[test]
