@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the tensor kernels on the hot path of
-//! Simple-HGN training: dense matmul, gather/scatter message passing, and
-//! the per-destination segment softmax.
+//! Simple-HGN training: dense matmul, gather/scatter message passing, the
+//! per-destination segment softmax, and the fused edge kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fedda_bench::suite::{gemm_case, GEMM_SHAPES};
+use fedda_bench::suite::{gemm_case, EdgeCase, EDGE_SHAPES, GEMM_SHAPES};
 use fedda_tensor::{Graph, Matrix, Segments};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,10 +100,29 @@ fn bench_segment_softmax(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fused per-edge ops, forward + backward, at the real client shapes
+/// (`fedda_bench::suite::EDGE_SHAPES`).
+fn bench_edge_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("edge");
+    let mut rng = StdRng::seed_from_u64(3);
+    for &shape in EDGE_SHAPES {
+        let (nodes, edges, _, width) = shape;
+        let edge = EdgeCase::new(&mut rng, shape);
+        let label = format!("E{edges}xN{nodes}xd{width}");
+        group.bench_with_input(BenchmarkId::new("softmax", &label), &label, |b, _| {
+            b.iter(|| edge.softmax_fwd_bwd())
+        });
+        group.bench_with_input(BenchmarkId::new("aggregate", &label), &label, |b, _| {
+            b.iter(|| edge.aggregate_fwd_bwd())
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_matmul, bench_matmul_thread_scaling, bench_gather_scatter,
-        bench_segment_softmax
+        bench_segment_softmax, bench_edge_kernels
 }
 criterion_main!(benches);

@@ -1,15 +1,17 @@
 //! The fixed, seeded perf suite behind the `perf` binary.
 //!
-//! Three tiers mirror the criterion benches (`benches/`) so snapshot
+//! Four tiers mirror the criterion benches (`benches/`) so snapshot
 //! numbers track the same entry points the micro-benchmarks exercise:
 //!
 //! 1. **GEMM** — the products an FL round actually issues
 //!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
 //!    `tn`/`nt` backward forms and the single-column attention
 //!    projections;
-//! 2. **HGN** — Simple-HGN forward and forward+backward at the experiment
+//! 2. **Edge kernels** — the fused per-edge tape ops, forward + backward,
+//!    at the message-graph shapes of a real client ([`EDGE_SHAPES`]);
+//! 3. **HGN** — Simple-HGN forward and forward+backward at the experiment
 //!    model size on a DBLP-like graph;
-//! 3. **FL round** — one full federated round (local updates +
+//! 4. **FL round** — one full federated round (local updates +
 //!    aggregation + evaluation) for FedAvg and both FedDA strategies at
 //!    several dataset scales.
 //!
@@ -27,7 +29,7 @@ use fedda::fl::{
 use fedda_hetgraph::split::split_edges;
 use fedda_hetgraph::LinkSampler;
 use fedda_hgn::{GraphView, SimpleHgn};
-use fedda_tensor::{Graph, Matrix, TapeBindings};
+use fedda_tensor::{Graph, Matrix, Segments, TapeBindings, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -123,6 +125,86 @@ pub fn gemm_case(
     (rand_matrix(rng, ar, ac), rand_matrix(rng, br, bc), kernel)
 }
 
+/// The per-edge shapes of one attention head, as `(nodes, message edges,
+/// message types, head width)`, taken from the repo benchmark's clients
+/// (self-loops included): the commonest `dblp_fedda` client under its
+/// 8-wide heads, and `amazon_large`'s under the paper model's 16-wide.
+pub const EDGE_SHAPES: &[(usize, usize, usize, usize)] =
+    &[(694, 12_467, 6, 8), (2_525, 17_019, 3, 16)];
+
+/// Random inputs of one [`EDGE_SHAPES`] entry and the forward + backward
+/// pass of each fused edge op over them.
+pub struct EdgeCase {
+    nodes: usize,
+    src: Arc<Vec<u32>>,
+    dst: Arc<Vec<u32>>,
+    etype: Arc<Vec<u32>>,
+    segments: Arc<Segments>,
+    s_src: Matrix,
+    s_dst: Matrix,
+    per_type: Matrix,
+    h: Matrix,
+    alpha: Matrix,
+}
+
+impl EdgeCase {
+    /// Uniformly random endpoints, types, scores and features.
+    pub fn new(
+        rng: &mut StdRng,
+        (nodes, edges, types, width): (usize, usize, usize, usize),
+    ) -> Self {
+        let mut pick =
+            |hi: usize| -> Vec<u32> { (0..edges).map(|_| rng.gen_range(0..hi as u32)).collect() };
+        let (src, dst, etype) = (pick(nodes), pick(nodes), pick(types));
+        Self {
+            nodes,
+            segments: Arc::new(Segments::new(dst.clone(), nodes)),
+            src: Arc::new(src),
+            dst: Arc::new(dst),
+            etype: Arc::new(etype),
+            s_src: rand_matrix(rng, nodes, 1),
+            s_dst: rand_matrix(rng, nodes, 1),
+            per_type: rand_matrix(rng, types, 1),
+            h: rand_matrix(rng, nodes, width),
+            alpha: rand_matrix(rng, edges, 1),
+        }
+    }
+
+    /// `edge_softmax` and its backward under a `Σ α²` loss.
+    pub fn softmax_fwd_bwd(&self) {
+        let mut g = Graph::new();
+        let s_src = g.leaf(self.s_src.clone());
+        let s_dst = g.leaf(self.s_dst.clone());
+        let per_type = g.leaf(self.per_type.clone());
+        let alpha = g.edge_softmax(
+            s_src,
+            s_dst,
+            Some(per_type),
+            self.src.clone(),
+            self.etype.clone(),
+            self.segments.clone(),
+            0.2,
+        );
+        backward_sum_sq(&mut g, alpha);
+    }
+
+    /// `edge_aggregate` and its backward under a `Σ out²` loss.
+    pub fn aggregate_fwd_bwd(&self) {
+        let mut g = Graph::new();
+        let h = g.leaf(self.h.clone());
+        let alpha = g.leaf(self.alpha.clone());
+        let out = g.edge_aggregate(h, alpha, self.src.clone(), self.dst.clone(), self.nodes);
+        backward_sum_sq(&mut g, out);
+    }
+}
+
+fn backward_sum_sq(g: &mut Graph, out: Var) {
+    let sq = g.mul(out, out);
+    let loss = g.sum_all(sq);
+    g.backward(loss);
+    black_box(g.len());
+}
+
 fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
     Matrix::from_vec(
         r,
@@ -161,6 +243,18 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<CaseResult> {
                 black_box(kernel(&a, &b));
             },
         );
+        push(&mut out, case);
+    }
+
+    // 1b. The fused edge kernels, forward + backward, at real client shapes.
+    for &shape in EDGE_SHAPES {
+        let (nodes, edges, _, width) = shape;
+        let edge = EdgeCase::new(&mut rng, shape);
+        let name = format!("edge/softmax/E{edges}xN{nodes}");
+        let case = time_case(&name, cfg.samples(), 4, || edge.softmax_fwd_bwd());
+        push(&mut out, case);
+        let name = format!("edge/aggregate/E{edges}xN{nodes}xd{width}");
+        let case = time_case(&name, cfg.samples(), 4, || edge.aggregate_fwd_bwd());
         push(&mut out, case);
     }
 

@@ -14,7 +14,7 @@
 use crate::driver::RoundDriver;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
-use fedda_hetgraph::{HeteroGraph, LinkExample, LinkSampler};
+use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{train_local, GraphView, TrainConfig};
 use fedda_metrics::MeanStd;
 use rand::rngs::StdRng;
@@ -35,6 +35,7 @@ pub fn run_global(system: &mut FlSystem) -> RunResult {
 struct GlobalState {
     graph: HeteroGraph,
     view: GraphView,
+    index: EdgeIndex,
     positives: Vec<LinkExample>,
     train: TrainConfig,
 }
@@ -76,10 +77,12 @@ impl FlProtocol for GlobalProtocol {
         // graph: rebuild the pieces the clients normally own.
         let graph = system.eval_graph().clone();
         let view = GraphView::new(&graph, system.model.uses_self_loops());
-        let positives = LinkSampler::new(&graph).all_positives();
+        let index = system.eval_index().clone();
+        let positives = LinkSampler::with_index(&graph, index.clone()).all_positives();
         self.state = Some(GlobalState {
             graph,
             view,
+            index,
             positives,
             train: system.config().train.clone(),
         });
@@ -114,7 +117,7 @@ impl FlProtocol for GlobalProtocol {
     ) -> StepOutcome {
         // fedda-lint: allow(panic-path, reason = "RoundDriver calls begin() before any round hook; a missing state is a protocol-engine bug")
         let state = self.state.as_ref().expect("begin() initialises the state");
-        let sampler = LinkSampler::new(&state.graph);
+        let sampler = LinkSampler::with_index(&state.graph, state.index.clone());
         train_local(
             system.model.as_ref(),
             &mut system.global,
@@ -159,7 +162,7 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
     for (i, client) in system.clients.iter().enumerate() {
         let mut params = system.global.clone();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0001_0CA1 ^ (i as u64) << 8);
-        let sampler = LinkSampler::new(&client.data.graph);
+        let sampler = client.sampler();
         for _round in 0..cfg.rounds {
             train_local(
                 system.model.as_ref(),

@@ -8,7 +8,7 @@ use crate::compress::{Compression, UplinkCharge};
 use crate::faults::{FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
-use fedda_hetgraph::{HeteroGraph, LinkExample, LinkSampler};
+use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{
     evaluate, train_local_penalized, EvalResult, GraphView, HgnConfig, LinkPredictor, SimpleHgn,
     TrainConfig,
@@ -126,7 +126,17 @@ pub struct Client {
     /// Training positives: edges of the specialised types only (§6.1 — a
     /// biased client's downstream task covers only what it specialises in).
     pub positives: Vec<LinkExample>,
+    /// Negative-rejection index of `data.graph`, built once at set-up.
+    edge_index: EdgeIndex,
     seed: u64,
+}
+
+impl Client {
+    /// A link sampler over the client's local graph, sharing the index
+    /// built at set-up (nothing is re-indexed per round).
+    pub(crate) fn sampler(&self) -> LinkSampler<'_> {
+        LinkSampler::with_index(&self.data.graph, self.edge_index.clone())
+    }
 }
 
 /// What a client sends back after a local round.
@@ -232,6 +242,7 @@ pub struct FlSystem {
     pub clients: Vec<Client>,
     cfg: FlConfig,
     eval_graph: HeteroGraph,
+    eval_index: EdgeIndex,
     eval_view: GraphView,
     test_positives: Vec<LinkExample>,
 }
@@ -284,12 +295,14 @@ impl FlSystem {
             .zip(client_seeds)
             .map(|(data, seed)| {
                 let view = GraphView::new(&data.graph, model.uses_self_loops());
-                let sampler = LinkSampler::new(&data.graph);
-                let positives = sampler.positives_of_types(&data.specialized);
+                let edge_index = EdgeIndex::new(&data.graph);
+                let positives = LinkSampler::with_index(&data.graph, edge_index.clone())
+                    .positives_of_types(&data.specialized);
                 Client {
                     data,
                     view,
                     positives,
+                    edge_index,
                     seed,
                 }
             })
@@ -302,6 +315,7 @@ impl FlSystem {
             global,
             clients,
             cfg,
+            eval_index: EdgeIndex::new(global_train),
             eval_graph: global_train.clone(),
             eval_view,
             test_positives,
@@ -347,6 +361,21 @@ impl FlSystem {
     /// what the `Global` baseline trains on).
     pub fn eval_graph(&self) -> &HeteroGraph {
         &self.eval_graph
+    }
+
+    /// Negative-rejection index of [`FlSystem::eval_graph`], built once at
+    /// set-up and shared by every evaluation.
+    pub(crate) fn eval_index(&self) -> &EdgeIndex {
+        &self.eval_index
+    }
+
+    /// What every global evaluation starts from: the per-round RNG
+    /// (deterministic, so frameworks sharing a seed are comparable) and a
+    /// sampler over the evaluation graph.
+    fn eval_inputs(&self, round: usize) -> (StdRng, LinkSampler<'_>) {
+        let rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
+        let sampler = LinkSampler::with_index(&self.eval_graph, self.eval_index.clone());
+        (rng, sampler)
     }
 
     /// Number of clients `M`.
@@ -421,7 +450,7 @@ impl FlSystem {
             let mut params = self.global.clone();
             let mut rng =
                 StdRng::seed_from_u64(client.seed ^ (round as u64).wrapping_mul(0x9E37_79B9));
-            let sampler = LinkSampler::new(&client.data.graph);
+            let sampler = client.sampler();
             let penalty = penalties
                 .get(pos)
                 .and_then(|p| p.as_ref())
@@ -590,26 +619,13 @@ impl FlSystem {
     /// (message passing over the global training graph). Deterministic per
     /// round so frameworks sharing a seed are comparable.
     pub fn evaluate_global(&self, round: usize) -> EvalResult {
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
-        let sampler = LinkSampler::new(&self.eval_graph);
-        evaluate(
-            self.model.as_ref(),
-            &self.global,
-            &self.eval_view,
-            &sampler,
-            &self.test_positives,
-            self.cfg.eval_negatives,
-            &mut rng,
-        )
+        self.evaluate_params(&self.global, round)
     }
 
     /// Detailed evaluation of the current global model: per-edge-type AUC
     /// breakdown (the fairness view), Hits@K and average precision.
     pub fn evaluate_global_detailed(&self, round: usize) -> fedda_hgn::DetailedEvalResult {
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
-        let sampler = LinkSampler::new(&self.eval_graph);
+        let (mut rng, sampler) = self.eval_inputs(round);
         fedda_hgn::evaluate_detailed(
             self.model.as_ref(),
             &self.global,
@@ -623,9 +639,7 @@ impl FlSystem {
 
     /// Evaluate an arbitrary parameter set (used by the Local baseline).
     pub fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
-        let mut rng =
-            StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
-        let sampler = LinkSampler::new(&self.eval_graph);
+        let (mut rng, sampler) = self.eval_inputs(round);
         evaluate(
             self.model.as_ref(),
             params,

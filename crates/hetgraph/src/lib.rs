@@ -33,5 +33,5 @@ mod schema;
 pub mod split;
 
 pub use graph::{EdgeList, HeteroGraph, MessageEdges, NodeId, NodeStore};
-pub use sampling::{LinkExample, LinkSampler};
+pub use sampling::{EdgeIndex, LinkExample, LinkSampler};
 pub use schema::{EdgeTypeId, EdgeTypeMeta, NodeTypeId, NodeTypeMeta, Schema};

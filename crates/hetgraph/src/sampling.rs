@@ -11,7 +11,7 @@ use crate::graph::{HeteroGraph, NodeId};
 use crate::schema::EdgeTypeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One labelled example for the link-prediction loss/metrics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,22 +26,46 @@ pub struct LinkExample {
     pub label: bool,
 }
 
+/// The existing edges of one graph as sorted `(etype, src, dst)` triples —
+/// the negative-rejection index of a [`LinkSampler`]. Immutable and cheap
+/// to clone, so a long-lived owner of the graph builds it once and hands
+/// it to the short-lived samplers it creates ([`LinkSampler::with_index`]).
+#[derive(Clone, Debug)]
+pub struct EdgeIndex(Arc<[(u16, NodeId, NodeId)]>);
+
+impl EdgeIndex {
+    /// Index every edge of `graph`.
+    pub fn new(graph: &HeteroGraph) -> Self {
+        let mut edges = Vec::with_capacity(graph.num_edges());
+        for t in graph.schema().edge_type_ids() {
+            edges.extend(graph.edges_of_type(t).iter().map(|(s, d)| (t.0, s, d)));
+        }
+        edges.sort_unstable();
+        Self(edges.into())
+    }
+
+    /// Whether `src → dst` exists as an edge of type `etype`.
+    pub fn contains(&self, etype: EdgeTypeId, src: NodeId, dst: NodeId) -> bool {
+        self.0.binary_search(&(etype.0, src, dst)).is_ok()
+    }
+}
+
 /// Draws positive/negative link examples from a heterograph.
 pub struct LinkSampler<'g> {
     graph: &'g HeteroGraph,
-    /// Existing edges as (etype, src, dst) for negative rejection.
-    existing: BTreeSet<(u16, NodeId, NodeId)>,
+    /// Existing edges, for negative rejection.
+    existing: EdgeIndex,
 }
 
 impl<'g> LinkSampler<'g> {
     /// Build a sampler; indexes the graph's edges for negative rejection.
     pub fn new(graph: &'g HeteroGraph) -> Self {
-        let mut existing = BTreeSet::new();
-        for t in graph.schema().edge_type_ids() {
-            for (s, d) in graph.edges_of_type(t).iter() {
-                existing.insert((t.0, s, d));
-            }
-        }
+        Self::with_index(graph, EdgeIndex::new(graph))
+    }
+
+    /// Build a sampler around an index of `graph` built earlier — what a
+    /// caller that samples from the same graph every round should use.
+    pub fn with_index(graph: &'g HeteroGraph, existing: EdgeIndex) -> Self {
         Self { graph, existing }
     }
 
@@ -67,7 +91,7 @@ impl<'g> LinkSampler<'g> {
         );
         for _ in 0..32 {
             let d = candidates[rng.gen_range(0..candidates.len())];
-            if !self.existing.contains(&(etype.0, src, d)) {
+            if !self.existing.contains(etype, src, d) {
                 return d;
             }
         }
@@ -182,6 +206,21 @@ mod tests {
             let d = sampler.corrupt_dst(EdgeTypeId(1), 0, &mut rng);
             assert!((0..4).contains(&d), "negative {d} is not a type-a node");
         }
+    }
+
+    #[test]
+    fn shared_index_draws_the_same_negatives() {
+        let g = bipartite();
+        let index = EdgeIndex::new(&g);
+        assert!(index.contains(EdgeTypeId(0), 0, 4) && index.contains(EdgeTypeId(1), 0, 1));
+        assert!(!index.contains(EdgeTypeId(1), 0, 4) && !index.contains(EdgeTypeId(0), 4, 0));
+        let pos = LinkSampler::new(&g).all_positives();
+        let fresh = LinkSampler::new(&g).with_negatives(&pos, 5, &mut StdRng::seed_from_u64(7));
+        let shared = LinkSampler::with_index(&g, index.clone());
+        assert_eq!(
+            shared.with_negatives(&pos, 5, &mut StdRng::seed_from_u64(7)),
+            fresh
+        );
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //!
 //! 1. **learnable edge-type embeddings** inside the attention score
 //!    (Eq. 2): `α_uv ∝ exp(LeakyReLU(aᵀ[W h_u ‖ W h_v ‖ W_r r_ψ(e)]))`,
-//!    decomposed here as `a_src·Wh_u + a_dst·Wh_v + a_edge·W_r r_ψ(e)`;
+//!    decomposed here as `a_src·Wh_u + a_dst·Wh_v + a_edge·W_r r_ψ(e)`:
+//!    three small matmuls give one score per node / per edge type, and
+//!    the tape's fused `edge_softmax` sums them per edge, applies the
+//!    LeakyReLU and normalises per destination; `edge_aggregate` then
+//!    forms `Σ_u α_uv · W h_u` (both without per-edge intermediates);
 //! 2. **pre-activation residual connections** between layers (Eq. 3);
 //! 3. **L2 normalisation** of the final embeddings.
 //!
@@ -268,21 +272,24 @@ impl SimpleHgn {
                 let a_dst = bindings.leaf(graph, params, head.a_dst);
                 let s_src = graph.matmul(hw, a_src); // [n, 1]
                 let s_dst = graph.matmul(hw, a_dst); // [n, 1]
-                let e_src = graph.gather_rows(s_src, view.src.clone()); // [E,1]
-                let e_dst = graph.gather_rows(s_dst, view.dst.clone()); // [E,1]
-                let mut score = graph.add(e_src, e_dst);
-                if let (Some(emb), Some(a_edge_id), Some(w_r_id)) =
-                    (edge_emb_matrix, head.a_edge, head.w_r)
-                {
-                    let w_r = bindings.leaf(graph, params, w_r_id);
-                    let a_edge = bindings.leaf(graph, params, a_edge_id);
-                    let transformed = graph.matmul(emb, w_r); // [T, d_e]
-                    let per_type = graph.matmul(transformed, a_edge); // [T, 1]
-                    let per_edge = graph.gather_rows(per_type, view.etype.clone()); // [E,1]
-                    score = graph.add(score, per_edge);
-                }
-                let act = graph.leaky_relu(score, cfg.negative_slope);
-                let mut alpha = graph.segment_softmax(act, view.segments.clone());
+                let per_type = match (edge_emb_matrix, head.a_edge, head.w_r) {
+                    (Some(emb), Some(a_edge_id), Some(w_r_id)) => {
+                        let w_r = bindings.leaf(graph, params, w_r_id);
+                        let a_edge = bindings.leaf(graph, params, a_edge_id);
+                        let transformed = graph.matmul(emb, w_r); // [T, d_e]
+                        Some(graph.matmul(transformed, a_edge)) // [T, 1]
+                    }
+                    _ => None,
+                };
+                let mut alpha = graph.edge_softmax(
+                    s_src,
+                    s_dst,
+                    per_type,
+                    view.src.clone(),
+                    view.etype.clone(),
+                    view.segments.clone(),
+                    cfg.negative_slope,
+                ); // [E, 1]
                 if cfg.attn_residual > 0.0 {
                     if let Some(&prev) = prev_alphas.get(head_outputs.len()) {
                         let fresh = graph.scale(alpha, 1.0 - cfg.attn_residual);
@@ -291,10 +298,13 @@ impl SimpleHgn {
                     }
                 }
                 new_alphas.push(alpha);
-                let src_feats = graph.gather_rows(hw, view.src.clone()); // [E, hidden]
-                let weighted = graph.mul_col_broadcast(src_feats, alpha);
-                let agg = graph.scatter_add_rows(weighted, view.dst.clone(), view.num_nodes);
-                head_outputs.push(agg);
+                head_outputs.push(graph.edge_aggregate(
+                    hw,
+                    alpha,
+                    view.src.clone(),
+                    view.dst.clone(),
+                    view.num_nodes,
+                )); // [n, hidden]
             }
             prev_alphas = new_alphas;
             let concat = if head_outputs.len() == 1 {

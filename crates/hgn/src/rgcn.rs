@@ -214,10 +214,8 @@ impl LinkPredictor for Rgcn {
                 }
                 let w_r = bindings.leaf(graph, params, layer.w_rel[t]);
                 let hw = graph.matmul(h, w_r);
-                let msgs = graph.gather_rows(hw, src.clone());
                 let inv = graph.input(inv_deg.clone());
-                let normalized = graph.mul_col_broadcast(msgs, inv);
-                let agg = graph.scatter_add_rows(normalized, dst.clone(), view.num_nodes);
+                let agg = graph.edge_aggregate(hw, inv, src.clone(), dst.clone(), view.num_nodes);
                 out = graph.add(out, agg);
             }
             let bias = bindings.leaf(graph, params, layer.bias);

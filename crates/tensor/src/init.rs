@@ -14,12 +14,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) ->
     uniform(rng, rows, cols, -a, a)
 }
 
-/// Xavier/Glorot normal initialisation: `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier_normal<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    let std = (2.0 / (rows + cols).max(1) as f32).sqrt();
-    normal(rng, rows, cols, 0.0, std)
-}
-
 /// Uniform initialisation in `[lo, hi)`.
 pub fn uniform<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, lo: f32, hi: f32) -> Matrix {
     let data = (0..rows * cols).map(|_| rng.gen_range(lo..hi)).collect();

@@ -132,11 +132,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix and return its flat storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -234,14 +229,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
     /// `self *= scalar`.
     pub fn scale_assign(&mut self, scalar: f32) {
         self.data.iter_mut().for_each(|x| *x *= scalar);
@@ -251,13 +238,6 @@ impl Matrix {
     pub fn add(&self, other: &Matrix) -> Matrix {
         let mut out = self.clone();
         out.add_assign(other);
-        out
-    }
-
-    /// Elementwise difference (allocates).
-    pub fn sub(&self, other: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.sub_assign(other);
         out
     }
 
@@ -432,7 +412,6 @@ mod tests {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }

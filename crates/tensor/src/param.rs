@@ -257,25 +257,6 @@ impl ParamSet {
         }
     }
 
-    /// Copy values from another structurally-identical set.
-    pub fn copy_values_from(&mut self, other: &ParamSet) {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "copy_values_from: unit count mismatch"
-        );
-        for (dst, src) in self.params.iter_mut().zip(&other.params) {
-            assert_eq!(
-                dst.value.shape(),
-                src.value.shape(),
-                "copy_values_from: shape mismatch"
-            );
-            dst.value
-                .as_mut_slice()
-                .copy_from_slice(src.value.as_slice());
-        }
-    }
-
     /// Per-unit L2 distance to another structurally-identical set — the
     /// "returned gradient" magnitude FedDA scores clients with.
     pub fn unit_l2_distances(&self, other: &ParamSet) -> Vec<f32> {

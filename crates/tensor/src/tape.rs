@@ -6,10 +6,13 @@
 //! reverse and accumulates gradients into every node that requires them.
 //!
 //! The op set is deliberately specialised for heterogeneous-graph neural
-//! networks: besides dense algebra it includes `gather_rows` /
-//! `scatter_add_rows` (message passing), `segment_softmax` (per-destination
-//! attention normalisation), and row-wise L2 normalisation (the Simple-HGN
-//! output head).
+//! networks: besides dense algebra it has the two fused per-edge kernels of
+//! attention message passing — `edge_softmax` (Eq. 2 scores → LeakyReLU →
+//! per-destination softmax) and `edge_aggregate` (gather · scale ·
+//! scatter-add) — the unfused primitives they replay bit for bit
+//! (`gather_rows`, `scatter_add_rows`, `leaky_relu`, `segment_softmax`,
+//! `mul_col_broadcast`: their test oracle; DESIGN §8 "Edge kernels"), and
+//! row-wise L2 normalisation (the Simple-HGN output head).
 
 use crate::matrix::Matrix;
 use std::sync::Arc;
@@ -31,12 +34,15 @@ pub struct Segments {
 }
 
 impl Segments {
-    /// Build a segment descriptor, validating ids.
+    /// Build a segment descriptor, validating ids — in release builds too,
+    /// so a bad id is named here and not an index panic inside a softmax.
     pub fn new(seg_of_row: Vec<u32>, n_segments: usize) -> Self {
-        debug_assert!(
-            seg_of_row.iter().all(|&s| (s as usize) < n_segments),
-            "Segments: id out of range"
-        );
+        for &s in &seg_of_row {
+            assert!(
+                (s as usize) < n_segments,
+                "Segments: id {s} out of range for {n_segments} segments"
+            );
+        }
         Self {
             seg_of_row,
             n_segments,
@@ -50,27 +56,34 @@ enum Op {
     Leaf,
     MatMul(Var, Var),
     Add(Var, Var),
-    Sub(Var, Var),
     Mul(Var, Var),
     /// `[m,n] + [1,n]` (bias row broadcast over rows).
     AddRowBroadcast(Var, Var),
     /// `[m,n] * [m,1]` (per-row scalar, e.g. attention weight).
     MulColBroadcast(Var, Var),
-    /// `[m,n] * [1,n]` (per-column scalar, e.g. DistMult relation vector).
-    MulRowBroadcast(Var, Var),
     Scale(Var, f32),
     LeakyRelu(Var, f32),
     Elu(Var, f32),
-    Sigmoid(Var),
     ConcatCols(Vec<Var>),
     ConcatRows(Vec<Var>),
     GatherRows(Var, Arc<Vec<u32>>),
     ScatterAddRows(Var, Arc<Vec<u32>>),
     SegmentSoftmax(Var, Arc<Segments>),
-    SoftmaxRows(Var),
+    /// Fused per-edge attention scores → LeakyReLU → segment softmax.
+    /// `(s_src, s_dst, per_type, src, etype, segments, slope)`.
+    EdgeSoftmax(
+        Var,
+        Var,
+        Option<Var>,
+        Arc<Vec<u32>>,
+        Arc<Vec<u32>>,
+        Arc<Segments>,
+        f32,
+    ),
+    /// Fused gather · per-edge scale · scatter-add: `(h, alpha, src, dst)`.
+    EdgeAggregate(Var, Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
     CrossEntropyRows(Var, Arc<Vec<u32>>),
     L2NormalizeRows(Var, f32),
-    RowSum(Var),
     RowDot(Var, Var),
     SumAll(Var),
     MeanAll(Var),
@@ -119,6 +132,49 @@ fn scale_rows(a: &Matrix, col: &[f32]) -> Matrix {
         data.extend(a_row.iter().map(|&x| x * s));
     }
     Matrix::from_vec(a.rows(), a.cols(), data)
+}
+
+/// Three-pass segment softmax, in place: per-segment max, `exp(x - max)`
+/// summed in row order, then the division (skipped where the sum is not
+/// positive). Shared by `segment_softmax` and `edge_softmax`.
+fn softmax_in_place(x: &mut [f32], segs: &Segments) {
+    let mut maxes = vec![f32::NEG_INFINITY; segs.n_segments];
+    for (&v, &s) in x.iter().zip(&segs.seg_of_row) {
+        if v > maxes[s as usize] {
+            maxes[s as usize] = v;
+        }
+    }
+    let mut sums = vec![0.0f32; segs.n_segments];
+    for (v, &s) in x.iter_mut().zip(&segs.seg_of_row) {
+        *v = (*v - maxes[s as usize]).exp();
+        sums[s as usize] += *v;
+    }
+    for (v, &s) in x.iter_mut().zip(&segs.seg_of_row) {
+        if sums[s as usize] > 0.0 {
+            *v /= sums[s as usize];
+        }
+    }
+}
+
+/// Pre-activation score of every edge, `(s_src[src_e] + s_dst[dst_e])
+/// (+ per_type[etype_e])`: `edge_softmax`'s input, and the sign its
+/// backward needs for the LeakyReLU Jacobian.
+fn edge_scores(
+    s_src: &[f32],
+    s_dst: &[f32],
+    per_type: Option<&[f32]>,
+    (src, dst, etype): (&[u32], &[u32], &[u32]),
+) -> Vec<f32> {
+    let ends = src.iter().zip(dst);
+    let mut x: Vec<f32> = ends
+        .map(|(&s, &d)| s_src[s as usize] + s_dst[d as usize])
+        .collect();
+    if let Some(p) = per_type {
+        for (x, &t) in x.iter_mut().zip(etype) {
+            *x += p[t as usize];
+        }
+    }
+    x
 }
 
 impl Graph {
@@ -199,13 +255,6 @@ impl Graph {
         self.push(value, Op::Add(a, b), rg)
     }
 
-    /// Elementwise `a - b` (same shape).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
-        let rg = self.requires(a) || self.requires(b);
-        self.push(value, Op::Sub(a, b), rg)
-    }
-
     /// Elementwise `a * b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).mul(self.value(b));
@@ -241,20 +290,6 @@ impl Graph {
         self.push(value, Op::MulColBroadcast(a, c), rg)
     }
 
-    /// `[m,n] * [1,n]`: scale each column of `a` by the matching scalar in `r`.
-    pub fn mul_row_broadcast(&mut self, a: Var, rvec: Var) -> Var {
-        let (_, n) = self.shape(a);
-        let (rr, rc) = self.shape(rvec);
-        assert_eq!(
-            (rr, rc),
-            (1, n),
-            "mul_row_broadcast: scale must be 1x{n}, got {rr}x{rc}"
-        );
-        let value = zip_row(self.value(a), self.value(rvec).as_slice(), |x, s| x * s);
-        let rg = self.requires(a) || self.requires(rvec);
-        self.push(value, Op::MulRowBroadcast(a, rvec), rg)
-    }
-
     /// Multiply by a compile-time constant scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let value = self.value(a).scale(s);
@@ -286,16 +321,6 @@ impl Graph {
         }
         let rg = self.requires(a);
         self.push(value, Op::Elu(a, alpha), rg)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let mut value = self.value(a).clone();
-        for x in value.as_mut_slice() {
-            *x = sigmoid_scalar(*x);
-        }
-        let rg = self.requires(a);
-        self.push(value, Op::Sigmoid(a), rg)
     }
 
     // ---- structure ops -----------------------------------------------------
@@ -368,54 +393,84 @@ impl Graph {
             m,
             "segment_softmax: segment count mismatch"
         );
-        let x = self.value(a).as_slice();
-        let mut maxes = vec![f32::NEG_INFINITY; segs.n_segments];
-        for (i, &s) in segs.seg_of_row.iter().enumerate() {
-            let s = s as usize;
-            if x[i] > maxes[s] {
-                maxes[s] = x[i];
-            }
-        }
-        let mut value = Matrix::zeros(m, 1);
-        let mut sums = vec![0.0f32; segs.n_segments];
-        {
-            let out = value.as_mut_slice();
-            for (i, &s) in segs.seg_of_row.iter().enumerate() {
-                let e = (x[i] - maxes[s as usize]).exp();
-                out[i] = e;
-                sums[s as usize] += e;
-            }
-            for (i, &s) in segs.seg_of_row.iter().enumerate() {
-                let denom = sums[s as usize];
-                if denom > 0.0 {
-                    out[i] /= denom;
-                }
-            }
-        }
+        let mut value = self.value(a).clone();
+        softmax_in_place(value.as_mut_slice(), &segs);
         let rg = self.requires(a);
         self.push(value, Op::SegmentSoftmax(a, segs), rg)
     }
 
-    /// Row-wise softmax: each row of `[m, n]` normalises independently
-    /// (numerically stable via per-row max subtraction).
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let (m, n) = self.shape(a);
-        assert!(n > 0, "softmax_rows: empty rows");
-        let mut value = self.value(a).clone();
-        for r in 0..m {
-            let row = value.row_mut(r);
-            let max = row.iter().fold(f32::NEG_INFINITY, |acc, &x| acc.max(x));
-            let mut sum = 0.0f32;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= sum;
+    /// Attention weight of every message edge (Simple-HGN Eq. 2), fused:
+    /// `x_e = (s_src[src_e] + s_dst[dst_e]) (+ per_type[etype_e])`, LeakyReLU,
+    /// softmax over each destination's incoming edges (`segs` holds `dst_e`).
+    /// Replays the f32 sequence of `gather_rows`×3 → `add`×2 → `leaky_relu`
+    /// → `segment_softmax` without that chain's six `[E,1]` intermediates.
+    #[allow(clippy::too_many_arguments)]
+    pub fn edge_softmax(
+        &mut self,
+        s_src: Var,
+        s_dst: Var,
+        per_type: Option<Var>,
+        src: Arc<Vec<u32>>,
+        etype: Arc<Vec<u32>>,
+        segs: Arc<Segments>,
+        slope: f32,
+    ) -> Var {
+        let (dst, e) = (&segs.seg_of_row, segs.seg_of_row.len());
+        assert_eq!(src.len(), e, "edge_softmax: src length mismatch");
+        assert_eq!(etype.len(), e, "edge_softmax: etype length mismatch");
+        for v in [Some(s_src), Some(s_dst), per_type].into_iter().flatten() {
+            assert_eq!(self.shape(v).1, 1, "edge_softmax: scores must be [_,1]");
+        }
+        let mut x = edge_scores(
+            self.value(s_src).as_slice(),
+            self.value(s_dst).as_slice(),
+            per_type.map(|p| self.value(p).as_slice()),
+            (&src, dst, &etype),
+        );
+        for v in &mut x {
+            if *v < 0.0 {
+                *v *= slope;
             }
         }
-        let rg = self.requires(a);
-        self.push(value, Op::SoftmaxRows(a), rg)
+        softmax_in_place(&mut x, &segs);
+        let rg = self.requires(s_src)
+            || self.requires(s_dst)
+            || per_type.is_some_and(|p| self.requires(p));
+        let op = Op::EdgeSoftmax(s_src, s_dst, per_type, src, etype, segs, slope);
+        self.push(Matrix::col_vector(x), op, rg)
+    }
+
+    /// Message aggregation `out[dst_e] += h[src_e] · alpha_e` in edge order,
+    /// fused: the f32 sequence of `gather_rows` → `mul_col_broadcast` →
+    /// `scatter_add_rows` without that chain's two `[E,d]` intermediates.
+    pub fn edge_aggregate(
+        &mut self,
+        h: Var,
+        alpha: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        out_rows: usize,
+    ) -> Var {
+        let (hv, av) = (self.value(h), self.value(alpha));
+        assert_eq!(dst.len(), src.len(), "edge_aggregate: dst length mismatch");
+        assert_eq!(
+            av.shape(),
+            (src.len(), 1),
+            "edge_aggregate: alpha must be one weight per edge"
+        );
+        let mut value = Matrix::zeros(out_rows, hv.cols());
+        for ((&s, &t), &a) in src.iter().zip(dst.iter()).zip(av.as_slice()) {
+            assert!(
+                (s as usize) < hv.rows() && (t as usize) < out_rows,
+                "edge_aggregate: edge {s}->{t} out of range"
+            );
+            let out = value.row_mut(t as usize).iter_mut();
+            for (o, &x) in out.zip(hv.row(s as usize)) {
+                *o += x * a;
+            }
+        }
+        let rg = self.requires(h) || self.requires(alpha);
+        self.push(value, Op::EdgeAggregate(h, alpha, src, dst), rg)
     }
 
     /// Mean multi-class cross-entropy of row logits against class indices:
@@ -454,17 +509,6 @@ impl Graph {
         }
         let rg = self.requires(a);
         self.push(value, Op::L2NormalizeRows(a, eps), rg)
-    }
-
-    /// Row-wise sum: `[m,n] -> [m,1]`.
-    pub fn row_sum(&mut self, a: Var) -> Var {
-        let (m, _) = self.shape(a);
-        let mut value = Matrix::zeros(m, 1);
-        for r in 0..m {
-            value.set(r, 0, self.nodes[a.0].value.row(r).iter().sum());
-        }
-        let rg = self.requires(a);
-        self.push(value, Op::RowSum(a), rg)
     }
 
     /// Row-wise dot product of two `[m,n]` matrices: `out[i] = a_i · b_i`.
@@ -634,16 +678,6 @@ impl Graph {
                 self.put_grad(i, g);
                 return;
             }
-            Op::Sub(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accum(a, &g);
-                if self.requires(b) {
-                    let neg = g.scale(-1.0);
-                    self.accum_owned(b, neg);
-                }
-                self.put_grad(i, g);
-                return;
-            }
             Op::Mul(a, b) => {
                 let (a, b) = (*a, *b);
                 let da = if self.requires(a) {
@@ -707,37 +741,6 @@ impl Graph {
                 }
                 return;
             }
-            Op::MulRowBroadcast(a, rv) => {
-                let (a, rv) = (*a, *rv);
-                let (m, n) = g.shape();
-                let da = self
-                    .requires(a)
-                    .then(|| zip_row(&g, self.value(rv).as_slice(), |x, s| x * s));
-                let dr = if self.requires(rv) {
-                    let mut dr = Matrix::zeros(1, n);
-                    for r in 0..m {
-                        for ((o, &gv), &av) in dr
-                            .row_mut(0)
-                            .iter_mut()
-                            .zip(g.row(r))
-                            .zip(self.nodes[a.0].value.row(r))
-                        {
-                            *o += gv * av;
-                        }
-                    }
-                    Some(dr)
-                } else {
-                    None
-                };
-                self.put_grad(i, g);
-                if let Some(da) = da {
-                    self.accum_owned(a, da);
-                }
-                if let Some(dr) = dr {
-                    self.accum_owned(rv, dr);
-                }
-                return;
-            }
             Op::Scale(a, s) => Todo::One(*a, g.scale(*s)),
             Op::LeakyRelu(a, slope) => {
                 let a = *a;
@@ -768,18 +771,6 @@ impl Graph {
                     if inp < 0.0 {
                         *x *= y + alpha; // d/dx alpha(e^x - 1) = alpha e^x = y + alpha
                     }
-                }
-                Todo::One(a, da)
-            }
-            Op::Sigmoid(a) => {
-                let a = *a;
-                let mut da = g.clone();
-                for (x, &y) in da
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.nodes[i].value.as_slice())
-                {
-                    *x *= y * (1.0 - y);
                 }
                 Todo::One(a, da)
             }
@@ -833,6 +824,74 @@ impl Graph {
                 let idx = idx.clone();
                 Todo::One(a, g.gather_rows(&idx))
             }
+            Op::EdgeSoftmax(s_src, s_dst, per_type, src, etype, segs, slope) => {
+                let (s_src, s_dst, per_type, slope) = (*s_src, *s_dst, *per_type, *slope);
+                let (src, etype, segs) = (src.clone(), etype.clone(), segs.clone());
+                let dst = &segs.seg_of_row;
+                let x = edge_scores(
+                    self.value(s_src).as_slice(),
+                    self.value(s_dst).as_slice(),
+                    per_type.map(|p| self.value(p).as_slice()),
+                    (&src, dst, &etype),
+                );
+                let y = self.nodes[i].value.as_slice();
+                let gv = g.as_slice();
+                let mut seg_dot = vec![0.0f32; segs.n_segments];
+                for (r, &s) in dst.iter().enumerate() {
+                    seg_dot[s as usize] += gv[r] * y[r];
+                }
+                // Softmax then LeakyReLU Jacobian per edge; the three
+                // scatter-adds are the chain's three `gather_rows` adjoints.
+                let mut d_src = Matrix::zeros(self.shape(s_src).0, 1);
+                let mut d_dst = Matrix::zeros(self.shape(s_dst).0, 1);
+                let mut d_type = per_type.map(|p| Matrix::zeros(self.shape(p).0, 1));
+                for (r, &s) in dst.iter().enumerate() {
+                    let mut dx = y[r] * (gv[r] - seg_dot[s as usize]);
+                    if x[r] < 0.0 {
+                        dx *= slope;
+                    }
+                    d_src.as_mut_slice()[src[r] as usize] += dx;
+                    d_dst.as_mut_slice()[s as usize] += dx;
+                    if let Some(d_type) = d_type.as_mut() {
+                        d_type.as_mut_slice()[etype[r] as usize] += dx;
+                    }
+                }
+                self.put_grad(i, g);
+                if let (Some(p), Some(d_type)) = (per_type, d_type) {
+                    self.accum_owned(p, d_type);
+                }
+                self.accum_owned(s_dst, d_dst);
+                self.accum_owned(s_src, d_src);
+                return;
+            }
+            Op::EdgeAggregate(h, alpha, src, dst) => {
+                let (h, alpha, src, dst) = (*h, *alpha, src.clone(), dst.clone());
+                let (hv, av) = (self.value(h), self.value(alpha).as_slice());
+                let mut dh = self
+                    .requires(h)
+                    .then(|| Matrix::zeros(hv.rows(), hv.cols()));
+                let mut da: Option<Vec<f32>> =
+                    self.requires(alpha).then(|| Vec::with_capacity(av.len()));
+                for ((&s, &t), &a) in src.iter().zip(dst.iter()).zip(av) {
+                    let (g_row, h_row) = (g.row(t as usize), hv.row(s as usize));
+                    if let Some(da) = da.as_mut() {
+                        da.push(g_row.iter().zip(h_row).map(|(&gv, &x)| gv * x).sum());
+                    }
+                    if let Some(dh) = dh.as_mut() {
+                        for (o, &gv) in dh.row_mut(s as usize).iter_mut().zip(g_row) {
+                            *o += gv * a;
+                        }
+                    }
+                }
+                self.put_grad(i, g);
+                if let Some(da) = da {
+                    self.accum_owned(alpha, Matrix::col_vector(da));
+                }
+                if let Some(dh) = dh {
+                    self.accum_owned(h, dh);
+                }
+                return;
+            }
             Op::SegmentSoftmax(a, segs) => {
                 let a = *a;
                 let segs = segs.clone();
@@ -845,20 +904,6 @@ impl Graph {
                 let mut da = Matrix::zeros(y.len(), 1);
                 for (r, &s) in segs.seg_of_row.iter().enumerate() {
                     da.as_mut_slice()[r] = y[r] * (gv[r] - seg_dot[s as usize]);
-                }
-                Todo::One(a, da)
-            }
-            Op::SoftmaxRows(a) => {
-                let a = *a;
-                let (m, n) = g.shape();
-                let mut da = Matrix::zeros(m, n);
-                for r in 0..m {
-                    let y = self.nodes[i].value.row(r);
-                    let gr = g.row(r);
-                    let dot: f32 = y.iter().zip(gr).map(|(&yv, &gv)| yv * gv).sum();
-                    for ((o, &gv), &yv) in da.row_mut(r).iter_mut().zip(gr).zip(y) {
-                        *o = yv * (gv - dot);
-                    }
                 }
                 Todo::One(a, da)
             }
@@ -893,18 +938,6 @@ impl Graph {
                     let dot: f32 = y.iter().zip(g.row(r)).map(|(&yv, &gv)| yv * gv).sum();
                     for ((o, &gv), &yv) in da.row_mut(r).iter_mut().zip(g.row(r)).zip(y) {
                         *o = (gv - yv * dot) / norm;
-                    }
-                }
-                Todo::One(a, da)
-            }
-            Op::RowSum(a) => {
-                let a = *a;
-                let (m, n) = self.shape(a);
-                let mut da = Matrix::zeros(m, n);
-                for r in 0..m {
-                    let gr = g.get(r, 0);
-                    for x in da.row_mut(r) {
-                        *x = gr;
                     }
                 }
                 Todo::One(a, da)

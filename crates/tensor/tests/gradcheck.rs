@@ -143,8 +143,10 @@ fn grad_add_sub_mul() {
     gradcheck(
         &[a.clone(), b.clone()],
         |g, v| {
+            // The tape has no `sub`: a difference is `a + (-1)·b`.
             let s = g.add(v[0], v[1]);
-            let d = g.sub(s, v[1]);
+            let neg = g.scale(v[1], -1.0);
+            let d = g.add(s, neg);
             let m = g.mul(d, v[1]);
             let sq = g.mul(m, m);
             g.sum_all(sq)
@@ -178,22 +180,6 @@ fn grad_mul_col_broadcast() {
         &[a, c],
         |g, v| {
             let y = g.mul_col_broadcast(v[0], v[1]);
-            let sq = g.mul(y, y);
-            g.sum_all(sq)
-        },
-        1e-2,
-    );
-}
-
-#[test]
-fn grad_mul_row_broadcast() {
-    let mut rng = StdRng::seed_from_u64(5);
-    let a = randn(&mut rng, 3, 4);
-    let r = randn(&mut rng, 1, 4);
-    gradcheck(
-        &[a, r],
-        |g, v| {
-            let y = g.mul_row_broadcast(v[0], v[1]);
             let sq = g.mul(y, y);
             g.sum_all(sq)
         },
@@ -241,20 +227,6 @@ fn grad_elu() {
             let y = g.elu(v[0], 1.0);
             let sq = g.mul(y, y);
             g.sum_all(sq)
-        },
-        1e-2,
-    );
-}
-
-#[test]
-fn grad_sigmoid() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let a = randn(&mut rng, 2, 4);
-    gradcheck(
-        &[a],
-        |g, v| {
-            let y = g.sigmoid(v[0]);
-            g.sum_all(y)
         },
         1e-2,
     );
@@ -314,7 +286,8 @@ fn grad_gather_scatter() {
 fn grad_segment_softmax() {
     let mut rng = StdRng::seed_from_u64(12);
     let a = randn(&mut rng, 6, 1);
-    let segs = Arc::new(Segments::new(vec![0, 0, 1, 1, 1, 2], 3));
+    // segment 2 is a singleton, segment 3 is empty
+    let segs = Arc::new(Segments::new(vec![0, 0, 1, 1, 1, 2], 4));
     // weight the outputs so the gradient is not trivially zero
     let w = randn(&mut rng, 6, 1);
     gradcheck(
@@ -326,6 +299,69 @@ fn grad_segment_softmax() {
             g.sum_all(sq)
         },
         2e-2,
+    );
+}
+
+/// A 5-node, 3-type toy message graph for the fused edge ops: a duplicate
+/// edge (0→1 twice), a singleton destination segment (node 0), two empty
+/// ones (nodes 3 and 4 receive nothing) and an isolated source (node 4).
+fn edge_fixture() -> ([Arc<Vec<u32>>; 3], Arc<Segments>) {
+    let src = vec![0u32, 0, 2, 3, 1, 2];
+    let dst = vec![1u32, 1, 1, 0, 2, 2];
+    let etype = vec![0u32, 2, 1, 1, 0, 2];
+    let segs = Arc::new(Segments::new(dst.clone(), 5));
+    ([src, dst, etype].map(Arc::new), segs)
+}
+
+#[test]
+fn grad_edge_softmax() {
+    let ([src, _, etype], segs) = edge_fixture();
+    let mut rng = StdRng::seed_from_u64(23);
+    // Node and type scores on disjoint magnitude bands, so that no edge
+    // score lands within the finite-difference step of the LeakyReLU kink.
+    let s_src = randn_away_from_zero(&mut rng, 5, 1).scale(4.0);
+    let s_dst = randn_away_from_zero(&mut rng, 5, 1).scale(0.25);
+    let per_type = randn_away_from_zero(&mut rng, 3, 1).scale(0.1);
+    let w = randn(&mut rng, 6, 1);
+    for with_type in [true, false] {
+        for slope in [0.2, 0.0] {
+            gradcheck(
+                &[s_src.clone(), s_dst.clone(), per_type.clone(), w.clone()],
+                |g, v| {
+                    let pt = with_type.then_some(v[2]);
+                    let alpha = g.edge_softmax(
+                        v[0],
+                        v[1],
+                        pt,
+                        src.clone(),
+                        etype.clone(),
+                        segs.clone(),
+                        slope,
+                    );
+                    let weighted = g.mul(alpha, v[3]);
+                    let sq = g.mul(weighted, weighted);
+                    g.sum_all(sq)
+                },
+                2e-2,
+            );
+        }
+    }
+}
+
+#[test]
+fn grad_edge_aggregate() {
+    let ([src, dst, _], _) = edge_fixture();
+    let mut rng = StdRng::seed_from_u64(24);
+    let h = randn(&mut rng, 5, 3);
+    let alpha = randn(&mut rng, 6, 1);
+    gradcheck(
+        &[h, alpha],
+        |g, v| {
+            let out = g.edge_aggregate(v[0], v[1], src.clone(), dst.clone(), 5);
+            let sq = g.mul(out, out);
+            g.sum_all(sq)
+        },
+        1e-2,
     );
 }
 
@@ -354,10 +390,12 @@ fn grad_row_sum_and_row_dot() {
     let mut rng = StdRng::seed_from_u64(14);
     let a = randn(&mut rng, 3, 4);
     let b = randn(&mut rng, 3, 4);
+    // The tape has no `row_sum`: a row sum is the row dot with all-ones.
+    let ones = Matrix::full(3, 4, 1.0);
     gradcheck(
-        &[a, b],
+        &[a, b, ones],
         |g, v| {
-            let rs = g.row_sum(v[0]);
+            let rs = g.row_dot(v[0], v[2]);
             let rd = g.row_dot(v[0], v[1]);
             let both = g.mul(rs, rd);
             g.sum_all(both)
@@ -387,23 +425,6 @@ fn grad_dropout_with_mask() {
             g.sum_all(sq)
         },
         1e-2,
-    );
-}
-
-#[test]
-fn grad_softmax_rows() {
-    let mut rng = StdRng::seed_from_u64(19);
-    let a = randn(&mut rng, 3, 4);
-    let w = randn(&mut rng, 3, 4);
-    gradcheck(
-        &[a, w],
-        |g, v| {
-            let sm = g.softmax_rows(v[0]);
-            let weighted = g.mul(sm, v[1]);
-            let sq = g.mul(weighted, weighted);
-            g.sum_all(sq)
-        },
-        2e-2,
     );
 }
 

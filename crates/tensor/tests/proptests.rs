@@ -1,6 +1,6 @@
 //! Property-based tests over the tensor kernels and autodiff invariants.
 
-use fedda_tensor::{gemm, Graph, Matrix, ParamSet, Segments};
+use fedda_tensor::{gemm, Graph, Matrix, ParamSet, Segments, Var};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::Arc;
@@ -53,6 +53,78 @@ fn dispatched_matmul_is_exact_above_threshold() {
             );
         });
     }
+}
+
+/// A random message graph for the fused edge ops: `n` nodes, `t` edge
+/// types, `e` edges with every edge a possible duplicate and most
+/// destinations isolated when `e < n`.
+struct EdgeCase {
+    n: usize,
+    src: Arc<Vec<u32>>,
+    dst: Arc<Vec<u32>>,
+    etype: Arc<Vec<u32>>,
+    segs: Arc<Segments>,
+}
+
+fn edge_case(rng: &mut rand::rngs::StdRng, n: usize, t: usize, e: usize) -> EdgeCase {
+    let mut pick =
+        |hi: usize| -> Vec<u32> { (0..e).map(|_| rng.gen_range(0..hi as u32)).collect() };
+    let (mut src, mut dst, etype) = (pick(n), pick(n), pick(t));
+    if e >= 2 {
+        // At least one exact duplicate edge, whatever the draw.
+        (src[e - 1], dst[e - 1]) = (src[0], dst[0]);
+    }
+    let segs = Arc::new(Segments::new(dst.clone(), n));
+    EdgeCase {
+        n,
+        src: Arc::new(src),
+        dst: Arc::new(dst),
+        etype: Arc::new(etype),
+        segs,
+    }
+}
+
+/// The unfused attention-weight chain `edge_softmax` must replay.
+fn chain_edge_softmax(
+    g: &mut Graph,
+    (s_src, s_dst, per_type): (Var, Var, Option<Var>),
+    case: &EdgeCase,
+    slope: f32,
+) -> Var {
+    let e_src = g.gather_rows(s_src, case.src.clone());
+    let e_dst = g.gather_rows(s_dst, case.dst.clone());
+    let mut score = g.add(e_src, e_dst);
+    if let Some(p) = per_type {
+        let per_edge = g.gather_rows(p, case.etype.clone());
+        score = g.add(score, per_edge);
+    }
+    let act = g.leaky_relu(score, slope);
+    g.segment_softmax(act, case.segs.clone())
+}
+
+/// The unfused aggregation chain `edge_aggregate` must replay.
+fn chain_edge_aggregate(g: &mut Graph, h: Var, alpha: Var, case: &EdgeCase) -> Var {
+    let src_feats = g.gather_rows(h, case.src.clone());
+    let weighted = g.mul_col_broadcast(src_feats, alpha);
+    g.scatter_add_rows(weighted, case.dst.clone(), case.n)
+}
+
+/// Back-propagate `Σ out ⊙ w` (a non-uniform upstream gradient) and return
+/// the bits of `out` and of every listed input's gradient.
+fn value_and_grad_bits(
+    g: &mut Graph,
+    out: Var,
+    w: &Matrix,
+    inputs: &[Var],
+) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
+    let wv = g.input(w.clone());
+    let weighted = g.mul(out, wv);
+    let loss = g.sum_all(weighted);
+    g.backward(loss);
+    let grads = inputs
+        .iter()
+        .map(|&v| g.grad(v).map(|m| oracle::bits(m.as_slice())));
+    (oracle::bits(g.value(out).as_slice()), grads.collect())
 }
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -191,6 +263,92 @@ proptest! {
         }
     }
 
+    /// `edge_softmax` against the chain it fuses: forward value and every
+    /// input gradient bit for bit, with and without the per-type term, for
+    /// LeakyReLU and plain ReLU slopes, signed zeros included.
+    #[test]
+    fn edge_softmax_matches_unfused_chain(
+        n in 1usize..9, t in 1usize..4, e in 0usize..25,
+        with_type in any::<bool>(), relu in any::<bool>(), seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let case = edge_case(&mut rng, n, t, e);
+        let slope = if relu { 0.0 } else { 0.2 };
+        let (s_src, s_dst) = (zero_heavy(&mut rng, n, 1), zero_heavy(&mut rng, n, 1));
+        let (per_type, w) = (zero_heavy(&mut rng, t, 1), zero_heavy(&mut rng, e, 1));
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let (a, b) = (g.leaf(s_src.clone()), g.leaf(s_dst.clone()));
+            let p = with_type.then(|| g.leaf(per_type.clone()));
+            let alpha = if fused {
+                let (src, etype, segs) = (case.src.clone(), case.etype.clone(), case.segs.clone());
+                g.edge_softmax(a, b, p, src, etype, segs, slope)
+            } else {
+                chain_edge_softmax(&mut g, (a, b, p), &case, slope)
+            };
+            let inputs: Vec<Var> = [Some(a), Some(b), p].into_iter().flatten().collect();
+            value_and_grad_bits(&mut g, alpha, &w, &inputs)
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// `edge_aggregate` against the chain it fuses, both gradients included;
+    /// a constant `alpha` (R-GCN's inverse degree) gets no gradient either way.
+    #[test]
+    fn edge_aggregate_matches_unfused_chain(
+        n in 1usize..9, d in 1usize..10, e in 0usize..25,
+        const_alpha in any::<bool>(), seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let case = edge_case(&mut rng, n, 1, e);
+        let (h, alpha) = (zero_heavy(&mut rng, n, d), zero_heavy(&mut rng, e, 1));
+        let w = zero_heavy(&mut rng, n, d);
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let hv = g.leaf(h.clone());
+            let av = if const_alpha { g.input(alpha.clone()) } else { g.leaf(alpha.clone()) };
+            let out = if fused {
+                g.edge_aggregate(hv, av, case.src.clone(), case.dst.clone(), n)
+            } else {
+                chain_edge_aggregate(&mut g, hv, av, &case)
+            };
+            value_and_grad_bits(&mut g, out, &w, &[hv, av])
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// One whole attention head the way `SimpleHgn::encode` records it:
+    /// `hw` feeds the aggregate and both score projections, so its gradient
+    /// is a three-term sum whose order the fused nodes' tape positions fix.
+    #[test]
+    fn attention_head_gradients_match_unfused_chain(
+        n in 1usize..9, d in 1usize..6, e in 1usize..25, seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let case = edge_case(&mut rng, n, 2, e);
+        let (h, a_src, a_dst) = (zero_heavy(&mut rng, n, d), zero_heavy(&mut rng, d, 1), zero_heavy(&mut rng, d, 1));
+        let (per_type, w) = (zero_heavy(&mut rng, 2, 1), zero_heavy(&mut rng, n, d));
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let leaves = [&h, &a_src, &a_dst, &per_type].map(|m| g.leaf(m.clone()));
+            let [hw, a_s, a_d, p] = leaves;
+            let (s_src, s_dst) = (g.matmul(hw, a_s), g.matmul(hw, a_d));
+            let out = if fused {
+                let (src, etype, segs) = (case.src.clone(), case.etype.clone(), case.segs.clone());
+                let alpha = g.edge_softmax(s_src, s_dst, Some(p), src, etype, segs, 0.2);
+                g.edge_aggregate(hw, alpha, case.src.clone(), case.dst.clone(), n)
+            } else {
+                let alpha = chain_edge_softmax(&mut g, (s_src, s_dst, Some(p)), &case, 0.2);
+                chain_edge_aggregate(&mut g, hw, alpha, &case)
+            };
+            value_and_grad_bits(&mut g, out, &w, &leaves)
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
     #[test]
     fn l2_normalize_output_has_unit_or_zero_rows(m in matrix_strategy(6)) {
         let mut g = Graph::new();
@@ -251,10 +409,102 @@ proptest! {
         let wv = g.leaf(w);
         let y = g.matmul(xv, wv);
         let a = g.elu(y, 1.0);
-        let s = g.sigmoid(a);
-        let loss = g.mean_all(s);
+        let loss = g.mean_all(a);
         g.backward(loss);
         prop_assert!(!g.grad(xv).unwrap().has_non_finite());
         prop_assert!(!g.grad(wv).unwrap().has_non_finite());
     }
+}
+
+/// Non-finite scores and features reach the output: nothing in the fused
+/// ops skips a zero weight or masks a NaN. A `-inf` score is the one
+/// legitimate zero — `exp(-inf - max) = 0` is what softmax means.
+#[test]
+fn edge_ops_propagate_non_finite_inputs() {
+    let (src, dst) = (Arc::new(vec![0u32, 1, 2]), Arc::new(vec![0u32, 0, 1]));
+    let segs = Arc::new(Segments::new(dst.to_vec(), 3));
+    let alpha_for = |bad: f32| {
+        let mut g = Graph::new();
+        let s_src = g.leaf(Matrix::col_vector(vec![bad, 0.5, 0.25]));
+        let s_dst = g.leaf(Matrix::col_vector(vec![0.0; 3]));
+        let alpha = g.edge_softmax(
+            s_src,
+            s_dst,
+            None,
+            src.clone(),
+            src.clone(),
+            segs.clone(),
+            0.2,
+        );
+        g.value(alpha).as_slice().to_vec()
+    };
+    for bad in [f32::NAN, f32::INFINITY] {
+        let alpha = alpha_for(bad);
+        assert!(alpha[0].is_nan(), "{bad} score gave alpha {alpha:?}");
+        assert_eq!(alpha[2], 1.0, "other segments are untouched");
+    }
+    assert_eq!(alpha_for(f32::NEG_INFINITY), vec![0.0, 1.0, 1.0]);
+
+    // A NaN / Inf feature row times a zero weight is NaN, not 0.
+    for bad in [f32::NAN, f32::NEG_INFINITY] {
+        let mut g = Graph::new();
+        let h = g.leaf(Matrix::from_vec(3, 2, vec![bad, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        let alpha = g.leaf(Matrix::col_vector(vec![0.0, 1.0, 1.0]));
+        let out = g.edge_aggregate(h, alpha, src.clone(), dst.clone(), 3);
+        let loss = g.sum_all(out);
+        g.backward(loss);
+        assert!(g.value(out).get(0, 0).is_nan());
+        assert_eq!(g.value(out).row(1), &[4.0, 5.0]);
+        assert!(!g.grad(alpha).unwrap().get(0, 0).is_finite());
+    }
+}
+
+fn edge_op_with_lengths(src_len: usize, etype_len: usize, alpha_len: usize, dst_len: usize) {
+    let idx = |len: usize| Arc::new(vec![0u32; len]);
+    let mut g = Graph::new();
+    let s = g.leaf(Matrix::zeros(2, 1));
+    let segs = Arc::new(Segments::new(vec![0; 3], 2));
+    g.edge_softmax(s, s, None, idx(src_len), idx(etype_len), segs, 0.2);
+    let alpha = g.leaf(Matrix::zeros(alpha_len, 1));
+    g.edge_aggregate(s, alpha, idx(3), idx(dst_len), 2);
+}
+
+#[test]
+#[should_panic(expected = "edge_softmax: src length mismatch")]
+fn edge_softmax_rejects_short_src() {
+    edge_op_with_lengths(2, 3, 3, 3);
+}
+
+#[test]
+#[should_panic(expected = "edge_softmax: etype length mismatch")]
+fn edge_softmax_rejects_short_etype() {
+    edge_op_with_lengths(3, 4, 3, 3);
+}
+
+#[test]
+#[should_panic(expected = "edge_aggregate: alpha must be one weight per edge")]
+fn edge_aggregate_rejects_wrong_alpha_length() {
+    edge_op_with_lengths(3, 3, 2, 3);
+}
+
+#[test]
+#[should_panic(expected = "edge_aggregate: dst length mismatch")]
+fn edge_aggregate_rejects_short_dst() {
+    edge_op_with_lengths(3, 3, 3, 2);
+}
+
+#[test]
+#[should_panic(expected = "edge_aggregate: edge 0->5 out of range")]
+fn edge_aggregate_names_an_out_of_range_edge() {
+    let mut g = Graph::new();
+    let h = g.leaf(Matrix::zeros(2, 1));
+    let alpha = g.leaf(Matrix::zeros(1, 1));
+    g.edge_aggregate(h, alpha, Arc::new(vec![0]), Arc::new(vec![5]), 2);
+}
+
+/// The range check is a real assert: release builds run it too.
+#[test]
+#[should_panic(expected = "Segments: id 3 out of range for 3 segments")]
+fn segments_new_rejects_out_of_range_id() {
+    Segments::new(vec![0, 2, 3], 3);
 }
