@@ -1,6 +1,6 @@
 //! The fixed, seeded perf suite behind the `perf` binary.
 //!
-//! Four tiers mirror the criterion benches (`benches/`) so snapshot
+//! Five tiers mirror the criterion benches (`benches/`) so snapshot
 //! numbers track the same entry points the micro-benchmarks exercise:
 //!
 //! 1. **GEMM** — the products an FL round actually issues
@@ -9,9 +9,11 @@
 //!    projections;
 //! 2. **Edge kernels** — the fused per-edge tape ops, forward + backward,
 //!    at the message-graph shapes of a real client ([`EDGE_SHAPES`]);
-//! 3. **HGN** — Simple-HGN forward and forward+backward at the experiment
+//! 3. **Uplink report path** — each codec's encode, the q8 arrival decode
+//!    and one Adam step at the fleet model's size ([`CodecCase`]);
+//! 4. **HGN** — Simple-HGN forward and forward+backward at the experiment
 //!    model size on a DBLP-like graph;
-//! 4. **FL round** — one full federated round (local updates +
+//! 5. **FL round** — one full federated round (local updates +
 //!    aggregation + evaluation) for FedAvg and both FedDA strategies at
 //!    several dataset scales.
 //!
@@ -22,14 +24,16 @@
 use crate::snapshot::{time_case, CaseResult};
 use crate::{experiment_model, experiment_train};
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
+use fedda::fl::compress::decode_arrival;
+use fedda::fl::runtime::Delivery;
 use fedda::fl::{
-    AsyncConfig, AsyncDriver, Compression, FedAvg, FedDa, FlConfig, FlSystem, RoundDriver,
-    RuntimeMode,
+    AsyncConfig, AsyncDriver, ClientReturn, Compressed, Compression, Delta, FedAvg, FedDa,
+    FlConfig, FlSystem, InFlight, RoundDriver, RuntimeMode, UplinkCharge,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hetgraph::LinkSampler;
 use fedda_hgn::{GraphView, SimpleHgn};
-use fedda_tensor::{Graph, Matrix, Segments, TapeBindings, Var};
+use fedda_tensor::{Adam, Graph, Matrix, ParamSet, Segments, TapeBindings, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -198,6 +202,101 @@ impl EdgeCase {
     }
 }
 
+/// One fleet-sized client report on the uplink path: the repo
+/// benchmark's `fleet_q8_*` model (32 × 4 heads, 2 layers — 87 554 scalars
+/// in 62 units on the DBLP-like schema), a locally-moved copy of it, and
+/// the all-units mask FedAvg requests.
+pub struct CodecCase {
+    reference: Arc<ParamSet>,
+    updated: ParamSet,
+    mask: Vec<bool>,
+}
+
+impl CodecCase {
+    /// Seeded reference parameters and an update a few percent away, with
+    /// a random gradient on it for the optimiser step.
+    pub fn new(rng: &mut StdRng) -> Self {
+        let schema = fedda::data::dblp_like(&fedda::data::PresetOptions {
+            scale: 0.0008,
+            seed: 1,
+            ..Default::default()
+        })
+        .graph
+        .schema()
+        .clone();
+        let model = fedda_hgn::HgnConfig {
+            hidden_dim: 32,
+            num_heads: 4,
+            num_layers: 2,
+            edge_emb_dim: 32,
+            ..Default::default()
+        };
+        let (_, reference) = SimpleHgn::init_params(&schema, &model, rng);
+        let mut updated = reference.clone();
+        for (_, p) in updated.iter_mut() {
+            let (value, grad) = p.value_and_grad_mut();
+            for w in value.as_mut_slice() {
+                *w += rng.gen_range(-0.02f32..0.02);
+            }
+            for g in grad.as_mut_slice() {
+                *g = rng.gen_range(-1.0f32..1.0);
+            }
+        }
+        Self {
+            mask: vec![true; reference.len()],
+            reference: Arc::new(reference),
+            updated,
+        }
+    }
+
+    /// Scalars in one report (the `n…` of the case names).
+    pub fn num_scalars(&self) -> usize {
+        self.reference.num_scalars()
+    }
+
+    /// Mask-then-compress the report under `codec`.
+    pub fn encode(&self, codec: Compression) -> Compressed {
+        codec.build().compress(&Delta {
+            updated: &self.updated,
+            reference: &self.reference,
+            mask: &self.mask,
+        })
+    }
+
+    /// The report's delivery as it reaches the server, minus the payload
+    /// [`CodecCase::decode`] puts in.
+    pub fn delivery(&self) -> Delivery {
+        Delivery {
+            client: 0,
+            dispatch_pos: 0,
+            dispatch_round: 0,
+            ret: ClientReturn {
+                client: 0,
+                params: self.updated.clone(),
+                unit_delta: Vec::new(),
+            },
+            mask: self.mask.clone(),
+            charge: UplinkCharge::default(),
+            payload: None,
+        }
+    }
+
+    /// One server arrival: hand the delivery a copy of `report` (the decode
+    /// consumes it; the copy is ~1 byte per scalar under q8) and decode it.
+    pub fn decode(&self, delivery: &mut Delivery, report: &Compressed) {
+        delivery.payload = Some(InFlight {
+            report: report.clone(),
+            reference: Arc::clone(&self.reference),
+        });
+        decode_arrival(delivery);
+    }
+
+    /// One Adam step over the report's units under their fixed gradient.
+    pub fn adam_step(&mut self, adam: &mut Adam) {
+        adam.step(&mut self.updated);
+    }
+}
+
 fn backward_sum_sq(g: &mut Graph, out: Var) {
     let sq = g.mul(out, out);
     let loss = g.sum_all(sq);
@@ -257,6 +356,34 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<CaseResult> {
         let case = time_case(&name, cfg.samples(), 4, || edge.aggregate_fwd_bwd());
         push(&mut out, case);
     }
+
+    // 1c. The uplink report path at the fleet model's size: each codec's
+    //     encode, the q8 arrival decode, and one optimiser step.
+    let mut codec_case = CodecCase::new(&mut rng);
+    let n = codec_case.num_scalars();
+    for (label, codec) in [
+        ("q8", Compression::QuantI8),
+        ("f16", Compression::QuantF16),
+        ("topk", Compression::TopK { frac: 0.25 }),
+    ] {
+        let name = format!("codec/{label}/encode/n{n}");
+        let case = time_case(&name, cfg.samples(), 8, || {
+            black_box(codec_case.encode(codec));
+        });
+        push(&mut out, case);
+    }
+    let report = codec_case.encode(Compression::QuantI8);
+    let mut delivery = codec_case.delivery();
+    let name = format!("codec/q8/decode/n{n}");
+    let case = time_case(&name, cfg.samples(), 8, || {
+        codec_case.decode(&mut delivery, &report);
+        black_box(&delivery.ret.unit_delta);
+    });
+    push(&mut out, case);
+    let mut adam = Adam::new(5e-3);
+    let name = format!("optim/adam_step/n{n}");
+    let case = time_case(&name, cfg.samples(), 8, || codec_case.adam_step(&mut adam));
+    push(&mut out, case);
 
     // 2. Simple-HGN forward / forward+backward at the experiment model
     //    size (mirrors benches/hgn_forward_backward.rs).

@@ -32,18 +32,16 @@
 //! report *arrives* — never for dropouts, and never for reports still in
 //! flight when the run ends.
 
-use crate::compress::{decode_arrival, Compressor, Delta, InFlight, UplinkCharge};
+use crate::compress::{decode_arrival, Compressor, UplinkCharge};
+use crate::dispatch::dispatch_reports;
 use crate::events::{EventSink, RoundEvent};
-use crate::faults::{
-    corrupt_return, detect_rejection, FaultEffect, FaultKind, FaultObserved, FaultPlan,
-};
+use crate::faults::{detect_rejection, FaultEffect, FaultKind, FaultObserved, FaultPlan};
 use crate::protocol::FlProtocol;
 use crate::runtime::{Delivery, Mailbox, Scheduler, Tick};
 use crate::system::{ActivationSnapshot, ClientReturn, FlSystem, RoundEval, RunResult};
 use crate::WeightedReturn;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the buffered-asynchronous aggregation rule.
@@ -296,82 +294,38 @@ fn dispatch_wave(
     let masks = protocol.build_masks(system, &wave, version, rng);
     debug_assert_eq!(masks.len(), wave.len(), "one mask per dispatched client");
     state.mask_density = crate::driver::mean_mask_density(&masks);
-    let reporting: Vec<usize> = wave
-        .iter()
-        .copied()
-        .filter(|&c| plan.as_ref().and_then(|p| p.fault_at(version, c)) != Some(FaultKind::Dropout))
-        .collect();
-    let broadcast =
-        (plan.is_some() || compressor.is_some()).then(|| Arc::new(system.global.clone()));
-    let sizes = system.unit_sizes();
-    let penalties: Vec<_> = reporting
-        .iter()
-        .map(|&c| protocol.local_regularizer(system, c, version))
-        .collect();
-    let mut returns = system
-        .run_local_round_with(&reporting, version, &penalties)
-        .into_iter();
-    for (pos, &client) in wave.iter().enumerate() {
-        let fault = plan.as_ref().and_then(|p| p.fault_at(version, client));
-        if fault == Some(FaultKind::Dropout) {
-            state.observations.push(FaultObserved {
-                round: version,
-                client,
-                effect: FaultEffect::Dropout,
-            });
-            continue;
-        }
-        let mut ret = returns
-            .next()
-            // fedda-lint: allow(panic-path, reason = "run_local_round returns exactly one entry per non-dropout client; a shortfall is driver-internal corruption")
-            .expect("one return per reporting client");
-        debug_assert_eq!(ret.client, client);
+    let dispatched = dispatch_reports(
+        system,
+        protocol,
+        plan.as_ref(),
+        compressor,
+        &wave,
+        masks,
+        version,
+        // A late report is still in flight when the run ends, never lost at
+        // dispatch.
+        |_| false,
+    );
+    for (pos, (fault, delivery)) in dispatched.into_iter().enumerate() {
+        let client = wave[pos];
         let latency: Tick = match fault {
-            Some(FaultKind::Straggler { delay }) => 1 + delay as Tick,
-            Some(FaultKind::Corruption(kind)) => {
-                if let Some(broadcast) = &broadcast {
-                    corrupt_return(&mut ret, broadcast, kind);
-                }
-                1
-            }
-            Some(FaultKind::Dropout) => unreachable!("dropouts filtered above"),
-            None => 1,
-        };
-        // Mask-then-compress against this version's broadcast; the report
-        // carries its compressed payload (and its reference) across however
-        // many versions its latency spans.
-        let mask = masks[pos].clone();
-        let (charge, payload) = match (compressor, &broadcast) {
-            (Some(comp), Some(reference)) => {
-                let report = comp.compress(&Delta {
-                    updated: &ret.params,
-                    reference,
-                    mask: &mask,
+            Some(FaultKind::Dropout) => {
+                state.observations.push(FaultObserved {
+                    round: version,
+                    client,
+                    effect: FaultEffect::Dropout,
                 });
-                let charge = report.charge();
-                (
-                    charge,
-                    Some(InFlight {
-                        report,
-                        reference: Arc::clone(reference),
-                    }),
-                )
+                continue;
             }
-            _ => (UplinkCharge::from_mask(&mask, &sizes), None),
+            Some(FaultKind::Straggler { delay }) => 1 + delay as Tick,
+            Some(FaultKind::Corruption(_)) | None => 1,
         };
-        in_flight[client] = true;
-        sched.schedule_after(
-            latency,
-            Delivery {
-                client,
-                dispatch_pos: pos,
-                dispatch_round: version,
-                ret,
-                mask,
-                charge,
-                payload,
-            },
-        );
+        // The report carries its compressed payload (and its reference)
+        // across however many versions its latency spans.
+        if let Some(delivery) = delivery {
+            in_flight[client] = true;
+            sched.schedule_after(latency, delivery);
+        }
     }
     state.wave = wave;
 }

@@ -28,7 +28,6 @@
 //! *decompressed* report.
 
 use crate::runtime::Delivery;
-use crate::system::ClientReturn;
 use fedda_tensor::ParamSet;
 use std::sync::Arc;
 
@@ -163,16 +162,19 @@ impl Compressed {
     /// they were never transmitted.
     pub fn reconstruct(&self, reference: &ParamSet) -> ParamSet {
         let mut out = reference.clone();
-        let mut cursor = 0usize;
+        self.decode_over(&mut out);
+        out
+    }
+
+    /// Decode every encoded unit over `out`, which must already hold the
+    /// reference values.
+    fn decode_over(&self, out: &mut ParamSet) {
+        let mut encoded = self.units.iter().peekable();
         for (k, (_, p)) in out.iter_mut().enumerate() {
-            if cursor < self.units.len() && self.units[cursor].unit == k {
-                self.units[cursor]
-                    .payload
-                    .decode_into(p.value_mut().as_mut_slice());
-                cursor += 1;
+            if let Some(cu) = encoded.next_if(|cu| cu.unit == k) {
+                cu.payload.decode_into(p.value_mut().as_mut_slice());
             }
         }
-        out
     }
 }
 
@@ -221,21 +223,47 @@ pub struct InFlight {
 }
 
 /// Decode a delivery's compressed payload (if any) into its
-/// [`ClientReturn`], exactly once, at the server arrival point. The
-/// decompressed parameters replace the in-transit ones and the unit deltas
-/// are recomputed against the dispatch-time reference, so downstream
-/// consumers — the rejection guard, Eq. 6 aggregation, FedDA's mask
-/// scoring — all see the post-decompression numbers.
+/// [`ClientReturn`](crate::ClientReturn), exactly once, at the server
+/// arrival point. The decompressed parameters replace the in-transit ones
+/// and the unit deltas are recomputed against the dispatch-time reference,
+/// so downstream consumers — the rejection guard, Eq. 6 aggregation,
+/// FedDA's mask scoring — all see the post-decompression numbers.
+///
+/// The reconstruction is written into the delivery's own parameter buffer:
+/// its pre-compression contents are dead once the report is encoded, so
+/// overwriting them with the reference (values and gradients) and decoding
+/// on top gives exactly `report.reconstruct(&reference)` without cloning
+/// the reference per report. A buffer laid out differently from the
+/// reference (a hand-built delivery) is replaced by that clone instead.
 pub fn decode_arrival(d: &mut Delivery) {
-    if let Some(inflight) = d.payload.take() {
-        let params = inflight.report.reconstruct(&inflight.reference);
-        let unit_delta = params.unit_l2_distances(&inflight.reference);
-        d.ret = ClientReturn {
-            client: d.client,
-            params,
-            unit_delta,
-        };
+    let Some(InFlight { report, reference }) = d.payload.take() else {
+        return;
+    };
+    let params = &mut d.ret.params;
+    if same_layout(params, &reference) {
+        for ((_, p), (_, r)) in params.iter_mut().zip(reference.iter()) {
+            let (value, grad) = p.value_and_grad_mut();
+            value.as_mut_slice().copy_from_slice(r.value().as_slice());
+            grad.as_mut_slice().copy_from_slice(r.grad().as_slice());
+        }
+        report.decode_over(params);
+    } else {
+        *params = report.reconstruct(&reference);
     }
+    d.ret.client = d.client;
+    d.ret.unit_delta = d.ret.params.unit_l2_distances(&reference);
+}
+
+/// Whether two sets hold the same units: names, metadata and shapes, in
+/// the same order.
+fn same_layout(a: &ParamSet, b: &ParamSet) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|((_, x), (_, y))| {
+            x.name() == y.name()
+                && x.meta() == y.meta()
+                && x.value().rows() == y.value().rows()
+                && x.value().cols() == y.value().cols()
+        })
 }
 
 /// A deterministic, RNG-free uplink codec. Implementations provide the
@@ -290,35 +318,65 @@ impl Compressor for Identity {
 /// 127`, codes rounded to nearest. 1 byte per scalar (4× smaller than
 /// raw). Any non-finite delta poisons the unit's scale to NaN so
 /// corruption survives the codec.
+///
+/// # Bit-exact contract
+///
+/// `scale` and every code equal the scalar formula
+/// `(f64(δ) / f64(scale)).round().clamp(±127)` (round half away from
+/// zero), computed in two branch-free passes the compiler vectorises:
+///
+/// 1. `max|δ|` over the deltas' bit patterns with the sign cleared. For
+///    non-negative floats the integer order of the bits is the float
+///    order, infinities and NaNs sort above every finite value, so one
+///    `u32` maximum yields both the magnitude and the finite test.
+/// 2. `q = f64(δ) / f64(scale)`, then `min(|q|, 127) + 2⁻³⁰`, the sign put
+///    back, plus `1.5 · 2⁵²`: at that magnitude an `f64` holds integers
+///    only, so the addition rounds to the nearest one and leaves it, in
+///    two's complement, in the low mantissa bits.
+///
+/// The nudge is what turns round-to-nearest-even into round-half-away:
+/// the quotient of two `f32`s is either exactly *on* a `.5` boundary or
+/// more than `2⁻²⁶` away from it, and the `f64` division (error below
+/// `2⁻⁴⁶`, exact ties exact) keeps it so — `2⁻³⁰` lifts the exact ties to
+/// the upper integer and moves nothing else across. DESIGN.md §12 has the
+/// derivation.
 pub struct QuantI8;
+
+/// `1.5 · 2⁵²`: adding it to an `f64` of magnitude below `2⁵¹` rounds that
+/// value to an integer and stores it in the low mantissa bits.
+const ROUND_TO_INT: f64 = 6_755_399_441_055_744.0;
+/// `2⁻³⁰`, the tie-lifting nudge of [`QuantI8`]'s second pass.
+const HALF_AWAY_NUDGE: f64 = 9.313_225_746_154_785e-10;
 
 impl Compressor for QuantI8 {
     fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
-        let mut max_abs = 0.0f32;
-        let mut finite = true;
-        for (&u, &r) in updated.iter().zip(reference) {
-            let d = u - r;
-            if !d.is_finite() {
-                finite = false;
-            }
-            max_abs = max_abs.max(d.abs());
+        let max_abs_bits = updated
+            .iter()
+            .zip(reference)
+            .map(|(&u, &r)| (u - r).to_bits() & 0x7FFF_FFFF)
+            .fold(0u32, u32::max);
+        let scale = if max_abs_bits < f32::INFINITY.to_bits() {
+            f32::from_bits(max_abs_bits) / 127.0
+        } else {
+            f32::NAN
+        };
+        // A zero or NaN scale encodes everything as 0; decode then
+        // reproduces the reference exactly (zero scale) or NaN (poisoned
+        // scale).
+        if scale.is_nan() || scale <= 0.0 {
+            return Payload::I8 {
+                scale,
+                codes: vec![0; updated.len().min(reference.len())],
+            };
         }
-        let scale = if finite { max_abs / 127.0 } else { f32::NAN };
+        let step = f64::from(scale);
         let codes = updated
             .iter()
             .zip(reference)
             .map(|(&u, &r)| {
-                // A zero or NaN scale encodes everything as 0; decode then
-                // reproduces the reference exactly (zero scale) or NaN
-                // (poisoned scale).
-                if scale > 0.0 {
-                    let q = (f64::from(u - r) / f64::from(scale))
-                        .round()
-                        .clamp(-127.0, 127.0);
-                    i8::try_from(q as i64).unwrap_or(0)
-                } else {
-                    0
-                }
+                let q = f64::from(u - r) / step;
+                let rounded = (q.abs().min(127.0) + HALF_AWAY_NUDGE).copysign(q) + ROUND_TO_INT;
+                i8::from_le_bytes([rounded.to_bits().to_le_bytes()[0]])
             })
             .collect();
         Payload::I8 { scale, codes }
@@ -378,9 +436,19 @@ pub fn k_of(frac: f64, len: usize) -> usize {
 /// `|delta|` descending under `total_cmp` — NaN above every finite value —
 /// with ties broken by ascending index.
 pub fn top_k_positions(deltas: &[f32], k: usize) -> Vec<usize> {
+    let k = k.min(deltas.len());
+    if k == 0 {
+        return Vec::new();
+    }
     let mut idx: Vec<usize> = (0..deltas.len()).collect();
-    idx.sort_by(|&a, &b| deltas[b].abs().total_cmp(&deltas[a].abs()).then(a.cmp(&b)));
-    idx.truncate(k.min(deltas.len()));
+    if k < idx.len() {
+        // The order is total, so the k first ranks are one set however
+        // they are found: partition around rank k instead of sorting all.
+        idx.select_nth_unstable_by(k - 1, |&a, &b| {
+            deltas[b].abs().total_cmp(&deltas[a].abs()).then(a.cmp(&b))
+        });
+        idx.truncate(k);
+    }
     idx.sort_unstable();
     idx
 }
@@ -636,6 +704,108 @@ mod tests {
     fn topk_ranks_nan_above_every_finite_magnitude() {
         let deltas = [1.0f32, f32::NAN, 1e30];
         assert_eq!(top_k_positions(&deltas, 1), vec![1]);
+    }
+
+    /// Units of uneven sizes (one too small for top-k to keep anything of),
+    /// values spread by `salt`, gradients filled with `grad`.
+    fn layered_set(shapes: &[(&str, usize, usize)], salt: f32, grad: f32) -> ParamSet {
+        let mut ps = ParamSet::new();
+        for (u, &(name, rows, cols)) in shapes.iter().enumerate() {
+            let values = (0..rows * cols)
+                .map(|i| ((i * 7 + u * 13) % 29) as f32 * 0.037 - 0.5 + salt * (i % 5) as f32)
+                .collect();
+            let id = ps.add(name, fedda_tensor::Matrix::from_vec(rows, cols, values));
+            ps.get_mut(id).grad_mut().fill(grad + u as f32);
+        }
+        ps
+    }
+
+    fn bits(ps: &ParamSet) -> Vec<(String, Vec<u32>, Vec<u32>)> {
+        ps.iter()
+            .map(|(_, p)| {
+                let of =
+                    |m: &fedda_tensor::Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+                (p.name().to_string(), of(p.value()), of(p.grad()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decode_arrival_in_place_equals_reconstruct() {
+        const SHAPES: &[(&str, usize, usize)] =
+            &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5), ("d", 1, 3)];
+        // Reference gradients are non-zero and differ from the buffer's, so
+        // a decode that left the buffer's gradients in place would show.
+        let reference = Arc::new(layered_set(SHAPES, 0.0, 0.25));
+        let updated = layered_set(SHAPES, 0.011, -3.0);
+        // Unit 1 is masked out; unit 3 is requested, but top-k at 0.25
+        // keeps none of its 3 scalars and drops it from the wire entirely.
+        let mask = [true, false, true, true];
+        let mismatched = [
+            layered_set(&SHAPES[..3], 0.011, -3.0),
+            layered_set(
+                &[("a", 4, 6), ("b", 1, 3), ("c", 5, 5), ("d", 1, 3)],
+                0.011,
+                -3.0,
+            ),
+            layered_set(
+                &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5), ("e", 1, 3)],
+                0.011,
+                -3.0,
+            ),
+        ];
+        for codec in [
+            Compression::Identity,
+            Compression::QuantI8,
+            Compression::QuantF16,
+            Compression::TopK { frac: 0.25 },
+        ] {
+            let report = codec.build().compress(&Delta {
+                updated: &updated,
+                reference: &reference,
+                mask: &mask,
+            });
+            assert!(
+                report.units.iter().all(|cu| cu.unit != 1),
+                "{codec:?}: masked unit encoded"
+            );
+            let encodes_last = report.units.iter().any(|cu| cu.unit == 3);
+            assert_eq!(encodes_last, !matches!(codec, Compression::TopK { .. }));
+            let want = report.reconstruct(&reference);
+            let want_delta: Vec<u32> = want
+                .unit_l2_distances(&reference)
+                .iter()
+                .map(|d| d.to_bits())
+                .collect();
+            // The matching buffer decodes in place; each mismatched one
+            // (fewer units, another shape, another name) takes the fallback.
+            for (b, buffer) in std::iter::once(&updated).chain(&mismatched).enumerate() {
+                assert_eq!(same_layout(buffer, &reference), b == 0);
+                let mut d = Delivery {
+                    client: 3,
+                    dispatch_pos: 0,
+                    dispatch_round: 0,
+                    ret: crate::ClientReturn {
+                        client: 3,
+                        params: buffer.clone(),
+                        unit_delta: Vec::new(),
+                    },
+                    mask: mask.to_vec(),
+                    charge: report.charge(),
+                    payload: Some(InFlight {
+                        report: report.clone(),
+                        reference: Arc::clone(&reference),
+                    }),
+                };
+                decode_arrival(&mut d);
+                assert!(d.payload.is_none(), "decoded exactly once");
+                assert_eq!(bits(&d.ret.params), bits(&want), "{codec:?}, buffer {b}");
+                let got_delta: Vec<u32> = d.ret.unit_delta.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got_delta, want_delta, "{codec:?}, buffer {b}");
+                // Untransmitted units decode to the reference exactly.
+                assert_eq!(bits(&d.ret.params)[1], bits(&reference)[1]);
+            }
+        }
     }
 
     #[test]

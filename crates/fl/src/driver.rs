@@ -21,17 +21,17 @@
 //! to it; [`AsyncDriver`](crate::AsyncDriver) reuses the same runtime with
 //! multi-tick latencies instead.
 
-use crate::compress::{decode_arrival, Compressor, Delta, InFlight, UplinkCharge};
+use crate::compress::{decode_arrival, Compressor, UplinkCharge};
+use crate::dispatch::dispatch_reports;
 use crate::events::{EventSink, RoundEvent};
 use crate::faults::{
-    corrupt_return, detect_rejection, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
+    detect_rejection, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
 };
 use crate::protocol::FlProtocol;
 use crate::runtime::{Delivery, Mailbox, Scheduler, Tick};
 use crate::system::{ActivationSnapshot, FlSystem, RoundEval, RunResult, WeightedReturn};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Events of the synchronous simulation: each round dispatches, collects
@@ -196,44 +196,30 @@ fn dispatch_round(
     debug_assert_eq!(masks.len(), active.len(), "one mask per active client");
     let mask_density = mean_mask_density(&masks);
 
-    // Dropped clients never report, so their local compute is skipped
-    // outright; stragglers and corrupted clients still train.
-    let reporting: Vec<usize> = active
-        .iter()
-        .copied()
-        .filter(|&c| plan.as_ref().and_then(|p| p.fault_at(round, c)) != Some(FaultKind::Dropout))
-        .collect();
-    // Materialised whenever corruption may need it or the compressor needs
-    // a dispatch-time reference to encode (and later decode) against.
-    let broadcast =
-        (plan.is_some() || compressor.is_some()).then(|| Arc::new(system.global.clone()));
-    let sizes = system.unit_sizes();
-    let penalties: Vec<_> = reporting
-        .iter()
-        .map(|&c| protocol.local_regularizer(system, c, round))
-        .collect();
-    let mut returns = system
-        .run_local_round_with(&reporting, round, &penalties)
-        .into_iter();
+    let dispatched = dispatch_reports(
+        system,
+        protocol,
+        plan.as_ref(),
+        compressor,
+        &active,
+        masks,
+        round,
+        |delay| round + delay >= rounds,
+    );
 
     let mut slots: Vec<Option<FaultObserved>> = Vec::new();
     slots.resize_with(active.len(), || None);
-    for (pos, &client) in active.iter().enumerate() {
-        let fault = plan.as_ref().and_then(|p| p.fault_at(round, client));
-        if fault == Some(FaultKind::Dropout) {
-            slots[pos] = Some(FaultObserved {
-                round,
-                client,
-                effect: FaultEffect::Dropout,
-            });
-            continue;
-        }
-        let mut ret = returns
-            .next()
-            // fedda-lint: allow(panic-path, reason = "run_local_round returns exactly one entry per non-dropout client; a shortfall is driver-internal corruption")
-            .expect("one return per reporting client");
-        debug_assert_eq!(ret.client, client);
+    for (pos, (fault, delivery)) in dispatched.into_iter().enumerate() {
+        let client = active[pos];
         let arrival_tick = match fault {
+            Some(FaultKind::Dropout) => {
+                slots[pos] = Some(FaultObserved {
+                    round,
+                    client,
+                    effect: FaultEffect::Dropout,
+                });
+                continue;
+            }
             Some(FaultKind::Straggler { delay }) => {
                 let arrives = round + delay;
                 slots[pos] = Some(FaultObserved {
@@ -243,57 +229,15 @@ fn dispatch_round(
                         arrival: (arrives < rounds).then_some(arrives),
                     },
                 });
-                // Reports that would land after the run ends are dropped on
-                // the floor — their bytes never transfer.
-                if arrives >= rounds {
-                    continue;
-                }
-                arrives as Tick
+                arrives
             }
-            Some(FaultKind::Corruption(kind)) => {
-                if let Some(broadcast) = &broadcast {
-                    corrupt_return(&mut ret, broadcast, kind);
-                }
-                round as Tick
-            }
-            Some(FaultKind::Dropout) => unreachable!("dropouts filtered above"),
-            None => round as Tick,
+            Some(FaultKind::Corruption(_)) | None => round,
         };
-        // Mask-then-compress: the protocol's mask picked the units, the
-        // codec now prices them. Corruption was injected above, so a
-        // corrupted report flows *through* the codec and the server guard
-        // judges the decompressed bytes.
-        let mask = masks[pos].clone();
-        let (charge, payload) = match (compressor, &broadcast) {
-            (Some(comp), Some(reference)) => {
-                let report = comp.compress(&Delta {
-                    updated: &ret.params,
-                    reference,
-                    mask: &mask,
-                });
-                let charge = report.charge();
-                (
-                    charge,
-                    Some(InFlight {
-                        report,
-                        reference: Arc::clone(reference),
-                    }),
-                )
-            }
-            _ => (UplinkCharge::from_mask(&mask, &sizes), None),
-        };
-        sched.schedule_at(
-            arrival_tick,
-            SimEvent::Arrival(Delivery {
-                client,
-                dispatch_pos: pos,
-                dispatch_round: round,
-                ret,
-                mask,
-                charge,
-                payload,
-            }),
-        );
+        // A report that would land after the run ends has no delivery: it
+        // is dropped on the floor and its bytes never transfer.
+        if let Some(delivery) = delivery {
+            sched.schedule_at(arrival_tick as Tick, SimEvent::Arrival(delivery));
+        }
     }
     // The Seal outranks (in sequence number) every fresh arrival scheduled
     // above, so it pops last at this tick.

@@ -49,6 +49,7 @@ mod async_driver;
 pub mod baselines;
 mod comm;
 pub mod compress;
+mod dispatch;
 mod driver;
 mod events;
 pub mod faults;

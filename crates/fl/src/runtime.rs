@@ -133,8 +133,9 @@ pub struct Delivery {
     /// against.
     pub dispatch_round: usize,
     /// The client's trained return. When a compressor is configured this
-    /// holds the *pre-compression* values until [`decode_arrival`] swaps in
-    /// the decompressed reconstruction at the server.
+    /// holds the *pre-compression* values (and no `unit_delta` yet) until
+    /// [`decode_arrival`] writes the decompressed reconstruction over them
+    /// at the server.
     ///
     /// [`decode_arrival`]: crate::compress::decode_arrival
     pub ret: ClientReturn,

@@ -4,8 +4,8 @@
 //! masked aggregation (Eq. 6) and global evaluation.
 
 use crate::comm::{CommLog, RoundComm};
-use crate::compress::{Compression, UplinkCharge};
-use crate::faults::{FaultConfig, FaultObserved};
+use crate::compress::{Compressed, Compression, Compressor, Delta, UplinkCharge};
+use crate::faults::{corrupt_return, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
 use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
@@ -92,8 +92,9 @@ pub struct FlConfig {
     /// corruption); `None` leaves every seeded run bit-identical to a
     /// fault-free driver.
     pub faults: Option<FaultConfig>,
-    /// Optional uplink compression (mask-then-compress at dispatch,
-    /// decompress at server arrival, ledger charged at compressed size);
+    /// Optional uplink compression (mask-then-compress on the worker at
+    /// dispatch, decompress at server arrival, ledger charged at compressed
+    /// size);
     /// `None` keeps the pre-compression code path bit for bit.
     pub compression: Option<Compression>,
 }
@@ -148,6 +149,15 @@ pub struct ClientReturn {
     /// Per-unit L2 distance between the updated and broadcast parameters —
     /// the "returned gradient" magnitude FedDA scores contributions with.
     pub unit_delta: Vec<f32>,
+}
+
+/// What dispatch asks of one reporting client beyond local training.
+pub(crate) struct ReportOrder<'a> {
+    /// Corruption the fault plan injects into this report.
+    pub corruption: Option<Corruption>,
+    /// The unit mask to encode the report under; `None` when the report
+    /// travels uncompressed or the run ends before it would arrive.
+    pub encode: Option<&'a [bool]>,
 }
 
 /// One contribution to a weighted masked aggregation: a client's return,
@@ -439,12 +449,42 @@ impl FlSystem {
         round: usize,
         penalties: &[Option<LocalPenalty>],
     ) -> Vec<ClientReturn> {
+        self.run_reports(active, round, penalties, &[], None)
+            .into_iter()
+            .map(|(ret, _)| ret)
+            .collect()
+    }
+
+    /// The drivers' form of [`FlSystem::run_local_round_with`]: everything
+    /// that is per-report and pure runs inside the client's pool task, on
+    /// the worker that trained it and while its parameters are cache-hot —
+    /// local training, then the fault plan's corruption (`orders[j]`), then
+    /// mask-then-compress under `compressor` for the reports `orders[j]`
+    /// asks to encode. Corruption is injected first, so a corrupted report
+    /// flows *through* the codec and the server guard judges the
+    /// decompressed bytes. An empty `orders` slice trains only.
+    ///
+    /// A report that comes back encoded carries no `unit_delta`:
+    /// [`decode_arrival`](crate::compress::decode_arrival) computes it from
+    /// the decompressed parameters before anything reads it.
+    pub(crate) fn run_reports(
+        &self,
+        active: &[usize],
+        round: usize,
+        penalties: &[Option<LocalPenalty>],
+        orders: &[ReportOrder<'_>],
+        compressor: Option<&(dyn Compressor + Send + Sync)>,
+    ) -> Vec<(ClientReturn, Option<Compressed>)> {
         assert!(
             penalties.is_empty() || penalties.len() == active.len(),
             "one penalty slot per active client (or none at all)"
         );
+        assert!(
+            orders.is_empty() || orders.len() == active.len(),
+            "one report order per active client (or none at all)"
+        );
         let positions: Vec<usize> = (0..active.len()).collect();
-        let work = |&pos: &usize| -> ClientReturn {
+        let work = |&pos: &usize| -> (ClientReturn, Option<Compressed>) {
             let i = active[pos];
             let client = &self.clients[i];
             let mut params = self.global.clone();
@@ -474,12 +514,28 @@ impl FlSystem {
                 privacy.validate().expect("invalid PrivacyConfig");
                 apply_privacy(&mut params, &self.global, privacy, &mut rng);
             }
-            let unit_delta = params.unit_l2_distances(&self.global);
-            ClientReturn {
+            let order = orders.get(pos);
+            let encode = compressor.zip(order.and_then(|o| o.encode));
+            let unit_delta = match encode {
+                Some(_) => Vec::new(),
+                None => params.unit_l2_distances(&self.global),
+            };
+            let mut ret = ClientReturn {
                 client: i,
                 params,
                 unit_delta,
+            };
+            if let Some(kind) = order.and_then(|o| o.corruption) {
+                corrupt_return(&mut ret, &self.global, kind);
             }
+            let report = encode.map(|(codec, mask)| {
+                codec.compress(&Delta {
+                    updated: &ret.params,
+                    reference: &self.global,
+                    mask,
+                })
+            });
+            (ret, report)
         };
         let workers = if self.cfg.parallel {
             self.cfg.workers.unwrap_or(active.len())
@@ -714,11 +770,9 @@ fn apply_privacy<R: rand::Rng + ?Sized>(
         1.0
     };
     let noise_std = privacy.noise_multiplier * privacy.clip_norm;
-    let ids: Vec<ParamId> = params.ids().collect();
-    for id in ids {
-        let base = broadcast.get(id).value().clone();
-        let value = params.get_mut(id).value_mut();
-        for (x, &b) in value.as_mut_slice().iter_mut().zip(base.as_slice()) {
+    for ((_, p), (_, base)) in params.iter_mut().zip(broadcast.iter()) {
+        let value = p.value_mut();
+        for (x, &b) in value.as_mut_slice().iter_mut().zip(base.value().as_slice()) {
             let clipped = b + scale * (*x - b);
             let noise = if noise_std > 0.0 {
                 let (n0, _) = fedda_tensor::init::box_muller(rng);

@@ -12,7 +12,8 @@
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
-    FedAdam, FedDa, FedDyn, FedProx, FlConfig, FlProtocol, FlSystem, RoundDriver, RunResult,
+    Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn, FedProx, FlConfig, FlProtocol,
+    FlSystem, RoundDriver, RunResult, StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -25,6 +26,14 @@ const ROUNDS: usize = 3;
 const SEED: u64 = 1234;
 
 fn build_system(parallel: bool) -> FlSystem {
+    build_system_with(parallel, None, None)
+}
+
+fn build_system_with(
+    parallel: bool,
+    workers: Option<usize>,
+    faults: Option<FaultConfig>,
+) -> FlSystem {
     let g = dblp_like(&PresetOptions {
         scale: 0.0012,
         seed: SEED,
@@ -52,6 +61,8 @@ fn build_system(parallel: bool) -> FlSystem {
         eval_negatives: 3,
         seed: SEED,
         parallel,
+        workers,
+        faults,
         ..Default::default()
     };
     FlSystem::new(&split.train, &split.test, clients, cfg)
@@ -150,4 +161,50 @@ fn fedadam_is_bit_identical_across_threads_and_dispatch() {
         &|| Box::new(FedAdam::new(0.01).protocol()),
         "FedAdam",
     );
+}
+
+#[test]
+fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
+    // The sync driver encodes each report inside its pool task and decodes
+    // it in place at arrival — held straggler reports against the broadcast
+    // of the round they were dispatched in, corrupted ones through the
+    // codec. None of that may depend on which worker ran which client or on
+    // the kernel-thread budget: codec × workers {1, 2, 4} × threads {1, 4}.
+    let faults = FaultConfig {
+        straggler: 0.3,
+        max_staleness: 2,
+        corruption: 0.1,
+        corruption_kind: Corruption::NaN,
+        staleness: StalenessPolicy::Discount { gamma: 0.5 },
+        ..Default::default()
+    };
+    for compression in [
+        Compression::Identity,
+        Compression::QuantI8,
+        Compression::TopK { frac: 0.25 },
+    ] {
+        let run = |workers: usize, threads: usize| {
+            with_kernel_threads(threads, || {
+                let mut sys = build_system_with(true, Some(workers), Some(faults.clone()));
+                sys.set_compression(Some(compression));
+                let result = RoundDriver::new()
+                    .run(&mut FedDa::explore().protocol(), &mut sys)
+                    .expect("sync compressed run");
+                (fingerprint(&result, &sys), result.faults)
+            })
+        };
+        let reference = run(1, 1);
+        assert!(
+            !reference.1.is_empty(),
+            "the fault plan must exercise the held and corrupted paths"
+        );
+        for (workers, threads) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+            assert_eq!(
+                reference,
+                run(workers, threads),
+                "codec {compression:?} diverged under workers={workers}, \
+                 kernel_threads={threads}"
+            );
+        }
+    }
 }

@@ -14,7 +14,7 @@
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
     baselines, AsyncConfig, AsyncDriver, Compression, FedAdam, FedAvg, FedDa, FedDyn, FedProx,
-    FlConfig, FlSystem, RunResult,
+    FlConfig, FlSystem, RoundDriver, RunResult,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -551,6 +551,185 @@ fn golden_identity_compression_matches_uncompressed_async() {
             .expect("golden async run")
         });
     }
+}
+
+/// Pinned trajectory of one lossy-codec run: the curve and uplink units
+/// as in [`Golden`], plus the ledgered wire bytes and an FNV-1a fingerprint
+/// of the final parameters' bit patterns. Recorded on the commit *before*
+/// the q8 kernel, top-k selection and arrival decode were rewritten, so
+/// those rewrites are held to the old bytes and the old floats.
+struct CodecGolden {
+    golden: Golden,
+    uplink_bytes: usize,
+    params_fnv: u64,
+}
+
+fn params_fnv(system: &FlSystem) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in system.global.flatten() {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn check_codec(result: &RunResult, system: &FlSystem, pin: &CodecGolden) {
+    check(result, &pin.golden);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        println!("uplink_bytes: {},", result.comm.total_uplink_bytes());
+        println!("params_fnv: {:#018x},", params_fnv(system));
+        return;
+    }
+    assert_eq!(
+        result.comm.total_uplink_bytes(),
+        pin.uplink_bytes,
+        "{}: total uplink bytes",
+        pin.golden.name
+    );
+    assert_eq!(
+        params_fnv(system),
+        pin.params_fnv,
+        "{}: final-parameter fingerprint",
+        pin.golden.name
+    );
+}
+
+fn run_codec(compression: Compression, asynchronous: bool) -> (RunResult, FlSystem) {
+    let mut sys = golden_system();
+    sys.set_compression(Some(compression));
+    let mut protocol = FedDa::explore().protocol();
+    let result = if asynchronous {
+        AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 }).run(&mut protocol, &mut sys)
+    } else {
+        RoundDriver::new().run(&mut protocol, &mut sys)
+    }
+    .expect("golden codec run");
+    (result, sys)
+}
+
+#[test]
+fn golden_q8_fedda_explore() {
+    let (result, sys) = run_codec(Compression::QuantI8, false);
+    check_codec(
+        &result,
+        &sys,
+        &CodecGolden {
+            golden: Golden {
+                name: "FedDA-Explore + q8",
+                auc: &[
+                    0.534506284577575,
+                    0.5556316675483259,
+                    0.579279996620306,
+                    0.5915067626022174,
+                    0.6015209426223486,
+                ],
+                mrr: &[
+                    0.5556128437290417,
+                    0.566095182204339,
+                    0.5733987256874598,
+                    0.5886862843729057,
+                    0.6008188016990856,
+                ],
+                uplink_units: 443,
+            },
+            uplink_bytes: 18008,
+            params_fnv: 0x4959_c081_b624_1754,
+        },
+    );
+}
+
+#[test]
+fn golden_topk_fedda_explore() {
+    let (result, sys) = run_codec(Compression::TopK { frac: 0.25 }, false);
+    check_codec(
+        &result,
+        &sys,
+        &CodecGolden {
+            golden: Golden {
+                name: "FedDA-Explore + topk:0.25",
+                auc: &[
+                    0.5151271150638835,
+                    0.5227712617646411,
+                    0.5299614916940348,
+                    0.5371513198255784,
+                    0.5487376774339306,
+                ],
+                mrr: &[
+                    0.5421571093226029,
+                    0.545591605186677,
+                    0.5449139280125209,
+                    0.5546207802369788,
+                    0.5652554214173946,
+                ],
+                uplink_units: 406,
+            },
+            uplink_bytes: 35936,
+            params_fnv: 0x4fcb_bd2c_b1b7_27db,
+        },
+    );
+}
+
+#[test]
+fn golden_async_q8_fedda_explore() {
+    let (result, sys) = run_codec(Compression::QuantI8, true);
+    check_codec(
+        &result,
+        &sys,
+        &CodecGolden {
+            golden: Golden {
+                name: "async FedDA-Explore + q8 (K=2, gamma=0.9)",
+                auc: &[
+                    0.5363554730836768,
+                    0.5405683809429346,
+                    0.5435638987157163,
+                    0.5537101554291843,
+                    0.5769826313121295,
+                ],
+                mrr: &[
+                    0.5577366979655723,
+                    0.555626816454283,
+                    0.5558182427900751,
+                    0.5638944779789864,
+                    0.5853635703107553,
+                ],
+                uplink_units: 241,
+            },
+            uplink_bytes: 9984,
+            params_fnv: 0x9993_1119_32a5_1aa1,
+        },
+    );
+}
+
+#[test]
+fn golden_async_topk_fedda_explore() {
+    let (result, sys) = run_codec(Compression::TopK { frac: 0.25 }, true);
+    check_codec(
+        &result,
+        &sys,
+        &CodecGolden {
+            golden: Golden {
+                name: "async FedDA-Explore + topk:0.25 (K=2, gamma=0.9)",
+                auc: &[
+                    0.5155856238106784,
+                    0.5168248831801451,
+                    0.5163892195111199,
+                    0.5181785401375388,
+                    0.5286605850544057,
+                ],
+                mrr: &[
+                    0.5427928683210379,
+                    0.5411412921976315,
+                    0.5360216856695743,
+                    0.5425902638050537,
+                    0.5482268611670028,
+                ],
+                uplink_units: 222,
+            },
+            uplink_bytes: 19936,
+            params_fnv: 0x9c0b_0612_1172_96aa,
+        },
+    );
 }
 
 #[test]

@@ -22,6 +22,106 @@ fn unit_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
         .prop_map(|pairs| pairs.into_iter().unzip())
 }
 
+/// The scalar `i8` encoder the two-pass kernel replaced, kept as its
+/// oracle: an `f32::max` chain for the scale, then per scalar
+/// `(f64(δ) / f64(scale)).round().clamp(±127)` through `i64`.
+fn q8_oracle(updated: &[f32], reference: &[f32]) -> (f32, Vec<i8>) {
+    let mut max_abs = 0.0f32;
+    let mut finite = true;
+    for (&u, &r) in updated.iter().zip(reference) {
+        let d = u - r;
+        if !d.is_finite() {
+            finite = false;
+        }
+        max_abs = max_abs.max(d.abs());
+    }
+    let scale = if finite { max_abs / 127.0 } else { f32::NAN };
+    let codes = updated
+        .iter()
+        .zip(reference)
+        .map(|(&u, &r)| {
+            if scale > 0.0 {
+                let q = (f64::from(u - r) / f64::from(scale))
+                    .round()
+                    .clamp(-127.0, 127.0);
+                i8::try_from(q as i64).unwrap_or(0)
+            } else {
+                0
+            }
+        })
+        .collect();
+    (scale, codes)
+}
+
+/// One unit's `(updated, reference)` from the families the q8 kernel's
+/// bit-exact contract names. All but the last use a zero reference, so the
+/// delta the codec sees is the generated value exactly.
+fn q8_unit_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
+    let zero_ref = |deltas: Vec<f32>| {
+        let reference = vec![0.0f32; deltas.len()];
+        (deltas, reference)
+    };
+    // `step = m · 2^e` is exactly the scale of a unit whose largest delta
+    // is `127 · step`, and every `(k + ½) · step` is exactly representable:
+    // the quotients land *on* the rounding boundaries, in both signs and
+    // past the clamp. Exponents reach down into subnormal steps.
+    let ties = (
+        1u32..4096,
+        -148i32..=80,
+        prop::collection::vec(-130i32..=130, 1..48),
+    )
+        .prop_map(|(m, e, ks)| {
+            let step = f64::from(m) * 2f64.powi(e);
+            let mut deltas: Vec<f32> = ks
+                .iter()
+                .map(|&k| ((f64::from(k) + 0.5) * step) as f32)
+                .collect();
+            deltas.push((127.0 * step) as f32);
+            deltas
+        });
+    // A few units in the last place of the subnormal range: `max / 127`
+    // underflows to zero or rounds to one ULP, far from `max / 127`.
+    let underflow = prop::collection::vec((0u32..400, any::<bool>()), 1..48).prop_map(|js| {
+        js.into_iter()
+            .map(|(j, neg)| f32::from_bits(j | (u32::from(neg) << 31)))
+            .collect::<Vec<f32>>()
+    });
+    // Every finite bit pattern, signed zeros and subnormals included.
+    let any_finite = prop::collection::vec(any::<u32>(), 1..48).prop_map(|bits| {
+        bits.into_iter()
+            .map(f32::from_bits)
+            .map(|x| if x.is_finite() { x } else { 0.0 })
+            .collect::<Vec<f32>>()
+    });
+    let huge = prop::collection::vec(-1.0f32..1.0, 1..48)
+        .prop_map(|v| v.into_iter().map(|x| x * 1e30).collect::<Vec<f32>>());
+    let zeros = prop::collection::vec(any::<bool>(), 1..48).prop_map(|v| {
+        v.into_iter()
+            .map(|neg| if neg { -0.0f32 } else { 0.0 })
+            .collect::<Vec<f32>>()
+    });
+    // One non-finite delta among ordinary ones poisons the whole unit.
+    let poisoned = (
+        prop::collection::vec(-10.0f32..10.0, 1..48),
+        any::<usize>(),
+        0usize..3,
+    )
+        .prop_map(|(mut v, at, which)| {
+            let at = at % v.len();
+            v[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][which];
+            v
+        });
+    prop_oneof![
+        ties.prop_map(zero_ref),
+        underflow.prop_map(zero_ref),
+        any_finite.prop_map(zero_ref),
+        huge.prop_map(zero_ref),
+        zeros.prop_map(zero_ref),
+        poisoned.prop_map(zero_ref),
+        unit_strategy(),
+    ]
+}
+
 fn inputs_strategy() -> impl Strategy<Value = EfficiencyInputs> {
     (2usize..64, 10usize..200, 0.05f64..0.99, 0.0f64..0.99).prop_flat_map(|(m, n, r_c, r_p)| {
         (1usize..=n / 2).prop_map(move |n_d| EfficiencyInputs {
@@ -358,6 +458,28 @@ proptest! {
         for (i, (got, want)) in out.iter().zip(&updated).enumerate() {
             let err = (f64::from(*got) - f64::from(*want)).abs();
             prop_assert!(err <= bound, "scalar {i}: |{got} - {want}| = {err} > {bound}");
+        }
+    }
+
+    #[test]
+    fn i8_kernel_equals_the_scalar_formula_bit_for_bit(
+        units in prop::collection::vec(q8_unit_strategy(), 1..40),
+    ) {
+        for (updated, reference) in &units {
+            let (want_scale, want_codes) = q8_oracle(updated, reference);
+            match QuantI8.encode_unit(updated, reference) {
+                Payload::I8 { scale, codes } => {
+                    prop_assert_eq!(
+                        scale.to_bits(), want_scale.to_bits(),
+                        "scale {} != {} for {:?}", scale, want_scale, updated
+                    );
+                    prop_assert_eq!(&codes, &want_codes, "codes at scale {} for {:?}", scale, updated);
+                    if updated.iter().zip(reference).any(|(u, r)| !(u - r).is_finite()) {
+                        prop_assert!(scale.is_nan() && codes.iter().all(|&c| c == 0));
+                    }
+                }
+                other => return Err(TestCaseError::fail(format!("wrong payload {other:?}"))),
+            }
         }
     }
 

@@ -92,28 +92,38 @@ fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
             "linear penalty must be one value per scalar in flatten order"
         );
     }
-    let ids: Vec<_> = params.ids().collect();
+    assert_eq!(
+        params.len(),
+        penalty.reference.len(),
+        "penalty reference layout"
+    );
+    let mu = penalty.prox_mu;
     let mut offset = 0usize;
-    for id in ids {
-        let extra: Vec<f32> = {
-            let theta = params.get(id).value().as_slice();
-            let reference = penalty.reference.get(id).value().as_slice();
-            assert_eq!(theta.len(), reference.len(), "penalty reference layout");
-            theta
-                .iter()
-                .zip(reference)
-                .enumerate()
-                .map(|(k, (&t, &r))| {
-                    let lin = penalty.linear.map_or(0.0, |l| l[offset + k]);
-                    penalty.prox_mu * (t - r) + lin
-                })
-                .collect()
-        };
-        let grad = params.get_mut(id).grad_mut().as_mut_slice();
-        for (g, e) in grad.iter_mut().zip(&extra) {
-            *g += e;
+    for ((_, p), (_, anchor)) in params.iter_mut().zip(penalty.reference.iter()) {
+        let (theta, grad) = p.value_and_grad_mut();
+        let (theta, reference) = (theta.as_slice(), anchor.value().as_slice());
+        assert_eq!(theta.len(), reference.len(), "penalty reference layout");
+        let prox = grad
+            .as_mut_slice()
+            .iter_mut()
+            .zip(theta.iter().zip(reference));
+        match penalty.linear {
+            Some(linear) => {
+                let linear = &linear[offset..offset + theta.len()];
+                for ((g, (&t, &r)), &lin) in prox.zip(linear) {
+                    *g += mu * (t - r) + lin;
+                }
+            }
+            // The `+ 0.0` is the absent linear term of the line above: it
+            // turns a `-0.0` proximal gradient into `+0.0` exactly as
+            // adding a zero linear term would.
+            None => {
+                for (g, (&t, &r)) in prox {
+                    *g += mu * (t - r) + 0.0;
+                }
+            }
         }
-        offset += extra.len();
+        offset += theta.len();
     }
 }
 

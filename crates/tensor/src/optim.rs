@@ -27,12 +27,9 @@ impl Sgd {
 
     /// Apply one update: `w -= lr * (g + wd * w)`.
     pub fn step(&self, params: &mut ParamSet) {
+        let (lr, wd) = (self.lr, self.weight_decay);
         for (_, p) in params.iter_mut() {
-            let wd = self.weight_decay;
-            let lr = self.lr;
-            // Read grad (cloned), then write value.
-            let grad = p.grad().clone();
-            let value = p.value_mut();
+            let (value, grad) = p.value_and_grad_mut();
             for (w, &g) in value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
                 *w -= lr * (g + wd * *w);
             }
@@ -101,24 +98,24 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (idx, (_, p)) in params.iter_mut().enumerate() {
-            let grad = p.grad().clone();
-            let value = p.value_mut();
-            let m = &mut self.m[idx];
-            let v = &mut self.v[idx];
-            for i in 0..grad.len() {
-                let mut g = grad.as_slice()[i];
+        let (lr, beta1, beta2, eps, wd) =
+            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        for (((_, p), m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            let (value, grad) = p.value_and_grad_mut();
+            assert_eq!(m.len(), grad.len(), "Adam state laid out for another set");
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            let scalars = value.as_mut_slice().iter_mut().zip(grad.as_slice());
+            for ((w, &g), (m, v)) in scalars.zip(moments) {
+                let mut g = g;
                 // fedda-lint: allow(float-eq, reason = "config-flag check against the literal default 0.0, not a computed value; skipping the add keeps g bit-identical to the no-decay path")
-                if self.weight_decay != 0.0 {
-                    g += self.weight_decay * value.as_slice()[i];
+                if wd != 0.0 {
+                    g += wd * *w;
                 }
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                value.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }
@@ -137,6 +134,109 @@ mod tests {
             let g = ps.get_mut(id).grad_mut();
             for (gi, &wi) in g.as_mut_slice().iter_mut().zip(val.as_slice()) {
                 *gi = wi - 3.0;
+            }
+        }
+    }
+
+    /// The optimiser steps as they were before they borrowed value and
+    /// gradient disjointly: clone each unit's gradient, index every scalar.
+    /// Kept as the reference the zipped passes must equal bit for bit.
+    fn sgd_step_reference(opt: &Sgd, params: &mut ParamSet) {
+        for (_, p) in params.iter_mut() {
+            let grad = p.grad().clone();
+            let value = p.value_mut();
+            for (w, &g) in value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *w -= opt.lr * (g + opt.weight_decay * *w);
+            }
+        }
+    }
+
+    fn adam_step_reference(opt: &mut Adam, params: &mut ParamSet) {
+        opt.ensure_state(params);
+        opt.t += 1;
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        for (idx, (_, p)) in params.iter_mut().enumerate() {
+            let grad = p.grad().clone();
+            let value = p.value_mut();
+            let m = &mut opt.m[idx];
+            let v = &mut opt.v[idx];
+            for i in 0..grad.len() {
+                let mut g = grad.as_slice()[i];
+                if opt.weight_decay != 0.0 {
+                    g += opt.weight_decay * value.as_slice()[i];
+                }
+                let mi = opt.beta1 * m.as_slice()[i] + (1.0 - opt.beta1) * g;
+                let vi = opt.beta2 * v.as_slice()[i] + (1.0 - opt.beta2) * g * g;
+                m.as_mut_slice()[i] = mi;
+                v.as_mut_slice()[i] = vi;
+                let m_hat = mi / bc1;
+                let v_hat = vi / bc2;
+                value.as_mut_slice()[i] -= opt.lr * m_hat / (v_hat.sqrt() + opt.eps);
+            }
+        }
+    }
+
+    /// Three units of awkward sizes with values and gradients spread over
+    /// many magnitudes (signed zeros and a huge gradient included).
+    fn varied_set() -> ParamSet {
+        let mut ps = ParamSet::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+            unit * 10f32.powi((state >> 8) as i32 % 7 - 3)
+        };
+        for (name, rows, cols) in [("a", 7, 13), ("b", 1, 1), ("c", 33, 4)] {
+            let values: Vec<f32> = (0..rows * cols).map(|_| next()).collect();
+            let id = ps.add(name, Matrix::from_vec(rows, cols, values));
+            for g in ps.get_mut(id).grad_mut().as_mut_slice() {
+                *g = next();
+            }
+        }
+        let first = ps.ids().next().unwrap();
+        ps.get_mut(first).grad_mut().as_mut_slice()[..3].copy_from_slice(&[0.0, -0.0, 1e30]);
+        ps
+    }
+
+    fn bits(ps: &ParamSet) -> Vec<u32> {
+        ps.flatten().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn steps_equal_their_cloning_references_bit_for_bit() {
+        for weight_decay in [0.0f32, 0.01] {
+            let sgd = Sgd {
+                lr: 0.05,
+                weight_decay,
+            };
+            let (mut got, mut want) = (varied_set(), varied_set());
+            let mut adam = Adam::new(0.01);
+            adam.weight_decay = weight_decay;
+            let mut adam_ref = adam.clone();
+            let (mut got_adam, mut want_adam) = (varied_set(), varied_set());
+            for step in 0..4 {
+                sgd.step(&mut got);
+                sgd_step_reference(&sgd, &mut want);
+                assert_eq!(bits(&got), bits(&want), "sgd wd={weight_decay} step {step}");
+                adam.step(&mut got_adam);
+                adam_step_reference(&mut adam_ref, &mut want_adam);
+                assert_eq!(
+                    bits(&got_adam),
+                    bits(&want_adam),
+                    "adam wd={weight_decay} step {step}"
+                );
+                for (a, b) in adam
+                    .m
+                    .iter()
+                    .chain(&adam.v)
+                    .zip(adam_ref.m.iter().chain(&adam_ref.v))
+                {
+                    let (a, b) = (a.as_slice().iter(), b.as_slice().iter());
+                    assert!(a.zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+                }
             }
         }
     }

@@ -91,6 +91,13 @@ impl Param {
         &mut self.grad
     }
 
+    /// Value and gradient borrowed together, both mutably — the two
+    /// buffers are disjoint, so a pass that reads one while writing the
+    /// other (optimiser steps, penalty gradients) needs no copy of either.
+    pub fn value_and_grad_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
+        (&mut self.value, &mut self.grad)
+    }
+
     /// FL grouping metadata.
     pub fn meta(&self) -> ParamMeta {
         self.meta
