@@ -38,7 +38,7 @@ fn every_exemption_in_force_carries_a_reason() {
     let suppressed: Vec<_> = report.findings.iter().filter(|f| f.suppressed).collect();
     assert!(
         !suppressed.is_empty(),
-        "expected at least one reasoned exemption (driver.rs wall-clock telemetry)"
+        "expected at least one reasoned exemption (engine.rs wall-clock telemetry)"
     );
     for f in &suppressed {
         assert!(
@@ -52,8 +52,8 @@ fn every_exemption_in_force_carries_a_reason() {
     assert!(
         suppressed
             .iter()
-            .any(|f| f.rule == "wall-clock" && f.file.ends_with("fl/src/driver.rs")),
-        "driver.rs round-timing exemption disappeared — did the telemetry move?"
+            .any(|f| f.rule == "wall-clock" && f.file.ends_with("fl/src/engine.rs")),
+        "engine.rs round-timing exemption disappeared — did the telemetry move?"
     );
 }
 

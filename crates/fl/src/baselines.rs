@@ -11,7 +11,7 @@
 //! communicate, models are only scored at the end) and stays a plain
 //! function.
 
-use crate::driver::RoundDriver;
+use crate::engine::RoundDriver;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};

@@ -1,0 +1,826 @@
+//! The round engine: the one loop every protocol runs on.
+//!
+//! A federated round has one shape — select clients, build their masks,
+//! run the local updates, aggregate what arrived (Eq. 6), account the
+//! bytes, update activation state, evaluate — and [`run`] is that shape,
+//! in three steps per round on the event-driven [`runtime`](crate::runtime):
+//!
+//! 1. **dispatch** — the [`FlProtocol`] hooks pick clients and masks, the
+//!    fault plan gives each client its verdict, the reporting clients train
+//!    (and corrupt, and encode) on the worker pool, and every report that
+//!    will ever arrive is scheduled on the virtual-time queue;
+//! 2. **admit** — arrivals are popped in `(tick, schedule sequence)` order,
+//!    decoded, charged to the ledger, passed through the server-side guard
+//!    and weighted by their staleness, until the round is due to flush;
+//! 3. **commit** — Eq. 6 over the admitted reports with renormalised
+//!    weights, the comm ledger entry, the protocol's `on_faults` and
+//!    `post_aggregate` hooks, the activation trace, the evaluation cadence
+//!    (`FlConfig::eval_every`) and the round's [`RoundEvent`].
+//!
+//! `FlConfig::rounds` counts commits: a *round* of the lockstep runtime and
+//! a *server version* of the buffered one are the same index, so curves,
+//! comm logs and activation traces line up one-to-one.
+//!
+//! # The arrival policy
+//!
+//! [`RoundDriver`] (synchronous lockstep) and [`AsyncDriver`]
+//! (FedBuff-style buffered asynchrony) are two constructors over this
+//! engine. They differ in the five decisions tabulated in the crate docs —
+//! eligibility, latency, flush trigger, staleness weight, order at flush —
+//! each one method of the private [`Policy`], and in nothing else. With no
+//! fault plan and `K` at the federation size the two coincide: every
+//! report is fresh, arrives in dispatch order and flushes together, so both
+//! runtimes produce the same bits
+//! (`buffered_with_k_at_federation_size_equals_lockstep`).
+//!
+//! # Determinism
+//!
+//! Selection/mask/post-aggregate RNG draws happen in round order, the
+//! event queue is totally ordered, client training is a pure function of
+//! `(client seed, dispatch round, broadcast)`, and the worker-pool size
+//! never changes results: same seed → bit-identical run, at any
+//! `FEDDA_THREADS` and any pool size. The seeded behaviour of every
+//! protocol under both runtimes is pinned by the `golden_curves` tests.
+//!
+//! # Accounting
+//!
+//! Downlink is charged at dispatch (the broadcast happened), uplink when a
+//! report *arrives* — at the compressed size under a codec, never for
+//! dropouts and never for reports that do not land before the run ends.
+
+use crate::compress::{decode_arrival, Compressor, InFlight, UplinkCharge};
+use crate::events::{EventSink, RoundEvent};
+use crate::faults::{
+    detect_rejection, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
+};
+use crate::protocol::FlProtocol;
+use crate::runtime::{Delivery, Scheduler, Tick};
+use crate::system::{
+    ActivationSnapshot, ClientReturn, FlSystem, ReportOrder, RoundEval, RunResult, WeightedReturn,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Configuration of the buffered-asynchronous aggregation rule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AsyncConfig {
+    /// Aggregate as soon as `K` admissible reports have buffered
+    /// (FedBuff's buffer size). The buffer is also flushed — possibly
+    /// short, possibly empty — when the event queue starves, so runs
+    /// always terminate in exactly `FlConfig::rounds` aggregations.
+    pub k: usize,
+    /// Staleness discount base: a report computed `s` versions ago joins
+    /// the buffer at weight `γ^s` before the Eq. 6 renormalisation.
+    /// `1.0` disables discounting.
+    pub gamma: f64,
+}
+
+impl Default for AsyncConfig {
+    fn default() -> Self {
+        Self { k: 2, gamma: 0.9 }
+    }
+}
+
+impl AsyncConfig {
+    /// Validate ranges: `k ≥ 1`, `γ ∈ (0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.k == 0 {
+            return Err("async k must be at least 1".into());
+        }
+        if !(self.gamma > 0.0 && self.gamma <= 1.0) {
+            return Err(format!("async gamma must be in (0, 1], got {}", self.gamma));
+        }
+        Ok(())
+    }
+}
+
+/// Which runtime executes a run (see `ExperimentConfig` in `fedda-core` and
+/// the CLI's `--runtime` flag).
+#[derive(Clone, Debug, PartialEq, Default)]
+pub enum RuntimeMode {
+    /// Synchronous lockstep rounds ([`RoundDriver`]).
+    #[default]
+    Sync,
+    /// Buffered-asynchronous aggregation ([`AsyncDriver`]).
+    Async(AsyncConfig),
+}
+
+/// Executes an [`FlProtocol`] over an [`FlSystem`] in synchronous lockstep
+/// rounds, optionally streaming per-round [`RoundEvent`]s to an
+/// [`EventSink`].
+#[derive(Default)]
+pub struct RoundDriver<'a> {
+    sink: Option<&'a mut dyn EventSink>,
+}
+
+impl<'a> RoundDriver<'a> {
+    /// Driver without an event sink.
+    pub fn new() -> Self {
+        Self { sink: None }
+    }
+
+    /// Driver that emits every round's [`RoundEvent`] to `sink`.
+    pub fn with_sink(sink: &'a mut dyn EventSink) -> Self {
+        Self { sink: Some(sink) }
+    }
+
+    /// Run `system.config().rounds` rounds of `protocol`.
+    ///
+    /// The protocol and the system's fault, compression and privacy
+    /// configurations are validated before round 0; an invalid one returns
+    /// its error without touching the system.
+    pub fn run(
+        &mut self,
+        protocol: &mut dyn FlProtocol,
+        system: &mut FlSystem,
+    ) -> Result<RunResult, String> {
+        run(Policy::Lockstep, protocol, system, self.sink.as_deref_mut())
+    }
+}
+
+/// Executes an [`FlProtocol`] under buffered-asynchronous aggregation,
+/// optionally streaming one [`RoundEvent`] per server version to an
+/// [`EventSink`].
+pub struct AsyncDriver<'a> {
+    cfg: AsyncConfig,
+    sink: Option<&'a mut dyn EventSink>,
+}
+
+impl AsyncDriver<'_> {
+    /// Driver without an event sink.
+    pub fn new(cfg: AsyncConfig) -> Self {
+        Self { cfg, sink: None }
+    }
+}
+
+impl<'a> AsyncDriver<'a> {
+    /// Driver that emits one [`RoundEvent`] per aggregation to `sink`.
+    pub fn with_sink(cfg: AsyncConfig, sink: &'a mut dyn EventSink) -> Self {
+        Self {
+            cfg,
+            sink: Some(sink),
+        }
+    }
+
+    /// Run `system.config().rounds` buffered-asynchronous aggregations of
+    /// `protocol`.
+    ///
+    /// Validates the async configuration, then everything
+    /// [`RoundDriver::run`] validates, before touching the system.
+    pub fn run(
+        &mut self,
+        protocol: &mut dyn FlProtocol,
+        system: &mut FlSystem,
+    ) -> Result<RunResult, String> {
+        self.cfg
+            .validate()
+            .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
+        run(
+            Policy::Buffered(self.cfg),
+            protocol,
+            system,
+            self.sink.as_deref_mut(),
+        )
+    }
+}
+
+/// Where a report or a fault record stands when its round flushes, in
+/// field order: the round's own before `held` ones, then by `pos`; equal
+/// ranks keep arrival order. A `held` report aggregates but is not among
+/// the returns `post_aggregate` is handed.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Rank {
+    held: bool,
+    pos: usize,
+}
+
+/// The arrival policy: the five decisions of the module-level table.
+/// Nothing outside these methods looks at the variant.
+#[derive(Clone, Copy)]
+enum Policy {
+    Lockstep,
+    Buffered(AsyncConfig),
+}
+
+impl Policy {
+    /// (1) Eligibility: which of the protocol's selected clients are
+    /// dispatched.
+    fn eligible(&self, selected: Vec<usize>, in_flight: &[bool]) -> Vec<usize> {
+        match self {
+            Policy::Lockstep => selected,
+            Policy::Buffered(_) => selected.into_iter().filter(|&c| !in_flight[c]).collect(),
+        }
+    }
+
+    /// (2) Latency: the tick a report dispatched at `round` lands on —
+    /// `None` when the run ends first — and what dispatch records about a
+    /// straggler (`straggle` is its delay; `None` for a punctual report).
+    fn latency(
+        &self,
+        now: Tick,
+        round: usize,
+        rounds: usize,
+        straggle: Option<usize>,
+    ) -> (Option<Tick>, Option<FaultEffect>) {
+        match (self, straggle) {
+            (Policy::Lockstep, None) => (Some(round as Tick), None),
+            (Policy::Lockstep, Some(delay)) => {
+                let arrival = Some(round + delay).filter(|&r| r < rounds);
+                (
+                    arrival.map(|r| r as Tick),
+                    Some(FaultEffect::StragglerHeld { arrival }),
+                )
+            }
+            (Policy::Buffered(_), _) => (Some(now + 1 + straggle.unwrap_or(0) as Tick), None),
+        }
+    }
+
+    /// (3) Flush trigger: whether `round` aggregates now, with `buffered`
+    /// reports admitted and the queue's next event at tick `next`. Both
+    /// variants flush an empty queue.
+    fn flush_due(&self, buffered: usize, next: Option<Tick>, round: usize) -> bool {
+        match self {
+            Policy::Lockstep => next.map_or(true, |tick| tick > round as Tick),
+            Policy::Buffered(cfg) => buffered >= cfg.k || next.is_none(),
+        }
+    }
+
+    /// (4) Staleness weight: the scale a report `staleness` rounds old
+    /// enters Eq. 6 at, `None` to discard it.
+    fn stale_weight(&self, staleness: usize, faults: Option<&FaultConfig>) -> Option<f64> {
+        match (self, faults) {
+            (Policy::Lockstep, Some(fc)) if staleness > 0 => fc.staleness.weight(staleness),
+            (Policy::Lockstep, _) => Some(1.0),
+            // γ^staleness by repeated product: exact integer exponent, no
+            // libm, bit-stable across platforms.
+            (Policy::Buffered(cfg), _) => Some((0..staleness).fold(1.0f64, |w, _| w * cfg.gamma)),
+        }
+    }
+
+    /// (5) Order at flush: the rank of whatever client position `pos` of
+    /// its dispatch contributes `staleness` rounds later. Lockstep keeps the
+    /// f64 accumulation order of a plain round loop — fresh reports in
+    /// position order, held ones after — and the record stream the chaos
+    /// harness pins; buffered execution has no position order to restore.
+    fn rank(&self, staleness: usize, pos: usize) -> Rank {
+        let (held, pos) = match self {
+            Policy::Lockstep if staleness == 0 => (false, pos),
+            Policy::Lockstep => (true, 0),
+            Policy::Buffered(_) => (false, 0),
+        };
+        Rank { held, pos }
+    }
+}
+
+/// One round's working state, from dispatch to commit.
+struct Round {
+    index: usize,
+    /// Clients dispatched (and broadcast to) this round.
+    active: Vec<usize>,
+    mask_density: f64,
+    /// Fault and staleness records, in the order they were observed.
+    observations: Vec<(Rank, FaultObserved)>,
+    /// Admitted reports and their Eq. 6 scale, in arrival order.
+    buffer: Vec<(Rank, Delivery, f64)>,
+    /// Ledger charges of every report that arrived, admitted or not.
+    charges: Vec<UplinkCharge>,
+    /// Wall-clock start of the round (telemetry only).
+    started: Instant,
+}
+
+impl Round {
+    fn observe(&mut self, rank: Rank, client: usize, effect: FaultEffect) {
+        let round = self.index;
+        self.observations.push((
+            rank,
+            FaultObserved {
+                round,
+                client,
+                effect,
+            },
+        ));
+    }
+}
+
+/// The state of one run.
+struct Engine<'a> {
+    policy: Policy,
+    protocol: &'a mut dyn FlProtocol,
+    system: &'a mut FlSystem,
+    faults: Option<FaultConfig>,
+    plan: Option<FaultPlan>,
+    compressor: Option<Box<dyn Compressor + Send + Sync>>,
+    rounds: usize,
+    eval_every: usize,
+    rng: StdRng,
+    sched: Scheduler<Delivery>,
+    in_flight: Vec<bool>,
+    result: RunResult,
+}
+
+/// Validate, then run `system.config().rounds` rounds of `protocol` under
+/// `policy`.
+fn run(
+    policy: Policy,
+    protocol: &mut dyn FlProtocol,
+    system: &mut FlSystem,
+    mut sink: Option<&mut (dyn EventSink + '_)>,
+) -> Result<RunResult, String> {
+    protocol
+        .validate()
+        .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
+    let cfg = system.config();
+    let faults = cfg.faults.clone();
+    if let Some(fc) = &faults {
+        fc.validate()
+            .map_err(|e| format!("invalid fault configuration: {e}"))?;
+    }
+    if let Some(c) = &cfg.compression {
+        c.validate()
+            .map_err(|e| format!("invalid compression configuration: {e}"))?;
+    }
+    if let Some(p) = &cfg.privacy {
+        p.validate()
+            .map_err(|e| format!("invalid privacy configuration: {e}"))?;
+    }
+    let compressor = cfg.compression.map(|c| c.build());
+    let rounds = cfg.rounds;
+    let eval_every = cfg.eval_every.max(1);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ protocol.seed_tweak());
+    // The fault schedule is pre-sampled from its own stream so turning it
+    // on never perturbs the protocol/init/eval draws below.
+    let plan = faults
+        .as_ref()
+        .map(|fc| FaultPlan::generate(fc, rounds, system.num_clients(), cfg.seed));
+    protocol.begin(system, &mut rng);
+    if let Some(sink) = sink.as_deref_mut() {
+        sink.begin_run(&protocol.name(), rounds);
+    }
+    let mut engine = Engine {
+        policy,
+        in_flight: vec![false; system.num_clients()],
+        protocol,
+        system,
+        faults,
+        plan,
+        compressor,
+        rounds,
+        eval_every,
+        rng,
+        sched: Scheduler::new(),
+        result: RunResult::default(),
+    };
+    for index in 0..rounds {
+        let mut round = engine.dispatch(index);
+        engine.admit(&mut round);
+        engine.commit(round, sink.as_deref_mut());
+    }
+    Ok(engine.result)
+}
+
+impl Engine<'_> {
+    /// Open round `index`: select and mask clients, give each its fault
+    /// verdict and its landing tick, run the reporting clients' local
+    /// updates on the worker pool, and schedule every report that will ever
+    /// arrive. Downlink is charged for every dispatched client.
+    fn dispatch(&mut self, index: usize) -> Round {
+        // fedda-lint: allow(wall-clock, reason = "round wall-time telemetry only; never feeds selection, masking, aggregation or any logged curve")
+        let started = Instant::now();
+        let selected = self
+            .protocol
+            .select_clients(self.system, index, &mut self.rng);
+        let active = self.policy.eligible(selected, &self.in_flight);
+        let mut masks = self
+            .protocol
+            .build_masks(self.system, &active, index, &mut self.rng);
+        debug_assert_eq!(masks.len(), active.len(), "one mask per dispatched client");
+        let mut round = Round {
+            index,
+            mask_density: mean_mask_density(&masks),
+            observations: Vec::new(),
+            buffer: Vec::new(),
+            charges: Vec::new(),
+            started,
+            active,
+        };
+
+        let verdicts: Vec<Option<FaultKind>> = round
+            .active
+            .iter()
+            .map(|&c| self.plan.as_ref().and_then(|p| p.fault_at(index, c)))
+            .collect();
+        // Where each position's report lands; `None` for a dropout and for
+        // a report the run ends before.
+        let now = self.sched.now();
+        let mut lands: Vec<Option<Tick>> = Vec::with_capacity(verdicts.len());
+        for (pos, verdict) in verdicts.iter().enumerate() {
+            let straggle = match *verdict {
+                Some(FaultKind::Straggler { delay }) => Some(delay),
+                _ => None,
+            };
+            let (tick, effect) = match *verdict {
+                Some(FaultKind::Dropout) => (None, Some(FaultEffect::Dropout)),
+                _ => self.policy.latency(now, index, self.rounds, straggle),
+            };
+            lands.push(tick);
+            if let Some(effect) = effect {
+                round.observe(self.policy.rank(0, pos), round.active[pos], effect);
+            }
+        }
+
+        // Dropped clients never report, so their local compute is skipped
+        // outright; stragglers and corrupted clients still train.
+        let reporting: Vec<usize> = (0..verdicts.len())
+            .filter(|&pos| verdicts[pos] != Some(FaultKind::Dropout))
+            .collect();
+        let clients: Vec<usize> = reporting.iter().map(|&pos| round.active[pos]).collect();
+        let penalties: Vec<_> = clients
+            .iter()
+            .map(|&c| self.protocol.local_regularizer(self.system, c, index))
+            .collect();
+        // Mask-then-compress: the protocol's mask picked the units, the
+        // codec prices them. A report that never lands is trained but
+        // neither encoded nor charged: its bytes never transfer.
+        let orders: Vec<ReportOrder<'_>> = reporting
+            .iter()
+            .map(|&pos| ReportOrder {
+                corruption: match verdicts[pos] {
+                    Some(FaultKind::Corruption(kind)) => Some(kind),
+                    _ => None,
+                },
+                encode: lands[pos].map(|_| masks[pos].as_slice()),
+            })
+            .collect();
+        let compressor = self.compressor.as_deref();
+        let reports = self
+            .system
+            .run_reports(&clients, index, &penalties, &orders, compressor);
+
+        // The dispatch-time broadcast every encoded report of this round
+        // decodes against, however many rounds later it arrives.
+        let reference = compressor.map(|_| Arc::new(self.system.global.clone()));
+        let sizes = self.system.unit_sizes();
+        for (pos, (ret, report)) in reporting.into_iter().zip(reports) {
+            let Some(tick) = lands[pos] else { continue };
+            let mask = std::mem::take(&mut masks[pos]);
+            let (charge, payload) = match (report, &reference) {
+                (Some(report), Some(reference)) => {
+                    let reference = Arc::clone(reference);
+                    (report.charge(), Some(InFlight { report, reference }))
+                }
+                _ => (UplinkCharge::from_mask(&mask, &sizes), None),
+            };
+            self.in_flight[ret.client] = true;
+            // The report carries its compressed payload (and its reference)
+            // across however many ticks its latency spans.
+            self.sched.schedule_at(
+                tick,
+                Delivery {
+                    client: ret.client,
+                    dispatch_pos: pos,
+                    dispatch_round: index,
+                    ret,
+                    mask,
+                    charge,
+                    payload,
+                },
+            );
+        }
+        round
+    }
+
+    /// Service arrivals until `round` is due to flush. Each report is
+    /// decoded and charged at the server arrival point, judged by the
+    /// server-side guard, and admitted at its staleness weight.
+    fn admit(&mut self, round: &mut Round) {
+        while !self
+            .policy
+            .flush_due(round.buffer.len(), self.sched.next_tick(), round.index)
+        {
+            let Some((_, mut d)) = self.sched.pop() else {
+                break;
+            };
+            self.in_flight[d.client] = false;
+            // Decompress before any guard or aggregation sees the report —
+            // a stale arrival carried its compressed payload across rounds
+            // and decodes against its dispatch-time broadcast.
+            decode_arrival(&mut d);
+            // Uplink is charged at arrival: the bytes crossed the wire
+            // before inspection, so rejected and discarded reports pay too.
+            round.charges.push(d.charge);
+            let staleness = round.index - d.dispatch_round;
+            let rank = self.policy.rank(staleness, d.dispatch_pos);
+            // The guard applies to every arriving report, so even
+            // un-injected non-finite updates are caught here.
+            let rejection = self
+                .faults
+                .as_ref()
+                .and_then(|fc| detect_rejection(&d.ret, fc));
+            if let Some(effect) = rejection {
+                round.observe(rank, d.client, effect);
+                continue;
+            }
+            match self.policy.stale_weight(staleness, self.faults.as_ref()) {
+                Some(weight) => {
+                    if staleness > 0 {
+                        let effect = FaultEffect::StaleApplied { staleness, weight };
+                        round.observe(rank, d.client, effect);
+                    }
+                    round.buffer.push((rank, d, weight));
+                }
+                None => round.observe(rank, d.client, FaultEffect::StaleDiscarded { staleness }),
+            }
+        }
+    }
+
+    /// Close `round`: aggregate the admitted reports with renormalised
+    /// weights (Eq. 6), account the bytes that actually moved, run the
+    /// protocol's fault and post-aggregate hooks, the activation trace and
+    /// the evaluation cadence, and emit the round's event.
+    fn commit(&mut self, round: Round, sink: Option<&mut (dyn EventSink + '_)>) {
+        let Round {
+            index,
+            active,
+            mask_density,
+            mut observations,
+            mut buffer,
+            charges,
+            started,
+        } = round;
+        // Stable sorts: equal ranks stay in arrival order.
+        buffer.sort_by_key(|&(rank, ..)| rank);
+        observations.sort_by_key(|&(rank, _)| rank);
+        let observations: Vec<FaultObserved> = observations.into_iter().map(|(_, o)| o).collect();
+
+        let contributions: Vec<WeightedReturn<'_>> = buffer
+            .iter()
+            .map(|(_, d, weight)| WeightedReturn {
+                ret: &d.ret,
+                mask: &d.mask,
+                scale: *weight,
+            })
+            .collect();
+        self.system.aggregate_weighted(&contributions);
+        let comm = self.system.round_comm_charges(active.len(), &charges);
+        // Protocols that activate no one (the Global baseline) keep an empty
+        // comm log — but a round whose only traffic is a stale straggler
+        // arrival still moved bytes, so it stays on the ledger even when
+        // nobody was selected. The test is on the *charged*
+        // (post-compression) traffic: a stale report whose codec compressed
+        // it away entirely (top-k with k = 0 everywhere) moved nothing, so
+        // it must not resurrect the round — the pre-compression unit-count
+        // test would have double-counted such rounds onto the ledger.
+        if !active.is_empty() || comm.has_uplink() {
+            self.result.comm.push(comm);
+        }
+        // The fault hook is only called under fault injection. Staleness
+        // records caused purely by K-buffering (no faults configured) are
+        // still reported in the result.
+        if self.faults.is_some() && !observations.is_empty() {
+            self.protocol.on_faults(self.system, &observations, index);
+        }
+        let returns: Vec<ClientReturn> = buffer
+            .into_iter()
+            .filter(|(rank, ..)| !rank.held)
+            .map(|(_, d, _)| d.ret)
+            .collect();
+        let outcome =
+            self.protocol
+                .post_aggregate(self.system, &active, &returns, index, &mut self.rng);
+        if self.protocol.traces_activation() {
+            self.result.activation_trace.push(ActivationSnapshot {
+                active_clients: active.clone(),
+                mask_density,
+                deactivated: outcome.deactivated.clone(),
+                reactivated: outcome.reactivated.clone(),
+                restarted: outcome.restarted,
+            });
+        }
+        let eval = if (index + 1) % self.eval_every == 0 || index + 1 == self.rounds {
+            let eval = self.system.evaluate_global(index);
+            let point = RoundEval {
+                round: index,
+                roc_auc: eval.roc_auc,
+                mrr: eval.mrr,
+            };
+            self.result.curve.push(point);
+            self.result.final_eval = eval;
+            Some(point)
+        } else {
+            None
+        };
+        if let Some(sink) = sink {
+            sink.on_round(&RoundEvent {
+                round: index,
+                active_clients: active,
+                mask_density,
+                comm,
+                deactivated: outcome.deactivated,
+                reactivated: outcome.reactivated,
+                restarted: outcome.restarted,
+                faults: observations.clone(),
+                eval,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            });
+        }
+        self.result.faults.extend(observations);
+    }
+}
+
+/// Mean fraction of requested units per mask; `0.0` for an empty mask set.
+fn mean_mask_density(masks: &[Vec<bool>]) -> f64 {
+    if masks.is_empty() {
+        return 0.0;
+    }
+    masks
+        .iter()
+        .map(|m| {
+            if m.is_empty() {
+                0.0
+            } else {
+                m.iter().filter(|&&b| b).count() as f64 / m.len() as f64
+            }
+        })
+        .sum::<f64>()
+        / masks.len() as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::events::MemorySink;
+    use crate::system::tests::{tiny_system, tiny_system_with};
+    use crate::{FedAvg, FedDa, PrivacyConfig};
+
+    #[test]
+    fn mask_density_handles_edge_cases() {
+        assert_eq!(mean_mask_density(&[]), 0.0);
+        assert_eq!(mean_mask_density(&[vec![]]), 0.0);
+        assert_eq!(
+            mean_mask_density(&[vec![true, false], vec![true, true]]),
+            0.75
+        );
+    }
+
+    #[test]
+    fn driver_rejects_invalid_protocols_before_touching_the_system() {
+        let mut sys = tiny_system(2, 40);
+        let before = sys.global.flatten();
+        let mut bad = FedAvg {
+            client_fraction: 0.0,
+            param_fraction: 1.0,
+        };
+        let err = RoundDriver::new().run(&mut bad, &mut sys).unwrap_err();
+        assert!(err.contains("client_fraction"), "unexpected error: {err}");
+        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    #[test]
+    fn engine_rejects_invalid_privacy_before_touching_the_system() {
+        let mut sys = tiny_system_with(2, 42, |cfg| {
+            cfg.privacy = Some(PrivacyConfig {
+                clip_norm: 0.0,
+                noise_multiplier: 0.1,
+            })
+        });
+        let before = sys.global.flatten();
+        let sync = RoundDriver::new().run(&mut FedAvg::vanilla(), &mut sys);
+        let buffered =
+            AsyncDriver::new(AsyncConfig::default()).run(&mut FedAvg::vanilla(), &mut sys);
+        for err in [sync.unwrap_err(), buffered.unwrap_err()] {
+            assert_eq!(
+                err,
+                "invalid privacy configuration: clip_norm must be positive"
+            );
+        }
+        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    #[test]
+    fn driver_emits_one_event_per_round() {
+        let mut sys = tiny_system(3, 41);
+        let mut sink = MemorySink::new();
+        let result = RoundDriver::with_sink(&mut sink)
+            .run(&mut FedAvg::vanilla(), &mut sys)
+            .unwrap();
+        let rounds = sys.config().rounds;
+        assert_eq!(sink.runs, vec![("FedAvg".to_string(), rounds)]);
+        assert_eq!(sink.events.len(), rounds);
+        for (i, (event, rc)) in sink.events.iter().zip(result.comm.rounds()).enumerate() {
+            assert_eq!(event.round, i);
+            assert_eq!(event.active_clients, vec![0, 1, 2]);
+            assert_eq!(event.mask_density, 1.0);
+            assert_eq!(&event.comm, rc);
+            assert!(event.eval.is_some(), "eval_every=1 evaluates every round");
+            assert!(event.wall_ms >= 0.0);
+        }
+    }
+
+    #[test]
+    fn async_config_validates_ranges() {
+        assert!(AsyncConfig::default().validate().is_ok());
+        assert!(AsyncConfig { k: 0, gamma: 0.9 }.validate().is_err());
+        assert!(AsyncConfig { k: 2, gamma: 0.0 }.validate().is_err());
+        assert!(AsyncConfig { k: 2, gamma: 1.5 }.validate().is_err());
+        assert!(AsyncConfig {
+            k: 2,
+            gamma: f64::NAN
+        }
+        .validate()
+        .is_err());
+        assert!(AsyncConfig { k: 1, gamma: 1.0 }.validate().is_ok());
+    }
+
+    #[test]
+    fn runtime_mode_defaults_to_sync() {
+        assert_eq!(RuntimeMode::default(), RuntimeMode::Sync);
+    }
+
+    #[test]
+    fn async_run_completes_all_versions_and_evaluates() {
+        let mut sys = tiny_system(4, 21);
+        let mut driver = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 });
+        let result = driver.run(&mut FedAvg::vanilla(), &mut sys).unwrap();
+        let rounds = sys.config().rounds;
+        assert_eq!(
+            result.curve.len(),
+            rounds,
+            "eval_every=1 evaluates every version"
+        );
+        assert_eq!(result.comm.rounds().len(), rounds);
+        assert!(result.final_eval.roc_auc.is_finite());
+        // K=2 < wave size 4: the leftovers arrive stale at later versions.
+        assert!(
+            result
+                .faults
+                .iter()
+                .any(|o| matches!(o.effect, FaultEffect::StaleApplied { .. })),
+            "K-buffering must surface staleness records"
+        );
+    }
+
+    #[test]
+    fn async_with_k_at_wave_size_has_no_staleness() {
+        let mut sys = tiny_system(3, 22);
+        let mut driver = AsyncDriver::new(AsyncConfig { k: 3, gamma: 0.9 });
+        let result = driver.run(&mut FedAvg::vanilla(), &mut sys).unwrap();
+        assert!(
+            result.faults.is_empty(),
+            "K == wave size aggregates only fresh reports: {:?}",
+            result.faults
+        );
+        // Every byte both ways: full fresh participation each version.
+        for rc in result.comm.rounds() {
+            assert_eq!(rc.active_clients, 3);
+            assert_eq!(rc.uplink_units, 3 * sys.num_units());
+        }
+    }
+
+    #[test]
+    fn async_rejects_invalid_configs_before_touching_the_system() {
+        let mut sys = tiny_system(2, 23);
+        let before = sys.global.flatten();
+        let err = AsyncDriver::new(AsyncConfig { k: 0, gamma: 0.9 })
+            .run(&mut FedAvg::vanilla(), &mut sys)
+            .unwrap_err();
+        assert!(err.contains("async"), "unexpected error: {err}");
+        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    #[test]
+    fn async_fedda_traces_activation_per_version() {
+        let mut sys = tiny_system(4, 24);
+        let mut protocol = FedDa::explore().protocol();
+        let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.5 })
+            .run(&mut protocol, &mut sys)
+            .unwrap();
+        assert_eq!(result.activation_trace.len(), sys.config().rounds);
+        assert!(result.final_eval.roc_auc.is_finite());
+    }
+
+    #[test]
+    fn async_same_seed_is_bit_identical() {
+        let run = || {
+            let mut sys = tiny_system(4, 25);
+            AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
+                .run(&mut FedAvg::vanilla(), &mut sys)
+                .map(|r| {
+                    (
+                        r.curve
+                            .iter()
+                            .map(|e| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits()))
+                            .collect::<Vec<_>>(),
+                        sys.global
+                            .flatten()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>(),
+                    )
+                })
+                .unwrap()
+        };
+        assert_eq!(run(), run());
+    }
+}

@@ -11,7 +11,7 @@
 //! either full or random at density `D`, and there is no post-aggregation
 //! bookkeeping.
 
-use crate::driver::RoundDriver;
+use crate::engine::RoundDriver;
 use crate::protocol::FlProtocol;
 use crate::system::{FlSystem, RunResult};
 use rand::rngs::StdRng;

@@ -23,7 +23,7 @@
 //! [`FlProtocol`] hooks, implemented on [`FedDaProtocol`] (the per-run
 //! state machine [`FedDa::protocol`] creates).
 
-use crate::driver::RoundDriver;
+use crate::engine::RoundDriver;
 use crate::faults::FaultObserved;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};

@@ -31,7 +31,7 @@
 //! state, and stale straggler arrivals contribute to averaging but not to
 //! the correction (their delta is against an older broadcast).
 
-use crate::driver::RoundDriver;
+use crate::engine::RoundDriver;
 use crate::protocol::{FlProtocol, LocalPenalty, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use rand::rngs::StdRng;

@@ -21,7 +21,7 @@
 //! (total dropout) `Δ = 0`: the moments decay and the server still steps
 //! deterministically on the decayed momentum.
 
-use crate::driver::RoundDriver;
+use crate::engine::RoundDriver;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use rand::rngs::StdRng;

@@ -14,7 +14,7 @@
 //! `μ = 0` degenerates to FedAvg's objective (but keeps FedProx's own RNG
 //! stream tweak, so curves are comparable-by-seed, not bit-identical).
 
-use crate::driver::RoundDriver;
+use crate::engine::RoundDriver;
 use crate::protocol::{FlProtocol, LocalPenalty};
 use crate::system::{FlSystem, RunResult};
 use rand::rngs::StdRng;

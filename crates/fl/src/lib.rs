@@ -31,26 +31,32 @@
 //!   mask-then-compress at dispatch, decompress at server arrival, with
 //!   the comm ledger charging compressed bytes.
 //!
-//! Every round protocol implements [`FlProtocol`] and executes on the
+//! Every round protocol implements [`FlProtocol`] and executes on one
+//! round engine — dispatch, arrival admission, commit — over the
 //! event-driven simulation [`runtime`] (deterministic virtual clock,
-//! ordered event queue, worker pool, bounded mailbox) through one of two
-//! drivers: the synchronous [`RoundDriver`] facade — the canonical
-//! lockstep round loop (broadcast, parallel local round, masked
-//! aggregation, comm accounting, evaluation cadence), bit-identical to
-//! its pre-runtime form — or the buffered-asynchronous [`AsyncDriver`]
-//! (aggregate-on-K-arrivals with `γ^staleness` discounting). Both stream
-//! structured per-round [`RoundEvent`]s to a pluggable [`EventSink`].
+//! ordered event queue, worker pool). [`RoundDriver`] and [`AsyncDriver`]
+//! are its two constructors; they differ in a five-decision arrival policy
+//! and in nothing else:
+//!
+//! | decision | [`RoundDriver`] (lockstep) | [`AsyncDriver`] (buffered, FedBuff-style) |
+//! |---|---|---|
+//! | eligibility | every selected client | selected clients without a report in flight (a client holds at most one) |
+//! | latency | round `r` is tick `r`; a straggler lands `delay` ticks later and is recorded as `StragglerHeld` at dispatch; a report the run would outlive (`r + delay ≥ rounds`) is never encoded, delivered or charged | every report lands `1 + delay` ticks after dispatch, none is lost at dispatch or recorded as held — what is still in flight when the run ends is never charged |
+//! | flush trigger | nothing more is due at this round's tick | `K` reports admitted, or the queue starved (short and empty flushes keep the commit count at `rounds`) |
+//! | staleness weight | `FaultConfig::staleness` (`Discard` drops the report, `Discount{γ}` weights it `γ^s`) | `γ^s` from [`AsyncConfig::gamma`], never discards |
+//! | order at flush | this round's reports by dispatch position, then held reports by arrival — contributions and fault records alike — and `post_aggregate` sees this round's returns only | arrival order throughout; `post_aggregate` sees every admitted return |
+//!
+//! Both stream structured per-round [`RoundEvent`]s to a pluggable
+//! [`EventSink`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod analysis;
-mod async_driver;
 pub mod baselines;
 mod comm;
 pub mod compress;
-mod dispatch;
-mod driver;
+mod engine;
 mod events;
 pub mod faults;
 mod fedavg;
@@ -62,11 +68,10 @@ mod protocol;
 pub mod runtime;
 mod system;
 
-pub use async_driver::{AsyncConfig, AsyncDriver, RuntimeMode};
 pub use baselines::GlobalProtocol;
 pub use comm::{CommLog, RoundComm};
 pub use compress::{Compressed, Compression, Compressor, Delta, InFlight, UplinkCharge};
-pub use driver::RoundDriver;
+pub use engine::{AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
 pub use events::{EventSink, MemorySink, RoundEvent, StderrSink};
 pub use faults::{
     renormalize, Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,

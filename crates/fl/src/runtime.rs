@@ -1,4 +1,5 @@
-//! The deterministic event-driven simulation runtime under both drivers.
+//! The deterministic event-driven simulation runtime under the round
+//! engine.
 //!
 //! Everything here runs on *virtual time*: an integer [`Tick`] clock that
 //! only advances when the [`Scheduler`] pops an event, never from a wall
@@ -15,17 +16,17 @@
 //!    any pool size and any interleaving; `run_ordered` additionally
 //!    returns results in submission order.
 //!
-//! [`RoundDriver`](crate::RoundDriver) is a synchronous facade over this
-//! runtime (round `r` occupies tick `r`); the buffered-asynchronous
-//! [`AsyncDriver`](crate::AsyncDriver) lets deliveries span many ticks and
-//! aggregates from a bounded [`Mailbox`].
+//! Under [`RoundDriver`](crate::RoundDriver) round `r` occupies tick `r`
+//! and flushes when nothing more is due at it; under the
+//! buffered-asynchronous [`AsyncDriver`](crate::AsyncDriver) deliveries
+//! span many ticks and a round flushes on its `K`-th admitted report.
 
 use crate::system::ClientReturn;
 use std::collections::BTreeMap;
 
-/// Virtual time, in integer ticks. The sync facade maps round `r` to tick
-/// `r`; the async driver charges one tick of latency per healthy report
-/// plus the fault plan's straggler delay.
+/// Virtual time, in integer ticks. Lockstep execution maps round `r` to
+/// tick `r`; buffered execution charges one tick of latency per healthy
+/// report plus the fault plan's straggler delay.
 pub type Tick = u64;
 
 /// A monotonic virtual clock. Advances only via [`VirtualClock::advance_to`]
@@ -111,6 +112,11 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now().saturating_add(delay), event);
     }
 
+    /// Tick of the earliest waiting event, without popping it.
+    pub fn next_tick(&self) -> Option<Tick> {
+        self.queue.first_key_value().map(|(&(tick, _), _)| tick)
+    }
+
     /// Pop the earliest event (ties broken by schedule order) and advance
     /// the clock to its tick.
     pub fn pop(&mut self) -> Option<(Tick, E)> {
@@ -147,64 +153,6 @@ pub struct Delivery {
     /// The compressed report plus its dispatch-time broadcast reference;
     /// `None` when no compressor is configured.
     pub payload: Option<crate::compress::InFlight>,
-}
-
-/// A bounded buffer of deliveries the server aggregates from.
-///
-/// The sync facade seals it once per round; the async driver drains it as
-/// soon as `K` admissible reports have buffered (or earlier, when the
-/// event queue starves). Exceeding the capacity is a driver bug.
-#[derive(Debug)]
-pub struct Mailbox<T> {
-    capacity: usize,
-    items: Vec<T>,
-}
-
-impl<T> Mailbox<T> {
-    /// An empty mailbox holding at most `capacity` items (min 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            items: Vec::with_capacity(capacity.min(1024)),
-        }
-    }
-
-    /// Maximum number of buffered items.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of buffered items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Whether the buffer reached capacity (the async driver's aggregation
-    /// trigger).
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-
-    /// Buffer one item. The caller must drain before exceeding capacity.
-    pub fn push(&mut self, item: T) {
-        assert!(
-            self.items.len() < self.capacity,
-            "mailbox overflow: capacity {}",
-            self.capacity
-        );
-        self.items.push(item);
-    }
-
-    /// Take every buffered item, in arrival order.
-    pub fn drain(&mut self) -> Vec<T> {
-        std::mem::take(&mut self.items)
-    }
 }
 
 /// A fixed-size pool executing client tasks.
@@ -305,6 +253,7 @@ mod tests {
         s.schedule_at(1, "second-at-1");
         s.schedule_after(0, "now");
         assert_eq!(s.len(), 4);
+        assert_eq!(s.next_tick(), Some(0));
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
         assert_eq!(
             order,
@@ -316,6 +265,7 @@ mod tests {
             ]
         );
         assert!(s.is_empty());
+        assert_eq!(s.next_tick(), None);
         assert_eq!(s.now(), 2);
     }
 
@@ -329,31 +279,6 @@ mod tests {
         // Scheduling relative to the advanced clock.
         s.schedule_after(3, 2);
         assert_eq!(s.pop(), Some((10, 2)));
-    }
-
-    #[test]
-    fn mailbox_buffers_and_drains_in_order() {
-        let mut m: Mailbox<u32> = Mailbox::new(3);
-        assert!(m.is_empty());
-        assert_eq!(m.capacity(), 3);
-        m.push(1);
-        m.push(2);
-        assert!(!m.is_full());
-        m.push(3);
-        assert!(m.is_full());
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.drain(), vec![1, 2, 3]);
-        assert!(m.is_empty());
-        m.push(4);
-        assert_eq!(m.drain(), vec![4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mailbox overflow")]
-    fn mailbox_overflow_panics() {
-        let mut m: Mailbox<u32> = Mailbox::new(1);
-        m.push(1);
-        m.push(2);
     }
 
     #[test]

@@ -421,6 +421,11 @@ impl FlSystem {
     /// global model. Clients run on a [`WorkerPool`] when configured
     /// (`FlConfig::parallel` / `FlConfig::workers`).
     ///
+    /// `penalties[j]` (if any) is applied to `active[j]`'s local objective
+    /// at every gradient step, anchored at the current broadcast
+    /// (`self.global`). An empty slice or all-`None` entries train the plain
+    /// objective — no extra RNG draws, no extra float operations.
+    ///
     /// # Thread nesting
     ///
     /// Two layers can spawn threads here: the pool's per-client workers,
@@ -433,16 +438,6 @@ impl FlSystem {
     /// inline and the kernels keep the full `FEDDA_THREADS` budget instead.
     ///
     /// [`WorkerPool`]: crate::runtime::WorkerPool
-    pub fn run_local_round(&self, active: &[usize], round: usize) -> Vec<ClientReturn> {
-        self.run_local_round_with(active, round, &[])
-    }
-
-    /// [`FlSystem::run_local_round`] with per-client objective penalties:
-    /// `penalties[j]` (if any) is applied to `active[j]`'s local objective
-    /// at every gradient step, anchored at the current broadcast
-    /// (`self.global`). An empty slice or all-`None` entries make this
-    /// bit-identical to the penalty-free path — no extra RNG draws, no
-    /// extra float operations.
     pub fn run_local_round_with(
         &self,
         active: &[usize],
@@ -455,7 +450,7 @@ impl FlSystem {
             .collect()
     }
 
-    /// The drivers' form of [`FlSystem::run_local_round_with`]: everything
+    /// The engine's form of [`FlSystem::run_local_round_with`]: everything
     /// that is per-report and pure runs inside the client's pool task, on
     /// the worker that trained it and while its parameters are cache-hot —
     /// local training, then the fault plan's corruption (`orders[j]`), then
@@ -510,8 +505,6 @@ impl FlSystem {
                 &mut rng,
             );
             if let Some(privacy) = self.cfg.privacy {
-                // fedda-lint: allow(panic-path, reason = "config is validated at system construction; this re-check only guards hand-built FlSystem values")
-                privacy.validate().expect("invalid PrivacyConfig");
                 apply_privacy(&mut params, &self.global, privacy, &mut rng);
             }
             let order = orders.get(pos);
@@ -546,32 +539,15 @@ impl FlSystem {
     }
 
     /// Masked federated averaging (Eq. 6): for every unit `k`,
-    /// `θ^{t+1}[k] = mean over {i : I_i[k] = 1} of θ_i[k]`; units no client
-    /// contributed keep their previous value.
+    /// `θ^{t+1}[k]` is the weighted mean of `θ_i[k]` over the contributions
+    /// whose mask holds `k`; units no one contributed keep their previous
+    /// value.
     ///
-    /// `masks[j]` corresponds to `returns[j]` and has one bool per unit.
-    pub fn aggregate_masked(&mut self, returns: &[ClientReturn], masks: &[Vec<bool>]) {
-        assert_eq!(returns.len(), masks.len(), "one mask per returning client");
-        let contributions: Vec<WeightedReturn<'_>> = returns
-            .iter()
-            .zip(masks)
-            .map(|(ret, mask)| WeightedReturn {
-                ret,
-                mask,
-                scale: 1.0,
-            })
-            .collect();
-        self.aggregate_weighted(&contributions);
-    }
-
-    /// Scaled variant of [`FlSystem::aggregate_masked`] used by the fault
-    /// path: each contribution's base weight (Eq. 5's `p_i`) is multiplied
-    /// by its `scale` before the per-unit normalisation, so staleness
-    /// discounts compose with the weighting scheme and dropped clients are
-    /// simply absent — the division by each unit's surviving weight sum is
-    /// exactly the Eq. 6 renormalisation over survivors. A `scale` of
-    /// `1.0` on every contribution is bit-identical to
-    /// [`FlSystem::aggregate_masked`].
+    /// Each contribution's base weight (Eq. 5's `p_i`) is multiplied by its
+    /// `scale` before the per-unit normalisation, so staleness discounts
+    /// compose with the weighting scheme and dropped clients are simply
+    /// absent — the division by each unit's surviving weight sum is exactly
+    /// the Eq. 6 renormalisation over survivors.
     pub fn aggregate_weighted(&mut self, contributions: &[WeightedReturn<'_>]) {
         let n = self.num_units();
         let weights: Vec<f64> = contributions
@@ -614,37 +590,15 @@ impl FlSystem {
         }
     }
 
-    /// Communication counters for a round where `masks[j]` was requested
-    /// from each active client (downlink is the full model per the paper's
-    /// broadcast step).
-    pub fn round_comm(&self, masks: &[Vec<bool>]) -> RoundComm {
-        self.round_comm_parts(masks.len(), masks)
-    }
-
-    /// Communication counters with broadcast and report fan-out decoupled
-    /// — the shape faults force on a round: the server broadcasts to every
-    /// one of `broadcast_clients` selected clients, but `uplink_masks`
-    /// holds one mask per report whose bytes actually arrived (fresh
-    /// survivors, rejected-but-received corruptions, stale arrivals — not
-    /// dropouts or still-held stragglers).
-    pub fn round_comm_parts(
-        &self,
-        broadcast_clients: usize,
-        uplink_masks: &[Vec<bool>],
-    ) -> RoundComm {
-        let sizes = self.unit_sizes();
-        let charges: Vec<UplinkCharge> = uplink_masks
-            .iter()
-            .map(|m| UplinkCharge::from_mask(m, &sizes))
-            .collect();
-        self.round_comm_charges(broadcast_clients, &charges)
-    }
-
-    /// Communication counters from per-report ledger charges — the shape
-    /// the drivers use: one [`UplinkCharge`] per report whose bytes
-    /// actually arrived, already priced at the compressed size when a
-    /// [`Compression`] codec is configured. [`FlSystem::round_comm_parts`]
-    /// is the uncompressed special case (`4 × scalars` bytes per mask).
+    /// Communication counters of a round from per-report ledger charges,
+    /// broadcast and report fan-out decoupled — the shape faults force on a
+    /// round: the server broadcasts the full model to every one of
+    /// `broadcast_clients` selected clients (the paper's broadcast step),
+    /// but `charges` holds one [`UplinkCharge`] per report whose bytes
+    /// actually arrived (fresh survivors, rejected-but-received
+    /// corruptions, stale arrivals — not dropouts or still-held
+    /// stragglers), priced at the compressed size when a [`Compression`]
+    /// codec is configured and at [`UplinkCharge::from_mask`] otherwise.
     pub fn round_comm_charges(
         &self,
         broadcast_clients: usize,
@@ -792,6 +746,15 @@ pub(crate) mod tests {
     use fedda_hetgraph::split::split_edges;
 
     pub(crate) fn tiny_system(m: usize, seed: u64) -> FlSystem {
+        tiny_system_with(m, seed, |_| {})
+    }
+
+    /// [`tiny_system`] with `edit` applied to its configuration.
+    pub(crate) fn tiny_system_with(
+        m: usize,
+        seed: u64,
+        edit: impl FnOnce(&mut FlConfig),
+    ) -> FlSystem {
         let g = dblp_like(&PresetOptions {
             scale: 0.0015,
             seed,
@@ -802,7 +765,7 @@ pub(crate) mod tests {
         let split = split_edges(&g, 0.15, &mut rng);
         let pcfg = PartitionConfig::paper_defaults(m, g.schema().num_edge_types(), seed);
         let clients = partition_non_iid(&split.train, &pcfg);
-        let cfg = FlConfig {
+        let mut cfg = FlConfig {
             rounds: 2,
             model: HgnConfig {
                 hidden_dim: 4,
@@ -826,7 +789,22 @@ pub(crate) mod tests {
             faults: None,
             compression: None,
         };
+        edit(&mut cfg);
         FlSystem::new(&split.train, &split.test, clients, cfg)
+    }
+
+    /// Eq. 6 over `returns[j]` under `masks[j]`, every report at scale 1.
+    fn aggregate(sys: &mut FlSystem, returns: &[ClientReturn], masks: &[Vec<bool>]) {
+        let contributions: Vec<WeightedReturn<'_>> = returns
+            .iter()
+            .zip(masks)
+            .map(|(ret, mask)| WeightedReturn {
+                ret,
+                mask,
+                scale: 1.0,
+            })
+            .collect();
+        sys.aggregate_weighted(&contributions);
     }
 
     #[test]
@@ -842,7 +820,7 @@ pub(crate) mod tests {
     #[test]
     fn local_round_returns_moved_params() {
         let sys = tiny_system(3, 2);
-        let returns = sys.run_local_round(&[0, 1, 2], 0);
+        let returns = sys.run_local_round_with(&[0, 1, 2], 0, &[]);
         assert_eq!(returns.len(), 3);
         for r in &returns {
             assert!(
@@ -853,7 +831,7 @@ pub(crate) mod tests {
             assert_eq!(r.unit_delta.len(), sys.num_units());
         }
         // determinism: same round twice gives identical results
-        let again = sys.run_local_round(&[0, 1, 2], 0);
+        let again = sys.run_local_round_with(&[0, 1, 2], 0, &[]);
         for (a, b) in returns.iter().zip(&again) {
             assert_eq!(a.params.flatten(), b.params.flatten());
         }
@@ -862,9 +840,9 @@ pub(crate) mod tests {
     #[test]
     fn parallel_and_serial_rounds_agree() {
         let mut sys = tiny_system(3, 3);
-        let par = sys.run_local_round(&[0, 1, 2], 1);
+        let par = sys.run_local_round_with(&[0, 1, 2], 1, &[]);
         sys.cfg.parallel = false;
-        let ser = sys.run_local_round(&[0, 1, 2], 1);
+        let ser = sys.run_local_round_with(&[0, 1, 2], 1, &[]);
         for (a, b) in par.iter().zip(&ser) {
             assert_eq!(a.client, b.client);
             assert_eq!(a.params.flatten(), b.params.flatten());
@@ -874,7 +852,7 @@ pub(crate) mod tests {
     #[test]
     fn aggregate_full_masks_is_plain_average() {
         let mut sys = tiny_system(2, 4);
-        let returns = sys.run_local_round(&[0, 1], 0);
+        let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         let masks = sys.full_masks(2);
         let expect: Vec<f32> = {
             let a = returns[0].params.flatten();
@@ -884,7 +862,7 @@ pub(crate) mod tests {
                 .map(|(&x, &y)| ((f64::from(x) + f64::from(y)) / 2.0) as f32)
                 .collect()
         };
-        sys.aggregate_masked(&returns, &masks);
+        aggregate(&mut sys, &returns, &masks);
         let got = sys.global.flatten();
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-6);
@@ -895,12 +873,12 @@ pub(crate) mod tests {
     fn masked_units_keep_old_value_when_uncontributed() {
         let mut sys = tiny_system(2, 5);
         let before = sys.global.flatten();
-        let returns = sys.run_local_round(&[0, 1], 0);
+        let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         // Mask out unit 0 for everyone.
         let mut masks = sys.full_masks(2);
         masks[0][0] = false;
         masks[1][0] = false;
-        sys.aggregate_masked(&returns, &masks);
+        aggregate(&mut sys, &returns, &masks);
         let size0 = sys.unit_sizes()[0];
         assert_eq!(&sys.global.flatten()[..size0], &before[..size0]);
     }
@@ -912,7 +890,12 @@ pub(crate) mod tests {
         let n = sys.num_units();
         masks[1] = vec![false; n];
         masks[1][3] = true;
-        let rc = sys.round_comm(&masks);
+        let sizes = sys.unit_sizes();
+        let charges: Vec<UplinkCharge> = masks
+            .iter()
+            .map(|m| UplinkCharge::from_mask(m, &sizes))
+            .collect();
+        let rc = sys.round_comm_charges(2, &charges);
         assert_eq!(rc.active_clients, 2);
         assert_eq!(rc.uplink_units, n + 1);
         assert_eq!(rc.downlink_units, 2 * n);
@@ -939,7 +922,7 @@ pub(crate) mod tests {
             clip_norm: 0.05,
             noise_multiplier: 0.0,
         });
-        let returns = sys.run_local_round(&[0, 1], 0);
+        let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         for r in &returns {
             let norm: f32 = r.unit_delta.iter().map(|&d| d * d).sum::<f32>().sqrt();
             assert!(
@@ -952,12 +935,12 @@ pub(crate) mod tests {
     #[test]
     fn privacy_noise_perturbs_returns() {
         let mut sys = tiny_system(2, 10);
-        let clean = sys.run_local_round(&[0], 0);
+        let clean = sys.run_local_round_with(&[0], 0, &[]);
         sys.cfg.privacy = Some(PrivacyConfig {
             clip_norm: 1.0,
             noise_multiplier: 0.1,
         });
-        let noisy = sys.run_local_round(&[0], 0);
+        let noisy = sys.run_local_round_with(&[0], 0, &[]);
         assert_ne!(clean[0].params.flatten(), noisy[0].params.flatten());
         assert!(!noisy[0].params.has_non_finite());
         // And the whole protocol still runs end to end under DP.
@@ -968,7 +951,7 @@ pub(crate) mod tests {
     #[test]
     fn sample_count_weighting_biases_toward_larger_clients() {
         let mut sys = tiny_system(2, 11);
-        let returns = sys.run_local_round(&[0, 1], 0);
+        let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         let masks = sys.full_masks(2);
         let uniform_expect: Vec<f32> = {
             let a = returns[0].params.flatten();
@@ -979,7 +962,7 @@ pub(crate) mod tests {
                 .collect()
         };
         sys.cfg.weighting = AggWeighting::BySampleCount;
-        sys.aggregate_masked(&returns, &masks);
+        aggregate(&mut sys, &returns, &masks);
         let weighted = sys.global.flatten();
         let sizes: Vec<usize> = sys.clients.iter().map(|c| c.positives.len()).collect();
         if sizes[0] != sizes[1] {
@@ -995,36 +978,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn aggregate_weighted_scale_one_matches_aggregate_masked() {
-        let mut a = tiny_system(2, 12);
-        let mut b = tiny_system(2, 12);
-        let returns = a.run_local_round(&[0, 1], 0);
-        let masks = a.full_masks(2);
-        a.aggregate_masked(&returns, &masks);
-        let contributions: Vec<WeightedReturn<'_>> = returns
-            .iter()
-            .zip(&masks)
-            .map(|(ret, mask)| WeightedReturn {
-                ret,
-                mask,
-                scale: 1.0,
-            })
-            .collect();
-        b.aggregate_weighted(&contributions);
-        let fa = a.global.flatten();
-        let fb = b.global.flatten();
-        for (x, y) in fa.iter().zip(&fb) {
-            assert_eq!(x.to_bits(), y.to_bits(), "scale 1.0 must be bit-identical");
-        }
-    }
-
-    #[test]
     fn aggregate_weighted_renormalises_over_survivors() {
         // Dropping one of two clients must leave exactly the survivor's
         // parameters — the per-unit weight-sum division *is* the Eq. 6
         // renormalisation over whoever remains.
         let mut sys = tiny_system(2, 13);
-        let returns = sys.run_local_round(&[0, 1], 0);
+        let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         let mask = vec![true; sys.num_units()];
         sys.aggregate_weighted(&[WeightedReturn {
             ret: &returns[1],
@@ -1044,7 +1003,7 @@ pub(crate) mod tests {
     #[test]
     fn aggregate_weighted_discount_pulls_toward_fresh_report() {
         let mut sys = tiny_system(2, 14);
-        let returns = sys.run_local_round(&[0, 1], 0);
+        let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         let mask = vec![true; sys.num_units()];
         // Fresh client 0 at weight 1, stale client 1 discounted to 0.25:
         // result = (θ_0 + 0.25·θ_1) / 1.25.
@@ -1074,7 +1033,8 @@ pub(crate) mod tests {
         let sys = tiny_system(3, 15);
         let n = sys.num_units();
         // 3 clients broadcast to, only 1 full report arrived.
-        let rc = sys.round_comm_parts(3, &[vec![true; n]]);
+        let full = UplinkCharge::from_mask(&vec![true; n], &sys.unit_sizes());
+        let rc = sys.round_comm_charges(3, &[full]);
         assert_eq!(rc.active_clients, 3);
         assert_eq!(rc.downlink_units, 3 * n);
         assert_eq!(rc.uplink_units, n);
@@ -1085,12 +1045,12 @@ pub(crate) mod tests {
         let charged = sys.round_comm_charges(
             3,
             &[
-                crate::UplinkCharge {
+                UplinkCharge {
                     units: 2,
                     scalars: 10,
                     bytes: 20,
                 },
-                crate::UplinkCharge {
+                UplinkCharge {
                     units: 1,
                     scalars: 4,
                     bytes: 32,
@@ -1101,9 +1061,6 @@ pub(crate) mod tests {
         assert_eq!(charged.uplink_scalars, 14);
         assert_eq!(charged.uplink_bytes, 52);
         assert_eq!(charged.downlink_units, 3 * n);
-        // And the classic path is the m == reports special case.
-        let full = sys.round_comm(&sys.full_masks(3));
-        assert_eq!(full, sys.round_comm_parts(3, &sys.full_masks(3)));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
-    AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAvg, FedDa, FlConfig,
-    FlSystem, RunResult, StalenessPolicy,
+    AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedAvg, FedDa, FedDyn,
+    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, RoundDriver, RunResult,
+    StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -233,5 +234,57 @@ fn sync_facade_is_bit_identical_across_worker_pool_sizes() {
             reference, other,
             "sync run diverged under workers={workers:?}"
         );
+    }
+}
+
+#[test]
+fn buffered_with_k_at_federation_size_equals_lockstep() {
+    // The law the single round engine rests on: with no fault plan and K at
+    // the federation size, every report is fresh, arrives in dispatch order
+    // and flushes together, so none of the arrival policy's five decisions
+    // can tell the runtimes apart — the eight configurations
+    // `golden_curves.rs` pins must agree bit for bit, with and without a
+    // lossy codec in the report path.
+    type Build = fn() -> Box<dyn FlProtocol>;
+    let configurations: [(&str, usize, Build); 8] = [
+        ("FedAvg", 1, || Box::new(FedAvg::vanilla())),
+        ("FedAvg(C=0.5,D=0.5)", 1, || {
+            Box::new(FedAvg::with_fractions(0.5, 0.5))
+        }),
+        ("FedDA Restart", 1, || Box::new(FedDa::restart().protocol())),
+        ("FedDA Explore", 1, || Box::new(FedDa::explore().protocol())),
+        // Two local epochs, as in the golden pin: the proximal gradient is
+        // zero on the first step from the broadcast anchor.
+        ("FedProx", 2, || Box::new(FedProx::new(0.1))),
+        ("FedDyn", 1, || Box::new(FedDyn::new(0.01).protocol())),
+        ("FedAdam", 1, || Box::new(FedAdam::new(0.01).protocol())),
+        ("Global", 1, || Box::new(GlobalProtocol::new())),
+    ];
+    for (name, local_epochs, build) in configurations {
+        for compression in [None, Some(Compression::QuantI8)] {
+            let run = |buffered: bool| {
+                let mut sys = build_system(Some(2), None);
+                let mut train = sys.config().train.clone();
+                train.local_epochs = local_epochs;
+                sys.set_train(train);
+                sys.set_compression(compression);
+                let mut protocol = build();
+                let result = if buffered {
+                    AsyncDriver::new(AsyncConfig { k: M, gamma: 0.5 })
+                        .run(protocol.as_mut(), &mut sys)
+                } else {
+                    RoundDriver::new().run(protocol.as_mut(), &mut sys)
+                }
+                .expect("valid configuration");
+                fingerprint(&result, &sys)
+            };
+            let lockstep = run(false);
+            assert!(lockstep.faults.is_empty(), "{name}: no fault plan");
+            assert_eq!(
+                lockstep,
+                run(true),
+                "{name}, codec {compression:?}: K = M buffered run diverged from lockstep"
+            );
+        }
     }
 }
