@@ -55,6 +55,7 @@ fn split_compare_args(mut args: Vec<String>) -> Result<(ComparePaths, Vec<String
 }
 
 fn main() {
+    fedda_bench::require_isa_level();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (compare_paths, rest) = split_compare_args(raw).unwrap_or_else(|e| {
         eprintln!("error: {e}");

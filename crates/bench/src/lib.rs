@@ -93,6 +93,17 @@ pub fn usage() -> String {
     )
 }
 
+/// Every binary's first call: exit with status 2 and the reason when the
+/// CPU lacks the instruction-set level the binary was built for
+/// ([`fedda_tensor::check_isa_level`]), before a vector instruction can
+/// kill the process with `SIGILL`.
+pub fn require_isa_level() {
+    if let Err(e) = fedda_tensor::check_isa_level() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
 /// Parsed command-line options.
 #[derive(Clone, Debug, Default)]
 pub struct Options {
@@ -107,10 +118,11 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse `std::env::args()`. On a malformed command line this prints
-    /// the error plus a one-line usage hint to stderr and exits with
-    /// status 2 (it never panics at the user).
+    /// Parse `std::env::args()`, after [`require_isa_level`]. On a
+    /// malformed command line this prints the error plus a one-line usage
+    /// hint to stderr and exits with status 2 (it never panics at the user).
     pub fn from_env() -> Self {
+        require_isa_level();
         match Self::try_from_args(std::env::args().skip(1)) {
             Ok(o) => o,
             Err(e) => {

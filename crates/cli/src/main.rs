@@ -19,7 +19,7 @@ use fedda::fl::analysis::{explore_ratio_bound, restart_period, restart_ratio, Ef
 use fedda::fl::StderrSink;
 use fedda::hetgraph::io;
 use fedda::hetgraph::split::split_edges;
-use fedda_bench::{base_config, parse_framework, Options};
+use fedda_bench::{base_config, parse_framework, require_isa_level, Options};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -60,6 +60,7 @@ SUBCOMMANDS:
 ";
 
 fn main() -> ExitCode {
+    require_isa_level();
     let mut args = std::env::args().skip(1);
     let sub = match args.next() {
         Some(s) => s,

@@ -478,7 +478,17 @@ impl FlSystem {
             orders.is_empty() || orders.len() == active.len(),
             "one report order per active client (or none at all)"
         );
-        let positions: Vec<usize> = (0..active.len()).collect();
+        // Largest first: the pool pulls tasks in slice order, and a round
+        // ends when its slowest client does, so that client must not be
+        // the last to start. Local training re-encodes the client's whole
+        // graph once per batch of positives, hence the cost estimate. The
+        // sort is stable and reads nothing but the tasks' own inputs, and
+        // results go back by position below: dispatch order is invisible.
+        let mut positions: Vec<usize> = (0..active.len()).collect();
+        positions.sort_by_key(|&pos| {
+            let client = &self.clients[active[pos]];
+            std::cmp::Reverse(client.positives.len() * client.view.num_messages())
+        });
         let work = |&pos: &usize| -> (ClientReturn, Option<Compressed>) {
             let i = active[pos];
             let client = &self.clients[i];
@@ -535,7 +545,10 @@ impl FlSystem {
         } else {
             1
         };
-        crate::runtime::WorkerPool::new(workers).run_ordered(&positions, work)
+        let reports = crate::runtime::WorkerPool::new(workers).run_ordered(&positions, work);
+        let mut placed: Vec<_> = positions.into_iter().zip(reports).collect();
+        placed.sort_unstable_by_key(|&(pos, _)| pos);
+        placed.into_iter().map(|(_, report)| report).collect()
     }
 
     /// Masked federated averaging (Eq. 6): for every unit `k`,
@@ -846,6 +859,26 @@ pub(crate) mod tests {
         for (a, b) in par.iter().zip(&ser) {
             assert_eq!(a.client, b.client);
             assert_eq!(a.params.flatten(), b.params.flatten());
+        }
+    }
+
+    /// Largest-first dispatch is invisible: whatever order the pool ran the
+    /// tasks in, report `j` belongs to `active[j]`.
+    #[test]
+    fn reports_come_back_in_active_order() {
+        let mut sys = tiny_system(4, 5);
+        let cost = |i: usize| sys.clients[i].positives.len() * sys.clients[i].view.num_messages();
+        // An order and its reverse: unless every cost ties, one of the two
+        // is not already descending, so the sort moves something.
+        let orders = [[2, 0, 3, 1], [1, 3, 0, 2]];
+        assert!(orders[0].iter().any(|&i| cost(i) != cost(orders[0][0])));
+        for workers in [1, 2, 4] {
+            sys.cfg.workers = Some(workers);
+            for active in &orders {
+                let reports = sys.run_reports(active, 0, &[], &[], None);
+                let got: Vec<usize> = reports.iter().map(|(ret, _)| ret.client).collect();
+                assert_eq!(got, active, "workers={workers}");
+            }
         }
     }
 

@@ -10,12 +10,13 @@
 //! satisfies (trivially) the equality being asserted; the multi-thread CI
 //! job exercises the real 4-vs-1 comparison.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
+use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};
 use fedda_fl::{
-    Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn, FedProx, FlConfig, FlProtocol,
-    FlSystem, RoundDriver, RunResult, StalenessPolicy,
+    AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn,
+    FedProx, FlConfig, FlProtocol, FlSystem, RoundDriver, RunResult, StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
+use fedda_hetgraph::HeteroGraph;
 use fedda_hgn::{HgnConfig, TrainConfig};
 use fedda_tensor::gemm::with_kernel_threads;
 use rand::rngs::StdRng;
@@ -34,6 +35,20 @@ fn build_system_with(
     workers: Option<usize>,
     faults: Option<FaultConfig>,
 ) -> FlSystem {
+    build_system_over(parallel, workers, faults, |train| {
+        let pcfg = PartitionConfig::paper_defaults(M, train.schema().num_edge_types(), SEED);
+        partition_non_iid(train, &pcfg)
+    })
+}
+
+/// The test federation over whatever clients `partition` cuts from the
+/// training graph.
+fn build_system_over(
+    parallel: bool,
+    workers: Option<usize>,
+    faults: Option<FaultConfig>,
+    partition: impl FnOnce(&HeteroGraph) -> Vec<ClientData>,
+) -> FlSystem {
     let g = dblp_like(&PresetOptions {
         scale: 0.0012,
         seed: SEED,
@@ -42,8 +57,7 @@ fn build_system_with(
     .graph;
     let mut rng = StdRng::seed_from_u64(SEED);
     let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(M, g.schema().num_edge_types(), SEED);
-    let clients = partition_non_iid(&split.train, &pcfg);
+    let clients = partition(&split.train);
     let cfg = FlConfig {
         rounds: ROUNDS,
         model: HgnConfig {
@@ -204,6 +218,60 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
                 run(workers, threads),
                 "codec {compression:?} diverged under workers={workers}, \
                  kernel_threads={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
+    // `run_reports` hands the pool its clients largest first. With sizes
+    // this far apart and out of index order, that order differs from the
+    // index order at every pool size — and none of it may show: lockstep
+    // and buffered, workers {1, 2, 4} × kernel threads {1, 4}.
+    let skewed = |train: &HeteroGraph| -> Vec<ClientData> {
+        let n_types = train.schema().num_edge_types();
+        let clients: Vec<ClientData> = [0.1, 0.6, 0.2, 0.9]
+            .into_iter()
+            .zip(SEED..)
+            .flat_map(|(r_a, seed)| {
+                let pcfg = PartitionConfig {
+                    r_a,
+                    r_b: r_a / 6.0,
+                    ..PartitionConfig::paper_defaults(1, n_types, seed)
+                };
+                partition_non_iid(train, &pcfg)
+            })
+            .collect();
+        let edges: Vec<usize> = clients.iter().map(ClientData::num_edges).collect();
+        assert!(
+            edges[3] >= 3 * edges[0] && edges[1] >= 3 * edges[0],
+            "{edges:?}"
+        );
+        assert!(edges[0] < edges[1] && edges[1] > edges[2] && edges[2] < edges[3]);
+        clients
+    };
+    let run = |buffered: bool, workers: usize, threads: usize| {
+        with_kernel_threads(threads, || {
+            let mut sys = build_system_over(true, Some(workers), None, skewed);
+            let mut protocol = FedDa::explore().protocol();
+            let result = if buffered {
+                AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 }).run(&mut protocol, &mut sys)
+            } else {
+                RoundDriver::new().run(&mut protocol, &mut sys)
+            }
+            .expect("valid protocol configuration");
+            fingerprint(&result, &sys)
+        })
+    };
+    for buffered in [false, true] {
+        let reference = run(buffered, 1, 1);
+        assert_eq!(reference.curve.len(), ROUNDS);
+        for (workers, threads) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+            assert_eq!(
+                reference,
+                run(buffered, workers, threads),
+                "buffered={buffered} diverged under workers={workers}, kernel_threads={threads}"
             );
         }
     }

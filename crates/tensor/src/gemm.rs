@@ -27,9 +27,19 @@
 //! `B[p][j..]`; `tn` reads `A[p][i..]` and `B[p][j..]` in place, both
 //! contiguous; `nt` materialises the small `Bᵀ` and runs the `nn` tile,
 //! whose chain is exactly the row·row dot product. The tile shape follows
-//! the output width (2×16, 4×8 below 16 columns, 8×1 for a single column —
+//! the output width (4×16, 8×8 below 16 columns, 8×1 for a single column —
 //! measured, see `run`); ragged edges fall to narrower instances of the
 //! same tile function.
+//!
+//! There is one tile function and no `target_feature` fork, intrinsic or
+//! runtime dispatch: the lane width is the build's. The workspace builds
+//! x86-64 at the `x86-64-v3` level (`.cargo/config.toml`, DESIGN.md §8),
+//! where the unrolled `r`/`c` loops become 8-lane multiplies and adds; at
+//! a lower level the same source compiles to narrower lanes and the same
+//! bits, because a wider lane only runs more independent chains side by
+//! side. The level has FMA, and nothing here may use it: a fused
+//! multiply-add rounds once where the contract rounds twice
+//! (`tests/fp_contract.rs` holds that line).
 //!
 //! # Threading
 //!
@@ -48,15 +58,16 @@ use std::sync::OnceLock;
 /// Threading cut-off: products with fewer than this many multiply-adds
 /// (`m·k·n`) run on the calling thread.
 ///
-/// Measured on the two-core reference box with the tile at ~14
-/// multiply-adds per ns: a scoped spawn + join costs 30 µs at best, but its
-/// tail runs to milliseconds whenever the sibling core is busy. Median
-/// times on 1 → 2 threads: `2525×48·48×48` (5.8 M, the largest product of
-/// a paper-sized round) 0.48 → 0.54 ms with the p90 at 0.74 → 0.77 ms and
-/// worse under load; 10–17 M flips with the load; `2525×96·96×96` (23 M)
-/// 2.9 → 2.0 ms; `2525×128·128×128` (41 M) 6.0 → 3.3 ms. So threads pay
-/// from about 2²⁴ up, and no product of the benchmark's federated rounds
-/// is large enough to want them.
+/// Measured on the two-core reference box, `x86-64-v3` build, with the
+/// tile at ~17 multiply-adds per ns: a scoped spawn + join costs 30 µs at
+/// best, but its tail runs to milliseconds whenever the sibling core is
+/// busy. Median times on 1 → 2 threads: `2525×48·48×48` (5.8 M, the largest
+/// product of a paper-sized round) 0.33 → 0.35 ms; 10–20 M flips with the
+/// load (`2525×72·72×72`, 13 M: 0.74 → 0.59 one minute, 0.72 → 0.73 the
+/// next); `2525×96·96×96` (23 M) 1.10 → 0.82 ms; `2525×128·128×128` (41 M)
+/// 2.2 → 1.6 ms. The faster tile moved both sides of the comparison, not
+/// the crossing: threads still pay from about 2²⁴ up, and no product of
+/// the benchmark's federated rounds is large enough to want them.
 pub const BLOCK_THRESHOLD: usize = 1 << 24;
 
 static CONFIGURED_THREADS: OnceLock<usize> = OnceLock::new();
@@ -160,13 +171,19 @@ struct Operands<'a> {
 /// `op(A) @ B` into a fresh `m × n` matrix on `threads` threads; `TN`
 /// selects `op(A) = Aᵀ`.
 ///
-/// Tile shapes were picked by measurement on the baseline (SSE2, 16
-/// registers of 4 lanes) build: 2×16 — 8 accumulator registers, 4 for the
-/// `B` strip, one broadcast — runs the real `n ∈ {16, 32, 48, 128}` widths
-/// at ~28 GFlop/s against ~23 for 4×8 and ~20 for 6×8 (4×16 spills);
-/// widths below 16 take 4×8, and single-column products (attention
-/// projections and their `tn` backward) take eight rows at once so their
-/// chains run side by side.
+/// Tile shapes were picked by measurement on the `x86-64-v3` build (AVX2,
+/// 16 registers of 8 lanes): 4×16 — 8 accumulator registers, 2 for the `B`
+/// strip, one broadcast — runs the real `n ∈ {16, 32, 48, 128}` widths
+/// 10–13 % faster than 2×16 in `nn` and 25–35 % faster in `tn`
+/// (`2525×48·48×16` 99 → 88 µs, its `tn` backward 116 → 79 µs); 3×16, 5×16
+/// and 6×16 land between the two, 4×24 and 2×32 lose every width they do
+/// not divide. Widths below 16 — the 8-wide attention heads — take 8×8:
+/// level with 4×8 in `nn`, 4.7 → 3.8 µs in `tn` on `16×694×8`. Single-column
+/// products (attention projections and their `tn` backward) take eight rows
+/// at once so their chains run side by side; 4×1 is a tenth quicker in `nn`
+/// and a third slower in `tn`, 16×1 the reverse. On a baseline (SSE2,
+/// 4-lane) build this table runs `nn` 20–30 % slower than the 2×16 / 4×8 it
+/// replaced there: 4×16 is sixteen 4-lane accumulators, and spills.
 fn run<const TN: bool>(ops: Operands<'_>, m: usize, threads: usize) -> Matrix {
     let Operands { k, n, .. } = ops;
     let mut out = Matrix::zeros(m, n);
@@ -175,8 +192,8 @@ fn run<const TN: bool>(ops: Operands<'_>, m: usize, threads: usize) -> Matrix {
     }
     partition_rows(&mut out, threads, |row0, chunk| match n {
         1 => rows::<TN, 8, 1>(ops, row0, chunk),
-        2..=15 => rows::<TN, 4, 8>(ops, row0, chunk),
-        _ => rows::<TN, 2, 16>(ops, row0, chunk),
+        2..=15 => rows::<TN, 8, 8>(ops, row0, chunk),
+        _ => rows::<TN, 4, 16>(ops, row0, chunk),
     });
     out
 }
@@ -335,7 +352,7 @@ mod tests {
     }
 
     /// Bit-identity with the scalar oracle at shapes straddling every tile
-    /// edge (rows 1/2/4/8, columns 1/8/16) on zero-heavy inputs, with the
+    /// edge (rows 1/4/8, columns 1/8/16) on zero-heavy inputs, with the
     /// thread count forced so that partitions split panels too.
     #[test]
     fn blocked_kernels_match_naive_bitwise() {

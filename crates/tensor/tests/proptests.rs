@@ -19,7 +19,7 @@ fn zero_heavy(rng: &mut rand::rngs::StdRng, r: usize, c: usize) -> Matrix {
 }
 
 /// Above the threading cut-off the row partitions of 2, 3 and 8 kernel
-/// threads split the 2-row panels of a ragged shape at different places;
+/// threads split the 4-row panels of a ragged shape at different places;
 /// every layout must still match the scalar oracle bit for bit.
 #[test]
 fn dispatched_matmul_is_exact_above_threshold() {
