@@ -1,159 +1,107 @@
-//! `perf` — the perf-trajectory harness (ROADMAP item 5).
+//! `perf` — the kernel probe: how fast is one kernel at a workload's real
+//! shape. (How fast a federated run is, and where its time goes, is the
+//! repo benchmark's question: `benchmark/`, `BENCHMARK.json`.)
 //!
-//! **Snapshot mode** (default) runs the fixed, seeded suite ([GEMM
-//! shapes, HGN forward/backward, full FL rounds](fedda_bench::suite)) and
-//! writes a schema-versioned `BENCH_<date>.json` at the current directory
-//! (the repo root, by convention):
-//!
-//! ```text
-//! cargo run --release -p fedda-bench --bin perf -- --smoke
-//! cargo run --release -p fedda-bench --bin perf            # full profile
-//! ```
-//!
-//! Flags: `--smoke` (CI-sized profile), `--out <path>` (override the
-//! `BENCH_<date>.json` default), `--seed <n>`, `--samples <n>`.
-//!
-//! **Compare mode** diffs two snapshots, prints the per-case delta table
-//! and exits nonzero when any case regresses beyond the threshold
-//! (default 10%) or disappeared:
+//! **Snapshot mode** runs the fixed, seeded [suite](fedda_bench::suite)
+//! (`gemm/`, `edge/`, `codec/`, `optim/`; ten samples per case) and writes
+//! a schema-v2 `BENCH_<date>.json` in the current directory, or at
+//! `--out <path>`:
 //!
 //! ```text
-//! cargo run --release -p fedda-bench --bin perf -- \
-//!     --compare BENCH_old.json BENCH_new.json [--threshold 0.10]
+//! cargo run --release -p fedda-bench --bin perf -- [--out <path>]
 //! ```
 //!
-//! Every perf-focused PR must commit an updated snapshot; see
-//! `DESIGN.md` §10 for the schema and policy.
+//! **A/B mode** is the only way to compare two builds. It runs the two
+//! `perf` binaries as ten alternating pairs and prints one row per case;
+//! a case is an improvement or a regression only when one side wins at
+//! least 9 of the 10 pairs *and* the medians differ by more than the old
+//! side's inter-quartile range, and *unresolved* otherwise
+//! ([`fedda_bench::compare`]). Exit status 1 when a case regressed or went
+//! missing, 2 when a side could not be run or read:
+//!
+//! ```text
+//! target/release/perf --ab <old-binary> <new-binary>
+//! ```
+//!
+//! See `DESIGN.md` §10 for the schema and the measurement behind the rule.
 
-use fedda_bench::compare::{compare, DEFAULT_THRESHOLD};
-use fedda_bench::snapshot::{utc_today, EnvFingerprint, Snapshot, SCHEMA_VERSION};
-use fedda_bench::suite::{run_suite, SuiteConfig};
-use fedda_bench::Options;
+use fedda_bench::compare::{compare, PAIRS};
+use fedda_bench::snapshot::{utc_today, EnvFingerprint, Snapshot};
+use fedda_bench::suite::run_suite;
 use std::path::Path;
+use std::process::{Command, ExitCode};
 
-/// `Some((old, new))` when `--compare` was given.
-type ComparePaths = Option<(String, String)>;
+const USAGE: &str = "usage: perf [--out <path>] | perf --ab <old-binary> <new-binary>";
 
-/// Pull `--compare <old> <new>` (two values) out of the raw argument
-/// list, leaving the rest for the shared [`Options`] parser.
-fn split_compare_args(mut args: Vec<String>) -> Result<(ComparePaths, Vec<String>), String> {
-    match args.iter().position(|a| a == "--compare") {
-        None => Ok((None, args)),
-        Some(at) => {
-            if args.len() < at + 3 {
-                return Err("--compare needs two snapshot paths: --compare <old> <new>".into());
-            }
-            let new = args.remove(at + 2);
-            let old = args.remove(at + 1);
-            args.remove(at);
-            if args.iter().any(|a| a == "--compare") {
-                return Err("duplicate flag --compare".into());
-            }
-            Ok((Some((old, new)), args))
-        }
-    }
+/// Run the suite once and write its snapshot to `out`.
+fn snapshot(out: Option<&str>) -> Result<(), String> {
+    let created = utc_today();
+    let out = out.map_or_else(|| Snapshot::default_path(&created), str::to_string);
+    let snapshot = Snapshot {
+        created,
+        env: EnvFingerprint::capture(),
+        cases: run_suite(),
+    };
+    snapshot
+        .save(Path::new(&out))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("wrote {out} ({} cases)", snapshot.cases.len());
+    Ok(())
 }
 
-fn main() {
-    fedda_bench::require_isa_level();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (compare_paths, rest) = split_compare_args(raw).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    // `--smoke` is perf-specific, so strip it before the shared parser.
-    let smoke = rest.iter().any(|a| a == "--smoke");
-    let rest: Vec<String> = rest.into_iter().filter(|a| a != "--smoke").collect();
-    let opts = match Options::try_from_args(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!(
-                "error: {e}\nusage: perf [--smoke] [--out <path>] [--seed <n>] [--samples <n>] \
-                 | perf --compare <old> <new> [--threshold <f>]"
-            );
-            std::process::exit(2);
-        }
-    };
+/// One suite run of `binary`, through its `--out`.
+fn run_side(binary: &str, out: &Path) -> Result<Snapshot, String> {
+    let run = Command::new(binary)
+        .arg("--out")
+        .arg(out)
+        .output()
+        .map_err(|e| format!("cannot run {binary}: {e}"))?;
+    if !run.status.success() {
+        return Err(format!(
+            "{binary} --out failed ({}): {}",
+            run.status,
+            String::from_utf8_lossy(&run.stderr).trim()
+        ));
+    }
+    let snapshot = Snapshot::load(out);
+    let _ = std::fs::remove_file(out);
+    snapshot
+}
 
-    match compare_paths {
-        Some((old_path, new_path)) => {
-            let threshold: f64 = opts.get("threshold").unwrap_or(DEFAULT_THRESHOLD);
-            let old = Snapshot::load(Path::new(&old_path)).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            let new = Snapshot::load(Path::new(&new_path)).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            if old.label != new.label {
-                eprintln!(
-                    "warning: comparing a '{}' snapshot against a '{}' snapshot — \
-                     case sets differ by design",
-                    old.label, new.label
-                );
-            }
-            if old.env != new.env {
-                eprintln!(
-                    "note: environment fingerprints differ (old: {}/{} {} threads; \
-                     new: {}/{} {} threads) — wall-times are only comparable on one machine",
-                    old.env.os,
-                    old.env.arch,
-                    old.env.kernel_threads,
-                    new.env.os,
-                    new.env.arch,
-                    new.env.kernel_threads
-                );
-            }
-            let cmp = compare(&old, &new, threshold).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            });
-            println!(
-                "Comparing {old_path} ({}, {}) -> {new_path} ({}, {})\n",
-                old.created, old.label, new.created, new.label
-            );
-            println!("{}", cmp.render());
-            if !cmp.passes() {
-                std::process::exit(1);
-            }
+/// [`PAIRS`] alternating pairs of the two binaries; `Ok(passes)`.
+fn ab(old: &str, new: &str) -> Result<bool, String> {
+    let out = std::env::temp_dir().join(format!("perf_ab_{}.json", std::process::id()));
+    let binaries = [old, new];
+    let mut runs = [Vec::new(), Vec::new()];
+    for pair in 0..PAIRS {
+        eprintln!("pair {}/{PAIRS}", pair + 1);
+        // The sides take turns to go first, so a slow minute of the box
+        // falls on both.
+        for side in [pair % 2, 1 - pair % 2] {
+            runs[side].push(run_side(binaries[side], &out)?);
         }
-        None => {
-            let cfg = SuiteConfig {
-                smoke,
-                seed: opts.get("seed").unwrap_or(0),
-                samples: opts.get("samples"),
-                progress: true,
-            };
-            let created = utc_today();
-            let out_path = opts
-                .get_str("out")
-                .map(str::to_string)
-                .unwrap_or_else(|| Snapshot::default_path(&created));
-            eprintln!(
-                "running perf suite (profile {}, seed {}, {} kernel threads)...",
-                cfg.label(),
-                cfg.seed,
-                fedda::tensor::gemm::configured_threads()
-            );
-            let cases = run_suite(&cfg);
-            let snapshot = Snapshot {
-                schema_version: SCHEMA_VERSION,
-                created,
-                label: cfg.label().to_string(),
-                seed: cfg.seed,
-                env: EnvFingerprint::capture(),
-                cases,
-            };
-            snapshot.save(Path::new(&out_path)).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {out_path}: {e}");
-                std::process::exit(2);
-            });
-            println!(
-                "wrote {out_path} ({} cases, schema v{})",
-                snapshot.cases.len(),
-                snapshot.schema_version
-            );
+    }
+    let cmp = compare(&runs[0], &runs[1]);
+    println!("A/B {old} -> {new}\n\n{}", cmp.render());
+    Ok(cmp.passes())
+}
+
+fn main() -> ExitCode {
+    fedda_bench::require_isa_level();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let result = match args[..] {
+        [] => snapshot(None).map(|()| true),
+        ["--out", path] => snapshot(Some(path)).map(|()| true),
+        ["--ab", old, new] => ab(old, new),
+        _ => Err(USAGE.to_string()),
+    };
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
     }
 }

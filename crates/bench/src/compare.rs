@@ -1,242 +1,343 @@
-//! Regression diff between two [`Snapshot`]s (`perf --compare old new`).
+//! The paired verdict behind `perf --ab <old-binary> <new-binary>`.
 //!
-//! The verdict is driven by per-case `median_ns` ratios against a
-//! configurable threshold (default [`DEFAULT_THRESHOLD`] = 10%): a case
-//! whose median slowed down by more than the threshold is a regression, as
-//! is a case that disappeared from the new snapshot (coverage must never
-//! silently shrink). New cases are reported but pass.
+//! Two snapshots taken one after the other cannot be told apart from a
+//! regression on a shared box: two back-to-back runs of one binary put
+//! the same GEMM case 1.5–2× apart (DESIGN.md §10). So the two sides run
+//! as [`PAIRS`] alternating pairs, and a case is called faster or slower
+//! only when one side wins at least nine tenths of the pairs, ties
+//! counting for neither, *and* the medians differ by more than the old
+//! side's own inter-quartile range. Everything else is *unresolved* —
+//! which is a result, not a pass or a failure of the change.
+//!
+//! A case the old side has and the new side lacks fails (coverage must
+//! never silently shrink); a case only the new side has is reported and
+//! passes.
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{quartiles, Snapshot};
 use fedda::table::TextTable;
 
-/// Default regression threshold: 10% median slowdown.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
+/// Pairs of runs `perf --ab` takes, each side going first in half of them.
+pub const PAIRS: usize = 10;
 
-/// Per-case outcome of a snapshot diff.
+/// Per-case outcome of an A/B comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
-    /// Median slowed down beyond the threshold.
+    /// The new side lost the pairs and the gap exceeds the old side's IQR.
     Regression,
-    /// Median sped up beyond the threshold.
+    /// The new side won the pairs and the gap exceeds the old side's IQR.
     Improvement,
-    /// Within the threshold either way.
-    Unchanged,
-    /// Present in the old snapshot, missing from the new — treated as a
+    /// Too few wins either way, or a gap inside the old side's spread.
+    Unresolved,
+    /// Present on the old side, missing from the new — treated as a
     /// failure so suite coverage cannot silently shrink.
     MissingInNew,
-    /// Only present in the new snapshot (fresh coverage; passes).
+    /// Only present on the new side (fresh coverage; passes).
     NewCase,
 }
 
 impl Verdict {
-    /// Short display form for the delta table.
+    /// Short display form for the table.
     pub fn label(self) -> &'static str {
         match self {
             Verdict::Regression => "REGRESSION",
             Verdict::Improvement => "improvement",
-            Verdict::Unchanged => "unchanged",
+            Verdict::Unresolved => "unresolved",
             Verdict::MissingInNew => "MISSING",
             Verdict::NewCase => "new",
         }
     }
 }
 
-/// One case's delta between two snapshots.
+/// What the pairing rule sees in one case's two sample vectors.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Paired {
+    /// Pairs the old side won (strictly lower time).
+    pub old_wins: usize,
+    /// Pairs the new side won.
+    pub new_wins: usize,
+    /// Quartiles of the old side's samples.
+    pub old: [f64; 3],
+    /// Quartiles of the new side's samples.
+    pub new: [f64; 3],
+    /// [`Verdict::Regression`], [`Verdict::Improvement`] or
+    /// [`Verdict::Unresolved`].
+    pub verdict: Verdict,
+}
+
+/// The pairing rule: `old[i]` and `new[i]` are the two sides of pair `i`
+/// (lower is better).
+///
+/// # Panics
+///
+/// When the vectors are empty or differ in length.
+pub fn paired(old: &[u64], new: &[u64]) -> Paired {
+    assert_eq!(old.len(), new.len(), "each pair has two sides");
+    let wins = |a: &[u64], b: &[u64]| a.iter().zip(b).filter(|(a, b)| a < b).count();
+    let (old_wins, new_wins) = (wins(old, new), wins(new, old));
+    let (old_q, new_q) = (quartiles(old), quartiles(new));
+    let needed = (9 * old.len()).div_ceil(10);
+    let iqr = old_q[2] - old_q[0];
+    let gap = new_q[1] - old_q[1];
+    let verdict = if new_wins >= needed && -gap > iqr {
+        Verdict::Improvement
+    } else if old_wins >= needed && gap > iqr {
+        Verdict::Regression
+    } else {
+        Verdict::Unresolved
+    };
+    Paired {
+        old_wins,
+        new_wins,
+        old: old_q,
+        new: new_q,
+        verdict,
+    }
+}
+
+/// One case's row of the comparison.
 #[derive(Clone, Debug)]
 pub struct CaseDelta {
     /// Case name.
     pub name: String,
-    /// Old median (ns/iter), when the case exists in the old snapshot.
-    pub old_median_ns: Option<u64>,
-    /// New median (ns/iter), when the case exists in the new snapshot.
-    pub new_median_ns: Option<u64>,
-    /// `new / old` median ratio, when both sides exist.
-    pub ratio: Option<f64>,
-    /// The verdict under the comparison's threshold.
+    /// The pairing rule's view, when both sides ran the case.
+    pub paired: Option<Paired>,
+    /// The verdict.
     pub verdict: Verdict,
 }
 
-/// The result of diffing two snapshots.
+/// The result of one A/B comparison.
 #[derive(Clone, Debug)]
 pub struct Comparison {
-    /// Per-case deltas: old-snapshot suite order, then any new cases.
+    /// Per-case rows: old-side suite order, then any new cases.
     pub deltas: Vec<CaseDelta>,
-    /// The threshold the verdicts were computed under.
-    pub threshold: f64,
+    /// Pairs run.
+    pub pairs: usize,
 }
 
 impl Comparison {
-    /// Cases that fail the gate ([`Verdict::Regression`] or
-    /// [`Verdict::MissingInNew`]).
-    pub fn failures(&self) -> Vec<&CaseDelta> {
-        self.deltas
-            .iter()
-            .filter(|d| matches!(d.verdict, Verdict::Regression | Verdict::MissingInNew))
-            .collect()
+    /// How many cases came out with `verdict`.
+    pub fn count(&self, verdict: Verdict) -> usize {
+        self.deltas.iter().filter(|d| d.verdict == verdict).count()
     }
 
-    /// Whether the new snapshot passes the regression gate.
+    /// Whether the new side passes: no case regressed or went missing.
     pub fn passes(&self) -> bool {
-        self.failures().is_empty()
+        self.count(Verdict::Regression) + self.count(Verdict::MissingInNew) == 0
     }
 
-    /// Render the per-case delta table plus a one-line summary.
+    /// Render the per-case table plus a one-line summary.
     pub fn render(&self) -> String {
-        let mut table = TextTable::new(&["Case", "Old (ns)", "New (ns)", "New/Old", "Verdict"]);
+        let mut table = TextTable::new(&[
+            "Case",
+            "Old median (ns)",
+            "Old IQR (ns)",
+            "New median (ns)",
+            "New/Old",
+            "Pairs",
+            "Old wins",
+            "New wins",
+            "Verdict",
+        ]);
         for d in &self.deltas {
-            table.row(&[
-                d.name.clone(),
-                d.old_median_ns.map_or("-".into(), |n| n.to_string()),
-                d.new_median_ns.map_or("-".into(), |n| n.to_string()),
-                d.ratio.map_or("-".into(), |r| format!("{r:.3}")),
-                d.verdict.label().into(),
-            ]);
+            let mut row = vec![d.name.clone()];
+            match &d.paired {
+                Some(p) => row.extend([
+                    format!("{:.0}", p.old[1]),
+                    format!("{:.0}", p.old[2] - p.old[0]),
+                    format!("{:.0}", p.new[1]),
+                    format!("{:.3}", p.new[1] / p.old[1].max(1.0)),
+                    self.pairs.to_string(),
+                    p.old_wins.to_string(),
+                    p.new_wins.to_string(),
+                ]),
+                None => row.extend(std::iter::repeat("-".to_string()).take(7)),
+            }
+            row.push(d.verdict.label().into());
+            table.row(&row);
         }
-        let failures = self.failures();
-        let summary = if failures.is_empty() {
-            format!(
-                "OK: {} cases within the {:.0}% regression threshold",
-                self.deltas.len(),
-                self.threshold * 100.0
-            )
-        } else {
-            format!(
-                "FAIL: {}/{} cases regress beyond the {:.0}% threshold: {}",
-                failures.len(),
-                self.deltas.len(),
-                self.threshold * 100.0,
-                failures
-                    .iter()
-                    .map(|d| d.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        };
-        format!("{}\n{summary}", table.render())
+        format!(
+            "{}\n{} cases over {} pairs: {} unresolved, {} improved, {} regressed, {} missing, {} new",
+            table.render(),
+            self.deltas.len(),
+            self.pairs,
+            self.count(Verdict::Unresolved),
+            self.count(Verdict::Improvement),
+            self.count(Verdict::Regression),
+            self.count(Verdict::MissingInNew),
+            self.count(Verdict::NewCase),
+        )
     }
 }
 
-/// Diff two snapshots under `threshold`. Returns an error when the schema
-/// versions differ (load already pins each file to [`crate::snapshot::SCHEMA_VERSION`],
-/// so this only trips on hand-built values).
-pub fn compare(old: &Snapshot, new: &Snapshot, threshold: f64) -> Result<Comparison, String> {
-    if old.schema_version != new.schema_version {
-        return Err(format!(
-            "schema_version mismatch: old {} vs new {}",
-            old.schema_version, new.schema_version
-        ));
+/// Compare the two sides of an A/B run: `old[i]` and `new[i]` are the
+/// snapshots of pair `i`, and a case's sample in a run is its `median_ns`.
+/// A side has a case only when every one of its runs does.
+pub fn compare(old: &[Snapshot], new: &[Snapshot]) -> Comparison {
+    assert_eq!(old.len(), new.len(), "each pair has two sides");
+    let samples = |runs: &[Snapshot], name: &str| -> Option<Vec<u64>> {
+        runs.iter()
+            .map(|s| s.case(name).map(|c| c.median_ns))
+            .collect()
+    };
+    let names = |runs: &[Snapshot]| -> Vec<String> {
+        let first = runs.first().into_iter().flat_map(|s| &s.cases);
+        first.map(|c| c.name.clone()).collect()
+    };
+    let mut deltas = Vec::new();
+    for name in names(old) {
+        let paired = samples(old, &name)
+            .zip(samples(new, &name))
+            .map(|(o, n)| paired(&o, &n));
+        let verdict = paired.map_or(Verdict::MissingInNew, |p| p.verdict);
+        deltas.push(CaseDelta {
+            name,
+            paired,
+            verdict,
+        });
     }
-    let mut deltas = Vec::with_capacity(old.cases.len());
-    for oc in &old.cases {
-        match new.case(&oc.name) {
-            Some(nc) => {
-                let ratio = nc.median_ns as f64 / (oc.median_ns as f64).max(1.0);
-                let verdict = if ratio > 1.0 + threshold {
-                    Verdict::Regression
-                } else if ratio < 1.0 - threshold {
-                    Verdict::Improvement
-                } else {
-                    Verdict::Unchanged
-                };
-                deltas.push(CaseDelta {
-                    name: oc.name.clone(),
-                    old_median_ns: Some(oc.median_ns),
-                    new_median_ns: Some(nc.median_ns),
-                    ratio: Some(ratio),
-                    verdict,
-                });
-            }
-            None => deltas.push(CaseDelta {
-                name: oc.name.clone(),
-                old_median_ns: Some(oc.median_ns),
-                new_median_ns: None,
-                ratio: None,
-                verdict: Verdict::MissingInNew,
-            }),
-        }
-    }
-    for nc in &new.cases {
-        if old.case(&nc.name).is_none() {
+    for name in names(new) {
+        if deltas.iter().all(|d| d.name != name) {
             deltas.push(CaseDelta {
-                name: nc.name.clone(),
-                old_median_ns: None,
-                new_median_ns: Some(nc.median_ns),
-                ratio: None,
+                name,
+                paired: None,
                 verdict: Verdict::NewCase,
             });
         }
     }
-    Ok(Comparison { deltas, threshold })
+    Comparison {
+        deltas,
+        pairs: old.len(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{CaseResult, EnvFingerprint, Snapshot, SCHEMA_VERSION};
+    use crate::snapshot::{CaseResult, EnvFingerprint, MIN_SAMPLES};
 
-    fn snap(cases: &[(&str, u64)]) -> Snapshot {
-        Snapshot {
-            schema_version: SCHEMA_VERSION,
-            created: "2026-08-08".into(),
-            label: "smoke".into(),
-            seed: 0,
-            env: EnvFingerprint::capture(),
-            cases: cases
-                .iter()
-                .map(|(name, median)| CaseResult {
-                    name: name.to_string(),
-                    iters: 1,
-                    samples: 3,
-                    median_ns: *median,
-                    min_ns: *median,
-                    mean_ns: *median,
-                    clients_per_sec: None,
-                    rounds_per_sec: None,
-                })
-                .collect(),
-        }
+    /// Ten old-side samples with quartiles 1 000 / 1 020 / 1 040 (IQR 40).
+    const OLD: [u64; 10] = [990, 1000, 1000, 1010, 1020, 1020, 1030, 1040, 1040, 1050];
+
+    fn shifted(by: i64) -> Vec<u64> {
+        OLD.iter().map(|&o| (o as i64 + by) as u64).collect()
+    }
+
+    /// One snapshot per pair; `cases` maps a name to its per-pair medians.
+    fn runs(cases: &[(&str, &[u64])]) -> Vec<Snapshot> {
+        (0..PAIRS)
+            .map(|pair| Snapshot {
+                created: "2026-10-01".into(),
+                env: EnvFingerprint::capture(),
+                cases: cases
+                    .iter()
+                    .map(|(name, medians)| CaseResult {
+                        name: name.to_string(),
+                        iters: 1,
+                        samples: MIN_SAMPLES,
+                        q1_ns: medians[pair],
+                        median_ns: medians[pair],
+                        q3_ns: medians[pair],
+                        min_ns: medians[pair],
+                    })
+                    .collect(),
+            })
+            .collect()
     }
 
     #[test]
     fn identical_snapshots_pass() {
-        let a = snap(&[("gemm/nn/2525x48x16", 1000), ("hgn/forward", 5000)]);
-        let cmp = compare(&a, &a.clone(), DEFAULT_THRESHOLD).unwrap();
+        // Every pair ties: no side wins anything, nothing resolves.
+        let p = paired(&OLD, &OLD);
+        assert_eq!((p.old_wins, p.new_wins), (0, 0));
+        assert_eq!(p.verdict, Verdict::Unresolved);
+        let side = runs(&[
+            ("gemm/nn/2525x48x16", &OLD),
+            ("optim/adam_step/n87554", &OLD),
+        ]);
+        let cmp = compare(&side, &side);
         assert!(cmp.passes());
-        assert_eq!(cmp.deltas.len(), 2);
-        assert!(cmp.deltas.iter().all(|d| d.verdict == Verdict::Unchanged));
-        assert!(cmp.render().contains("OK: 2 cases"));
-    }
-
-    #[test]
-    fn regression_beyond_threshold_fails() {
-        let old = snap(&[("a", 1000), ("b", 1000)]);
-        let new = snap(&[("a", 1111), ("b", 1000)]); // a: +11.1% > 10%
-        let cmp = compare(&old, &new, DEFAULT_THRESHOLD).unwrap();
-        assert!(!cmp.passes());
-        assert_eq!(cmp.failures().len(), 1);
-        assert_eq!(cmp.deltas[0].verdict, Verdict::Regression);
-        assert_eq!(cmp.deltas[1].verdict, Verdict::Unchanged);
-        assert!(cmp.render().contains("FAIL: 1/2"));
-        // A looser threshold turns the same delta into a pass.
-        assert!(compare(&old, &new, 0.20).unwrap().passes());
+        assert_eq!(cmp.count(Verdict::Unresolved), 2);
+        assert!(cmp.render().contains("2 cases over 10 pairs: 2 unresolved"));
     }
 
     #[test]
     fn improvement_is_reported_but_passes() {
-        let old = snap(&[("a", 1000)]);
-        let new = snap(&[("a", 500)]);
-        let cmp = compare(&old, &new, DEFAULT_THRESHOLD).unwrap();
+        // 10/10 wins, medians 50 apart against an IQR of 40.
+        let p = paired(&OLD, &shifted(-50));
+        assert_eq!((p.old_wins, p.new_wins), (0, 10));
+        assert_eq!(p.old, [1000.0, 1020.0, 1040.0]);
+        assert_eq!(p.verdict, Verdict::Improvement);
+        let cmp = compare(&runs(&[("a", &OLD)]), &runs(&[("a", &shifted(-50))]));
         assert!(cmp.passes());
         assert_eq!(cmp.deltas[0].verdict, Verdict::Improvement);
-        let ratio = cmp.deltas[0].ratio.unwrap();
-        assert!((ratio - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn regression_beyond_threshold_fails() {
+        // Both thresholds crossed: 10/10 losses, medians 50 apart.
+        let p = paired(&OLD, &shifted(50));
+        assert_eq!((p.old_wins, p.new_wins), (10, 0));
+        assert_eq!(p.verdict, Verdict::Regression);
+        let cmp = compare(&runs(&[("a", &OLD)]), &runs(&[("a", &shifted(50))]));
+        assert!(!cmp.passes());
+        assert!(cmp.render().contains("REGRESSION"));
+        // Nine of ten is still enough…
+        let mut nine = shifted(50);
+        nine[0] = OLD[0] - 1;
+        assert_eq!(paired(&OLD, &nine).verdict, Verdict::Regression);
+    }
+
+    #[test]
+    fn eight_wins_of_ten_is_unresolved() {
+        // …eight is not, however wide the gap, in either direction.
+        for by in [-500, 500] {
+            let mut new = shifted(by);
+            new[0] = (OLD[0] as i64 - by.signum()) as u64;
+            new[1] = (OLD[1] as i64 - by.signum()) as u64;
+            let p = paired(&OLD, &new);
+            assert_eq!(p.old_wins.max(p.new_wins), 8);
+            assert_eq!(p.verdict, Verdict::Unresolved);
+        }
+    }
+
+    #[test]
+    fn a_gap_inside_the_iqr_is_unresolved() {
+        // 10/10 wins either way, but the medians sit within the old side's
+        // own spread of each other.
+        for by in [-10, 10] {
+            let p = paired(&OLD, &shifted(by));
+            assert_eq!(p.old_wins + p.new_wins, 10);
+            assert_eq!(p.verdict, Verdict::Unresolved, "shift {by}");
+        }
+    }
+
+    #[test]
+    fn exact_threshold_boundary_is_not_a_regression() {
+        // A gap equal to the IQR has reached the old side's spread, not
+        // exceeded it; one nanosecond more has.
+        assert_eq!(paired(&OLD, &shifted(40)).verdict, Verdict::Unresolved);
+        assert_eq!(paired(&OLD, &shifted(41)).verdict, Verdict::Regression);
+        assert_eq!(paired(&OLD, &shifted(-40)).verdict, Verdict::Unresolved);
+        assert_eq!(paired(&OLD, &shifted(-41)).verdict, Verdict::Improvement);
+    }
+
+    #[test]
+    fn ties_count_for_neither_side() {
+        // Two ties leave the faster side with 8 wins of 10 pairs: short of
+        // nine tenths of all pairs run, though it lost none.
+        let mut new = shifted(-500);
+        new[3] = OLD[3];
+        new[7] = OLD[7];
+        let p = paired(&OLD, &new);
+        assert_eq!((p.old_wins, p.new_wins), (0, 8));
+        assert_eq!(p.verdict, Verdict::Unresolved);
     }
 
     #[test]
     fn missing_case_fails_and_new_case_passes() {
-        let old = snap(&[("a", 1000), ("dropped", 1000)]);
-        let new = snap(&[("a", 1000), ("added", 1000)]);
-        let cmp = compare(&old, &new, DEFAULT_THRESHOLD).unwrap();
+        let old = runs(&[("a", &OLD), ("dropped", &OLD)]);
+        let new = runs(&[("a", &OLD), ("added", &OLD)]);
+        let cmp = compare(&old, &new);
         assert!(!cmp.passes());
         let by_name = |n: &str| {
             cmp.deltas
@@ -247,24 +348,9 @@ mod tests {
         };
         assert_eq!(by_name("dropped"), Verdict::MissingInNew);
         assert_eq!(by_name("added"), Verdict::NewCase);
-        assert_eq!(by_name("a"), Verdict::Unchanged);
+        assert_eq!(by_name("a"), Verdict::Unresolved);
         assert!(cmp.render().contains("MISSING"));
-    }
-
-    #[test]
-    fn exact_threshold_boundary_is_not_a_regression() {
-        let old = snap(&[("a", 1000)]);
-        let new = snap(&[("a", 1100)]); // exactly +10%
-        let cmp = compare(&old, &new, DEFAULT_THRESHOLD).unwrap();
-        assert!(cmp.passes());
-        assert_eq!(cmp.deltas[0].verdict, Verdict::Unchanged);
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_an_error() {
-        let old = snap(&[("a", 1000)]);
-        let mut new = snap(&[("a", 1000)]);
-        new.schema_version += 1;
-        assert!(compare(&old, &new, DEFAULT_THRESHOLD).is_err());
+        // Without the dropped case the same new side passes.
+        assert!(compare(&runs(&[("a", &OLD)]), &new).passes());
     }
 }

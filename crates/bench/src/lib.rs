@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment binaries: a tiny flag parser (no CLI
 //! dependency), the default configurations each table/figure uses, and the
-//! perf-trajectory harness behind the `perf` binary ([`snapshot`],
-//! [`compare`], [`suite`]).
+//! kernel probe behind the `perf` binary ([`suite`], [`snapshot`], and the
+//! paired A/B verdict in [`compare`]).
 //!
 //! Every binary accepts:
 //!

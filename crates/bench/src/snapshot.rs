@@ -1,23 +1,49 @@
-//! Schema-versioned performance snapshots (`BENCH_<date>.json`).
+//! Schema-versioned kernel snapshots (`BENCH_<date>.json`).
 //!
 //! A [`Snapshot`] is the machine-readable record of one run of the fixed
-//! perf suite ([`crate::suite`]): per-case wall-time statistics plus an
-//! environment fingerprint, written to the repo root so perf claims stay
-//! verifiable across PRs. The format is versioned by [`SCHEMA_VERSION`];
-//! [`crate::compare`] diffs two snapshots and flags regressions.
+//! kernel suite ([`crate::suite`]): per-case wall-time quartiles plus an
+//! environment fingerprint. The format is versioned by [`SCHEMA_VERSION`];
+//! `perf --ab` collects one snapshot per run of each binary and
+//! [`crate::compare`] turns the paired runs into verdicts.
 //!
-//! Wall-clock reads live in this bench crate only — the `fl` protocol code
-//! is kept wall-clock-free by fedda-lint's D2 rule, so the harness observes
+//! Wall-clock reads for timing live in this bench crate — fedda-lint's D2
+//! rule keeps them out of the `fl` protocol code, so the harness observes
 //! timing without ever perturbing the deterministic RNG streams.
 
 use serde_json::{json, Value};
 use std::path::Path;
 use std::time::Instant;
 
-/// Version of the `BENCH_*.json` schema. Bump on any incompatible change
-/// (renamed fields, changed units); `--compare` refuses to diff snapshots
-/// with mismatched versions.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Version of the `BENCH_*.json` schema. Version 2 replaced version 1's
+/// `mean_ns` with quartiles over at least [`MIN_SAMPLES`] samples and
+/// dropped the profile label and seed (the suite has one profile and one
+/// seed); version 1 files are history, not input.
+pub const SCHEMA_VERSION: u64 = 2;
+
+/// Fewest samples a schema v2 case may carry: below this the quartiles
+/// say nothing.
+pub const MIN_SAMPLES: u64 = 10;
+
+/// First quartile, median and third quartile of `samples`, by the
+/// exclusive method of Python's `statistics.quantiles(v, n=4)` — the
+/// estimator the repo benchmark's `spread` uses — with ranks clamped to
+/// the sample range, so nothing extrapolates past the extremes.
+///
+/// # Panics
+///
+/// On an empty slice.
+pub fn quartiles(samples: &[u64]) -> [f64; 3] {
+    assert!(!samples.is_empty(), "quartiles of no samples");
+    let mut v = samples.to_vec();
+    v.sort_unstable();
+    let n = v.len();
+    let at = |rank: usize| v[rank.min(n) - 1] as f64;
+    [0.25, 0.5, 0.75].map(|q| {
+        let pos = (q * (n + 1) as f64).clamp(1.0, n as f64);
+        let lo = pos.floor() as usize;
+        at(lo) + (pos - lo as f64) * (at(lo + 1) - at(lo))
+    })
+}
 
 /// Wall-time statistics of one benchmark case, in nanoseconds per
 /// iteration.
@@ -29,40 +55,27 @@ pub struct CaseResult {
     pub iters: u64,
     /// Number of samples taken (each sample times `iters` iterations).
     pub samples: u64,
-    /// Median over samples of per-iteration wall time (ns) — the number
-    /// `--compare` verdicts use.
+    /// First quartile over samples of per-iteration wall time (ns).
+    pub q1_ns: u64,
+    /// Median over samples (ns/iter) — the number `perf --ab` pairs.
     pub median_ns: u64,
+    /// Third quartile over samples (ns/iter).
+    pub q3_ns: u64,
     /// Fastest sample (ns/iter) — the low-noise floor.
     pub min_ns: u64,
-    /// Mean over samples (ns/iter).
-    pub mean_ns: u64,
-    /// Derived throughput for FL cases: dispatched clients per second at
-    /// the median. Additive optional field — absent for non-FL cases and
-    /// in snapshots written before it existed, so the schema version is
-    /// unchanged.
-    pub clients_per_sec: Option<f64>,
-    /// Derived throughput for FL cases: rounds per second at the median
-    /// (additive optional field, same compatibility rules).
-    pub rounds_per_sec: Option<f64>,
 }
 
 impl CaseResult {
     fn to_value(&self) -> Value {
-        let mut v = json!({
+        json!({
             "name": self.name,
             "iters": self.iters,
             "samples": self.samples,
+            "q1_ns": self.q1_ns,
             "median_ns": self.median_ns,
+            "q3_ns": self.q3_ns,
             "min_ns": self.min_ns,
-            "mean_ns": self.mean_ns,
-        });
-        if let Some(cps) = self.clients_per_sec {
-            v["clients_per_sec"] = json!(cps);
-        }
-        if let Some(rps) = self.rounds_per_sec {
-            v["rounds_per_sec"] = json!(rps);
-        }
-        v
+        })
     }
 
     fn from_value(v: &Value) -> Result<Self, String> {
@@ -70,20 +83,25 @@ impl CaseResult {
             v[k].as_u64()
                 .ok_or_else(|| format!("case field {k:?} missing or not a non-negative integer"))
         };
-        Ok(Self {
+        let case = Self {
             name: v["name"]
                 .as_str()
                 .ok_or("case field \"name\" missing or not a string")?
                 .to_string(),
             iters: field("iters")?,
             samples: field("samples")?,
+            q1_ns: field("q1_ns")?,
             median_ns: field("median_ns")?,
+            q3_ns: field("q3_ns")?,
             min_ns: field("min_ns")?,
-            mean_ns: field("mean_ns")?,
-            // Lenient on purpose: older snapshots predate these fields.
-            clients_per_sec: v["clients_per_sec"].as_f64(),
-            rounds_per_sec: v["rounds_per_sec"].as_f64(),
-        })
+        };
+        if case.samples < MIN_SAMPLES {
+            return Err(format!(
+                "case {:?} has {} samples; schema v{SCHEMA_VERSION} needs at least {MIN_SAMPLES}",
+                case.name, case.samples
+            ));
+        }
+        Ok(case)
     }
 }
 
@@ -158,18 +176,12 @@ impl EnvFingerprint {
     }
 }
 
-/// One full perf-suite run: schema version, capture date, profile label,
-/// environment fingerprint and per-case results.
+/// One full suite run: capture date, environment fingerprint and per-case
+/// results. Written and read as schema [`SCHEMA_VERSION`] only.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
-    /// [`SCHEMA_VERSION`] at capture time.
-    pub schema_version: u64,
     /// UTC capture date, `YYYY-MM-DD`.
     pub created: String,
-    /// Suite profile: `smoke` or `full`.
-    pub label: String,
-    /// Base seed the suite inputs were generated from.
-    pub seed: u64,
     /// Environment fingerprint.
     pub env: EnvFingerprint,
     /// Per-case timing results, in suite order.
@@ -190,24 +202,30 @@ impl Snapshot {
     /// Serialize to the JSON tree written to `BENCH_*.json`.
     pub fn to_value(&self) -> Value {
         json!({
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "created": self.created,
-            "label": self.label,
-            "seed": self.seed,
             "env": self.env.to_value(),
             "cases": self.cases.iter().map(CaseResult::to_value).collect::<Vec<_>>(),
         })
     }
 
-    /// Rebuild from a parsed JSON tree, validating the schema version.
+    /// Rebuild from a parsed JSON tree. Any schema version but
+    /// [`SCHEMA_VERSION`] is refused, version 1 by name.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let version = v["schema_version"]
-            .as_u64()
-            .ok_or("missing schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {version} (this binary reads {SCHEMA_VERSION})"
-            ));
+        match v["schema_version"].as_u64() {
+            Some(SCHEMA_VERSION) => {}
+            Some(1) => {
+                return Err(format!(
+                    "schema v1 snapshot (3–5 samples, no quartiles: read-only history); \
+                     this binary reads schema v{SCHEMA_VERSION} only"
+                ))
+            }
+            Some(other) => {
+                return Err(format!(
+                    "unsupported schema_version {other} (this binary reads {SCHEMA_VERSION})"
+                ))
+            }
+            None => return Err("missing schema_version".into()),
         }
         let cases = match &v["cases"] {
             Value::Array(items) => items
@@ -217,13 +235,10 @@ impl Snapshot {
             _ => return Err("missing cases array".into()),
         };
         Ok(Self {
-            schema_version: version,
             created: v["created"]
                 .as_str()
                 .ok_or("missing created date")?
                 .to_string(),
-            label: v["label"].as_str().ok_or("missing label")?.to_string(),
-            seed: v["seed"].as_u64().ok_or("missing seed")?,
             env: EnvFingerprint::from_value(&v["env"])?,
             cases,
         })
@@ -284,20 +299,15 @@ pub fn time_case<F: FnMut()>(name: &str, samples: u64, iters: u64, mut f: F) -> 
         let total = start.elapsed().as_nanos();
         per_iter_ns.push((total / u128::from(iters)).min(u128::from(u64::MAX)) as u64);
     }
-    per_iter_ns.sort_unstable();
-    let median_ns = per_iter_ns[per_iter_ns.len() / 2];
-    let min_ns = per_iter_ns[0];
-    let mean_ns = (per_iter_ns.iter().map(|&n| u128::from(n)).sum::<u128>()
-        / per_iter_ns.len() as u128) as u64;
+    let [q1, median, q3] = quartiles(&per_iter_ns);
     CaseResult {
         name: name.to_string(),
         iters,
         samples,
-        median_ns,
-        min_ns,
-        mean_ns,
-        clients_per_sec: None,
-        rounds_per_sec: None,
+        q1_ns: q1.round() as u64,
+        median_ns: median.round() as u64,
+        q3_ns: q3.round() as u64,
+        min_ns: per_iter_ns.into_iter().min().unwrap_or_default(),
     }
 }
 
@@ -305,12 +315,18 @@ pub fn time_case<F: FnMut()>(name: &str, samples: u64, iters: u64, mut f: F) -> 
 mod tests {
     use super::*;
 
-    pub(crate) fn sample_snapshot() -> Snapshot {
+    fn sample_snapshot() -> Snapshot {
+        let case = |name: &str, iters, median_ns| CaseResult {
+            name: name.into(),
+            iters,
+            samples: MIN_SAMPLES,
+            q1_ns: median_ns - median_ns / 20,
+            median_ns,
+            q3_ns: median_ns + median_ns / 10,
+            min_ns: median_ns - median_ns / 10,
+        };
         Snapshot {
-            schema_version: SCHEMA_VERSION,
-            created: "2026-08-08".into(),
-            label: "smoke".into(),
-            seed: 0,
+            created: "2026-10-01".into(),
             env: EnvFingerprint {
                 os: "linux".into(),
                 arch: "x86_64".into(),
@@ -320,26 +336,8 @@ mod tests {
                 profile: "release".into(),
             },
             cases: vec![
-                CaseResult {
-                    name: "gemm/nn/2525x48x16".into(),
-                    iters: 3,
-                    samples: 5,
-                    median_ns: 1_000,
-                    min_ns: 900,
-                    mean_ns: 1_050,
-                    clients_per_sec: None,
-                    rounds_per_sec: None,
-                },
-                CaseResult {
-                    name: "fl_round/fedavg/s0.0015".into(),
-                    iters: 1,
-                    samples: 3,
-                    median_ns: 2_000_000,
-                    min_ns: 1_900_000,
-                    mean_ns: 2_100_000,
-                    clients_per_sec: Some(16_000.0),
-                    rounds_per_sec: Some(500.0),
-                },
+                case("gemm/nn/2525x48x16", 3, 1_000),
+                case("codec/q8/encode/n87554", 8, 2_000_000),
             ],
         }
     }
@@ -355,7 +353,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_file() {
         let dir = std::env::temp_dir().join("fedda_snapshot_test");
-        let path = dir.join("BENCH_2026-08-08.json");
+        let path = dir.join("BENCH_2026-10-01.json");
         let snap = sample_snapshot();
         snap.save(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
@@ -372,28 +370,18 @@ mod tests {
     }
 
     #[test]
-    fn throughput_fields_are_additive_and_lenient() {
-        let v = sample_snapshot().to_value();
-        // Written only where set…
-        assert!(v["cases"][0].get("clients_per_sec").is_none());
-        assert_eq!(v["cases"][1]["clients_per_sec"].as_f64(), Some(16_000.0));
-        assert_eq!(v["cases"][1]["rounds_per_sec"].as_f64(), Some(500.0));
-        // …and snapshots from before the fields existed read back as None,
-        // without a schema bump.
-        let mut old = v.clone();
-        let case = old["cases"][1].as_object_mut().unwrap();
-        case.retain(|(k, _)| k != "clients_per_sec" && k != "rounds_per_sec");
-        let back = Snapshot::from_value(&old).unwrap();
-        assert_eq!(back.cases[1].clients_per_sec, None);
-        assert_eq!(back.cases[1].rounds_per_sec, None);
-    }
-
-    #[test]
     fn schema_version_mismatch_is_rejected() {
         let mut v = sample_snapshot().to_value();
         v["schema_version"] = json!(SCHEMA_VERSION + 1);
         let err = Snapshot::from_value(&v).unwrap_err();
         assert!(err.contains("unsupported schema_version"), "{err}");
+        // The previous schema is refused by name, with both versions.
+        v["schema_version"] = json!(1);
+        let err = Snapshot::from_value(&v).unwrap_err();
+        assert!(
+            err.contains("schema v1") && err.contains("schema v2"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -402,6 +390,11 @@ mod tests {
         v["cases"] = json!([{ "name": "x", "iters": 1 }]);
         let err = Snapshot::from_value(&v).unwrap_err();
         assert!(err.contains("samples"), "{err}");
+        // Too few samples for quartiles is malformed too.
+        let mut v = sample_snapshot().to_value();
+        v["cases"][0]["samples"] = json!(MIN_SAMPLES - 1);
+        let err = Snapshot::from_value(&v).unwrap_err();
+        assert!(err.contains("needs at least 10"), "{err}");
     }
 
     #[test]
@@ -424,6 +417,16 @@ mod tests {
     }
 
     #[test]
+    fn quartiles_follow_the_exclusive_method() {
+        // Python: statistics.quantiles([10, ..., 100], n=4) = [27.5, 55, 82.5].
+        let ten: Vec<u64> = (1..=10).rev().map(|i| i * 10).collect();
+        assert_eq!(quartiles(&ten), [27.5, 55.0, 82.5]);
+        // Ranks clamp to the sample range instead of extrapolating.
+        assert_eq!(quartiles(&[7]), [7.0, 7.0, 7.0]);
+        assert_eq!(quartiles(&[4, 2]), [2.0, 3.0, 4.0]);
+    }
+
+    #[test]
     fn time_case_produces_ordered_stats() {
         let mut x = 0u64;
         let res = time_case("busy", 5, 10, || {
@@ -434,7 +437,8 @@ mod tests {
         });
         assert_eq!(res.samples, 5);
         assert_eq!(res.iters, 10);
-        assert!(res.min_ns <= res.median_ns);
+        assert!(res.min_ns <= res.q1_ns);
+        assert!(res.q1_ns <= res.median_ns && res.median_ns <= res.q3_ns);
         assert!(res.median_ns > 0 || res.min_ns == 0);
     }
 

@@ -1,95 +1,37 @@
-//! The fixed, seeded perf suite behind the `perf` binary.
+//! The fixed, seeded kernel suite behind the `perf` binary.
 //!
-//! Five tiers mirror the criterion benches (`benches/`) so snapshot
-//! numbers track the same entry points the micro-benchmarks exercise:
+//! How fast a federated run is, and how its time divides across layers,
+//! is the repo benchmark's question (`benchmark/`, `BENCHMARK.json`). This
+//! suite answers the one that benchmark's probes do not resolve per shape:
+//! how fast is one kernel at a workload's real shape. Four families:
 //!
-//! 1. **GEMM** — the products an FL round actually issues
+//! 1. **`gemm/`** — the products an FL round actually issues
 //!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
 //!    `tn`/`nt` backward forms and the single-column attention
 //!    projections;
-//! 2. **Edge kernels** — the fused per-edge tape ops, forward + backward,
-//!    at the message-graph shapes of a real client ([`EDGE_SHAPES`]);
-//! 3. **Uplink report path** — each codec's encode, the q8 arrival decode
-//!    and one Adam step at the fleet model's size ([`CodecCase`]);
-//! 4. **HGN** — Simple-HGN forward and forward+backward at the experiment
-//!    model size on a DBLP-like graph;
-//! 5. **FL round** — one full federated round (local updates +
-//!    aggregation + evaluation) for FedAvg and both FedDA strategies at
-//!    several dataset scales.
+//! 2. **`edge/`** — the fused per-edge tape ops, forward + backward, at
+//!    the message-graph shapes of a real client ([`EDGE_SHAPES`]);
+//! 3. **`codec/`** — each uplink codec's encode and the q8 arrival decode
+//!    at the fleet model's size;
+//! 4. **`optim/`** — one Adam step over the same model.
 //!
-//! The `--smoke` profile shrinks shapes, scales and sample counts to a
-//! CI-sized run; case names are stable within a profile so `--compare`
-//! can diff any two snapshots of the same profile.
+//! Inputs, case names and the sample count (the schema's floor) are
+//! fixed, so any two snapshots — and the two sides of `perf --ab` — cover
+//! the same cases.
 
-use crate::snapshot::{time_case, CaseResult};
-use crate::{experiment_model, experiment_train};
-use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
+use crate::snapshot::{time_case, CaseResult, MIN_SAMPLES};
 use fedda::fl::compress::decode_arrival;
 use fedda::fl::runtime::Delivery;
-use fedda::fl::{
-    AsyncConfig, AsyncDriver, ClientReturn, Compressed, Compression, Delta, FedAvg, FedDa,
-    FlConfig, FlSystem, InFlight, RoundDriver, RuntimeMode, UplinkCharge,
-};
-use fedda_hetgraph::split::split_edges;
-use fedda_hetgraph::LinkSampler;
-use fedda_hgn::{GraphView, SimpleHgn};
-use fedda_tensor::{Adam, Graph, Matrix, ParamSet, Segments, TapeBindings, Var};
+use fedda::fl::{ClientReturn, Compressed, Compression, Delta, InFlight, UplinkCharge};
+use fedda_hgn::SimpleHgn;
+use fedda_tensor::{Adam, Graph, Matrix, ParamSet, Segments, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// Suite profile and knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SuiteConfig {
-    /// CI-sized profile: fewer shapes, smaller graphs, fewer samples.
-    pub smoke: bool,
-    /// Base seed for every generated input (matrices, graphs, runs).
-    pub seed: u64,
-    /// Override the per-case sample count (default 3 smoke / 5 full).
-    pub samples: Option<u64>,
-    /// Print per-case progress to stderr.
-    pub progress: bool,
-}
-
-impl SuiteConfig {
-    /// Profile label recorded in the snapshot.
-    pub fn label(&self) -> &'static str {
-        if self.smoke {
-            "smoke"
-        } else {
-            "full"
-        }
-    }
-
-    fn samples(&self) -> u64 {
-        self.samples.unwrap_or(if self.smoke { 3 } else { 5 })
-    }
-
-    fn hgn_scale(&self) -> f64 {
-        if self.smoke {
-            0.001
-        } else {
-            0.002
-        }
-    }
-
-    fn fl_scales(&self) -> &'static [f64] {
-        if self.smoke {
-            &[0.0008, 0.0015]
-        } else {
-            &[0.0015, 0.003, 0.006]
-        }
-    }
-
-    fn throughput_clients(&self) -> &'static [usize] {
-        if self.smoke {
-            &[1_000]
-        } else {
-            &[1_000, 10_000]
-        }
-    }
-}
+/// Seed of every generated input.
+const SUITE_SEED: u64 = 0;
 
 /// The GEMM shape histogram of one federated round, as
 /// `(layout, m, k, n)` with an `m × n` output over a shared dimension
@@ -114,7 +56,7 @@ pub const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
 
 /// Random operands for one [`GEMM_SHAPES`] entry, stored the way the
 /// layout reads them, and the `Matrix` entry point that multiplies them.
-pub fn gemm_case(
+fn gemm_case(
     rng: &mut StdRng,
     layout: &str,
     (m, k, n): (usize, usize, usize),
@@ -138,7 +80,7 @@ pub const EDGE_SHAPES: &[(usize, usize, usize, usize)] =
 
 /// Random inputs of one [`EDGE_SHAPES`] entry and the forward + backward
 /// pass of each fused edge op over them.
-pub struct EdgeCase {
+struct EdgeCase {
     nodes: usize,
     src: Arc<Vec<u32>>,
     dst: Arc<Vec<u32>>,
@@ -153,10 +95,7 @@ pub struct EdgeCase {
 
 impl EdgeCase {
     /// Uniformly random endpoints, types, scores and features.
-    pub fn new(
-        rng: &mut StdRng,
-        (nodes, edges, types, width): (usize, usize, usize, usize),
-    ) -> Self {
+    fn new(rng: &mut StdRng, (nodes, edges, types, width): (usize, usize, usize, usize)) -> Self {
         let mut pick =
             |hi: usize| -> Vec<u32> { (0..edges).map(|_| rng.gen_range(0..hi as u32)).collect() };
         let (src, dst, etype) = (pick(nodes), pick(nodes), pick(types));
@@ -175,7 +114,7 @@ impl EdgeCase {
     }
 
     /// `edge_softmax` and its backward under a `Σ α²` loss.
-    pub fn softmax_fwd_bwd(&self) {
+    fn softmax_fwd_bwd(&self) {
         let mut g = Graph::new();
         let s_src = g.leaf(self.s_src.clone());
         let s_dst = g.leaf(self.s_dst.clone());
@@ -193,7 +132,7 @@ impl EdgeCase {
     }
 
     /// `edge_aggregate` and its backward under a `Σ out²` loss.
-    pub fn aggregate_fwd_bwd(&self) {
+    fn aggregate_fwd_bwd(&self) {
         let mut g = Graph::new();
         let h = g.leaf(self.h.clone());
         let alpha = g.leaf(self.alpha.clone());
@@ -206,7 +145,7 @@ impl EdgeCase {
 /// benchmark's `fleet_q8_*` model (32 × 4 heads, 2 layers — 87 554 scalars
 /// in 62 units on the DBLP-like schema), a locally-moved copy of it, and
 /// the all-units mask FedAvg requests.
-pub struct CodecCase {
+struct CodecCase {
     reference: Arc<ParamSet>,
     updated: ParamSet,
     mask: Vec<bool>,
@@ -215,7 +154,7 @@ pub struct CodecCase {
 impl CodecCase {
     /// Seeded reference parameters and an update a few percent away, with
     /// a random gradient on it for the optimiser step.
-    pub fn new(rng: &mut StdRng) -> Self {
+    fn new(rng: &mut StdRng) -> Self {
         let schema = fedda::data::dblp_like(&fedda::data::PresetOptions {
             scale: 0.0008,
             seed: 1,
@@ -250,12 +189,12 @@ impl CodecCase {
     }
 
     /// Scalars in one report (the `n…` of the case names).
-    pub fn num_scalars(&self) -> usize {
+    fn num_scalars(&self) -> usize {
         self.reference.num_scalars()
     }
 
     /// Mask-then-compress the report under `codec`.
-    pub fn encode(&self, codec: Compression) -> Compressed {
+    fn encode(&self, codec: Compression) -> Compressed {
         codec.build().compress(&Delta {
             updated: &self.updated,
             reference: &self.reference,
@@ -265,7 +204,7 @@ impl CodecCase {
 
     /// The report's delivery as it reaches the server, minus the payload
     /// [`CodecCase::decode`] puts in.
-    pub fn delivery(&self) -> Delivery {
+    fn delivery(&self) -> Delivery {
         Delivery {
             client: 0,
             dispatch_pos: 0,
@@ -283,7 +222,7 @@ impl CodecCase {
 
     /// One server arrival: hand the delivery a copy of `report` (the decode
     /// consumes it; the copy is ~1 byte per scalar under q8) and decode it.
-    pub fn decode(&self, delivery: &mut Delivery, report: &Compressed) {
+    fn decode(&self, delivery: &mut Delivery, report: &Compressed) {
         delivery.payload = Some(InFlight {
             report: report.clone(),
             reference: Arc::clone(&self.reference),
@@ -292,7 +231,7 @@ impl CodecCase {
     }
 
     /// One Adam step over the report's units under their fixed gradient.
-    pub fn adam_step(&mut self, adam: &mut Adam) {
+    fn adam_step(&mut self, adam: &mut Adam) {
         adam.step(&mut self.updated);
     }
 }
@@ -313,52 +252,35 @@ fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
 }
 
 /// Run the whole suite and return per-case results in suite order.
-pub fn run_suite(cfg: &SuiteConfig) -> Vec<CaseResult> {
+pub fn run_suite() -> Vec<CaseResult> {
     let mut out = Vec::new();
-    let push = |cases: &mut Vec<CaseResult>, case: CaseResult| {
-        if cfg.progress {
-            eprintln!(
-                "  {} median {:.3} ms ({} samples x {} iters)",
-                case.name,
-                case.median_ns as f64 / 1e6,
-                case.samples,
-                case.iters
-            );
-        }
-        cases.push(case);
-    };
 
     // 1. The GEMM shapes of a real round, every layout.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SUITE_SEED);
     for &(layout, m, k, n) in GEMM_SHAPES {
         let (a, b, kernel) = gemm_case(&mut rng, layout, (m, k, n));
         // Enough iterations that one sample is about a millisecond.
         let iters = (4_000_000 / (m * k * n)).max(1) as u64;
-        let case = time_case(
-            &format!("gemm/{layout}/{m}x{k}x{n}"),
-            cfg.samples(),
-            iters,
-            || {
-                black_box(kernel(&a, &b));
-            },
-        );
-        push(&mut out, case);
+        let name = format!("gemm/{layout}/{m}x{k}x{n}");
+        out.push(time_case(&name, MIN_SAMPLES, iters, || {
+            black_box(kernel(&a, &b));
+        }));
     }
 
-    // 1b. The fused edge kernels, forward + backward, at real client shapes.
+    // 2. The fused edge kernels, forward + backward, at real client shapes.
     for &shape in EDGE_SHAPES {
         let (nodes, edges, _, width) = shape;
         let edge = EdgeCase::new(&mut rng, shape);
         let name = format!("edge/softmax/E{edges}xN{nodes}");
-        let case = time_case(&name, cfg.samples(), 4, || edge.softmax_fwd_bwd());
-        push(&mut out, case);
+        out.push(time_case(&name, MIN_SAMPLES, 4, || edge.softmax_fwd_bwd()));
         let name = format!("edge/aggregate/E{edges}xN{nodes}xd{width}");
-        let case = time_case(&name, cfg.samples(), 4, || edge.aggregate_fwd_bwd());
-        push(&mut out, case);
+        out.push(time_case(&name, MIN_SAMPLES, 4, || {
+            edge.aggregate_fwd_bwd()
+        }));
     }
 
-    // 1c. The uplink report path at the fleet model's size: each codec's
-    //     encode, the q8 arrival decode, and one optimiser step.
+    // 3. The uplink report path at the fleet model's size: each codec's
+    //    encode, the q8 arrival decode, and one optimiser step.
     let mut codec_case = CodecCase::new(&mut rng);
     let n = codec_case.num_scalars();
     for (label, codec) in [
@@ -367,269 +289,22 @@ pub fn run_suite(cfg: &SuiteConfig) -> Vec<CaseResult> {
         ("topk", Compression::TopK { frac: 0.25 }),
     ] {
         let name = format!("codec/{label}/encode/n{n}");
-        let case = time_case(&name, cfg.samples(), 8, || {
+        out.push(time_case(&name, MIN_SAMPLES, 8, || {
             black_box(codec_case.encode(codec));
-        });
-        push(&mut out, case);
+        }));
     }
     let report = codec_case.encode(Compression::QuantI8);
     let mut delivery = codec_case.delivery();
     let name = format!("codec/q8/decode/n{n}");
-    let case = time_case(&name, cfg.samples(), 8, || {
+    out.push(time_case(&name, MIN_SAMPLES, 8, || {
         codec_case.decode(&mut delivery, &report);
         black_box(&delivery.ret.unit_delta);
-    });
-    push(&mut out, case);
+    }));
     let mut adam = Adam::new(5e-3);
     let name = format!("optim/adam_step/n{n}");
-    let case = time_case(&name, cfg.samples(), 8, || codec_case.adam_step(&mut adam));
-    push(&mut out, case);
-
-    // 2. Simple-HGN forward / forward+backward at the experiment model
-    //    size (mirrors benches/hgn_forward_backward.rs).
-    let graph = fedda::data::dblp_like(&fedda::data::PresetOptions {
-        scale: cfg.hgn_scale(),
-        seed: cfg.seed,
-        ..Default::default()
-    })
-    .graph;
-    let model_cfg = experiment_model(false);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let (model, params) = SimpleHgn::init_params(graph.schema(), &model_cfg, &mut rng);
-    let view = GraphView::new(&graph, model_cfg.add_self_loops);
-    let case = time_case("hgn/forward", cfg.samples(), 2, || {
-        let mut g = Graph::new();
-        let mut tb = TapeBindings::new();
-        black_box(model.encode::<StdRng>(&mut g, &mut tb, &params, &view, None));
-    });
-    push(&mut out, case);
-
-    let sampler = LinkSampler::new(&graph);
-    let mut rng2 = StdRng::seed_from_u64(cfg.seed ^ 1);
-    let pos = sampler.all_positives();
-    let examples = sampler.with_negatives(&pos[..256.min(pos.len())], 1, &mut rng2);
-    let targets: Arc<Vec<f32>> = Arc::new(
-        examples
-            .iter()
-            .map(|e| if e.label { 1.0 } else { 0.0 })
-            .collect(),
-    );
-    let case = time_case("hgn/forward_backward", cfg.samples(), 2, || {
-        let mut g = Graph::new();
-        let mut tb = TapeBindings::new();
-        let emb = model.encode::<StdRng>(&mut g, &mut tb, &params, &view, None);
-        let logits = model.score_links(&mut g, &mut tb, &params, emb, &examples);
-        let loss = g.bce_with_logits(logits, targets.clone());
-        g.backward(loss);
-    });
-    push(&mut out, case);
-
-    // 3. One full FL round per protocol at several dataset scales
-    //    (mirrors benches/fl_round.rs; dataset generation and the split
-    //    are setup, not timed).
-    for &scale in cfg.fl_scales() {
-        let exp = Experiment::new(ExperimentConfig {
-            dataset: Dataset::DblpLike,
-            scale,
-            num_clients: 4,
-            rounds: 1,
-            runs: 1,
-            model: experiment_model(false),
-            train: experiment_train(),
-            seed: cfg.seed,
-            ..Default::default()
-        });
-        let protocols: &[(&str, Framework)] = &[
-            ("fedavg", Framework::FedAvg(FedAvg::vanilla())),
-            ("fedda_restart", Framework::FedDa(FedDa::restart())),
-            ("fedda_explore", Framework::FedDa(FedDa::explore())),
-        ];
-        for (label, framework) in protocols {
-            let case = time_case(
-                &format!("fl_round/{label}/s{scale}"),
-                cfg.samples(),
-                1,
-                || {
-                    black_box(exp.run_framework(framework));
-                },
-            );
-            push(&mut out, case);
-        }
-    }
-
-    // 4. The same round under the buffered-async runtime (K = 2,
-    //    γ = 0.9) at the smallest FL scale — pins the event-queue
-    //    overhead relative to the sync facade above.
-    let async_exp = Experiment::new(ExperimentConfig {
-        dataset: Dataset::DblpLike,
-        scale: cfg.fl_scales()[0],
-        num_clients: 4,
-        rounds: 1,
-        runs: 1,
-        model: experiment_model(false),
-        train: experiment_train(),
-        seed: cfg.seed,
-        runtime: RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
-        ..Default::default()
-    });
-    let protocols: &[(&str, Framework)] = &[
-        ("fedavg", Framework::FedAvg(FedAvg::vanilla())),
-        ("fedda_explore", Framework::FedDa(FedDa::explore())),
-    ];
-    for (label, framework) in protocols {
-        let case = time_case(
-            &format!("fl_round_async/{label}/s{}", cfg.fl_scales()[0]),
-            cfg.samples(),
-            1,
-            || {
-                black_box(async_exp.run_framework(framework));
-            },
-        );
-        push(&mut out, case);
-    }
-
-    // 4b. The same sync round through each uplink codec at the smallest
-    //     FL scale — pins the encode/decode overhead of the Compressor
-    //     stage relative to the uncompressed `fl_round/fedavg` case above
-    //     (ident isolates pure framing cost, the lossy codecs add their
-    //     quantization/selection arithmetic).
-    for compression in [
-        Compression::Identity,
-        Compression::QuantI8,
-        Compression::QuantF16,
-        Compression::TopK { frac: 0.25 },
-    ] {
-        let exp = Experiment::new(ExperimentConfig {
-            dataset: Dataset::DblpLike,
-            scale: cfg.fl_scales()[0],
-            num_clients: 4,
-            rounds: 1,
-            runs: 1,
-            model: experiment_model(false),
-            train: experiment_train(),
-            seed: cfg.seed,
-            compression: Some(compression),
-            ..Default::default()
-        });
-        let label = match compression {
-            Compression::Identity => "ident",
-            Compression::QuantI8 => "q8",
-            Compression::QuantF16 => "f16",
-            Compression::TopK { .. } => "topk",
-        };
-        let case = time_case(
-            &format!("fl_round_compressed/{label}/s{}", cfg.fl_scales()[0]),
-            cfg.samples(),
-            1,
-            || {
-                black_box(exp.run_framework(&Framework::FedAvg(FedAvg::vanilla())));
-            },
-        );
-        push(&mut out, case);
-    }
-
-    // 5. Large-federation throughput: one round over 10³–10⁴ registered
-    //    clients with paper-style fraction sampling (C chosen so ~32
-    //    clients dispatch per round), in both runtimes. The federation
-    //    replicates a tiny partitioned dataset — per-client work stays
-    //    constant while registration count scales, so these cases measure
-    //    the runtime's scheduling/selection overhead. Throughput lands in
-    //    the snapshot as clients_per_sec / rounds_per_sec.
-    for &m in cfg.throughput_clients() {
-        for runtime in ["sync", "async"] {
-            let (mut sys, dispatched) = throughput_system(m, cfg.seed);
-            let mut case = time_case(
-                &format!("fl_throughput/{runtime}/m{m}"),
-                cfg.samples(),
-                1,
-                || {
-                    let result = match runtime {
-                        "sync" => RoundDriver::new()
-                            .run(&mut FedAvg::with_fractions(32.0 / m as f64, 1.0), &mut sys),
-                        _ => AsyncDriver::new(AsyncConfig { k: 8, gamma: 0.9 })
-                            .run(&mut FedAvg::with_fractions(32.0 / m as f64, 1.0), &mut sys),
-                    };
-                    black_box(result.expect("throughput run"));
-                },
-            );
-            let sec = (case.median_ns.max(1)) as f64 / 1e9;
-            case.clients_per_sec = Some(dispatched as f64 / sec);
-            case.rounds_per_sec = Some(1.0 / sec);
-            push(&mut out, case);
-        }
-    }
+    out.push(time_case(&name, MIN_SAMPLES, 8, || {
+        codec_case.adam_step(&mut adam)
+    }));
 
     out
-}
-
-/// Build the large-federation system for the throughput cases: a tiny
-/// DBLP-like graph partitioned into 4 real clients, replicated cyclically
-/// to `m` registered clients (each replica gets its own derived RNG seed
-/// from `FlSystem::new`). Returns the system plus the per-round dispatch
-/// count under `C = 32/m`.
-fn throughput_system(m: usize, seed: u64) -> (FlSystem, usize) {
-    let g = fedda::data::dblp_like(&fedda::data::PresetOptions {
-        scale: 0.0008,
-        seed,
-        ..Default::default()
-    })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = fedda::data::PartitionConfig::paper_defaults(4, g.schema().num_edge_types(), seed);
-    let base = fedda::data::partition_non_iid(&split.train, &pcfg);
-    let clients: Vec<fedda::data::ClientData> =
-        (0..m).map(|i| base[i % base.len()].clone()).collect();
-    let cfg = FlConfig {
-        rounds: 1,
-        model: fedda_hgn::HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 1,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: experiment_train(),
-        eval_negatives: 2,
-        seed,
-        parallel: true,
-        workers: Some(8),
-        ..Default::default()
-    };
-    let dispatched = ((m as f64) * (32.0 / m as f64)).round().max(1.0) as usize;
-    (
-        FlSystem::new(&split.train, &split.test, clients, cfg),
-        dispatched,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profiles_differ_and_are_labelled() {
-        let smoke = SuiteConfig {
-            smoke: true,
-            seed: 0,
-            samples: None,
-            progress: false,
-        };
-        let full = SuiteConfig {
-            smoke: false,
-            ..smoke
-        };
-        assert_eq!(smoke.label(), "smoke");
-        assert_eq!(full.label(), "full");
-        assert!(smoke.fl_scales().len() < full.fl_scales().len());
-        assert!(smoke.samples() < full.samples());
-        assert_eq!(
-            SuiteConfig {
-                samples: Some(1),
-                ..smoke
-            }
-            .samples(),
-            1
-        );
-    }
 }

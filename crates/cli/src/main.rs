@@ -177,6 +177,7 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
     let dataset = parse_dataset(opts)?;
     let framework = parse_framework(opts.get_str("framework").unwrap_or("fedda-explore"), opts)?;
     let cfg = base_config(dataset, opts);
+    cfg.validate()?;
     println!(
         "training {} on {} (M={}, {} runs x {} rounds, scale {})",
         framework.name(),

@@ -122,6 +122,30 @@ impl Default for ExperimentConfig {
     }
 }
 
+impl ExperimentConfig {
+    /// Reject grid sizes no run can be built from, before any data is
+    /// generated: at least one client, round and run, and a finite,
+    /// positive scale.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_clients == 0 {
+            return Err("clients must be at least 1, got 0".into());
+        }
+        if self.rounds == 0 {
+            return Err("rounds must be at least 1, got 0".into());
+        }
+        if self.runs == 0 {
+            return Err("runs must be at least 1, got 0".into());
+        }
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(format!(
+                "scale must be finite and positive, got {}",
+                self.scale
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// A framework under comparison.
 #[derive(Clone, Debug)]
 pub enum Framework {
@@ -411,6 +435,38 @@ mod tests {
             faults: None,
             compression: None,
         }
+    }
+
+    #[test]
+    fn validate_pins_each_rejection_message() {
+        let reject = |edit: fn(&mut ExperimentConfig)| {
+            let mut cfg = quick_cfg();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        assert_eq!(quick_cfg().validate(), Ok(()));
+        assert_eq!(
+            reject(|c| c.num_clients = 0),
+            "clients must be at least 1, got 0"
+        );
+        assert_eq!(reject(|c| c.rounds = 0), "rounds must be at least 1, got 0");
+        assert_eq!(reject(|c| c.runs = 0), "runs must be at least 1, got 0");
+        assert_eq!(
+            reject(|c| c.scale = 0.0),
+            "scale must be finite and positive, got 0"
+        );
+        assert_eq!(
+            reject(|c| c.scale = -1.0),
+            "scale must be finite and positive, got -1"
+        );
+        assert_eq!(
+            reject(|c| c.scale = f64::NAN),
+            "scale must be finite and positive, got NaN"
+        );
+        assert_eq!(
+            reject(|c| c.scale = f64::INFINITY),
+            "scale must be finite and positive, got inf"
+        );
     }
 
     #[test]

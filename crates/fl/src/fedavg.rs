@@ -12,10 +12,9 @@
 //! bookkeeping.
 
 use crate::engine::RoundDriver;
-use crate::protocol::FlProtocol;
+use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol};
 use crate::system::{FlSystem, RunResult};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 
 /// FedAvg protocol configuration (and, being stateless, the
 /// [`FlProtocol`] implementation itself).
@@ -81,12 +80,7 @@ impl FlProtocol for FedAvg {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if !(self.client_fraction > 0.0 && self.client_fraction <= 1.0) {
-            return Err(format!(
-                "client_fraction must be in (0,1], got {}",
-                self.client_fraction
-            ));
-        }
+        check_client_fraction(self.client_fraction)?;
         if !(self.param_fraction > 0.0 && self.param_fraction <= 1.0) {
             return Err(format!(
                 "param_fraction must be in (0,1], got {}",
@@ -101,13 +95,7 @@ impl FlProtocol for FedAvg {
     }
 
     fn select_clients(&mut self, system: &FlSystem, _round: usize, rng: &mut StdRng) -> Vec<usize> {
-        let m = system.num_clients();
-        let take = ((m as f64) * self.client_fraction).round().max(1.0) as usize;
-        let mut order: Vec<usize> = (0..m).collect();
-        order.shuffle(rng);
-        let mut active = order[..take.min(m)].to_vec();
-        active.sort_unstable();
-        active
+        sample_client_fraction(system.num_clients(), self.client_fraction, rng)
     }
 
     fn build_masks(

@@ -32,10 +32,11 @@
 //! the correction (their delta is against an older broadcast).
 
 use crate::engine::RoundDriver;
-use crate::protocol::{FlProtocol, LocalPenalty, StepOutcome};
+use crate::protocol::{
+    check_client_fraction, sample_client_fraction, FlProtocol, LocalPenalty, StepOutcome,
+};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 
 /// FedDyn hyper-parameters. Build per-run protocol state with
 /// [`FedDyn::protocol`].
@@ -75,13 +76,7 @@ impl FedDyn {
                 self.alpha
             ));
         }
-        if !(self.client_fraction > 0.0 && self.client_fraction <= 1.0) {
-            return Err(format!(
-                "client_fraction must be in (0,1], got {}",
-                self.client_fraction
-            ));
-        }
-        Ok(())
+        check_client_fraction(self.client_fraction)
     }
 
     /// A fresh per-run [`FlProtocol`] state machine for these
@@ -171,13 +166,7 @@ impl FlProtocol for FedDynProtocol {
         // Stash the anchor before anyone trains: post_aggregate's deltas
         // and the client penalties are all against this broadcast.
         self.broadcast = system.global.flatten();
-        let m = system.num_clients();
-        let take = ((m as f64) * self.cfg.client_fraction).round().max(1.0) as usize;
-        let mut order: Vec<usize> = (0..m).collect();
-        order.shuffle(rng);
-        let mut active = order[..take.min(m)].to_vec();
-        active.sort_unstable();
-        active
+        sample_client_fraction(system.num_clients(), self.cfg.client_fraction, rng)
     }
 
     fn local_regularizer(

@@ -22,10 +22,9 @@
 //! deterministically on the decayed momentum.
 
 use crate::engine::RoundDriver;
-use crate::protocol::{FlProtocol, StepOutcome};
+use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 
 /// FedAdam hyper-parameters (the FedOpt paper's server-side Adam). Build
 /// per-run protocol state with [`FedAdam::protocol`].
@@ -86,13 +85,7 @@ impl FedAdam {
                 self.epsilon
             ));
         }
-        if !(self.client_fraction > 0.0 && self.client_fraction <= 1.0) {
-            return Err(format!(
-                "client_fraction must be in (0,1], got {}",
-                self.client_fraction
-            ));
-        }
-        Ok(())
+        check_client_fraction(self.client_fraction)
     }
 
     /// A fresh per-run [`FlProtocol`] state machine for these
@@ -195,13 +188,7 @@ impl FlProtocol for FedAdamProtocol {
 
     fn select_clients(&mut self, system: &FlSystem, _round: usize, rng: &mut StdRng) -> Vec<usize> {
         self.broadcast = system.global.flatten();
-        let m = system.num_clients();
-        let take = ((m as f64) * self.cfg.client_fraction).round().max(1.0) as usize;
-        let mut order: Vec<usize> = (0..m).collect();
-        order.shuffle(rng);
-        let mut active = order[..take.min(m)].to_vec();
-        active.sort_unstable();
-        active
+        sample_client_fraction(system.num_clients(), self.cfg.client_fraction, rng)
     }
 
     fn build_masks(

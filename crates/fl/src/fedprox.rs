@@ -15,10 +15,9 @@
 //! stream tweak, so curves are comparable-by-seed, not bit-identical).
 
 use crate::engine::RoundDriver;
-use crate::protocol::{FlProtocol, LocalPenalty};
+use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol, LocalPenalty};
 use crate::system::{FlSystem, RunResult};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 
 /// FedProx protocol configuration (and, being stateless, the
 /// [`FlProtocol`] implementation itself).
@@ -90,13 +89,7 @@ impl FlProtocol for FedProx {
                 self.mu
             ));
         }
-        if !(self.client_fraction > 0.0 && self.client_fraction <= 1.0) {
-            return Err(format!(
-                "client_fraction must be in (0,1], got {}",
-                self.client_fraction
-            ));
-        }
-        Ok(())
+        check_client_fraction(self.client_fraction)
     }
 
     fn seed_tweak(&self) -> u64 {
@@ -104,13 +97,7 @@ impl FlProtocol for FedProx {
     }
 
     fn select_clients(&mut self, system: &FlSystem, _round: usize, rng: &mut StdRng) -> Vec<usize> {
-        let m = system.num_clients();
-        let take = ((m as f64) * self.client_fraction).round().max(1.0) as usize;
-        let mut order: Vec<usize> = (0..m).collect();
-        order.shuffle(rng);
-        let mut active = order[..take.min(m)].to_vec();
-        active.sort_unstable();
-        active
+        sample_client_fraction(system.num_clients(), self.client_fraction, rng)
     }
 
     fn local_regularizer(

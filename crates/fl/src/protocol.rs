@@ -47,6 +47,7 @@
 use crate::faults::FaultObserved;
 use crate::system::{ClientReturn, FlSystem};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 
 /// What a protocol's [`post_aggregate`](FlProtocol::post_aggregate) hook
 /// reports back to the driver: the activation changes of the round.
@@ -175,5 +176,25 @@ pub trait FlProtocol {
     ) -> StepOutcome {
         let _ = (system, active, returns, round, rng);
         StepOutcome::default()
+    }
+}
+
+/// The paper's random client fraction `C`: a seeded shuffle of all `m`
+/// clients, the first `round(m·C)` of them (at least one), ascending.
+pub(crate) fn sample_client_fraction(m: usize, fraction: f64, rng: &mut StdRng) -> Vec<usize> {
+    let take = ((m as f64) * fraction).round().max(1.0) as usize;
+    let mut order: Vec<usize> = (0..m).collect();
+    order.shuffle(rng);
+    let mut active = order[..take.min(m)].to_vec();
+    active.sort_unstable();
+    active
+}
+
+/// The [`FlProtocol::validate`] arm every fraction-sampling protocol shares.
+pub(crate) fn check_client_fraction(fraction: f64) -> Result<(), String> {
+    if fraction > 0.0 && fraction <= 1.0 {
+        Ok(())
+    } else {
+        Err(format!("client_fraction must be in (0,1], got {fraction}"))
     }
 }

@@ -198,12 +198,12 @@ impl WorkerPool {
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
         let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..effective {
                 let tx = tx.clone();
                 let next = &next;
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     fedda_tensor::gemm::with_kernel_threads(1, || loop {
                         let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         if i >= items.len() {
@@ -215,9 +215,7 @@ impl WorkerPool {
                     })
                 });
             }
-        })
-        // fedda-lint: allow(panic-path, reason = "re-raises a worker panic after the scope unwinds; there is no partial result to salvage")
-        .expect("worker pool scope failed");
+        });
         drop(tx);
         let mut out: Vec<Option<R>> = Vec::new();
         out.resize_with(items.len(), || None);

@@ -74,7 +74,7 @@ pub struct FlConfig {
     pub eval_every: usize,
     /// Run seed: drives model init, client sampling and evaluation.
     pub seed: u64,
-    /// Run client updates on crossbeam threads.
+    /// Run client updates on scoped worker threads.
     pub parallel: bool,
     /// Worker-pool size for parallel client updates; `None` keeps the
     /// historical one-thread-per-dispatched-client shape, a bound (e.g.

@@ -48,7 +48,7 @@
 //! [`with_kernel_threads`] applies a thread-local cap on top, which is how
 //! the FL simulator keeps `per-client threads × kernel threads` from
 //! oversubscribing the machine (see `fedda_fl::system`). Threads are
-//! scoped (crossbeam), spawned per call for products of at least
+//! scoped (`std::thread::scope`), spawned per call for products of at least
 //! [`BLOCK_THRESHOLD`] multiply-adds; row ranges are contiguous.
 
 use crate::Matrix;
@@ -148,13 +148,11 @@ fn partition_rows(out: &mut Matrix, threads: usize, body: impl Fn(usize, &mut [f
     }
     let rows_per = m.div_ceil(threads);
     let body = &body;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (t, chunk) in out.as_mut_slice().chunks_mut(rows_per * n).enumerate() {
-            s.spawn(move |_| body(t * rows_per, chunk));
+            s.spawn(move || body(t * rows_per, chunk));
         }
-    })
-    // fedda-lint: allow(panic-path, reason = "re-raises a worker panic on the caller thread; swallowing it would return a half-written output matrix")
-    .expect("gemm worker panicked");
+    });
 }
 
 /// `op(A)` and `B` of one product, as the tile reads them.
