@@ -18,7 +18,7 @@ use fedda::experiment::{Dataset, Experiment, Framework, FrameworkResult};
 use fedda::fl::{AggWeighting, FedDa, MaskRule, PrivacyConfig, Reactivation};
 use fedda::hgn::Decoder;
 use fedda::table::TextTable;
-use fedda_bench::{base_config, maybe_write_json, pm, Options};
+use fedda_bench::{base_config, maybe_write_json, pm, run_main, Failure, Options};
 use serde_json::json;
 
 fn row_json(ablation: &str, setting: &str, res: &FrameworkResult) -> serde_json::Value {
@@ -31,9 +31,11 @@ fn row_json(ablation: &str, setting: &str, res: &FrameworkResult) -> serde_json:
 }
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = base_config(Dataset::DblpLike, &opts);
-    cfg.num_clients = opts.get("clients").unwrap_or(8);
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    let cfg = base_config(Dataset::DblpLike, &opts)?;
     let mut json_blobs = Vec::new();
     let mut table = TextTable::new(&["Ablation", "Setting", "ROC-AUC", "Best AUC", "Uplink units"]);
 
@@ -48,7 +50,7 @@ fn main() {
     ] {
         let mut fedda = FedDa::explore();
         fedda.mask_rule = rule;
-        let res = exp.run_framework(&Framework::FedDa(fedda));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda))?;
         table.row(&[
             "mask rule".into(),
             setting.into(),
@@ -68,7 +70,7 @@ fn main() {
             _ => {}
         }
         let exp = Experiment::new(c);
-        let res = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+        let res = opts.run_framework(&exp, &Framework::FedDa(FedDa::explore()))?;
         table.row(&[
             "encoder".into(),
             setting.into(),
@@ -87,7 +89,7 @@ fn main() {
         let mut c = cfg.clone();
         c.model.decoder = dec;
         let exp = Experiment::new(c);
-        let res = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+        let res = opts.run_framework(&exp, &Framework::FedDa(FedDa::explore()))?;
         table.row(&[
             "decoder".into(),
             setting.into(),
@@ -103,7 +105,7 @@ fn main() {
     for (setting, cooldown) in [("cool-down on (paper)", true), ("cool-down off", false)] {
         let mut fedda = FedDa::explore();
         fedda.explore_cooldown = cooldown;
-        let res = exp.run_framework(&Framework::FedDa(fedda));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda))?;
         table.row(&[
             "explore cool-down".into(),
             setting.into(),
@@ -125,7 +127,7 @@ fn main() {
             f
         }),
     ] {
-        let res = exp.run_framework(&Framework::FedDa(fedda));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda))?;
         table.row(&[
             "reactivation".into(),
             setting.into(),
@@ -144,7 +146,7 @@ fn main() {
         let mut c = cfg.clone();
         c.weighting = weighting;
         let exp = Experiment::new(c);
-        let res = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+        let res = opts.run_framework(&exp, &Framework::FedDa(FedDa::explore()))?;
         table.row(&[
             "agg weighting".into(),
             setting.into(),
@@ -176,7 +178,7 @@ fn main() {
         let mut c = cfg.clone();
         c.privacy = privacy;
         let exp = Experiment::new(c);
-        let res = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+        let res = opts.run_framework(&exp, &Framework::FedDa(FedDa::explore()))?;
         table.row(&[
             "privacy".into(),
             setting.into(),
@@ -190,5 +192,5 @@ fn main() {
     println!("== Ablations (DBLP-like, M={}) ==\n", cfg.num_clients);
     println!("{}", table.render());
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -16,7 +16,7 @@
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{Compression, FedAvg, FedDa};
 use fedda::table::TextTable;
-use fedda_bench::{base_config, maybe_write_json, pm, usage, Options};
+use fedda_bench::{base_config, maybe_write_json, pm, run_main, Failure, Options};
 use serde_json::json;
 
 /// The codec sweep, densest first: `None` is the uncompressed baseline,
@@ -38,13 +38,13 @@ fn codecs(quick: bool) -> Vec<Option<Compression>> {
 }
 
 fn main() {
-    let opts = Options::from_env();
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
     if opts.has("compress") {
-        eprintln!(
-            "error: auc_vs_bytes sweeps every codec itself; drop --compress\n{}",
-            usage()
-        );
-        std::process::exit(2);
+        let msg = "auc_vs_bytes sweeps every codec itself; drop --compress";
+        return Err(Failure::Usage(msg.into()));
     }
     let dataset = match opts.get_str("dataset").unwrap_or("dblp") {
         d if d.eq_ignore_ascii_case("amazon") => Dataset::AmazonLike,
@@ -78,7 +78,7 @@ fn main() {
         let mut baseline_bytes = f64::NAN;
         let mut prev_bytes = f64::INFINITY;
         for codec in codecs(opts.quick) {
-            let mut cfg = base_config(dataset, &opts);
+            let mut cfg = base_config(dataset, &opts)?;
             cfg.compression = codec;
             let exp = Experiment::new(cfg);
             let label = codec.map_or_else(|| "none".to_string(), |c| c.label());
@@ -88,7 +88,7 @@ fn main() {
                 exp.config().runs,
                 exp.config().rounds
             );
-            let res = exp.run_framework(framework);
+            let res = opts.run_framework(&exp, framework)?;
             if codec.is_none() {
                 baseline_auc = res.final_auc.mean;
                 baseline_bytes = res.uplink_bytes.mean;
@@ -139,5 +139,5 @@ fn main() {
         "(Uplink B is the comm ledger's cumulative compressed payload bytes,\n charged at arrival. 'ident' must match 'none' exactly; lossy codecs\n trade the dAUC column for the Ratio column. FedAvg's bytes shrink\n monotonically along the sweep by construction; FedDA's dynamic masks\n react to the lossy updates, so its Ratio can drift off the nominal\n codec ratio — that drift is part of the result.)"
     );
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -9,13 +9,15 @@
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{analysis, FedDa, Reactivation};
 use fedda::table::TextTable;
-use fedda_bench::{base_config, maybe_write_json, Options};
+use fedda_bench::{base_config, maybe_write_json, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = base_config(Dataset::DblpLike, &opts);
-    cfg.num_clients = opts.get("clients").unwrap_or(8);
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    let mut cfg = base_config(Dataset::DblpLike, &opts)?;
     cfg.runs = 1; // one run is enough to fit the analytic model
     let exp = Experiment::new(cfg);
     let system = exp.system_for_run(0);
@@ -41,17 +43,15 @@ fn main() {
         ("Restart b=0.4", FedDa::restart()),
         ("Explore b=0.667", FedDa::explore()),
     ] {
-        let res = exp.run_framework(&Framework::FedDa(fedda.clone()));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda.clone()))?;
         let rounds = res.auc_curves.num_rounds();
         let measured = res.uplink_units.mean;
         let fedavg_total = (rounds * m * n) as f64;
 
         // Estimate r_c: mean ratio of consecutive active-client counts in
         // shrinking phases; estimate r_p: mean masked fraction per active
-        // client after round 0.
-        let mut sys = exp.system_for_run(0);
-        let run = fedda.run(&mut sys);
-        let comm = run.comm.rounds();
+        // client after round 0 — both from the measured run's own ledger.
+        let comm = res.runs[0].comm.rounds();
         let mut rc_samples = Vec::new();
         let mut rp_samples = Vec::new();
         for w in comm.windows(2) {
@@ -111,7 +111,7 @@ fn main() {
          the FedAvg ratio column is the paper's headline savings."
     );
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }
 
 fn mean(v: &[f64]) -> Option<f64> {

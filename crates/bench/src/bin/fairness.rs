@@ -8,15 +8,17 @@
 //! [--json out.json]`
 
 use fedda::experiment::{Dataset, Experiment};
-use fedda::fl::{FedAvg, FedDa};
+use fedda::fl::{FedAvg, FedDa, FlProtocol};
 use fedda::table::TextTable;
-use fedda_bench::{base_config, maybe_write_json, Options};
+use fedda_bench::{base_config, maybe_write_json, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = base_config(Dataset::DblpLike, &opts);
-    cfg.num_clients = opts.get("clients").unwrap_or(8);
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    let mut cfg = base_config(Dataset::DblpLike, &opts)?;
     cfg.runs = 1; // one representative run; the breakdown is the point
     let exp = Experiment::new(cfg);
 
@@ -26,36 +28,28 @@ fn main() {
         exp.config().rounds
     );
 
+    let schema = exp.split().test.schema();
+    let mut header = vec!["Framework".to_string()];
+    header.extend(
+        schema
+            .edge_type_ids()
+            .map(|t| schema.edge_type(t).name.clone()),
+    );
+    header.extend(["macro".into(), "weighted".into(), "gap".into()]);
+    let mut table = TextTable::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
     let mut json_blobs = Vec::new();
-    let mut table: Option<TextTable> = None;
-    for name in ["FedAvg", "FedDA 1 (Restart)", "FedDA 2 (Explore)"] {
+    let protocols: [Box<dyn FlProtocol>; 3] = [
+        Box::new(FedAvg::vanilla()),
+        Box::new(FedDa::restart().protocol()),
+        Box::new(FedDa::explore().protocol()),
+    ];
+    for mut protocol in protocols {
+        // The breakdown needs the trained system itself, not a run summary.
         let mut system = exp.system_for_run(0);
-        match name {
-            "FedAvg" => {
-                FedAvg::vanilla().run(&mut system);
-            }
-            "FedDA 1 (Restart)" => {
-                FedDa::restart().run(&mut system);
-            }
-            _ => {
-                FedDa::explore().run(&mut system);
-            }
-        }
+        opts.run_on(&exp, protocol.as_mut(), &mut system)?;
         let detail = system.evaluate_global_detailed(exp.config().rounds);
-        if table.is_none() {
-            let mut header: Vec<String> = vec!["Framework".into()];
-            header.extend(
-                detail
-                    .auc_by_edge_type
-                    .groups
-                    .iter()
-                    .map(|(n, _, _)| n.clone()),
-            );
-            header.extend(["macro".into(), "weighted".into(), "gap".into()]);
-            let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-            table = Some(TextTable::new(&refs));
-        }
-        let mut row: Vec<String> = vec![name.into()];
+        let name = protocol.name();
+        let mut row = vec![name.clone()];
         row.extend(
             detail
                 .auc_by_edge_type
@@ -66,7 +60,7 @@ fn main() {
         row.push(format!("{:.4}", detail.auc_by_edge_type.macro_mean()));
         row.push(format!("{:.4}", detail.auc_by_edge_type.weighted_mean()));
         row.push(format!("{:.4}", detail.auc_by_edge_type.gap()));
-        table.as_mut().unwrap().row(&row);
+        table.row(&row);
         json_blobs.push(json!({
             "framework": name,
             "auc_by_edge_type": detail
@@ -80,11 +74,11 @@ fn main() {
             "gap": detail.auc_by_edge_type.gap(),
         }));
     }
-    println!("{}", table.unwrap().render());
+    println!("{}", table.render());
     println!(
         "gap = max − min per-type AUC; a smaller gap means the global model\n\
          serves rare link types as well as dominant ones."
     );
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -11,13 +11,14 @@
 //! [--quick|--paper] [--rate-steps n] [--json out.json]`
 //!
 //! Each row injects `drop=r, straggle=r/2 (delay ≤ 2, discount γ=0.5),
-//! corrupt=r/2 (NaN)`; pass `--faults <spec>` to any *other* bench binary
-//! to run its table under a custom fault mix instead.
+//! corrupt=r/2 (NaN)`, so `--faults` is rejected here — it would silently
+//! contradict the sweep; pass it to any *other* bench binary to run its
+//! table under a custom fault mix instead.
 
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{Corruption, FaultConfig, FedAvg, FedDa, StalenessPolicy};
 use fedda::table::TextTable;
-use fedda_bench::{base_config, maybe_write_json, pm, Options};
+use fedda_bench::{base_config, maybe_write_json, pm, run_main, Failure, Options};
 use serde_json::json;
 
 /// The mixed fault schedule at headline dropout rate `r`.
@@ -37,8 +38,15 @@ fn mix(rate: f64) -> Option<FaultConfig> {
 }
 
 fn main() {
-    let opts = Options::from_env();
-    let rates: Vec<f64> = match opts.get::<usize>("rate-steps") {
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    if opts.has("faults") {
+        let msg = "faults sweeps its own fault mix; drop --faults";
+        return Err(Failure::Usage(msg.into()));
+    }
+    let rates: Vec<f64> = match opts.get::<usize>("rate-steps")? {
         Some(n) => (0..n)
             .map(|i| 0.4 * i as f64 / (n - 1).max(1) as f64)
             .collect(),
@@ -52,7 +60,7 @@ fn main() {
     let mut json_blobs = Vec::new();
     let mut table = TextTable::new(&["Fault rate", "Framework", "AUC", "MRR", "Uplink", "Faults"]);
     for &rate in &rates {
-        let mut cfg = base_config(Dataset::DblpLike, &opts);
+        let mut cfg = base_config(Dataset::DblpLike, &opts)?;
         cfg.faults = mix(rate);
         let exp = Experiment::new(cfg);
         eprintln!(
@@ -61,17 +69,10 @@ fn main() {
             exp.config().rounds
         );
         for framework in &frameworks {
-            let res = exp.run_framework(framework);
-            // One representative run for the fault count (the schedule is
-            // per-seed, so counts vary across runs).
-            let mut system = exp.system_for_run(0);
-            let faults = match framework.protocol() {
-                Some(mut p) => fedda::fl::RoundDriver::new()
-                    .run(p.as_mut(), &mut system)
-                    .map(|r| r.faults.len())
-                    .unwrap_or(0),
-                None => 0,
-            };
+            let res = opts.run_framework(&exp, framework)?;
+            // Run 0 is the representative for the fault count (the schedule
+            // is per-seed, so counts vary across runs).
+            let faults = res.runs.first().map_or(0, |r| r.faults.len());
             table.row(&[
                 format!("{rate:.2}"),
                 res.name.clone(),
@@ -95,5 +96,5 @@ fn main() {
         "(Dropout rate r also injects stragglers at r/2 with gamma=0.5 staleness\n discounting and NaN corruption at r/2; corrupted updates are rejected by\n the server's non-finite check. AUC should degrade gracefully, not collapse.)"
     );
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -10,11 +10,14 @@
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::FedAvg;
 use fedda::report;
-use fedda_bench::{base_config, maybe_write_json, render_curve, Options};
+use fedda_bench::{base_config, maybe_write_json, render_curve, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
     let mut results_json = Vec::new();
 
     // The paper's preliminary study runs a small DBLP subgraph with six
@@ -22,8 +25,8 @@ fn main() {
     let fractions = [1.0, 0.8, 0.67];
     for iid in [true, false] {
         let label = if iid { "IID" } else { "Non-IID" };
-        let mut cfg = base_config(Dataset::DblpLike, &opts);
-        cfg.num_clients = opts.get("clients").unwrap_or(6);
+        let mut cfg = base_config(Dataset::DblpLike, &opts)?;
+        cfg.num_clients = opts.get("clients")?.unwrap_or(6);
         cfg.iid = iid;
         let exp = Experiment::new(cfg);
 
@@ -33,7 +36,7 @@ fn main() {
         );
         for &c in &fractions {
             let fw = Framework::FedAvg(FedAvg::with_fractions(c, 1.0));
-            let res = exp.run_framework(&fw);
+            let res = opts.run_framework(&exp, &fw)?;
             println!(
                 "{}",
                 render_curve(
@@ -59,7 +62,7 @@ fn main() {
         );
         for &d in &fractions {
             let fw = Framework::FedAvg(FedAvg::with_fractions(1.0, d));
-            let res = exp.run_framework(&fw);
+            let res = opts.run_framework(&exp, &fw)?;
             println!(
                 "{}",
                 render_curve(
@@ -100,5 +103,5 @@ fn main() {
                 .map(|(k, r)| json!({"setting": k, "data": report::framework_to_json(r)}))
                 .collect::<Vec<_>>(),
         }),
-    );
+    )
 }

@@ -8,16 +8,19 @@
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
 use fedda::report;
-use fedda_bench::{base_config, maybe_write_json, render_curve, Options};
+use fedda_bench::{base_config, maybe_write_json, render_curve, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
     let mut json_blobs = Vec::new();
 
     for dataset in [Dataset::DblpLike, Dataset::AmazonLike] {
-        let mut cfg = base_config(dataset, &opts);
-        cfg.num_clients = opts.get("clients").unwrap_or(16);
+        let mut cfg = base_config(dataset, &opts)?;
+        cfg.num_clients = opts.get("clients")?.unwrap_or(16);
         let exp = Experiment::new(cfg);
         println!(
             "== Fig. 5: {} convergence, M={} ({} runs x {} rounds) ==\n",
@@ -34,7 +37,7 @@ fn main() {
         ];
         let mut results = Vec::new();
         for fw in &frameworks {
-            let res = exp.run_framework(fw);
+            let res = opts.run_framework(&exp, fw)?;
             println!(
                 "{}",
                 render_curve(
@@ -99,5 +102,5 @@ fn main() {
         ));
     }
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

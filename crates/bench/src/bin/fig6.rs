@@ -8,13 +8,16 @@
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedDa, Reactivation};
 use fedda::report;
-use fedda_bench::{base_config, maybe_write_json, render_curve, Options};
+use fedda_bench::{base_config, maybe_write_json, render_curve, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
-    let mut cfg = base_config(Dataset::DblpLike, &opts);
-    cfg.num_clients = opts.get("clients").unwrap_or(16);
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    let mut cfg = base_config(Dataset::DblpLike, &opts)?;
+    cfg.num_clients = opts.get("clients")?.unwrap_or(16);
     let exp = Experiment::new(cfg);
     let mut json_blobs = Vec::new();
 
@@ -29,7 +32,7 @@ fn main() {
     for beta_r in [0.2, 0.4, 0.6, 0.8] {
         let mut fedda = FedDa::restart();
         fedda.strategy = Reactivation::Restart { beta_r };
-        let res = exp.run_framework(&Framework::FedDa(fedda));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda))?;
         println!(
             "{}",
             render_curve(
@@ -52,7 +55,7 @@ fn main() {
     for alpha in [0.25, 0.5, 0.75] {
         let mut fedda = FedDa::explore();
         fedda.alpha = alpha;
-        let res = exp.run_framework(&Framework::FedDa(fedda));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda))?;
         println!(
             "{}",
             render_curve(
@@ -75,7 +78,7 @@ fn main() {
     for beta_e in [0.33, 0.5, 0.667, 0.83] {
         let mut fedda = FedDa::explore();
         fedda.strategy = Reactivation::Explore { beta_e };
-        let res = exp.run_framework(&Framework::FedDa(fedda));
+        let res = opts.run_framework(&exp, &Framework::FedDa(fedda))?;
         println!(
             "{}",
             render_curve(
@@ -94,5 +97,5 @@ fn main() {
             "data": report::framework_to_json(&res)}));
     }
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

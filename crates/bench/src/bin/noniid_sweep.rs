@@ -8,33 +8,23 @@
 //! [--json out.json]`
 
 use fedda::data::{non_iidness, partition_non_iid, PartitionConfig};
-use fedda::experiment::{Dataset, SPLIT_STREAM_TWEAK};
-use fedda::fl::{FedAvg, FedDa, FlConfig, FlSystem};
-use fedda::hetgraph::split::split_edges;
+use fedda::experiment::{Dataset, Experiment};
+use fedda::fl::{FedAvg, FedDa};
 use fedda::table::TextTable;
-use fedda_bench::{base_config, experiment_model, experiment_train, maybe_write_json, Options};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fedda_bench::{base_config, maybe_write_json, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
-    let cfg = base_config(Dataset::DblpLike, &opts);
-    let m = opts.get("clients").unwrap_or(8usize);
-    let preset = fedda::data::PresetOptions {
-        scale: cfg.scale,
-        seed: cfg.seed,
-        ..Default::default()
-    };
-    let generated = fedda::data::dblp_like(&preset);
-    // Same split stream as `Experiment::new` — this sweep re-derives the
-    // split outside the Experiment facade but must see identical data.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ SPLIT_STREAM_TWEAK);
-    let split = split_edges(&generated.graph, 0.15, &mut rng);
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    let exp = Experiment::new(base_config(Dataset::DblpLike, &opts)?);
+    let cfg = exp.config();
 
     println!(
-        "== Non-IIDness sweep: DBLP-like, M={m}, {} rounds, r_a = 0.30 ==\n",
-        cfg.rounds
+        "== Non-IIDness sweep: DBLP-like, M={}, {} rounds, r_a = 0.30 ==\n",
+        cfg.num_clients, cfg.rounds
     );
     let mut json_blobs = Vec::new();
     let mut table = TextTable::new(&[
@@ -47,26 +37,20 @@ fn main() {
     ]);
     for r_b in [0.30, 0.15, 0.05, 0.01] {
         let pcfg = PartitionConfig {
-            num_clients: m,
+            num_clients: cfg.num_clients,
             r_a: 0.30,
             r_b,
             specialized_types_per_client: 2,
             seed: cfg.seed,
         };
-        let clients = partition_non_iid(&split.train, &pcfg);
+        // The sweep's own partition of the experiment's split; everything
+        // else about the federation is the experiment's.
+        let clients = partition_non_iid(&exp.split().train, &pcfg);
         let bias = non_iidness(&clients);
-        let fl_cfg = FlConfig {
-            rounds: cfg.rounds,
-            model: experiment_model(opts.paper),
-            train: experiment_train(),
-            eval_negatives: 5,
-            seed: cfg.seed,
-            ..Default::default()
-        };
-        let mut sys_avg = FlSystem::new(&split.train, &split.test, clients.clone(), fl_cfg.clone());
-        let fedavg = FedAvg::vanilla().run(&mut sys_avg);
-        let mut sys_da = FlSystem::new(&split.train, &split.test, clients, fl_cfg);
-        let fedda = FedDa::explore().run(&mut sys_da);
+        let mut sys_avg = exp.system_with(clients.clone(), cfg.seed);
+        let fedavg = opts.run_on(&exp, &mut FedAvg::vanilla(), &mut sys_avg)?;
+        let mut sys_da = exp.system_with(clients, cfg.seed);
+        let fedda = opts.run_on(&exp, &mut FedDa::explore().protocol(), &mut sys_da)?;
         let uplink_ratio =
             fedda.comm.total_uplink_units() as f64 / fedavg.comm.total_uplink_units().max(1) as f64;
         table.row(&[
@@ -91,5 +75,5 @@ fn main() {
          more — the regime the paper targets."
     );
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

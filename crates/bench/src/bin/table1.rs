@@ -8,7 +8,7 @@
 //! [--json out.json]`
 
 use fedda::data::{amazon_like, dblp_like, DatasetStats, PresetOptions};
-use fedda_bench::{maybe_write_json, Options};
+use fedda_bench::{maybe_write_json, run_main, Failure, Options};
 use serde_json::json;
 
 fn stats_to_json(stats: &DatasetStats, edge_type_names: &[String]) -> serde_json::Value {
@@ -28,9 +28,12 @@ fn stats_to_json(stats: &DatasetStats, edge_type_names: &[String]) -> serde_json
 }
 
 fn main() {
-    let opts = Options::from_env();
-    let scale: f64 = opts.get("scale").unwrap_or(0.01);
-    let seed: u64 = opts.get("seed").unwrap_or(0);
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
+    let scale: f64 = opts.get("scale")?.unwrap_or(0.01);
+    let seed: u64 = opts.get("seed")?.unwrap_or(0);
 
     println!("Table 1: Statistics of the datasets (synthetic, scale = {scale})\n");
     println!("{}", DatasetStats::table_header());
@@ -82,5 +85,5 @@ fn main() {
         }));
     }
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -13,14 +13,29 @@ use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
 use fedda::report;
 use fedda::table::TextTable;
-use fedda_bench::parse_framework;
-use fedda_bench::{base_config, maybe_write_json, pm, Options};
+use fedda_bench::{base_config, maybe_write_json, parse_framework, pm, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
     let which = opts.get_str("dataset").map(str::to_string);
     let mut json_blobs = Vec::new();
+    let frameworks = [
+        Framework::Global,
+        Framework::Local,
+        Framework::FedAvg(FedAvg::vanilla()),
+        // The hyper-parameters of the three ports come from the shared knob
+        // flags (protocol defaults when omitted); an invalid one ends the
+        // run here, before any data is generated.
+        parse_framework("fedprox", &opts)?,
+        parse_framework("feddyn", &opts)?,
+        parse_framework("fedadam", &opts)?,
+        Framework::FedDa(FedDa::restart()),
+        Framework::FedDa(FedDa::explore()),
+    ];
 
     let grid: &[(Dataset, &[usize])] = &[
         (Dataset::DblpLike, &[4, 8, 16]),
@@ -38,7 +53,7 @@ fn main() {
             }
         }
         for &m in client_counts {
-            let mut cfg = base_config(dataset, &opts);
+            let mut cfg = base_config(dataset, &opts)?;
             cfg.num_clients = m;
             let exp = Experiment::new(cfg);
             println!(
@@ -49,23 +64,11 @@ fn main() {
                 exp.config().rounds,
                 exp.config().scale
             );
-            let frameworks = [
-                Framework::Global,
-                Framework::Local,
-                Framework::FedAvg(FedAvg::vanilla()),
-                // The hyper-parameters of the three ports come from the
-                // shared knob flags (protocol defaults when omitted).
-                parse_framework("fedprox", &opts).expect("known framework"),
-                parse_framework("feddyn", &opts).expect("known framework"),
-                parse_framework("fedadam", &opts).expect("known framework"),
-                Framework::FedDa(FedDa::restart()),
-                Framework::FedDa(FedDa::explore()),
-            ];
             let mut table =
                 TextTable::new(&["Framework", "ROC-AUC", "MRR", "Best AUC", "Uplink units"]);
             let mut results = Vec::new();
             for fw in &frameworks {
-                let res = exp.run_framework(fw);
+                let res = opts.run_framework(&exp, fw)?;
                 table.row(&[
                     res.name.clone(),
                     pm(&res.final_auc),
@@ -86,5 +89,5 @@ fn main() {
         }
     }
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -7,11 +7,14 @@
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
 use fedda::table::TextTable;
-use fedda_bench::{base_config, maybe_write_json, Options};
+use fedda_bench::{base_config, maybe_write_json, run_main, Failure, Options};
 use serde_json::json;
 
 fn main() {
-    let opts = Options::from_env();
+    run_main(std::env::args().skip(1), run)
+}
+
+fn run(opts: Options) -> Result<(), Failure> {
     let grid: &[(Dataset, &[usize])] = &[
         (Dataset::DblpLike, &[4, 8, 16]),
         (Dataset::AmazonLike, &[8, 16]),
@@ -29,7 +32,7 @@ fn main() {
     ]);
     for &(dataset, client_counts) in grid {
         for &m in client_counts {
-            let mut cfg = base_config(dataset, &opts);
+            let mut cfg = base_config(dataset, &opts)?;
             cfg.num_clients = m;
             let exp = Experiment::new(cfg);
             eprintln!(
@@ -39,9 +42,9 @@ fn main() {
                 exp.config().runs,
                 exp.config().rounds
             );
-            let fedavg = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
-            let fedda1 = exp.run_framework(&Framework::FedDa(FedDa::restart()));
-            let fedda2 = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+            let fedavg = opts.run_framework(&exp, &Framework::FedAvg(FedAvg::vanilla()))?;
+            let fedda1 = opts.run_framework(&exp, &Framework::FedDa(FedDa::restart()))?;
+            let fedda2 = opts.run_framework(&exp, &Framework::FedDa(FedDa::explore()))?;
             let base = fedavg.uplink_units.mean.max(1.0);
             table.row(&[
                 dataset.name().into(),
@@ -64,5 +67,5 @@ fn main() {
     println!("{}", table.render());
     println!("(Paper: FedDA reduces FedAvg's transmission by roughly 25-50%\n on both datasets; ratios above reproduce the direction and rough size.)");
 
-    maybe_write_json(&opts, &json!(json_blobs));
+    maybe_write_json(&opts, &json!(json_blobs))
 }

@@ -3,7 +3,9 @@
 //! kernel probe behind the `perf` binary ([`suite`], [`snapshot`], and the
 //! paired A/B verdict in [`compare`]).
 //!
-//! Every binary accepts:
+//! Every table/figure binary and `fedda-cli train` runs its body through
+//! [`run_main`] and trains through [`Options::run_framework`] (or
+//! [`Options::run_on`]), so each of them accepts and honours:
 //!
 //! * `--scale <f64>`   — dataset size multiplier (default per binary)
 //! * `--rounds <n>`    — communication rounds (default 40)
@@ -17,7 +19,7 @@
 //! * `--faults <spec>` — deterministic fault injection, e.g.
 //!   `drop=0.2,straggle=0.1,delay=3,corrupt=0.05,stale=discount:0.5`
 //!   (see `fedda::fl::FaultConfig`'s `FromStr`)
-//! * `--runtime <m>`   — simulation driver: `sync` (default lockstep) or
+//! * `--runtime <m>`   — simulation runtime: `sync` (default lockstep) or
 //!   `async` (buffered aggregation on `K` arrivals)
 //! * `--async-k <n>`   — async buffer size `K` (requires `--runtime async`)
 //! * `--async-gamma <f>` — async staleness discount `γ ∈ (0, 1]`
@@ -32,11 +34,16 @@
 //! * `--quick`         — shrink the *defaults* to CI-smoke size (never
 //!   overrides an explicit `--scale`/`--rounds`/`--runs`)
 //! * `--paper`         — paper-like settings (5 runs, 40 rounds)
-//! * `--events`        — stream per-round driver events to stderr
+//! * `--events`        — stream per-round engine events to stderr
+//!
+//! Exit status: `0` success; `1` the run failed ([`Failure::Run`]); `2` the
+//! command line could not be understood ([`Failure::Usage`]) or the CPU is
+//! below the build's ISA level. Stderr is `error: <message>`, never a panic.
 
-use fedda::experiment::{Dataset, ExperimentConfig, Framework};
+use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework, FrameworkResult};
 use fedda::fl::{
-    AsyncConfig, Compression, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlProtocol, RuntimeMode,
+    AsyncConfig, Compression, EventSink, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlProtocol,
+    FlSystem, RunResult, RuntimeMode, StderrSink,
 };
 use fedda::hgn::{HgnConfig, TrainConfig};
 use std::collections::HashMap;
@@ -93,15 +100,58 @@ pub fn usage() -> String {
     )
 }
 
-/// Every binary's first call: exit with status 2 and the reason when the
-/// CPU lacks the instruction-set level the binary was built for
+/// Exit with status 2 and the reason when the CPU lacks the
+/// instruction-set level the binary was built for
 /// ([`fedda_tensor::check_isa_level`]), before a vector instruction can
-/// kill the process with `SIGILL`.
+/// kill the process with `SIGILL`. [`run_main`] calls it first; `perf`,
+/// which has its own parser, calls it directly.
 pub fn require_isa_level() {
     if let Err(e) = fedda_tensor::check_isa_level() {
         eprintln!("error: {e}");
         std::process::exit(2);
     }
+}
+
+/// Why a binary stops early; [`run_main`] maps it to stderr and the exit
+/// status.
+#[derive(Debug, PartialEq)]
+pub enum Failure {
+    /// The command line could not be understood (exit status 2, printed
+    /// with the usage line).
+    Usage(String),
+    /// The run itself failed: an invalid configuration value, an I/O error
+    /// (exit status 1).
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Run(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Run(msg.to_string())
+    }
+}
+
+/// The `main` of every binary: check the ISA level, parse `args` (the
+/// command line after the program name — and, for `fedda-cli`, after the
+/// subcommand), run `body`, and turn its `Err` into `error: <message>` on
+/// stderr plus a non-zero exit status.
+pub fn run_main<I: IntoIterator<Item = String>>(
+    args: I,
+    body: impl FnOnce(Options) -> Result<(), Failure>,
+) {
+    require_isa_level();
+    let (status, msg) = match Options::try_from_args(args).and_then(body) {
+        Ok(()) => return,
+        Err(Failure::Usage(msg)) => (2, format!("{msg}\n{}", usage())),
+        Err(Failure::Run(msg)) => (1, msg),
+    };
+    eprintln!("error: {msg}");
+    std::process::exit(status);
 }
 
 /// Parsed command-line options.
@@ -118,80 +168,49 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parse `std::env::args()`, after [`require_isa_level`]. On a
-    /// malformed command line this prints the error plus a one-line usage
-    /// hint to stderr and exits with status 2 (it never panics at the user).
-    pub fn from_env() -> Self {
-        require_isa_level();
-        match Self::try_from_args(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}\n{}", usage());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse an explicit argument list, panicking on malformed input
-    /// (testable; binaries go through [`Options::from_env`] which exits
-    /// cleanly instead).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
-        match Self::try_from_args(args) {
-            Ok(o) => o,
-            Err(e) => panic!("{e}\n{}", usage()),
-        }
-    }
-
     /// Parse an explicit argument list. Rejects positional arguments,
     /// flags missing their value, and duplicate occurrences of the same
     /// flag (previously duplicates silently last-won).
-    pub fn try_from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    pub fn try_from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, Failure> {
         let mut out = Self::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--quick" => {
-                    if out.quick {
-                        return Err("duplicate flag --quick".into());
+                "--quick" | "--paper" | "--events" => {
+                    let switch = match arg.as_str() {
+                        "--quick" => &mut out.quick,
+                        "--paper" => &mut out.paper,
+                        _ => &mut out.events,
+                    };
+                    if std::mem::replace(switch, true) {
+                        return Err(Failure::Usage(format!("duplicate flag {arg}")));
                     }
-                    out.quick = true;
-                }
-                "--paper" => {
-                    if out.paper {
-                        return Err("duplicate flag --paper".into());
-                    }
-                    out.paper = true;
-                }
-                "--events" => {
-                    if out.events {
-                        return Err("duplicate flag --events".into());
-                    }
-                    out.events = true;
                 }
                 flag if flag.starts_with("--") => {
                     let value = match iter.next() {
                         Some(v) => v,
-                        None => return Err(format!("missing value for {flag}")),
+                        None => return Err(Failure::Usage(format!("missing value for {flag}"))),
                     };
                     if out.flags.insert(flag[2..].to_string(), value).is_some() {
-                        return Err(format!("duplicate flag {flag}"));
+                        return Err(Failure::Usage(format!("duplicate flag {flag}")));
                     }
                 }
-                other => return Err(format!("unexpected argument: {other}")),
+                other => return Err(Failure::Usage(format!("unexpected argument: {other}"))),
             }
         }
         Ok(out)
     }
 
-    /// Look up a typed flag; a malformed value panics with the usage hint.
-    pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T>
+    /// Look up a typed flag; a malformed value is a [`Failure::Usage`].
+    pub fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Failure>
     where
         T::Err: std::fmt::Debug,
     {
-        self.flags.get(name).map(|v| {
+        let parse = |v: &String| {
             v.parse::<T>()
-                .unwrap_or_else(|e| panic!("bad value for --{name}: {v} ({e:?})\n{}", usage()))
-        })
+                .map_err(|e| Failure::Usage(format!("bad value for --{name}: {v} ({e:?})")))
+        };
+        self.flags.get(name).map(parse).transpose()
     }
 
     /// Whether the flag was given at all (used to tell an explicit value
@@ -203,6 +222,33 @@ impl Options {
     /// String flag.
     pub fn get_str(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
+    }
+
+    /// Train one framework of `exp` — every binary's one way to fill a
+    /// table cell — streaming round events to stderr under `--events`.
+    pub fn run_framework(
+        &self,
+        exp: &Experiment,
+        framework: &Framework,
+    ) -> Result<FrameworkResult, Failure> {
+        let mut stderr = StderrSink;
+        let sink = self.events.then_some(&mut stderr as &mut dyn EventSink);
+        Ok(exp.run_framework(framework, sink)?)
+    }
+
+    /// One run of [`Options::run_framework`], for binaries that need the
+    /// trained `system` afterwards or sweep their own partitions: `protocol`
+    /// on a system from `Experiment::system_with`, under `exp`'s runtime.
+    pub fn run_on(
+        &self,
+        exp: &Experiment,
+        protocol: &mut dyn FlProtocol,
+        system: &mut FlSystem,
+    ) -> Result<RunResult, Failure> {
+        let mut stderr = StderrSink;
+        let sink = self.events.then_some(&mut stderr as &mut dyn EventSink);
+        let mode = &exp.config().runtime;
+        Ok(fedda::fl::run(mode, protocol, system, sink)?)
     }
 }
 
@@ -232,49 +278,48 @@ pub fn experiment_train() -> TrainConfig {
 }
 
 /// Resolve `--runtime` / `--async-k` / `--async-gamma` into a
-/// [`RuntimeMode`]. Typos in the mode name and async knobs given without
-/// `--runtime async` panic with the usage hint, matching [`Options::get`]'s
-/// conventions.
-pub fn runtime_config(opts: &Options) -> RuntimeMode {
+/// [`RuntimeMode`]. Typos in the mode name, out-of-range async knobs and
+/// async knobs given without `--runtime async` are [`Failure::Usage`]s.
+pub fn runtime_config(opts: &Options) -> Result<RuntimeMode, Failure> {
     let mode = match opts.get_str("runtime") {
-        None => RuntimeMode::Sync,
-        Some("sync") => RuntimeMode::Sync,
+        None | Some("sync") => RuntimeMode::Sync,
         Some("async") => {
             let mut acfg = AsyncConfig::default();
-            if let Some(k) = opts.get::<usize>("async-k") {
+            if let Some(k) = opts.get::<usize>("async-k")? {
                 acfg.k = k;
             }
-            if let Some(gamma) = opts.get::<f64>("async-gamma") {
+            if let Some(gamma) = opts.get::<f64>("async-gamma")? {
                 acfg.gamma = gamma;
             }
             acfg.validate()
-                .unwrap_or_else(|e| panic!("bad async runtime config: {e}\n{}", usage()));
+                .map_err(|e| Failure::Usage(format!("bad async runtime config: {e}")))?;
             RuntimeMode::Async(acfg)
         }
-        Some(other) => panic!(
-            "bad value for --runtime: {other} (expected sync|async)\n{}",
-            usage()
-        ),
+        Some(other) => {
+            let msg = format!("bad value for --runtime: {other} (expected sync|async)");
+            return Err(Failure::Usage(msg));
+        }
     };
     if mode == RuntimeMode::Sync {
         for knob in ["async-k", "async-gamma"] {
             if opts.has(knob) {
-                panic!("--{knob} requires --runtime async\n{}", usage());
+                let msg = format!("--{knob} requires --runtime async");
+                return Err(Failure::Usage(msg));
             }
         }
     }
-    mode
+    Ok(mode)
 }
 
 /// Resolve `--compress` into an uplink [`Compression`] codec (`None`
 /// when the flag is absent: the historical uncompressed ledger). A typo
-/// or an out-of-range top-k fraction panics with the usage hint,
-/// matching [`runtime_config`]'s conventions.
-pub fn compression_config(opts: &Options) -> Option<Compression> {
-    opts.get_str("compress").map(|spec| {
+/// or an out-of-range top-k fraction is a [`Failure::Usage`].
+pub fn compression_config(opts: &Options) -> Result<Option<Compression>, Failure> {
+    let parse = |spec: &str| {
         spec.parse::<Compression>()
-            .unwrap_or_else(|e| panic!("bad value for --compress: {spec} ({e})\n{}", usage()))
-    })
+            .map_err(|e| Failure::Usage(format!("bad value for --compress: {spec} ({e})")))
+    };
+    opts.get_str("compress").map(parse).transpose()
 }
 
 /// Resolve a framework name plus its hyper-parameter flags into a
@@ -286,10 +331,10 @@ pub fn compression_config(opts: &Options) -> Option<Compression> {
 /// `--alpha` (feddyn), `--server-lr`/`--beta1`/`--beta2`/`--adam-eps`
 /// (fedadam). Invalid hyper-parameters are rejected here with the
 /// protocol's own `validate()` message, so the CLI and bench binaries
-/// fail cleanly before any training starts (the driver re-validates
+/// fail cleanly before any training starts (the engine re-validates
 /// before round 0 regardless).
-pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, String> {
-    let fraction = opts.get::<f64>("client-fraction");
+pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure> {
+    let fraction = opts.get::<f64>("client-fraction")?;
     let fw = match name {
         "global" => Framework::Global,
         "local" => Framework::Local,
@@ -298,26 +343,26 @@ pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, String> 
             param_fraction: 1.0,
         }),
         "fedprox" => Framework::FedProx(FedProx {
-            mu: opts.get("mu").unwrap_or(0.01),
+            mu: opts.get("mu")?.unwrap_or(0.01),
             client_fraction: fraction.unwrap_or(1.0),
         }),
         "feddyn" => Framework::FedDyn(FedDyn {
-            alpha: opts.get("alpha").unwrap_or(0.01),
+            alpha: opts.get("alpha")?.unwrap_or(0.01),
             client_fraction: fraction.unwrap_or(1.0),
         }),
         "fedadam" => Framework::FedAdam(FedAdam {
-            server_lr: opts.get("server-lr").unwrap_or(0.01),
-            beta1: opts.get("beta1").unwrap_or(0.9),
-            beta2: opts.get("beta2").unwrap_or(0.99),
-            epsilon: opts.get("adam-eps").unwrap_or(1e-3),
+            server_lr: opts.get("server-lr")?.unwrap_or(0.01),
+            beta1: opts.get("beta1")?.unwrap_or(0.9),
+            beta2: opts.get("beta2")?.unwrap_or(0.99),
+            epsilon: opts.get("adam-eps")?.unwrap_or(1e-3),
             client_fraction: fraction.unwrap_or(1.0),
         }),
         "fedda-restart" => Framework::FedDa(FedDa::restart()),
         "fedda-explore" => Framework::FedDa(FedDa::explore()),
         other => {
-            return Err(format!(
+            return Err(Failure::Run(format!(
                 "unknown framework '{other}' (expected global|local|fedavg|fedprox|feddyn|fedadam|fedda-restart|fedda-explore)"
-            ))
+            )))
         }
     };
     match &fw {
@@ -335,28 +380,30 @@ pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, String> 
 ///
 /// `--quick` shrinks only the *defaults*: an explicit `--scale`,
 /// `--rounds` or `--runs` always wins, so `--quick --scale 0.05` runs at
-/// scale 0.05 with quick rounds/runs.
-pub fn base_config(dataset: Dataset, opts: &Options) -> ExperimentConfig {
+/// scale 0.05 with quick rounds/runs. A malformed flag value is a
+/// [`Failure::Usage`], a grid `ExperimentConfig::validate` rejects
+/// (`--clients 0`, `--scale nan`, …) a [`Failure::Run`].
+pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig, Failure> {
     let default_scale = match dataset {
         Dataset::AmazonLike => 0.008,
         Dataset::DblpLike => 0.0025,
     };
     let mut cfg = ExperimentConfig {
         dataset,
-        scale: opts.get("scale").unwrap_or(default_scale),
-        num_clients: opts.get("clients").unwrap_or(8),
+        scale: opts.get("scale")?.unwrap_or(default_scale),
+        num_clients: opts.get("clients")?.unwrap_or(8),
         rounds: opts
-            .get("rounds")
+            .get("rounds")?
             .unwrap_or(if opts.paper { 40 } else { 20 }),
-        runs: opts.get("runs").unwrap_or(if opts.paper { 5 } else { 3 }),
+        runs: opts.get("runs")?.unwrap_or(if opts.paper { 5 } else { 3 }),
         model: experiment_model(opts.paper),
         train: experiment_train(),
-        eval_every: opts.get("eval-every").unwrap_or(1),
-        seed: opts.get("seed").unwrap_or(0),
-        faults: opts.get("faults"),
-        runtime: runtime_config(opts),
-        workers: opts.get("workers"),
-        compression: compression_config(opts),
+        eval_every: opts.get("eval-every")?.unwrap_or(1),
+        seed: opts.get("seed")?.unwrap_or(0),
+        faults: opts.get("faults")?,
+        runtime: runtime_config(opts)?,
+        workers: opts.get("workers")?,
+        compression: compression_config(opts)?,
         ..Default::default()
     };
     if opts.quick {
@@ -370,7 +417,8 @@ pub fn base_config(dataset: Dataset, opts: &Options) -> ExperimentConfig {
             cfg.runs = cfg.runs.min(2);
         }
     }
-    cfg
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 /// Format a `MeanStd` the way the paper's tables do.
@@ -382,12 +430,13 @@ pub fn pm(m: &fedda::metrics::MeanStd) -> String {
 /// write `value` pretty-printed to the path and confirm on stdout. Every
 /// bench binary routes its machine-readable dump through this helper so
 /// new binaries cannot silently drift from the contract.
-pub fn maybe_write_json(opts: &Options, value: &serde_json::Value) {
+pub fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(), Failure> {
     if let Some(path) = opts.get_str("json") {
         fedda::report::write_json(Path::new(path), value)
-            .unwrap_or_else(|e| panic!("cannot write --json {path}: {e}"));
+            .map_err(|e| format!("cannot write --json {path}: {e}"))?;
         println!("wrote {path}");
     }
+    Ok(())
 }
 
 /// Render a curve as a compact sparkline-style series for the figure
@@ -421,34 +470,51 @@ mod tests {
             .into_iter()
     }
 
+    /// A well-formed command line, parsed.
+    fn opts(list: &[&str]) -> Options {
+        Options::try_from_args(args(list)).unwrap()
+    }
+
+    /// The message of the `Failure::Usage` a malformed command line ends in.
+    fn usage_error<T: std::fmt::Debug>(result: Result<T, Failure>) -> String {
+        match result {
+            Err(Failure::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    fn config(dataset: Dataset, o: &Options) -> ExperimentConfig {
+        base_config(dataset, o).unwrap()
+    }
+
     #[test]
     fn parses_flags_and_switches() {
-        let o = Options::from_args(args(&["--scale", "0.01", "--runs", "5", "--quick"]));
-        assert_eq!(o.get::<f64>("scale"), Some(0.01));
-        assert_eq!(o.get::<usize>("runs"), Some(5));
+        let o = opts(&["--scale", "0.01", "--runs", "5", "--quick"]);
+        assert_eq!(o.get::<f64>("scale"), Ok(Some(0.01)));
+        assert_eq!(o.get::<usize>("runs"), Ok(Some(5)));
         assert!(o.quick);
         assert!(!o.paper);
         assert!(!o.events);
-        assert_eq!(o.get::<u64>("seed"), None);
+        assert_eq!(o.get::<u64>("seed"), Ok(None));
         assert!(o.has("scale"));
         assert!(!o.has("seed"));
     }
 
     #[test]
     fn eval_every_and_events_flags_flow_into_config() {
-        let o = Options::from_args(args(&["--eval-every", "5", "--events"]));
+        let o = opts(&["--eval-every", "5", "--events"]);
         assert!(o.events);
-        let cfg = base_config(Dataset::DblpLike, &o);
+        let cfg = config(Dataset::DblpLike, &o);
         assert_eq!(cfg.eval_every, 5);
         // Default stays dense.
-        let cfg = base_config(Dataset::DblpLike, &Options::default());
+        let cfg = config(Dataset::DblpLike, &Options::default());
         assert_eq!(cfg.eval_every, 1);
     }
 
     #[test]
     fn base_config_respects_overrides() {
-        let o = Options::from_args(args(&["--clients", "16", "--rounds", "10"]));
-        let cfg = base_config(Dataset::DblpLike, &o);
+        let o = opts(&["--clients", "16", "--rounds", "10"]);
+        let cfg = config(Dataset::DblpLike, &o);
         assert_eq!(cfg.num_clients, 16);
         assert_eq!(cfg.rounds, 10);
         assert_eq!(cfg.runs, 3);
@@ -456,8 +522,8 @@ mod tests {
 
     #[test]
     fn quick_mode_shrinks_defaults() {
-        let o = Options::from_args(args(&["--quick"]));
-        let cfg = base_config(Dataset::AmazonLike, &o);
+        let o = opts(&["--quick"]);
+        let cfg = config(Dataset::AmazonLike, &o);
         assert!(cfg.rounds <= 4);
         assert!(cfg.runs <= 2);
         assert!(cfg.scale < 0.008);
@@ -467,16 +533,14 @@ mod tests {
     fn quick_mode_never_clobbers_explicit_overrides() {
         // The regression the sweep fixes: `--quick --scale 0.05` used to
         // run at half the *default* scale, silently ignoring the user.
-        let o = Options::from_args(args(&[
-            "--quick", "--scale", "0.05", "--rounds", "9", "--runs", "4",
-        ]));
-        let cfg = base_config(Dataset::AmazonLike, &o);
+        let o = opts(&["--quick", "--scale", "0.05", "--rounds", "9", "--runs", "4"]);
+        let cfg = config(Dataset::AmazonLike, &o);
         assert_eq!(cfg.scale, 0.05);
         assert_eq!(cfg.rounds, 9);
         assert_eq!(cfg.runs, 4);
         // Partial overrides: the rest still shrinks.
-        let o = Options::from_args(args(&["--quick", "--scale", "0.05"]));
-        let cfg = base_config(Dataset::AmazonLike, &o);
+        let o = opts(&["--quick", "--scale", "0.05"]);
+        let cfg = config(Dataset::AmazonLike, &o);
         assert_eq!(cfg.scale, 0.05);
         assert!(cfg.rounds <= 4);
         assert!(cfg.runs <= 2);
@@ -484,8 +548,8 @@ mod tests {
 
     #[test]
     fn paper_mode_uses_paper_model() {
-        let o = Options::from_args(args(&["--paper"]));
-        let cfg = base_config(Dataset::DblpLike, &o);
+        let o = opts(&["--paper"]);
+        let cfg = config(Dataset::DblpLike, &o);
         assert_eq!(cfg.model.num_layers, 3);
         assert_eq!(cfg.runs, 5);
         assert_eq!(cfg.rounds, 40);
@@ -493,13 +557,13 @@ mod tests {
 
     #[test]
     fn faults_flag_flows_into_config() {
-        let o = Options::from_args(args(&["--faults", "drop=0.3,straggle=0.1,delay=2"]));
-        let cfg = base_config(Dataset::DblpLike, &o);
+        let o = opts(&["--faults", "drop=0.3,straggle=0.1,delay=2"]);
+        let cfg = config(Dataset::DblpLike, &o);
         let fc = cfg.faults.expect("--faults must populate the config");
         assert_eq!(fc.dropout, 0.3);
         assert_eq!(fc.straggler, 0.1);
         assert_eq!(fc.max_staleness, 2);
-        assert!(base_config(Dataset::DblpLike, &Options::default())
+        assert!(config(Dataset::DblpLike, &Options::default())
             .faults
             .is_none());
     }
@@ -507,47 +571,50 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad value for --faults")]
     fn bad_faults_spec_panics_with_context() {
-        let o = Options::from_args(args(&["--faults", "drop=1.5"]));
-        let _ = base_config(Dataset::DblpLike, &o);
+        let o = opts(&["--faults", "drop=1.5"]);
+        base_config(Dataset::DblpLike, &o).unwrap();
     }
 
     #[test]
     fn parse_errors_name_known_flags() {
-        let err = Options::try_from_args(args(&["--scale"])).unwrap_err();
+        let err = usage_error(Options::try_from_args(args(&["--scale"])));
         assert!(err.contains("missing value for --scale"), "{err}");
-        let err = Options::try_from_args(args(&["oops"])).unwrap_err();
+        let err = usage_error(Options::try_from_args(args(&["oops"])));
         assert!(err.contains("unexpected argument"), "{err}");
-        // The panicking wrapper appends the usage hint naming the flags.
-        let caught = std::panic::catch_unwind(|| Options::from_args(args(&["--scale"])));
-        let msg = *caught.unwrap_err().downcast::<String>().unwrap();
-        assert!(msg.contains("usage:"), "{msg}");
-        assert!(msg.contains("--eval-every"), "{msg}");
+        // A malformed typed value is a usage error too, naming flag and value.
+        let err = usage_error(opts(&["--scale", "abc"]).get::<f64>("scale"));
+        assert!(err.starts_with("bad value for --scale: abc"), "{err}");
+        // The usage hint `run_main` prints under them names the flags.
+        assert!(usage().contains("usage:"));
+        assert!(usage().contains("--eval-every"));
     }
 
     #[test]
     fn duplicate_flags_are_rejected() {
-        let err = Options::try_from_args(args(&["--scale", "0.1", "--scale", "0.2"])).unwrap_err();
+        let err = usage_error(Options::try_from_args(args(&[
+            "--scale", "0.1", "--scale", "0.2",
+        ])));
         assert!(err.contains("duplicate flag --scale"), "{err}");
-        let err = Options::try_from_args(args(&["--quick", "--quick"])).unwrap_err();
+        let err = usage_error(Options::try_from_args(args(&["--quick", "--quick"])));
         assert!(err.contains("duplicate flag --quick"), "{err}");
     }
 
     #[test]
     fn runtime_flags_flow_into_config() {
         // Default and explicit sync.
-        assert_eq!(runtime_config(&Options::default()), RuntimeMode::Sync);
-        let o = Options::from_args(args(&["--runtime", "sync"]));
-        assert_eq!(runtime_config(&o), RuntimeMode::Sync);
+        assert_eq!(runtime_config(&Options::default()), Ok(RuntimeMode::Sync));
+        let o = opts(&["--runtime", "sync"]);
+        assert_eq!(runtime_config(&o), Ok(RuntimeMode::Sync));
         // Async with knobs.
-        let o = Options::from_args(args(&[
+        let o = opts(&[
             "--runtime",
             "async",
             "--async-k",
             "3",
             "--async-gamma",
             "0.8",
-        ]));
-        match runtime_config(&o) {
+        ]);
+        match runtime_config(&o).unwrap() {
             RuntimeMode::Async(acfg) => {
                 assert_eq!(acfg.k, 3);
                 assert_eq!(acfg.gamma, 0.8);
@@ -555,18 +622,18 @@ mod tests {
             other => panic!("expected async mode, got {other:?}"),
         }
         // Async defaults apply when knobs are omitted.
-        let o = Options::from_args(args(&["--runtime", "async"]));
+        let o = opts(&["--runtime", "async"]);
         assert_eq!(
             runtime_config(&o),
-            RuntimeMode::Async(AsyncConfig::default())
+            Ok(RuntimeMode::Async(AsyncConfig::default()))
         );
         // And base_config threads the mode + workers through.
-        let o = Options::from_args(args(&["--runtime", "async", "--workers", "4"]));
-        let cfg = base_config(Dataset::DblpLike, &o);
+        let o = opts(&["--runtime", "async", "--workers", "4"]);
+        let cfg = config(Dataset::DblpLike, &o);
         assert_eq!(cfg.runtime, RuntimeMode::Async(AsyncConfig::default()));
         assert_eq!(cfg.workers, Some(4));
         assert_eq!(
-            base_config(Dataset::DblpLike, &Options::default()).runtime,
+            config(Dataset::DblpLike, &Options::default()).runtime,
             RuntimeMode::Sync
         );
     }
@@ -574,9 +641,9 @@ mod tests {
     #[test]
     fn compress_flag_flows_into_config() {
         // Absent flag: historical uncompressed accounting.
-        assert_eq!(compression_config(&Options::default()), None);
+        assert_eq!(compression_config(&Options::default()), Ok(None));
         assert_eq!(
-            base_config(Dataset::DblpLike, &Options::default()).compression,
+            config(Dataset::DblpLike, &Options::default()).compression,
             None
         );
         // Every codec spelling round-trips into the config.
@@ -586,10 +653,10 @@ mod tests {
             ("f16", Compression::QuantF16),
             ("topk:0.25", Compression::TopK { frac: 0.25 }),
         ] {
-            let o = Options::from_args(args(&["--compress", spec]));
-            assert_eq!(compression_config(&o), Some(want), "{spec}");
+            let o = opts(&["--compress", spec]);
+            assert_eq!(compression_config(&o), Ok(Some(want)), "{spec}");
             assert_eq!(
-                base_config(Dataset::DblpLike, &o).compression,
+                config(Dataset::DblpLike, &o).compression,
                 Some(want),
                 "{spec}"
             );
@@ -599,36 +666,36 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad value for --compress")]
     fn compress_typo_panics_naming_choices() {
-        let o = Options::from_args(args(&["--compress", "gzip"]));
-        let _ = compression_config(&o);
+        let o = opts(&["--compress", "gzip"]);
+        compression_config(&o).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "bad value for --compress")]
     fn compress_topk_fraction_out_of_range_panics() {
-        let o = Options::from_args(args(&["--compress", "topk:0.9"]));
-        let _ = compression_config(&o);
+        let o = opts(&["--compress", "topk:0.9"]);
+        compression_config(&o).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "bad value for --runtime")]
     fn runtime_typo_panics_naming_choices() {
-        let o = Options::from_args(args(&["--runtime", "asink"]));
-        let _ = runtime_config(&o);
+        let o = opts(&["--runtime", "asink"]);
+        runtime_config(&o).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "--async-k requires --runtime async")]
     fn async_knobs_without_async_runtime_panic() {
-        let o = Options::from_args(args(&["--async-k", "3"]));
-        let _ = runtime_config(&o);
+        let o = opts(&["--async-k", "3"]);
+        runtime_config(&o).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "bad async runtime config")]
     fn invalid_async_gamma_panics() {
-        let o = Options::from_args(args(&["--runtime", "async", "--async-gamma", "1.5"]));
-        let _ = runtime_config(&o);
+        let o = opts(&["--runtime", "async", "--async-gamma", "1.5"]);
+        runtime_config(&o).unwrap();
     }
 
     #[test]
@@ -651,7 +718,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unexpected argument")]
     fn rejects_positional_args() {
-        let _ = Options::from_args(["oops".to_string()]);
+        opts(&["oops"]);
     }
 
     #[test]
@@ -670,19 +737,21 @@ mod tests {
             let fw = parse_framework(name, &o).expect(name);
             assert_eq!(fw.name(), display);
         }
-        let err = parse_framework("fedsgd", &o).unwrap_err();
+        let Err(Failure::Run(err)) = parse_framework("fedsgd", &o) else {
+            panic!("an unknown framework is a run failure");
+        };
         assert!(err.contains("unknown framework 'fedsgd'"), "{err}");
         assert!(err.contains("fedprox|feddyn|fedadam"), "{err}");
     }
 
     #[test]
     fn protocol_knobs_flow_into_frameworks() {
-        let o = Options::from_args(args(&["--mu", "0.5"]));
+        let o = opts(&["--mu", "0.5"]);
         match parse_framework("fedprox", &o).unwrap() {
             Framework::FedProx(p) => assert_eq!(p.mu, 0.5),
             other => panic!("expected FedProx, got {other:?}"),
         }
-        let o = Options::from_args(args(&["--alpha", "0.1", "--client-fraction", "0.5"]));
+        let o = opts(&["--alpha", "0.1", "--client-fraction", "0.5"]);
         match parse_framework("feddyn", &o).unwrap() {
             Framework::FedDyn(p) => {
                 assert_eq!(p.alpha, 0.1);
@@ -690,7 +759,7 @@ mod tests {
             }
             other => panic!("expected FedDyn, got {other:?}"),
         }
-        let o = Options::from_args(args(&[
+        let o = opts(&[
             "--server-lr",
             "0.1",
             "--beta1",
@@ -699,7 +768,7 @@ mod tests {
             "0.95",
             "--adam-eps",
             "1e-6",
-        ]));
+        ]);
         match parse_framework("fedadam", &o).unwrap() {
             Framework::FedAdam(p) => {
                 assert_eq!(p.server_lr, 0.1);
@@ -713,29 +782,41 @@ mod tests {
 
     #[test]
     fn invalid_protocol_knobs_are_rejected_at_parse_time() {
-        let o = Options::from_args(args(&["--mu", "-1"]));
+        let o = opts(&["--mu", "-1"]);
         assert_eq!(
             parse_framework("fedprox", &o).unwrap_err(),
-            "invalid --framework fedprox configuration: \
-             mu must be finite and non-negative, got -1"
+            Failure::Run(
+                "invalid --framework fedprox configuration: \
+                 mu must be finite and non-negative, got -1"
+                    .into()
+            )
         );
-        let o = Options::from_args(args(&["--alpha", "0"]));
+        let o = opts(&["--alpha", "0"]);
         assert_eq!(
             parse_framework("feddyn", &o).unwrap_err(),
-            "invalid --framework feddyn configuration: \
-             alpha must be finite and positive, got 0"
+            Failure::Run(
+                "invalid --framework feddyn configuration: \
+                 alpha must be finite and positive, got 0"
+                    .into()
+            )
         );
-        let o = Options::from_args(args(&["--beta1", "1"]));
+        let o = opts(&["--beta1", "1"]);
         assert_eq!(
             parse_framework("fedadam", &o).unwrap_err(),
-            "invalid --framework fedadam configuration: \
-             beta1 must be in [0,1), got 1"
+            Failure::Run(
+                "invalid --framework fedadam configuration: \
+                 beta1 must be in [0,1), got 1"
+                    .into()
+            )
         );
-        let o = Options::from_args(args(&["--client-fraction", "0"]));
+        let o = opts(&["--client-fraction", "0"]);
         assert_eq!(
             parse_framework("fedavg", &o).unwrap_err(),
-            "invalid --framework fedavg configuration: \
-             client_fraction must be in (0,1], got 0"
+            Failure::Run(
+                "invalid --framework fedavg configuration: \
+                 client_fraction must be in (0,1], got 0"
+                    .into()
+            )
         );
     }
 }

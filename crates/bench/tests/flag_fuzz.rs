@@ -1,0 +1,131 @@
+//! ROADMAP 3(c): the flag parsers never panic. Arbitrary command lines —
+//! known flags paired with plausible, hostile and raw-byte values, plus
+//! stray tokens — go through the whole path a binary takes before training
+//! (`Options::try_from_args` → `base_config` → `parse_framework`), and
+//! arbitrary `key=value` lists through the `--faults` / `--compress`
+//! `FromStr` impls; every outcome is a value.
+
+use fedda::experiment::Dataset;
+use fedda::fl::{Compression, FaultConfig};
+use fedda_bench::{base_config, parse_framework, Options, KNOWN_FLAGS};
+use proptest::prelude::*;
+
+/// Values that are well-formed for some flag, out of range for others, or
+/// near a parser edge.
+const VALUES: &[&str] = &[
+    "0",
+    "1",
+    "3",
+    "-1",
+    "0.5",
+    "1.5",
+    "nan",
+    "inf",
+    "1e999",
+    "18446744073709551616",
+    "abc",
+    "",
+    "--",
+    "sync",
+    "async",
+    "q8",
+    "f16",
+    "ident",
+    "topk:0.25",
+    "topk:0.9",
+    "topk:",
+    "drop=0.2,straggle=0.1,delay=3",
+    "drop=2",
+    "discard",
+    "discount:0.5",
+    "garbage:0",
+    "garbage:3",
+];
+
+const FRAMEWORKS: &[&str] = &[
+    "global",
+    "local",
+    "fedavg",
+    "fedprox",
+    "feddyn",
+    "fedadam",
+    "fedda-restart",
+    "fedda-explore",
+    "fedsgd",
+];
+
+const FAULT_KEYS: &[&str] = &[
+    "drop", "straggle", "delay", "corrupt", "kind", "stale", "maxnorm", "bogus", "",
+];
+
+/// A value: mostly from the vocabulary, sometimes any string at all (lossy
+/// UTF-8 of arbitrary bytes).
+fn value() -> impl Strategy<Value = String> {
+    let raw = prop::collection::vec(any::<u8>(), 0..12);
+    (0usize..4, 0..VALUES.len(), raw).prop_map(|(shape, i, bytes)| match shape {
+        0 => String::from_utf8_lossy(&bytes).into_owned(),
+        _ => VALUES[i].to_string(),
+    })
+}
+
+/// One step of a command line: mostly `--flag value` (a switch takes its
+/// "value" as a stray token), sometimes a lone flag or a lone token.
+fn arg() -> impl Strategy<Value = Vec<String>> {
+    (0usize..8, 0..KNOWN_FLAGS.len(), value()).prop_map(|(shape, i, value)| {
+        let flag = format!("--{}", KNOWN_FLAGS[i]);
+        match shape {
+            0 => vec![flag],
+            1 => vec![value],
+            _ => vec![flag, value],
+        }
+    })
+}
+
+/// A `--faults`-shaped spec: `key=value` entries, some malformed.
+fn fault_spec() -> impl Strategy<Value = String> {
+    prop::collection::vec(((0..FAULT_KEYS.len()), 0usize..8, value()), 0..5).prop_map(|entries| {
+        let entries: Vec<String> = entries
+            .into_iter()
+            .map(|(key, shape, value)| match shape {
+                0 => value,
+                _ => format!("{}={value}", FAULT_KEYS[key]),
+            })
+            .collect();
+        entries.join(",")
+    })
+}
+
+proptest! {
+    #[test]
+    fn no_command_line_panics_on_the_way_to_a_config(
+        lines in prop::collection::vec(prop::collection::vec(arg(), 0..4), 16),
+        framework in 0..FRAMEWORKS.len(),
+    ) {
+        for line in lines {
+            let argv: Vec<String> = line.into_iter().flatten().collect();
+            let Ok(opts) = Options::try_from_args(argv) else { continue };
+            for dataset in [Dataset::DblpLike, Dataset::AmazonLike] {
+                if let Ok(cfg) = base_config(dataset, &opts) {
+                    // What comes out is fit to build an experiment from.
+                    prop_assert_eq!(cfg.validate(), Ok(()));
+                }
+            }
+            let _ = parse_framework(FRAMEWORKS[framework], &opts);
+        }
+    }
+
+    #[test]
+    fn fault_and_codec_specs_never_panic(
+        specs in prop::collection::vec(fault_spec(), 16),
+        codecs in prop::collection::vec(value(), 16),
+    ) {
+        for spec in specs.iter().chain(&codecs) {
+            if let Ok(faults) = spec.parse::<FaultConfig>() {
+                prop_assert_eq!(faults.validate(), Ok(()));
+            }
+            if let Ok(codec) = spec.parse::<Compression>() {
+                prop_assert_eq!(codec.validate(), Ok(()));
+            }
+        }
+    }
+}

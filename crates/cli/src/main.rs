@@ -16,14 +16,12 @@ use fedda::data::{
 };
 use fedda::experiment::{Dataset, Experiment};
 use fedda::fl::analysis::{explore_ratio_bound, restart_period, restart_ratio, EfficiencyInputs};
-use fedda::fl::StderrSink;
 use fedda::hetgraph::io;
 use fedda::hetgraph::split::split_edges;
-use fedda_bench::{base_config, parse_framework, require_isa_level, Options};
+use fedda_bench::{base_config, parse_framework, run_main, Failure, Options};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
-use std::process::ExitCode;
 
 const USAGE: &str = "\
 fedda — federated learning over heterogeneous graphs (FedDA reproduction)
@@ -59,18 +57,13 @@ SUBCOMMANDS:
     help        print this message
 ";
 
-fn main() -> ExitCode {
-    require_isa_level();
+fn main() {
     let mut args = std::env::args().skip(1);
-    let sub = match args.next() {
-        Some(s) => s,
-        None => {
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    let Some(sub) = args.next() else {
+        eprint!("{USAGE}");
+        std::process::exit(1);
     };
-    let opts = Options::from_args(args);
-    let result = match sub.as_str() {
+    run_main(args, |opts| match sub.as_str() {
         "generate" => cmd_generate(&opts),
         "stats" => cmd_stats(&opts),
         "partition" => cmd_partition(&opts),
@@ -80,31 +73,24 @@ fn main() -> ExitCode {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+        other => Err(format!("unknown subcommand '{other}'\n\n{USAGE}").into()),
+    })
 }
 
-fn parse_dataset(opts: &Options) -> Result<Dataset, String> {
+fn parse_dataset(opts: &Options) -> Result<Dataset, Failure> {
     match opts.get_str("dataset").unwrap_or("dblp") {
         d if d.eq_ignore_ascii_case("amazon") => Ok(Dataset::AmazonLike),
         d if d.eq_ignore_ascii_case("dblp") => Ok(Dataset::DblpLike),
-        other => Err(format!("unknown dataset '{other}' (expected amazon|dblp)")),
+        other => Err(format!("unknown dataset '{other}' (expected amazon|dblp)").into()),
     }
 }
 
-fn cmd_generate(opts: &Options) -> Result<(), String> {
+fn cmd_generate(opts: &Options) -> Result<(), Failure> {
     let dataset = parse_dataset(opts)?;
     let out = opts.get_str("out").ok_or("--out <path> is required")?;
     let preset = PresetOptions {
-        scale: opts.get("scale").unwrap_or(0.005),
-        seed: opts.get("seed").unwrap_or(0),
+        scale: opts.get("scale")?.unwrap_or(0.005),
+        seed: opts.get("seed")?.unwrap_or(0),
         ..Default::default()
     };
     let generated = match dataset {
@@ -122,7 +108,7 @@ fn cmd_generate(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(opts: &Options) -> Result<(), String> {
+fn cmd_stats(opts: &Options) -> Result<(), Failure> {
     let path = opts.get_str("graph").ok_or("--graph <path> is required")?;
     let graph = io::load_json(Path::new(path)).map_err(|e| e.to_string())?;
     println!("{}", DatasetStats::table_header());
@@ -138,14 +124,14 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_partition(opts: &Options) -> Result<(), String> {
+fn cmd_partition(opts: &Options) -> Result<(), Failure> {
     let path = opts.get_str("graph").ok_or("--graph <path> is required")?;
     let out_dir = opts
         .get_str("out-dir")
         .ok_or("--out-dir <dir> is required")?;
-    let clients = opts.get("clients").unwrap_or(8usize);
-    let seed: u64 = opts.get("seed").unwrap_or(0);
-    let test_fraction: f64 = opts.get("test-fraction").unwrap_or(0.1);
+    let clients = opts.get("clients")?.unwrap_or(8usize);
+    let seed: u64 = opts.get("seed")?.unwrap_or(0);
+    let test_fraction: f64 = opts.get("test-fraction")?.unwrap_or(0.1);
     let iid = opts.get_str("mode").map(|m| m == "iid").unwrap_or(false);
 
     let graph = io::load_json(Path::new(path)).map_err(|e| e.to_string())?;
@@ -173,11 +159,10 @@ fn cmd_partition(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(opts: &Options) -> Result<(), String> {
+fn cmd_train(opts: &Options) -> Result<(), Failure> {
     let dataset = parse_dataset(opts)?;
     let framework = parse_framework(opts.get_str("framework").unwrap_or("fedda-explore"), opts)?;
-    let cfg = base_config(dataset, opts);
-    cfg.validate()?;
+    let cfg = base_config(dataset, opts)?;
     println!(
         "training {} on {} (M={}, {} runs x {} rounds, scale {})",
         framework.name(),
@@ -188,12 +173,7 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
         cfg.scale
     );
     let exp = Experiment::new(cfg);
-    let res = if opts.events {
-        let mut sink = StderrSink;
-        exp.run_framework_with_sink(&framework, Some(&mut sink))
-    } else {
-        exp.run_framework(&framework)
-    };
+    let res = opts.run_framework(&exp, &framework)?;
     println!("final ROC-AUC : {}", res.final_auc.fmt_pm());
     println!("final MRR     : {}", res.final_mrr.fmt_pm());
     println!("best ROC-AUC  : {}", res.best_auc.fmt_pm());
@@ -202,13 +182,13 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_efficiency(opts: &Options) -> Result<(), String> {
+fn cmd_efficiency(opts: &Options) -> Result<(), Failure> {
     let inputs = EfficiencyInputs {
-        m: opts.get("m").unwrap_or(16),
-        n: opts.get("n").unwrap_or(65),
-        n_d: opts.get("nd").unwrap_or(20),
-        r_c: opts.get("rc").unwrap_or(0.8),
-        r_p: opts.get("rp").unwrap_or(0.5),
+        m: opts.get("m")?.unwrap_or(16),
+        n: opts.get("n")?.unwrap_or(65),
+        n_d: opts.get("nd")?.unwrap_or(20),
+        r_c: opts.get("rc")?.unwrap_or(0.8),
+        r_p: opts.get("rp")?.unwrap_or(0.5),
     };
     inputs.validate()?;
     println!(

@@ -6,9 +6,8 @@ use fedda_data::{
     PresetOptions,
 };
 use fedda_fl::{
-    baselines, AggWeighting, AsyncDriver, Compression, EventSink, FaultConfig, FedAdam, FedAvg,
-    FedDa, FedDyn, FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, PrivacyConfig,
-    RoundDriver, RuntimeMode,
+    baselines, AggWeighting, Compression, EventSink, FaultConfig, FedAdam, FedAvg, FedDa, FedDyn,
+    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, PrivacyConfig, RunResult, RuntimeMode,
 };
 use fedda_hetgraph::split::{split_edges, EdgeSplit};
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -77,8 +76,8 @@ pub struct ExperimentConfig {
     /// `None` = one worker per dispatched client). Results are identical
     /// for any value — this is a resource knob, not a semantic one.
     pub workers: Option<usize>,
-    /// Which simulation driver executes the round protocol: the lockstep
-    /// [`RoundDriver`] facade or the buffered-asynchronous [`AsyncDriver`].
+    /// Which runtime executes the round protocol: lockstep rounds or
+    /// buffered-asynchronous aggregation (handed to [`fedda_fl::run`]).
     pub runtime: RuntimeMode,
     /// Aggregation weighting (Eq. 5's `p_i`; the paper uses uniform).
     pub weighting: AggWeighting,
@@ -178,7 +177,7 @@ impl Framework {
 
     /// A fresh per-run [`FlProtocol`] for this framework, or `None` for
     /// `Local` (which has no round structure and runs outside the
-    /// [`RoundDriver`]).
+    /// engine).
     pub fn protocol(&self) -> Option<Box<dyn FlProtocol>> {
         match self {
             Framework::Global => Some(Box::new(GlobalProtocol::new())),
@@ -222,14 +221,56 @@ pub struct FrameworkResult {
     /// all curves. Non-consecutive when `eval_every > 1`; empty for
     /// `Local`.
     pub eval_rounds: Vec<usize>,
+    /// Each run's full engine result, in run order — what every field
+    /// above summarises. Empty for `Local`, which has no rounds.
+    pub runs: Vec<RunResult>,
+}
+
+impl FrameworkResult {
+    /// Summarise a framework's runs: the engine results of a round protocol,
+    /// or `local` — the `Local` baseline's per-run `(AUC, MRR)`, each the
+    /// mean over its clients; it has no curve and moves no bytes. Exactly
+    /// one of the two is non-empty.
+    fn new(name: String, runs: Vec<RunResult>, local: &[(f64, f64)]) -> Self {
+        let over = |of_run: fn(&RunResult) -> f64, of_local: fn(&(f64, f64)) -> f64| {
+            let per_run = runs.iter().map(of_run).chain(local.iter().map(of_local));
+            MeanStd::of(&per_run.collect::<Vec<_>>())
+        };
+        let mut auc_curves = CurveRecorder::new();
+        let mut mrr_curves = CurveRecorder::new();
+        for (run, result) in runs.iter().enumerate() {
+            // Record by evaluation-point position, not round number: with a
+            // sparse `eval_every` cadence the evaluated rounds are not
+            // consecutive.
+            for (t, eval) in result.curve.iter().enumerate() {
+                auc_curves.record(run, t, eval.roc_auc);
+                mrr_curves.record(run, t, eval.mrr);
+            }
+        }
+        Self {
+            name,
+            final_auc: over(|r| r.final_eval.roc_auc, |l| l.0),
+            final_mrr: over(|r| r.final_eval.mrr, |l| l.1),
+            best_auc: over(RunResult::best_auc, |l| l.0),
+            uplink_units: over(|r| r.comm.total_uplink_units() as f64, |_| 0.0),
+            uplink_scalars: over(|r| r.comm.total_uplink_scalars() as f64, |_| 0.0),
+            uplink_bytes: over(|r| r.comm.total_uplink_bytes() as f64, |_| 0.0),
+            auc_curves,
+            mrr_curves,
+            // The cadence is config-driven and identical across runs.
+            eval_rounds: runs
+                .first()
+                .map_or_else(Vec::new, |r| r.curve.iter().map(|e| e.round).collect()),
+            runs,
+        }
+    }
 }
 
 /// Tweak for the train/test-split RNG stream, XORed onto the experiment
 /// seed so the split draws are independent of dataset generation (which
-/// consumes the raw seed). Shared with the bench binaries that re-derive
-/// the same split outside [`Experiment`]; registered in the workspace-wide
-/// tweak registry that `fedda-lint`'s `rng-stream` rule keeps collision-free.
-pub const SPLIT_STREAM_TWEAK: u64 = 0x5B11;
+/// consumes the raw seed). Registered in the workspace-wide tweak registry
+/// that `fedda-lint`'s `rng-stream` rule keeps collision-free.
+const SPLIT_STREAM_TWEAK: u64 = 0x5B11;
 
 /// One experiment cell: a generated + split dataset reused across
 /// frameworks and runs so comparisons share data.
@@ -290,17 +331,17 @@ impl Experiment {
         }
     }
 
-    /// Build a fresh federation for run `r` (fresh model init, fresh
-    /// partition; shared global split).
-    pub fn system_for_run(&self, run: usize) -> FlSystem {
-        let clients = self.clients_for_run(run);
+    /// Build a fresh federation over `clients` (fresh model init from
+    /// `seed`; shared global split) — the one place an [`ExperimentConfig`]
+    /// becomes an `FlConfig`.
+    pub fn system_with(&self, clients: Vec<ClientData>, seed: u64) -> FlSystem {
         let fl_cfg = FlConfig {
             rounds: self.cfg.rounds,
             model: self.cfg.model.clone(),
             train: self.cfg.train.clone(),
             eval_negatives: self.cfg.eval_negatives,
             eval_every: self.cfg.eval_every,
-            seed: self.run_seed(run),
+            seed,
             parallel: self.cfg.parallel,
             workers: self.cfg.workers,
             privacy: self.cfg.privacy,
@@ -311,92 +352,39 @@ impl Experiment {
         FlSystem::new(&self.split.train, &self.split.test, clients, fl_cfg)
     }
 
-    /// Run one framework across all configured runs and aggregate.
-    pub fn run_framework(&self, framework: &Framework) -> FrameworkResult {
-        self.run_framework_with_sink(framework, None)
+    /// The federation of run `r`: its own partition and model init.
+    pub fn system_for_run(&self, run: usize) -> FlSystem {
+        self.system_with(self.clients_for_run(run), self.run_seed(run))
     }
 
-    /// Like [`Experiment::run_framework`], streaming every round of every
-    /// run to `sink` when one is given (`Local` has no rounds and emits
-    /// nothing).
-    pub fn run_framework_with_sink(
+    /// Run one framework across all configured runs under the configured
+    /// runtime and summarise, streaming every round of every run to `sink`
+    /// when one is given (`Local` has no rounds and emits nothing). An
+    /// invalid protocol, runtime, fault, codec or privacy configuration
+    /// comes back as the engine's error, before any round runs.
+    pub fn run_framework(
         &self,
         framework: &Framework,
         mut sink: Option<&mut dyn EventSink>,
-    ) -> FrameworkResult {
-        let mut final_aucs = Vec::with_capacity(self.cfg.runs);
-        let mut final_mrrs = Vec::with_capacity(self.cfg.runs);
-        let mut best_aucs = Vec::with_capacity(self.cfg.runs);
-        let mut uplinks = Vec::with_capacity(self.cfg.runs);
-        let mut uplink_scalars = Vec::with_capacity(self.cfg.runs);
-        let mut uplink_bytes = Vec::with_capacity(self.cfg.runs);
-        let mut auc_curves = CurveRecorder::new();
-        let mut mrr_curves = CurveRecorder::new();
-        let mut eval_rounds = Vec::new();
+    ) -> Result<FrameworkResult, String> {
+        let mut runs = Vec::with_capacity(self.cfg.runs);
+        let mut local = Vec::new();
         for run in 0..self.cfg.runs {
             let mut system = self.system_for_run(run);
             match framework.protocol() {
                 None => {
-                    let local = baselines::run_local_only(&system);
-                    final_aucs.push(local.auc_summary().mean);
-                    final_mrrs.push(local.mrr_summary().mean);
-                    best_aucs.push(local.auc_summary().mean);
-                    uplinks.push(0.0);
-                    uplink_scalars.push(0.0);
-                    uplink_bytes.push(0.0);
+                    let scores = baselines::run_local_only(&system);
+                    local.push((scores.auc_summary().mean, scores.mrr_summary().mean));
                 }
-                Some(mut protocol) => {
-                    let result = match &self.cfg.runtime {
-                        RuntimeMode::Sync => {
-                            let mut driver = match sink.as_deref_mut() {
-                                Some(s) => RoundDriver::with_sink(s),
-                                None => RoundDriver::new(),
-                            };
-                            driver.run(protocol.as_mut(), &mut system)
-                        }
-                        RuntimeMode::Async(acfg) => {
-                            let mut driver = match sink.as_deref_mut() {
-                                Some(s) => AsyncDriver::with_sink(*acfg, s),
-                                None => AsyncDriver::new(*acfg),
-                            };
-                            driver.run(protocol.as_mut(), &mut system)
-                        }
-                    }
-                    .unwrap_or_else(|e| panic!("{e}"));
-                    // Record by evaluation-point position, not round number:
-                    // with a sparse `eval_every` cadence the evaluated rounds
-                    // are not consecutive.
-                    for (t, eval) in result.curve.iter().enumerate() {
-                        auc_curves.record(run, t, eval.roc_auc);
-                        mrr_curves.record(run, t, eval.mrr);
-                    }
-                    // The cadence is config-driven and identical across
-                    // runs; remember the true round behind each position
-                    // so figures can label sparse curves correctly.
-                    if eval_rounds.is_empty() {
-                        eval_rounds = result.curve.iter().map(|e| e.round).collect();
-                    }
-                    final_aucs.push(result.final_eval.roc_auc);
-                    final_mrrs.push(result.final_eval.mrr);
-                    best_aucs.push(result.best_auc());
-                    uplinks.push(result.comm.total_uplink_units() as f64);
-                    uplink_scalars.push(result.comm.total_uplink_scalars() as f64);
-                    uplink_bytes.push(result.comm.total_uplink_bytes() as f64);
-                }
+                Some(mut protocol) => runs.push(fedda_fl::run(
+                    &self.cfg.runtime,
+                    protocol.as_mut(),
+                    &mut system,
+                    sink.as_deref_mut(),
+                )?),
             }
         }
-        FrameworkResult {
-            name: framework.name(),
-            final_auc: MeanStd::of(&final_aucs),
-            final_mrr: MeanStd::of(&final_mrrs),
-            best_auc: MeanStd::of(&best_aucs),
-            uplink_units: MeanStd::of(&uplinks),
-            uplink_scalars: MeanStd::of(&uplink_scalars),
-            uplink_bytes: MeanStd::of(&uplink_bytes),
-            auc_curves,
-            mrr_curves,
-            eval_rounds,
-        }
+        Ok(FrameworkResult::new(framework.name(), runs, &local))
     }
 }
 
@@ -435,6 +423,14 @@ mod tests {
             faults: None,
             compression: None,
         }
+    }
+
+    fn run(exp: &Experiment, framework: Framework) -> FrameworkResult {
+        exp.run_framework(&framework, None).unwrap()
+    }
+
+    fn fedavg(exp: &Experiment) -> FrameworkResult {
+        run(exp, Framework::FedAvg(FedAvg::vanilla()))
     }
 
     #[test]
@@ -483,24 +479,50 @@ mod tests {
     #[test]
     fn run_framework_aggregates_over_runs() {
         let exp = Experiment::new(quick_cfg());
-        let res = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
+        let res = fedavg(&exp);
         assert_eq!(res.final_auc.n, 2);
         assert_eq!(res.auc_curves.num_runs(), 2);
         assert_eq!(res.auc_curves.num_rounds(), 2);
         assert!(res.uplink_units.mean > 0.0);
         assert!(res.uplink_bytes.mean > 0.0);
         assert_eq!(res.name, "FedAvg");
+        // Every run's full result is kept, and the summary is a fold over them.
+        assert_eq!(res.runs.len(), 2);
+        let units: Vec<f64> = res
+            .runs
+            .iter()
+            .map(|r| r.comm.total_uplink_units() as f64)
+            .collect();
+        assert_eq!(res.uplink_units, MeanStd::of(&units));
+        assert_eq!(res.runs[0].curve.len(), res.eval_rounds.len());
+    }
+
+    #[test]
+    fn run_framework_returns_the_engine_error_under_either_runtime() {
+        use fedda_fl::AsyncConfig;
+        let bad_protocol = Framework::FedAvg(FedAvg::with_fractions(0.0, 1.0));
+        let err = Experiment::new(quick_cfg())
+            .run_framework(&bad_protocol, None)
+            .unwrap_err();
+        assert!(err.contains("client_fraction"), "{err}");
+        let exp = Experiment::new(ExperimentConfig {
+            runtime: RuntimeMode::Async(AsyncConfig { k: 0, gamma: 0.9 }),
+            ..quick_cfg()
+        });
+        assert_eq!(
+            exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)
+                .unwrap_err(),
+            "invalid async runtime configuration: async k must be at least 1"
+        );
     }
 
     #[test]
     fn compression_shrinks_ledgered_bytes_but_not_units() {
-        let uncompressed =
-            Experiment::new(quick_cfg()).run_framework(&Framework::FedAvg(FedAvg::vanilla()));
-        let q8 = Experiment::new(ExperimentConfig {
+        let uncompressed = fedavg(&Experiment::new(quick_cfg()));
+        let q8 = fedavg(&Experiment::new(ExperimentConfig {
             compression: Some(Compression::QuantI8),
             ..quick_cfg()
-        })
-        .run_framework(&Framework::FedAvg(FedAvg::vanilla()));
+        }));
         // Mask-then-compress: the unit/scalar fan-out is mask-driven and
         // unchanged, the byte charge drops 4× under i8.
         assert_eq!(q8.uplink_units.mean, uncompressed.uplink_units.mean);
@@ -519,7 +541,7 @@ mod tests {
         cfg.rounds = 3;
         cfg.eval_every = 2;
         let exp = Experiment::new(cfg);
-        let res = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
+        let res = fedavg(&exp);
         // Rounds 1 and 2 are evaluated (cadence hit + final round), so the
         // recorder holds two non-consecutive rounds as two sequential points,
         // and eval_rounds carries the true round behind each position.
@@ -532,14 +554,15 @@ mod tests {
     #[test]
     fn dense_cadence_has_consecutive_eval_rounds() {
         let exp = Experiment::new(quick_cfg());
-        let res = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
+        let res = fedavg(&exp);
         assert_eq!(res.eval_rounds, vec![0, 1]);
     }
 
     #[test]
     fn local_framework_has_no_curves() {
         let exp = Experiment::new(quick_cfg());
-        let res = exp.run_framework(&Framework::Local);
+        let res = run(&exp, Framework::Local);
+        assert!(res.runs.is_empty(), "Local has no engine runs to keep");
         assert_eq!(res.auc_curves.num_runs(), 0);
         assert!(res.eval_rounds.is_empty());
         assert_eq!(res.final_auc.n, 2);

@@ -38,10 +38,12 @@
 //!     ..Default::default()
 //! };
 //! let exp = Experiment::new(cfg);
-//! let fedavg = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
-//! let fedda = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+//! // `None`: no event sink. An invalid configuration comes back as `Err`.
+//! let fedavg = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)?;
+//! let fedda = exp.run_framework(&Framework::FedDa(FedDa::explore()), None)?;
 //! // FedDA never uploads more than FedAvg:
 //! assert!(fedda.uplink_units.mean <= fedavg.uplink_units.mean);
+//! # Ok::<(), String>(())
 //! ```
 
 #![warn(missing_docs)]

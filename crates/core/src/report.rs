@@ -65,6 +65,7 @@ mod tests {
             auc_curves: curves,
             mrr_curves: CurveRecorder::new(),
             eval_rounds: vec![0, 1],
+            runs: Vec::new(),
         }
     }
 

@@ -3,15 +3,15 @@
 //! trains alone — the lower bound; scores are averaged over clients).
 //!
 //! `Global` is a round protocol — one outer step per round, evaluated on
-//! the shared cadence — so it runs under the same
-//! [`RoundDriver`] as the federated protocols via
+//! the shared cadence — so it runs on the same engine
+//! ([`run`](crate::run)) as the federated protocols via
 //! [`GlobalProtocol`]: it selects no clients (its comm log stays empty) and
 //! does all its training in the post-aggregation hook, directly on
 //! `system.global`. `Local` has no round structure (clients never
 //! communicate, models are only scored at the end) and stays a plain
 //! function.
 
-use crate::engine::RoundDriver;
+use crate::engine::run_or_panic;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
@@ -24,10 +24,7 @@ use rand::SeedableRng;
 /// `system.config().rounds` outer steps (each of `E` local epochs, to match
 /// the federated compute budget), evaluating on the configured cadence.
 pub fn run_global(system: &mut FlSystem) -> RunResult {
-    RoundDriver::new()
-        .run(&mut GlobalProtocol::new(), system)
-        // fedda-lint: allow(panic-path, reason = "GlobalProtocol::begin is infallible, so RoundDriver::run cannot return Err for it")
-        .expect("the Global baseline has no invalid configurations")
+    run_or_panic("Global", &mut GlobalProtocol::new(), system)
 }
 
 /// The centralised "server trains alone" pieces, cloned out of the system
@@ -115,7 +112,7 @@ impl FlProtocol for GlobalProtocol {
         _round: usize,
         rng: &mut StdRng,
     ) -> StepOutcome {
-        // fedda-lint: allow(panic-path, reason = "RoundDriver calls begin() before any round hook; a missing state is a protocol-engine bug")
+        // fedda-lint: allow(panic-path, reason = "the engine calls begin() before any round hook; a missing state is a protocol-engine bug")
         let state = self.state.as_ref().expect("begin() initialises the state");
         let sampler = LinkSampler::with_index(&state.graph, state.index.clone());
         train_local(

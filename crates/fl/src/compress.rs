@@ -296,12 +296,6 @@ pub trait Compressor {
         }
         Compressed { units }
     }
-
-    /// Decode a compressed report against the broadcast it was encoded
-    /// from. Untransmitted units keep the reference values.
-    fn decompress(&self, compressed: &Compressed, reference: &ParamSet) -> ParamSet {
-        compressed.reconstruct(reference)
-    }
 }
 
 /// Lossless framing: raw `f32` bits of every masked scalar. Same bytes as

@@ -23,9 +23,10 @@
 //!
 //! # The arrival policy
 //!
-//! [`RoundDriver`] (synchronous lockstep) and [`AsyncDriver`]
-//! (FedBuff-style buffered asynchrony) are two constructors over this
-//! engine. They differ in the five decisions tabulated in the crate docs —
+//! [`run`] takes the runtime as a [`RuntimeMode`]: synchronous lockstep or
+//! FedBuff-style buffered asynchrony. ([`RoundDriver`] and [`AsyncDriver`]
+//! are one-line constructors over it, kept for the benchmark package.) The
+//! two modes differ in the five decisions tabulated in the crate docs —
 //! eligibility, latency, flush trigger, staleness weight, order at flush —
 //! each one method of the private [`Policy`], and in nothing else. With no
 //! fault plan and `K` at the federation size the two coincide: every
@@ -100,16 +101,14 @@ impl AsyncConfig {
 /// the CLI's `--runtime` flag).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum RuntimeMode {
-    /// Synchronous lockstep rounds ([`RoundDriver`]).
+    /// Synchronous lockstep rounds.
     #[default]
     Sync,
-    /// Buffered-asynchronous aggregation ([`AsyncDriver`]).
+    /// Buffered-asynchronous aggregation.
     Async(AsyncConfig),
 }
 
-/// Executes an [`FlProtocol`] over an [`FlSystem`] in synchronous lockstep
-/// rounds, optionally streaming per-round [`RoundEvent`]s to an
-/// [`EventSink`].
+/// [`run`] under [`RuntimeMode::Sync`] with the sink bound up front.
 #[derive(Default)]
 pub struct RoundDriver<'a> {
     sink: Option<&'a mut dyn EventSink>,
@@ -126,63 +125,46 @@ impl<'a> RoundDriver<'a> {
         Self { sink: Some(sink) }
     }
 
-    /// Run `system.config().rounds` rounds of `protocol`.
-    ///
-    /// The protocol and the system's fault, compression and privacy
-    /// configurations are validated before round 0; an invalid one returns
-    /// its error without touching the system.
+    /// [`run`] in lockstep mode.
     pub fn run(
         &mut self,
         protocol: &mut dyn FlProtocol,
         system: &mut FlSystem,
     ) -> Result<RunResult, String> {
-        run(Policy::Lockstep, protocol, system, self.sink.as_deref_mut())
+        let sink = self.sink.as_deref_mut();
+        run(&RuntimeMode::Sync, protocol, system, sink)
     }
 }
 
-/// Executes an [`FlProtocol`] under buffered-asynchronous aggregation,
-/// optionally streaming one [`RoundEvent`] per server version to an
-/// [`EventSink`].
+/// [`run`] under [`RuntimeMode::Async`] with the sink bound up front.
 pub struct AsyncDriver<'a> {
-    cfg: AsyncConfig,
+    mode: RuntimeMode,
     sink: Option<&'a mut dyn EventSink>,
 }
 
 impl AsyncDriver<'_> {
     /// Driver without an event sink.
     pub fn new(cfg: AsyncConfig) -> Self {
-        Self { cfg, sink: None }
+        let mode = RuntimeMode::Async(cfg);
+        Self { mode, sink: None }
     }
 }
 
 impl<'a> AsyncDriver<'a> {
     /// Driver that emits one [`RoundEvent`] per aggregation to `sink`.
     pub fn with_sink(cfg: AsyncConfig, sink: &'a mut dyn EventSink) -> Self {
-        Self {
-            cfg,
-            sink: Some(sink),
-        }
+        let mode = RuntimeMode::Async(cfg);
+        let sink = Some(sink);
+        Self { mode, sink }
     }
 
-    /// Run `system.config().rounds` buffered-asynchronous aggregations of
-    /// `protocol`.
-    ///
-    /// Validates the async configuration, then everything
-    /// [`RoundDriver::run`] validates, before touching the system.
+    /// [`run`] in buffered mode.
     pub fn run(
         &mut self,
         protocol: &mut dyn FlProtocol,
         system: &mut FlSystem,
     ) -> Result<RunResult, String> {
-        self.cfg
-            .validate()
-            .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
-        run(
-            Policy::Buffered(self.cfg),
-            protocol,
-            system,
-            self.sink.as_deref_mut(),
-        )
+        run(&self.mode, protocol, system, self.sink.as_deref_mut())
     }
 }
 
@@ -320,14 +302,27 @@ struct Engine<'a> {
     result: RunResult,
 }
 
-/// Validate, then run `system.config().rounds` rounds of `protocol` under
-/// `policy`.
-fn run(
-    policy: Policy,
+/// The engine's one entry: run `system.config().rounds` rounds of `protocol`
+/// under `mode`, streaming one [`RoundEvent`] per round (per server version
+/// in buffered mode) to `sink` when one is given.
+///
+/// The async configuration, the protocol and the system's fault,
+/// compression and privacy configurations are validated before round 0; an
+/// invalid one returns its error without touching the system.
+pub fn run(
+    mode: &RuntimeMode,
     protocol: &mut dyn FlProtocol,
     system: &mut FlSystem,
     mut sink: Option<&mut (dyn EventSink + '_)>,
 ) -> Result<RunResult, String> {
+    let policy = match mode {
+        RuntimeMode::Sync => Policy::Lockstep,
+        RuntimeMode::Async(cfg) => {
+            cfg.validate()
+                .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
+            Policy::Buffered(*cfg)
+        }
+    };
     protocol
         .validate()
         .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
@@ -378,6 +373,18 @@ fn run(
         engine.commit(round, sink.as_deref_mut());
     }
     Ok(engine.result)
+}
+
+/// The six shorthands (the protocols' `run`, `baselines::run_global`) for
+/// tests and examples: lockstep, no sink, a panic naming `label` on `Err`.
+pub(crate) fn run_or_panic(
+    label: &str,
+    protocol: &mut dyn FlProtocol,
+    system: &mut FlSystem,
+) -> RunResult {
+    run(&RuntimeMode::Sync, protocol, system, None)
+        // fedda-lint: allow(panic-path, reason = "the documented panic of the six shorthand entry points; fallible callers use run")
+        .unwrap_or_else(|e| panic!("invalid {label} configuration: {e}"))
 }
 
 impl Engine<'_> {
@@ -686,12 +693,12 @@ mod tests {
             })
         });
         let before = sys.global.flatten();
-        let sync = RoundDriver::new().run(&mut FedAvg::vanilla(), &mut sys);
-        let buffered =
-            AsyncDriver::new(AsyncConfig::default()).run(&mut FedAvg::vanilla(), &mut sys);
-        for err in [sync.unwrap_err(), buffered.unwrap_err()] {
+        for mode in [
+            RuntimeMode::Sync,
+            RuntimeMode::Async(AsyncConfig::default()),
+        ] {
             assert_eq!(
-                err,
+                run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
                 "invalid privacy configuration: clip_norm must be positive"
             );
         }
@@ -782,10 +789,11 @@ mod tests {
     fn async_rejects_invalid_configs_before_touching_the_system() {
         let mut sys = tiny_system(2, 23);
         let before = sys.global.flatten();
-        let err = AsyncDriver::new(AsyncConfig { k: 0, gamma: 0.9 })
-            .run(&mut FedAvg::vanilla(), &mut sys)
-            .unwrap_err();
-        assert!(err.contains("async"), "unexpected error: {err}");
+        let mode = RuntimeMode::Async(AsyncConfig { k: 0, gamma: 0.9 });
+        assert_eq!(
+            run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
+            "invalid async runtime configuration: async k must be at least 1"
+        );
         assert_eq!(sys.global.flatten(), before, "system must be untouched");
     }
 

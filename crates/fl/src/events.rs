@@ -1,6 +1,6 @@
 //! Structured round events.
 //!
-//! The [`RoundDriver`](crate::RoundDriver) emits one [`RoundEvent`] per
+//! The engine ([`run`](crate::run)) emits one [`RoundEvent`] per
 //! communication round to a pluggable [`EventSink`], so a run's behaviour
 //! (active set, mask density, comm volume, evaluation, wall-time) is
 //! observable without scraping stdout. Sinks are deliberately dumb: the

@@ -3,7 +3,7 @@
 //! FedDA's premise is that client availability is *dynamic*: clients drop
 //! out, straggle, or return garbage, and the activation machinery only
 //! earns its keep when they actually do. This module gives the
-//! [`RoundDriver`](crate::RoundDriver) first-class failure semantics:
+//! engine ([`run`](crate::run)) first-class failure semantics:
 //!
 //! * a [`FaultConfig`] (plugged in via `FlConfig::faults`) describes per
 //!   round × client probabilities of **dropout** (selected but never

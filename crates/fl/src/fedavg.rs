@@ -11,7 +11,7 @@
 //! either full or random at density `D`, and there is no post-aggregation
 //! bookkeeping.
 
-use crate::engine::RoundDriver;
+use crate::engine::run_or_panic;
 use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol};
 use crate::system::{FlSystem, RunResult};
 use rand::rngs::StdRng;
@@ -52,18 +52,15 @@ impl FedAvg {
         }
     }
 
-    /// Run `cfg.rounds` rounds through the shared [`RoundDriver`],
-    /// evaluating the global model on the `FlConfig::eval_every` cadence.
+    /// Run `cfg.rounds` lockstep rounds on the engine, evaluating the
+    /// global model on the `FlConfig::eval_every` cadence.
     ///
     /// # Panics
     ///
     /// On an invalid configuration (see [`validate`](FlProtocol::validate));
-    /// use the driver directly to handle the error.
+    /// use [`run`](crate::run) to handle the error.
     pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        RoundDriver::new()
-            .run(&mut self.clone(), system)
-            // fedda-lint: allow(panic-path, reason = "documented panic in the method contract above; fallible callers use RoundDriver directly")
-            .expect("invalid FedAvg configuration")
+        run_or_panic("FedAvg", &mut self.clone(), system)
     }
 }
 

@@ -18,12 +18,12 @@
 //!    (Alg. 3) tops the active set back up to `β_e · M` with randomly
 //!    chosen deactivated clients, skipping those deactivated this round.
 //!
-//! Steps 1–3 are the shared round loop owned by
-//! [`RoundDriver`](crate::RoundDriver); steps 4–6 are FedDA's
+//! Steps 1–3 are the shared round loop owned by the engine
+//! ([`run`](crate::run)); steps 4–6 are FedDA's
 //! [`FlProtocol`] hooks, implemented on [`FedDaProtocol`] (the per-run
 //! state machine [`FedDa::protocol`] creates).
 
-use crate::engine::RoundDriver;
+use crate::engine::run_or_panic;
 use crate::faults::FaultObserved;
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
@@ -192,7 +192,7 @@ impl FedDa {
 
     /// A fresh per-run [`FlProtocol`] state machine for these
     /// hyper-parameters (state is sized in `begin`, so one instance serves
-    /// exactly one [`RoundDriver::run`]).
+    /// exactly one [`run`](crate::run)).
     pub fn protocol(&self) -> FedDaProtocol {
         FedDaProtocol {
             cfg: self.clone(),
@@ -204,18 +204,14 @@ impl FedDa {
         }
     }
 
-    /// Run `cfg.rounds` rounds of FedDA through the shared
-    /// [`RoundDriver`].
+    /// Run `cfg.rounds` lockstep rounds of FedDA on the engine.
     ///
     /// # Panics
     ///
-    /// On an invalid configuration (see [`FedDa::validate`]); use the
-    /// driver directly to handle the error.
+    /// On an invalid configuration (see [`FedDa::validate`]); use
+    /// [`run`](crate::run) to handle the error.
     pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        RoundDriver::new()
-            .run(&mut self.protocol(), system)
-            // fedda-lint: allow(panic-path, reason = "documented panic in the method contract above; fallible callers use RoundDriver directly")
-            .expect("invalid FedDA configuration")
+        run_or_panic("FedDA", &mut self.protocol(), system)
     }
 
     /// Step 4 of the round: update request masks from the returned

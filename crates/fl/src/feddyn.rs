@@ -31,7 +31,7 @@
 //! state, and stale straggler arrivals contribute to averaging but not to
 //! the correction (their delta is against an older broadcast).
 
-use crate::engine::RoundDriver;
+use crate::engine::run_or_panic;
 use crate::protocol::{
     check_client_fraction, sample_client_fraction, FlProtocol, LocalPenalty, StepOutcome,
 };
@@ -91,17 +91,14 @@ impl FedDyn {
         }
     }
 
-    /// Run `cfg.rounds` rounds through the shared [`RoundDriver`].
+    /// Run `cfg.rounds` lockstep rounds on the engine.
     ///
     /// # Panics
     ///
-    /// On an invalid configuration (see [`FedDyn::validate`]); use the
-    /// driver directly to handle the error.
+    /// On an invalid configuration (see [`FedDyn::validate`]); use
+    /// [`run`](crate::run) to handle the error.
     pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        RoundDriver::new()
-            .run(&mut self.protocol(), system)
-            // fedda-lint: allow(panic-path, reason = "documented panic in the method contract above; fallible callers use RoundDriver directly")
-            .expect("invalid FedDyn configuration")
+        run_or_panic("FedDyn", &mut self.protocol(), system)
     }
 }
 
@@ -263,9 +260,7 @@ mod tests {
     fn h_state_moves_and_stays_finite() {
         let mut sys = tiny_system(2, 33);
         let mut proto = FedDyn::new(0.5).protocol();
-        RoundDriver::new()
-            .run(&mut proto, &mut sys)
-            .expect("valid config");
+        crate::run(&crate::RuntimeMode::Sync, &mut proto, &mut sys, None).expect("valid config");
         assert!(proto.h_state().iter().all(|h| h.is_finite()));
         assert!(
             proto.h_state().iter().any(|&h| h != 0.0),

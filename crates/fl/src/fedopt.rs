@@ -21,7 +21,7 @@
 //! (total dropout) `Δ = 0`: the moments decay and the server still steps
 //! deterministically on the decayed momentum.
 
-use crate::engine::RoundDriver;
+use crate::engine::run_or_panic;
 use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem, RunResult};
 use rand::rngs::StdRng;
@@ -101,17 +101,14 @@ impl FedAdam {
         }
     }
 
-    /// Run `cfg.rounds` rounds through the shared [`RoundDriver`].
+    /// Run `cfg.rounds` lockstep rounds on the engine.
     ///
     /// # Panics
     ///
-    /// On an invalid configuration (see [`FedAdam::validate`]); use the
-    /// driver directly to handle the error.
+    /// On an invalid configuration (see [`FedAdam::validate`]); use
+    /// [`run`](crate::run) to handle the error.
     pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        RoundDriver::new()
-            .run(&mut self.protocol(), system)
-            // fedda-lint: allow(panic-path, reason = "documented panic in the method contract above; fallible callers use RoundDriver directly")
-            .expect("invalid FedAdam configuration")
+        run_or_panic("FedAdam", &mut self.protocol(), system)
     }
 }
 
@@ -273,9 +270,7 @@ mod tests {
     fn moments_track_the_pseudo_gradient() {
         let mut sys = tiny_system(2, 43);
         let mut proto = FedAdam::default().protocol();
-        RoundDriver::new()
-            .run(&mut proto, &mut sys)
-            .expect("valid config");
+        crate::run(&crate::RuntimeMode::Sync, &mut proto, &mut sys, None).expect("valid config");
         let (m, v) = proto.moments();
         assert!(m.iter().all(|x| x.is_finite()));
         assert!(v.iter().all(|x| x.is_finite() && *x >= 0.0));

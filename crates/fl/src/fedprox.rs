@@ -14,7 +14,7 @@
 //! `μ = 0` degenerates to FedAvg's objective (but keeps FedProx's own RNG
 //! stream tweak, so curves are comparable-by-seed, not bit-identical).
 
-use crate::engine::RoundDriver;
+use crate::engine::run_or_panic;
 use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol, LocalPenalty};
 use crate::system::{FlSystem, RunResult};
 use rand::rngs::StdRng;
@@ -48,17 +48,14 @@ impl FedProx {
         }
     }
 
-    /// Run `cfg.rounds` rounds through the shared [`RoundDriver`].
+    /// Run `cfg.rounds` lockstep rounds on the engine.
     ///
     /// # Panics
     ///
     /// On an invalid configuration (see [`validate`](FlProtocol::validate));
-    /// use the driver directly to handle the error.
+    /// use [`run`](crate::run) to handle the error.
     pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        RoundDriver::new()
-            .run(&mut self.clone(), system)
-            // fedda-lint: allow(panic-path, reason = "documented panic in the method contract above; fallible callers use RoundDriver directly")
-            .expect("invalid FedProx configuration")
+        run_or_panic("FedProx", &mut self.clone(), system)
     }
 }
 

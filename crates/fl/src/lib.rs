@@ -34,11 +34,13 @@
 //! Every round protocol implements [`FlProtocol`] and executes on one
 //! round engine — dispatch, arrival admission, commit — over the
 //! event-driven simulation [`runtime`] (deterministic virtual clock,
-//! ordered event queue, worker pool). [`RoundDriver`] and [`AsyncDriver`]
-//! are its two constructors; they differ in a five-decision arrival policy
-//! and in nothing else:
+//! ordered event queue, worker pool). [`run`] is its one entry: it takes
+//! the runtime as a [`RuntimeMode`], and the two modes differ in a
+//! five-decision arrival policy and in nothing else. ([`RoundDriver`] and
+//! [`AsyncDriver`] are one-line constructors over [`run`], kept because the
+//! benchmark package links them; they go when it is re-pointed.)
 //!
-//! | decision | [`RoundDriver`] (lockstep) | [`AsyncDriver`] (buffered, FedBuff-style) |
+//! | decision | [`RuntimeMode::Sync`] (lockstep) | [`RuntimeMode::Async`] (buffered, FedBuff-style) |
 //! |---|---|---|
 //! | eligibility | every selected client | selected clients without a report in flight (a client holds at most one) |
 //! | latency | round `r` is tick `r`; a straggler lands `delay` ticks later and is recorded as `StragglerHeld` at dispatch; a report the run would outlive (`r + delay ≥ rounds`) is never encoded, delivered or charged | every report lands `1 + delay` ticks after dispatch, none is lost at dispatch or recorded as held — what is still in flight when the run ends is never charged |
@@ -46,8 +48,8 @@
 //! | staleness weight | `FaultConfig::staleness` (`Discard` drops the report, `Discount{γ}` weights it `γ^s`) | `γ^s` from [`AsyncConfig::gamma`], never discards |
 //! | order at flush | this round's reports by dispatch position, then held reports by arrival — contributions and fault records alike — and `post_aggregate` sees this round's returns only | arrival order throughout; `post_aggregate` sees every admitted return |
 //!
-//! Both stream structured per-round [`RoundEvent`]s to a pluggable
-//! [`EventSink`].
+//! Both stream structured per-round [`RoundEvent`]s to the [`EventSink`]
+//! [`run`] is handed.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -71,7 +73,7 @@ mod system;
 pub use baselines::GlobalProtocol;
 pub use comm::{CommLog, RoundComm};
 pub use compress::{Compressed, Compression, Compressor, Delta, InFlight, UplinkCharge};
-pub use engine::{AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
+pub use engine::{run, AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
 pub use events::{EventSink, MemorySink, RoundEvent, StderrSink};
 pub use faults::{
     renormalize, Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,

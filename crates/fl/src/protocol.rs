@@ -1,5 +1,5 @@
 //! The protocol-engine seam: [`FlProtocol`] is the set of hooks a federated
-//! algorithm plugs into the shared [`RoundDriver`](crate::RoundDriver).
+//! algorithm plugs into the shared engine ([`run`](crate::run)).
 //!
 //! Every algorithm in the reproduction used to hand-roll its own round loop
 //! over [`FlSystem`]; the driver now owns the canonical loop (broadcast,
@@ -82,8 +82,8 @@ pub struct LocalPenalty {
     pub linear: Option<Vec<f32>>,
 }
 
-/// Hooks a federated algorithm implements to run under the shared
-/// [`RoundDriver`](crate::RoundDriver).
+/// Hooks a federated algorithm implements to run on the shared engine
+/// ([`run`](crate::run)).
 ///
 /// Implementations are per-run state machines: the driver calls
 /// [`begin`](FlProtocol::begin) exactly once before round 0, then the

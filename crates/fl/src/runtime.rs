@@ -16,10 +16,10 @@
 //!    any pool size and any interleaving; `run_ordered` additionally
 //!    returns results in submission order.
 //!
-//! Under [`RoundDriver`](crate::RoundDriver) round `r` occupies tick `r`
-//! and flushes when nothing more is due at it; under the
-//! buffered-asynchronous [`AsyncDriver`](crate::AsyncDriver) deliveries
-//! span many ticks and a round flushes on its `K`-th admitted report.
+//! Under [`RuntimeMode::Sync`](crate::RuntimeMode) round `r` occupies tick
+//! `r` and flushes when nothing more is due at it; under
+//! [`RuntimeMode::Async`](crate::RuntimeMode) deliveries span many ticks
+//! and a round flushes on its `K`-th admitted report.
 
 use crate::system::ClientReturn;
 use std::collections::BTreeMap;
@@ -105,11 +105,6 @@ impl<E> Scheduler<E> {
         let key = (tick.max(self.now()), self.seq);
         self.seq += 1;
         self.queue.insert(key, event);
-    }
-
-    /// Schedule `event` `delay` ticks from now.
-    pub fn schedule_after(&mut self, delay: Tick, event: E) {
-        self.schedule_at(self.now().saturating_add(delay), event);
     }
 
     /// Tick of the earliest waiting event, without popping it.
@@ -249,7 +244,7 @@ mod tests {
         s.schedule_at(2, "late");
         s.schedule_at(1, "first-at-1");
         s.schedule_at(1, "second-at-1");
-        s.schedule_after(0, "now");
+        s.schedule_at(s.now(), "now");
         assert_eq!(s.len(), 4);
         assert_eq!(s.next_tick(), Some(0));
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
@@ -275,7 +270,7 @@ mod tests {
         s.pop();
         assert_eq!(s.now(), 7);
         // Scheduling relative to the advanced clock.
-        s.schedule_after(3, 2);
+        s.schedule_at(s.now() + 3, 2);
         assert_eq!(s.pop(), Some((10, 2)));
     }
 

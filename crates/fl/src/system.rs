@@ -206,7 +206,7 @@ pub struct ActivationSnapshot {
 }
 
 /// Result of one full federated run.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct RunResult {
     /// Per-round global evaluation.
     pub curve: Vec<RoundEval>,
@@ -672,22 +672,6 @@ impl FlSystem {
             self.cfg.eval_negatives,
             &mut rng,
         )
-    }
-
-    /// Reset the global parameters to a fresh seeded Simple-HGN
-    /// initialisation (only meaningful for systems built with
-    /// [`FlSystem::new`]; systems built via [`FlSystem::with_model`] should
-    /// construct a new system instead).
-    pub fn reinit(&mut self, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (_, params) =
-            SimpleHgn::init_params(self.eval_graph.schema(), &self.cfg.model, &mut rng);
-        assert_eq!(
-            params.len(),
-            self.global.len(),
-            "reinit requires the default Simple-HGN parameter layout"
-        );
-        self.global = params;
     }
 
     /// An all-true mask set for `m` clients (vanilla FedAvg's request).

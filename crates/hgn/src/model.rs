@@ -21,7 +21,7 @@
 
 use crate::config::{Decoder, HgnConfig};
 use crate::view::GraphView;
-use fedda_hetgraph::{EdgeTypeId, LinkExample, NodeTypeId, Schema};
+use fedda_hetgraph::{EdgeTypeId, LinkExample, Schema};
 use fedda_tensor::{init, Graph, Matrix, ParamId, ParamMeta, ParamSet, TapeBindings, Var};
 use rand::Rng;
 use std::sync::Arc;
@@ -394,11 +394,6 @@ impl SimpleHgn {
             .enumerate()
             .filter_map(|(t, &s)| s.then_some(EdgeTypeId(t as u16)))
             .collect()
-    }
-
-    /// Node-type input dimensionality used at construction (for checks).
-    pub fn expects_feat_dim(&self, params: &ParamSet, t: NodeTypeId) -> usize {
-        params.get(self.in_proj[t.index()]).value().rows()
     }
 }
 

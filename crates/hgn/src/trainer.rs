@@ -225,6 +225,59 @@ pub struct EvalResult {
     pub num_positives: usize,
 }
 
+/// What [`evaluate`] and [`evaluate_detailed`] share: the positives and
+/// their sampled negatives, scored, labelled and grouped into ranking
+/// queries, plus the overall metrics. `None` when there is nothing to score.
+struct Scored {
+    examples: Vec<LinkExample>,
+    logits: Vec<f32>,
+    labels: Vec<bool>,
+    queries: Vec<RankQuery>,
+    overall: EvalResult,
+}
+
+fn score<R: Rng + ?Sized>(
+    model: &dyn LinkPredictor,
+    params: &ParamSet,
+    view: &GraphView,
+    sampler: &LinkSampler<'_>,
+    test_positives: &[LinkExample],
+    negatives_per_positive: usize,
+    rng: &mut R,
+) -> Option<Scored> {
+    assert!(
+        negatives_per_positive > 0,
+        "need at least one negative per positive"
+    );
+    if test_positives.is_empty() {
+        return None;
+    }
+    let examples = sampler.with_negatives(test_positives, negatives_per_positive, rng);
+    let logits = model.logits(params, view, &examples);
+    let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
+    // Examples are laid out positive-first per group by `with_negatives`.
+    let group = 1 + negatives_per_positive;
+    let queries: Vec<RankQuery> = logits
+        .chunks(group)
+        .map(|chunk| RankQuery {
+            positive: chunk[0],
+            negatives: chunk[1..].to_vec(),
+        })
+        .collect();
+    let overall = EvalResult {
+        roc_auc: roc_auc(&logits, &labels),
+        mrr: mrr(&queries),
+        num_positives: test_positives.len(),
+    };
+    Some(Scored {
+        examples,
+        logits,
+        labels,
+        queries,
+        overall,
+    })
+}
+
 /// Evaluate on held-out positives: each is scored against
 /// `negatives_per_positive` type-respecting corruptions.
 ///
@@ -239,31 +292,10 @@ pub fn evaluate<R: Rng + ?Sized>(
     negatives_per_positive: usize,
     rng: &mut R,
 ) -> EvalResult {
-    assert!(
-        negatives_per_positive > 0,
-        "need at least one negative per positive"
-    );
-    if test_positives.is_empty() {
-        return EvalResult::default();
-    }
-    let examples = sampler.with_negatives(test_positives, negatives_per_positive, rng);
-    let logits = model.logits(params, view, &examples);
-    let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
-    let auc = roc_auc(&logits, &labels);
-    // Examples are laid out positive-first per group by `with_negatives`.
-    let group = 1 + negatives_per_positive;
-    let queries: Vec<RankQuery> = logits
-        .chunks(group)
-        .map(|chunk| RankQuery {
-            positive: chunk[0],
-            negatives: chunk[1..].to_vec(),
-        })
-        .collect();
-    EvalResult {
-        roc_auc: auc,
-        mrr: mrr(&queries),
-        num_positives: test_positives.len(),
-    }
+    let n = negatives_per_positive;
+    score(model, params, view, sampler, test_positives, n, rng)
+        .map(|s| s.overall)
+        .unwrap_or_default()
 }
 
 /// Extended evaluation: overall metrics plus a per-edge-type breakdown —
@@ -292,34 +324,19 @@ pub fn evaluate_detailed<R: Rng + ?Sized>(
     negatives_per_positive: usize,
     rng: &mut R,
 ) -> DetailedEvalResult {
-    assert!(
-        negatives_per_positive > 0,
-        "need at least one negative per positive"
-    );
-    if test_positives.is_empty() {
+    let n = negatives_per_positive;
+    let Some(s) = score(model, params, view, sampler, test_positives, n, rng) else {
         return DetailedEvalResult::default();
-    }
-    let examples = sampler.with_negatives(test_positives, negatives_per_positive, rng);
-    let logits = model.logits(params, view, &examples);
-    let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
-    let auc = roc_auc(&logits, &labels);
-    let group = 1 + negatives_per_positive;
-    let queries: Vec<RankQuery> = logits
-        .chunks(group)
-        .map(|chunk| RankQuery {
-            positive: chunk[0],
-            negatives: chunk[1..].to_vec(),
-        })
-        .collect();
+    };
 
     // Per-edge-type AUC: slice the flat example/logit arrays by type.
     let schema = sampler.graph().schema();
     let mut by_type = Vec::new();
     for t in schema.edge_type_ids() {
         let (mut scores, mut labs) = (Vec::new(), Vec::new());
-        for (e, &s) in examples.iter().zip(&logits) {
+        for (e, &logit) in s.examples.iter().zip(&s.logits) {
             if e.etype == t {
-                scores.push(s);
+                scores.push(logit);
                 labs.push(e.label);
             }
         }
@@ -333,14 +350,10 @@ pub fn evaluate_detailed<R: Rng + ?Sized>(
     }
 
     DetailedEvalResult {
-        overall: EvalResult {
-            roc_auc: auc,
-            mrr: mrr(&queries),
-            num_positives: test_positives.len(),
-        },
-        hits_at_1: fedda_metrics::hits_at_k(&queries, 1),
-        hits_at_3: fedda_metrics::hits_at_k(&queries, 3),
-        average_precision: fedda_metrics::average_precision(&logits, &labels),
+        overall: s.overall,
+        hits_at_1: fedda_metrics::hits_at_k(&s.queries, 1),
+        hits_at_3: fedda_metrics::hits_at_k(&s.queries, 3),
+        average_precision: fedda_metrics::average_precision(&s.logits, &s.labels),
         auc_by_edge_type: fedda_metrics::GroupedMetric::new(by_type),
     }
 }

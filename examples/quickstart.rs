@@ -6,7 +6,7 @@
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
 use fedda::fl::{FedAvg, FedDa};
 
-fn main() {
+fn main() -> Result<(), String> {
     // A small Amazon-like heterograph (one node type, co-view +
     // co-purchase links), split 8 ways with the paper's non-IID protocol.
     let cfg = ExperimentConfig {
@@ -34,7 +34,7 @@ fn main() {
         Framework::FedDa(FedDa::restart()),
         Framework::FedDa(FedDa::explore()),
     ] {
-        let res = exp.run_framework(&fw);
+        let res = exp.run_framework(&fw, None)?;
         println!(
             "{:<20} final AUC {:.4}  best AUC {:.4}  MRR {:.4}  uplink units {:>7.0}",
             res.name,
@@ -45,4 +45,5 @@ fn main() {
         );
     }
     println!("\nFedDA matches (or beats) FedAvg accuracy while uploading fewer parameters.");
+    Ok(())
 }

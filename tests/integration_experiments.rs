@@ -54,7 +54,7 @@ fn table2_style_grid_produces_complete_rows() {
     ];
     let mut table = TextTable::new(&["Framework", "ROC-AUC", "MRR"]);
     for fw in &frameworks {
-        let res = exp.run_framework(fw);
+        let res = exp.run_framework(fw, None).unwrap();
         assert_eq!(res.final_auc.n, 2, "{} did not aggregate 2 runs", res.name);
         assert!(res.final_auc.mean.is_finite());
         assert!(res.final_mrr.mean > 0.0);
@@ -73,7 +73,9 @@ fn table2_style_grid_produces_complete_rows() {
 #[test]
 fn fig5_style_curves_are_complete_and_bounded() {
     let exp = Experiment::new(quick(Dataset::DblpLike, 2));
-    let res = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+    let res = exp
+        .run_framework(&Framework::FedDa(FedDa::explore()), None)
+        .unwrap();
     assert_eq!(res.auc_curves.num_runs(), 2);
     assert_eq!(res.auc_curves.num_rounds(), 3);
     let mean = res.auc_curves.mean_curve();
@@ -110,7 +112,9 @@ fn efficiency_model_is_consistent_with_a_simulated_run() {
 #[test]
 fn reports_serialize_experiment_results() {
     let exp = Experiment::new(quick(Dataset::AmazonLike, 4));
-    let res = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
+    let res = exp
+        .run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)
+        .unwrap();
     let value = report::experiment_to_json("itest", json!({"seed": 4}), &[res]);
     assert_eq!(value["experiment"], "itest");
     let curve = value["results"][0]["auc_mean_curve"].as_array().unwrap();
@@ -151,9 +155,11 @@ fn detailed_global_evaluation_covers_every_edge_type() {
 #[test]
 fn same_experiment_seed_reproduces_entire_framework_result() {
     let r1 = Experiment::new(quick(Dataset::DblpLike, 5))
-        .run_framework(&Framework::FedDa(FedDa::explore()));
+        .run_framework(&Framework::FedDa(FedDa::explore()), None)
+        .unwrap();
     let r2 = Experiment::new(quick(Dataset::DblpLike, 5))
-        .run_framework(&Framework::FedDa(FedDa::explore()));
+        .run_framework(&Framework::FedDa(FedDa::explore()), None)
+        .unwrap();
     assert_eq!(r1.final_auc.mean, r2.final_auc.mean);
     assert_eq!(r1.uplink_units.mean, r2.uplink_units.mean);
     assert_eq!(r1.auc_curves.mean_curve(), r2.auc_curves.mean_curve());

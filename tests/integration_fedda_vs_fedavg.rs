@@ -42,9 +42,15 @@ fn cfg(dataset: Dataset, clients: usize, rounds: usize, seed: u64) -> Experiment
 #[test]
 fn rq2_fedda_transmits_less_than_fedavg() {
     let exp = Experiment::new(cfg(Dataset::DblpLike, 6, 8, 1));
-    let fedavg = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
-    let restart = exp.run_framework(&Framework::FedDa(FedDa::restart()));
-    let explore = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+    let fedavg = exp
+        .run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)
+        .unwrap();
+    let restart = exp
+        .run_framework(&Framework::FedDa(FedDa::restart()), None)
+        .unwrap();
+    let explore = exp
+        .run_framework(&Framework::FedDa(FedDa::explore()), None)
+        .unwrap();
     assert!(
         restart.uplink_units.mean < fedavg.uplink_units.mean,
         "Restart: {} !< {}",
@@ -62,8 +68,12 @@ fn rq2_fedda_transmits_less_than_fedavg() {
 #[test]
 fn rq1_fedda_stays_in_fedavg_accuracy_range() {
     let exp = Experiment::new(cfg(Dataset::AmazonLike, 4, 8, 2));
-    let fedavg = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
-    let explore = exp.run_framework(&Framework::FedDa(FedDa::explore()));
+    let fedavg = exp
+        .run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)
+        .unwrap();
+    let explore = exp
+        .run_framework(&Framework::FedDa(FedDa::explore()), None)
+        .unwrap();
     // Short runs are noisy; require FedDA to stay within a wide band of
     // FedAvg rather than beat it (the full-scale comparison lives in the
     // table2 bench).
@@ -210,7 +220,7 @@ fn scripted_nan_corruption_is_rejected_and_never_reaches_the_model() {
     // completes, the global model stays finite, and exactly one
     // CorruptionRejected record appears at the scripted cell.
     use fedda::fl::{
-        Corruption, FaultConfig, FaultEffect, FaultKind, FedDa, RoundDriver, ScriptedFault,
+        Corruption, FaultConfig, FaultEffect, FaultKind, FedDa, RuntimeMode, ScriptedFault,
     };
 
     let mut config = cfg(Dataset::DblpLike, 4, 5, 8);
@@ -224,8 +234,8 @@ fn scripted_nan_corruption_is_rejected_and_never_reaches_the_model() {
     });
     let exp = Experiment::new(config);
     let mut system = exp.system_for_run(0);
-    let result = RoundDriver::new()
-        .run(&mut FedDa::explore().protocol(), &mut system)
+    let mut protocol = FedDa::explore().protocol();
+    let result = fedda::fl::run(&RuntimeMode::Sync, &mut protocol, &mut system, None)
         .expect("scripted-fault run must complete");
 
     assert_eq!(result.curve.len(), 5);
@@ -245,9 +255,15 @@ fn scripted_nan_corruption_is_rejected_and_never_reaches_the_model() {
 #[test]
 fn fedavg_partial_variants_match_fig2_accounting() {
     let exp = Experiment::new(cfg(Dataset::DblpLike, 6, 4, 6));
-    let full = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()));
-    let c67 = exp.run_framework(&Framework::FedAvg(FedAvg::with_fractions(0.67, 1.0)));
-    let d67 = exp.run_framework(&Framework::FedAvg(FedAvg::with_fractions(1.0, 0.67)));
+    let full = exp
+        .run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)
+        .unwrap();
+    let c67 = exp
+        .run_framework(&Framework::FedAvg(FedAvg::with_fractions(0.67, 1.0)), None)
+        .unwrap();
+    let d67 = exp
+        .run_framework(&Framework::FedAvg(FedAvg::with_fractions(1.0, 0.67)), None)
+        .unwrap();
     // C = 0.67 of 6 clients = 4 per round.
     assert!((c67.uplink_units.mean - full.uplink_units.mean * 4.0 / 6.0).abs() < 1e-6);
     // D = 0.67 masks units per client.
