@@ -3,7 +3,7 @@
 //! ```text
 //! fedda-cli generate  --dataset dblp --scale 0.003 --seed 1 --out graph.json
 //! fedda-cli stats     --graph graph.json
-//! fedda-cli partition --graph graph.json --clients 8 --out-dir clients/ [--iid]
+//! fedda-cli partition --graph graph.json --clients 8 --out-dir clients/ [--mode iid]
 //! fedda-cli train     --dataset dblp --framework fedda-explore --clients 8 --rounds 20
 //! fedda-cli efficiency --m 16 --n 65 --nd 20 --rc 0.8 --rp 0.5
 //! ```
@@ -14,7 +14,7 @@ use fedda::data::{
     amazon_like, dblp_like, non_iidness, partition_iid, partition_non_iid, DatasetStats,
     PartitionConfig, PresetOptions,
 };
-use fedda::experiment::{Dataset, Experiment};
+use fedda::experiment::{Dataset, Experiment, ExperimentConfig};
 use fedda::fl::analysis::{explore_ratio_bound, restart_period, restart_ratio, EfficiencyInputs};
 use fedda::hetgraph::io;
 use fedda::hetgraph::split::split_edges;
@@ -93,6 +93,13 @@ fn cmd_generate(opts: &Options) -> Result<(), Failure> {
         seed: opts.get("seed")?.unwrap_or(0),
         ..Default::default()
     };
+    // The generators floor every node type at a handful of nodes, so a
+    // scale `train` rejects would otherwise write that floor graph.
+    ExperimentConfig {
+        scale: preset.scale,
+        ..Default::default()
+    }
+    .validate()?;
     let generated = match dataset {
         Dataset::AmazonLike => amazon_like(&preset),
         Dataset::DblpLike => dblp_like(&preset),
@@ -132,9 +139,24 @@ fn cmd_partition(opts: &Options) -> Result<(), Failure> {
     let clients = opts.get("clients")?.unwrap_or(8usize);
     let seed: u64 = opts.get("seed")?.unwrap_or(0);
     let test_fraction: f64 = opts.get("test-fraction")?.unwrap_or(0.1);
-    let iid = opts.get_str("mode").map(|m| m == "iid").unwrap_or(false);
+    let iid = match opts.get_str("mode") {
+        None | Some("biased") => false,
+        Some("iid") => true,
+        Some(other) => return Err(format!("unknown mode '{other}' (expected iid|biased)").into()),
+    };
+    ExperimentConfig {
+        num_clients: clients,
+        ..Default::default()
+    }
+    .validate()?;
+    if !(0.0..1.0).contains(&test_fraction) {
+        return Err(format!("test-fraction must be in [0, 1), got {test_fraction}").into());
+    }
 
     let graph = io::load_json(Path::new(path)).map_err(|e| e.to_string())?;
+    if graph.schema().num_edge_types() == 0 {
+        return Err(format!("{path} has no edge types to partition").into());
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let split = split_edges(&graph, test_fraction, &mut rng);
     let pcfg = PartitionConfig::paper_defaults(clients, graph.schema().num_edge_types(), seed);

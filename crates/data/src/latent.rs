@@ -74,11 +74,6 @@ pub struct GeneratedGraph {
     pub latent_dim: usize,
     /// Per-edge-type modulation vectors, row-major `[num_edge_types, latent_dim]`.
     pub relation_mods: Vec<f32>,
-    /// Ground-truth community of each global node (within its node type) —
-    /// the planted labels for node-classification tasks.
-    pub communities: Vec<u32>,
-    /// Communities per node type (`communities[v] < communities_per_type`).
-    pub communities_per_type: usize,
 }
 
 impl GeneratedGraph {
@@ -109,7 +104,6 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
 
     // 1. community centroids, then node latents
     let mut latents = vec![0.0f32; total_nodes * d];
-    let mut communities = Vec::with_capacity(total_nodes);
     let mut global = 0usize;
     for (t, &count) in config.nodes_per_type.iter().enumerate() {
         let _ = t;
@@ -117,7 +111,6 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
         let centroids = init::normal(&mut rng, k, d, 0.0, 1.0);
         for _ in 0..count {
             let c = rng.gen_range(0..k);
-            communities.push(c as u32);
             for j in 0..d {
                 let (n0, _) = init::box_muller(&mut rng);
                 latents[global * d + j] = centroids.get(c, j) + config.within_community_std * n0;
@@ -229,8 +222,6 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
         latents,
         latent_dim: d,
         relation_mods,
-        communities,
-        communities_per_type: config.communities_per_type.max(1),
     }
 }
 

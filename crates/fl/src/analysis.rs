@@ -167,30 +167,6 @@ pub fn codec_byte_factor(unit_lens: &[usize], codec: Option<&Compression>) -> f6
     report_bytes(unit_lens, codec) as f64 / raw as f64
 }
 
-/// Eq. 9 in byte denomination: expected `Restart` wire bytes under `codec`
-/// divided by vanilla FedAvg's *uncompressed* bytes over the same `t_0`
-/// rounds. The unit-count model treats units as interchangeable, so the
-/// byte ratio factors as (unit ratio) × (codec byte factor).
-pub fn restart_ratio_bytes(
-    inp: &EfficiencyInputs,
-    beta_r: f64,
-    unit_lens: &[usize],
-    codec: Option<&Compression>,
-) -> f64 {
-    restart_ratio(inp, beta_r) * codec_byte_factor(unit_lens, codec)
-}
-
-/// Eq. 11 in byte denomination: upper bound on the `Explore` strategy's
-/// per-round wire bytes under `codec` against uncompressed FedAvg.
-pub fn explore_ratio_bound_bytes(
-    inp: &EfficiencyInputs,
-    beta_e: f64,
-    unit_lens: &[usize],
-    codec: Option<&Compression>,
-) -> f64 {
-    explore_ratio_bound(inp, beta_e) * codec_byte_factor(unit_lens, codec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,21 +267,6 @@ mod tests {
         let topk = codec_byte_factor(&lens, Some(&Compression::TopK { frac: 0.5 }));
         assert!((topk - 72.0 / 80.0).abs() < 1e-12, "topk factor {topk}");
         assert_eq!(codec_byte_factor(&[], Some(&Compression::QuantI8)), 0.0);
-    }
-
-    #[test]
-    fn byte_ratios_scale_unit_ratios() {
-        let inp = inputs();
-        let lens = [100, 50, 25];
-        let unit_ratio = restart_ratio(&inp, 0.4);
-        let byte_ratio = restart_ratio_bytes(&inp, 0.4, &lens, Some(&Compression::QuantF16));
-        assert!((byte_ratio - unit_ratio * 0.5).abs() < 1e-12);
-        // Identity leaves the ratio untouched.
-        let same = restart_ratio_bytes(&inp, 0.4, &lens, Some(&Compression::Identity));
-        assert!((same - unit_ratio).abs() < 1e-12);
-        let bound = explore_ratio_bound(&inp, 0.667);
-        let bound_b = explore_ratio_bound_bytes(&inp, 0.667, &lens, Some(&Compression::QuantI8));
-        assert!((bound_b - bound * 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -209,8 +209,9 @@ impl GraphDoc {
         }
     }
 
-    /// Rebuild the heterograph. Validation (endpoint ranges, type
-    /// signatures, feature lengths) happens in the underlying constructors.
+    /// Rebuild the heterograph, or refuse a document whose version, counts,
+    /// feature lengths, type indices or endpoints do not add up — the
+    /// constructors underneath panic on those, so they are checked here.
     pub fn into_graph(self) -> Result<HeteroGraph, IoError> {
         if self.version != Self::VERSION {
             return Err(IoError::Invalid(format!(
@@ -219,11 +220,22 @@ impl GraphDoc {
                 Self::VERSION
             )));
         }
+        // Type ids are `u16` and node ids `u32`: a document past either
+        // bound is refused here, before anything is sized from its counts.
+        let max_types = usize::from(u16::MAX);
+        if self.node_types.len() > max_types || self.edge_types.len() > max_types {
+            return Err(IoError::Invalid(format!(
+                "{} node types and {} edge types (at most {max_types} of each)",
+                self.node_types.len(),
+                self.edge_types.len()
+            )));
+        }
         let mut schema = Schema::new();
         let mut counts = Vec::with_capacity(self.node_types.len());
         let mut features = Vec::with_capacity(self.node_types.len());
+        let mut total_nodes = 0usize;
         for nt in &self.node_types {
-            if nt.features.len() != nt.count * nt.feat_dim {
+            if nt.count.checked_mul(nt.feat_dim) != Some(nt.features.len()) {
                 return Err(IoError::Invalid(format!(
                     "node type '{}': {} feature values for {}x{}",
                     nt.name,
@@ -232,8 +244,15 @@ impl GraphDoc {
                     nt.feat_dim
                 )));
             }
+            total_nodes = total_nodes.saturating_add(nt.count);
             schema.add_node_type(nt.name.clone(), nt.feat_dim);
             counts.push(nt.count);
+        }
+        if u32::try_from(total_nodes).is_err() {
+            return Err(IoError::Invalid(format!(
+                "{total_nodes} nodes (node ids are 32-bit, at most {})",
+                u32::MAX
+            )));
         }
         for nt in self.node_types {
             features.push(nt.features);
@@ -372,6 +391,65 @@ mod tests {
         let mut doc = GraphDoc::from_graph(&g);
         doc.edge_types[0].src.push(0);
         assert!(matches!(doc.into_graph(), Err(IoError::Invalid(_))));
+    }
+
+    fn featureless(count: usize, feat_dim: usize) -> GraphDoc {
+        GraphDoc {
+            version: GraphDoc::VERSION,
+            node_types: vec![NodeTypeDoc {
+                name: "a".to_string(),
+                feat_dim,
+                count,
+                features: Vec::new(),
+            }],
+            edge_types: Vec::new(),
+        }
+    }
+
+    fn invalid_message(doc: GraphDoc) -> String {
+        match doc.into_graph() {
+            Err(IoError::Invalid(msg)) => msg,
+            other => panic!("expected IoError::Invalid, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn node_count_beyond_node_ids_rejected_before_allocating() {
+        // 4·10¹² featureless nodes: the length check passes (0 == 0) and
+        // the node store would ask for terabytes.
+        let msg = invalid_message(featureless(4_000_000_000_000, 0));
+        assert!(msg.contains("4000000000000 nodes"), "{msg}");
+        // The bound is on the sum, not on each type.
+        let mut doc = featureless(u32::MAX as usize, 0);
+        doc.node_types.push(doc.node_types[0].clone());
+        assert!(invalid_message(doc).contains("8589934590 nodes"));
+    }
+
+    #[test]
+    fn wrapping_feature_size_rejected() {
+        // 4 · 2⁶² wraps to 0 in 64 bits, which an empty feature list matches.
+        let msg = invalid_message(featureless(4, 1 << (usize::BITS - 2)));
+        assert!(msg.contains("0 feature values for 4x"), "{msg}");
+        invalid_message(featureless(usize::MAX, usize::MAX));
+    }
+
+    #[test]
+    fn more_types_than_type_ids_rejected() {
+        let mut doc = featureless(0, 0);
+        doc.node_types = vec![doc.node_types[0].clone(); usize::from(u16::MAX) + 1];
+        assert!(invalid_message(doc).contains("65536 node types"));
+
+        let mut doc = featureless(1, 0);
+        let loop_type = EdgeTypeDoc {
+            name: "aa".to_string(),
+            src_type: 0,
+            dst_type: 0,
+            symmetric: false,
+            src: Vec::new(),
+            dst: Vec::new(),
+        };
+        doc.edge_types = vec![loop_type; usize::from(u16::MAX) + 1];
+        assert!(invalid_message(doc).contains("65536 edge types"));
     }
 
     #[test]

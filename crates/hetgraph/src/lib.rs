@@ -18,16 +18,13 @@
 //! * [`LinkSampler`] — positive/negative link-prediction examples with
 //!   type-respecting negative corruption;
 //! * [`io`] — JSON snapshots ([`io::GraphDoc`]) so synthesized federations
-//!   can be archived and reloaded bit-identically;
-//! * [`metapath`] — higher-order relation composition (the relational-join
-//!   primitive behind metapath-based heterograph models).
+//!   can be archived and reloaded bit-identically.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod graph;
 pub mod io;
-pub mod metapath;
 mod sampling;
 mod schema;
 pub mod split;

@@ -1,5 +1,6 @@
 //! Property-based tests for heterograph invariants.
 
+use fedda_hetgraph::io::{EdgeTypeDoc, GraphDoc, IoError, NodeTypeDoc};
 use fedda_hetgraph::{split, EdgeList, EdgeTypeId, HeteroGraph, LinkSampler, NodeStore, Schema};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,7 +35,63 @@ fn random_graph(na: usize, nb: usize, n_ab: usize, n_aa: usize, seed: u64) -> He
     HeteroGraph::from_edges(store, vec![ab, aa])
 }
 
+/// A count or dimension a hostile archive may claim.
+fn claimed_size() -> impl Strategy<Value = usize> {
+    (0usize..5).prop_map(|i| [0, 1, 7, usize::MAX / 2, usize::MAX][i])
+}
+
+/// A node type whose feature list matches its claimed `count × feat_dim`
+/// when `honest` (and the product is small enough to write down), and is
+/// seven values otherwise.
+fn node_type_doc() -> impl Strategy<Value = NodeTypeDoc> {
+    (claimed_size(), claimed_size(), any::<bool>()).prop_map(|(count, feat_dim, honest)| {
+        let len = count.checked_mul(feat_dim).filter(|&n| honest && n <= 49);
+        NodeTypeDoc {
+            name: "n".to_string(),
+            feat_dim,
+            count,
+            features: vec![0.5; len.unwrap_or(7)],
+        }
+    })
+}
+
+/// An edge type over node-type indices and endpoints that may or may not
+/// exist, with `src` / `dst` lists of independent lengths.
+fn edge_type_doc() -> impl Strategy<Value = EdgeTypeDoc> {
+    let endpoints = || prop::collection::vec(0u32..16, 0..4);
+    (
+        0usize..4,
+        0usize..4,
+        any::<bool>(),
+        endpoints(),
+        endpoints(),
+    )
+        .prop_map(|(src_type, dst_type, symmetric, src, dst)| EdgeTypeDoc {
+            name: "e".to_string(),
+            src_type,
+            dst_type,
+            symmetric,
+            src,
+            dst,
+        })
+}
+
 proptest! {
+    /// An archive is outside input: whatever it claims, loading it ends in
+    /// a graph or in `IoError::Invalid`, never in a panic or an abort.
+    #[test]
+    fn arbitrary_graph_docs_load_or_are_refused(
+        node_types in prop::collection::vec(node_type_doc(), 0..3),
+        edge_types in prop::collection::vec(edge_type_doc(), 0..3),
+    ) {
+        let doc = GraphDoc { version: GraphDoc::VERSION, node_types, edge_types };
+        match doc.clone().into_graph() {
+            Ok(graph) => prop_assert_eq!(GraphDoc::from_graph(&graph), doc),
+            Err(IoError::Invalid(_)) => {}
+            Err(other) => prop_assert!(false, "unexpected error: {}", other),
+        }
+    }
+
     #[test]
     fn split_conserves_edge_count(
         na in 2usize..12, nb in 2usize..12,

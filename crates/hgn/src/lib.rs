@@ -18,21 +18,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod classifier;
 mod config;
 mod model;
 mod predictor;
-mod rgcn;
 mod trainer;
 mod view;
 
-pub use classifier::NodeClassifier;
 pub use config::{Decoder, HgnConfig};
 pub use model::SimpleHgn;
 pub use predictor::LinkPredictor;
-pub use rgcn::{Rgcn, RgcnConfig};
 pub use trainer::{
     evaluate, evaluate_detailed, train_local, train_local_penalized, DetailedEvalResult,
-    EvalResult, Optimizer, Penalty, TrainConfig, TrainStats,
+    EvalResult, Penalty, TrainConfig, TrainStats,
 };
 pub use view::GraphView;

@@ -21,7 +21,7 @@
 
 use crate::config::{Decoder, HgnConfig};
 use crate::view::GraphView;
-use fedda_hetgraph::{EdgeTypeId, LinkExample, Schema};
+use fedda_hetgraph::{LinkExample, Schema};
 use fedda_tensor::{init, Graph, Matrix, ParamId, ParamMeta, ParamSet, TapeBindings, Var};
 use rand::Rng;
 use std::sync::Arc;
@@ -363,38 +363,6 @@ impl SimpleHgn {
         let scaled = graph.matmul(raw, scale); // [B,1] @ [1,1]
         graph.add_row_broadcast(scaled, bias)
     }
-
-    /// Convenience: encode + score in one fresh tape, returning raw logit
-    /// values (no gradient bookkeeping). Used by evaluation.
-    pub fn infer_logits(
-        &self,
-        params: &ParamSet,
-        view: &GraphView,
-        examples: &[LinkExample],
-    ) -> Vec<f32> {
-        let mut graph = Graph::new();
-        let mut bindings = TapeBindings::new();
-        let emb = self.encode::<rand::rngs::StdRng>(&mut graph, &mut bindings, params, view, None);
-        let logits = self.score_links(&mut graph, &mut bindings, params, emb, examples);
-        graph.value(logits).as_slice().to_vec()
-    }
-
-    /// Edge types whose disentangled units exist in this model (helper for
-    /// tests and the FL masking layer).
-    pub fn disentangled_edge_types(&self, params: &ParamSet) -> Vec<EdgeTypeId> {
-        let mut seen = vec![false; self.num_edge_types];
-        for (_, p) in params.iter() {
-            if let Some(t) = p.meta().edge_type {
-                if t < self.num_edge_types {
-                    seen[t] = true;
-                }
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter_map(|(t, &s)| s.then_some(EdgeTypeId(t as u16)))
-            .collect()
-    }
 }
 
 /// Inverted dropout with a freshly sampled mask.
@@ -496,11 +464,13 @@ mod tests {
             ..Default::default()
         };
         let mut rng = StdRng::seed_from_u64(0);
-        let (model, params) = SimpleHgn::init_params(g.schema(), &cfg, &mut rng);
-        let dis = model.disentangled_edge_types(&params);
-        assert_eq!(dis.len(), g.schema().num_edge_types());
+        let (_, dot) = SimpleHgn::init_params(g.schema(), &HgnConfig::default(), &mut rng);
+        let (_, distmult) = SimpleHgn::init_params(g.schema(), &cfg, &mut rng);
         // N_d counts per-type units from both attention and decoder
-        assert!(params.num_disentangled() >= g.schema().num_edge_types());
+        assert_eq!(
+            distmult.num_disentangled(),
+            dot.num_disentangled() + g.schema().num_edge_types()
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! that embeds a heterograph's nodes and scores candidate links.
 //!
 //! The paper notes its "proposed FedDA framework can fit any HGN model"
-//! (§6.1); this trait is that seam. [`crate::SimpleHgn`] and [`crate::Rgcn`]
-//! both implement it, and `fedda-fl` drives either without code changes —
-//! all FedDA needs from a model is a structurally-stable [`ParamSet`] whose
+//! (§6.1); this trait is that seam. [`crate::SimpleHgn`] implements it, and
+//! `fedda-fl` drives any other implementor without code changes — all FedDA
+//! needs from a model is a structurally-stable [`ParamSet`] whose
 //! disentangled units are tagged.
 
 use crate::view::GraphView;
@@ -104,42 +104,5 @@ impl LinkPredictor for crate::SimpleHgn {
         } else {
             "GAT"
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{HgnConfig, SimpleHgn};
-    use fedda_data::{amazon_like, PresetOptions};
-    use fedda_hetgraph::LinkSampler;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn trait_logits_match_inherent_infer_logits() {
-        let g = amazon_like(&PresetOptions {
-            scale: 0.002,
-            seed: 1,
-            ..Default::default()
-        })
-        .graph;
-        let cfg = HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 1,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        let (model, params) = SimpleHgn::init_params(g.schema(), &cfg, &mut rng);
-        let view = GraphView::new(&g, cfg.add_self_loops);
-        let sampler = LinkSampler::new(&g);
-        let pos = sampler.all_positives();
-        let examples = &pos[..4.min(pos.len())];
-        let via_trait = LinkPredictor::logits(&model, &params, &view, examples);
-        let inherent = model.infer_logits(&params, &view, examples);
-        assert_eq!(via_trait, inherent);
-        assert_eq!(LinkPredictor::name(&model), "Simple-HGN");
-        assert!(model.uses_self_loops());
     }
 }

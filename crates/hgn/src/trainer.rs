@@ -9,18 +9,9 @@ use crate::predictor::LinkPredictor;
 use crate::view::GraphView;
 use fedda_hetgraph::{LinkExample, LinkSampler};
 use fedda_metrics::{mrr, roc_auc, RankQuery};
-use fedda_tensor::{Adam, Graph, ParamSet, Sgd, TapeBindings};
+use fedda_tensor::{Adam, Graph, ParamSet, TapeBindings};
 use rand::Rng;
 use std::sync::Arc;
-
-/// Optimiser choice for local updates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Optimizer {
-    /// Plain SGD (the FedAvg paper's local update).
-    Sgd,
-    /// Adam (what Simple-HGN's released code uses).
-    Adam,
-}
 
 /// Local-training hyper-parameters.
 #[derive(Clone, Debug)]
@@ -35,8 +26,6 @@ pub struct TrainConfig {
     pub negatives_per_positive: usize,
     /// Gradient-norm clip (0 disables).
     pub grad_clip: f32,
-    /// Optimiser for local updates.
-    pub optimizer: Optimizer,
 }
 
 impl Default for TrainConfig {
@@ -47,7 +36,6 @@ impl Default for TrainConfig {
             lr: 1e-2,
             negatives_per_positive: 1,
             grad_clip: 5.0,
-            optimizer: Optimizer::Adam,
         }
     }
 }
@@ -164,7 +152,6 @@ pub fn train_local_penalized<R: Rng>(
         return TrainStats::default();
     }
     let mut adam = Adam::new(config.lr);
-    let sgd = Sgd::new(config.lr);
     let mut total_loss = 0.0f64;
     let mut steps = 0usize;
     for _epoch in 0..config.local_epochs {
@@ -201,10 +188,7 @@ pub fn train_local_penalized<R: Rng>(
             if config.grad_clip > 0.0 {
                 params.clip_grad_norm(config.grad_clip);
             }
-            match config.optimizer {
-                Optimizer::Adam => adam.step(params),
-                Optimizer::Sgd => sgd.step(params),
-            }
+            adam.step(params);
             steps += 1;
         }
     }
@@ -500,43 +484,5 @@ mod tests {
         // empty input is safe
         let empty = evaluate_detailed(&model, &params, &view, &sampler, &[], 4, &mut rng);
         assert_eq!(empty.overall.num_positives, 0);
-    }
-
-    #[test]
-    fn sgd_optimizer_also_trains() {
-        let opts = PresetOptions {
-            scale: 0.002,
-            seed: 3,
-            ..Default::default()
-        };
-        let g = amazon_like(&opts).graph;
-        let mut rng = StdRng::seed_from_u64(0);
-        let cfg = HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 1,
-            ..Default::default()
-        };
-        let (model, mut params) = SimpleHgn::init_params(g.schema(), &cfg, &mut rng);
-        let view = GraphView::new(&g, cfg.add_self_loops);
-        let sampler = LinkSampler::new(&g);
-        let positives = sampler.all_positives();
-        let before = params.flatten();
-        let tc = TrainConfig {
-            optimizer: Optimizer::Sgd,
-            local_epochs: 2,
-            ..Default::default()
-        };
-        train_local(
-            &model,
-            &mut params,
-            &view,
-            &sampler,
-            &positives,
-            &tc,
-            &mut rng,
-        );
-        assert_ne!(params.flatten(), before, "SGD must move the parameters");
-        assert!(!params.has_non_finite());
     }
 }

@@ -15,13 +15,11 @@
 #![warn(rust_2018_idioms)]
 
 mod auc;
-mod classify;
 mod mrr;
 mod ranking;
 mod stats;
 
 pub use auc::roc_auc;
-pub use classify::{accuracy, macro_f1, majority_baseline};
 pub use mrr::{mrr, RankQuery};
 pub use ranking::{average_precision, hits_at_k, GroupedMetric};
 pub use stats::{CurveRecorder, MeanStd};

@@ -114,20 +114,6 @@ impl CurveRecorder {
             .collect()
     }
 
-    /// Final-round values of every run (feeds [`MeanStd::of`]).
-    pub fn final_values(&self) -> Vec<f64> {
-        self.runs.iter().filter_map(|r| r.last().copied()).collect()
-    }
-
-    /// Best value each run ever achieved (the paper reports models by their
-    /// best test score along training).
-    pub fn best_values(&self) -> Vec<f64> {
-        self.runs
-            .iter()
-            .filter_map(|r| r.iter().copied().reduce(f64::max))
-            .collect()
-    }
-
     /// First round at which the mean curve reaches `threshold`, if any —
     /// used by the convergence analysis (RQ3: "FedDA reaches 0.537 within
     /// 20 rounds where FedAvg needs 40").
@@ -170,8 +156,6 @@ mod tests {
         assert_eq!(rec.mean_curve(), vec![0.2, 0.45, 0.8]);
         assert_eq!(rec.max_curve(), vec![0.3, 0.5, 0.9]);
         assert_eq!(rec.min_curve(), vec![0.1, 0.4, 0.7]);
-        assert_eq!(rec.final_values(), vec![0.7, 0.9]);
-        assert_eq!(rec.best_values(), vec![0.7, 0.9]);
         assert_eq!(rec.rounds_to_reach(0.45), Some(1));
         assert_eq!(rec.rounds_to_reach(0.95), None);
     }

@@ -16,7 +16,7 @@
 //! * [`ParamSet`] / [`Param`] — named parameter units with FL metadata
 //!   (shared vs. per-edge-type "disentangled" units, the paper's `[N]` and
 //!   `[N_d]` index sets);
-//! * [`Sgd`] / [`Adam`] — optimisers over a `ParamSet`;
+//! * [`Adam`] — the optimiser over a `ParamSet`;
 //! * [`init`] — seedable weight initialisers.
 //!
 //! Everything is deterministic given a seed: no thread-local RNGs, no
@@ -33,7 +33,7 @@ mod param;
 mod tape;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use param::{Param, ParamId, ParamMeta, ParamSet, TapeBindings};
 pub use tape::{sigmoid_scalar, Graph, Segments, Var};
 

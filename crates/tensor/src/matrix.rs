@@ -217,18 +217,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise `self += scale * other`.
-    pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "add_scaled_assign shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
-    }
-
     /// `self *= scalar`.
     pub fn scale_assign(&mut self, scalar: f32) {
         self.data.iter_mut().for_each(|x| *x *= scalar);
@@ -435,14 +423,6 @@ mod tests {
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
         let s = g.scatter_add_rows(&[2, 0, 2], 3);
         assert_eq!(s.as_slice(), &[1.0, 2.0, 0.0, 0.0, 10.0, 12.0]);
-    }
-
-    #[test]
-    fn add_scaled_assign_accumulates() {
-        let mut a = Matrix::zeros(1, 2);
-        let b = Matrix::from_vec(1, 2, vec![2.0, 4.0]);
-        a.add_scaled_assign(&b, 0.5);
-        assert_eq!(a.as_slice(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -1,41 +1,11 @@
-//! Optimisers over a [`ParamSet`].
+//! The optimiser over a [`ParamSet`].
 //!
-//! Both optimisers follow the same contract: the training loop accumulates
-//! gradients into the set (via [`crate::TapeBindings::accumulate_grads`]),
-//! calls `step`, then `zero_grads`.
+//! The contract: the training loop accumulates gradients into the set (via
+//! [`crate::TapeBindings::accumulate_grads`]), calls `step`, then
+//! `zero_grads`.
 
 use crate::matrix::Matrix;
 use crate::param::ParamSet;
-
-/// Plain stochastic gradient descent with optional weight decay.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// L2 weight decay coefficient (0 disables).
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// Apply one update: `w -= lr * (g + wd * w)`.
-    pub fn step(&self, params: &mut ParamSet) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        for (_, p) in params.iter_mut() {
-            let (value, grad) = p.value_and_grad_mut();
-            for (w, &g) in value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *w -= lr * (g + wd * *w);
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
 #[derive(Clone, Debug)]
@@ -68,14 +38,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Reset the moment estimates (used when a client receives a fresh
-    /// global model and should not carry momentum across rounds).
-    pub fn reset_state(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
     }
 
     fn ensure_state(&mut self, params: &ParamSet) {
@@ -138,19 +100,9 @@ mod tests {
         }
     }
 
-    /// The optimiser steps as they were before they borrowed value and
-    /// gradient disjointly: clone each unit's gradient, index every scalar.
-    /// Kept as the reference the zipped passes must equal bit for bit.
-    fn sgd_step_reference(opt: &Sgd, params: &mut ParamSet) {
-        for (_, p) in params.iter_mut() {
-            let grad = p.grad().clone();
-            let value = p.value_mut();
-            for (w, &g) in value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *w -= opt.lr * (g + opt.weight_decay * *w);
-            }
-        }
-    }
-
+    /// The optimiser step as it was before it borrowed value and gradient
+    /// disjointly: clone each unit's gradient, index every scalar. Kept as
+    /// the reference the zipped pass must equal bit for bit.
     fn adam_step_reference(opt: &mut Adam, params: &mut ParamSet) {
         opt.ensure_state(params);
         opt.t += 1;
@@ -208,19 +160,11 @@ mod tests {
     #[test]
     fn steps_equal_their_cloning_references_bit_for_bit() {
         for weight_decay in [0.0f32, 0.01] {
-            let sgd = Sgd {
-                lr: 0.05,
-                weight_decay,
-            };
-            let (mut got, mut want) = (varied_set(), varied_set());
             let mut adam = Adam::new(0.01);
             adam.weight_decay = weight_decay;
             let mut adam_ref = adam.clone();
             let (mut got_adam, mut want_adam) = (varied_set(), varied_set());
             for step in 0..4 {
-                sgd.step(&mut got);
-                sgd_step_reference(&sgd, &mut want);
-                assert_eq!(bits(&got), bits(&want), "sgd wd={weight_decay} step {step}");
                 adam.step(&mut got_adam);
                 adam_step_reference(&mut adam_ref, &mut want_adam);
                 assert_eq!(
@@ -242,21 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut ps = ParamSet::new();
-        ps.add("w", Matrix::row_vector(vec![0.0, 10.0]));
-        let opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            ps.zero_grads();
-            quadratic_grad(&mut ps);
-            opt.step(&mut ps);
-        }
-        for &w in ps.get(ps.id_of("w").unwrap()).value().as_slice() {
-            assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-        }
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut ps = ParamSet::new();
         ps.add("w", Matrix::row_vector(vec![-5.0, 20.0]));
@@ -269,32 +198,5 @@ mod tests {
         for &w in ps.get(ps.id_of("w").unwrap()).value().as_slice() {
             assert!((w - 3.0).abs() < 1e-2, "w = {w}");
         }
-    }
-
-    #[test]
-    fn sgd_weight_decay_shrinks_weights() {
-        let mut ps = ParamSet::new();
-        ps.add("w", Matrix::row_vector(vec![1.0]));
-        let opt = Sgd {
-            lr: 0.1,
-            weight_decay: 0.5,
-        };
-        // zero gradient: only decay acts
-        opt.step(&mut ps);
-        let w = ps.get(ps.id_of("w").unwrap()).value().get(0, 0);
-        assert!((w - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn adam_reset_state_clears_momentum() {
-        let mut ps = ParamSet::new();
-        ps.add("w", Matrix::row_vector(vec![0.0]));
-        let mut opt = Adam::new(0.1);
-        ps.zero_grads();
-        quadratic_grad(&mut ps);
-        opt.step(&mut ps);
-        opt.reset_state();
-        assert_eq!(opt.t, 0);
-        assert!(opt.m.is_empty());
     }
 }

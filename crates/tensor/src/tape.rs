@@ -82,7 +82,6 @@ enum Op {
     ),
     /// Fused gather · per-edge scale · scatter-add: `(h, alpha, src, dst)`.
     EdgeAggregate(Var, Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
-    CrossEntropyRows(Var, Arc<Vec<u32>>),
     L2NormalizeRows(Var, f32),
     RowDot(Var, Var),
     SumAll(Var),
@@ -471,29 +470,6 @@ impl Graph {
         }
         let rg = self.requires(h) || self.requires(alpha);
         self.push(value, Op::EdgeAggregate(h, alpha, src, dst), rg)
-    }
-
-    /// Mean multi-class cross-entropy of row logits against class indices:
-    /// `loss = -1/m Σ_i log softmax(x_i)[t_i]`, as a `1x1` node.
-    pub fn cross_entropy_rows(&mut self, logits: Var, targets: Arc<Vec<u32>>) -> Var {
-        let (m, n) = self.shape(logits);
-        assert_eq!(targets.len(), m, "cross_entropy_rows: one target per row");
-        assert!(m > 0, "cross_entropy_rows: empty batch");
-        debug_assert!(
-            targets.iter().all(|&t| (t as usize) < n),
-            "target class out of range"
-        );
-        let x = self.value(logits);
-        let mut loss = 0.0f64;
-        for (r, &t) in targets.iter().enumerate() {
-            let row = x.row(r);
-            let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-            let log_sum: f32 = row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
-            loss += f64::from(log_sum - row[t as usize]);
-        }
-        let value = Matrix::from_vec(1, 1, vec![(loss / m as f64) as f32]);
-        let rg = self.requires(logits);
-        self.push(value, Op::CrossEntropyRows(logits, targets), rg)
     }
 
     /// Row-wise L2 normalisation: `y_i = x_i / max(||x_i||, eps)`.
@@ -904,25 +880,6 @@ impl Graph {
                 let mut da = Matrix::zeros(y.len(), 1);
                 for (r, &s) in segs.seg_of_row.iter().enumerate() {
                     da.as_mut_slice()[r] = y[r] * (gv[r] - seg_dot[s as usize]);
-                }
-                Todo::One(a, da)
-            }
-            Op::CrossEntropyRows(a, targets) => {
-                let a = *a;
-                let targets = targets.clone();
-                let (m, n) = self.shape(a);
-                let scale = g.get(0, 0) / m as f32;
-                let mut da = Matrix::zeros(m, n);
-                for (r, &t) in targets.iter().enumerate() {
-                    let row = self.nodes[a.0].value.row(r);
-                    let max = row.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-                    let exps: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
-                    let sum: f32 = exps.iter().sum();
-                    for (c, (o, &e)) in da.row_mut(r).iter_mut().zip(&exps).enumerate() {
-                        let softmax = e / sum;
-                        let indicator = if c == t as usize { 1.0 } else { 0.0 };
-                        *o = scale * (softmax - indicator);
-                    }
                 }
                 Todo::One(a, da)
             }

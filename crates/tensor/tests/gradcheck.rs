@@ -429,18 +429,6 @@ fn grad_dropout_with_mask() {
 }
 
 #[test]
-fn grad_cross_entropy_rows() {
-    let mut rng = StdRng::seed_from_u64(20);
-    let a = randn(&mut rng, 4, 3);
-    let targets = Arc::new(vec![0u32, 2, 1, 2]);
-    gradcheck(
-        &[a],
-        |g, v| g.cross_entropy_rows(v[0], targets.clone()),
-        1e-2,
-    );
-}
-
-#[test]
 fn grad_composite_attention_like_network() {
     // A miniature single-head GAT layer: this exercises the exact op
     // composition Simple-HGN uses, end to end.

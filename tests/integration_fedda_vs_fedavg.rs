@@ -3,8 +3,13 @@
 //! its activation dynamics behave per Algorithm 1.
 
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
-use fedda::fl::{FedAvg, FedDa, Reactivation};
-use fedda::hgn::{HgnConfig, TrainConfig};
+use fedda::fl::{FedAvg, FedDa, FlConfig, FlSystem, Reactivation};
+use fedda::hetgraph::{LinkExample, Schema};
+use fedda::hgn::{GraphView, HgnConfig, LinkPredictor, TrainConfig};
+use fedda::tensor::{init, Graph, Matrix, ParamId, ParamMeta, ParamSet, TapeBindings, Var};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use std::sync::Arc;
 
 fn cfg(dataset: Dataset, clients: usize, rounds: usize, seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -159,31 +164,98 @@ fn per_client_uplink_shrinks_relative_to_round_zero() {
     );
 }
 
-#[test]
-fn fedda_drives_an_rgcn_model_through_with_model() {
-    // The paper claims FedDA "can fit any HGN model" (§6.1); swap in the
-    // R-GCN encoder via the LinkPredictor seam and run both protocols.
-    use fedda::fl::{FlConfig, FlSystem};
-    use fedda::hgn::{LinkPredictor, Rgcn, RgcnConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+/// A link predictor whose layout is not Simple-HGN's: one linear projection
+/// per node type (shared units), one DistMult relation vector per edge type
+/// (disentangled units), no message passing.
+struct TypedProjection {
+    dim: usize,
+    proj: Vec<ParamId>,
+    rel: Vec<ParamId>,
+}
 
+impl TypedProjection {
+    fn init_params(schema: &Schema, dim: usize, rng: &mut StdRng) -> (Self, ParamSet) {
+        let mut ps = ParamSet::new();
+        let proj = schema
+            .node_type_ids()
+            .map(|t| {
+                let meta = schema.node_type(t);
+                let w = init::xavier_uniform(rng, meta.feat_dim, dim);
+                ps.add(format!("proj.{}", meta.name), w)
+            })
+            .collect();
+        let rel = (0..schema.num_edge_types())
+            .map(|t| {
+                let ones = Matrix::full(1, dim, 1.0);
+                ps.add_with_meta(format!("rel.t{t}"), ones, ParamMeta::per_edge_type(t))
+            })
+            .collect();
+        (Self { dim, proj, rel }, ps)
+    }
+}
+
+impl LinkPredictor for TypedProjection {
+    fn encode_nodes(
+        &self,
+        graph: &mut Graph,
+        bindings: &mut TapeBindings,
+        params: &ParamSet,
+        view: &GraphView,
+        _dropout_rng: Option<&mut dyn RngCore>,
+    ) -> Var {
+        let per_type = view.type_features.iter().zip(&view.type_global_ids);
+        let mut h = graph.input(Matrix::zeros(view.num_nodes, self.dim));
+        for ((feats, ids), &w) in per_type.zip(&self.proj) {
+            let x = graph.input(feats.clone());
+            let w = bindings.leaf(graph, params, w);
+            let xw = graph.matmul(x, w);
+            let rows = graph.scatter_add_rows(xw, ids.clone(), view.num_nodes);
+            h = graph.add(h, rows);
+        }
+        h
+    }
+
+    fn score_examples(
+        &self,
+        graph: &mut Graph,
+        bindings: &mut TapeBindings,
+        params: &ParamSet,
+        embeddings: Var,
+        examples: &[LinkExample],
+    ) -> Var {
+        let column = |f: fn(&LinkExample) -> u32| Arc::new(examples.iter().map(f).collect());
+        let src = graph.gather_rows(embeddings, column(|e| e.src));
+        let dst = graph.gather_rows(embeddings, column(|e| e.dst));
+        let rel: Vec<Var> = (self.rel.iter())
+            .map(|&id| bindings.leaf(graph, params, id))
+            .collect();
+        let rel = graph.concat_rows(&rel);
+        let rel = graph.gather_rows(rel, column(|e| u32::from(e.etype.0)));
+        let modulated = graph.mul(src, rel);
+        graph.row_dot(modulated, dst)
+    }
+
+    fn uses_self_loops(&self) -> bool {
+        false
+    }
+
+    fn name(&self) -> &'static str {
+        "typed-projection"
+    }
+}
+
+#[test]
+fn fedda_drives_a_test_local_model_through_with_model() {
+    // The paper claims FedDA "can fit any HGN model" (§6.1); swap in a
+    // predictor with another parameter layout via the LinkPredictor seam.
     let exp = Experiment::new(cfg(Dataset::DblpLike, 4, 5, 7));
+    assert_eq!(exp.system_for_run(0).model.name(), "Simple-HGN");
     let clients = exp.clients_for_run(0);
-    let rgcn_cfg = RgcnConfig {
-        hidden_dim: 8,
-        num_layers: 1,
-        ..Default::default()
-    };
-    let (model, params) = Rgcn::init_params(
-        exp.split().train.schema(),
-        &rgcn_cfg,
-        &mut StdRng::seed_from_u64(1),
-    );
-    assert_eq!(LinkPredictor::name(&model), "R-GCN");
+    let (model, params) =
+        TypedProjection::init_params(exp.split().train.schema(), 8, &mut StdRng::seed_from_u64(1));
     let fl_cfg = FlConfig {
         rounds: 5,
-        train: fedda::hgn::TrainConfig {
+        train: TrainConfig {
             local_epochs: 1,
             lr: 5e-3,
             ..Default::default()
@@ -200,15 +272,24 @@ fn fedda_drives_an_rgcn_model_through_with_model() {
         Box::new(model),
         params,
     );
-    // R-GCN's per-relation weights are disentangled units FedDA can mask.
+    assert_eq!(system.model.name(), "typed-projection");
+    // The per-relation vectors are disentangled units FedDA can mask.
     assert!(system.num_disentangled_units() >= 5);
     let fedavg_units = 5 * 4 * system.num_units();
-    let result = FedDa::explore().run(&mut system);
+    // Each client trains on two of DBLP's five edge types, so three of its
+    // relation vectors never move and are masked after round 0; the default
+    // α = 0.5 would then deactivate the whole cohort every round and the
+    // safety net would restore it in full.
+    let fedda = FedDa {
+        alpha: 0.2,
+        ..FedDa::explore()
+    };
+    let result = fedda.run(&mut system);
     assert_eq!(result.curve.len(), 5);
     assert!(result.final_eval.roc_auc.is_finite());
     assert!(
         result.comm.total_uplink_units() < fedavg_units,
-        "FedDA over R-GCN still saves uplink"
+        "FedDA over another model still saves uplink"
     );
     assert!(!system.global.has_non_finite());
 }
