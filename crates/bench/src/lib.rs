@@ -25,8 +25,8 @@
 //! * `--async-gamma <f>` — async staleness discount `γ ∈ (0, 1]`
 //!   (requires `--runtime async`)
 //! * `--workers <n>`   — worker-pool size for parallel client updates
-//!   (default: one worker per dispatched client; results are identical
-//!   for any value)
+//!   (default: the kernel-thread budget, `FEDDA_THREADS`; results are
+//!   identical for any value)
 //! * `--compress <c>`  — uplink codec: `ident` (bit-exact), `q8`
 //!   (int8 quantization), `f16` (half precision) or `topk:<frac>`
 //!   (magnitude sparsification, e.g. `topk:0.25`); default: none

@@ -73,8 +73,9 @@ pub struct ExperimentConfig {
     /// Parallel client updates.
     pub parallel: bool,
     /// Worker-pool size for parallel client updates (`FlConfig::workers`;
-    /// `None` = one worker per dispatched client). Results are identical
-    /// for any value — this is a resource knob, not a semantic one.
+    /// `None` = the kernel-thread budget, `FEDDA_THREADS`). Results are
+    /// identical for any value — this is a resource knob, not a semantic
+    /// one.
     pub workers: Option<usize>,
     /// Which runtime executes the round protocol: lockstep rounds or
     /// buffered-asynchronous aggregation (handed to [`fedda_fl::run`]).
@@ -140,6 +141,11 @@ impl ExperimentConfig {
                 "scale must be finite and positive, got {}",
                 self.scale
             ));
+        }
+        if self.eval_negatives == 0 {
+            return Err(
+                "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
+            );
         }
         Ok(())
     }
@@ -462,6 +468,10 @@ mod tests {
         assert_eq!(
             reject(|c| c.scale = f64::INFINITY),
             "scale must be finite and positive, got inf"
+        );
+        assert_eq!(
+            reject(|c| c.eval_negatives = 0),
+            "invalid evaluation configuration: eval_negatives must be at least 1, got 0"
         );
     }
 

@@ -14,12 +14,36 @@
 //!    and weighted by their staleness, until the round is due to flush;
 //! 3. **commit** — Eq. 6 over the admitted reports with renormalised
 //!    weights, the comm ledger entry, the protocol's `on_faults` and
-//!    `post_aggregate` hooks, the activation trace, the evaluation cadence
-//!    (`FlConfig::eval_every`) and the round's [`RoundEvent`].
+//!    `post_aggregate` hooks, the activation trace, and the round's closed
+//!    record: its [`RoundEvent`] less the evaluation, plus whether one is
+//!    due (`FlConfig::eval_every`; the final round always evaluates).
 //!
 //! `FlConfig::rounds` counts commits: a *round* of the lockstep runtime and
 //! a *server version* of the buffered one are the same index, so curves,
 //! comm logs and activation traces line up one-to-one.
+//!
+//! # The evaluation pipeline
+//!
+//! Scoring the global model after round `t` is a measurement, not a step of
+//! Alg. 1 — nothing above reads it back — so it is off the round's critical
+//! path: the loop is
+//!
+//! ```text
+//! dispatch(t + 1) ∥ evaluate(t) → publish(t) → admit(t + 1) → commit(t + 1)
+//! ```
+//!
+//! Round `t`'s evaluation is one more task of round `t + 1`'s worker-pool
+//! call (`FlSystem::run_reports`); when the pool has joined, the engine
+//! pushes the curve point, sets `final_eval` and emits round `t`'s event —
+//! still before round `t + 1`'s. The last round's evaluation has no
+//! dispatch to ride and runs after its commit (`FlSystem::evaluate_final`).
+//! Two facts make this safe: `system.global` is frozen between a commit and
+//! the next pool's join (every hook dispatch calls takes `&FlSystem`; only
+//! `post_aggregate` and Eq. 6 write it), and `eval_inputs(round)` owns its
+//! RNG stream. A one-worker pool runs the same tasks inline on the server
+//! thread. A round's `wall_ms` is the time since the previous event was
+//! emitted (since the run's start for round 0), so the events' `wall_ms`
+//! still sum to the run's wall time.
 //!
 //! # The arrival policy
 //!
@@ -59,6 +83,7 @@ use crate::runtime::{Delivery, Scheduler, Tick};
 use crate::system::{
     ActivationSnapshot, ClientReturn, FlSystem, ReportOrder, RoundEval, RunResult, WeightedReturn,
 };
+use fedda_hgn::EvalResult;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -268,8 +293,6 @@ struct Round {
     buffer: Vec<(Rank, Delivery, f64)>,
     /// Ledger charges of every report that arrived, admitted or not.
     charges: Vec<UplinkCharge>,
-    /// Wall-clock start of the round (telemetry only).
-    started: Instant,
 }
 
 impl Round {
@@ -283,6 +306,32 @@ impl Round {
                 effect,
             },
         ));
+    }
+}
+
+/// A committed round awaiting publication: its event, complete but for the
+/// evaluation — which rides the next round's pool call — and the wall time.
+struct Closed {
+    event: RoundEvent,
+    /// The round's own index when the cadence makes its evaluation due.
+    evaluate: Option<usize>,
+}
+
+/// Wall-clock laps for [`RoundEvent::wall_ms`] — telemetry only; never
+/// feeds selection, masking, aggregation or any logged curve.
+struct Stopwatch(Instant);
+
+impl Stopwatch {
+    fn start() -> Self {
+        // fedda-lint: allow(wall-clock, reason = "round wall-time telemetry only; never feeds selection, masking, aggregation or any logged curve")
+        Self(Instant::now())
+    }
+
+    /// Milliseconds since the previous lap (since the start for the first).
+    fn lap_ms(&mut self) -> f64 {
+        let lap = self.0.elapsed();
+        self.0 += lap;
+        lap.as_secs_f64() * 1e3
     }
 }
 
@@ -300,15 +349,17 @@ struct Engine<'a> {
     sched: Scheduler<Delivery>,
     in_flight: Vec<bool>,
     result: RunResult,
+    /// Laps once per published event.
+    stopwatch: Stopwatch,
 }
 
 /// The engine's one entry: run `system.config().rounds` rounds of `protocol`
 /// under `mode`, streaming one [`RoundEvent`] per round (per server version
 /// in buffered mode) to `sink` when one is given.
 ///
-/// The async configuration, the protocol and the system's fault,
-/// compression and privacy configurations are validated before round 0; an
-/// invalid one returns its error without touching the system.
+/// The async configuration, the protocol and the system's evaluation,
+/// fault, compression and privacy configurations are validated before round
+/// 0; an invalid one returns its error without touching the system.
 pub fn run(
     mode: &RuntimeMode,
     protocol: &mut dyn FlProtocol,
@@ -327,6 +378,11 @@ pub fn run(
         .validate()
         .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
     let cfg = system.config();
+    if cfg.eval_negatives == 0 {
+        return Err(
+            "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
+        );
+    }
     let faults = cfg.faults.clone();
     if let Some(fc) = &faults {
         fc.validate()
@@ -366,11 +422,26 @@ pub fn run(
         rng,
         sched: Scheduler::new(),
         result: RunResult::default(),
+        stopwatch: Stopwatch::start(),
     };
+    // Pipelined by one evaluation: the previous round's rides this round's
+    // pool call, and its event goes out as soon as the pool has joined.
+    let mut previous: Option<Closed> = None;
     for index in 0..rounds {
-        let mut round = engine.dispatch(index);
+        let evaluate = previous.as_ref().and_then(|closed| closed.evaluate);
+        let (mut round, eval) = engine.dispatch(index, evaluate);
+        if let Some(closed) = previous.take() {
+            engine.publish(closed, eval, sink.as_deref_mut());
+        }
         engine.admit(&mut round);
-        engine.commit(round, sink.as_deref_mut());
+        previous = Some(engine.commit(round));
+    }
+    // The last round has no next dispatch to ride.
+    if let Some(closed) = previous {
+        let eval = closed
+            .evaluate
+            .map(|round| engine.system.evaluate_final(round));
+        engine.publish(closed, eval, sink);
     }
     Ok(engine.result)
 }
@@ -390,11 +461,11 @@ pub(crate) fn run_or_panic(
 impl Engine<'_> {
     /// Open round `index`: select and mask clients, give each its fault
     /// verdict and its landing tick, run the reporting clients' local
-    /// updates on the worker pool, and schedule every report that will ever
-    /// arrive. Downlink is charged for every dispatched client.
-    fn dispatch(&mut self, index: usize) -> Round {
-        // fedda-lint: allow(wall-clock, reason = "round wall-time telemetry only; never feeds selection, masking, aggregation or any logged curve")
-        let started = Instant::now();
+    /// updates on the worker pool — and beside them the evaluation of round
+    /// `evaluate`, handed back with the round — and schedule every report
+    /// that will ever arrive. Downlink is charged for every dispatched
+    /// client.
+    fn dispatch(&mut self, index: usize, evaluate: Option<usize>) -> (Round, Option<EvalResult>) {
         let selected = self
             .protocol
             .select_clients(self.system, index, &mut self.rng);
@@ -409,7 +480,6 @@ impl Engine<'_> {
             observations: Vec::new(),
             buffer: Vec::new(),
             charges: Vec::new(),
-            started,
             active,
         };
 
@@ -461,9 +531,9 @@ impl Engine<'_> {
             })
             .collect();
         let compressor = self.compressor.as_deref();
-        let reports = self
+        let (reports, eval) = self
             .system
-            .run_reports(&clients, index, &penalties, &orders, compressor);
+            .run_reports(&clients, index, &penalties, &orders, compressor, evaluate);
 
         // The dispatch-time broadcast every encoded report of this round
         // decodes against, however many rounds later it arrives.
@@ -495,7 +565,7 @@ impl Engine<'_> {
                 },
             );
         }
-        round
+        (round, eval)
     }
 
     /// Service arrivals until `round` is due to flush. Each report is
@@ -544,9 +614,10 @@ impl Engine<'_> {
 
     /// Close `round`: aggregate the admitted reports with renormalised
     /// weights (Eq. 6), account the bytes that actually moved, run the
-    /// protocol's fault and post-aggregate hooks, the activation trace and
-    /// the evaluation cadence, and emit the round's event.
-    fn commit(&mut self, round: Round, sink: Option<&mut (dyn EventSink + '_)>) {
+    /// protocol's fault and post-aggregate hooks and the activation trace.
+    /// The round's record comes back for [`Engine::publish`]; from here to
+    /// the next pool's join nothing writes `system.global`.
+    fn commit(&mut self, round: Round) -> Closed {
         let Round {
             index,
             active,
@@ -554,7 +625,6 @@ impl Engine<'_> {
             mut observations,
             mut buffer,
             charges,
-            started,
         } = round;
         // Stable sorts: equal ranks stay in arrival order.
         buffer.sort_by_key(|&(rank, ..)| rank);
@@ -605,21 +675,10 @@ impl Engine<'_> {
                 restarted: outcome.restarted,
             });
         }
-        let eval = if (index + 1) % self.eval_every == 0 || index + 1 == self.rounds {
-            let eval = self.system.evaluate_global(index);
-            let point = RoundEval {
-                round: index,
-                roc_auc: eval.roc_auc,
-                mrr: eval.mrr,
-            };
-            self.result.curve.push(point);
-            self.result.final_eval = eval;
-            Some(point)
-        } else {
-            None
-        };
-        if let Some(sink) = sink {
-            sink.on_round(&RoundEvent {
+        self.result.faults.extend_from_slice(&observations);
+        let due = (index + 1) % self.eval_every == 0 || index + 1 == self.rounds;
+        Closed {
+            event: RoundEvent {
                 round: index,
                 active_clients: active,
                 mask_density,
@@ -627,12 +686,37 @@ impl Engine<'_> {
                 deactivated: outcome.deactivated,
                 reactivated: outcome.reactivated,
                 restarted: outcome.restarted,
-                faults: observations.clone(),
-                eval,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            });
+                faults: observations,
+                eval: None,
+                wall_ms: 0.0,
+            },
+            evaluate: due.then_some(index),
         }
-        self.result.faults.extend(observations);
+    }
+
+    /// Complete a committed round with its evaluation, when one was due —
+    /// the curve point, `final_eval` — and emit its event.
+    fn publish(
+        &mut self,
+        closed: Closed,
+        eval: Option<EvalResult>,
+        sink: Option<&mut (dyn EventSink + '_)>,
+    ) {
+        let mut event = closed.event;
+        if let Some(eval) = eval {
+            let point = RoundEval {
+                round: event.round,
+                roc_auc: eval.roc_auc,
+                mrr: eval.mrr,
+            };
+            self.result.curve.push(point);
+            self.result.final_eval = eval;
+            event.eval = Some(point);
+        }
+        event.wall_ms = self.stopwatch.lap_ms();
+        if let Some(sink) = sink {
+            sink.on_round(&event);
+        }
     }
 }
 
@@ -700,6 +784,24 @@ mod tests {
             assert_eq!(
                 run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
                 "invalid privacy configuration: clip_norm must be positive"
+            );
+        }
+        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    /// Without the check this is `hgn::trainer::score`'s assertion firing at
+    /// the end of round 0 — on a pool worker, with the system already moved.
+    #[test]
+    fn engine_rejects_zero_eval_negatives_before_touching_the_system() {
+        let mut sys = tiny_system_with(2, 43, |cfg| cfg.eval_negatives = 0);
+        let before = sys.global.flatten();
+        for mode in [
+            RuntimeMode::Sync,
+            RuntimeMode::Async(AsyncConfig::default()),
+        ] {
+            assert_eq!(
+                run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
+                "invalid evaluation configuration: eval_negatives must be at least 1, got 0"
             );
         }
         assert_eq!(sys.global.flatten(), before, "system must be untouched");

@@ -4,7 +4,8 @@
 //! communication round to a pluggable [`EventSink`], so a run's behaviour
 //! (active set, mask density, comm volume, evaluation, wall-time) is
 //! observable without scraping stdout. Sinks are deliberately dumb: the
-//! driver owns the loop, a sink only records or renders.
+//! driver owns the loop, a sink only records or renders. Events arrive in
+//! round order, each once its round's evaluation (if due) is known.
 
 use crate::comm::RoundComm;
 use crate::faults::FaultObserved;
@@ -36,8 +37,12 @@ pub struct RoundEvent {
     /// Global evaluation, when the round fell on the evaluation cadence
     /// (`FlConfig::eval_every`; the final round always evaluates).
     pub eval: Option<RoundEval>,
-    /// Wall-clock time of the round in milliseconds (local updates,
-    /// aggregation, protocol bookkeeping and evaluation).
+    /// Wall-clock milliseconds since the previous event was emitted (since
+    /// the run started, for round 0). A round's event goes out once its
+    /// evaluation has joined — beside the next round's client reports — so
+    /// this is not "time since this round's dispatch", which would count
+    /// that pool call twice: the events' `wall_ms` sum to the run's wall
+    /// time, and the sum through an event is when its evaluation was known.
     pub wall_ms: f64,
 }
 

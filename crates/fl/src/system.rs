@@ -76,13 +76,14 @@ pub struct FlConfig {
     pub seed: u64,
     /// Run client updates on scoped worker threads.
     pub parallel: bool,
-    /// Worker-pool size for parallel client updates; `None` keeps the
-    /// historical one-thread-per-dispatched-client shape, a bound (e.g.
-    /// `Some(8)`) caps the pool for large federations. Ignored when
-    /// `parallel` is `false`. Results are worker-count independent:
-    /// client training is a pure function of (client seed, round,
-    /// broadcast parameters) and the pool returns results in dispatch
-    /// order.
+    /// Worker-pool size for parallel client updates; `None` is the
+    /// kernel-thread budget (`FEDDA_THREADS`, else the machine's available
+    /// parallelism), so one number bounds both parallelism layers, and
+    /// `Some(n)` sets the pool's size on its own. Never more workers than
+    /// tasks. Ignored when `parallel` is `false`. Results are worker-count
+    /// independent: client training is a pure function of (client seed,
+    /// round, broadcast parameters) and the pool returns results in
+    /// dispatch order.
     pub workers: Option<usize>,
     /// Optional clip-and-noise on returned updates.
     pub privacy: Option<PrivacyConfig>,
@@ -444,10 +445,8 @@ impl FlSystem {
         round: usize,
         penalties: &[Option<LocalPenalty>],
     ) -> Vec<ClientReturn> {
-        self.run_reports(active, round, penalties, &[], None)
-            .into_iter()
-            .map(|(ret, _)| ret)
-            .collect()
+        let (reports, _) = self.run_reports(active, round, penalties, &[], None, None);
+        reports.into_iter().map(|(ret, _)| ret).collect()
     }
 
     /// The engine's form of [`FlSystem::run_local_round_with`]: everything
@@ -462,6 +461,11 @@ impl FlSystem {
     /// A report that comes back encoded carries no `unit_delta`:
     /// [`decode_arrival`](crate::compress::decode_arrival) computes it from
     /// the decompressed parameters before anything reads it.
+    ///
+    /// `evaluate` names a round whose [`FlSystem::evaluate_global`] is due:
+    /// it runs as one more task of the same pool call — it reads the
+    /// `self.global` the client tasks clone from and its own RNG stream —
+    /// and its result comes back beside the reports.
     pub(crate) fn run_reports(
         &self,
         active: &[usize],
@@ -469,7 +473,8 @@ impl FlSystem {
         penalties: &[Option<LocalPenalty>],
         orders: &[ReportOrder<'_>],
         compressor: Option<&(dyn Compressor + Send + Sync)>,
-    ) -> Vec<(ClientReturn, Option<Compressed>)> {
+        evaluate: Option<usize>,
+    ) -> (Vec<(ClientReturn, Option<Compressed>)>, Option<EvalResult>) {
         assert!(
             penalties.is_empty() || penalties.len() == active.len(),
             "one penalty slot per active client (or none at all)"
@@ -478,18 +483,39 @@ impl FlSystem {
             orders.is_empty() || orders.len() == active.len(),
             "one report order per active client (or none at all)"
         );
+        /// One pure task of the pool call.
+        enum Task {
+            /// The local update and report of `active[pos]`.
+            Report(usize),
+            /// The global evaluation of a round.
+            Evaluate(usize),
+        }
+        enum Done {
+            Report(usize, (ClientReturn, Option<Compressed>)),
+            Evaluated(EvalResult),
+        }
         // Largest first: the pool pulls tasks in slice order, and a round
-        // ends when its slowest client does, so that client must not be
-        // the last to start. Local training re-encodes the client's whole
-        // graph once per batch of positives, hence the cost estimate. The
-        // sort is stable and reads nothing but the tasks' own inputs, and
+        // ends when its slowest task does, so that task must not be the
+        // last to start. Local training re-encodes the client's whole
+        // graph once per batch of positives, hence the cost estimate; an
+        // evaluation is one more encode, over the evaluation view, priced
+        // at the positives one of a client's encodes stands for. The sort
+        // is stable and reads nothing but the tasks' own inputs, and
         // results go back by position below: dispatch order is invisible.
-        let mut positions: Vec<usize> = (0..active.len()).collect();
-        positions.sort_by_key(|&pos| {
-            let client = &self.clients[active[pos]];
-            std::cmp::Reverse(client.positives.len() * client.view.num_messages())
-        });
-        let work = |&pos: &usize| -> (ClientReturn, Option<Compressed>) {
+        let train = &self.cfg.train;
+        let examples_per_positive = (1 + train.negatives_per_positive) * train.local_epochs;
+        let positives_per_encode = (train.batch_size / examples_per_positive.max(1)).max(1);
+        let cost = |task: &Task| match *task {
+            Task::Report(pos) => {
+                let client = &self.clients[active[pos]];
+                client.positives.len() * client.view.num_messages()
+            }
+            Task::Evaluate(_) => positives_per_encode * self.eval_view.num_messages(),
+        };
+        let mut tasks: Vec<Task> = (0..active.len()).map(Task::Report).collect();
+        tasks.extend(evaluate.map(Task::Evaluate));
+        tasks.sort_by_key(|task| std::cmp::Reverse(cost(task)));
+        let run_report = |pos: usize| -> (ClientReturn, Option<Compressed>) {
             let i = active[pos];
             let client = &self.clients[i];
             let mut params = self.global.clone();
@@ -540,15 +566,50 @@ impl FlSystem {
             });
             (ret, report)
         };
-        let workers = if self.cfg.parallel {
-            self.cfg.workers.unwrap_or(active.len())
-        } else {
-            1
+        let work = |task: &Task| match *task {
+            Task::Report(pos) => Done::Report(pos, run_report(pos)),
+            Task::Evaluate(round) => Done::Evaluated(self.evaluate_global(round)),
         };
-        let reports = crate::runtime::WorkerPool::new(workers).run_ordered(&positions, work);
-        let mut placed: Vec<_> = positions.into_iter().zip(reports).collect();
+        let mut placed = Vec::with_capacity(active.len());
+        let mut evaluated = None;
+        for done in crate::runtime::WorkerPool::new(self.workers()).run_ordered(&tasks, work) {
+            match done {
+                Done::Report(pos, report) => placed.push((pos, report)),
+                Done::Evaluated(eval) => evaluated = Some(eval),
+            }
+        }
         placed.sort_unstable_by_key(|&(pos, _)| pos);
-        placed.into_iter().map(|(_, report)| report).collect()
+        let reports = placed.into_iter().map(|(_, report)| report).collect();
+        (reports, evaluated)
+    }
+
+    /// Worker-pool size of this run; the pool itself never runs more workers
+    /// than it has tasks.
+    fn workers(&self) -> usize {
+        match (self.cfg.parallel, self.cfg.workers) {
+            (false, _) => 1,
+            (true, Some(workers)) => workers,
+            (true, None) => fedda_tensor::gemm::configured_threads(),
+        }
+    }
+
+    /// [`FlSystem::evaluate_global`] for the one evaluation no pool call
+    /// carries: the final round's. A multi-worker run still computes it on a
+    /// worker thread, not on the server thread. The C allocator keeps a heap
+    /// per thread and hands an exited worker's to the next one: the workers'
+    /// heaps have held an evaluation tape and kept its pages, the server
+    /// thread's never has, and growing it by one tape when the run is all
+    /// but over would set the process's peak memory (`dblp_fedda`: 36 MB
+    /// against 28 MB). The result is the same bits on any thread.
+    pub(crate) fn evaluate_final(&self, round: usize) -> EvalResult {
+        if self.workers() < 2 {
+            return self.evaluate_global(round);
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| self.evaluate_global(round))
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
     }
 
     /// Masked federated averaging (Eq. 6): for every unit `k`,
@@ -859,7 +920,7 @@ pub(crate) mod tests {
         for workers in [1, 2, 4] {
             sys.cfg.workers = Some(workers);
             for active in &orders {
-                let reports = sys.run_reports(active, 0, &[], &[], None);
+                let (reports, _) = sys.run_reports(active, 0, &[], &[], None, None);
                 let got: Vec<usize> = reports.iter().map(|(ret, _)| ret.client).collect();
                 assert_eq!(got, active, "workers={workers}");
             }

@@ -12,8 +12,8 @@
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
     AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedAvg, FedDa, FedDyn,
-    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, RoundDriver, RunResult,
-    StalenessPolicy,
+    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, MemorySink, RoundDriver, RoundEvent,
+    RunResult, StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -102,21 +102,31 @@ fn fingerprint(result: &RunResult, system: &FlSystem) -> Fingerprint {
     }
 }
 
+/// The run's fingerprint and its event stream — wall time, the one field
+/// that is not a function of the seed, zeroed; `f64`'s `Debug` round-trips,
+/// so equal strings are equal bits.
 fn run_async(
     which: usize,
     acfg: AsyncConfig,
     faults: Option<FaultConfig>,
     workers: Option<usize>,
     kernel_threads: usize,
-) -> Fingerprint {
+) -> (Fingerprint, Vec<String>) {
     with_kernel_threads(kernel_threads, || {
         let mut sys = build_system(workers, faults);
+        let mut sink = MemorySink::new();
+        let mut driver = AsyncDriver::with_sink(acfg, &mut sink);
         let result = match which {
-            0 => AsyncDriver::new(acfg).run(&mut FedAvg::vanilla(), &mut sys),
-            _ => AsyncDriver::new(acfg).run(&mut FedDa::explore().protocol(), &mut sys),
+            0 => driver.run(&mut FedAvg::vanilla(), &mut sys),
+            _ => driver.run(&mut FedDa::explore().protocol(), &mut sys),
         }
         .expect("async determinism runs use valid configurations");
-        fingerprint(&result, &sys)
+        let timeless = |e: &RoundEvent| RoundEvent {
+            wall_ms: 0.0,
+            ..e.clone()
+        };
+        let events = sink.events.iter().map(|e| format!("{:?}", timeless(e)));
+        (fingerprint(&result, &sys), events.collect())
     })
 }
 
@@ -128,11 +138,19 @@ fn assert_invariant_under_execution_strategy(
     let acfg = AsyncConfig { k: 2, gamma: 0.9 };
     let reference = run_async(which, acfg, faults.clone(), Some(1), 1);
     assert_eq!(
-        reference.curve.len(),
+        reference.0.curve.len(),
         ROUNDS,
         "{name}: expected one eval per version"
     );
-    for (workers, threads) in [(Some(4), 1), (Some(1), 4), (Some(4), 4), (None, 4)] {
+    assert_eq!(reference.1.len(), ROUNDS, "{name}: one event per version");
+    for (workers, threads) in [
+        (Some(2), 1),
+        (Some(4), 1),
+        (Some(1), 4),
+        (Some(2), 4),
+        (Some(4), 4),
+        (None, 4),
+    ] {
         let other = run_async(which, acfg, faults.clone(), workers, threads);
         assert_eq!(
             reference, other,

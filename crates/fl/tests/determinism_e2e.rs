@@ -13,7 +13,8 @@
 use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};
 use fedda_fl::{
     AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn,
-    FedProx, FlConfig, FlProtocol, FlSystem, RoundDriver, RunResult, StalenessPolicy,
+    FedProx, FlConfig, FlProtocol, FlSystem, MemorySink, RoundDriver, RoundEvent, RunResult,
+    StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hetgraph::HeteroGraph;
@@ -49,6 +50,18 @@ fn build_system_over(
     faults: Option<FaultConfig>,
     partition: impl FnOnce(&HeteroGraph) -> Vec<ClientData>,
 ) -> FlSystem {
+    build_system_edited(partition, |cfg| {
+        cfg.parallel = parallel;
+        cfg.workers = workers;
+        cfg.faults = faults;
+    })
+}
+
+/// The test federation with `edit` applied to its configuration.
+fn build_system_edited(
+    partition: impl FnOnce(&HeteroGraph) -> Vec<ClientData>,
+    edit: impl FnOnce(&mut FlConfig),
+) -> FlSystem {
     let g = dblp_like(&PresetOptions {
         scale: 0.0012,
         seed: SEED,
@@ -58,7 +71,7 @@ fn build_system_over(
     let mut rng = StdRng::seed_from_u64(SEED);
     let split = split_edges(&g, 0.15, &mut rng);
     let clients = partition(&split.train);
-    let cfg = FlConfig {
+    let mut cfg = FlConfig {
         rounds: ROUNDS,
         model: HgnConfig {
             hidden_dim: 4,
@@ -74,11 +87,9 @@ fn build_system_over(
         },
         eval_negatives: 3,
         seed: SEED,
-        parallel,
-        workers,
-        faults,
         ..Default::default()
     };
+    edit(&mut cfg);
     FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
@@ -107,6 +118,20 @@ fn fingerprint(result: &RunResult, system: &FlSystem) -> Fingerprint {
             .map(|x| x.to_bits())
             .collect(),
     }
+}
+
+/// The event stream in comparable form: wall time, the one field that is
+/// not a function of the seed, zeroed; `f64`'s `Debug` round-trips, so equal
+/// strings are equal bits.
+fn event_stream(sink: &MemorySink) -> Vec<String> {
+    let timeless = |e: &RoundEvent| RoundEvent {
+        wall_ms: 0.0,
+        ..e.clone()
+    };
+    sink.events
+        .iter()
+        .map(|e| format!("{:?}", timeless(e)))
+        .collect()
 }
 
 fn run_protocol(
@@ -272,6 +297,83 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
                 reference,
                 run(buffered, workers, threads),
                 "buffered={buffered} diverged under workers={workers}, kernel_threads={threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
+    // Round t's evaluation rides round t + 1's pool call and its event is
+    // emitted when that pool has joined. Which worker scored it, beside
+    // which clients and on how many kernel threads may not show: event t
+    // carries evaluation t, events arrive in round order, the final round
+    // evaluates whatever the cadence, and the curve is the events' evals —
+    // lockstep and buffered, straggler reports crossing rounds, workers
+    // {1, 2, 4} × kernel threads {1, 4}, over a round count 3 does not
+    // divide.
+    const PIPELINE_ROUNDS: usize = 5;
+    let faults = FaultConfig {
+        straggler: 0.3,
+        max_staleness: 2,
+        staleness: StalenessPolicy::Discount { gamma: 0.5 },
+        ..Default::default()
+    };
+    let paper_partition = |train: &HeteroGraph| {
+        let pcfg = PartitionConfig::paper_defaults(M, train.schema().num_edge_types(), SEED);
+        partition_non_iid(train, &pcfg)
+    };
+    for (buffered, eval_every, evaluated) in [
+        (false, 1, vec![0, 1, 2, 3, 4]),
+        (false, 3, vec![2, 4]),
+        (true, 1, vec![0, 1, 2, 3, 4]),
+        (true, 3, vec![2, 4]),
+    ] {
+        let run = |workers: usize, threads: usize| {
+            with_kernel_threads(threads, || {
+                let mut sys = build_system_edited(paper_partition, |cfg| {
+                    cfg.rounds = PIPELINE_ROUNDS;
+                    cfg.eval_every = eval_every;
+                    cfg.workers = Some(workers);
+                    cfg.faults = Some(faults.clone());
+                });
+                let mut sink = MemorySink::new();
+                let mut protocol = FedDa::explore().protocol();
+                let result = if buffered {
+                    AsyncDriver::with_sink(AsyncConfig { k: 2, gamma: 0.9 }, &mut sink)
+                        .run(&mut protocol, &mut sys)
+                } else {
+                    RoundDriver::with_sink(&mut sink).run(&mut protocol, &mut sys)
+                }
+                .expect("valid protocol configuration");
+                // Events in round order, event t carrying evaluation t…
+                let rounds: Vec<usize> = sink.events.iter().map(|e| e.round).collect();
+                assert_eq!(rounds, (0..PIPELINE_ROUNDS).collect::<Vec<_>>());
+                let bits =
+                    |e: &fedda_fl::RoundEval| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits());
+                let carried: Vec<_> = sink
+                    .events
+                    .iter()
+                    .filter_map(|event| event.eval.map(|eval| (event.round, bits(&eval))))
+                    .collect();
+                assert_eq!(
+                    carried.iter().map(|&(round, _)| round).collect::<Vec<_>>(),
+                    evaluated,
+                    "buffered={buffered}, eval_every={eval_every}"
+                );
+                // …and the curve is exactly what the events carried.
+                let curve: Vec<_> = result.curve.iter().map(|e| (e.round, bits(e))).collect();
+                assert_eq!(carried, curve);
+                (fingerprint(&result, &sys), event_stream(&sink))
+            })
+        };
+        let reference = run(1, 1);
+        for (workers, threads) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+            assert_eq!(
+                reference,
+                run(workers, threads),
+                "buffered={buffered}, eval_every={eval_every} diverged under \
+                 workers={workers}, kernel_threads={threads}"
             );
         }
     }

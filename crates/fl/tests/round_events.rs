@@ -281,6 +281,31 @@ fn sparse_curves_keep_round_indices_in_rounds_to_auc() {
     assert_eq!(sparse.rounds_to_auc(f64::INFINITY), None);
 }
 
+/// The `eval_every` law: the cadence picks which rounds are scored and moves
+/// nothing else — evaluation is a measurement with its own RNG stream, and
+/// no step of the round reads it back.
+#[test]
+fn eval_every_changes_the_curve_sampling_and_nothing_else() {
+    let rounds = 5;
+    let run = |eval_every: usize| {
+        let mut sys = tiny_system(4, 29, rounds, eval_every);
+        let result = FedDa::explore().run(&mut sys);
+        let params: Vec<u32> = sys.global.flatten().iter().map(|v| v.to_bits()).collect();
+        (result, params)
+    };
+    let (dense, dense_params) = run(1);
+    let (sparse, sparse_params) = run(3);
+    assert_eq!(sparse_params, dense_params, "final parameters");
+    assert_eq!(sparse.comm.rounds(), dense.comm.rounds(), "comm ledger");
+    assert_eq!(sparse.activation_trace, dense.activation_trace);
+    assert_eq!(dense.activation_trace.len(), rounds);
+    // Every third round, and the final one whatever the cadence.
+    let bits = |e: &fedda_fl::RoundEval| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits());
+    let sampled: Vec<_> = [2, 4].iter().map(|&r| bits(&dense.curve[r])).collect();
+    assert_eq!(sparse.curve.iter().map(bits).collect::<Vec<_>>(), sampled);
+    assert_eq!(dense.curve.len(), rounds);
+}
+
 #[test]
 fn eval_every_zero_is_clamped_to_dense() {
     let rounds = 2;

@@ -48,6 +48,45 @@ impl EdgeIndex {
     pub fn contains(&self, etype: EdgeTypeId, src: NodeId, dst: NodeId) -> bool {
         self.0.binary_search(&(etype.0, src, dst)).is_ok()
     }
+
+    /// The `etype` edges leaving `src`: the index's run of `(etype, src, _)`
+    /// triples, destinations ascending (a multi-edge repeats). Empty when
+    /// `src` has no such edge.
+    fn edges_from(&self, etype: EdgeTypeId, src: NodeId) -> &[(u16, NodeId, NodeId)] {
+        let key = (etype.0, src);
+        let lo = self.0.partition_point(|&(t, s, _)| (t, s) < key);
+        let rest = &self.0[lo..];
+        // A source has a handful of edges: double a bound past the run's end
+        // before bisecting, instead of bisecting the rest of the index.
+        let mut bound = 1;
+        while bound < rest.len() && (rest[bound].0, rest[bound].1) == key {
+            bound *= 2;
+        }
+        let rest = &rest[..bound.min(rest.len())];
+        &rest[..rest.partition_point(|&(t, s, _)| (t, s) == key)]
+    }
+}
+
+/// Draws corrupted destinations for the positives of one `(etype, src)`:
+/// the destination type's candidate nodes and the source's existing edges,
+/// both resolved once.
+struct Corruptor<'a> {
+    candidates: &'a [NodeId],
+    existing: &'a [(u16, NodeId, NodeId)],
+}
+
+impl Corruptor<'_> {
+    /// One negative destination: a uniformly drawn candidate that is not
+    /// already a neighbour, or an unchecked draw after 32 rejections.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
+        for _ in 0..32 {
+            let d = self.candidates[rng.gen_range(0..self.candidates.len())];
+            if self.existing.binary_search_by_key(&d, |e| e.2).is_err() {
+                return d;
+            }
+        }
+        self.candidates[rng.gen_range(0..self.candidates.len())]
+    }
 }
 
 /// Draws positive/negative link examples from a heterograph.
@@ -74,6 +113,21 @@ impl<'g> LinkSampler<'g> {
         self.graph
     }
 
+    /// What corrupting `src`'s `etype` edges needs, looked up once: rejection
+    /// then searches that source's edges, not the whole index.
+    fn corruptor(&self, etype: EdgeTypeId, src: NodeId) -> Corruptor<'_> {
+        let dst_type = self.graph.schema().edge_type(etype).dst_type;
+        let candidates = self.graph.nodes().nodes_of_type(dst_type);
+        debug_assert!(
+            !candidates.is_empty(),
+            "no candidate destinations for negatives"
+        );
+        Corruptor {
+            candidates,
+            existing: self.existing.edges_from(etype, src),
+        }
+    }
+
     /// Sample one negative for a positive edge by corrupting its destination
     /// with a random node of the same type. Falls back to an unchecked
     /// corruption after a bounded number of rejections (dense tiny graphs).
@@ -83,19 +137,7 @@ impl<'g> LinkSampler<'g> {
         src: NodeId,
         rng: &mut R,
     ) -> NodeId {
-        let dst_type = self.graph.schema().edge_type(etype).dst_type;
-        let candidates = self.graph.nodes().nodes_of_type(dst_type);
-        debug_assert!(
-            !candidates.is_empty(),
-            "no candidate destinations for negatives"
-        );
-        for _ in 0..32 {
-            let d = candidates[rng.gen_range(0..candidates.len())];
-            if !self.existing.contains(etype, src, d) {
-                return d;
-            }
-        }
-        candidates[rng.gen_range(0..candidates.len())]
+        self.corruptor(etype, src).draw(rng)
     }
 
     /// All positive examples of the graph (every edge of every type).
@@ -141,11 +183,11 @@ impl<'g> LinkSampler<'g> {
         let mut out = Vec::with_capacity(positives.len() * (1 + negatives_per_positive));
         for &p in positives {
             out.push(p);
+            let corruptor = self.corruptor(p.etype, p.src);
             for _ in 0..negatives_per_positive {
-                let neg = self.corrupt_dst(p.etype, p.src, rng);
                 out.push(LinkExample {
                     src: p.src,
-                    dst: neg,
+                    dst: corruptor.draw(rng),
                     etype: p.etype,
                     label: false,
                 });
@@ -221,6 +263,27 @@ mod tests {
             shared.with_negatives(&pos, 5, &mut StdRng::seed_from_u64(7)),
             fresh
         );
+    }
+
+    #[test]
+    fn edges_from_is_the_run_of_one_source() {
+        // Sorted triples: (0,0,4) (0,1,5) (0,2,6) (1,0,1).
+        let index = EdgeIndex::new(&bipartite());
+        let dsts = |t: u16, src| -> Vec<NodeId> {
+            let run = index.edges_from(EdgeTypeId(t), src);
+            assert!(run.iter().all(|&(et, s, _)| (et, s) == (t, src)));
+            run.iter().map(|e| e.2).collect()
+        };
+        assert_eq!(dsts(0, 0), [4], "first key");
+        assert_eq!(dsts(0, 2), [6]);
+        assert_eq!(dsts(1, 0), [1], "last key");
+        assert!(dsts(0, 3).is_empty(), "a source with no out-edges");
+        assert!(dsts(1, 1).is_empty(), "past the last key");
+        assert!(dsts(2, 0).is_empty(), "past the last edge type");
+
+        let empty = EdgeIndex(Vec::new().into());
+        assert!(empty.edges_from(EdgeTypeId(0), 0).is_empty());
+        assert!(!empty.contains(EdgeTypeId(0), 0, 0));
     }
 
     #[test]

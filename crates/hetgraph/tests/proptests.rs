@@ -1,7 +1,10 @@
 //! Property-based tests for heterograph invariants.
 
 use fedda_hetgraph::io::{EdgeTypeDoc, GraphDoc, IoError, NodeTypeDoc};
-use fedda_hetgraph::{split, EdgeList, EdgeTypeId, HeteroGraph, LinkSampler, NodeStore, Schema};
+use fedda_hetgraph::{
+    split, EdgeIndex, EdgeList, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler, NodeStore,
+    Schema,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +36,70 @@ fn random_graph(na: usize, nb: usize, n_ab: usize, n_aa: usize, seed: u64) -> He
         aa.push(rng.gen_range(0..na) as u32, rng.gen_range(0..na) as u32);
     }
     HeteroGraph::from_edges(store, vec![ab, aa])
+}
+
+/// Three edge types over `na` type-a and `nb` type-b nodes — "ab" and "ab2"
+/// (both a→b, so they share sources) and a symmetric "aa" — from index
+/// pairs taken modulo the node counts; repeated pairs are multi-edges. With
+/// `saturate`, a-node 0 is "ab"-adjacent to *every* b-node, so all 32
+/// rejection draws for it fail and the unchecked fallback fires.
+fn typed_graph(na: usize, nb: usize, pairs: [&[(usize, usize)]; 3], saturate: bool) -> HeteroGraph {
+    let mut s = Schema::new();
+    let a = s.add_node_type("a", 1);
+    let b = s.add_node_type("b", 1);
+    s.add_edge_type("ab", a, b, false);
+    s.add_edge_type("aa", a, a, true);
+    s.add_edge_type("ab2", a, b, false);
+    let store = Arc::new(NodeStore::new(
+        s,
+        &[na, nb],
+        vec![vec![0.0; na], vec![0.0; nb]],
+    ));
+    // type-a nodes are global 0..na, type-b nodes na..na+nb.
+    let dst_base = [na, 0, na];
+    let dst_count = [nb, na, nb];
+    let mut lists = vec![EdgeList::new(), EdgeList::new(), EdgeList::new()];
+    for (t, list) in lists.iter_mut().enumerate() {
+        for &(src, dst) in pairs[t] {
+            list.push((src % na) as u32, (dst_base[t] + dst % dst_count[t]) as u32);
+        }
+    }
+    if saturate {
+        for d in 0..nb {
+            lists[0].push(0, (na + d) as u32);
+        }
+    }
+    HeteroGraph::from_edges(store, lists)
+}
+
+/// The reference for `LinkSampler::with_negatives`: every drawn candidate is
+/// looked up in the whole edge index through the public `contains`.
+fn reference_with_negatives(
+    graph: &HeteroGraph,
+    index: &EdgeIndex,
+    positives: &[LinkExample],
+    negatives_per_positive: usize,
+    rng: &mut StdRng,
+) -> Vec<LinkExample> {
+    let mut out = Vec::new();
+    for &p in positives {
+        out.push(p);
+        let dst_type = graph.schema().edge_type(p.etype).dst_type;
+        let candidates = graph.nodes().nodes_of_type(dst_type);
+        for _ in 0..negatives_per_positive {
+            let accepted = (0..32).find_map(|_| {
+                let d = candidates[rng.gen_range(0..candidates.len())];
+                (!index.contains(p.etype, p.src, d)).then_some(d)
+            });
+            let dst = accepted.unwrap_or_else(|| candidates[rng.gen_range(0..candidates.len())]);
+            out.push(LinkExample {
+                dst,
+                label: false,
+                ..p
+            });
+        }
+    }
+    out
 }
 
 /// A count or dimension a hostile archive may claim.
@@ -159,6 +226,44 @@ proptest! {
         for e in all.iter().filter(|e| !e.label) {
             let expect = g.schema().edge_type(e.etype).dst_type;
             prop_assert_eq!(g.nodes().type_of(e.dst), expect);
+        }
+    }
+
+    /// Rejecting against one source's edges draws what rejecting against the
+    /// whole index drew: the same examples from the same RNG draws.
+    #[test]
+    fn negatives_match_the_whole_index_reference(
+        na in 1usize..5, nb in 1usize..5,
+        ab in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+        aa in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+        ab2 in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+        saturate in any::<bool>(),
+        negatives in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let g = typed_graph(na, nb, [&ab, &aa, &ab2], saturate);
+        let index = EdgeIndex::new(&g);
+        let sampler = LinkSampler::with_index(&g, index.clone());
+        // Every edge, then every (edge type, a-node) pair whether or not
+        // the node has such an edge: sources with no out-edges are queried.
+        let mut positives = sampler.all_positives();
+        for etype in g.schema().edge_type_ids() {
+            let dst_type = g.schema().edge_type(etype).dst_type;
+            let dst = g.nodes().nodes_of_type(dst_type)[0];
+            positives.extend((0..na as u32).map(|src| LinkExample { src, dst, etype, label: true }));
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let got = sampler.with_negatives(&positives, negatives, &mut rng);
+        let expect =
+            reference_with_negatives(&g, &index, &positives, negatives, &mut reference_rng);
+        prop_assert_eq!(got, expect);
+        prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG states differ");
+        // `corrupt_dst` is the one-negative case of the same draw.
+        for p in &positives {
+            let one = sampler.corrupt_dst(p.etype, p.src, &mut rng);
+            let expect = reference_with_negatives(&g, &index, &[*p], 1, &mut reference_rng);
+            prop_assert_eq!(one, expect[1].dst);
         }
     }
 
