@@ -46,7 +46,7 @@ use fedda::fl::{
     FlSystem, RunResult, RuntimeMode, StderrSink,
 };
 use fedda::hgn::{HgnConfig, TrainConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 pub mod compare;
@@ -157,7 +157,7 @@ pub fn run_main<I: IntoIterator<Item = String>>(
 /// Parsed command-line options.
 #[derive(Clone, Debug, Default)]
 pub struct Options {
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
     /// `--quick` present.
     pub quick: bool,
     /// `--paper` present.
@@ -322,6 +322,20 @@ pub fn compression_config(opts: &Options) -> Result<Option<Compression>, Failure
     opts.get_str("compress").map(parse).transpose()
 }
 
+/// Every name `--framework` accepts, in the order the usage text lists
+/// them: the one list [`parse_framework`]'s error message, the README's
+/// `--framework` table and `tests/zoo_wiring.rs` share.
+pub const FRAMEWORK_NAMES: &[&str] = &[
+    "global",
+    "local",
+    "fedavg",
+    "fedprox",
+    "feddyn",
+    "fedadam",
+    "fedda-restart",
+    "fedda-explore",
+];
+
 /// Resolve a framework name plus its hyper-parameter flags into a
 /// [`Framework`] — the one protocol parser shared by the CLI `train`
 /// subcommand and the bench binaries.
@@ -361,7 +375,8 @@ pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure>
         "fedda-explore" => Framework::FedDa(FedDa::explore()),
         other => {
             return Err(Failure::Run(format!(
-                "unknown framework '{other}' (expected global|local|fedavg|fedprox|feddyn|fedadam|fedda-restart|fedda-explore)"
+                "unknown framework '{other}' (expected {})",
+                FRAMEWORK_NAMES.join("|")
             )))
         }
     };

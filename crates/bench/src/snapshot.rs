@@ -6,9 +6,15 @@
 //! `perf --ab` collects one snapshot per run of each binary and
 //! [`crate::compare`] turns the paired runs into verdicts.
 //!
-//! Wall-clock reads for timing live in this bench crate — fedda-lint's D2
-//! rule keeps them out of the `fl` protocol code, so the harness observes
-//! timing without ever perturbing the deterministic RNG streams.
+//! Wall-clock reads for timing live in this bench crate — `clippy.toml`'s
+//! `disallowed-methods` (invariant D2, DESIGN.md §6) keeps them out of every
+//! other crate, so the harness observes timing without ever perturbing the
+//! deterministic RNG streams.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the perf harness is the workspace's wall-clock instrument"
+)]
 
 use serde_json::{json, Value};
 use std::path::Path;

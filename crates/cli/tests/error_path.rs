@@ -138,3 +138,30 @@ fn bad_data_subcommand_input_is_an_error_not_a_panic() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A 200 KB archive of nothing but open brackets used to overflow the
+/// parser's stack (SIGABRT, no message); the JSON parser's depth limit makes
+/// it one more refused archive.
+#[test]
+fn a_deeply_nested_archive_is_an_error_not_a_stack_overflow() {
+    let path = std::env::temp_dir().join(format!("fedda_cli_deep_{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000)).expect("write archive");
+    let out = Command::new(env!("CARGO_BIN_EXE_fedda-cli"))
+        .args(["stats", "--graph"])
+        .arg(&path)
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("spawn fedda-cli");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("recursion limit exceeded at byte 128"),
+        "{stderr}"
+    );
+    assert!(
+        !stderr.contains("overflowed") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "printed before failing");
+}

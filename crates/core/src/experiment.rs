@@ -274,9 +274,9 @@ impl FrameworkResult {
 
 /// Tweak for the train/test-split RNG stream, XORed onto the experiment
 /// seed so the split draws are independent of dataset generation (which
-/// consumes the raw seed). Registered in the workspace-wide tweak registry
-/// that `fedda-lint`'s `rng-stream` rule keeps collision-free.
-const SPLIT_STREAM_TWEAK: u64 = 0x5B11;
+/// consumes the raw seed). Listed in the stream table that
+/// `crates/bench/tests/zoo_wiring.rs` keeps collision-free.
+pub const SPLIT_STREAM_TWEAK: u64 = 0x5B11;
 
 /// One experiment cell: a generated + split dataset reused across
 /// frameworks and runs so comparisons share data.

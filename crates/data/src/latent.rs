@@ -134,7 +134,8 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
             };
         }
         // guarantee at least one active coordinate
-        // fedda-lint: allow(float-eq, reason = "coordinates are assigned only the literals 0.0/1.0/-1.0 above; the check is exact by construction")
+        // (coordinates are assigned only the literals 0.0/1.0/-1.0 above, so
+        // the check is exact by construction)
         if relation_mods[t * d..(t + 1) * d].iter().all(|&x| x == 0.0) {
             relation_mods[t * d + rng.gen_range(0..d)] = 1.0;
         }

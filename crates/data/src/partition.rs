@@ -135,9 +135,10 @@ pub fn partition_disjoint(
     let all_types: Vec<EdgeTypeId> = (0..n_types as u16).map(EdgeTypeId).collect();
     let mut per_client_lists: Vec<Vec<EdgeList>> =
         vec![vec![EdgeList::new(); n_types]; num_clients];
-    // `t` indexes the inner dimension of `per_client_lists` (the outer index
-    // is `rank % num_clients`), so an iterator rewrite doesn't apply.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "`t` indexes the inner dimension of `per_client_lists` (the outer index is `rank % num_clients`), so an iterator rewrite does not apply"
+    )]
     for t in 0..n_types {
         let list = global_train.edges_of_type(EdgeTypeId(t as u16));
         let mut order: Vec<usize> = (0..list.len()).collect();
@@ -183,10 +184,15 @@ pub fn non_iidness(clients: &[ClientData]) -> f64 {
     total / pairs as f64
 }
 
+/// XOR tweak [`client_seeds`] applies to the partition seed, so the
+/// per-client seeds are independent of the partition's own draws (which
+/// consume the raw seed).
+pub const CLIENT_SEEDS_STREAM_TWEAK: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Sample a client RNG seed stream from a partition seed (one sub-seed per
 /// client, stable under reordering of calls).
 pub fn client_seeds(base_seed: u64, num_clients: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(base_seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut rng = StdRng::seed_from_u64(base_seed ^ CLIENT_SEEDS_STREAM_TWEAK);
     (0..num_clients).map(|_| rng.gen()).collect()
 }
 

@@ -13,6 +13,9 @@
 //! and the ratio variants scale the unit-count ratios by the codec's
 //! byte factor against the uncompressed 4-bytes-per-scalar baseline.
 
+// Invariant D5 (DESIGN.md §6): byte accounting never truncates silently.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::compress::{k_of, Compression};
 
 /// Inputs of the analytic model.
@@ -50,6 +53,10 @@ impl EfficiencyInputs {
 /// Expected rounds before a `Restart` reset: the smallest `t_0` with
 /// `r_c^{t_0} < β_r`, i.e. `t_0 = ceil(log_{r_c} β_r)` (Eq. 8's side
 /// condition `t_0 ≥ log_{r_c} β_r`).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a round count: the ceiling of a positive ratio, at least 1; `as` saturates at usize::MAX, which already means never"
+)]
 pub fn restart_period(r_c: f64, beta_r: f64) -> usize {
     assert!((0.0..1.0).contains(&beta_r), "beta_r in (0,1)");
     if r_c >= 1.0 {
@@ -67,7 +74,10 @@ pub fn restart_period(r_c: f64, beta_r: f64) -> usize {
 /// `E[#cp] = M·N · (1 - r_c^{t_0+1}) / (1 - r_c)
 ///          - M·N_d · (r_c·r_p - (r_c·r_p)^{t_0+1}) / (1 - r_c·r_p)`.
 pub fn restart_expected_units(inp: &EfficiencyInputs, t0: usize) -> f64 {
-    // fedda-lint: allow(panic-path, reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
+    )]
     inp.validate().expect("invalid inputs");
     let (m, n, n_d) = (inp.m as f64, inp.n as f64, inp.n_d as f64);
     let rc = inp.r_c;
@@ -106,7 +116,10 @@ pub fn restart_ratio(inp: &EfficiencyInputs, beta_r: f64) -> f64 {
 /// ratio against FedAvg (valid from the second round on):
 /// `E[#cp] / (M·N) ≤ β_e - β_e · r_c · r_p · N_d / N`.
 pub fn explore_ratio_bound(inp: &EfficiencyInputs, beta_e: f64) -> f64 {
-    // fedda-lint: allow(panic-path, reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
+    )]
     inp.validate().expect("invalid inputs");
     assert!((0.0..1.0).contains(&beta_e), "beta_e in (0,1)");
     beta_e - beta_e * inp.r_c * inp.r_p * (inp.n_d as f64 / inp.n as f64)
@@ -121,7 +134,10 @@ pub fn explore_expected_units(
     gamma: f64,
     r_p_hat: f64,
 ) -> f64 {
-    // fedda-lint: allow(panic-path, reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data")
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
+    )]
     inp.validate().expect("invalid inputs");
     assert!((0.0..=1.0).contains(&gamma), "gamma in [0,1]");
     assert!(r_p_hat >= inp.r_p - 1e-9, "r_p_hat must be ≥ r_p");

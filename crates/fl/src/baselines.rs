@@ -20,6 +20,10 @@ use fedda_metrics::MeanStd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// XOR tweak (with the client index shifted left 8) deriving each isolated
+/// client's training RNG in [`run_local_only`] from `FlConfig::seed`.
+pub const LOCAL_STREAM_TWEAK: u64 = 0x0001_0CA1;
+
 /// Train the model centrally on the global training graph for
 /// `system.config().rounds` outer steps (each of `E` local epochs, to match
 /// the federated compute budget), evaluating on the configured cadence.
@@ -58,8 +62,6 @@ impl Default for GlobalProtocol {
     }
 }
 
-// fedda-lint: allow(protocol-pins, reason = "Global is a centralised upper bound: one client holds the full graph, so async staleness (k, gamma) cannot arise and an async pin would duplicate the sync curve")
-// fedda-lint: allow(protocol-zoo, reason = "Global trains on the server's own full graph; client dropout/garbage faults have no channel to act on, so the chaos sweep has nothing to exercise")
 impl FlProtocol for GlobalProtocol {
     fn name(&self) -> String {
         "Global".into()
@@ -112,7 +114,10 @@ impl FlProtocol for GlobalProtocol {
         _round: usize,
         rng: &mut StdRng,
     ) -> StepOutcome {
-        // fedda-lint: allow(panic-path, reason = "the engine calls begin() before any round hook; a missing state is a protocol-engine bug")
+        #[expect(
+            clippy::expect_used,
+            reason = "the engine calls begin() before any round hook; a missing state is a protocol-engine bug"
+        )]
         let state = self.state.as_ref().expect("begin() initialises the state");
         let sampler = LinkSampler::with_index(&state.graph, state.index.clone());
         train_local(
@@ -158,7 +163,7 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
     let mut result = LocalResult::default();
     for (i, client) in system.clients.iter().enumerate() {
         let mut params = system.global.clone();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0001_0CA1 ^ (i as u64) << 8);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ LOCAL_STREAM_TWEAK ^ (i as u64) << 8);
         let sampler = client.sampler();
         for _round in 0..cfg.rounds {
             train_local(

@@ -14,6 +14,9 @@
 //! reports (received, then rejected) and stale straggler arrivals, but not
 //! dropouts or reports still held (or never delivered) by a straggler.
 
+// Invariant D5 (DESIGN.md §6): byte accounting never truncates silently.
+#![warn(clippy::cast_possible_truncation)]
+
 /// Communication counters of one round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundComm {

@@ -27,6 +27,9 @@
 //! magnitude — so the server-side rejection guard still fires on the
 //! *decompressed* report.
 
+// Invariant D5 (DESIGN.md §6): byte accounting never truncates silently.
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::runtime::Delivery;
 use fedda_tensor::ParamSet;
 use std::sync::Arc;
@@ -395,7 +398,7 @@ impl Compressor for QuantF16 {
 
 /// Magnitude top-k sparsification: per unit, keep the `floor(frac · len)`
 /// largest-|delta| scalars as `(position, f32 bits)` pairs. Ties break by
-/// ascending index (a total order — fedda-lint D4 clean) and NaN ranks
+/// ascending index (a total order, no float equality) and NaN ranks
 /// above every finite magnitude, so corruption is always among the kept
 /// entries.
 pub struct TopK {
@@ -421,6 +424,10 @@ impl Compressor for TopK {
 }
 
 /// Scalars kept per unit of `len` scalars at fraction `frac`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "Compression::validate keeps frac in (0, 0.5], so the floor of frac * len lies in [0, len]"
+)]
 pub fn k_of(frac: f64, len: usize) -> usize {
     (frac * len as f64).floor() as usize
 }

@@ -322,8 +322,11 @@ struct Closed {
 struct Stopwatch(Instant);
 
 impl Stopwatch {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "round wall-time telemetry only; never feeds selection, masking, aggregation or any logged curve"
+    )]
     fn start() -> Self {
-        // fedda-lint: allow(wall-clock, reason = "round wall-time telemetry only; never feeds selection, masking, aggregation or any logged curve")
         Self(Instant::now())
     }
 
@@ -448,13 +451,16 @@ pub fn run(
 
 /// The six shorthands (the protocols' `run`, `baselines::run_global`) for
 /// tests and examples: lockstep, no sink, a panic naming `label` on `Err`.
+#[expect(
+    clippy::panic,
+    reason = "the documented panic of the six shorthand entry points; fallible callers use run"
+)]
 pub(crate) fn run_or_panic(
     label: &str,
     protocol: &mut dyn FlProtocol,
     system: &mut FlSystem,
 ) -> RunResult {
     run(&RuntimeMode::Sync, protocol, system, None)
-        // fedda-lint: allow(panic-path, reason = "the documented panic of the six shorthand entry points; fallible callers use run")
         .unwrap_or_else(|e| panic!("invalid {label} configuration: {e}"))
 }
 

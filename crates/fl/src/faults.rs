@@ -193,7 +193,8 @@ impl FaultConfig {
             }
         }
         if let Corruption::Garbage { scale } = self.corruption_kind {
-            // fedda-lint: allow(float-eq, reason = "config validation rejecting the exact literal 0.0, which would make Garbage a silent no-op; no computed values reach here")
+            // Rejects the exact literal 0.0, which would make Garbage a silent
+            // no-op; no computed value reaches this comparison.
             if !scale.is_finite() || scale == 0.0 {
                 return Err(format!(
                     "garbage corruption scale must be finite and non-zero, got {scale}"

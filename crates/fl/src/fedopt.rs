@@ -118,7 +118,10 @@ impl FedAdam {
 /// denominators `1 − β₁^t` / `1 − β₂^t` of the *current* step. Pure helper
 /// — the protocol applies exactly this function per scalar, and the
 /// property tests check it against an independent reference.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the scalar Adam recurrence: moments, step, four hyper-parameters and two bias terms, each a plain f64"
+)]
 pub fn adam_update(
     m: f64,
     v: f64,

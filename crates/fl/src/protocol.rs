@@ -22,7 +22,7 @@
 //!   `cfg.seed ^ protocol.seed_tweak()` — each protocol picks a distinct
 //!   tweak so its decision stream never collides with model init
 //!   (`cfg.seed`), client streams (`client_seeds`), or evaluation
-//!   (`cfg.seed ^ 0xEAE5 ^ round·31`);
+//!   (`cfg.seed ^` [`EVAL_STREAM_TWEAK`](crate::EVAL_STREAM_TWEAK) `^ round·31`);
 //! * hooks draw from that RNG **only** through the arguments they are
 //!   given, in hook order (`begin`, then per round `select_clients` →
 //!   `build_masks` → `post_aggregate`; the local round between masks and

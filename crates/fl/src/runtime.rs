@@ -3,8 +3,9 @@
 //!
 //! Everything here runs on *virtual time*: an integer [`Tick`] clock that
 //! only advances when the [`Scheduler`] pops an event, never from a wall
-//! clock (fedda-lint rule D2 keeps `Instant`/`SystemTime` out of this
-//! crate's logic). Determinism falls out of two invariants:
+//! clock (`clippy.toml`'s `disallowed-methods` keeps `Instant` /
+//! `SystemTime` out of this crate's logic). Determinism falls out of two
+//! invariants:
 //!
 //! 1. **Total event order.** Every scheduled event gets a `(tick, seq)`
 //!    key where `seq` is a monotonically increasing schedule counter, so
@@ -217,10 +218,12 @@ impl WorkerPool {
         for (i, r) in rx {
             out[i] = Some(r);
         }
-        out.into_iter()
-            // fedda-lint: allow(panic-path, reason = "every index is sent exactly once by the workers above; an empty slot is pool-internal corruption")
-            .map(|o| o.expect("missing worker result"))
-            .collect()
+        #[expect(
+            clippy::expect_used,
+            reason = "every index is sent exactly once by the workers above; an empty slot is pool-internal corruption"
+        )]
+        let filled = |slot: Option<R>| slot.expect("missing worker result");
+        out.into_iter().map(filled).collect()
     }
 }
 

@@ -17,6 +17,15 @@ use fedda_tensor::{ParamId, ParamSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// XOR tweak (with `round · 31`) deriving each global evaluation's RNG from
+/// `FlConfig::seed`, so evaluation draws are the same for every framework
+/// sharing a seed and independent of every protocol stream.
+pub const EVAL_STREAM_TWEAK: u64 = 0xEAE5;
+
+/// Per-round multiplier spreading a client's seed over its local rounds
+/// (not a stream tweak: it scales the round index, it is not XORed alone).
+const CLIENT_ROUND_STRIDE: u64 = 0x9E37_79B9;
+
 /// Client-side update privacy: clip-and-noise in the style of DP-FedAvg
 /// (the paper's conclusion flags privacy on top of FedDA as future work —
 /// this implements the standard mechanism so that direction is exercised).
@@ -289,7 +298,8 @@ impl FlSystem {
 
     /// Assemble a federation around an arbitrary [`LinkPredictor`] and its
     /// freshly-initialised parameters — the seam that lets FedDA drive any
-    /// HGN (the paper's §6.1 claim; see the R-GCN integration test).
+    /// HGN (the paper's §6.1 claim; see `TypedProjection` in
+    /// `tests/integration_fedda_vs_fedavg.rs`).
     pub fn with_model(
         global_train: &HeteroGraph,
         global_test: &HeteroGraph,
@@ -384,7 +394,9 @@ impl FlSystem {
     /// (deterministic, so frameworks sharing a seed are comparable) and a
     /// sampler over the evaluation graph.
     fn eval_inputs(&self, round: usize) -> (StdRng, LinkSampler<'_>) {
-        let rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xEAE5 ^ (round as u64).wrapping_mul(31));
+        let rng = StdRng::seed_from_u64(
+            self.cfg.seed ^ EVAL_STREAM_TWEAK ^ (round as u64).wrapping_mul(31),
+        );
         let sampler = LinkSampler::with_index(&self.eval_graph, self.eval_index.clone());
         (rng, sampler)
     }
@@ -519,8 +531,9 @@ impl FlSystem {
             let i = active[pos];
             let client = &self.clients[i];
             let mut params = self.global.clone();
-            let mut rng =
-                StdRng::seed_from_u64(client.seed ^ (round as u64).wrapping_mul(0x9E37_79B9));
+            let mut rng = StdRng::seed_from_u64(
+                client.seed ^ (round as u64).wrapping_mul(CLIENT_ROUND_STRIDE),
+            );
             let sampler = client.sampler();
             let penalty = penalties
                 .get(pos)

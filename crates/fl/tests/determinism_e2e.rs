@@ -1,7 +1,7 @@
 //! End-to-end determinism: a short FedDA run must be bit-identical across
 //! repeated executions, across kernel-thread budgets, and across the
 //! parallel/sequential client dispatch paths. This is the guarantee the
-//! fedda-lint rules (no hash collections, no wall-clock in protocol code)
+//! `clippy.toml` bans (no hash collections, no wall-clock in protocol code)
 //! and the bit-identical GEMM kernels exist to protect.
 //!
 //! Thread budgets are varied in-process with `with_kernel_threads`, which

@@ -70,7 +70,10 @@ impl Schema {
 
     /// Register a node type; returns its id.
     pub fn add_node_type(&mut self, name: impl Into<String>, feat_dim: usize) -> NodeTypeId {
-        // fedda-lint: allow(panic-path, reason = "registration-time capacity bound; >65535 node types is a programming error, not a data condition")
+        #[expect(
+            clippy::expect_used,
+            reason = "registration-time capacity bound; >65535 node types is a programming error, not a data condition"
+        )]
         let id = NodeTypeId(u16::try_from(self.node_types.len()).expect("too many node types"));
         self.node_types.push(NodeTypeMeta {
             name: name.into(),
@@ -98,7 +101,10 @@ impl Schema {
             dst_type.index() < self.node_types.len(),
             "unknown dst node type"
         );
-        // fedda-lint: allow(panic-path, reason = "registration-time capacity bound; >65535 edge types is a programming error, not a data condition")
+        #[expect(
+            clippy::expect_used,
+            reason = "registration-time capacity bound; >65535 edge types is a programming error, not a data condition"
+        )]
         let id = EdgeTypeId(u16::try_from(self.edge_types.len()).expect("too many edge types"));
         self.edge_types.push(EdgeTypeMeta {
             name: name.into(),

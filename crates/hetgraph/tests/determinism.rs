@@ -1,5 +1,5 @@
-//! Same-seed regression tests for the path fedda-lint's `hash-collection`
-//! rule protects: link sampling must reproduce its output
+//! Same-seed regression tests for the path `clippy.toml`'s `HashMap` /
+//! `HashSet` ban protects: link sampling must reproduce its output
 //! element-for-element across repeated runs with the same seed. Before the
 //! `BTreeSet` conversions it iterated `HashSet`s, which is order-stable
 //! only by accident of allocation.

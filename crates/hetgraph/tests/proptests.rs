@@ -159,6 +159,38 @@ proptest! {
         }
     }
 
+    /// The same one level down, on the archive's bytes: every truncation of
+    /// a saved graph's JSON text and every single-byte substitution from
+    /// the grammar's own alphabet parses into a graph or is refused.
+    #[test]
+    fn truncated_and_byte_flipped_archives_load_or_are_refused(
+        na in 1usize..4, nb in 1usize..3,
+        n_ab in 0usize..4, n_aa in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let doc = GraphDoc::from_graph(&random_graph(na, nb, n_ab, n_aa, seed));
+        let text = serde_json::to_string(&doc).expect("serialise");
+        let load = |bytes: &[u8]| -> Result<(), IoError> {
+            // Bytes that are not UTF-8 (a cut or a flip inside a character)
+            // never reach the parser: `read_to_string` refuses them first.
+            let Ok(text) = std::str::from_utf8(bytes) else { return Ok(()) };
+            serde_json::from_str::<GraphDoc>(text)?.into_graph().map(drop)
+        };
+        let mut bytes = text.into_bytes();
+        prop_assert!(load(&bytes).is_ok());
+        for end in 0..bytes.len() {
+            let _ = load(&bytes[..end]);
+        }
+        for at in 0..bytes.len() {
+            let original = bytes[at];
+            for &flip in b"\"\\{[}],:e-.u\0" {
+                bytes[at] = flip;
+                let _ = load(&bytes);
+            }
+            bytes[at] = original;
+        }
+    }
+
     #[test]
     fn split_conserves_edge_count(
         na in 2usize..12, nb in 2usize..12,

@@ -72,7 +72,10 @@ impl SimpleHgn {
         config: &HgnConfig,
         rng: &mut R,
     ) -> (Self, ParamSet) {
-        // fedda-lint: allow(panic-path, reason = "constructor contract documented on HgnConfig::validate; a bad config cannot produce a usable model")
+        #[expect(
+            clippy::expect_used,
+            reason = "constructor contract documented on HgnConfig::validate; a bad config cannot produce a usable model"
+        )]
         config.validate().expect("invalid HgnConfig");
         let mut ps = ParamSet::new();
         let d_model = config.out_dim();

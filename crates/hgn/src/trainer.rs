@@ -136,7 +136,10 @@ pub fn train_local<R: Rng>(
 ///
 /// With `penalty: None` this is bit-identical to [`train_local`] — the
 /// penalty branch adds no RNG draws and no float operations when absent.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "train_local's seven arguments plus the optional penalty"
+)]
 pub fn train_local_penalized<R: Rng>(
     model: &dyn LinkPredictor,
     params: &mut ParamSet,

@@ -28,6 +28,10 @@ pub fn roc_auc(scores: &[f32], labels: &[bool]) -> f64 {
     let mut i = 0usize;
     while i < order.len() {
         let mut j = i;
+        #[expect(
+            clippy::float_cmp,
+            reason = "a tie group is a run of equal scores in the sorted order; a margin would merge distinct scores and move the midranks"
+        )]
         while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
             j += 1;
         }

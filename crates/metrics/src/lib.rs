@@ -13,6 +13,16 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Determinism & safety invariants D3 / D4 (DESIGN.md §6), run by `cargo lint`.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 mod auc;
 mod mrr;

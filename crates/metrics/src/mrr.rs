@@ -22,6 +22,10 @@ impl RankQuery {
             .iter()
             .filter(|&&n| n > self.positive)
             .count() as f64;
+        #[expect(
+            clippy::float_cmp,
+            reason = "a tie is a negative scored exactly as the positive; the midrank convention counts exact ties only"
+        )]
         let ties = self
             .negatives
             .iter()

@@ -16,6 +16,10 @@ pub fn hits_at_k(queries: &[RankQuery], k: usize) -> f64 {
         .iter()
         .filter(|q| {
             let above = q.negatives.iter().filter(|&&n| n > q.positive).count() as f64;
+            #[expect(
+                clippy::float_cmp,
+                reason = "a tie is a negative scored exactly as the positive; the midrank convention counts exact ties only"
+            )]
             let ties = q.negatives.iter().filter(|&&n| n == q.positive).count() as f64;
             (1.0 + above + ties / 2.0) <= k as f64
         })

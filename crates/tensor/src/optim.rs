@@ -69,7 +69,9 @@ impl Adam {
             let scalars = value.as_mut_slice().iter_mut().zip(grad.as_slice());
             for ((w, &g), (m, v)) in scalars.zip(moments) {
                 let mut g = g;
-                // fedda-lint: allow(float-eq, reason = "config-flag check against the literal default 0.0, not a computed value; skipping the add keeps g bit-identical to the no-decay path")
+                // A config-flag check against the literal default 0.0, not a
+                // computed value; skipping the add keeps g bit-identical to
+                // the no-decay path.
                 if wd != 0.0 {
                     g += wd * *w;
                 }

@@ -403,7 +403,10 @@ impl Graph {
     /// softmax over each destination's incoming edges (`segs` holds `dst_e`).
     /// Replays the f32 sequence of `gather_rows`×3 → `add`×2 → `leaky_relu`
     /// → `segment_softmax` without that chain's six `[E,1]` intermediates.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one fused op over the three score columns and the four index vectors of the chain it replaces"
+    )]
     pub fn edge_softmax(
         &mut self,
         s_src: Var,
@@ -583,11 +586,14 @@ impl Graph {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "caller checks grad.is_none() before visiting; a missing grad here is tape-internal corruption"
+    )]
     fn take_grad(&mut self, i: usize) -> Matrix {
         // The node's grad is complete by the time we visit it (children have
         // higher indices and were processed first); move it out to satisfy
         // the borrow checker while we mutate parents.
-        // fedda-lint: allow(panic-path, reason = "caller checks grad.is_none() before visiting; a missing grad here is tape-internal corruption")
         self.nodes[i].grad.take().expect("grad missing")
     }
 

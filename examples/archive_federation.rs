@@ -7,6 +7,15 @@
 //!
 //! Run with: `cargo run -p fedda --release --example archive_federation`
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::float_cmp
+)]
+
 use fedda::data::{amazon_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda::hetgraph::io::{self, GraphDoc};
 use fedda::hetgraph::{split::split_edges, LinkSampler};
@@ -70,8 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let original = eval(&split.train, &split.test);
     let reloaded = eval(&train2, &test2);
-    assert_eq!(original.roc_auc, reloaded.roc_auc);
-    assert_eq!(original.mrr, reloaded.mrr);
+    assert_eq!(original.roc_auc.to_bits(), reloaded.roc_auc.to_bits());
+    assert_eq!(original.mrr.to_bits(), reloaded.mrr.to_bits());
     println!(
         "evaluation identical on both copies: AUC {:.4}, MRR {:.4}",
         original.roc_auc, original.mrr

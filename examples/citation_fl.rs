@@ -10,6 +10,15 @@
 //!
 //! Run with: `cargo run -p fedda --release --example citation_fl`
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::float_cmp
+)]
+
 use fedda::data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda::fl::{FedAvg, FedDa, FlConfig, FlSystem};
 use fedda::hetgraph::split::split_edges;

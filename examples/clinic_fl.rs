@@ -10,6 +10,15 @@
 //!
 //! Run with: `cargo run -p fedda --release --example clinic_fl`
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::float_cmp
+)]
+
 use fedda::data::{latent, non_iidness, partition_non_iid, PartitionConfig};
 use fedda::fl::{baselines, FedDa, FlConfig, FlSystem};
 use fedda::hetgraph::{split::split_edges, Schema};

@@ -6,6 +6,15 @@
 //!
 //! Run with: `cargo run -p fedda --release --example efficiency_planner`
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::float_cmp
+)]
+
 use fedda::fl::analysis::{
     explore_ratio_bound, restart_expected_units, restart_period, restart_ratio, EfficiencyInputs,
 };

@@ -3,6 +3,15 @@
 //!
 //! Run with: `cargo run -p fedda --release --example quickstart`
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::float_cmp
+)]
+
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
 use fedda::fl::{FedAvg, FedDa};
 

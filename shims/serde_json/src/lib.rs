@@ -279,9 +279,10 @@ macro_rules! json_internal {
     };
     ({ $($tt:tt)+ }) => {
         $crate::Value::Object({
-            // The muncher `push`es entries one at a time — `vec![]` cannot
-            // express that, so quiet the lint inside the expansion.
-            #[allow(clippy::vec_init_then_push)]
+            #[allow(
+                clippy::vec_init_then_push,
+                reason = "the muncher pushes entries one at a time, which `vec![]` cannot express"
+            )]
             let object = {
                 let mut object: Vec<(String, $crate::Value)> = Vec::new();
                 $crate::json_internal!(@object object () ($($tt)+));
@@ -360,6 +361,26 @@ mod tests {
         assert!(from_str::<Value>("[1,2").is_err());
         assert!(from_str::<Value>("tru").is_err());
         assert!(from_str::<Value>("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_stack_overflow() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nest(128)).is_ok());
+        let err = from_str::<Value>(&nest(129)).unwrap_err();
+        assert_eq!(err.to_string(), "recursion limit exceeded at byte 128");
+        // Mixed containers count alike, and a sibling does not add depth.
+        let mixed = "{\"a\":[".repeat(64) + "1,[2]" + &"]}".repeat(64);
+        assert!(from_str::<Value>(&mixed).is_err());
+        let mixed = "{\"a\":[".repeat(64) + "1,2" + &"]}".repeat(64);
+        assert!(from_str::<Value>(&mixed).is_ok());
+        for open in ["[", "{\"a\":"] {
+            let err = from_str::<Value>(&open.repeat(200_000)).unwrap_err();
+            assert!(
+                err.to_string().contains("recursion limit exceeded"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -2,6 +2,14 @@
 //! binaries — the harness itself must be trustworthy before its outputs
 //! are.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
 use fedda::fl::{analysis, FedAvg, FedDa};
 use fedda::hgn::{HgnConfig, TrainConfig};

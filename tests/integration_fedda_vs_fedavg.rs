@@ -2,6 +2,14 @@
 //! than FedAvg (RQ2) while staying in the same accuracy range (RQ1), and
 //! its activation dynamics behave per Algorithm 1.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
 use fedda::fl::{FedAvg, FedDa, FlConfig, FlSystem, Reactivation};
 use fedda::hetgraph::{LinkExample, Schema};

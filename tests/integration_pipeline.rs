@@ -2,6 +2,14 @@
 //! partitioning → federated training → evaluation, across crate
 //! boundaries.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use fedda::data::{
     dblp_like, non_iidness, partition_iid, partition_non_iid, PartitionConfig, PresetOptions,
 };
