@@ -45,8 +45,9 @@ impl PartitionConfig {
     }
 }
 
-/// One client's local data.
-#[derive(Clone, Debug)]
+/// One client's local data. Equal when the graphs are equal
+/// ([`HeteroGraph`]'s `==`) and the specialisations match, in order.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClientData {
     /// The client's sub-heterograph (shares the global node universe).
     pub graph: HeteroGraph,
@@ -227,6 +228,27 @@ mod tests {
                 assert!((local / global - 0.30).abs() < 0.02);
             }
         }
+    }
+
+    #[test]
+    fn client_data_equality_reads_graph_and_specialisation() {
+        let g = small_global();
+        let cfg = PartitionConfig::paper_defaults(2, g.schema().num_edge_types(), 7);
+        let clients = partition_non_iid(&g, &cfg);
+        let base = &clients[0];
+        assert_eq!(*base, base.clone());
+        assert_ne!(*base, clients[1]);
+        let mut other_task = base.clone();
+        other_task.specialized.reverse();
+        assert_ne!(
+            *base, other_task,
+            "specialisation order is part of the data"
+        );
+        let mut one_edge = base.clone();
+        let t = base.specialized[0];
+        let (s, d) = g.edges_of_type(t).iter().next().unwrap();
+        one_edge.graph.edges_of_type_mut(t).push(s, d);
+        assert_ne!(*base, one_edge);
     }
 
     #[test]

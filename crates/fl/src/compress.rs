@@ -217,7 +217,9 @@ impl UplinkCharge {
 
 /// A compressed report in transit with the dispatch-time broadcast it was
 /// encoded against, so the server can decode a stale arrival against the
-/// *right* reference even after the global model has moved on.
+/// *right* reference even after the global model has moved on. Everything a
+/// queued report needs to be rebuilt: while it waits, this is all of it that
+/// stays resident (one reference is shared by a whole dispatch).
 pub struct InFlight {
     /// The encoded report.
     pub report: Compressed,
@@ -232,12 +234,16 @@ pub struct InFlight {
 /// so downstream consumers — the rejection guard, Eq. 6 aggregation,
 /// FedDA's mask scoring — all see the post-decompression numbers.
 ///
-/// The reconstruction is written into the delivery's own parameter buffer:
-/// its pre-compression contents are dead once the report is encoded, so
-/// overwriting them with the reference (values and gradients) and decoding
-/// on top gives exactly `report.reconstruct(&reference)` without cloning
-/// the reference per report. A buffer laid out differently from the
-/// reference (a hand-built delivery) is replaced by that clone instead.
+/// A report admitted in the round it was dispatched still owns its
+/// full-precision parameter buffer, and the reconstruction is written into
+/// it: the buffer's pre-compression contents are dead once the report is
+/// encoded, so overwriting them with the reference (values and gradients)
+/// and decoding on top gives exactly `report.reconstruct(&reference)`
+/// without the server allocating a set per report. A report that outlived
+/// its dispatch round waited as its payload alone — the engine released the
+/// buffer — and any buffer laid out differently from the reference, the
+/// released (empty) one included, is replaced by that reconstruction: the
+/// same bits either way.
 pub fn decode_arrival(d: &mut Delivery) {
     let Some(InFlight { report, reference }) = d.payload.take() else {
         return;
@@ -805,6 +811,74 @@ mod tests {
                 assert_eq!(got_delta, want_delta, "{codec:?}, buffer {b}");
                 // Untransmitted units decode to the reference exactly.
                 assert_eq!(bits(&d.ret.params)[1], bits(&reference)[1]);
+            }
+        }
+    }
+
+    /// The payload-only wait: a report that gave up its parameter buffer in
+    /// the queue decodes to the bits of one that kept it — clean or
+    /// corrupted, under every codec.
+    #[test]
+    fn released_buffer_decodes_like_the_kept_one() {
+        use crate::faults::{corrupt_return, Corruption};
+        const SHAPES: &[(&str, usize, usize)] = &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5)];
+        let reference = Arc::new(layered_set(SHAPES, 0.0, 0.25));
+        let mask = [true, false, true];
+        let corruptions = [
+            None,
+            Some(Corruption::NaN),
+            Some(Corruption::Inf),
+            Some(Corruption::Garbage { scale: 1e6 }),
+        ];
+        for codec in [
+            Compression::Identity,
+            Compression::QuantI8,
+            Compression::QuantF16,
+            Compression::TopK { frac: 0.25 },
+        ] {
+            for corruption in corruptions {
+                // As the worker builds it: train, corrupt, then encode.
+                let mut ret = crate::ClientReturn {
+                    client: 5,
+                    params: layered_set(SHAPES, 0.011, -3.0),
+                    unit_delta: Vec::new(),
+                };
+                if let Some(kind) = corruption {
+                    corrupt_return(&mut ret, &reference, kind);
+                }
+                let report = codec.build().compress(&Delta {
+                    updated: &ret.params,
+                    reference: &reference,
+                    mask: &mask,
+                });
+                let decoded = |params: ParamSet| {
+                    let mut d = Delivery {
+                        client: 5,
+                        dispatch_pos: 1,
+                        dispatch_round: 2,
+                        ret: crate::ClientReturn {
+                            client: 5,
+                            params,
+                            unit_delta: Vec::new(),
+                        },
+                        mask: mask.to_vec(),
+                        charge: report.charge(),
+                        payload: Some(InFlight {
+                            report: report.clone(),
+                            reference: Arc::clone(&reference),
+                        }),
+                    };
+                    decode_arrival(&mut d);
+                    let delta: Vec<u32> = d.ret.unit_delta.iter().map(|x| x.to_bits()).collect();
+                    (d.ret.client, bits(&d.ret.params), delta)
+                };
+                let kept = decoded(ret.params.clone());
+                let released = decoded(ParamSet::new());
+                assert_eq!(kept, released, "{codec:?}, {corruption:?}");
+                // The corruption is still there for the guard to find.
+                let poisoned = matches!(corruption, Some(Corruption::NaN | Corruption::Inf));
+                let non_finite = released.2.iter().any(|&d| !f32::from_bits(d).is_finite());
+                assert_eq!(non_finite, poisoned, "{codec:?}, {corruption:?}");
             }
         }
     }

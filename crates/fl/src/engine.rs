@@ -84,6 +84,7 @@ use crate::system::{
     ActivationSnapshot, ClientReturn, FlSystem, ReportOrder, RoundEval, RunResult, WeightedReturn,
 };
 use fedda_hgn::EvalResult;
+use fedda_tensor::ParamSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -369,68 +370,11 @@ pub fn run(
     system: &mut FlSystem,
     mut sink: Option<&mut (dyn EventSink + '_)>,
 ) -> Result<RunResult, String> {
-    let policy = match mode {
-        RuntimeMode::Sync => Policy::Lockstep,
-        RuntimeMode::Async(cfg) => {
-            cfg.validate()
-                .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
-            Policy::Buffered(*cfg)
-        }
-    };
-    protocol
-        .validate()
-        .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
-    let cfg = system.config();
-    if cfg.eval_negatives == 0 {
-        return Err(
-            "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
-        );
-    }
-    let faults = cfg.faults.clone();
-    if let Some(fc) = &faults {
-        fc.validate()
-            .map_err(|e| format!("invalid fault configuration: {e}"))?;
-    }
-    if let Some(c) = &cfg.compression {
-        c.validate()
-            .map_err(|e| format!("invalid compression configuration: {e}"))?;
-    }
-    if let Some(p) = &cfg.privacy {
-        p.validate()
-            .map_err(|e| format!("invalid privacy configuration: {e}"))?;
-    }
-    let compressor = cfg.compression.map(|c| c.build());
-    let rounds = cfg.rounds;
-    let eval_every = cfg.eval_every.max(1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ protocol.seed_tweak());
-    // The fault schedule is pre-sampled from its own stream so turning it
-    // on never perturbs the protocol/init/eval draws below.
-    let plan = faults
-        .as_ref()
-        .map(|fc| FaultPlan::generate(fc, rounds, system.num_clients(), cfg.seed));
-    protocol.begin(system, &mut rng);
-    if let Some(sink) = sink.as_deref_mut() {
-        sink.begin_run(&protocol.name(), rounds);
-    }
-    let mut engine = Engine {
-        policy,
-        in_flight: vec![false; system.num_clients()],
-        protocol,
-        system,
-        faults,
-        plan,
-        compressor,
-        rounds,
-        eval_every,
-        rng,
-        sched: Scheduler::new(),
-        result: RunResult::default(),
-        stopwatch: Stopwatch::start(),
-    };
+    let mut engine = Engine::start(mode, protocol, system, sink.as_deref_mut())?;
     // Pipelined by one evaluation: the previous round's rides this round's
     // pool call, and its event goes out as soon as the pool has joined.
     let mut previous: Option<Closed> = None;
-    for index in 0..rounds {
+    for index in 0..engine.rounds {
         let evaluate = previous.as_ref().and_then(|closed| closed.evaluate);
         let (mut round, eval) = engine.dispatch(index, evaluate);
         if let Some(closed) = previous.take() {
@@ -464,7 +408,76 @@ pub(crate) fn run_or_panic(
         .unwrap_or_else(|e| panic!("invalid {label} configuration: {e}"))
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    /// Validate every configuration of the run, draw the fault plan, call
+    /// the protocol's `begin` hook and announce the run to `sink`: the
+    /// engine as it stands before round 0.
+    fn start(
+        mode: &RuntimeMode,
+        protocol: &'a mut dyn FlProtocol,
+        system: &'a mut FlSystem,
+        sink: Option<&mut (dyn EventSink + '_)>,
+    ) -> Result<Self, String> {
+        let policy = match mode {
+            RuntimeMode::Sync => Policy::Lockstep,
+            RuntimeMode::Async(cfg) => {
+                cfg.validate()
+                    .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
+                Policy::Buffered(*cfg)
+            }
+        };
+        protocol
+            .validate()
+            .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
+        let cfg = system.config();
+        if cfg.eval_negatives == 0 {
+            return Err(
+                "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
+            );
+        }
+        let faults = cfg.faults.clone();
+        if let Some(fc) = &faults {
+            fc.validate()
+                .map_err(|e| format!("invalid fault configuration: {e}"))?;
+        }
+        if let Some(c) = &cfg.compression {
+            c.validate()
+                .map_err(|e| format!("invalid compression configuration: {e}"))?;
+        }
+        if let Some(p) = &cfg.privacy {
+            p.validate()
+                .map_err(|e| format!("invalid privacy configuration: {e}"))?;
+        }
+        let compressor = cfg.compression.map(|c| c.build());
+        let rounds = cfg.rounds;
+        let eval_every = cfg.eval_every.max(1);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ protocol.seed_tweak());
+        // The fault schedule is pre-sampled from its own stream so turning it
+        // on never perturbs the protocol/init/eval draws below.
+        let plan = faults
+            .as_ref()
+            .map(|fc| FaultPlan::generate(fc, rounds, system.num_clients(), cfg.seed));
+        protocol.begin(system, &mut rng);
+        if let Some(sink) = sink {
+            sink.begin_run(&protocol.name(), rounds);
+        }
+        Ok(Engine {
+            policy,
+            in_flight: vec![false; system.num_clients()],
+            protocol,
+            system,
+            faults,
+            plan,
+            compressor,
+            rounds,
+            eval_every,
+            rng,
+            sched: Scheduler::new(),
+            result: RunResult::default(),
+            stopwatch: Stopwatch::start(),
+        })
+    }
+
     /// Open round `index`: select and mask clients, give each its fault
     /// verdict and its landing tick, run the reporting clients' local
     /// updates on the worker pool — and beside them the evaluation of round
@@ -576,7 +589,11 @@ impl Engine<'_> {
 
     /// Service arrivals until `round` is due to flush. Each report is
     /// decoded and charged at the server arrival point, judged by the
-    /// server-side guard, and admitted at its staleness weight.
+    /// server-side guard, and admitted at its staleness weight. On return,
+    /// every encoded report left in the queue has given up its
+    /// full-precision parameters (see the [`runtime`](crate::runtime)
+    /// module docs): in either policy, a report crosses a round boundary as
+    /// its payload and its reference.
     fn admit(&mut self, round: &mut Round) {
         while !self
             .policy
@@ -587,8 +604,9 @@ impl Engine<'_> {
             };
             self.in_flight[d.client] = false;
             // Decompress before any guard or aggregation sees the report —
-            // a stale arrival carried its compressed payload across rounds
-            // and decodes against its dispatch-time broadcast.
+            // a stale arrival carried its compressed payload (and nothing
+            // else of its parameters) across rounds and is rebuilt from its
+            // dispatch-time broadcast.
             decode_arrival(&mut d);
             // Uplink is charged at arrival: the bytes crossed the wire
             // before inspection, so rejected and discarded reports pay too.
@@ -614,6 +632,15 @@ impl Engine<'_> {
                     round.buffer.push((rank, d, weight));
                 }
                 None => round.observe(rank, d.client, FaultEffect::StaleDiscarded { staleness }),
+            }
+        }
+        // Whatever is still queued has outlived the round it was dispatched
+        // in. An encoded report is rebuilt from its payload when it lands,
+        // so it waits as that alone; only the same-round reports above
+        // decode into the buffer their worker allocated.
+        for d in self.sched.waiting_mut() {
+            if d.payload.is_some() && !d.ret.params.is_empty() {
+                d.ret.params = ParamSet::new();
             }
         }
     }
@@ -749,7 +776,7 @@ mod tests {
     use super::*;
     use crate::events::MemorySink;
     use crate::system::tests::{tiny_system, tiny_system_with};
-    use crate::{FedAvg, FedDa, PrivacyConfig};
+    use crate::{Compression, FedAvg, FedDa, PrivacyConfig, StalenessPolicy};
 
     #[test]
     fn mask_density_handles_edge_cases() {
@@ -903,6 +930,58 @@ mod tests {
             "invalid async runtime configuration: async k must be at least 1"
         );
         assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    /// Steps the engine by hand and looks into the queue after every
+    /// `admit`: an encoded report crosses a round boundary as its payload
+    /// alone, an uncompressed one as its parameters.
+    #[test]
+    fn waiting_encoded_reports_own_no_parameters() {
+        let stragglers = FaultConfig {
+            straggler: 0.5,
+            max_staleness: 2,
+            staleness: StalenessPolicy::Discount { gamma: 0.5 },
+            ..Default::default()
+        };
+        let modes = [
+            // K below the dispatch size: half of each wave waits.
+            (RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }), None),
+            (RuntimeMode::Sync, Some(stragglers)),
+        ];
+        for (mode, faults) in modes {
+            for compression in [Some(Compression::QuantI8), None] {
+                let mut sys = tiny_system_with(4, 26, |cfg| {
+                    cfg.rounds = 4;
+                    cfg.faults = faults.clone();
+                    cfg.compression = compression;
+                });
+                let mut protocol = FedAvg::vanilla();
+                let mut engine = Engine::start(&mode, &mut protocol, &mut sys, None).unwrap();
+                let mut waited = 0;
+                for index in 0..engine.rounds {
+                    let (mut round, _) = engine.dispatch(index, None);
+                    engine.admit(&mut round);
+                    for d in engine.sched.waiting_mut() {
+                        waited += 1;
+                        assert_eq!(
+                            d.ret.params.is_empty(),
+                            compression.is_some(),
+                            "{mode:?}, {compression:?}, round {index}, client {}",
+                            d.client
+                        );
+                        assert_eq!(d.payload.is_some(), compression.is_some());
+                    }
+                    engine.commit(round);
+                }
+                assert!(waited > 0, "{mode:?}: nothing ever waited");
+                let applied =
+                    |o: &FaultObserved| matches!(o.effect, FaultEffect::StaleApplied { .. });
+                assert!(
+                    engine.result.faults.iter().any(applied),
+                    "{mode:?}: no report that waited was aggregated"
+                );
+            }
+        }
     }
 
     #[test]

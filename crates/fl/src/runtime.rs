@@ -21,6 +21,20 @@
 //! `r` and flushes when nothing more is due at it; under
 //! [`RuntimeMode::Async`](crate::RuntimeMode) deliveries span many ticks
 //! and a round flushes on its `K`-th admitted report.
+//!
+//! # What a queued delivery owns
+//!
+//! A [`Delivery`] is scheduled with everything dispatch produced: the
+//! client's full-precision [`ClientReturn`], its mask, its ledger charge
+//! and — under a codec — the encoded report with its dispatch-time
+//! reference. Under a codec the full-precision parameters are dead once the
+//! report is encoded, so a delivery that outlives the round it was
+//! dispatched in (a lockstep straggler, a buffered report beyond the `K`-th)
+//! gives them up when that round's admission ends and waits as its payload
+//! alone; [`decode_arrival`](crate::compress::decode_arrival) rebuilds the
+//! set from the reference when it lands. The queue's memory therefore
+//! follows the encoded bytes in flight, not the number of reports. Without a
+//! codec the parameters *are* the report and stay.
 
 use crate::system::ClientReturn;
 use std::collections::BTreeMap;
@@ -113,6 +127,12 @@ impl<E> Scheduler<E> {
         self.queue.first_key_value().map(|(&(tick, _), _)| tick)
     }
 
+    /// Every waiting event, in pop order, for editing in place. Keys are
+    /// out of reach: nothing done here can reorder the queue.
+    pub fn waiting_mut(&mut self) -> impl Iterator<Item = &mut E> {
+        self.queue.values_mut()
+    }
+
     /// Pop the earliest event (ties broken by schedule order) and advance
     /// the clock to its tick.
     pub fn pop(&mut self) -> Option<(Tick, E)> {
@@ -134,10 +154,12 @@ pub struct Delivery {
     /// Round (sync) or server version (async) the report was computed
     /// against.
     pub dispatch_round: usize,
-    /// The client's trained return. When a compressor is configured this
-    /// holds the *pre-compression* values (and no `unit_delta` yet) until
-    /// [`decode_arrival`] writes the decompressed reconstruction over them
-    /// at the server.
+    /// The client's trained return. When a compressor is configured it
+    /// carries no `unit_delta` yet, and its `params` are only a buffer for
+    /// [`decode_arrival`] to write the decompressed reconstruction into:
+    /// the *pre-compression* values while the report can still be admitted
+    /// in its dispatch round, an empty set once it has outlived that round
+    /// (the engine releases the buffer; the report waits as `payload`).
     ///
     /// [`decode_arrival`]: crate::compress::decode_arrival
     pub ret: ClientReturn,

@@ -8,7 +8,7 @@ use crate::compress::{Compressed, Compression, Compressor, Delta, UplinkCharge};
 use crate::faults::{corrupt_return, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
-use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
+use fedda_hetgraph::{EdgeIndex, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{
     evaluate, train_local_penalized, EvalResult, GraphView, HgnConfig, LinkPredictor, SimpleHgn,
     TrainConfig,
@@ -16,6 +16,8 @@ use fedda_hgn::{
 use fedda_tensor::{ParamId, ParamSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// XOR tweak (with `round · 31`) deriving each global evaluation's RNG from
 /// `FlConfig::seed`, so evaluation draws are the same for every framework
@@ -128,17 +130,29 @@ impl Default for FlConfig {
     }
 }
 
-/// One client's immutable state inside the simulator.
+/// One client's immutable state inside the simulator: a handle on its
+/// *shard* — the local data and everything set-up derives from it — plus
+/// the one thing that is the client's own, its seed. Clients registered
+/// with equal [`ClientData`] hold the same shard (see
+/// [`FlSystem::with_model`]), so a federation's memory follows its distinct
+/// data, not its registrations. A clone is another handle on the same shard.
+#[derive(Clone)]
 pub struct Client {
-    /// The client's local data (graph + specialised edge types).
-    pub data: ClientData,
-    /// Precomputed message-passing view of the local graph.
-    pub view: GraphView,
+    /// The client's local data (graph + specialised edge types); one
+    /// allocation per shard.
+    pub data: Arc<ClientData>,
+    /// Precomputed message-passing view of the local graph, built once per
+    /// shard.
+    pub view: Arc<GraphView>,
     /// Training positives: edges of the specialised types only (§6.1 — a
     /// biased client's downstream task covers only what it specialises in).
-    pub positives: Vec<LinkExample>,
-    /// Negative-rejection index of `data.graph`, built once at set-up.
+    /// Built once per shard.
+    pub positives: Arc<Vec<LinkExample>>,
+    /// Negative-rejection index of `data.graph`, built once per shard at
+    /// set-up (a clone shares the index's storage).
     edge_index: EdgeIndex,
+    /// Derived from the run seed and the client's index, never from its
+    /// shard: replicas of one shard train on different RNG streams.
     seed: u64,
 }
 
@@ -147,6 +161,22 @@ impl Client {
     /// built at set-up (nothing is re-indexed per round).
     pub(crate) fn sampler(&self) -> LinkSampler<'_> {
         LinkSampler::with_index(&self.data.graph, self.edge_index.clone())
+    }
+
+    /// Client `seed` of a new shard: the view, the index and the positives
+    /// are built here, once for every client that will hold `data`.
+    fn first_of_shard(data: ClientData, seed: u64, self_loops: bool) -> Self {
+        let view = GraphView::new(&data.graph, self_loops);
+        let edge_index = EdgeIndex::new(&data.graph);
+        let positives = LinkSampler::with_index(&data.graph, edge_index.clone())
+            .positives_of_types(&data.specialized);
+        Self {
+            data: Arc::new(data),
+            view: Arc::new(view),
+            positives: Arc::new(positives),
+            edge_index,
+            seed,
+        }
     }
 }
 
@@ -260,6 +290,7 @@ pub struct FlSystem {
     pub global: ParamSet,
     /// Clients.
     pub clients: Vec<Client>,
+    num_shards: usize,
     cfg: FlConfig,
     eval_graph: HeteroGraph,
     eval_index: EdgeIndex,
@@ -300,41 +331,57 @@ impl FlSystem {
     /// freshly-initialised parameters — the seam that lets FedDA drive any
     /// HGN (the paper's §6.1 claim; see `TypedProjection` in
     /// `tests/integration_fedda_vs_fedavg.rs`).
+    ///
+    /// Clients whose [`ClientData`] compare equal — the same node universe,
+    /// the same specialisation, the same per-type edge lists — share one
+    /// immutable shard: the data itself, its message-passing view, its
+    /// negative-rejection index and its training positives are built for the
+    /// first such client and handed to the rest by `Arc`
+    /// ([`FlSystem::num_shards`] counts them). Each client keeps its own
+    /// seed, so sharing moves no RNG stream and no result bit.
     pub fn with_model(
         global_train: &HeteroGraph,
         global_test: &HeteroGraph,
-        clients: Vec<ClientData>,
+        registered: Vec<ClientData>,
         cfg: FlConfig,
         model: Box<dyn LinkPredictor>,
         global: ParamSet,
     ) -> Self {
-        assert!(!clients.is_empty(), "FlSystem needs at least one client");
+        assert!(!registered.is_empty(), "FlSystem needs at least one client");
         assert!(cfg.rounds > 0, "FlSystem needs at least one round");
-        let client_seeds = fedda_data::client_seeds(cfg.seed, clients.len());
-        let clients = clients
-            .into_iter()
-            .zip(client_seeds)
-            .map(|(data, seed)| {
-                let view = GraphView::new(&data.graph, model.uses_self_loops());
-                let edge_index = EdgeIndex::new(&data.graph);
-                let positives = LinkSampler::with_index(&data.graph, edge_index.clone())
-                    .positives_of_types(&data.specialized);
-                Client {
-                    data,
-                    view,
-                    positives,
-                    edge_index,
+        let client_seeds = fedda_data::client_seeds(cfg.seed, registered.len());
+        let self_loops = model.uses_self_loops();
+        // Shards found so far, as the index of each one's first client,
+        // bucketed by what is cheap to read: an all-distinct federation pays
+        // one map probe per client and compares edge lists only where the
+        // specialisation and every edge count agree.
+        let mut firsts: BTreeMap<(Vec<EdgeTypeId>, Vec<usize>), Vec<usize>> = BTreeMap::new();
+        let mut num_shards = 0;
+        let mut clients: Vec<Client> = Vec::with_capacity(registered.len());
+        for (data, seed) in registered.into_iter().zip(client_seeds) {
+            let key = (data.specialized.clone(), data.graph.edge_counts());
+            let bucket = firsts.entry(key).or_default();
+            let client = match bucket.iter().find(|&&first| *clients[first].data == data) {
+                Some(&first) => Client {
                     seed,
+                    ..clients[first].clone()
+                },
+                None => {
+                    bucket.push(clients.len());
+                    num_shards += 1;
+                    Client::first_of_shard(data, seed, self_loops)
                 }
-            })
-            .collect();
-        let eval_view = GraphView::new(global_train, model.uses_self_loops());
+            };
+            clients.push(client);
+        }
+        let eval_view = GraphView::new(global_train, self_loops);
         let test_sampler = LinkSampler::new(global_test);
         let test_positives = test_sampler.all_positives();
         Self {
             model,
             global,
             clients,
+            num_shards,
             cfg,
             eval_index: EdgeIndex::new(global_train),
             eval_graph: global_train.clone(),
@@ -404,6 +451,14 @@ impl FlSystem {
     /// Number of clients `M`.
     pub fn num_clients(&self) -> usize {
         self.clients.len()
+    }
+
+    /// Number of distinct shards the clients hold: `M` when every client
+    /// registered its own data, the number of distinct [`ClientData`] when
+    /// some were replicas. Set-up time and the federation's resident memory
+    /// scale with this count, not with [`FlSystem::num_clients`].
+    pub fn num_shards(&self) -> usize {
+        self.num_shards
     }
 
     /// Number of parameter units `N`.

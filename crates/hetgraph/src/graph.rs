@@ -11,7 +11,7 @@ pub type NodeId = u32;
 /// Immutable node universe: types and features. Shared (via `Arc`) between
 /// the global graph and every client sub-heterograph so node identities stay
 /// aligned across the federation without copying features.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct NodeStore {
     schema: Schema,
     /// Node type of each global node.
@@ -148,10 +148,24 @@ impl EdgeList {
 /// A heterogeneous graph: a shared node universe plus per-edge-type edge
 /// lists. Client sub-heterographs are `HeteroGraph`s over the same
 /// [`NodeStore`] with different (typically overlapping) edge subsets.
+///
+/// Two graphs are equal when they hold the same edges, type by type and in
+/// the same order, over the same node universe — the same `Arc`, or, failing
+/// that, stores of equal content.
 #[derive(Clone, Debug)]
 pub struct HeteroGraph {
     nodes: Arc<NodeStore>,
     edges: Vec<EdgeList>,
+}
+
+impl PartialEq for HeteroGraph {
+    fn eq(&self, other: &Self) -> bool {
+        // Edge lists first: they are what differs between sub-heterographs
+        // of one federation, and the store's content is only read when two
+        // graphs were built over separate universes.
+        self.edges == other.edges
+            && (Arc::ptr_eq(&self.nodes, &other.nodes) || *self.nodes == *other.nodes)
+    }
 }
 
 impl HeteroGraph {
@@ -406,6 +420,36 @@ mod tests {
         g.edges_of_type_mut(EdgeTypeId(1)).push(1, 1);
         let me = g.message_edges(false);
         assert_eq!(me.len(), 1);
+    }
+
+    #[test]
+    fn equality_is_edges_by_content_and_store_by_pointer_then_content() {
+        let ns = tiny_store();
+        let mut g = HeteroGraph::new(Arc::clone(&ns));
+        g.edges_of_type_mut(EdgeTypeId(0)).push(0, 3);
+        g.edges_of_type_mut(EdgeTypeId(1)).push(0, 2);
+        assert_eq!(g, g.clone());
+        // A separately built store of equal content is the same universe.
+        let rebuilt = HeteroGraph::from_edges(tiny_store(), g.edges.clone());
+        assert!(!Arc::ptr_eq(g.nodes(), rebuilt.nodes()));
+        assert_eq!(g, rebuilt);
+        // One more edge, one edge elsewhere, the same edges in another order.
+        let mut extra = g.clone();
+        extra.edges_of_type_mut(EdgeTypeId(1)).push(1, 2);
+        assert_ne!(g, extra);
+        let mut moved = g.clone();
+        moved.edges_of_type_mut(EdgeTypeId(0)).dst[0] = 4;
+        assert_ne!(g, moved);
+        let mut reordered = extra.clone();
+        reordered.edges_of_type_mut(EdgeTypeId(1)).src.swap(0, 1);
+        assert_ne!(extra, reordered);
+        // The same edges over a universe with other features.
+        let other_store = Arc::new(NodeStore::new(
+            ns.schema().clone(),
+            &[3, 2],
+            vec![vec![1.0; 3 * 2], vec![0.0; 2 * 3]],
+        ));
+        assert_ne!(g, HeteroGraph::from_edges(other_store, g.edges.clone()));
     }
 
     #[test]
