@@ -172,12 +172,13 @@ impl CodecCase {
         };
         let (_, reference) = SimpleHgn::init_params(&schema, &model, rng);
         let mut updated = reference.clone();
-        for (_, p) in updated.iter_mut() {
-            let (value, grad) = p.value_and_grad_mut();
-            for w in value.as_mut_slice() {
+        for id in reference.ids() {
+            let unit = updated.range(id);
+            let (values, grads) = updated.values_and_grads_mut();
+            for w in &mut values[unit.clone()] {
                 *w += rng.gen_range(-0.02f32..0.02);
             }
-            for g in grad.as_mut_slice() {
+            for g in &mut grads[unit] {
                 *g = rng.gen_range(-1.0f32..1.0);
             }
         }

@@ -31,7 +31,7 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use crate::runtime::Delivery;
-use fedda_tensor::ParamSet;
+use fedda_tensor::{ParamId, ParamSet};
 use std::sync::Arc;
 
 /// A client update awaiting compression: the locally-updated parameters,
@@ -172,11 +172,9 @@ impl Compressed {
     /// Decode every encoded unit over `out`, which must already hold the
     /// reference values.
     fn decode_over(&self, out: &mut ParamSet) {
-        let mut encoded = self.units.iter().peekable();
-        for (k, (_, p)) in out.iter_mut().enumerate() {
-            if let Some(cu) = encoded.next_if(|cu| cu.unit == k) {
-                cu.payload.decode_into(p.value_mut().as_mut_slice());
-            }
+        for cu in &self.units {
+            cu.payload
+                .decode_into(out.unit_mut(ParamId::from_index(cu.unit)));
         }
     }
 }
@@ -235,26 +233,22 @@ pub struct InFlight {
 /// FedDA's mask scoring — all see the post-decompression numbers.
 ///
 /// A report admitted in the round it was dispatched still owns its
-/// full-precision parameter buffer, and the reconstruction is written into
-/// it: the buffer's pre-compression contents are dead once the report is
-/// encoded, so overwriting them with the reference (values and gradients)
-/// and decoding on top gives exactly `report.reconstruct(&reference)`
-/// without the server allocating a set per report. A report that outlived
-/// its dispatch round waited as its payload alone — the engine released the
-/// buffer — and any buffer laid out differently from the reference, the
-/// released (empty) one included, is replaced by that reconstruction: the
-/// same bits either way.
+/// full-precision value buffer, and the reconstruction is written into it:
+/// the buffer's pre-compression contents are dead once the report is
+/// encoded, so overwriting them with the reference's values (one copy) and
+/// decoding on top gives exactly `report.reconstruct(&reference)` without
+/// the server allocating a set per report. A report that outlived its
+/// dispatch round waited as its payload alone — the engine released its
+/// values — and any buffer not laid out like the reference, the released
+/// one included, is replaced by that reconstruction: the same bits either
+/// way.
 pub fn decode_arrival(d: &mut Delivery) {
     let Some(InFlight { report, reference }) = d.payload.take() else {
         return;
     };
     let params = &mut d.ret.params;
     if same_layout(params, &reference) {
-        for ((_, p), (_, r)) in params.iter_mut().zip(reference.iter()) {
-            let (value, grad) = p.value_and_grad_mut();
-            value.as_mut_slice().copy_from_slice(r.value().as_slice());
-            grad.as_mut_slice().copy_from_slice(r.grad().as_slice());
-        }
+        params.values_mut().copy_from_slice(reference.values());
         report.decode_over(params);
     } else {
         *params = report.reconstruct(&reference);
@@ -263,16 +257,10 @@ pub fn decode_arrival(d: &mut Delivery) {
     d.ret.unit_delta = d.ret.params.unit_l2_distances(&reference);
 }
 
-/// Whether two sets hold the same units: names, metadata and shapes, in
-/// the same order.
+/// Whether `a` can take `b`'s values in place: one layout, and values held
+/// on both sides (a released report holds none).
 fn same_layout(a: &ParamSet, b: &ParamSet) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|((_, x), (_, y))| {
-            x.name() == y.name()
-                && x.meta() == y.meta()
-                && x.value().rows() == y.value().rows()
-                && x.value().cols() == y.value().cols()
-        })
+    a.shares_layout(b) && a.values().len() == b.values().len()
 }
 
 /// A deterministic, RNG-free uplink codec. Implementations provide the
@@ -293,7 +281,7 @@ pub trait Compressor {
             if !delta.mask.get(k).copied().unwrap_or(false) {
                 continue;
             }
-            let payload = self.encode_unit(up.value().as_slice(), rf.value().as_slice());
+            let payload = self.encode_unit(up, rf);
             if payload.num_entries() == 0 && !up.is_empty() {
                 continue;
             }
@@ -713,27 +701,39 @@ mod tests {
         assert_eq!(top_k_positions(&deltas, 1), vec![1]);
     }
 
+    /// Value `i` of unit `u`, spread by `salt`.
+    fn layered_value(u: usize, i: usize, salt: f32) -> f32 {
+        ((i * 7 + u * 13) % 29) as f32 * 0.037 - 0.5 + salt * (i % 5) as f32
+    }
+
     /// Units of uneven sizes (one too small for top-k to keep anything of),
-    /// values spread by `salt`, gradients filled with `grad`.
-    fn layered_set(shapes: &[(&str, usize, usize)], salt: f32, grad: f32) -> ParamSet {
+    /// values spread by `salt`, under a layout of their own.
+    fn layered_set(shapes: &[(&str, usize, usize)], salt: f32) -> ParamSet {
         let mut ps = ParamSet::new();
         for (u, &(name, rows, cols)) in shapes.iter().enumerate() {
             let values = (0..rows * cols)
-                .map(|i| ((i * 7 + u * 13) % 29) as f32 * 0.037 - 0.5 + salt * (i % 5) as f32)
+                .map(|i| layered_value(u, i, salt))
                 .collect();
-            let id = ps.add(name, fedda_tensor::Matrix::from_vec(rows, cols, values));
-            ps.get_mut(id).grad_mut().fill(grad + u as f32);
+            ps.add(name, fedda_tensor::Matrix::from_vec(rows, cols, values));
         }
         ps
     }
 
-    fn bits(ps: &ParamSet) -> Vec<(String, Vec<u32>, Vec<u32>)> {
+    /// A copy of `reference` — its layout — with the values `layered_set`
+    /// gives `salt`: a report trained from that broadcast.
+    fn moved(reference: &ParamSet, salt: f32) -> ParamSet {
+        let mut ps = reference.clone();
+        for id in reference.ids() {
+            for (i, v) in ps.unit_mut(id).iter_mut().enumerate() {
+                *v = layered_value(id.index(), i, salt);
+            }
+        }
+        ps
+    }
+
+    fn bits(ps: &ParamSet) -> Vec<Vec<u32>> {
         ps.iter()
-            .map(|(_, p)| {
-                let of =
-                    |m: &fedda_tensor::Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
-                (p.name().to_string(), of(p.value()), of(p.grad()))
-            })
+            .map(|(_, unit)| unit.iter().map(|v| v.to_bits()).collect())
             .collect()
     }
 
@@ -741,25 +741,21 @@ mod tests {
     fn decode_arrival_in_place_equals_reconstruct() {
         const SHAPES: &[(&str, usize, usize)] =
             &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5), ("d", 1, 3)];
-        // Reference gradients are non-zero and differ from the buffer's, so
-        // a decode that left the buffer's gradients in place would show.
-        let reference = Arc::new(layered_set(SHAPES, 0.0, 0.25));
-        let updated = layered_set(SHAPES, 0.011, -3.0);
+        let reference = Arc::new(layered_set(SHAPES, 0.0));
+        let updated = moved(&reference, 0.011);
         // Unit 1 is masked out; unit 3 is requested, but top-k at 0.25
         // keeps none of its 3 scalars and drops it from the wire entirely.
         let mask = [true, false, true, true];
+        // Fewer units, another shape, another name, the same units built
+        // apart (equal in all but the shared layout), and released values.
+        let mut released = updated.clone();
+        released.release();
         let mismatched = [
-            layered_set(&SHAPES[..3], 0.011, -3.0),
-            layered_set(
-                &[("a", 4, 6), ("b", 1, 3), ("c", 5, 5), ("d", 1, 3)],
-                0.011,
-                -3.0,
-            ),
-            layered_set(
-                &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5), ("e", 1, 3)],
-                0.011,
-                -3.0,
-            ),
+            layered_set(&SHAPES[..3], 0.011),
+            layered_set(&[("a", 4, 6), ("b", 1, 3), ("c", 5, 5), ("d", 1, 3)], 0.011),
+            layered_set(&[("a", 6, 4), ("b", 1, 3), ("c", 5, 5), ("e", 1, 3)], 0.011),
+            layered_set(SHAPES, 0.011),
+            released,
         ];
         for codec in [
             Compression::Identity,
@@ -785,7 +781,7 @@ mod tests {
                 .map(|d| d.to_bits())
                 .collect();
             // The matching buffer decodes in place; each mismatched one
-            // (fewer units, another shape, another name) takes the fallback.
+            // takes the fallback.
             for (b, buffer) in std::iter::once(&updated).chain(&mismatched).enumerate() {
                 assert_eq!(same_layout(buffer, &reference), b == 0);
                 let mut d = Delivery {
@@ -822,7 +818,7 @@ mod tests {
     fn released_buffer_decodes_like_the_kept_one() {
         use crate::faults::{corrupt_return, Corruption};
         const SHAPES: &[(&str, usize, usize)] = &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5)];
-        let reference = Arc::new(layered_set(SHAPES, 0.0, 0.25));
+        let reference = Arc::new(layered_set(SHAPES, 0.0));
         let mask = [true, false, true];
         let corruptions = [
             None,
@@ -840,7 +836,7 @@ mod tests {
                 // As the worker builds it: train, corrupt, then encode.
                 let mut ret = crate::ClientReturn {
                     client: 5,
-                    params: layered_set(SHAPES, 0.011, -3.0),
+                    params: moved(&reference, 0.011),
                     unit_delta: Vec::new(),
                 };
                 if let Some(kind) = corruption {
@@ -873,8 +869,11 @@ mod tests {
                     (d.ret.client, bits(&d.ret.params), delta)
                 };
                 let kept = decoded(ret.params.clone());
-                let released = decoded(ParamSet::new());
+                let mut params = ret.params.clone();
+                params.release();
+                let released = decoded(params);
                 assert_eq!(kept, released, "{codec:?}, {corruption:?}");
+                assert_eq!(decoded(ParamSet::new()), released);
                 // The corruption is still there for the guard to find.
                 let poisoned = matches!(corruption, Some(Corruption::NaN | Corruption::Inf));
                 let non_finite = released.2.iter().any(|&d| !f32::from_bits(d).is_finite());

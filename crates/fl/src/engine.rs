@@ -84,7 +84,6 @@ use crate::system::{
     ActivationSnapshot, ClientReturn, FlSystem, ReportOrder, RoundEval, RunResult, WeightedReturn,
 };
 use fedda_hgn::EvalResult;
-use fedda_tensor::ParamSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -590,10 +589,10 @@ impl<'a> Engine<'a> {
     /// Service arrivals until `round` is due to flush. Each report is
     /// decoded and charged at the server arrival point, judged by the
     /// server-side guard, and admitted at its staleness weight. On return,
-    /// every encoded report left in the queue has given up its
-    /// full-precision parameters (see the [`runtime`](crate::runtime)
-    /// module docs): in either policy, a report crosses a round boundary as
-    /// its payload and its reference.
+    /// every encoded report left in the queue has released its
+    /// full-precision values (see the [`runtime`](crate::runtime) module
+    /// docs): in either policy, a report crosses a round boundary as its
+    /// payload and its reference.
     fn admit(&mut self, round: &mut Round) {
         while !self
             .policy
@@ -613,12 +612,11 @@ impl<'a> Engine<'a> {
             round.charges.push(d.charge);
             let staleness = round.index - d.dispatch_round;
             let rank = self.policy.rank(staleness, d.dispatch_pos);
-            // The guard applies to every arriving report, so even
-            // un-injected non-finite updates are caught here.
-            let rejection = self
-                .faults
-                .as_ref()
-                .and_then(|fc| detect_rejection(&d.ret, fc));
+            // The guard applies to every arriving report in every
+            // configuration, so a client whose training diverged on its own
+            // is caught here too; only the norm bound is the fault plan's.
+            let max_norm = self.faults.as_ref().and_then(|fc| fc.max_update_norm);
+            let rejection = detect_rejection(&d.ret, max_norm);
             if let Some(effect) = rejection {
                 round.observe(rank, d.client, effect);
                 continue;
@@ -639,8 +637,8 @@ impl<'a> Engine<'a> {
         // so it waits as that alone; only the same-round reports above
         // decode into the buffer their worker allocated.
         for d in self.sched.waiting_mut() {
-            if d.payload.is_some() && !d.ret.params.is_empty() {
-                d.ret.params = ParamSet::new();
+            if d.payload.is_some() {
+                d.ret.params.release();
             }
         }
     }
@@ -981,6 +979,44 @@ mod tests {
                     "{mode:?}: no report that waited was aggregated"
                 );
             }
+        }
+    }
+
+    /// Local training that overflows, and no fault plan: the server guard
+    /// still rejects every non-finite report, records each one once, and
+    /// Eq. 6 never sees it — the global stays at its finite start.
+    #[test]
+    fn diverged_reports_are_rejected_without_a_fault_plan() {
+        let modes = [
+            RuntimeMode::Sync,
+            RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        ];
+        for mode in modes {
+            let mut sys = tiny_system_with(3, 44, |cfg| {
+                cfg.train.lr = 1e30;
+                cfg.train.local_epochs = 2;
+            });
+            let before = sys.global.flatten();
+            let result = run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
+            assert_eq!(
+                sys.global.flatten(),
+                before,
+                "{mode:?}: a report was admitted"
+            );
+            let rejected: Vec<(usize, usize)> = result
+                .faults
+                .iter()
+                .map(|o| {
+                    let effect = FaultEffect::CorruptionRejected { non_finite: true };
+                    assert_eq!(o.effect, effect, "{mode:?}");
+                    (o.round, o.client)
+                })
+                .collect();
+            let every_report: Vec<(usize, usize)> = (0..sys.config().rounds)
+                .flat_map(|round| (0..3).map(move |client| (round, client)))
+                .collect();
+            assert_eq!(rejected, every_report, "{mode:?}");
+            assert!(result.final_eval.roc_auc.is_finite());
         }
     }
 

@@ -425,8 +425,8 @@ pub fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corrup
     };
     match poison {
         Some(v) => {
-            for (_, p) in ret.params.iter_mut() {
-                if let Some(first) = p.value_mut().as_mut_slice().first_mut() {
+            for id in ret.params.ids() {
+                if let Some(first) = ret.params.unit_mut(id).first_mut() {
                     *first = v;
                 }
             }
@@ -435,33 +435,28 @@ pub fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corrup
             let Corruption::Garbage { scale } = kind else {
                 unreachable!()
             };
-            for ((_, p), (_, b)) in ret.params.iter_mut().zip(broadcast.iter()) {
-                for (x, &base) in p
-                    .value_mut()
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(b.value().as_slice())
-                {
-                    *x = base + scale * (*x - base);
-                }
+            let values = ret.params.values_mut().iter_mut();
+            for (x, &base) in values.zip(broadcast.values()) {
+                *x = base + scale * (*x - base);
             }
         }
     }
     ret.unit_delta = ret.params.unit_l2_distances(broadcast);
 }
 
-/// Server-side guard applied to every arriving report (fresh or stale):
-/// reject non-finite updates (the flattened-delta check) and, when
-/// [`FaultConfig::max_update_norm`] is set, finite updates whose whole
-/// L2 norm exceeds the bound. Returns the rejection effect, or `None`
-/// when the report is admissible.
-pub fn detect_rejection(ret: &ClientReturn, cfg: &FaultConfig) -> Option<FaultEffect> {
+/// Server-side guard applied to every arriving report (fresh or stale), in
+/// every configuration: reject non-finite updates (the flattened-delta
+/// check) and, when `max_update_norm` is given (a fault plan's
+/// [`FaultConfig::max_update_norm`]), finite updates whose whole L2 norm
+/// exceeds it. Returns the rejection effect, or `None` when the report is
+/// admissible.
+pub fn detect_rejection(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
     let non_finite = ret.unit_delta.iter().any(|d| !d.is_finite())
-        || ret.params.iter().any(|(_, p)| p.value().has_non_finite());
+        || ret.params.values().iter().any(|v| !v.is_finite());
     if non_finite {
         return Some(FaultEffect::CorruptionRejected { non_finite: true });
     }
-    if let Some(bound) = cfg.max_update_norm {
+    if let Some(bound) = max_update_norm {
         let norm = ret
             .unit_delta
             .iter()

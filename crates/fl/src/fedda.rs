@@ -115,6 +115,16 @@ fn quantile(values: &[f32], q: f64) -> f32 {
     }
 }
 
+/// A unit's mean value, as `Matrix::mean` takes it: one `f32` sum chain,
+/// then the division (0.0 for an empty unit).
+fn unit_mean(values: &[f32]) -> f32 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f32>() / values.len() as f32
+    }
+}
+
 /// FedDA hyper-parameters.
 ///
 /// ```no_run
@@ -232,15 +242,11 @@ impl FedDa {
             }
             match self.mask_rule {
                 MaskRule::LiteralEq7 => {
-                    let agg_mean = system.global.get(fedda_tensor::ParamId::from_index(k));
-                    let agg_mean = agg_mean.value().mean();
+                    let id = fedda_tensor::ParamId::from_index(k);
+                    let agg_mean = unit_mean(system.global.unit(id));
                     for r in returns {
                         if masks[r.client][k] {
-                            let client_mean = r
-                                .params
-                                .get(fedda_tensor::ParamId::from_index(k))
-                                .value()
-                                .mean();
+                            let client_mean = unit_mean(r.params.unit(id));
                             if agg_mean > client_mean {
                                 masks[r.client][k] = false;
                             }

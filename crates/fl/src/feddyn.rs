@@ -25,8 +25,8 @@
 //!
 //! State lives in [`FedDynProtocol`] (one instance per run, built by
 //! [`FedDyn::protocol`]): per-client `∇̂ᵢ` (`M × |θ|` f32), the server `h`
-//! (f64, in `ParamSet::flatten` order), and the broadcast stash `θ^t`
-//! cloned at selection time. Under faults only *arrived, admitted fresh*
+//! (f64, in `ParamSet::values` order), and the broadcast stash `θ^t`
+//! copied at selection time. Under faults only *arrived, admitted fresh*
 //! reports update `∇̂ᵢ` and `h` — dropped or rejected clients keep their
 //! state, and stale straggler arrivals contribute to averaging but not to
 //! the correction (their delta is against an older broadcast).
@@ -120,7 +120,7 @@ pub fn update_h(h: &mut [f64], delta_sum: &[f64], alpha: f64, num_clients: usize
 #[derive(Clone, Debug)]
 pub struct FedDynProtocol {
     cfg: FedDyn,
-    /// Server correction `h`, `ParamSet::flatten` order, f64 for stable
+    /// Server correction `h`, `ParamSet::values` order, f64 for stable
     /// accumulation across rounds.
     h: Vec<f64>,
     /// Per-client first-order state `∇̂ᵢ` (zero-initialised, like the
@@ -132,7 +132,7 @@ pub struct FedDynProtocol {
 }
 
 impl FedDynProtocol {
-    /// The server correction state (flatten order) — exposed for the chaos
+    /// The server correction state (values order) — exposed for the chaos
     /// harness's finiteness checks.
     pub fn h_state(&self) -> &[f64] {
         &self.h
@@ -162,7 +162,7 @@ impl FlProtocol for FedDynProtocol {
     fn select_clients(&mut self, system: &FlSystem, _round: usize, rng: &mut StdRng) -> Vec<usize> {
         // Stash the anchor before anyone trains: post_aggregate's deltas
         // and the client penalties are all against this broadcast.
-        self.broadcast = system.global.flatten();
+        self.broadcast.copy_from_slice(system.global.values());
         sample_client_fraction(system.num_clients(), self.cfg.client_fraction, rng)
     }
 
@@ -202,7 +202,7 @@ impl FlProtocol for FedDynProtocol {
         let alpha = self.cfg.alpha;
         let mut delta_sum = vec![0.0f64; n];
         for ret in returns {
-            let theta = ret.params.flatten();
+            let theta = ret.params.values();
             debug_assert_eq!(theta.len(), n);
             let state = &mut self.prev_grads[ret.client];
             for k in 0..n {
@@ -216,11 +216,9 @@ impl FlProtocol for FedDynProtocol {
         update_h(&mut self.h, &delta_sum, alpha, system.num_clients());
         // θ^{t+1} = avg(θᵢ) − h/α; the average is already in system.global
         // (the driver aggregated before this hook).
-        let mut corrected = system.global.flatten();
-        for (t, &hk) in corrected.iter_mut().zip(&self.h) {
+        for (t, &hk) in system.global.values_mut().iter_mut().zip(&self.h) {
             *t = (f64::from(*t) - hk / alpha) as f32;
         }
-        system.global.load_flat(&corrected);
         StepOutcome::default()
     }
 }

@@ -144,7 +144,7 @@ pub fn adam_update(
 #[derive(Clone, Debug)]
 pub struct FedAdamProtocol {
     cfg: FedAdam,
-    /// First moment, `ParamSet::flatten` order.
+    /// First moment, `ParamSet::values` order.
     m: Vec<f64>,
     /// Second moment.
     v: Vec<f64>,
@@ -187,7 +187,7 @@ impl FlProtocol for FedAdamProtocol {
     }
 
     fn select_clients(&mut self, system: &FlSystem, _round: usize, rng: &mut StdRng) -> Vec<usize> {
-        self.broadcast = system.global.flatten();
+        self.broadcast.copy_from_slice(system.global.values());
         sample_client_fraction(system.num_clients(), self.cfg.client_fraction, rng)
     }
 
@@ -213,11 +213,9 @@ impl FlProtocol for FedAdamProtocol {
         self.beta1_pow *= cfg.beta1;
         self.beta2_pow *= cfg.beta2;
         let (bias1, bias2) = (1.0 - self.beta1_pow, 1.0 - self.beta2_pow);
-        let aggregated = system.global.flatten();
-        let mut next = vec![0.0f32; aggregated.len()];
-        for k in 0..aggregated.len() {
+        for (k, theta) in system.global.values_mut().iter_mut().enumerate() {
             // Pseudo-gradient: the aggregated model movement this round.
-            let delta = f64::from(aggregated[k]) - f64::from(self.broadcast[k]);
+            let delta = f64::from(*theta) - f64::from(self.broadcast[k]);
             let (m, v, step) = adam_update(
                 self.m[k],
                 self.v[k],
@@ -231,9 +229,8 @@ impl FlProtocol for FedAdamProtocol {
             );
             self.m[k] = m;
             self.v[k] = v;
-            next[k] = (f64::from(self.broadcast[k]) + step) as f32;
+            *theta = (f64::from(self.broadcast[k]) + step) as f32;
         }
-        system.global.load_flat(&next);
         StepOutcome::default()
     }
 }

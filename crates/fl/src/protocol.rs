@@ -77,7 +77,7 @@ pub struct StepOutcome {
 pub struct LocalPenalty {
     /// Proximal coefficient `μ ≥ 0` on `½‖θ − θ^t‖²`.
     pub prox_mu: f32,
-    /// Optional linear-term gradient in `ParamSet::flatten` order, added
+    /// Optional linear-term gradient in `ParamSet::values` order, added
     /// verbatim to every step's gradient.
     pub linear: Option<Vec<f32>>,
 }

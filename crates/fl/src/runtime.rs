@@ -25,16 +25,17 @@
 //! # What a queued delivery owns
 //!
 //! A [`Delivery`] is scheduled with everything dispatch produced: the
-//! client's full-precision [`ClientReturn`], its mask, its ledger charge
-//! and — under a codec — the encoded report with its dispatch-time
-//! reference. Under a codec the full-precision parameters are dead once the
-//! report is encoded, so a delivery that outlives the round it was
-//! dispatched in (a lockstep straggler, a buffered report beyond the `K`-th)
-//! gives them up when that round's admission ends and waits as its payload
-//! alone; [`decode_arrival`](crate::compress::decode_arrival) rebuilds the
-//! set from the reference when it lands. The queue's memory therefore
-//! follows the encoded bytes in flight, not the number of reports. Without a
-//! codec the parameters *are* the report and stay.
+//! client's full-precision [`ClientReturn`] (values only — gradients never
+//! leave local training), its mask, its ledger charge and — under a codec —
+//! the encoded report with its dispatch-time reference. Under a codec the
+//! full-precision values are dead once the report is encoded, so a delivery
+//! that outlives the round it was dispatched in (a lockstep straggler, a
+//! buffered report beyond the `K`-th) releases them when that round's
+//! admission ends and waits as its payload alone;
+//! [`decode_arrival`](crate::compress::decode_arrival) rebuilds the set from
+//! the reference when it lands. The queue's memory therefore follows the
+//! encoded bytes in flight, not the number of reports. Without a codec the
+//! values *are* the report and stay.
 
 use crate::system::ClientReturn;
 use std::collections::BTreeMap;
@@ -158,8 +159,10 @@ pub struct Delivery {
     /// carries no `unit_delta` yet, and its `params` are only a buffer for
     /// [`decode_arrival`] to write the decompressed reconstruction into:
     /// the *pre-compression* values while the report can still be admitted
-    /// in its dispatch round, an empty set once it has outlived that round
-    /// (the engine releases the buffer; the report waits as `payload`).
+    /// in its dispatch round, a set holding no values once it has outlived
+    /// that round (the engine releases them; the report waits as
+    /// `payload`). Either way a set of values only: gradients never leave
+    /// local training.
     ///
     /// [`decode_arrival`]: crate::compress::decode_arrival
     pub ret: ClientReturn,

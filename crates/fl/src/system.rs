@@ -256,8 +256,11 @@ pub struct RunResult {
     pub final_eval: EvalResult,
     /// FedDA's per-round activation trace (empty for FedAvg/baselines).
     pub activation_trace: Vec<ActivationSnapshot>,
-    /// Every fault the driver observed, in round order (empty when
-    /// `FlConfig::faults` is `None`).
+    /// Every fault and staleness record the engine observed, in round
+    /// order: what the fault plan injected (`FlConfig::faults`), stale
+    /// arrivals (K-buffering makes them with no fault plan too), and every
+    /// report the server guard rejected — a non-finite one is rejected in
+    /// every configuration.
     pub faults: Vec<FaultObserved>,
 }
 
@@ -473,10 +476,10 @@ impl FlSystem {
 
     /// Ids of the disentangled units.
     pub fn disentangled_ids(&self) -> Vec<ParamId> {
-        self.global
-            .iter()
-            .filter(|(_, p)| p.meta().disentangled)
-            .map(|(id, _)| id)
+        let global = &self.global;
+        global
+            .ids()
+            .filter(|&id| global.meta(id).disentangled)
             .collect()
     }
 
@@ -705,27 +708,26 @@ impl FlSystem {
             })
             .collect();
         let mut weight_sums = vec![0.0f64; n];
-        // Accumulate into f64 buffers for stable averaging.
-        let mut sums: Vec<Vec<f64>> = self
-            .global
-            .iter()
-            .map(|(_, p)| vec![0.0f64; p.len()])
-            .collect();
+        // Accumulate into one f64 buffer laid out like the parameters, for
+        // stable averaging: each scalar still sums in contribution order.
+        let mut sums = vec![0.0f64; self.global.num_scalars()];
         for (c, &w) in contributions.iter().zip(&weights) {
             assert_eq!(c.mask.len(), n, "mask length must equal unit count");
-            for (k, (_, p)) in c.ret.params.iter().enumerate() {
-                if c.mask[k] {
-                    weight_sums[k] += w;
-                    for (s, &v) in sums[k].iter_mut().zip(p.value().as_slice()) {
+            for (id, values) in c.ret.params.iter() {
+                if c.mask[id.index()] {
+                    weight_sums[id.index()] += w;
+                    for (s, &v) in sums[self.global.range(id)].iter_mut().zip(values) {
                         *s += w * f64::from(v);
                     }
                 }
             }
         }
-        for (k, (_, p)) in self.global.iter_mut().enumerate() {
-            if weight_sums[k] > 0.0 {
-                let inv = 1.0 / weight_sums[k];
-                for (w, &s) in p.value_mut().as_mut_slice().iter_mut().zip(&sums[k]) {
+        for id in self.global.ids() {
+            let weight_sum = weight_sums[id.index()];
+            if weight_sum > 0.0 {
+                let inv = 1.0 / weight_sum;
+                let sums = &sums[self.global.range(id)];
+                for (w, &s) in self.global.unit_mut(id).iter_mut().zip(sums) {
                     *w = (s * inv) as f32;
                 }
             }
@@ -837,11 +839,9 @@ fn apply_privacy<R: rand::Rng + ?Sized>(
 ) {
     // Global L2 norm of the update across all units.
     let mut norm_sq = 0.0f64;
-    for ((_, p), (_, b)) in params.iter().zip(broadcast.iter()) {
-        for (&x, &y) in p.value().as_slice().iter().zip(b.value().as_slice()) {
-            let d = f64::from(x) - f64::from(y);
-            norm_sq += d * d;
-        }
+    for (&x, &y) in params.values().iter().zip(broadcast.values()) {
+        let d = f64::from(x) - f64::from(y);
+        norm_sq += d * d;
     }
     let norm = norm_sq.sqrt() as f32;
     let scale = if norm > privacy.clip_norm && norm > 0.0 {
@@ -850,18 +850,15 @@ fn apply_privacy<R: rand::Rng + ?Sized>(
         1.0
     };
     let noise_std = privacy.noise_multiplier * privacy.clip_norm;
-    for ((_, p), (_, base)) in params.iter_mut().zip(broadcast.iter()) {
-        let value = p.value_mut();
-        for (x, &b) in value.as_mut_slice().iter_mut().zip(base.value().as_slice()) {
-            let clipped = b + scale * (*x - b);
-            let noise = if noise_std > 0.0 {
-                let (n0, _) = fedda_tensor::init::box_muller(rng);
-                noise_std * n0
-            } else {
-                0.0
-            };
-            *x = clipped + noise;
-        }
+    for (x, &b) in params.values_mut().iter_mut().zip(broadcast.values()) {
+        let clipped = b + scale * (*x - b);
+        let noise = if noise_std > 0.0 {
+            let (n0, _) = fedda_tensor::init::box_muller(rng);
+            noise_std * n0
+        } else {
+            0.0
+        };
+        *x = clipped + noise;
     }
 }
 

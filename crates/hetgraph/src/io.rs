@@ -133,6 +133,10 @@ impl Deserialize for GraphDoc {
     }
 }
 
+/// How many more featureless nodes than edge endpoints a document may
+/// declare (see [`GraphDoc::into_graph`]).
+const FEATURELESS_SLACK: usize = 1 << 16;
+
 /// Errors from loading a [`GraphDoc`].
 #[derive(Debug)]
 pub enum IoError {
@@ -212,6 +216,14 @@ impl GraphDoc {
     /// Rebuild the heterograph, or refuse a document whose version, counts,
     /// feature lengths, type indices or endpoints do not add up — the
     /// constructors underneath panic on those, so they are checked here.
+    ///
+    /// Every node the store is sized for must be backed by the document. A
+    /// node of a featured type is backed by its `feat_dim` feature values
+    /// (the length check). A node of a featureless type (`feat_dim: 0`) has
+    /// no value of its own, so the featureless types together may declare at
+    /// most as many nodes as the document lists edge endpoints, plus 65 536
+    /// for isolated ones: `feat_dim: 0, count: 4000000000` is a few bytes of
+    /// JSON that would otherwise size the node store in gigabytes.
     pub fn into_graph(self) -> Result<HeteroGraph, IoError> {
         if self.version != Self::VERSION {
             return Err(IoError::Invalid(format!(
@@ -252,6 +264,19 @@ impl GraphDoc {
             return Err(IoError::Invalid(format!(
                 "{total_nodes} nodes (node ids are 32-bit, at most {})",
                 u32::MAX
+            )));
+        }
+        let featureless: usize = (self.node_types.iter())
+            .filter(|nt| nt.feat_dim == 0)
+            .map(|nt| nt.count)
+            .sum();
+        let endpoints = (self.edge_types.iter())
+            .map(|et| et.src.len().saturating_add(et.dst.len()))
+            .fold(0usize, usize::saturating_add);
+        if featureless > endpoints.saturating_add(FEATURELESS_SLACK) {
+            return Err(IoError::Invalid(format!(
+                "{featureless} featureless nodes for {endpoints} edge endpoints \
+                 (at most {FEATURELESS_SLACK} more than the endpoints)"
             )));
         }
         for nt in self.node_types {
@@ -423,6 +448,36 @@ mod tests {
         let mut doc = featureless(u32::MAX as usize, 0);
         doc.node_types.push(doc.node_types[0].clone());
         assert!(invalid_message(doc).contains("8589934590 nodes"));
+    }
+
+    #[test]
+    fn featureless_nodes_beyond_their_edges_rejected_before_allocating() {
+        // Under the 32-bit id bound, yet no byte of the document backs them.
+        let msg = invalid_message(featureless(4_000_000_000, 0));
+        assert!(msg.contains("4000000000 featureless nodes"), "{msg}");
+        // Isolated featureless nodes load up to the slack, and every edge
+        // endpoint the document lists backs one more.
+        assert!(featureless(FEATURELESS_SLACK, 0).into_graph().is_ok());
+        invalid_message(featureless(FEATURELESS_SLACK + 1, 0));
+        let mut doc = featureless(FEATURELESS_SLACK + 2, 0);
+        doc.edge_types.push(EdgeTypeDoc {
+            name: "aa".to_string(),
+            src_type: 0,
+            dst_type: 0,
+            symmetric: false,
+            src: vec![0],
+            dst: vec![1],
+        });
+        assert!(doc.into_graph().is_ok());
+        // Featured nodes are backed by their values and count for nothing.
+        let mut doc = featureless(FEATURELESS_SLACK, 0);
+        doc.node_types.push(NodeTypeDoc {
+            name: "b".to_string(),
+            feat_dim: 1,
+            count: 3,
+            features: vec![0.5; 3],
+        });
+        assert!(doc.into_graph().is_ok());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use config::{Decoder, HgnConfig};
 pub use model::SimpleHgn;
 pub use predictor::LinkPredictor;
 pub use trainer::{
-    evaluate, evaluate_detailed, train_local, train_local_penalized, DetailedEvalResult,
-    EvalResult, Penalty, TrainConfig, TrainStats,
+    apply_penalty_grads, evaluate, evaluate_detailed, train_local, train_local_penalized,
+    DetailedEvalResult, EvalResult, Penalty, TrainConfig, TrainStats,
 };
 pub use view::GraphView;

@@ -65,53 +65,38 @@ pub struct Penalty<'a> {
     /// Anchor `θ_ref` of the proximal term — normally the round's broadcast
     /// parameters. Must have the same unit layout as the trained set.
     pub reference: &'a ParamSet,
-    /// Optional linear-term gradient in [`ParamSet::flatten`] order, added
+    /// Optional linear-term gradient in [`ParamSet::values`] order, added
     /// verbatim to every step's gradient (FedDyn's `−∇̂ᵢ` state).
     pub linear: Option<&'a [f32]>,
 }
 
-/// Add the penalty gradient `μ·(θ − θ_ref) + linear` to every unit's
-/// accumulated gradient.
-fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
-    if let Some(linear) = penalty.linear {
-        assert_eq!(
-            linear.len(),
-            params.num_scalars(),
-            "linear penalty must be one value per scalar in flatten order"
-        );
-    }
-    assert_eq!(
-        params.len(),
-        penalty.reference.len(),
-        "penalty reference layout"
-    );
+/// Add the penalty gradient `μ·(θ − θ_ref) + linear` to every accumulated
+/// gradient: one pass over the flat value and gradient buffers.
+pub fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
+    let reference = penalty.reference.values();
+    let (theta, grads) = params.values_and_grads_mut();
+    assert_eq!(theta.len(), reference.len(), "penalty reference layout");
     let mu = penalty.prox_mu;
-    let mut offset = 0usize;
-    for ((_, p), (_, anchor)) in params.iter_mut().zip(penalty.reference.iter()) {
-        let (theta, grad) = p.value_and_grad_mut();
-        let (theta, reference) = (theta.as_slice(), anchor.value().as_slice());
-        assert_eq!(theta.len(), reference.len(), "penalty reference layout");
-        let prox = grad
-            .as_mut_slice()
-            .iter_mut()
-            .zip(theta.iter().zip(reference));
-        match penalty.linear {
-            Some(linear) => {
-                let linear = &linear[offset..offset + theta.len()];
-                for ((g, (&t, &r)), &lin) in prox.zip(linear) {
-                    *g += mu * (t - r) + lin;
-                }
-            }
-            // The `+ 0.0` is the absent linear term of the line above: it
-            // turns a `-0.0` proximal gradient into `+0.0` exactly as
-            // adding a zero linear term would.
-            None => {
-                for (g, (&t, &r)) in prox {
-                    *g += mu * (t - r) + 0.0;
-                }
+    let prox = grads.iter_mut().zip(theta.iter().zip(reference));
+    match penalty.linear {
+        Some(linear) => {
+            assert_eq!(
+                linear.len(),
+                theta.len(),
+                "linear penalty must be one value per scalar in values order"
+            );
+            for ((g, (&t, &r)), &lin) in prox.zip(linear) {
+                *g += mu * (t - r) + lin;
             }
         }
-        offset += theta.len();
+        // The `+ 0.0` is the absent linear term of the line above: it
+        // turns a `-0.0` proximal gradient into `+0.0` exactly as adding a
+        // zero linear term would.
+        None => {
+            for (g, (&t, &r)) in prox {
+                *g += mu * (t - r) + 0.0;
+            }
+        }
     }
 }
 
@@ -119,7 +104,8 @@ fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
 ///
 /// `positives` is the client's local task (a biased client passes only its
 /// specialised types, per §6.1); message passing always uses the full local
-/// graph `view`.
+/// graph `view`. Gradients live only inside the call: `params` comes back
+/// holding values only.
 pub fn train_local<R: Rng>(
     model: &dyn LinkPredictor,
     params: &mut ParamSet,
@@ -152,9 +138,17 @@ pub fn train_local_penalized<R: Rng>(
 ) -> TrainStats {
     assert!(config.local_epochs > 0, "local_epochs must be positive");
     if positives.is_empty() {
+        params.release_grads();
         return TrainStats::default();
     }
-    let mut adam = Adam::new(config.lr);
+    // The training buffers — gradients and Adam moments — are allocated
+    // here, after the values and before the first tape, and released
+    // together when the call returns. Allocated at the first step instead,
+    // they sit above that tape, the C allocator hands the heap top they
+    // free back to the kernel, and the next client faults it in again
+    // (twice the minor faults on a round of many small clients).
+    params.zero_grads();
+    let mut adam = Adam::for_params(config.lr, params);
     let mut total_loss = 0.0f64;
     let mut steps = 0usize;
     for _epoch in 0..config.local_epochs {
@@ -195,6 +189,7 @@ pub fn train_local_penalized<R: Rng>(
             steps += 1;
         }
     }
+    params.release_grads();
     TrainStats {
         mean_loss: (total_loss / steps.max(1) as f64) as f32,
         steps,
@@ -448,6 +443,47 @@ mod tests {
         assert_eq!(params.flatten(), before);
         let eval = evaluate(&model, &params, &view, &sampler, &[], 3, &mut rng);
         assert_eq!(eval.num_positives, 0);
+    }
+
+    /// A trained set comes back as values only, under the layout it went in
+    /// with: the gradient buffer lives and dies inside the call.
+    #[test]
+    fn train_local_hands_back_values_only() {
+        let g = amazon_like(&PresetOptions {
+            scale: 0.002,
+            seed: 3,
+            ..Default::default()
+        })
+        .graph;
+        let mut rng = StdRng::seed_from_u64(0);
+        let cfg = HgnConfig {
+            hidden_dim: 4,
+            num_layers: 1,
+            num_heads: 1,
+            ..Default::default()
+        };
+        let (model, global) = SimpleHgn::init_params(g.schema(), &cfg, &mut rng);
+        let view = GraphView::new(&g, cfg.add_self_loops);
+        let sampler = LinkSampler::new(&g);
+        let positives = sampler.all_positives();
+        let mut params = global.clone();
+        params.zero_grads();
+        let stats = train_local(
+            &model,
+            &mut params,
+            &view,
+            &sampler,
+            &positives,
+            &TrainConfig::default(),
+            &mut rng,
+        );
+        assert!(stats.steps > 0);
+        assert!(
+            params.grads().is_empty(),
+            "a trained set kept its gradients"
+        );
+        assert!(params.shares_layout(&global));
+        assert_ne!(params.values(), global.values());
     }
 
     #[test]

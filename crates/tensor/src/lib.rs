@@ -13,9 +13,9 @@
 //!   GAT-style attention (segment softmax over incoming edges), residual
 //!   connections, L2-normalised outputs, and binary-cross-entropy link
 //!   prediction losses;
-//! * [`ParamSet`] / [`Param`] — named parameter units with FL metadata
-//!   (shared vs. per-edge-type "disentangled" units, the paper's `[N]` and
-//!   `[N_d]` index sets);
+//! * [`ParamSet`] — named parameter units with FL metadata (shared vs.
+//!   per-edge-type "disentangled" units, the paper's `[N]` and `[N_d]`
+//!   index sets): a shared layout over one flat value buffer;
 //! * [`Adam`] — the optimiser over a `ParamSet`;
 //! * [`init`] — seedable weight initialisers.
 //!
@@ -44,7 +44,7 @@ mod tape;
 
 pub use matrix::Matrix;
 pub use optim::Adam;
-pub use param::{Param, ParamId, ParamMeta, ParamSet, TapeBindings};
+pub use param::{ParamId, ParamMeta, ParamSet, TapeBindings};
 pub use tape::{sigmoid_scalar, Graph, Segments, Var};
 
 /// What the `x86-64-v3` level (DESIGN.md §8) adds to the 2003 baseline,

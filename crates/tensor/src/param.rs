@@ -1,16 +1,26 @@
-//! Named parameter storage shared between models, optimisers and the FL
-//! layer.
+//! Parameter storage shared between models, optimisers and the FL layer.
 //!
 //! FedDA reasons about *parameter units*: the paper's index set `[N]` with a
 //! disentangled subset `[N_d]` whose members belong to a single edge type
-//! (edge-type embeddings, per-type relation vectors). We therefore keep each
-//! unit as its own named [`Param`] carrying a [`ParamMeta`] tag, so the
-//! server can mask, average and count transmitted scalars per unit without
-//! knowing anything about model internals.
+//! (edge-type embeddings, per-type relation vectors). A [`ParamSet`] is a
+//! shared *layout* — every unit's [`ParamMeta`] tag, shape and offset plus
+//! the name lookup, built once by the model's [`ParamSet::add`] calls and
+//! shared by every clone — and one flat value buffer, in which unit `k` is
+//! `values[off[k]..off[k + 1]]` ([`ParamSet::range`]). The server masks,
+//! averages and counts transmitted scalars per unit without knowing anything
+//! about model internals, and a copy of a model is one buffer copy.
+//!
+//! Gradients are a second flat buffer that exists only while a set is being
+//! trained: it stays empty until [`ParamSet::zero_grads`] first asks for it,
+//! and local training releases it before it returns
+//! ([`ParamSet::release_grads`]), so a broadcast, a report or a reference
+//! holds values only.
 
 use crate::matrix::Matrix;
 use crate::tape::{Graph, Var};
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Handle to a parameter inside a [`ParamSet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -56,73 +66,42 @@ impl ParamMeta {
     }
 }
 
-/// One learnable tensor with its accumulated gradient.
+/// One unit of a [`ParamLayout`].
 #[derive(Clone, Debug)]
-pub struct Param {
-    name: String,
-    value: Matrix,
-    grad: Matrix,
+struct Unit {
     meta: ParamMeta,
+    rows: usize,
+    cols: usize,
+    /// Position of the unit's first scalar in the flat buffers.
+    offset: usize,
 }
 
-impl Param {
-    /// Parameter name (unique within its set).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current value.
-    pub fn value(&self) -> &Matrix {
-        &self.value
-    }
-
-    /// Mutable value (used by optimisers and the FL server).
-    pub fn value_mut(&mut self) -> &mut Matrix {
-        &mut self.value
-    }
-
-    /// Accumulated gradient.
-    pub fn grad(&self) -> &Matrix {
-        &self.grad
-    }
-
-    /// Mutable gradient.
-    pub fn grad_mut(&mut self) -> &mut Matrix {
-        &mut self.grad
-    }
-
-    /// Value and gradient borrowed together, both mutably — the two
-    /// buffers are disjoint, so a pass that reads one while writing the
-    /// other (optimiser steps, penalty gradients) needs no copy of either.
-    pub fn value_and_grad_mut(&mut self) -> (&mut Matrix, &mut Matrix) {
-        (&mut self.value, &mut self.grad)
-    }
-
-    /// FL grouping metadata.
-    pub fn meta(&self) -> ParamMeta {
-        self.meta
-    }
-
-    /// Number of scalars in this unit.
-    pub fn len(&self) -> usize {
-        self.value.len()
-    }
-
-    /// True when the unit holds no scalars.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_empty()
+impl Unit {
+    fn range(&self) -> Range<usize> {
+        self.offset..self.offset + self.rows * self.cols
     }
 }
 
-/// An ordered, named collection of parameters.
+/// What every set of one model shares: its units in registration order and
+/// the name lookup.
+#[derive(Clone, Debug, Default)]
+struct ParamLayout {
+    units: Vec<Unit>,
+    by_name: BTreeMap<String, ParamId>,
+}
+
+/// An ordered, named collection of parameter units: a shared layout and one
+/// flat value buffer (see the module docs).
 ///
 /// Order is creation order and is identical across clients that build the
 /// same model architecture, which is what lets the FL server exchange flat
 /// vectors and per-unit masks.
 #[derive(Clone, Debug, Default)]
 pub struct ParamSet {
-    params: Vec<Param>,
-    by_name: BTreeMap<String, ParamId>,
+    layout: Arc<ParamLayout>,
+    values: Vec<f32>,
+    /// Empty, or one gradient per value.
+    grads: Vec<f32>,
 }
 
 impl ParamSet {
@@ -147,85 +126,144 @@ impl ParamSet {
         meta: ParamMeta,
     ) -> ParamId {
         let name = name.into();
+        let layout = Arc::make_mut(&mut self.layout);
         assert!(
-            !self.by_name.contains_key(&name),
+            !layout.by_name.contains_key(&name),
             "duplicate parameter name: {name}"
         );
-        let id = ParamId(self.params.len());
-        let grad = Matrix::zeros(value.rows(), value.cols());
-        self.by_name.insert(name.clone(), id);
-        self.params.push(Param {
-            name,
-            value,
-            grad,
+        let id = ParamId(layout.units.len());
+        layout.by_name.insert(name, id);
+        layout.units.push(Unit {
             meta,
+            rows: value.rows(),
+            cols: value.cols(),
+            offset: self.values.len(),
         });
+        self.values.extend_from_slice(value.as_slice());
+        if !self.grads.is_empty() {
+            self.grads.resize(self.values.len(), 0.0);
+        }
         id
     }
 
     /// Number of parameter units.
     pub fn len(&self) -> usize {
-        self.params.len()
+        self.layout.units.len()
     }
 
-    /// True when the set holds no parameters.
+    /// True when the set holds no values: it has no units, or its buffers
+    /// were given up ([`ParamSet::release`]).
     pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
+        self.values.is_empty()
     }
 
     /// Total number of scalars across all units.
     pub fn num_scalars(&self) -> usize {
-        self.params.iter().map(|p| p.len()).sum()
+        self.layout.units.last().map_or(0, |u| u.range().end)
     }
 
     /// Number of disentangled units (the paper's `N_d`).
     pub fn num_disentangled(&self) -> usize {
-        self.params.iter().filter(|p| p.meta.disentangled).count()
+        self.layout
+            .units
+            .iter()
+            .filter(|u| u.meta.disentangled)
+            .count()
     }
 
     /// Look a parameter up by name.
     pub fn id_of(&self, name: &str) -> Option<ParamId> {
-        self.by_name.get(name).copied()
+        self.layout.by_name.get(name).copied()
     }
 
-    /// Borrow a parameter.
-    pub fn get(&self, id: ParamId) -> &Param {
-        &self.params[id.0]
+    /// FL grouping metadata of a unit.
+    pub fn meta(&self, id: ParamId) -> ParamMeta {
+        self.layout.units[id.0].meta
     }
 
-    /// Borrow a parameter mutably.
-    pub fn get_mut(&mut self, id: ParamId) -> &mut Param {
-        &mut self.params[id.0]
+    /// Where a unit lives in [`ParamSet::values`] — and in any other buffer
+    /// laid out like it.
+    pub fn range(&self, id: ParamId) -> Range<usize> {
+        self.layout.units[id.0].range()
     }
 
-    /// Iterate `(id, param)` pairs in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Param)> {
-        self.params.iter().enumerate().map(|(i, p)| (ParamId(i), p))
+    /// A unit's values.
+    pub fn unit(&self, id: ParamId) -> &[f32] {
+        &self.values[self.range(id)]
     }
 
-    /// Iterate parameters mutably in registration order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (ParamId, &mut Param)> {
-        self.params
-            .iter_mut()
-            .enumerate()
-            .map(|(i, p)| (ParamId(i), p))
+    /// A unit's values, mutably.
+    pub fn unit_mut(&mut self, id: ParamId) -> &mut [f32] {
+        let range = self.range(id);
+        &mut self.values[range]
+    }
+
+    /// Iterate `(id, unit values)` pairs in registration order.
+    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &[f32])> {
+        self.ids().map(move |id| (id, self.unit(id)))
     }
 
     /// All ids in registration order.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
-        (0..self.params.len()).map(ParamId)
+        (0..self.len()).map(ParamId)
     }
 
-    /// Zero every gradient buffer.
-    pub fn zero_grads(&mut self) {
-        for p in &mut self.params {
-            p.grad.fill(0.0);
+    /// Every value, unit after unit, row-major within a unit.
+    pub fn values(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// Every value, mutably.
+    pub fn values_mut(&mut self) -> &mut [f32] {
+        &mut self.values
+    }
+
+    /// Every accumulated gradient, laid out like [`ParamSet::values`]; empty
+    /// while the set holds no gradients.
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// Values and gradients borrowed together, both mutably — the two
+    /// buffers are disjoint, so a pass that reads one while writing the
+    /// other (optimiser steps, penalty gradients) needs no copy of either.
+    /// A set that held no gradients gets zeroed ones first.
+    pub fn values_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        if self.grads.len() != self.values.len() {
+            self.grads = vec![0.0; self.values.len()];
         }
+        (&mut self.values, &mut self.grads)
     }
 
-    /// Squared L2 norm of all gradients (diagnostics / clipping).
+    /// Zero every gradient, allocating the buffer if the set held none.
+    pub fn zero_grads(&mut self) {
+        self.grads.clear();
+        self.grads.resize(self.values.len(), 0.0);
+    }
+
+    /// Free the gradient buffer: the set holds values only.
+    pub fn release_grads(&mut self) {
+        self.grads = Vec::new();
+    }
+
+    /// Free the value and gradient buffers, keeping the layout: the set then
+    /// holds no values ([`ParamSet::is_empty`]).
+    pub fn release(&mut self) {
+        self.values = Vec::new();
+        self.grads = Vec::new();
+    }
+
+    /// Squared L2 norm of all gradients (diagnostics / clipping): each
+    /// unit's partial sum, then the sum of those.
     pub fn grad_norm_sq(&self) -> f32 {
-        self.params.iter().map(|p| p.grad.norm_sq()).sum()
+        self.layout
+            .units
+            .iter()
+            .map(|u| {
+                let grads = self.grads.get(u.range()).unwrap_or_default();
+                grads.iter().map(|&g| g * g).sum::<f32>()
+            })
+            .sum()
     }
 
     /// Scale all gradients so the global norm is at most `max_norm`.
@@ -233,35 +271,13 @@ impl ParamSet {
         let norm = self.grad_norm_sq().sqrt();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
-            for p in &mut self.params {
-                p.grad.scale_assign(s);
-            }
+            self.grads.iter_mut().for_each(|g| *g *= s);
         }
     }
 
-    /// Flatten all values into one vector (unit order, row-major within a
-    /// unit). The inverse is [`ParamSet::load_flat`].
+    /// A copy of [`ParamSet::values`].
     pub fn flatten(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_scalars());
-        for p in &self.params {
-            out.extend_from_slice(p.value.as_slice());
-        }
-        out
-    }
-
-    /// Load values from a flat vector produced by a structurally-identical
-    /// set's [`ParamSet::flatten`].
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    pub fn load_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.num_scalars(), "load_flat: length mismatch");
-        let mut off = 0;
-        for p in &mut self.params {
-            let n = p.len();
-            p.value.as_mut_slice().copy_from_slice(&flat[off..off + n]);
-            off += n;
-        }
+        self.values.clone()
     }
 
     /// Per-unit L2 distance to another structurally-identical set — the
@@ -272,14 +288,11 @@ impl ParamSet {
             other.len(),
             "unit_l2_distances: unit count mismatch"
         );
-        self.params
-            .iter()
-            .zip(&other.params)
-            .map(|(a, b)| {
-                a.value
-                    .as_slice()
-                    .iter()
-                    .zip(b.value.as_slice())
+        self.iter()
+            .zip(other.iter())
+            .map(|((_, a), (_, b))| {
+                a.iter()
+                    .zip(b)
                     .map(|(&x, &y)| {
                         let d = x - y;
                         d * d
@@ -290,11 +303,18 @@ impl ParamSet {
             .collect()
     }
 
-    /// True if any parameter or gradient contains NaN/inf.
+    /// True if any value or gradient is NaN/inf.
     pub fn has_non_finite(&self) -> bool {
-        self.params
+        self.values
             .iter()
-            .any(|p| p.value.has_non_finite() || p.grad.has_non_finite())
+            .chain(&self.grads)
+            .any(|x| !x.is_finite())
+    }
+
+    /// Whether the two sets share one layout — one is a clone of the other,
+    /// or both are of one original.
+    pub fn shares_layout(&self, other: &ParamSet) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout)
     }
 }
 
@@ -315,7 +335,9 @@ impl TapeBindings {
     /// Create a differentiable leaf on `graph` holding a copy of the
     /// parameter's current value, and remember the association.
     pub fn leaf(&mut self, graph: &mut Graph, params: &ParamSet, id: ParamId) -> Var {
-        let v = graph.leaf(params.get(id).value().clone());
+        let unit = &params.layout.units[id.0];
+        let value = Matrix::from_vec(unit.rows, unit.cols, params.unit(id).to_vec());
+        let v = graph.leaf(value);
         self.pairs.push((v, id));
         v
     }
@@ -325,7 +347,13 @@ impl TapeBindings {
     pub fn accumulate_grads(&self, graph: &Graph, params: &mut ParamSet) {
         for &(v, id) in &self.pairs {
             if let Some(g) = graph.grad(v) {
-                params.get_mut(id).grad_mut().add_assign(g);
+                let unit = &params.layout.units[id.0];
+                assert_eq!((unit.rows, unit.cols), g.shape(), "gradient shape mismatch");
+                let range = unit.range();
+                let (_, grads) = params.values_and_grads_mut();
+                for (a, &b) in grads[range].iter_mut().zip(g.as_slice()) {
+                    *a += b;
+                }
             }
         }
     }
@@ -363,7 +391,7 @@ mod tests {
         assert_eq!(ps.num_scalars(), 6);
         assert_eq!(ps.num_disentangled(), 1);
         let id = ps.id_of("r0").unwrap();
-        assert_eq!(ps.get(id).meta().edge_type, Some(0));
+        assert_eq!(ps.meta(id).edge_type, Some(0));
         assert!(ps.id_of("nope").is_none());
     }
 
@@ -381,16 +409,34 @@ mod tests {
         let flat = ps.flatten();
         assert_eq!(flat, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut ps2 = two_param_set();
-        ps2.get_mut(ParamId(0)).value_mut().fill(0.0);
-        ps2.load_flat(&flat);
+        ps2.unit_mut(ParamId(0)).fill(0.0);
+        ps2.values_mut().copy_from_slice(&flat);
         assert_eq!(ps2.flatten(), flat);
+    }
+
+    /// A clone is one more value buffer under the same layout; gradients
+    /// exist only from the first `zero_grads` until they are released.
+    #[test]
+    fn clone_shares_the_layout_and_gradients_come_and_go() {
+        let mut ps = two_param_set();
+        let copy = ps.clone();
+        assert!(Arc::ptr_eq(&ps.layout, &copy.layout));
+        assert!(ps.shares_layout(&copy) && !ps.shares_layout(&two_param_set()));
+        assert!(ps.grads().is_empty());
+        ps.zero_grads();
+        assert_eq!(ps.grads(), &[0.0; 6]);
+        ps.release_grads();
+        assert!(ps.grads().is_empty() && ps.values() == copy.values());
+        ps.release();
+        assert!(ps.is_empty() && ps.shares_layout(&copy));
+        assert_eq!((ps.len(), ps.num_scalars()), (2, 6));
     }
 
     #[test]
     fn unit_l2_distances_measure_per_unit_change() {
         let a = two_param_set();
         let mut b = two_param_set();
-        b.get_mut(ParamId(1)).value_mut().set(0, 0, 8.0); // 5 -> 8
+        b.unit_mut(ParamId(1))[0] = 8.0; // 5 -> 8
         let d = a.unit_l2_distances(&b);
         assert!(d[0].abs() < 1e-6);
         assert!((d[1] - 3.0).abs() < 1e-6);
@@ -399,8 +445,8 @@ mod tests {
     #[test]
     fn clip_grad_norm_scales_down_only() {
         let mut ps = two_param_set();
-        ps.get_mut(ParamId(0)).grad_mut().fill(3.0);
-        ps.get_mut(ParamId(1)).grad_mut().fill(0.0);
+        let first = ps.range(ParamId(0));
+        ps.values_and_grads_mut().1[first].fill(3.0);
         let norm = ps.grad_norm_sq().sqrt();
         assert!((norm - 6.0).abs() < 1e-5);
         ps.clip_grad_norm(3.0);
@@ -408,6 +454,34 @@ mod tests {
         // A second clip with a larger bound is a no-op.
         ps.clip_grad_norm(100.0);
         assert!((ps.grad_norm_sq().sqrt() - 3.0).abs() < 1e-5);
+    }
+
+    /// The norm is a sum of per-unit partial sums, as it was when every unit
+    /// owned its gradient matrix: here one chain over the flat buffer loses
+    /// the second unit's four `2⁻²⁴` squares against the first unit's `1`
+    /// and clips to other bits.
+    #[test]
+    fn clip_grad_norm_adds_per_unit_partial_sums() {
+        let mut ps = ParamSet::new();
+        ps.add("big", Matrix::zeros(1, 1));
+        ps.add("small", Matrix::zeros(2, 2));
+        let tiny = f32::from_bits(0x3980_0000); // 2⁻¹²
+        ps.values_and_grads_mut()
+            .1
+            .copy_from_slice(&[1.0, tiny, tiny, tiny, tiny]);
+        let per_unit: f32 = 1.0 + (0..4).map(|_| tiny * tiny).sum::<f32>();
+        let one_chain: f32 = ps.grads().iter().map(|&g| g * g).sum();
+        assert_eq!(ps.grad_norm_sq().to_bits(), per_unit.to_bits());
+        assert_ne!(per_unit.to_bits(), one_chain.to_bits());
+        let clipped = |norm_sq: f32| -> Vec<u32> {
+            let s = 0.5 / norm_sq.sqrt();
+            ps.grads().iter().map(|&g| (g * s).to_bits()).collect()
+        };
+        let (want, chained) = (clipped(per_unit), clipped(one_chain));
+        assert_ne!(want, chained);
+        ps.clip_grad_norm(0.5);
+        let got: Vec<u32> = ps.grads().iter().map(|g| g.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -422,9 +496,9 @@ mod tests {
         let loss = g.sum_all(y);
         g.backward(loss);
         tb.accumulate_grads(&g, &mut ps);
-        assert_eq!(ps.get(w).grad().as_slice(), &[2.0, 3.0]);
+        assert_eq!(ps.grads(), &[2.0, 3.0]);
         // Accumulation adds on top.
         tb.accumulate_grads(&g, &mut ps);
-        assert_eq!(ps.get(w).grad().as_slice(), &[4.0, 6.0]);
+        assert_eq!(ps.grads(), &[4.0, 6.0]);
     }
 }

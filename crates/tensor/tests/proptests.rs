@@ -367,10 +367,8 @@ proptest! {
         ps.add("b", m2);
         let flat = ps.flatten();
         let mut ps2 = ps.clone();
-        for (_, p) in ps2.iter_mut() {
-            p.value_mut().fill(0.0);
-        }
-        ps2.load_flat(&flat);
+        ps2.values_mut().fill(0.0);
+        ps2.values_mut().copy_from_slice(&flat);
         prop_assert_eq!(ps2.flatten(), flat);
     }
 
