@@ -1,21 +1,21 @@
-//! Shared plumbing for the experiment binaries: a tiny flag parser (no CLI
-//! dependency), the default configurations each table/figure uses, and the
-//! kernel probe behind the `perf` binary ([`suite`], [`snapshot`], and the
-//! paired A/B verdict in [`compare`]).
+//! The `fedda` command: one binary, one subcommand per row of [`COMMANDS`]
+//! (name, purpose, the flag groups its `run` reads, `run`). A row's groups
+//! are its usage text and the flags it accepts; any other flag is a usage
+//! error. Around the table: a tiny flag parser (no CLI dependency), the
+//! configurations the experiments share, and the kernel probe behind `perf`
+//! ([`suite`], [`snapshot`], and the paired A/B verdict in [`compare`]).
 //!
-//! Every table/figure binary and `fedda-cli train` runs its body through
-//! [`run_main`] and trains through [`Options::run_framework`] (or
-//! [`Options::run_on`]), so each of them accepts and honours:
+//! `train` and every experiment subcommand build their configuration with
+//! [`base_config`] and train through [`Options::run_framework`] (or
+//! [`Options::run_on`]), so each accepts and honours the [`EXPERIMENT`] group:
 //!
-//! * `--scale <f64>`   — dataset size multiplier (default per binary)
-//! * `--rounds <n>`    — communication rounds (default 40)
+//! * `--scale <f64>`   — dataset size multiplier (default per subcommand)
+//! * `--rounds <n>`    — communication rounds (default 20; 40 under `--paper`)
 //! * `--runs <n>`      — repetitions (default 3; paper uses 5)
 //! * `--clients <n>`   — override the client count where applicable
 //! * `--seed <n>`      — base seed (default 0)
 //! * `--eval-every <n>`— evaluate every n rounds (default 1; the final
 //!   round always evaluates)
-//! * `--json <path>`   — also dump machine-readable results
-//!   (every binary honors this via [`maybe_write_json`])
 //! * `--faults <spec>` — deterministic fault injection, e.g.
 //!   `drop=0.2,straggle=0.1,delay=3,corrupt=0.05,stale=discount:0.5`
 //!   (see `fedda::fl::FaultConfig`'s `FromStr`)
@@ -36,9 +36,14 @@
 //! * `--paper`         — paper-like settings (5 runs, 40 rounds)
 //! * `--events`        — stream per-round engine events to stderr
 //!
-//! Exit status: `0` success; `1` the run failed ([`Failure::Run`]); `2` the
-//! command line could not be understood ([`Failure::Usage`]) or the CPU is
-//! below the build's ISA level. Stderr is `error: <message>`, never a panic.
+//! The experiment subcommands also take `--json <path>`: write their
+//! machine-readable results there ([`maybe_write_json`]).
+//!
+//! Exit status: `0` success, or usage asked for (`fedda help [<subcommand>]`,
+//! `--help`, `-h`: on stdout); `1` the run failed ([`Failure::Run`]); `2` the
+//! command line could not be understood ([`Failure::Usage`], a missing or
+//! unknown subcommand) or the CPU is below the build's ISA level. Stderr is
+//! `error: <message>`, never a panic.
 
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework, FrameworkResult};
 use fedda::fl::{
@@ -48,63 +53,19 @@ use fedda::fl::{
 use fedda::hgn::{HgnConfig, TrainConfig};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::process::ExitCode;
 
+mod cmd;
 pub mod compare;
 pub mod snapshot;
 pub mod suite;
 
-/// The flags the shared parser knows about, named in the usage line when
-/// parsing fails. Individual binaries may consume extra `--flag value`
-/// pairs (e.g. `faults`' `--rate-steps`, `perf`'s `--out`); unknown flags
-/// are therefore accepted, but malformed or duplicated ones are not.
-pub const KNOWN_FLAGS: &[&str] = &[
-    "scale",
-    "rounds",
-    "runs",
-    "clients",
-    "seed",
-    "eval-every",
-    "json",
-    "faults",
-    "dataset",
-    "runtime",
-    "async-k",
-    "async-gamma",
-    "workers",
-    "compress",
-    "framework",
-    "mu",
-    "alpha",
-    "server-lr",
-    "beta1",
-    "beta2",
-    "adam-eps",
-    "client-fraction",
-    "quick",
-    "paper",
-    "events",
-];
-
-/// One-line usage hint naming the shared flags.
-pub fn usage() -> String {
-    let mut parts = Vec::new();
-    for f in KNOWN_FLAGS {
-        match *f {
-            "quick" | "paper" | "events" => parts.push(format!("[--{f}]")),
-            _ => parts.push(format!("[--{f} <value>]")),
-        }
-    }
-    format!(
-        "usage: {} (plus binary-specific flags; see the binary's doc comment)",
-        parts.join(" ")
-    )
-}
+pub use cmd::{command, usage, Command, Group, Run, COMMANDS, EXPERIMENT};
 
 /// Exit with status 2 and the reason when the CPU lacks the
 /// instruction-set level the binary was built for
 /// ([`fedda_tensor::check_isa_level`]), before a vector instruction can
-/// kill the process with `SIGILL`. [`run_main`] calls it first; `perf`,
-/// which has its own parser, calls it directly.
+/// kill the process with `SIGILL`. The `fedda` binary calls it first.
 pub fn require_isa_level() {
     if let Err(e) = fedda_tensor::check_isa_level() {
         eprintln!("error: {e}");
@@ -112,7 +73,7 @@ pub fn require_isa_level() {
     }
 }
 
-/// Why a binary stops early; [`run_main`] maps it to stderr and the exit
+/// Why a subcommand stops early; [`run_main`] maps it to stderr and the exit
 /// status.
 #[derive(Debug, PartialEq)]
 pub enum Failure {
@@ -136,22 +97,23 @@ impl From<&str> for Failure {
     }
 }
 
-/// The `main` of every binary: check the ISA level, parse `args` (the
-/// command line after the program name — and, for `fedda-cli`, after the
-/// subcommand), run `body`, and turn its `Err` into `error: <message>` on
-/// stderr plus a non-zero exit status.
-pub fn run_main<I: IntoIterator<Item = String>>(
-    args: I,
-    body: impl FnOnce(Options) -> Result<(), Failure>,
-) {
-    require_isa_level();
-    let (status, msg) = match Options::try_from_args(args).and_then(body) {
-        Ok(()) => return,
-        Err(Failure::Usage(msg)) => (2, format!("{msg}\n{}", usage())),
+/// Run a [`Run::Options`] row: parse `args` (the command line after the
+/// subcommand), refuse a flag the row does not read, run `body`, and turn
+/// its `Err` into `error: <message>` on stderr — plus the row's usage line
+/// for a [`Failure::Usage`] — and a non-zero exit status.
+pub fn run_main(
+    command: &Command,
+    args: &[String],
+    body: fn(Options) -> Result<(), Failure>,
+) -> ExitCode {
+    let opts = Options::try_from_args(args.iter().cloned()).and_then(|o| command.admit(o));
+    let (status, msg) = match opts.and_then(body) {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Usage(msg)) => (2, format!("{msg}\n{}", command.usage())),
         Err(Failure::Run(msg)) => (1, msg),
     };
     eprintln!("error: {msg}");
-    std::process::exit(status);
+    ExitCode::from(status)
 }
 
 /// Parsed command-line options.
@@ -224,7 +186,15 @@ impl Options {
         self.flags.get(name).map(String::as_str)
     }
 
-    /// Train one framework of `exp` — every binary's one way to fill a
+    /// The name of every flag given, switches included.
+    pub fn given(&self) -> impl Iterator<Item = &str> {
+        let switches = ["quick", "paper", "events"].into_iter();
+        let set = switches.zip([self.quick, self.paper, self.events]);
+        let set = set.filter_map(|(name, on)| on.then_some(name));
+        self.flags.keys().map(String::as_str).chain(set)
+    }
+
+    /// Train one framework of `exp` — every subcommand's one way to fill a
     /// table cell — streaming round events to stderr under `--events`.
     pub fn run_framework(
         &self,
@@ -236,7 +206,7 @@ impl Options {
         Ok(exp.run_framework(framework, sink)?)
     }
 
-    /// One run of [`Options::run_framework`], for binaries that need the
+    /// One run of [`Options::run_framework`], for subcommands that need the
     /// trained `system` afterwards or sweep their own partitions: `protocol`
     /// on a system from `Experiment::system_with`, under `exp`'s runtime.
     pub fn run_on(
@@ -249,31 +219,6 @@ impl Options {
         let sink = self.events.then_some(&mut stderr as &mut dyn EventSink);
         let mode = &exp.config().runtime;
         Ok(fedda::fl::run(mode, protocol, system, sink)?)
-    }
-}
-
-/// The model configuration the experiments use: a CPU-sized Simple-HGN
-/// (2 layers × 2 heads; the paper's 3×3 is available behind `--paper`).
-pub fn experiment_model(paper: bool) -> HgnConfig {
-    if paper {
-        HgnConfig::paper_default()
-    } else {
-        HgnConfig {
-            hidden_dim: 8,
-            num_layers: 2,
-            num_heads: 2,
-            edge_emb_dim: 8,
-            ..Default::default()
-        }
-    }
-}
-
-/// The local-training configuration the experiments use.
-pub fn experiment_train() -> TrainConfig {
-    TrainConfig {
-        local_epochs: 2,
-        lr: 5e-3,
-        ..Default::default()
     }
 }
 
@@ -337,16 +282,16 @@ pub const FRAMEWORK_NAMES: &[&str] = &[
 ];
 
 /// Resolve a framework name plus its hyper-parameter flags into a
-/// [`Framework`] — the one protocol parser shared by the CLI `train`
-/// subcommand and the bench binaries.
+/// [`Framework`] — the one protocol parser shared by the `train`
+/// subcommand and the experiment subcommands.
 ///
 /// Knobs (each optional, falling back to the protocol's default):
 /// `--client-fraction` (fedavg/fedprox/feddyn/fedadam), `--mu` (fedprox),
 /// `--alpha` (feddyn), `--server-lr`/`--beta1`/`--beta2`/`--adam-eps`
 /// (fedadam). Invalid hyper-parameters are rejected here with the
-/// protocol's own `validate()` message, so the CLI and bench binaries
-/// fail cleanly before any training starts (the engine re-validates
-/// before round 0 regardless).
+/// protocol's own `validate()` message, so `train` and the experiment
+/// subcommands fail cleanly before any training starts (the engine
+/// re-validates before round 0 regardless).
 pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure> {
     let fraction = opts.get::<f64>("client-fraction")?;
     let fw = match name {
@@ -411,8 +356,23 @@ pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig,
             .get("rounds")?
             .unwrap_or(if opts.paper { 40 } else { 20 }),
         runs: opts.get("runs")?.unwrap_or(if opts.paper { 5 } else { 3 }),
-        model: experiment_model(opts.paper),
-        train: experiment_train(),
+        // A CPU-sized Simple-HGN; the paper's 3 layers × 3 heads under --paper.
+        model: if opts.paper {
+            HgnConfig::paper_default()
+        } else {
+            HgnConfig {
+                hidden_dim: 8,
+                num_layers: 2,
+                num_heads: 2,
+                edge_emb_dim: 8,
+                ..Default::default()
+            }
+        },
+        train: TrainConfig {
+            local_epochs: 2,
+            lr: 5e-3,
+            ..Default::default()
+        },
         eval_every: opts.get("eval-every")?.unwrap_or(1),
         seed: opts.get("seed")?.unwrap_or(0),
         faults: opts.get("faults")?,
@@ -436,15 +396,10 @@ pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig,
     Ok(cfg)
 }
 
-/// Format a `MeanStd` the way the paper's tables do.
-pub fn pm(m: &fedda::metrics::MeanStd) -> String {
-    m.fmt_pm()
-}
-
 /// Honor the documented `--json <path>` contract: when the flag is given,
 /// write `value` pretty-printed to the path and confirm on stdout. Every
-/// bench binary routes its machine-readable dump through this helper so
-/// new binaries cannot silently drift from the contract.
+/// experiment subcommand routes its machine-readable dump through this
+/// helper so new ones cannot silently drift from the contract.
 pub fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(), Failure> {
     if let Some(path) = opts.get_str("json") {
         fedda::report::write_json(Path::new(path), value)
@@ -455,7 +410,7 @@ pub fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(),
 }
 
 /// Render a curve as a compact sparkline-style series for the figure
-/// binaries (round: value pairs, 8 per line). `rounds` carries the true
+/// subcommands (round: value pairs, 8 per line). `rounds` carries the true
 /// evaluated round index of each point (`FrameworkResult::eval_rounds`),
 /// so sparse `--eval-every > 1` curves label points by the round they
 /// measure rather than fabricating consecutive `r00,r01,…` labels; when a

@@ -1,4 +1,4 @@
-//! The fixed, seeded kernel suite behind the `perf` binary.
+//! The fixed, seeded kernel suite behind `fedda perf`.
 //!
 //! How fast a federated run is, and how its time divides across layers,
 //! is the repo benchmark's question (`benchmark/`, `BENCHMARK.json`). This

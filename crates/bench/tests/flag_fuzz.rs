@@ -1,13 +1,15 @@
 //! ROADMAP 3(c): the flag parsers never panic. Arbitrary command lines —
 //! known flags paired with plausible, hostile and raw-byte values, plus
-//! stray tokens — go through the whole path a binary takes before training
+//! stray tokens — go through the whole path a subcommand takes before training
 //! (`Options::try_from_args` → `base_config` → `parse_framework`), and
 //! arbitrary `key=value` lists through the `--faults` / `--compress`
 //! `FromStr` impls; every outcome is a value.
 
 use fedda::experiment::Dataset;
 use fedda::fl::{Compression, FaultConfig};
-use fedda_bench::{base_config, parse_framework, Options, FRAMEWORK_NAMES, KNOWN_FLAGS};
+use fedda_bench::{
+    base_config, command, parse_framework, Failure, Options, COMMANDS, FRAMEWORK_NAMES,
+};
 use proptest::prelude::*;
 
 /// Values that are well-formed for some flag, out of range for others, or
@@ -42,6 +44,14 @@ const VALUES: &[&str] = &[
     "garbage:3",
 ];
 
+/// Every flag some subcommand reads: the union of the table's groups.
+fn known_flags() -> Vec<&'static str> {
+    let mut flags: Vec<&str> = COMMANDS.iter().flat_map(|c| c.flag_names()).collect();
+    flags.sort_unstable();
+    flags.dedup();
+    flags
+}
+
 const FAULT_KEYS: &[&str] = &[
     "drop", "straggle", "delay", "corrupt", "kind", "stale", "maxnorm", "bogus", "",
 ];
@@ -59,8 +69,9 @@ fn value() -> impl Strategy<Value = String> {
 /// One step of a command line: mostly `--flag value` (a switch takes its
 /// "value" as a stray token), sometimes a lone flag or a lone token.
 fn arg() -> impl Strategy<Value = Vec<String>> {
-    (0usize..8, 0..KNOWN_FLAGS.len(), value()).prop_map(|(shape, i, value)| {
-        let flag = format!("--{}", KNOWN_FLAGS[i]);
+    let known = known_flags();
+    (0usize..8, 0..known.len(), value()).prop_map(move |(shape, i, value)| {
+        let flag = format!("--{}", known[i]);
         match shape {
             0 => vec![flag],
             1 => vec![value],
@@ -118,4 +129,44 @@ proptest! {
             }
         }
     }
+}
+
+/// The subcommand table is the parser's flag check: a row names each flag
+/// once, and spells one without a value shape exactly when the parser takes
+/// it as a switch.
+#[test]
+fn names_are_unique_and_a_row_lists_a_flag_once() {
+    for (i, c) in COMMANDS.iter().enumerate() {
+        assert!(COMMANDS[..i].iter().all(|d| d.name != c.name), "{}", c.name);
+        let names: Vec<&str> = c.flag_names().collect();
+        for (j, flag) in names.iter().enumerate() {
+            assert!(
+                !names[..j].contains(flag),
+                "{} lists --{flag} twice",
+                c.name
+            );
+        }
+        for flag in c.flags.iter().flat_map(|g| g.flags) {
+            let switch = !flag.contains(' ');
+            assert_eq!(
+                switch,
+                ["quick", "paper", "events"].contains(flag),
+                "{flag}"
+            );
+        }
+    }
+}
+
+#[test]
+fn admit_refuses_a_flag_outside_the_row_by_name() {
+    let opts = |args: &[&str]| Options::try_from_args(args.iter().map(|a| a.to_string()));
+    let table1 = command("table1").unwrap();
+    assert!(table1
+        .admit(opts(&["--scale", "1", "--json", "t.json"]).unwrap())
+        .is_ok());
+    let refused = table1.admit(opts(&["--seed", "1", "--quick"]).unwrap());
+    assert_eq!(
+        refused.err(),
+        Some(Failure::Usage("table1 does not read --quick".into()))
+    );
 }

@@ -1,4 +1,4 @@
-//! End-to-end contract for the `perf` binary: `--out` writes a schema-v2
+//! End-to-end contract for `fedda perf`: `--out` writes a schema-v2
 //! snapshot of the 20 fixed cases, schema-v1 files are refused by name,
 //! and `--ab` runs ten alternating pairs and prints one row per case.
 //! Structure only — no assertion here depends on a measured time.
@@ -33,10 +33,11 @@ const CASE_NAMES: [&str; 20] = [
 ];
 
 fn perf(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_perf"))
+    Command::new(env!("CARGO_BIN_EXE_fedda"))
+        .arg("perf")
         .args(args)
         .output()
-        .expect("spawn perf")
+        .expect("spawn fedda perf")
 }
 
 /// A fresh scratch directory for one test.
@@ -47,7 +48,7 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A stand-in `perf` binary for `--ab`: answers `--out <path>` with a copy
+/// A stand-in `fedda` binary for `--ab`: answers `perf --out <path>` with a copy
 /// of `snapshot` and logs that it ran. One real suite run takes ~12 s in
 /// the debug profile `cargo test` builds, and an A/B is twenty of them;
 /// what is under test here is the pairing, not the kernels.
@@ -56,7 +57,7 @@ fn stand_in(dir: &Path, side: &str, snapshot: &Path) -> String {
     use std::os::unix::fs::PermissionsExt;
     let script = dir.join(side);
     let body = format!(
-        "#!/bin/sh\necho {side} >> '{}'\ncp '{}' \"$2\"\n",
+        "#!/bin/sh\necho {side} >> '{}'\ncp '{}' \"$3\"\n",
         dir.join("order.log").display(),
         snapshot.display()
     );

@@ -3,11 +3,12 @@
 //! and every `FlProtocol` is selectable by name (R1), golden-pinned under
 //! both runtimes (R2), chaos-swept and documented (R3). Adding a protocol
 //! or a stream means adding a row here; each failure names the missing edge.
+//! The README lists every row of the `fedda` subcommand table, too.
 
 use fedda::data::partition::CLIENT_SEEDS_STREAM_TWEAK;
 use fedda::experiment::{Framework, SPLIT_STREAM_TWEAK};
 use fedda::fl::{baselines::LOCAL_STREAM_TWEAK, faults::FAULT_STREAM_TWEAK, EVAL_STREAM_TWEAK};
-use fedda_bench::{parse_framework, Options, FRAMEWORK_NAMES};
+use fedda_bench::{parse_framework, Options, COMMANDS, FRAMEWORK_NAMES};
 use std::path::{Path, PathBuf};
 
 /// How a protocol meets one coverage requirement.
@@ -244,5 +245,23 @@ fn r3_readme_framework_table_lists_exactly_the_framework_names() {
         rows, FRAMEWORK_NAMES,
         "the README `--framework` table's rows (left) are not FRAMEWORK_NAMES (right): a name \
          without a row is an undocumented protocol, a row without a name is dead documentation"
+    );
+}
+
+#[test]
+fn readme_command_table_lists_exactly_the_subcommands() {
+    let readme = read("README.md");
+    let rows: Vec<&str> = readme
+        .lines()
+        .skip_while(|line| !line.starts_with("| subcommand |"))
+        .skip(2) // header, separator
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|line| line.split('`').nth(1))
+        .collect();
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    assert_eq!(
+        rows, names,
+        "the README subcommand table's rows (left) are not the names of COMMANDS (right), in \
+         order: a subcommand without a row is undocumented, a row without one is dead"
     );
 }

@@ -256,6 +256,14 @@ impl GraphDoc {
                     nt.feat_dim
                 )));
             }
+            // JSON has no NaN, but `1e999` parses to infinity, and one
+            // non-finite input poisons every score the model computes.
+            if let Some(i) = nt.features.iter().position(|v| !v.is_finite()) {
+                return Err(IoError::Invalid(format!(
+                    "node type '{}': feature {i} is {} (features must be finite)",
+                    nt.name, nt.features[i]
+                )));
+            }
             total_nodes = total_nodes.saturating_add(nt.count);
             schema.add_node_type(nt.name.clone(), nt.feat_dim);
             counts.push(nt.count);
@@ -478,6 +486,22 @@ mod tests {
             features: vec![0.5; 3],
         });
         assert!(doc.into_graph().is_ok());
+    }
+
+    #[test]
+    fn non_finite_features_rejected_before_building_the_store() {
+        let mut doc = GraphDoc::from_graph(&sample_graph());
+        doc.node_types[1].features[1] = f32::NEG_INFINITY;
+        let msg = invalid_message(doc.clone());
+        assert!(msg.contains("node type 'b': feature 1 is -inf"), "{msg}");
+        doc.node_types[1].features[0] = f32::NAN;
+        let msg = invalid_message(doc);
+        assert!(msg.contains("node type 'b': feature 0 is NaN"), "{msg}");
+        // The text form: `1e999` overflows to infinity on the way in.
+        let json = r#"{"version":1,"node_types":[{"name":"a","feat_dim":2,"count":1,
+            "features":[1e999,-1e999]}],"edge_types":[]}"#;
+        let doc: GraphDoc = serde_json::from_str(json).unwrap();
+        assert!(invalid_message(doc).contains("node type 'a': feature 0 is inf"));
     }
 
     #[test]
