@@ -77,8 +77,11 @@ fn gemm_case(
 /// 8-wide heads, `amazon_large`'s under the paper model's 16-wide, and the
 /// commonest `fleet_q8_*` client under the fleet model's 32-wide — one case
 /// per width the edge kernel has an instance for.
-pub const EDGE_SHAPES: &[(usize, usize, usize, usize)] =
-    &[(694, 12_467, 6, 8), (2_525, 17_019, 3, 16), (101, 1_465, 6, 32)];
+pub const EDGE_SHAPES: &[(usize, usize, usize, usize)] = &[
+    (694, 12_467, 6, 8),
+    (2_525, 17_019, 3, 16),
+    (101, 1_465, 6, 32),
+];
 
 /// Random inputs of one [`EDGE_SHAPES`] entry and the forward + backward
 /// pass of each fused edge op over them.

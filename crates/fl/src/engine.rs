@@ -76,7 +76,7 @@
 use crate::compress::{decode_arrival, Compressor, InFlight, UplinkCharge};
 use crate::events::{EventSink, RoundEvent};
 use crate::faults::{
-    detect_rejection, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
+    detect_rejection, discount, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
 };
 use crate::protocol::FlProtocol;
 use crate::runtime::{Delivery, Scheduler, Tick};
@@ -260,9 +260,7 @@ impl Policy {
         match (self, faults) {
             (Policy::Lockstep, Some(fc)) if staleness > 0 => fc.staleness.weight(staleness),
             (Policy::Lockstep, _) => Some(1.0),
-            // γ^staleness by repeated product: exact integer exponent, no
-            // libm, bit-stable across platforms.
-            (Policy::Buffered(cfg), _) => Some((0..staleness).fold(1.0f64, |w, _| w * cfg.gamma)),
+            (Policy::Buffered(cfg), _) => Some(discount(cfg.gamma, staleness)),
         }
     }
 

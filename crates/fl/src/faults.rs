@@ -76,13 +76,15 @@ impl StalenessPolicy {
     pub fn weight(&self, staleness: usize) -> Option<f64> {
         match *self {
             StalenessPolicy::Discard => None,
-            StalenessPolicy::Discount { gamma } => {
-                // Saturating: gamma in (0,1], so an absurd staleness just
-                // drives the weight to its limit (0 or 1) instead of wrapping.
-                Some(gamma.powi(i32::try_from(staleness).unwrap_or(i32::MAX)))
-            }
+            StalenessPolicy::Discount { gamma } => Some(discount(gamma, staleness)),
         }
     }
+}
+
+/// `gamma^staleness` by repeated product: an exact integer exponent and no
+/// libm, so bit-stable across platforms. Both runtimes discount by it.
+pub(crate) fn discount(gamma: f64, staleness: usize) -> f64 {
+    (0..staleness).fold(1.0, |w, _| w * gamma)
 }
 
 /// One injected fault: what happens to a client selected in a round.
@@ -612,6 +614,19 @@ mod tests {
         assert_eq!(p.weight(1), Some(0.5));
         assert_eq!(p.weight(3), Some(0.125));
         assert_eq!(StalenessPolicy::Discard.weight(1), None);
+    }
+
+    #[test]
+    fn discount_weight_is_the_repeated_product() {
+        for gamma in [0.3, 0.7, 0.9, 0.95, 0.99] {
+            let policy = StalenessPolicy::Discount { gamma };
+            let mut product = 1.0f64;
+            for s in 1..=20 {
+                product *= gamma;
+                let weight = policy.weight(s).map(f64::to_bits);
+                assert_eq!(weight, Some(product.to_bits()), "gamma {gamma}, s {s}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use crate::edge;
 use crate::matrix::Matrix;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the graph
@@ -139,6 +140,23 @@ fn scale_rows(a: &Matrix, col: &[f32]) -> Matrix {
     Matrix::from_vec(a.rows(), a.cols(), data)
 }
 
+/// `out[r] = a_r · b_r`, each a left-to-right sum: `row_dot`'s forward and
+/// the per-row scale's gradient in `mul_col_broadcast`'s backward.
+fn row_dots(a: &Matrix, b: &Matrix) -> Matrix {
+    let dot = |(x, y): (&[f32], &[f32])| x.iter().zip(y).map(|(&x, &y)| x * y).sum();
+    Matrix::col_vector(a.rows_iter().zip(b.rows_iter()).map(dot).collect())
+}
+
+/// Per-segment `Σ g·y` in row order: the softmax Jacobian's shared term in
+/// `segment_softmax`'s and `edge_softmax`'s backward.
+fn segment_dot(g: &[f32], y: &[f32], segs: &Segments) -> Vec<f32> {
+    let mut dot = vec![0.0f32; segs.n_segments];
+    for ((&g, &y), &s) in g.iter().zip(y).zip(&segs.seg_of_row) {
+        dot[s as usize] += g * y;
+    }
+    dot
+}
+
 /// Three-pass segment softmax, in place: per-segment max, `exp(x - max)`
 /// summed in row order, then the division (skipped where the sum is not
 /// positive). Shared by `segment_softmax` and `edge_softmax`.
@@ -166,7 +184,7 @@ fn softmax_in_place(x: &mut [f32], segs: &Segments) {
 /// vectorised max before the edge loop. Only when it fails does an op walk
 /// its edges to name the first bad one.
 fn all_below(idx: &[u32], n: usize) -> bool {
-    idx.iter().max().is_none_or(|&m| (m as usize) < n)
+    idx.iter().max().map_or(true, |&m| (m as usize) < n)
 }
 
 /// Pre-activation score of every edge, `(s_src[src_e] + s_dst[dst_e])
@@ -498,9 +516,9 @@ impl Graph {
                 );
             }
         }
-        let mut value = Matrix::zeros(out_rows, hv.cols());
-        let ends = (&src[..], &dst[..]);
-        edge::aggregate(hv.as_slice(), hv.cols(), av.as_slice(), ends, value.as_mut_slice());
+        let (x, d) = (hv.as_slice(), hv.cols());
+        let mut value = Matrix::zeros(out_rows, d);
+        edge::aggregate(x, d, av.as_slice(), (&src, &dst), value.as_mut_slice());
         let rg = self.requires(h) || self.requires(alpha);
         self.push(value, Op::EdgeAggregate(h, alpha, src, dst), rg)
     }
@@ -523,18 +541,7 @@ impl Graph {
     /// Row-wise dot product of two `[m,n]` matrices: `out[i] = a_i · b_i`.
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "row_dot: shape mismatch");
-        let (m, _) = self.shape(a);
-        let mut value = Matrix::zeros(m, 1);
-        for r in 0..m {
-            let dot = self.nodes[a.0]
-                .value
-                .row(r)
-                .iter()
-                .zip(self.nodes[b.0].value.row(r))
-                .map(|(&x, &y)| x * y)
-                .sum();
-            value.set(r, 0, dot);
-        }
+        let value = row_dots(self.value(a), self.value(b));
         let rg = self.requires(a) || self.requires(b);
         self.push(value, Op::RowDot(a, b), rg)
     }
@@ -602,6 +609,10 @@ impl Graph {
 
     /// Run reverse-mode accumulation from a scalar (`1x1`) node.
     ///
+    /// Walks the tape backwards: a node's children sit later on the tape, so
+    /// its gradient is complete when it is reached. The node's adjoints give
+    /// each parent's share, and this loop is the one place they are added in.
+    ///
     /// # Panics
     /// Panics if `loss` is not `1x1` or does not require grad.
     pub fn backward(&mut self, loss: Var) {
@@ -609,404 +620,216 @@ impl Graph {
         assert!(self.requires(loss), "backward: loss does not require grad");
         self.nodes[loss.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
         for i in (0..=loss.0).rev() {
-            if !self.nodes[i].requires_grad || self.nodes[i].grad.is_none() {
+            let (parents, rest) = self.nodes.split_at_mut(i);
+            let Some(g) = &rest[0].grad else {
                 continue;
-            }
-            self.backprop_node(i);
-        }
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "caller checks grad.is_none() before visiting; a missing grad here is tape-internal corruption"
-    )]
-    fn take_grad(&mut self, i: usize) -> Matrix {
-        // The node's grad is complete by the time we visit it (children have
-        // higher indices and were processed first); move it out to satisfy
-        // the borrow checker while we mutate parents.
-        self.nodes[i].grad.take().expect("grad missing")
-    }
-
-    fn put_grad(&mut self, i: usize, g: Matrix) {
-        self.nodes[i].grad = Some(g);
-    }
-
-    fn accum(&mut self, v: Var, delta: &Matrix) {
-        if !self.requires(v) {
-            return;
-        }
-        let node = &mut self.nodes[v.0];
-        match node.grad.as_mut() {
-            Some(g) => g.add_assign(delta),
-            None => node.grad = Some(delta.clone()),
-        }
-    }
-
-    fn accum_owned(&mut self, v: Var, delta: Matrix) {
-        if !self.requires(v) {
-            return;
-        }
-        let node = &mut self.nodes[v.0];
-        match node.grad.as_mut() {
-            Some(g) => g.add_assign(&delta),
-            None => node.grad = Some(delta),
-        }
-    }
-
-    fn backprop_node(&mut self, i: usize) {
-        let g = self.take_grad(i);
-        // Dispatch on a cheap copy of the op metadata (Rc clones are cheap).
-        enum Todo {
-            None,
-            One(Var, Matrix),
-        }
-        let todo = match &self.nodes[i].op {
-            Op::Leaf => Todo::None,
-            Op::MatMul(a, b) => {
-                let (a, b) = (*a, *b);
-                let da = if self.requires(a) {
-                    Some(g.matmul_nt(&self.nodes[b.0].value))
-                } else {
-                    None
-                };
-                let db = if self.requires(b) {
-                    Some(self.nodes[a.0].value.matmul_tn(&g))
-                } else {
-                    None
-                };
-                self.put_grad(i, g);
-                if let Some(da) = da {
-                    self.accum_owned(a, da);
+            };
+            for (v, share) in rest[0].adjoints(parents, g).into_iter().flatten() {
+                let grad = &mut parents[v.0].grad;
+                match grad.as_mut() {
+                    Some(acc) => acc.add_assign(&share),
+                    None => *grad = Some(share.into_owned()),
                 }
-                if let Some(db) = db {
-                    self.accum_owned(b, db);
-                }
-                return;
             }
-            Op::Add(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accum(a, &g);
-                self.accum(b, &g);
-                self.put_grad(i, g);
-                return;
-            }
-            Op::Mul(a, b) => {
-                let (a, b) = (*a, *b);
-                let da = if self.requires(a) {
-                    Some(g.mul(&self.nodes[b.0].value))
-                } else {
-                    None
-                };
-                let db = if self.requires(b) {
-                    Some(g.mul(&self.nodes[a.0].value))
-                } else {
-                    None
-                };
-                self.put_grad(i, g);
-                if let Some(da) = da {
-                    self.accum_owned(a, da);
-                }
-                if let Some(db) = db {
-                    self.accum_owned(b, db);
-                }
-                return;
-            }
-            Op::AddRowBroadcast(a, bias) => {
-                let (a, bias) = (*a, *bias);
-                let db = if self.requires(bias) {
-                    let (m, n) = g.shape();
-                    let mut col = Matrix::zeros(1, n);
-                    for r in 0..m {
-                        for (o, &v) in col.row_mut(0).iter_mut().zip(g.row(r)) {
+        }
+    }
+}
+
+/// A parent and its share of a node's gradient `g`: `g` itself where the
+/// parent's value passed through unchanged, a new matrix otherwise.
+type Adjoint<'g> = (Var, Cow<'g, Matrix>);
+
+/// `v`'s share as a new matrix.
+fn owned(v: Var, share: Matrix) -> Option<Adjoint<'static>> {
+    Some((v, Cow::Owned(share)))
+}
+
+impl Node {
+    /// Each parent's share of this node's gradient `g`, in accumulation
+    /// order (DESIGN §8), `None` for a parent that takes no gradient: its
+    /// share is never computed. A one-parent node has a gradient only when
+    /// its parent takes one, so only the multi-parent arms ask `wants`.
+    fn adjoints<'g>(&self, parents: &[Node], g: &'g Matrix) -> Vec<Option<Adjoint<'g>>> {
+        let value = |v: Var| &parents[v.0].value;
+        let wants = |v: Var| parents[v.0].requires_grad;
+        match &self.op {
+            Op::Leaf => Vec::new(),
+            &Op::MatMul(a, b) => vec![
+                wants(a).then(|| (a, Cow::Owned(g.matmul_nt(value(b))))),
+                wants(b).then(|| (b, Cow::Owned(value(a).matmul_tn(g)))),
+            ],
+            &Op::Add(a, b) => vec![
+                wants(a).then_some((a, Cow::Borrowed(g))),
+                wants(b).then_some((b, Cow::Borrowed(g))),
+            ],
+            &Op::Mul(a, b) => vec![
+                wants(a).then(|| (a, Cow::Owned(g.mul(value(b))))),
+                wants(b).then(|| (b, Cow::Owned(g.mul(value(a))))),
+            ],
+            &Op::AddRowBroadcast(a, bias) => vec![
+                wants(a).then_some((a, Cow::Borrowed(g))),
+                wants(bias).then(|| {
+                    let mut col = vec![0.0f32; g.cols()];
+                    for row in g.rows_iter() {
+                        for (o, &v) in col.iter_mut().zip(row) {
                             *o += v;
                         }
                     }
-                    Some(col)
-                } else {
-                    None
-                };
-                self.accum(a, &g);
-                if let Some(db) = db {
-                    self.accum_owned(bias, db);
-                }
-                self.put_grad(i, g);
-                return;
-            }
-            Op::MulColBroadcast(a, c) => {
-                let (a, c) = (*a, *c);
-                let da = self
-                    .requires(a)
-                    .then(|| scale_rows(&g, self.value(c).as_slice()));
-                let dc = self.requires(c).then(|| {
-                    let row_dot = |(g_row, a_row): (&[f32], &[f32])| -> f32 {
-                        g_row.iter().zip(a_row).map(|(&gv, &av)| gv * av).sum()
-                    };
-                    let rows = g.rows_iter().zip(self.value(a).rows_iter());
-                    Matrix::col_vector(rows.map(row_dot).collect())
-                });
-                self.put_grad(i, g);
-                if let Some(da) = da {
-                    self.accum_owned(a, da);
-                }
-                if let Some(dc) = dc {
-                    self.accum_owned(c, dc);
-                }
-                return;
-            }
-            Op::Scale(a, s) => Todo::One(*a, g.scale(*s)),
-            Op::LeakyRelu(a, slope) => {
-                let a = *a;
-                let slope = *slope;
+                    (bias, Cow::Owned(Matrix::row_vector(col)))
+                }),
+            ],
+            &Op::MulColBroadcast(a, c) => vec![
+                wants(a).then(|| (a, Cow::Owned(scale_rows(g, value(c).as_slice())))),
+                wants(c).then(|| (c, Cow::Owned(row_dots(g, value(a))))),
+            ],
+            &Op::Scale(a, s) => vec![owned(a, g.scale(s))],
+            &Op::LeakyRelu(a, slope) => {
                 let mut da = g.clone();
-                for (x, &inp) in da
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.nodes[a.0].value.as_slice())
-                {
-                    if inp < 0.0 {
-                        *x *= slope;
+                for (d, &x) in da.as_mut_slice().iter_mut().zip(value(a).as_slice()) {
+                    if x < 0.0 {
+                        *d *= slope;
                     }
                 }
-                Todo::One(a, da)
+                vec![owned(a, da)]
             }
-            Op::Elu(a, alpha) => {
-                let a = *a;
-                let alpha = *alpha;
+            &Op::Elu(a, alpha) => {
                 let mut da = g.clone();
-                let out = self.nodes[i].value.as_slice();
-                for ((x, &inp), &y) in da
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.nodes[a.0].value.as_slice())
-                    .zip(out)
-                {
-                    if inp < 0.0 {
-                        *x *= y + alpha; // d/dx alpha(e^x - 1) = alpha e^x = y + alpha
+                let (x, y) = (value(a).as_slice(), self.value.as_slice());
+                for ((d, &x), &y) in da.as_mut_slice().iter_mut().zip(x).zip(y) {
+                    if x < 0.0 {
+                        *d *= y + alpha; // d/dx alpha(e^x - 1) = alpha e^x = y + alpha
                     }
                 }
-                Todo::One(a, da)
+                vec![owned(a, da)]
             }
             Op::ConcatCols(vars) => {
-                let vars = vars.clone();
-                let m = g.rows();
                 let mut off = 0;
-                let mut parts = Vec::with_capacity(vars.len());
-                for &v in &vars {
-                    let (_, vc) = self.shape(v);
-                    let mut part = Matrix::zeros(m, vc);
-                    for r in 0..m {
-                        part.row_mut(r).copy_from_slice(&g.row(r)[off..off + vc]);
-                    }
-                    parts.push((v, part));
+                let parts = vars.iter().map(|&v| {
+                    let (lo, vc) = (off, value(v).cols());
                     off += vc;
-                }
-                self.put_grad(i, g);
-                for (v, part) in parts {
-                    self.accum_owned(v, part);
-                }
-                return;
+                    wants(v).then(|| {
+                        let mut part = Vec::with_capacity(g.rows() * vc);
+                        for row in g.rows_iter() {
+                            part.extend_from_slice(&row[lo..lo + vc]);
+                        }
+                        (v, Cow::Owned(Matrix::from_vec(g.rows(), vc, part)))
+                    })
+                });
+                parts.collect()
             }
             Op::ConcatRows(vars) => {
-                let vars = vars.clone();
                 let mut off = 0;
-                let mut parts = Vec::with_capacity(vars.len());
-                for &v in &vars {
-                    let (vr, vc) = self.shape(v);
-                    let mut part = Matrix::zeros(vr, vc);
-                    for r in 0..vr {
-                        part.row_mut(r).copy_from_slice(g.row(off + r));
-                    }
-                    parts.push((v, part));
-                    off += vr;
-                }
-                self.put_grad(i, g);
-                for (v, part) in parts {
-                    self.accum_owned(v, part);
-                }
-                return;
+                let parts = vars.iter().map(|&v| {
+                    let (vr, vc) = value(v).shape();
+                    let rows = &g.as_slice()[off..off + vr * vc];
+                    off += vr * vc;
+                    wants(v).then(|| (v, Cow::Owned(Matrix::from_vec(vr, vc, rows.to_vec()))))
+                });
+                parts.collect()
             }
-            Op::GatherRows(a, idx) => {
-                let a = *a;
-                let idx = idx.clone();
-                let rows = self.shape(a).0;
-                Todo::One(a, g.scatter_add_rows(&idx, rows))
-            }
-            Op::ScatterAddRows(a, idx) => {
-                let a = *a;
-                let idx = idx.clone();
-                Todo::One(a, g.gather_rows(&idx))
+            Op::GatherRows(a, idx) => vec![owned(*a, g.scatter_add_rows(idx, value(*a).rows()))],
+            Op::ScatterAddRows(a, idx) => vec![owned(*a, g.gather_rows(idx))],
+            Op::SegmentSoftmax(a, segs) => {
+                let (y, gv) = (self.value.as_slice(), g.as_slice());
+                let seg_dot = segment_dot(gv, y, segs);
+                let dx = (y.iter().zip(gv).zip(&segs.seg_of_row))
+                    .map(|((&y, &g), &s)| y * (g - seg_dot[s as usize]))
+                    .collect();
+                vec![owned(*a, Matrix::col_vector(dx))]
             }
             Op::EdgeSoftmax(s_src, s_dst, per_type, src, etype, segs, slope) => {
-                let (s_src, s_dst, per_type, slope) = (*s_src, *s_dst, *per_type, *slope);
-                let (src, etype, segs) = (src.clone(), etype.clone(), segs.clone());
-                let dst = &segs.seg_of_row;
+                // Plain slices and a copied slope before the edge loop: a
+                // prototype that read through the op's `Arc`s and `&f32`
+                // inside it ran this backward ~48 % slower (DESIGN §8).
+                let (src, etype, dst, slope) = (&src[..], &etype[..], &segs.seg_of_row[..], *slope);
+                let (y, gv) = (self.value.as_slice(), g.as_slice());
                 let x = edge_scores(
-                    self.value(s_src).as_slice(),
-                    self.value(s_dst).as_slice(),
-                    per_type.map(|p| self.value(p).as_slice()),
-                    (&src, dst, &etype),
+                    value(*s_src).as_slice(),
+                    value(*s_dst).as_slice(),
+                    per_type.map(|p| value(p).as_slice()),
+                    (src, dst, etype),
                 );
-                let y = self.nodes[i].value.as_slice();
-                let gv = g.as_slice();
-                let mut seg_dot = vec![0.0f32; segs.n_segments];
-                for (r, &s) in dst.iter().enumerate() {
-                    seg_dot[s as usize] += gv[r] * y[r];
-                }
+                let seg_dot = segment_dot(gv, y, segs);
                 // Softmax then LeakyReLU Jacobian per edge; the three
                 // scatter-adds are the chain's three `gather_rows` adjoints.
-                let mut d_src = Matrix::zeros(self.shape(s_src).0, 1);
-                let mut d_dst = Matrix::zeros(self.shape(s_dst).0, 1);
-                let mut d_type = per_type.map(|p| Matrix::zeros(self.shape(p).0, 1));
+                let zeros = |v: Var| wants(v).then(|| vec![0.0f32; value(v).rows()]);
+                let (mut d_src, mut d_dst) = (zeros(*s_src), zeros(*s_dst));
+                let mut d_type = per_type.and_then(zeros);
                 for (r, &s) in dst.iter().enumerate() {
                     let mut dx = y[r] * (gv[r] - seg_dot[s as usize]);
                     if x[r] < 0.0 {
                         dx *= slope;
                     }
-                    d_src.as_mut_slice()[src[r] as usize] += dx;
-                    d_dst.as_mut_slice()[s as usize] += dx;
-                    if let Some(d_type) = d_type.as_mut() {
-                        d_type.as_mut_slice()[etype[r] as usize] += dx;
+                    if let Some(d) = d_src.as_mut() {
+                        d[src[r] as usize] += dx;
+                    }
+                    if let Some(d) = d_dst.as_mut() {
+                        d[s as usize] += dx;
+                    }
+                    if let Some(d) = d_type.as_mut() {
+                        d[etype[r] as usize] += dx;
                     }
                 }
-                self.put_grad(i, g);
-                if let (Some(p), Some(d_type)) = (per_type, d_type) {
-                    self.accum_owned(p, d_type);
-                }
-                self.accum_owned(s_dst, d_dst);
-                self.accum_owned(s_src, d_src);
-                return;
+                let col = |v: Var, d: Vec<f32>| (v, Cow::Owned(Matrix::col_vector(d)));
+                vec![
+                    per_type.zip(d_type).map(|(p, d)| col(p, d)),
+                    d_dst.map(|d| col(*s_dst, d)),
+                    d_src.map(|d| col(*s_src, d)),
+                ]
             }
             Op::EdgeAggregate(h, alpha, src, dst) => {
-                let (h, alpha, src, dst) = (*h, *alpha, src.clone(), dst.clone());
-                let (hv, av) = (self.value(h), self.value(alpha).as_slice());
+                let (hv, av) = (value(*h), value(*alpha).as_slice());
                 let (gs, d) = (g.as_slice(), hv.cols());
-                let da = self.requires(alpha).then(|| {
-                    let mut da = vec![0.0f32; av.len()];
-                    edge::alpha_grad(gs, hv.as_slice(), d, (&src[..], &dst[..]), &mut da);
-                    Matrix::col_vector(da)
-                });
-                let dh = self.requires(h).then(|| {
-                    let mut dh = Matrix::zeros(hv.rows(), d);
-                    edge::aggregate(gs, d, av, (&dst[..], &src[..]), dh.as_mut_slice());
-                    dh
-                });
-                self.put_grad(i, g);
-                if let Some(da) = da {
-                    self.accum_owned(alpha, da);
-                }
-                if let Some(dh) = dh {
-                    self.accum_owned(h, dh);
-                }
-                return;
+                vec![
+                    wants(*alpha).then(|| {
+                        let mut da = vec![0.0f32; av.len()];
+                        edge::alpha_grad(gs, hv.as_slice(), d, (src, dst), &mut da);
+                        (*alpha, Cow::Owned(Matrix::col_vector(da)))
+                    }),
+                    wants(*h).then(|| {
+                        let mut dh = Matrix::zeros(hv.rows(), d);
+                        edge::aggregate(gs, d, av, (dst, src), dh.as_mut_slice());
+                        (*h, Cow::Owned(dh))
+                    }),
+                ]
             }
-            Op::SegmentSoftmax(a, segs) => {
-                let a = *a;
-                let segs = segs.clone();
-                let y = self.nodes[i].value.as_slice();
-                let gv = g.as_slice();
-                let mut seg_dot = vec![0.0f32; segs.n_segments];
-                for (r, &s) in segs.seg_of_row.iter().enumerate() {
-                    seg_dot[s as usize] += gv[r] * y[r];
-                }
-                let mut da = Matrix::zeros(y.len(), 1);
-                for (r, &s) in segs.seg_of_row.iter().enumerate() {
-                    da.as_mut_slice()[r] = y[r] * (gv[r] - seg_dot[s as usize]);
-                }
-                Todo::One(a, da)
-            }
-            Op::L2NormalizeRows(a, eps) => {
-                let a = *a;
-                let eps = *eps;
-                let (m, n) = g.shape();
-                let mut da = Matrix::zeros(m, n);
-                for r in 0..m {
-                    let x = self.nodes[a.0].value.row(r);
-                    let y = self.nodes[i].value.row(r);
+            &Op::L2NormalizeRows(a, eps) => {
+                let (x, y) = (value(a), &self.value);
+                let mut da = Vec::with_capacity(g.len());
+                for ((x, y), g_row) in x.rows_iter().zip(y.rows_iter()).zip(g.rows_iter()) {
                     let norm = x.iter().map(|&v| v * v).sum::<f32>().sqrt().max(eps);
-                    let dot: f32 = y.iter().zip(g.row(r)).map(|(&yv, &gv)| yv * gv).sum();
-                    for ((o, &gv), &yv) in da.row_mut(r).iter_mut().zip(g.row(r)).zip(y) {
-                        *o = (gv - yv * dot) / norm;
-                    }
+                    let dot: f32 = y.iter().zip(g_row).map(|(&yv, &gv)| yv * gv).sum();
+                    da.extend(g_row.iter().zip(y).map(|(&gv, &yv)| (gv - yv * dot) / norm));
                 }
-                Todo::One(a, da)
+                vec![owned(a, Matrix::from_vec(g.rows(), g.cols(), da))]
             }
-            Op::RowDot(a, b) => {
-                let (a, b) = (*a, *b);
-                let (m, n) = self.shape(a);
-                let da = if self.requires(a) {
-                    let mut da = Matrix::zeros(m, n);
-                    for r in 0..m {
-                        let gr = g.get(r, 0);
-                        for (o, &bv) in da.row_mut(r).iter_mut().zip(self.nodes[b.0].value.row(r)) {
-                            *o = gr * bv;
-                        }
-                    }
-                    Some(da)
-                } else {
-                    None
-                };
-                let db = if self.requires(b) {
-                    let mut db = Matrix::zeros(m, n);
-                    for r in 0..m {
-                        let gr = g.get(r, 0);
-                        for (o, &av) in db.row_mut(r).iter_mut().zip(self.nodes[a.0].value.row(r)) {
-                            *o = gr * av;
-                        }
-                    }
-                    Some(db)
-                } else {
-                    None
-                };
-                self.put_grad(i, g);
-                if let Some(da) = da {
-                    self.accum_owned(a, da);
-                }
-                if let Some(db) = db {
-                    self.accum_owned(b, db);
-                }
-                return;
+            &Op::RowDot(a, b) => vec![
+                wants(a).then(|| (a, Cow::Owned(scale_rows(value(b), g.as_slice())))),
+                wants(b).then(|| (b, Cow::Owned(scale_rows(value(a), g.as_slice())))),
+            ],
+            &Op::SumAll(a) => {
+                let (m, n) = value(a).shape();
+                vec![owned(a, Matrix::full(m, n, g.get(0, 0)))]
             }
-            Op::SumAll(a) => {
-                let a = *a;
-                let (m, n) = self.shape(a);
-                Todo::One(a, Matrix::full(m, n, g.get(0, 0)))
-            }
-            Op::MeanAll(a) => {
-                let a = *a;
-                let (m, n) = self.shape(a);
+            &Op::MeanAll(a) => {
+                let (m, n) = value(a).shape();
                 let len = (m * n).max(1) as f32;
-                Todo::One(a, Matrix::full(m, n, g.get(0, 0) / len))
+                vec![owned(a, Matrix::full(m, n, g.get(0, 0) / len))]
             }
             Op::BceWithLogits(a, targets) => {
-                let a = *a;
-                let targets = targets.clone();
-                let x = self.nodes[a.0].value.as_slice();
+                let x = value(*a);
                 let scale = g.get(0, 0) / x.len() as f32;
-                let data = x
-                    .iter()
-                    .zip(targets.iter())
+                let data = (x.as_slice().iter().zip(targets.iter()))
                     .map(|(&xi, &ti)| scale * (sigmoid_scalar(xi) - ti))
                     .collect();
-                let (m, n) = self.shape(a);
-                Todo::One(a, Matrix::from_vec(m, n, data))
+                vec![owned(*a, Matrix::from_vec(x.rows(), x.cols(), data))]
             }
             Op::Dropout(a, mask) => {
-                let a = *a;
-                let mask = mask.clone();
-                let data = g
-                    .as_slice()
-                    .iter()
-                    .zip(mask.iter())
+                let data = (g.as_slice().iter().zip(mask.iter()))
                     .map(|(&gv, &mv)| gv * mv)
                     .collect();
-                let (m, n) = g.shape();
-                Todo::One(a, Matrix::from_vec(m, n, data))
+                vec![owned(*a, Matrix::from_vec(g.rows(), g.cols(), data))]
             }
-        };
-        self.put_grad(i, g);
-        match todo {
-            Todo::None => {}
-            Todo::One(v, d) => self.accum_owned(v, d),
         }
     }
 }
@@ -1048,16 +871,71 @@ mod tests {
         assert_eq!(g.grad(x).unwrap().as_slice(), &[0.5, -0.5]);
     }
 
+    /// A multi-parent op: its name, its parents' shapes, and its builder.
+    type Case = (&'static str, &'static [(usize, usize)], Build);
+    type Build = fn(&mut Graph, &[Var]) -> Var;
+
     #[test]
     fn inputs_do_not_collect_grads() {
-        let mut g = Graph::new();
-        let x = g.input(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-        let w = g.leaf(Matrix::from_vec(2, 1, vec![1.0, 1.0]));
-        let y = g.matmul(x, w);
-        let loss = g.sum_all(y);
-        g.backward(loss);
-        assert!(g.grad(x).is_none());
-        assert!(g.grad(w).is_some());
+        // Three nodes, five edges, two edge types.
+        const SRC: [u32; 5] = [0, 1, 2, 0, 2];
+        const DST: [u32; 5] = [1, 1, 0, 2, 2];
+        #[rustfmt::skip]
+        let cases: [Case; 11] = [
+            ("matmul", &[(3, 2), (2, 4)], |g, p| g.matmul(p[0], p[1])),
+            ("add", &[(3, 2), (3, 2)], |g, p| g.add(p[0], p[1])),
+            ("mul", &[(3, 2), (3, 2)], |g, p| g.mul(p[0], p[1])),
+            ("add_row_broadcast", &[(3, 2), (1, 2)], |g, p| g.add_row_broadcast(p[0], p[1])),
+            ("mul_col_broadcast", &[(3, 2), (3, 1)], |g, p| g.mul_col_broadcast(p[0], p[1])),
+            ("concat_cols", &[(3, 2), (3, 1)], |g, p| g.concat_cols(p)),
+            ("concat_rows", &[(2, 2), (1, 2)], |g, p| g.concat_rows(p)),
+            ("row_dot", &[(3, 2), (3, 2)], |g, p| g.row_dot(p[0], p[1])),
+            ("edge_softmax", &[(3, 1), (3, 1), (2, 1)], |g, p| {
+                let (src, etype) = (Arc::new(SRC.to_vec()), Arc::new(vec![0, 1, 0, 1, 1]));
+                let segs = Arc::new(Segments::new(DST.to_vec(), 3));
+                g.edge_softmax(p[0], p[1], Some(p[2]), src, etype, segs, 0.2)
+            }),
+            ("edge_aggregate", &[(3, 8), (5, 1)], |g, p| {
+                g.edge_aggregate(p[0], p[1], Arc::new(SRC.to_vec()), Arc::new(DST.to_vec()), 3)
+            }),
+            ("edge_aggregate, runtime width", &[(3, 3), (5, 1)], |g, p| {
+                g.edge_aggregate(p[0], p[1], Arc::new(SRC.to_vec()), Arc::new(DST.to_vec()), 3)
+            }),
+        ];
+        for (name, shapes, build) in cases {
+            // Every parent's gradient bits under a `Σ out²` loss, with parent
+            // `input` (if any) registered as a constant.
+            let grads = |input: Option<usize>| {
+                let mut g = Graph::new();
+                let parents: Vec<Var> = (shapes.iter().enumerate())
+                    .map(|(k, &(rows, cols))| {
+                        let data = (0..rows * cols).map(|i| ((i * 7 + k) % 11) as f32 * 0.25 - 1.2);
+                        let value = Matrix::from_vec(rows, cols, data.collect());
+                        if Some(k) == input {
+                            g.input(value)
+                        } else {
+                            g.leaf(value)
+                        }
+                    })
+                    .collect();
+                let out = build(&mut g, &parents);
+                let sq = g.mul(out, out);
+                let loss = g.sum_all(sq);
+                g.backward(loss);
+                let bits = |d: &Matrix| d.as_slice().iter().map(|x| x.to_bits()).collect();
+                (parents.iter().map(|&p| g.grad(p).map(bits))).collect::<Vec<Option<Vec<u32>>>>()
+            };
+            let all_leaves = grads(None);
+            for input in 0..shapes.len() {
+                for (k, (got, want)) in grads(Some(input)).iter().zip(&all_leaves).enumerate() {
+                    if k == input {
+                        assert!(got.is_none(), "{name}: input {k} collected a gradient");
+                    } else {
+                        assert_eq!(got, want, "{name}: parent {k} with input {input}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -480,7 +480,10 @@ fn edge_ops_propagate_non_finite_inputs() {
             let loss = g.sum_all(weighted);
             g.backward(loss);
             assert!(g.value(out).get(0, 0).is_nan(), "out, d = {d}, {bad}");
-            assert!(g.grad(alpha).unwrap().get(0, 0).is_nan(), "dα, d = {d}, {bad}");
+            assert!(
+                g.grad(alpha).unwrap().get(0, 0).is_nan(),
+                "dα, d = {d}, {bad}"
+            );
         }
     }
 }
@@ -549,7 +552,15 @@ fn edge_softmax_with_ends(src: Vec<u32>, dst: Vec<u32>, etype: Vec<u32>) {
     let s = g.leaf(Matrix::zeros(2, 1));
     let per_type = g.leaf(Matrix::zeros(1, 1));
     let segs = Arc::new(Segments::new(dst, 3));
-    g.edge_softmax(s, s, Some(per_type), Arc::new(src), Arc::new(etype), segs, 0.2);
+    g.edge_softmax(
+        s,
+        s,
+        Some(per_type),
+        Arc::new(src),
+        Arc::new(etype),
+        segs,
+        0.2,
+    );
 }
 
 #[test]
