@@ -33,8 +33,8 @@ pub fn run(opts: Options) -> Result<(), Failure> {
     let mut json_blobs = Vec::new();
     let protocols: [Box<dyn FlProtocol>; 3] = [
         Box::new(FedAvg::vanilla()),
-        Box::new(FedDa::restart().protocol()),
-        Box::new(FedDa::explore().protocol()),
+        Box::new(FedDa::restart()),
+        Box::new(FedDa::explore()),
     ];
     for mut protocol in protocols {
         // The breakdown needs the trained system itself, not a run summary.

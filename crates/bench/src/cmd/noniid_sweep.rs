@@ -43,7 +43,7 @@ pub fn run(opts: Options) -> Result<(), Failure> {
         let mut sys_avg = exp.system_with(clients.clone(), cfg.seed);
         let fedavg = opts.run_on(&exp, &mut FedAvg::vanilla(), &mut sys_avg)?;
         let mut sys_da = exp.system_with(clients, cfg.seed);
-        let fedda = opts.run_on(&exp, &mut FedDa::explore().protocol(), &mut sys_da)?;
+        let fedda = opts.run_on(&exp, &mut FedDa::explore(), &mut sys_da)?;
         let uplink_ratio =
             fedda.comm.total_uplink_units() as f64 / fedavg.comm.total_uplink_units().max(1) as f64;
         table.row(&[

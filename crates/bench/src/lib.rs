@@ -305,17 +305,19 @@ pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure>
             mu: opts.get("mu")?.unwrap_or(0.01),
             client_fraction: fraction.unwrap_or(1.0),
         }),
-        "feddyn" => Framework::FedDyn(FedDyn {
-            alpha: opts.get("alpha")?.unwrap_or(0.01),
-            client_fraction: fraction.unwrap_or(1.0),
-        }),
-        "fedadam" => Framework::FedAdam(FedAdam {
-            server_lr: opts.get("server-lr")?.unwrap_or(0.01),
-            beta1: opts.get("beta1")?.unwrap_or(0.9),
-            beta2: opts.get("beta2")?.unwrap_or(0.99),
-            epsilon: opts.get("adam-eps")?.unwrap_or(1e-3),
-            client_fraction: fraction.unwrap_or(1.0),
-        }),
+        "feddyn" => {
+            let mut f = FedDyn::new(opts.get("alpha")?.unwrap_or(0.01));
+            f.client_fraction = fraction.unwrap_or(1.0);
+            Framework::FedDyn(f)
+        }
+        "fedadam" => {
+            let mut f = FedAdam::new(opts.get("server-lr")?.unwrap_or(0.01));
+            f.beta1 = opts.get("beta1")?.unwrap_or(0.9);
+            f.beta2 = opts.get("beta2")?.unwrap_or(0.99);
+            f.epsilon = opts.get("adam-eps")?.unwrap_or(1e-3);
+            f.client_fraction = fraction.unwrap_or(1.0);
+            Framework::FedAdam(f)
+        }
         "fedda-restart" => Framework::FedDa(FedDa::restart()),
         "fedda-explore" => Framework::FedDa(FedDa::explore()),
         other => {
@@ -325,14 +327,11 @@ pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure>
             )))
         }
     };
-    match &fw {
-        Framework::FedAvg(f) => f.validate(),
-        Framework::FedProx(f) => f.validate(),
-        Framework::FedDyn(f) => f.validate(),
-        Framework::FedAdam(f) => f.validate(),
-        Framework::Global | Framework::Local | Framework::FedDa(_) => Ok(()),
+    if let Some(protocol) = fw.protocol() {
+        protocol
+            .validate()
+            .map_err(|e| format!("invalid --framework {name} configuration: {e}"))?;
     }
-    .map_err(|e| format!("invalid --framework {name} configuration: {e}"))?;
     Ok(fw)
 }
 

@@ -168,6 +168,26 @@ fn malformed_train_flags_are_usage_errors_not_panics() {
     }
 }
 
+/// A zero evaluation cadence or worker pool is refused like `--clients 0`:
+/// `error: <message>` and exit status 1 before any data is generated, not
+/// silently read as 1.
+#[test]
+fn train_refuses_a_zero_eval_cadence_or_worker_pool() {
+    for (flag, message) in [
+        ("--eval-every", "eval_every must be at least 1, got 0"),
+        ("--workers", "workers must be at least 1, got 0"),
+    ] {
+        let out = run("train", &["--quick", flag, "0"]);
+        let stderr = clean_error("train", &out);
+        assert_eq!(out.status.code(), Some(1), "{flag} 0: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {message}")),
+            "{flag} 0: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} 0 printed before failing");
+    }
+}
+
 /// The data subcommands validate before they work: a grid no partition can
 /// be built from, or an archive that claims more than it holds, is
 /// `error: <message>` and exit status 1, not a panic or an abort.

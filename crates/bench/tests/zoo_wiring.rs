@@ -39,11 +39,11 @@ const ZOO: &[Row] = &[
         async_pin: By("fn golden_async_fedavg_vanilla()"), chaos: By("FedAvg::vanilla()") },
     Row { protocol: "FedProx", names: &["fedprox"], sync_pin: By("fn golden_fedprox()"),
         async_pin: By("fn golden_async_fedprox()"), chaos: By("FedProx::new(") },
-    Row { protocol: "FedDynProtocol", names: &["feddyn"], sync_pin: By("fn golden_feddyn()"),
+    Row { protocol: "FedDyn", names: &["feddyn"], sync_pin: By("fn golden_feddyn()"),
         async_pin: By("fn golden_async_feddyn()"), chaos: By("FedDyn::new(") },
-    Row { protocol: "FedAdamProtocol", names: &["fedadam"], sync_pin: By("fn golden_fedadam()"),
+    Row { protocol: "FedAdam", names: &["fedadam"], sync_pin: By("fn golden_fedadam()"),
         async_pin: By("fn golden_async_fedadam()"), chaos: By("FedAdam::new(") },
-    Row { protocol: "FedDaProtocol", names: &["fedda-restart", "fedda-explore"], sync_pin: By("fn golden_fedda_explore()"),
+    Row { protocol: "FedDa", names: &["fedda-restart", "fedda-explore"], sync_pin: By("fn golden_fedda_explore()"),
         async_pin: By("fn golden_async_fedda_explore()"), chaos: By("FedDa::explore()") },
 ];
 
@@ -55,9 +55,9 @@ fn protocol_of(framework: &Framework) -> Option<&'static str> {
         Framework::Local => None, // isolated clients: no rounds, no engine
         Framework::FedAvg(_) => Some("FedAvg"),
         Framework::FedProx(_) => Some("FedProx"),
-        Framework::FedDyn(_) => Some("FedDynProtocol"),
-        Framework::FedAdam(_) => Some("FedAdamProtocol"),
-        Framework::FedDa(_) => Some("FedDaProtocol"),
+        Framework::FedDyn(_) => Some("FedDyn"),
+        Framework::FedAdam(_) => Some("FedAdam"),
+        Framework::FedDa(_) => Some("FedDa"),
     }
 }
 

@@ -124,8 +124,8 @@ impl Default for ExperimentConfig {
 
 impl ExperimentConfig {
     /// Reject grid sizes no run can be built from, before any data is
-    /// generated: at least one client, round and run, and a finite,
-    /// positive scale.
+    /// generated: at least one client, round and run, an evaluation cadence
+    /// and a worker pool of at least one, and a finite, positive scale.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_clients == 0 {
             return Err("clients must be at least 1, got 0".into());
@@ -135,6 +135,12 @@ impl ExperimentConfig {
         }
         if self.runs == 0 {
             return Err("runs must be at least 1, got 0".into());
+        }
+        if self.eval_every == 0 {
+            return Err("eval_every must be at least 1, got 0".into());
+        }
+        if self.workers == Some(0) {
+            return Err("workers must be at least 1, got 0".into());
         }
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!(
@@ -190,9 +196,9 @@ impl Framework {
             Framework::Local => None,
             Framework::FedAvg(f) => Some(Box::new(f.clone())),
             Framework::FedProx(f) => Some(Box::new(f.clone())),
-            Framework::FedDyn(f) => Some(Box::new(f.protocol())),
-            Framework::FedAdam(f) => Some(Box::new(f.protocol())),
-            Framework::FedDa(f) => Some(Box::new(f.protocol())),
+            Framework::FedDyn(f) => Some(Box::new(f.clone())),
+            Framework::FedAdam(f) => Some(Box::new(f.clone())),
+            Framework::FedDa(f) => Some(Box::new(f.clone())),
         }
     }
 }
@@ -453,6 +459,14 @@ mod tests {
         );
         assert_eq!(reject(|c| c.rounds = 0), "rounds must be at least 1, got 0");
         assert_eq!(reject(|c| c.runs = 0), "runs must be at least 1, got 0");
+        assert_eq!(
+            reject(|c| c.eval_every = 0),
+            "eval_every must be at least 1, got 0"
+        );
+        assert_eq!(
+            reject(|c| c.workers = Some(0)),
+            "workers must be at least 1, got 0"
+        );
         assert_eq!(
             reject(|c| c.scale = 0.0),
             "scale must be finite and positive, got 0"

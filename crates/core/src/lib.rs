@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
-//! use fedda::fl::{FedAvg, FedDa};
+//! use fedda::fl::{run, FedAvg, FedDa, RuntimeMode};
 //!
 //! let cfg = ExperimentConfig {
 //!     dataset: Dataset::AmazonLike,
@@ -43,6 +43,10 @@
 //! let fedda = exp.run_framework(&Framework::FedDa(FedDa::explore()), None)?;
 //! // FedDA never uploads more than FedAvg:
 //! assert!(fedda.uplink_units.mean <= fedavg.uplink_units.mean);
+//! // One protocol value on one federation, through the engine's one entry:
+//! let mut system = exp.system_for_run(0);
+//! let result = run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut system, None)?;
+//! assert_eq!(result.curve.len(), 2);
 //! # Ok::<(), String>(())
 //! ```
 

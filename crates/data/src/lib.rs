@@ -16,7 +16,7 @@
 //!   presets (Table 1 schemas, paper-proportioned edge mixes);
 //! * [`partition`] — the paper's §6.1 system synthesis: non-IID clients
 //!   specialised in random edge-type subsets (`r_a = 0.3`, `r_b = 0.05`),
-//!   plus IID and disjoint variants and a non-IIDness measure;
+//!   plus an IID variant and a non-IIDness measure;
 //! * [`stats`] — Table 1 statistics.
 
 #![warn(missing_docs)]
@@ -40,7 +40,6 @@ pub mod stats;
 pub use datasets::{amazon_like, dblp_like, PresetOptions};
 pub use latent::{generate, GeneratedGraph, LatentGraphConfig};
 pub use partition::{
-    client_seeds, non_iidness, partition_disjoint, partition_iid, partition_non_iid, ClientData,
-    PartitionConfig,
+    client_seeds, non_iidness, partition_iid, partition_non_iid, ClientData, PartitionConfig,
 };
 pub use stats::DatasetStats;

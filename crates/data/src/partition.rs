@@ -11,7 +11,7 @@
 //! The IID variant gives every client the same expected edge-type
 //! distribution by sampling every type at the same rate.
 
-use fedda_hetgraph::{split::sample_edge_fraction, EdgeList, EdgeTypeId, HeteroGraph};
+use fedda_hetgraph::{split::sample_edge_fraction, EdgeTypeId, HeteroGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -122,41 +122,6 @@ pub fn partition_iid(global_train: &HeteroGraph, config: &PartitionConfig) -> Ve
     clients
 }
 
-/// Disjoint partition (no overlap): shuffles each type's edges and deals
-/// them round-robin. Not used by the paper's main protocol but useful as an
-/// ablation of the "overlap allowed" assumption.
-pub fn partition_disjoint(
-    global_train: &HeteroGraph,
-    num_clients: usize,
-    seed: u64,
-) -> Vec<ClientData> {
-    assert!(num_clients > 0, "need at least one client");
-    let n_types = global_train.schema().num_edge_types();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let all_types: Vec<EdgeTypeId> = (0..n_types as u16).map(EdgeTypeId).collect();
-    let mut per_client_lists: Vec<Vec<EdgeList>> =
-        vec![vec![EdgeList::new(); n_types]; num_clients];
-    #[allow(
-        clippy::needless_range_loop,
-        reason = "`t` indexes the inner dimension of `per_client_lists` (the outer index is `rank % num_clients`), so an iterator rewrite does not apply"
-    )]
-    for t in 0..n_types {
-        let list = global_train.edges_of_type(EdgeTypeId(t as u16));
-        let mut order: Vec<usize> = (0..list.len()).collect();
-        order.shuffle(&mut rng);
-        for (rank, &i) in order.iter().enumerate() {
-            per_client_lists[rank % num_clients][t].push(list.src[i], list.dst[i]);
-        }
-    }
-    per_client_lists
-        .into_iter()
-        .map(|lists| ClientData {
-            graph: HeteroGraph::from_edges(global_train.nodes().clone(), lists),
-            specialized: all_types.clone(),
-        })
-        .collect()
-}
-
 /// Mean pairwise total-variation distance between client edge-type
 /// distributions — a scalar measure of how non-IID a partition is
 /// (0 = identical distributions, →1 = disjoint supports).
@@ -263,14 +228,6 @@ mod tests {
             b > i + 0.05,
             "non-IID partition ({b:.3}) should be measurably more biased than IID ({i:.3})"
         );
-    }
-
-    #[test]
-    fn disjoint_partition_covers_all_edges_exactly_once() {
-        let g = small_global();
-        let clients = partition_disjoint(&g, 4, 3);
-        let total: usize = clients.iter().map(|c| c.num_edges()).sum();
-        assert_eq!(total, g.num_edges());
     }
 
     #[test]

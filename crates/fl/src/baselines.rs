@@ -11,9 +11,8 @@
 //! communicate, models are only scored at the end) and stays a plain
 //! function.
 
-use crate::engine::run_or_panic;
 use crate::protocol::{FlProtocol, StepOutcome};
-use crate::system::{ClientReturn, FlSystem, RunResult};
+use crate::system::{ClientReturn, FlSystem};
 use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{train_local, GraphView, TrainConfig};
 use fedda_metrics::MeanStd;
@@ -23,13 +22,6 @@ use rand::SeedableRng;
 /// XOR tweak (with the client index shifted left 8) deriving each isolated
 /// client's training RNG in [`run_local_only`] from `FlConfig::seed`.
 pub const LOCAL_STREAM_TWEAK: u64 = 0x0001_0CA1;
-
-/// Train the model centrally on the global training graph for
-/// `system.config().rounds` outer steps (each of `E` local epochs, to match
-/// the federated compute budget), evaluating on the configured cadence.
-pub fn run_global(system: &mut FlSystem) -> RunResult {
-    run_or_panic("Global", &mut GlobalProtocol::new(), system)
-}
 
 /// The centralised "server trains alone" pieces, cloned out of the system
 /// once per run (the sampler borrows the graph, so it is rebuilt per round).
@@ -42,7 +34,8 @@ struct GlobalState {
 }
 
 /// The `Global` upper bound as an [`FlProtocol`]: no clients, no masks, no
-/// communication — one centralised training step per round in
+/// communication — one centralised training step per round (`E` local
+/// epochs, the federated compute budget) in
 /// [`post_aggregate`](FlProtocol::post_aggregate).
 pub struct GlobalProtocol {
     state: Option<GlobalState>,
@@ -93,16 +86,6 @@ impl FlProtocol for GlobalProtocol {
         _round: usize,
         _rng: &mut StdRng,
     ) -> Vec<usize> {
-        Vec::new()
-    }
-
-    fn build_masks(
-        &mut self,
-        _system: &FlSystem,
-        _active: &[usize],
-        _round: usize,
-        _rng: &mut StdRng,
-    ) -> Vec<Vec<bool>> {
         Vec::new()
     }
 
@@ -186,13 +169,13 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::tiny_system;
+    use crate::system::tests::{run_sync, tiny_system};
 
     #[test]
     fn global_baseline_trains_and_records_curve() {
         let mut sys = tiny_system(2, 31);
         let before = sys.global.flatten();
-        let result = run_global(&mut sys);
+        let result = run_sync(&mut GlobalProtocol::new(), &mut sys);
         assert_eq!(result.curve.len(), sys.config().rounds);
         assert_ne!(
             sys.global.flatten(),
@@ -208,13 +191,13 @@ mod tests {
         // fault schedule has nobody to strike: no fault events, identical
         // trained parameters.
         let mut plain = tiny_system(2, 33);
-        let r_plain = run_global(&mut plain);
+        let r_plain = run_sync(&mut GlobalProtocol::new(), &mut plain);
         let mut faulty = tiny_system(2, 33);
         faulty.set_faults(Some(crate::faults::FaultConfig {
             dropout: 0.9,
             ..Default::default()
         }));
-        let r_faulty = run_global(&mut faulty);
+        let r_faulty = run_sync(&mut GlobalProtocol::new(), &mut faulty);
         assert!(r_faulty.faults.is_empty());
         assert_eq!(plain.global.flatten(), faulty.global.flatten());
         for (a, b) in r_plain.curve.iter().zip(&r_faulty.curve) {

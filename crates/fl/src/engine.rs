@@ -134,17 +134,11 @@ pub enum RuntimeMode {
 }
 
 /// [`run`] under [`RuntimeMode::Sync`] with the sink bound up front.
-#[derive(Default)]
 pub struct RoundDriver<'a> {
     sink: Option<&'a mut dyn EventSink>,
 }
 
 impl<'a> RoundDriver<'a> {
-    /// Driver without an event sink.
-    pub fn new() -> Self {
-        Self { sink: None }
-    }
-
     /// Driver that emits every round's [`RoundEvent`] to `sink`.
     pub fn with_sink(sink: &'a mut dyn EventSink) -> Self {
         Self { sink: Some(sink) }
@@ -165,14 +159,6 @@ impl<'a> RoundDriver<'a> {
 pub struct AsyncDriver<'a> {
     mode: RuntimeMode,
     sink: Option<&'a mut dyn EventSink>,
-}
-
-impl AsyncDriver<'_> {
-    /// Driver without an event sink.
-    pub fn new(cfg: AsyncConfig) -> Self {
-        let mode = RuntimeMode::Async(cfg);
-        Self { mode, sink: None }
-    }
 }
 
 impl<'a> AsyncDriver<'a> {
@@ -388,21 +374,6 @@ pub fn run(
         engine.publish(closed, eval, sink);
     }
     Ok(engine.result)
-}
-
-/// The six shorthands (the protocols' `run`, `baselines::run_global`) for
-/// tests and examples: lockstep, no sink, a panic naming `label` on `Err`.
-#[expect(
-    clippy::panic,
-    reason = "the documented panic of the six shorthand entry points; fallible callers use run"
-)]
-pub(crate) fn run_or_panic(
-    label: &str,
-    protocol: &mut dyn FlProtocol,
-    system: &mut FlSystem,
-) -> RunResult {
-    run(&RuntimeMode::Sync, protocol, system, None)
-        .unwrap_or_else(|e| panic!("invalid {label} configuration: {e}"))
 }
 
 impl<'a> Engine<'a> {
@@ -772,7 +743,9 @@ mod tests {
     use super::*;
     use crate::events::MemorySink;
     use crate::system::tests::{tiny_system, tiny_system_with};
-    use crate::{Compression, FedAvg, FedDa, PrivacyConfig, StalenessPolicy};
+    use crate::{
+        Compression, FedAdam, FedAvg, FedDa, FedDyn, GlobalProtocol, PrivacyConfig, StalenessPolicy,
+    };
 
     #[test]
     fn mask_density_handles_edge_cases() {
@@ -792,7 +765,7 @@ mod tests {
             client_fraction: 0.0,
             param_fraction: 1.0,
         };
-        let err = RoundDriver::new().run(&mut bad, &mut sys).unwrap_err();
+        let err = run(&RuntimeMode::Sync, &mut bad, &mut sys, None).unwrap_err();
         assert!(err.contains("client_fraction"), "unexpected error: {err}");
         assert_eq!(sys.global.flatten(), before, "system must be untouched");
     }
@@ -879,8 +852,8 @@ mod tests {
     #[test]
     fn async_run_completes_all_versions_and_evaluates() {
         let mut sys = tiny_system(4, 21);
-        let mut driver = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 });
-        let result = driver.run(&mut FedAvg::vanilla(), &mut sys).unwrap();
+        let mode = RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 });
+        let result = run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
         let rounds = sys.config().rounds;
         assert_eq!(
             result.curve.len(),
@@ -902,8 +875,8 @@ mod tests {
     #[test]
     fn async_with_k_at_wave_size_has_no_staleness() {
         let mut sys = tiny_system(3, 22);
-        let mut driver = AsyncDriver::new(AsyncConfig { k: 3, gamma: 0.9 });
-        let result = driver.run(&mut FedAvg::vanilla(), &mut sys).unwrap();
+        let mode = RuntimeMode::Async(AsyncConfig { k: 3, gamma: 0.9 });
+        let result = run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
         assert!(
             result.faults.is_empty(),
             "K == wave size aggregates only fresh reports: {:?}",
@@ -1021,20 +994,42 @@ mod tests {
     #[test]
     fn async_fedda_traces_activation_per_version() {
         let mut sys = tiny_system(4, 24);
-        let mut protocol = FedDa::explore().protocol();
-        let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.5 })
-            .run(&mut protocol, &mut sys)
-            .unwrap();
+        let mode = RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.5 });
+        let result = run(&mode, &mut FedDa::explore(), &mut sys, None).unwrap();
         assert_eq!(result.activation_trace.len(), sys.config().rounds);
         assert!(result.final_eval.roc_auc.is_finite());
     }
 
+    /// `begin` sizes every piece of a protocol's run state afresh, so one
+    /// value serves runs one after another: a second run on a fresh system
+    /// reproduces the first one's bits.
+    #[test]
+    fn a_protocol_value_serves_runs_one_after_another() {
+        let protocols: [Box<dyn FlProtocol>; 4] = [
+            Box::new(FedDa::explore()),
+            Box::new(FedDyn::new(0.01)),
+            Box::new(FedAdam::default()),
+            Box::new(GlobalProtocol::new()),
+        ];
+        for mut protocol in protocols {
+            let mut bits = || {
+                let mut sys = tiny_system(3, 45);
+                let result = run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None).unwrap();
+                let curve: Vec<u64> = result.curve.iter().map(|e| e.roc_auc.to_bits()).collect();
+                let global: Vec<u32> = sys.global.values().iter().map(|v| v.to_bits()).collect();
+                (curve, global, result.activation_trace)
+            };
+            let first = bits();
+            assert_eq!(first, bits());
+        }
+    }
+
     #[test]
     fn async_same_seed_is_bit_identical() {
-        let run = || {
+        let run_once = || {
             let mut sys = tiny_system(4, 25);
-            AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
-                .run(&mut FedAvg::vanilla(), &mut sys)
+            let mode = RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 });
+            run(&mode, &mut FedAvg::vanilla(), &mut sys, None)
                 .map(|r| {
                     (
                         r.curve
@@ -1050,6 +1045,6 @@ mod tests {
                 })
                 .unwrap()
         };
-        assert_eq!(run(), run());
+        assert_eq!(run_once(), run_once());
     }
 }

@@ -25,8 +25,8 @@
 //!
 //! The driver guarantees the failure-semantics invariants the chaos tests
 //! pin: dropped clients are excluded from the masked aggregation (Eq. 6)
-//! with the per-unit weights renormalised over the survivors (see
-//! [`renormalize`]), stale reports are discarded or staleness-discounted,
+//! with the per-unit weights renormalised over the survivors, stale
+//! reports are discarded or staleness-discounted,
 //! rejected updates never touch the global model, and the comm log counts
 //! only bytes actually transferred.
 
@@ -402,19 +402,6 @@ impl FaultObserved {
     }
 }
 
-/// The renormalised aggregation weights over a survivor subset:
-/// `w_i / Σ_j w_j` (all zeros when the subset is empty or weightless).
-///
-/// This is the invariant the chaos harness pins: however many clients a
-/// round loses, the weights of whoever remains always sum to 1.
-pub fn renormalize(weights: &[f64]) -> Vec<f64> {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return vec![0.0; weights.len()];
-    }
-    weights.iter().map(|w| w / total).collect()
-}
-
 /// Mangle a client's return per the corruption kind: the returned params
 /// become `θ + f(θ_i - θ)` with `f` poisoning or scaling the update, and
 /// `unit_delta` is recomputed so the corruption is visible to the driver's
@@ -627,13 +614,5 @@ mod tests {
                 assert_eq!(weight, Some(product.to_bits()), "gamma {gamma}, s {s}");
             }
         }
-    }
-
-    #[test]
-    fn renormalize_sums_to_one_or_zero() {
-        let w = renormalize(&[1.0, 3.0]);
-        assert_eq!(w, vec![0.25, 0.75]);
-        assert_eq!(renormalize(&[]), Vec::<f64>::new());
-        assert_eq!(renormalize(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 }

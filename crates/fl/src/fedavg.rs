@@ -6,18 +6,15 @@
 //! to all clients, runs `E` local epochs everywhere, and averages all
 //! returned parameters uniformly (Eqs. 4–5, `p_i = 1/M`).
 //!
-//! FedAvg is stateless between rounds, so the config struct itself
-//! implements [`FlProtocol`]: selection is a seeded shuffle, masks are
-//! either full or random at density `D`, and there is no post-aggregation
-//! bookkeeping.
+//! FedAvg is stateless between rounds: selection is a seeded shuffle, masks
+//! are either full or random at density `D`, and there is no
+//! post-aggregation bookkeeping.
 
-use crate::engine::run_or_panic;
 use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol};
-use crate::system::{FlSystem, RunResult};
+use crate::system::FlSystem;
 use rand::rngs::StdRng;
 
-/// FedAvg protocol configuration (and, being stateless, the
-/// [`FlProtocol`] implementation itself).
+/// FedAvg: its configuration, and (having no run state) nothing else.
 #[derive(Clone, Debug)]
 pub struct FedAvg {
     /// Fraction of clients randomly activated each round (Fig. 2's `C`).
@@ -50,17 +47,6 @@ impl FedAvg {
             client_fraction,
             param_fraction,
         }
-    }
-
-    /// Run `cfg.rounds` lockstep rounds on the engine, evaluating the
-    /// global model on the `FlConfig::eval_every` cadence.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid configuration (see [`validate`](FlProtocol::validate));
-    /// use [`run`](crate::run) to handle the error.
-    pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        run_or_panic("FedAvg", &mut self.clone(), system)
     }
 }
 
@@ -115,12 +101,12 @@ impl FlProtocol for FedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::tiny_system;
+    use crate::system::tests::{run_sync, tiny_system};
 
     #[test]
     fn vanilla_fedavg_transmits_everything() {
         let mut sys = tiny_system(3, 11);
-        let result = FedAvg::vanilla().run(&mut sys);
+        let result = run_sync(&mut FedAvg::vanilla(), &mut sys);
         let rounds = sys.config().rounds;
         assert_eq!(result.curve.len(), rounds);
         assert_eq!(
@@ -134,7 +120,7 @@ mod tests {
     #[test]
     fn client_fraction_reduces_activations() {
         let mut sys = tiny_system(4, 12);
-        let result = FedAvg::with_fractions(0.5, 1.0).run(&mut sys);
+        let result = run_sync(&mut FedAvg::with_fractions(0.5, 1.0), &mut sys);
         let rounds = sys.config().rounds;
         assert_eq!(result.comm.total_activations(), rounds * 2);
         assert_eq!(
@@ -146,7 +132,7 @@ mod tests {
     #[test]
     fn param_fraction_reduces_uplink_not_downlink() {
         let mut sys = tiny_system(2, 13);
-        let result = FedAvg::with_fractions(1.0, 0.5).run(&mut sys);
+        let result = run_sync(&mut FedAvg::with_fractions(1.0, 0.5), &mut sys);
         let rounds = sys.config().rounds;
         let full = rounds * 2 * sys.num_units();
         assert!(result.comm.total_uplink_units() < full);
@@ -157,8 +143,8 @@ mod tests {
     fn seeded_runs_reproduce() {
         let mut s1 = tiny_system(3, 14);
         let mut s2 = tiny_system(3, 14);
-        let r1 = FedAvg::vanilla().run(&mut s1);
-        let r2 = FedAvg::vanilla().run(&mut s2);
+        let r1 = run_sync(&mut FedAvg::vanilla(), &mut s1);
+        let r2 = run_sync(&mut FedAvg::vanilla(), &mut s2);
         for (a, b) in r1.curve.iter().zip(&r2.curve) {
             assert_eq!(a.roc_auc, b.roc_auc);
         }
@@ -175,10 +161,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid FedAvg configuration")]
+    #[should_panic(
+        expected = "invalid FedAvg(C=0.00,D=1.00) configuration: client_fraction must be in (0,1], got 0"
+    )]
     fn zero_client_fraction_rejected_before_round_zero() {
         let mut sys = tiny_system(2, 15);
-        let _ = FedAvg::with_fractions(0.0, 1.0).run(&mut sys);
+        let _ = run_sync(&mut FedAvg::with_fractions(0.0, 1.0), &mut sys);
     }
 
     #[test]
@@ -199,7 +187,7 @@ mod tests {
         let mut sys = tiny_system(3, 16);
         sys.set_faults(Some(crate::faults::FaultConfig::dropout_only(1.0)));
         let before = sys.global.flatten();
-        let result = FedAvg::vanilla().run(&mut sys);
+        let result = run_sync(&mut FedAvg::vanilla(), &mut sys);
         assert_eq!(result.curve.len(), sys.config().rounds);
         assert_eq!(sys.global.flatten(), before, "no survivor, no movement");
         assert_eq!(result.comm.total_uplink_units(), 0);
@@ -214,10 +202,10 @@ mod tests {
         // bit-identical to `faults: None` — the fault stream is orthogonal
         // to every other RNG stream.
         let mut plain = tiny_system(3, 17);
-        let r_plain = FedAvg::vanilla().run(&mut plain);
+        let r_plain = run_sync(&mut FedAvg::vanilla(), &mut plain);
         let mut faulty = tiny_system(3, 17);
         faulty.set_faults(Some(crate::faults::FaultConfig::default()));
-        let r_faulty = FedAvg::vanilla().run(&mut faulty);
+        let r_faulty = run_sync(&mut FedAvg::vanilla(), &mut faulty);
         assert!(r_faulty.faults.is_empty());
         for (a, b) in r_plain.curve.iter().zip(&r_faulty.curve) {
             assert_eq!(a.roc_auc.to_bits(), b.roc_auc.to_bits());

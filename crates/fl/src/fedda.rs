@@ -19,14 +19,11 @@
 //!    chosen deactivated clients, skipping those deactivated this round.
 //!
 //! Steps 1–3 are the shared round loop owned by the engine
-//! ([`run`](crate::run)); steps 4–6 are FedDA's
-//! [`FlProtocol`] hooks, implemented on [`FedDaProtocol`] (the per-run
-//! state machine [`FedDa::protocol`] creates).
+//! ([`run`](crate::run)); steps 4–6 are [`FedDa`]'s [`FlProtocol`] hooks.
 
-use crate::engine::run_or_panic;
 use crate::faults::FaultObserved;
 use crate::protocol::{FlProtocol, StepOutcome};
-use crate::system::{ClientReturn, FlSystem, RunResult};
+use crate::system::{ClientReturn, FlSystem};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -125,20 +122,21 @@ fn unit_mean(values: &[f32]) -> f32 {
     }
 }
 
-/// FedDA hyper-parameters.
+/// FedDA (Algorithm 1): its hyper-parameters, and the activation flags and
+/// request masks `D_A^(t)` / `I^(t)` the post-aggregation hook evolves
+/// (sized by `begin`, so one value serves one [`run`](crate::run) at a
+/// time).
 ///
 /// ```no_run
-/// use fedda_fl::{FedDa, MaskRule, Reactivation};
+/// use fedda_fl::{FedDa, FlProtocol, MaskRule, Reactivation};
 /// // The paper's FedDA 2 with a custom exploration floor and the
 /// // footnote-2 quantile threshold:
-/// let fedda = FedDa {
-///     strategy: Reactivation::Explore { beta_e: 0.5 },
-///     alpha: 0.5,
-///     mask_rule: MaskRule::GradientQuantile(0.4),
-///     explore_cooldown: true,
-/// };
+/// let mut fedda = FedDa::explore();
+/// fedda.strategy = Reactivation::Explore { beta_e: 0.5 };
+/// fedda.mask_rule = MaskRule::GradientQuantile(0.4);
 /// assert!(fedda.validate().is_ok());
-/// // fedda.run(&mut system) drives the federation.
+/// // fedda_fl::run(&RuntimeMode::Sync, &mut fedda, &mut system, None)
+/// // drives the federation.
 /// ```
 #[derive(Clone, Debug)]
 pub struct FedDa {
@@ -153,59 +151,30 @@ pub struct FedDa {
     /// One-round cool-down before a just-deactivated client may be
     /// re-explored (§5.2; the ablation turns this off).
     pub explore_cooldown: bool,
+    /// `D_A^(t)`: which clients are activated for the next round.
+    active: Vec<bool>,
+    /// `I^(t)`: per-client request masks for the next round.
+    masks: Vec<Vec<bool>>,
+    /// Per-unit flag: is the unit disentangled (`k ∈ [N_d]`)?
+    disentangled: Vec<bool>,
+    /// `N_d`.
+    n_d: usize,
+    /// Clients deactivated this round by observed faults (dropouts, held
+    /// stragglers, rejected corruptions) via `on_faults`; merged into the
+    /// round's deactivation outcome and the explore cool-down, then
+    /// cleared.
+    faulted: Vec<usize>,
 }
 
 impl FedDa {
-    /// FedDA 1: `Restart` with the paper's best hyper-parameters
-    /// (`β_r = 0.4`, `α = 0.5`).
-    pub fn restart() -> Self {
+    /// FedDA with the paper's `α = 0.5`, the default mask rule and the
+    /// explore cool-down.
+    fn with_strategy(strategy: Reactivation) -> Self {
         Self {
-            strategy: Reactivation::Restart { beta_r: 0.4 },
+            strategy,
             alpha: 0.5,
             mask_rule: MaskRule::default(),
             explore_cooldown: true,
-        }
-    }
-
-    /// FedDA 2: `Explore` with the paper's best hyper-parameters
-    /// (`β_e = 0.667`, `α = 0.5`).
-    pub fn explore() -> Self {
-        Self {
-            strategy: Reactivation::Explore { beta_e: 0.667 },
-            alpha: 0.5,
-            mask_rule: MaskRule::default(),
-            explore_cooldown: true,
-        }
-    }
-
-    /// Validate hyper-parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        let beta = match self.strategy {
-            Reactivation::Restart { beta_r } => beta_r,
-            Reactivation::Explore { beta_e } => beta_e,
-        };
-        // β ∈ (0,1), exclusive on both ends: β = 0 would disable
-        // reactivation entirely, which the docs rule out.
-        if beta <= 0.0 || beta >= 1.0 || beta.is_nan() {
-            return Err(format!("beta must be in (0,1), got {beta}"));
-        }
-        if !(0.0..=1.0).contains(&self.alpha) {
-            return Err(format!("alpha must be in [0,1], got {}", self.alpha));
-        }
-        if let MaskRule::GradientQuantile(q) = self.mask_rule {
-            if !(0.0..1.0).contains(&q) {
-                return Err(format!("mask quantile must be in [0,1), got {q}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// A fresh per-run [`FlProtocol`] state machine for these
-    /// hyper-parameters (state is sized in `begin`, so one instance serves
-    /// exactly one [`run`](crate::run)).
-    pub fn protocol(&self) -> FedDaProtocol {
-        FedDaProtocol {
-            cfg: self.clone(),
             active: Vec::new(),
             masks: Vec::new(),
             disentangled: Vec::new(),
@@ -214,29 +183,32 @@ impl FedDa {
         }
     }
 
-    /// Run `cfg.rounds` lockstep rounds of FedDA on the engine.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid configuration (see [`FedDa::validate`]); use
-    /// [`run`](crate::run) to handle the error.
-    pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        run_or_panic("FedDA", &mut self.protocol(), system)
+    /// FedDA 1: `Restart` with the paper's best hyper-parameters
+    /// (`β_r = 0.4`, `α = 0.5`).
+    pub fn restart() -> Self {
+        Self::with_strategy(Reactivation::Restart { beta_r: 0.4 })
+    }
+
+    /// FedDA 2: `Explore` with the paper's best hyper-parameters
+    /// (`β_e = 0.667`, `α = 0.5`).
+    pub fn explore() -> Self {
+        Self::with_strategy(Reactivation::Explore { beta_e: 0.667 })
+    }
+
+    /// A copy of this protocol. Kept only because the benchmark package
+    /// calls `FedDa::explore().protocol()`; it goes when the benchmark is
+    /// re-pointed at [`run`](crate::run) (ROADMAP item 1).
+    pub fn protocol(&self) -> Self {
+        self.clone()
     }
 
     /// Step 4 of the round: update request masks from the returned
     /// gradients. Only units a client actually returned this round
     /// (`mask[i][k]` was set) are re-scored; deactivated units stay off
     /// until a reactivation resets them (Eq. 7's "otherwise keep" branch).
-    fn update_masks(
-        &self,
-        system: &FlSystem,
-        returns: &[ClientReturn],
-        masks: &mut [Vec<bool>],
-        disentangled: &[bool],
-    ) {
-        let n = disentangled.len();
-        for (k, &is_d) in disentangled.iter().enumerate().take(n) {
+    fn update_masks(&mut self, system: &FlSystem, returns: &[ClientReturn]) {
+        let masks = &mut self.masks;
+        for (k, &is_d) in self.disentangled.iter().enumerate() {
             if !is_d {
                 continue;
             }
@@ -279,36 +251,33 @@ impl FedDa {
     }
 }
 
-/// FedDA's per-run [`FlProtocol`] state machine: the activation flags and
-/// request masks `D_A^(t)` / `I^(t)` of Algorithm 1, evolved by the
-/// post-aggregation hook. Created by [`FedDa::protocol`].
-pub struct FedDaProtocol {
-    cfg: FedDa,
-    /// `D_A^(t)`: which clients are activated for the next round.
-    active: Vec<bool>,
-    /// `I^(t)`: per-client request masks for the next round.
-    masks: Vec<Vec<bool>>,
-    /// Per-unit flag: is the unit disentangled (`k ∈ [N_d]`)?
-    disentangled: Vec<bool>,
-    /// `N_d`.
-    n_d: usize,
-    /// Clients deactivated this round by observed faults (dropouts, held
-    /// stragglers, rejected corruptions) via `on_faults`; merged into the
-    /// round's deactivation outcome and the explore cool-down, then
-    /// cleared.
-    faulted: Vec<usize>,
-}
-
-impl FlProtocol for FedDaProtocol {
+impl FlProtocol for FedDa {
     fn name(&self) -> String {
-        match self.cfg.strategy {
+        match self.strategy {
             Reactivation::Restart { .. } => "FedDA 1 (Restart)".into(),
             Reactivation::Explore { .. } => "FedDA 2 (Explore)".into(),
         }
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.cfg.validate()
+        let beta = match self.strategy {
+            Reactivation::Restart { beta_r } => beta_r,
+            Reactivation::Explore { beta_e } => beta_e,
+        };
+        // β ∈ (0,1), exclusive on both ends: β = 0 would disable
+        // reactivation entirely, which the docs rule out.
+        if beta <= 0.0 || beta >= 1.0 || beta.is_nan() {
+            return Err(format!("beta must be in (0,1), got {beta}"));
+        }
+        if !(0.0..=1.0).contains(&self.alpha) {
+            return Err(format!("alpha must be in [0,1], got {}", self.alpha));
+        }
+        if let MaskRule::GradientQuantile(q) = self.mask_rule {
+            if !(0.0..1.0).contains(&q) {
+                return Err(format!("mask quantile must be in [0,1), got {q}"));
+            }
+        }
+        Ok(())
     }
 
     fn seed_tweak(&self) -> u64 {
@@ -385,8 +354,7 @@ impl FlProtocol for FedDaProtocol {
         let mut outcome = StepOutcome::default();
 
         // Step 4: per-unit mask update for disentangled units.
-        self.cfg
-            .update_masks(system, returns, &mut self.masks, &self.disentangled);
+        self.update_masks(system, returns);
 
         // Step 5: deactivate under-occupied clients. Clients already
         // deactivated by this round's faults (`on_faults`) are skipped —
@@ -402,7 +370,7 @@ impl FlProtocol for FedDaProtocol {
                     .zip(&self.disentangled)
                     .filter(|&(&mk, &d)| d && mk)
                     .count();
-                if (kept as f64) < self.cfg.alpha * self.n_d as f64 {
+                if (kept as f64) < self.alpha * self.n_d as f64 {
                     self.active[i] = false;
                     just_deactivated.push(i);
                 }
@@ -414,7 +382,7 @@ impl FlProtocol for FedDaProtocol {
         outcome.deactivated = just_deactivated.clone();
 
         // Step 6: reactivation.
-        match self.cfg.strategy {
+        match self.strategy {
             Reactivation::Restart { beta_r } => {
                 let n_active = self.active.iter().filter(|&&a| a).count();
                 if (n_active as f64) < beta_r * m as f64 {
@@ -432,8 +400,7 @@ impl FlProtocol for FedDaProtocol {
                 if n_active < target {
                     let mut pool: Vec<usize> = (0..m)
                         .filter(|&i| {
-                            let cooling =
-                                self.cfg.explore_cooldown && just_deactivated.contains(&i);
+                            let cooling = self.explore_cooldown && just_deactivated.contains(&i);
                             !self.active[i] && !cooling
                         })
                         .collect();
@@ -473,16 +440,18 @@ impl FlProtocol for FedDaProtocol {
 mod tests {
     use super::*;
     use crate::fedavg::FedAvg;
-    use crate::system::tests::tiny_system;
+    use crate::system::tests::{run_sync, tiny_system};
 
     #[test]
     fn fedda_restart_runs_and_saves_uplink() {
         let mut sys = tiny_system(4, 21);
         let fedavg_total = {
             let mut s2 = tiny_system(4, 21);
-            FedAvg::vanilla().run(&mut s2).comm.total_uplink_units()
+            run_sync(&mut FedAvg::vanilla(), &mut s2)
+                .comm
+                .total_uplink_units()
         };
-        let result = FedDa::restart().run(&mut sys);
+        let result = run_sync(&mut FedDa::restart(), &mut sys);
         assert_eq!(result.curve.len(), sys.config().rounds);
         assert!(
             result.comm.total_uplink_units() <= fedavg_total,
@@ -494,8 +463,8 @@ mod tests {
     #[test]
     fn fedda_explore_keeps_minimum_active_set() {
         let mut sys = tiny_system(6, 22);
-        let fedda = FedDa::explore();
-        let result = fedda.run(&mut sys);
+        let mut fedda = FedDa::explore();
+        let result = run_sync(&mut fedda, &mut sys);
         // β_e = 0.667 of 6 = 4: every round after masks shrink must still
         // activate ≥ 4 clients... except round 0 which activates all 6.
         for rc in result.comm.rounds() {
@@ -510,8 +479,8 @@ mod tests {
     #[test]
     fn masks_shrink_after_first_round() {
         let mut sys = tiny_system(4, 23);
-        let fedda = FedDa::explore();
-        let result = fedda.run(&mut sys);
+        let mut fedda = FedDa::explore();
+        let result = run_sync(&mut fedda, &mut sys);
         let rounds = result.comm.rounds();
         // Round 0 transmits everything; later rounds transmit less (per
         // active client) because disentangled units get masked.
@@ -528,7 +497,7 @@ mod tests {
         let mut sys = tiny_system(3, 24);
         let mut fedda = FedDa::restart();
         fedda.mask_rule = MaskRule::LiteralEq7;
-        let result = fedda.run(&mut sys);
+        let result = run_sync(&mut fedda, &mut sys);
         assert_eq!(result.curve.len(), sys.config().rounds);
     }
 
@@ -538,9 +507,9 @@ mod tests {
         // gradient-mean rule never masks anything and the federation is
         // exactly FedAvg with one client.
         let mut sys_da = tiny_system(1, 29);
-        let fedda = FedDa::explore().run(&mut sys_da);
+        let fedda = run_sync(&mut FedDa::explore(), &mut sys_da);
         let mut sys_avg = tiny_system(1, 29);
-        let fedavg = crate::FedAvg::vanilla().run(&mut sys_avg);
+        let fedavg = run_sync(&mut crate::FedAvg::vanilla(), &mut sys_avg);
         assert_eq!(
             fedda.comm.total_uplink_units(),
             fedavg.comm.total_uplink_units()
@@ -571,7 +540,7 @@ mod tests {
     #[test]
     fn activation_trace_is_consistent() {
         let mut sys = tiny_system(5, 28);
-        let result = FedDa::explore().run(&mut sys);
+        let result = run_sync(&mut FedDa::explore(), &mut sys);
         let first = &result.activation_trace[0];
         assert_eq!(first.active_clients.len(), 5, "round 0 activates everyone");
         assert!(
@@ -580,7 +549,7 @@ mod tests {
         );
         check_trace(&result, sys.config().rounds);
         // FedAvg leaves the trace empty.
-        let fedavg = crate::FedAvg::vanilla().run(&mut tiny_system(3, 28));
+        let fedavg = run_sync(&mut crate::FedAvg::vanilla(), &mut tiny_system(3, 28));
         assert!(fedavg.activation_trace.is_empty());
     }
 
@@ -594,15 +563,16 @@ mod tests {
         // — and must show up in the trace as a restart that reactivates
         // everyone, or the trace would claim clients active that were never
         // listed as reactivated.
-        let aggressive = FedDa {
+        let mut aggressive = FedDa {
             strategy: Reactivation::Explore { beta_e: 0.2 },
             alpha: 1.0,
             mask_rule: MaskRule::GradientQuantile(0.9),
             explore_cooldown: true,
+            ..FedDa::explore()
         };
         let m = 4;
         let mut sys = tiny_system(m, 31);
-        let result = aggressive.run(&mut sys);
+        let result = run_sync(&mut aggressive, &mut sys);
         check_trace(&result, sys.config().rounds);
         let fired: Vec<_> = result
             .activation_trace
@@ -636,8 +606,8 @@ mod tests {
         low.mask_rule = MaskRule::GradientQuantile(0.25);
         let mut high = FedDa::explore();
         high.mask_rule = MaskRule::GradientQuantile(0.9);
-        let r_low = low.run(&mut tiny_system(6, 26));
-        let r_high = high.run(&mut tiny_system(6, 26));
+        let r_low = run_sync(&mut low, &mut tiny_system(6, 26));
+        let r_high = run_sync(&mut high, &mut tiny_system(6, 26));
         assert!(
             r_high.comm.total_uplink_units() <= r_low.comm.total_uplink_units(),
             "q=0.9 should mask at least as much as q=0.25: {} vs {}",
@@ -650,7 +620,7 @@ mod tests {
     fn median_rule_runs() {
         let mut fedda = FedDa::restart();
         fedda.mask_rule = MaskRule::GradientMedian;
-        let result = fedda.run(&mut tiny_system(4, 27));
+        let result = run_sync(&mut fedda, &mut tiny_system(4, 27));
         assert!(result.final_eval.roc_auc.is_finite());
     }
 
@@ -691,8 +661,8 @@ mod tests {
 
     #[test]
     fn seeded_fedda_reproduces() {
-        let r1 = FedDa::explore().run(&mut tiny_system(4, 25));
-        let r2 = FedDa::explore().run(&mut tiny_system(4, 25));
+        let r1 = run_sync(&mut FedDa::explore(), &mut tiny_system(4, 25));
+        let r2 = run_sync(&mut FedDa::explore(), &mut tiny_system(4, 25));
         for (a, b) in r1.curve.iter().zip(&r2.curve) {
             assert_eq!(a.roc_auc, b.roc_auc);
         }
@@ -702,7 +672,7 @@ mod tests {
     #[test]
     fn protocol_names_match_the_paper() {
         use crate::protocol::FlProtocol;
-        assert_eq!(FedDa::restart().protocol().name(), "FedDA 1 (Restart)");
-        assert_eq!(FedDa::explore().protocol().name(), "FedDA 2 (Explore)");
+        assert_eq!(FedDa::restart().name(), "FedDA 1 (Restart)");
+        assert_eq!(FedDa::explore().name(), "FedDA 2 (Explore)");
     }
 }

@@ -23,23 +23,22 @@
 //! (`M` = total client count), which at the fixed point cancels the
 //! client-drift bias that plain averaging leaves on non-IID data.
 //!
-//! State lives in [`FedDynProtocol`] (one instance per run, built by
-//! [`FedDyn::protocol`]): per-client `∇̂ᵢ` (`M × |θ|` f32), the server `h`
-//! (f64, in `ParamSet::values` order), and the broadcast stash `θ^t`
-//! copied at selection time. Under faults only *arrived, admitted fresh*
-//! reports update `∇̂ᵢ` and `h` — dropped or rejected clients keep their
+//! The run state sits beside the hyper-parameters in [`FedDyn`] (sized by
+//! `begin`): per-client `∇̂ᵢ` (`M × |θ|` f32), the server `h` (f64, in
+//! `ParamSet::values` order), and the broadcast stash `θ^t` copied at
+//! selection time. Under faults only *arrived, admitted fresh* reports
+//! update `∇̂ᵢ` and `h` — dropped or rejected clients keep their
 //! state, and stale straggler arrivals contribute to averaging but not to
 //! the correction (their delta is against an older broadcast).
 
-use crate::engine::run_or_panic;
 use crate::protocol::{
     check_client_fraction, sample_client_fraction, FlProtocol, LocalPenalty, StepOutcome,
 };
-use crate::system::{ClientReturn, FlSystem, RunResult};
+use crate::system::{ClientReturn, FlSystem};
 use rand::rngs::StdRng;
 
-/// FedDyn hyper-parameters. Build per-run protocol state with
-/// [`FedDyn::protocol`].
+/// FedDyn: its hyper-parameters and its per-run state (sized by `begin`,
+/// so one value serves one [`run`](crate::run) at a time).
 #[derive(Clone, Debug)]
 pub struct FedDyn {
     /// Regularisation strength α (the exemplar implementation's default is
@@ -48,14 +47,20 @@ pub struct FedDyn {
     pub alpha: f64,
     /// Fraction of clients randomly activated each round.
     pub client_fraction: f64,
+    /// Server correction `h`, `ParamSet::values` order, f64 for stable
+    /// accumulation across rounds.
+    h: Vec<f64>,
+    /// Per-client first-order state `∇̂ᵢ` (zero-initialised, like the
+    /// exemplar's `prev_grads`).
+    prev_grads: Vec<Vec<f32>>,
+    /// Broadcast parameters `θ^t` stashed at selection time — the anchor
+    /// for this round's client deltas.
+    broadcast: Vec<f32>,
 }
 
 impl Default for FedDyn {
     fn default() -> Self {
-        Self {
-            alpha: 0.01,
-            client_fraction: 1.0,
-        }
+        Self::new(0.01)
     }
 }
 
@@ -65,40 +70,16 @@ impl FedDyn {
         Self {
             alpha,
             client_fraction: 1.0,
-        }
-    }
-
-    /// Validate hyper-parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.alpha.is_finite() && self.alpha > 0.0) {
-            return Err(format!(
-                "alpha must be finite and positive, got {}",
-                self.alpha
-            ));
-        }
-        check_client_fraction(self.client_fraction)
-    }
-
-    /// A fresh per-run [`FlProtocol`] state machine for these
-    /// hyper-parameters (state is sized in `begin`, so one instance serves
-    /// exactly one driver run).
-    pub fn protocol(&self) -> FedDynProtocol {
-        FedDynProtocol {
-            cfg: self.clone(),
             h: Vec::new(),
             prev_grads: Vec::new(),
             broadcast: Vec::new(),
         }
     }
 
-    /// Run `cfg.rounds` lockstep rounds on the engine.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid configuration (see [`FedDyn::validate`]); use
-    /// [`run`](crate::run) to handle the error.
-    pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        run_or_panic("FedDyn", &mut self.protocol(), system)
+    /// The server correction state (values order) — exposed for the chaos
+    /// harness's finiteness checks.
+    pub fn h_state(&self) -> &[f64] {
+        &self.h
     }
 }
 
@@ -116,36 +97,19 @@ pub fn update_h(h: &mut [f64], delta_sum: &[f64], alpha: f64, num_clients: usize
     }
 }
 
-/// Per-run FedDyn state machine (see [`FedDyn::protocol`]).
-#[derive(Clone, Debug)]
-pub struct FedDynProtocol {
-    cfg: FedDyn,
-    /// Server correction `h`, `ParamSet::values` order, f64 for stable
-    /// accumulation across rounds.
-    h: Vec<f64>,
-    /// Per-client first-order state `∇̂ᵢ` (zero-initialised, like the
-    /// exemplar's `prev_grads`).
-    prev_grads: Vec<Vec<f32>>,
-    /// Broadcast parameters `θ^t` stashed at selection time — the anchor
-    /// for this round's client deltas.
-    broadcast: Vec<f32>,
-}
-
-impl FedDynProtocol {
-    /// The server correction state (values order) — exposed for the chaos
-    /// harness's finiteness checks.
-    pub fn h_state(&self) -> &[f64] {
-        &self.h
-    }
-}
-
-impl FlProtocol for FedDynProtocol {
+impl FlProtocol for FedDyn {
     fn name(&self) -> String {
-        format!("FedDyn(alpha={})", self.cfg.alpha)
+        format!("FedDyn(alpha={})", self.alpha)
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.cfg.validate()
+        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+            return Err(format!(
+                "alpha must be finite and positive, got {}",
+                self.alpha
+            ));
+        }
+        check_client_fraction(self.client_fraction)
     }
 
     fn seed_tweak(&self) -> u64 {
@@ -163,7 +127,7 @@ impl FlProtocol for FedDynProtocol {
         // Stash the anchor before anyone trains: post_aggregate's deltas
         // and the client penalties are all against this broadcast.
         self.broadcast.copy_from_slice(system.global.values());
-        sample_client_fraction(system.num_clients(), self.cfg.client_fraction, rng)
+        sample_client_fraction(system.num_clients(), self.client_fraction, rng)
     }
 
     fn local_regularizer(
@@ -175,19 +139,9 @@ impl FlProtocol for FedDynProtocol {
         // Gradient contribution −∇̂ᵢ + α(θ − θ^t).
         let linear: Vec<f32> = self.prev_grads[client].iter().map(|&g| -g).collect();
         Some(LocalPenalty {
-            prox_mu: self.cfg.alpha as f32,
+            prox_mu: self.alpha as f32,
             linear: Some(linear),
         })
-    }
-
-    fn build_masks(
-        &mut self,
-        system: &FlSystem,
-        active: &[usize],
-        _round: usize,
-        _rng: &mut StdRng,
-    ) -> Vec<Vec<bool>> {
-        system.full_masks(active.len())
     }
 
     fn post_aggregate(
@@ -199,7 +153,7 @@ impl FlProtocol for FedDynProtocol {
         _rng: &mut StdRng,
     ) -> StepOutcome {
         let n = self.h.len();
-        let alpha = self.cfg.alpha;
+        let alpha = self.alpha;
         let mut delta_sum = vec![0.0f64; n];
         for ret in returns {
             let theta = ret.params.values();
@@ -226,12 +180,12 @@ impl FlProtocol for FedDynProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::tiny_system;
+    use crate::system::tests::{run_sync, tiny_system};
 
     #[test]
     fn feddyn_trains_and_stays_finite() {
         let mut sys = tiny_system(3, 31);
-        let result = FedDyn::new(0.01).run(&mut sys);
+        let result = run_sync(&mut FedDyn::new(0.01), &mut sys);
         let rounds = sys.config().rounds;
         assert_eq!(result.curve.len(), rounds);
         assert_eq!(
@@ -246,8 +200,8 @@ mod tests {
     fn seeded_runs_reproduce() {
         let mut s1 = tiny_system(3, 32);
         let mut s2 = tiny_system(3, 32);
-        let r1 = FedDyn::new(0.01).run(&mut s1);
-        let r2 = FedDyn::new(0.01).run(&mut s2);
+        let r1 = run_sync(&mut FedDyn::new(0.01), &mut s1);
+        let r2 = run_sync(&mut FedDyn::new(0.01), &mut s2);
         for (a, b) in r1.curve.iter().zip(&r2.curve) {
             assert_eq!(a.roc_auc.to_bits(), b.roc_auc.to_bits());
         }
@@ -257,7 +211,7 @@ mod tests {
     #[test]
     fn h_state_moves_and_stays_finite() {
         let mut sys = tiny_system(2, 33);
-        let mut proto = FedDyn::new(0.5).protocol();
+        let mut proto = FedDyn::new(0.5);
         crate::run(&crate::RuntimeMode::Sync, &mut proto, &mut sys, None).expect("valid config");
         assert!(proto.h_state().iter().all(|h| h.is_finite()));
         assert!(
@@ -281,8 +235,8 @@ mod tests {
             "alpha must be finite and positive, got inf"
         );
         let bad_fraction = FedDyn {
-            alpha: 0.01,
             client_fraction: 1.5,
+            ..FedDyn::new(0.01)
         };
         assert_eq!(
             bad_fraction.validate().unwrap_err(),
@@ -292,14 +246,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid FedDyn configuration")]
+    #[should_panic(
+        expected = "invalid FedDyn(alpha=0) configuration: alpha must be finite and positive, got 0"
+    )]
     fn zero_alpha_rejected_before_round_zero() {
         let mut sys = tiny_system(2, 34);
-        let _ = FedDyn::new(0.0).run(&mut sys);
+        let _ = run_sync(&mut FedDyn::new(0.0), &mut sys);
     }
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(FedDyn::new(0.01).protocol().name(), "FedDyn(alpha=0.01)");
+        assert_eq!(FedDyn::new(0.01).name(), "FedDyn(alpha=0.01)");
     }
 }

@@ -15,19 +15,19 @@
 //! with `m̂ = m/(1−β₁^t)`, `v̂ = v/(1−β₂^t)`. The bias-correction powers
 //! are maintained by repeated multiplication (like the async driver's
 //! `γ^staleness`), so the update is a pure function of the round history —
-//! no `powf`, bit-stable across platforms. State lives in
-//! [`FedAdamProtocol`] (one instance per run): the f64 moment vectors and
-//! the broadcast stash `θ^t` cloned at selection time. On empty rounds
+//! no `powf`, bit-stable across platforms. The run state sits beside the
+//! hyper-parameters in [`FedAdam`] (sized by `begin`): the f64 moment
+//! vectors and the broadcast stash `θ^t` cloned at selection time. On empty rounds
 //! (total dropout) `Δ = 0`: the moments decay and the server still steps
 //! deterministically on the decayed momentum.
 
-use crate::engine::run_or_panic;
 use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol, StepOutcome};
-use crate::system::{ClientReturn, FlSystem, RunResult};
+use crate::system::{ClientReturn, FlSystem};
 use rand::rngs::StdRng;
 
-/// FedAdam hyper-parameters (the FedOpt paper's server-side Adam). Build
-/// per-run protocol state with [`FedAdam::protocol`].
+/// FedAdam (the FedOpt paper's server-side Adam): its hyper-parameters
+/// and its per-run state (sized by `begin`, so one value serves one
+/// [`run`](crate::run) at a time).
 #[derive(Clone, Debug)]
 pub struct FedAdam {
     /// Server learning rate `η_s` on the pseudo-gradient.
@@ -41,17 +41,21 @@ pub struct FedAdam {
     pub epsilon: f64,
     /// Fraction of clients randomly activated each round.
     pub client_fraction: f64,
+    /// First moment, `ParamSet::values` order.
+    m: Vec<f64>,
+    /// Second moment.
+    v: Vec<f64>,
+    /// Running β₁^t (repeated product — no `powf`).
+    beta1_pow: f64,
+    /// Running β₂^t.
+    beta2_pow: f64,
+    /// Broadcast parameters `θ^t` stashed at selection time.
+    broadcast: Vec<f32>,
 }
 
 impl Default for FedAdam {
     fn default() -> Self {
-        Self {
-            server_lr: 0.01,
-            beta1: 0.9,
-            beta2: 0.99,
-            epsilon: 1e-3,
-            client_fraction: 1.0,
-        }
+        Self::new(0.01)
     }
 }
 
@@ -61,38 +65,10 @@ impl FedAdam {
     pub fn new(server_lr: f64) -> Self {
         Self {
             server_lr,
-            ..Self::default()
-        }
-    }
-
-    /// Validate hyper-parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.server_lr.is_finite() && self.server_lr > 0.0) {
-            return Err(format!(
-                "server_lr must be finite and positive, got {}",
-                self.server_lr
-            ));
-        }
-        if !(self.beta1 >= 0.0 && self.beta1 < 1.0) {
-            return Err(format!("beta1 must be in [0,1), got {}", self.beta1));
-        }
-        if !(self.beta2 >= 0.0 && self.beta2 < 1.0) {
-            return Err(format!("beta2 must be in [0,1), got {}", self.beta2));
-        }
-        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
-            return Err(format!(
-                "epsilon must be finite and positive, got {}",
-                self.epsilon
-            ));
-        }
-        check_client_fraction(self.client_fraction)
-    }
-
-    /// A fresh per-run [`FlProtocol`] state machine for these
-    /// hyper-parameters.
-    pub fn protocol(&self) -> FedAdamProtocol {
-        FedAdamProtocol {
-            cfg: self.clone(),
+            beta1: 0.9,
+            beta2: 0.99,
+            epsilon: 1e-3,
+            client_fraction: 1.0,
             m: Vec::new(),
             v: Vec::new(),
             beta1_pow: 1.0,
@@ -101,14 +77,10 @@ impl FedAdam {
         }
     }
 
-    /// Run `cfg.rounds` lockstep rounds on the engine.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid configuration (see [`FedAdam::validate`]); use
-    /// [`run`](crate::run) to handle the error.
-    pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        run_or_panic("FedAdam", &mut self.protocol(), system)
+    /// The server moment vectors `(m, v)` — exposed for the chaos
+    /// harness's finiteness checks.
+    pub fn moments(&self) -> (&[f64], &[f64]) {
+        (&self.m, &self.v)
     }
 }
 
@@ -140,37 +112,31 @@ pub fn adam_update(
     (m_next, v_next, lr * m_hat / (v_hat.sqrt() + epsilon))
 }
 
-/// Per-run FedAdam state machine (see [`FedAdam::protocol`]).
-#[derive(Clone, Debug)]
-pub struct FedAdamProtocol {
-    cfg: FedAdam,
-    /// First moment, `ParamSet::values` order.
-    m: Vec<f64>,
-    /// Second moment.
-    v: Vec<f64>,
-    /// Running β₁^t (repeated product — no `powf`).
-    beta1_pow: f64,
-    /// Running β₂^t.
-    beta2_pow: f64,
-    /// Broadcast parameters `θ^t` stashed at selection time.
-    broadcast: Vec<f32>,
-}
-
-impl FedAdamProtocol {
-    /// The server moment vectors `(m, v)` — exposed for the chaos
-    /// harness's finiteness checks.
-    pub fn moments(&self) -> (&[f64], &[f64]) {
-        (&self.m, &self.v)
-    }
-}
-
-impl FlProtocol for FedAdamProtocol {
+impl FlProtocol for FedAdam {
     fn name(&self) -> String {
-        format!("FedAdam(lr={})", self.cfg.server_lr)
+        format!("FedAdam(lr={})", self.server_lr)
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.cfg.validate()
+        if !(self.server_lr.is_finite() && self.server_lr > 0.0) {
+            return Err(format!(
+                "server_lr must be finite and positive, got {}",
+                self.server_lr
+            ));
+        }
+        if !(self.beta1 >= 0.0 && self.beta1 < 1.0) {
+            return Err(format!("beta1 must be in [0,1), got {}", self.beta1));
+        }
+        if !(self.beta2 >= 0.0 && self.beta2 < 1.0) {
+            return Err(format!("beta2 must be in [0,1), got {}", self.beta2));
+        }
+        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
+            return Err(format!(
+                "epsilon must be finite and positive, got {}",
+                self.epsilon
+            ));
+        }
+        check_client_fraction(self.client_fraction)
     }
 
     fn seed_tweak(&self) -> u64 {
@@ -188,17 +154,7 @@ impl FlProtocol for FedAdamProtocol {
 
     fn select_clients(&mut self, system: &FlSystem, _round: usize, rng: &mut StdRng) -> Vec<usize> {
         self.broadcast.copy_from_slice(system.global.values());
-        sample_client_fraction(system.num_clients(), self.cfg.client_fraction, rng)
-    }
-
-    fn build_masks(
-        &mut self,
-        system: &FlSystem,
-        active: &[usize],
-        _round: usize,
-        _rng: &mut StdRng,
-    ) -> Vec<Vec<bool>> {
-        system.full_masks(active.len())
+        sample_client_fraction(system.num_clients(), self.client_fraction, rng)
     }
 
     fn post_aggregate(
@@ -209,9 +165,8 @@ impl FlProtocol for FedAdamProtocol {
         _round: usize,
         _rng: &mut StdRng,
     ) -> StepOutcome {
-        let cfg = &self.cfg;
-        self.beta1_pow *= cfg.beta1;
-        self.beta2_pow *= cfg.beta2;
+        self.beta1_pow *= self.beta1;
+        self.beta2_pow *= self.beta2;
         let (bias1, bias2) = (1.0 - self.beta1_pow, 1.0 - self.beta2_pow);
         for (k, theta) in system.global.values_mut().iter_mut().enumerate() {
             // Pseudo-gradient: the aggregated model movement this round.
@@ -220,10 +175,10 @@ impl FlProtocol for FedAdamProtocol {
                 self.m[k],
                 self.v[k],
                 delta,
-                cfg.server_lr,
-                cfg.beta1,
-                cfg.beta2,
-                cfg.epsilon,
+                self.server_lr,
+                self.beta1,
+                self.beta2,
+                self.epsilon,
                 bias1,
                 bias2,
             );
@@ -238,12 +193,12 @@ impl FlProtocol for FedAdamProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::tiny_system;
+    use crate::system::tests::{run_sync, tiny_system};
 
     #[test]
     fn fedadam_trains_and_stays_finite() {
         let mut sys = tiny_system(3, 41);
-        let result = FedAdam::default().run(&mut sys);
+        let result = run_sync(&mut FedAdam::default(), &mut sys);
         let rounds = sys.config().rounds;
         assert_eq!(result.curve.len(), rounds);
         assert_eq!(
@@ -258,8 +213,8 @@ mod tests {
     fn seeded_runs_reproduce() {
         let mut s1 = tiny_system(3, 42);
         let mut s2 = tiny_system(3, 42);
-        let r1 = FedAdam::default().run(&mut s1);
-        let r2 = FedAdam::default().run(&mut s2);
+        let r1 = run_sync(&mut FedAdam::default(), &mut s1);
+        let r2 = run_sync(&mut FedAdam::default(), &mut s2);
         for (a, b) in r1.curve.iter().zip(&r2.curve) {
             assert_eq!(a.roc_auc.to_bits(), b.roc_auc.to_bits());
         }
@@ -269,7 +224,7 @@ mod tests {
     #[test]
     fn moments_track_the_pseudo_gradient() {
         let mut sys = tiny_system(2, 43);
-        let mut proto = FedAdam::default().protocol();
+        let mut proto = FedAdam::default();
         crate::run(&crate::RuntimeMode::Sync, &mut proto, &mut sys, None).expect("valid config");
         let (m, v) = proto.moments();
         assert!(m.iter().all(|x| x.is_finite()));
@@ -319,14 +274,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid FedAdam configuration")]
+    #[should_panic(
+        expected = "invalid FedAdam(lr=0) configuration: server_lr must be finite and positive, got 0"
+    )]
     fn zero_server_lr_rejected_before_round_zero() {
         let mut sys = tiny_system(2, 44);
-        let _ = FedAdam::new(0.0).run(&mut sys);
+        let _ = run_sync(&mut FedAdam::new(0.0), &mut sys);
     }
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(FedAdam::new(0.01).protocol().name(), "FedAdam(lr=0.01)");
+        assert_eq!(FedAdam::new(0.01).name(), "FedAdam(lr=0.01)");
     }
 }

@@ -5,8 +5,7 @@
 //! is the round's broadcast. The proximal term bounds local drift on
 //! non-IID data — exactly the heterogeneity regime of the paper's Table 1
 //! — without any server-side state. FedProx is therefore stateless
-//! between rounds and the config struct implements [`FlProtocol`]
-//! directly, like [`FedAvg`](crate::FedAvg): selection is a seeded
+//! between rounds, like [`FedAvg`](crate::FedAvg): selection is a seeded
 //! shuffle, masks are full, and the only addition over FedAvg is the
 //! [`local_regularizer`](FlProtocol::local_regularizer) hook returning a
 //! constant proximal penalty.
@@ -14,13 +13,11 @@
 //! `μ = 0` degenerates to FedAvg's objective (but keeps FedProx's own RNG
 //! stream tweak, so curves are comparable-by-seed, not bit-identical).
 
-use crate::engine::run_or_panic;
 use crate::protocol::{check_client_fraction, sample_client_fraction, FlProtocol, LocalPenalty};
-use crate::system::{FlSystem, RunResult};
+use crate::system::FlSystem;
 use rand::rngs::StdRng;
 
-/// FedProx protocol configuration (and, being stateless, the
-/// [`FlProtocol`] implementation itself).
+/// FedProx: its configuration, and (having no run state) nothing else.
 #[derive(Clone, Debug)]
 pub struct FedProx {
     /// Proximal coefficient μ on `½‖θ − θ^t‖²` (paper sweeps 1e-3…1;
@@ -46,16 +43,6 @@ impl FedProx {
             mu,
             client_fraction: 1.0,
         }
-    }
-
-    /// Run `cfg.rounds` lockstep rounds on the engine.
-    ///
-    /// # Panics
-    ///
-    /// On an invalid configuration (see [`validate`](FlProtocol::validate));
-    /// use [`run`](crate::run) to handle the error.
-    pub fn run(&self, system: &mut FlSystem) -> RunResult {
-        run_or_panic("FedProx", &mut self.clone(), system)
     }
 }
 
@@ -108,27 +95,17 @@ impl FlProtocol for FedProx {
             linear: None,
         })
     }
-
-    fn build_masks(
-        &mut self,
-        system: &FlSystem,
-        active: &[usize],
-        _round: usize,
-        _rng: &mut StdRng,
-    ) -> Vec<Vec<bool>> {
-        system.full_masks(active.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::tiny_system;
+    use crate::system::tests::{run_sync, tiny_system};
 
     #[test]
     fn fedprox_trains_and_transmits_everything() {
         let mut sys = tiny_system(3, 21);
-        let result = FedProx::new(0.01).run(&mut sys);
+        let result = run_sync(&mut FedProx::new(0.01), &mut sys);
         let rounds = sys.config().rounds;
         assert_eq!(result.curve.len(), rounds);
         assert_eq!(
@@ -143,8 +120,8 @@ mod tests {
     fn seeded_runs_reproduce() {
         let mut s1 = tiny_system(3, 22);
         let mut s2 = tiny_system(3, 22);
-        let r1 = FedProx::new(0.05).run(&mut s1);
-        let r2 = FedProx::new(0.05).run(&mut s2);
+        let r1 = run_sync(&mut FedProx::new(0.05), &mut s1);
+        let r2 = run_sync(&mut FedProx::new(0.05), &mut s2);
         for (a, b) in r1.curve.iter().zip(&r2.curve) {
             assert_eq!(a.roc_auc.to_bits(), b.roc_auc.to_bits());
         }
@@ -167,8 +144,8 @@ mod tests {
         free.set_train(two_epochs.clone());
         let mut pinned = tiny_system(3, 23);
         pinned.set_train(two_epochs);
-        let _ = FedProx::new(0.0).run(&mut free);
-        let _ = FedProx::new(10.0).run(&mut pinned);
+        let _ = run_sync(&mut FedProx::new(0.0), &mut free);
+        let _ = run_sync(&mut FedProx::new(10.0), &mut pinned);
         assert_ne!(free.global.flatten(), pinned.global.flatten());
     }
 

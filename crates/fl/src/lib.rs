@@ -31,14 +31,17 @@
 //!   mask-then-compress at dispatch, decompress at server arrival, with
 //!   the comm ledger charging compressed bytes.
 //!
-//! Every round protocol implements [`FlProtocol`] and executes on one
-//! round engine — dispatch, arrival admission, commit — over the
-//! event-driven simulation [`runtime`] (deterministic virtual clock,
-//! ordered event queue, worker pool). [`run`] is its one entry: it takes
-//! the runtime as a [`RuntimeMode`], and the two modes differ in a
-//! five-decision arrival policy and in nothing else. ([`RoundDriver`] and
-//! [`AsyncDriver`] are one-line constructors over [`run`], kept because the
-//! benchmark package links them; they go when it is re-pointed.)
+//! Every round protocol is one value — its hyper-parameters as public
+//! fields, its per-run state as private ones that `begin` sizes — that
+//! implements [`FlProtocol`], and executes on one round engine — dispatch,
+//! arrival admission, commit — over the event-driven simulation [`runtime`]
+//! (deterministic virtual clock, ordered event queue, worker pool).
+//! [`run`]`(mode, protocol, system, sink)` is the one way to run it: it
+//! takes the runtime as a [`RuntimeMode`], and the two modes differ in a
+//! five-decision arrival policy and in nothing else. ([`RoundDriver`],
+//! [`AsyncDriver`] and [`FedDa::protocol`] are one-line wrappers kept
+//! because the benchmark package links them; they go when it is
+//! re-pointed.)
 //!
 //! | decision | [`RuntimeMode::Sync`] (lockstep) | [`RuntimeMode::Async`] (buffered, FedBuff-style) |
 //! |---|---|---|
@@ -86,13 +89,13 @@ pub use compress::{Compressed, Compression, Compressor, Delta, InFlight, UplinkC
 pub use engine::{run, AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
 pub use events::{EventSink, MemorySink, RoundEvent, StderrSink};
 pub use faults::{
-    renormalize, Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
-    ScriptedFault, StalenessPolicy,
+    Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan, ScriptedFault,
+    StalenessPolicy,
 };
 pub use fedavg::FedAvg;
-pub use fedda::{FedDa, FedDaProtocol, MaskRule, Reactivation};
-pub use feddyn::{FedDyn, FedDynProtocol};
-pub use fedopt::{FedAdam, FedAdamProtocol};
+pub use fedda::{FedDa, MaskRule, Reactivation};
+pub use feddyn::FedDyn;
+pub use fedopt::FedAdam;
 pub use fedprox::FedProx;
 pub use protocol::{FlProtocol, LocalPenalty, StepOutcome};
 pub use system::{

@@ -85,10 +85,10 @@ pub struct LocalPenalty {
 /// Hooks a federated algorithm implements to run on the shared engine
 /// ([`run`](crate::run)).
 ///
-/// Implementations are per-run state machines: the driver calls
-/// [`begin`](FlProtocol::begin) exactly once before round 0, then the
-/// per-round hooks in a fixed order. Reuse across runs requires a fresh
-/// instance (see `FedDa::protocol` / `Framework::protocol`).
+/// An implementation is one value: its hyper-parameters and its per-run
+/// state. The driver calls [`begin`](FlProtocol::begin) exactly once before
+/// round 0, which sizes that state afresh, then the per-round hooks in a
+/// fixed order.
 pub trait FlProtocol {
     /// Display name matching the paper's tables (e.g. `"FedAvg"`,
     /// `"FedDA 2 (Explore)"`).
@@ -142,14 +142,18 @@ pub trait FlProtocol {
     }
 
     /// Build the request mask for each selected client (`masks[j]`
-    /// corresponds to `active[j]`, one bool per parameter unit).
+    /// corresponds to `active[j]`, one bool per parameter unit). The
+    /// default requests every unit from every client and draws nothing.
     fn build_masks(
         &mut self,
         system: &FlSystem,
         active: &[usize],
         round: usize,
         rng: &mut StdRng,
-    ) -> Vec<Vec<bool>>;
+    ) -> Vec<Vec<bool>> {
+        let _ = (round, rng);
+        system.full_masks(active.len())
+    }
 
     /// Hook before aggregation on rounds where the driver observed faults:
     /// the structured records of every dropout, held/arrived straggler and

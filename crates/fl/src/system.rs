@@ -872,6 +872,14 @@ pub(crate) mod tests {
         tiny_system_with(m, seed, |_| {})
     }
 
+    /// [`crate::run`] in lockstep with no sink, on a valid configuration.
+    pub(crate) fn run_sync(
+        protocol: &mut dyn crate::FlProtocol,
+        system: &mut FlSystem,
+    ) -> RunResult {
+        crate::run(&crate::RuntimeMode::Sync, protocol, system, None).unwrap()
+    }
+
     /// [`tiny_system`] with `edit` applied to its configuration.
     pub(crate) fn tiny_system_with(
         m: usize,
@@ -1087,7 +1095,7 @@ pub(crate) mod tests {
         assert_ne!(clean[0].params.flatten(), noisy[0].params.flatten());
         assert!(!noisy[0].params.has_non_finite());
         // And the whole protocol still runs end to end under DP.
-        let result = crate::FedDa::explore().run(&mut sys);
+        let result = run_sync(&mut crate::FedDa::explore(), &mut sys);
         assert!(result.final_eval.roc_auc.is_finite());
     }
 

@@ -12,8 +12,8 @@
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
     AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedAvg, FedDa, FedDyn,
-    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, MemorySink, RoundDriver, RoundEvent,
-    RunResult, StalenessPolicy,
+    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, MemorySink, RoundEvent, RunResult,
+    RuntimeMode, StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -118,7 +118,7 @@ fn run_async(
         let mut driver = AsyncDriver::with_sink(acfg, &mut sink);
         let result = match which {
             0 => driver.run(&mut FedAvg::vanilla(), &mut sys),
-            _ => driver.run(&mut FedDa::explore().protocol(), &mut sys),
+            _ => driver.run(&mut FedDa::explore(), &mut sys),
         }
         .expect("async determinism runs use valid configurations");
         let timeless = |e: &RoundEvent| RoundEvent {
@@ -194,9 +194,13 @@ fn async_runs_under_compression_are_bit_identical_across_threads_and_workers() {
             with_kernel_threads(threads, || {
                 let mut sys = build_system(workers, Some(straggly_faults()));
                 sys.set_compression(Some(compression));
-                let result = AsyncDriver::new(acfg)
-                    .run(&mut FedDa::explore().protocol(), &mut sys)
-                    .expect("async compressed run");
+                let result = fedda_fl::run(
+                    &RuntimeMode::Async(acfg),
+                    &mut FedDa::explore(),
+                    &mut sys,
+                    None,
+                )
+                .expect("async compressed run");
                 fingerprint(&result, &sys)
             })
         };
@@ -223,9 +227,13 @@ fn identity_compression_with_stragglers_matches_uncompressed_async() {
         with_kernel_threads(2, || {
             let mut sys = build_system(Some(2), Some(straggly_faults()));
             sys.set_compression(compression);
-            let result = AsyncDriver::new(acfg)
-                .run(&mut FedAvg::vanilla(), &mut sys)
-                .expect("async run");
+            let result = fedda_fl::run(
+                &RuntimeMode::Async(acfg),
+                &mut FedAvg::vanilla(),
+                &mut sys,
+                None,
+            )
+            .expect("async run");
             fingerprint(&result, &sys)
         })
     };
@@ -239,13 +247,15 @@ fn sync_facade_is_bit_identical_across_worker_pool_sizes() {
     // `determinism_e2e.rs`; this adds the workers axis).
     let reference = with_kernel_threads(2, || {
         let mut sys = build_system(Some(1), None);
-        let result = FedDa::restart().run(&mut sys);
+        let result =
+            fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
         fingerprint(&result, &sys)
     });
     for workers in [Some(2), Some(4), None] {
         let other = with_kernel_threads(2, || {
             let mut sys = build_system(workers, None);
-            let result = FedDa::restart().run(&mut sys);
+            let result =
+                fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
             fingerprint(&result, &sys)
         });
         assert_eq!(
@@ -269,13 +279,13 @@ fn buffered_with_k_at_federation_size_equals_lockstep() {
         ("FedAvg(C=0.5,D=0.5)", 1, || {
             Box::new(FedAvg::with_fractions(0.5, 0.5))
         }),
-        ("FedDA Restart", 1, || Box::new(FedDa::restart().protocol())),
-        ("FedDA Explore", 1, || Box::new(FedDa::explore().protocol())),
+        ("FedDA Restart", 1, || Box::new(FedDa::restart())),
+        ("FedDA Explore", 1, || Box::new(FedDa::explore())),
         // Two local epochs, as in the golden pin: the proximal gradient is
         // zero on the first step from the broadcast anchor.
         ("FedProx", 2, || Box::new(FedProx::new(0.1))),
-        ("FedDyn", 1, || Box::new(FedDyn::new(0.01).protocol())),
-        ("FedAdam", 1, || Box::new(FedAdam::new(0.01).protocol())),
+        ("FedDyn", 1, || Box::new(FedDyn::new(0.01))),
+        ("FedAdam", 1, || Box::new(FedAdam::new(0.01))),
         ("Global", 1, || Box::new(GlobalProtocol::new())),
     ];
     for (name, local_epochs, build) in configurations {
@@ -288,10 +298,14 @@ fn buffered_with_k_at_federation_size_equals_lockstep() {
                 sys.set_compression(compression);
                 let mut protocol = build();
                 let result = if buffered {
-                    AsyncDriver::new(AsyncConfig { k: M, gamma: 0.5 })
-                        .run(protocol.as_mut(), &mut sys)
+                    fedda_fl::run(
+                        &RuntimeMode::Async(AsyncConfig { k: M, gamma: 0.5 }),
+                        protocol.as_mut(),
+                        &mut sys,
+                        None,
+                    )
                 } else {
-                    RoundDriver::new().run(protocol.as_mut(), &mut sys)
+                    fedda_fl::run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None)
                 }
                 .expect("valid configuration");
                 fingerprint(&result, &sys)

@@ -21,9 +21,9 @@
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
-    AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FaultEffect, FaultKind,
-    FaultObserved, FaultPlan, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlProtocol,
-    FlSystem, MemorySink, RoundDriver, RunResult, ScriptedFault, StalenessPolicy,
+    AsyncConfig, Compression, Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved,
+    FaultPlan, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlProtocol, FlSystem, MemorySink,
+    RoundDriver, RunResult, RuntimeMode, ScriptedFault, StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -96,11 +96,11 @@ fn run_protocol(which: usize, sys: &mut FlSystem, sink: &mut MemorySink) -> RunR
     let mut driver = RoundDriver::with_sink(sink);
     match which {
         0 => driver.run(&mut FedAvg::vanilla(), sys),
-        1 => driver.run(&mut FedDa::restart().protocol(), sys),
-        2 => driver.run(&mut FedDa::explore().protocol(), sys),
+        1 => driver.run(&mut FedDa::restart(), sys),
+        2 => driver.run(&mut FedDa::explore(), sys),
         3 => driver.run(&mut FedProx::new(0.01), sys),
-        4 => driver.run(&mut FedDyn::new(0.01).protocol(), sys),
-        _ => driver.run(&mut FedAdam::new(0.01).protocol(), sys),
+        4 => driver.run(&mut FedDyn::new(0.01), sys),
+        _ => driver.run(&mut FedAdam::new(0.01), sys),
     }
     .expect("chaos runs use valid configurations")
 }
@@ -352,7 +352,7 @@ fn dropout_point_three_fedavg_matches_injected_schedule_exactly() {
     // for cell (FedAvg selects everyone, so every scheduled cell is hit).
     let fc = FaultConfig::dropout_only(0.3);
     let mut sys = chaos_system(GOLDEN_SEED, Some(fc.clone()));
-    let result = FedAvg::vanilla().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     assert_eq!(result.curve.len(), ROUNDS);
     assert!(sys.global.flatten().iter().all(|v| v.is_finite()));
 
@@ -394,7 +394,7 @@ fn fedavg_uplink_counts_only_arrived_bytes_under_mixed_faults() {
     // arrivals; dropouts and held stragglers transfer nothing.
     let fc = mixed_faults(0.3);
     let mut sys = chaos_system(43, Some(fc.clone()));
-    let result = FedAvg::vanilla().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
 
     let mut drops = 0usize;
     let mut held = 0usize;
@@ -466,9 +466,8 @@ fn feddyn_h_state_stays_finite_under_garbage_corruption() {
             ..Default::default()
         };
         let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
-        let mut protocol = FedDyn::new(0.01).protocol();
-        let result = RoundDriver::new()
-            .run(&mut protocol, &mut sys)
+        let mut protocol = FedDyn::new(0.01);
+        let result = fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
             .expect("valid FedDyn chaos configuration");
         let label = format!("max_update_norm={max_update_norm:?}");
         assert_eq!(result.curve.len(), ROUNDS, "{label}: all rounds ran");
@@ -634,12 +633,22 @@ fn sync_stale_arrival_in_an_inactive_round_stays_on_the_ledger() {
 fn run_protocol_async(which: usize, sys: &mut FlSystem) -> RunResult {
     let acfg = AsyncConfig { k: 2, gamma: 0.9 };
     match which {
-        0 => AsyncDriver::new(acfg).run(&mut FedAvg::vanilla(), sys),
-        1 => AsyncDriver::new(acfg).run(&mut FedDa::restart().protocol(), sys),
-        2 => AsyncDriver::new(acfg).run(&mut FedDa::explore().protocol(), sys),
-        3 => AsyncDriver::new(acfg).run(&mut FedProx::new(0.01), sys),
-        4 => AsyncDriver::new(acfg).run(&mut FedDyn::new(0.01).protocol(), sys),
-        _ => AsyncDriver::new(acfg).run(&mut FedAdam::new(0.01).protocol(), sys),
+        0 => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedAvg::vanilla(), sys, None),
+        1 => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedDa::restart(), sys, None),
+        2 => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedDa::explore(), sys, None),
+        3 => fedda_fl::run(
+            &RuntimeMode::Async(acfg),
+            &mut FedProx::new(0.01),
+            sys,
+            None,
+        ),
+        4 => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedDyn::new(0.01), sys, None),
+        _ => fedda_fl::run(
+            &RuntimeMode::Async(acfg),
+            &mut FedAdam::new(0.01),
+            sys,
+            None,
+        ),
     }
     .expect("chaos runs use valid configurations")
 }
@@ -716,9 +725,7 @@ fn sync_stale_arrival_charges_compressed_bytes() {
     };
     let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
     sys.set_compression(Some(Compression::QuantF16));
-    let result = RoundDriver::new()
-        .run(&mut FirstRoundOnly, &mut sys)
-        .unwrap();
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FirstRoundOnly, &mut sys, None).unwrap();
     let n = sys.num_units();
     let logged = result.comm.rounds();
     assert_eq!(logged.len(), 2, "dispatch round + stale-arrival round");
@@ -791,9 +798,13 @@ fn async_full_dropout_under_compression_still_charges_nothing() {
     let fc = FaultConfig::dropout_only(1.0);
     let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
     sys.set_compression(Some(Compression::QuantI8));
-    let result = AsyncDriver::new(AsyncConfig::default())
-        .run(&mut FedAvg::vanilla(), &mut sys)
-        .unwrap();
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig::default()),
+        &mut FedAvg::vanilla(),
+        &mut sys,
+        None,
+    )
+    .unwrap();
     assert_eq!(result.curve.len(), ROUNDS);
     for rc in result.comm.rounds() {
         assert_eq!(rc.uplink_units, 0, "no report ever arrives");
@@ -810,9 +821,13 @@ fn async_full_dropout_charges_downlink_but_never_uplink() {
     // flushes an empty buffer so the run completes all versions.
     let fc = FaultConfig::dropout_only(1.0);
     let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
-    let result = AsyncDriver::new(AsyncConfig::default())
-        .run(&mut FedAvg::vanilla(), &mut sys)
-        .unwrap();
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig::default()),
+        &mut FedAvg::vanilla(),
+        &mut sys,
+        None,
+    )
+    .unwrap();
     let n = sys.num_units();
     assert_eq!(result.curve.len(), ROUNDS, "every version still evaluates");
     assert_eq!(result.comm.rounds().len(), ROUNDS);
@@ -848,9 +863,13 @@ fn async_report_outliving_the_run_is_never_charged() {
         k: M - 1,
         gamma: 1.0,
     };
-    let result = AsyncDriver::new(acfg)
-        .run(&mut FedAvg::vanilla(), &mut sys)
-        .unwrap();
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(acfg),
+        &mut FedAvg::vanilla(),
+        &mut sys,
+        None,
+    )
+    .unwrap();
     let n = sys.num_units();
     let logged = result.comm.rounds();
     assert_eq!(logged.len(), ROUNDS);
@@ -882,15 +901,18 @@ fn zero_rate_fault_config_is_bit_identical_to_the_golden_pins() {
             "faults: None"
         };
         let mut sys = chaos_system(GOLDEN_SEED, faults.clone());
-        let result = FedAvg::vanilla().run(&mut sys);
+        let result =
+            fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
         check_pin(&result, &GOLDEN_FEDAVG, &format!("FedAvg / {label}"));
 
         let mut sys = chaos_system(GOLDEN_SEED, faults.clone());
-        let result = FedDa::explore().run(&mut sys);
+        let result =
+            fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None).unwrap();
         check_pin(&result, &GOLDEN_EXPLORE, &format!("Explore / {label}"));
 
         let mut sys = chaos_system(GOLDEN_SEED, faults);
-        let result = FedDa::restart().run(&mut sys);
+        let result =
+            fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
         assert_eq!(
             result.comm.total_uplink_units(),
             466,

@@ -14,7 +14,7 @@ use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, Pres
 use fedda_fl::{
     AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn,
     FedProx, FlConfig, FlProtocol, FlSystem, MemorySink, RoundDriver, RoundEvent, RunResult,
-    StalenessPolicy,
+    RuntimeMode, StalenessPolicy,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hetgraph::HeteroGraph;
@@ -145,8 +145,7 @@ fn run_protocol(
         // bandit, FedDyn's h, FedAdam's moments) must not leak state
         // between the arms being compared.
         let mut protocol = make();
-        let result = RoundDriver::new()
-            .run(protocol.as_mut(), &mut sys)
+        let result = fedda_fl::run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None)
             .expect("valid protocol configuration");
         fingerprint(&result, &sys)
     })
@@ -170,18 +169,12 @@ fn assert_invariant_under_execution_strategy(make: &dyn Fn() -> Box<dyn FlProtoc
 
 #[test]
 fn fedda_restart_is_bit_identical_across_threads_and_dispatch() {
-    assert_invariant_under_execution_strategy(
-        &|| Box::new(FedDa::restart().protocol()),
-        "FedDA-Restart",
-    );
+    assert_invariant_under_execution_strategy(&|| Box::new(FedDa::restart()), "FedDA-Restart");
 }
 
 #[test]
 fn fedda_explore_is_bit_identical_across_threads_and_dispatch() {
-    assert_invariant_under_execution_strategy(
-        &|| Box::new(FedDa::explore().protocol()),
-        "FedDA-Explore",
-    );
+    assert_invariant_under_execution_strategy(&|| Box::new(FedDa::explore()), "FedDA-Explore");
 }
 
 #[test]
@@ -191,15 +184,12 @@ fn fedprox_is_bit_identical_across_threads_and_dispatch() {
 
 #[test]
 fn feddyn_is_bit_identical_across_threads_and_dispatch() {
-    assert_invariant_under_execution_strategy(&|| Box::new(FedDyn::new(0.01).protocol()), "FedDyn");
+    assert_invariant_under_execution_strategy(&|| Box::new(FedDyn::new(0.01)), "FedDyn");
 }
 
 #[test]
 fn fedadam_is_bit_identical_across_threads_and_dispatch() {
-    assert_invariant_under_execution_strategy(
-        &|| Box::new(FedAdam::new(0.01).protocol()),
-        "FedAdam",
-    );
+    assert_invariant_under_execution_strategy(&|| Box::new(FedAdam::new(0.01)), "FedAdam");
 }
 
 #[test]
@@ -226,9 +216,9 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
             with_kernel_threads(threads, || {
                 let mut sys = build_system_with(true, Some(workers), Some(faults.clone()));
                 sys.set_compression(Some(compression));
-                let result = RoundDriver::new()
-                    .run(&mut FedDa::explore().protocol(), &mut sys)
-                    .expect("sync compressed run");
+                let result =
+                    fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None)
+                        .expect("sync compressed run");
                 (fingerprint(&result, &sys), result.faults)
             })
         };
@@ -279,11 +269,16 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
     let run = |buffered: bool, workers: usize, threads: usize| {
         with_kernel_threads(threads, || {
             let mut sys = build_system_over(true, Some(workers), None, skewed);
-            let mut protocol = FedDa::explore().protocol();
+            let mut protocol = FedDa::explore();
             let result = if buffered {
-                AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 }).run(&mut protocol, &mut sys)
+                fedda_fl::run(
+                    &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+                    &mut protocol,
+                    &mut sys,
+                    None,
+                )
             } else {
-                RoundDriver::new().run(&mut protocol, &mut sys)
+                fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
             }
             .expect("valid protocol configuration");
             fingerprint(&result, &sys)
@@ -338,7 +333,7 @@ fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
                     cfg.faults = Some(faults.clone());
                 });
                 let mut sink = MemorySink::new();
-                let mut protocol = FedDa::explore().protocol();
+                let mut protocol = FedDa::explore();
                 let result = if buffered {
                     AsyncDriver::with_sink(AsyncConfig { k: 2, gamma: 0.9 }, &mut sink)
                         .run(&mut protocol, &mut sys)

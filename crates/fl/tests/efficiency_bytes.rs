@@ -7,7 +7,7 @@
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::analysis::{codec_byte_factor, report_bytes};
-use fedda_fl::{Compression, FedAvg, FlConfig, FlSystem};
+use fedda_fl::{Compression, FedAvg, FlConfig, FlSystem, RuntimeMode};
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
 use rand::rngs::StdRng;
@@ -57,7 +57,7 @@ fn ledgered_bytes(codec: Option<Compression>) -> (usize, Vec<usize>) {
     let mut sys = small_system();
     sys.set_compression(codec);
     let lens = unit_lens(&sys);
-    let result = FedAvg::vanilla().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     (result.comm.total_uplink_bytes(), lens)
 }
 

@@ -13,8 +13,8 @@
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
-    baselines, AsyncConfig, AsyncDriver, Compression, FedAdam, FedAvg, FedDa, FedDyn, FedProx,
-    FlConfig, FlSystem, RoundDriver, RunResult,
+    AsyncConfig, Compression, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlSystem,
+    GlobalProtocol, RunResult, RuntimeMode,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -127,7 +127,7 @@ fn check(result: &RunResult, golden: &Golden) {
 #[test]
 fn golden_fedavg_vanilla() {
     let mut sys = golden_system();
-    let result = FedAvg::vanilla().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     check(
         &result,
         &Golden {
@@ -154,7 +154,13 @@ fn golden_fedavg_vanilla() {
 #[test]
 fn golden_fedavg_half_half() {
     let mut sys = golden_system();
-    let result = FedAvg::with_fractions(0.5, 0.5).run(&mut sys);
+    let result = fedda_fl::run(
+        &RuntimeMode::Sync,
+        &mut FedAvg::with_fractions(0.5, 0.5),
+        &mut sys,
+        None,
+    )
+    .unwrap();
     check(
         &result,
         &Golden {
@@ -181,7 +187,7 @@ fn golden_fedavg_half_half() {
 #[test]
 fn golden_fedda_restart() {
     let mut sys = golden_system();
-    let result = FedDa::restart().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
     check(
         &result,
         &Golden {
@@ -208,7 +214,7 @@ fn golden_fedda_restart() {
 #[test]
 fn golden_fedda_explore() {
     let mut sys = golden_system();
-    let result = FedDa::explore().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None).unwrap();
     check(
         &result,
         &Golden {
@@ -238,9 +244,13 @@ fn golden_async_fedavg_vanilla() {
     // γ = 0.9 on the same seeded federation. These seal the async event
     // order, staleness weighting and arrival accounting bit-for-bit.
     let mut sys = golden_system();
-    let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
-        .run(&mut FedAvg::vanilla(), &mut sys)
-        .expect("golden async run");
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        &mut FedAvg::vanilla(),
+        &mut sys,
+        None,
+    )
+    .expect("golden async run");
     check(
         &result,
         &Golden {
@@ -267,9 +277,13 @@ fn golden_async_fedavg_vanilla() {
 #[test]
 fn golden_async_fedda_explore() {
     let mut sys = golden_system();
-    let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
-        .run(&mut FedDa::explore().protocol(), &mut sys)
-        .expect("golden async run");
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        &mut FedDa::explore(),
+        &mut sys,
+        None,
+    )
+    .expect("golden async run");
     check(
         &result,
         &Golden {
@@ -298,7 +312,7 @@ fn golden_fedprox() {
     // Two local epochs so the proximal gradient actually bites (see
     // `golden_system_with_epochs`); μ = 0.1 is inside the paper's sweep.
     let mut sys = golden_system_with_epochs(2);
-    let result = FedProx::new(0.1).run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedProx::new(0.1), &mut sys, None).unwrap();
     check(
         &result,
         &Golden {
@@ -325,7 +339,7 @@ fn golden_fedprox() {
 #[test]
 fn golden_feddyn() {
     let mut sys = golden_system();
-    let result = FedDyn::new(0.01).run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedDyn::new(0.01), &mut sys, None).unwrap();
     check(
         &result,
         &Golden {
@@ -352,7 +366,8 @@ fn golden_feddyn() {
 #[test]
 fn golden_fedadam() {
     let mut sys = golden_system();
-    let result = FedAdam::new(0.01).run(&mut sys);
+    let result =
+        fedda_fl::run(&RuntimeMode::Sync, &mut FedAdam::new(0.01), &mut sys, None).unwrap();
     check(
         &result,
         &Golden {
@@ -379,9 +394,13 @@ fn golden_fedadam() {
 #[test]
 fn golden_async_fedprox() {
     let mut sys = golden_system_with_epochs(2);
-    let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
-        .run(&mut FedProx::new(0.1), &mut sys)
-        .expect("golden async run");
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        &mut FedProx::new(0.1),
+        &mut sys,
+        None,
+    )
+    .expect("golden async run");
     check(
         &result,
         &Golden {
@@ -408,9 +427,13 @@ fn golden_async_fedprox() {
 #[test]
 fn golden_async_feddyn() {
     let mut sys = golden_system();
-    let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
-        .run(&mut FedDyn::new(0.01).protocol(), &mut sys)
-        .expect("golden async run");
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        &mut FedDyn::new(0.01),
+        &mut sys,
+        None,
+    )
+    .expect("golden async run");
     check(
         &result,
         &Golden {
@@ -437,9 +460,13 @@ fn golden_async_feddyn() {
 #[test]
 fn golden_async_fedadam() {
     let mut sys = golden_system();
-    let result = AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 })
-        .run(&mut FedAdam::new(0.01).protocol(), &mut sys)
-        .expect("golden async run");
+    let result = fedda_fl::run(
+        &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        &mut FedAdam::new(0.01),
+        &mut sys,
+        None,
+    )
+    .expect("golden async run");
     check(
         &result,
         &Golden {
@@ -526,12 +553,16 @@ fn assert_identity_is_invisible(name: &str, run: impl Fn(&mut FlSystem) -> RunRe
 
 #[test]
 fn golden_identity_compression_matches_uncompressed_fedavg() {
-    assert_identity_is_invisible("FedAvg + ident", |sys| FedAvg::vanilla().run(sys));
+    assert_identity_is_invisible("FedAvg + ident", |sys| {
+        fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), sys, None).unwrap()
+    });
 }
 
 #[test]
 fn golden_identity_compression_matches_uncompressed_fedda_explore() {
-    assert_identity_is_invisible("FedDA-Explore + ident", |sys| FedDa::explore().run(sys));
+    assert_identity_is_invisible("FedDA-Explore + ident", |sys| {
+        fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), sys, None).unwrap()
+    });
 }
 
 #[test]
@@ -545,8 +576,8 @@ fn golden_identity_compression_matches_uncompressed_async() {
         assert_identity_is_invisible(name, |sys| {
             let acfg = AsyncConfig { k: 2, gamma: 0.9 };
             match which {
-                0 => AsyncDriver::new(acfg).run(&mut FedAvg::vanilla(), sys),
-                _ => AsyncDriver::new(acfg).run(&mut FedDa::explore().protocol(), sys),
+                0 => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedAvg::vanilla(), sys, None),
+                _ => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedDa::explore(), sys, None),
             }
             .expect("golden async run")
         });
@@ -598,11 +629,16 @@ fn check_codec(result: &RunResult, system: &FlSystem, pin: &CodecGolden) {
 fn run_codec(compression: Compression, asynchronous: bool) -> (RunResult, FlSystem) {
     let mut sys = golden_system();
     sys.set_compression(Some(compression));
-    let mut protocol = FedDa::explore().protocol();
+    let mut protocol = FedDa::explore();
     let result = if asynchronous {
-        AsyncDriver::new(AsyncConfig { k: 2, gamma: 0.9 }).run(&mut protocol, &mut sys)
+        fedda_fl::run(
+            &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+            &mut protocol,
+            &mut sys,
+            None,
+        )
     } else {
-        RoundDriver::new().run(&mut protocol, &mut sys)
+        fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
     }
     .expect("golden codec run");
     (result, sys)
@@ -735,7 +771,13 @@ fn golden_async_topk_fedda_explore() {
 #[test]
 fn golden_global_baseline() {
     let mut sys = golden_system();
-    let result = baselines::run_global(&mut sys);
+    let result = fedda_fl::run(
+        &RuntimeMode::Sync,
+        &mut GlobalProtocol::new(),
+        &mut sys,
+        None,
+    )
+    .unwrap();
     check(
         &result,
         &Golden {

@@ -1,6 +1,6 @@
 //! Property-based tests of the FL layer's pure logic: the analytic
 //! communication model, the comm accounting, the fault-injection
-//! configuration/renormalisation rules, the protocol-zoo math helpers
+//! configuration rules, the protocol-zoo math helpers
 //! (FedProx proximal term, FedDyn h update, FedAdam moment update), and
 //! the uplink compression codecs' error bounds and byte accounting.
 
@@ -10,8 +10,8 @@ use fedda_fl::analysis::{
 };
 use fedda_fl::compress::{k_of, top_k_positions, Identity, Payload, QuantF16, QuantI8, TopK};
 use fedda_fl::{
-    feddyn::update_h, fedopt::adam_update, fedprox::proximal_term, renormalize, CommLog,
-    Compressor, Corruption, FaultConfig, FaultPlan, RoundComm, StalenessPolicy,
+    feddyn::update_h, fedopt::adam_update, fedprox::proximal_term, CommLog, Compressor, Corruption,
+    FaultConfig, FaultPlan, RoundComm, StalenessPolicy,
 };
 use proptest::prelude::*;
 
@@ -226,20 +226,6 @@ proptest! {
         prop_assert!(a.num_scheduled() <= rounds * clients);
         prop_assert_eq!(a.fault_at(rounds, 0), None);
         prop_assert_eq!(a.fault_at(0, clients), None);
-    }
-
-    #[test]
-    fn renormalized_weights_sum_to_one(
-        weights in prop::collection::vec(1e-6f64..1e6, 1..40),
-    ) {
-        // However many clients a round loses, the survivors' renormalised
-        // Eq. 6 weights always sum to 1.
-        let w = renormalize(&weights);
-        let total: f64 = w.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-12, "sum {total}");
-        for (out, orig) in w.iter().zip(&weights) {
-            prop_assert!(*out > 0.0 && *out <= 1.0, "weight {out} from {orig}");
-        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
-    baselines, FaultConfig, FaultEffect, FedAvg, FedDa, FlConfig, FlSystem, MaskRule, MemorySink,
-    Reactivation, RoundDriver,
+    FaultConfig, FaultEffect, FedAvg, FedDa, FlConfig, FlSystem, MaskRule, MemorySink,
+    Reactivation, RoundDriver, RuntimeMode,
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
@@ -106,7 +106,7 @@ fn fedda_events_mirror_comm_log_and_activation_trace() {
     let mut sys = tiny_system(5, 42, rounds, 1);
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
-        .run(&mut FedDa::explore().protocol(), &mut sys)
+        .run(&mut FedDa::explore(), &mut sys)
         .unwrap();
     assert_eq!(sink.runs, vec![("FedDA 2 (Explore)".to_string(), rounds)]);
     assert_eq!(result.activation_trace.len(), rounds);
@@ -127,18 +127,17 @@ fn safety_net_restart_is_visible_in_the_event_stream() {
     // explore cool-down empties the reactivation pool, so the driver's
     // empty-active-set safety net must fire — and the emitted events must
     // report it exactly as the activation trace does.
-    let aggressive = FedDa {
-        strategy: Reactivation::Explore { beta_e: 0.2 },
-        alpha: 1.0,
-        mask_rule: MaskRule::GradientQuantile(0.9),
-        explore_cooldown: true,
-    };
+    let mut aggressive = FedDa::explore();
+    aggressive.strategy = Reactivation::Explore { beta_e: 0.2 };
+    aggressive.alpha = 1.0;
+    aggressive.mask_rule = MaskRule::GradientQuantile(0.9);
+    aggressive.explore_cooldown = true;
     let m = 4;
     let rounds = 5;
     let mut sys = tiny_system(m, 31, rounds, 1);
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
-        .run(&mut aggressive.protocol(), &mut sys)
+        .run(&mut aggressive, &mut sys)
         .unwrap();
     check_events_against_result(&sink, &result, rounds, true);
     let fired: Vec<_> = sink.events.iter().filter(|e| e.restarted).collect();
@@ -164,7 +163,7 @@ fn faults_emptying_the_round_trip_the_safety_net_every_round() {
     sys.set_faults(Some(FaultConfig::dropout_only(1.0)));
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
-        .run(&mut FedDa::explore().protocol(), &mut sys)
+        .run(&mut FedDa::explore(), &mut sys)
         .unwrap();
     check_events_against_result(&sink, &result, rounds, true);
     let everyone: Vec<usize> = (0..m).collect();
@@ -254,9 +253,21 @@ fn sparse_eval_cadence_thins_the_curve_but_keeps_the_final_round() {
 fn sparse_curves_keep_round_indices_in_rounds_to_auc() {
     let rounds = 6;
     let mut dense_sys = tiny_system(3, 17, rounds, 1);
-    let dense = FedAvg::vanilla().run(&mut dense_sys);
+    let dense = fedda_fl::run(
+        &RuntimeMode::Sync,
+        &mut FedAvg::vanilla(),
+        &mut dense_sys,
+        None,
+    )
+    .unwrap();
     let mut sparse_sys = tiny_system(3, 17, rounds, 3);
-    let sparse = FedAvg::vanilla().run(&mut sparse_sys);
+    let sparse = fedda_fl::run(
+        &RuntimeMode::Sync,
+        &mut FedAvg::vanilla(),
+        &mut sparse_sys,
+        None,
+    )
+    .unwrap();
     // Evaluation is cadence-independent (same model state, same eval RNG
     // per round), so the sparse curve is a subsequence of the dense one.
     assert_eq!(
@@ -289,7 +300,8 @@ fn eval_every_changes_the_curve_sampling_and_nothing_else() {
     let rounds = 5;
     let run = |eval_every: usize| {
         let mut sys = tiny_system(4, 29, rounds, eval_every);
-        let result = FedDa::explore().run(&mut sys);
+        let result =
+            fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None).unwrap();
         let params: Vec<u32> = sys.global.flatten().iter().map(|v| v.to_bits()).collect();
         (result, params)
     };
@@ -310,22 +322,6 @@ fn eval_every_changes_the_curve_sampling_and_nothing_else() {
 fn eval_every_zero_is_clamped_to_dense() {
     let rounds = 2;
     let mut sys = tiny_system(2, 19, rounds, 0);
-    let result = FedAvg::vanilla().run(&mut sys);
+    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     assert_eq!(result.curve.len(), rounds, "0 behaves like 1 (dense)");
-}
-
-#[test]
-fn run_global_keeps_its_public_entry_point() {
-    // The wrapper and the explicit protocol must be the same computation.
-    let rounds = 2;
-    let mut a = tiny_system(2, 23, rounds, 1);
-    let ra = baselines::run_global(&mut a);
-    let mut b = tiny_system(2, 23, rounds, 1);
-    let rb = RoundDriver::new()
-        .run(&mut fedda_fl::GlobalProtocol::new(), &mut b)
-        .unwrap();
-    for (x, y) in ra.curve.iter().zip(&rb.curve) {
-        assert_eq!(x.roc_auc.to_bits(), y.roc_auc.to_bits());
-    }
-    assert_eq!(a.global.flatten(), b.global.flatten());
 }

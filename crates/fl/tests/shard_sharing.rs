@@ -124,7 +124,7 @@ fn replicated_federation_equals_the_rebuilt_one_bit_for_bit() {
     let from_scratch = || (0..M).map(|i| rebuilt(&base[i % B])).collect::<Vec<_>>();
     type MakeProtocol = fn() -> Box<dyn FlProtocol>;
     let protocols: [(&str, MakeProtocol); 2] = [
-        ("FedDA-Explore", || Box::new(FedDa::explore().protocol())),
+        ("FedDA-Explore", || Box::new(FedDa::explore())),
         ("FedAvg", || Box::new(FedAvg::vanilla())),
     ];
     // Buffered with K below the dispatch size: reports cross versions.

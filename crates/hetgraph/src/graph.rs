@@ -98,14 +98,6 @@ impl NodeStore {
     pub fn features_of_type(&self, t: NodeTypeId) -> &[f32] {
         &self.features[t.index()]
     }
-
-    /// Feature vector of a single node.
-    pub fn features_of(&self, v: NodeId) -> &[f32] {
-        let t = self.type_of(v);
-        let d = self.schema.node_type(t).feat_dim;
-        let li = self.local_index(v) as usize;
-        &self.features[t.index()][li * d..(li + 1) * d]
-    }
 }
 
 /// A typed edge list: parallel `src`/`dst` arrays for one edge type.
@@ -374,7 +366,7 @@ mod tests {
         assert_eq!(ns.type_of(4), NodeTypeId(1));
         assert_eq!(ns.local_index(4), 1);
         assert_eq!(ns.nodes_of_type(NodeTypeId(1)), &[3, 4]);
-        assert_eq!(ns.features_of(3).len(), 3);
+        assert_eq!(ns.features_of_type(NodeTypeId(1)).len(), 2 * 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::graph::{EdgeList, HeteroGraph, NodeStore};
 use crate::schema::{EdgeTypeId, NodeTypeId, Schema};
-use serde::{Deserialize, Serialize};
+use serde_json::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -62,8 +62,8 @@ fn req<'a>(
         .ok_or_else(|| serde_json::Error::custom(format!("missing field `{name}`")))
 }
 
-// The workspace's `serde` shim has no derive macros, so the document types
-// implement the (single-method) trait pair by hand.
+// The `serde_json` shim's trait pair has no derive macros, so the document
+// types implement its (single-method) traits by hand.
 
 impl Serialize for NodeTypeDoc {
     fn to_json_value(&self) -> serde_json::Value {
@@ -387,7 +387,8 @@ mod tests {
         assert_eq!(GraphDoc::from_graph(&restored), doc);
         assert_eq!(restored.num_nodes(), g.num_nodes());
         assert_eq!(restored.edge_counts(), g.edge_counts());
-        assert_eq!(restored.nodes().features_of(1), g.nodes().features_of(1));
+        let features = |g: &HeteroGraph| g.nodes().features_of_type(NodeTypeId(0)).to_vec();
+        assert_eq!(features(&restored), features(&g));
         assert_eq!(
             restored.schema().edge_type(EdgeTypeId(1)).symmetric,
             g.schema().edge_type(EdgeTypeId(1)).symmetric

@@ -5,7 +5,6 @@
 //! and the global test portion evaluates all edge types.
 
 use crate::graph::{EdgeList, HeteroGraph};
-use crate::schema::EdgeTypeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -80,39 +79,24 @@ pub fn sample_edge_fraction<R: Rng + ?Sized>(
     out
 }
 
-/// Union of two heterographs over the same node universe (edge multisets
-/// are concatenated; used to build IID client splits with overlap).
-pub fn union(a: &HeteroGraph, b: &HeteroGraph) -> HeteroGraph {
-    assert!(
-        std::sync::Arc::ptr_eq(a.nodes(), b.nodes()),
-        "union: different node stores"
-    );
-    let mut out = a.clone();
-    for t in a.schema().edge_type_ids().collect::<Vec<_>>() {
-        let extra = b.edges_of_type(t).clone();
-        let dst = out.edges_of_type_mut(t);
-        dst.src.extend_from_slice(&extra.src);
-        dst.dst.extend_from_slice(&extra.dst);
-    }
-    out
-}
-
-/// Per-type edge membership check (`O(|E_t|)`; test helper).
-pub fn contains_edge(graph: &HeteroGraph, t: EdgeTypeId, src: u32, dst: u32) -> bool {
-    graph
-        .edges_of_type(t)
-        .iter()
-        .any(|(s, d)| s == src && d == dst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::NodeStore;
+    use crate::schema::EdgeTypeId;
     use crate::schema::Schema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
+
+    /// Per-type edge membership (`O(|E_t|)`): the oracle the split and
+    /// sampling tests check against.
+    fn contains_edge(graph: &HeteroGraph, t: EdgeTypeId, src: u32, dst: u32) -> bool {
+        graph
+            .edges_of_type(t)
+            .iter()
+            .any(|(s, d)| s == src && d == dst)
+    }
 
     fn line_graph(n: usize) -> HeteroGraph {
         let mut s = Schema::new();
@@ -158,20 +142,6 @@ mod tests {
         for (s, d) in sampled.iter() {
             assert!(contains_edge(&g, EdgeTypeId(0), s, d));
         }
-    }
-
-    #[test]
-    fn union_concatenates_edges() {
-        let g = line_graph(11);
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = sample_edge_fraction(g.edges_of_type(EdgeTypeId(0)), 0.5, &mut rng);
-        let b = sample_edge_fraction(g.edges_of_type(EdgeTypeId(0)), 0.5, &mut rng);
-        let mut ga = HeteroGraph::new(g.nodes().clone());
-        *ga.edges_of_type_mut(EdgeTypeId(0)) = a;
-        let mut gb = HeteroGraph::new(g.nodes().clone());
-        *gb.edges_of_type_mut(EdgeTypeId(0)) = b;
-        let u = union(&ga, &gb);
-        assert_eq!(u.num_edges(), 10);
     }
 
     #[test]

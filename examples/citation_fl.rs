@@ -20,13 +20,13 @@
 )]
 
 use fedda::data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
-use fedda::fl::{FedAvg, FedDa, FlConfig, FlSystem};
+use fedda::fl::{run, FedAvg, FedDa, FlConfig, FlSystem, RuntimeMode};
 use fedda::hetgraph::split::split_edges;
 use fedda::hgn::{HgnConfig, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), String> {
     let generated = dblp_like(&PresetOptions {
         scale: 0.002,
         seed: 5,
@@ -73,7 +73,12 @@ fn main() {
         fl_cfg.clone(),
     );
     let n_units = system.num_units();
-    let fedavg = FedAvg::vanilla().run(&mut system);
+    let fedavg = run(
+        &RuntimeMode::Sync,
+        &mut FedAvg::vanilla(),
+        &mut system,
+        None,
+    )?;
     println!(
         "\nFedAvg:       final AUC {:.4}, uplink {} units ({} clients x {} rounds x {} units)",
         fedavg.final_eval.roc_auc,
@@ -85,7 +90,7 @@ fn main() {
 
     // FedDA (Explore): watch the activation dynamics round by round.
     let mut system = FlSystem::new(&split.train, &split.test, communities, fl_cfg.clone());
-    let fedda = FedDa::explore().run(&mut system);
+    let fedda = run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut system, None)?;
     println!(
         "FedDA-Explore: final AUC {:.4}, uplink {} units\n",
         fedda.final_eval.roc_auc,
@@ -109,4 +114,5 @@ fn main() {
         "\nFedDA transmitted {:.0}% fewer parameter units than FedAvg.",
         saved * 100.0
     );
+    Ok(())
 }

@@ -20,13 +20,13 @@
 )]
 
 use fedda::data::{latent, non_iidness, partition_non_iid, PartitionConfig};
-use fedda::fl::{baselines, FedDa, FlConfig, FlSystem};
+use fedda::fl::{baselines, run, FedDa, FlConfig, FlSystem, RuntimeMode};
 use fedda::hetgraph::{split::split_edges, Schema};
 use fedda::hgn::{HgnConfig, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
+fn main() -> Result<(), String> {
     // 1. The clinical heterograph schema of the paper's Fig. 1.
     let mut schema = Schema::new();
     let patient = schema.add_node_type("patient", 24);
@@ -107,7 +107,7 @@ fn main() {
         local.auc_summary().std
     );
 
-    let result = FedDa::explore().run(&mut system);
+    let result = run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut system, None)?;
     println!(
         "FedDA federation:  final test AUC {:.4} (best {:.4}), {} parameter units uplinked",
         result.final_eval.roc_auc,
@@ -115,4 +115,5 @@ fn main() {
         result.comm.total_uplink_units()
     );
     println!("\nThe federated model generalises across specialities no single clinic covers.");
+    Ok(())
 }

@@ -4,9 +4,9 @@
 //! [`Value`] with `&str` indexing and literal comparisons, the [`json!`]
 //! macro, a full JSON parser ([`from_str`] / [`from_reader`]), compact and
 //! pretty printers ([`to_string`] / [`to_string_pretty`] / [`to_writer`]),
-//! and the [`Serialize`] / [`Deserialize`] traits that the sibling `serde`
-//! shim re-exports (upstream's derive macros are replaced by hand-written
-//! impls at the few use sites).
+//! and one-method stand-ins for upstream `serde`'s [`Serialize`] /
+//! [`Deserialize`] traits (upstream's derive macros are replaced by
+//! hand-written impls at the few use sites).
 //!
 //! Numbers are stored as `f64`; integral values round-trip losslessly up to
 //! 2^53, far beyond anything this workspace serialises. Object key order is

@@ -11,7 +11,7 @@
 )]
 
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
-use fedda::fl::{analysis, FedAvg, FedDa};
+use fedda::fl::{analysis, run, FedAvg, FedDa, RuntimeMode};
 use fedda::hgn::{HgnConfig, TrainConfig};
 use fedda::report;
 use fedda::table::TextTable;
@@ -141,7 +141,7 @@ fn reports_serialize_experiment_results() {
 fn detailed_global_evaluation_covers_every_edge_type() {
     let exp = Experiment::new(quick(Dataset::DblpLike, 6));
     let mut system = exp.system_for_run(0);
-    let _ = FedDa::explore().run(&mut system);
+    let _ = run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut system, None).unwrap();
     let detail = system.evaluate_global_detailed(99);
     assert_eq!(
         detail.auc_by_edge_type.groups.len(),

@@ -11,7 +11,7 @@
 )]
 
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
-use fedda::fl::{FedAvg, FedDa, FlConfig, FlSystem, Reactivation};
+use fedda::fl::{run, FedAvg, FedDa, FlConfig, FlSystem, Reactivation, RuntimeMode};
 use fedda::hetgraph::{LinkExample, Schema};
 use fedda::hgn::{GraphView, HgnConfig, LinkPredictor, TrainConfig};
 use fedda::tensor::{init, Graph, Matrix, ParamId, ParamMeta, ParamSet, TapeBindings, Var};
@@ -108,7 +108,7 @@ fn explore_floor_recovers_within_one_round() {
     let mut fedda = FedDa::explore();
     fedda.strategy = Reactivation::Explore { beta_e: 0.5 };
     let mut system = exp.system_for_run(0);
-    let result = fedda.run(&mut system);
+    let result = run(&RuntimeMode::Sync, &mut fedda, &mut system, None).unwrap();
     let counts: Vec<usize> = result
         .comm
         .rounds()
@@ -135,7 +135,7 @@ fn restart_resets_masks_to_full_transmission() {
     let exp = Experiment::new(cfg(Dataset::DblpLike, 6, 10, 4));
     let mut system = exp.system_for_run(0);
     let n = system.num_units() as f64;
-    let result = FedDa::restart().run(&mut system);
+    let result = run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut system, None).unwrap();
     let per_client: Vec<f64> = result
         .comm
         .rounds()
@@ -160,7 +160,7 @@ fn restart_resets_masks_to_full_transmission() {
 fn per_client_uplink_shrinks_relative_to_round_zero() {
     let exp = Experiment::new(cfg(Dataset::DblpLike, 4, 6, 5));
     let mut system = exp.system_for_run(0);
-    let result = FedDa::explore().run(&mut system);
+    let result = run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut system, None).unwrap();
     let rounds = result.comm.rounds();
     let per_client: Vec<f64> = rounds
         .iter()
@@ -288,11 +288,9 @@ fn fedda_drives_a_test_local_model_through_with_model() {
     // relation vectors never move and are masked after round 0; the default
     // α = 0.5 would then deactivate the whole cohort every round and the
     // safety net would restore it in full.
-    let fedda = FedDa {
-        alpha: 0.2,
-        ..FedDa::explore()
-    };
-    let result = fedda.run(&mut system);
+    let mut fedda = FedDa::explore();
+    fedda.alpha = 0.2;
+    let result = run(&RuntimeMode::Sync, &mut fedda, &mut system, None).unwrap();
     assert_eq!(result.curve.len(), 5);
     assert!(result.final_eval.roc_auc.is_finite());
     assert!(
@@ -323,8 +321,8 @@ fn scripted_nan_corruption_is_rejected_and_never_reaches_the_model() {
     });
     let exp = Experiment::new(config);
     let mut system = exp.system_for_run(0);
-    let mut protocol = FedDa::explore().protocol();
-    let result = fedda::fl::run(&RuntimeMode::Sync, &mut protocol, &mut system, None)
+    let mut protocol = FedDa::explore();
+    let result = run(&RuntimeMode::Sync, &mut protocol, &mut system, None)
         .expect("scripted-fault run must complete");
 
     assert_eq!(result.curve.len(), 5);

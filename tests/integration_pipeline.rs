@@ -13,7 +13,7 @@
 use fedda::data::{
     dblp_like, non_iidness, partition_iid, partition_non_iid, PartitionConfig, PresetOptions,
 };
-use fedda::fl::{AggWeighting, FedAvg, FlConfig, FlSystem};
+use fedda::fl::{run, AggWeighting, FedAvg, FlConfig, FlSystem, RuntimeMode};
 use fedda::hetgraph::split::split_edges;
 use fedda::hgn::{HgnConfig, TrainConfig};
 use rand::rngs::StdRng;
@@ -66,7 +66,13 @@ fn full_pipeline_runs_and_improves_over_initialization() {
     };
     let mut system = FlSystem::new(&split.train, &split.test, clients, cfg);
     let initial = system.evaluate_global(999);
-    let result = FedAvg::vanilla().run(&mut system);
+    let result = run(
+        &RuntimeMode::Sync,
+        &mut FedAvg::vanilla(),
+        &mut system,
+        None,
+    )
+    .unwrap();
     assert_eq!(result.curve.len(), 6);
     assert!(
         result.best_auc() > initial.roc_auc,
@@ -109,7 +115,13 @@ fn iid_and_non_iid_partitions_flow_through_the_system() {
             faults: None,
         };
         let mut system = FlSystem::new(&split.train, &split.test, clients, cfg);
-        let result = FedAvg::vanilla().run(&mut system);
+        let result = run(
+            &RuntimeMode::Sync,
+            &mut FedAvg::vanilla(),
+            &mut system,
+            None,
+        )
+        .unwrap();
         assert!(result.final_eval.roc_auc.is_finite());
         assert!(result.final_eval.roc_auc > 0.0);
     }
@@ -141,7 +153,13 @@ fn global_model_parameters_stay_finite_across_rounds() {
         faults: None,
     };
     let mut system = FlSystem::new(&split.train, &split.test, clients, cfg);
-    let _ = FedAvg::vanilla().run(&mut system);
+    let _ = run(
+        &RuntimeMode::Sync,
+        &mut FedAvg::vanilla(),
+        &mut system,
+        None,
+    )
+    .unwrap();
     assert!(
         !system.global.has_non_finite(),
         "NaN/inf leaked into the global model"
