@@ -43,7 +43,7 @@ pub fn run(opts: Options) -> Result<(), Failure> {
     let exp = Experiment::new(cfg.clone());
     for (setting, rule) in [
         ("gradient-mean (default)", MaskRule::GradientMean),
-        ("gradient-median", MaskRule::GradientMedian),
+        ("gradient-median", MaskRule::GradientQuantile(0.5)),
         ("gradient-quantile q=0.25", MaskRule::GradientQuantile(0.25)),
         ("gradient-quantile q=0.75", MaskRule::GradientQuantile(0.75)),
         ("literal Eq.7", MaskRule::LiteralEq7),

@@ -201,7 +201,7 @@ impl CodecCase {
 
     /// Mask-then-compress the report under `codec`.
     fn encode(&self, codec: Compression) -> Compressed {
-        codec.build().compress(&Delta {
+        codec.compress(&Delta {
             updated: &self.updated,
             reference: &self.reference,
             mask: &self.mask,

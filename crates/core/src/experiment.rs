@@ -70,12 +70,10 @@ pub struct ExperimentConfig {
     pub eval_every: usize,
     /// Base seed; run `r` derives its own sub-seeds.
     pub seed: u64,
-    /// Parallel client updates.
-    pub parallel: bool,
     /// Worker-pool size for parallel client updates (`FlConfig::workers`;
-    /// `None` = the kernel-thread budget, `FEDDA_THREADS`). Results are
-    /// identical for any value — this is a resource knob, not a semantic
-    /// one.
+    /// `None` = the kernel-thread budget, `FEDDA_THREADS`; `Some(1)` runs
+    /// serially). Results are identical for any value — this is a resource
+    /// knob, not a semantic one.
     pub workers: Option<usize>,
     /// Which runtime executes the round protocol: lockstep rounds or
     /// buffered-asynchronous aggregation (handed to [`fedda_fl::run`]).
@@ -111,7 +109,6 @@ impl Default for ExperimentConfig {
             eval_negatives: 5,
             eval_every: 1,
             seed: 0,
-            parallel: true,
             workers: None,
             runtime: RuntimeMode::Sync,
             weighting: AggWeighting::Uniform,
@@ -354,7 +351,7 @@ impl Experiment {
             eval_negatives: self.cfg.eval_negatives,
             eval_every: self.cfg.eval_every,
             seed,
-            parallel: self.cfg.parallel,
+            parallel: true,
             workers: self.cfg.workers,
             privacy: self.cfg.privacy,
             weighting: self.cfg.weighting,
@@ -426,7 +423,6 @@ mod tests {
             eval_negatives: 2,
             eval_every: 1,
             seed: 7,
-            parallel: true,
             workers: None,
             runtime: RuntimeMode::Sync,
             iid: false,

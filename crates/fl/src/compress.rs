@@ -1,11 +1,11 @@
-//! Uplink gradient compression — the `Compressor` stage of the drivers.
+//! Uplink gradient compression — the [`Compression`] stage of the engine.
 //!
 //! FedDA's parameter masks already sparsify the uplink at *unit*
 //! granularity; this module adds the classic scalar-granularity levers on
 //! top: lossless identity framing, scalar quantization (`i8` / `f16` with
 //! a per-unit scale) and magnitude top-k sparsification. The order is
 //! **mask-then-compress**: the protocol's unit mask decides *which* units a
-//! client reports, the compressor then decides *how many bytes* each
+//! client reports, the codec then decides *how many bytes* each
 //! reported unit costs. The comm ledger charges the compressed byte count
 //! when the report **arrives** at the server (never at dispatch), so the
 //! paper's efficiency accounting (Eqs. 8–11) extends to compression
@@ -14,10 +14,10 @@
 //!
 //! Every codec is deterministic and RNG-free: compressing the same update
 //! twice yields byte-identical payloads, so seeded runs stay bit-exact.
-//! [`Identity`] is exactly lossless — it stores the raw `f32` bit patterns
-//! of the masked units' updated values — which is what lets the golden
-//! tests pin that an `Identity`-compressed run is bit-for-bit the
-//! no-compressor run.
+//! [`Compression::Identity`] is exactly lossless — it stores the raw `f32`
+//! bit patterns of the masked units' updated values — which is what lets
+//! the golden tests pin that an `Identity`-compressed run is bit-for-bit
+//! the no-codec run.
 //!
 //! Corruption semantics: compression must not *launder* a corrupted
 //! update into an innocuous one. Non-finite deltas survive every codec —
@@ -132,8 +132,6 @@ impl Payload {
 pub struct CompressedUnit {
     /// Unit index (position in the [`ParamSet`] iteration order).
     pub unit: usize,
-    /// Scalars in the uncompressed unit.
-    pub len: usize,
     /// The encoded payload.
     pub payload: Payload,
 }
@@ -263,158 +261,44 @@ fn same_layout(a: &ParamSet, b: &ParamSet) -> bool {
     a.shares_layout(b) && a.values().len() == b.values().len()
 }
 
-/// A deterministic, RNG-free uplink codec. Implementations provide the
-/// per-unit encoding; `compress`/`decompress` handle masking, framing and
-/// reconstruction uniformly.
-pub trait Compressor {
-    /// Encode one masked unit given its updated and reference values.
-    /// Returning an empty payload drops the unit from the wire entirely
-    /// (top-k with `k = 0`): it is neither transmitted nor charged.
-    fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload;
-
-    /// Compress a masked client update: encode every masked unit, skip
-    /// units whose payload came back empty.
-    fn compress(&self, delta: &Delta<'_>) -> Compressed {
-        let mut units = Vec::new();
-        for (k, ((_, up), (_, rf))) in delta.updated.iter().zip(delta.reference.iter()).enumerate()
-        {
-            if !delta.mask.get(k).copied().unwrap_or(false) {
-                continue;
-            }
-            let payload = self.encode_unit(up, rf);
-            if payload.num_entries() == 0 && !up.is_empty() {
-                continue;
-            }
-            units.push(CompressedUnit {
-                unit: k,
-                len: up.len(),
-                payload,
-            });
-        }
-        Compressed { units }
-    }
-}
-
-/// Lossless framing: raw `f32` bits of every masked scalar. Same bytes as
-/// the uncompressed path; pins the compression plumbing as bit-exact.
-pub struct Identity;
-
-impl Compressor for Identity {
-    fn encode_unit(&self, updated: &[f32], _reference: &[f32]) -> Payload {
-        Payload::Raw(updated.iter().map(|v| v.to_bits()).collect())
-    }
-}
-
-/// Per-unit linear `i8` quantization of the delta: `scale = max|delta| /
-/// 127`, codes rounded to nearest. 1 byte per scalar (4× smaller than
-/// raw). Any non-finite delta poisons the unit's scale to NaN so
-/// corruption survives the codec.
-///
-/// # Bit-exact contract
-///
-/// `scale` and every code equal the scalar formula
-/// `(f64(δ) / f64(scale)).round().clamp(±127)` (round half away from
-/// zero), computed in two branch-free passes the compiler vectorises:
-///
-/// 1. `max|δ|` over the deltas' bit patterns with the sign cleared. For
-///    non-negative floats the integer order of the bits is the float
-///    order, infinities and NaNs sort above every finite value, so one
-///    `u32` maximum yields both the magnitude and the finite test.
-/// 2. `q = f64(δ) / f64(scale)`, then `min(|q|, 127) + 2⁻³⁰`, the sign put
-///    back, plus `1.5 · 2⁵²`: at that magnitude an `f64` holds integers
-///    only, so the addition rounds to the nearest one and leaves it, in
-///    two's complement, in the low mantissa bits.
-///
-/// The nudge is what turns round-to-nearest-even into round-half-away:
-/// the quotient of two `f32`s is either exactly *on* a `.5` boundary or
-/// more than `2⁻²⁶` away from it, and the `f64` division (error below
-/// `2⁻⁴⁶`, exact ties exact) keeps it so — `2⁻³⁰` lifts the exact ties to
-/// the upper integer and moves nothing else across. DESIGN.md §12 has the
-/// derivation.
-pub struct QuantI8;
-
 /// `1.5 · 2⁵²`: adding it to an `f64` of magnitude below `2⁵¹` rounds that
 /// value to an integer and stores it in the low mantissa bits.
 const ROUND_TO_INT: f64 = 6_755_399_441_055_744.0;
-/// `2⁻³⁰`, the tie-lifting nudge of [`QuantI8`]'s second pass.
+/// `2⁻³⁰`, the tie-lifting nudge of [`encode_i8`]'s second pass.
 const HALF_AWAY_NUDGE: f64 = 9.313_225_746_154_785e-10;
 
-impl Compressor for QuantI8 {
-    fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
-        let max_abs_bits = updated
-            .iter()
-            .zip(reference)
-            .map(|(&u, &r)| (u - r).to_bits() & 0x7FFF_FFFF)
-            .fold(0u32, u32::max);
-        let scale = if max_abs_bits < f32::INFINITY.to_bits() {
-            f32::from_bits(max_abs_bits) / 127.0
-        } else {
-            f32::NAN
+/// [`Compression::QuantI8`]'s unit encoding, in the two branch-free passes
+/// its bit-exact contract describes.
+fn encode_i8(updated: &[f32], reference: &[f32]) -> Payload {
+    let max_abs_bits = updated
+        .iter()
+        .zip(reference)
+        .map(|(&u, &r)| (u - r).to_bits() & 0x7FFF_FFFF)
+        .fold(0u32, u32::max);
+    let scale = if max_abs_bits < f32::INFINITY.to_bits() {
+        f32::from_bits(max_abs_bits) / 127.0
+    } else {
+        f32::NAN
+    };
+    // A zero or NaN scale encodes everything as 0; decode then reproduces
+    // the reference exactly (zero scale) or NaN (poisoned scale).
+    if scale.is_nan() || scale <= 0.0 {
+        return Payload::I8 {
+            scale,
+            codes: vec![0; updated.len().min(reference.len())],
         };
-        // A zero or NaN scale encodes everything as 0; decode then
-        // reproduces the reference exactly (zero scale) or NaN (poisoned
-        // scale).
-        if scale.is_nan() || scale <= 0.0 {
-            return Payload::I8 {
-                scale,
-                codes: vec![0; updated.len().min(reference.len())],
-            };
-        }
-        let step = f64::from(scale);
-        let codes = updated
-            .iter()
-            .zip(reference)
-            .map(|(&u, &r)| {
-                let q = f64::from(u - r) / step;
-                let rounded = (q.abs().min(127.0) + HALF_AWAY_NUDGE).copysign(q) + ROUND_TO_INT;
-                i8::from_le_bytes([rounded.to_bits().to_le_bytes()[0]])
-            })
-            .collect();
-        Payload::I8 { scale, codes }
     }
-}
-
-/// IEEE 754 binary16 quantization of the delta (round-to-nearest-even).
-/// 2 bytes per scalar; non-finite deltas map to non-finite halves.
-pub struct QuantF16;
-
-impl Compressor for QuantF16 {
-    fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
-        Payload::F16(
-            updated
-                .iter()
-                .zip(reference)
-                .map(|(&u, &r)| f32_to_f16_bits(u - r))
-                .collect(),
-        )
-    }
-}
-
-/// Magnitude top-k sparsification: per unit, keep the `floor(frac · len)`
-/// largest-|delta| scalars as `(position, f32 bits)` pairs. Ties break by
-/// ascending index (a total order, no float equality) and NaN ranks
-/// above every finite magnitude, so corruption is always among the kept
-/// entries.
-pub struct TopK {
-    /// Fraction of each unit's scalars to keep, in `(0, 0.5]` (above 0.5
-    /// the 8-byte pairs would exceed the 4-byte-per-scalar raw encoding).
-    pub frac: f64,
-}
-
-impl Compressor for TopK {
-    fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
-        let deltas: Vec<f32> = updated
-            .iter()
-            .zip(reference)
-            .map(|(&u, &r)| u - r)
-            .collect();
-        let keep = top_k_positions(&deltas, k_of(self.frac, deltas.len()));
-        Payload::TopK(
-            keep.into_iter()
-                .map(|i| (u32::try_from(i).unwrap_or(u32::MAX), deltas[i].to_bits()))
-                .collect(),
-        )
-    }
+    let step = f64::from(scale);
+    let codes = updated
+        .iter()
+        .zip(reference)
+        .map(|(&u, &r)| {
+            let q = f64::from(u - r) / step;
+            let rounded = (q.abs().min(127.0) + HALF_AWAY_NUDGE).copysign(q) + ROUND_TO_INT;
+            i8::from_le_bytes([rounded.to_bits().to_le_bytes()[0]])
+        })
+        .collect();
+    Payload::I8 { scale, codes }
 }
 
 /// Scalars kept per unit of `len` scalars at fraction `frac`.
@@ -520,21 +404,53 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     }
 }
 
-/// Which uplink codec a run uses (`FlConfig::compression`; `--compress` on
-/// the CLI and bench binaries). `None` at the config level keeps the
-/// pre-compression code path, bit for bit.
+/// The uplink codec a run uses (`FlConfig::compression`; `--compress` on
+/// the CLI and bench binaries): deterministic and RNG-free. `None` at the
+/// config level keeps the pre-compression code path, bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Compression {
-    /// Lossless raw-bits framing ([`Identity`]): same bytes as no
-    /// compression, pins the plumbing as bit-exact.
+    /// Lossless framing: raw `f32` bits of every masked scalar. Same bytes
+    /// as no compression; pins the compression plumbing as bit-exact.
     Identity,
-    /// Per-unit linear `i8` quantization ([`QuantI8`]): 1 byte per scalar.
+    /// Per-unit linear `i8` quantization of the delta: `scale = max|delta| /
+    /// 127`, codes rounded to nearest. 1 byte per scalar (4× smaller than
+    /// raw). Any non-finite delta poisons the unit's scale to NaN so
+    /// corruption survives the codec.
+    ///
+    /// # Bit-exact contract
+    ///
+    /// `scale` and every code equal the scalar formula
+    /// `(f64(δ) / f64(scale)).round().clamp(±127)` (round half away from
+    /// zero), computed in two branch-free passes the compiler vectorises:
+    ///
+    /// 1. `max|δ|` over the deltas' bit patterns with the sign cleared. For
+    ///    non-negative floats the integer order of the bits is the float
+    ///    order, infinities and NaNs sort above every finite value, so one
+    ///    `u32` maximum yields both the magnitude and the finite test.
+    /// 2. `q = f64(δ) / f64(scale)`, then `min(|q|, 127) + 2⁻³⁰`, the sign
+    ///    put back, plus `1.5 · 2⁵²`: at that magnitude an `f64` holds
+    ///    integers only, so the addition rounds to the nearest one and
+    ///    leaves it, in two's complement, in the low mantissa bits.
+    ///
+    /// The nudge is what turns round-to-nearest-even into round-half-away:
+    /// the quotient of two `f32`s is either exactly *on* a `.5` boundary or
+    /// more than `2⁻²⁶` away from it, and the `f64` division (error below
+    /// `2⁻⁴⁶`, exact ties exact) keeps it so — `2⁻³⁰` lifts the exact ties
+    /// to the upper integer and moves nothing else across. DESIGN.md §12
+    /// has the derivation.
     QuantI8,
-    /// binary16 quantization ([`QuantF16`]): 2 bytes per scalar.
+    /// IEEE 754 binary16 quantization of the delta (round-to-nearest-even).
+    /// 2 bytes per scalar; non-finite deltas map to non-finite halves.
     QuantF16,
-    /// Magnitude top-k sparsification ([`TopK`]): 8 bytes per kept scalar.
+    /// Magnitude top-k sparsification: per unit, keep the `floor(frac ·
+    /// len)` largest-|delta| scalars as `(position, f32 bits)` pairs. Ties
+    /// break by ascending index (a total order, no float equality) and NaN
+    /// ranks above every finite magnitude, so corruption is always among
+    /// the kept entries.
     TopK {
-        /// Fraction of each unit's scalars to keep, in `(0, 0.5]`.
+        /// Fraction of each unit's scalars to keep, in `(0, 0.5]` (above 0.5
+        /// the 8-byte pairs would exceed the 4-byte-per-scalar raw
+        /// encoding).
         frac: f64,
     },
 }
@@ -550,14 +466,49 @@ impl Compression {
         Ok(())
     }
 
-    /// Instantiate the codec.
-    pub fn build(&self) -> Box<dyn Compressor + Send + Sync> {
+    /// The codec itself. Kept only because the benchmark package calls it;
+    /// it goes when that package is re-pointed.
+    pub fn build(&self) -> Self {
+        *self
+    }
+
+    /// Encode one masked unit given its updated and reference values.
+    /// Returning an empty payload drops the unit from the wire entirely
+    /// (top-k with `k = 0`): it is neither transmitted nor charged.
+    pub fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
+        let deltas = || updated.iter().zip(reference).map(|(&u, &r)| u - r);
         match *self {
-            Compression::Identity => Box::new(Identity),
-            Compression::QuantI8 => Box::new(QuantI8),
-            Compression::QuantF16 => Box::new(QuantF16),
-            Compression::TopK { frac } => Box::new(TopK { frac }),
+            Compression::Identity => Payload::Raw(updated.iter().map(|v| v.to_bits()).collect()),
+            Compression::QuantI8 => encode_i8(updated, reference),
+            Compression::QuantF16 => Payload::F16(deltas().map(f32_to_f16_bits).collect()),
+            Compression::TopK { frac } => {
+                let deltas: Vec<f32> = deltas().collect();
+                let keep = top_k_positions(&deltas, k_of(frac, deltas.len()));
+                Payload::TopK(
+                    keep.into_iter()
+                        .map(|i| (u32::try_from(i).unwrap_or(u32::MAX), deltas[i].to_bits()))
+                        .collect(),
+                )
+            }
         }
+    }
+
+    /// Compress a masked client update: encode every masked unit, skip
+    /// units whose payload came back empty.
+    pub fn compress(&self, delta: &Delta<'_>) -> Compressed {
+        let mut units = Vec::new();
+        for (k, ((_, up), (_, rf))) in delta.updated.iter().zip(delta.reference.iter()).enumerate()
+        {
+            if !delta.mask.get(k).copied().unwrap_or(false) {
+                continue;
+            }
+            let payload = self.encode_unit(up, rf);
+            if payload.num_entries() == 0 && !up.is_empty() {
+                continue;
+            }
+            units.push(CompressedUnit { unit: k, payload });
+        }
+        Compressed { units }
     }
 
     /// The CLI spelling of this codec (`--compress <label>` round-trips).
@@ -648,7 +599,7 @@ mod tests {
     fn i8_codec_is_exact_at_the_extremes_and_at_zero() {
         let reference = vec![0.0f32; 4];
         let updated = vec![1.27, -1.27, 0.0, 0.635];
-        let p = QuantI8.encode_unit(&updated, &reference);
+        let p = Compression::QuantI8.encode_unit(&updated, &reference);
         match &p {
             Payload::I8 { scale, codes } => {
                 assert!((scale - 0.01).abs() < 1e-9);
@@ -666,7 +617,7 @@ mod tests {
     #[test]
     fn i8_zero_delta_unit_decodes_to_the_reference_exactly() {
         let reference = vec![3.5f32, -2.25, 0.125];
-        let p = QuantI8.encode_unit(&reference, &reference);
+        let p = Compression::QuantI8.encode_unit(&reference, &reference);
         let mut out = reference.clone();
         p.decode_into(&mut out);
         assert_eq!(out, reference);
@@ -676,7 +627,7 @@ mod tests {
     fn i8_poisons_the_scale_on_non_finite_deltas() {
         let reference = vec![0.0f32; 3];
         let updated = vec![1.0, f32::NAN, 2.0];
-        let p = QuantI8.encode_unit(&updated, &reference);
+        let p = Compression::QuantI8.encode_unit(&updated, &reference);
         let mut out = reference.clone();
         p.decode_into(&mut out);
         assert!(
@@ -763,7 +714,7 @@ mod tests {
             Compression::QuantF16,
             Compression::TopK { frac: 0.25 },
         ] {
-            let report = codec.build().compress(&Delta {
+            let report = codec.compress(&Delta {
                 updated: &updated,
                 reference: &reference,
                 mask: &mask,
@@ -842,7 +793,7 @@ mod tests {
                 if let Some(kind) = corruption {
                     corrupt_return(&mut ret, &reference, kind);
                 }
-                let report = codec.build().compress(&Delta {
+                let report = codec.compress(&Delta {
                     updated: &ret.params,
                     reference: &reference,
                     mask: &mask,
@@ -887,7 +838,6 @@ mod tests {
         let raw = Compressed {
             units: vec![CompressedUnit {
                 unit: 0,
-                len: 6,
                 payload: Payload::Raw(vec![0; 6]),
             }],
         };
@@ -903,12 +853,10 @@ mod tests {
             units: vec![
                 CompressedUnit {
                     unit: 0,
-                    len: 6,
                     payload: Payload::F16(vec![0; 6]),
                 },
                 CompressedUnit {
                     unit: 2,
-                    len: 4,
                     payload: Payload::I8 {
                         scale: 0.0,
                         codes: vec![0; 4],
@@ -916,7 +864,6 @@ mod tests {
                 },
                 CompressedUnit {
                     unit: 3,
-                    len: 10,
                     payload: Payload::TopK(vec![(0, 0), (7, 0)]),
                 },
             ],

@@ -52,7 +52,7 @@
 //! are one-line constructors over it, kept for the benchmark package.) The
 //! two modes differ in the five decisions tabulated in the crate docs —
 //! eligibility, latency, flush trigger, staleness weight, order at flush —
-//! each one method of the private [`Policy`], and in nothing else. With no
+//! each one private method of [`RuntimeMode`], and in nothing else. With no
 //! fault plan and `K` at the federation size the two coincide: every
 //! report is fresh, arrives in dispatch order and flushes together, so both
 //! runtimes produce the same bits
@@ -73,7 +73,7 @@
 //! report *arrives* — at the compressed size under a codec, never for
 //! dropouts and never for reports that do not land before the run ends.
 
-use crate::compress::{decode_arrival, Compressor, InFlight, UplinkCharge};
+use crate::compress::{decode_arrival, InFlight, UplinkCharge};
 use crate::events::{EventSink, RoundEvent};
 use crate::faults::{
     detect_rejection, discount, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
@@ -190,20 +190,14 @@ struct Rank {
 }
 
 /// The arrival policy: the five decisions of the module-level table.
-/// Nothing outside these methods looks at the variant.
-#[derive(Clone, Copy)]
-enum Policy {
-    Lockstep,
-    Buffered(AsyncConfig),
-}
-
-impl Policy {
+/// Nothing else in the round loop looks at the variant.
+impl RuntimeMode {
     /// (1) Eligibility: which of the protocol's selected clients are
     /// dispatched.
     fn eligible(&self, selected: Vec<usize>, in_flight: &[bool]) -> Vec<usize> {
         match self {
-            Policy::Lockstep => selected,
-            Policy::Buffered(_) => selected.into_iter().filter(|&c| !in_flight[c]).collect(),
+            RuntimeMode::Sync => selected,
+            RuntimeMode::Async(_) => selected.into_iter().filter(|&c| !in_flight[c]).collect(),
         }
     }
 
@@ -218,15 +212,15 @@ impl Policy {
         straggle: Option<usize>,
     ) -> (Option<Tick>, Option<FaultEffect>) {
         match (self, straggle) {
-            (Policy::Lockstep, None) => (Some(round as Tick), None),
-            (Policy::Lockstep, Some(delay)) => {
+            (RuntimeMode::Sync, None) => (Some(round as Tick), None),
+            (RuntimeMode::Sync, Some(delay)) => {
                 let arrival = Some(round + delay).filter(|&r| r < rounds);
                 (
                     arrival.map(|r| r as Tick),
                     Some(FaultEffect::StragglerHeld { arrival }),
                 )
             }
-            (Policy::Buffered(_), _) => (Some(now + 1 + straggle.unwrap_or(0) as Tick), None),
+            (RuntimeMode::Async(_), _) => (Some(now + 1 + straggle.unwrap_or(0) as Tick), None),
         }
     }
 
@@ -235,8 +229,8 @@ impl Policy {
     /// variants flush an empty queue.
     fn flush_due(&self, buffered: usize, next: Option<Tick>, round: usize) -> bool {
         match self {
-            Policy::Lockstep => next.map_or(true, |tick| tick > round as Tick),
-            Policy::Buffered(cfg) => buffered >= cfg.k || next.is_none(),
+            RuntimeMode::Sync => next.map_or(true, |tick| tick > round as Tick),
+            RuntimeMode::Async(cfg) => buffered >= cfg.k || next.is_none(),
         }
     }
 
@@ -244,9 +238,9 @@ impl Policy {
     /// enters Eq. 6 at, `None` to discard it.
     fn stale_weight(&self, staleness: usize, faults: Option<&FaultConfig>) -> Option<f64> {
         match (self, faults) {
-            (Policy::Lockstep, Some(fc)) if staleness > 0 => fc.staleness.weight(staleness),
-            (Policy::Lockstep, _) => Some(1.0),
-            (Policy::Buffered(cfg), _) => Some(discount(cfg.gamma, staleness)),
+            (RuntimeMode::Sync, Some(fc)) if staleness > 0 => fc.staleness.weight(staleness),
+            (RuntimeMode::Sync, _) => Some(1.0),
+            (RuntimeMode::Async(cfg), _) => Some(discount(cfg.gamma, staleness)),
         }
     }
 
@@ -257,9 +251,9 @@ impl Policy {
     /// harness pins; buffered execution has no position order to restore.
     fn rank(&self, staleness: usize, pos: usize) -> Rank {
         let (held, pos) = match self {
-            Policy::Lockstep if staleness == 0 => (false, pos),
-            Policy::Lockstep => (true, 0),
-            Policy::Buffered(_) => (false, 0),
+            RuntimeMode::Sync if staleness == 0 => (false, pos),
+            RuntimeMode::Sync => (true, 0),
+            RuntimeMode::Async(_) => (false, 0),
         };
         Rank { held, pos }
     }
@@ -324,12 +318,11 @@ impl Stopwatch {
 
 /// The state of one run.
 struct Engine<'a> {
-    policy: Policy,
+    mode: RuntimeMode,
     protocol: &'a mut dyn FlProtocol,
     system: &'a mut FlSystem,
     faults: Option<FaultConfig>,
     plan: Option<FaultPlan>,
-    compressor: Option<Box<dyn Compressor + Send + Sync>>,
     rounds: usize,
     eval_every: usize,
     rng: StdRng,
@@ -345,8 +338,9 @@ struct Engine<'a> {
 /// in buffered mode) to `sink` when one is given.
 ///
 /// The async configuration, the protocol and the system's evaluation,
-/// fault, compression and privacy configurations are validated before round
-/// 0; an invalid one returns its error without touching the system.
+/// training, fault, compression and privacy configurations are validated
+/// before round 0; an invalid one returns its error without touching the
+/// system.
 pub fn run(
     mode: &RuntimeMode,
     protocol: &mut dyn FlProtocol,
@@ -386,14 +380,10 @@ impl<'a> Engine<'a> {
         system: &'a mut FlSystem,
         sink: Option<&mut (dyn EventSink + '_)>,
     ) -> Result<Self, String> {
-        let policy = match mode {
-            RuntimeMode::Sync => Policy::Lockstep,
-            RuntimeMode::Async(cfg) => {
-                cfg.validate()
-                    .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
-                Policy::Buffered(*cfg)
-            }
-        };
+        if let RuntimeMode::Async(cfg) = mode {
+            cfg.validate()
+                .map_err(|e| format!("invalid async runtime configuration: {e}"))?;
+        }
         protocol
             .validate()
             .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
@@ -403,6 +393,9 @@ impl<'a> Engine<'a> {
                 "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
             );
         }
+        cfg.train
+            .validate()
+            .map_err(|e| format!("invalid training configuration: {e}"))?;
         let faults = cfg.faults.clone();
         if let Some(fc) = &faults {
             fc.validate()
@@ -416,7 +409,6 @@ impl<'a> Engine<'a> {
             p.validate()
                 .map_err(|e| format!("invalid privacy configuration: {e}"))?;
         }
-        let compressor = cfg.compression.map(|c| c.build());
         let rounds = cfg.rounds;
         let eval_every = cfg.eval_every.max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ protocol.seed_tweak());
@@ -430,13 +422,12 @@ impl<'a> Engine<'a> {
             sink.begin_run(&protocol.name(), rounds);
         }
         Ok(Engine {
-            policy,
+            mode: mode.clone(),
             in_flight: vec![false; system.num_clients()],
             protocol,
             system,
             faults,
             plan,
-            compressor,
             rounds,
             eval_every,
             rng,
@@ -456,7 +447,7 @@ impl<'a> Engine<'a> {
         let selected = self
             .protocol
             .select_clients(self.system, index, &mut self.rng);
-        let active = self.policy.eligible(selected, &self.in_flight);
+        let active = self.mode.eligible(selected, &self.in_flight);
         let mut masks = self
             .protocol
             .build_masks(self.system, &active, index, &mut self.rng);
@@ -486,11 +477,11 @@ impl<'a> Engine<'a> {
             };
             let (tick, effect) = match *verdict {
                 Some(FaultKind::Dropout) => (None, Some(FaultEffect::Dropout)),
-                _ => self.policy.latency(now, index, self.rounds, straggle),
+                _ => self.mode.latency(now, index, self.rounds, straggle),
             };
             lands.push(tick);
             if let Some(effect) = effect {
-                round.observe(self.policy.rank(0, pos), round.active[pos], effect);
+                round.observe(self.mode.rank(0, pos), round.active[pos], effect);
             }
         }
 
@@ -517,14 +508,14 @@ impl<'a> Engine<'a> {
                 encode: lands[pos].map(|_| masks[pos].as_slice()),
             })
             .collect();
-        let compressor = self.compressor.as_deref();
         let (reports, eval) = self
             .system
-            .run_reports(&clients, index, &penalties, &orders, compressor, evaluate);
+            .run_reports(&clients, index, &penalties, &orders, evaluate);
 
         // The dispatch-time broadcast every encoded report of this round
         // decodes against, however many rounds later it arrives.
-        let reference = compressor.map(|_| Arc::new(self.system.global.clone()));
+        let codec = self.system.config().compression;
+        let reference = codec.map(|_| Arc::new(self.system.global.clone()));
         let sizes = self.system.unit_sizes();
         for (pos, (ret, report)) in reporting.into_iter().zip(reports) {
             let Some(tick) = lands[pos] else { continue };
@@ -560,11 +551,11 @@ impl<'a> Engine<'a> {
     /// server-side guard, and admitted at its staleness weight. On return,
     /// every encoded report left in the queue has released its
     /// full-precision values (see the [`runtime`](crate::runtime) module
-    /// docs): in either policy, a report crosses a round boundary as its
+    /// docs): in either mode, a report crosses a round boundary as its
     /// payload and its reference.
     fn admit(&mut self, round: &mut Round) {
         while !self
-            .policy
+            .mode
             .flush_due(round.buffer.len(), self.sched.next_tick(), round.index)
         {
             let Some((_, mut d)) = self.sched.pop() else {
@@ -580,7 +571,7 @@ impl<'a> Engine<'a> {
             // before inspection, so rejected and discarded reports pay too.
             round.charges.push(d.charge);
             let staleness = round.index - d.dispatch_round;
-            let rank = self.policy.rank(staleness, d.dispatch_pos);
+            let rank = self.mode.rank(staleness, d.dispatch_pos);
             // The guard applies to every arriving report in every
             // configuration, so a client whose training diverged on its own
             // is caught here too; only the norm bound is the fault plan's.
@@ -590,7 +581,7 @@ impl<'a> Engine<'a> {
                 round.observe(rank, d.client, effect);
                 continue;
             }
-            match self.policy.stale_weight(staleness, self.faults.as_ref()) {
+            match self.mode.stale_weight(staleness, self.faults.as_ref()) {
                 Some(weight) => {
                     if staleness > 0 {
                         let effect = FaultEffect::StaleApplied { staleness, weight };
@@ -789,6 +780,76 @@ mod tests {
             );
         }
         assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    /// A NaN noise multiplier would skip the noise silently; an infinite
+    /// clip norm would make the noise infinite and every report rejected.
+    #[test]
+    fn engine_rejects_non_finite_privacy_before_touching_the_system() {
+        let cases = [
+            (
+                PrivacyConfig {
+                    clip_norm: 1.0,
+                    noise_multiplier: f32::NAN,
+                },
+                "invalid privacy configuration: noise_multiplier must be finite, got NaN",
+            ),
+            (
+                PrivacyConfig {
+                    clip_norm: f32::INFINITY,
+                    noise_multiplier: 0.1,
+                },
+                "invalid privacy configuration: clip_norm must be finite, got inf",
+            ),
+        ];
+        for (privacy, want) in cases {
+            let mut sys = tiny_system_with(2, 42, |cfg| cfg.privacy = Some(privacy));
+            let before = sys.global.flatten();
+            for mode in [
+                RuntimeMode::Sync,
+                RuntimeMode::Async(AsyncConfig::default()),
+            ] {
+                let err = run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err();
+                assert_eq!(err, want, "{mode:?}");
+            }
+            assert_eq!(sys.global.flatten(), before, "system must be untouched");
+        }
+    }
+
+    /// Without the check a zero epoch count is `train_local_penalized`'s
+    /// assertion firing on a pool worker in round 0.
+    #[test]
+    fn engine_rejects_invalid_training_before_touching_the_system() {
+        let cases = [
+            ((0, 5e-3, 5.0), "local_epochs must be at least 1, got 0"),
+            ((1, 0.0, 5.0), "lr must be finite and positive, got 0"),
+            (
+                (1, f32::NAN, 5.0),
+                "lr must be finite and positive, got NaN",
+            ),
+            (
+                (1, 5e-3, -1.0),
+                "grad_clip must be finite and non-negative, got -1",
+            ),
+        ];
+        for ((local_epochs, lr, grad_clip), want) in cases {
+            let mut sys = tiny_system_with(2, 46, |cfg| {
+                cfg.train.local_epochs = local_epochs;
+                cfg.train.lr = lr;
+                cfg.train.grad_clip = grad_clip;
+            });
+            let before = sys.global.flatten();
+            for mode in [
+                RuntimeMode::Sync,
+                RuntimeMode::Async(AsyncConfig::default()),
+            ] {
+                assert_eq!(
+                    run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
+                    format!("invalid training configuration: {want}")
+                );
+            }
+            assert_eq!(sys.global.flatten(), before, "system must be untouched");
+        }
     }
 
     /// Without the check this is `hgn::trainer::score`'s assertion firing at

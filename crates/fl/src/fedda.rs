@@ -49,9 +49,9 @@ pub enum Reactivation {
 /// (step 4 above).
 ///
 /// The paper fixes the threshold at the mean and explicitly leaves "other
-/// settings to future work" (§5.3, footnote 2); the quantile and median
-/// variants implement that future work and are compared in the `ablations`
-/// bench.
+/// settings to future work" (§5.3, footnote 2); the quantile variant
+/// implements that future work (`GradientQuantile(0.5)` is the median rule)
+/// and is compared in the `ablations` bench.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum MaskRule {
     /// §5.3's prose rule (our default): deactivate unit `k` for client `i`
@@ -59,9 +59,6 @@ pub enum MaskRule {
     /// mean magnitude over the clients that returned `k` this round.
     #[default]
     GradientMean,
-    /// Deactivate contributors below the median returned-gradient magnitude
-    /// (exactly half the contributors survive each round).
-    GradientMedian,
     /// Deactivate contributors below the `q`-quantile of returned-gradient
     /// magnitudes (`q = 0` disables masking, `q → 1` keeps only the single
     /// strongest contributor).
@@ -83,7 +80,6 @@ impl MaskRule {
             MaskRule::GradientMean => {
                 Some(magnitudes.iter().sum::<f32>() / magnitudes.len() as f32)
             }
-            MaskRule::GradientMedian => Some(quantile(magnitudes, 0.5)),
             MaskRule::GradientQuantile(q) => {
                 // Range is enforced by `FedDa::validate()` before a run
                 // starts; this is only a tripwire for callers that skip it.
@@ -619,7 +615,7 @@ mod tests {
     #[test]
     fn median_rule_runs() {
         let mut fedda = FedDa::restart();
-        fedda.mask_rule = MaskRule::GradientMedian;
+        fedda.mask_rule = MaskRule::GradientQuantile(0.5);
         let result = run_sync(&mut fedda, &mut tiny_system(4, 27));
         assert!(result.final_eval.roc_auc.is_finite());
     }

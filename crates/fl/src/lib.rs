@@ -26,8 +26,9 @@
 //!   delay, update corruption) with its own RNG stream, structured
 //!   [`FaultObserved`] records and graceful degradation guarantees
 //!   (exercised by the `chaos` test harness);
-//! * [`compress`] — the uplink [`Compressor`] stage (lossless `Identity`,
-//!   `i8`/`f16` scalar quantization, magnitude top-k sparsification):
+//! * [`compress`] — the uplink [`Compression`] stage (lossless `Identity`,
+//!   `i8`/`f16` scalar quantization, magnitude top-k sparsification): one
+//!   enum that is both the configured codec and its encoder;
 //!   mask-then-compress at dispatch, decompress at server arrival, with
 //!   the comm ledger charging compressed bytes.
 //!
@@ -39,9 +40,9 @@
 //! [`run`]`(mode, protocol, system, sink)` is the one way to run it: it
 //! takes the runtime as a [`RuntimeMode`], and the two modes differ in a
 //! five-decision arrival policy and in nothing else. ([`RoundDriver`],
-//! [`AsyncDriver`] and [`FedDa::protocol`] are one-line wrappers kept
-//! because the benchmark package links them; they go when it is
-//! re-pointed.)
+//! [`AsyncDriver`], [`FedDa::protocol`] and [`Compression::build`] are
+//! one-line wrappers kept because the benchmark package links them; they go
+//! when it is re-pointed.)
 //!
 //! | decision | [`RuntimeMode::Sync`] (lockstep) | [`RuntimeMode::Async`] (buffered, FedBuff-style) |
 //! |---|---|---|
@@ -85,7 +86,7 @@ mod system;
 
 pub use baselines::GlobalProtocol;
 pub use comm::{CommLog, RoundComm};
-pub use compress::{Compressed, Compression, Compressor, Delta, InFlight, UplinkCharge};
+pub use compress::{Compressed, Compression, Delta, InFlight, UplinkCharge};
 pub use engine::{run, AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
 pub use events::{EventSink, MemorySink, RoundEvent, StderrSink};
 pub use faults::{

@@ -155,7 +155,7 @@ pub struct Delivery {
     /// Round (sync) or server version (async) the report was computed
     /// against.
     pub dispatch_round: usize,
-    /// The client's trained return. When a compressor is configured it
+    /// The client's trained return. When a codec is configured it
     /// carries no `unit_delta` yet, and its `params` are only a buffer for
     /// [`decode_arrival`] to write the decompressed reconstruction into:
     /// the *pre-compression* values while the report can still be admitted
@@ -172,7 +172,7 @@ pub struct Delivery {
     /// pure function of the report) and charged at arrival.
     pub charge: crate::compress::UplinkCharge,
     /// The compressed report plus its dispatch-time broadcast reference;
-    /// `None` when no compressor is configured.
+    /// `None` when no codec is configured.
     pub payload: Option<crate::compress::InFlight>,
 }
 

@@ -4,7 +4,7 @@
 //! masked aggregation (Eq. 6) and global evaluation.
 
 use crate::comm::{CommLog, RoundComm};
-use crate::compress::{Compressed, Compression, Compressor, Delta, UplinkCharge};
+use crate::compress::{Compressed, Compression, Delta, UplinkCharge};
 use crate::faults::{corrupt_return, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
@@ -41,12 +41,21 @@ pub struct PrivacyConfig {
 }
 
 impl PrivacyConfig {
-    /// Validate ranges.
+    /// Validate ranges: both values finite (a NaN multiplier would add no
+    /// noise, an infinite clip norm infinite noise), `clip_norm > 0`,
+    /// `noise_multiplier ≥ 0`.
     pub fn validate(&self) -> Result<(), String> {
-        if self.clip_norm <= 0.0 {
+        let (clip, noise) = (self.clip_norm, self.noise_multiplier);
+        if !clip.is_finite() {
+            return Err(format!("clip_norm must be finite, got {clip}"));
+        }
+        if clip <= 0.0 {
             return Err("clip_norm must be positive".into());
         }
-        if self.noise_multiplier < 0.0 {
+        if !noise.is_finite() {
+            return Err(format!("noise_multiplier must be finite, got {noise}"));
+        }
+        if noise < 0.0 {
             return Err("noise_multiplier must be non-negative".into());
         }
         Ok(())
@@ -515,7 +524,7 @@ impl FlSystem {
         round: usize,
         penalties: &[Option<LocalPenalty>],
     ) -> Vec<ClientReturn> {
-        let (reports, _) = self.run_reports(active, round, penalties, &[], None, None);
+        let (reports, _) = self.run_reports(active, round, penalties, &[], None);
         reports.into_iter().map(|(ret, _)| ret).collect()
     }
 
@@ -523,10 +532,10 @@ impl FlSystem {
     /// that is per-report and pure runs inside the client's pool task, on
     /// the worker that trained it and while its parameters are cache-hot —
     /// local training, then the fault plan's corruption (`orders[j]`), then
-    /// mask-then-compress under `compressor` for the reports `orders[j]`
-    /// asks to encode. Corruption is injected first, so a corrupted report
-    /// flows *through* the codec and the server guard judges the
-    /// decompressed bytes. An empty `orders` slice trains only.
+    /// mask-then-compress under `FlConfig::compression` for the reports
+    /// `orders[j]` asks to encode. Corruption is injected first, so a
+    /// corrupted report flows *through* the codec and the server guard
+    /// judges the decompressed bytes. An empty `orders` slice trains only.
     ///
     /// A report that comes back encoded carries no `unit_delta`:
     /// [`decode_arrival`](crate::compress::decode_arrival) computes it from
@@ -542,7 +551,6 @@ impl FlSystem {
         round: usize,
         penalties: &[Option<LocalPenalty>],
         orders: &[ReportOrder<'_>],
-        compressor: Option<&(dyn Compressor + Send + Sync)>,
         evaluate: Option<usize>,
     ) -> (Vec<(ClientReturn, Option<Compressed>)>, Option<EvalResult>) {
         assert!(
@@ -615,7 +623,7 @@ impl FlSystem {
                 apply_privacy(&mut params, &self.global, privacy, &mut rng);
             }
             let order = orders.get(pos);
-            let encode = compressor.zip(order.and_then(|o| o.encode));
+            let encode = self.cfg.compression.zip(order.and_then(|o| o.encode));
             let unit_delta = match encode {
                 Some(_) => Vec::new(),
                 None => params.unit_l2_distances(&self.global),
@@ -993,7 +1001,7 @@ pub(crate) mod tests {
         for workers in [1, 2, 4] {
             sys.cfg.workers = Some(workers);
             for active in &orders {
-                let (reports, _) = sys.run_reports(active, 0, &[], &[], None, None);
+                let (reports, _) = sys.run_reports(active, 0, &[], &[], None);
                 let got: Vec<usize> = reports.iter().map(|(ret, _)| ret.client).collect();
                 assert_eq!(got, active, "workers={workers}");
             }

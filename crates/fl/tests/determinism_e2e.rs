@@ -207,15 +207,17 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
         staleness: StalenessPolicy::Discount { gamma: 0.5 },
         ..Default::default()
     };
+    let mut uncompressed = None;
     for compression in [
-        Compression::Identity,
-        Compression::QuantI8,
-        Compression::TopK { frac: 0.25 },
+        None,
+        Some(Compression::Identity),
+        Some(Compression::QuantI8),
+        Some(Compression::TopK { frac: 0.25 }),
     ] {
         let run = |workers: usize, threads: usize| {
             with_kernel_threads(threads, || {
                 let mut sys = build_system_with(true, Some(workers), Some(faults.clone()));
-                sys.set_compression(Some(compression));
+                sys.set_compression(compression);
                 let result =
                     fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None)
                         .expect("sync compressed run");
@@ -234,6 +236,17 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
                 "codec {compression:?} diverged under workers={workers}, \
                  kernel_threads={threads}"
             );
+        }
+        // `ident` is lossless: held and corrupted reports included, it is
+        // the run without a codec, bit for bit.
+        match compression {
+            None => uncompressed = Some(reference),
+            Some(Compression::Identity) => assert_eq!(
+                Some(reference),
+                uncompressed,
+                "ident diverged from the uncompressed run"
+            ),
+            Some(_) => {}
         }
     }
 }

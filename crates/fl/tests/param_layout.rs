@@ -182,17 +182,12 @@ fn compress_reference(
     reference: &Units,
     mask: &[bool],
 ) -> Compressed {
-    let codec = codec.build();
     let units = (0..updated.len())
         .filter(|&k| mask[k])
         .filter_map(|k| {
             let payload = codec.encode_unit(&updated[k], &reference[k]);
             let dropped = payload.num_entries() == 0 && !updated[k].is_empty();
-            (!dropped).then(|| CompressedUnit {
-                unit: k,
-                len: updated[k].len(),
-                payload,
-            })
+            (!dropped).then_some(CompressedUnit { unit: k, payload })
         })
         .collect();
     Compressed { units }
@@ -401,7 +396,7 @@ fn check_uplink(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestC
         Compression::QuantF16,
         Compression::TopK { frac },
     ] {
-        let report = codec.build().compress(&Delta {
+        let report = codec.compress(&Delta {
             updated: &updated,
             reference: &reference,
             mask: &mask,

@@ -8,10 +8,10 @@ use fedda_fl::analysis::{
     explore_expected_units, explore_ratio_bound, restart_expected_units, restart_period,
     restart_ratio, EfficiencyInputs,
 };
-use fedda_fl::compress::{k_of, top_k_positions, Identity, Payload, QuantF16, QuantI8, TopK};
+use fedda_fl::compress::{k_of, top_k_positions, Payload};
 use fedda_fl::{
-    feddyn::update_h, fedopt::adam_update, fedprox::proximal_term, CommLog, Compressor, Corruption,
-    FaultConfig, FaultPlan, RoundComm, StalenessPolicy,
+    feddyn::update_h, fedopt::adam_update, fedprox::proximal_term, CommLog, Compression,
+    Corruption, FaultConfig, FaultPlan, RoundComm, StalenessPolicy,
 };
 use proptest::prelude::*;
 
@@ -411,7 +411,7 @@ proptest! {
         let (updated, reference) = unit;
         // decompress ∘ compress = id, down to the bit pattern: Identity
         // transmits the raw f32 bits of every masked scalar.
-        let p = Identity.encode_unit(&updated, &reference);
+        let p = Compression::Identity.encode_unit(&updated, &reference);
         let mut out = reference.clone();
         p.decode_into(&mut out);
         for (got, want) in out.iter().zip(&updated) {
@@ -419,7 +419,7 @@ proptest! {
         }
         // And doing it twice changes nothing (idempotence on the decoded
         // values).
-        let p2 = Identity.encode_unit(&out, &reference);
+        let p2 = Compression::Identity.encode_unit(&out, &reference);
         prop_assert_eq!(&p2, &p);
     }
 
@@ -432,7 +432,7 @@ proptest! {
         // scale/2 of its true delta (scale = max|delta|/127); the decoded
         // value then differs from the updated one by at most that plus
         // f32 arithmetic slack.
-        let p = QuantI8.encode_unit(&updated, &reference);
+        let p = Compression::QuantI8.encode_unit(&updated, &reference);
         let scale = match &p {
             Payload::I8 { scale, .. } => *scale,
             other => return Err(TestCaseError::fail(format!("wrong payload {other:?}"))),
@@ -453,7 +453,7 @@ proptest! {
     ) {
         for (updated, reference) in &units {
             let (want_scale, want_codes) = q8_oracle(updated, reference);
-            match QuantI8.encode_unit(updated, reference) {
+            match Compression::QuantI8.encode_unit(updated, reference) {
                 Payload::I8 { scale, codes } => {
                     prop_assert_eq!(
                         scale.to_bits(), want_scale.to_bits(),
@@ -477,7 +477,7 @@ proptest! {
         // Round-to-nearest-even: the encoded delta is within half a
         // binary16 ULP of the true delta — relative 2^-11 for normals,
         // absolute 2^-25 in the subnormal range.
-        let p = QuantF16.encode_unit(&updated, &reference);
+        let p = Compression::QuantF16.encode_unit(&updated, &reference);
         let mut out = reference.clone();
         p.decode_into(&mut out);
         for (i, ((&got, &up), &rf)) in out.iter().zip(&updated).zip(&reference).enumerate() {
@@ -531,7 +531,7 @@ proptest! {
         }
         // The encoded payload agrees with the selection and decodes the
         // kept coordinates exactly (raw f32 bits of the delta).
-        let p = TopK { frac }.encode_unit(&updated, &reference);
+        let p = Compression::TopK { frac }.encode_unit(&updated, &reference);
         prop_assert_eq!(p.num_entries(), k);
         let mut out = reference.clone();
         p.decode_into(&mut out);
@@ -553,10 +553,10 @@ proptest! {
         let n = updated.len();
         let raw_bytes = 4 * n;
         for (name, p) in [
-            ("ident", Identity.encode_unit(&updated, &reference)),
-            ("q8", QuantI8.encode_unit(&updated, &reference)),
-            ("f16", QuantF16.encode_unit(&updated, &reference)),
-            ("topk", TopK { frac }.encode_unit(&updated, &reference)),
+            ("ident", Compression::Identity.encode_unit(&updated, &reference)),
+            ("q8", Compression::QuantI8.encode_unit(&updated, &reference)),
+            ("f16", Compression::QuantF16.encode_unit(&updated, &reference)),
+            ("topk", Compression::TopK { frac }.encode_unit(&updated, &reference)),
         ] {
             let expected = match &p {
                 Payload::Raw(v) => 4 * v.len(),
@@ -571,17 +571,17 @@ proptest! {
             );
         }
         // The exact ratios on dense codecs.
-        prop_assert_eq!(Identity.encode_unit(&updated, &reference).wire_bytes(), raw_bytes);
+        prop_assert_eq!(Compression::Identity.encode_unit(&updated, &reference).wire_bytes(), raw_bytes);
         prop_assert_eq!(
-            QuantF16.encode_unit(&updated, &reference).wire_bytes(),
+            Compression::QuantF16.encode_unit(&updated, &reference).wire_bytes(),
             raw_bytes / 2
         );
         prop_assert_eq!(
-            QuantI8.encode_unit(&updated, &reference).wire_bytes(),
+            Compression::QuantI8.encode_unit(&updated, &reference).wire_bytes(),
             raw_bytes / 4
         );
         prop_assert_eq!(
-            TopK { frac }.encode_unit(&updated, &reference).wire_bytes(),
+            Compression::TopK { frac }.encode_unit(&updated, &reference).wire_bytes(),
             8 * k_of(frac, n)
         );
     }

@@ -18,7 +18,8 @@ pub enum Decoder {
 /// The paper's default is a three-layer, three-head model (§6.1); the
 /// reproduction defaults are smaller so CPU experiments stay fast, and the
 /// benches that regenerate the paper's tables set the paper values
-/// explicitly.
+/// explicitly. The pre-activation residuals (Eq. 3) and the L2-normalised
+/// outputs are always on.
 #[derive(Clone, Debug)]
 pub struct HgnConfig {
     /// Hidden width per attention head.
@@ -29,15 +30,8 @@ pub struct HgnConfig {
     pub num_heads: usize,
     /// Width of the learnable edge-type embeddings.
     pub edge_emb_dim: usize,
-    /// LeakyReLU negative slope in attention scores.
-    pub negative_slope: f32,
     /// Feature dropout probability applied to layer inputs during training.
     pub dropout: f32,
-    /// Use pre-activation residual connections between layers (Eq. 3).
-    pub residual: bool,
-    /// L2-normalise the final node embeddings (Simple-HGN's third
-    /// enhancement).
-    pub l2_normalize: bool,
     /// Include learnable edge-type embeddings in attention (Eq. 2). With
     /// this off the encoder degrades to multi-head GAT — the paper's
     /// starting point and our ablation baseline.
@@ -59,10 +53,7 @@ impl Default for HgnConfig {
             num_layers: 2,
             num_heads: 2,
             edge_emb_dim: 8,
-            negative_slope: 0.05,
             dropout: 0.0,
-            residual: true,
-            l2_normalize: true,
             edge_type_attention: true,
             add_self_loops: true,
             attn_residual: 0.0,

@@ -26,6 +26,9 @@ use fedda_tensor::{init, Graph, Matrix, ParamId, ParamMeta, ParamSet, TapeBindin
 use rand::Rng;
 use std::sync::Arc;
 
+/// LeakyReLU negative slope in the attention scores.
+const NEGATIVE_SLOPE: f32 = 0.05;
+
 /// Per-head parameter handles of one attention layer.
 struct HeadParams {
     w: ParamId,
@@ -38,7 +41,7 @@ struct HeadParams {
 /// Parameter handles of one attention layer.
 struct LayerParams {
     heads: Vec<HeadParams>,
-    w_res: Option<ParamId>,
+    w_res: ParamId,
     /// One edge-type embedding unit per message type (disentangled for real
     /// types, shared for the self-loop pseudo type).
     edge_emb: Vec<ParamId>,
@@ -134,12 +137,10 @@ impl SimpleHgn {
                     w_r,
                 });
             }
-            let w_res = config.residual.then(|| {
-                ps.add(
-                    format!("l{l}.W_res"),
-                    init::xavier_uniform(rng, d_model, d_model),
-                )
-            });
+            let w_res = ps.add(
+                format!("l{l}.W_res"),
+                init::xavier_uniform(rng, d_model, d_model),
+            );
             let mut edge_emb = Vec::new();
             if config.edge_type_attention {
                 for t in 0..num_message_types {
@@ -291,7 +292,7 @@ impl SimpleHgn {
                     view.src.clone(),
                     view.etype.clone(),
                     view.segments.clone(),
-                    cfg.negative_slope,
+                    NEGATIVE_SLOPE,
                 ); // [E, 1]
                 if cfg.attn_residual > 0.0 {
                     if let Some(&prev) = prev_alphas.get(head_outputs.len()) {
@@ -315,20 +316,12 @@ impl SimpleHgn {
             } else {
                 graph.concat_cols(&head_outputs)
             };
-            let pre_act = if let Some(w_res_id) = layer.w_res {
-                let w_res = bindings.leaf(graph, params, w_res_id);
-                let res = graph.matmul(h, w_res);
-                graph.add(concat, res)
-            } else {
-                concat
-            };
+            let w_res = bindings.leaf(graph, params, layer.w_res);
+            let res = graph.matmul(h, w_res);
+            let pre_act = graph.add(concat, res);
             h = graph.elu(pre_act, 1.0);
         }
-
-        if cfg.l2_normalize {
-            h = graph.l2_normalize_rows(h, 1e-12);
-        }
-        h
+        graph.l2_normalize_rows(h, 1e-12)
     }
 
     /// Score link examples against node embeddings; returns logits `[B, 1]`.

@@ -40,6 +40,26 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// Validate ranges: at least one local epoch, a finite positive
+    /// learning rate, a finite non-negative gradient clip (0 disables it).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.local_epochs == 0 {
+            return Err("local_epochs must be at least 1, got 0".into());
+        }
+        let (lr, clip) = (self.lr, self.grad_clip);
+        if !(lr.is_finite() && lr > 0.0) {
+            return Err(format!("lr must be finite and positive, got {lr}"));
+        }
+        if !(clip.is_finite() && clip >= 0.0) {
+            return Err(format!(
+                "grad_clip must be finite and non-negative, got {clip}"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Summary of one local training call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TrainStats {

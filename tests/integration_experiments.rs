@@ -39,7 +39,6 @@ fn quick(dataset: Dataset, seed: u64) -> ExperimentConfig {
         eval_negatives: 3,
         eval_every: 1,
         seed,
-        parallel: true,
         workers: None,
         compression: None,
         runtime: Default::default(),

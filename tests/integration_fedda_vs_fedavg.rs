@@ -41,7 +41,6 @@ fn cfg(dataset: Dataset, clients: usize, rounds: usize, seed: u64) -> Experiment
         eval_negatives: 3,
         eval_every: 1,
         seed,
-        parallel: true,
         workers: None,
         compression: None,
         runtime: Default::default(),
