@@ -3,7 +3,7 @@
 //! How fast a federated run is, and how its time divides across layers,
 //! is the repo benchmark's question (`benchmark/`, `BENCHMARK.json`). This
 //! suite answers the one that benchmark's probes do not resolve per shape:
-//! how fast is one kernel at a workload's real shape. Four families:
+//! how fast is one kernel at a workload's real shape. Five families:
 //!
 //! 1. **`gemm/`** — the products an FL round actually issues
 //!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
@@ -11,9 +11,13 @@
 //!    projections;
 //! 2. **`edge/`** — the fused per-edge tape ops, forward + backward, at
 //!    the message-graph shapes of a real client ([`EDGE_SHAPES`]);
-//! 3. **`codec/`** — each uplink codec's encode and the q8 arrival decode
+//! 3. **`act/`, `loss/`, `decoder/`** — the rest of a training step's
+//!    non-GEMM tail, forward + backward: ELU, the BCE loss and the fused
+//!    dot-product decoder at real batch shapes ([`ELU_SHAPE`], [`TAIL_BATCH`],
+//!    [`DECODER_SHAPE`]);
+//! 4. **`codec/`** — each uplink codec's encode and the q8 arrival decode
 //!    at the fleet model's size;
-//! 4. **`optim/`** — one Adam step over the same model.
+//! 5. **`optim/`** — one Adam step over the same model.
 //!
 //! Inputs, case names and the sample count (the schema's floor) are
 //! fixed, so any two snapshots — and the two sides of `perf --ab` — cover
@@ -144,6 +148,42 @@ impl EdgeCase {
         let out = g.edge_aggregate(h, alpha, self.src.clone(), self.dst.clone(), self.nodes);
         backward_sum_sq(&mut g, out);
     }
+}
+
+/// The ELU case's input: one `amazon_large` layer output under the paper
+/// model (2 525 nodes × 16 × 3 heads).
+pub const ELU_SHAPE: (usize, usize) = (2_525, 48);
+
+/// Logits in the BCE case and pairs in the decoder case.
+pub const TAIL_BATCH: usize = 4_096;
+
+/// The decoder case's embedding matrix: a `dblp_fedda` client's 694 nodes
+/// at the default 16-wide output.
+pub const DECODER_SHAPE: (usize, usize) = (694, 16);
+
+/// `elu` and its backward under a `Σ y²` loss.
+fn elu_fwd_bwd(x: &Matrix) {
+    let mut g = Graph::new();
+    let xv = g.leaf(x.clone());
+    let y = g.elu(xv, 1.0);
+    backward_sum_sq(&mut g, y);
+}
+
+/// `bce_with_logits` and its backward.
+fn bce_fwd_bwd(logits: &Matrix, targets: &Arc<Vec<f32>>) {
+    let mut g = Graph::new();
+    let x = g.leaf(logits.clone());
+    let loss = g.bce_with_logits(x, targets.clone());
+    g.backward(loss);
+    black_box(g.len());
+}
+
+/// `pair_dot` and its backward under a `Σ out²` loss.
+fn pair_dot_fwd_bwd(h: &Matrix, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>>) {
+    let mut g = Graph::new();
+    let hv = g.leaf(h.clone());
+    let out = g.pair_dot(hv, src.clone(), dst.clone());
+    backward_sum_sq(&mut g, out);
 }
 
 /// One fleet-sized client report on the uplink path: the repo
@@ -285,7 +325,28 @@ pub fn run_suite() -> Vec<CaseResult> {
         }));
     }
 
-    // 3. The uplink report path at the fleet model's size: each codec's
+    // 3. The rest of a step's non-GEMM tail, forward + backward.
+    let ((rows, cols), batch, (nodes, width)) = (ELU_SHAPE, TAIL_BATCH, DECODER_SHAPE);
+    let x = rand_matrix(&mut rng, rows, cols);
+    let name = format!("act/elu/{rows}x{cols}");
+    out.push(time_case(&name, MIN_SAMPLES, 4, || elu_fwd_bwd(&x)));
+    let logits = rand_matrix(&mut rng, batch, 1).scale(4.0);
+    let targets = Arc::new((0..batch).map(|i| (i % 2) as f32).collect());
+    let name = format!("loss/bce/B{batch}");
+    out.push(time_case(&name, MIN_SAMPLES, 32, || {
+        bce_fwd_bwd(&logits, &targets)
+    }));
+    let h = rand_matrix(&mut rng, nodes, width);
+    let mut pick = || -> Arc<Vec<u32>> {
+        Arc::new((0..batch).map(|_| rng.gen_range(0..nodes as u32)).collect())
+    };
+    let (src, dst) = (pick(), pick());
+    let name = format!("decoder/pair_dot/B{batch}xN{nodes}xd{width}");
+    out.push(time_case(&name, MIN_SAMPLES, 16, || {
+        pair_dot_fwd_bwd(&h, &src, &dst)
+    }));
+
+    // 4. The uplink report path at the fleet model's size: each codec's
     //    encode, the q8 arrival decode, and one optimiser step.
     let mut codec_case = CodecCase::new(&mut rng);
     let n = codec_case.num_scalars();

@@ -1,5 +1,5 @@
 //! End-to-end contract for `fedda perf`: `--out` writes a schema-v2
-//! snapshot of the 22 fixed cases, schema-v1 files are refused by name,
+//! snapshot of the 25 fixed cases, schema-v1 files are refused by name,
 //! and `--ab` runs ten alternating pairs and prints one row per case.
 //! Structure only — no assertion here depends on a measured time.
 
@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 /// The suite, literally: coverage cannot shrink silently, and the names
 /// stay joinable with the v1 history in `BENCH_2026-09-30{,b,c,d}.json`.
-const CASE_NAMES: [&str; 22] = [
+const CASE_NAMES: [&str; 25] = [
     "gemm/nn/2525x48x16",
     "gemm/nn/2525x48x48",
     "gemm/tn/48x2525x16",
@@ -27,6 +27,9 @@ const CASE_NAMES: [&str; 22] = [
     "edge/aggregate/E17019xN2525xd16",
     "edge/softmax/E1465xN101",
     "edge/aggregate/E1465xN101xd32",
+    "act/elu/2525x48",
+    "loss/bce/B4096",
+    "decoder/pair_dot/B4096xN694xd16",
     "codec/q8/encode/n87554",
     "codec/f16/encode/n87554",
     "codec/topk/encode/n87554",
@@ -130,7 +133,7 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
         assert_eq!(&cells[5..], ["10", "0", "0", "unresolved"], "{row}");
     }
     assert!(
-        stdout.contains("22 cases over 10 pairs: 22 unresolved, 0 improved, 0 regressed"),
+        stdout.contains("25 cases over 10 pairs: 25 unresolved, 0 improved, 0 regressed"),
         "{stdout}"
     );
 
@@ -146,7 +149,7 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
     assert_eq!(reg.status.code(), Some(1), "2x slower in 10/10 pairs");
     let stdout = String::from_utf8_lossy(&reg.stdout).into_owned();
     assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("21 unresolved, 0 improved, 1 regressed"));
+    assert!(stdout.contains("24 unresolved, 0 improved, 1 regressed"));
 
     let mut shrunk = json.clone();
     shrunk["cases"].as_array_mut().unwrap().pop();

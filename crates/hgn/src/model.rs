@@ -336,11 +336,11 @@ impl SimpleHgn {
         assert!(!examples.is_empty(), "score_links: no examples");
         let src: Arc<Vec<u32>> = Arc::new(examples.iter().map(|e| e.src).collect());
         let dst: Arc<Vec<u32>> = Arc::new(examples.iter().map(|e| e.dst).collect());
-        let o_src = graph.gather_rows(embeddings, src);
-        let o_dst = graph.gather_rows(embeddings, dst);
         let raw = match self.config.decoder {
-            Decoder::DotProduct => graph.row_dot(o_src, o_dst),
+            Decoder::DotProduct => graph.pair_dot(embeddings, src, dst),
             Decoder::DistMult => {
+                let o_src = graph.gather_rows(embeddings, src);
+                let o_dst = graph.gather_rows(embeddings, dst);
                 let rel_rows: Vec<Var> = self
                     .dec_rel
                     .iter()

@@ -36,6 +36,7 @@
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 mod edge;
+mod expf;
 pub mod gemm;
 pub mod init;
 mod matrix;
@@ -46,7 +47,7 @@ mod tape;
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use param::{ParamId, ParamMeta, ParamSet, TapeBindings};
-pub use tape::{sigmoid_scalar, Graph, Segments, Var};
+pub use tape::{Graph, Segments, Var};
 
 /// What the `x86-64-v3` level (DESIGN.md §8) adds to the 2003 baseline,
 /// under the names Linux's `/proc/cpuinfo` gives them, each with whether

@@ -11,15 +11,24 @@
 //! per-destination softmax) and `edge_aggregate` (gather · scale ·
 //! scatter-add) — the unfused primitives they replay bit for bit
 //! (`gather_rows`, `scatter_add_rows`, `leaky_relu`, `segment_softmax`,
-//! `mul_col_broadcast`: their test oracle; DESIGN §8 "Edge kernels"), and
-//! row-wise L2 normalisation (the Simple-HGN output head).
+//! `mul_col_broadcast`: their test oracle; DESIGN §8 "Edge kernels"),
+//! row-wise L2 normalisation (the Simple-HGN output head), and the fused
+//! dot-product decoder `pair_dot`, which replays `gather_rows`×2 →
+//! `row_dot`.
 //!
-//! `edge_aggregate`'s forward and both gradients run the width-generic row
-//! kernel in `edge.rs`, with compile-time instances for 8-, 16- and 32-wide
-//! heads and a runtime-width one for the rest; both fused ops range-check
-//! their edge indices in one pass before their edge loops.
+//! `edge_aggregate`'s forward and both gradients, and `pair_dot`'s forward
+//! and gradient, run the width-generic row kernel in `edge.rs`, with
+//! compile-time instances for 8-, 16- and 32-wide rows and a runtime-width
+//! one for the rest; the fused ops range-check their indices in one pass
+//! before their loops.
+//!
+//! Every exponential — ELU, both softmaxes, BCE and its logistic — runs
+//! `expf.rs`, a bit-exact copy of glibc's `expf` whose slice form
+//! vectorises (DESIGN §8 "One `expf`"), so each op takes `exp` over a whole
+//! slice first and then selects; the results are `f32::exp`'s, bit for bit.
 
 use crate::edge;
+use crate::expf;
 use crate::matrix::Matrix;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -91,6 +100,8 @@ enum Op {
     EdgeAggregate(Var, Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
     L2NormalizeRows(Var, f32),
     RowDot(Var, Var),
+    /// Fused gather ×2 · row dot over one matrix: `(h, src, dst)`.
+    PairDot(Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
     SumAll(Var),
     MeanAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
@@ -157,9 +168,9 @@ fn segment_dot(g: &[f32], y: &[f32], segs: &Segments) -> Vec<f32> {
     dot
 }
 
-/// Three-pass segment softmax, in place: per-segment max, `exp(x - max)`
-/// summed in row order, then the division (skipped where the sum is not
-/// positive). Shared by `segment_softmax` and `edge_softmax`.
+/// Segment softmax, in place: per-segment max, `exp(x - max)` over the
+/// whole slice, the sums in row order, then the division (skipped where the
+/// sum is not positive). Shared by `segment_softmax` and `edge_softmax`.
 fn softmax_in_place(x: &mut [f32], segs: &Segments) {
     let mut maxes = vec![f32::NEG_INFINITY; segs.n_segments];
     for (&v, &s) in x.iter().zip(&segs.seg_of_row) {
@@ -168,10 +179,13 @@ fn softmax_in_place(x: &mut [f32], segs: &Segments) {
         let m = &mut maxes[s as usize];
         *m = if v > *m { v } else { *m };
     }
-    let mut sums = vec![0.0f32; segs.n_segments];
     for (v, &s) in x.iter_mut().zip(&segs.seg_of_row) {
-        *v = (*v - maxes[s as usize]).exp();
-        sums[s as usize] += *v;
+        *v -= maxes[s as usize];
+    }
+    expf::exp_in_place(x);
+    let mut sums = vec![0.0f32; segs.n_segments];
+    for (&v, &s) in x.iter().zip(&segs.seg_of_row) {
+        sums[s as usize] += v;
     }
     for (v, &s) in x.iter_mut().zip(&segs.seg_of_row) {
         if sums[s as usize] > 0.0 {
@@ -342,13 +356,15 @@ impl Graph {
         self.push(value, Op::LeakyRelu(a, slope), rg)
     }
 
-    /// ELU: `x` for `x > 0`, `alpha * (e^x - 1)` otherwise.
+    /// ELU: `x` for `x >= 0`, `alpha * (e^x - 1)` for `x < 0`. The
+    /// exponential runs over every entry, then a select keeps `x` itself
+    /// where it is not negative, NaN payloads included.
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        let mut value = self.value(a).clone();
-        for x in value.as_mut_slice() {
-            if *x < 0.0 {
-                *x = alpha * (x.exp() - 1.0);
-            }
+        let x = self.value(a);
+        let mut value = x.clone();
+        expf::exp_in_place(value.as_mut_slice());
+        for (y, &x) in value.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *y = if x < 0.0 { alpha * (*y - 1.0) } else { x };
         }
         let rg = self.requires(a);
         self.push(value, Op::Elu(a, alpha), rg)
@@ -546,6 +562,34 @@ impl Graph {
         self.push(value, Op::RowDot(a, b), rg)
     }
 
+    /// Dot product of row pairs of one `[n,d]` matrix, `out[i] = h[src_i] ·
+    /// h[dst_i]` as a `[B,1]` column: the dot-product link decoder, fused.
+    /// Replays the f32 sequence of `gather_rows`×2 → `row_dot`, gradient
+    /// included, without the chain's two `[B,d]` gathers.
+    ///
+    /// # Panics
+    /// Panics if `src` and `dst` differ in length, or naming the first
+    /// example whose rows are out of range for `h`.
+    pub fn pair_dot(&mut self, h: Var, src: Arc<Vec<u32>>, dst: Arc<Vec<u32>>) -> Var {
+        let hv = self.value(h);
+        let (n, d) = hv.shape();
+        assert_eq!(dst.len(), src.len(), "pair_dot: dst length mismatch");
+        if !(all_below(&src, n) && all_below(&dst, n)) {
+            for (i, (&s, &t)) in src.iter().zip(dst.iter()).enumerate() {
+                assert!(
+                    (s as usize) < n && (t as usize) < n,
+                    "pair_dot: example {i} pairs rows {s} and {t}, out of range for {n} rows"
+                );
+            }
+        }
+        // `Σ_c h[src_i][c]·h[dst_i][c]`, the edge kernel's `dα` chain with
+        // `h` on both sides.
+        let mut out = vec![0.0f32; src.len()];
+        edge::alpha_grad(hv.as_slice(), hv.as_slice(), d, (&dst, &src), &mut out);
+        let rg = self.requires(h);
+        self.push(Matrix::col_vector(out), Op::PairDot(h, src, dst), rg)
+    }
+
     // ---- reductions & losses ------------------------------------------------
 
     /// Sum of all elements, as a `1x1` node.
@@ -574,9 +618,11 @@ impl Graph {
             "bce_with_logits: target length mismatch"
         );
         assert!(!x.is_empty(), "bce_with_logits: empty input");
+        let mut e: Vec<f32> = x.iter().map(|&xi| -xi.abs()).collect();
+        expf::exp_in_place(&mut e);
         let mut loss = 0.0f64;
-        for (&xi, &ti) in x.iter().zip(targets.iter()) {
-            let term = xi.max(0.0) - xi * ti + (1.0 + (-xi.abs()).exp()).ln();
+        for ((&xi, &ti), &e) in x.iter().zip(targets.iter()).zip(&e) {
+            let term = xi.max(0.0) - xi * ti + (1.0 + e).ln();
             loss += term as f64;
         }
         let value = Matrix::from_vec(1, 1, vec![(loss / x.len() as f64) as f32]);
@@ -696,9 +742,9 @@ impl Node {
                 let mut da = g.clone();
                 let (x, y) = (value(a).as_slice(), self.value.as_slice());
                 for ((d, &x), &y) in da.as_mut_slice().iter_mut().zip(x).zip(y) {
-                    if x < 0.0 {
-                        *d *= y + alpha; // d/dx alpha(e^x - 1) = alpha e^x = y + alpha
-                    }
+                    // d/dx alpha(e^x - 1) = alpha e^x = y + alpha. A select,
+                    // not `d * 1.0` where x >= 0: that would quiet an sNaN.
+                    *d = if x < 0.0 { *d * (y + alpha) } else { *d };
                 }
                 vec![owned(a, da)]
             }
@@ -807,6 +853,18 @@ impl Node {
                 wants(a).then(|| (a, Cow::Owned(scale_rows(value(b), g.as_slice())))),
                 wants(b).then(|| (b, Cow::Owned(scale_rows(value(a), g.as_slice())))),
             ],
+            Op::PairDot(h, src, dst) => {
+                // The chain's two `gather_rows` adjoints, the later gather's
+                // (`dst`) first: `S_dst[dst_i] += h[src_i]·g_i`, then
+                // `S_src[src_i] += h[dst_i]·g_i`.
+                let (hv, gs) = (value(*h), g.as_slice());
+                let share = |ends: edge::Ends<'_>| {
+                    let mut s = Matrix::zeros(hv.rows(), hv.cols());
+                    edge::aggregate(hv.as_slice(), hv.cols(), gs, ends, s.as_mut_slice());
+                    Some((*h, Cow::Owned(s)))
+                };
+                vec![share((src, dst)), share((dst, src))]
+            }
             &Op::SumAll(a) => {
                 let (m, n) = value(a).shape();
                 vec![owned(a, Matrix::full(m, n, g.get(0, 0)))]
@@ -819,10 +877,21 @@ impl Node {
             Op::BceWithLogits(a, targets) => {
                 let x = value(*a);
                 let scale = g.get(0, 0) / x.len() as f32;
-                let data = (x.as_slice().iter().zip(targets.iter()))
-                    .map(|(&xi, &ti)| scale * (sigmoid_scalar(xi) - ti))
+                // The logistic in its stable form: `e^-x` or `e^x`, whichever
+                // is at most 1, then one of two quotients.
+                let mut z: Vec<f32> = (x.as_slice().iter())
+                    .map(|&xi| if xi >= 0.0 { -xi } else { xi })
                     .collect();
-                vec![owned(*a, Matrix::from_vec(x.rows(), x.cols(), data))]
+                expf::exp_in_place(&mut z);
+                for ((z, &xi), &ti) in z.iter_mut().zip(x.as_slice()).zip(targets.iter()) {
+                    let sigmoid = if xi >= 0.0 {
+                        1.0 / (1.0 + *z)
+                    } else {
+                        *z / (1.0 + *z)
+                    };
+                    *z = scale * (sigmoid - ti);
+                }
+                vec![owned(*a, Matrix::from_vec(x.rows(), x.cols(), z))]
             }
             Op::Dropout(a, mask) => {
                 let data = (g.as_slice().iter().zip(mask.iter()))
@@ -834,29 +903,9 @@ impl Node {
     }
 }
 
-/// Numerically-stable scalar sigmoid.
-#[inline]
-pub fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        let z = (-x).exp();
-        1.0 / (1.0 + z)
-    } else {
-        let z = x.exp();
-        z / (1.0 + z)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sigmoid_scalar_extremes() {
-        assert!((sigmoid_scalar(0.0) - 0.5).abs() < 1e-6);
-        assert!(sigmoid_scalar(100.0) > 0.999);
-        assert!(sigmoid_scalar(-100.0) < 0.001);
-        assert!(sigmoid_scalar(-100.0) >= 0.0);
-    }
 
     #[test]
     fn backward_through_matmul_chain() {
@@ -981,6 +1030,22 @@ mod tests {
         // -ln(sigmoid(0)) = ln 2; -ln(1 - sigmoid(2)) = ln(1+e^2)
         let expected = ((2.0f32).ln() + (1.0 + (2.0f32).exp()).ln()) / 2.0;
         assert!((g.value(loss).get(0, 0) - expected).abs() < 1e-5);
+    }
+
+    /// The BCE gradient is `(sigmoid(x) - t) / n`: with `t = 0` it reads the
+    /// logistic back, at the middle and at both saturated ends.
+    #[test]
+    fn bce_gradient_is_the_logistic_at_extremes() {
+        let mut g = Graph::new();
+        let x = g.leaf(Matrix::row_vector(vec![0.0, 100.0, -100.0]));
+        let loss = g.bce_with_logits(x, Arc::new(vec![0.0; 3]));
+        g.backward(loss);
+        let sigmoid: Vec<f32> = (g.grad(x).unwrap().as_slice().iter())
+            .map(|d| d * 3.0)
+            .collect();
+        assert!((sigmoid[0] - 0.5).abs() < 1e-6);
+        assert!(sigmoid[1] > 0.999);
+        assert!((0.0..0.001).contains(&sigmoid[2]));
     }
 
     #[test]

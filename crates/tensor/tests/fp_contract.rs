@@ -3,7 +3,9 @@
 //! level has FMA, and a fused `a·b + c` rounds once — so the day someone
 //! enables `fp-contract` or writes `mul_add` into a kernel, every golden
 //! pin moves on hardware that has the instruction and stays put where it
-//! does not. This test fails first, and says why.
+//! does not. This test fails first, and says why. (`expf.rs` is the one
+//! place that fuses, in f64, because the glibc `expf` it reproduces does;
+//! its own tests hold it to `f32::exp` bit for bit — DESIGN.md §8.)
 
 use fedda_tensor::{Graph, Matrix};
 use std::sync::Arc;
@@ -49,4 +51,11 @@ fn multiply_then_add_is_never_fused() {
     let alpha = g.input(Matrix::col_vector(vec![1.0, X]));
     let out = g.edge_aggregate(h, alpha, Arc::new(vec![0, 1]), Arc::new(vec![0, 0]), 1);
     assert_eq!(bits(g.value(out)), vec![UNFUSED; d], "edge_aggregate fused");
+
+    // pair_dot: the pair (0, 1) is `C·1 + X·X`, then zeros, at the 16-wide
+    // row kernel.
+    let row = |a: f32| [vec![a, X], vec![0.0; d - 2]].concat();
+    let h = g.input(Matrix::from_vec(2, d, [row(C), row(1.0)].concat()));
+    let out = g.pair_dot(h, Arc::new(vec![0]), Arc::new(vec![1]));
+    assert_eq!(bits(g.value(out)), vec![UNFUSED], "pair_dot fused");
 }

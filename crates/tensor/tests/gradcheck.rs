@@ -407,6 +407,28 @@ fn grad_row_sum_and_row_dot() {
     );
 }
 
+/// The fused decoder: repeated pairs and a self pair, whose row takes both
+/// shares, at a runtime width and at one with a compile-time row kernel.
+#[test]
+fn grad_pair_dot() {
+    let (src, dst) = (Arc::new(vec![0, 2, 1, 2, 3]), Arc::new(vec![1, 2, 3, 2, 0]));
+    let mut rng = StdRng::seed_from_u64(25);
+    for d in [3, 16] {
+        let h = randn(&mut rng, 4, d);
+        let w = randn(&mut rng, 5, 1);
+        gradcheck(
+            &[h, w],
+            |g, v| {
+                let out = g.pair_dot(v[0], src.clone(), dst.clone());
+                let p = g.mul(out, v[1]);
+                let sq = g.mul(p, p);
+                g.sum_all(sq)
+            },
+            1e-2,
+        );
+    }
+}
+
 #[test]
 fn grad_bce_with_logits() {
     let mut rng = StdRng::seed_from_u64(15);

@@ -134,6 +134,125 @@ fn edge_width(widths: std::ops::Range<usize>) -> impl Strategy<Value = usize> {
     prop_oneof![widths, Just(8usize), Just(16usize), Just(32usize)]
 }
 
+/// The libm loops the tape ran before its vector `expf` (DESIGN.md §8 "One
+/// `expf`"): the oracles its ELU, softmax and BCE must match by `to_bits`.
+mod libm_loops {
+    pub fn elu(x: &[f32], alpha: f32) -> Vec<f32> {
+        let mut y = x.to_vec();
+        for v in &mut y {
+            if *v < 0.0 {
+                *v = alpha * (v.exp() - 1.0);
+            }
+        }
+        y
+    }
+
+    pub fn elu_grad(d: &[f32], x: &[f32], y: &[f32], alpha: f32) -> Vec<f32> {
+        let mut da = d.to_vec();
+        for ((d, &x), &y) in da.iter_mut().zip(x).zip(y) {
+            if x < 0.0 {
+                *d *= y + alpha;
+            }
+        }
+        da
+    }
+
+    pub fn segment_softmax(x: &[f32], seg_of_row: &[u32], n_segments: usize) -> Vec<f32> {
+        let mut maxes = vec![f32::NEG_INFINITY; n_segments];
+        for (&v, &s) in x.iter().zip(seg_of_row) {
+            let m = &mut maxes[s as usize];
+            *m = if v > *m { v } else { *m };
+        }
+        let mut y = x.to_vec();
+        let mut sums = vec![0.0f32; n_segments];
+        for (v, &s) in y.iter_mut().zip(seg_of_row) {
+            *v = (*v - maxes[s as usize]).exp();
+            sums[s as usize] += *v;
+        }
+        for (v, &s) in y.iter_mut().zip(seg_of_row) {
+            if sums[s as usize] > 0.0 {
+                *v /= sums[s as usize];
+            }
+        }
+        y
+    }
+
+    pub fn bce(x: &[f32], t: &[f32]) -> f32 {
+        let mut loss = 0.0f64;
+        for (&xi, &ti) in x.iter().zip(t) {
+            let term = xi.max(0.0) - xi * ti + (1.0 + (-xi.abs()).exp()).ln();
+            loss += term as f64;
+        }
+        (loss / x.len() as f64) as f32
+    }
+
+    fn sigmoid(x: f32) -> f32 {
+        if x >= 0.0 {
+            let z = (-x).exp();
+            1.0 / (1.0 + z)
+        } else {
+            let z = x.exp();
+            z / (1.0 + z)
+        }
+    }
+
+    /// The gradient of [`bce`] under an upstream gradient of 1.
+    pub fn bce_grad(x: &[f32], t: &[f32]) -> Vec<f32> {
+        let scale = 1.0 / x.len() as f32;
+        x.iter()
+            .zip(t)
+            .map(|(&xi, &ti)| scale * (sigmoid(xi) - ti))
+            .collect()
+    }
+}
+
+/// Inputs for the `expf` callers: mostly ordinary values, so most sixteen-
+/// lane chunks take the vector path, and one in twenty a value that sends
+/// its chunk down the slow one — a NaN (quiet or signalling, either sign),
+/// an infinity, a signed zero, or a value below −88 or above 88.
+fn exp_inputs(rng: &mut rand::rngs::StdRng, len: usize) -> Vec<f32> {
+    let special = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0u8..8) {
+        0 => f32::NAN,
+        1 => f32::from_bits(0xff80_0001 ^ (rng.gen::<u32>() & 0x8000_0000)),
+        2 => f32::INFINITY,
+        3 => f32::NEG_INFINITY,
+        4 => 0.0,
+        5 => -0.0,
+        6 => rng.gen_range(-120.0f32..-88.0),
+        _ => rng.gen_range(88.0f32..100.0),
+    };
+    (0..len)
+        .map(|_| {
+            if rng.gen_range(0u8..20) == 0 {
+                special(rng)
+            } else {
+                rng.gen_range(-12.0f32..12.0)
+            }
+        })
+        .collect()
+}
+
+/// Bits with every NaN read as one pattern. Where a sum meets two NaNs,
+/// Rust leaves which payload survives to code generation, so a reduction
+/// over several NaN inputs may differ from its oracle there and nowhere else.
+fn bits_any_nan(x: &[f32]) -> Vec<u32> {
+    let canonical = |v: &f32| {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    };
+    x.iter().map(canonical).collect()
+}
+
+/// The unfused decoder chain `pair_dot` must replay.
+fn chain_pair_dot(g: &mut Graph, h: Var, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>>) -> Var {
+    let o_src = g.gather_rows(h, src.clone());
+    let o_dst = g.gather_rows(h, dst.clone());
+    g.row_dot(o_src, o_dst)
+}
+
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
         prop::collection::vec(-10.0f32..10.0, r * c)
@@ -352,6 +471,102 @@ proptest! {
                 chain_edge_aggregate(&mut g, hw, alpha, &case)
             };
             value_and_grad_bits(&mut g, out, &w, &leaves)
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// ELU through the vector `expf`, value and gradient, against the libm
+    /// loop it replaced: NaN payloads, infinities, signed zeros and the
+    /// underflow band included.
+    #[test]
+    fn elu_matches_libm_loop(len in 0usize..80, alpha in 0.1f32..2.0, seed in any::<u64>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let x = exp_inputs(&mut rng, len);
+        let w = Matrix::col_vector((0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect());
+        let mut g = Graph::new();
+        let xv = g.leaf(Matrix::col_vector(x.clone()));
+        let y = g.elu(xv, alpha);
+        let (value, grads) = value_and_grad_bits(&mut g, y, &w, &[xv]);
+        let want = libm_loops::elu(&x, alpha);
+        let want_grad = libm_loops::elu_grad(w.as_slice(), &x, &want, alpha);
+        prop_assert_eq!(value, oracle::bits(&want));
+        prop_assert_eq!(grads, vec![Some(oracle::bits(&want_grad))]);
+    }
+
+    /// `segment_softmax` (and so `edge_softmax`) through the vector `expf`,
+    /// against the libm loop it replaced; a segment's sum may meet several
+    /// NaNs, so NaN payloads are not compared.
+    #[test]
+    fn segment_softmax_matches_libm_loop(
+        len in 0usize..80, n_segs in 1usize..6, seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let x = exp_inputs(&mut rng, len);
+        let seg_of_row: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n_segs as u32)).collect();
+        let mut g = Graph::new();
+        let xv = g.leaf(Matrix::col_vector(x.clone()));
+        let y = g.segment_softmax(xv, Arc::new(Segments::new(seg_of_row.clone(), n_segs)));
+        let want = libm_loops::segment_softmax(&x, &seg_of_row, n_segs);
+        prop_assert_eq!(bits_any_nan(g.value(y).as_slice()), bits_any_nan(&want));
+    }
+
+    /// `bce_with_logits` value and gradient through the vector `expf`,
+    /// against the libm loops they replaced: the gradient by `to_bits`, the
+    /// mean (a sum that may meet several NaNs) up to NaN payloads.
+    #[test]
+    fn bce_matches_libm_loop(len in 1usize..80, seed in any::<u64>()) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let x = exp_inputs(&mut rng, len);
+        let t: Vec<f32> = (0..len).map(|_| if rng.gen::<bool>() { 1.0 } else { 0.0 }).collect();
+        let mut g = Graph::new();
+        let xv = g.leaf(Matrix::col_vector(x.clone()));
+        let loss = g.bce_with_logits(xv, Arc::new(t.clone()));
+        g.backward(loss);
+        let value = bits_any_nan(g.value(loss).as_slice());
+        prop_assert_eq!(value, bits_any_nan(&[libm_loops::bce(&x, &t)]));
+        let grad = oracle::bits(g.grad(xv).unwrap().as_slice());
+        prop_assert_eq!(grad, oracle::bits(&libm_loops::bce_grad(&x, &t)));
+    }
+
+    /// `pair_dot` against the `gather_rows`×2 → `row_dot` chain, value and
+    /// gradient, with repeated pairs and self pairs; with `later_child`, `h`
+    /// also feeds a node recorded after the decoder, so its gradient already
+    /// holds a term when the decoder's two shares arrive.
+    #[test]
+    fn pair_dot_matches_unfused_chain(
+        n in 1usize..9, d in edge_width(1..10), b in 0usize..41,
+        later_child in any::<bool>(), seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pick = |_| -> u32 { rng.gen_range(0..n as u32) };
+        let mut src: Vec<u32> = (0..b).map(&mut pick).collect();
+        let mut dst: Vec<u32> = (0..b).map(&mut pick).collect();
+        if b >= 2 {
+            (src[b - 1], dst[b - 1]) = (src[0], dst[0]); // a repeated pair
+            dst[1] = src[1]; // a self pair
+        }
+        let (src, dst) = (Arc::new(src), Arc::new(dst));
+        let h = zero_heavy(&mut rng, n, d);
+        let proj = zero_heavy(&mut rng, d, 1);
+        let w = zero_heavy(&mut rng, b + if later_child { n } else { 0 }, 1);
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let hv = g.leaf(h.clone());
+            let mut out = if fused {
+                g.pair_dot(hv, src.clone(), dst.clone())
+            } else {
+                chain_pair_dot(&mut g, hv, &src, &dst)
+            };
+            if later_child {
+                let p = g.input(proj.clone());
+                let later = g.matmul(hv, p);
+                out = g.concat_rows(&[out, later]);
+            }
+            value_and_grad_bits(&mut g, out, &w, &[hv])
         };
         prop_assert_eq!(run(true), run(false));
     }
@@ -596,4 +811,12 @@ fn edge_aggregate_names_an_out_of_range_edge() {
 #[should_panic(expected = "Segments: id 3 out of range for 3 segments")]
 fn segments_new_rejects_out_of_range_id() {
     Segments::new(vec![0, 2, 3], 3);
+}
+
+#[test]
+#[should_panic(expected = "pair_dot: example 1 pairs rows 0 and 3, out of range for 3 rows")]
+fn pair_dot_names_an_out_of_range_example() {
+    let mut g = Graph::new();
+    let h = g.leaf(Matrix::zeros(3, 2));
+    g.pair_dot(h, Arc::new(vec![1, 0, 4]), Arc::new(vec![2, 3, 0]));
 }
