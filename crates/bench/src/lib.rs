@@ -25,7 +25,7 @@
 //! * `--async-gamma <f>` — async staleness discount `γ ∈ (0, 1]`
 //!   (requires `--runtime async`)
 //! * `--workers <n>`   — worker-pool size for parallel client updates
-//!   (default: the kernel-thread budget, `FEDDA_THREADS`; results are
+//!   (default: `FEDDA_THREADS`, else the core count; results are
 //!   identical for any value)
 //! * `--compress <c>`  — uplink codec: `ident` (bit-exact), `q8`
 //!   (int8 quantization), `f16` (half precision) or `topk:<frac>`
@@ -42,8 +42,9 @@
 //! Exit status: `0` success, or usage asked for (`fedda help [<subcommand>]`,
 //! `--help`, `-h`: on stdout); `1` the run failed ([`Failure::Run`]); `2` the
 //! command line could not be understood ([`Failure::Usage`], a missing or
-//! unknown subcommand) or the CPU is below the build's ISA level. Stderr is
-//! `error: <message>`, never a panic.
+//! unknown subcommand), the CPU is below the build's ISA level or
+//! `FEDDA_THREADS` is not a positive integer. Stderr is `error: <message>`,
+//! never a panic.
 
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework, FrameworkResult};
 use fedda::fl::{

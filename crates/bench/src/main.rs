@@ -8,6 +8,10 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     require_isa_level();
+    if let Err(e) = fedda::fl::runtime::default_workers() {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((sub, rest)) = args.split_first() else {
         return refuse("no subcommand given".into());

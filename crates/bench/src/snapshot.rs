@@ -122,7 +122,10 @@ pub struct EnvFingerprint {
     pub arch: String,
     /// Logical CPUs visible to the process.
     pub cpus: u64,
-    /// The kernel thread budget (`fedda_tensor::gemm::configured_threads`).
+    /// The default worker-pool size
+    /// ([`fedda::fl::runtime::default_workers`]; `0` if `FEDDA_THREADS` is
+    /// malformed). The JSON field kept the name of the kernel-thread
+    /// budget it used to hold.
     pub kernel_threads: u64,
     /// Raw `FEDDA_THREADS` env var, if set.
     pub fedda_threads_env: Option<String>,
@@ -137,8 +140,8 @@ impl EnvFingerprint {
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
             cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-            kernel_threads: fedda_tensor::gemm::configured_threads() as u64,
-            fedda_threads_env: std::env::var("FEDDA_THREADS").ok(),
+            kernel_threads: fedda::fl::runtime::default_workers().map_or(0, |n| n as u64),
+            fedda_threads_env: std::env::var(fedda::fl::runtime::DEFAULT_WORKERS_VAR).ok(),
             profile: if cfg!(debug_assertions) {
                 "debug".to_string()
             } else {

@@ -188,6 +188,28 @@ fn train_refuses_a_zero_eval_cadence_or_worker_pool() {
     }
 }
 
+/// `FEDDA_THREADS` sizes the default worker pool; a value that is not a
+/// positive integer is refused at start-up like `--workers 0`, not read as
+/// every core.
+#[test]
+fn a_malformed_fedda_threads_is_refused_at_start_up() {
+    for value in ["0", "four", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fedda"))
+            .args(["train", "--quick"])
+            .env("FEDDA_THREADS", value)
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("spawn fedda");
+        let stderr = clean_error(value, &out);
+        assert_eq!(out.status.code(), Some(2), "{value}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: FEDDA_THREADS must be a positive integer, got {value:?}")
+        );
+        assert!(out.stdout.is_empty(), "{value} printed before failing");
+    }
+}
+
 /// The data subcommands validate before they work: a grid no partition can
 /// be built from, or an archive that claims more than it holds, is
 /// `error: <message>` and exit status 1, not a panic or an abort.

@@ -71,7 +71,7 @@ pub struct ExperimentConfig {
     /// Base seed; run `r` derives its own sub-seeds.
     pub seed: u64,
     /// Worker-pool size for parallel client updates (`FlConfig::workers`;
-    /// `None` = the kernel-thread budget, `FEDDA_THREADS`; `Some(1)` runs
+    /// `None` = `FEDDA_THREADS`, else the core count; `Some(1)` runs
     /// serially). Results are identical for any value — this is a resource
     /// knob, not a semantic one.
     pub workers: Option<usize>,

@@ -63,9 +63,9 @@
 //! Selection/mask/post-aggregate RNG draws happen in round order, the
 //! event queue is totally ordered, client training is a pure function of
 //! `(client seed, dispatch round, broadcast)`, and the worker-pool size
-//! never changes results: same seed → bit-identical run, at any
-//! `FEDDA_THREADS` and any pool size. The seeded behaviour of every
-//! protocol under both runtimes is pinned by the `golden_curves` tests.
+//! never changes results: same seed → bit-identical run at any pool size.
+//! The seeded behaviour of every protocol under both runtimes is pinned by
+//! the `golden_curves` tests.
 //!
 //! # Accounting
 //!
@@ -396,6 +396,9 @@ impl<'a> Engine<'a> {
         cfg.train
             .validate()
             .map_err(|e| format!("invalid training configuration: {e}"))?;
+        system
+            .workers()
+            .map_err(|e| format!("invalid worker configuration: {e}"))?;
         let faults = cfg.faults.clone();
         if let Some(fc) = &faults {
             fc.validate()
@@ -846,6 +849,28 @@ mod tests {
                 assert_eq!(
                     run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
                     format!("invalid training configuration: {want}")
+                );
+            }
+            assert_eq!(sys.global.flatten(), before, "system must be untouched");
+        }
+    }
+
+    /// Without the check `WorkerPool::new(0)` silently ran one worker.
+    #[test]
+    fn engine_rejects_a_zero_worker_pool_before_touching_the_system() {
+        for parallel in [true, false] {
+            let mut sys = tiny_system_with(2, 47, |cfg| {
+                cfg.parallel = parallel;
+                cfg.workers = Some(0);
+            });
+            let before = sys.global.flatten();
+            for mode in [
+                RuntimeMode::Sync,
+                RuntimeMode::Async(AsyncConfig::default()),
+            ] {
+                assert_eq!(
+                    run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
+                    "invalid worker configuration: workers must be at least 1, got 0"
                 );
             }
             assert_eq!(sys.global.flatten(), before, "system must be untouched");

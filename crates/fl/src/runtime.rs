@@ -176,15 +176,30 @@ pub struct Delivery {
     pub payload: Option<crate::compress::InFlight>,
 }
 
-/// A fixed-size pool executing client tasks.
+/// The environment variable [`default_workers`] reads.
+pub const DEFAULT_WORKERS_VAR: &str = "FEDDA_THREADS";
+
+/// The worker-pool size a run gets when `FlConfig::workers` is `None`:
+/// [`DEFAULT_WORKERS_VAR`] if it is set, else the machine's available
+/// parallelism.
 ///
-/// With one worker, tasks run inline on the caller's thread and the matmul
-/// kernels keep the full `FEDDA_THREADS` budget (the historical sequential
-/// path). With more, tasks are pulled from a shared index by scoped
-/// worker threads, each capped at one kernel thread via
-/// [`fedda_tensor::gemm::with_kernel_threads`] so the two parallelism
-/// layers never multiply — exactly the contract the per-client-thread code
-/// had before this pool existed.
+/// # Errors
+/// The variable set to anything but a positive integer.
+pub fn default_workers() -> Result<usize, String> {
+    let Some(raw) = std::env::var_os(DEFAULT_WORKERS_VAR) else {
+        return Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
+    };
+    raw.to_str()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{DEFAULT_WORKERS_VAR} must be a positive integer, got {raw:?}"))
+}
+
+/// A fixed-size pool executing client tasks: the program's one
+/// parallelism layer (every kernel runs on the thread that calls it).
+///
+/// With one worker, tasks run inline on the caller's thread. With more,
+/// tasks are pulled from a shared index by scoped worker threads.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerPool {
     workers: usize,
@@ -219,21 +234,23 @@ impl WorkerPool {
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
         let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the worker pool is the program's one parallelism layer (DESIGN.md §11)"
+        )]
         std::thread::scope(|s| {
             for _ in 0..effective {
                 let tx = tx.clone();
                 let next = &next;
                 let f = &f;
-                s.spawn(move || {
-                    fedda_tensor::gemm::with_kernel_threads(1, || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        if tx.send((i, f(&items[i]))).is_err() {
-                            break;
-                        }
-                    })
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    if tx.send((i, f(&items[i]))).is_err() {
+                        break;
+                    }
                 });
             }
         });

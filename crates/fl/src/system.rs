@@ -94,16 +94,17 @@ pub struct FlConfig {
     pub eval_every: usize,
     /// Run seed: drives model init, client sampling and evaluation.
     pub seed: u64,
-    /// Run client updates on scoped worker threads.
+    /// Run client updates on scoped worker threads; `false` is
+    /// `workers: Some(1)`.
     pub parallel: bool,
-    /// Worker-pool size for parallel client updates; `None` is the
-    /// kernel-thread budget (`FEDDA_THREADS`, else the machine's available
-    /// parallelism), so one number bounds both parallelism layers, and
-    /// `Some(n)` sets the pool's size on its own. Never more workers than
-    /// tasks. Ignored when `parallel` is `false`. Results are worker-count
-    /// independent: client training is a pure function of (client seed,
-    /// round, broadcast parameters) and the pool returns results in
-    /// dispatch order.
+    /// Worker-pool size for parallel client updates; `None` is
+    /// `FEDDA_THREADS`, else the machine's available parallelism
+    /// ([`default_workers`](crate::runtime::default_workers)), and `Some(0)`
+    /// is refused before round 0. Never more workers than tasks. Ignored
+    /// when `parallel` is `false`. Results are worker-count independent:
+    /// client training is a pure function of (client seed, round,
+    /// broadcast parameters) and the pool returns results in dispatch
+    /// order.
     pub workers: Option<usize>,
     /// Optional clip-and-noise on returned updates.
     pub privacy: Option<PrivacyConfig>,
@@ -506,16 +507,8 @@ impl FlSystem {
     /// (`self.global`). An empty slice or all-`None` entries train the plain
     /// objective — no extra RNG draws, no extra float operations.
     ///
-    /// # Thread nesting
-    ///
-    /// Two layers can spawn threads here: the pool's per-client workers,
-    /// and the blocked matmul kernels (`fedda_tensor::gemm`) inside each
-    /// client's training loop. Letting both fan out would oversubscribe the
-    /// machine `clients × kernel-threads` ways, so a multi-worker pool caps
-    /// each worker's kernel threads at 1 via
-    /// [`fedda_tensor::gemm::with_kernel_threads`] — parallelism comes from
-    /// clients, matmuls stay single-threaded. A single-worker pool runs
-    /// inline and the kernels keep the full `FEDDA_THREADS` budget instead.
+    /// The pool is the only parallelism: each client's matmuls run on the
+    /// worker that trains it.
     ///
     /// [`WorkerPool`]: crate::runtime::WorkerPool
     pub fn run_local_round_with(
@@ -651,7 +644,7 @@ impl FlSystem {
         };
         let mut placed = Vec::with_capacity(active.len());
         let mut evaluated = None;
-        for done in crate::runtime::WorkerPool::new(self.workers()).run_ordered(&tasks, work) {
+        for done in crate::runtime::WorkerPool::new(self.pool_size()).run_ordered(&tasks, work) {
             match done {
                 Done::Report(pos, report) => placed.push((pos, report)),
                 Done::Evaluated(eval) => evaluated = Some(eval),
@@ -664,12 +657,24 @@ impl FlSystem {
 
     /// Worker-pool size of this run; the pool itself never runs more workers
     /// than it has tasks.
-    fn workers(&self) -> usize {
+    ///
+    /// # Errors
+    /// `workers: Some(0)`, or a malformed `FEDDA_THREADS` behind
+    /// `workers: None` ([`default_workers`](crate::runtime::default_workers)).
+    pub(crate) fn workers(&self) -> Result<usize, String> {
         match (self.cfg.parallel, self.cfg.workers) {
-            (false, _) => 1,
-            (true, Some(workers)) => workers,
-            (true, None) => fedda_tensor::gemm::configured_threads(),
+            (_, Some(0)) => Err("workers must be at least 1, got 0".into()),
+            (false, _) => Ok(1),
+            (true, Some(workers)) => Ok(workers),
+            (true, None) => crate::runtime::default_workers(),
         }
+    }
+
+    /// [`FlSystem::workers`] where no error can be returned: the engine has
+    /// refused an invalid size before round 0, and a direct
+    /// [`FlSystem::run_local_round_with`] call runs one inline instead.
+    fn pool_size(&self) -> usize {
+        self.workers().unwrap_or(1)
     }
 
     /// [`FlSystem::evaluate_global`] for the one evaluation no pool call
@@ -680,8 +685,12 @@ impl FlSystem {
     /// thread's never has, and growing it by one tape when the run is all
     /// but over would set the process's peak memory (`dblp_fedda`: 36 MB
     /// against 28 MB). The result is the same bits on any thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the final evaluation's own thread, for the heap reason above (ROADMAP item 5)"
+    )]
     pub(crate) fn evaluate_final(&self, round: usize) -> EvalResult {
-        if self.workers() < 2 {
+        if self.pool_size() < 2 {
             return self.evaluate_global(round);
         }
         std::thread::scope(|s| {

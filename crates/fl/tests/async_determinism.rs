@@ -1,13 +1,12 @@
 //! End-to-end determinism of the buffered-asynchronous runtime: a run must
-//! be bit-identical across repeated executions, kernel-thread budgets, and
-//! worker-pool sizes — the async mirror of `determinism_e2e.rs`.
+//! be bit-identical across repeated executions and worker-pool sizes — the
+//! async mirror of `determinism_e2e.rs`.
 //!
 //! The virtual clock and the `(tick, seq)`-ordered event queue make arrival
 //! order a pure function of the seed, never of host scheduling; the worker
 //! pool returns results in submission order for any pool size. Varying
-//! `FlConfig::workers` and the kernel-thread budget therefore must not move
-//! a single bit of the curve, the comm ledger, the activation trace, or the
-//! final parameters.
+//! `FlConfig::workers` therefore must not move a single bit of the curve,
+//! the comm ledger, the activation trace, or the final parameters.
 
 use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
 use fedda_fl::{
@@ -17,7 +16,6 @@ use fedda_fl::{
 };
 use fedda_hetgraph::split::split_edges;
 use fedda_hgn::{HgnConfig, TrainConfig};
-use fedda_tensor::gemm::with_kernel_threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,24 +108,21 @@ fn run_async(
     acfg: AsyncConfig,
     faults: Option<FaultConfig>,
     workers: Option<usize>,
-    kernel_threads: usize,
 ) -> (Fingerprint, Vec<String>) {
-    with_kernel_threads(kernel_threads, || {
-        let mut sys = build_system(workers, faults);
-        let mut sink = MemorySink::new();
-        let mut driver = AsyncDriver::with_sink(acfg, &mut sink);
-        let result = match which {
-            0 => driver.run(&mut FedAvg::vanilla(), &mut sys),
-            _ => driver.run(&mut FedDa::explore(), &mut sys),
-        }
-        .expect("async determinism runs use valid configurations");
-        let timeless = |e: &RoundEvent| RoundEvent {
-            wall_ms: 0.0,
-            ..e.clone()
-        };
-        let events = sink.events.iter().map(|e| format!("{:?}", timeless(e)));
-        (fingerprint(&result, &sys), events.collect())
-    })
+    let mut sys = build_system(workers, faults);
+    let mut sink = MemorySink::new();
+    let mut driver = AsyncDriver::with_sink(acfg, &mut sink);
+    let result = match which {
+        0 => driver.run(&mut FedAvg::vanilla(), &mut sys),
+        _ => driver.run(&mut FedDa::explore(), &mut sys),
+    }
+    .expect("async determinism runs use valid configurations");
+    let timeless = |e: &RoundEvent| RoundEvent {
+        wall_ms: 0.0,
+        ..e.clone()
+    };
+    let events = sink.events.iter().map(|e| format!("{:?}", timeless(e)));
+    (fingerprint(&result, &sys), events.collect())
 }
 
 fn assert_invariant_under_execution_strategy(
@@ -136,25 +131,18 @@ fn assert_invariant_under_execution_strategy(
     name: &str,
 ) {
     let acfg = AsyncConfig { k: 2, gamma: 0.9 };
-    let reference = run_async(which, acfg, faults.clone(), Some(1), 1);
+    let reference = run_async(which, acfg, faults.clone(), Some(1));
     assert_eq!(
         reference.0.curve.len(),
         ROUNDS,
         "{name}: expected one eval per version"
     );
     assert_eq!(reference.1.len(), ROUNDS, "{name}: one event per version");
-    for (workers, threads) in [
-        (Some(2), 1),
-        (Some(4), 1),
-        (Some(1), 4),
-        (Some(2), 4),
-        (Some(4), 4),
-        (None, 4),
-    ] {
-        let other = run_async(which, acfg, faults.clone(), workers, threads);
+    for workers in [Some(2), Some(4), Some(1), None] {
+        let other = run_async(which, acfg, faults.clone(), workers);
         assert_eq!(
             reference, other,
-            "{name}: run diverged under workers={workers:?}, kernel_threads={threads}"
+            "{name}: run diverged under workers={workers:?}"
         );
     }
 }
@@ -190,27 +178,24 @@ fn async_runs_under_compression_are_bit_identical_across_threads_and_workers() {
         Compression::QuantI8,
         Compression::TopK { frac: 0.25 },
     ] {
-        let run = |workers: Option<usize>, threads: usize| {
-            with_kernel_threads(threads, || {
-                let mut sys = build_system(workers, Some(straggly_faults()));
-                sys.set_compression(Some(compression));
-                let result = fedda_fl::run(
-                    &RuntimeMode::Async(acfg),
-                    &mut FedDa::explore(),
-                    &mut sys,
-                    None,
-                )
-                .expect("async compressed run");
-                fingerprint(&result, &sys)
-            })
+        let run = |workers: Option<usize>| {
+            let mut sys = build_system(workers, Some(straggly_faults()));
+            sys.set_compression(Some(compression));
+            let result = fedda_fl::run(
+                &RuntimeMode::Async(acfg),
+                &mut FedDa::explore(),
+                &mut sys,
+                None,
+            )
+            .expect("async compressed run");
+            fingerprint(&result, &sys)
         };
-        let reference = run(Some(1), 1);
-        for (workers, threads) in [(Some(4), 1), (Some(1), 4), (None, 4)] {
-            let other = run(workers, threads);
+        let reference = run(Some(1));
+        for workers in [Some(4), None] {
+            let other = run(workers);
             assert_eq!(
                 reference, other,
-                "codec {compression:?} diverged under workers={workers:?}, \
-                 kernel_threads={threads}"
+                "codec {compression:?} diverged under workers={workers:?}"
             );
         }
     }
@@ -224,18 +209,16 @@ fn identity_compression_with_stragglers_matches_uncompressed_async() {
     // bit for bit, staleness discounting, rejections and all.
     let acfg = AsyncConfig { k: 2, gamma: 0.9 };
     let run = |compression: Option<Compression>| {
-        with_kernel_threads(2, || {
-            let mut sys = build_system(Some(2), Some(straggly_faults()));
-            sys.set_compression(compression);
-            let result = fedda_fl::run(
-                &RuntimeMode::Async(acfg),
-                &mut FedAvg::vanilla(),
-                &mut sys,
-                None,
-            )
-            .expect("async run");
-            fingerprint(&result, &sys)
-        })
+        let mut sys = build_system(Some(2), Some(straggly_faults()));
+        sys.set_compression(compression);
+        let result = fedda_fl::run(
+            &RuntimeMode::Async(acfg),
+            &mut FedAvg::vanilla(),
+            &mut sys,
+            None,
+        )
+        .expect("async run");
+        fingerprint(&result, &sys)
     };
     assert_eq!(run(None), run(Some(Compression::Identity)));
 }
@@ -245,19 +228,15 @@ fn sync_facade_is_bit_identical_across_worker_pool_sizes() {
     // The sync driver rides the same worker pool: pool size must not move
     // a bit there either (its cross-thread determinism is pinned by
     // `determinism_e2e.rs`; this adds the workers axis).
-    let reference = with_kernel_threads(2, || {
-        let mut sys = build_system(Some(1), None);
+    let run = |workers: Option<usize>| {
+        let mut sys = build_system(workers, None);
         let result =
             fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
         fingerprint(&result, &sys)
-    });
+    };
+    let reference = run(Some(1));
     for workers in [Some(2), Some(4), None] {
-        let other = with_kernel_threads(2, || {
-            let mut sys = build_system(workers, None);
-            let result =
-                fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
-            fingerprint(&result, &sys)
-        });
+        let other = run(workers);
         assert_eq!(
             reference, other,
             "sync run diverged under workers={workers:?}"

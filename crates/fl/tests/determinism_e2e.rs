@@ -1,14 +1,8 @@
 //! End-to-end determinism: a short FedDA run must be bit-identical across
-//! repeated executions, across kernel-thread budgets, and across the
-//! parallel/sequential client dispatch paths. This is the guarantee the
+//! repeated executions, across the parallel/sequential client dispatch
+//! paths and across worker-pool sizes. This is the guarantee the
 //! `clippy.toml` bans (no hash collections, no wall-clock in protocol code)
 //! and the bit-identical GEMM kernels exist to protect.
-//!
-//! Thread budgets are varied in-process with `with_kernel_threads`, which
-//! only tightens the configured `FEDDA_THREADS` cap — under a CI run pinned
-//! to one thread both arms collapse to the same budget, which still
-//! satisfies (trivially) the equality being asserted; the multi-thread CI
-//! job exercises the real 4-vs-1 comparison.
 
 use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};
 use fedda_fl::{
@@ -19,7 +13,6 @@ use fedda_fl::{
 use fedda_hetgraph::split::split_edges;
 use fedda_hetgraph::HeteroGraph;
 use fedda_hgn::{HgnConfig, TrainConfig};
-use fedda_tensor::gemm::with_kernel_threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -134,35 +127,29 @@ fn event_stream(sink: &MemorySink) -> Vec<String> {
         .collect()
 }
 
-fn run_protocol(
-    make: &dyn Fn() -> Box<dyn FlProtocol>,
-    parallel: bool,
-    kernel_threads: usize,
-) -> Fingerprint {
-    with_kernel_threads(kernel_threads, || {
-        let mut sys = build_system(parallel);
-        // A fresh protocol instance per run: stateful protocols (FedDA's
-        // bandit, FedDyn's h, FedAdam's moments) must not leak state
-        // between the arms being compared.
-        let mut protocol = make();
-        let result = fedda_fl::run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None)
-            .expect("valid protocol configuration");
-        fingerprint(&result, &sys)
-    })
+fn run_protocol(make: &dyn Fn() -> Box<dyn FlProtocol>, parallel: bool) -> Fingerprint {
+    let mut sys = build_system(parallel);
+    // A fresh protocol instance per run: stateful protocols (FedDA's
+    // bandit, FedDyn's h, FedAdam's moments) must not leak state between
+    // the arms being compared.
+    let mut protocol = make();
+    let result = fedda_fl::run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None)
+        .expect("valid protocol configuration");
+    fingerprint(&result, &sys)
 }
 
 fn assert_invariant_under_execution_strategy(make: &dyn Fn() -> Box<dyn FlProtocol>, name: &str) {
-    let reference = run_protocol(make, true, 1);
+    let reference = run_protocol(make, true);
     assert_eq!(
         reference.curve.len(),
         ROUNDS,
         "{name}: expected one eval per round"
     );
-    for (parallel, threads) in [(true, 4), (false, 1), (false, 4), (true, 1)] {
-        let other = run_protocol(make, parallel, threads);
+    for parallel in [false, true] {
+        let other = run_protocol(make, parallel);
         assert_eq!(
             reference, other,
-            "{name}: run diverged under parallel={parallel}, kernel_threads={threads}"
+            "{name}: run diverged under parallel={parallel}"
         );
     }
 }
@@ -197,8 +184,8 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
     // The sync driver encodes each report inside its pool task and decodes
     // it in place at arrival — held straggler reports against the broadcast
     // of the round they were dispatched in, corrupted ones through the
-    // codec. None of that may depend on which worker ran which client or on
-    // the kernel-thread budget: codec × workers {1, 2, 4} × threads {1, 4}.
+    // codec. None of that may depend on which worker ran which client:
+    // codec × workers {1, 2, 4}.
     let faults = FaultConfig {
         straggler: 0.3,
         max_staleness: 2,
@@ -214,27 +201,23 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
         Some(Compression::QuantI8),
         Some(Compression::TopK { frac: 0.25 }),
     ] {
-        let run = |workers: usize, threads: usize| {
-            with_kernel_threads(threads, || {
-                let mut sys = build_system_with(true, Some(workers), Some(faults.clone()));
-                sys.set_compression(compression);
-                let result =
-                    fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None)
-                        .expect("sync compressed run");
-                (fingerprint(&result, &sys), result.faults)
-            })
+        let run = |workers: usize| {
+            let mut sys = build_system_with(true, Some(workers), Some(faults.clone()));
+            sys.set_compression(compression);
+            let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None)
+                .expect("sync compressed run");
+            (fingerprint(&result, &sys), result.faults)
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert!(
             !reference.1.is_empty(),
             "the fault plan must exercise the held and corrupted paths"
         );
-        for (workers, threads) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+        for workers in [2, 4] {
             assert_eq!(
                 reference,
-                run(workers, threads),
-                "codec {compression:?} diverged under workers={workers}, \
-                 kernel_threads={threads}"
+                run(workers),
+                "codec {compression:?} diverged under workers={workers}"
             );
         }
         // `ident` is lossless: held and corrupted reports included, it is
@@ -256,7 +239,7 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
     // `run_reports` hands the pool its clients largest first. With sizes
     // this far apart and out of index order, that order differs from the
     // index order at every pool size — and none of it may show: lockstep
-    // and buffered, workers {1, 2, 4} × kernel threads {1, 4}.
+    // and buffered, workers {1, 2, 4}.
     let skewed = |train: &HeteroGraph| -> Vec<ClientData> {
         let n_types = train.schema().num_edge_types();
         let clients: Vec<ClientData> = [0.1, 0.6, 0.2, 0.9]
@@ -279,32 +262,30 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
         assert!(edges[0] < edges[1] && edges[1] > edges[2] && edges[2] < edges[3]);
         clients
     };
-    let run = |buffered: bool, workers: usize, threads: usize| {
-        with_kernel_threads(threads, || {
-            let mut sys = build_system_over(true, Some(workers), None, skewed);
-            let mut protocol = FedDa::explore();
-            let result = if buffered {
-                fedda_fl::run(
-                    &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
-                    &mut protocol,
-                    &mut sys,
-                    None,
-                )
-            } else {
-                fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
-            }
-            .expect("valid protocol configuration");
-            fingerprint(&result, &sys)
-        })
+    let run = |buffered: bool, workers: usize| {
+        let mut sys = build_system_over(true, Some(workers), None, skewed);
+        let mut protocol = FedDa::explore();
+        let result = if buffered {
+            fedda_fl::run(
+                &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+                &mut protocol,
+                &mut sys,
+                None,
+            )
+        } else {
+            fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
+        }
+        .expect("valid protocol configuration");
+        fingerprint(&result, &sys)
     };
     for buffered in [false, true] {
-        let reference = run(buffered, 1, 1);
+        let reference = run(buffered, 1);
         assert_eq!(reference.curve.len(), ROUNDS);
-        for (workers, threads) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+        for workers in [2, 4] {
             assert_eq!(
                 reference,
-                run(buffered, workers, threads),
-                "buffered={buffered} diverged under workers={workers}, kernel_threads={threads}"
+                run(buffered, workers),
+                "buffered={buffered} diverged under workers={workers}"
             );
         }
     }
@@ -313,13 +294,12 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
 #[test]
 fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
     // Round t's evaluation rides round t + 1's pool call and its event is
-    // emitted when that pool has joined. Which worker scored it, beside
-    // which clients and on how many kernel threads may not show: event t
-    // carries evaluation t, events arrive in round order, the final round
-    // evaluates whatever the cadence, and the curve is the events' evals —
-    // lockstep and buffered, straggler reports crossing rounds, workers
-    // {1, 2, 4} × kernel threads {1, 4}, over a round count 3 does not
-    // divide.
+    // emitted when that pool has joined. Which worker scored it and beside
+    // which clients may not show: event t carries evaluation t, events
+    // arrive in round order, the final round evaluates whatever the
+    // cadence, and the curve is the events' evals — lockstep and buffered,
+    // straggler reports crossing rounds, workers {1, 2, 4}, over a round
+    // count 3 does not divide.
     const PIPELINE_ROUNDS: usize = 5;
     let faults = FaultConfig {
         straggler: 0.3,
@@ -337,51 +317,47 @@ fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
         (true, 1, vec![0, 1, 2, 3, 4]),
         (true, 3, vec![2, 4]),
     ] {
-        let run = |workers: usize, threads: usize| {
-            with_kernel_threads(threads, || {
-                let mut sys = build_system_edited(paper_partition, |cfg| {
-                    cfg.rounds = PIPELINE_ROUNDS;
-                    cfg.eval_every = eval_every;
-                    cfg.workers = Some(workers);
-                    cfg.faults = Some(faults.clone());
-                });
-                let mut sink = MemorySink::new();
-                let mut protocol = FedDa::explore();
-                let result = if buffered {
-                    AsyncDriver::with_sink(AsyncConfig { k: 2, gamma: 0.9 }, &mut sink)
-                        .run(&mut protocol, &mut sys)
-                } else {
-                    RoundDriver::with_sink(&mut sink).run(&mut protocol, &mut sys)
-                }
-                .expect("valid protocol configuration");
-                // Events in round order, event t carrying evaluation t…
-                let rounds: Vec<usize> = sink.events.iter().map(|e| e.round).collect();
-                assert_eq!(rounds, (0..PIPELINE_ROUNDS).collect::<Vec<_>>());
-                let bits =
-                    |e: &fedda_fl::RoundEval| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits());
-                let carried: Vec<_> = sink
-                    .events
-                    .iter()
-                    .filter_map(|event| event.eval.map(|eval| (event.round, bits(&eval))))
-                    .collect();
-                assert_eq!(
-                    carried.iter().map(|&(round, _)| round).collect::<Vec<_>>(),
-                    evaluated,
-                    "buffered={buffered}, eval_every={eval_every}"
-                );
-                // …and the curve is exactly what the events carried.
-                let curve: Vec<_> = result.curve.iter().map(|e| (e.round, bits(e))).collect();
-                assert_eq!(carried, curve);
-                (fingerprint(&result, &sys), event_stream(&sink))
-            })
+        let run = |workers: usize| {
+            let mut sys = build_system_edited(paper_partition, |cfg| {
+                cfg.rounds = PIPELINE_ROUNDS;
+                cfg.eval_every = eval_every;
+                cfg.workers = Some(workers);
+                cfg.faults = Some(faults.clone());
+            });
+            let mut sink = MemorySink::new();
+            let mut protocol = FedDa::explore();
+            let result = if buffered {
+                AsyncDriver::with_sink(AsyncConfig { k: 2, gamma: 0.9 }, &mut sink)
+                    .run(&mut protocol, &mut sys)
+            } else {
+                RoundDriver::with_sink(&mut sink).run(&mut protocol, &mut sys)
+            }
+            .expect("valid protocol configuration");
+            // Events in round order, event t carrying evaluation t…
+            let rounds: Vec<usize> = sink.events.iter().map(|e| e.round).collect();
+            assert_eq!(rounds, (0..PIPELINE_ROUNDS).collect::<Vec<_>>());
+            let bits = |e: &fedda_fl::RoundEval| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits());
+            let carried: Vec<_> = sink
+                .events
+                .iter()
+                .filter_map(|event| event.eval.map(|eval| (event.round, bits(&eval))))
+                .collect();
+            assert_eq!(
+                carried.iter().map(|&(round, _)| round).collect::<Vec<_>>(),
+                evaluated,
+                "buffered={buffered}, eval_every={eval_every}"
+            );
+            // …and the curve is exactly what the events carried.
+            let curve: Vec<_> = result.curve.iter().map(|e| (e.round, bits(e))).collect();
+            assert_eq!(carried, curve);
+            (fingerprint(&result, &sys), event_stream(&sink))
         };
-        let reference = run(1, 1);
-        for (workers, threads) in [(2, 1), (4, 1), (1, 4), (2, 4), (4, 4)] {
+        let reference = run(1);
+        for workers in [2, 4] {
             assert_eq!(
                 reference,
-                run(workers, threads),
-                "buffered={buffered}, eval_every={eval_every} diverged under \
-                 workers={workers}, kernel_threads={threads}"
+                run(workers),
+                "buffered={buffered}, eval_every={eval_every} diverged under workers={workers}"
             );
         }
     }

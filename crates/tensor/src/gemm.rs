@@ -10,9 +10,8 @@
 //! in ascending order** — the f32 operation sequence of a scalar triple
 //! loop, which is what the test-only oracle (`tests/oracle/mod.rs`) runs.
 //! f32 addition is not associative, so a tile vectorises across output
-//! columns and rows, never across `k`; threads partition output **rows**,
-//! so each element is written by exactly one thread. Results are therefore
-//! bit-identical at every shape, tile edge and thread count.
+//! columns and rows, never across `k`. Results are therefore bit-identical
+//! at every shape and tile edge.
 //!
 //! No term is skipped: `0·NaN` and `0·Inf` reach the output as NaN in all
 //! three layouts, so a corrupted operand stays visible to
@@ -43,116 +42,16 @@
 //!
 //! # Threading
 //!
-//! The pool size comes from the `FEDDA_THREADS` environment variable
-//! (parsed once), defaulting to [`std::thread::available_parallelism`].
-//! [`with_kernel_threads`] applies a thread-local cap on top, which is how
-//! the FL simulator keeps `per-client threads × kernel threads` from
-//! oversubscribing the machine (see `fedda_fl::system`). Threads are
-//! scoped (`std::thread::scope`), spawned per call for products of at least
-//! [`BLOCK_THRESHOLD`] multiply-adds; row ranges are contiguous.
+//! None: every product runs on the thread that calls it. Clients train on
+//! the FL simulator's worker pool (`fedda_fl::runtime::WorkerPool`), the
+//! program's one parallelism layer (DESIGN.md §8).
 
 use crate::Matrix;
-use std::cell::Cell;
-use std::sync::OnceLock;
 
-/// Threading cut-off: products with fewer than this many multiply-adds
-/// (`m·k·n`) run on the calling thread.
-///
-/// Measured on the two-core reference box, `x86-64-v3` build, with the
-/// tile at ~17 multiply-adds per ns: a scoped spawn + join costs 30 µs at
-/// best, but its tail runs to milliseconds whenever the sibling core is
-/// busy. Median times on 1 → 2 threads: `2525×48·48×48` (5.8 M, the largest
-/// product of a paper-sized round) 0.33 → 0.35 ms; 10–20 M flips with the
-/// load (`2525×72·72×72`, 13 M: 0.74 → 0.59 one minute, 0.72 → 0.73 the
-/// next); `2525×96·96×96` (23 M) 1.10 → 0.82 ms; `2525×128·128×128` (41 M)
-/// 2.2 → 1.6 ms. The faster tile moved both sides of the comparison, not
-/// the crossing: threads still pay from about 2²⁴ up, and no product of
-/// the benchmark's federated rounds is large enough to want them.
-pub const BLOCK_THRESHOLD: usize = 1 << 24;
-
-static CONFIGURED_THREADS: OnceLock<usize> = OnceLock::new();
-
-thread_local! {
-    static THREAD_CAP: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// The process-wide kernel thread budget: `FEDDA_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism.
-pub fn configured_threads() -> usize {
-    *CONFIGURED_THREADS.get_or_init(|| match std::env::var("FEDDA_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(default_threads),
-        Err(_) => default_threads(),
-    })
-}
-
-struct CapGuard {
-    prev: usize,
-}
-
-impl Drop for CapGuard {
-    fn drop(&mut self) {
-        THREAD_CAP.with(|c| c.set(self.prev));
-    }
-}
-
-/// Run `f` with kernel threads capped at `cap` on this thread (floored at
-/// 1). Caps nest by tightening: an inner `with_kernel_threads(8, ..)`
-/// inside a `with_kernel_threads(1, ..)` region still runs single-threaded.
-/// The previous cap is restored when `f` returns or panics.
-pub fn with_kernel_threads<R>(cap: usize, f: impl FnOnce() -> R) -> R {
-    let _guard = THREAD_CAP.with(|c| {
-        let prev = c.get();
-        c.set(cap.max(1).min(prev));
-        CapGuard { prev }
-    });
+/// Run `f`. Kept only because the benchmark package links it: kernels no
+/// longer spawn threads, so there is no cap to apply.
+pub fn with_kernel_threads<R>(_cap: usize, f: impl FnOnce() -> R) -> R {
     f()
-}
-
-/// Threads a kernel launched from this thread may use right now: the
-/// configured budget under the active [`with_kernel_threads`] cap.
-pub fn kernel_threads() -> usize {
-    configured_threads().min(THREAD_CAP.with(|c| c.get()))
-}
-
-/// Threads to launch for an `m×k @ k×n` product: the [`kernel_threads`]
-/// budget from [`BLOCK_THRESHOLD`] multiply-adds up, the calling thread
-/// alone below.
-fn threads_for(m: usize, k: usize, n: usize) -> usize {
-    // Saturating: shapes near usize::MAX would wrap to small products.
-    if m.saturating_mul(k).saturating_mul(n) >= BLOCK_THRESHOLD {
-        kernel_threads()
-    } else {
-        1
-    }
-}
-
-/// Split `out`'s rows into contiguous chunks, one per thread (at most one
-/// thread per row), and run `body` on each `(first_row, chunk)` pair.
-fn partition_rows(out: &mut Matrix, threads: usize, body: impl Fn(usize, &mut [f32]) + Sync) {
-    let (m, n) = out.shape();
-    let threads = threads.min(m);
-    if threads <= 1 {
-        body(0, out.as_mut_slice());
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let body = &body;
-    std::thread::scope(|s| {
-        for (t, chunk) in out.as_mut_slice().chunks_mut(rows_per * n).enumerate() {
-            s.spawn(move || body(t * rows_per, chunk));
-        }
-    });
 }
 
 /// `op(A)` and `B` of one product, as the tile reads them.
@@ -166,8 +65,7 @@ struct Operands<'a> {
     n: usize,
 }
 
-/// `op(A) @ B` into a fresh `m × n` matrix on `threads` threads; `TN`
-/// selects `op(A) = Aᵀ`.
+/// `op(A) @ B` into a fresh `m × n` matrix; `TN` selects `op(A) = Aᵀ`.
 ///
 /// Tile shapes were picked by measurement on the `x86-64-v3` build (AVX2,
 /// 16 registers of 8 lanes): 4×16 — 8 accumulator registers, 2 for the `B`
@@ -182,17 +80,18 @@ struct Operands<'a> {
 /// and a third slower in `tn`, 16×1 the reverse. On a baseline (SSE2,
 /// 4-lane) build this table runs `nn` 20–30 % slower than the 2×16 / 4×8 it
 /// replaced there: 4×16 is sixteen 4-lane accumulators, and spills.
-fn run<const TN: bool>(ops: Operands<'_>, m: usize, threads: usize) -> Matrix {
+fn run<const TN: bool>(ops: Operands<'_>, m: usize) -> Matrix {
     let Operands { k, n, .. } = ops;
     let mut out = Matrix::zeros(m, n);
     if k == 0 || n == 0 {
         return out; // empty sums: the zero matrix is the answer
     }
-    partition_rows(&mut out, threads, |row0, chunk| match n {
-        1 => rows::<TN, 8, 1>(ops, row0, chunk),
-        2..=15 => rows::<TN, 8, 8>(ops, row0, chunk),
-        _ => rows::<TN, 4, 16>(ops, row0, chunk),
-    });
+    let out_rows = out.as_mut_slice();
+    match n {
+        1 => rows::<TN, 8, 1>(ops, out_rows),
+        2..=15 => rows::<TN, 8, 8>(ops, out_rows),
+        _ => rows::<TN, 4, 16>(ops, out_rows),
+    }
     out
 }
 
@@ -202,7 +101,7 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
     let n = b.cols();
     assert_eq!(k, b.rows(), "matmul: {}x{} @ {}x{}", m, k, b.rows(), n);
     let (a, b) = (a.as_slice(), b.as_slice());
-    run::<false>(Operands { a, lda: k, b, k, n }, m, threads_for(m, k, n))
+    run::<false>(Operands { a, lda: k, b, k, n }, m)
 }
 
 /// `a^T @ b`, with `a` read in place (no transpose is materialised).
@@ -211,7 +110,7 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
     let n = b.cols();
     assert_eq!(k, b.rows(), "matmul_tn: ({k}x{m})^T @ {}x{n}", b.rows());
     let (a, b) = (a.as_slice(), b.as_slice());
-    run::<true>(Operands { a, lda: m, b, k, n }, m, threads_for(m, k, n))
+    run::<true>(Operands { a, lda: m, b, k, n }, m)
 }
 
 /// `a @ b^T`: `b^T` is materialised (`O(k·n)`; `b` is a weight matrix on
@@ -228,16 +127,11 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
     gemm_nn(a, &b.transpose())
 }
 
-/// One contiguous partition of output rows starting at `row0`: `M`-row
-/// panels, single rows at the ragged end.
-fn rows<const TN: bool, const M: usize, const N: usize>(
-    ops: Operands<'_>,
-    row0: usize,
-    out: &mut [f32],
-) {
+/// Every output row: `M`-row panels, single rows at the ragged end.
+fn rows<const TN: bool, const M: usize, const N: usize>(ops: Operands<'_>, out: &mut [f32]) {
     let n = ops.n;
     let mut panels = out.chunks_exact_mut(M * n);
-    let mut i = row0;
+    let mut i = 0;
     for panel in &mut panels {
         self::panel::<TN, M, N>(ops, i, panel);
         i += M;
@@ -335,23 +229,8 @@ mod tests {
         )
     }
 
-    fn nn_on(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let (a, b) = (a.as_slice(), b.as_slice());
-        run::<false>(Operands { a, lda: k, b, k, n }, m, threads)
-    }
-
-    fn tn_on(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-        let (k, m) = a.shape();
-        let n = b.cols();
-        let (a, b) = (a.as_slice(), b.as_slice());
-        run::<true>(Operands { a, lda: m, b, k, n }, m, threads)
-    }
-
     /// Bit-identity with the scalar oracle at shapes straddling every tile
-    /// edge (rows 1/4/8, columns 1/8/16) on zero-heavy inputs, with the
-    /// thread count forced so that partitions split panels too.
+    /// edge (rows 1/4/8, columns 1/8/16) on zero-heavy inputs.
     #[test]
     fn blocked_kernels_match_naive_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -375,38 +254,14 @@ mod tests {
             let want_nn = oracle::bits(&oracle::nn(a.as_slice(), b.as_slice(), dims));
             let want_tn = oracle::bits(&oracle::tn(at.as_slice(), b.as_slice(), dims));
             let want_nt = oracle::bits(&oracle::nt(a.as_slice(), bt.as_slice(), dims));
-            for threads in [1, 2, 3, 8] {
-                let ctx = format!("{m}x{k}x{n} on {threads} threads");
-                let got = nn_on(&a, &b, threads);
-                assert_eq!(got.shape(), (m, n));
-                assert_eq!(oracle::bits(got.as_slice()), want_nn, "nn {ctx}");
-                let got = tn_on(&at, &b, threads);
-                assert_eq!(got.shape(), (m, n));
-                assert_eq!(oracle::bits(got.as_slice()), want_tn, "tn {ctx}");
-                let got = nn_on(&a, &bt.transpose(), threads);
-                assert_eq!(oracle::bits(got.as_slice()), want_nt, "nt {ctx}");
-            }
-            assert_eq!(oracle::bits(gemm_nt(&a, &bt).as_slice()), want_nt);
-        }
-    }
-
-    /// Through the public entry points, above the threading cut-off:
-    /// results must not depend on the thread count (row partitioning).
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let (m, k, n) = (261, 257, 259);
-        assert!(m * k * n >= BLOCK_THRESHOLD);
-        let a = rand_matrix(&mut rng, m, k, 0.2);
-        let b = rand_matrix(&mut rng, k, n, 0.2);
-        let single = with_kernel_threads(1, || gemm_nn(&a, &b));
-        for threads in [2, 3, 8] {
-            let multi = with_kernel_threads(threads, || gemm_nn(&a, &b));
-            assert_eq!(
-                oracle::bits(single.as_slice()),
-                oracle::bits(multi.as_slice()),
-                "threads={threads}"
-            );
+            let got = gemm_nn(&a, &b);
+            assert_eq!(got.shape(), (m, n));
+            assert_eq!(oracle::bits(got.as_slice()), want_nn, "nn {dims:?}");
+            let got = gemm_tn(&at, &b);
+            assert_eq!(got.shape(), (m, n));
+            assert_eq!(oracle::bits(got.as_slice()), want_tn, "tn {dims:?}");
+            let got = gemm_nt(&a, &bt);
+            assert_eq!(oracle::bits(got.as_slice()), want_nt, "nt {dims:?}");
         }
     }
 
@@ -431,28 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn caps_nest_by_tightening_and_restore() {
-        with_kernel_threads(1, || {
-            assert_eq!(kernel_threads(), 1);
-            with_kernel_threads(8, || assert_eq!(kernel_threads(), 1));
-            assert_eq!(kernel_threads(), 1);
-        });
-        assert!(kernel_threads() >= 1);
-    }
-
-    #[test]
-    fn dispatch_threshold_is_volume_based() {
-        with_kernel_threads(1, || assert_eq!(threads_for(1 << 10, 1 << 10, 1 << 10), 1));
-        let budget = kernel_threads();
-        assert_eq!(threads_for(2525, 48, 48), 1);
-        assert_eq!(threads_for(1, 1, BLOCK_THRESHOLD - 1), 1);
-        assert_eq!(threads_for(1, 1, BLOCK_THRESHOLD), budget);
-        assert_eq!(threads_for(2525, 96, 96), budget);
-        assert_eq!(threads_for(1, 2, usize::MAX), budget); // saturating, no overflow
-        assert_eq!(threads_for(0, 1 << 20, 1 << 20), 1);
-    }
-
-    #[test]
     fn degenerate_shapes_are_safe() {
         let a = Matrix::zeros(5, 0);
         let b = Matrix::zeros(0, 7);
@@ -466,13 +299,5 @@ mod tests {
         let f = gemm_tn(&Matrix::zeros(0, 4), &Matrix::zeros(0, 3));
         assert_eq!(f.shape(), (4, 3));
         assert_eq!(oracle::bits(f.as_slice()), vec![0u32; 12]);
-        // More threads than rows, and a zero-row output, must not spawn
-        // empty partitions.
-        let g = nn_on(&Matrix::full(2, 3, 1.0), &Matrix::full(3, 2, 1.0), 8);
-        assert_eq!(g.as_slice(), &[3.0; 4]);
-        assert_eq!(
-            nn_on(&Matrix::zeros(0, 3), &Matrix::zeros(3, 2), 8).shape(),
-            (0, 2)
-        );
     }
 }

@@ -185,7 +185,7 @@ impl Matrix {
     }
 
     /// `self @ other` — plain matrix multiply on the register-tiled kernel
-    /// ([`crate::gemm`]), bit-identical at every shape and thread count.
+    /// ([`crate::gemm`]), bit-identical at every shape.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
