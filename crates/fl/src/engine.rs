@@ -36,7 +36,8 @@
 //! call (`FlSystem::run_reports`); when the pool has joined, the engine
 //! pushes the curve point, sets `final_eval` and emits round `t`'s event —
 //! still before round `t + 1`'s. The last round's evaluation has no
-//! dispatch to ride and runs after its commit (`FlSystem::evaluate_final`).
+//! dispatch to ride and runs after its commit, on the server thread in
+//! worker slot 0's workspace (`FlSystem::evaluate_global`).
 //! Two facts make this safe: `system.global` is frozen between a commit and
 //! the next pool's join (every hook dispatch calls takes `&FlSystem`; only
 //! `post_aggregate` and Eq. 6 write it), and `eval_inputs(round)` owns its
@@ -364,7 +365,7 @@ pub fn run(
     if let Some(closed) = previous {
         let eval = closed
             .evaluate
-            .map(|round| engine.system.evaluate_final(round));
+            .map(|round| engine.system.evaluate_global(round));
         engine.publish(closed, eval, sink);
     }
     Ok(engine.result)

@@ -97,31 +97,38 @@ impl EventSink for StderrSink {
     }
 
     fn on_round(&mut self, event: &RoundEvent) {
-        let eval = match &event.eval {
-            Some(e) => format!("auc {:.4} mrr {:.4}", e.roc_auc, e.mrr),
-            None => "-".into(),
-        };
-        let mut flags = match (event.restarted, event.deactivated.len()) {
-            (true, _) => " restart".to_string(),
-            (false, 0) => String::new(),
-            (false, d) => format!(" -{d} client(s)"),
-        };
-        if !event.faults.is_empty() {
-            flags.push_str(&format!(" !{} fault(s)", event.faults.len()));
-        }
-        eprintln!(
-            "  r{:03} | active {:2} | density {:.2} | up {:6}u {:8}B / down {:6}u | {} | {:.1}ms{}",
-            event.round,
-            event.active_clients.len(),
-            event.mask_density,
-            event.comm.uplink_units,
-            event.comm.uplink_bytes,
-            event.comm.downlink_units,
-            eval,
-            event.wall_ms,
-            flags,
-        );
+        eprintln!("{}", round_line(event));
     }
+}
+
+/// [`StderrSink`]'s line for one round. The wall time is printed as `+…ms`:
+/// [`RoundEvent::wall_ms`] is the time since the previous line, which
+/// includes the next round's training, not the round's own duration.
+fn round_line(event: &RoundEvent) -> String {
+    let eval = match &event.eval {
+        Some(e) => format!("auc {:.4} mrr {:.4}", e.roc_auc, e.mrr),
+        None => "-".into(),
+    };
+    let mut flags = match (event.restarted, event.deactivated.len()) {
+        (true, _) => " restart".to_string(),
+        (false, 0) => String::new(),
+        (false, d) => format!(" -{d} client(s)"),
+    };
+    if !event.faults.is_empty() {
+        flags.push_str(&format!(" !{} fault(s)", event.faults.len()));
+    }
+    format!(
+        "  r{:03} | active {:2} | density {:.2} | up {:6}u {:8}B / down {:6}u | {} | +{:.1}ms{}",
+        event.round,
+        event.active_clients.len(),
+        event.mask_density,
+        event.comm.uplink_units,
+        event.comm.uplink_bytes,
+        event.comm.downlink_units,
+        eval,
+        event.wall_ms,
+        flags,
+    )
 }
 
 #[cfg(test)]
@@ -162,6 +169,20 @@ mod tests {
         assert_eq!(sink.runs[0], ("FedAvg".to_string(), 3));
         assert_eq!(sink.events.len(), 3);
         assert_eq!(sink.events[1].round, 1);
+    }
+
+    /// The wall time reads as time since the previous line, `+…ms`, not as
+    /// the round's own duration.
+    #[test]
+    fn round_line_prints_wall_time_since_the_previous_line() {
+        let line = round_line(&event(3));
+        assert_eq!(
+            line,
+            "  r003 | active  2 | density 0.75 | up     10u      400B / down     20u | - | +1.5ms"
+        );
+        let mut later = event(4);
+        later.restarted = true;
+        assert!(round_line(&later).ends_with("| - | +1.5ms restart"));
     }
 
     #[test]

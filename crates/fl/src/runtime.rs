@@ -14,7 +14,7 @@
 //! 2. **Pure tasks.** Client work dispatched through the [`WorkerPool`]
 //!    is a pure function of its inputs (each client's training RNG is
 //!    derived from `(client seed, round)`), so results are identical for
-//!    any pool size and any interleaving; `run_ordered` additionally
+//!    any pool size and any interleaving; `run_slotted` additionally
 //!    returns results in submission order.
 //!
 //! Under [`RuntimeMode::Sync`](crate::RuntimeMode) round `r` occupies tick
@@ -218,38 +218,52 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Run `f` over every item, returning results in item order.
-    ///
-    /// Tasks must be pure: results are placed by item index, so any number
-    /// of workers yields the identical output vector.
+    /// [`WorkerPool::run_slotted`] for a task that ignores its slot. Kept
+    /// only because the benchmark package's pool probe calls it.
     pub fn run_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
+        self.run_slotted(items, |_, item| f(item))
+    }
+
+    /// Run `f` over every item, returning results in item order.
+    ///
+    /// Tasks must be pure: results are placed by item index, so any number
+    /// of workers yields the identical output vector. Each task is told its
+    /// worker slot: `0` for every task of an inline pool, else the index
+    /// (below [`WorkerPool::workers`]) of the one thread that runs it. A
+    /// slot runs one task at a time, so state kept per slot — a training
+    /// workspace — is never contended. Slot `s` starts with item `s`, so the
+    /// first items have fixed slots; which slot serves any later item varies
+    /// from run to run, so a task's result must not depend on its slot.
+    pub fn run_slotted<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
         let effective = self.workers.min(items.len());
         if effective <= 1 {
-            return items.iter().map(f).collect();
+            return items.iter().map(|item| f(0, item)).collect();
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        let next = std::sync::atomic::AtomicUsize::new(effective);
         let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
         #[expect(
             clippy::disallowed_methods,
             reason = "the worker pool is the program's one parallelism layer (DESIGN.md §11)"
         )]
         std::thread::scope(|s| {
-            for _ in 0..effective {
+            for slot in 0..effective {
                 let tx = tx.clone();
                 let next = &next;
                 let f = &f;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if tx.send((i, f(&items[i]))).is_err() {
-                        break;
+                s.spawn(move || {
+                    let mut i = slot;
+                    while i < items.len() && tx.send((i, f(slot, &items[i]))).is_ok() {
+                        i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                 });
             }
@@ -324,12 +338,27 @@ mod tests {
         let items: Vec<u64> = (0..23).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for workers in [1, 2, 4, 64] {
-            let got = WorkerPool::new(workers).run_ordered(&items, |&x| x * x);
+            let got = WorkerPool::new(workers).run_slotted(&items, |_, &x| x * x);
             assert_eq!(got, expect, "workers={workers}");
+        }
+        // Each task learns a slot below the pool size, and no two tasks
+        // hold one slot at once.
+        for workers in [1, 2, 4] {
+            let busy: Vec<std::sync::atomic::AtomicBool> =
+                (0..workers).map(|_| Default::default()).collect();
+            let slots = WorkerPool::new(workers).run_slotted(&items, |slot, _| {
+                use std::sync::atomic::Ordering::SeqCst;
+                assert!(!busy[slot].swap(true, SeqCst), "slot {slot} shared");
+                std::thread::yield_now();
+                busy[slot].store(false, SeqCst);
+                slot
+            });
+            assert!(slots.iter().all(|&s| s < workers), "workers={workers}");
+            assert_eq!(slots[..workers], (0..workers).collect::<Vec<_>>());
         }
         // Degenerate shapes.
         let empty: Vec<u64> = Vec::new();
-        assert!(WorkerPool::new(4).run_ordered(&empty, |&x| x).is_empty());
+        assert!(WorkerPool::new(4).run_slotted(&empty, |_, &x| x).is_empty());
         assert_eq!(WorkerPool::new(0).workers(), 1);
     }
 }

@@ -10,14 +10,13 @@ use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
 use fedda_hetgraph::{EdgeIndex, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{
-    evaluate, train_local_penalized, EvalResult, GraphView, HgnConfig, LinkPredictor, SimpleHgn,
-    TrainConfig,
+    evaluate, EvalResult, GraphView, HgnConfig, LinkPredictor, SimpleHgn, TrainConfig, Workspace,
 };
-use fedda_tensor::{ParamId, ParamSet};
+use fedda_tensor::{Graph, ParamId, ParamSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// XOR tweak (with `round · 31`) deriving each global evaluation's RNG from
 /// `FlConfig::seed`, so evaluation draws are the same for every framework
@@ -309,6 +308,12 @@ pub struct FlSystem {
     eval_index: EdgeIndex,
     eval_view: GraphView,
     test_positives: Vec<LinkExample>,
+    /// One [`Workspace`] per worker slot, kept for the whole run: slot `s`
+    /// trains every client and runs every evaluation the pool's worker `s`
+    /// is handed, and slot 0 also serves the evaluations called from the
+    /// server thread. Its memory follows the largest of them, once. A slot
+    /// is added the first time a call needs it (see [`FlSystem::slots`]).
+    slots: RwLock<Vec<Mutex<Workspace>>>,
 }
 
 impl FlSystem {
@@ -400,6 +405,7 @@ impl FlSystem {
             eval_graph: global_train.clone(),
             eval_view,
             test_positives,
+            slots: RwLock::default(),
         }
     }
 
@@ -565,28 +571,25 @@ impl FlSystem {
             Report(usize, (ClientReturn, Option<Compressed>)),
             Evaluated(EvalResult),
         }
-        // Largest first: the pool pulls tasks in slice order, and a round
-        // ends when its slowest task does, so that task must not be the
-        // last to start. Local training re-encodes the client's whole
-        // graph once per batch of positives, hence the cost estimate; an
-        // evaluation is one more encode, over the evaluation view, priced
-        // at the positives one of a client's encodes stands for. The sort
-        // is stable and reads nothing but the tasks' own inputs, and
-        // results go back by position below: dispatch order is invisible.
-        let train = &self.cfg.train;
-        let examples_per_positive = (1 + train.negatives_per_positive) * train.local_epochs;
-        let positives_per_encode = (train.batch_size / examples_per_positive.max(1)).max(1);
-        let cost = |task: &Task| match *task {
-            Task::Report(pos) => {
-                let client = &self.clients[active[pos]];
-                client.positives.len() * client.view.num_messages()
-            }
-            Task::Evaluate(_) => positives_per_encode * self.eval_view.num_messages(),
+        // The evaluation first, so it always runs on slot 0 — the slot the
+        // server thread evaluates in — and only one workspace grows to the
+        // evaluation graph's size; then the clients largest first: the pool
+        // pulls tasks in slice order, and a round ends when its slowest
+        // task does, so that task must not be the last to start. Local
+        // training re-encodes the client's whole graph once per batch of
+        // positives, hence the cost estimate. The sort is stable and reads
+        // nothing but the tasks' own inputs, and results go back by position
+        // below: dispatch order is invisible.
+        let cost = |&pos: &usize| {
+            let client = &self.clients[active[pos]];
+            client.positives.len() * client.view.num_messages()
         };
-        let mut tasks: Vec<Task> = (0..active.len()).map(Task::Report).collect();
-        tasks.extend(evaluate.map(Task::Evaluate));
-        tasks.sort_by_key(|task| std::cmp::Reverse(cost(task)));
-        let run_report = |pos: usize| -> (ClientReturn, Option<Compressed>) {
+        let mut positions: Vec<usize> = (0..active.len()).collect();
+        positions.sort_by_key(|pos| std::cmp::Reverse(cost(pos)));
+        let tasks: Vec<Task> = (evaluate.map(Task::Evaluate).into_iter())
+            .chain(positions.into_iter().map(Task::Report))
+            .collect();
+        let run_report = |pos: usize, ws: &mut Workspace| -> (ClientReturn, Option<Compressed>) {
             let i = active[pos];
             let client = &self.clients[i];
             let mut params = self.global.clone();
@@ -602,7 +605,7 @@ impl FlSystem {
                     reference: &self.global,
                     linear: p.linear.as_deref(),
                 });
-            train_local_penalized(
+            ws.train(
                 self.model.as_ref(),
                 &mut params,
                 &client.view,
@@ -638,13 +641,21 @@ impl FlSystem {
             });
             (ret, report)
         };
-        let work = |task: &Task| match *task {
-            Task::Report(pos) => Done::Report(pos, run_report(pos)),
-            Task::Evaluate(round) => Done::Evaluated(self.evaluate_global(round)),
+        let workers = self.pool_size();
+        let slots = self.slots(workers);
+        let work = |slot: usize, task: &Task| {
+            let ws = &mut lock(&slots[slot]);
+            match *task {
+                Task::Report(pos) => Done::Report(pos, run_report(pos, ws)),
+                Task::Evaluate(round) => {
+                    Done::Evaluated(self.evaluate_on(ws.graph(), &self.global, round))
+                }
+            }
         };
         let mut placed = Vec::with_capacity(active.len());
         let mut evaluated = None;
-        for done in crate::runtime::WorkerPool::new(self.pool_size()).run_ordered(&tasks, work) {
+        let pool = crate::runtime::WorkerPool::new(workers);
+        for done in pool.run_slotted(&tasks, work) {
             match done {
                 Done::Report(pos, report) => placed.push((pos, report)),
                 Done::Evaluated(eval) => evaluated = Some(eval),
@@ -677,27 +688,18 @@ impl FlSystem {
         self.workers().unwrap_or(1)
     }
 
-    /// [`FlSystem::evaluate_global`] for the one evaluation no pool call
-    /// carries: the final round's. A multi-worker run still computes it on a
-    /// worker thread, not on the server thread. The C allocator keeps a heap
-    /// per thread and hands an exited worker's to the next one: the workers'
-    /// heaps have held an evaluation tape and kept its pages, the server
-    /// thread's never has, and growing it by one tape when the run is all
-    /// but over would set the process's peak memory (`dblp_fedda`: 36 MB
-    /// against 28 MB). The result is the same bits on any thread.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the final evaluation's own thread, for the heap reason above (ROADMAP item 5)"
-    )]
-    pub(crate) fn evaluate_final(&self, round: usize) -> EvalResult {
-        if self.pool_size() < 2 {
-            return self.evaluate_global(round);
+    /// The worker slots' workspaces, at least `n` of them: a pool size the
+    /// configuration has not asked for before adds the slots it lacks, and
+    /// none is ever removed, so each keeps its memory for the run.
+    fn slots(&self, n: usize) -> RwLockReadGuard<'_, Vec<Mutex<Workspace>>> {
+        let read = || self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        if read().len() < n {
+            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+            if slots.len() < n {
+                slots.resize_with(n, Mutex::default);
+            }
         }
-        std::thread::scope(|s| {
-            s.spawn(|| self.evaluate_global(round))
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        })
+        read()
     }
 
     /// Masked federated averaging (Eq. 6): for every unit `k`,
@@ -799,6 +801,7 @@ impl FlSystem {
         let (mut rng, sampler) = self.eval_inputs(round);
         fedda_hgn::evaluate_detailed(
             self.model.as_ref(),
+            lock(&self.slots(1)[0]).graph(),
             &self.global,
             &self.eval_view,
             &sampler,
@@ -808,11 +811,18 @@ impl FlSystem {
         )
     }
 
-    /// Evaluate an arbitrary parameter set (used by the Local baseline).
+    /// Evaluate an arbitrary parameter set (used by the Local baseline), in
+    /// worker slot 0's workspace.
     pub fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
+        self.evaluate_on(lock(&self.slots(1)[0]).graph(), params, round)
+    }
+
+    /// [`FlSystem::evaluate_params`] on the given tape.
+    fn evaluate_on(&self, graph: &mut Graph, params: &ParamSet, round: usize) -> EvalResult {
         let (mut rng, sampler) = self.eval_inputs(round);
         evaluate(
             self.model.as_ref(),
+            graph,
             params,
             &self.eval_view,
             &sampler,
@@ -843,6 +853,13 @@ impl FlSystem {
         }
         mask
     }
+}
+
+/// A workspace's lock. One poisoned by a task that panicked still hands the
+/// workspace out: every call in it starts from what a fresh one holds, so
+/// nothing the panic left behind is read.
+fn lock(slot: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Clip the whole update `θ_i - θ` to `clip_norm` in L2, then add
@@ -1015,6 +1032,25 @@ pub(crate) mod tests {
                 assert_eq!(got, active, "workers={workers}");
             }
         }
+    }
+
+    /// The pool size is read from the configuration on every call: a size
+    /// not asked for before adds the slots it lacks, and none is dropped.
+    #[test]
+    fn worker_slots_follow_the_configured_pool_size() {
+        let mut sys = tiny_system_with(3, 6, |c| c.workers = Some(1));
+        let slots = |sys: &FlSystem| sys.slots.read().unwrap().len();
+        assert_eq!(slots(&sys), 0);
+        sys.evaluate_global(0);
+        assert_eq!(slots(&sys), 1);
+        sys.run_reports(&[0, 1, 2], 0, &[], &[], None);
+        assert_eq!(slots(&sys), 1);
+        sys.cfg.workers = Some(3);
+        sys.run_reports(&[0, 1, 2], 0, &[], &[], Some(0));
+        assert_eq!(slots(&sys), 3);
+        sys.cfg.parallel = false;
+        sys.run_reports(&[0, 1, 2], 0, &[], &[], None);
+        assert_eq!(slots(&sys), 3);
     }
 
     #[test]

@@ -202,9 +202,21 @@ impl<'g> LinkSampler<'g> {
         batch_size: usize,
         rng: &mut R,
     ) -> Vec<Vec<LinkExample>> {
+        Self::shuffled_batches(examples, batch_size, rng)
+            .map(<[LinkExample]>::to_vec)
+            .collect()
+    }
+
+    /// [`LinkSampler::batches`] as views into `examples`, shuffled in
+    /// place: the same batches from the same draws, without a copy.
+    pub fn shuffled_batches<'e, R: Rng + ?Sized>(
+        examples: &'e mut [LinkExample],
+        batch_size: usize,
+        rng: &mut R,
+    ) -> std::slice::Chunks<'e, LinkExample> {
         assert!(batch_size > 0, "batch_size must be positive");
         examples.shuffle(rng);
-        examples.chunks(batch_size).map(|c| c.to_vec()).collect()
+        examples.chunks(batch_size)
     }
 }
 

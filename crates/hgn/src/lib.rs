@@ -13,7 +13,9 @@
 //!   DistMult), with edge-type embeddings and relation vectors registered
 //!   as *disentangled* parameter units for FedDA's masking;
 //! * [`train_local`] / [`evaluate`] — the `ClientUpdate` loop of
-//!   Algorithm 1 and the ROC-AUC / MRR evaluation protocol.
+//!   Algorithm 1 and the ROC-AUC / MRR evaluation protocol, both in a
+//!   [`Workspace`]: one worker's tape, gradients and optimiser moments,
+//!   kept from call to call.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,7 +40,7 @@ pub use config::{Decoder, HgnConfig};
 pub use model::SimpleHgn;
 pub use predictor::LinkPredictor;
 pub use trainer::{
-    apply_penalty_grads, evaluate, evaluate_detailed, train_local, train_local_penalized,
-    DetailedEvalResult, EvalResult, Penalty, TrainConfig, TrainStats,
+    apply_penalty_grads, evaluate, evaluate_detailed, train_local, DetailedEvalResult, EvalResult,
+    Penalty, TrainConfig, TrainStats, Workspace,
 };
 pub use view::GraphView;

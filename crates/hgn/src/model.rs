@@ -226,7 +226,7 @@ impl SimpleHgn {
         let mut h = {
             let mut projected = Vec::with_capacity(view.num_node_types());
             for (t, feats) in view.type_features.iter().enumerate() {
-                let x = graph.input(feats.clone());
+                let x = graph.input(feats);
                 let w = bindings.leaf(graph, params, self.in_proj[t]);
                 let b = bindings.leaf(graph, params, self.in_bias[t]);
                 let xw = graph.matmul(x, w);

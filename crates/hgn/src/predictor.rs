@@ -56,10 +56,22 @@ pub trait LinkPredictor: Send + Sync {
     /// Inference convenience: encode + score on a fresh tape, returning raw
     /// logits.
     fn logits(&self, params: &ParamSet, view: &GraphView, examples: &[LinkExample]) -> Vec<f32> {
-        let mut graph = Graph::new();
+        self.logits_on(&mut Graph::new(), params, view, examples)
+    }
+
+    /// [`LinkPredictor::logits`] on `graph`, which is cleared first: a
+    /// reused tape gives the same bits as a fresh one.
+    fn logits_on(
+        &self,
+        graph: &mut Graph,
+        params: &ParamSet,
+        view: &GraphView,
+        examples: &[LinkExample],
+    ) -> Vec<f32> {
+        graph.clear();
         let mut bindings = TapeBindings::new();
-        let emb = self.encode_nodes(&mut graph, &mut bindings, params, view, None);
-        let scores = self.score_examples(&mut graph, &mut bindings, params, emb, examples);
+        let emb = self.encode_nodes(graph, &mut bindings, params, view, None);
+        let scores = self.score_examples(graph, &mut bindings, params, emb, examples);
         graph.value(scores).as_slice().to_vec()
     }
 }

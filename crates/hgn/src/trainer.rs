@@ -8,7 +8,7 @@
 use crate::predictor::LinkPredictor;
 use crate::view::GraphView;
 use fedda_hetgraph::{LinkExample, LinkSampler};
-use fedda_metrics::{mrr, roc_auc, RankQuery};
+use fedda_metrics::{mrr_of_groups, roc_auc, RankQuery};
 use fedda_tensor::{Adam, Graph, ParamSet, TapeBindings};
 use rand::Rng;
 use std::sync::Arc;
@@ -120,7 +120,8 @@ pub fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
     }
 }
 
-/// Run `E` local epochs of link-prediction training on one graph.
+/// Run `E` local epochs of link-prediction training on one graph, on a
+/// fresh [`Workspace`].
 ///
 /// `positives` is the client's local task (a biased client passes only its
 /// specialised types, per §6.1); message passing always uses the full local
@@ -135,84 +136,107 @@ pub fn train_local<R: Rng>(
     config: &TrainConfig,
     rng: &mut R,
 ) -> TrainStats {
-    train_local_penalized(model, params, view, sampler, positives, config, None, rng)
+    Workspace::default().train(model, params, view, sampler, positives, config, None, rng)
 }
 
-/// [`train_local`] with an optional [`Penalty`] on the objective.
+/// The memory one worker trains and evaluates in, kept from call to call:
+/// the tape (cleared between steps, never freed), its parameter bindings,
+/// the gradient buffer and Adam's moments.
 ///
-/// With `penalty: None` this is bit-identical to [`train_local`] — the
-/// penalty branch adds no RNG draws and no float operations when absent.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "train_local's seven arguments plus the optional penalty"
-)]
-pub fn train_local_penalized<R: Rng>(
-    model: &dyn LinkPredictor,
-    params: &mut ParamSet,
-    view: &GraphView,
-    sampler: &LinkSampler<'_>,
-    positives: &[LinkExample],
-    config: &TrainConfig,
-    penalty: Option<&Penalty<'_>>,
-    rng: &mut R,
-) -> TrainStats {
-    assert!(config.local_epochs > 0, "local_epochs must be positive");
-    if positives.is_empty() {
-        params.release_grads();
-        return TrainStats::default();
+/// Every call starts from what a fresh workspace holds — an empty tape,
+/// zeroed gradients, zeroed moments at step 0 — so results never depend on
+/// what a workspace served before; only its memory carries over. After the
+/// largest call it will serve, none of it grows again, and nothing it
+/// holds is handed back to the C allocator, which would otherwise trim the
+/// freed heap top and fault it back in on the next step (DESIGN §11).
+#[derive(Default)]
+pub struct Workspace {
+    graph: Graph,
+    bindings: TapeBindings,
+    grads: Vec<f32>,
+    adam: Option<Adam>,
+}
+
+impl Workspace {
+    /// The tape alone, for an [`evaluate`] call: scoring records no
+    /// gradients and touches no optimiser state.
+    pub fn graph(&mut self) -> &mut Graph {
+        &mut self.graph
     }
-    // The training buffers — gradients and Adam moments — are allocated
-    // here, after the values and before the first tape, and released
-    // together when the call returns. Allocated at the first step instead,
-    // they sit above that tape, the C allocator hands the heap top they
-    // free back to the kernel, and the next client faults it in again
-    // (twice the minor faults on a round of many small clients).
-    params.zero_grads();
-    let mut adam = Adam::for_params(config.lr, params);
-    let mut total_loss = 0.0f64;
-    let mut steps = 0usize;
-    for _epoch in 0..config.local_epochs {
-        let mut examples = sampler.with_negatives(positives, config.negatives_per_positive, rng);
-        let batches = LinkSampler::batches(&mut examples, config.batch_size.max(1), rng);
-        for batch in &batches {
-            let mut graph = Graph::with_capacity(256);
-            let mut bindings = TapeBindings::new();
-            let dropout = model.dropout_prob() > 0.0;
-            let emb = if dropout {
-                model.encode_nodes(
-                    &mut graph,
-                    &mut bindings,
-                    params,
-                    view,
-                    Some(rng as &mut dyn rand::RngCore),
-                )
-            } else {
-                model.encode_nodes(&mut graph, &mut bindings, params, view, None)
-            };
-            let logits = model.score_examples(&mut graph, &mut bindings, params, emb, batch);
-            let targets: Vec<f32> = batch
-                .iter()
-                .map(|e| if e.label { 1.0 } else { 0.0 })
-                .collect();
-            let loss = graph.bce_with_logits(logits, Arc::new(targets));
-            total_loss += f64::from(graph.value(loss).get(0, 0));
-            graph.backward(loss);
-            params.zero_grads();
-            bindings.accumulate_grads(&graph, params);
-            if let Some(pen) = penalty {
-                apply_penalty_grads(params, pen);
-            }
-            if config.grad_clip > 0.0 {
-                params.clip_grad_norm(config.grad_clip);
-            }
-            adam.step(params);
-            steps += 1;
+
+    /// [`train_local`] in this workspace, with an optional [`Penalty`] on
+    /// the objective. With `penalty: None` the penalty branch adds no RNG
+    /// draws and no float operations.
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "train_local's seven arguments plus the optional penalty"
+    )]
+    pub fn train<R: Rng>(
+        &mut self,
+        model: &dyn LinkPredictor,
+        params: &mut ParamSet,
+        view: &GraphView,
+        sampler: &LinkSampler<'_>,
+        positives: &[LinkExample],
+        config: &TrainConfig,
+        penalty: Option<&Penalty<'_>>,
+        rng: &mut R,
+    ) -> TrainStats {
+        assert!(config.local_epochs > 0, "local_epochs must be positive");
+        if positives.is_empty() {
+            params.release_grads();
+            return TrainStats::default();
         }
-    }
-    params.release_grads();
-    TrainStats {
-        mean_loss: (total_loss / steps.max(1) as f64) as f32,
-        steps,
+        let Self {
+            graph,
+            bindings,
+            grads,
+            adam,
+        } = self;
+        params.zero_grads_in(std::mem::take(grads));
+        let adam = adam.get_or_insert_with(|| Adam::new(config.lr));
+        adam.restart(config.lr, params);
+        let mut total_loss = 0.0f64;
+        let mut steps = 0usize;
+        for _epoch in 0..config.local_epochs {
+            let mut examples =
+                sampler.with_negatives(positives, config.negatives_per_positive, rng);
+            let batch_size = config.batch_size.max(1);
+            for batch in LinkSampler::shuffled_batches(&mut examples, batch_size, rng) {
+                graph.clear();
+                bindings.clear();
+                let dropout = model.dropout_prob() > 0.0;
+                let emb = if dropout {
+                    let rng = Some(rng as &mut dyn rand::RngCore);
+                    model.encode_nodes(graph, bindings, params, view, rng)
+                } else {
+                    model.encode_nodes(graph, bindings, params, view, None)
+                };
+                let logits = model.score_examples(graph, bindings, params, emb, batch);
+                let targets: Vec<f32> = batch
+                    .iter()
+                    .map(|e| if e.label { 1.0 } else { 0.0 })
+                    .collect();
+                let loss = graph.bce_with_logits(logits, Arc::new(targets));
+                total_loss += f64::from(graph.value(loss).get(0, 0));
+                graph.backward(loss);
+                params.zero_grads();
+                bindings.accumulate_grads(graph, params);
+                if let Some(pen) = penalty {
+                    apply_penalty_grads(params, pen);
+                }
+                if config.grad_clip > 0.0 {
+                    params.clip_grad_norm(config.grad_clip);
+                }
+                adam.step(params);
+                steps += 1;
+            }
+        }
+        *grads = params.take_grads();
+        TrainStats {
+            mean_loss: (total_loss / steps.max(1) as f64) as f32,
+            steps,
+        }
     }
 }
 
@@ -228,18 +252,24 @@ pub struct EvalResult {
 }
 
 /// What [`evaluate`] and [`evaluate_detailed`] share: the positives and
-/// their sampled negatives, scored, labelled and grouped into ranking
-/// queries, plus the overall metrics. `None` when there is nothing to score.
+/// their sampled negatives, scored and labelled, plus the overall metrics.
+/// `None` when there is nothing to score.
 struct Scored {
     examples: Vec<LinkExample>,
     logits: Vec<f32>,
     labels: Vec<bool>,
-    queries: Vec<RankQuery>,
+    /// Scores per ranking query: the positive, then its negatives.
+    group: usize,
     overall: EvalResult,
 }
 
+#[allow(
+    clippy::too_many_arguments,
+    reason = "evaluate's seven arguments plus the tape"
+)]
 fn score<R: Rng + ?Sized>(
     model: &dyn LinkPredictor,
+    graph: &mut Graph,
     params: &ParamSet,
     view: &GraphView,
     sampler: &LinkSampler<'_>,
@@ -255,27 +285,21 @@ fn score<R: Rng + ?Sized>(
         return None;
     }
     let examples = sampler.with_negatives(test_positives, negatives_per_positive, rng);
-    let logits = model.logits(params, view, &examples);
+    let logits = model.logits_on(graph, params, view, &examples);
     let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
-    // Examples are laid out positive-first per group by `with_negatives`.
+    // Examples are laid out positive-first per group by `with_negatives`,
+    // so the ranking queries are read in place.
     let group = 1 + negatives_per_positive;
-    let queries: Vec<RankQuery> = logits
-        .chunks(group)
-        .map(|chunk| RankQuery {
-            positive: chunk[0],
-            negatives: chunk[1..].to_vec(),
-        })
-        .collect();
     let overall = EvalResult {
         roc_auc: roc_auc(&logits, &labels),
-        mrr: mrr(&queries),
+        mrr: mrr_of_groups(&logits, group),
         num_positives: test_positives.len(),
     };
     Some(Scored {
         examples,
         logits,
         labels,
-        queries,
+        group,
         overall,
     })
 }
@@ -284,9 +308,16 @@ fn score<R: Rng + ?Sized>(
 /// `negatives_per_positive` type-respecting corruptions.
 ///
 /// Message passing uses `view` (normally the *training* graph — scoring
-/// test edges through a graph that contains them leaks labels).
+/// test edges through a graph that contains them leaks labels). The scoring
+/// runs on `graph`, cleared first: a caller that evaluates often passes the
+/// same tape each time, so its memory is kept.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the evaluation inputs plus the tape that scores them"
+)]
 pub fn evaluate<R: Rng + ?Sized>(
     model: &dyn LinkPredictor,
+    graph: &mut Graph,
     params: &ParamSet,
     view: &GraphView,
     sampler: &LinkSampler<'_>,
@@ -295,7 +326,7 @@ pub fn evaluate<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> EvalResult {
     let n = negatives_per_positive;
-    score(model, params, view, sampler, test_positives, n, rng)
+    score(model, graph, params, view, sampler, test_positives, n, rng)
         .map(|s| s.overall)
         .unwrap_or_default()
 }
@@ -316,9 +347,15 @@ pub struct DetailedEvalResult {
     pub auc_by_edge_type: fedda_metrics::GroupedMetric,
 }
 
-/// Evaluate with per-edge-type breakdowns and extra ranking metrics.
+/// Evaluate with per-edge-type breakdowns and extra ranking metrics, on
+/// `graph` as in [`evaluate`].
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the evaluation inputs plus the tape that scores them"
+)]
 pub fn evaluate_detailed<R: Rng + ?Sized>(
     model: &dyn LinkPredictor,
+    graph: &mut Graph,
     params: &ParamSet,
     view: &GraphView,
     sampler: &LinkSampler<'_>,
@@ -327,7 +364,7 @@ pub fn evaluate_detailed<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> DetailedEvalResult {
     let n = negatives_per_positive;
-    let Some(s) = score(model, params, view, sampler, test_positives, n, rng) else {
+    let Some(s) = score(model, graph, params, view, sampler, test_positives, n, rng) else {
         return DetailedEvalResult::default();
     };
 
@@ -351,10 +388,16 @@ pub fn evaluate_detailed<R: Rng + ?Sized>(
         by_type.push((schema.edge_type(t).name.clone(), value, n_pos));
     }
 
+    let queries: Vec<RankQuery> = (s.logits.chunks(s.group))
+        .map(|chunk| RankQuery {
+            positive: chunk[0],
+            negatives: chunk[1..].to_vec(),
+        })
+        .collect();
     DetailedEvalResult {
         overall: s.overall,
-        hits_at_1: fedda_metrics::hits_at_k(&s.queries, 1),
-        hits_at_3: fedda_metrics::hits_at_k(&s.queries, 3),
+        hits_at_1: fedda_metrics::hits_at_k(&queries, 1),
+        hits_at_3: fedda_metrics::hits_at_k(&queries, 3),
         average_precision: fedda_metrics::average_precision(&s.logits, &s.labels),
         auc_by_edge_type: fedda_metrics::GroupedMetric::new(by_type),
     }
@@ -393,8 +436,10 @@ mod tests {
         let positives = train_sampler.all_positives();
         let test_pos = test_sampler.all_positives();
 
+        let g = &mut Graph::new();
         let before = evaluate(
             &model,
+            g,
             &params,
             &view,
             &train_sampler,
@@ -419,6 +464,7 @@ mod tests {
         assert!(stats.steps >= 30);
         let after = evaluate(
             &model,
+            g,
             &params,
             &view,
             &train_sampler,
@@ -461,7 +507,8 @@ mod tests {
         );
         assert_eq!(stats.steps, 0);
         assert_eq!(params.flatten(), before);
-        let eval = evaluate(&model, &params, &view, &sampler, &[], 3, &mut rng);
+        let g = &mut Graph::new();
+        let eval = evaluate(&model, g, &params, &view, &sampler, &[], 3, &mut rng);
         assert_eq!(eval.num_positives, 0);
     }
 
@@ -527,7 +574,8 @@ mod tests {
         let sampler = LinkSampler::new(&split.train);
         let test_sampler = LinkSampler::new(&split.test);
         let test_pos = test_sampler.all_positives();
-        let detail = evaluate_detailed(&model, &params, &view, &sampler, &test_pos, 4, &mut rng);
+        let g = &mut Graph::new();
+        let detail = evaluate_detailed(&model, g, &params, &view, &sampler, &test_pos, 4, &mut rng);
         assert_eq!(detail.auc_by_edge_type.groups.len(), 2);
         let support: usize = detail
             .auc_by_edge_type
@@ -541,7 +589,87 @@ mod tests {
         assert!((0.0..=1.0).contains(&detail.average_precision));
         assert!(detail.overall.roc_auc.is_finite());
         // empty input is safe
-        let empty = evaluate_detailed(&model, &params, &view, &sampler, &[], 4, &mut rng);
+        let empty = evaluate_detailed(&model, g, &params, &view, &sampler, &[], 4, &mut rng);
         assert_eq!(empty.overall.num_positives, 0);
+    }
+
+    /// One client of [`a_reused_workspace_is_invisible`]: its graph at a
+    /// scale, the message-passing view and its training positives.
+    fn client(scale: f64) -> (fedda_hetgraph::HeteroGraph, GraphView, Vec<LinkExample>) {
+        let opts = PresetOptions {
+            scale,
+            seed: 3,
+            ..Default::default()
+        };
+        let g = amazon_like(&opts).graph;
+        let view = GraphView::new(&g, true);
+        let positives = LinkSampler::new(&g).all_positives();
+        (g, view, positives)
+    }
+
+    /// One workspace trains client A, then a larger client B, then A again:
+    /// parameters and losses match fresh workspaces by `to_bits`. After a
+    /// client's first step neither tape arena grows over its remaining
+    /// steps, nor over a second round of the same clients.
+    #[test]
+    fn a_reused_workspace_is_invisible() {
+        let (a, b) = (client(0.002), client(0.004));
+        let cfg = HgnConfig {
+            hidden_dim: 4,
+            num_layers: 2,
+            num_heads: 2,
+            dropout: 0.1,
+            ..Default::default()
+        };
+        let (model, init) =
+            SimpleHgn::init_params(a.0.schema(), &cfg, &mut StdRng::seed_from_u64(1));
+        let tc = TrainConfig {
+            local_epochs: 2,
+            batch_size: 64,
+            ..Default::default()
+        };
+        let train = |ws: &mut Workspace, c: &(_, GraphView, Vec<LinkExample>), tc: &TrainConfig| {
+            let mut params = init.clone();
+            let sampler = LinkSampler::new(&c.0);
+            let mut rng = StdRng::seed_from_u64(7);
+            let stats = ws.train(
+                &model,
+                &mut params,
+                &c.1,
+                &sampler,
+                &c.2,
+                tc,
+                None,
+                &mut rng,
+            );
+            let bits: Vec<u32> = params.values().iter().map(|v| v.to_bits()).collect();
+            (bits, stats.mean_loss.to_bits(), stats.steps)
+        };
+        let fresh = |c| train(&mut Workspace::default(), c, &tc);
+        let (fresh_a, fresh_b) = (fresh(&a), fresh(&b));
+        assert!(fresh_a.2 > 2 && fresh_b.2 > fresh_a.2);
+        let mut ws = Workspace::default();
+        assert_eq!(train(&mut ws, &a, &tc), fresh_a);
+        assert_eq!(train(&mut ws, &b, &tc), fresh_b);
+        assert_eq!(train(&mut ws, &a, &tc), fresh_a);
+
+        // The largest step a client takes is one batch of all its examples.
+        let whole = TrainConfig {
+            local_epochs: 1,
+            batch_size: usize::MAX,
+            ..tc.clone()
+        };
+        let mut ws = Workspace::default();
+        let mut held = Vec::new();
+        for c in [&a, &b] {
+            assert_eq!(train(&mut ws, c, &whole).2, 1);
+            held.push(ws.graph.arena_capacity());
+            train(&mut ws, c, &tc);
+            assert_eq!(ws.graph.arena_capacity(), held[held.len() - 1]);
+        }
+        for c in [&a, &b] {
+            train(&mut ws, c, &tc);
+            assert_eq!(ws.graph.arena_capacity(), held[1]);
+        }
     }
 }

@@ -21,9 +21,15 @@ pub fn roc_auc(scores: &[f32], labels: &[bool]) -> f64 {
     if n_pos == 0 || n_neg == 0 {
         return 0.5;
     }
-    // Sort indices by score ascending; assign midranks to tie groups.
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+    // Sort indices by score ascending; assign midranks to tie groups. The
+    // sort need not be stable: indices that compare equal under `total_cmp`
+    // hold bit-identical scores, so any order among them adds the same
+    // midranks in the same sequence — and an unstable sort allocates no
+    // scratch beside `order`, whose `u32` indices halve it again.
+    let mut order: Vec<u32> = (0..=u32::MAX).take(scores.len()).collect();
+    assert_eq!(order.len(), scores.len(), "roc_auc: more than 2^32 scores");
+    let score = |k: u32| scores[k as usize];
+    order.sort_unstable_by(|&a, &b| score(a).total_cmp(&score(b)));
     let mut rank_sum_pos = 0.0f64;
     let mut i = 0usize;
     while i < order.len() {
@@ -32,13 +38,13 @@ pub fn roc_auc(scores: &[f32], labels: &[bool]) -> f64 {
             clippy::float_cmp,
             reason = "a tie group is a run of equal scores in the sorted order; a margin would merge distinct scores and move the midranks"
         )]
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
+        while j + 1 < order.len() && score(order[j + 1]) == score(order[i]) {
             j += 1;
         }
         // ranks are 1-based: group spans ranks i+1 ..= j+1
         let midrank = (i + 1 + j + 1) as f64 / 2.0;
         for &idx in &order[i..=j] {
-            if labels[idx] {
+            if labels[idx as usize] {
                 rank_sum_pos += midrank;
             }
         }

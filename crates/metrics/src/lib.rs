@@ -30,6 +30,6 @@ mod ranking;
 mod stats;
 
 pub use auc::roc_auc;
-pub use mrr::{mrr, RankQuery};
+pub use mrr::{mrr, mrr_of_groups, RankQuery};
 pub use ranking::{average_precision, hits_at_k, GroupedMetric};
 pub use stats::{CurveRecorder, MeanStd};

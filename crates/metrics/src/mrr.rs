@@ -17,22 +17,19 @@ pub struct RankQuery {
 impl RankQuery {
     /// Reciprocal rank of the positive within this query.
     pub fn reciprocal_rank(&self) -> f64 {
-        let above = self
-            .negatives
-            .iter()
-            .filter(|&&n| n > self.positive)
-            .count() as f64;
-        #[expect(
-            clippy::float_cmp,
-            reason = "a tie is a negative scored exactly as the positive; the midrank convention counts exact ties only"
-        )]
-        let ties = self
-            .negatives
-            .iter()
-            .filter(|&&n| n == self.positive)
-            .count() as f64;
-        1.0 / (1.0 + above + ties / 2.0)
+        reciprocal_rank(self.positive, &self.negatives)
     }
+}
+
+/// Reciprocal rank of `positive` among `negatives`.
+fn reciprocal_rank(positive: f32, negatives: &[f32]) -> f64 {
+    let above = negatives.iter().filter(|&&n| n > positive).count() as f64;
+    #[expect(
+        clippy::float_cmp,
+        reason = "a tie is a negative scored exactly as the positive; the midrank convention counts exact ties only"
+    )]
+    let ties = negatives.iter().filter(|&&n| n == positive).count() as f64;
+    1.0 / (1.0 + above + ties / 2.0)
 }
 
 /// Mean reciprocal rank over a set of queries. Returns 0 for an empty set.
@@ -50,6 +47,30 @@ pub fn mrr(queries: &[RankQuery]) -> f64 {
         return 0.0;
     }
     queries.iter().map(RankQuery::reciprocal_rank).sum::<f64>() / queries.len() as f64
+}
+
+/// [`mrr`] over queries laid out back to back: every `group` scores (the
+/// last run may be shorter) are one query, its positive first. The same
+/// value as building the [`RankQuery`]s, without allocating them.
+///
+/// ```
+/// use fedda_metrics::{mrr, mrr_of_groups, RankQuery};
+/// let scores = [2.0, 1.0, 0.0, 0.5, 1.0, 0.0];
+/// let queries: Vec<RankQuery> = (scores.chunks(3))
+///     .map(|c| RankQuery { positive: c[0], negatives: c[1..].to_vec() })
+///     .collect();
+/// assert_eq!(mrr_of_groups(&scores, 3), mrr(&queries));
+/// ```
+///
+/// # Panics
+/// Panics if `group` is 0.
+pub fn mrr_of_groups(scores: &[f32], group: usize) -> f64 {
+    if scores.is_empty() {
+        return 0.0;
+    }
+    let chunks = scores.chunks(group);
+    let queries = chunks.len();
+    chunks.map(|q| reciprocal_rank(q[0], &q[1..])).sum::<f64>() / queries as f64
 }
 
 #[cfg(test)]

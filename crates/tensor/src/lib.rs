@@ -44,7 +44,7 @@ mod optim;
 mod param;
 mod tape;
 
-pub use matrix::Matrix;
+pub use matrix::{Matrix, MatrixRef};
 pub use optim::Adam;
 pub use param::{ParamId, ParamMeta, ParamSet, TapeBindings};
 pub use tape::{Graph, Segments, Var};

@@ -35,6 +35,74 @@ impl fmt::Debug for Matrix {
     }
 }
 
+/// A borrowed `rows × cols` row-major matrix: how a [`crate::Graph`]
+/// hands out a node's value or gradient, which live in its arenas.
+#[derive(Clone, Copy, PartialEq)]
+pub struct MatrixRef<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+}
+
+impl fmt::Debug for MatrixRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "MatrixRef({}x{})", self.rows, self.cols)?;
+        if self.rows * self.cols <= 16 {
+            write!(f, " {:?}", self.data)?;
+        }
+        Ok(())
+    }
+}
+
+impl<'a> MatrixRef<'a> {
+    /// View `data` as a `rows × cols` matrix.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "MatrixRef: length mismatch");
+        Self { data, rows, cols }
+    }
+
+    /// `(rows, cols)` pair.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Flat row-major data.
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Element at `(r, c)`.
+    pub fn get(&self, r: usize, c: usize) -> f32 {
+        debug_assert!(r < self.rows && c < self.cols);
+        self.data[r * self.cols + c]
+    }
+
+    /// Row `r` as a slice.
+    pub fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Iterate over rows as slices, `rows()` of them even when
+    /// `cols() == 0` (as [`Matrix::rows_iter`]).
+    pub fn rows_iter(&self) -> impl Iterator<Item = &'a [f32]> {
+        let (data, cols) = (self.data, self.cols);
+        (0..self.rows).map(move |r| &data[r * cols..(r + 1) * cols])
+    }
+
+    /// True if any element is NaN or infinite.
+    pub fn has_non_finite(&self) -> bool {
+        self.data.iter().any(|x| !x.is_finite())
+    }
+
+    /// An owned copy.
+    pub fn to_matrix(&self) -> Matrix {
+        Matrix::from_vec(self.rows, self.cols, self.data.to_vec())
+    }
+}
+
 impl Matrix {
     /// Create a matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -176,11 +244,7 @@ impl Matrix {
     /// Matrix transpose (allocates).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        crate::gemm::transpose_into(&self.data, self.shape(), &mut out.data);
         out
     }
 

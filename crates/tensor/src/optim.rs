@@ -36,14 +36,16 @@ impl Adam {
         }
     }
 
-    /// Adam at learning rate `lr` with its moments allocated now, sized for
-    /// `params`, instead of at the first step.
-    pub fn for_params(lr: f32, params: &ParamSet) -> Self {
+    /// Start over at learning rate `lr` with zeroed moments sized for
+    /// `params`, in the memory the moments already have: from here on the
+    /// optimiser steps exactly as a fresh [`Adam::new`] would.
+    pub fn restart(&mut self, lr: f32, params: &ParamSet) {
         let n = params.values().len();
-        Self {
-            m: vec![0.0; n],
-            v: vec![0.0; n],
-            ..Self::new(lr)
+        self.lr = lr;
+        self.t = 0;
+        for moment in [&mut self.m, &mut self.v] {
+            moment.clear();
+            moment.resize(n, 0.0);
         }
     }
 

@@ -241,6 +241,19 @@ impl ParamSet {
         self.grads.resize(self.values.len(), 0.0);
     }
 
+    /// Zero every gradient in `buffer`'s memory: the set takes it as its
+    /// gradient buffer, so a buffer handed back by
+    /// [`ParamSet::take_grads`] serves the next set without reallocating.
+    pub fn zero_grads_in(&mut self, buffer: Vec<f32>) {
+        self.grads = buffer;
+        self.zero_grads();
+    }
+
+    /// Hand the gradient buffer out: the set holds values only.
+    pub fn take_grads(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.grads)
+    }
+
     /// Free the gradient buffer: the set holds values only.
     pub fn release_grads(&mut self) {
         self.grads = Vec::new();
@@ -336,10 +349,15 @@ impl TapeBindings {
     /// parameter's current value, and remember the association.
     pub fn leaf(&mut self, graph: &mut Graph, params: &ParamSet, id: ParamId) -> Var {
         let unit = &params.layout.units[id.0];
-        let value = Matrix::from_vec(unit.rows, unit.cols, params.unit(id).to_vec());
-        let v = graph.leaf(value);
+        let v = graph.leaf_from((unit.rows, unit.cols), params.unit(id), true);
         self.pairs.push((v, id));
         v
+    }
+
+    /// Forget every binding, keeping the list's memory — beside a
+    /// [`Graph::clear`] of the tape they were made on.
+    pub fn clear(&mut self) {
+        self.pairs.clear();
     }
 
     /// After `graph.backward(...)`, accumulate each leaf's gradient into the

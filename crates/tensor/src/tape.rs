@@ -26,15 +26,37 @@
 //! `expf.rs`, a bit-exact copy of glibc's `expf` whose slice form
 //! vectorises (DESIGN §8 "One `expf`"), so each op takes `exp` over a whole
 //! slice first and then selects; the results are `f32::exp`'s, bit for bit.
+//!
+//! # Tape memory
+//!
+//! A node owns no buffer. Its value is a range of the tape's value arena,
+//! bump-allocated in tape order, and its gradient, once `backward` reaches
+//! it, a range of the gradient arena, placed where no gradient that is live
+//! at the same time lies. [`Graph::clear`] forgets every node without
+//! giving memory back, so a tape reused across steps stops growing once it
+//! has held its largest step (DESIGN §8 "Tape memory"). Every op writes its value straight into
+//! its own range, and every temporary — softmax maxima and sums, BCE's
+//! exponentials, the `gemm_nt` operand's transpose, a later gradient share
+//! — goes into one scratch range the tape keeps beside its arenas.
+//!
+//! `backward` writes each parent's gradient in place. A parent's first
+//! share is *stored* into its range — not added to a `+0.0`, which would
+//! turn a `-0.0` share into `+0.0` — and every later share is added in the
+//! order the shares were always added in: an element-wise share (GEMM,
+//! ELU, the pass-throughs) in its kernel's final store, a scatter share
+//! (`edge_aggregate`, `gather_rows`, `pair_dot`, `edge_softmax`'s index
+//! sums) by building it in the scratch range first.
 
 use crate::edge;
 use crate::expf;
-use crate::matrix::Matrix;
-use std::borrow::Cow;
+use crate::gemm;
+use crate::matrix::{Matrix, MatrixRef};
+use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the graph
-/// that created it.
+/// that created it, until its next [`Graph::clear`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
 
@@ -109,11 +131,35 @@ enum Op {
 }
 
 struct Node {
-    value: Matrix,
-    grad: Option<Matrix>,
+    rows: usize,
+    cols: usize,
+    /// Start of the value's range in the value arena.
+    value: usize,
+    /// Start of the gradient's range in the gradient arena, once `backward`
+    /// has placed one ([`UNPLACED`] before).
+    grad: usize,
+    /// Whether `backward` has written the gradient range.
+    has_grad: bool,
     op: Op,
     requires_grad: bool,
 }
+
+impl Node {
+    fn len(&self) -> usize {
+        self.rows * self.cols
+    }
+
+    fn value_range(&self) -> Range<usize> {
+        self.value..self.value + self.len()
+    }
+
+    fn grad_range(&self) -> Range<usize> {
+        self.grad..self.grad + self.len()
+    }
+}
+
+/// [`Node::grad`] of a node `backward` has not given a gradient range.
+const UNPLACED: usize = usize::MAX;
 
 /// A define-by-run autodiff tape.
 ///
@@ -131,65 +177,78 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Every node's value, back to back in tape order.
+    values: Vec<f32>,
+    /// The gradient ranges `backward` places, each live from its node's
+    /// first share until the node has passed its gradient on.
+    grads: Vec<f32>,
+    /// The live gradient ranges, `(start, len, node)` by start.
+    live: Vec<(usize, usize, usize)>,
+    /// Every op's temporaries, one op at a time.
+    scratch: Vec<f32>,
 }
 
-/// `out[r][c] = f(a[r][c], row[c])` in one pass over `a`.
-fn zip_row(a: &Matrix, row: &[f32], f: impl Fn(f32, f32) -> f32) -> Matrix {
-    let mut data = Vec::with_capacity(a.len());
-    for a_row in a.rows_iter() {
-        data.extend(a_row.iter().zip(row).map(|(&x, &y)| f(x, y)));
+/// The rows of a row-major `rows × cols` buffer: `rows` of them even when
+/// `cols == 0`, where `chunks_exact` would yield none.
+fn rows_of(s: &[f32], rows: usize, cols: usize) -> impl Iterator<Item = &[f32]> {
+    (0..rows).map(move |r| &s[r * cols..(r + 1) * cols])
+}
+
+/// A gradient share into its destination: stored over a first share's
+/// range, added to a range that already holds one.
+fn write(dst: &mut [f32], add: bool, share: impl Iterator<Item = f32>) {
+    if add {
+        for (d, s) in dst.iter_mut().zip(share) {
+            *d += s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().zip(share) {
+            *d = s;
+        }
     }
-    Matrix::from_vec(a.rows(), a.cols(), data)
 }
 
-/// `out[r][c] = a[r][c] * col[r]` in one pass over `a`.
-fn scale_rows(a: &Matrix, col: &[f32]) -> Matrix {
-    let mut data = Vec::with_capacity(a.len());
-    for (a_row, &s) in a.rows_iter().zip(col) {
-        data.extend(a_row.iter().map(|&x| x * s));
+/// The first `len` floats of `buffer`, which grows to hold them. What they
+/// held before is stale: callers initialise what they read.
+fn scratch(buffer: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buffer.len() < len {
+        buffer.resize(len, 0.0);
     }
-    Matrix::from_vec(a.rows(), a.cols(), data)
+    &mut buffer[..len]
 }
 
-/// `out[r] = a_r · b_r`, each a left-to-right sum: `row_dot`'s forward and
-/// the per-row scale's gradient in `mul_col_broadcast`'s backward.
-fn row_dots(a: &Matrix, b: &Matrix) -> Matrix {
-    let dot = |(x, y): (&[f32], &[f32])| x.iter().zip(y).map(|(&x, &y)| x * y).sum();
-    Matrix::col_vector(a.rows_iter().zip(b.rows_iter()).map(dot).collect())
-}
-
-/// Per-segment `Σ g·y` in row order: the softmax Jacobian's shared term in
-/// `segment_softmax`'s and `edge_softmax`'s backward.
-fn segment_dot(g: &[f32], y: &[f32], segs: &Segments) -> Vec<f32> {
-    let mut dot = vec![0.0f32; segs.n_segments];
+/// Per-segment `Σ g·y` in row order, into `dot`: the softmax Jacobian's
+/// shared term in `segment_softmax`'s and `edge_softmax`'s backward.
+fn segment_dot(g: &[f32], y: &[f32], segs: &Segments, dot: &mut [f32]) {
+    dot.fill(0.0);
     for ((&g, &y), &s) in g.iter().zip(y).zip(&segs.seg_of_row) {
         dot[s as usize] += g * y;
     }
-    dot
 }
 
 /// Segment softmax, in place: per-segment max, `exp(x - max)` over the
 /// whole slice, the sums in row order, then the division (skipped where the
-/// sum is not positive). Shared by `segment_softmax` and `edge_softmax`.
-fn softmax_in_place(x: &mut [f32], segs: &Segments) {
-    let mut maxes = vec![f32::NEG_INFINITY; segs.n_segments];
+/// sum is not positive). `acc` (one float per segment) holds the maxima,
+/// then the sums. Shared by `segment_softmax` and `edge_softmax`.
+fn softmax_in_place(x: &mut [f32], segs: &Segments, acc: &mut [f32]) {
+    acc.fill(f32::NEG_INFINITY);
     for (&v, &s) in x.iter().zip(&segs.seg_of_row) {
         // A select, not `f32::max`: the first-seen NaN or zero sign wins,
         // as in a branch.
-        let m = &mut maxes[s as usize];
+        let m = &mut acc[s as usize];
         *m = if v > *m { v } else { *m };
     }
     for (v, &s) in x.iter_mut().zip(&segs.seg_of_row) {
-        *v -= maxes[s as usize];
+        *v -= acc[s as usize];
     }
     expf::exp_in_place(x);
-    let mut sums = vec![0.0f32; segs.n_segments];
+    acc.fill(0.0);
     for (&v, &s) in x.iter().zip(&segs.seg_of_row) {
-        sums[s as usize] += v;
+        acc[s as usize] += v;
     }
     for (v, &s) in x.iter_mut().zip(&segs.seg_of_row) {
-        if sums[s as usize] > 0.0 {
-            *v /= sums[s as usize];
+        if acc[s as usize] > 0.0 {
+            *v /= acc[s as usize];
         }
     }
 }
@@ -201,37 +260,50 @@ fn all_below(idx: &[u32], n: usize) -> bool {
     idx.iter().max().map_or(true, |&m| (m as usize) < n)
 }
 
-/// Pre-activation score of every edge, `(s_src[src_e] + s_dst[dst_e])
-/// (+ per_type[etype_e])`: `edge_softmax`'s input, and the sign its
-/// backward needs for the LeakyReLU Jacobian.
+/// Pre-activation score of every edge into `x`, `(s_src[src_e] +
+/// s_dst[dst_e]) (+ per_type[etype_e])`: `edge_softmax`'s input, and the
+/// sign its backward needs for the LeakyReLU Jacobian.
 fn edge_scores(
     s_src: &[f32],
     s_dst: &[f32],
     per_type: Option<&[f32]>,
     (src, dst, etype): (&[u32], &[u32], &[u32]),
-) -> Vec<f32> {
-    let ends = src.iter().zip(dst);
-    let mut x: Vec<f32> = ends
-        .map(|(&s, &d)| s_src[s as usize] + s_dst[d as usize])
-        .collect();
+    x: &mut [f32],
+) {
+    for ((x, &s), &d) in x.iter_mut().zip(src).zip(dst) {
+        *x = s_src[s as usize] + s_dst[d as usize];
+    }
     if let Some(p) = per_type {
         for (x, &t) in x.iter_mut().zip(etype) {
             *x += p[t as usize];
         }
     }
-    x
+}
+
+/// The values recorded so far, read while a new node's range is written.
+#[derive(Clone, Copy)]
+struct Values<'a> {
+    nodes: &'a [Node],
+    arena: &'a [f32],
+}
+
+impl<'a> Values<'a> {
+    fn of(self, v: Var) -> &'a [f32] {
+        &self.arena[self.nodes[v.0].value_range()]
+    }
 }
 
 impl Graph {
     /// Create an empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Create an empty tape with node capacity reserved up front.
     pub fn with_capacity(n: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(n),
+            ..Self::default()
         }
     }
 
@@ -245,14 +317,72 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, value: Matrix, op: Op, requires_grad: bool) -> Var {
+    /// Forget every node, keeping both arenas' memory: the next step
+    /// records into the same ranges, and a tape that has held its largest
+    /// step allocates nothing more. Every [`Var`] of the tape is invalid
+    /// afterwards.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.values.clear();
+        self.live.clear();
+    }
+
+    /// How many floats the value arena and the gradient arena (with the
+    /// scratch range) hold without growing.
+    pub fn arena_capacity(&self) -> (usize, usize) {
+        let grads = self.grads.capacity() + self.scratch.capacity();
+        (self.values.capacity(), grads)
+    }
+
+    fn push(&mut self, (rows, cols): (usize, usize), value: usize, op: Op, rg: bool) -> Var {
         self.nodes.push(Node {
+            rows,
+            cols,
             value,
-            grad: None,
+            grad: UNPLACED,
+            has_grad: false,
             op,
-            requires_grad,
+            requires_grad: rg,
         });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Append a `shape` node whose value range starts as a copy of `init`'s
+    /// value (same length) or as zeros; `fill` completes it from the values
+    /// recorded before it, with `scratch_len` floats of scratch.
+    fn record(
+        &mut self,
+        (rows, cols): (usize, usize),
+        init: Option<Var>,
+        scratch_len: usize,
+        (op, rg): (Op, bool),
+        fill: impl FnOnce(Values<'_>, &mut [f32], &mut [f32]),
+    ) -> Var {
+        let start = self.values.len();
+        match init {
+            Some(a) => {
+                let range = self.nodes[a.0].value_range();
+                debug_assert_eq!(range.len(), rows * cols);
+                self.values.extend_from_within(range);
+            }
+            None => self.values.resize(start + rows * cols, 0.0),
+        }
+        let (before, out) = self.values.split_at_mut(start);
+        let scratch = scratch(&mut self.scratch, scratch_len);
+        let values = Values {
+            nodes: &self.nodes,
+            arena: before,
+        };
+        fill(values, out, scratch);
+        self.push((rows, cols), start, op, rg)
+    }
+
+    /// A leaf holding a copy of `data`, `rows × cols` row-major.
+    pub(crate) fn leaf_from(&mut self, shape: (usize, usize), data: &[f32], rg: bool) -> Var {
+        assert_eq!(data.len(), shape.0 * shape.1, "leaf: length mismatch");
+        let start = self.values.len();
+        self.values.extend_from_slice(data);
+        self.push(shape, start, Op::Leaf, rg)
     }
 
     fn requires(&self, v: Var) -> bool {
@@ -260,114 +390,165 @@ impl Graph {
     }
 
     /// Register a differentiable leaf (a parameter copy).
-    pub fn leaf(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf, true)
+    pub fn leaf(&mut self, value: impl Borrow<Matrix>) -> Var {
+        let value = value.borrow();
+        self.leaf_from(value.shape(), value.as_slice(), true)
     }
 
     /// Register a constant input (no gradient tracked).
-    pub fn input(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf, false)
+    pub fn input(&mut self, value: impl Borrow<Matrix>) -> Var {
+        let value = value.borrow();
+        self.leaf_from(value.shape(), value.as_slice(), false)
     }
 
     /// Value of a node.
-    pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+    pub fn value(&self, v: Var) -> MatrixRef<'_> {
+        let node = &self.nodes[v.0];
+        MatrixRef::new(node.rows, node.cols, &self.values[node.value_range()])
     }
 
-    /// Gradient of a node, if backward has reached it.
-    pub fn grad(&self, v: Var) -> Option<&Matrix> {
-        self.nodes[v.0].grad.as_ref()
+    /// Gradient of a leaf, if backward has reached it. An interior node's
+    /// gradient is spent once passed on to its parents: its range is reused
+    /// within the same `backward`, and this is `None`.
+    pub fn grad(&self, v: Var) -> Option<MatrixRef<'_>> {
+        let node = &self.nodes[v.0];
+        (node.has_grad)
+            .then(|| MatrixRef::new(node.rows, node.cols, &self.grads[node.grad_range()]))
     }
 
     /// Shape of a node's value.
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].value.shape()
+        let node = &self.nodes[v.0];
+        (node.rows, node.cols)
     }
 
     // ---- dense algebra ----------------------------------------------------
 
     /// Matrix product `a @ b`.
+    ///
+    /// # Panics
+    /// Panics on inner-dimension mismatch.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).matmul(self.value(b));
+        let ((m, k), (kb, n)) = (self.shape(a), self.shape(b));
+        assert_eq!(k, kb, "matmul: {m}x{k} @ {kb}x{n}");
         let rg = self.requires(a) || self.requires(b);
-        self.push(value, Op::MatMul(a, b), rg)
+        self.record((m, n), None, 0, (Op::MatMul(a, b), rg), |v, out, _| {
+            gemm::nn_into(v.of(a), v.of(b), (m, k, n), out, false);
+        })
     }
 
     /// Elementwise `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).add(self.value(b));
+        let shape = self.shape(a);
+        assert_eq!(shape, self.shape(b), "add: shape mismatch");
         let rg = self.requires(a) || self.requires(b);
-        self.push(value, Op::Add(a, b), rg)
+        self.record(shape, Some(a), 0, (Op::Add(a, b), rg), |v, out, _| {
+            for (x, &y) in out.iter_mut().zip(v.of(b)) {
+                *x += y;
+            }
+        })
     }
 
     /// Elementwise `a * b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).mul(self.value(b));
+        let shape = self.shape(a);
+        assert_eq!(shape, self.shape(b), "mul: shape mismatch");
         let rg = self.requires(a) || self.requires(b);
-        self.push(value, Op::Mul(a, b), rg)
+        self.record(shape, Some(a), 0, (Op::Mul(a, b), rg), |v, out, _| {
+            for (x, &y) in out.iter_mut().zip(v.of(b)) {
+                *x *= y;
+            }
+        })
     }
 
     /// `[m,n] + [1,n]`: add a bias row to every row of `a`.
     pub fn add_row_broadcast(&mut self, a: Var, bias: Var) -> Var {
-        let (_, n) = self.shape(a);
+        let shape @ (_, n) = self.shape(a);
         let (br, bc) = self.shape(bias);
         assert_eq!(
             (br, bc),
             (1, n),
             "add_row_broadcast: bias must be 1x{n}, got {br}x{bc}"
         );
-        let value = zip_row(self.value(a), self.value(bias).as_slice(), |x, b| x + b);
         let rg = self.requires(a) || self.requires(bias);
-        self.push(value, Op::AddRowBroadcast(a, bias), rg)
+        let op = Op::AddRowBroadcast(a, bias);
+        self.record(shape, Some(a), 0, (op, rg), |v, out, _| {
+            for row in out.chunks_exact_mut(n.max(1)) {
+                for (x, &b) in row.iter_mut().zip(v.of(bias)) {
+                    *x += b;
+                }
+            }
+        })
     }
 
     /// `[m,n] * [m,1]`: scale each row of `a` by the matching scalar in `c`.
     pub fn mul_col_broadcast(&mut self, a: Var, c: Var) -> Var {
-        let (m, _) = self.shape(a);
+        let shape @ (m, n) = self.shape(a);
         let (cr, cc) = self.shape(c);
         assert_eq!(
             (cr, cc),
             (m, 1),
             "mul_col_broadcast: scale must be {m}x1, got {cr}x{cc}"
         );
-        let value = scale_rows(self.value(a), self.value(c).as_slice());
         let rg = self.requires(a) || self.requires(c);
-        self.push(value, Op::MulColBroadcast(a, c), rg)
+        let op = Op::MulColBroadcast(a, c);
+        self.record(shape, Some(a), 0, (op, rg), |v, out, _| {
+            for (row, &s) in out.chunks_exact_mut(n.max(1)).zip(v.of(c)) {
+                for x in row {
+                    *x *= s;
+                }
+            }
+        })
     }
 
     /// Multiply by a compile-time constant scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let value = self.value(a).scale(s);
         let rg = self.requires(a);
-        self.push(value, Op::Scale(a, s), rg)
+        self.record(
+            self.shape(a),
+            Some(a),
+            0,
+            (Op::Scale(a, s), rg),
+            |_, out, _| {
+                for x in out {
+                    *x *= s;
+                }
+            },
+        )
     }
 
     // ---- nonlinearities ----------------------------------------------------
 
     /// LeakyReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let mut value = self.value(a).clone();
-        for x in value.as_mut_slice() {
-            if *x < 0.0 {
-                *x *= slope;
-            }
-        }
         let rg = self.requires(a);
-        self.push(value, Op::LeakyRelu(a, slope), rg)
+        let op = Op::LeakyRelu(a, slope);
+        self.record(self.shape(a), Some(a), 0, (op, rg), |_, out, _| {
+            for x in out {
+                if *x < 0.0 {
+                    *x *= slope;
+                }
+            }
+        })
     }
 
     /// ELU: `x` for `x >= 0`, `alpha * (e^x - 1)` for `x < 0`. The
     /// exponential runs over every entry, then a select keeps `x` itself
     /// where it is not negative, NaN payloads included.
     pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        let x = self.value(a);
-        let mut value = x.clone();
-        expf::exp_in_place(value.as_mut_slice());
-        for (y, &x) in value.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *y = if x < 0.0 { alpha * (*y - 1.0) } else { x };
-        }
         let rg = self.requires(a);
-        self.push(value, Op::Elu(a, alpha), rg)
+        self.record(
+            self.shape(a),
+            Some(a),
+            0,
+            (Op::Elu(a, alpha), rg),
+            |v, out, _| {
+                expf::exp_in_place(out);
+                for (y, &x) in out.iter_mut().zip(v.of(a)) {
+                    *y = if x < 0.0 { alpha * (*y - 1.0) } else { x };
+                }
+            },
+        )
     }
 
     // ---- structure ops -----------------------------------------------------
@@ -376,20 +557,22 @@ impl Graph {
     pub fn concat_cols(&mut self, vars: &[Var]) -> Var {
         assert!(!vars.is_empty(), "concat_cols: no inputs");
         let m = self.shape(vars[0]).0;
-        let total: usize = vars.iter().map(|&v| self.shape(v).1).sum();
-        let mut value = Matrix::zeros(m, total);
-        let mut off = 0;
         for &v in vars {
-            let (vr, vc) = self.shape(v);
-            assert_eq!(vr, m, "concat_cols: row mismatch");
-            let src = &self.nodes[v.0].value;
-            for r in 0..m {
-                value.row_mut(r)[off..off + vc].copy_from_slice(src.row(r));
-            }
-            off += vc;
+            assert_eq!(self.shape(v).0, m, "concat_cols: row mismatch");
         }
+        let total: usize = vars.iter().map(|&v| self.shape(v).1).sum();
         let rg = vars.iter().any(|&v| self.requires(v));
-        self.push(value, Op::ConcatCols(vars.to_vec()), rg)
+        let op = Op::ConcatCols(vars.to_vec());
+        self.record((m, total), None, 0, (op, rg), |v, out, _| {
+            let mut off = 0;
+            for &var in vars {
+                let vc = v.nodes[var.0].cols;
+                for (r, src) in rows_of(v.of(var), m, vc).enumerate() {
+                    out[r * total + off..][..vc].copy_from_slice(src);
+                }
+                off += vc;
+            }
+        })
     }
 
     /// Concatenate along rows (vertical stack): all inputs must share the
@@ -398,34 +581,68 @@ impl Graph {
     pub fn concat_rows(&mut self, vars: &[Var]) -> Var {
         assert!(!vars.is_empty(), "concat_rows: no inputs");
         let n = self.shape(vars[0]).1;
-        let total: usize = vars.iter().map(|&v| self.shape(v).0).sum();
-        let mut value = Matrix::zeros(total, n);
-        let mut off = 0;
         for &v in vars {
-            let (vr, vc) = self.shape(v);
-            assert_eq!(vc, n, "concat_rows: column mismatch");
-            let src = &self.nodes[v.0].value;
-            for r in 0..vr {
-                value.row_mut(off + r).copy_from_slice(src.row(r));
-            }
-            off += vr;
+            assert_eq!(self.shape(v).1, n, "concat_rows: column mismatch");
         }
+        let total: usize = vars.iter().map(|&v| self.shape(v).0).sum();
         let rg = vars.iter().any(|&v| self.requires(v));
-        self.push(value, Op::ConcatRows(vars.to_vec()), rg)
+        let op = Op::ConcatRows(vars.to_vec());
+        self.record((total, n), None, 0, (op, rg), |v, out, _| {
+            let mut off = 0;
+            for &var in vars {
+                let src = v.of(var);
+                out[off..off + src.len()].copy_from_slice(src);
+                off += src.len();
+            }
+        })
     }
 
     /// Gather rows: `out[i] = a[idx[i]]`.
+    ///
+    /// # Panics
+    /// Panics when an index is out of range.
     pub fn gather_rows(&mut self, a: Var, idx: Arc<Vec<u32>>) -> Var {
-        let value = self.value(a).gather_rows(&idx);
+        let (rows, c) = self.shape(a);
         let rg = self.requires(a);
-        self.push(value, Op::GatherRows(a, idx), rg)
+        let ids = Arc::clone(&idx);
+        self.record(
+            (idx.len(), c),
+            None,
+            0,
+            (Op::GatherRows(a, ids), rg),
+            |v, out, _| {
+                let x = v.of(a);
+                for (i, &j) in idx.iter().enumerate() {
+                    let j = j as usize;
+                    assert!(j < rows, "gather_rows: index {j} out of {rows} rows");
+                    out[i * c..][..c].copy_from_slice(&x[j * c..][..c]);
+                }
+            },
+        )
     }
 
     /// Scatter-add rows: `out[idx[i]] += a[i]`, output has `out_rows` rows.
+    ///
+    /// # Panics
+    /// Panics when `idx` is not one index per row of `a`, or on an index
+    /// out of range.
     pub fn scatter_add_rows(&mut self, a: Var, idx: Arc<Vec<u32>>, out_rows: usize) -> Var {
-        let value = self.value(a).scatter_add_rows(&idx, out_rows);
+        let (rows, c) = self.shape(a);
+        assert_eq!(idx.len(), rows, "scatter_add_rows: index count mismatch");
         let rg = self.requires(a);
-        self.push(value, Op::ScatterAddRows(a, idx), rg)
+        let op = Op::ScatterAddRows(a, Arc::clone(&idx));
+        self.record((out_rows, c), None, 0, (op, rg), |v, out, _| {
+            for (&j, src) in idx.iter().zip(rows_of(v.of(a), rows, c)) {
+                let j = j as usize;
+                assert!(
+                    j < out_rows,
+                    "scatter_add_rows: index {j} out of {out_rows} rows"
+                );
+                for (o, &s) in out[j * c..][..c].iter_mut().zip(src) {
+                    *o += s;
+                }
+            }
+        })
     }
 
     /// Numerically-stable softmax over segments of a column vector `[m,1]`.
@@ -440,10 +657,12 @@ impl Graph {
             m,
             "segment_softmax: segment count mismatch"
         );
-        let mut value = self.value(a).clone();
-        softmax_in_place(value.as_mut_slice(), &segs);
         let rg = self.requires(a);
-        self.push(value, Op::SegmentSoftmax(a, segs), rg)
+        let k = segs.n_segments;
+        let op = Op::SegmentSoftmax(a, Arc::clone(&segs));
+        self.record((m, 1), Some(a), k, (op, rg), |_, out, acc| {
+            softmax_in_place(out, &segs, acc);
+        })
     }
 
     /// Attention weight of every message edge (Simple-HGN Eq. 2), fused:
@@ -465,7 +684,7 @@ impl Graph {
         segs: Arc<Segments>,
         slope: f32,
     ) -> Var {
-        let (dst, e) = (&segs.seg_of_row, segs.seg_of_row.len());
+        let e = segs.seg_of_row.len();
         assert_eq!(src.len(), e, "edge_softmax: src length mismatch");
         assert_eq!(etype.len(), e, "edge_softmax: etype length mismatch");
         for v in [Some(s_src), Some(s_dst), per_type].into_iter().flatten() {
@@ -474,7 +693,7 @@ impl Graph {
         let type_rows = per_type.map(|p| self.shape(p).0);
         for (name, idx, rows) in [
             ("src", &src[..], Some(self.shape(s_src).0)),
-            ("dst", &dst[..], Some(self.shape(s_dst).0)),
+            ("dst", &segs.seg_of_row[..], Some(self.shape(s_dst).0)),
             ("etype", &etype[..], type_rows),
         ] {
             let Some(n) = rows.filter(|&n| !all_below(idx, n)) else {
@@ -487,23 +706,23 @@ impl Graph {
                 );
             }
         }
-        let mut x = edge_scores(
-            self.value(s_src).as_slice(),
-            self.value(s_dst).as_slice(),
-            per_type.map(|p| self.value(p).as_slice()),
-            (&src, dst, &etype),
-        );
-        for v in &mut x {
-            if *v < 0.0 {
-                *v *= slope;
-            }
-        }
-        softmax_in_place(&mut x, &segs);
         let rg = self.requires(s_src)
             || self.requires(s_dst)
             || per_type.is_some_and(|p| self.requires(p));
-        let op = Op::EdgeSoftmax(s_src, s_dst, per_type, src, etype, segs, slope);
-        self.push(Matrix::col_vector(x), op, rg)
+        let k = segs.n_segments;
+        let (ends, shared) = ((Arc::clone(&src), Arc::clone(&etype)), Arc::clone(&segs));
+        let op = Op::EdgeSoftmax(s_src, s_dst, per_type, ends.0, ends.1, shared, slope);
+        self.record((e, 1), None, k, (op, rg), |v, x, acc| {
+            let dst = &segs.seg_of_row[..];
+            let per_type = per_type.map(|p| v.of(p));
+            edge_scores(v.of(s_src), v.of(s_dst), per_type, (&src, dst, &etype), x);
+            for v in x.iter_mut() {
+                if *v < 0.0 {
+                    *v *= slope;
+                }
+            }
+            softmax_in_place(x, &segs, acc);
+        })
     }
 
     /// Message aggregation `out[dst_e] += h[src_e] · alpha_e` in edge order,
@@ -517,49 +736,54 @@ impl Graph {
         dst: Arc<Vec<u32>>,
         out_rows: usize,
     ) -> Var {
-        let (hv, av) = (self.value(h), self.value(alpha));
+        let (rows, d) = self.shape(h);
         assert_eq!(dst.len(), src.len(), "edge_aggregate: dst length mismatch");
         assert_eq!(
-            av.shape(),
+            self.shape(alpha),
             (src.len(), 1),
             "edge_aggregate: alpha must be one weight per edge"
         );
-        if !(all_below(&src, hv.rows()) && all_below(&dst, out_rows)) {
+        if !(all_below(&src, rows) && all_below(&dst, out_rows)) {
             for (&s, &t) in src.iter().zip(dst.iter()) {
                 assert!(
-                    (s as usize) < hv.rows() && (t as usize) < out_rows,
+                    (s as usize) < rows && (t as usize) < out_rows,
                     "edge_aggregate: edge {s}->{t} out of range"
                 );
             }
         }
-        let (x, d) = (hv.as_slice(), hv.cols());
-        let mut value = Matrix::zeros(out_rows, d);
-        edge::aggregate(x, d, av.as_slice(), (&src, &dst), value.as_mut_slice());
         let rg = self.requires(h) || self.requires(alpha);
-        self.push(value, Op::EdgeAggregate(h, alpha, src, dst), rg)
+        let op = Op::EdgeAggregate(h, alpha, Arc::clone(&src), Arc::clone(&dst));
+        self.record((out_rows, d), None, 0, (op, rg), |v, out, _| {
+            edge::aggregate(v.of(h), d, v.of(alpha), (&src, &dst), out);
+        })
     }
 
     /// Row-wise L2 normalisation: `y_i = x_i / max(||x_i||, eps)`.
     pub fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        let (m, _) = self.shape(a);
-        let mut value = self.value(a).clone();
-        for r in 0..m {
-            let row = value.row_mut(r);
-            let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(eps);
-            for x in row {
-                *x /= norm;
-            }
-        }
+        let shape @ (_, n) = self.shape(a);
         let rg = self.requires(a);
-        self.push(value, Op::L2NormalizeRows(a, eps), rg)
+        let op = Op::L2NormalizeRows(a, eps);
+        self.record(shape, Some(a), 0, (op, rg), |_, out, _| {
+            for row in out.chunks_exact_mut(n.max(1)) {
+                let norm = row.iter().map(|&x| x * x).sum::<f32>().sqrt().max(eps);
+                for x in row {
+                    *x /= norm;
+                }
+            }
+        })
     }
 
     /// Row-wise dot product of two `[m,n]` matrices: `out[i] = a_i · b_i`.
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.shape(a), self.shape(b), "row_dot: shape mismatch");
-        let value = row_dots(self.value(a), self.value(b));
+        let (m, n) = self.shape(a);
+        assert_eq!((m, n), self.shape(b), "row_dot: shape mismatch");
         let rg = self.requires(a) || self.requires(b);
-        self.push(value, Op::RowDot(a, b), rg)
+        self.record((m, 1), None, 0, (Op::RowDot(a, b), rg), |v, out, _| {
+            let pairs = rows_of(v.of(a), m, n).zip(rows_of(v.of(b), m, n));
+            for (o, (x, y)) in out.iter_mut().zip(pairs) {
+                *o = x.iter().zip(y).map(|(&x, &y)| x * y).sum();
+            }
+        })
     }
 
     /// Dot product of row pairs of one `[n,d]` matrix, `out[i] = h[src_i] ·
@@ -571,8 +795,7 @@ impl Graph {
     /// Panics if `src` and `dst` differ in length, or naming the first
     /// example whose rows are out of range for `h`.
     pub fn pair_dot(&mut self, h: Var, src: Arc<Vec<u32>>, dst: Arc<Vec<u32>>) -> Var {
-        let hv = self.value(h);
-        let (n, d) = hv.shape();
+        let (n, d) = self.shape(h);
         assert_eq!(dst.len(), src.len(), "pair_dot: dst length mismatch");
         if !(all_below(&src, n) && all_below(&dst, n)) {
             for (i, (&s, &t)) in src.iter().zip(dst.iter()).enumerate() {
@@ -582,28 +805,36 @@ impl Graph {
                 );
             }
         }
-        // `Σ_c h[src_i][c]·h[dst_i][c]`, the edge kernel's `dα` chain with
-        // `h` on both sides.
-        let mut out = vec![0.0f32; src.len()];
-        edge::alpha_grad(hv.as_slice(), hv.as_slice(), d, (&dst, &src), &mut out);
         let rg = self.requires(h);
-        self.push(Matrix::col_vector(out), Op::PairDot(h, src, dst), rg)
+        let op = Op::PairDot(h, Arc::clone(&src), Arc::clone(&dst));
+        self.record((src.len(), 1), None, 0, (op, rg), |v, out, _| {
+            // `Σ_c h[src_i][c]·h[dst_i][c]`, the edge kernel's `dα` chain
+            // with `h` on both sides.
+            edge::alpha_grad(v.of(h), v.of(h), d, (&dst, &src), out);
+        })
     }
 
     // ---- reductions & losses ------------------------------------------------
 
     /// Sum of all elements, as a `1x1` node.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let value = Matrix::from_vec(1, 1, vec![self.value(a).sum()]);
         let rg = self.requires(a);
-        self.push(value, Op::SumAll(a), rg)
+        self.record((1, 1), None, 0, (Op::SumAll(a), rg), |v, out, _| {
+            out[0] = v.of(a).iter().sum();
+        })
     }
 
-    /// Mean of all elements, as a `1x1` node.
+    /// Mean of all elements, as a `1x1` node (`0` for an empty input).
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let value = Matrix::from_vec(1, 1, vec![self.value(a).mean()]);
         let rg = self.requires(a);
-        self.push(value, Op::MeanAll(a), rg)
+        self.record((1, 1), None, 0, (Op::MeanAll(a), rg), |v, out, _| {
+            let x = v.of(a);
+            out[0] = if x.is_empty() {
+                0.0
+            } else {
+                x.iter().sum::<f32>() / x.len() as f32
+            };
+        })
     }
 
     /// Binary cross-entropy with logits, averaged over all elements.
@@ -611,198 +842,413 @@ impl Graph {
     /// Uses the standard stable form
     /// `max(x, 0) - x*t + ln(1 + e^{-|x|})`.
     pub fn bce_with_logits(&mut self, logits: Var, targets: Arc<Vec<f32>>) -> Var {
-        let x = self.value(logits).as_slice();
+        let (m, n) = self.shape(logits);
         assert_eq!(
-            x.len(),
+            m * n,
             targets.len(),
             "bce_with_logits: target length mismatch"
         );
-        assert!(!x.is_empty(), "bce_with_logits: empty input");
-        let mut e: Vec<f32> = x.iter().map(|&xi| -xi.abs()).collect();
-        expf::exp_in_place(&mut e);
-        let mut loss = 0.0f64;
-        for ((&xi, &ti), &e) in x.iter().zip(targets.iter()).zip(&e) {
-            let term = xi.max(0.0) - xi * ti + (1.0 + e).ln();
-            loss += term as f64;
-        }
-        let value = Matrix::from_vec(1, 1, vec![(loss / x.len() as f64) as f32]);
+        assert!(m * n > 0, "bce_with_logits: empty input");
         let rg = self.requires(logits);
-        self.push(value, Op::BceWithLogits(logits, targets), rg)
+        let op = Op::BceWithLogits(logits, Arc::clone(&targets));
+        self.record((1, 1), None, m * n, (op, rg), |v, out, e| {
+            let x = v.of(logits);
+            for (e, &xi) in e.iter_mut().zip(x) {
+                *e = -xi.abs();
+            }
+            expf::exp_in_place(e);
+            let mut loss = 0.0f64;
+            for ((&xi, &ti), &e) in x.iter().zip(targets.iter()).zip(e.iter()) {
+                let term = xi.max(0.0) - xi * ti + (1.0 + e).ln();
+                loss += term as f64;
+            }
+            out[0] = (loss / x.len() as f64) as f32;
+        })
     }
 
     /// Inverted dropout with a precomputed mask (entries are `0` or
     /// `1/(1-p)`). The caller owns mask generation so training remains
     /// reproducible.
     pub fn dropout_with_mask(&mut self, a: Var, mask: Arc<Vec<f32>>) -> Var {
-        let x = self.value(a);
-        assert_eq!(
-            x.len(),
-            mask.len(),
-            "dropout_with_mask: mask length mismatch"
-        );
-        let data = x
-            .as_slice()
-            .iter()
-            .zip(mask.iter())
-            .map(|(&v, &m)| v * m)
-            .collect();
-        let value = Matrix::from_vec(x.rows(), x.cols(), data);
+        let shape @ (m, n) = self.shape(a);
+        assert_eq!(m * n, mask.len(), "dropout_with_mask: mask length mismatch");
         let rg = self.requires(a);
-        self.push(value, Op::Dropout(a, mask), rg)
+        let op = Op::Dropout(a, Arc::clone(&mask));
+        self.record(shape, Some(a), 0, (op, rg), |_, out, _| {
+            for (x, &k) in out.iter_mut().zip(mask.iter()) {
+                *x *= k;
+            }
+        })
     }
 
     // ---- backward -----------------------------------------------------------
 
-    /// Run reverse-mode accumulation from a scalar (`1x1`) node.
+    /// Run reverse-mode accumulation from a scalar (`1x1`) node, discarding
+    /// the gradients of any earlier `backward` on this tape.
     ///
     /// Walks the tape backwards: a node's children sit later on the tape, so
-    /// its gradient is complete when it is reached. The node's adjoints give
-    /// each parent's share, and this loop is the one place they are added in.
+    /// its gradient is complete when it is reached. Each node writes its
+    /// parents' shares into their gradient ranges in accumulation order
+    /// (the module docs' store-then-add rule).
     ///
     /// # Panics
     /// Panics if `loss` is not `1x1` or does not require grad.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be scalar");
         assert!(self.requires(loss), "backward: loss does not require grad");
-        self.nodes[loss.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
+        let Self {
+            nodes,
+            values,
+            grads,
+            live,
+            scratch: buffer,
+        } = self;
+        let values: &[f32] = values;
+        for node in nodes.iter_mut() {
+            (node.grad, node.has_grad) = (UNPLACED, false);
+        }
+        live.clear();
+        place(nodes, live, grads, loss);
+        grads[nodes[loss.0].grad] = 1.0;
+        nodes[loss.0].has_grad = true;
         for i in (0..=loss.0).rev() {
-            let (parents, rest) = self.nodes.split_at_mut(i);
-            let Some(g) = &rest[0].grad else {
+            if !nodes[i].has_grad {
                 continue;
-            };
-            for (v, share) in rest[0].adjoints(parents, g).into_iter().flatten() {
-                let grad = &mut parents[v.0].grad;
-                match grad.as_mut() {
-                    Some(acc) => acc.add_assign(&share),
-                    None => *grad = Some(share.into_owned()),
+            }
+            let scratch = scratch(buffer, nodes[i].scratch_len(nodes));
+            let (parents, rest) = nodes.split_at_mut(i);
+            // The parents this node gives a first share get their ranges
+            // now, while its own is still live.
+            rest[0].op.for_each_parent(|p| {
+                if parents[p.0].requires_grad && parents[p.0].grad == UNPLACED {
+                    place(parents, live, grads, p);
                 }
+            });
+            let node = &rest[0];
+            let (below, from_node) = grads.split_at_mut(node.grad);
+            let (g, above) = from_node.split_at_mut(node.len());
+            let mut shares = Shares {
+                nodes: parents,
+                values,
+                below,
+                above,
+                above_start: node.grad + node.len(),
+            };
+            node.backprop(&values[node.value_range()], g, &mut shares, scratch);
+            // Passed on: an interior node's range is free for the rest of
+            // the walk; a leaf's stays for the caller to read.
+            if !matches!(node.op, Op::Leaf) {
+                live.retain(|&(.., n)| n != i);
+                rest[0].has_grad = false;
             }
         }
     }
 }
 
-/// A parent and its share of a node's gradient `g`: `g` itself where the
-/// parent's value passed through unchanged, a new matrix otherwise.
-type Adjoint<'g> = (Var, Cow<'g, Matrix>);
+/// Give node `v` the lowest gradient range that overlaps no live one, and
+/// grow the arena to hold it. Ranges are placed by the tape's structure
+/// alone, so the layout is the same on every run.
+fn place(nodes: &mut [Node], live: &mut Vec<(usize, usize, usize)>, grads: &mut Vec<f32>, v: Var) {
+    let len = nodes[v.0].len();
+    let (mut at, mut index) = (0, live.len());
+    for (k, &(start, n, _)) in live.iter().enumerate() {
+        if start >= at + len {
+            index = k;
+            break;
+        }
+        at = at.max(start + n);
+    }
+    live.insert(index, (at, len, v.0));
+    nodes[v.0].grad = at;
+    if grads.len() < at + len {
+        grads.resize(at + len, 0.0);
+    }
+}
 
-/// `v`'s share as a new matrix.
-fn owned(v: Var, share: Matrix) -> Option<Adjoint<'static>> {
-    Some((v, Cow::Owned(share)))
+/// The parents of the node being differentiated: their values, and their
+/// gradient ranges for its shares — each wholly below the node's own range
+/// or wholly above it.
+struct Shares<'a> {
+    nodes: &'a mut [Node],
+    values: &'a [f32],
+    below: &'a mut [f32],
+    above: &'a mut [f32],
+    /// Where `above` starts in the gradient arena.
+    above_start: usize,
+}
+
+impl<'a> Shares<'a> {
+    fn value(&self, v: Var) -> &'a [f32] {
+        let values: &'a [f32] = self.values;
+        &values[self.nodes[v.0].value_range()]
+    }
+
+    fn shape(&self, v: Var) -> (usize, usize) {
+        let node = &self.nodes[v.0];
+        (node.rows, node.cols)
+    }
+
+    fn wants(&self, v: Var) -> bool {
+        self.nodes[v.0].requires_grad
+    }
+
+    /// `v`'s gradient range and whether it already holds a share — from
+    /// here on it does.
+    fn slot(&mut self, v: Var) -> (&mut [f32], bool) {
+        let node = &mut self.nodes[v.0];
+        debug_assert!(node.requires_grad, "a share for a node without gradient");
+        let held = std::mem::replace(&mut node.has_grad, true);
+        let range = node.grad_range();
+        let dst = if range.start < self.above_start {
+            &mut self.below[range]
+        } else {
+            &mut self.above[range.start - self.above_start..range.end - self.above_start]
+        };
+        (dst, held)
+    }
+
+    /// An element-wise share, in element order.
+    fn put(&mut self, v: Var, share: impl Iterator<Item = f32>) {
+        let (dst, add) = self.slot(v);
+        write(dst, add, share);
+    }
+
+    /// A share that `fill` builds in zeroed memory: in `v`'s gradient range
+    /// when it is the first, else in `scratch`, then added.
+    fn built(&mut self, v: Var, scratch: &mut [f32], fill: impl FnOnce(&mut [f32])) {
+        let (dst, add) = self.slot(v);
+        if add {
+            let share = &mut scratch[..dst.len()];
+            share.fill(0.0);
+            fill(share);
+            write(dst, true, share.iter().copied());
+        } else {
+            dst.fill(0.0);
+            fill(dst);
+        }
+    }
+}
+
+impl Op {
+    /// Call `f` on every parent handle.
+    fn for_each_parent(&self, mut f: impl FnMut(Var)) {
+        match self {
+            Op::Leaf => {}
+            &Op::MatMul(a, b)
+            | &Op::Add(a, b)
+            | &Op::Mul(a, b)
+            | &Op::AddRowBroadcast(a, b)
+            | &Op::MulColBroadcast(a, b)
+            | &Op::RowDot(a, b)
+            | &Op::EdgeAggregate(a, b, ..) => {
+                f(a);
+                f(b);
+            }
+            &Op::Scale(a, _)
+            | &Op::LeakyRelu(a, _)
+            | &Op::Elu(a, _)
+            | &Op::GatherRows(a, _)
+            | &Op::ScatterAddRows(a, _)
+            | &Op::SegmentSoftmax(a, _)
+            | &Op::L2NormalizeRows(a, _)
+            | &Op::PairDot(a, ..)
+            | &Op::SumAll(a)
+            | &Op::MeanAll(a)
+            | &Op::BceWithLogits(a, _)
+            | &Op::Dropout(a, _) => f(a),
+            Op::ConcatCols(vars) | Op::ConcatRows(vars) => vars.iter().copied().for_each(f),
+            &Op::EdgeSoftmax(s_src, s_dst, per_type, ..) => {
+                f(s_src);
+                f(s_dst);
+                per_type.into_iter().for_each(f);
+            }
+        }
+    }
 }
 
 impl Node {
-    /// Each parent's share of this node's gradient `g`, in accumulation
-    /// order (DESIGN §8), `None` for a parent that takes no gradient: its
-    /// share is never computed. A one-parent node has a gradient only when
-    /// its parent takes one, so only the multi-parent arms ask `wants`.
-    fn adjoints<'g>(&self, parents: &[Node], g: &'g Matrix) -> Vec<Option<Adjoint<'g>>> {
-        let value = |v: Var| &parents[v.0].value;
-        let wants = |v: Var| parents[v.0].requires_grad;
+    /// Floats of scratch this node's backward uses.
+    fn scratch_len(&self, nodes: &[Node]) -> usize {
+        let len = |v: Var| nodes[v.0].len();
         match &self.op {
-            Op::Leaf => Vec::new(),
-            &Op::MatMul(a, b) => vec![
-                wants(a).then(|| (a, Cow::Owned(g.matmul_nt(value(b))))),
-                wants(b).then(|| (b, Cow::Owned(value(a).matmul_tn(g)))),
-            ],
-            &Op::Add(a, b) => vec![
-                wants(a).then_some((a, Cow::Borrowed(g))),
-                wants(b).then_some((b, Cow::Borrowed(g))),
-            ],
-            &Op::Mul(a, b) => vec![
-                wants(a).then(|| (a, Cow::Owned(g.mul(value(b))))),
-                wants(b).then(|| (b, Cow::Owned(g.mul(value(a))))),
-            ],
-            &Op::AddRowBroadcast(a, bias) => vec![
-                wants(a).then_some((a, Cow::Borrowed(g))),
-                wants(bias).then(|| {
-                    let mut col = vec![0.0f32; g.cols()];
-                    for row in g.rows_iter() {
-                        for (o, &v) in col.iter_mut().zip(row) {
-                            *o += v;
-                        }
-                    }
-                    (bias, Cow::Owned(Matrix::row_vector(col)))
-                }),
-            ],
-            &Op::MulColBroadcast(a, c) => vec![
-                wants(a).then(|| (a, Cow::Owned(scale_rows(g, value(c).as_slice())))),
-                wants(c).then(|| (c, Cow::Owned(row_dots(g, value(a))))),
-            ],
-            &Op::Scale(a, s) => vec![owned(a, g.scale(s))],
-            &Op::LeakyRelu(a, slope) => {
-                let mut da = g.clone();
-                for (d, &x) in da.as_mut_slice().iter_mut().zip(value(a).as_slice()) {
-                    if x < 0.0 {
-                        *d *= slope;
+            &Op::MatMul(a, b) => usize::from(nodes[a.0].requires_grad) * len(b),
+            &Op::AddRowBroadcast(_, bias) => len(bias),
+            &Op::GatherRows(a, _) | &Op::PairDot(a, ..) | &Op::BceWithLogits(a, _) => len(a),
+            Op::SegmentSoftmax(_, segs) => segs.n_segments,
+            Op::EdgeSoftmax(s_src, s_dst, per_type, _, _, segs, _) => {
+                self.len() + segs.n_segments + len(*s_src) + len(*s_dst) + per_type.map_or(0, len)
+            }
+            &Op::EdgeAggregate(h, alpha, ..) => len(h).max(len(alpha)),
+            _ => 0,
+        }
+    }
+
+    /// Write each parent's share of this node's gradient `g` (its value is
+    /// `y`), in accumulation order (DESIGN §8), skipping a parent that
+    /// takes no gradient: its share is never computed. A one-parent node
+    /// has a gradient only when its parent takes one, so only the
+    /// multi-parent arms ask `wants`.
+    fn backprop(&self, y: &[f32], g: &[f32], to: &mut Shares<'_>, scratch: &mut [f32]) {
+        match &self.op {
+            Op::Leaf => {}
+            &Op::MatMul(a, b) => {
+                let ((m, k), n) = (to.shape(a), self.cols);
+                let (va, vb) = (to.value(a), to.value(b));
+                if to.wants(a) {
+                    let (dst, add) = to.slot(a);
+                    gemm::nt_into(g, vb, (m, n, k), dst, add, scratch);
+                }
+                if to.wants(b) {
+                    let (dst, add) = to.slot(b);
+                    gemm::tn_into(va, g, (k, m, n), dst, add);
+                }
+            }
+            &Op::Add(a, b) => {
+                for v in [a, b] {
+                    if to.wants(v) {
+                        to.put(v, g.iter().copied());
                     }
                 }
-                vec![owned(a, da)]
+            }
+            &Op::Mul(a, b) => {
+                for (v, other) in [(a, to.value(b)), (b, to.value(a))] {
+                    if to.wants(v) {
+                        to.put(v, g.iter().zip(other).map(|(&g, &x)| g * x));
+                    }
+                }
+            }
+            &Op::AddRowBroadcast(a, bias) => {
+                if to.wants(a) {
+                    to.put(a, g.iter().copied());
+                }
+                if to.wants(bias) {
+                    let (m, n) = (self.rows, self.cols);
+                    to.built(bias, scratch, |col| {
+                        for row in rows_of(g, m, n) {
+                            for (o, &v) in col.iter_mut().zip(row) {
+                                *o += v;
+                            }
+                        }
+                    });
+                }
+            }
+            &Op::MulColBroadcast(a, c) => {
+                let (m, n) = (self.rows, self.cols);
+                if to.wants(a) {
+                    let per_row = rows_of(g, m, n).zip(to.value(c));
+                    to.put(
+                        a,
+                        per_row.flat_map(|(row, &s)| row.iter().map(move |&x| x * s)),
+                    );
+                }
+                if to.wants(c) {
+                    let pairs = rows_of(g, m, n).zip(rows_of(to.value(a), m, n));
+                    let dot =
+                        |(x, y): (&[f32], &[f32])| x.iter().zip(y).map(|(&x, &y)| x * y).sum();
+                    to.put(c, pairs.map(dot));
+                }
+            }
+            &Op::Scale(a, s) => to.put(a, g.iter().map(|&d| d * s)),
+            &Op::LeakyRelu(a, slope) => {
+                let x = to.value(a);
+                let share = g
+                    .iter()
+                    .zip(x)
+                    .map(|(&d, &x)| if x < 0.0 { d * slope } else { d });
+                to.put(a, share);
             }
             &Op::Elu(a, alpha) => {
-                let mut da = g.clone();
-                let (x, y) = (value(a).as_slice(), self.value.as_slice());
-                for ((d, &x), &y) in da.as_mut_slice().iter_mut().zip(x).zip(y) {
-                    // d/dx alpha(e^x - 1) = alpha e^x = y + alpha. A select,
-                    // not `d * 1.0` where x >= 0: that would quiet an sNaN.
-                    *d = if x < 0.0 { *d * (y + alpha) } else { *d };
-                }
-                vec![owned(a, da)]
+                let x = to.value(a);
+                // d/dx alpha(e^x - 1) = alpha e^x = y + alpha. A select, not
+                // `d * 1.0` where x >= 0: that would quiet an sNaN.
+                let share = (g.iter().zip(x).zip(y))
+                    .map(|((&d, &x), &y)| if x < 0.0 { d * (y + alpha) } else { d });
+                to.put(a, share);
             }
             Op::ConcatCols(vars) => {
+                let (m, total) = (self.rows, self.cols);
                 let mut off = 0;
-                let parts = vars.iter().map(|&v| {
-                    let (lo, vc) = (off, value(v).cols());
+                for &v in vars {
+                    let (lo, vc) = (off, to.shape(v).1);
                     off += vc;
-                    wants(v).then(|| {
-                        let mut part = Vec::with_capacity(g.rows() * vc);
-                        for row in g.rows_iter() {
-                            part.extend_from_slice(&row[lo..lo + vc]);
+                    if to.wants(v) {
+                        let (dst, add) = to.slot(v);
+                        for (r, row) in rows_of(g, m, total).enumerate() {
+                            write(
+                                &mut dst[r * vc..][..vc],
+                                add,
+                                row[lo..lo + vc].iter().copied(),
+                            );
                         }
-                        (v, Cow::Owned(Matrix::from_vec(g.rows(), vc, part)))
-                    })
-                });
-                parts.collect()
+                    }
+                }
             }
             Op::ConcatRows(vars) => {
                 let mut off = 0;
-                let parts = vars.iter().map(|&v| {
-                    let (vr, vc) = value(v).shape();
-                    let rows = &g.as_slice()[off..off + vr * vc];
+                for &v in vars {
+                    let (vr, vc) = to.shape(v);
+                    let rows = &g[off..off + vr * vc];
                     off += vr * vc;
-                    wants(v).then(|| (v, Cow::Owned(Matrix::from_vec(vr, vc, rows.to_vec()))))
-                });
-                parts.collect()
+                    if to.wants(v) {
+                        to.put(v, rows.iter().copied());
+                    }
+                }
             }
-            Op::GatherRows(a, idx) => vec![owned(*a, g.scatter_add_rows(idx, value(*a).rows()))],
-            Op::ScatterAddRows(a, idx) => vec![owned(*a, g.gather_rows(idx))],
+            Op::GatherRows(a, idx) => {
+                let c = self.cols;
+                to.built(*a, scratch, |s| {
+                    for (i, &j) in idx.iter().enumerate() {
+                        let j = j as usize;
+                        for (o, &x) in s[j * c..][..c].iter_mut().zip(&g[i * c..][..c]) {
+                            *o += x;
+                        }
+                    }
+                });
+            }
+            Op::ScatterAddRows(a, idx) => {
+                let c = self.cols;
+                let (dst, add) = to.slot(*a);
+                for (i, &j) in idx.iter().enumerate() {
+                    let j = j as usize;
+                    write(&mut dst[i * c..][..c], add, g[j * c..][..c].iter().copied());
+                }
+            }
             Op::SegmentSoftmax(a, segs) => {
-                let (y, gv) = (self.value.as_slice(), g.as_slice());
-                let seg_dot = segment_dot(gv, y, segs);
-                let dx = (y.iter().zip(gv).zip(&segs.seg_of_row))
-                    .map(|((&y, &g), &s)| y * (g - seg_dot[s as usize]))
-                    .collect();
-                vec![owned(*a, Matrix::col_vector(dx))]
+                let dot = &mut scratch[..segs.n_segments];
+                segment_dot(g, y, segs, dot);
+                let share = (y.iter().zip(g).zip(&segs.seg_of_row))
+                    .map(|((&y, &g), &s)| y * (g - dot[s as usize]));
+                to.put(*a, share);
             }
             Op::EdgeSoftmax(s_src, s_dst, per_type, src, etype, segs, slope) => {
                 // Plain slices and a copied slope before the edge loop: a
                 // prototype that read through the op's `Arc`s and `&f32`
                 // inside it ran this backward ~48 % slower (DESIGN §8).
                 let (src, etype, dst, slope) = (&src[..], &etype[..], &segs.seg_of_row[..], *slope);
-                let (y, gv) = (self.value.as_slice(), g.as_slice());
-                let x = edge_scores(
-                    value(*s_src).as_slice(),
-                    value(*s_dst).as_slice(),
-                    per_type.map(|p| value(p).as_slice()),
+                let (x, rest) = scratch.split_at_mut(dst.len());
+                let (seg_dot, rest) = rest.split_at_mut(segs.n_segments);
+                edge_scores(
+                    to.value(*s_src),
+                    to.value(*s_dst),
+                    per_type.map(|p| to.value(p)),
                     (src, dst, etype),
+                    x,
                 );
-                let seg_dot = segment_dot(gv, y, segs);
+                segment_dot(g, y, segs, seg_dot);
                 // Softmax then LeakyReLU Jacobian per edge; the three
                 // scatter-adds are the chain's three `gather_rows` adjoints.
-                let zeros = |v: Var| wants(v).then(|| vec![0.0f32; value(v).rows()]);
+                let mut rest = rest;
+                let mut zeros = |v: Var| {
+                    let taken = std::mem::take(&mut rest);
+                    let (d, tail) = taken.split_at_mut(to.shape(v).0);
+                    rest = tail;
+                    d.fill(0.0);
+                    to.wants(v).then_some(d)
+                };
                 let (mut d_src, mut d_dst) = (zeros(*s_src), zeros(*s_dst));
                 let mut d_type = per_type.and_then(zeros);
                 for (r, &s) in dst.iter().enumerate() {
-                    let mut dx = y[r] * (gv[r] - seg_dot[s as usize]);
+                    let mut dx = y[r] * (g[r] - seg_dot[s as usize]);
                     if x[r] < 0.0 {
                         dx *= slope;
                     }
@@ -816,88 +1262,91 @@ impl Node {
                         d[etype[r] as usize] += dx;
                     }
                 }
-                let col = |v: Var, d: Vec<f32>| (v, Cow::Owned(Matrix::col_vector(d)));
-                vec![
-                    per_type.zip(d_type).map(|(p, d)| col(p, d)),
-                    d_dst.map(|d| col(*s_dst, d)),
-                    d_src.map(|d| col(*s_src, d)),
-                ]
+                for (v, d) in [
+                    (*per_type, d_type),
+                    (Some(*s_dst), d_dst),
+                    (Some(*s_src), d_src),
+                ] {
+                    if let (Some(v), Some(d)) = (v, d) {
+                        to.put(v, d.iter().copied());
+                    }
+                }
             }
             Op::EdgeAggregate(h, alpha, src, dst) => {
-                let (hv, av) = (value(*h), value(*alpha).as_slice());
-                let (gs, d) = (g.as_slice(), hv.cols());
-                vec![
-                    wants(*alpha).then(|| {
-                        let mut da = vec![0.0f32; av.len()];
-                        edge::alpha_grad(gs, hv.as_slice(), d, (src, dst), &mut da);
-                        (*alpha, Cow::Owned(Matrix::col_vector(da)))
-                    }),
-                    wants(*h).then(|| {
-                        let mut dh = Matrix::zeros(hv.rows(), d);
-                        edge::aggregate(gs, d, av, (dst, src), dh.as_mut_slice());
-                        (*h, Cow::Owned(dh))
-                    }),
-                ]
+                let (hv, av, d) = (to.value(*h), to.value(*alpha), to.shape(*h).1);
+                if to.wants(*alpha) {
+                    to.built(*alpha, scratch, |da| {
+                        edge::alpha_grad(g, hv, d, (src, dst), da);
+                    });
+                }
+                if to.wants(*h) {
+                    to.built(*h, scratch, |dh| edge::aggregate(g, d, av, (dst, src), dh));
+                }
             }
             &Op::L2NormalizeRows(a, eps) => {
-                let (x, y) = (value(a), &self.value);
-                let mut da = Vec::with_capacity(g.len());
-                for ((x, y), g_row) in x.rows_iter().zip(y.rows_iter()).zip(g.rows_iter()) {
+                let (m, n) = (self.rows, self.cols);
+                let x = to.value(a);
+                let (dst, add) = to.slot(a);
+                let rows = rows_of(x, m, n).zip(rows_of(y, m, n)).zip(rows_of(g, m, n));
+                for (r, ((x, y), g_row)) in rows.enumerate() {
                     let norm = x.iter().map(|&v| v * v).sum::<f32>().sqrt().max(eps);
                     let dot: f32 = y.iter().zip(g_row).map(|(&yv, &gv)| yv * gv).sum();
-                    da.extend(g_row.iter().zip(y).map(|(&gv, &yv)| (gv - yv * dot) / norm));
+                    let share = g_row.iter().zip(y).map(|(&gv, &yv)| (gv - yv * dot) / norm);
+                    write(&mut dst[r * n..][..n], add, share);
                 }
-                vec![owned(a, Matrix::from_vec(g.rows(), g.cols(), da))]
             }
-            &Op::RowDot(a, b) => vec![
-                wants(a).then(|| (a, Cow::Owned(scale_rows(value(b), g.as_slice())))),
-                wants(b).then(|| (b, Cow::Owned(scale_rows(value(a), g.as_slice())))),
-            ],
+            &Op::RowDot(a, b) => {
+                let (m, n) = to.shape(a);
+                for (v, other) in [(a, to.value(b)), (b, to.value(a))] {
+                    if to.wants(v) {
+                        let per_row = rows_of(other, m, n).zip(g);
+                        to.put(
+                            v,
+                            per_row.flat_map(|(row, &s)| row.iter().map(move |&x| x * s)),
+                        );
+                    }
+                }
+            }
             Op::PairDot(h, src, dst) => {
                 // The chain's two `gather_rows` adjoints, the later gather's
                 // (`dst`) first: `S_dst[dst_i] += h[src_i]·g_i`, then
                 // `S_src[src_i] += h[dst_i]·g_i`.
-                let (hv, gs) = (value(*h), g.as_slice());
-                let share = |ends: edge::Ends<'_>| {
-                    let mut s = Matrix::zeros(hv.rows(), hv.cols());
-                    edge::aggregate(hv.as_slice(), hv.cols(), gs, ends, s.as_mut_slice());
-                    Some((*h, Cow::Owned(s)))
-                };
-                vec![share((src, dst)), share((dst, src))]
+                let (hv, d) = (to.value(*h), to.shape(*h).1);
+                for ends in [(&src[..], &dst[..]), (&dst[..], &src[..])] {
+                    to.built(*h, scratch, |s| edge::aggregate(hv, d, g, ends, s));
+                }
             }
             &Op::SumAll(a) => {
-                let (m, n) = value(a).shape();
-                vec![owned(a, Matrix::full(m, n, g.get(0, 0)))]
+                let n = to.shape(a);
+                to.put(a, std::iter::repeat(g[0]).take(n.0 * n.1));
             }
             &Op::MeanAll(a) => {
-                let (m, n) = value(a).shape();
+                let (m, n) = to.shape(a);
                 let len = (m * n).max(1) as f32;
-                vec![owned(a, Matrix::full(m, n, g.get(0, 0) / len))]
+                to.put(a, std::iter::repeat(g[0] / len).take(m * n));
             }
             Op::BceWithLogits(a, targets) => {
-                let x = value(*a);
-                let scale = g.get(0, 0) / x.len() as f32;
-                // The logistic in its stable form: `e^-x` or `e^x`, whichever
-                // is at most 1, then one of two quotients.
-                let mut z: Vec<f32> = (x.as_slice().iter())
-                    .map(|&xi| if xi >= 0.0 { -xi } else { xi })
-                    .collect();
-                expf::exp_in_place(&mut z);
-                for ((z, &xi), &ti) in z.iter_mut().zip(x.as_slice()).zip(targets.iter()) {
-                    let sigmoid = if xi >= 0.0 {
-                        1.0 / (1.0 + *z)
-                    } else {
-                        *z / (1.0 + *z)
-                    };
-                    *z = scale * (sigmoid - ti);
-                }
-                vec![owned(*a, Matrix::from_vec(x.rows(), x.cols(), z))]
+                let x = to.value(*a);
+                let scale = g[0] / x.len() as f32;
+                to.built(*a, scratch, |z| {
+                    // The logistic in its stable form: `e^-x` or `e^x`,
+                    // whichever is at most 1, then one of two quotients.
+                    for (z, &xi) in z.iter_mut().zip(x) {
+                        *z = if xi >= 0.0 { -xi } else { xi };
+                    }
+                    expf::exp_in_place(z);
+                    for ((z, &xi), &ti) in z.iter_mut().zip(x).zip(targets.iter()) {
+                        let sigmoid = if xi >= 0.0 {
+                            1.0 / (1.0 + *z)
+                        } else {
+                            *z / (1.0 + *z)
+                        };
+                        *z = scale * (sigmoid - ti);
+                    }
+                });
             }
             Op::Dropout(a, mask) => {
-                let data = (g.as_slice().iter().zip(mask.iter()))
-                    .map(|(&gv, &mv)| gv * mv)
-                    .collect();
-                vec![owned(*a, Matrix::from_vec(g.rows(), g.cols(), data))]
+                to.put(*a, g.iter().zip(mask.iter()).map(|(&gv, &mv)| gv * mv));
             }
         }
     }
@@ -971,7 +1420,7 @@ mod tests {
                 let sq = g.mul(out, out);
                 let loss = g.sum_all(sq);
                 g.backward(loss);
-                let bits = |d: &Matrix| d.as_slice().iter().map(|x| x.to_bits()).collect();
+                let bits = |d: MatrixRef<'_>| d.as_slice().iter().map(|x| x.to_bits()).collect();
                 (parents.iter().map(|&p| g.grad(p).map(bits))).collect::<Vec<Option<Vec<u32>>>>()
             };
             let all_leaves = grads(None);
@@ -1074,6 +1523,93 @@ mod tests {
         g.backward(loss);
         assert_eq!(g.grad(a).unwrap().as_slice(), &[2.0, 4.0]);
         assert_eq!(g.grad(b).unwrap().as_slice(), &[6.0, 8.0, 10.0, 12.0]);
+    }
+
+    /// A gradient's first share is stored, not added to `+0.0`: a node
+    /// whose only share is `-0.0` keeps it, on a fresh tape and on one whose
+    /// gradient arena holds an earlier step's values.
+    #[test]
+    fn a_lone_negative_zero_share_survives() {
+        let mut g = Graph::new();
+        for _ in 0..2 {
+            g.clear();
+            let x = g.leaf(Matrix::row_vector(vec![1.0, -2.0]));
+            let y = g.scale(x, -0.0);
+            let loss = g.sum_all(y);
+            g.backward(loss);
+            let bits: Vec<u32> = (g.grad(x).unwrap().as_slice().iter())
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(bits, vec![(-0.0f32).to_bits(); 2]);
+        }
+    }
+
+    /// One step over `n` nodes whose parents take several shares each —
+    /// pass-throughs, GEMM, scatter-built shares — as the loss and every
+    /// leaf gradient, in bits.
+    fn mixed_step(g: &mut Graph, n: usize) -> Vec<Vec<u32>> {
+        let data = |rows: usize, cols: usize, k: usize| {
+            let v = (0..rows * cols).map(|i| ((i * 7 + k * 3) % 13) as f32 * 0.25 - 1.5);
+            Matrix::from_vec(rows, cols, v.collect())
+        };
+        let x = g.leaf(data(n, 4, 1));
+        let w = g.leaf(data(4, 3, 2));
+        let b = g.leaf(data(1, 3, 3));
+        let h = g.matmul(x, w);
+        let hb = g.add_row_broadcast(h, b);
+        let a = g.elu(hb, 1.0);
+        let cat = g.concat_cols(&[a, h]);
+        let reversed = Arc::new((0..n as u32).rev().collect());
+        let gathered = g.gather_rows(cat, reversed);
+        let mixed = g.add(gathered, cat);
+        let ends: Vec<u32> = (0..n as u32).collect();
+        let shifted = ends.iter().map(|&i| (i + 1) % n as u32).collect();
+        let scores = g.pair_dot(mixed, Arc::new(ends), Arc::new(shifted));
+        let targets = Arc::new((0..n).map(|i| (i % 2) as f32).collect());
+        let loss = g.bce_with_logits(scores, targets);
+        g.backward(loss);
+        let bits = |m: MatrixRef<'_>| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut out = vec![bits(g.value(loss))];
+        out.extend([x, w, b].map(|v| bits(g.grad(v).unwrap())));
+        out
+    }
+
+    /// A cleared tape records into the memory a larger step left behind and
+    /// gives what a fresh tape gives, bit for bit; once it has held a step,
+    /// the same step grows neither arena.
+    #[test]
+    fn a_cleared_tape_matches_a_fresh_one() {
+        let fresh = mixed_step(&mut Graph::new(), 5);
+        let mut reused = Graph::new();
+        mixed_step(&mut reused, 9);
+        reused.clear();
+        assert_eq!(mixed_step(&mut reused, 5), fresh);
+        let held = reused.arena_capacity();
+        reused.clear();
+        assert_eq!(mixed_step(&mut reused, 5), fresh);
+        assert_eq!(reused.arena_capacity(), held);
+    }
+
+    /// After `backward`, only leaves keep a gradient: an interior node's
+    /// range was reused once it passed its gradient on. A second `backward`
+    /// on the same tape replaces the first one's gradients; nothing adds up.
+    #[test]
+    fn backward_leaves_leaf_gradients_and_replaces_earlier_ones() {
+        let mut g = Graph::new();
+        let x = g.leaf(Matrix::row_vector(vec![1.0, -2.0]));
+        let y = g.scale(x, 3.0);
+        let z = g.mul(y, y);
+        let loss = g.sum_all(z);
+        g.backward(loss);
+        assert!(g.grad(y).is_none() && g.grad(z).is_none());
+        let first = g.grad(x).unwrap().as_slice().to_vec();
+        assert_eq!(first, [18.0, -36.0]);
+        let half = g.scale(loss, 0.5);
+        g.backward(half);
+        assert!(g.grad(y).is_none() && g.grad(loss).is_none());
+        assert_eq!(g.grad(x).unwrap().as_slice(), &[9.0, -18.0]);
+        g.backward(loss);
+        assert_eq!(g.grad(x).unwrap().as_slice(), first);
     }
 
     #[test]

@@ -50,12 +50,20 @@ fn multiply_then_add_is_never_fused() {
     let h = g.input(Matrix::from_vec(2, d, [vec![C; d], vec![X; d]].concat()));
     let alpha = g.input(Matrix::col_vector(vec![1.0, X]));
     let out = g.edge_aggregate(h, alpha, Arc::new(vec![0, 1]), Arc::new(vec![0, 0]), 1);
-    assert_eq!(bits(g.value(out)), vec![UNFUSED; d], "edge_aggregate fused");
+    assert_eq!(
+        bits(&g.value(out).to_matrix()),
+        vec![UNFUSED; d],
+        "edge_aggregate fused"
+    );
 
     // pair_dot: the pair (0, 1) is `C·1 + X·X`, then zeros, at the 16-wide
     // row kernel.
     let row = |a: f32| [vec![a, X], vec![0.0; d - 2]].concat();
     let h = g.input(Matrix::from_vec(2, d, [row(C), row(1.0)].concat()));
     let out = g.pair_dot(h, Arc::new(vec![0]), Arc::new(vec![1]));
-    assert_eq!(bits(g.value(out)), vec![UNFUSED], "pair_dot fused");
+    assert_eq!(
+        bits(&g.value(out).to_matrix()),
+        vec![UNFUSED],
+        "pair_dot fused"
+    );
 }

@@ -22,7 +22,7 @@ where
     let grads = vars
         .iter()
         .map(|&v| {
-            g.grad(v).cloned().unwrap_or_else(|| {
+            g.grad(v).map(|m| m.to_matrix()).unwrap_or_else(|| {
                 let (r, c) = g.shape(v);
                 Matrix::zeros(r, c)
             })

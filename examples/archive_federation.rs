@@ -20,6 +20,7 @@ use fedda::data::{amazon_like, partition_non_iid, PartitionConfig, PresetOptions
 use fedda::hetgraph::io::{self, GraphDoc};
 use fedda::hetgraph::{split::split_edges, LinkSampler};
 use fedda::hgn::{evaluate, GraphView, HgnConfig, SimpleHgn};
+use fedda::tensor::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,7 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sampler = LinkSampler::new(train);
         let test_pos = LinkSampler::new(test).all_positives();
         let mut rng = StdRng::seed_from_u64(3);
-        evaluate(&model, &params, &view, &sampler, &test_pos, 5, &mut rng)
+        let g = &mut Graph::new();
+        evaluate(&model, g, &params, &view, &sampler, &test_pos, 5, &mut rng)
     };
     let original = eval(&split.train, &split.test);
     let reloaded = eval(&train2, &test2);
