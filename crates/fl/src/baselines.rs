@@ -169,7 +169,7 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::{run_sync, tiny_system};
+    use crate::system::tests::{run_sync, tiny_system, tiny_system_with};
 
     #[test]
     fn global_baseline_trains_and_records_curve() {
@@ -192,11 +192,12 @@ mod tests {
         // trained parameters.
         let mut plain = tiny_system(2, 33);
         let r_plain = run_sync(&mut GlobalProtocol::new(), &mut plain);
-        let mut faulty = tiny_system(2, 33);
-        faulty.set_faults(Some(crate::faults::FaultConfig {
-            dropout: 0.9,
-            ..Default::default()
-        }));
+        let mut faulty = tiny_system_with(2, 33, |cfg| {
+            cfg.faults = Some(crate::faults::FaultConfig {
+                dropout: 0.9,
+                ..Default::default()
+            });
+        });
         let r_faulty = run_sync(&mut GlobalProtocol::new(), &mut faulty);
         assert!(r_faulty.faults.is_empty());
         assert_eq!(plain.global.flatten(), faulty.global.flatten());

@@ -394,6 +394,11 @@ impl<'a> Engine<'a> {
                 "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
             );
         }
+        if cfg.eval_every == 0 {
+            return Err(
+                "invalid evaluation configuration: eval_every must be at least 1, got 0".into(),
+            );
+        }
         cfg.train
             .validate()
             .map_err(|e| format!("invalid training configuration: {e}"))?;
@@ -414,7 +419,7 @@ impl<'a> Engine<'a> {
                 .map_err(|e| format!("invalid privacy configuration: {e}"))?;
         }
         let rounds = cfg.rounds;
-        let eval_every = cfg.eval_every.max(1);
+        let eval_every = cfg.eval_every;
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ protocol.seed_tweak());
         // The fault schedule is pre-sampled from its own stream so turning it
         // on never perturbs the protocol/init/eval draws below.
@@ -891,6 +896,24 @@ mod tests {
             assert_eq!(
                 run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
                 "invalid evaluation configuration: eval_negatives must be at least 1, got 0"
+            );
+        }
+        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+    }
+
+    /// Without the check a `0` cadence was silently read as `1`, where the
+    /// command line refuses it.
+    #[test]
+    fn engine_rejects_zero_eval_every_before_touching_the_system() {
+        let mut sys = tiny_system_with(2, 48, |cfg| cfg.eval_every = 0);
+        let before = sys.global.flatten();
+        for mode in [
+            RuntimeMode::Sync,
+            RuntimeMode::Async(AsyncConfig::default()),
+        ] {
+            assert_eq!(
+                run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
+                "invalid evaluation configuration: eval_every must be at least 1, got 0"
             );
         }
         assert_eq!(sys.global.flatten(), before, "system must be untouched");

@@ -101,7 +101,7 @@ impl FlProtocol for FedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::{run_sync, tiny_system};
+    use crate::system::tests::{run_sync, tiny_system, tiny_system_with};
 
     #[test]
     fn vanilla_fedavg_transmits_everything() {
@@ -184,8 +184,9 @@ mod tests {
         // FedAvg has no activation machinery, so dropout rate 1.0 means
         // every round aggregates nothing: the global model must simply
         // stand still and the run must complete with zero uplink.
-        let mut sys = tiny_system(3, 16);
-        sys.set_faults(Some(crate::faults::FaultConfig::dropout_only(1.0)));
+        let mut sys = tiny_system_with(3, 16, |cfg| {
+            cfg.faults = Some(crate::faults::FaultConfig::dropout_only(1.0));
+        });
         let before = sys.global.flatten();
         let result = run_sync(&mut FedAvg::vanilla(), &mut sys);
         assert_eq!(result.curve.len(), sys.config().rounds);
@@ -203,8 +204,9 @@ mod tests {
         // to every other RNG stream.
         let mut plain = tiny_system(3, 17);
         let r_plain = run_sync(&mut FedAvg::vanilla(), &mut plain);
-        let mut faulty = tiny_system(3, 17);
-        faulty.set_faults(Some(crate::faults::FaultConfig::default()));
+        let mut faulty = tiny_system_with(3, 17, |cfg| {
+            cfg.faults = Some(crate::faults::FaultConfig::default());
+        });
         let r_faulty = run_sync(&mut FedAvg::vanilla(), &mut faulty);
         assert!(r_faulty.faults.is_empty());
         for (a, b) in r_plain.curve.iter().zip(&r_faulty.curve) {

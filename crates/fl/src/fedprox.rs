@@ -100,7 +100,7 @@ impl FlProtocol for FedProx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::tests::{run_sync, tiny_system};
+    use crate::system::tests::{run_sync, tiny_system, tiny_system_with};
 
     #[test]
     fn fedprox_trains_and_transmits_everything() {
@@ -135,15 +135,8 @@ mod tests {
         // parameters than μ = 0 under the same seed. The penalty gradient
         // is zero at the broadcast anchor, so this needs ≥ 2 local steps
         // per round (the first step starts exactly at the anchor).
-        let two_epochs = fedda_hgn::TrainConfig {
-            local_epochs: 2,
-            lr: 5e-3,
-            ..Default::default()
-        };
-        let mut free = tiny_system(3, 23);
-        free.set_train(two_epochs.clone());
-        let mut pinned = tiny_system(3, 23);
-        pinned.set_train(two_epochs);
+        let mut free = tiny_system_with(3, 23, |cfg| cfg.train.local_epochs = 2);
+        let mut pinned = tiny_system_with(3, 23, |cfg| cfg.train.local_epochs = 2);
         let _ = run_sync(&mut FedProx::new(0.0), &mut free);
         let _ = run_sync(&mut FedProx::new(10.0), &mut pinned);
         assert_ne!(free.global.flatten(), pinned.global.flatten());

@@ -86,8 +86,8 @@ pub struct FlConfig {
     /// Negatives per positive for evaluation metrics.
     pub eval_negatives: usize,
     /// Evaluate the global model every `eval_every` rounds (the final
-    /// round is always evaluated; `1` evaluates every round, which is also
-    /// what a `0` is clamped to). Evaluation dominates wall-time on large
+    /// round is always evaluated; `1` evaluates every round, and `0` is
+    /// refused before round 0). Evaluation dominates wall-time on large
     /// federations, so sparse cadences make long runs cheap; the curve in
     /// [`RunResult`] then only holds the evaluated rounds.
     pub eval_every: usize,
@@ -412,36 +412,6 @@ impl FlSystem {
     /// The run configuration.
     pub fn config(&self) -> &FlConfig {
         &self.cfg
-    }
-
-    /// Enable or disable fault injection on an assembled federation.
-    ///
-    /// Faults are read by the driver at the start of each run, so this can
-    /// flip between a clean and a chaotic run of the *same* system —
-    /// nothing else in the configuration or the seeded state changes.
-    pub fn set_faults(&mut self, faults: Option<FaultConfig>) {
-        self.cfg.faults = faults;
-    }
-
-    /// Enable or disable uplink compression on an assembled federation.
-    ///
-    /// Like [`FlSystem::set_faults`], the codec is read by the driver at
-    /// the start of each run: the same seeded system can run uncompressed
-    /// and compressed back to back with nothing else changing — the basis
-    /// of the `Identity` bit-identity pins.
-    pub fn set_compression(&mut self, compression: Option<Compression>) {
-        self.cfg.compression = compression;
-    }
-
-    /// Replace the local-training hyper-parameters on an assembled
-    /// federation. Client-objective penalties
-    /// ([`FlProtocol::local_regularizer`](crate::FlProtocol::local_regularizer))
-    /// only bite from the second local gradient step — the first step
-    /// starts exactly at the broadcast anchor, where the proximal gradient
-    /// vanishes — so studies of FedProx-style protocols want more than one
-    /// local epoch/batch per round.
-    pub fn set_train(&mut self, train: TrainConfig) {
-        self.cfg.train = train;
     }
 
     /// The global training graph (evaluation-time message passing; also

@@ -8,54 +8,34 @@
 //! `FlConfig::workers` therefore must not move a single bit of the curve,
 //! the comm ledger, the activation trace, or the final parameters.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
+mod common;
+
+use common::Fingerprint;
 use fedda_fl::{
     AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedAvg, FedDa, FedDyn,
-    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, MemorySink, RoundEvent, RunResult,
-    RuntimeMode, StalenessPolicy,
+    FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, MemorySink, RuntimeMode,
+    StalenessPolicy,
 };
-use fedda_hetgraph::split::split_edges;
-use fedda_hgn::{HgnConfig, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+const SCALE: f64 = 0.0012;
 const M: usize = 4;
 const ROUNDS: usize = 3;
 const SEED: u64 = 1234;
 
-fn build_system(workers: Option<usize>, faults: Option<FaultConfig>) -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0012,
-        seed: SEED,
-        ..Default::default()
+/// The test federation on `workers` workers under `faults`, with `edit`
+/// applied to its configuration.
+fn build_system(
+    workers: Option<usize>,
+    faults: Option<FaultConfig>,
+    edit: impl FnOnce(&mut FlConfig),
+) -> FlSystem {
+    let (split, clients) = common::dataset(SCALE, SEED, M);
+    common::system(&split, clients, SEED, |cfg| {
+        cfg.rounds = ROUNDS;
+        cfg.workers = workers;
+        cfg.faults = faults;
+        edit(cfg);
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(M, g.schema().num_edge_types(), SEED);
-    let clients = partition_non_iid(&split.train, &pcfg);
-    let cfg = FlConfig {
-        rounds: ROUNDS,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs: 1,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 3,
-        seed: SEED,
-        parallel: true,
-        workers,
-        faults,
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
 /// Stragglers at a rate that forces multi-tick arrivals and staleness
@@ -71,45 +51,14 @@ fn straggly_faults() -> FaultConfig {
     }
 }
 
-/// Everything observable about a run, in bit-exact form.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    curve: Vec<(usize, u64, u64)>,
-    comm: Vec<fedda_fl::RoundComm>,
-    activation: Vec<fedda_fl::ActivationSnapshot>,
-    faults: Vec<fedda_fl::FaultObserved>,
-    final_params: Vec<u32>,
-}
-
-fn fingerprint(result: &RunResult, system: &FlSystem) -> Fingerprint {
-    Fingerprint {
-        curve: result
-            .curve
-            .iter()
-            .map(|e| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits()))
-            .collect(),
-        comm: result.comm.rounds().to_vec(),
-        activation: result.activation_trace.clone(),
-        faults: result.faults.clone(),
-        final_params: system
-            .global
-            .flatten()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect(),
-    }
-}
-
-/// The run's fingerprint and its event stream — wall time, the one field
-/// that is not a function of the seed, zeroed; `f64`'s `Debug` round-trips,
-/// so equal strings are equal bits.
+/// The run's fingerprint and its event stream.
 fn run_async(
     which: usize,
     acfg: AsyncConfig,
     faults: Option<FaultConfig>,
     workers: Option<usize>,
 ) -> (Fingerprint, Vec<String>) {
-    let mut sys = build_system(workers, faults);
+    let mut sys = build_system(workers, faults, |_| {});
     let mut sink = MemorySink::new();
     let mut driver = AsyncDriver::with_sink(acfg, &mut sink);
     let result = match which {
@@ -117,12 +66,7 @@ fn run_async(
         _ => driver.run(&mut FedDa::explore(), &mut sys),
     }
     .expect("async determinism runs use valid configurations");
-    let timeless = |e: &RoundEvent| RoundEvent {
-        wall_ms: 0.0,
-        ..e.clone()
-    };
-    let events = sink.events.iter().map(|e| format!("{:?}", timeless(e)));
-    (fingerprint(&result, &sys), events.collect())
+    (common::fingerprint(&result, &sys), common::events(&sink))
 }
 
 fn assert_invariant_under_execution_strategy(
@@ -179,8 +123,9 @@ fn async_runs_under_compression_are_bit_identical_across_threads_and_workers() {
         Compression::TopK { frac: 0.25 },
     ] {
         let run = |workers: Option<usize>| {
-            let mut sys = build_system(workers, Some(straggly_faults()));
-            sys.set_compression(Some(compression));
+            let mut sys = build_system(workers, Some(straggly_faults()), |cfg| {
+                cfg.compression = Some(compression);
+            });
             let result = fedda_fl::run(
                 &RuntimeMode::Async(acfg),
                 &mut FedDa::explore(),
@@ -188,7 +133,7 @@ fn async_runs_under_compression_are_bit_identical_across_threads_and_workers() {
                 None,
             )
             .expect("async compressed run");
-            fingerprint(&result, &sys)
+            common::fingerprint(&result, &sys)
         };
         let reference = run(Some(1));
         for workers in [Some(4), None] {
@@ -209,8 +154,9 @@ fn identity_compression_with_stragglers_matches_uncompressed_async() {
     // bit for bit, staleness discounting, rejections and all.
     let acfg = AsyncConfig { k: 2, gamma: 0.9 };
     let run = |compression: Option<Compression>| {
-        let mut sys = build_system(Some(2), Some(straggly_faults()));
-        sys.set_compression(compression);
+        let mut sys = build_system(Some(2), Some(straggly_faults()), |cfg| {
+            cfg.compression = compression;
+        });
         let result = fedda_fl::run(
             &RuntimeMode::Async(acfg),
             &mut FedAvg::vanilla(),
@@ -218,7 +164,7 @@ fn identity_compression_with_stragglers_matches_uncompressed_async() {
             None,
         )
         .expect("async run");
-        fingerprint(&result, &sys)
+        common::fingerprint(&result, &sys)
     };
     assert_eq!(run(None), run(Some(Compression::Identity)));
 }
@@ -229,10 +175,10 @@ fn sync_facade_is_bit_identical_across_worker_pool_sizes() {
     // a bit there either (its cross-thread determinism is pinned by
     // `determinism_e2e.rs`; this adds the workers axis).
     let run = |workers: Option<usize>| {
-        let mut sys = build_system(workers, None);
+        let mut sys = build_system(workers, None, |_| {});
         let result =
             fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
-        fingerprint(&result, &sys)
+        common::fingerprint(&result, &sys)
     };
     let reference = run(Some(1));
     for workers in [Some(2), Some(4), None] {
@@ -270,11 +216,10 @@ fn buffered_with_k_at_federation_size_equals_lockstep() {
     for (name, local_epochs, build) in configurations {
         for compression in [None, Some(Compression::QuantI8)] {
             let run = |buffered: bool| {
-                let mut sys = build_system(Some(2), None);
-                let mut train = sys.config().train.clone();
-                train.local_epochs = local_epochs;
-                sys.set_train(train);
-                sys.set_compression(compression);
+                let mut sys = build_system(Some(2), None, |cfg| {
+                    cfg.train.local_epochs = local_epochs;
+                    cfg.compression = compression;
+                });
                 let mut protocol = build();
                 let result = if buffered {
                     fedda_fl::run(
@@ -287,7 +232,7 @@ fn buffered_with_k_at_federation_size_equals_lockstep() {
                     fedda_fl::run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None)
                 }
                 .expect("valid configuration");
-                fingerprint(&result, &sys)
+                common::fingerprint(&result, &sys)
             };
             let lockstep = run(false);
             assert!(lockstep.faults.is_empty(), "{name}: no fault plan");

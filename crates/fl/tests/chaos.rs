@@ -19,56 +19,28 @@
 //!   pre-fault engine (the `golden_curves` pins), because the fault stream
 //!   is orthogonal to every other RNG stream.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
+mod common;
+
 use fedda_fl::{
     AsyncConfig, Compression, Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved,
     FaultPlan, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlProtocol, FlSystem, MemorySink,
     RoundDriver, RunResult, RuntimeMode, ScriptedFault, StalenessPolicy,
 };
-use fedda_hetgraph::split::split_edges;
-use fedda_hgn::{HgnConfig, TrainConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+const SCALE: f64 = 0.0015;
 const M: usize = 5;
 const ROUNDS: usize = 5;
 const GOLDEN_SEED: u64 = 42;
 
-/// Same construction as `golden_curves::golden_system` (so the zero-fault
-/// pins below are comparable bit-for-bit), parameterised by seed and fault
-/// configuration.
-fn chaos_system(seed: u64, faults: Option<FaultConfig>) -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0015,
-        seed,
-        ..Default::default()
+/// The golden federation of `golden_curves.rs` (the same fixture and
+/// constants) at `seed`, with `edit` applied to its configuration.
+fn chaos_system(seed: u64, edit: impl FnOnce(&mut FlConfig)) -> FlSystem {
+    let (split, clients) = common::dataset(SCALE, seed, M);
+    common::system(&split, clients, seed, |cfg| {
+        cfg.rounds = ROUNDS;
+        edit(cfg);
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(M, g.schema().num_edge_types(), seed);
-    let clients = partition_non_iid(&split.train, &pcfg);
-    let cfg = FlConfig {
-        rounds: ROUNDS,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs: 1,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 3,
-        seed,
-        parallel: true,
-        faults,
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
 /// The mixed fault schedule the sweep injects at headline rate `r`:
@@ -302,7 +274,7 @@ fn chaos_sweep_invariants_hold_across_rates_protocols_and_seeds() {
         for which in 0..PROTOCOLS {
             for seed in [GOLDEN_SEED, 43, 44] {
                 let faults = (rate > 0.0).then(|| mixed_faults(rate));
-                let mut sys = chaos_system(seed, faults.clone());
+                let mut sys = chaos_system(seed, |cfg| cfg.faults = faults.clone());
                 let mut sink = MemorySink::new();
                 let result = run_protocol(which, &mut sys, &mut sink);
                 let label = format!("rate={rate} protocol={which} seed={seed}");
@@ -336,7 +308,7 @@ fn light_faults_keep_every_protocol_within_the_invariants() {
     let faults = mixed_faults(0.1);
     for which in 0..PROTOCOLS {
         for seed in [GOLDEN_SEED, 43, 44] {
-            let mut sys = chaos_system(seed, Some(faults.clone()));
+            let mut sys = chaos_system(seed, |cfg| cfg.faults = Some(faults.clone()));
             let mut sink = MemorySink::new();
             let result = run_protocol(which, &mut sys, &mut sink);
             let label = format!("rate=0.1 protocol={which} seed={seed}");
@@ -351,7 +323,7 @@ fn dropout_point_three_fedavg_matches_injected_schedule_exactly() {
     // parameters, and the FaultObserved stream equals the schedule cell
     // for cell (FedAvg selects everyone, so every scheduled cell is hit).
     let fc = FaultConfig::dropout_only(0.3);
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc.clone()));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc.clone()));
     let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     assert_eq!(result.curve.len(), ROUNDS);
     assert!(sys.global.flatten().iter().all(|v| v.is_finite()));
@@ -393,7 +365,7 @@ fn fedavg_uplink_counts_only_arrived_bytes_under_mixed_faults() {
     // exactly: arrivals = fresh survivors + rejected corruptions + stale
     // arrivals; dropouts and held stragglers transfer nothing.
     let fc = mixed_faults(0.3);
-    let mut sys = chaos_system(43, Some(fc.clone()));
+    let mut sys = chaos_system(43, |cfg| cfg.faults = Some(fc.clone()));
     let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
 
     let mut drops = 0usize;
@@ -423,7 +395,7 @@ fn new_protocol_uplink_counts_only_arrived_bytes_under_mixed_faults() {
     // arrivals = dispatched − dropouts − held stragglers + stale arrivals.
     for which in 3..PROTOCOLS {
         let fc = mixed_faults(0.3);
-        let mut sys = chaos_system(43, Some(fc.clone()));
+        let mut sys = chaos_system(43, |cfg| cfg.faults = Some(fc.clone()));
         let mut sink = MemorySink::new();
         let result = run_protocol(which, &mut sys, &mut sink);
 
@@ -465,7 +437,7 @@ fn feddyn_h_state_stays_finite_under_garbage_corruption() {
             max_update_norm,
             ..Default::default()
         };
-        let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
+        let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
         let mut protocol = FedDyn::new(0.01);
         let result = fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
             .expect("valid FedDyn chaos configuration");
@@ -490,55 +462,6 @@ fn feddyn_h_state_stays_finite_under_garbage_corruption() {
             );
         }
     }
-}
-
-/// Pinned golden expectations copied from `golden_curves.rs` — a fault
-/// configuration that schedules nothing must leave them bit-identical.
-struct GoldenPin {
-    auc: &'static [f64],
-    uplink_units: usize,
-}
-
-const GOLDEN_FEDAVG: GoldenPin = GoldenPin {
-    auc: &[
-        0.5345061697781892,
-        0.5586623139331556,
-        0.5791141115078577,
-        0.5895839876898322,
-        0.5994022051584416,
-    ],
-    uplink_units: 625,
-};
-
-const GOLDEN_EXPLORE: GoldenPin = GoldenPin {
-    auc: &[
-        0.5345061697781892,
-        0.5507348997479924,
-        0.5685399400839046,
-        0.5874738601798585,
-        0.6009091192958481,
-    ],
-    uplink_units: 392,
-};
-
-fn check_pin(result: &RunResult, pin: &GoldenPin, label: &str) {
-    assert_eq!(result.curve.len(), pin.auc.len(), "{label}: curve length");
-    for (eval, golden) in result.curve.iter().zip(pin.auc) {
-        assert_eq!(
-            eval.roc_auc.to_bits(),
-            golden.to_bits(),
-            "{label}: AUC at round {} drifted: {} != {}",
-            eval.round,
-            eval.roc_auc,
-            golden
-        );
-    }
-    assert_eq!(
-        result.comm.total_uplink_units(),
-        pin.uplink_units,
-        "{label}: uplink"
-    );
-    assert!(result.faults.is_empty(), "{label}: no faults scheduled");
 }
 
 /// Selects every client in round 0 and nobody afterwards — the minimal
@@ -585,7 +508,7 @@ fn sync_stale_arrival_in_an_inactive_round_stays_on_the_ledger() {
         }],
         ..Default::default()
     };
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut FirstRoundOnly, &mut sys)
@@ -673,8 +596,10 @@ fn corruption_is_rejected_after_decompression_across_protocols_and_runtimes() {
         for which in [0usize, 2, 3] {
             // FedAvg, FedDA-Explore, FedProx.
             for runtime in ["sync", "async"] {
-                let mut sys = chaos_system(GOLDEN_SEED, Some(fc.clone()));
-                sys.set_compression(Some(compression));
+                let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
+                    cfg.faults = Some(fc.clone());
+                    cfg.compression = Some(compression);
+                });
                 let result = match runtime {
                     "sync" => {
                         let mut sink = MemorySink::new();
@@ -723,8 +648,10 @@ fn sync_stale_arrival_charges_compressed_bytes() {
         }],
         ..Default::default()
     };
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
-    sys.set_compression(Some(Compression::QuantF16));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
+        cfg.faults = Some(fc);
+        cfg.compression = Some(Compression::QuantF16);
+    });
     let result = fedda_fl::run(&RuntimeMode::Sync, &mut FirstRoundOnly, &mut sys, None).unwrap();
     let n = sys.num_units();
     let logged = result.comm.rounds();
@@ -762,10 +689,13 @@ fn fully_compressed_away_stale_round_stays_off_the_ledger() {
         }],
         ..Default::default()
     };
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
-    // Valid (0 < frac ≤ 0.5) but smaller than 1/len for every unit here:
-    // k = floor(frac · len) = 0 everywhere, every payload is empty.
-    sys.set_compression(Some(Compression::TopK { frac: 1e-9 }));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
+        cfg.faults = Some(fc);
+        // Valid (0 < frac ≤ 0.5) but smaller than 1/len for every unit
+        // here: k = floor(frac · len) = 0 everywhere, every payload is
+        // empty.
+        cfg.compression = Some(Compression::TopK { frac: 1e-9 });
+    });
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut FirstRoundOnly, &mut sys)
@@ -796,8 +726,10 @@ fn async_full_dropout_under_compression_still_charges_nothing() {
     // Dropouts transfer nothing whatever the codec: the compressed twin of
     // the full-dropout pin below, under i8.
     let fc = FaultConfig::dropout_only(1.0);
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
-    sys.set_compression(Some(Compression::QuantI8));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
+        cfg.faults = Some(fc);
+        cfg.compression = Some(Compression::QuantI8);
+    });
     let result = fedda_fl::run(
         &RuntimeMode::Async(AsyncConfig::default()),
         &mut FedAvg::vanilla(),
@@ -820,7 +752,7 @@ fn async_full_dropout_charges_downlink_but_never_uplink() {
     // still costs a broadcast, nothing ever arrives, and the starved queue
     // flushes an empty buffer so the run completes all versions.
     let fc = FaultConfig::dropout_only(1.0);
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
     let result = fedda_fl::run(
         &RuntimeMode::Async(AsyncConfig::default()),
         &mut FedAvg::vanilla(),
@@ -858,7 +790,7 @@ fn async_report_outliving_the_run_is_never_charged() {
         }],
         ..Default::default()
     };
-    let mut sys = chaos_system(GOLDEN_SEED, Some(fc));
+    let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
     let acfg = AsyncConfig {
         k: M - 1,
         gamma: 1.0,
@@ -891,32 +823,37 @@ fn async_report_outliving_the_run_is_never_charged() {
 #[test]
 fn zero_rate_fault_config_is_bit_identical_to_the_golden_pins() {
     // `faults: Some(all-zero)` exercises the faulted driver path but
-    // schedules nothing — the runs must still reproduce the golden curves
-    // bit for bit, proving the fault stream is orthogonal to every other
-    // RNG stream and the faulted aggregation path is numerically identical.
-    for faults in [None, Some(FaultConfig::default())] {
-        let label = if faults.is_some() {
-            "zero-rate FaultConfig"
-        } else {
-            "faults: None"
+    // schedules nothing: the run must be the `faults: None` run bit for bit
+    // — curve, ledger, activation trace, fault records and final parameters
+    // — proving the fault stream is orthogonal to every other RNG stream and
+    // the faulted aggregation path is numerically identical. The
+    // `faults: None` runs are the ones `golden_curves.rs` pins.
+    type Build = fn() -> Box<dyn FlProtocol>;
+    let protocols: [(&str, Build); 3] = [
+        ("FedAvg", || Box::new(FedAvg::vanilla())),
+        ("Explore", || Box::new(FedDa::explore())),
+        ("Restart", || Box::new(FedDa::restart())),
+    ];
+    for (name, build) in protocols {
+        let run = |faults: Option<FaultConfig>| {
+            let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = faults);
+            let result =
+                fedda_fl::run(&RuntimeMode::Sync, build().as_mut(), &mut sys, None).unwrap();
+            common::fingerprint(&result, &sys)
         };
-        let mut sys = chaos_system(GOLDEN_SEED, faults.clone());
-        let result =
-            fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
-        check_pin(&result, &GOLDEN_FEDAVG, &format!("FedAvg / {label}"));
-
-        let mut sys = chaos_system(GOLDEN_SEED, faults.clone());
-        let result =
-            fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None).unwrap();
-        check_pin(&result, &GOLDEN_EXPLORE, &format!("Explore / {label}"));
-
-        let mut sys = chaos_system(GOLDEN_SEED, faults);
-        let result =
-            fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::restart(), &mut sys, None).unwrap();
+        let plain = run(None);
+        assert!(plain.faults.is_empty(), "{name}: faults: None");
+        assert_eq!(plain.curve.len(), ROUNDS, "{name}: dense curve");
         assert_eq!(
-            result.comm.total_uplink_units(),
-            466,
-            "Restart / {label}: uplink"
+            run(Some(FaultConfig::default())),
+            plain,
+            "{name}: zero-rate FaultConfig diverged from faults: None"
         );
+        if name == "Restart" {
+            // Restart's golden uplink ties this suite's federation to the
+            // one `golden_curves.rs` pins.
+            let uplink: usize = plain.comm.iter().map(|rc| rc.uplink_units).sum();
+            assert_eq!(uplink, 466, "Restart / faults: None: uplink");
+        }
     }
 }

@@ -1,155 +1,58 @@
 //! End-to-end determinism: a short FedDA run must be bit-identical across
-//! repeated executions, across the parallel/sequential client dispatch
-//! paths and across worker-pool sizes. This is the guarantee the
-//! `clippy.toml` bans (no hash collections, no wall-clock in protocol code)
-//! and the bit-identical GEMM kernels exist to protect.
+//! repeated executions and across worker-pool sizes — one worker running
+//! every client inline on the calling thread (what `parallel: false`
+//! means), two or four on pool threads. The worker counts are pinned, never
+//! left to the `FEDDA_THREADS` default, so the matrix compares the same
+//! arms under any environment. This is the guarantee the `clippy.toml`
+//! bans (no hash collections, no wall-clock in protocol code) and the
+//! bit-identical GEMM kernels exist to protect.
 
-use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};
+mod common;
+
+use common::Fingerprint;
+use fedda_data::{partition_non_iid, ClientData, PartitionConfig};
 use fedda_fl::{
     AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn,
-    FedProx, FlConfig, FlProtocol, FlSystem, MemorySink, RoundDriver, RoundEvent, RunResult,
-    RuntimeMode, StalenessPolicy,
+    FedProx, FlConfig, FlProtocol, FlSystem, MemorySink, RoundDriver, RuntimeMode, StalenessPolicy,
 };
-use fedda_hetgraph::split::split_edges;
-use fedda_hetgraph::HeteroGraph;
-use fedda_hgn::{HgnConfig, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+const SCALE: f64 = 0.0012;
 const M: usize = 4;
 const ROUNDS: usize = 3;
 const SEED: u64 = 1234;
 
-fn build_system(parallel: bool) -> FlSystem {
-    build_system_with(parallel, None, None)
-}
-
-fn build_system_with(
-    parallel: bool,
-    workers: Option<usize>,
-    faults: Option<FaultConfig>,
-) -> FlSystem {
-    build_system_over(parallel, workers, faults, |train| {
-        let pcfg = PartitionConfig::paper_defaults(M, train.schema().num_edge_types(), SEED);
-        partition_non_iid(train, &pcfg)
-    })
-}
-
-/// The test federation over whatever clients `partition` cuts from the
-/// training graph.
-fn build_system_over(
-    parallel: bool,
-    workers: Option<usize>,
-    faults: Option<FaultConfig>,
-    partition: impl FnOnce(&HeteroGraph) -> Vec<ClientData>,
-) -> FlSystem {
-    build_system_edited(partition, |cfg| {
-        cfg.parallel = parallel;
-        cfg.workers = workers;
-        cfg.faults = faults;
-    })
-}
-
 /// The test federation with `edit` applied to its configuration.
-fn build_system_edited(
-    partition: impl FnOnce(&HeteroGraph) -> Vec<ClientData>,
-    edit: impl FnOnce(&mut FlConfig),
-) -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0012,
-        seed: SEED,
-        ..Default::default()
+fn build_system(edit: impl FnOnce(&mut FlConfig)) -> FlSystem {
+    let (split, clients) = common::dataset(SCALE, SEED, M);
+    common::system(&split, clients, SEED, |cfg| {
+        cfg.rounds = ROUNDS;
+        edit(cfg);
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let clients = partition(&split.train);
-    let mut cfg = FlConfig {
-        rounds: ROUNDS,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs: 1,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 3,
-        seed: SEED,
-        ..Default::default()
-    };
-    edit(&mut cfg);
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
-/// Everything observable about a run, in bit-exact form.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    curve: Vec<(usize, u64, u64)>,
-    comm: Vec<fedda_fl::RoundComm>,
-    activation: Vec<fedda_fl::ActivationSnapshot>,
-    final_params: Vec<u32>,
-}
-
-fn fingerprint(result: &RunResult, system: &FlSystem) -> Fingerprint {
-    Fingerprint {
-        curve: result
-            .curve
-            .iter()
-            .map(|e| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits()))
-            .collect(),
-        comm: result.comm.rounds().to_vec(),
-        activation: result.activation_trace.clone(),
-        final_params: system
-            .global
-            .flatten()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect(),
-    }
-}
-
-/// The event stream in comparable form: wall time, the one field that is
-/// not a function of the seed, zeroed; `f64`'s `Debug` round-trips, so equal
-/// strings are equal bits.
-fn event_stream(sink: &MemorySink) -> Vec<String> {
-    let timeless = |e: &RoundEvent| RoundEvent {
-        wall_ms: 0.0,
-        ..e.clone()
-    };
-    sink.events
-        .iter()
-        .map(|e| format!("{:?}", timeless(e)))
-        .collect()
-}
-
-fn run_protocol(make: &dyn Fn() -> Box<dyn FlProtocol>, parallel: bool) -> Fingerprint {
-    let mut sys = build_system(parallel);
+fn run_protocol(make: &dyn Fn() -> Box<dyn FlProtocol>, workers: usize) -> Fingerprint {
+    let mut sys = build_system(|cfg| cfg.workers = Some(workers));
     // A fresh protocol instance per run: stateful protocols (FedDA's
     // bandit, FedDyn's h, FedAdam's moments) must not leak state between
     // the arms being compared.
     let mut protocol = make();
     let result = fedda_fl::run(&RuntimeMode::Sync, protocol.as_mut(), &mut sys, None)
         .expect("valid protocol configuration");
-    fingerprint(&result, &sys)
+    common::fingerprint(&result, &sys)
 }
 
 fn assert_invariant_under_execution_strategy(make: &dyn Fn() -> Box<dyn FlProtocol>, name: &str) {
-    let reference = run_protocol(make, true);
+    let reference = run_protocol(make, 1);
     assert_eq!(
         reference.curve.len(),
         ROUNDS,
         "{name}: expected one eval per round"
     );
-    for parallel in [false, true] {
-        let other = run_protocol(make, parallel);
+    for workers in [2, 4] {
+        let other = run_protocol(make, workers);
         assert_eq!(
             reference, other,
-            "{name}: run diverged under parallel={parallel}"
+            "{name}: run diverged under workers={workers}"
         );
     }
 }
@@ -202,15 +105,18 @@ fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
         Some(Compression::TopK { frac: 0.25 }),
     ] {
         let run = |workers: usize| {
-            let mut sys = build_system_with(true, Some(workers), Some(faults.clone()));
-            sys.set_compression(compression);
+            let mut sys = build_system(|cfg| {
+                cfg.workers = Some(workers);
+                cfg.faults = Some(faults.clone());
+                cfg.compression = compression;
+            });
             let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None)
                 .expect("sync compressed run");
-            (fingerprint(&result, &sys), result.faults)
+            common::fingerprint(&result, &sys)
         };
         let reference = run(1);
         assert!(
-            !reference.1.is_empty(),
+            !reference.faults.is_empty(),
             "the fault plan must exercise the held and corrupted paths"
         );
         for workers in [2, 4] {
@@ -240,30 +146,31 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
     // this far apart and out of index order, that order differs from the
     // index order at every pool size — and none of it may show: lockstep
     // and buffered, workers {1, 2, 4}.
-    let skewed = |train: &HeteroGraph| -> Vec<ClientData> {
-        let n_types = train.schema().num_edge_types();
-        let clients: Vec<ClientData> = [0.1, 0.6, 0.2, 0.9]
-            .into_iter()
-            .zip(SEED..)
-            .flat_map(|(r_a, seed)| {
-                let pcfg = PartitionConfig {
-                    r_a,
-                    r_b: r_a / 6.0,
-                    ..PartitionConfig::paper_defaults(1, n_types, seed)
-                };
-                partition_non_iid(train, &pcfg)
-            })
-            .collect();
-        let edges: Vec<usize> = clients.iter().map(ClientData::num_edges).collect();
-        assert!(
-            edges[3] >= 3 * edges[0] && edges[1] >= 3 * edges[0],
-            "{edges:?}"
-        );
-        assert!(edges[0] < edges[1] && edges[1] > edges[2] && edges[2] < edges[3]);
-        clients
-    };
+    let (split, _) = common::dataset(SCALE, SEED, M);
+    let n_types = split.train.schema().num_edge_types();
+    let skewed: Vec<ClientData> = [0.1, 0.6, 0.2, 0.9]
+        .into_iter()
+        .zip(SEED..)
+        .flat_map(|(r_a, seed)| {
+            let pcfg = PartitionConfig {
+                r_a,
+                r_b: r_a / 6.0,
+                ..PartitionConfig::paper_defaults(1, n_types, seed)
+            };
+            partition_non_iid(&split.train, &pcfg)
+        })
+        .collect();
+    let edges: Vec<usize> = skewed.iter().map(ClientData::num_edges).collect();
+    assert!(
+        edges[3] >= 3 * edges[0] && edges[1] >= 3 * edges[0],
+        "{edges:?}"
+    );
+    assert!(edges[0] < edges[1] && edges[1] > edges[2] && edges[2] < edges[3]);
     let run = |buffered: bool, workers: usize| {
-        let mut sys = build_system_over(true, Some(workers), None, skewed);
+        let mut sys = common::system(&split, skewed.clone(), SEED, |cfg| {
+            cfg.rounds = ROUNDS;
+            cfg.workers = Some(workers);
+        });
         let mut protocol = FedDa::explore();
         let result = if buffered {
             fedda_fl::run(
@@ -276,7 +183,7 @@ fn skewed_client_sizes_are_bit_identical_across_workers_and_threads() {
             fedda_fl::run(&RuntimeMode::Sync, &mut protocol, &mut sys, None)
         }
         .expect("valid protocol configuration");
-        fingerprint(&result, &sys)
+        common::fingerprint(&result, &sys)
     };
     for buffered in [false, true] {
         let reference = run(buffered, 1);
@@ -307,10 +214,6 @@ fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
         staleness: StalenessPolicy::Discount { gamma: 0.5 },
         ..Default::default()
     };
-    let paper_partition = |train: &HeteroGraph| {
-        let pcfg = PartitionConfig::paper_defaults(M, train.schema().num_edge_types(), SEED);
-        partition_non_iid(train, &pcfg)
-    };
     for (buffered, eval_every, evaluated) in [
         (false, 1, vec![0, 1, 2, 3, 4]),
         (false, 3, vec![2, 4]),
@@ -318,7 +221,7 @@ fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
         (true, 3, vec![2, 4]),
     ] {
         let run = |workers: usize| {
-            let mut sys = build_system_edited(paper_partition, |cfg| {
+            let mut sys = build_system(|cfg| {
                 cfg.rounds = PIPELINE_ROUNDS;
                 cfg.eval_every = eval_every;
                 cfg.workers = Some(workers);
@@ -350,7 +253,7 @@ fn pipelined_event_stream_is_bit_identical_across_workers_and_threads() {
             // …and the curve is exactly what the events carried.
             let curve: Vec<_> = result.curve.iter().map(|e| (e.round, bits(e))).collect();
             assert_eq!(carried, curve);
-            (fingerprint(&result, &sys), event_stream(&sink))
+            (common::fingerprint(&result, &sys), common::events(&sink))
         };
         let reference = run(1);
         for workers in [2, 4] {

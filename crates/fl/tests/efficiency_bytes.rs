@@ -5,48 +5,23 @@
 //! `rounds × M × report_bytes(unit_lens, codec)` exactly — no tolerance,
 //! the closed form mirrors `Payload::wire_bytes` byte for byte.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
-use fedda_fl::analysis::{codec_byte_factor, report_bytes};
-use fedda_fl::{Compression, FedAvg, FlConfig, FlSystem, RuntimeMode};
-use fedda_hetgraph::split::split_edges;
-use fedda_hgn::{HgnConfig, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod common;
 
+use fedda_fl::analysis::{codec_byte_factor, report_bytes};
+use fedda_fl::{Compression, FedAvg, FlSystem, RuntimeMode};
+
+const SCALE: f64 = 0.0015;
 const M: usize = 4;
 const ROUNDS: usize = 3;
 const SEED: u64 = 7;
 
-fn small_system() -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0015,
-        seed: SEED,
-        ..Default::default()
+fn small_system(codec: Option<Compression>) -> FlSystem {
+    let (split, clients) = common::dataset(SCALE, SEED, M);
+    common::system(&split, clients, SEED, |cfg| {
+        cfg.rounds = ROUNDS;
+        cfg.eval_negatives = 2;
+        cfg.compression = codec;
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(M, g.schema().num_edge_types(), SEED);
-    let clients = partition_non_iid(&split.train, &pcfg);
-    let cfg = FlConfig {
-        rounds: ROUNDS,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs: 1,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 2,
-        seed: SEED,
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
 fn unit_lens(system: &FlSystem) -> Vec<usize> {
@@ -54,8 +29,7 @@ fn unit_lens(system: &FlSystem) -> Vec<usize> {
 }
 
 fn ledgered_bytes(codec: Option<Compression>) -> (usize, Vec<usize>) {
-    let mut sys = small_system();
-    sys.set_compression(codec);
+    let mut sys = small_system(codec);
     let lens = unit_lens(&sys);
     let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     (result.comm.total_uplink_bytes(), lens)

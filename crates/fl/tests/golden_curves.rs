@@ -11,60 +11,29 @@
 //!
 //! and paste the printed literals back into this file.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
+mod common;
+
 use fedda_fl::{
     AsyncConfig, Compression, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlSystem,
     GlobalProtocol, RunResult, RuntimeMode,
 };
-use fedda_hetgraph::split::split_edges;
-use fedda_hgn::{HgnConfig, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+const SCALE: f64 = 0.0015;
 const M: usize = 5;
 const ROUNDS: usize = 5;
 const SEED: u64 = 42;
 
 fn golden_system() -> FlSystem {
-    golden_system_with_epochs(1)
+    golden_system_with(|_| {})
 }
 
-/// The golden federation with a configurable local-epoch count. The
-/// FedProx pins use two local epochs: with a single local gradient step
-/// the client starts exactly at the broadcast anchor, the proximal
-/// gradient `μ(θ − θ^t)` is identically zero, and the pin would be
-/// vacuously equal to a FedAvg trajectory.
-fn golden_system_with_epochs(local_epochs: usize) -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0015,
-        seed: SEED,
-        ..Default::default()
+/// The golden federation with `edit` applied to its configuration.
+fn golden_system_with(edit: impl FnOnce(&mut FlConfig)) -> FlSystem {
+    let (split, clients) = common::dataset(SCALE, SEED, M);
+    common::system(&split, clients, SEED, |cfg| {
+        cfg.rounds = ROUNDS;
+        edit(cfg);
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(M, g.schema().num_edge_types(), SEED);
-    let clients = partition_non_iid(&split.train, &pcfg);
-    let cfg = FlConfig {
-        rounds: ROUNDS,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 3,
-        seed: SEED,
-        parallel: true,
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
 /// Pinned expectation for one protocol.
@@ -309,9 +278,11 @@ fn golden_async_fedda_explore() {
 
 #[test]
 fn golden_fedprox() {
-    // Two local epochs so the proximal gradient actually bites (see
-    // `golden_system_with_epochs`); μ = 0.1 is inside the paper's sweep.
-    let mut sys = golden_system_with_epochs(2);
+    // Two local epochs: with a single local gradient step the client
+    // starts exactly at the broadcast anchor, the proximal gradient
+    // `μ(θ − θ^t)` is identically zero, and the pin would be vacuously
+    // equal to a FedAvg trajectory. μ = 0.1 is inside the paper's sweep.
+    let mut sys = golden_system_with(|cfg| cfg.train.local_epochs = 2);
     let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedProx::new(0.1), &mut sys, None).unwrap();
     check(
         &result,
@@ -393,7 +364,7 @@ fn golden_fedadam() {
 
 #[test]
 fn golden_async_fedprox() {
-    let mut sys = golden_system_with_epochs(2);
+    let mut sys = golden_system_with(|cfg| cfg.train.local_epochs = 2);
     let result = fedda_fl::run(
         &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
         &mut FedProx::new(0.1),
@@ -500,31 +471,8 @@ fn golden_async_fedadam() {
 fn assert_identity_is_invisible(name: &str, run: impl Fn(&mut FlSystem) -> RunResult) {
     let mut plain_sys = golden_system();
     let plain = run(&mut plain_sys);
-    let mut ident_sys = golden_system();
-    ident_sys.set_compression(Some(Compression::Identity));
+    let mut ident_sys = golden_system_with(|cfg| cfg.compression = Some(Compression::Identity));
     let ident = run(&mut ident_sys);
-
-    assert_eq!(plain.curve.len(), ident.curve.len(), "{name}: curve length");
-    for (p, i) in plain.curve.iter().zip(&ident.curve) {
-        assert_eq!(p.round, i.round, "{name}: round index");
-        assert_eq!(
-            p.roc_auc.to_bits(),
-            i.roc_auc.to_bits(),
-            "{name}: AUC diverged at round {}",
-            p.round
-        );
-        assert_eq!(
-            p.mrr.to_bits(),
-            i.mrr.to_bits(),
-            "{name}: MRR diverged at round {}",
-            p.round
-        );
-    }
-    assert_eq!(
-        plain.comm.rounds(),
-        ident.comm.rounds(),
-        "{name}: comm ledgers diverged"
-    );
     for rc in ident.comm.rounds() {
         assert_eq!(
             rc.uplink_bytes,
@@ -533,22 +481,10 @@ fn assert_identity_is_invisible(name: &str, run: impl Fn(&mut FlSystem) -> RunRe
         );
     }
     assert_eq!(
-        plain.activation_trace, ident.activation_trace,
-        "{name}: activation traces diverged"
+        common::fingerprint(&plain, &plain_sys),
+        common::fingerprint(&ident, &ident_sys),
+        "{name}: the run diverged under Identity"
     );
-    let plain_bits: Vec<u32> = plain_sys
-        .global
-        .flatten()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    let ident_bits: Vec<u32> = ident_sys
-        .global
-        .flatten()
-        .iter()
-        .map(|x| x.to_bits())
-        .collect();
-    assert_eq!(plain_bits, ident_bits, "{name}: final parameters diverged");
 }
 
 #[test]
@@ -627,8 +563,7 @@ fn check_codec(result: &RunResult, system: &FlSystem, pin: &CodecGolden) {
 }
 
 fn run_codec(compression: Compression, asynchronous: bool) -> (RunResult, FlSystem) {
-    let mut sys = golden_system();
-    sys.set_compression(Some(compression));
+    let mut sys = golden_system_with(|cfg| cfg.compression = Some(compression));
     let mut protocol = FedDa::explore();
     let result = if asynchronous {
         fedda_fl::run(

@@ -10,14 +10,14 @@
 //! (empty and single-scalar ones included), signed zeros, subnormals and
 //! one huge value per set.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
+mod common;
+
 use fedda_fl::compress::{decode_arrival, Compressed, CompressedUnit};
 use fedda_fl::runtime::Delivery;
 use fedda_fl::{
     AggWeighting, ClientReturn, Compression, Delta, FlConfig, FlSystem, InFlight, WeightedReturn,
 };
-use fedda_hetgraph::split::split_edges;
-use fedda_hgn::{apply_penalty_grads, HgnConfig, Penalty};
+use fedda_hgn::{apply_penalty_grads, Penalty, TrainConfig};
 use fedda_tensor::{Adam, Matrix, ParamId, ParamSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -206,29 +206,14 @@ fn reconstruct_reference(report: &Compressed, reference: &Units) -> Units {
 /// A federation for Eq. 6's weights — its clients' sample counts under
 /// `weighting`; the global model is swapped out per case.
 fn federation(weighting: AggWeighting) -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0012,
-        seed: 5,
-        ..Default::default()
+    let (split, clients) = common::dataset(0.0012, 5, 4);
+    common::system(&split, clients, 5, |cfg| {
+        cfg.rounds = 1;
+        cfg.model.num_heads = 1;
+        cfg.train = TrainConfig::default();
+        cfg.eval_negatives = FlConfig::default().eval_negatives;
+        cfg.weighting = weighting;
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(5);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(4, g.schema().num_edge_types(), 5);
-    let clients = partition_non_iid(&split.train, &pcfg);
-    let cfg = FlConfig {
-        rounds: 1,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 1,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        weighting,
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
 thread_local! {

@@ -4,48 +4,23 @@
 //! of the same round), including on the empty-active-set safety net path,
 //! and `eval_every > 1` must thin the curve without losing the final round.
 
-use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
+mod common;
+
 use fedda_fl::{
     FaultConfig, FaultEffect, FedAvg, FedDa, FlConfig, FlSystem, MaskRule, MemorySink,
     Reactivation, RoundDriver, RuntimeMode,
 };
-use fedda_hetgraph::split::split_edges;
-use fedda_hgn::{HgnConfig, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn tiny_system(m: usize, seed: u64, rounds: usize, eval_every: usize) -> FlSystem {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0015,
-        seed,
-        ..Default::default()
+const SCALE: f64 = 0.0015;
+
+/// An `m`-client federation seeded with `seed`, trained for `rounds`, with
+/// `edit` applied to its configuration.
+fn tiny_system(m: usize, seed: u64, rounds: usize, edit: impl FnOnce(&mut FlConfig)) -> FlSystem {
+    let (split, clients) = common::dataset(SCALE, seed, m);
+    common::system(&split, clients, seed, |cfg| {
+        cfg.rounds = rounds;
+        edit(cfg);
     })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(m, g.schema().num_edge_types(), seed);
-    let clients = partition_non_iid(&split.train, &pcfg);
-    let cfg = FlConfig {
-        rounds,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs: 1,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 3,
-        eval_every,
-        seed,
-        parallel: true,
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
 }
 
 /// Events, comm log and activation trace must describe the same rounds.
@@ -103,7 +78,7 @@ fn check_events_against_result(
 #[test]
 fn fedda_events_mirror_comm_log_and_activation_trace() {
     let rounds = 5;
-    let mut sys = tiny_system(5, 42, rounds, 1);
+    let mut sys = tiny_system(5, 42, rounds, |_| {});
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut FedDa::explore(), &mut sys)
@@ -134,7 +109,7 @@ fn safety_net_restart_is_visible_in_the_event_stream() {
     aggressive.explore_cooldown = true;
     let m = 4;
     let rounds = 5;
-    let mut sys = tiny_system(m, 31, rounds, 1);
+    let mut sys = tiny_system(m, 31, rounds, |_| {});
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut aggressive, &mut sys)
@@ -159,8 +134,9 @@ fn faults_emptying_the_round_trip_the_safety_net_every_round() {
     // activation trace and the event stream must tell the same story.
     let m = 4;
     let rounds = 4;
-    let mut sys = tiny_system(m, 47, rounds, 1);
-    sys.set_faults(Some(FaultConfig::dropout_only(1.0)));
+    let mut sys = tiny_system(m, 47, rounds, |cfg| {
+        cfg.faults = Some(FaultConfig::dropout_only(1.0));
+    });
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut FedDa::explore(), &mut sys)
@@ -195,7 +171,7 @@ fn faults_emptying_the_round_trip_the_safety_net_every_round() {
 #[test]
 fn fedavg_events_have_no_activation_dynamics() {
     let rounds = 3;
-    let mut sys = tiny_system(3, 7, rounds, 1);
+    let mut sys = tiny_system(3, 7, rounds, |_| {});
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut FedAvg::vanilla(), &mut sys)
@@ -207,7 +183,7 @@ fn fedavg_events_have_no_activation_dynamics() {
 #[test]
 fn global_baseline_emits_events_with_empty_comm() {
     let rounds = 3;
-    let mut sys = tiny_system(2, 8, rounds, 1);
+    let mut sys = tiny_system(2, 8, rounds, |_| {});
     let mut sink = MemorySink::new();
     let mut protocol = fedda_fl::GlobalProtocol::new();
     let result = RoundDriver::with_sink(&mut sink)
@@ -224,7 +200,7 @@ fn global_baseline_emits_events_with_empty_comm() {
 #[test]
 fn sparse_eval_cadence_thins_the_curve_but_keeps_the_final_round() {
     let rounds = 5;
-    let mut sys = tiny_system(3, 13, rounds, 2);
+    let mut sys = tiny_system(3, 13, rounds, |cfg| cfg.eval_every = 2);
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)
         .run(&mut FedAvg::vanilla(), &mut sys)
@@ -252,7 +228,7 @@ fn sparse_eval_cadence_thins_the_curve_but_keeps_the_final_round() {
 #[test]
 fn sparse_curves_keep_round_indices_in_rounds_to_auc() {
     let rounds = 6;
-    let mut dense_sys = tiny_system(3, 17, rounds, 1);
+    let mut dense_sys = tiny_system(3, 17, rounds, |_| {});
     let dense = fedda_fl::run(
         &RuntimeMode::Sync,
         &mut FedAvg::vanilla(),
@@ -260,7 +236,7 @@ fn sparse_curves_keep_round_indices_in_rounds_to_auc() {
         None,
     )
     .unwrap();
-    let mut sparse_sys = tiny_system(3, 17, rounds, 3);
+    let mut sparse_sys = tiny_system(3, 17, rounds, |cfg| cfg.eval_every = 3);
     let sparse = fedda_fl::run(
         &RuntimeMode::Sync,
         &mut FedAvg::vanilla(),
@@ -299,7 +275,7 @@ fn sparse_curves_keep_round_indices_in_rounds_to_auc() {
 fn eval_every_changes_the_curve_sampling_and_nothing_else() {
     let rounds = 5;
     let run = |eval_every: usize| {
-        let mut sys = tiny_system(4, 29, rounds, eval_every);
+        let mut sys = tiny_system(4, 29, rounds, |cfg| cfg.eval_every = eval_every);
         let result =
             fedda_fl::run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut sys, None).unwrap();
         let params: Vec<u32> = sys.global.flatten().iter().map(|v| v.to_bits()).collect();
@@ -316,12 +292,4 @@ fn eval_every_changes_the_curve_sampling_and_nothing_else() {
     let sampled: Vec<_> = [2, 4].iter().map(|&r| bits(&dense.curve[r])).collect();
     assert_eq!(sparse.curve.iter().map(bits).collect::<Vec<_>>(), sampled);
     assert_eq!(dense.curve.len(), rounds);
-}
-
-#[test]
-fn eval_every_zero_is_clamped_to_dense() {
-    let rounds = 2;
-    let mut sys = tiny_system(2, 19, rounds, 0);
-    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
-    assert_eq!(result.curve.len(), rounds, "0 behaves like 1 (dense)");
 }

@@ -9,59 +9,27 @@
 //! runtimes with the `q8` codec on. Each client keeps its own seed, so
 //! replicas of one shard still train on different RNG streams.
 
-use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};
-use fedda_fl::{
-    AsyncConfig, Compression, FedAvg, FedDa, FlConfig, FlProtocol, FlSystem, RunResult, RuntimeMode,
-};
-use fedda_hetgraph::split::{split_edges, EdgeSplit};
+mod common;
+
+use fedda_data::{partition_non_iid, ClientData, PartitionConfig};
+use fedda_fl::{AsyncConfig, Compression, FedAvg, FedDa, FlProtocol, FlSystem, RuntimeMode};
+use fedda_hetgraph::split::EdgeSplit;
 use fedda_hetgraph::{EdgeList, HeteroGraph, NodeStore};
-use fedda_hgn::{HgnConfig, TrainConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Distinct partitions.
 const B: usize = 2;
 /// Registered clients.
 const M: usize = 4 * B;
+const SCALE: f64 = 0.0012;
 const SEED: u64 = 77;
 
-fn split_and_partitions() -> (EdgeSplit, Vec<ClientData>) {
-    let g = dblp_like(&PresetOptions {
-        scale: 0.0012,
-        seed: SEED,
-        ..Default::default()
-    })
-    .graph;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let split = split_edges(&g, 0.15, &mut rng);
-    let pcfg = PartitionConfig::paper_defaults(B, g.schema().num_edge_types(), SEED);
-    let base = partition_non_iid(&split.train, &pcfg);
-    (split, base)
-}
-
 fn system(split: &EdgeSplit, clients: Vec<ClientData>) -> FlSystem {
-    let cfg = FlConfig {
-        rounds: 3,
-        model: HgnConfig {
-            hidden_dim: 4,
-            num_layers: 1,
-            num_heads: 2,
-            edge_emb_dim: 4,
-            ..Default::default()
-        },
-        train: TrainConfig {
-            local_epochs: 1,
-            lr: 5e-3,
-            ..Default::default()
-        },
-        eval_negatives: 3,
-        seed: SEED,
-        workers: Some(2),
-        compression: Some(Compression::QuantI8),
-        ..Default::default()
-    };
-    FlSystem::new(&split.train, &split.test, clients, cfg)
+    common::system(split, clients, SEED, |cfg| {
+        cfg.rounds = 3;
+        cfg.workers = Some(2);
+        cfg.compression = Some(Compression::QuantI8);
+    })
 }
 
 /// The edges of `g` pushed one by one into fresh lists: no storage in common
@@ -88,38 +56,9 @@ fn rebuilt(data: &ClientData) -> ClientData {
     }
 }
 
-/// Everything observable about a run, in bit-exact form.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    curve: Vec<(usize, u64, u64)>,
-    comm: Vec<fedda_fl::RoundComm>,
-    activation: Vec<fedda_fl::ActivationSnapshot>,
-    faults: Vec<fedda_fl::FaultObserved>,
-    final_params: Vec<u32>,
-}
-
-fn fingerprint(result: &RunResult, system: &FlSystem) -> Fingerprint {
-    Fingerprint {
-        curve: result
-            .curve
-            .iter()
-            .map(|e| (e.round, e.roc_auc.to_bits(), e.mrr.to_bits()))
-            .collect(),
-        comm: result.comm.rounds().to_vec(),
-        activation: result.activation_trace.clone(),
-        faults: result.faults.clone(),
-        final_params: system
-            .global
-            .flatten()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect(),
-    }
-}
-
 #[test]
 fn replicated_federation_equals_the_rebuilt_one_bit_for_bit() {
-    let (split, base) = split_and_partitions();
+    let (split, base) = common::dataset(SCALE, SEED, B);
     let replicated = || (0..M).map(|i| base[i % B].clone()).collect::<Vec<_>>();
     let from_scratch = || (0..M).map(|i| rebuilt(&base[i % B])).collect::<Vec<_>>();
     type MakeProtocol = fn() -> Box<dyn FlProtocol>;
@@ -140,7 +79,7 @@ fn replicated_federation_equals_the_rebuilt_one_bit_for_bit() {
                 assert_eq!(sys.num_shards(), B, "{name}, {mode:?}");
                 let result = fedda_fl::run(mode, protocol().as_mut(), &mut sys, None)
                     .expect("valid configuration");
-                fingerprint(&result, &sys)
+                common::fingerprint(&result, &sys)
             };
             let shared = run(replicated());
             assert_eq!(shared.curve.len(), 3, "{name}, {mode:?}");
@@ -151,7 +90,7 @@ fn replicated_federation_equals_the_rebuilt_one_bit_for_bit() {
 
 #[test]
 fn replicas_hold_one_shard_and_their_own_stream() {
-    let (split, base) = split_and_partitions();
+    let (split, base) = common::dataset(SCALE, SEED, B);
     let sys = system(&split, (0..M).map(|i| rebuilt(&base[i % B])).collect());
     assert_eq!(sys.num_shards(), B);
     for (i, client) in sys.clients.iter().enumerate() {
@@ -171,7 +110,7 @@ fn replicas_hold_one_shard_and_their_own_stream() {
 
 #[test]
 fn distinct_data_is_never_merged() {
-    let (split, base) = split_and_partitions();
+    let (split, base) = common::dataset(SCALE, SEED, B);
     // The partitioner's own output: every client is its own shard.
     let g = &split.train;
     let pcfg = PartitionConfig::paper_defaults(M, g.schema().num_edge_types(), SEED);
