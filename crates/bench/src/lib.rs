@@ -33,7 +33,8 @@
 //!   (uncompressed ledger accounting, 4 bytes per masked scalar)
 //! * `--quick`         — shrink the *defaults* to CI-smoke size (never
 //!   overrides an explicit `--scale`/`--rounds`/`--runs`)
-//! * `--paper`         — paper-like settings (5 runs, 40 rounds)
+//! * `--paper`         — paper-like settings (5 runs, 40 rounds, the
+//!   3-layer × 3-head Simple-HGN, E = 3 local epochs)
 //! * `--events`        — stream per-round engine events to stderr
 //!
 //! The experiment subcommands also take `--json <path>`: write their
@@ -368,8 +369,9 @@ pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig,
                 ..Default::default()
             }
         },
+        // DESIGN §3: Table 2 trains E = 3 local epochs.
         train: TrainConfig {
-            local_epochs: 2,
+            local_epochs: if opts.paper { 3 } else { 2 },
             lr: 5e-3,
             ..Default::default()
         },
@@ -523,6 +525,14 @@ mod tests {
         assert_eq!(cfg.model.num_layers, 3);
         assert_eq!(cfg.runs, 5);
         assert_eq!(cfg.rounds, 40);
+    }
+
+    #[test]
+    fn paper_mode_trains_three_local_epochs() {
+        let cfg = config(Dataset::DblpLike, &opts(&["--paper"]));
+        assert_eq!(cfg.train.local_epochs, 3);
+        let cfg = config(Dataset::DblpLike, &Options::default());
+        assert_eq!(cfg.train.local_epochs, 2);
     }
 
     #[test]

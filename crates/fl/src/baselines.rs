@@ -9,12 +9,12 @@
 //! does all its training in the post-aggregation hook, directly on
 //! `system.global`. `Local` has no round structure (clients never
 //! communicate, models are only scored at the end) and stays a plain
-//! function.
+//! function. Both train in the federation's worker slot 0, the workspace
+//! the clients' first worker trains in.
 
 use crate::protocol::{FlProtocol, StepOutcome};
 use crate::system::{ClientReturn, FlSystem};
-use fedda_hetgraph::{EdgeIndex, HeteroGraph, LinkExample, LinkSampler};
-use fedda_hgn::{train_local, GraphView, TrainConfig};
+use fedda_hetgraph::{LinkExample, LinkSampler};
 use fedda_metrics::MeanStd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,29 +23,22 @@ use rand::SeedableRng;
 /// client's training RNG in [`run_local_only`] from `FlConfig::seed`.
 pub const LOCAL_STREAM_TWEAK: u64 = 0x0001_0CA1;
 
-/// The centralised "server trains alone" pieces, cloned out of the system
-/// once per run (the sampler borrows the graph, so it is rebuilt per round).
-struct GlobalState {
-    graph: HeteroGraph,
-    view: GraphView,
-    index: EdgeIndex,
-    positives: Vec<LinkExample>,
-    train: TrainConfig,
-}
-
 /// The `Global` upper bound as an [`FlProtocol`]: no clients, no masks, no
 /// communication — one centralised training step per round (`E` local
 /// epochs, the federated compute budget) in
-/// [`post_aggregate`](FlProtocol::post_aggregate).
+/// [`post_aggregate`](FlProtocol::post_aggregate), on the federation's
+/// evaluation graph (the global training split).
 pub struct GlobalProtocol {
-    state: Option<GlobalState>,
+    /// Every edge of the evaluation graph, read in `begin`.
+    positives: Vec<LinkExample>,
 }
 
 impl GlobalProtocol {
-    /// A fresh per-run instance (state is cloned from the system in
-    /// `begin`).
+    /// A fresh per-run instance (its positives are read in `begin`).
     pub fn new() -> Self {
-        Self { state: None }
+        Self {
+            positives: Vec::new(),
+        }
     }
 }
 
@@ -65,19 +58,8 @@ impl FlProtocol for GlobalProtocol {
     }
 
     fn begin(&mut self, system: &FlSystem, _rng: &mut StdRng) {
-        // The "server" trains directly on the evaluation (global training)
-        // graph: rebuild the pieces the clients normally own.
-        let graph = system.eval_graph().clone();
-        let view = GraphView::new(&graph, system.model.uses_self_loops());
         let index = system.eval_index().clone();
-        let positives = LinkSampler::with_index(&graph, index.clone()).all_positives();
-        self.state = Some(GlobalState {
-            graph,
-            view,
-            index,
-            positives,
-            train: system.config().train.clone(),
-        });
+        self.positives = LinkSampler::with_index(system.eval_graph(), index).all_positives();
     }
 
     fn select_clients(
@@ -97,21 +79,7 @@ impl FlProtocol for GlobalProtocol {
         _round: usize,
         rng: &mut StdRng,
     ) -> StepOutcome {
-        #[expect(
-            clippy::expect_used,
-            reason = "the engine calls begin() before any round hook; a missing state is a protocol-engine bug"
-        )]
-        let state = self.state.as_ref().expect("begin() initialises the state");
-        let sampler = LinkSampler::with_index(&state.graph, state.index.clone());
-        train_local(
-            system.model.as_ref(),
-            &mut system.global,
-            &state.view,
-            &sampler,
-            &state.positives,
-            &state.train,
-            rng,
-        );
+        system.train_global(&self.positives, rng);
         StepOutcome::default()
     }
 }
@@ -140,25 +108,29 @@ impl LocalResult {
 
 /// Train each client alone (same per-round compute as the federated runs,
 /// no communication) and evaluate every client's model on the global test
-/// set.
+/// set; training and evaluation both run in worker slot 0.
 pub fn run_local_only(system: &FlSystem) -> LocalResult {
-    let cfg = system.config().clone();
+    let cfg = system.config();
     let mut result = LocalResult::default();
     for (i, client) in system.clients.iter().enumerate() {
         let mut params = system.global.clone();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ LOCAL_STREAM_TWEAK ^ (i as u64) << 8);
         let sampler = client.sampler();
+        let mut ws = system.slot0();
         for _round in 0..cfg.rounds {
-            train_local(
+            ws.train(
                 system.model.as_ref(),
                 &mut params,
                 &client.view,
                 &sampler,
                 &client.positives,
                 &cfg.train,
+                None,
                 &mut rng,
             );
         }
+        // Released before `evaluate_params` locks slot 0 again.
+        drop(ws);
         let eval = system.evaluate_params(&params, cfg.rounds);
         result.aucs.push(eval.roc_auc);
         result.mrrs.push(eval.mrr);

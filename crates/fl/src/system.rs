@@ -16,7 +16,7 @@ use fedda_tensor::{Graph, ParamId, ParamSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// XOR tweak (with `round · 31`) deriving each global evaluation's RNG from
 /// `FlConfig::seed`, so evaluation draws are the same for every framework
@@ -96,8 +96,9 @@ pub struct FlConfig {
     /// Run client updates on scoped worker threads; `false` is
     /// `workers: Some(1)`.
     pub parallel: bool,
-    /// Worker-pool size for parallel client updates; `None` is
-    /// `FEDDA_THREADS`, else the machine's available parallelism
+    /// Worker-pool size for parallel client updates, fixed at
+    /// [`FlSystem::new`]; `None` is `FEDDA_THREADS` (read there), else the
+    /// machine's available parallelism
     /// ([`default_workers`](crate::runtime::default_workers)), and `Some(0)`
     /// is refused before round 0. Never more workers than tasks. Ignored
     /// when `parallel` is `false`. Results are worker-count independent:
@@ -308,12 +309,13 @@ pub struct FlSystem {
     eval_index: EdgeIndex,
     eval_view: GraphView,
     test_positives: Vec<LinkExample>,
-    /// One [`Workspace`] per worker slot, kept for the whole run: slot `s`
-    /// trains every client and runs every evaluation the pool's worker `s`
-    /// is handed, and slot 0 also serves the evaluations called from the
-    /// server thread. Its memory follows the largest of them, once. A slot
-    /// is added the first time a call needs it (see [`FlSystem::slots`]).
-    slots: RwLock<Vec<Mutex<Workspace>>>,
+    /// One [`Workspace`] per worker slot, one slot per worker of the
+    /// configured pool ([`FlSystem::workers`], 1 where that is an error the
+    /// engine refuses), kept for the whole run: slot `s` trains every client
+    /// and runs every evaluation the pool's worker `s` is handed, and slot 0
+    /// also serves the evaluations called from the server thread and the
+    /// baselines' training. Its memory follows the largest of them, once.
+    slots: Vec<Mutex<Workspace>>,
 }
 
 impl FlSystem {
@@ -395,7 +397,7 @@ impl FlSystem {
         let eval_view = GraphView::new(global_train, self_loops);
         let test_sampler = LinkSampler::new(global_test);
         let test_positives = test_sampler.all_positives();
-        Self {
+        let mut system = Self {
             model,
             global,
             clients,
@@ -405,8 +407,13 @@ impl FlSystem {
             eval_graph: global_train.clone(),
             eval_view,
             test_positives,
-            slots: RwLock::default(),
-        }
+            slots: Vec::new(),
+        };
+        let workers = system.workers().unwrap_or(1);
+        system.slots = std::iter::repeat_with(Mutex::default)
+            .take(workers)
+            .collect();
+        system
     }
 
     /// The run configuration.
@@ -611,10 +618,8 @@ impl FlSystem {
             });
             (ret, report)
         };
-        let workers = self.pool_size();
-        let slots = self.slots(workers);
         let work = |slot: usize, task: &Task| {
-            let ws = &mut lock(&slots[slot]);
+            let ws = &mut lock(&self.slots[slot]);
             match *task {
                 Task::Report(pos) => Done::Report(pos, run_report(pos, ws)),
                 Task::Evaluate(round) => {
@@ -624,7 +629,7 @@ impl FlSystem {
         };
         let mut placed = Vec::with_capacity(active.len());
         let mut evaluated = None;
-        let pool = crate::runtime::WorkerPool::new(workers);
+        let pool = crate::runtime::WorkerPool::new(self.slots.len());
         for done in pool.run_slotted(&tasks, work) {
             match done {
                 Done::Report(pos, report) => placed.push((pos, report)),
@@ -651,25 +656,27 @@ impl FlSystem {
         }
     }
 
-    /// [`FlSystem::workers`] where no error can be returned: the engine has
-    /// refused an invalid size before round 0, and a direct
-    /// [`FlSystem::run_local_round_with`] call runs one inline instead.
-    fn pool_size(&self) -> usize {
-        self.workers().unwrap_or(1)
+    /// Worker slot 0's workspace: the server thread's evaluations and the
+    /// baselines' training run in it.
+    pub(crate) fn slot0(&self) -> MutexGuard<'_, Workspace> {
+        lock(&self.slots[0])
     }
 
-    /// The worker slots' workspaces, at least `n` of them: a pool size the
-    /// configuration has not asked for before adds the slots it lacks, and
-    /// none is ever removed, so each keeps its memory for the run.
-    fn slots(&self, n: usize) -> RwLockReadGuard<'_, Vec<Mutex<Workspace>>> {
-        let read = || self.slots.read().unwrap_or_else(PoisonError::into_inner);
-        if read().len() < n {
-            let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
-            if slots.len() < n {
-                slots.resize_with(n, Mutex::default);
-            }
-        }
-        read()
+    /// The `Global` baseline's round: `self.global` trains on `positives` of
+    /// the evaluation graph, through its view and index, in worker slot 0's
+    /// workspace.
+    pub(crate) fn train_global(&mut self, positives: &[LinkExample], rng: &mut StdRng) {
+        let sampler = LinkSampler::with_index(&self.eval_graph, self.eval_index.clone());
+        lock(&self.slots[0]).train(
+            self.model.as_ref(),
+            &mut self.global,
+            &self.eval_view,
+            &sampler,
+            positives,
+            &self.cfg.train,
+            None,
+            rng,
+        );
     }
 
     /// Masked federated averaging (Eq. 6): for every unit `k`,
@@ -771,7 +778,7 @@ impl FlSystem {
         let (mut rng, sampler) = self.eval_inputs(round);
         fedda_hgn::evaluate_detailed(
             self.model.as_ref(),
-            lock(&self.slots(1)[0]).graph(),
+            self.slot0().graph(),
             &self.global,
             &self.eval_view,
             &sampler,
@@ -784,7 +791,7 @@ impl FlSystem {
     /// Evaluate an arbitrary parameter set (used by the Local baseline), in
     /// worker slot 0's workspace.
     pub fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
-        self.evaluate_on(lock(&self.slots(1)[0]).graph(), params, round)
+        self.evaluate_on(self.slot0().graph(), params, round)
     }
 
     /// [`FlSystem::evaluate_params`] on the given tape.
@@ -974,10 +981,9 @@ pub(crate) mod tests {
 
     #[test]
     fn parallel_and_serial_rounds_agree() {
-        let mut sys = tiny_system(3, 3);
-        let par = sys.run_local_round_with(&[0, 1, 2], 1, &[]);
-        sys.cfg.parallel = false;
-        let ser = sys.run_local_round_with(&[0, 1, 2], 1, &[]);
+        let par = tiny_system(3, 3).run_local_round_with(&[0, 1, 2], 1, &[]);
+        let serial = tiny_system_with(3, 3, |c| c.parallel = false);
+        let ser = serial.run_local_round_with(&[0, 1, 2], 1, &[]);
         for (a, b) in par.iter().zip(&ser) {
             assert_eq!(a.client, b.client);
             assert_eq!(a.params.flatten(), b.params.flatten());
@@ -988,14 +994,14 @@ pub(crate) mod tests {
     /// tasks in, report `j` belongs to `active[j]`.
     #[test]
     fn reports_come_back_in_active_order() {
-        let mut sys = tiny_system(4, 5);
+        let sys = tiny_system(4, 5);
         let cost = |i: usize| sys.clients[i].positives.len() * sys.clients[i].view.num_messages();
         // An order and its reverse: unless every cost ties, one of the two
         // is not already descending, so the sort moves something.
         let orders = [[2, 0, 3, 1], [1, 3, 0, 2]];
         assert!(orders[0].iter().any(|&i| cost(i) != cost(orders[0][0])));
         for workers in [1, 2, 4] {
-            sys.cfg.workers = Some(workers);
+            let sys = tiny_system_with(4, 5, |c| c.workers = Some(workers));
             for active in &orders {
                 let (reports, _) = sys.run_reports(active, 0, &[], &[], None);
                 let got: Vec<usize> = reports.iter().map(|(ret, _)| ret.client).collect();
@@ -1004,23 +1010,23 @@ pub(crate) mod tests {
         }
     }
 
-    /// The pool size is read from the configuration on every call: a size
-    /// not asked for before adds the slots it lacks, and none is dropped.
+    /// The slot count is the configured pool size, fixed at `new`: no call
+    /// adds or drops a slot.
     #[test]
-    fn worker_slots_follow_the_configured_pool_size() {
-        let mut sys = tiny_system_with(3, 6, |c| c.workers = Some(1));
-        let slots = |sys: &FlSystem| sys.slots.read().unwrap().len();
-        assert_eq!(slots(&sys), 0);
-        sys.evaluate_global(0);
-        assert_eq!(slots(&sys), 1);
-        sys.run_reports(&[0, 1, 2], 0, &[], &[], None);
-        assert_eq!(slots(&sys), 1);
-        sys.cfg.workers = Some(3);
-        sys.run_reports(&[0, 1, 2], 0, &[], &[], Some(0));
-        assert_eq!(slots(&sys), 3);
-        sys.cfg.parallel = false;
-        sys.run_reports(&[0, 1, 2], 0, &[], &[], None);
-        assert_eq!(slots(&sys), 3);
+    fn worker_slots_are_fixed_at_new() {
+        for (parallel, workers, expect) in
+            [(true, Some(1), 1), (false, None, 1), (true, Some(3), 3)]
+        {
+            let sys = tiny_system_with(3, 6, |c| {
+                c.parallel = parallel;
+                c.workers = workers;
+            });
+            assert_eq!(sys.slots.len(), expect);
+            sys.run_reports(&[0, 1, 2], 0, &[], &[], Some(0));
+            sys.run_reports(&[0, 1, 2], 0, &[], &[], None);
+            sys.evaluate_global(0);
+            assert_eq!(sys.slots.len(), expect);
+        }
     }
 
     #[test]
@@ -1091,10 +1097,11 @@ pub(crate) mod tests {
 
     #[test]
     fn privacy_clipping_bounds_the_update_norm() {
-        let mut sys = tiny_system(2, 9);
-        sys.cfg.privacy = Some(PrivacyConfig {
-            clip_norm: 0.05,
-            noise_multiplier: 0.0,
+        let sys = tiny_system_with(2, 9, |c| {
+            c.privacy = Some(PrivacyConfig {
+                clip_norm: 0.05,
+                noise_multiplier: 0.0,
+            });
         });
         let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         for r in &returns {
@@ -1108,11 +1115,12 @@ pub(crate) mod tests {
 
     #[test]
     fn privacy_noise_perturbs_returns() {
-        let mut sys = tiny_system(2, 10);
-        let clean = sys.run_local_round_with(&[0], 0, &[]);
-        sys.cfg.privacy = Some(PrivacyConfig {
-            clip_norm: 1.0,
-            noise_multiplier: 0.1,
+        let clean = tiny_system(2, 10).run_local_round_with(&[0], 0, &[]);
+        let mut sys = tiny_system_with(2, 10, |c| {
+            c.privacy = Some(PrivacyConfig {
+                clip_norm: 1.0,
+                noise_multiplier: 0.1,
+            });
         });
         let noisy = sys.run_local_round_with(&[0], 0, &[]);
         assert_ne!(clean[0].params.flatten(), noisy[0].params.flatten());
@@ -1124,7 +1132,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sample_count_weighting_biases_toward_larger_clients() {
-        let mut sys = tiny_system(2, 11);
+        let mut sys = tiny_system_with(2, 11, |c| c.weighting = AggWeighting::BySampleCount);
         let returns = sys.run_local_round_with(&[0, 1], 0, &[]);
         let masks = sys.full_masks(2);
         let uniform_expect: Vec<f32> = {
@@ -1135,7 +1143,6 @@ pub(crate) mod tests {
                 .map(|(&x, &y)| ((f64::from(x) + f64::from(y)) / 2.0) as f32)
                 .collect()
         };
-        sys.cfg.weighting = AggWeighting::BySampleCount;
         aggregate(&mut sys, &returns, &masks);
         let weighted = sys.global.flatten();
         let sizes: Vec<usize> = sys.clients.iter().map(|c| c.positives.len()).collect();

@@ -12,7 +12,7 @@ mod common;
 use common::Fingerprint;
 use fedda_data::{partition_non_iid, ClientData, PartitionConfig};
 use fedda_fl::{
-    AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedDa, FedDyn,
+    AsyncConfig, AsyncDriver, Compression, Corruption, FaultConfig, FedAdam, FedAvg, FedDa, FedDyn,
     FedProx, FlConfig, FlProtocol, FlSystem, MemorySink, RoundDriver, RuntimeMode, StalenessPolicy,
 };
 
@@ -80,6 +80,19 @@ fn feddyn_is_bit_identical_across_threads_and_dispatch() {
 #[test]
 fn fedadam_is_bit_identical_across_threads_and_dispatch() {
     assert_invariant_under_execution_strategy(&|| Box::new(FedAdam::new(0.01)), "FedAdam");
+}
+
+/// Report order is visible only to a protocol that pairs each report with
+/// its own mask: under full masks Eq. 6's `f64` sum of equal-weight `f32`
+/// reports is exact, hence order-free. Random per-client unit masks make a
+/// report returned at the wrong position aggregate under another client's
+/// mask.
+#[test]
+fn fedavg_random_masks_are_bit_identical_across_threads_and_dispatch() {
+    assert_invariant_under_execution_strategy(
+        &|| Box::new(FedAvg::with_fractions(1.0, 0.67)),
+        "FedAvg-random-masks",
+    );
 }
 
 #[test]

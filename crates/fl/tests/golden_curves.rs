@@ -13,6 +13,7 @@
 
 mod common;
 
+use fedda_fl::baselines::run_local_only;
 use fedda_fl::{
     AsyncConfig, Compression, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlSystem,
     GlobalProtocol, RunResult, RuntimeMode,
@@ -734,4 +735,35 @@ fn golden_global_baseline() {
             uplink_units: 0,
         },
     );
+}
+
+/// `Local` has no round structure: each client trains alone for `ROUNDS`
+/// rounds from the shared initialisation and is scored once, so its pin is
+/// one AUC and one MRR per client.
+#[test]
+fn golden_local_baseline() {
+    let result = run_local_only(&golden_system());
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        println!("// --- Local ---");
+        println!("aucs: {:?},", result.aucs);
+        println!("mrrs: {:?},", result.mrrs);
+        return;
+    }
+    let aucs: &[f64] = &[
+        0.6126635432049784,
+        0.5788796337624075,
+        0.5903112417987318,
+        0.6142548348909314,
+        0.5310684447713931,
+    ];
+    let mrrs: &[f64] = &[
+        0.6126187681645447,
+        0.5840221886876832,
+        0.5990805946791888,
+        0.6123029845741136,
+        0.536445059244356,
+    ];
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&result.aucs), bits(aucs), "Local: per-client AUC");
+    assert_eq!(bits(&result.mrrs), bits(mrrs), "Local: per-client MRR");
 }

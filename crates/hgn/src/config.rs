@@ -19,7 +19,8 @@ pub enum Decoder {
 /// reproduction defaults are smaller so CPU experiments stay fast, and the
 /// benches that regenerate the paper's tables set the paper values
 /// explicitly. The pre-activation residuals (Eq. 3) and the L2-normalised
-/// outputs are always on.
+/// outputs are always on, and the encoder computes the same function in
+/// training and in inference.
 #[derive(Clone, Debug)]
 pub struct HgnConfig {
     /// Hidden width per attention head.
@@ -30,8 +31,6 @@ pub struct HgnConfig {
     pub num_heads: usize,
     /// Width of the learnable edge-type embeddings.
     pub edge_emb_dim: usize,
-    /// Feature dropout probability applied to layer inputs during training.
-    pub dropout: f32,
     /// Include learnable edge-type embeddings in attention (Eq. 2). With
     /// this off the encoder degrades to multi-head GAT — the paper's
     /// starting point and our ablation baseline.
@@ -53,7 +52,6 @@ impl Default for HgnConfig {
             num_layers: 2,
             num_heads: 2,
             edge_emb_dim: 8,
-            dropout: 0.0,
             edge_type_attention: true,
             add_self_loops: true,
             attn_residual: 0.0,
@@ -96,9 +94,6 @@ impl HgnConfig {
         if self.edge_emb_dim == 0 && self.edge_type_attention {
             return Err("edge_emb_dim must be positive when edge_type_attention is on".into());
         }
-        if !(0.0..1.0).contains(&self.dropout) {
-            return Err(format!("dropout must be in [0,1), got {}", self.dropout));
-        }
         if !(0.0..1.0).contains(&self.attn_residual) {
             return Err(format!(
                 "attn_residual must be in [0,1), got {}",
@@ -137,11 +132,6 @@ mod tests {
     fn invalid_configs_rejected() {
         let c = HgnConfig {
             num_heads: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        let c = HgnConfig {
-            dropout: 1.0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -205,15 +205,12 @@ impl SimpleHgn {
 
     /// Encode all nodes of a graph view into `[num_nodes, out_dim]`
     /// embeddings on the given tape.
-    ///
-    /// `dropout_rng` enables feature dropout when `Some` (training mode).
-    pub fn encode<R: Rng + ?Sized>(
+    pub fn encode(
         &self,
         graph: &mut Graph,
         bindings: &mut TapeBindings,
         params: &ParamSet,
         view: &GraphView,
-        mut dropout_rng: Option<&mut R>,
     ) -> Var {
         assert_eq!(
             view.num_message_types, self.num_message_types,
@@ -248,11 +245,6 @@ impl SimpleHgn {
         // attention-residual blending (config.attn_residual).
         let mut prev_alphas: Vec<Var> = Vec::new();
         for layer in &self.layers {
-            if cfg.dropout > 0.0 {
-                if let Some(rng) = dropout_rng.as_deref_mut() {
-                    h = apply_dropout(graph, h, cfg.dropout, rng);
-                }
-            }
             // Per-message edge-attention term, shared basis across heads:
             // R[t] = edge-type embedding, per head transformed by W_r and
             // projected by a_edge.
@@ -361,22 +353,6 @@ impl SimpleHgn {
     }
 }
 
-/// Inverted dropout with a freshly sampled mask.
-fn apply_dropout<R: Rng + ?Sized>(graph: &mut Graph, x: Var, p: f32, rng: &mut R) -> Var {
-    let (r, c) = graph.shape(x);
-    let keep = 1.0 - p;
-    let mask: Vec<f32> = (0..r * c)
-        .map(|_| {
-            if rng.gen::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    graph.dropout_with_mask(x, Arc::new(mask))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,7 +386,7 @@ mod tests {
         let (model, params, view, _g) = tiny_setup();
         let mut graph = Graph::new();
         let mut tb = TapeBindings::new();
-        let emb = model.encode::<StdRng>(&mut graph, &mut tb, &params, &view, None);
+        let emb = model.encode(&mut graph, &mut tb, &params, &view);
         let (n, d) = graph.shape(emb);
         assert_eq!(n, view.num_nodes);
         assert_eq!(d, model.config().out_dim());
@@ -430,7 +406,7 @@ mod tests {
         let examples = sampler.with_negatives(&pos[..8.min(pos.len())], 1, &mut rng);
         let mut graph = Graph::new();
         let mut tb = TapeBindings::new();
-        let emb = model.encode::<StdRng>(&mut graph, &mut tb, &params, &view, None);
+        let emb = model.encode(&mut graph, &mut tb, &params, &view);
         let logits = model.score_links(&mut graph, &mut tb, &params, emb, &examples);
         assert_eq!(graph.shape(logits), (examples.len(), 1));
         let targets: Vec<f32> = examples
@@ -518,7 +494,7 @@ mod tests {
         let view = GraphView::new(&g, base.add_self_loops);
         let mut graph = Graph::new();
         let mut tb = TapeBindings::new();
-        let plain = model.encode::<StdRng>(&mut graph, &mut tb, &params, &view, None);
+        let plain = model.encode(&mut graph, &mut tb, &params, &view);
         let plain_vals = graph.value(plain).as_slice().to_vec();
 
         let with_res = SimpleHgn {
@@ -530,7 +506,7 @@ mod tests {
         };
         let mut graph2 = Graph::new();
         let mut tb2 = TapeBindings::new();
-        let blended = with_res.encode::<StdRng>(&mut graph2, &mut tb2, &params, &view, None);
+        let blended = with_res.encode(&mut graph2, &mut tb2, &params, &view);
         let blended_vals = graph2.value(blended).as_slice().to_vec();
         assert_ne!(
             plain_vals, blended_vals,
@@ -565,7 +541,7 @@ mod tests {
         let view = GraphView::new(&g, base.add_self_loops);
         let mut g1 = Graph::new();
         let mut t1 = TapeBindings::new();
-        let plain = model.encode::<StdRng>(&mut g1, &mut t1, &params, &view, None);
+        let plain = model.encode(&mut g1, &mut t1, &params, &view);
         let with_res = SimpleHgn {
             config: HgnConfig {
                 attn_residual: 0.5,
@@ -575,34 +551,8 @@ mod tests {
         };
         let mut g2 = Graph::new();
         let mut t2 = TapeBindings::new();
-        let blended = with_res.encode::<StdRng>(&mut g2, &mut t2, &params, &view, None);
+        let blended = with_res.encode(&mut g2, &mut t2, &params, &view);
         // With one layer there is no previous attention to blend with.
         assert_eq!(g1.value(plain).as_slice(), g2.value(blended).as_slice());
-    }
-
-    #[test]
-    fn dropout_changes_training_forward_only() {
-        let (model, params, view, _g) = tiny_setup();
-        let mut cfg = model.config().clone();
-        cfg.dropout = 0.5;
-        // Rebuild with dropout via a fresh model sharing the same params
-        // layout (config only affects forward behaviour here).
-        let mut graph = Graph::new();
-        let mut tb = TapeBindings::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        // training mode: dropout_rng = Some
-        let model_do = SimpleHgn {
-            config: cfg,
-            ..model
-        };
-        let emb_train = model_do.encode(&mut graph, &mut tb, &params, &view, Some(&mut rng));
-        let mut graph2 = Graph::new();
-        let mut tb2 = TapeBindings::new();
-        let emb_eval = model_do.encode::<StdRng>(&mut graph2, &mut tb2, &params, &view, None);
-        // different values under dropout
-        assert_ne!(
-            graph.value(emb_train).as_slice(),
-            graph2.value(emb_eval).as_slice()
-        );
     }
 }

@@ -14,22 +14,24 @@ use rand::RngCore;
 
 /// A trainable link-prediction model over heterographs.
 ///
-/// Implementations must be deterministic given their inputs (any dropout
-/// randomness comes through the `dropout_rng` argument), and must build the
+/// Implementations must be deterministic given their inputs (any training
+/// randomness comes through the `train_rng` argument), and must build the
 /// same parameter layout on every client so federated averaging is
 /// meaningful.
 pub trait LinkPredictor: Send + Sync {
     /// Embed every node of the view into `[num_nodes, out_dim]`.
     ///
-    /// `dropout_rng = Some(_)` selects training mode (feature dropout where
-    /// the model supports it); `None` is deterministic inference.
+    /// `train_rng = Some(_)` selects training mode, with the trainer's RNG
+    /// for any draw a model makes while training; `None` is deterministic
+    /// inference. [`crate::SimpleHgn`] encodes the same way in both modes and
+    /// draws nothing.
     fn encode_nodes(
         &self,
         graph: &mut Graph,
         bindings: &mut TapeBindings,
         params: &ParamSet,
         view: &GraphView,
-        dropout_rng: Option<&mut dyn RngCore>,
+        train_rng: Option<&mut dyn RngCore>,
     ) -> Var;
 
     /// Score link examples against node embeddings; returns logits `[B, 1]`.
@@ -44,11 +46,6 @@ pub trait LinkPredictor: Send + Sync {
 
     /// Whether graph views for this model should include self-loops.
     fn uses_self_loops(&self) -> bool;
-
-    /// Feature-dropout probability during training (0 disables).
-    fn dropout_prob(&self) -> f32 {
-        0.0
-    }
 
     /// Model name for reports.
     fn name(&self) -> &'static str;
@@ -83,12 +80,9 @@ impl LinkPredictor for crate::SimpleHgn {
         bindings: &mut TapeBindings,
         params: &ParamSet,
         view: &GraphView,
-        dropout_rng: Option<&mut dyn RngCore>,
+        _train_rng: Option<&mut dyn RngCore>,
     ) -> Var {
-        match dropout_rng {
-            Some(rng) => self.encode(graph, bindings, params, view, Some(rng)),
-            None => self.encode::<dyn RngCore>(graph, bindings, params, view, None),
-        }
+        self.encode(graph, bindings, params, view)
     }
 
     fn score_examples(
@@ -104,10 +98,6 @@ impl LinkPredictor for crate::SimpleHgn {
 
     fn uses_self_loops(&self) -> bool {
         self.config().add_self_loops
-    }
-
-    fn dropout_prob(&self) -> f32 {
-        self.config().dropout
     }
 
     fn name(&self) -> &'static str {

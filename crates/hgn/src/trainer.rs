@@ -205,13 +205,8 @@ impl Workspace {
             for batch in LinkSampler::shuffled_batches(&mut examples, batch_size, rng) {
                 graph.clear();
                 bindings.clear();
-                let dropout = model.dropout_prob() > 0.0;
-                let emb = if dropout {
-                    let rng = Some(rng as &mut dyn rand::RngCore);
-                    model.encode_nodes(graph, bindings, params, view, rng)
-                } else {
-                    model.encode_nodes(graph, bindings, params, view, None)
-                };
+                let train_rng = Some(rng as &mut dyn rand::RngCore);
+                let emb = model.encode_nodes(graph, bindings, params, view, train_rng);
                 let logits = model.score_examples(graph, bindings, params, emb, batch);
                 let targets: Vec<f32> = batch
                     .iter()
@@ -618,7 +613,6 @@ mod tests {
             hidden_dim: 4,
             num_layers: 2,
             num_heads: 2,
-            dropout: 0.1,
             ..Default::default()
         };
         let (model, init) =

@@ -127,7 +127,6 @@ enum Op {
     SumAll(Var),
     MeanAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
-    Dropout(Var, Arc<Vec<f32>>),
 }
 
 struct Node {
@@ -866,21 +865,6 @@ impl Graph {
         })
     }
 
-    /// Inverted dropout with a precomputed mask (entries are `0` or
-    /// `1/(1-p)`). The caller owns mask generation so training remains
-    /// reproducible.
-    pub fn dropout_with_mask(&mut self, a: Var, mask: Arc<Vec<f32>>) -> Var {
-        let shape @ (m, n) = self.shape(a);
-        assert_eq!(m * n, mask.len(), "dropout_with_mask: mask length mismatch");
-        let rg = self.requires(a);
-        let op = Op::Dropout(a, Arc::clone(&mask));
-        self.record(shape, Some(a), 0, (op, rg), |_, out, _| {
-            for (x, &k) in out.iter_mut().zip(mask.iter()) {
-                *x *= k;
-            }
-        })
-    }
-
     // ---- backward -----------------------------------------------------------
 
     /// Run reverse-mode accumulation from a scalar (`1x1`) node, discarding
@@ -1054,8 +1038,7 @@ impl Op {
             | &Op::PairDot(a, ..)
             | &Op::SumAll(a)
             | &Op::MeanAll(a)
-            | &Op::BceWithLogits(a, _)
-            | &Op::Dropout(a, _) => f(a),
+            | &Op::BceWithLogits(a, _) => f(a),
             Op::ConcatCols(vars) | Op::ConcatRows(vars) => vars.iter().copied().for_each(f),
             &Op::EdgeSoftmax(s_src, s_dst, per_type, ..) => {
                 f(s_src);
@@ -1344,9 +1327,6 @@ impl Node {
                         *z = scale * (sigmoid - ti);
                     }
                 });
-            }
-            Op::Dropout(a, mask) => {
-                to.put(*a, g.iter().zip(mask.iter()).map(|(&gv, &mv)| gv * mv));
             }
         }
     }

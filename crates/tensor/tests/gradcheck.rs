@@ -438,22 +438,6 @@ fn grad_bce_with_logits() {
 }
 
 #[test]
-fn grad_dropout_with_mask() {
-    let mut rng = StdRng::seed_from_u64(16);
-    let a = randn(&mut rng, 2, 4);
-    let mask = Arc::new(vec![2.0, 0.0, 2.0, 2.0, 0.0, 2.0, 0.0, 2.0]);
-    gradcheck(
-        &[a],
-        |g, v| {
-            let y = g.dropout_with_mask(v[0], mask.clone());
-            let sq = g.mul(y, y);
-            g.sum_all(sq)
-        },
-        1e-2,
-    );
-}
-
-#[test]
 fn grad_composite_attention_like_network() {
     // A miniature single-head GAT layer: this exercises the exact op
     // composition Simple-HGN uses, end to end.
