@@ -3,7 +3,7 @@
 //! How fast a federated run is, and how its time divides across layers,
 //! is the repo benchmark's question (`benchmark/`, `BENCHMARK.json`). This
 //! suite answers the one that benchmark's probes do not resolve per shape:
-//! how fast is one kernel at a workload's real shape. Five families:
+//! how fast is one kernel at a workload's real shape. Six families:
 //!
 //! 1. **`gemm/`** — the products an FL round actually issues
 //!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
@@ -17,16 +17,21 @@
 //!    [`DECODER_SHAPE`]);
 //! 4. **`codec/`** — each uplink codec's encode and the q8 arrival decode
 //!    at the fleet model's size;
-//! 5. **`optim/`** — one Adam step over the same model.
+//! 5. **`optim/`** — one Adam step over the same model;
+//! 6. **`sample/`** — the negative sampler: one epoch's positives of a
+//!    `dblp_fedda` client ([`SAMPLE_SCALE`]), each paired with one corrupted
+//!    negative through the client's rejection index.
 //!
 //! Inputs, case names and the sample count (the schema's floor) are
 //! fixed, so any two snapshots — and the two sides of `perf --ab` — cover
 //! the same cases.
 
 use crate::snapshot::{time_case, CaseResult, MIN_SAMPLES};
+use fedda::data::{partition_non_iid, PartitionConfig};
 use fedda::fl::compress::decode_arrival;
 use fedda::fl::runtime::Delivery;
 use fedda::fl::{ClientReturn, Compressed, Compression, Delta, InFlight, UplinkCharge};
+use fedda::hetgraph::{HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::SimpleHgn;
 use fedda_tensor::{Adam, Graph, Matrix, ParamSet, Segments, Var};
 use rand::rngs::StdRng;
@@ -282,6 +287,26 @@ impl CodecCase {
     }
 }
 
+/// Scale of the sampler case's graph: the `dblp_fedda` workload's
+/// generator (`dblp_like`, seed 1), partitioned non-IID into one client with
+/// the paper's defaults.
+pub const SAMPLE_SCALE: f64 = 0.006;
+
+/// The sampler case's client: its graph and training positives (the edges
+/// of its specialised types, as `FlSystem` builds them).
+fn sample_client() -> (HeteroGraph, Vec<LinkExample>) {
+    let graph = fedda::data::dblp_like(&fedda::data::PresetOptions {
+        scale: SAMPLE_SCALE,
+        seed: 1,
+        ..Default::default()
+    })
+    .graph;
+    let config = PartitionConfig::paper_defaults(1, graph.schema().num_edge_types(), 1);
+    let client = partition_non_iid(&graph, &config).swap_remove(0);
+    let positives = LinkSampler::new(&client.graph).positives_of_types(&client.specialized);
+    (client.graph, positives)
+}
+
 fn backward_sum_sq(g: &mut Graph, out: Var) {
     let sq = g.mul(out, out);
     let loss = g.sum_all(sq);
@@ -371,6 +396,19 @@ pub fn run_suite() -> Vec<CaseResult> {
     let name = format!("optim/adam_step/n{n}");
     out.push(time_case(&name, MIN_SAMPLES, 8, || {
         codec_case.adam_step(&mut adam)
+    }));
+
+    // 6. One epoch's negatives of a `dblp_fedda` client, one per positive
+    //    (the training default), through an index built once.
+    let (graph, positives) = sample_client();
+    let sampler = LinkSampler::new(&graph);
+    let name = format!(
+        "sample/negatives/{}xN{}",
+        positives.len(),
+        graph.num_nodes()
+    );
+    out.push(time_case(&name, MIN_SAMPLES, 8, || {
+        black_box(sampler.with_negatives(&positives, 1, &mut rng));
     }));
 
     out

@@ -31,6 +31,7 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use crate::runtime::Delivery;
+use crate::system::ClientReturn;
 use fedda_tensor::{ParamId, ParamSet};
 use std::sync::Arc;
 
@@ -215,7 +216,10 @@ impl UplinkCharge {
 /// encoded against, so the server can decode a stale arrival against the
 /// *right* reference even after the global model has moved on. Everything a
 /// queued report needs to be rebuilt: while it waits, this is all of it that
-/// stays resident (one reference is shared by a whole dispatch).
+/// stays resident (one reference is shared by a whole dispatch). Only a
+/// report that decodes at arrival travels as one — a straggler or a
+/// buffered-runtime report; a punctual lockstep report was decoded in its
+/// client task.
 pub struct InFlight {
     /// The encoded report.
     pub report: Compressed,
@@ -223,36 +227,48 @@ pub struct InFlight {
     pub reference: Arc<ParamSet>,
 }
 
-/// Decode a delivery's compressed payload (if any) into its
-/// [`ClientReturn`](crate::ClientReturn), exactly once, at the server
-/// arrival point. The decompressed parameters replace the in-transit ones
-/// and the unit deltas are recomputed against the dispatch-time reference,
-/// so downstream consumers — the rejection guard, Eq. 6 aggregation,
-/// FedDA's mask scoring — all see the post-decompression numbers.
-///
-/// A report admitted in the round it was dispatched still owns its
-/// full-precision value buffer, and the reconstruction is written into it:
-/// the buffer's pre-compression contents are dead once the report is
-/// encoded, so overwriting them with the reference's values (one copy) and
-/// decoding on top gives exactly `report.reconstruct(&reference)` without
-/// the server allocating a set per report. A report that outlived its
-/// dispatch round waited as its payload alone — the engine released its
-/// values — and any buffer not laid out like the reference, the released
-/// one included, is replaced by that reconstruction: the same bits either
-/// way.
+/// Decode a delivery's compressed payload (if any) into its [`ClientReturn`]
+/// at the server arrival point, through `decode_report`. A punctual
+/// report of the lockstep runtime was already decoded in the client task
+/// that encoded it and arrives without a payload; a straggler and every
+/// report of the buffered runtime decode here, against the dispatch-time
+/// reference they carried, so a stale arrival is rebuilt against the
+/// *right* broadcast even after the global model has moved on.
 pub fn decode_arrival(d: &mut Delivery) {
     let Some(InFlight { report, reference }) = d.payload.take() else {
         return;
     };
-    let params = &mut d.ret.params;
-    if same_layout(params, &reference) {
+    decode_report(&mut d.ret, &report, &reference);
+    d.ret.client = d.client;
+}
+
+/// The one decode of an encoded report, exactly once per report: the
+/// decompressed parameters replace `ret`'s and the unit deltas are
+/// recomputed against `reference`, so downstream consumers — the rejection
+/// guard, Eq. 6 aggregation, FedDA's mask scoring — all see the
+/// post-decompression numbers. Called from the client task for a report
+/// that will be admitted in its dispatch round, from [`decode_arrival`]
+/// for any other.
+///
+/// A report decoded in its task, or admitted in the round it was
+/// dispatched, still owns its full-precision value buffer, and the
+/// reconstruction is written into it: the buffer's pre-compression contents
+/// are dead once the report is encoded, so overwriting them with the
+/// reference's values (one copy) and decoding on top gives exactly
+/// `report.reconstruct(reference)` without allocating a set per report. A
+/// report that outlived its dispatch round waited as its payload alone —
+/// the engine released its values — and any buffer not laid out like the
+/// reference, the released one included, is replaced by that
+/// reconstruction: the same bits either way.
+pub(crate) fn decode_report(ret: &mut ClientReturn, report: &Compressed, reference: &ParamSet) {
+    let params = &mut ret.params;
+    if same_layout(params, reference) {
         params.values_mut().copy_from_slice(reference.values());
         report.decode_over(params);
     } else {
-        *params = report.reconstruct(&reference);
+        *params = report.reconstruct(reference);
     }
-    d.ret.client = d.client;
-    d.ret.unit_delta = d.ret.params.unit_l2_distances(&reference);
+    ret.unit_delta = ret.params.unit_l2_distances(reference);
 }
 
 /// Whether `a` can take `b`'s values in place: one layout, and values held

@@ -7,11 +7,13 @@
 //!
 //! 1. **dispatch** — the [`FlProtocol`] hooks pick clients and masks, the
 //!    fault plan gives each client its verdict, the reporting clients train
-//!    (and corrupt, and encode) on the worker pool, and every report that
-//!    will ever arrive is scheduled on the virtual-time queue;
+//!    (and corrupt, and encode, and — a punctual lockstep report — decode)
+//!    on the worker pool, and every report that will ever arrive is
+//!    scheduled on the virtual-time queue;
 //! 2. **admit** — arrivals are popped in `(tick, schedule sequence)` order,
-//!    decoded, charged to the ledger, passed through the server-side guard
-//!    and weighted by their staleness, until the round is due to flush;
+//!    decoded if still encoded, charged to the ledger, passed through the
+//!    server-side guard and weighted by their staleness, until the round is
+//!    due to flush;
 //! 3. **commit** — Eq. 6 over the admitted reports with renormalised
 //!    weights, the comm ledger entry, the protocol's `on_faults` and
 //!    `post_aggregate` hooks, the activation trace, and the round's closed
@@ -53,7 +55,9 @@
 //! are one-line constructors over it, kept for the benchmark package.) The
 //! two modes differ in the five decisions tabulated in the crate docs —
 //! eligibility, latency, flush trigger, staleness weight, order at flush —
-//! each one private method of [`RuntimeMode`], and in nothing else. With no
+//! each one private method of [`RuntimeMode`], and in nothing else that
+//! moves a bit (a sixth method places an encoded report's decode: in its
+//! client task for a punctual lockstep report, at arrival otherwise). With no
 //! fault plan and `K` at the federation size the two coincide: every
 //! report is fresh, arrives in dispatch order and flushes together, so both
 //! runtimes produce the same bits
@@ -77,14 +81,17 @@
 use crate::compress::{decode_arrival, InFlight, UplinkCharge};
 use crate::events::{EventSink, RoundEvent};
 use crate::faults::{
-    detect_rejection, discount, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
+    detect_rejection, discount, has_non_finite, FaultConfig, FaultEffect, FaultKind, FaultObserved,
+    FaultPlan,
 };
 use crate::protocol::FlProtocol;
 use crate::runtime::{Delivery, Scheduler, Tick};
 use crate::system::{
-    ActivationSnapshot, ClientReturn, FlSystem, ReportOrder, RoundEval, RunResult, WeightedReturn,
+    ActivationSnapshot, ClientReturn, FlSystem, ReportOrder, RoundEval, RunResult, TaskReport,
+    WeightedReturn,
 };
 use fedda_hgn::EvalResult;
+use fedda_tensor::ParamSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -258,6 +265,18 @@ impl RuntimeMode {
         };
         Rank { held, pos }
     }
+
+    /// Placement, not policy: whether an encoded report dispatched with
+    /// `straggle` (its delay; `None` for a punctual report) decodes in the
+    /// client task that encoded it. A punctual lockstep report is admitted
+    /// in its dispatch round against the `system.global` its task trained
+    /// from, so its task decodes it on the worker pool; a straggler and every
+    /// buffered report — which may wait past a flush and is then rebuilt
+    /// from its payload anyway — decode at arrival. Either way the same
+    /// routine writes the same bits.
+    fn decodes_in_task(&self, straggle: Option<usize>) -> bool {
+        matches!((self, straggle), (RuntimeMode::Sync, None))
+    }
 }
 
 /// One round's working state, from dispatch to commit.
@@ -272,6 +291,9 @@ struct Round {
     buffer: Vec<(Rank, Delivery, f64)>,
     /// Ledger charges of every report that arrived, admitted or not.
     charges: Vec<UplinkCharge>,
+    /// The guard's finiteness scan of each dispatch position's report,
+    /// where its client task took it (a report it decoded).
+    scanned: Vec<Option<bool>>,
 }
 
 impl Round {
@@ -467,6 +489,7 @@ impl<'a> Engine<'a> {
             observations: Vec::new(),
             buffer: Vec::new(),
             charges: Vec::new(),
+            scanned: vec![None; active.len()],
             active,
         };
 
@@ -475,10 +498,11 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&c| self.plan.as_ref().and_then(|p| p.fault_at(index, c)))
             .collect();
-        // Where each position's report lands; `None` for a dropout and for
-        // a report the run ends before.
+        // Where each position's report lands — `None` for a dropout and for
+        // a report the run ends before — and whether its task decodes it.
         let now = self.sched.now();
         let mut lands: Vec<Option<Tick>> = Vec::with_capacity(verdicts.len());
+        let mut in_task: Vec<bool> = Vec::with_capacity(verdicts.len());
         for (pos, verdict) in verdicts.iter().enumerate() {
             let straggle = match *verdict {
                 Some(FaultKind::Straggler { delay }) => Some(delay),
@@ -489,6 +513,7 @@ impl<'a> Engine<'a> {
                 _ => self.mode.latency(now, index, self.rounds, straggle),
             };
             lands.push(tick);
+            in_task.push(self.mode.decodes_in_task(straggle));
             if let Some(effect) = effect {
                 round.observe(self.mode.rank(0, pos), round.active[pos], effect);
             }
@@ -515,6 +540,7 @@ impl<'a> Engine<'a> {
                     _ => None,
                 },
                 encode: lands[pos].map(|_| masks[pos].as_slice()),
+                decode: in_task[pos],
             })
             .collect();
         let (reports, eval) = self
@@ -522,19 +548,28 @@ impl<'a> Engine<'a> {
             .run_reports(&clients, index, &penalties, &orders, evaluate);
 
         // The dispatch-time broadcast every encoded report of this round
-        // decodes against, however many rounds later it arrives.
-        let codec = self.system.config().compression;
-        let reference = codec.map(|_| Arc::new(self.system.global.clone()));
+        // that decodes at arrival decodes against, however many rounds later
+        // it lands; taken only when such a report exists.
+        let mut reference: Option<Arc<ParamSet>> = None;
         let sizes = self.system.unit_sizes();
-        for (pos, (ret, report)) in reporting.into_iter().zip(reports) {
+        for (pos, report) in reporting.into_iter().zip(reports) {
             let Some(tick) = lands[pos] else { continue };
+            let TaskReport {
+                ret,
+                encoded,
+                non_finite,
+            } = report;
+            round.scanned[pos] = non_finite;
             let mask = std::mem::take(&mut masks[pos]);
-            let (charge, payload) = match (report, &reference) {
-                (Some(report), Some(reference)) => {
-                    let reference = Arc::clone(reference);
+            let (charge, payload) = match encoded {
+                Some(report) if in_task[pos] => (report.charge(), None),
+                Some(report) => {
+                    let reference = Arc::clone(
+                        reference.get_or_insert_with(|| Arc::new(self.system.global.clone())),
+                    );
                     (report.charge(), Some(InFlight { report, reference }))
                 }
-                _ => (UplinkCharge::from_mask(&mask, &sizes), None),
+                None => (UplinkCharge::from_mask(&mask, &sizes), None),
             };
             self.in_flight[ret.client] = true;
             // The report carries its compressed payload (and its reference)
@@ -556,12 +591,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Service arrivals until `round` is due to flush. Each report is
-    /// decoded and charged at the server arrival point, judged by the
-    /// server-side guard, and admitted at its staleness weight. On return,
-    /// every encoded report left in the queue has released its
-    /// full-precision values (see the [`runtime`](crate::runtime) module
-    /// docs): in either mode, a report crosses a round boundary as its
-    /// payload and its reference.
+    /// decoded (unless its client task already did) and charged at the
+    /// server arrival point, judged by the server-side guard, and admitted
+    /// at its staleness weight. On return, every encoded report left in the
+    /// queue has released its full-precision values (see the
+    /// [`runtime`](crate::runtime) module docs): in either mode, a report
+    /// crosses a round boundary as its payload and its reference.
     fn admit(&mut self, round: &mut Round) {
         while !self
             .mode
@@ -574,7 +609,8 @@ impl<'a> Engine<'a> {
             // Decompress before any guard or aggregation sees the report —
             // a stale arrival carried its compressed payload (and nothing
             // else of its parameters) across rounds and is rebuilt from its
-            // dispatch-time broadcast.
+            // dispatch-time broadcast. A punctual lockstep report arrives
+            // decoded by its client task, with no payload.
             decode_arrival(&mut d);
             // Uplink is charged at arrival: the bytes crossed the wire
             // before inspection, so rejected and discarded reports pay too.
@@ -584,8 +620,16 @@ impl<'a> Engine<'a> {
             // The guard applies to every arriving report in every
             // configuration, so a client whose training diverged on its own
             // is caught here too; only the norm bound is the fault plan's.
+            // The client task that decoded a report took its finiteness
+            // scan too.
             let max_norm = self.faults.as_ref().and_then(|fc| fc.max_update_norm);
-            let rejection = detect_rejection(&d.ret, max_norm);
+            let scanned = if staleness == 0 {
+                round.scanned[d.dispatch_pos]
+            } else {
+                None
+            };
+            let non_finite = scanned.unwrap_or_else(|| has_non_finite(&d.ret));
+            let rejection = detect_rejection(&d.ret, non_finite, max_norm);
             if let Some(effect) = rejection {
                 round.observe(rank, d.client, effect);
                 continue;
@@ -603,8 +647,8 @@ impl<'a> Engine<'a> {
         }
         // Whatever is still queued has outlived the round it was dispatched
         // in. An encoded report is rebuilt from its payload when it lands,
-        // so it waits as that alone; only the same-round reports above
-        // decode into the buffer their worker allocated.
+        // so it waits as that alone; only reports admitted in their dispatch
+        // round decode into the buffer their worker allocated.
         for d in self.sched.waiting_mut() {
             if d.payload.is_some() {
                 d.ret.params.release();
@@ -625,6 +669,7 @@ impl<'a> Engine<'a> {
             mut observations,
             mut buffer,
             charges,
+            scanned: _,
         } = round;
         // Stable sorts: equal ranks stay in arrival order.
         buffer.sort_by_key(|&(rank, ..)| rank);
@@ -1059,6 +1104,130 @@ mod tests {
                     engine.result.faults.iter().any(applied),
                     "{mode:?}: no report that waited was aggregated"
                 );
+            }
+        }
+    }
+
+    /// Under the lockstep runtime a punctual encoded report is decoded in its
+    /// client task: it is queued without a payload, holding exactly the
+    /// reconstruction the server would have decoded at arrival, and a
+    /// corrupted one draws the guard verdict that reconstruction draws. A
+    /// straggler keeps its payload for arrival, and under the buffered
+    /// runtime every encoded report does.
+    #[test]
+    fn punctual_lockstep_reports_decode_in_their_task() {
+        use crate::faults::{Corruption, ScriptedFault};
+        let cell = |round, client, kind| ScriptedFault {
+            round,
+            client,
+            kind,
+        };
+        let corrupt = |c| FaultKind::Corruption(c);
+        let faults = FaultConfig {
+            max_update_norm: Some(1e3),
+            scripted: vec![
+                cell(0, 0, FaultKind::Straggler { delay: 1 }),
+                cell(0, 1, corrupt(Corruption::NaN)),
+                cell(0, 2, corrupt(Corruption::Inf)),
+                cell(0, 3, corrupt(Corruption::Garbage { scale: 1e9 })),
+                cell(1, 1, FaultKind::Straggler { delay: 2 }),
+                cell(1, 3, corrupt(Corruption::Garbage { scale: 2.0 })),
+                cell(2, 2, FaultKind::Straggler { delay: 1 }),
+            ],
+            ..Default::default()
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let modes = [
+            RuntimeMode::Sync,
+            RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
+        ];
+        for mode in modes {
+            let mut sys = tiny_system_with(4, 26, |cfg| {
+                cfg.rounds = 4;
+                cfg.faults = Some(faults.clone());
+                cfg.compression = Some(Compression::QuantI8);
+            });
+            let mut protocol = FedAvg::vanilla();
+            let mut engine = Engine::start(&mode, &mut protocol, &mut sys, None).unwrap();
+            let (mut decoded, mut carried) = (0, 0);
+            let mut verdicts = Vec::new();
+            for index in 0..engine.rounds {
+                let (mut round, _) = engine.dispatch(index, None);
+                let plan = engine.plan.as_ref().unwrap();
+                let mut expected = Vec::new();
+                for d in engine.sched.waiting_mut() {
+                    if d.dispatch_round != index {
+                        continue;
+                    }
+                    let fault = plan.fault_at(index, d.client);
+                    let straggler = matches!(fault, Some(FaultKind::Straggler { .. }));
+                    let in_task = mode == RuntimeMode::Sync && !straggler;
+                    assert_eq!(
+                        d.payload.is_none(),
+                        in_task,
+                        "{mode:?} {index} {}",
+                        d.client
+                    );
+                    if !in_task {
+                        carried += 1;
+                        continue;
+                    }
+                    decoded += 1;
+                    // The same client task again, encoding only: the report
+                    // as it would have travelled, decoded the arrival way.
+                    let corruption = match fault {
+                        Some(FaultKind::Corruption(kind)) => Some(kind),
+                        _ => None,
+                    };
+                    let order = ReportOrder {
+                        corruption,
+                        encode: Some(&d.mask),
+                        decode: false,
+                    };
+                    let (reports, _) =
+                        engine
+                            .system
+                            .run_reports(&[d.client], index, &[], &[order], None);
+                    let reference = &engine.system.global;
+                    let report = reports.into_iter().next().unwrap().encoded.unwrap();
+                    let params = report.reconstruct(reference);
+                    let unit_delta = params.unit_l2_distances(reference);
+                    assert_eq!(bits(d.ret.params.values()), bits(params.values()));
+                    assert_eq!(bits(&d.ret.unit_delta), bits(&unit_delta));
+                    let rebuilt = ClientReturn {
+                        client: d.client,
+                        params,
+                        unit_delta,
+                    };
+                    let non_finite = has_non_finite(&rebuilt);
+                    let verdict = detect_rejection(&rebuilt, non_finite, Some(1e3));
+                    expected.push((d.client, verdict));
+                }
+                engine.admit(&mut round);
+                for (client, verdict) in expected {
+                    let rejected = round.observations.iter().find_map(|(_, o)| {
+                        let rejection = matches!(o.effect, FaultEffect::CorruptionRejected { .. });
+                        (o.client == client && rejection).then_some(o.effect)
+                    });
+                    assert_eq!(rejected, verdict, "{mode:?} round {index} client {client}");
+                    verdicts.push(verdict);
+                }
+                engine.commit(round);
+            }
+            if mode == RuntimeMode::Sync {
+                assert!(
+                    decoded > 0 && carried == 3,
+                    "{decoded} decoded, {carried} carried"
+                );
+                // NaN, Inf and the large Garbage are rejected, nothing else.
+                let rejected: Vec<FaultEffect> = verdicts.into_iter().flatten().collect();
+                let rejection = |non_finite| FaultEffect::CorruptionRejected { non_finite };
+                assert_eq!(
+                    rejected,
+                    [rejection(true), rejection(true), rejection(false)]
+                );
+            } else {
+                assert!(decoded == 0 && carried > 0);
             }
         }
     }

@@ -433,15 +433,26 @@ pub fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corrup
     ret.unit_delta = ret.params.unit_l2_distances(broadcast);
 }
 
+/// The guard's finiteness scan: whether any of `ret`'s unit deltas or
+/// parameter values is NaN or infinite. A pure function of the report, so
+/// it runs wherever the report is finished — in the client task for a
+/// report decoded there, at arrival for any other.
+pub fn has_non_finite(ret: &ClientReturn) -> bool {
+    ret.unit_delta.iter().any(|d| !d.is_finite())
+        || ret.params.values().iter().any(|v| !v.is_finite())
+}
+
 /// Server-side guard applied to every arriving report (fresh or stale), in
-/// every configuration: reject non-finite updates (the flattened-delta
-/// check) and, when `max_update_norm` is given (a fault plan's
-/// [`FaultConfig::max_update_norm`]), finite updates whose whole L2 norm
-/// exceeds it. Returns the rejection effect, or `None` when the report is
-/// admissible.
-pub fn detect_rejection(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
-    let non_finite = ret.unit_delta.iter().any(|d| !d.is_finite())
-        || ret.params.values().iter().any(|v| !v.is_finite());
+/// every configuration: reject non-finite updates (`non_finite`, the
+/// report's [`has_non_finite`] scan) and, when `max_update_norm` is given
+/// (a fault plan's [`FaultConfig::max_update_norm`]), finite updates whose
+/// whole L2 norm exceeds it. Returns the rejection effect, or `None` when
+/// the report is admissible.
+pub fn detect_rejection(
+    ret: &ClientReturn,
+    non_finite: bool,
+    max_update_norm: Option<f32>,
+) -> Option<FaultEffect> {
     if non_finite {
         return Some(FaultEffect::CorruptionRejected { non_finite: true });
     }

@@ -25,10 +25,15 @@
 //! # What a queued delivery owns
 //!
 //! A [`Delivery`] is scheduled with everything dispatch produced: the
-//! client's full-precision [`ClientReturn`] (values only — gradients never
-//! leave local training), its mask, its ledger charge and — under a codec —
-//! the encoded report with its dispatch-time reference. Under a codec the
-//! full-precision values are dead once the report is encoded, so a delivery
+//! client's [`ClientReturn`] (values only — gradients never leave local
+//! training), its mask, its ledger charge and — under a codec, for a
+//! report that decodes at arrival — the encoded report with its
+//! dispatch-time reference. A punctual report of the lockstep runtime is
+//! admitted in its dispatch round against that same reference, so its
+//! client task decodes it on the worker pool (the same routine
+//! [`decode_arrival`](crate::compress::decode_arrival) calls) and it is
+//! queued decoded, with no payload. Any other encoded report keeps its payload:
+//! its full-precision values are dead once it is encoded, so a delivery
 //! that outlives the round it was dispatched in (a lockstep straggler, a
 //! buffered report beyond the `K`-th) releases them when that round's
 //! admission ends and waits as its payload alone;
@@ -155,13 +160,15 @@ pub struct Delivery {
     /// Round (sync) or server version (async) the report was computed
     /// against.
     pub dispatch_round: usize,
-    /// The client's trained return. When a codec is configured it
-    /// carries no `unit_delta` yet, and its `params` are only a buffer for
+    /// The client's trained return. A report that carries a `payload`
+    /// has no `unit_delta` yet, and its `params` are only a buffer for
     /// [`decode_arrival`] to write the decompressed reconstruction into:
     /// the *pre-compression* values while the report can still be admitted
     /// in its dispatch round, a set holding no values once it has outlived
     /// that round (the engine releases them; the report waits as
-    /// `payload`). Either way a set of values only: gradients never leave
+    /// `payload`). An encoded report its client task decoded — a punctual
+    /// lockstep one — carries that reconstruction and its `unit_delta`
+    /// already. Either way a set of values only: gradients never leave
     /// local training.
     ///
     /// [`decode_arrival`]: crate::compress::decode_arrival
@@ -172,7 +179,8 @@ pub struct Delivery {
     /// pure function of the report) and charged at arrival.
     pub charge: crate::compress::UplinkCharge,
     /// The compressed report plus its dispatch-time broadcast reference;
-    /// `None` when no codec is configured.
+    /// `None` when no codec is configured, and for a report its client task
+    /// already decoded (its `charge` is still the compressed report's).
     pub payload: Option<crate::compress::InFlight>,
 }
 

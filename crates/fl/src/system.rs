@@ -4,8 +4,8 @@
 //! masked aggregation (Eq. 6) and global evaluation.
 
 use crate::comm::{CommLog, RoundComm};
-use crate::compress::{Compressed, Compression, Delta, UplinkCharge};
-use crate::faults::{corrupt_return, Corruption, FaultConfig, FaultObserved};
+use crate::compress::{decode_report, Compressed, Compression, Delta, UplinkCharge};
+use crate::faults::{corrupt_return, has_non_finite, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
 use fedda_hetgraph::{EdgeIndex, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler};
@@ -208,6 +208,21 @@ pub(crate) struct ReportOrder<'a> {
     /// The unit mask to encode the report under; `None` when the report
     /// travels uncompressed or the run ends before it would arrive.
     pub encode: Option<&'a [bool]>,
+    /// Decode the encoded report in the task too, against `self.global` —
+    /// the dispatch-time reference — and take the guard's finiteness scan:
+    /// the engine's choice for a report it admits in its dispatch round.
+    pub decode: bool,
+}
+
+/// One reporting client's result as its pool task hands it back.
+pub(crate) struct TaskReport {
+    /// The trained — and corrupted, and decoded — return.
+    pub ret: ClientReturn,
+    /// The encoded report, when the client's order asked for one.
+    pub encoded: Option<Compressed>,
+    /// The guard's finiteness scan ([`has_non_finite`]) of `ret`, taken when
+    /// the task decoded the report; `None` leaves it to arrival.
+    pub non_finite: Option<bool>,
 }
 
 /// One contribution to a weighted masked aggregation: a client's return,
@@ -501,7 +516,7 @@ impl FlSystem {
         penalties: &[Option<LocalPenalty>],
     ) -> Vec<ClientReturn> {
         let (reports, _) = self.run_reports(active, round, penalties, &[], None);
-        reports.into_iter().map(|(ret, _)| ret).collect()
+        reports.into_iter().map(|report| report.ret).collect()
     }
 
     /// The engine's form of [`FlSystem::run_local_round_with`]: everything
@@ -513,7 +528,10 @@ impl FlSystem {
     /// corrupted report flows *through* the codec and the server guard
     /// judges the decompressed bytes. An empty `orders` slice trains only.
     ///
-    /// A report that comes back encoded carries no `unit_delta`:
+    /// A report that `orders[j]` also asks to decode comes back decoded
+    /// ([`decode_report`] against `self.global`) and scanned
+    /// ([`has_non_finite`]) beside its encoding, off the server thread. Any
+    /// other report that comes back encoded carries no `unit_delta`:
     /// [`decode_arrival`](crate::compress::decode_arrival) computes it from
     /// the decompressed parameters before anything reads it.
     ///
@@ -528,7 +546,7 @@ impl FlSystem {
         penalties: &[Option<LocalPenalty>],
         orders: &[ReportOrder<'_>],
         evaluate: Option<usize>,
-    ) -> (Vec<(ClientReturn, Option<Compressed>)>, Option<EvalResult>) {
+    ) -> (Vec<TaskReport>, Option<EvalResult>) {
         assert!(
             penalties.is_empty() || penalties.len() == active.len(),
             "one penalty slot per active client (or none at all)"
@@ -545,7 +563,7 @@ impl FlSystem {
             Evaluate(usize),
         }
         enum Done {
-            Report(usize, (ClientReturn, Option<Compressed>)),
+            Report(usize, TaskReport),
             Evaluated(EvalResult),
         }
         // The evaluation first, so it always runs on slot 0 — the slot the
@@ -566,7 +584,7 @@ impl FlSystem {
         let tasks: Vec<Task> = (evaluate.map(Task::Evaluate).into_iter())
             .chain(positions.into_iter().map(Task::Report))
             .collect();
-        let run_report = |pos: usize, ws: &mut Workspace| -> (ClientReturn, Option<Compressed>) {
+        let run_report = |pos: usize, ws: &mut Workspace| -> TaskReport {
             let i = active[pos];
             let client = &self.clients[i];
             let mut params = self.global.clone();
@@ -609,14 +627,23 @@ impl FlSystem {
             if let Some(kind) = order.and_then(|o| o.corruption) {
                 corrupt_return(&mut ret, &self.global, kind);
             }
-            let report = encode.map(|(codec, mask)| {
+            let encoded = encode.map(|(codec, mask)| {
                 codec.compress(&Delta {
                     updated: &ret.params,
                     reference: &self.global,
                     mask,
                 })
             });
-            (ret, report)
+            let decode = encoded.as_ref().filter(|_| order.is_some_and(|o| o.decode));
+            let non_finite = decode.map(|report| {
+                decode_report(&mut ret, report, &self.global);
+                has_non_finite(&ret)
+            });
+            TaskReport {
+                ret,
+                encoded,
+                non_finite,
+            }
         };
         let work = |slot: usize, task: &Task| {
             let ws = &mut lock(&self.slots[slot]);
@@ -1004,7 +1031,7 @@ pub(crate) mod tests {
             let sys = tiny_system_with(4, 5, |c| c.workers = Some(workers));
             for active in &orders {
                 let (reports, _) = sys.run_reports(active, 0, &[], &[], None);
-                let got: Vec<usize> = reports.iter().map(|(ret, _)| ret.client).collect();
+                let got: Vec<usize> = reports.iter().map(|report| report.ret.client).collect();
                 assert_eq!(got, active, "workers={workers}");
             }
         }

@@ -26,44 +26,80 @@ pub struct LinkExample {
     pub label: bool,
 }
 
-/// The existing edges of one graph as sorted `(etype, src, dst)` triples —
-/// the negative-rejection index of a [`LinkSampler`]. Immutable and cheap
-/// to clone, so a long-lived owner of the graph builds it once and hands
-/// it to the short-lived samplers it creates ([`LinkSampler::with_index`]).
+/// The existing edges of one graph as sorted `(etype, src, dst)` triples,
+/// with a CSR-style offsets table over `(etype, src)` — the
+/// negative-rejection index of a [`LinkSampler`]. Entry `t · nodes + s`
+/// of the table is where the run of `(t, s, _)` triples starts, so a
+/// source's edges of one type are two loads away. The table holds
+/// `edge_types · nodes + 1` `u32`s.
+///
+/// Immutable and cheap to clone, so a long-lived owner of the graph
+/// builds it once and hands it to the short-lived samplers it creates
+/// ([`LinkSampler::with_index`]).
 #[derive(Clone, Debug)]
-pub struct EdgeIndex(Arc<[(u16, NodeId, NodeId)]>);
+pub struct EdgeIndex {
+    edges: Arc<[(u16, NodeId, NodeId)]>,
+    /// `offsets[t · nodes + s] .. offsets[t · nodes + s + 1]` is the run
+    /// of `(t, s, _)` in `edges`.
+    offsets: Arc<[u32]>,
+    /// Sources per edge type in `offsets`: the graph's node count, or one
+    /// past the largest source if an edited edge list holds a larger id.
+    nodes: usize,
+}
 
 impl EdgeIndex {
     /// Index every edge of `graph`.
+    ///
+    /// # Panics
+    /// Panics if the graph holds `2³²` edges or more.
     pub fn new(graph: &HeteroGraph) -> Self {
         let mut edges = Vec::with_capacity(graph.num_edges());
         for t in graph.schema().edge_type_ids() {
             edges.extend(graph.edges_of_type(t).iter().map(|(s, d)| (t.0, s, d)));
         }
         edges.sort_unstable();
-        Self(edges.into())
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "an edge index holds fewer than 2^32 edges"
+        );
+        let max_src = edges.iter().map(|&(_, s, _)| s as usize + 1).max();
+        let nodes = graph.num_nodes().max(max_src.unwrap_or(0));
+        let types = graph.schema().num_edge_types();
+        // Count each `(etype, src)` run one slot ahead, then prefix-sum the
+        // counts into run starts.
+        let mut offsets = vec![0u32; types * nodes + 1];
+        for &(t, s, _) in &edges {
+            offsets[usize::from(t) * nodes + s as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        Self {
+            edges: edges.into(),
+            offsets: offsets.into(),
+            nodes,
+        }
     }
 
     /// Whether `src → dst` exists as an edge of type `etype`.
     pub fn contains(&self, etype: EdgeTypeId, src: NodeId, dst: NodeId) -> bool {
-        self.0.binary_search(&(etype.0, src, dst)).is_ok()
+        self.edges.binary_search(&(etype.0, src, dst)).is_ok()
     }
 
     /// The `etype` edges leaving `src`: the index's run of `(etype, src, _)`
     /// triples, destinations ascending (a multi-edge repeats). Empty when
-    /// `src` has no such edge.
+    /// `src` has no such edge, including a source past the graph's nodes and
+    /// an edge type past its schema.
     fn edges_from(&self, etype: EdgeTypeId, src: NodeId) -> &[(u16, NodeId, NodeId)] {
-        let key = (etype.0, src);
-        let lo = self.0.partition_point(|&(t, s, _)| (t, s) < key);
-        let rest = &self.0[lo..];
-        // A source has a handful of edges: double a bound past the run's end
-        // before bisecting, instead of bisecting the rest of the index.
-        let mut bound = 1;
-        while bound < rest.len() && (rest[bound].0, rest[bound].1) == key {
-            bound *= 2;
+        let src = src as usize;
+        if src >= self.nodes {
+            return &[];
         }
-        let rest = &rest[..bound.min(rest.len())];
-        &rest[..rest.partition_point(|&(t, s, _)| (t, s) == key)]
+        let key = usize::from(etype.0) * self.nodes + src;
+        match self.offsets.get(key..key + 2) {
+            Some(&[lo, hi]) => &self.edges[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -293,9 +329,45 @@ mod tests {
         assert!(dsts(1, 1).is_empty(), "past the last key");
         assert!(dsts(2, 0).is_empty(), "past the last edge type");
 
-        let empty = EdgeIndex(Vec::new().into());
+        let g = bipartite();
+        let empty = EdgeIndex::new(&HeteroGraph::new(g.nodes().clone()));
         assert!(empty.edges_from(EdgeTypeId(0), 0).is_empty());
         assert!(!empty.contains(EdgeTypeId(0), 0, 0));
+    }
+
+    #[test]
+    fn out_of_range_queries_get_an_empty_run() {
+        let g = bipartite();
+        let index = EdgeIndex::new(&g);
+        let nodes = g.num_nodes() as NodeId;
+        for src in [nodes, nodes + 1, NodeId::MAX] {
+            for t in [0, 1] {
+                assert!(
+                    index.edges_from(EdgeTypeId(t), src).is_empty(),
+                    "{t}, {src}"
+                );
+            }
+        }
+        for t in [2, 3, u16::MAX] {
+            for src in [0, nodes - 1, NodeId::MAX] {
+                assert!(
+                    index.edges_from(EdgeTypeId(t), src).is_empty(),
+                    "{t}, {src}"
+                );
+            }
+        }
+        // An edited edge list may name a source past the node store: its
+        // run is still found, and the ids between are empty runs.
+        let mut edited = g.clone();
+        edited.edges_of_type_mut(EdgeTypeId(1)).push(nodes + 2, 3);
+        let index = EdgeIndex::new(&edited);
+        assert_eq!(
+            index.edges_from(EdgeTypeId(1), nodes + 2),
+            [(1, nodes + 2, 3)]
+        );
+        assert!(index.edges_from(EdgeTypeId(1), nodes).is_empty());
+        assert!(index.edges_from(EdgeTypeId(0), nodes + 3).is_empty());
+        assert_eq!(index.edges_from(EdgeTypeId(0), 0), [(0, 0, 4)]);
     }
 
     #[test]

@@ -38,11 +38,12 @@ fn random_graph(na: usize, nb: usize, n_ab: usize, n_aa: usize, seed: u64) -> He
     HeteroGraph::from_edges(store, vec![ab, aa])
 }
 
-/// Three edge types over `na` type-a and `nb` type-b nodes — "ab" and "ab2"
-/// (both a→b, so they share sources) and a symmetric "aa" — from index
-/// pairs taken modulo the node counts; repeated pairs are multi-edges. With
-/// `saturate`, a-node 0 is "ab"-adjacent to *every* b-node, so all 32
-/// rejection draws for it fail and the unchecked fallback fires.
+/// Four edge types over `na` type-a and `nb` type-b nodes — "ab" and "ab2"
+/// (both a→b, so they share sources), a symmetric "aa" and a "ba" that
+/// never holds an edge — from index pairs taken modulo the node counts;
+/// repeated pairs are multi-edges. With `saturate`, a-node 0 is
+/// "ab"-adjacent to *every* b-node, so all 32 rejection draws for it fail
+/// and the unchecked fallback fires.
 fn typed_graph(na: usize, nb: usize, pairs: [&[(usize, usize)]; 3], saturate: bool) -> HeteroGraph {
     let mut s = Schema::new();
     let a = s.add_node_type("a", 1);
@@ -50,6 +51,7 @@ fn typed_graph(na: usize, nb: usize, pairs: [&[(usize, usize)]; 3], saturate: bo
     s.add_edge_type("ab", a, b, false);
     s.add_edge_type("aa", a, a, true);
     s.add_edge_type("ab2", a, b, false);
+    s.add_edge_type("ba", b, a, false);
     let store = Arc::new(NodeStore::new(
         s,
         &[na, nb],
@@ -58,8 +60,8 @@ fn typed_graph(na: usize, nb: usize, pairs: [&[(usize, usize)]; 3], saturate: bo
     // type-a nodes are global 0..na, type-b nodes na..na+nb.
     let dst_base = [na, 0, na];
     let dst_count = [nb, na, nb];
-    let mut lists = vec![EdgeList::new(), EdgeList::new(), EdgeList::new()];
-    for (t, list) in lists.iter_mut().enumerate() {
+    let mut lists = vec![EdgeList::new(); 4];
+    for (t, list) in lists.iter_mut().take(3).enumerate() {
         for &(src, dst) in pairs[t] {
             list.push((src % na) as u32, (dst_base[t] + dst % dst_count[t]) as u32);
         }
@@ -269,20 +271,35 @@ proptest! {
         ab in prop::collection::vec((0usize..8, 0usize..8), 0..12),
         aa in prop::collection::vec((0usize..8, 0usize..8), 0..12),
         ab2 in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+        edits in prop::collection::vec((0u16..3, 0usize..16, 0usize..16), 0..6),
         saturate in any::<bool>(),
         negatives in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let g = typed_graph(na, nb, [&ab, &aa, &ab2], saturate);
+        let mut g = typed_graph(na, nb, [&ab, &aa, &ab2], saturate);
+        // Edges added after construction skip `from_edges`' type checks:
+        // sources and destinations of either node type, the highest node id
+        // as a source, and a repeat of an edge already there. "ba" stays
+        // empty.
+        let n = na + nb;
+        let last = (n - 1) as u32;
+        for &(t, src, dst) in &edits {
+            g.edges_of_type_mut(EdgeTypeId(t)).push((src % n) as u32, (dst % n) as u32);
+        }
+        g.edges_of_type_mut(EdgeTypeId(2)).push(last, 0);
+        if let Some(&(t, src, dst)) = edits.first() {
+            g.edges_of_type_mut(EdgeTypeId(t)).push((src % n) as u32, (dst % n) as u32);
+        }
         let index = EdgeIndex::new(&g);
         let sampler = LinkSampler::with_index(&g, index.clone());
-        // Every edge, then every (edge type, a-node) pair whether or not
-        // the node has such an edge: sources with no out-edges are queried.
+        // Every edge, then every (edge type, node) pair whether or not the
+        // node has such an edge: sources with no out-edges and sources of
+        // the other node type are queried.
         let mut positives = sampler.all_positives();
         for etype in g.schema().edge_type_ids() {
             let dst_type = g.schema().edge_type(etype).dst_type;
             let dst = g.nodes().nodes_of_type(dst_type)[0];
-            positives.extend((0..na as u32).map(|src| LinkExample { src, dst, etype, label: true }));
+            positives.extend((0..n as u32).map(|src| LinkExample { src, dst, etype, label: true }));
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut reference_rng = rng.clone();
