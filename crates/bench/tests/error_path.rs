@@ -174,8 +174,14 @@ fn malformed_train_flags_are_usage_errors_not_panics() {
 #[test]
 fn train_refuses_a_zero_eval_cadence_or_worker_pool() {
     for (flag, message) in [
-        ("--eval-every", "eval_every must be at least 1, got 0"),
-        ("--workers", "workers must be at least 1, got 0"),
+        (
+            "--eval-every",
+            "invalid evaluation configuration: eval_every must be at least 1, got 0",
+        ),
+        (
+            "--workers",
+            "invalid worker configuration: workers must be at least 1, got 0",
+        ),
     ] {
         let out = run("train", &["--quick", flag, "0"]);
         let stderr = clean_error("train", &out);

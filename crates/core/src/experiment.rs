@@ -44,7 +44,10 @@ impl Dataset {
 }
 
 /// Full description of one experiment cell (a dataset × client-count ×
-/// framework grid point, repeated over several runs).
+/// framework grid point, repeated over several runs): the grid fields, and
+/// the run configuration every federation of the cell is built with —
+/// [`ExperimentConfig::fl`], whose fields' meaning and checks live with
+/// [`FlConfig`].
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Dataset preset.
@@ -53,91 +56,100 @@ pub struct ExperimentConfig {
     pub scale: f64,
     /// Number of clients `M`.
     pub num_clients: usize,
-    /// Communication rounds `T`.
+    /// [`FlConfig::rounds`].
     pub rounds: usize,
     /// Independent repetitions (the paper uses 5).
     pub runs: usize,
     /// IID partition instead of the paper's non-IID protocol.
     pub iid: bool,
-    /// Model architecture.
+    /// [`FlConfig::model`].
     pub model: HgnConfig,
-    /// Local-training hyper-parameters.
+    /// [`FlConfig::train`].
     pub train: TrainConfig,
-    /// Negatives per positive at evaluation time.
+    /// [`FlConfig::eval_negatives`].
     pub eval_negatives: usize,
-    /// Evaluate every `eval_every` rounds (`FlConfig::eval_every`; the
-    /// final round is always evaluated).
+    /// [`FlConfig::eval_every`].
     pub eval_every: usize,
-    /// Base seed; run `r` derives its own sub-seeds.
+    /// Base seed: dataset generation and the split use it as is, run `r`
+    /// derives its own [`FlConfig::seed`] from it.
     pub seed: u64,
-    /// Worker-pool size for parallel client updates (`FlConfig::workers`;
-    /// `None` = `FEDDA_THREADS`, else the core count; `Some(1)` runs
-    /// serially). Results are identical for any value — this is a resource
-    /// knob, not a semantic one.
+    /// [`FlConfig::workers()`].
     pub workers: Option<usize>,
     /// Which runtime executes the round protocol: lockstep rounds or
     /// buffered-asynchronous aggregation (handed to [`fedda_fl::run`]).
     pub runtime: RuntimeMode,
-    /// Aggregation weighting (Eq. 5's `p_i`; the paper uses uniform).
+    /// [`FlConfig::weighting`].
     pub weighting: AggWeighting,
-    /// Optional client-side differential privacy (clip + Gaussian noise).
+    /// [`FlConfig::privacy`].
     pub privacy: Option<PrivacyConfig>,
-    /// Optional deterministic fault injection (dropout / stragglers /
-    /// update corruption), applied identically to every framework under
+    /// [`FlConfig::faults`], applied identically to every framework under
     /// comparison.
     pub faults: Option<FaultConfig>,
-    /// Optional uplink compression codec (`FlConfig::compression`),
-    /// applied identically to every framework under comparison.
+    /// [`FlConfig::compression`], applied identically to every framework
+    /// under comparison.
     pub compression: Option<Compression>,
 }
 
 impl Default for ExperimentConfig {
+    /// [`FlConfig::default`] with the experiment layer's own local training
+    /// (E = 2, lr = 5e-3), on an 8-client DBLP-like cell of 5 runs.
     fn default() -> Self {
+        let fl = FlConfig::default();
         Self {
             dataset: Dataset::DblpLike,
             scale: 0.004,
             num_clients: 8,
-            rounds: 40,
+            rounds: fl.rounds,
             runs: 5,
             iid: false,
-            model: HgnConfig::default(),
+            model: fl.model,
             train: TrainConfig {
                 local_epochs: 2,
                 lr: 5e-3,
-                ..Default::default()
+                ..fl.train
             },
-            eval_negatives: 5,
-            eval_every: 1,
-            seed: 0,
-            workers: None,
+            eval_negatives: fl.eval_negatives,
+            eval_every: fl.eval_every,
+            seed: fl.seed,
+            workers: fl.workers,
             runtime: RuntimeMode::Sync,
-            weighting: AggWeighting::Uniform,
-            privacy: None,
-            faults: None,
-            compression: None,
+            weighting: fl.weighting,
+            privacy: fl.privacy,
+            faults: fl.faults,
+            compression: fl.compression,
         }
     }
 }
 
 impl ExperimentConfig {
-    /// Reject grid sizes no run can be built from, before any data is
-    /// generated: at least one client, round and run, an evaluation cadence
-    /// and a worker pool of at least one, and a finite, positive scale.
+    /// The run configuration of the cell, seeded with the base seed: the one
+    /// place its fields become an [`FlConfig`].
+    pub fn fl(&self) -> FlConfig {
+        FlConfig {
+            rounds: self.rounds,
+            model: self.model.clone(),
+            train: self.train.clone(),
+            eval_negatives: self.eval_negatives,
+            eval_every: self.eval_every,
+            seed: self.seed,
+            parallel: true,
+            workers: self.workers,
+            privacy: self.privacy,
+            weighting: self.weighting,
+            faults: self.faults.clone(),
+            compression: self.compression,
+        }
+    }
+
+    /// Reject a cell no run can be built from, before any data is
+    /// generated: at least one client and run, a finite, positive scale,
+    /// then whatever [`FlConfig::validate`] refuses.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_clients == 0 {
             return Err("clients must be at least 1, got 0".into());
         }
-        if self.rounds == 0 {
-            return Err("rounds must be at least 1, got 0".into());
-        }
         if self.runs == 0 {
             return Err("runs must be at least 1, got 0".into());
-        }
-        if self.eval_every == 0 {
-            return Err("eval_every must be at least 1, got 0".into());
-        }
-        if self.workers == Some(0) {
-            return Err("workers must be at least 1, got 0".into());
         }
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!(
@@ -145,12 +157,7 @@ impl ExperimentConfig {
                 self.scale
             ));
         }
-        if self.eval_negatives == 0 {
-            return Err(
-                "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
-            );
-        }
-        Ok(())
+        self.fl().validate()
     }
 }
 
@@ -341,24 +348,13 @@ impl Experiment {
     }
 
     /// Build a fresh federation over `clients` (fresh model init from
-    /// `seed`; shared global split) — the one place an [`ExperimentConfig`]
-    /// becomes an `FlConfig`.
+    /// `seed`; shared global split) under [`ExperimentConfig::fl`].
     pub fn system_with(&self, clients: Vec<ClientData>, seed: u64) -> FlSystem {
-        let fl_cfg = FlConfig {
-            rounds: self.cfg.rounds,
-            model: self.cfg.model.clone(),
-            train: self.cfg.train.clone(),
-            eval_negatives: self.cfg.eval_negatives,
-            eval_every: self.cfg.eval_every,
+        let cfg = FlConfig {
             seed,
-            parallel: true,
-            workers: self.cfg.workers,
-            privacy: self.cfg.privacy,
-            weighting: self.cfg.weighting,
-            faults: self.cfg.faults.clone(),
-            compression: self.cfg.compression,
+            ..self.cfg.fl()
         };
-        FlSystem::new(&self.split.train, &self.split.test, clients, fl_cfg)
+        FlSystem::new(&self.split.train, &self.split.test, clients, cfg)
     }
 
     /// The federation of run `r`: its own partition and model init.
@@ -457,11 +453,11 @@ mod tests {
         assert_eq!(reject(|c| c.runs = 0), "runs must be at least 1, got 0");
         assert_eq!(
             reject(|c| c.eval_every = 0),
-            "eval_every must be at least 1, got 0"
+            "invalid evaluation configuration: eval_every must be at least 1, got 0"
         );
         assert_eq!(
             reject(|c| c.workers = Some(0)),
-            "workers must be at least 1, got 0"
+            "invalid worker configuration: workers must be at least 1, got 0"
         );
         assert_eq!(
             reject(|c| c.scale = 0.0),
@@ -482,6 +478,42 @@ mod tests {
         assert_eq!(
             reject(|c| c.eval_negatives = 0),
             "invalid evaluation configuration: eval_negatives must be at least 1, got 0"
+        );
+    }
+
+    /// A run configuration the engine would refuse is refused before any
+    /// data is generated, with the engine's own message.
+    #[test]
+    fn validate_refuses_what_the_engine_refuses() {
+        let reject = |edit: fn(&mut ExperimentConfig)| {
+            let mut cfg = quick_cfg();
+            edit(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            let exp = Experiment::new(cfg);
+            let engine = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()), None);
+            assert_eq!(engine.unwrap_err(), err);
+            err
+        };
+        assert_eq!(
+            reject(|c| {
+                c.privacy = Some(PrivacyConfig {
+                    clip_norm: 0.0,
+                    noise_multiplier: 0.0,
+                })
+            }),
+            "invalid privacy configuration: clip_norm must be positive"
+        );
+        assert_eq!(
+            reject(|c| c.faults = Some(FaultConfig::dropout_only(2.0))),
+            "invalid fault configuration: dropout rate must be in [0,1], got 2"
+        );
+        assert_eq!(
+            reject(|c| c.compression = Some(Compression::TopK { frac: 0.9 })),
+            "invalid compression configuration: top-k fraction must be in (0, 0.5], got 0.9"
+        );
+        assert_eq!(
+            reject(|c| c.train.local_epochs = 0),
+            "invalid training configuration: local_epochs must be at least 1, got 0"
         );
     }
 

@@ -81,8 +81,7 @@
 use crate::compress::{decode_arrival, InFlight, UplinkCharge};
 use crate::events::{EventSink, RoundEvent};
 use crate::faults::{
-    detect_rejection, discount, has_non_finite, FaultConfig, FaultEffect, FaultKind, FaultObserved,
-    FaultPlan,
+    detect_rejection, discount, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan,
 };
 use crate::protocol::FlProtocol;
 use crate::runtime::{Delivery, Scheduler, Tick};
@@ -291,9 +290,6 @@ struct Round {
     buffer: Vec<(Rank, Delivery, f64)>,
     /// Ledger charges of every report that arrived, admitted or not.
     charges: Vec<UplinkCharge>,
-    /// The guard's finiteness scan of each dispatch position's report,
-    /// where its client task took it (a report it decoded).
-    scanned: Vec<Option<bool>>,
 }
 
 impl Round {
@@ -360,10 +356,9 @@ struct Engine<'a> {
 /// under `mode`, streaming one [`RoundEvent`] per round (per server version
 /// in buffered mode) to `sink` when one is given.
 ///
-/// The async configuration, the protocol and the system's evaluation,
-/// training, fault, compression and privacy configurations are validated
-/// before round 0; an invalid one returns its error without touching the
-/// system.
+/// The async configuration, the protocol and the system's configuration
+/// ([`FlConfig::validate`](crate::FlConfig::validate)) are validated before
+/// round 0; an invalid one returns its error without touching the system.
 pub fn run(
     mode: &RuntimeMode,
     protocol: &mut dyn FlProtocol,
@@ -411,35 +406,8 @@ impl<'a> Engine<'a> {
             .validate()
             .map_err(|e| format!("invalid {} configuration: {e}", protocol.name()))?;
         let cfg = system.config();
-        if cfg.eval_negatives == 0 {
-            return Err(
-                "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
-            );
-        }
-        if cfg.eval_every == 0 {
-            return Err(
-                "invalid evaluation configuration: eval_every must be at least 1, got 0".into(),
-            );
-        }
-        cfg.train
-            .validate()
-            .map_err(|e| format!("invalid training configuration: {e}"))?;
-        system
-            .workers()
-            .map_err(|e| format!("invalid worker configuration: {e}"))?;
+        cfg.validate()?;
         let faults = cfg.faults.clone();
-        if let Some(fc) = &faults {
-            fc.validate()
-                .map_err(|e| format!("invalid fault configuration: {e}"))?;
-        }
-        if let Some(c) = &cfg.compression {
-            c.validate()
-                .map_err(|e| format!("invalid compression configuration: {e}"))?;
-        }
-        if let Some(p) = &cfg.privacy {
-            p.validate()
-                .map_err(|e| format!("invalid privacy configuration: {e}"))?;
-        }
         let rounds = cfg.rounds;
         let eval_every = cfg.eval_every;
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ protocol.seed_tweak());
@@ -489,7 +457,6 @@ impl<'a> Engine<'a> {
             observations: Vec::new(),
             buffer: Vec::new(),
             charges: Vec::new(),
-            scanned: vec![None; active.len()],
             active,
         };
 
@@ -554,12 +521,7 @@ impl<'a> Engine<'a> {
         let sizes = self.system.unit_sizes();
         for (pos, report) in reporting.into_iter().zip(reports) {
             let Some(tick) = lands[pos] else { continue };
-            let TaskReport {
-                ret,
-                encoded,
-                non_finite,
-            } = report;
-            round.scanned[pos] = non_finite;
+            let TaskReport { ret, encoded } = report;
             let mask = std::mem::take(&mut masks[pos]);
             let (charge, payload) = match encoded {
                 Some(report) if in_task[pos] => (report.charge(), None),
@@ -620,16 +582,8 @@ impl<'a> Engine<'a> {
             // The guard applies to every arriving report in every
             // configuration, so a client whose training diverged on its own
             // is caught here too; only the norm bound is the fault plan's.
-            // The client task that decoded a report took its finiteness
-            // scan too.
             let max_norm = self.faults.as_ref().and_then(|fc| fc.max_update_norm);
-            let scanned = if staleness == 0 {
-                round.scanned[d.dispatch_pos]
-            } else {
-                None
-            };
-            let non_finite = scanned.unwrap_or_else(|| has_non_finite(&d.ret));
-            let rejection = detect_rejection(&d.ret, non_finite, max_norm);
+            let rejection = detect_rejection(&d.ret, max_norm);
             if let Some(effect) = rejection {
                 round.observe(rank, d.client, effect);
                 continue;
@@ -669,7 +623,6 @@ impl<'a> Engine<'a> {
             mut observations,
             mut buffer,
             charges,
-            scanned: _,
         } = round;
         // Stable sorts: equal ranks stay in arrival order.
         buffer.sort_by_key(|&(rank, ..)| rank);
@@ -1199,8 +1152,7 @@ mod tests {
                         params,
                         unit_delta,
                     };
-                    let non_finite = has_non_finite(&rebuilt);
-                    let verdict = detect_rejection(&rebuilt, non_finite, Some(1e3));
+                    let verdict = detect_rejection(&rebuilt, Some(1e3));
                     expected.push((d.client, verdict));
                 }
                 engine.admit(&mut round);

@@ -433,41 +433,35 @@ pub fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corrup
     ret.unit_delta = ret.params.unit_l2_distances(broadcast);
 }
 
-/// The guard's finiteness scan: whether any of `ret`'s unit deltas or
-/// parameter values is NaN or infinite. A pure function of the report, so
-/// it runs wherever the report is finished — in the client task for a
-/// report decoded there, at arrival for any other.
-pub fn has_non_finite(ret: &ClientReturn) -> bool {
-    ret.unit_delta.iter().any(|d| !d.is_finite())
-        || ret.params.values().iter().any(|v| !v.is_finite())
-}
-
 /// Server-side guard applied to every arriving report (fresh or stale), in
-/// every configuration: reject non-finite updates (`non_finite`, the
-/// report's [`has_non_finite`] scan) and, when `max_update_norm` is given
-/// (a fault plan's [`FaultConfig::max_update_norm`]), finite updates whose
-/// whole L2 norm exceeds it. Returns the rejection effect, or `None` when
-/// the report is admissible.
-pub fn detect_rejection(
-    ret: &ClientReturn,
-    non_finite: bool,
-    max_update_norm: Option<f32>,
-) -> Option<FaultEffect> {
-    if non_finite {
+/// every configuration: reject non-finite updates and, when
+/// `max_update_norm` is given (a fault plan's
+/// [`FaultConfig::max_update_norm`]), finite updates whose whole L2 norm
+/// exceeds it. Returns the rejection effect, or `None` when the report is
+/// admissible.
+///
+/// Both checks read `ret.unit_delta` alone, which every path that writes a
+/// report's parameters recomputes from them. Each `unit_delta[k]` is
+/// `sqrt(Σ (x − y)²)` over the unit's values `x` and reference `y`: a NaN or
+/// infinite `x` makes its term NaN or `+∞`, and a sum of non-negative terms
+/// with one of those in it is non-finite too. So a non-finite parameter
+/// always shows as a non-finite delta, and one fold of `Σ f64(d)²` — finite
+/// exactly when every delta is — decides both checks.
+pub fn detect_rejection(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
+    let norm_sq = ret
+        .unit_delta
+        .iter()
+        .map(|&d| f64::from(d) * f64::from(d))
+        .sum::<f64>();
+    if !norm_sq.is_finite() {
         return Some(FaultEffect::CorruptionRejected { non_finite: true });
     }
-    if let Some(bound) = max_update_norm {
-        let norm = ret
-            .unit_delta
-            .iter()
-            .map(|&d| f64::from(d) * f64::from(d))
-            .sum::<f64>()
-            .sqrt();
-        if norm > f64::from(bound) {
-            return Some(FaultEffect::CorruptionRejected { non_finite: false });
+    match max_update_norm {
+        Some(bound) if norm_sq.sqrt() > f64::from(bound) => {
+            Some(FaultEffect::CorruptionRejected { non_finite: false })
         }
+        _ => None,
     }
-    None
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use crate::comm::{CommLog, RoundComm};
 use crate::compress::{decode_report, Compressed, Compression, Delta, UplinkCharge};
-use crate::faults::{corrupt_return, has_non_finite, Corruption, FaultConfig, FaultObserved};
+use crate::faults::{corrupt_return, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
 use fedda_hetgraph::{EdgeIndex, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler};
@@ -97,11 +97,8 @@ pub struct FlConfig {
     /// `workers: Some(1)`.
     pub parallel: bool,
     /// Worker-pool size for parallel client updates, fixed at
-    /// [`FlSystem::new`]; `None` is `FEDDA_THREADS` (read there), else the
-    /// machine's available parallelism
-    /// ([`default_workers`](crate::runtime::default_workers)), and `Some(0)`
-    /// is refused before round 0. Never more workers than tasks. Ignored
-    /// when `parallel` is `false`. Results are worker-count independent:
+    /// [`FlSystem::new`] ([`FlConfig::workers()`] resolves it). Never more
+    /// workers than tasks. Results are worker-count independent:
     /// client training is a pure function of (client seed, round,
     /// broadcast parameters) and the pool returns results in dispatch
     /// order.
@@ -136,6 +133,62 @@ impl Default for FlConfig {
             weighting: AggWeighting::Uniform,
             faults: None,
             compression: None,
+        }
+    }
+}
+
+impl FlConfig {
+    /// What makes a run valid, checked before anything is built from it:
+    /// the one list [`run`](crate::run) refuses a configuration by, in this
+    /// order — at least one round, the evaluation, training, worker, fault,
+    /// compression and privacy configurations.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.rounds == 0 {
+            return Err("rounds must be at least 1, got 0".into());
+        }
+        if self.eval_negatives == 0 {
+            return Err(
+                "invalid evaluation configuration: eval_negatives must be at least 1, got 0".into(),
+            );
+        }
+        if self.eval_every == 0 {
+            return Err(
+                "invalid evaluation configuration: eval_every must be at least 1, got 0".into(),
+            );
+        }
+        self.train
+            .validate()
+            .map_err(|e| format!("invalid training configuration: {e}"))?;
+        self.workers()
+            .map_err(|e| format!("invalid worker configuration: {e}"))?;
+        if let Some(fc) = &self.faults {
+            fc.validate()
+                .map_err(|e| format!("invalid fault configuration: {e}"))?;
+        }
+        if let Some(c) = &self.compression {
+            c.validate()
+                .map_err(|e| format!("invalid compression configuration: {e}"))?;
+        }
+        if let Some(p) = &self.privacy {
+            p.validate()
+                .map_err(|e| format!("invalid privacy configuration: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Worker-pool size of the run: 1 when `parallel` is `false`, else
+    /// `workers`, where `None` is `FEDDA_THREADS`, else the machine's
+    /// available parallelism.
+    ///
+    /// # Errors
+    /// `workers: Some(0)`, or a malformed `FEDDA_THREADS` behind
+    /// `workers: None` ([`default_workers`](crate::runtime::default_workers)).
+    pub fn workers(&self) -> Result<usize, String> {
+        match (self.parallel, self.workers) {
+            (_, Some(0)) => Err("workers must be at least 1, got 0".into()),
+            (false, _) => Ok(1),
+            (true, Some(workers)) => Ok(workers),
+            (true, None) => crate::runtime::default_workers(),
         }
     }
 }
@@ -209,8 +262,8 @@ pub(crate) struct ReportOrder<'a> {
     /// travels uncompressed or the run ends before it would arrive.
     pub encode: Option<&'a [bool]>,
     /// Decode the encoded report in the task too, against `self.global` —
-    /// the dispatch-time reference — and take the guard's finiteness scan:
-    /// the engine's choice for a report it admits in its dispatch round.
+    /// the dispatch-time reference: the engine's choice for a report it
+    /// admits in its dispatch round.
     pub decode: bool,
 }
 
@@ -220,9 +273,6 @@ pub(crate) struct TaskReport {
     pub ret: ClientReturn,
     /// The encoded report, when the client's order asked for one.
     pub encoded: Option<Compressed>,
-    /// The guard's finiteness scan ([`has_non_finite`]) of `ret`, taken when
-    /// the task decoded the report; `None` leaves it to arrival.
-    pub non_finite: Option<bool>,
 }
 
 /// One contribution to a weighted masked aggregation: a client's return,
@@ -325,7 +375,7 @@ pub struct FlSystem {
     eval_view: GraphView,
     test_positives: Vec<LinkExample>,
     /// One [`Workspace`] per worker slot, one slot per worker of the
-    /// configured pool ([`FlSystem::workers`], 1 where that is an error the
+    /// configured pool ([`FlConfig::workers()`], 1 where that is an error the
     /// engine refuses), kept for the whole run: slot `s` trains every client
     /// and runs every evaluation the pool's worker `s` is handed, and slot 0
     /// also serves the evaluations called from the server thread and the
@@ -347,8 +397,6 @@ impl FlSystem {
         clients: Vec<ClientData>,
         cfg: FlConfig,
     ) -> Self {
-        assert!(!clients.is_empty(), "FlSystem needs at least one client");
-        assert!(cfg.rounds > 0, "FlSystem needs at least one round");
         let mut init_rng = StdRng::seed_from_u64(cfg.seed);
         let (model, global) =
             SimpleHgn::init_params(global_train.schema(), &cfg.model, &mut init_rng);
@@ -424,7 +472,7 @@ impl FlSystem {
             test_positives,
             slots: Vec::new(),
         };
-        let workers = system.workers().unwrap_or(1);
+        let workers = system.cfg.workers().unwrap_or(1);
         system.slots = std::iter::repeat_with(Mutex::default)
             .take(workers)
             .collect();
@@ -528,9 +576,11 @@ impl FlSystem {
     /// corrupted report flows *through* the codec and the server guard
     /// judges the decompressed bytes. An empty `orders` slice trains only.
     ///
+    /// Every path that writes a report's parameters recomputes its
+    /// `unit_delta` from them: this one after privacy,
+    /// [`corrupt_return`] after corruption, [`decode_report`] after a decode.
     /// A report that `orders[j]` also asks to decode comes back decoded
-    /// ([`decode_report`] against `self.global`) and scanned
-    /// ([`has_non_finite`]) beside its encoding, off the server thread. Any
+    /// against `self.global` beside its encoding, off the server thread. Any
     /// other report that comes back encoded carries no `unit_delta`:
     /// [`decode_arrival`](crate::compress::decode_arrival) computes it from
     /// the decompressed parameters before anything reads it.
@@ -634,16 +684,10 @@ impl FlSystem {
                     mask,
                 })
             });
-            let decode = encoded.as_ref().filter(|_| order.is_some_and(|o| o.decode));
-            let non_finite = decode.map(|report| {
+            if let Some(report) = encoded.as_ref().filter(|_| order.is_some_and(|o| o.decode)) {
                 decode_report(&mut ret, report, &self.global);
-                has_non_finite(&ret)
-            });
-            TaskReport {
-                ret,
-                encoded,
-                non_finite,
             }
+            TaskReport { ret, encoded }
         };
         let work = |slot: usize, task: &Task| {
             let ws = &mut lock(&self.slots[slot]);
@@ -666,21 +710,6 @@ impl FlSystem {
         placed.sort_unstable_by_key(|&(pos, _)| pos);
         let reports = placed.into_iter().map(|(_, report)| report).collect();
         (reports, evaluated)
-    }
-
-    /// Worker-pool size of this run; the pool itself never runs more workers
-    /// than it has tasks.
-    ///
-    /// # Errors
-    /// `workers: Some(0)`, or a malformed `FEDDA_THREADS` behind
-    /// `workers: None` ([`default_workers`](crate::runtime::default_workers)).
-    pub(crate) fn workers(&self) -> Result<usize, String> {
-        match (self.cfg.parallel, self.cfg.workers) {
-            (_, Some(0)) => Err("workers must be at least 1, got 0".into()),
-            (false, _) => Ok(1),
-            (true, Some(workers)) => Ok(workers),
-            (true, None) => crate::runtime::default_workers(),
-        }
     }
 
     /// Worker slot 0's workspace: the server thread's evaluations and the

@@ -1,18 +1,21 @@
 //! Property-based tests of the FL layer's pure logic: the analytic
 //! communication model, the comm accounting, the fault-injection
 //! configuration rules, the protocol-zoo math helpers
-//! (FedProx proximal term, FedDyn h update, FedAdam moment update), and
-//! the uplink compression codecs' error bounds and byte accounting.
+//! (FedProx proximal term, FedDyn h update, FedAdam moment update), the
+//! uplink compression codecs' error bounds and byte accounting, and the
+//! server guard's verdict.
 
 use fedda_fl::analysis::{
     explore_expected_units, explore_ratio_bound, restart_expected_units, restart_period,
     restart_ratio, EfficiencyInputs,
 };
 use fedda_fl::compress::{k_of, top_k_positions, Payload};
+use fedda_fl::faults::detect_rejection;
 use fedda_fl::{
-    feddyn::update_h, fedopt::adam_update, fedprox::proximal_term, CommLog, Compression,
-    Corruption, FaultConfig, FaultPlan, RoundComm, StalenessPolicy,
+    feddyn::update_h, fedopt::adam_update, fedprox::proximal_term, ClientReturn, CommLog,
+    Compression, Corruption, FaultConfig, FaultEffect, FaultPlan, RoundComm, StalenessPolicy,
 };
+use fedda_tensor::{Matrix, ParamSet};
 use proptest::prelude::*;
 
 /// Matched `(updated, reference)` slices of the same length — one unit's
@@ -122,6 +125,73 @@ fn q8_unit_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
     ]
 }
 
+/// The values a report's parameters or its reference can hold beyond the
+/// ordinary: NaN, both infinities, and finite values whose difference
+/// overflows `f32`.
+const SPECIALS: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38, -3e38];
+
+/// A report's `(params, reference)` as per-unit values: 1–6 units of 0–12
+/// ordinary values each, then up to three [`SPECIALS`] written into the
+/// parameters and up to one into the reference, at random positions.
+fn guard_case_strategy() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<Vec<f32>>)> {
+    let units = prop::collection::vec(
+        prop::collection::vec((-4.0f32..4.0, -4.0f32..4.0), 0..13),
+        1..7,
+    );
+    let inject = |max| prop::collection::vec((any::<usize>(), 0..SPECIALS.len()), 0..max);
+    (units, inject(4), inject(2)).prop_map(|(units, into_params, into_reference)| {
+        let (mut params, mut reference): (Vec<Vec<f32>>, Vec<Vec<f32>>) = units
+            .into_iter()
+            .map(|unit| unit.into_iter().unzip())
+            .unzip();
+        let scalars: usize = params.iter().map(Vec::len).sum();
+        for (side, injections) in [(&mut params, into_params), (&mut reference, into_reference)] {
+            for (at, which) in injections {
+                if scalars == 0 {
+                    break;
+                }
+                let mut at = at % scalars;
+                for unit in side.iter_mut() {
+                    if at < unit.len() {
+                        unit[at] = SPECIALS[which];
+                        break;
+                    }
+                    at -= unit.len();
+                }
+            }
+        }
+        (params, reference)
+    })
+}
+
+/// One `ParamSet` holding `units`, one unit each.
+fn param_set(units: &[Vec<f32>]) -> ParamSet {
+    let mut set = ParamSet::new();
+    for (k, unit) in units.iter().enumerate() {
+        set.add(
+            format!("u{k}"),
+            Matrix::from_vec(unit.len(), 1, unit.clone()),
+        );
+    }
+    set
+}
+
+/// The guard as it was when it scanned every parameter value beside the
+/// unit deltas, kept as the oracle of the deltas-only verdict.
+fn scanning_guard(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
+    let non_finite = ret.unit_delta.iter().any(|d| !d.is_finite())
+        || ret.params.values().iter().any(|v| !v.is_finite());
+    if non_finite {
+        return Some(FaultEffect::CorruptionRejected { non_finite: true });
+    }
+    let bound = max_update_norm?;
+    let norm = (ret.unit_delta.iter())
+        .map(|&d| f64::from(d) * f64::from(d))
+        .sum::<f64>()
+        .sqrt();
+    (norm > f64::from(bound)).then_some(FaultEffect::CorruptionRejected { non_finite: false })
+}
+
 fn inputs_strategy() -> impl Strategy<Value = EfficiencyInputs> {
     (2usize..64, 10usize..200, 0.05f64..0.99, 0.0f64..0.99).prop_flat_map(|(m, n, r_c, r_p)| {
         (1usize..=n / 2).prop_map(move |n_d| EfficiencyInputs {
@@ -179,6 +249,27 @@ fn fault_config_strategy() -> impl Strategy<Value = FaultConfig> {
 }
 
 proptest! {
+    /// A non-finite parameter always shows in its unit's delta, so the
+    /// guard that reads only the deltas gives the full scan's verdict —
+    /// with and without a norm bound, on either side of it.
+    #[test]
+    fn guard_on_deltas_matches_the_full_scan(
+        case in guard_case_strategy(),
+        bound in prop_oneof![0.01f32..20.0, Just(f32::MAX)],
+    ) {
+        let params = param_set(&case.0);
+        let reference = param_set(&case.1);
+        let unit_delta = params.unit_l2_distances(&reference);
+        let ret = ClientReturn { client: 0, params, unit_delta };
+        for max_update_norm in [None, Some(bound)] {
+            prop_assert_eq!(
+                detect_rejection(&ret, max_update_norm),
+                scanning_guard(&ret, max_update_norm),
+                "bound {:?}", max_update_norm
+            );
+        }
+    }
+
     #[test]
     fn generated_fault_configs_validate(cfg in fault_config_strategy()) {
         prop_assert!(cfg.validate().is_ok(), "{:?}", cfg.validate());
