@@ -518,6 +518,24 @@ mod tests {
         assert!(cfg.runs <= 2);
     }
 
+    /// The CLI's error path for a model no Simple-HGN can be built from:
+    /// `base_config`'s `validate` and the subcommands' `run_framework` both
+    /// return it as a run failure (exit 1, `error: …`), not a panic.
+    #[test]
+    fn an_invalid_model_is_a_run_failure() {
+        let mut cfg = config(Dataset::DblpLike, &opts(&["--quick", "--runs", "1"]));
+        cfg.model.num_heads = 0;
+        let want =
+            "invalid model configuration: hidden_dim, num_layers and num_heads must be positive";
+        assert_eq!(
+            cfg.validate().map_err(Failure::from),
+            Err(Failure::Run(want.into()))
+        );
+        let exp = Experiment::new(cfg);
+        let got = Options::default().run_framework(&exp, &Framework::Local);
+        assert_eq!(got.map(|_| ()), Err(Failure::Run(want.into())));
+    }
+
     #[test]
     fn paper_mode_uses_paper_model() {
         let o = opts(&["--paper"]);

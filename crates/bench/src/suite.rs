@@ -127,12 +127,12 @@ impl EdgeCase {
         }
     }
 
-    /// `edge_softmax` and its backward under a `Σ α²` loss.
-    fn softmax_fwd_bwd(&self) {
-        let mut g = Graph::new();
-        let s_src = g.leaf(self.s_src.clone());
-        let s_dst = g.leaf(self.s_dst.clone());
-        let per_type = g.leaf(self.per_type.clone());
+    /// `edge_softmax` and its backward under a `Σ α²` loss, on `g`.
+    fn softmax_fwd_bwd(&self, g: &mut Graph) {
+        g.clear();
+        let s_src = g.leaf(&self.s_src);
+        let s_dst = g.leaf(&self.s_dst);
+        let per_type = g.leaf(&self.per_type);
         let alpha = g.edge_softmax(
             s_src,
             s_dst,
@@ -142,16 +142,16 @@ impl EdgeCase {
             self.segments.clone(),
             0.2,
         );
-        backward_sum_sq(&mut g, alpha);
+        backward_sum_sq(g, alpha);
     }
 
-    /// `edge_aggregate` and its backward under a `Σ out²` loss.
-    fn aggregate_fwd_bwd(&self) {
-        let mut g = Graph::new();
-        let h = g.leaf(self.h.clone());
-        let alpha = g.leaf(self.alpha.clone());
+    /// `edge_aggregate` and its backward under a `Σ out²` loss, on `g`.
+    fn aggregate_fwd_bwd(&self, g: &mut Graph) {
+        g.clear();
+        let h = g.leaf(&self.h);
+        let alpha = g.leaf(&self.alpha);
         let out = g.edge_aggregate(h, alpha, self.src.clone(), self.dst.clone(), self.nodes);
-        backward_sum_sq(&mut g, out);
+        backward_sum_sq(g, out);
     }
 }
 
@@ -166,29 +166,29 @@ pub const TAIL_BATCH: usize = 4_096;
 /// at the default 16-wide output.
 pub const DECODER_SHAPE: (usize, usize) = (694, 16);
 
-/// `elu` and its backward under a `Σ y²` loss.
-fn elu_fwd_bwd(x: &Matrix) {
-    let mut g = Graph::new();
-    let xv = g.leaf(x.clone());
+/// `elu` and its backward under a `Σ y²` loss, on `g`.
+fn elu_fwd_bwd(g: &mut Graph, x: &Matrix) {
+    g.clear();
+    let xv = g.leaf(x);
     let y = g.elu(xv, 1.0);
-    backward_sum_sq(&mut g, y);
+    backward_sum_sq(g, y);
 }
 
-/// `bce_with_logits` and its backward.
-fn bce_fwd_bwd(logits: &Matrix, targets: &Arc<Vec<f32>>) {
-    let mut g = Graph::new();
-    let x = g.leaf(logits.clone());
+/// `bce_with_logits` and its backward, on `g`.
+fn bce_fwd_bwd(g: &mut Graph, logits: &Matrix, targets: &Arc<Vec<f32>>) {
+    g.clear();
+    let x = g.leaf(logits);
     let loss = g.bce_with_logits(x, targets.clone());
     g.backward(loss);
     black_box(g.len());
 }
 
-/// `pair_dot` and its backward under a `Σ out²` loss.
-fn pair_dot_fwd_bwd(h: &Matrix, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>>) {
-    let mut g = Graph::new();
-    let hv = g.leaf(h.clone());
+/// `pair_dot` and its backward under a `Σ out²` loss, on `g`.
+fn pair_dot_fwd_bwd(g: &mut Graph, h: &Matrix, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>>) {
+    g.clear();
+    let hv = g.leaf(h);
     let out = g.pair_dot(hv, src.clone(), dst.clone());
-    backward_sum_sq(&mut g, out);
+    backward_sum_sq(g, out);
 }
 
 /// One fleet-sized client report on the uplink path: the repo
@@ -339,14 +339,21 @@ pub fn run_suite() -> Vec<CaseResult> {
     }
 
     // 2. The fused edge kernels, forward + backward, at real client shapes.
+    //    Each tape case keeps one `Graph` and clears it between calls, as a
+    //    worker slot does: the warm-up call grows its arenas, no sample
+    //    times that growth.
     for &shape in EDGE_SHAPES {
         let (nodes, edges, _, width) = shape;
         let edge = EdgeCase::new(&mut rng, shape);
         let name = format!("edge/softmax/E{edges}xN{nodes}");
-        out.push(time_case(&name, MIN_SAMPLES, 4, || edge.softmax_fwd_bwd()));
-        let name = format!("edge/aggregate/E{edges}xN{nodes}xd{width}");
+        let mut g = Graph::new();
         out.push(time_case(&name, MIN_SAMPLES, 4, || {
-            edge.aggregate_fwd_bwd()
+            edge.softmax_fwd_bwd(&mut g)
+        }));
+        let name = format!("edge/aggregate/E{edges}xN{nodes}xd{width}");
+        let mut g = Graph::new();
+        out.push(time_case(&name, MIN_SAMPLES, 4, || {
+            edge.aggregate_fwd_bwd(&mut g)
         }));
     }
 
@@ -354,12 +361,14 @@ pub fn run_suite() -> Vec<CaseResult> {
     let ((rows, cols), batch, (nodes, width)) = (ELU_SHAPE, TAIL_BATCH, DECODER_SHAPE);
     let x = rand_matrix(&mut rng, rows, cols);
     let name = format!("act/elu/{rows}x{cols}");
-    out.push(time_case(&name, MIN_SAMPLES, 4, || elu_fwd_bwd(&x)));
+    let mut g = Graph::new();
+    out.push(time_case(&name, MIN_SAMPLES, 4, || elu_fwd_bwd(&mut g, &x)));
     let logits = rand_matrix(&mut rng, batch, 1).scale(4.0);
     let targets = Arc::new((0..batch).map(|i| (i % 2) as f32).collect());
     let name = format!("loss/bce/B{batch}");
+    let mut g = Graph::new();
     out.push(time_case(&name, MIN_SAMPLES, 32, || {
-        bce_fwd_bwd(&logits, &targets)
+        bce_fwd_bwd(&mut g, &logits, &targets)
     }));
     let h = rand_matrix(&mut rng, nodes, width);
     let mut pick = || -> Arc<Vec<u32>> {
@@ -367,8 +376,9 @@ pub fn run_suite() -> Vec<CaseResult> {
     };
     let (src, dst) = (pick(), pick());
     let name = format!("decoder/pair_dot/B{batch}xN{nodes}xd{width}");
+    let mut g = Graph::new();
     out.push(time_case(&name, MIN_SAMPLES, 16, || {
-        pair_dot_fwd_bwd(&h, &src, &dst)
+        pair_dot_fwd_bwd(&mut g, &h, &src, &dst)
     }));
 
     // 4. The uplink report path at the fleet model's size: each codec's

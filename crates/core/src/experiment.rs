@@ -142,8 +142,9 @@ impl ExperimentConfig {
     }
 
     /// Reject a cell no run can be built from, before any data is
-    /// generated: at least one client and run, a finite, positive scale,
-    /// then whatever [`FlConfig::validate`] refuses.
+    /// generated: at least one client and run, a finite, positive scale, a
+    /// Simple-HGN [`HgnConfig::validate`] accepts (every experiment builds
+    /// one), then whatever [`FlConfig::validate`] refuses.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_clients == 0 {
             return Err("clients must be at least 1, got 0".into());
@@ -157,7 +158,14 @@ impl ExperimentConfig {
                 self.scale
             ));
         }
+        self.validate_model()?;
         self.fl().validate()
+    }
+
+    /// [`HgnConfig::validate`], under the message [`ExperimentConfig::validate`]
+    /// gives it.
+    fn validate_model(&self) -> Result<(), String> {
+        (self.model.validate()).map_err(|e| format!("invalid model configuration: {e}"))
     }
 }
 
@@ -364,14 +372,16 @@ impl Experiment {
 
     /// Run one framework across all configured runs under the configured
     /// runtime and summarise, streaming every round of every run to `sink`
-    /// when one is given (`Local` has no rounds and emits nothing). An
-    /// invalid protocol, runtime, fault, codec or privacy configuration
-    /// comes back as the engine's error, before any round runs.
+    /// when one is given (`Local` has no rounds and emits nothing). A model
+    /// no Simple-HGN can be built from comes back as an error before any
+    /// federation is built; an invalid protocol, runtime, fault, codec or
+    /// privacy configuration as the engine's error, before any round runs.
     pub fn run_framework(
         &self,
         framework: &Framework,
         mut sink: Option<&mut dyn EventSink>,
     ) -> Result<FrameworkResult, String> {
+        self.cfg.validate_model()?;
         let mut runs = Vec::with_capacity(self.cfg.runs);
         let mut local = Vec::new();
         for run in 0..self.cfg.runs {
@@ -464,6 +474,14 @@ mod tests {
             "scale must be finite and positive, got 0"
         );
         assert_eq!(
+            reject(|c| c.model.hidden_dim = 0),
+            "invalid model configuration: hidden_dim, num_layers and num_heads must be positive"
+        );
+        assert_eq!(
+            reject(|c| c.model.attn_residual = 1.0),
+            "invalid model configuration: attn_residual must be in [0,1), got 1"
+        );
+        assert_eq!(
             reject(|c| c.scale = -1.0),
             "scale must be finite and positive, got -1"
         );
@@ -479,6 +497,21 @@ mod tests {
             reject(|c| c.eval_negatives = 0),
             "invalid evaluation configuration: eval_negatives must be at least 1, got 0"
         );
+    }
+
+    /// A model no Simple-HGN can be built from comes back from
+    /// `run_framework` as `validate`'s error — for a round protocol and for
+    /// `Local`, which runs no engine — not as a panic in `FlSystem::new`.
+    #[test]
+    fn an_invalid_model_is_an_error_not_a_panic() {
+        let mut cfg = quick_cfg();
+        cfg.model.hidden_dim = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("invalid model configuration: "), "{err}");
+        let exp = Experiment::new(cfg);
+        for fw in [Framework::FedAvg(FedAvg::vanilla()), Framework::Local] {
+            assert_eq!(exp.run_framework(&fw, None).unwrap_err(), err);
+        }
     }
 
     /// A run configuration the engine would refuse is refused before any

@@ -53,26 +53,45 @@ impl EdgeIndex {
     /// # Panics
     /// Panics if the graph holds `2³²` edges or more.
     pub fn new(graph: &HeteroGraph) -> Self {
-        let mut edges = Vec::with_capacity(graph.num_edges());
-        for t in graph.schema().edge_type_ids() {
-            edges.extend(graph.edges_of_type(t).iter().map(|(s, d)| (t.0, s, d)));
-        }
-        edges.sort_unstable();
+        let lists = || (graph.schema().edge_type_ids()).map(|t| (t.0, graph.edges_of_type(t)));
+        let num_edges: usize = lists().map(|(_, l)| l.len()).sum();
         assert!(
-            u32::try_from(edges.len()).is_ok(),
+            u32::try_from(num_edges).is_ok(),
             "an edge index holds fewer than 2^32 edges"
         );
-        let max_src = edges.iter().map(|&(_, s, _)| s as usize + 1).max();
-        let nodes = graph.num_nodes().max(max_src.unwrap_or(0));
+        let max_src = lists().flat_map(|(_, l)| l.src.iter()).max();
+        let nodes = graph
+            .num_nodes()
+            .max(max_src.map_or(0, |&s| s as usize + 1));
         let types = graph.schema().num_edge_types();
-        // Count each `(etype, src)` run one slot ahead, then prefix-sum the
-        // counts into run starts.
+        let run = |t: u16, s: NodeId| usize::from(t) * nodes + s as usize;
+        // A counting sort by `(etype, src)`: count each run one slot ahead,
+        // prefix-sum the counts into run starts, then place every edge at
+        // its run's cursor. The cursors end one run ahead, so shifting them
+        // back by one slot leaves the run starts again.
         let mut offsets = vec![0u32; types * nodes + 1];
-        for &(t, s, _) in &edges {
-            offsets[usize::from(t) * nodes + s as usize + 1] += 1;
+        for (t, list) in lists() {
+            for &s in &list.src {
+                offsets[run(t, s) + 1] += 1;
+            }
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
+        }
+        let mut edges = vec![(0, 0, 0); num_edges];
+        for (t, list) in lists() {
+            for (s, d) in list.iter() {
+                let cursor = &mut offsets[run(t, s)];
+                edges[*cursor as usize] = (t, s, d);
+                *cursor += 1;
+            }
+        }
+        offsets.copy_within(..types * nodes, 1);
+        offsets[0] = 0;
+        // Each run holds one `(etype, src)`: sorting its destinations
+        // sorts its triples.
+        for w in offsets.windows(2) {
+            edges[w[0] as usize..w[1] as usize].sort_unstable();
         }
         Self {
             edges: edges.into(),
@@ -368,6 +387,57 @@ mod tests {
         assert!(index.edges_from(EdgeTypeId(1), nodes).is_empty());
         assert!(index.edges_from(EdgeTypeId(0), nodes + 3).is_empty());
         assert_eq!(index.edges_from(EdgeTypeId(0), 0), [(0, 0, 4)]);
+    }
+
+    /// The comparison-sorted index the counting sort must equal: every
+    /// triple sorted, run lengths counted one slot ahead and prefix-summed.
+    fn sorted_reference(graph: &HeteroGraph) -> (Vec<(u16, NodeId, NodeId)>, Vec<u32>, usize) {
+        let mut edges = Vec::new();
+        for t in graph.schema().edge_type_ids() {
+            edges.extend(graph.edges_of_type(t).iter().map(|(s, d)| (t.0, s, d)));
+        }
+        edges.sort_unstable();
+        let max_src = edges.iter().map(|&(_, s, _)| s as usize + 1).max();
+        let nodes = graph.num_nodes().max(max_src.unwrap_or(0));
+        let mut offsets = vec![0u32; graph.schema().num_edge_types() * nodes + 1];
+        for &(t, s, _) in &edges {
+            offsets[usize::from(t) * nodes + s as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        (edges, offsets, nodes)
+    }
+
+    /// Random multigraphs over `bipartite`'s schema — repeated edges, an
+    /// edge type left empty, sources past the node store — index exactly as
+    /// the comparison sort does.
+    #[test]
+    fn counting_sort_matches_the_sorted_reference() {
+        use rand::Rng;
+        let base = bipartite();
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..200 {
+            let mut g = HeteroGraph::new(base.nodes().clone());
+            let empty = rng.gen_range(0..3u16);
+            for t in (0..2).filter(|&t| t != empty) {
+                let list = g.edges_of_type_mut(EdgeTypeId(t));
+                for _ in 0..rng.gen_range(0..40) {
+                    // Ids up to 13 on a 10-node store; a small range makes
+                    // repeats common.
+                    let (s, d) = (rng.gen_range(0..14), rng.gen_range(0..14));
+                    list.push(s, d);
+                    if rng.gen_range(0..6) == 0 {
+                        list.push(s, d);
+                    }
+                }
+            }
+            let index = EdgeIndex::new(&g);
+            let (edges, offsets, nodes) = sorted_reference(&g);
+            assert_eq!(index.edges.to_vec(), edges, "case {case}: edges");
+            assert_eq!(index.offsets.to_vec(), offsets, "case {case}: offsets");
+            assert_eq!(index.nodes, nodes, "case {case}: sources");
+        }
     }
 
     #[test]

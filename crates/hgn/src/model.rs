@@ -218,27 +218,18 @@ impl SimpleHgn {
         );
         let cfg = &self.config;
 
-        // Input projection per node type, assembled into the global node
-        // matrix via scatter-add (each node appears exactly once).
+        // Input projection per node type, each type's rows placed at its
+        // nodes' global ids (every node has exactly one type).
         let mut h = {
-            let mut projected = Vec::with_capacity(view.num_node_types());
-            for (t, feats) in view.type_features.iter().enumerate() {
-                let x = graph.input(feats);
-                let w = bindings.leaf(graph, params, self.in_proj[t]);
-                let b = bindings.leaf(graph, params, self.in_bias[t]);
-                let xw = graph.matmul(x, w);
-                let xwb = graph.add_row_broadcast(xw, b);
-                projected.push(graph.scatter_add_rows(
-                    xwb,
-                    view.type_global_ids[t].clone(),
-                    view.num_nodes,
-                ));
-            }
-            let mut acc = projected[0];
-            for &p in &projected[1..] {
-                acc = graph.add(acc, p);
-            }
-            acc
+            let parts: Vec<_> = (view.type_features.iter().enumerate())
+                .map(|(t, feats)| {
+                    let x = graph.input(feats);
+                    let w = bindings.leaf(graph, params, self.in_proj[t]);
+                    let b = bindings.leaf(graph, params, self.in_bias[t]);
+                    (x, w, b, view.type_global_ids[t].clone())
+                })
+                .collect();
+            graph.project_rows(&parts, view.num_nodes)
         };
 
         // Previous layer's per-head attention weights, for the optional
@@ -303,15 +294,10 @@ impl SimpleHgn {
                 )); // [n, hidden]
             }
             prev_alphas = new_alphas;
-            let concat = if head_outputs.len() == 1 {
-                head_outputs[0]
-            } else {
-                graph.concat_cols(&head_outputs)
-            };
+            // Eq. 3: heads concatenated, pre-activation residual, ELU.
             let w_res = bindings.leaf(graph, params, layer.w_res);
             let res = graph.matmul(h, w_res);
-            let pre_act = graph.add(concat, res);
-            h = graph.elu(pre_act, 1.0);
+            h = graph.heads_residual_elu(&head_outputs, res, 1.0);
         }
         graph.l2_normalize_rows(h, 1e-12)
     }

@@ -47,7 +47,7 @@ mod tape;
 pub use matrix::{Matrix, MatrixRef};
 pub use optim::Adam;
 pub use param::{ParamId, ParamMeta, ParamSet, TapeBindings};
-pub use tape::{Graph, Segments, Var};
+pub use tape::{Graph, Projection, Segments, Var};
 
 /// What the `x86-64-v3` level (DESIGN.md §8) adds to the 2003 baseline,
 /// under the names Linux's `/proc/cpuinfo` gives them, each with whether

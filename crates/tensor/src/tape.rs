@@ -12,9 +12,13 @@
 //! scatter-add) — the unfused primitives they replay bit for bit
 //! (`gather_rows`, `scatter_add_rows`, `leaky_relu`, `segment_softmax`,
 //! `mul_col_broadcast`: their test oracle; DESIGN §8 "Edge kernels"),
-//! row-wise L2 normalisation (the Simple-HGN output head), and the fused
+//! row-wise L2 normalisation (the Simple-HGN output head), the fused
 //! dot-product decoder `pair_dot`, which replays `gather_rows`×2 →
-//! `row_dot`.
+//! `row_dot`, and the encoder's two stage ops (DESIGN §8 "Stage ops"):
+//! `project_rows`, the per-type input projection (`matmul` →
+//! `add_row_broadcast` → `scatter_add_rows` per type, `add` across types),
+//! and `heads_residual_elu`, a layer's epilogue (`concat_cols` → `add` →
+//! `elu`).
 //!
 //! `edge_aggregate`'s forward and both gradients, and `pair_dot`'s forward
 //! and gradient, run the width-generic row kernel in `edge.rs`, with
@@ -124,10 +128,20 @@ enum Op {
     RowDot(Var, Var),
     /// Fused gather ×2 · row dot over one matrix: `(h, src, dst)`.
     PairDot(Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
+    /// Fused per-part `x·W + b` placed at the part's rows: one
+    /// `(x, w, b, rows)` per part.
+    ProjectRows(Vec<Projection>),
+    /// Fused `elu(concat_cols(heads) + res)`: `(heads, res, alpha)`.
+    HeadsResidualElu(Vec<Var>, Var, f32),
     SumAll(Var),
     MeanAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
 }
+
+/// One part of [`Graph::project_rows`]: features `x` (`[n, f]`), weight `w`
+/// (`[f, d]`), bias `b` (`[1, d]`), and the output row of each of `x`'s `n`
+/// rows.
+pub type Projection = (Var, Var, Var, Arc<Vec<u32>>);
 
 struct Node {
     rows: usize,
@@ -278,6 +292,18 @@ fn edge_scores(
         }
     }
 }
+
+/// Rows of a part that `project_rows`' forward multiplies at a time: its
+/// scratch is `64 · d` floats, not a whole part's `x·W`. An evaluation
+/// records no backward, so a whole part of the evaluation graph was the
+/// largest scratch worker slot 0 ever held, and `dblp_fedda`'s peak RSS
+/// read 0.7 MB higher with it (DESIGN §8 "Stage ops"). Each output row is
+/// one dot-product chain, so the chunking moves no bit.
+const PROJECT_CHUNK: usize = 64;
+
+/// Floats of `heads_residual_elu`'s forward scratch: the pre-activation's
+/// exponentials are taken this many at a time, not over an `[n, H·d]` copy.
+const ELU_BLOCK: usize = 1024;
 
 /// The values recorded so far, read while a new node's range is written.
 #[derive(Clone, Copy)]
@@ -813,6 +839,112 @@ impl Graph {
         })
     }
 
+    // ---- stage ops -----------------------------------------------------------
+
+    /// The per-type input projection of a heterogeneous encoder, fused: each
+    /// part `(x, w, b, rows)` computes `x·w + b` and adds row `i` of it into
+    /// output row `rows[i]` of a zeroed `[out_rows, d]` matrix. Where the
+    /// parts' row sets are disjoint, as a node-type partition's are, every
+    /// covered row holds `0.0 + v` and every other row `+0.0` — the values
+    /// of `matmul` → `add_row_broadcast` → `scatter_add_rows` per part and
+    /// `add` across parts, gradients included, without the chain's
+    /// per-part intermediates or its `[out_rows, d]` partial sums. The
+    /// products are taken 64 rows at a time.
+    ///
+    /// # Panics
+    /// Panics on no parts, a shape mismatch, or naming the first row id out
+    /// of range for `out_rows`.
+    pub fn project_rows(&mut self, parts: &[Projection], out_rows: usize) -> Var {
+        assert!(!parts.is_empty(), "project_rows: no parts");
+        let d = self.shape(parts[0].1).1;
+        let mut scratch_len = 0;
+        for (p, (x, w, b, rows)) in parts.iter().enumerate() {
+            let ((n, f), w_shape) = (self.shape(*x), self.shape(*w));
+            assert_eq!(w_shape, (f, d), "project_rows: part {p} weight");
+            assert_eq!(self.shape(*b), (1, d), "project_rows: part {p} bias");
+            assert_eq!(rows.len(), n, "project_rows: part {p} row count");
+            if !all_below(rows, out_rows) {
+                for (i, &r) in rows.iter().enumerate() {
+                    assert!(
+                        (r as usize) < out_rows,
+                        "project_rows: part {p} places row {i} at {r}, out of range for {out_rows} rows"
+                    );
+                }
+            }
+            scratch_len = scratch_len.max(n.min(PROJECT_CHUNK) * d);
+        }
+        let rg = (parts.iter()).any(|(x, w, b, _)| [x, w, b].iter().any(|&&v| self.requires(v)));
+        let op = Op::ProjectRows(parts.to_vec());
+        self.record((out_rows, d), None, scratch_len, (op, rg), |v, out, xw| {
+            for (x, w, b, rows) in parts {
+                let f = v.nodes[x.0].cols;
+                for (c, rows) in rows.chunks(PROJECT_CHUNK).enumerate() {
+                    let n = rows.len();
+                    let xw = &mut xw[..n * d];
+                    let xs = &v.of(*x)[c * PROJECT_CHUNK * f..][..n * f];
+                    gemm::nn_into(xs, v.of(*w), (n, f, d), xw, false);
+                    for (&r, src) in rows.iter().zip(rows_of(xw, n, d)) {
+                        let dst = &mut out[r as usize * d..][..d];
+                        for ((o, &s), &bias) in dst.iter_mut().zip(src).zip(v.of(*b)) {
+                            *o += s + bias;
+                        }
+                    }
+                }
+            }
+        })
+    }
+
+    /// The epilogue of a multi-head attention layer with a residual,
+    /// fused: `elu(concat_cols(heads) + res)`, written once. The heads
+    /// share `res`'s row count and their widths sum to its width. Replays
+    /// `concat_cols` → `add` → `elu` (one head: `add` → `elu`) bit for bit,
+    /// gradients included, without the chain's two `[n, H·d]`
+    /// intermediates; the backward recomputes the pre-activation for ELU's
+    /// sign.
+    ///
+    /// # Panics
+    /// Panics on no heads or a shape mismatch.
+    pub fn heads_residual_elu(&mut self, heads: &[Var], res: Var, alpha: f32) -> Var {
+        assert!(!heads.is_empty(), "heads_residual_elu: no heads");
+        let shape @ (m, total) = self.shape(res);
+        for &h in heads {
+            assert_eq!(self.shape(h).0, m, "heads_residual_elu: row mismatch");
+        }
+        let width: usize = heads.iter().map(|&h| self.shape(h).1).sum();
+        assert_eq!(
+            width, total,
+            "heads_residual_elu: head widths sum to {width}, res is {total} wide"
+        );
+        let rg = self.requires(res) || heads.iter().any(|&h| self.requires(h));
+        let op = Op::HeadsResidualElu(heads.to_vec(), res, alpha);
+        let block = (m * total).min(ELU_BLOCK);
+        self.record(shape, None, block, (op, rg), |v, out, e| {
+            let mut off = 0;
+            for &h in heads {
+                let hc = v.nodes[h.0].cols;
+                for (r, src) in rows_of(v.of(h), m, hc).enumerate() {
+                    out[r * total + off..][..hc].copy_from_slice(src);
+                }
+                off += hc;
+            }
+            for (x, &r) in out.iter_mut().zip(v.of(res)) {
+                *x += r;
+            }
+            // `elu`'s exponential over a copy, then its select, a block at
+            // a time.
+            for block in out.chunks_mut(ELU_BLOCK) {
+                let e = &mut e[..block.len()];
+                e.copy_from_slice(block);
+                expf::exp_in_place(e);
+                for (y, &e) in block.iter_mut().zip(&*e) {
+                    if *y < 0.0 {
+                        *y = alpha * (e - 1.0);
+                    }
+                }
+            }
+        })
+    }
+
     // ---- reductions & losses ------------------------------------------------
 
     /// Sum of all elements, as a `1x1` node.
@@ -976,19 +1108,29 @@ impl<'a> Shares<'a> {
         self.nodes[v.0].requires_grad
     }
 
-    /// `v`'s gradient range and whether it already holds a share — from
-    /// here on it does.
-    fn slot(&mut self, v: Var) -> (&mut [f32], bool) {
+    /// Whether `v`'s gradient range already holds a share — from here on
+    /// it does.
+    fn held(&mut self, v: Var) -> bool {
         let node = &mut self.nodes[v.0];
         debug_assert!(node.requires_grad, "a share for a node without gradient");
-        let held = std::mem::replace(&mut node.has_grad, true);
-        let range = node.grad_range();
-        let dst = if range.start < self.above_start {
+        std::mem::replace(&mut node.has_grad, true)
+    }
+
+    /// `v`'s gradient range.
+    fn range(&mut self, v: Var) -> &mut [f32] {
+        let range = self.nodes[v.0].grad_range();
+        if range.start < self.above_start {
             &mut self.below[range]
         } else {
             &mut self.above[range.start - self.above_start..range.end - self.above_start]
-        };
-        (dst, held)
+        }
+    }
+
+    /// `v`'s gradient range and whether it already holds a share — from
+    /// here on it does.
+    fn slot(&mut self, v: Var) -> (&mut [f32], bool) {
+        let held = self.held(v);
+        (self.range(v), held)
     }
 
     /// An element-wise share, in element order.
@@ -1045,6 +1187,17 @@ impl Op {
                 f(s_dst);
                 per_type.into_iter().for_each(f);
             }
+            Op::ProjectRows(parts) => {
+                for &(x, w, b, _) in parts {
+                    f(x);
+                    f(w);
+                    f(b);
+                }
+            }
+            Op::HeadsResidualElu(heads, res, _) => {
+                heads.iter().copied().for_each(&mut f);
+                f(*res);
+            }
         }
     }
 }
@@ -1062,6 +1215,13 @@ impl Node {
                 self.len() + segs.n_segments + len(*s_src) + len(*s_dst) + per_type.map_or(0, len)
             }
             &Op::EdgeAggregate(h, alpha, ..) => len(h).max(len(alpha)),
+            // One head's `δ` block, as large as the head.
+            Op::HeadsResidualElu(heads, ..) => heads.iter().map(|&h| len(h)).max().unwrap_or(0),
+            // A part's rows of `g`, then the bias share or `wᵀ`.
+            Op::ProjectRows(parts) => (parts.iter())
+                .map(|&(x, w, ..)| nodes[x.0].rows * self.cols + len(w).max(self.cols))
+                .max()
+                .unwrap_or(0),
             _ => 0,
         }
     }
@@ -1299,6 +1459,76 @@ impl Node {
                     to.built(*h, scratch, |s| edge::aggregate(hv, d, g, ends, s));
                 }
             }
+            Op::ProjectRows(parts) => {
+                // The chain's backward walk meets the parts last to first,
+                // each as `add_row_broadcast` (bias) then `matmul` (x, w).
+                let d = self.cols;
+                for (x, w, b, rows) in parts.iter().rev() {
+                    let (n, f) = to.shape(*x);
+                    let (gx, rest) = scratch.split_at_mut(n * d);
+                    for (dst, &r) in gx.chunks_exact_mut(d.max(1)).zip(rows.iter()) {
+                        dst.copy_from_slice(&g[r as usize * d..][..d]);
+                    }
+                    let gx: &[f32] = gx;
+                    if to.wants(*b) {
+                        to.built(*b, rest, |col| {
+                            for row in rows_of(gx, n, d) {
+                                for (o, &v) in col.iter_mut().zip(row) {
+                                    *o += v;
+                                }
+                            }
+                        });
+                    }
+                    let (xv, wv) = (to.value(*x), to.value(*w));
+                    if to.wants(*x) {
+                        let (dst, add) = to.slot(*x);
+                        gemm::nt_into(gx, wv, (n, d, f), dst, add, rest);
+                    }
+                    if to.wants(*w) {
+                        let (dst, add) = to.slot(*w);
+                        gemm::tn_into(xv, gx, (f, n, d), dst, add);
+                    }
+                }
+            }
+            &Op::HeadsResidualElu(ref heads, res, alpha) => {
+                // Every parent's share is the pre-activation's gradient `δ`,
+                // recomputed from the same `head + res` sum the forward
+                // took, one head's `[n, d]` block at a time: no `[n, H·d]`
+                // buffer. Each block goes to `res`'s columns, then to the
+                // head.
+                let (m, total) = (self.rows, self.cols);
+                let rv = to.value(res);
+                let res_held = to.wants(res).then(|| to.held(res));
+                let mut off = 0;
+                for &h in heads {
+                    let (hv, hc) = (to.value(h), to.shape(h).1);
+                    let delta = &mut scratch[..m * hc];
+                    for r in 0..m {
+                        let at = r * total + off;
+                        let (hx, rx) = (&hv[r * hc..][..hc], &rv[at..][..hc]);
+                        let (gy, yv) = (&g[at..][..hc], &y[at..][..hc]);
+                        let d = &mut delta[r * hc..][..hc];
+                        for c in 0..hc {
+                            d[c] = if hx[c] + rx[c] < 0.0 {
+                                gy[c] * (yv[c] + alpha)
+                            } else {
+                                gy[c]
+                            };
+                        }
+                    }
+                    let delta: &[f32] = delta;
+                    if let Some(add) = res_held {
+                        let dst = to.range(res);
+                        for (r, d) in rows_of(delta, m, hc).enumerate() {
+                            write(&mut dst[r * total + off..][..hc], add, d.iter().copied());
+                        }
+                    }
+                    if to.wants(h) {
+                        to.put(h, delta.iter().copied());
+                    }
+                    off += hc;
+                }
+            }
             &Op::SumAll(a) => {
                 let n = to.shape(a);
                 to.put(a, std::iter::repeat(g[0]).take(n.0 * n.1));
@@ -1359,7 +1589,7 @@ mod tests {
         const SRC: [u32; 5] = [0, 1, 2, 0, 2];
         const DST: [u32; 5] = [1, 1, 0, 2, 2];
         #[rustfmt::skip]
-        let cases: [Case; 11] = [
+        let cases: [Case; 13] = [
             ("matmul", &[(3, 2), (2, 4)], |g, p| g.matmul(p[0], p[1])),
             ("add", &[(3, 2), (3, 2)], |g, p| g.add(p[0], p[1])),
             ("mul", &[(3, 2), (3, 2)], |g, p| g.mul(p[0], p[1])),
@@ -1378,6 +1608,15 @@ mod tests {
             }),
             ("edge_aggregate, runtime width", &[(3, 3), (5, 1)], |g, p| {
                 g.edge_aggregate(p[0], p[1], Arc::new(SRC.to_vec()), Arc::new(DST.to_vec()), 3)
+            }),
+            // An `input` feature matrix, as the encoder registers its own.
+            ("project_rows", &[(2, 3), (3, 2), (1, 2), (1, 2), (2, 2), (1, 2)], |g, p| {
+                let (a, b) = (Arc::new(vec![2, 0]), Arc::new(vec![3]));
+                g.project_rows(&[(p[0], p[1], p[2], a), (p[3], p[4], p[5], b)], 4)
+            }),
+            // A constant `res` among the heads' parents.
+            ("heads_residual_elu", &[(3, 2), (3, 1), (3, 3)], |g, p| {
+                g.heads_residual_elu(&p[..2], p[2], 1.0)
             }),
         ];
         for (name, shapes, build) in cases {

@@ -369,6 +369,49 @@ fn grad_edge_aggregate() {
 }
 
 #[test]
+fn grad_project_rows() {
+    // Two node types over six nodes, node 3 of neither.
+    let rows: [Arc<Vec<u32>>; 2] = [Arc::new(vec![4, 0, 2]), Arc::new(vec![5, 1])];
+    let mut rng = StdRng::seed_from_u64(27);
+    let shapes = [(3, 2), (2, 3), (1, 3), (2, 4), (4, 3), (1, 3)];
+    let inputs: Vec<Matrix> = shapes.iter().map(|&(r, c)| randn(&mut rng, r, c)).collect();
+    gradcheck(
+        &inputs,
+        |g, v| {
+            let parts = [
+                (v[0], v[1], v[2], rows[0].clone()),
+                (v[3], v[4], v[5], rows[1].clone()),
+            ];
+            let out = g.project_rows(&parts, 6);
+            let sq = g.mul(out, out);
+            g.sum_all(sq)
+        },
+        1e-2,
+    );
+}
+
+#[test]
+fn grad_heads_residual_elu() {
+    let mut rng = StdRng::seed_from_u64(28);
+    // Heads away from ELU's kink and a small residual: no pre-activation
+    // crosses zero under the finite-difference step.
+    let (h0, h1) = (
+        randn_away_from_zero(&mut rng, 4, 2),
+        randn_away_from_zero(&mut rng, 4, 3),
+    );
+    let res = randn(&mut rng, 4, 5).scale(0.05);
+    gradcheck(
+        &[h0, h1, res],
+        |g, v| {
+            let y = g.heads_residual_elu(&v[..2], v[2], 1.0);
+            let sq = g.mul(y, y);
+            g.sum_all(sq)
+        },
+        1e-2,
+    );
+}
+
+#[test]
 fn grad_l2_normalize_rows() {
     let mut rng = StdRng::seed_from_u64(13);
     // keep rows away from zero norm

@@ -1,6 +1,6 @@
 //! Property-based tests over the tensor kernels and autodiff invariants.
 
-use fedda_tensor::{Graph, Matrix, ParamSet, Segments, Var};
+use fedda_tensor::{Graph, Matrix, ParamSet, Projection, Segments, Var};
 use proptest::prelude::*;
 use rand::Rng;
 use std::sync::Arc;
@@ -234,6 +234,58 @@ fn chain_pair_dot(g: &mut Graph, h: Var, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>
     let o_src = g.gather_rows(h, src.clone());
     let o_dst = g.gather_rows(h, dst.clone());
     g.row_dot(o_src, o_dst)
+}
+
+/// Like [`zero_heavy`], with one entry in twelve a NaN or an infinity of
+/// either sign: the stage ops' inputs.
+fn hostile(rng: &mut rand::rngs::StdRng, r: usize, c: usize) -> Matrix {
+    let mut m = zero_heavy(rng, r, c);
+    for v in m.as_mut_slice() {
+        if rng.gen_range(0u8..12) == 0 {
+            *v = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..4usize)];
+        }
+    }
+    m
+}
+
+/// [`value_and_grad_bits`]' result with the value's NaNs read as one
+/// pattern ([`bits_any_nan`]): a stage op's value is a sum that may meet two
+/// NaNs (`x·W + b`, `head + res`). Gradients stay exact.
+fn value_nan_as_one(
+    (value, grads): (Vec<u32>, Vec<Option<Vec<u32>>>),
+) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
+    let value: Vec<f32> = value.into_iter().map(f32::from_bits).collect();
+    (bits_any_nan(&value), grads)
+}
+
+/// The unfused input projection `project_rows` must replay, as
+/// `SimpleHgn::encode` recorded it: per part `matmul` →
+/// `add_row_broadcast` → `scatter_add_rows`, then `add` across parts.
+fn chain_project_rows(g: &mut Graph, parts: &[Projection], out_rows: usize) -> Var {
+    let placed: Vec<Var> = (parts.iter())
+        .map(|(x, w, b, rows)| {
+            let xw = g.matmul(*x, *w);
+            let xwb = g.add_row_broadcast(xw, *b);
+            g.scatter_add_rows(xwb, rows.clone(), out_rows)
+        })
+        .collect();
+    let mut acc = placed[0];
+    for &p in &placed[1..] {
+        acc = g.add(acc, p);
+    }
+    acc
+}
+
+/// The unfused layer epilogue `heads_residual_elu` must replay, as
+/// `SimpleHgn::encode` recorded it (one head: no `concat_cols`).
+fn chain_heads_residual_elu(g: &mut Graph, heads: &[Var], res: Var, alpha: f32) -> Var {
+    let concat = if heads.len() == 1 {
+        heads[0]
+    } else {
+        g.concat_cols(heads)
+    };
+    let pre = g.add(concat, res);
+    g.elu(pre, alpha)
 }
 
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = Matrix> {
@@ -550,6 +602,107 @@ proptest! {
                 out = g.concat_rows(&[out, later]);
             }
             value_and_grad_bits(&mut g, out, &w, &[hv])
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// `project_rows` against the chain it fuses, every gradient by
+    /// `to_bits` and the value up to NaN payloads: 1–4 parts over disjoint
+    /// random row sets with some rows in no part, an empty part possible,
+    /// parts past the forward's 64-row chunk, NaN / ±inf / ±0 inputs. With
+    /// `const_x` the features are an `input`; with `shared` every part
+    /// reads one weight and one bias, which then sum one share per part.
+    #[test]
+    fn project_rows_matches_unfused_chain(
+        n in prop_oneof![1usize..13, 60usize..140], parts in 1usize..5, d in edge_width(0..6),
+        const_x in any::<bool>(), shared in any::<bool>(), seed in any::<u64>(),
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(&mut rng);
+        let covered = rng.gen_range(0..=n);
+        let mut cuts: Vec<usize> = (0..parts - 1).map(|_| rng.gen_range(0..=covered)).collect();
+        cuts.sort_unstable();
+        let bounds: Vec<usize> = std::iter::once(0).chain(cuts).chain([covered]).collect();
+        let shared_f = rng.gen_range(1usize..5);
+        let data: Vec<(Matrix, Matrix, Matrix, Arc<Vec<u32>>)> = (bounds.windows(2))
+            .map(|lo_hi| {
+                let rows = ids[lo_hi[0]..lo_hi[1]].to_vec();
+                let f = if shared { shared_f } else { rng.gen_range(1usize..5) };
+                let x = hostile(&mut rng, rows.len(), f);
+                (x, hostile(&mut rng, f, d), hostile(&mut rng, 1, d), Arc::new(rows))
+            })
+            .collect();
+        let w = zero_heavy(&mut rng, n, d);
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let mut leaves = Vec::new();
+            let mut specs: Vec<Projection> = Vec::new();
+            for (k, (x, wt, b, rows)) in data.iter().enumerate() {
+                let xv = if const_x { g.input(x.clone()) } else { g.leaf(x.clone()) };
+                let (wv, bv) = match specs.first() {
+                    Some(&(_, w0, b0, _)) if shared => (w0, b0),
+                    _ => (g.leaf(wt.clone()), g.leaf(b.clone())),
+                };
+                if k == 0 || !shared {
+                    leaves.extend([wv, bv]);
+                }
+                leaves.push(xv);
+                specs.push((xv, wv, bv, rows.clone()));
+            }
+            let out = if fused {
+                g.project_rows(&specs, n)
+            } else {
+                chain_project_rows(&mut g, &specs, n)
+            };
+            value_nan_as_one(value_and_grad_bits(&mut g, out, &w, &leaves))
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// `heads_residual_elu` against `concat_cols` → `add` → `elu`, every
+    /// gradient by `to_bits` and the value up to NaN payloads: 1–4 heads of unequal widths (across
+    /// a whole `expf` chunk), `expf`'s hostile inputs, and a constant `res`
+    /// (a residual of a frozen projection) that takes no share.
+    #[test]
+    fn heads_residual_elu_matches_unfused_chain(
+        m in 0usize..7, widths in prop::collection::vec(1usize..21, 1..5),
+        alpha in 0.1f32..2.0, const_res in any::<bool>(), seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let total: usize = widths.iter().sum();
+        // One head entry in four is a negative so small that `e^x` rounds
+        // to 1 and ELU gives `+0.0`, and one residual entry in four is
+        // `+0.0`: their sum is negative while the output is not, so only
+        // the recomputed pre-activation gives ELU's gradient its sign.
+        let mut matrix = |c: usize, edit: fn(&mut rand::rngs::StdRng) -> f32| {
+            let mut x = exp_inputs(&mut rng, m * c);
+            for v in &mut x {
+                if rng.gen_range(0u8..4) == 0 {
+                    *v = edit(&mut rng);
+                }
+            }
+            Matrix::from_vec(m, c, x)
+        };
+        let heads: Vec<Matrix> = (widths.iter())
+            .map(|&c| matrix(c, |rng| -rng.gen_range(1e-12f32..1e-9)))
+            .collect();
+        let res = matrix(total, |_| 0.0);
+        let w = zero_heavy(&mut rng, m, total);
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let hv: Vec<Var> = heads.iter().map(|h| g.leaf(h.clone())).collect();
+            let rv = if const_res { g.input(res.clone()) } else { g.leaf(res.clone()) };
+            let out = if fused {
+                g.heads_residual_elu(&hv, rv, alpha)
+            } else {
+                chain_heads_residual_elu(&mut g, &hv, rv, alpha)
+            };
+            let inputs: Vec<Var> = hv.iter().copied().chain([rv]).collect();
+            value_nan_as_one(value_and_grad_bits(&mut g, out, &w, &inputs))
         };
         prop_assert_eq!(run(true), run(false));
     }
