@@ -39,7 +39,7 @@ const fn own(flags: &'static [&'static str]) -> Group {
 /// [`base_config`](crate::base_config)'s flags, plus the `--events` switch
 /// of [`Options::run_framework`].
 #[rustfmt::skip]
-pub const EXPERIMENT: Group = Group { name: "experiment", flags: &[
+pub(crate) const EXPERIMENT: Group = Group { name: "experiment", flags: &[
     "scale <f64>", "rounds <n>", "runs <n>", "clients <n>", "seed <u64>", "eval-every <n>",
     "faults <spec>", "runtime sync|async", "async-k <n>", "async-gamma <f64>", "workers <n>",
     "compress ident|q8|f16|topk:<frac>", "quick", "paper", "events",

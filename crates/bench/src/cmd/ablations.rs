@@ -18,7 +18,7 @@ use fedda::hgn::Decoder;
 use fedda::table::TextTable;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let cfg = base_config(Dataset::DblpLike, &opts)?;
     let mut json_blobs = Vec::new();
     let mut table = TextTable::new(&["Ablation", "Setting", "ROC-AUC", "Best AUC", "Uplink units"]);

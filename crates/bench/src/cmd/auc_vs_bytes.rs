@@ -34,7 +34,7 @@ fn codecs(quick: bool) -> Vec<Option<Compression>> {
     list
 }
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     if opts.has("compress") {
         let msg = "auc_vs_bytes sweeps every codec itself; drop --compress";
         return Err(Failure::Usage(msg.into()));

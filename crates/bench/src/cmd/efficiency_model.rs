@@ -9,7 +9,7 @@ use fedda::fl::{analysis, FedDa, Reactivation};
 use fedda::table::TextTable;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let mut cfg = base_config(Dataset::DblpLike, &opts)?;
     cfg.runs = 1; // one run is enough to fit the analytic model
     let exp = Experiment::new(cfg);

@@ -10,7 +10,7 @@ use fedda::fl::{FedAvg, FedDa, FlProtocol};
 use fedda::table::TextTable;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let mut cfg = base_config(Dataset::DblpLike, &opts)?;
     cfg.runs = 1; // one representative run; the breakdown is the point
     let exp = Experiment::new(cfg);

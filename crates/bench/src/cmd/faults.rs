@@ -34,7 +34,7 @@ fn mix(rate: f64) -> Option<FaultConfig> {
     })
 }
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     if opts.has("faults") {
         let msg = "faults sweeps its own fault mix; drop --faults";
         return Err(Failure::Usage(msg.into()));

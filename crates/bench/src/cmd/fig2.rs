@@ -11,7 +11,7 @@ use fedda::fl::FedAvg;
 use fedda::report;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let mut results_json = Vec::new();
 
     // The paper's preliminary study runs a small DBLP subgraph with six

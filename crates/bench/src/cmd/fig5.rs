@@ -9,7 +9,7 @@ use fedda::fl::{FedAvg, FedDa};
 use fedda::report;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let mut json_blobs = Vec::new();
 
     for dataset in [Dataset::DblpLike, Dataset::AmazonLike] {

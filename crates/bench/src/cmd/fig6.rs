@@ -9,7 +9,7 @@ use fedda::fl::{FedDa, Reactivation};
 use fedda::report;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let mut cfg = base_config(Dataset::DblpLike, &opts)?;
     cfg.num_clients = opts.get("clients")?.unwrap_or(16);
     let exp = Experiment::new(cfg);

@@ -11,7 +11,7 @@ use fedda::fl::{FedAvg, FedDa};
 use fedda::table::TextTable;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let exp = Experiment::new(base_config(Dataset::DblpLike, &opts)?);
     let cfg = exp.config();
 

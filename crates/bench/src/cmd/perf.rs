@@ -86,7 +86,7 @@ fn ab(old: &str, new: &str) -> Result<bool, String> {
     Ok(cmp.passes())
 }
 
-pub fn run(args: &[String]) -> ExitCode {
+pub(crate) fn run(args: &[String]) -> ExitCode {
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let result = match args[..] {
         [] => snapshot(None).map(|()| true),

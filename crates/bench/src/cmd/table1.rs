@@ -24,7 +24,7 @@ fn stats_to_json(stats: &DatasetStats, edge_type_names: &[String]) -> serde_json
     })
 }
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let scale: f64 = opts.get("scale")?.unwrap_or(0.01);
     let seed: u64 = opts.get("seed")?.unwrap_or(0);
 

@@ -14,7 +14,7 @@ use fedda::report;
 use fedda::table::TextTable;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let which = opts.get_str("dataset").map(str::to_string);
     let mut json_blobs = Vec::new();
     let frameworks = [

@@ -8,7 +8,7 @@ use fedda::fl::{FedAvg, FedDa};
 use fedda::table::TextTable;
 use serde_json::json;
 
-pub fn run(opts: Options) -> Result<(), Failure> {
+pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let grid: &[(Dataset, &[usize])] = &[
         (Dataset::DblpLike, &[4, 8, 16]),
         (Dataset::AmazonLike, &[8, 16]),

@@ -22,7 +22,7 @@ fn parse_dataset(opts: &Options) -> Result<Dataset, Failure> {
     }
 }
 
-pub fn generate(opts: Options) -> Result<(), Failure> {
+pub(crate) fn generate(opts: Options) -> Result<(), Failure> {
     let dataset = parse_dataset(&opts)?;
     let out = opts.get_str("out").ok_or("--out <path> is required")?;
     let preset = PresetOptions {
@@ -52,7 +52,7 @@ pub fn generate(opts: Options) -> Result<(), Failure> {
     Ok(())
 }
 
-pub fn stats(opts: Options) -> Result<(), Failure> {
+pub(crate) fn stats(opts: Options) -> Result<(), Failure> {
     let path = opts.get_str("graph").ok_or("--graph <path> is required")?;
     let graph = io::load_json(Path::new(path)).map_err(|e| e.to_string())?;
     println!("{}", DatasetStats::table_header());
@@ -68,7 +68,7 @@ pub fn stats(opts: Options) -> Result<(), Failure> {
     Ok(())
 }
 
-pub fn partition(opts: Options) -> Result<(), Failure> {
+pub(crate) fn partition(opts: Options) -> Result<(), Failure> {
     let path = opts.get_str("graph").ok_or("--graph <path> is required")?;
     let out_dir = opts
         .get_str("out-dir")
@@ -118,7 +118,7 @@ pub fn partition(opts: Options) -> Result<(), Failure> {
     Ok(())
 }
 
-pub fn train(opts: Options) -> Result<(), Failure> {
+pub(crate) fn train(opts: Options) -> Result<(), Failure> {
     let dataset = parse_dataset(&opts)?;
     let framework = parse_framework(opts.get_str("framework").unwrap_or("fedda-explore"), &opts)?;
     let cfg = base_config(dataset, &opts)?;
@@ -141,7 +141,7 @@ pub fn train(opts: Options) -> Result<(), Failure> {
     Ok(())
 }
 
-pub fn efficiency(opts: Options) -> Result<(), Failure> {
+pub(crate) fn efficiency(opts: Options) -> Result<(), Failure> {
     let inputs = EfficiencyInputs {
         m: opts.get("m")?.unwrap_or(16),
         n: opts.get("n")?.unwrap_or(65),

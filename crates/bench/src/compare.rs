@@ -17,11 +17,11 @@ use crate::snapshot::{quartiles, Snapshot};
 use fedda::table::TextTable;
 
 /// Pairs of runs `perf --ab` takes, each side going first in half of them.
-pub const PAIRS: usize = 10;
+pub(crate) const PAIRS: usize = 10;
 
 /// Per-case outcome of an A/B comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// The new side lost the pairs and the gap exceeds the old side's IQR.
     Regression,
     /// The new side won the pairs and the gap exceeds the old side's IQR.
@@ -37,7 +37,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Short display form for the table.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Verdict::Regression => "REGRESSION",
             Verdict::Improvement => "improvement",
@@ -50,7 +50,7 @@ impl Verdict {
 
 /// What the pairing rule sees in one case's two sample vectors.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Paired {
+pub(crate) struct Paired {
     /// Pairs the old side won (strictly lower time).
     pub old_wins: usize,
     /// Pairs the new side won.
@@ -70,7 +70,7 @@ pub struct Paired {
 /// # Panics
 ///
 /// When the vectors are empty or differ in length.
-pub fn paired(old: &[u64], new: &[u64]) -> Paired {
+pub(crate) fn paired(old: &[u64], new: &[u64]) -> Paired {
     assert_eq!(old.len(), new.len(), "each pair has two sides");
     let wins = |a: &[u64], b: &[u64]| a.iter().zip(b).filter(|(a, b)| a < b).count();
     let (old_wins, new_wins) = (wins(old, new), wins(new, old));
@@ -96,7 +96,7 @@ pub fn paired(old: &[u64], new: &[u64]) -> Paired {
 
 /// One case's row of the comparison.
 #[derive(Clone, Debug)]
-pub struct CaseDelta {
+pub(crate) struct CaseDelta {
     /// Case name.
     pub name: String,
     /// The pairing rule's view, when both sides ran the case.
@@ -107,7 +107,7 @@ pub struct CaseDelta {
 
 /// The result of one A/B comparison.
 #[derive(Clone, Debug)]
-pub struct Comparison {
+pub(crate) struct Comparison {
     /// Per-case rows: old-side suite order, then any new cases.
     pub deltas: Vec<CaseDelta>,
     /// Pairs run.
@@ -116,17 +116,17 @@ pub struct Comparison {
 
 impl Comparison {
     /// How many cases came out with `verdict`.
-    pub fn count(&self, verdict: Verdict) -> usize {
+    pub(crate) fn count(&self, verdict: Verdict) -> usize {
         self.deltas.iter().filter(|d| d.verdict == verdict).count()
     }
 
     /// Whether the new side passes: no case regressed or went missing.
-    pub fn passes(&self) -> bool {
+    pub(crate) fn passes(&self) -> bool {
         self.count(Verdict::Regression) + self.count(Verdict::MissingInNew) == 0
     }
 
     /// Render the per-case table plus a one-line summary.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut table = TextTable::new(&[
             "Case",
             "Old median (ns)",
@@ -172,7 +172,7 @@ impl Comparison {
 /// Compare the two sides of an A/B run: `old[i]` and `new[i]` are the
 /// snapshots of pair `i`, and a case's sample in a run is its `median_ns`.
 /// A side has a case only when every one of its runs does.
-pub fn compare(old: &[Snapshot], new: &[Snapshot]) -> Comparison {
+pub(crate) fn compare(old: &[Snapshot], new: &[Snapshot]) -> Comparison {
     assert_eq!(old.len(), new.len(), "each pair has two sides");
     let samples = |runs: &[Snapshot], name: &str| -> Option<Vec<u64>> {
         runs.iter()

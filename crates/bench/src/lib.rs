@@ -3,11 +3,12 @@
 //! are its usage text and the flags it accepts; any other flag is a usage
 //! error. Around the table: a tiny flag parser (no CLI dependency), the
 //! configurations the experiments share, and the kernel probe behind `perf`
-//! ([`suite`], [`snapshot`], and the paired A/B verdict in [`compare`]).
+//! (the kernel suite, its [`snapshot`] format, and the paired A/B verdict).
 //!
 //! `train` and every experiment subcommand build their configuration with
-//! [`base_config`] and train through [`Options::run_framework`] (or
-//! [`Options::run_on`]), so each accepts and honours the [`EXPERIMENT`] group:
+//! [`base_config`] and train through `Options::run_framework` (or
+//! `Options::run_on`), so each accepts and honours the `experiment` flag
+//! group:
 //!
 //! * `--scale <f64>`   — dataset size multiplier (default per subcommand)
 //! * `--rounds <n>`    — communication rounds (default 20; 40 under `--paper`)
@@ -38,7 +39,7 @@
 //! * `--events`        — stream per-round engine events to stderr
 //!
 //! The experiment subcommands also take `--json <path>`: write their
-//! machine-readable results there ([`maybe_write_json`]).
+//! machine-readable results there.
 //!
 //! Exit status: `0` success, or usage asked for (`fedda help [<subcommand>]`,
 //! `--help`, `-h`: on stdout); `1` the run failed ([`Failure::Run`]); `2` the
@@ -46,6 +47,8 @@
 //! unknown subcommand), the CPU is below the build's ISA level or
 //! `FEDDA_THREADS` is not a positive integer. Stderr is `error: <message>`,
 //! never a panic.
+
+#![warn(unreachable_pub)]
 
 use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework, FrameworkResult};
 use fedda::fl::{
@@ -58,11 +61,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 mod cmd;
-pub mod compare;
+mod compare;
 pub mod snapshot;
-pub mod suite;
+mod suite;
 
-pub use cmd::{command, usage, Command, Group, Run, COMMANDS, EXPERIMENT};
+pub use cmd::{command, usage, Command, Group, Run, COMMANDS};
 
 /// Exit with status 2 and the reason when the CPU lacks the
 /// instruction-set level the binary was built for
@@ -166,7 +169,7 @@ impl Options {
     }
 
     /// Look up a typed flag; a malformed value is a [`Failure::Usage`].
-    pub fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Failure>
+    pub(crate) fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Failure>
     where
         T::Err: std::fmt::Debug,
     {
@@ -179,17 +182,17 @@ impl Options {
 
     /// Whether the flag was given at all (used to tell an explicit value
     /// from a default, e.g. by `--quick`'s defaults-only shrinking).
-    pub fn has(&self, name: &str) -> bool {
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.flags.contains_key(name)
     }
 
     /// String flag.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get_str(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
 
     /// The name of every flag given, switches included.
-    pub fn given(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn given(&self) -> impl Iterator<Item = &str> {
         let switches = ["quick", "paper", "events"].into_iter();
         let set = switches.zip([self.quick, self.paper, self.events]);
         let set = set.filter_map(|(name, on)| on.then_some(name));
@@ -198,7 +201,7 @@ impl Options {
 
     /// Train one framework of `exp` — every subcommand's one way to fill a
     /// table cell — streaming round events to stderr under `--events`.
-    pub fn run_framework(
+    pub(crate) fn run_framework(
         &self,
         exp: &Experiment,
         framework: &Framework,
@@ -211,7 +214,7 @@ impl Options {
     /// One run of [`Options::run_framework`], for subcommands that need the
     /// trained `system` afterwards or sweep their own partitions: `protocol`
     /// on a system from `Experiment::system_with`, under `exp`'s runtime.
-    pub fn run_on(
+    pub(crate) fn run_on(
         &self,
         exp: &Experiment,
         protocol: &mut dyn FlProtocol,
@@ -227,7 +230,7 @@ impl Options {
 /// Resolve `--runtime` / `--async-k` / `--async-gamma` into a
 /// [`RuntimeMode`]. Typos in the mode name, out-of-range async knobs and
 /// async knobs given without `--runtime async` are [`Failure::Usage`]s.
-pub fn runtime_config(opts: &Options) -> Result<RuntimeMode, Failure> {
+pub(crate) fn runtime_config(opts: &Options) -> Result<RuntimeMode, Failure> {
     let mode = match opts.get_str("runtime") {
         None | Some("sync") => RuntimeMode::Sync,
         Some("async") => {
@@ -261,7 +264,7 @@ pub fn runtime_config(opts: &Options) -> Result<RuntimeMode, Failure> {
 /// Resolve `--compress` into an uplink [`Compression`] codec (`None`
 /// when the flag is absent: the historical uncompressed ledger). A typo
 /// or an out-of-range top-k fraction is a [`Failure::Usage`].
-pub fn compression_config(opts: &Options) -> Result<Option<Compression>, Failure> {
+pub(crate) fn compression_config(opts: &Options) -> Result<Option<Compression>, Failure> {
     let parse = |spec: &str| {
         spec.parse::<Compression>()
             .map_err(|e| Failure::Usage(format!("bad value for --compress: {spec} ({e})")))
@@ -402,7 +405,7 @@ pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig,
 /// write `value` pretty-printed to the path and confirm on stdout. Every
 /// experiment subcommand routes its machine-readable dump through this
 /// helper so new ones cannot silently drift from the contract.
-pub fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(), Failure> {
+pub(crate) fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(), Failure> {
     if let Some(path) = opts.get_str("json") {
         fedda::report::write_json(Path::new(path), value)
             .map_err(|e| format!("cannot write --json {path}: {e}"))?;
@@ -417,7 +420,7 @@ pub fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(),
 /// so sparse `--eval-every > 1` curves label points by the round they
 /// measure rather than fabricating consecutive `r00,r01,…` labels; when a
 /// point has no recorded round (legacy callers), its position is used.
-pub fn render_curve(name: &str, rounds: &[usize], curve: &[f64]) -> String {
+pub(crate) fn render_curve(name: &str, rounds: &[usize], curve: &[f64]) -> String {
     let mut out = format!("{name}:\n");
     for (i, chunk) in curve.chunks(8).enumerate() {
         out.push_str("  ");

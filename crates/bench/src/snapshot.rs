@@ -1,10 +1,10 @@
 //! Schema-versioned kernel snapshots (`BENCH_<date>.json`).
 //!
 //! A [`Snapshot`] is the machine-readable record of one run of the fixed
-//! kernel suite ([`crate::suite`]): per-case wall-time quartiles plus an
-//! environment fingerprint. The format is versioned by [`SCHEMA_VERSION`];
-//! `perf --ab` collects one snapshot per run of each binary and
-//! [`crate::compare`] turns the paired runs into verdicts.
+//! kernel suite: per-case wall-time quartiles plus an environment
+//! fingerprint. The format carries a schema version (2);
+//! `perf --ab` collects one snapshot per run of each binary and turns the
+//! paired runs into verdicts.
 //!
 //! Wall-clock reads for timing live in this bench crate — `clippy.toml`'s
 //! `disallowed-methods` (invariant D2, DESIGN.md §6) keeps them out of every
@@ -24,11 +24,11 @@ use std::time::Instant;
 /// `mean_ns` with quartiles over at least [`MIN_SAMPLES`] samples and
 /// dropped the profile label and seed (the suite has one profile and one
 /// seed); version 1 files are history, not input.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// Fewest samples a schema v2 case may carry: below this the quartiles
 /// say nothing.
-pub const MIN_SAMPLES: u64 = 10;
+pub(crate) const MIN_SAMPLES: u64 = 10;
 
 /// First quartile, median and third quartile of `samples`, by the
 /// exclusive method of Python's `statistics.quantiles(v, n=4)` — the
@@ -38,7 +38,7 @@ pub const MIN_SAMPLES: u64 = 10;
 /// # Panics
 ///
 /// On an empty slice.
-pub fn quartiles(samples: &[u64]) -> [f64; 3] {
+pub(crate) fn quartiles(samples: &[u64]) -> [f64; 3] {
     assert!(!samples.is_empty(), "quartiles of no samples");
     let mut v = samples.to_vec();
     v.sort_unstable();
@@ -135,7 +135,7 @@ pub struct EnvFingerprint {
 
 impl EnvFingerprint {
     /// Capture the current process environment.
-    pub fn capture() -> Self {
+    pub(crate) fn capture() -> Self {
         Self {
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
@@ -186,7 +186,7 @@ impl EnvFingerprint {
 }
 
 /// One full suite run: capture date, environment fingerprint and per-case
-/// results. Written and read as schema [`SCHEMA_VERSION`] only.
+/// results. Written and read as schema version 2 only.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Snapshot {
     /// UTC capture date, `YYYY-MM-DD`.
@@ -199,17 +199,17 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The repo-root naming convention: `BENCH_<date>.json`.
-    pub fn default_path(created: &str) -> String {
+    pub(crate) fn default_path(created: &str) -> String {
         format!("BENCH_{created}.json")
     }
 
     /// Look up a case by name.
-    pub fn case(&self, name: &str) -> Option<&CaseResult> {
+    pub(crate) fn case(&self, name: &str) -> Option<&CaseResult> {
         self.cases.iter().find(|c| c.name == name)
     }
 
     /// Serialize to the JSON tree written to `BENCH_*.json`.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         json!({
             "schema_version": SCHEMA_VERSION,
             "created": self.created,
@@ -220,7 +220,7 @@ impl Snapshot {
 
     /// Rebuild from a parsed JSON tree. Any schema version but
     /// [`SCHEMA_VERSION`] is refused, version 1 by name.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, String> {
         match v["schema_version"].as_u64() {
             Some(SCHEMA_VERSION) => {}
             Some(1) => {
@@ -263,7 +263,7 @@ impl Snapshot {
     }
 
     /// Write the snapshot (pretty-printed, trailing newline).
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+    pub(crate) fn save(&self, path: &Path) -> std::io::Result<()> {
         fedda::report::write_json(path, &self.to_value())
     }
 }
@@ -271,7 +271,7 @@ impl Snapshot {
 /// Today's UTC date as `YYYY-MM-DD`, from the system clock (civil-date
 /// conversion per Howard Hinnant's `days_from_civil` inverse — no calendar
 /// dependency).
-pub fn utc_today() -> String {
+pub(crate) fn utc_today() -> String {
     let secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -295,7 +295,7 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 
 /// Time one case: `samples` timed samples of `iters` iterations each,
 /// after one untimed warm-up iteration. Returns per-iteration statistics.
-pub fn time_case<F: FnMut()>(name: &str, samples: u64, iters: u64, mut f: F) -> CaseResult {
+pub(crate) fn time_case<F: FnMut()>(name: &str, samples: u64, iters: u64, mut f: F) -> CaseResult {
     let samples = samples.max(1);
     let iters = iters.max(1);
     f(); // warm-up: fault in code paths and caches before the first sample

@@ -49,7 +49,7 @@ const SUITE_SEED: u64 = 0;
 /// layer product and its two backward forms, then the attention
 /// projection (a matvec) and its two — and the fleet's 128-wide model on
 /// 101-node clients.
-pub const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
+pub(crate) const GEMM_SHAPES: &[(&str, usize, usize, usize)] = &[
     ("nn", 2525, 48, 16),
     ("nn", 2525, 48, 48),
     ("tn", 48, 2525, 16),
@@ -86,7 +86,7 @@ fn gemm_case(
 /// 8-wide heads, `amazon_large`'s under the paper model's 16-wide, and the
 /// commonest `fleet_q8_*` client under the fleet model's 32-wide — one case
 /// per width the edge kernel has an instance for.
-pub const EDGE_SHAPES: &[(usize, usize, usize, usize)] = &[
+pub(crate) const EDGE_SHAPES: &[(usize, usize, usize, usize)] = &[
     (694, 12_467, 6, 8),
     (2_525, 17_019, 3, 16),
     (101, 1_465, 6, 32),
@@ -157,14 +157,14 @@ impl EdgeCase {
 
 /// The ELU case's input: one `amazon_large` layer output under the paper
 /// model (2 525 nodes × 16 × 3 heads).
-pub const ELU_SHAPE: (usize, usize) = (2_525, 48);
+pub(crate) const ELU_SHAPE: (usize, usize) = (2_525, 48);
 
 /// Logits in the BCE case and pairs in the decoder case.
-pub const TAIL_BATCH: usize = 4_096;
+pub(crate) const TAIL_BATCH: usize = 4_096;
 
 /// The decoder case's embedding matrix: a `dblp_fedda` client's 694 nodes
 /// at the default 16-wide output.
-pub const DECODER_SHAPE: (usize, usize) = (694, 16);
+pub(crate) const DECODER_SHAPE: (usize, usize) = (694, 16);
 
 /// `elu` and its backward under a `Σ y²` loss, on `g`.
 fn elu_fwd_bwd(g: &mut Graph, x: &Matrix) {
@@ -290,7 +290,7 @@ impl CodecCase {
 /// Scale of the sampler case's graph: the `dblp_fedda` workload's
 /// generator (`dblp_like`, seed 1), partitioned non-IID into one client with
 /// the paper's defaults.
-pub const SAMPLE_SCALE: f64 = 0.006;
+pub(crate) const SAMPLE_SCALE: f64 = 0.006;
 
 /// The sampler case's client: its graph and training positives (the edges
 /// of its specialised types, as `FlSystem` builds them).
@@ -323,7 +323,7 @@ fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
 }
 
 /// Run the whole suite and return per-case results in suite order.
-pub fn run_suite() -> Vec<CaseResult> {
+pub(crate) fn run_suite() -> Vec<CaseResult> {
     let mut out = Vec::new();
 
     // 1. The GEMM shapes of a real round, every layout.

@@ -45,9 +45,8 @@ impl Dataset {
 
 /// Full description of one experiment cell (a dataset × client-count ×
 /// framework grid point, repeated over several runs): the grid fields, and
-/// the run configuration every federation of the cell is built with —
-/// [`ExperimentConfig::fl`], whose fields' meaning and checks live with
-/// [`FlConfig`].
+/// the run configuration every federation of the cell is built with — an
+/// [`FlConfig`], whose fields' meaning and checks live there.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
     /// Dataset preset.
@@ -124,7 +123,7 @@ impl Default for ExperimentConfig {
 impl ExperimentConfig {
     /// The run configuration of the cell, seeded with the base seed: the one
     /// place its fields become an [`FlConfig`].
-    pub fn fl(&self) -> FlConfig {
+    pub(crate) fn fl(&self) -> FlConfig {
         FlConfig {
             rounds: self.rounds,
             model: self.model.clone(),
@@ -356,7 +355,7 @@ impl Experiment {
     }
 
     /// Build a fresh federation over `clients` (fresh model init from
-    /// `seed`; shared global split) under [`ExperimentConfig::fl`].
+    /// `seed`; shared global split) under the cell's [`FlConfig`].
     pub fn system_with(&self, clients: Vec<ClientData>, seed: u64) -> FlSystem {
         let cfg = FlConfig {
             seed,

@@ -28,16 +28,6 @@ impl AsciiChart {
         self
     }
 
-    /// Number of series added.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when no series were added.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
     /// Render the chart with a y-axis, x-axis and legend.
     pub fn render(&self) -> String {
         let max_len = self.series.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
@@ -124,13 +114,13 @@ mod tests {
         // y-axis labels carry the data range
         assert!(s.contains("0.700"));
         assert!(s.contains("0.100"));
-        assert_eq!(chart.len(), 2);
+        assert_eq!(chart.series.len(), 2);
     }
 
     #[test]
     fn empty_chart_is_safe() {
         let chart = AsciiChart::new(10, 5);
-        assert!(chart.is_empty());
+        assert!(chart.series.is_empty());
         assert_eq!(chart.render(), "(no data)\n");
     }
 

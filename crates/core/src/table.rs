@@ -23,16 +23,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with padded columns and a separator under the header.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -84,8 +74,7 @@ mod tests {
         let off2 = lines[2].find("0.5480").unwrap();
         let off3 = lines[3].find("0.5379").unwrap();
         assert_eq!(off2, off3);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -76,22 +76,17 @@ pub struct GeneratedGraph {
     pub relation_mods: Vec<f32>,
 }
 
-impl GeneratedGraph {
-    /// Latent vector of one node.
-    pub fn latent_of(&self, v: u32) -> &[f32] {
-        &self.latents[v as usize * self.latent_dim..(v as usize + 1) * self.latent_dim]
-    }
-
-    /// Planted affinity of a candidate edge `(u, v)` of type `t`.
-    pub fn affinity(&self, t: EdgeTypeId, u: u32, v: u32) -> f32 {
-        let r = &self.relation_mods[t.index() * self.latent_dim..(t.index() + 1) * self.latent_dim];
-        self.latent_of(u)
-            .iter()
-            .zip(self.latent_of(v))
-            .zip(r)
-            .map(|((&zu, &zv), &rt)| zu * zv * rt)
-            .sum()
-    }
+/// Planted affinity `Σ_j z_u[j]·z_v[j]·r_t[j]` of a candidate edge `(u, v)`
+/// of edge type `t`, over row-major `latents` (`[nodes, d]`) and
+/// `relation_mods` (`[edge types, d]`).
+fn affinity(latents: &[f32], relation_mods: &[f32], d: usize, t: usize, u: usize, v: usize) -> f32 {
+    let r = &relation_mods[t * d..(t + 1) * d];
+    latents[u * d..(u + 1) * d]
+        .iter()
+        .zip(&latents[v * d..(v + 1) * d])
+        .zip(r)
+        .map(|((&zu, &zv), &rt)| zu * zv * rt)
+        .sum()
 }
 
 /// Generate a heterograph from a latent-factor model. Deterministic given
@@ -105,8 +100,7 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
     // 1. community centroids, then node latents
     let mut latents = vec![0.0f32; total_nodes * d];
     let mut global = 0usize;
-    for (t, &count) in config.nodes_per_type.iter().enumerate() {
-        let _ = t;
+    for &count in &config.nodes_per_type {
         let k = config.communities_per_type.max(1);
         let centroids = init::normal(&mut rng, k, d, 0.0, 1.0);
         for _ in 0..count {
@@ -149,16 +143,6 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
         acc += c;
     }
 
-    let affinity = |t: usize, u: usize, v: usize| -> f32 {
-        let r = &relation_mods[t * d..(t + 1) * d];
-        latents[u * d..(u + 1) * d]
-            .iter()
-            .zip(&latents[v * d..(v + 1) * d])
-            .zip(r)
-            .map(|((&zu, &zv), &rt)| zu * zv * rt)
-            .sum()
-    };
-
     // 3. sample edges: uniform src, best-of-k dst by affinity.
     let mut edge_lists = Vec::with_capacity(n_et);
     for t in 0..n_et {
@@ -175,13 +159,13 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
         for _ in 0..target {
             let u = offsets[st] + rng.gen_range(0..sn);
             let mut best = offsets[dt] + rng.gen_range(0..dn);
-            let mut best_aff = affinity(t, u, best);
+            let mut best_aff = affinity(&latents, &relation_mods, d, t, u, best);
             for _ in 1..k {
                 let cand = offsets[dt] + rng.gen_range(0..dn);
                 if cand == u {
                     continue;
                 }
-                let a = affinity(t, u, cand);
+                let a = affinity(&latents, &relation_mods, d, t, u, cand);
                 if a > best_aff {
                     best = cand;
                     best_aff = a;
@@ -269,17 +253,20 @@ mod tests {
         let c = small_config();
         let g = generate(&c, 3);
         let mut rng = StdRng::seed_from_u64(99);
+        let aff = |t: EdgeTypeId, u: u32, v: u32| {
+            let (t, u, v) = (t.index(), u as usize, v as usize);
+            affinity(&g.latents, &g.relation_mods, g.latent_dim, t, u, v)
+        };
         for t in [EdgeTypeId(0), EdgeTypeId(1)] {
             let list = g.graph.edges_of_type(t);
-            let pos: f32 =
-                list.iter().map(|(u, v)| g.affinity(t, u, v)).sum::<f32>() / list.len() as f32;
+            let pos: f32 = list.iter().map(|(u, v)| aff(t, u, v)).sum::<f32>() / list.len() as f32;
             let dst_type = g.graph.schema().edge_type(t).dst_type;
             let dst_nodes = g.graph.nodes().nodes_of_type(dst_type);
             let neg: f32 = list
                 .iter()
                 .map(|(u, _)| {
                     let v = dst_nodes[rng.gen_range(0..dst_nodes.len())];
-                    g.affinity(t, u, v)
+                    aff(t, u, v)
                 })
                 .sum::<f32>()
                 / list.len() as f32;

@@ -12,15 +12,16 @@
 //!   affinity modulation, noisy projected features; link prediction on the
 //!   result is learnable, which is what the FedDA-vs-FedAvg comparisons
 //!   need;
-//! * [`datasets`] — [`datasets::amazon_like`] and [`datasets::dblp_like`]
+//! * [`amazon_like`] and [`dblp_like`] — dataset
 //!   presets (Table 1 schemas, paper-proportioned edge mixes);
 //! * [`partition`] — the paper's §6.1 system synthesis: non-IID clients
 //!   specialised in random edge-type subsets (`r_a = 0.3`, `r_b = 0.05`),
 //!   plus an IID variant and a non-IIDness measure;
-//! * [`stats`] — Table 1 statistics.
+//! * [`DatasetStats`] — Table 1 statistics.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 // Determinism & safety invariants D3 / D4 (DESIGN.md §6), run by `cargo lint`.
 #![warn(
     clippy::unwrap_used,
@@ -32,10 +33,10 @@
 )]
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
 
-pub mod datasets;
+mod datasets;
 pub mod latent;
 pub mod partition;
-pub mod stats;
+mod stats;
 
 pub use datasets::{amazon_like, dblp_like, PresetOptions};
 pub use latent::{generate, GeneratedGraph, LatentGraphConfig};

@@ -68,17 +68,24 @@ pub fn restart_period(r_c: f64, beta_r: f64) -> usize {
     (beta_r.ln() / r_c.ln()).ceil().max(1.0) as usize
 }
 
+/// The precondition of every bound here: `inp` passes
+/// [`EfficiencyInputs::validate`]. An invalid input is a caller bug, not
+/// runtime data, so it panics with `invalid inputs: <reason>`.
+fn check(inp: &EfficiencyInputs) {
+    #[expect(
+        clippy::expect_used,
+        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
+    )]
+    inp.validate().expect("invalid inputs");
+}
+
 /// Eq. 8: expected communicated parameter units over one `Restart` cycle of
 /// `t_0` rounds.
 ///
 /// `E[#cp] = M·N · (1 - r_c^{t_0+1}) / (1 - r_c)
 ///          - M·N_d · (r_c·r_p - (r_c·r_p)^{t_0+1}) / (1 - r_c·r_p)`.
 pub fn restart_expected_units(inp: &EfficiencyInputs, t0: usize) -> f64 {
-    #[expect(
-        clippy::expect_used,
-        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
-    )]
-    inp.validate().expect("invalid inputs");
+    check(inp);
     let (m, n, n_d) = (inp.m as f64, inp.n as f64, inp.n_d as f64);
     let rc = inp.r_c;
     let rcrp = inp.r_c * inp.r_p;
@@ -116,11 +123,7 @@ pub fn restart_ratio(inp: &EfficiencyInputs, beta_r: f64) -> f64 {
 /// ratio against FedAvg (valid from the second round on):
 /// `E[#cp] / (M·N) ≤ β_e - β_e · r_c · r_p · N_d / N`.
 pub fn explore_ratio_bound(inp: &EfficiencyInputs, beta_e: f64) -> f64 {
-    #[expect(
-        clippy::expect_used,
-        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
-    )]
-    inp.validate().expect("invalid inputs");
+    check(inp);
     assert!((0.0..1.0).contains(&beta_e), "beta_e in (0,1)");
     beta_e - beta_e * inp.r_c * inp.r_p * (inp.n_d as f64 / inp.n as f64)
 }
@@ -134,11 +137,7 @@ pub fn explore_expected_units(
     gamma: f64,
     r_p_hat: f64,
 ) -> f64 {
-    #[expect(
-        clippy::expect_used,
-        reason = "documented precondition; EfficiencyInputs::validate errors are caller bugs, not runtime data"
-    )]
-    inp.validate().expect("invalid inputs");
+    check(inp);
     assert!((0.0..=1.0).contains(&gamma), "gamma in [0,1]");
     assert!(r_p_hat >= inp.r_p - 1e-9, "r_p_hat must be ≥ r_p");
     let (m, n, n_d) = (inp.m as f64, inp.n as f64, inp.n_d as f64);
@@ -156,7 +155,7 @@ pub fn explore_expected_units(
 /// 8 bytes per kept scalar with `k = ⌊frac·len⌋`. Per-unit metadata (the
 /// `QuantI8` scale, the `TopK` length header) is excluded by the same
 /// convention the ledger uses.
-pub fn unit_bytes(len: usize, codec: Option<&Compression>) -> usize {
+pub(crate) fn unit_bytes(len: usize, codec: Option<&Compression>) -> usize {
     match codec {
         None | Some(Compression::Identity) => 4 * len,
         Some(Compression::QuantF16) => 2 * len,

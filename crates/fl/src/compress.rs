@@ -162,7 +162,7 @@ impl Compressed {
     /// `reference` with every encoded unit decoded over it. Units the mask
     /// excluded (or the codec dropped entirely) keep the reference values —
     /// they were never transmitted.
-    pub fn reconstruct(&self, reference: &ParamSet) -> ParamSet {
+    pub(crate) fn reconstruct(&self, reference: &ParamSet) -> ParamSet {
         let mut out = reference.clone();
         self.decode_over(&mut out);
         out
@@ -351,7 +351,7 @@ pub fn top_k_positions(deltas: &[f32], k: usize) -> Vec<usize> {
 /// Convert an `f32` to IEEE 754 binary16 bits, round-to-nearest-even.
 /// Handles subnormals, signed zero, overflow to ±inf, and NaN (a payload
 /// bit is kept so NaN stays NaN).
-pub fn f32_to_f16_bits(x: f32) -> u16 {
+pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = (bits >> 16) & 0x8000;
     let exp = (bits >> 23) & 0xFF;
@@ -396,7 +396,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 }
 
 /// Convert IEEE 754 binary16 bits to the exactly-representable `f32`.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
+pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
     let h = u32::from(h);
     let sign = (h & 0x8000) << 16;
     let exp = (h >> 10) & 0x1F;

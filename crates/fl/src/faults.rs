@@ -392,7 +392,7 @@ impl FaultObserved {
     /// fresh report this round (dropout, held straggler, rejected update)
     /// — the condition under which activation-aware protocols treat the
     /// client as inactive.
-    pub fn is_client_failure(&self) -> bool {
+    pub(crate) fn is_client_failure(&self) -> bool {
         matches!(
             self.effect,
             FaultEffect::Dropout
@@ -406,7 +406,7 @@ impl FaultObserved {
 /// become `θ + f(θ_i - θ)` with `f` poisoning or scaling the update, and
 /// `unit_delta` is recomputed so the corruption is visible to the driver's
 /// detection checks exactly as it would be to a real server.
-pub fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corruption) {
+pub(crate) fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corruption) {
     let poison = match kind {
         Corruption::NaN => Some(f32::NAN),
         Corruption::Inf => Some(f32::INFINITY),

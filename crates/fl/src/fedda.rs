@@ -72,25 +72,6 @@ pub enum MaskRule {
     LiteralEq7,
 }
 
-impl MaskRule {
-    /// The deactivation threshold over a set of contribution magnitudes,
-    /// or `None` when the rule is not threshold-based.
-    fn threshold(&self, magnitudes: &[f32]) -> Option<f32> {
-        match *self {
-            MaskRule::GradientMean => {
-                Some(magnitudes.iter().sum::<f32>() / magnitudes.len() as f32)
-            }
-            MaskRule::GradientQuantile(q) => {
-                // Range is enforced by `FedDa::validate()` before a run
-                // starts; this is only a tripwire for callers that skip it.
-                debug_assert!((0.0..1.0).contains(&q), "quantile must be in [0,1)");
-                Some(quantile(magnitudes, q))
-            }
-            MaskRule::LiteralEq7 => None,
-        }
-    }
-}
-
 /// The `q`-quantile of a non-empty slice (linear interpolation between
 /// order statistics).
 fn quantile(values: &[f32], q: f64) -> f32 {
@@ -221,28 +202,43 @@ impl FedDa {
                         }
                     }
                 }
-                rule => {
-                    // Threshold over returned-gradient magnitudes of this
-                    // round's contributors.
-                    let contributions: Vec<(usize, f32)> = returns
-                        .iter()
-                        .filter(|r| masks[r.client][k])
-                        .map(|r| (r.client, r.unit_delta[k]))
-                        .collect();
-                    if contributions.len() < 2 {
-                        continue; // a single contributor is never below threshold
-                    }
-                    let magnitudes: Vec<f32> = contributions.iter().map(|&(_, d)| d).collect();
-                    let Some(threshold) = rule.threshold(&magnitudes) else {
-                        continue; // LiteralEq7 is handled by the arm above
-                    };
-                    for &(client, delta) in &contributions {
-                        if delta < threshold {
-                            masks[client][k] = false;
-                        }
-                    }
+                MaskRule::GradientMean => deactivate_below(masks, returns, k, |m| {
+                    m.iter().sum::<f32>() / m.len() as f32
+                }),
+                MaskRule::GradientQuantile(q) => {
+                    // Range is enforced by `FedDa::validate()` before a run
+                    // starts; this is only a tripwire for callers that skip it.
+                    debug_assert!((0.0..1.0).contains(&q), "quantile must be in [0,1)");
+                    deactivate_below(masks, returns, k, |m| quantile(m, q));
                 }
             }
+        }
+    }
+}
+
+/// A threshold rule's step 4 for unit `k`: over the returned-gradient
+/// magnitudes of this round's contributors (clients whose mask still
+/// requests `k`), switch off every contributor below `threshold` of them.
+/// A single contributor is never below the threshold.
+fn deactivate_below(
+    masks: &mut [Vec<bool>],
+    returns: &[ClientReturn],
+    k: usize,
+    threshold: impl Fn(&[f32]) -> f32,
+) {
+    let contributions: Vec<(usize, f32)> = returns
+        .iter()
+        .filter(|r| masks[r.client][k])
+        .map(|r| (r.client, r.unit_delta[k]))
+        .collect();
+    if contributions.len() < 2 {
+        return;
+    }
+    let magnitudes: Vec<f32> = contributions.iter().map(|&(_, d)| d).collect();
+    let threshold = threshold(&magnitudes);
+    for &(client, delta) in &contributions {
+        if delta < threshold {
+            masks[client][k] = false;
         }
     }
 }

@@ -76,12 +76,6 @@ impl FedAdam {
             broadcast: Vec::new(),
         }
     }
-
-    /// The server moment vectors `(m, v)` — exposed for the chaos
-    /// harness's finiteness checks.
-    pub fn moments(&self) -> (&[f64], &[f64]) {
-        (&self.m, &self.v)
-    }
 }
 
 /// One bias-corrected scalar Adam update on a pseudo-gradient `delta`:
@@ -226,7 +220,7 @@ mod tests {
         let mut sys = tiny_system(2, 43);
         let mut proto = FedAdam::default();
         crate::run(&crate::RuntimeMode::Sync, &mut proto, &mut sys, None).expect("valid config");
-        let (m, v) = proto.moments();
+        let (m, v) = (&proto.m, &proto.v);
         assert!(m.iter().all(|x| x.is_finite()));
         assert!(v.iter().all(|x| x.is_finite() && *x >= 0.0));
         assert!(

@@ -50,42 +50,17 @@ use std::collections::BTreeMap;
 /// report plus the fault plan's straggler delay.
 pub type Tick = u64;
 
-/// A monotonic virtual clock. Advances only via [`VirtualClock::advance_to`]
-/// — there is no wall-time source anywhere in the runtime.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VirtualClock {
-    now: Tick,
-}
-
-impl VirtualClock {
-    /// A clock at tick 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current tick.
-    pub fn now(&self) -> Tick {
-        self.now
-    }
-
-    /// Advance to `tick`. Moving backwards is a causality violation and
-    /// panics in debug builds; release builds clamp monotonically.
-    pub fn advance_to(&mut self, tick: Tick) {
-        debug_assert!(tick >= self.now, "virtual clock must be monotonic");
-        self.now = self.now.max(tick);
-    }
-}
-
 /// A deterministic discrete-event queue over virtual time.
 ///
 /// Events are totally ordered by `(tick, seq)`: `seq` increments per
 /// schedule call, so two events at the same tick pop in schedule order.
-/// Popping an event advances the embedded [`VirtualClock`] to its tick.
+/// Popping an event advances the virtual clock to its tick; nothing else
+/// moves it, and it never moves backwards.
 #[derive(Debug)]
 pub struct Scheduler<E> {
     queue: BTreeMap<(Tick, u64), E>,
     seq: u64,
-    clock: VirtualClock,
+    now: Tick,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -100,23 +75,13 @@ impl<E> Scheduler<E> {
         Self {
             queue: BTreeMap::new(),
             seq: 0,
-            clock: VirtualClock::new(),
+            now: 0,
         }
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> Tick {
-        self.clock.now()
-    }
-
-    /// Number of events waiting.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue is drained.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+    pub(crate) fn now(&self) -> Tick {
+        self.now
     }
 
     /// Schedule `event` at an absolute `tick`. Scheduling into the past is
@@ -129,13 +94,13 @@ impl<E> Scheduler<E> {
     }
 
     /// Tick of the earliest waiting event, without popping it.
-    pub fn next_tick(&self) -> Option<Tick> {
+    pub(crate) fn next_tick(&self) -> Option<Tick> {
         self.queue.first_key_value().map(|(&(tick, _), _)| tick)
     }
 
     /// Every waiting event, in pop order, for editing in place. Keys are
     /// out of reach: nothing done here can reorder the queue.
-    pub fn waiting_mut(&mut self) -> impl Iterator<Item = &mut E> {
+    pub(crate) fn waiting_mut(&mut self) -> impl Iterator<Item = &mut E> {
         self.queue.values_mut()
     }
 
@@ -143,7 +108,8 @@ impl<E> Scheduler<E> {
     /// the clock to its tick.
     pub fn pop(&mut self) -> Option<(Tick, E)> {
         let ((tick, _), event) = self.queue.pop_first()?;
-        self.clock.advance_to(tick);
+        debug_assert!(tick >= self.now, "virtual clock must be monotonic");
+        self.now = self.now.max(tick);
         Some((tick, event))
     }
 }
@@ -221,12 +187,7 @@ impl WorkerPool {
         }
     }
 
-    /// Configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// [`WorkerPool::run_slotted`] for a task that ignores its slot. Kept
+    /// `run_slotted` for a task that ignores its slot. Kept
     /// only because the benchmark package's pool probe calls it.
     pub fn run_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
@@ -242,12 +203,12 @@ impl WorkerPool {
     /// Tasks must be pure: results are placed by item index, so any number
     /// of workers yields the identical output vector. Each task is told its
     /// worker slot: `0` for every task of an inline pool, else the index
-    /// (below [`WorkerPool::workers`]) of the one thread that runs it. A
+    /// (below the pool's worker count) of the one thread that runs it. A
     /// slot runs one task at a time, so state kept per slot — a training
     /// workspace — is never contended. Slot `s` starts with item `s`, so the
     /// first items have fixed slots; which slot serves any later item varies
     /// from run to run, so a task's result must not depend on its slot.
-    pub fn run_slotted<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    pub(crate) fn run_slotted<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -297,12 +258,14 @@ mod tests {
 
     #[test]
     fn clock_is_monotonic() {
-        let mut c = VirtualClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance_to(5);
-        assert_eq!(c.now(), 5);
-        c.advance_to(5);
-        assert_eq!(c.now(), 5);
+        let mut s: Scheduler<u32> = Scheduler::new();
+        assert_eq!(s.now(), 0);
+        s.schedule_at(5, 1);
+        s.pop();
+        assert_eq!(s.now(), 5);
+        s.schedule_at(5, 2);
+        s.pop();
+        assert_eq!(s.now(), 5);
     }
 
     #[test]
@@ -312,7 +275,7 @@ mod tests {
         s.schedule_at(1, "first-at-1");
         s.schedule_at(1, "second-at-1");
         s.schedule_at(s.now(), "now");
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.queue.len(), 4);
         assert_eq!(s.next_tick(), Some(0));
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
         assert_eq!(
@@ -324,7 +287,7 @@ mod tests {
                 (2, "late")
             ]
         );
-        assert!(s.is_empty());
+        assert!(s.queue.is_empty());
         assert_eq!(s.next_tick(), None);
         assert_eq!(s.now(), 2);
     }
@@ -367,6 +330,6 @@ mod tests {
         // Degenerate shapes.
         let empty: Vec<u64> = Vec::new();
         assert!(WorkerPool::new(4).run_slotted(&empty, |_, &x| x).is_empty());
-        assert_eq!(WorkerPool::new(0).workers(), 1);
+        assert_eq!(WorkerPool::new(0).workers, 1);
     }
 }

@@ -43,7 +43,7 @@ impl PrivacyConfig {
     /// Validate ranges: both values finite (a NaN multiplier would add no
     /// noise, an infinite clip norm infinite noise), `clip_norm > 0`,
     /// `noise_multiplier ≥ 0`.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let (clip, noise) = (self.clip_norm, self.noise_multiplier);
         if !clip.is_finite() {
             return Err(format!("clip_norm must be finite, got {clip}"));
@@ -97,8 +97,8 @@ pub struct FlConfig {
     /// `workers: Some(1)`.
     pub parallel: bool,
     /// Worker-pool size for parallel client updates, fixed at
-    /// [`FlSystem::new`] ([`FlConfig::workers()`] resolves it). Never more
-    /// workers than tasks. Results are worker-count independent:
+    /// [`FlSystem::new`] (`None` is `FEDDA_THREADS`, else the core count).
+    /// Never more workers than tasks. Results are worker-count independent:
     /// client training is a pure function of (client seed, round,
     /// broadcast parameters) and the pool returns results in dispatch
     /// order.
@@ -183,7 +183,7 @@ impl FlConfig {
     /// # Errors
     /// `workers: Some(0)`, or a malformed `FEDDA_THREADS` behind
     /// `workers: None` ([`default_workers`](crate::runtime::default_workers)).
-    pub fn workers(&self) -> Result<usize, String> {
+    pub(crate) fn workers(&self) -> Result<usize, String> {
         match (self.parallel, self.workers) {
             (_, Some(0)) => Err("workers must be at least 1, got 0".into()),
             (false, _) => Ok(1),
@@ -486,7 +486,7 @@ impl FlSystem {
 
     /// The global training graph (evaluation-time message passing; also
     /// what the `Global` baseline trains on).
-    pub fn eval_graph(&self) -> &HeteroGraph {
+    pub(crate) fn eval_graph(&self) -> &HeteroGraph {
         &self.eval_graph
     }
 
@@ -531,7 +531,7 @@ impl FlSystem {
     }
 
     /// Ids of the disentangled units.
-    pub fn disentangled_ids(&self) -> Vec<ParamId> {
+    pub(crate) fn disentangled_ids(&self) -> Vec<ParamId> {
         let global = &self.global;
         global
             .ids()
@@ -800,9 +800,7 @@ impl FlSystem {
         broadcast_clients: usize,
         charges: &[UplinkCharge],
     ) -> RoundComm {
-        let sizes = self.unit_sizes();
-        let n_units = sizes.len();
-        let n_scalars: usize = sizes.iter().sum();
+        let (n_units, n_scalars) = (self.num_units(), self.global.num_scalars());
         let mut uplink_units = 0usize;
         let mut uplink_scalars = 0usize;
         let mut uplink_bytes = 0usize;
@@ -846,7 +844,7 @@ impl FlSystem {
 
     /// Evaluate an arbitrary parameter set (used by the Local baseline), in
     /// worker slot 0's workspace.
-    pub fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
+    pub(crate) fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
         self.evaluate_on(self.slot0().graph(), params, round)
     }
 
@@ -866,12 +864,12 @@ impl FlSystem {
     }
 
     /// An all-true mask set for `m` clients (vanilla FedAvg's request).
-    pub fn full_masks(&self, m: usize) -> Vec<Vec<bool>> {
+    pub(crate) fn full_masks(&self, m: usize) -> Vec<Vec<bool>> {
         vec![vec![true; self.num_units()]; m]
     }
 
     /// Random unit mask with the given activation fraction (Fig. 2's `D`).
-    pub fn random_mask<R: Rng + ?Sized>(&self, fraction: f64, rng: &mut R) -> Vec<bool> {
+    pub(crate) fn random_mask<R: Rng + ?Sized>(&self, fraction: f64, rng: &mut R) -> Vec<bool> {
         let n = self.num_units();
         let keep = ((n as f64) * fraction).round().max(1.0) as usize;
         let mut idx: Vec<usize> = (0..n).collect();

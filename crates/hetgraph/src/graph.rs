@@ -16,8 +16,6 @@ pub struct NodeStore {
     schema: Schema,
     /// Node type of each global node.
     node_type: Vec<NodeTypeId>,
-    /// Row of each node inside its type's feature matrix.
-    local_index: Vec<u32>,
     /// Per node type: flat row-major features `[count_t, feat_dim_t]`.
     features: Vec<Vec<f32>>,
     /// Per node type: global ids in local order.
@@ -45,20 +43,17 @@ impl NodeStore {
         }
         let total: usize = counts.iter().sum();
         let mut node_type = Vec::with_capacity(total);
-        let mut local_index = Vec::with_capacity(total);
         let mut nodes_of_type: Vec<Vec<NodeId>> = vec![Vec::new(); counts.len()];
         for (t, &c) in counts.iter().enumerate() {
-            for i in 0..c {
+            for _ in 0..c {
                 let gid = node_type.len() as NodeId;
                 node_type.push(NodeTypeId(t as u16));
-                local_index.push(i as u32);
                 nodes_of_type[t].push(gid);
             }
         }
         Self {
             schema,
             node_type,
-            local_index,
             features,
             nodes_of_type,
         }
@@ -70,7 +65,7 @@ impl NodeStore {
     }
 
     /// Total node count across all types.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.node_type.len()
     }
 
@@ -82,11 +77,6 @@ impl NodeStore {
     /// Type of a node.
     pub fn type_of(&self, v: NodeId) -> NodeTypeId {
         self.node_type[v as usize]
-    }
-
-    /// Row index of `v` within its type's feature matrix.
-    pub fn local_index(&self, v: NodeId) -> u32 {
-        self.local_index[v as usize]
     }
 
     /// Global ids of all nodes of a type, in local order.
@@ -120,7 +110,8 @@ impl EdgeList {
         self.src.len()
     }
 
-    /// True when there are no edges.
+    /// True when there are no edges. Public beside `len`, as clippy's
+    /// `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
     }
@@ -161,15 +152,6 @@ impl PartialEq for HeteroGraph {
 }
 
 impl HeteroGraph {
-    /// An edgeless graph over a node universe.
-    pub fn new(nodes: Arc<NodeStore>) -> Self {
-        let n = nodes.schema().num_edge_types();
-        Self {
-            nodes,
-            edges: vec![EdgeList::new(); n],
-        }
-    }
-
     /// Build from explicit per-type edge lists.
     ///
     /// # Panics
@@ -343,8 +325,14 @@ impl MessageEdges {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// An edgeless graph over a node universe.
+    pub(crate) fn edgeless(nodes: Arc<NodeStore>) -> HeteroGraph {
+        let n = nodes.schema().num_edge_types();
+        HeteroGraph::from_edges(nodes, vec![EdgeList::new(); n])
+    }
 
     fn tiny_store() -> Arc<NodeStore> {
         let mut s = Schema::new();
@@ -364,7 +352,6 @@ mod tests {
         assert_eq!(ns.num_nodes(), 5);
         assert_eq!(ns.type_of(0), NodeTypeId(0));
         assert_eq!(ns.type_of(4), NodeTypeId(1));
-        assert_eq!(ns.local_index(4), 1);
         assert_eq!(ns.nodes_of_type(NodeTypeId(1)), &[3, 4]);
         assert_eq!(ns.features_of_type(NodeTypeId(1)).len(), 2 * 3);
     }
@@ -372,7 +359,7 @@ mod tests {
     #[test]
     fn graph_edge_accounting() {
         let ns = tiny_store();
-        let mut g = HeteroGraph::new(ns);
+        let mut g = edgeless(ns);
         g.edges_of_type_mut(EdgeTypeId(0)).push(0, 3);
         g.edges_of_type_mut(EdgeTypeId(0)).push(1, 4);
         g.edges_of_type_mut(EdgeTypeId(1)).push(0, 2);
@@ -386,7 +373,7 @@ mod tests {
     #[test]
     fn message_edges_mirror_symmetric_types_and_add_self_loops() {
         let ns = tiny_store();
-        let mut g = HeteroGraph::new(ns);
+        let mut g = edgeless(ns);
         g.edges_of_type_mut(EdgeTypeId(0)).push(0, 3); // directed
         g.edges_of_type_mut(EdgeTypeId(1)).push(0, 2); // symmetric
         let me = g.message_edges(true);
@@ -408,7 +395,7 @@ mod tests {
     #[test]
     fn symmetric_self_edge_not_double_mirrored() {
         let ns = tiny_store();
-        let mut g = HeteroGraph::new(ns);
+        let mut g = edgeless(ns);
         g.edges_of_type_mut(EdgeTypeId(1)).push(1, 1);
         let me = g.message_edges(false);
         assert_eq!(me.len(), 1);
@@ -417,7 +404,7 @@ mod tests {
     #[test]
     fn equality_is_edges_by_content_and_store_by_pointer_then_content() {
         let ns = tiny_store();
-        let mut g = HeteroGraph::new(Arc::clone(&ns));
+        let mut g = edgeless(Arc::clone(&ns));
         g.edges_of_type_mut(EdgeTypeId(0)).push(0, 3);
         g.edges_of_type_mut(EdgeTypeId(1)).push(0, 2);
         assert_eq!(g, g.clone());
@@ -465,7 +452,7 @@ mod tests {
     #[test]
     fn degrees_count_incoming_messages() {
         let ns = tiny_store();
-        let mut g = HeteroGraph::new(ns);
+        let mut g = edgeless(ns);
         g.edges_of_type_mut(EdgeTypeId(0)).push(0, 3);
         g.edges_of_type_mut(EdgeTypeId(0)).push(1, 3);
         let deg = g.message_in_degrees(false);
@@ -479,7 +466,7 @@ mod tests {
     #[test]
     fn density_of_empty_graph_is_zero() {
         let ns = tiny_store();
-        let g = HeteroGraph::new(ns);
+        let g = edgeless(ns);
         assert_eq!(g.density(), 0.0);
     }
 }

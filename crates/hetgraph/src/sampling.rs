@@ -349,7 +349,7 @@ mod tests {
         assert!(dsts(2, 0).is_empty(), "past the last edge type");
 
         let g = bipartite();
-        let empty = EdgeIndex::new(&HeteroGraph::new(g.nodes().clone()));
+        let empty = EdgeIndex::new(&crate::graph::tests::edgeless(g.nodes().clone()));
         assert!(empty.edges_from(EdgeTypeId(0), 0).is_empty());
         assert!(!empty.contains(EdgeTypeId(0), 0, 0));
     }
@@ -418,7 +418,7 @@ mod tests {
         let base = bipartite();
         let mut rng = StdRng::seed_from_u64(11);
         for case in 0..200 {
-            let mut g = HeteroGraph::new(base.nodes().clone());
+            let mut g = crate::graph::tests::edgeless(base.nodes().clone());
             let empty = rng.gen_range(0..3u16);
             for t in (0..2).filter(|&t| t != empty) {
                 let list = g.edges_of_type_mut(EdgeTypeId(t));

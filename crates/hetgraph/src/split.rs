@@ -103,7 +103,7 @@ mod tests {
         let a = s.add_node_type("a", 1);
         s.add_edge_type("e", a, a, false);
         let store = Arc::new(NodeStore::new(s, &[n], vec![vec![0.0; n]]));
-        let mut g = HeteroGraph::new(store);
+        let mut g = crate::graph::tests::edgeless(store);
         for i in 0..n as u32 - 1 {
             g.edges_of_type_mut(EdgeTypeId(0)).push(i, i + 1);
         }

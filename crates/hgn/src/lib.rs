@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 // Determinism & safety invariants D3 / D4 (DESIGN.md §6), run by `cargo lint`.
 #![warn(
     clippy::unwrap_used,

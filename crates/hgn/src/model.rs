@@ -60,7 +60,6 @@ pub struct SimpleHgn {
     dec_rel: Vec<ParamId>,
     dec_scale: ParamId,
     dec_bias: ParamId,
-    num_edge_types: usize,
     num_message_types: usize,
 }
 
@@ -187,25 +186,19 @@ impl SimpleHgn {
             dec_rel,
             dec_scale,
             dec_bias,
-            num_edge_types,
             num_message_types,
         };
         (model, ps)
     }
 
     /// The model's configuration.
-    pub fn config(&self) -> &HgnConfig {
+    pub(crate) fn config(&self) -> &HgnConfig {
         &self.config
-    }
-
-    /// Number of real edge types.
-    pub fn num_edge_types(&self) -> usize {
-        self.num_edge_types
     }
 
     /// Encode all nodes of a graph view into `[num_nodes, out_dim]`
     /// embeddings on the given tape.
-    pub fn encode(
+    pub(crate) fn encode(
         &self,
         graph: &mut Graph,
         bindings: &mut TapeBindings,
@@ -303,7 +296,7 @@ impl SimpleHgn {
     }
 
     /// Score link examples against node embeddings; returns logits `[B, 1]`.
-    pub fn score_links(
+    pub(crate) fn score_links(
         &self,
         graph: &mut Graph,
         bindings: &mut TapeBindings,

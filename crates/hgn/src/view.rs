@@ -5,7 +5,7 @@
 //! per-type feature matrices are computed once per client graph and shared
 //! via `Arc` with every tape.
 
-use fedda_hetgraph::{HeteroGraph, NodeTypeId};
+use fedda_hetgraph::HeteroGraph;
 use fedda_tensor::{Matrix, Segments};
 use std::sync::Arc;
 
@@ -73,16 +73,6 @@ impl GraphView {
     pub fn num_messages(&self) -> usize {
         self.src.len()
     }
-
-    /// Node types present.
-    pub fn num_node_types(&self) -> usize {
-        self.type_features.len()
-    }
-
-    /// Feature dimension of a node type.
-    pub fn feat_dim(&self, t: NodeTypeId) -> usize {
-        self.type_features[t.index()].cols()
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +90,7 @@ mod tests {
         .graph;
         let view = GraphView::new(&g, true);
         assert_eq!(view.num_nodes, g.num_nodes());
-        assert_eq!(view.num_node_types(), 1);
+        assert_eq!(view.type_features.len(), 1);
         assert_eq!(view.num_edge_types, 2);
         assert_eq!(view.num_message_types, 3);
         // symmetric types are mirrored + self loops

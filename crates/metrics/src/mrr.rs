@@ -23,13 +23,20 @@ impl RankQuery {
 
 /// Reciprocal rank of `positive` among `negatives`.
 fn reciprocal_rank(positive: f32, negatives: &[f32]) -> f64 {
+    1.0 / midrank(positive, negatives)
+}
+
+/// Rank of `positive` among `negatives` by the midrank convention:
+/// `1 + #negatives strictly above it + half the exact ties`. The one
+/// definition both [`mrr`] and [`crate::hits_at_k`] rank by.
+pub(crate) fn midrank(positive: f32, negatives: &[f32]) -> f64 {
     let above = negatives.iter().filter(|&&n| n > positive).count() as f64;
     #[expect(
         clippy::float_cmp,
         reason = "a tie is a negative scored exactly as the positive; the midrank convention counts exact ties only"
     )]
     let ties = negatives.iter().filter(|&&n| n == positive).count() as f64;
-    1.0 / (1.0 + above + ties / 2.0)
+    1.0 + above + ties / 2.0
 }
 
 /// Mean reciprocal rank over a set of queries. Returns 0 for an empty set.

@@ -2,7 +2,7 @@
 //! average precision, plus per-group (e.g. per-edge-type) breakdowns used
 //! by the fairness analysis.
 
-use crate::mrr::RankQuery;
+use crate::mrr::{midrank, RankQuery};
 
 /// Fraction of queries whose positive ranks within the top `k`
 /// (ties counted optimistically at the midrank, consistent with
@@ -14,15 +14,7 @@ pub fn hits_at_k(queries: &[RankQuery], k: usize) -> f64 {
     }
     let hits = queries
         .iter()
-        .filter(|q| {
-            let above = q.negatives.iter().filter(|&&n| n > q.positive).count() as f64;
-            #[expect(
-                clippy::float_cmp,
-                reason = "a tie is a negative scored exactly as the positive; the midrank convention counts exact ties only"
-            )]
-            let ties = q.negatives.iter().filter(|&&n| n == q.positive).count() as f64;
-            (1.0 + above + ties / 2.0) <= k as f64
-        })
+        .filter(|q| midrank(q.positive, &q.negatives) <= k as f64)
         .count();
     hits as f64 / queries.len() as f64
 }
@@ -113,14 +105,6 @@ impl GroupedMetric {
             _ => 0.0,
         }
     }
-
-    /// The worst-performing non-empty group.
-    pub fn worst(&self) -> Option<&(String, f64, usize)> {
-        self.groups
-            .iter()
-            .filter(|(_, _, n)| *n > 0)
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +159,6 @@ mod tests {
         assert!((g.weighted_mean() - 0.86).abs() < 1e-12);
         assert!((g.macro_mean() - 0.7).abs() < 1e-12);
         assert!((g.gap() - 0.4).abs() < 1e-12);
-        assert_eq!(g.worst().unwrap().0, "co-purchase");
     }
 
     #[test]
@@ -184,6 +167,5 @@ mod tests {
         assert_eq!(g.weighted_mean(), 0.0);
         assert_eq!(g.macro_mean(), 0.0);
         assert_eq!(g.gap(), 0.0);
-        assert!(g.worst().is_none());
     }
 }

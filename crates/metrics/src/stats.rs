@@ -80,11 +80,6 @@ impl CurveRecorder {
         self.runs.iter().map(Vec::len).min().unwrap_or(0)
     }
 
-    /// One run's raw curve.
-    pub fn run(&self, run: usize) -> &[f64] {
-        &self.runs[run]
-    }
-
     /// Per-round mean across runs.
     pub fn mean_curve(&self) -> Vec<f64> {
         let t = self.num_rounds();

@@ -14,8 +14,8 @@
 //! at every shape and tile edge.
 //!
 //! No term is skipped: `0·NaN` and `0·Inf` reach the output as NaN in all
-//! three layouts, so a corrupted operand stays visible to
-//! [`Matrix::has_non_finite`]. On finite inputs a zero-skip would change
+//! three layouts, so a corrupted operand stays visible to the corruption
+//! guard ([`crate::ParamSet::has_non_finite`]). On finite inputs a zero-skip would change
 //! nothing — a chain started at `+0.0` can never become `-0.0` — so
 //! FedDA's exactly-zero masked weights need no special case.
 //!
@@ -106,7 +106,7 @@ fn run<const TN: bool>(ops: Operands<'_>, out: &mut [f32]) {
 }
 
 /// `a @ b`. Same shape contract as [`Matrix::matmul`].
-pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     assert_eq!(k, b.rows(), "matmul: {}x{} @ {}x{}", m, k, b.rows(), n);
@@ -122,7 +122,7 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `a^T @ b`, with `a` read in place (no transpose is materialised).
-pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
     let (k, m) = a.shape();
     let n = b.cols();
     assert_eq!(k, b.rows(), "matmul_tn: ({k}x{m})^T @ {}x{n}", b.rows());
@@ -139,7 +139,7 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// `a @ b^T`: `b^T` is materialised (`O(k·n)`; `b` is a weight matrix on
 /// every hot call) and fed to the `nn` tile.
-pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
+pub(crate) fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     assert_eq!(
         k,
@@ -408,13 +408,14 @@ mod tests {
             let col = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
             let bad_col = Matrix::from_vec(2, 1, vec![bad, 1.0]);
             let bad_row = Matrix::from_vec(1, 2, vec![bad, 1.0]);
-            assert!(gemm_nn(&row, &bad_col).has_non_finite(), "nn 0*{bad}");
-            assert!(gemm_tn(&col, &bad_col).has_non_finite(), "tn 0*{bad}");
-            assert!(gemm_nt(&row, &bad_row).has_non_finite(), "nt 0*{bad}");
+            let non_finite = |m: Matrix| m.as_slice().iter().any(|x| !x.is_finite());
+            assert!(non_finite(gemm_nn(&row, &bad_col)), "nn 0*{bad}");
+            assert!(non_finite(gemm_tn(&col, &bad_col)), "tn 0*{bad}");
+            assert!(non_finite(gemm_nt(&row, &bad_row)), "nt 0*{bad}");
             // ... and symmetrically with the non-finite value on the left.
-            assert!(gemm_nn(&bad_row, &col).has_non_finite(), "nn {bad}*0");
-            assert!(gemm_tn(&bad_col, &col).has_non_finite(), "tn {bad}*0");
-            assert!(gemm_nt(&bad_row, &row).has_non_finite(), "nt {bad}*0");
+            assert!(non_finite(gemm_nn(&bad_row, &col)), "nn {bad}*0");
+            assert!(non_finite(gemm_tn(&bad_col, &col)), "tn {bad}*0");
+            assert!(non_finite(gemm_nt(&bad_row, &row)), "nt {bad}*0");
         }
     }
 

@@ -3,10 +3,10 @@
 //!
 //! All tensors in the FedDA reproduction are rank-2 (vectors are `1 × n`
 //! matrices); this keeps shape logic simple and the kernels flat and
-//! vectorisable. Kernels never allocate inside inner loops, and the
-//! mutating variants (`add_assign`, `scale_assign`, …) exist so optimisers
-//! and gradient accumulation can reuse buffers. The three matrix products
-//! are thin entry points onto the register-tiled kernels in [`crate::gemm`].
+//! vectorisable. Kernels never allocate inside inner loops; the optimiser
+//! and gradient accumulation work on [`crate::ParamSet`]'s flat buffers,
+//! not on `Matrix`. The three matrix products are thin entry points onto
+//! the register-tiled kernels in [`crate::gemm`].
 
 use std::fmt;
 
@@ -59,13 +59,13 @@ impl<'a> MatrixRef<'a> {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
         assert_eq!(data.len(), rows * cols, "MatrixRef: length mismatch");
         Self { data, rows, cols }
     }
 
     /// `(rows, cols)` pair.
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
@@ -85,8 +85,9 @@ impl<'a> MatrixRef<'a> {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterate over rows as slices, `rows()` of them even when
-    /// `cols() == 0` (as [`Matrix::rows_iter`]).
+    /// Iterate over the rows as slices: one per row even when there are no
+    /// columns (each is then the empty slice), where a plain
+    /// `chunks_exact(cols)` would yield none.
     pub fn rows_iter(&self) -> impl Iterator<Item = &'a [f32]> {
         let (data, cols) = (self.data, self.cols);
         (0..self.rows).map(move |r| &data[r * cols..(r + 1) * cols])
@@ -160,7 +161,7 @@ impl Matrix {
 
     /// Number of rows.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
@@ -182,7 +183,8 @@ impl Matrix {
         self.data.len()
     }
 
-    /// True when the matrix holds no elements.
+    /// True when the matrix holds no elements. Public beside `len`, as
+    /// clippy's `len_without_is_empty` asks.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
@@ -207,38 +209,18 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Set element at `(r, c)`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
     /// Borrow row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
+    pub(crate) fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Borrow row `r` mutably.
     #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+    fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Iterate over rows as slices. Yields exactly `rows()` items, even
-    /// when `cols() == 0` (each item is then the empty slice) — a plain
-    /// `chunks_exact(cols)` would yield zero rows for an `m × 0` matrix.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        let cols = self.cols;
-        (0..self.rows).map(move |r| &self.data[r * cols..(r + 1) * cols])
-    }
-
-    /// Fill every element with `value`.
-    pub fn fill(&mut self, value: f32) {
-        self.data.iter_mut().for_each(|x| *x = value);
     }
 
     /// Matrix transpose (allocates).
@@ -273,77 +255,17 @@ impl Matrix {
         crate::gemm::gemm_nt(self, other)
     }
 
-    /// Elementwise `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// `self *= scalar`.
-    pub fn scale_assign(&mut self, scalar: f32) {
-        self.data.iter_mut().for_each(|x| *x *= scalar);
-    }
-
     /// Elementwise sum (allocates).
     pub fn add(&self, other: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.add_assign(other);
-        out
-    }
-
-    /// Elementwise product (allocates).
-    pub fn mul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "mul shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
+        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
+        let data = self.data.iter().zip(&other.data).map(|(&a, &b)| a + b);
+        Matrix::from_vec(self.rows, self.cols, data.collect())
     }
 
     /// Scalar product (allocates).
     pub fn scale(&self, scalar: f32) -> Matrix {
-        let mut out = self.clone();
-        out.scale_assign(scalar);
-        out
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements (0.0 for an empty matrix).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Squared Frobenius norm.
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.norm_sq().sqrt()
-    }
-
-    /// Maximum absolute element (0.0 for an empty matrix).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
+        let data = self.data.iter().map(|&x| x * scalar);
+        Matrix::from_vec(self.rows, self.cols, data.collect())
     }
 
     /// Gather rows by index: `out[i] = self[idx[i]]`.
@@ -399,16 +321,15 @@ mod tests {
     fn rows_iter_yields_every_row_of_zero_width_matrices() {
         // Regression: the old chunks(cols) implementation yielded zero rows
         // for any m×0 matrix, silently skipping rows in row-wise loops.
-        let m = Matrix::zeros(3, 0);
-        let rows: Vec<&[f32]> = m.rows_iter().collect();
+        let rows: Vec<&[f32]> = MatrixRef::new(3, 0, &[]).rows_iter().collect();
         assert_eq!(rows.len(), 3);
         assert!(rows.iter().all(|r| r.is_empty()));
         // 0×n and 0×0 still yield nothing.
-        assert_eq!(Matrix::zeros(0, 4).rows_iter().count(), 0);
-        assert_eq!(Matrix::zeros(0, 0).rows_iter().count(), 0);
+        assert_eq!(MatrixRef::new(0, 4, &[]).rows_iter().count(), 0);
+        assert_eq!(MatrixRef::new(0, 0, &[]).rows_iter().count(), 0);
         // Sane shape unchanged: rows come out in order with correct width.
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let rows: Vec<&[f32]> = m.rows_iter().collect();
+        let data = [1.0, 2.0, 3.0, 4.0];
+        let rows: Vec<&[f32]> = MatrixRef::new(2, 2, &data).rows_iter().collect();
         assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
     }
 
@@ -420,6 +341,7 @@ mod tests {
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(m.len(), 6);
         assert!(!m.is_empty());
+        assert!(Matrix::zeros(0, 4).is_empty());
     }
 
     #[test]
@@ -464,20 +386,7 @@ mod tests {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(a.mul(&b).as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, -4.0]);
-        assert_eq!(a.sum(), -2.0);
-        assert_eq!(a.mean(), -0.5);
-        assert_eq!(a.max_abs(), 4.0);
-        assert!((a.norm_sq() - 30.0).abs() < 1e-6);
-        assert!(!a.has_non_finite());
-        let nan = Matrix::from_vec(1, 1, vec![f32::NAN]);
-        assert!(nan.has_non_finite());
     }
 
     #[test]
@@ -487,12 +396,5 @@ mod tests {
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
         let s = g.scatter_add_rows(&[2, 0, 2], 3);
         assert_eq!(s.as_slice(), &[1.0, 2.0, 0.0, 0.0, 10.0, 12.0]);
-    }
-
-    #[test]
-    fn empty_matrix_mean_is_zero() {
-        let m = Matrix::zeros(0, 4);
-        assert_eq!(m.mean(), 0.0);
-        assert!(m.is_empty());
     }
 }

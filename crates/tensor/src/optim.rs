@@ -164,14 +164,14 @@ mod tests {
     #[test]
     fn adam_converges_on_quadratic() {
         let mut ps = ParamSet::new();
-        ps.add("w", Matrix::row_vector(vec![-5.0, 20.0]));
+        let w_id = ps.add("w", Matrix::row_vector(vec![-5.0, 20.0]));
         let mut opt = Adam::new(0.3);
         for _ in 0..500 {
             ps.zero_grads();
             quadratic_grad(&mut ps);
             opt.step(&mut ps);
         }
-        for &w in ps.unit(ps.id_of("w").unwrap()) {
+        for &w in ps.unit(w_id) {
             assert!((w - 3.0).abs() < 1e-2, "w = {w}");
         }
     }

@@ -4,7 +4,7 @@
 //! disentangled subset `[N_d]` whose members belong to a single edge type
 //! (edge-type embeddings, per-type relation vectors). A [`ParamSet`] is a
 //! shared *layout* — every unit's [`ParamMeta`] tag, shape and offset plus
-//! the name lookup, built once by the model's [`ParamSet::add`] calls and
+//! the names taken, built once by the model's [`ParamSet::add`] calls and
 //! shared by every clone — and one flat value buffer, in which unit `k` is
 //! `values[off[k]..off[k + 1]]` ([`ParamSet::range`]). The server masks,
 //! averages and counts transmitted scalars per unit without knowing anything
@@ -18,7 +18,7 @@
 
 use crate::matrix::Matrix;
 use crate::tape::{Graph, Var};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -83,11 +83,11 @@ impl Unit {
 }
 
 /// What every set of one model shares: its units in registration order and
-/// the name lookup.
+/// the names taken, so a name is registered once.
 #[derive(Clone, Debug, Default)]
 struct ParamLayout {
     units: Vec<Unit>,
-    by_name: BTreeMap<String, ParamId>,
+    names: BTreeSet<String>,
 }
 
 /// An ordered, named collection of parameter units: a shared layout and one
@@ -128,11 +128,11 @@ impl ParamSet {
         let name = name.into();
         let layout = Arc::make_mut(&mut self.layout);
         assert!(
-            !layout.by_name.contains_key(&name),
+            !layout.names.contains(&name),
             "duplicate parameter name: {name}"
         );
         let id = ParamId(layout.units.len());
-        layout.by_name.insert(name, id);
+        layout.names.insert(name);
         layout.units.push(Unit {
             meta,
             rows: value.rows(),
@@ -169,11 +169,6 @@ impl ParamSet {
             .iter()
             .filter(|u| u.meta.disentangled)
             .count()
-    }
-
-    /// Look a parameter up by name.
-    pub fn id_of(&self, name: &str) -> Option<ParamId> {
-        self.layout.by_name.get(name).copied()
     }
 
     /// FL grouping metadata of a unit.
@@ -375,16 +370,6 @@ impl TapeBindings {
             }
         }
     }
-
-    /// Number of bound leaves.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -408,9 +393,7 @@ mod tests {
         assert_eq!(ps.len(), 2);
         assert_eq!(ps.num_scalars(), 6);
         assert_eq!(ps.num_disentangled(), 1);
-        let id = ps.id_of("r0").unwrap();
-        assert_eq!(ps.meta(id).edge_type, Some(0));
-        assert!(ps.id_of("nope").is_none());
+        assert_eq!(ps.meta(ParamId(1)).edge_type, Some(0));
     }
 
     #[test]

@@ -337,7 +337,8 @@ impl Graph {
         self.nodes.len()
     }
 
-    /// True when no node has been recorded.
+    /// True when no node has been recorded. Public beside `len`, as
+    /// clippy's `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }

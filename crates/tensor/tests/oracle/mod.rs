@@ -24,25 +24,25 @@ fn triple_loop(
 }
 
 /// `a (m×k) @ b (k×n)`.
-pub fn nn(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+pub(crate) fn nn(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
     assert_eq!((a.len(), b.len()), (m * k, k * n));
     triple_loop((m, k, n), |i, p| a[i * k + p], |p, j| b[p * n + j])
 }
 
 /// `a (k×m)^T @ b (k×n)`.
-pub fn tn(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+pub(crate) fn tn(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
     assert_eq!((a.len(), b.len()), (k * m, k * n));
     triple_loop((m, k, n), |i, p| a[p * m + i], |p, j| b[p * n + j])
 }
 
 /// `a (m×k) @ b (n×k)^T`.
-pub fn nt(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+pub(crate) fn nt(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
     assert_eq!((a.len(), b.len()), (m * k, n * k));
     triple_loop((m, k, n), |i, p| a[i * k + p], |p, j| b[j * k + p])
 }
 
 /// Bit patterns: unlike `==` on floats this tells `-0.0` from `+0.0` and
 /// lets a NaN equal the same NaN.
-pub fn bits(x: &[f32]) -> Vec<u32> {
+pub(crate) fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
 }
