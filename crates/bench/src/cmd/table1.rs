@@ -30,19 +30,9 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
 
     println!("Table 1: Statistics of the datasets (synthetic, scale = {scale})\n");
     println!("{}", DatasetStats::table_header());
-    let amazon = amazon_like(&PresetOptions {
-        scale,
-        seed,
-        ..Default::default()
-    })
-    .graph;
+    let amazon = amazon_like(&PresetOptions { scale, seed }).graph;
     println!("{}", DatasetStats::compute("Amazon", &amazon).table_row());
-    let dblp = dblp_like(&PresetOptions {
-        scale,
-        seed,
-        ..Default::default()
-    })
-    .graph;
+    let dblp = dblp_like(&PresetOptions { scale, seed }).graph;
     println!("{}", DatasetStats::compute("DBLP", &dblp).table_row());
 
     println!("\nPaper's original (scale = 1.0):");

@@ -28,7 +28,6 @@ pub(crate) fn generate(opts: Options) -> Result<(), Failure> {
     let preset = PresetOptions {
         scale: opts.get("scale")?.unwrap_or(0.005),
         seed: opts.get("seed")?.unwrap_or(0),
-        ..Default::default()
     };
     // The generators floor every node type at a handful of nodes, so a
     // scale `train` rejects would otherwise write that floor graph.

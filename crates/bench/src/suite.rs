@@ -208,7 +208,6 @@ impl CodecCase {
         let schema = fedda::data::dblp_like(&fedda::data::PresetOptions {
             scale: 0.0008,
             seed: 1,
-            ..Default::default()
         })
         .graph
         .schema()
@@ -298,7 +297,6 @@ fn sample_client() -> (HeteroGraph, Vec<LinkExample>) {
     let graph = fedda::data::dblp_like(&fedda::data::PresetOptions {
         scale: SAMPLE_SCALE,
         seed: 1,
-        ..Default::default()
     })
     .graph;
     let config = PartitionConfig::paper_defaults(1, graph.schema().num_edge_types(), 1);

@@ -308,7 +308,6 @@ impl Experiment {
         let opts = PresetOptions {
             scale: cfg.scale,
             seed: cfg.seed,
-            ..Default::default()
         };
         let generated = match cfg.dataset {
             Dataset::AmazonLike => amazon_like(&opts),
@@ -536,7 +535,12 @@ mod tests {
             "invalid privacy configuration: clip_norm must be positive"
         );
         assert_eq!(
-            reject(|c| c.faults = Some(FaultConfig::dropout_only(2.0))),
+            reject(|c| {
+                c.faults = Some(FaultConfig {
+                    dropout: 2.0,
+                    ..Default::default()
+                })
+            }),
             "invalid fault configuration: dropout rate must be in [0,1], got 2"
         );
         assert_eq!(
@@ -565,7 +569,7 @@ mod tests {
         let exp = Experiment::new(quick_cfg());
         let res = fedavg(&exp);
         assert_eq!(res.final_auc.n, 2);
-        assert_eq!(res.auc_curves.num_runs(), 2);
+        assert_eq!(res.runs.len(), 2);
         assert_eq!(res.auc_curves.num_rounds(), 2);
         assert!(res.uplink_units.mean > 0.0);
         assert!(res.uplink_bytes.mean > 0.0);
@@ -629,7 +633,7 @@ mod tests {
         // Rounds 1 and 2 are evaluated (cadence hit + final round), so the
         // recorder holds two non-consecutive rounds as two sequential points,
         // and eval_rounds carries the true round behind each position.
-        assert_eq!(res.auc_curves.num_runs(), 2);
+        assert_eq!(res.runs.len(), 2);
         assert_eq!(res.auc_curves.num_rounds(), 2);
         assert_eq!(res.final_auc.n, 2);
         assert_eq!(res.eval_rounds, vec![1, 2]);
@@ -647,7 +651,7 @@ mod tests {
         let exp = Experiment::new(quick_cfg());
         let res = run(&exp, Framework::Local);
         assert!(res.runs.is_empty(), "Local has no engine runs to keep");
-        assert_eq!(res.auc_curves.num_runs(), 0);
+        assert_eq!(res.auc_curves.num_rounds(), 0);
         assert!(res.eval_rounds.is_empty());
         assert_eq!(res.final_auc.n, 2);
         assert_eq!(res.uplink_units.mean, 0.0);

@@ -7,22 +7,21 @@
 //!
 //! The presets reproduce the schemas exactly and scale the sizes by a
 //! `scale` factor so CPU-only experiments stay tractable; `scale = 1.0`
-//! regenerates paper-sized graphs. Feature dimensionalities default to a
-//! reduced width (the paper's 1156-d / 300-d features are projections of
-//! much lower-rank signal anyway) but can be overridden.
+//! regenerates paper-sized graphs. Every node type has `FEAT_DIM` = 32
+//! features, a reduced width (the paper's 1156-d / 300-d features are
+//! projections of much lower-rank signal anyway).
 
 use crate::latent::{generate, GeneratedGraph, LatentGraphConfig};
 use fedda_hetgraph::Schema;
 
-/// Size- and signal-related knobs shared by the presets.
+/// Observed feature dimensionality of every node type.
+const FEAT_DIM: usize = 32;
+
+/// Size knobs shared by the presets.
 #[derive(Clone, Debug)]
 pub struct PresetOptions {
     /// Multiplier on node and edge counts (1.0 = paper size).
     pub scale: f64,
-    /// Observed feature dimensionality for every node type.
-    pub feat_dim: usize,
-    /// Latent dimensionality of the planted signal.
-    pub latent_dim: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -31,8 +30,6 @@ impl Default for PresetOptions {
     fn default() -> Self {
         Self {
             scale: 0.05,
-            feat_dim: 32,
-            latent_dim: 8,
             seed: 0,
         }
     }
@@ -47,7 +44,7 @@ fn scaled(base: usize, scale: f64, min: usize) -> usize {
 /// subset used by Simple-HGN and the paper).
 pub fn amazon_like(opts: &PresetOptions) -> GeneratedGraph {
     let mut schema = Schema::new();
-    let product = schema.add_node_type("product", opts.feat_dim);
+    let product = schema.add_node_type("product", FEAT_DIM);
     schema.add_edge_type("co-view", product, product, true);
     schema.add_edge_type("co-purchase", product, product, true);
     let nodes = scaled(10_099, opts.scale, 60);
@@ -55,8 +52,7 @@ pub fn amazon_like(opts: &PresetOptions) -> GeneratedGraph {
     // subset is co-view-heavy, roughly 2:1.
     let e_view = scaled(99_106, opts.scale, 300);
     let e_purchase = scaled(49_553, opts.scale, 150);
-    let mut cfg = LatentGraphConfig::new(schema, vec![nodes], vec![e_view, e_purchase]);
-    cfg.latent_dim = opts.latent_dim;
+    let cfg = LatentGraphConfig::new(schema, vec![nodes], vec![e_view, e_purchase]);
     generate(&cfg, opts.seed)
 }
 
@@ -66,9 +62,9 @@ pub fn amazon_like(opts: &PresetOptions) -> GeneratedGraph {
 /// (3 node types, 5 edge types).
 pub fn dblp_like(opts: &PresetOptions) -> GeneratedGraph {
     let mut schema = Schema::new();
-    let author = schema.add_node_type("author", opts.feat_dim);
-    let phrase = schema.add_node_type("phrase", opts.feat_dim);
-    let year = schema.add_node_type("year", opts.feat_dim);
+    let author = schema.add_node_type("author", FEAT_DIM);
+    let phrase = schema.add_node_type("phrase", FEAT_DIM);
+    let year = schema.add_node_type("year", FEAT_DIM);
     schema.add_edge_type("co-author", author, author, true);
     schema.add_edge_type("author-phrase", author, phrase, false);
     schema.add_edge_type("author-year", author, year, false);
@@ -88,14 +84,14 @@ pub fn dblp_like(opts: &PresetOptions) -> GeneratedGraph {
         scaled(2_100_000, opts.scale, 250), // phrase-phrase
         scaled(600_000, opts.scale, 120),   // phrase-year
     ];
-    let mut cfg = LatentGraphConfig::new(schema, vec![authors, phrases, years], edges.to_vec());
-    cfg.latent_dim = opts.latent_dim;
+    let cfg = LatentGraphConfig::new(schema, vec![authors, phrases, years], edges.to_vec());
     generate(&cfg, opts.seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedda_hetgraph::{EdgeTypeId, NodeTypeId};
 
     #[test]
     fn amazon_schema_matches_paper() {
@@ -106,7 +102,7 @@ mod tests {
         let g = amazon_like(&opts).graph;
         assert_eq!(g.schema().num_node_types(), 1);
         assert_eq!(g.schema().num_edge_types(), 2);
-        assert!(g.schema().edge_type_by_name("co-purchase").is_some());
+        assert_eq!(g.schema().edge_type(EdgeTypeId(1)).name, "co-purchase");
         assert!(g.num_nodes() >= 60);
         assert!(g.num_edges() > 0);
     }
@@ -120,8 +116,8 @@ mod tests {
         let g = dblp_like(&opts).graph;
         assert_eq!(g.schema().num_node_types(), 3);
         assert_eq!(g.schema().num_edge_types(), 5);
-        assert!(g.schema().node_type_by_name("author").is_some());
-        assert!(g.schema().edge_type_by_name("co-author").is_some());
+        assert_eq!(g.schema().node_type(NodeTypeId(0)).name, "author");
+        assert_eq!(g.schema().edge_type(EdgeTypeId(0)).name, "co-author");
     }
 
     #[test]
@@ -146,14 +142,13 @@ mod tests {
         let opts = PresetOptions {
             scale: 0.005,
             seed: 42,
-            ..Default::default()
         };
         let a = amazon_like(&opts).graph;
         let b = amazon_like(&opts).graph;
         assert_eq!(a.edge_counts(), b.edge_counts());
         assert_eq!(
-            a.edges_of_type(fedda_hetgraph::EdgeTypeId(0)),
-            b.edges_of_type(fedda_hetgraph::EdgeTypeId(0))
+            a.edges_of_type(EdgeTypeId(0)),
+            b.edges_of_type(EdgeTypeId(0))
         );
     }
 }

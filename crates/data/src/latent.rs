@@ -24,7 +24,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Configuration of the latent-factor generator.
+/// Latent dimensionality of the planted signal.
+const LATENT_DIM: usize = 8;
+/// Number of latent communities per node type.
+const COMMUNITIES_PER_TYPE: usize = 4;
+/// Standard deviation of node latents around their community centroid.
+const WITHIN_COMMUNITY_STD: f32 = 0.35;
+/// Observation noise added to projected features.
+const FEATURE_NOISE_STD: f32 = 0.1;
+/// Candidates examined per edge draw; higher = stronger planted signal.
+const CANDIDATES_PER_EDGE: usize = 8;
+
+/// What the latent-factor generator instantiates: a schema and its sizes.
+/// The signal's shape is fixed by the constants above.
 #[derive(Clone, Debug)]
 pub struct LatentGraphConfig {
     /// The heterograph schema to instantiate.
@@ -33,20 +45,10 @@ pub struct LatentGraphConfig {
     pub nodes_per_type: Vec<usize>,
     /// Edge count per edge type (parallel to the schema's edge types).
     pub edges_per_type: Vec<usize>,
-    /// Latent dimensionality.
-    pub latent_dim: usize,
-    /// Number of latent communities per node type.
-    pub communities_per_type: usize,
-    /// Standard deviation of node latents around their community centroid.
-    pub within_community_std: f32,
-    /// Observation noise added to projected features.
-    pub feature_noise_std: f32,
-    /// Candidates examined per edge draw; higher = stronger planted signal.
-    pub candidates_per_edge: usize,
 }
 
 impl LatentGraphConfig {
-    /// Reasonable defaults for a given schema and sizes.
+    /// A configuration for a given schema and sizes.
     pub fn new(schema: Schema, nodes_per_type: Vec<usize>, edges_per_type: Vec<usize>) -> Self {
         assert_eq!(nodes_per_type.len(), schema.num_node_types());
         assert_eq!(edges_per_type.len(), schema.num_edge_types());
@@ -54,11 +56,6 @@ impl LatentGraphConfig {
             schema,
             nodes_per_type,
             edges_per_type,
-            latent_dim: 8,
-            communities_per_type: 4,
-            within_community_std: 0.35,
-            feature_noise_std: 0.1,
-            candidates_per_edge: 8,
         }
     }
 }
@@ -68,11 +65,9 @@ impl LatentGraphConfig {
 pub struct GeneratedGraph {
     /// The generated heterograph.
     pub graph: HeteroGraph,
-    /// Latent vector of each global node, row-major `[num_nodes, latent_dim]`.
+    /// Latent vector of each global node, row-major `[num_nodes, 8]`.
     pub latents: Vec<f32>,
-    /// Latent dimensionality.
-    pub latent_dim: usize,
-    /// Per-edge-type modulation vectors, row-major `[num_edge_types, latent_dim]`.
+    /// Per-edge-type modulation vectors, row-major `[num_edge_types, 8]`.
     pub relation_mods: Vec<f32>,
 }
 
@@ -94,20 +89,19 @@ fn affinity(latents: &[f32], relation_mods: &[f32], d: usize, t: usize, u: usize
 pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = config.schema.clone();
-    let d = config.latent_dim;
+    let d = LATENT_DIM;
     let total_nodes: usize = config.nodes_per_type.iter().sum();
 
     // 1. community centroids, then node latents
     let mut latents = vec![0.0f32; total_nodes * d];
     let mut global = 0usize;
     for &count in &config.nodes_per_type {
-        let k = config.communities_per_type.max(1);
-        let centroids = init::normal(&mut rng, k, d, 0.0, 1.0);
+        let centroids = init::normal(&mut rng, COMMUNITIES_PER_TYPE, d, 0.0, 1.0);
         for _ in 0..count {
-            let c = rng.gen_range(0..k);
+            let c = rng.gen_range(0..COMMUNITIES_PER_TYPE);
             for j in 0..d {
                 let (n0, _) = init::box_muller(&mut rng);
-                latents[global * d + j] = centroids.get(c, j) + config.within_community_std * n0;
+                latents[global * d + j] = centroids.get(c, j) + WITHIN_COMMUNITY_STD * n0;
             }
             global += 1;
         }
@@ -155,12 +149,11 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
             continue;
         }
         let target = config.edges_per_type[t];
-        let k = config.candidates_per_edge.max(1);
         for _ in 0..target {
             let u = offsets[st] + rng.gen_range(0..sn);
             let mut best = offsets[dt] + rng.gen_range(0..dn);
             let mut best_aff = affinity(&latents, &relation_mods, d, t, u, best);
-            for _ in 1..k {
+            for _ in 1..CANDIDATES_PER_EDGE {
                 let cand = offsets[dt] + rng.gen_range(0..dn);
                 if cand == u {
                     continue;
@@ -194,7 +187,7 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
                     v += zj * proj.get(j, c);
                 }
                 let (n0, _) = init::box_muller(&mut rng);
-                feats[i * fd + c] = v + config.feature_noise_std * n0;
+                feats[i * fd + c] = v + FEATURE_NOISE_STD * n0;
             }
         }
         features.push(feats);
@@ -205,7 +198,6 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
     GeneratedGraph {
         graph,
         latents,
-        latent_dim: d,
         relation_mods,
     }
 }
@@ -228,7 +220,7 @@ mod tests {
         let g = generate(&small_config(), 11);
         assert_eq!(g.graph.num_nodes(), 70);
         assert_eq!(g.graph.edge_counts(), vec![120, 80]);
-        assert_eq!(g.latents.len(), 70 * 8);
+        assert_eq!(g.latents.len(), 70 * LATENT_DIM);
     }
 
     #[test]
@@ -254,8 +246,8 @@ mod tests {
         let g = generate(&c, 3);
         let mut rng = StdRng::seed_from_u64(99);
         let aff = |t: EdgeTypeId, u: u32, v: u32| {
-            let (t, u, v) = (t.index(), u as usize, v as usize);
-            affinity(&g.latents, &g.relation_mods, g.latent_dim, t, u, v)
+            let (t, u, v) = (usize::from(t.0), u as usize, v as usize);
+            affinity(&g.latents, &g.relation_mods, LATENT_DIM, t, u, v)
         };
         for t in [EdgeTypeId(0), EdgeTypeId(1)] {
             let list = g.graph.edges_of_type(t);
@@ -282,8 +274,8 @@ mod tests {
         let g = generate(&small_config(), 7);
         // from_edges would have panicked otherwise, but assert explicitly:
         for (u, v) in g.graph.edges_of_type(EdgeTypeId(0)).iter() {
-            assert_eq!(g.graph.nodes().type_of(u).index(), 0);
-            assert_eq!(g.graph.nodes().type_of(v).index(), 1);
+            assert!(g.graph.nodes().nodes_of_type(NodeTypeId(0)).contains(&u));
+            assert!(g.graph.nodes().nodes_of_type(NodeTypeId(1)).contains(&v));
         }
     }
 

@@ -171,7 +171,6 @@ mod tests {
         dblp_like(&PresetOptions {
             scale: 0.002,
             seed: 1,
-            ..Default::default()
         })
         .graph
     }

@@ -68,7 +68,6 @@ mod tests {
         let g = amazon_like(&PresetOptions {
             scale: 0.01,
             seed: 4,
-            ..Default::default()
         })
         .graph;
         let s = DatasetStats::compute("Amazon", &g);
@@ -84,7 +83,6 @@ mod tests {
         let g = amazon_like(&PresetOptions {
             scale: 0.01,
             seed: 4,
-            ..Default::default()
         })
         .graph;
         let s = DatasetStats::compute("Amazon", &g);

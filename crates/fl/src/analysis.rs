@@ -170,18 +170,6 @@ pub fn report_bytes(unit_lens: &[usize], codec: Option<&Compression>) -> usize {
     unit_lens.iter().map(|&len| unit_bytes(len, codec)).sum()
 }
 
-/// The codec's byte factor against the uncompressed wire: wire bytes of a
-/// full report under `codec` divided by its raw `4 × scalars` size.
-/// `Identity`/`None` → 1.0, `QuantF16` → 0.5, `QuantI8` → 0.25, `TopK`
-/// → slightly under `2·frac` (the floor in `k` rounds down per unit).
-pub fn codec_byte_factor(unit_lens: &[usize], codec: Option<&Compression>) -> f64 {
-    let raw = report_bytes(unit_lens, None);
-    if raw == 0 {
-        return 0.0;
-    }
-    report_bytes(unit_lens, codec) as f64 / raw as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,16 +260,19 @@ mod tests {
     #[test]
     fn codec_byte_factor_against_raw() {
         let lens = [10, 7, 3];
-        assert!((codec_byte_factor(&lens, None) - 1.0).abs() < 1e-12);
-        assert!(
-            (codec_byte_factor(&lens, Some(&Compression::QuantF16)) - 0.5).abs() < 1e-12,
+        let raw = report_bytes(&lens, None);
+        assert_eq!(raw, 80);
+        assert_eq!(report_bytes(&lens, Some(&Compression::Identity)), raw);
+        assert_eq!(
+            report_bytes(&lens, Some(&Compression::QuantF16)),
+            raw / 2,
             "f16 halves the wire"
         );
-        assert!((codec_byte_factor(&lens, Some(&Compression::QuantI8)) - 0.25).abs() < 1e-12);
+        assert_eq!(report_bytes(&lens, Some(&Compression::QuantI8)), raw / 4);
         // TopK floors per unit: k = 5 + 3 + 1 = 9 of 20 scalars, 8 B each.
-        let topk = codec_byte_factor(&lens, Some(&Compression::TopK { frac: 0.5 }));
-        assert!((topk - 72.0 / 80.0).abs() < 1e-12, "topk factor {topk}");
-        assert_eq!(codec_byte_factor(&[], Some(&Compression::QuantI8)), 0.0);
+        let topk = report_bytes(&lens, Some(&Compression::TopK { frac: 0.5 }));
+        assert_eq!(topk, 72);
+        assert_eq!(report_bytes(&[], Some(&Compression::QuantI8)), 0);
     }
 
     #[test]

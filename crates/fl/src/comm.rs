@@ -51,11 +51,6 @@ pub struct CommLog {
 }
 
 impl CommLog {
-    /// Empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append one round's counters.
     pub fn push(&mut self, round: RoundComm) {
         self.rounds.push(round);
@@ -81,22 +76,6 @@ impl CommLog {
     pub fn total_uplink_bytes(&self) -> usize {
         self.rounds.iter().map(|r| r.uplink_bytes).sum()
     }
-
-    /// Total downlink units.
-    pub fn total_downlink_units(&self) -> usize {
-        self.rounds.iter().map(|r| r.downlink_units).sum()
-    }
-
-    /// Total client activations.
-    pub fn total_activations(&self) -> usize {
-        self.rounds.iter().map(|r| r.active_clients).sum()
-    }
-
-    /// Uplink units accumulated over the first `n` rounds (for
-    /// rounds-budgeted comparisons, RQ3).
-    pub fn uplink_units_through(&self, n: usize) -> usize {
-        self.rounds.iter().take(n).map(|r| r.uplink_units).sum()
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +84,7 @@ mod tests {
 
     #[test]
     fn totals_accumulate() {
-        let mut log = CommLog::new();
+        let mut log = CommLog::default();
         log.push(RoundComm {
             active_clients: 4,
             uplink_units: 260,
@@ -125,10 +104,6 @@ mod tests {
         assert_eq!(log.total_uplink_units(), 360);
         assert_eq!(log.total_uplink_scalars(), 1400);
         assert_eq!(log.total_uplink_bytes(), 5600);
-        assert_eq!(log.total_downlink_units(), 390);
-        assert_eq!(log.total_activations(), 6);
-        assert_eq!(log.uplink_units_through(1), 260);
-        assert_eq!(log.uplink_units_through(10), 360);
     }
 
     #[test]
@@ -148,7 +123,7 @@ mod tests {
     #[test]
     fn fedavg_table3_arithmetic() {
         // FedAvg, M=4, T=40, N=65 units → 10,400 (paper's Table 3 cell).
-        let mut log = CommLog::new();
+        let mut log = CommLog::default();
         for _ in 0..40 {
             log.push(RoundComm {
                 active_clients: 4,

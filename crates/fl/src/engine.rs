@@ -742,7 +742,8 @@ mod tests {
     use crate::events::MemorySink;
     use crate::system::tests::{tiny_system, tiny_system_with};
     use crate::{
-        Compression, FedAdam, FedAvg, FedDa, FedDyn, GlobalProtocol, PrivacyConfig, StalenessPolicy,
+        Compression, FedAdam, FedAvg, FedDa, FedDyn, FlConfig, GlobalProtocol, PrivacyConfig,
+        StalenessPolicy,
     };
 
     #[test]
@@ -768,153 +769,116 @@ mod tests {
         assert_eq!(sys.global.flatten(), before, "system must be untouched");
     }
 
-    #[test]
-    fn engine_rejects_invalid_privacy_before_touching_the_system() {
-        let mut sys = tiny_system_with(2, 42, |cfg| {
-            cfg.privacy = Some(PrivacyConfig {
-                clip_norm: 0.0,
-                noise_multiplier: 0.1,
-            })
-        });
+    /// Runs the tiny federation with `edit` applied under both runtimes: each
+    /// must refuse the configuration with `want` before round 0 and leave the
+    /// global model untouched.
+    fn assert_rejected(edit: fn(&mut FlConfig), want: &str) {
+        let mut sys = tiny_system_with(2, 42, edit);
         let before = sys.global.flatten();
         for mode in [
             RuntimeMode::Sync,
             RuntimeMode::Async(AsyncConfig::default()),
         ] {
-            assert_eq!(
-                run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
-                "invalid privacy configuration: clip_norm must be positive"
-            );
+            let err = run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err();
+            assert_eq!(err, want, "{mode:?}");
         }
-        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+        assert_eq!(
+            sys.global.flatten(),
+            before,
+            "{want}: system must be untouched"
+        );
+    }
+
+    fn privacy(clip_norm: f32, noise_multiplier: f32) -> Option<PrivacyConfig> {
+        Some(PrivacyConfig {
+            clip_norm,
+            noise_multiplier,
+        })
+    }
+
+    #[test]
+    fn engine_rejects_invalid_privacy_before_touching_the_system() {
+        assert_rejected(
+            |c| c.privacy = privacy(0.0, 0.1),
+            "invalid privacy configuration: clip_norm must be positive",
+        );
     }
 
     /// A NaN noise multiplier would skip the noise silently; an infinite
     /// clip norm would make the noise infinite and every report rejected.
     #[test]
     fn engine_rejects_non_finite_privacy_before_touching_the_system() {
-        let cases = [
-            (
-                PrivacyConfig {
-                    clip_norm: 1.0,
-                    noise_multiplier: f32::NAN,
-                },
-                "invalid privacy configuration: noise_multiplier must be finite, got NaN",
-            ),
-            (
-                PrivacyConfig {
-                    clip_norm: f32::INFINITY,
-                    noise_multiplier: 0.1,
-                },
-                "invalid privacy configuration: clip_norm must be finite, got inf",
-            ),
-        ];
-        for (privacy, want) in cases {
-            let mut sys = tiny_system_with(2, 42, |cfg| cfg.privacy = Some(privacy));
-            let before = sys.global.flatten();
-            for mode in [
-                RuntimeMode::Sync,
-                RuntimeMode::Async(AsyncConfig::default()),
-            ] {
-                let err = run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err();
-                assert_eq!(err, want, "{mode:?}");
-            }
-            assert_eq!(sys.global.flatten(), before, "system must be untouched");
-        }
+        assert_rejected(
+            |c| c.privacy = privacy(1.0, f32::NAN),
+            "invalid privacy configuration: noise_multiplier must be finite, got NaN",
+        );
+        assert_rejected(
+            |c| c.privacy = privacy(f32::INFINITY, 0.1),
+            "invalid privacy configuration: clip_norm must be finite, got inf",
+        );
     }
 
     /// Without the check a zero epoch count is `train_local_penalized`'s
     /// assertion firing on a pool worker in round 0.
     #[test]
     fn engine_rejects_invalid_training_before_touching_the_system() {
-        let cases = [
-            ((0, 5e-3, 5.0), "local_epochs must be at least 1, got 0"),
-            ((1, 0.0, 5.0), "lr must be finite and positive, got 0"),
-            (
-                (1, f32::NAN, 5.0),
-                "lr must be finite and positive, got NaN",
-            ),
-            (
-                (1, 5e-3, -1.0),
-                "grad_clip must be finite and non-negative, got -1",
-            ),
-        ];
-        for ((local_epochs, lr, grad_clip), want) in cases {
-            let mut sys = tiny_system_with(2, 46, |cfg| {
-                cfg.train.local_epochs = local_epochs;
-                cfg.train.lr = lr;
-                cfg.train.grad_clip = grad_clip;
-            });
-            let before = sys.global.flatten();
-            for mode in [
-                RuntimeMode::Sync,
-                RuntimeMode::Async(AsyncConfig::default()),
-            ] {
-                assert_eq!(
-                    run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
-                    format!("invalid training configuration: {want}")
-                );
-            }
-            assert_eq!(sys.global.flatten(), before, "system must be untouched");
-        }
+        let training = |want: &str| format!("invalid training configuration: {want}");
+        assert_rejected(
+            |c| c.train.local_epochs = 0,
+            &training("local_epochs must be at least 1, got 0"),
+        );
+        assert_rejected(
+            |c| c.train.lr = 0.0,
+            &training("lr must be finite and positive, got 0"),
+        );
+        assert_rejected(
+            |c| c.train.lr = f32::NAN,
+            &training("lr must be finite and positive, got NaN"),
+        );
+        assert_rejected(
+            |c| c.train.grad_clip = -1.0,
+            &training("grad_clip must be finite and non-negative, got -1"),
+        );
     }
 
     /// Without the check `WorkerPool::new(0)` silently ran one worker.
     #[test]
     fn engine_rejects_a_zero_worker_pool_before_touching_the_system() {
-        for parallel in [true, false] {
-            let mut sys = tiny_system_with(2, 47, |cfg| {
-                cfg.parallel = parallel;
-                cfg.workers = Some(0);
-            });
-            let before = sys.global.flatten();
-            for mode in [
-                RuntimeMode::Sync,
-                RuntimeMode::Async(AsyncConfig::default()),
-            ] {
-                assert_eq!(
-                    run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
-                    "invalid worker configuration: workers must be at least 1, got 0"
-                );
-            }
-            assert_eq!(sys.global.flatten(), before, "system must be untouched");
-        }
+        let want = "invalid worker configuration: workers must be at least 1, got 0";
+        assert_rejected(
+            |c| {
+                c.parallel = true;
+                c.workers = Some(0);
+            },
+            want,
+        );
+        assert_rejected(
+            |c| {
+                c.parallel = false;
+                c.workers = Some(0);
+            },
+            want,
+        );
     }
 
     /// Without the check this is `hgn::trainer::score`'s assertion firing at
     /// the end of round 0 — on a pool worker, with the system already moved.
     #[test]
     fn engine_rejects_zero_eval_negatives_before_touching_the_system() {
-        let mut sys = tiny_system_with(2, 43, |cfg| cfg.eval_negatives = 0);
-        let before = sys.global.flatten();
-        for mode in [
-            RuntimeMode::Sync,
-            RuntimeMode::Async(AsyncConfig::default()),
-        ] {
-            assert_eq!(
-                run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
-                "invalid evaluation configuration: eval_negatives must be at least 1, got 0"
-            );
-        }
-        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+        assert_rejected(
+            |c| c.eval_negatives = 0,
+            "invalid evaluation configuration: eval_negatives must be at least 1, got 0",
+        );
     }
 
     /// Without the check a `0` cadence was silently read as `1`, where the
     /// command line refuses it.
     #[test]
     fn engine_rejects_zero_eval_every_before_touching_the_system() {
-        let mut sys = tiny_system_with(2, 48, |cfg| cfg.eval_every = 0);
-        let before = sys.global.flatten();
-        for mode in [
-            RuntimeMode::Sync,
-            RuntimeMode::Async(AsyncConfig::default()),
-        ] {
-            assert_eq!(
-                run(&mode, &mut FedAvg::vanilla(), &mut sys, None).unwrap_err(),
-                "invalid evaluation configuration: eval_every must be at least 1, got 0"
-            );
-        }
-        assert_eq!(sys.global.flatten(), before, "system must be untouched");
+        assert_rejected(
+            |c| c.eval_every = 0,
+            "invalid evaluation configuration: eval_every must be at least 1, got 0",
+        );
     }
 
     #[test]

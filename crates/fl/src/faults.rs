@@ -159,14 +159,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Dropout-only faults at the given rate.
-    pub fn dropout_only(rate: f64) -> Self {
-        Self {
-            dropout: rate,
-            ..Default::default()
-        }
-    }
-
     /// Validate rates, bounds and policy parameters.
     pub fn validate(&self) -> Result<(), String> {
         for (name, rate) in [
@@ -326,15 +318,6 @@ impl FaultPlan {
             .copied()
             .flatten()
     }
-
-    /// Total number of scheduled fault cells (selected or not).
-    pub fn num_scheduled(&self) -> usize {
-        self.schedule
-            .iter()
-            .flat_map(|row| row.iter())
-            .filter(|c| c.is_some())
-            .count()
-    }
 }
 
 /// What the server observed a fault *do* — the effect, not the schedule.
@@ -471,10 +454,14 @@ mod tests {
     #[test]
     fn validate_accepts_defaults_and_rejects_bad_rates() {
         assert!(FaultConfig::default().validate().is_ok());
-        assert!(FaultConfig::dropout_only(1.0).validate().is_ok());
-        assert!(FaultConfig::dropout_only(1.1).validate().is_err());
-        assert!(FaultConfig::dropout_only(-0.1).validate().is_err());
-        assert!(FaultConfig::dropout_only(f64::NAN).validate().is_err());
+        let dropout = |rate| FaultConfig {
+            dropout: rate,
+            ..Default::default()
+        };
+        assert!(dropout(1.0).validate().is_ok());
+        assert!(dropout(1.1).validate().is_err());
+        assert!(dropout(-0.1).validate().is_err());
+        assert!(dropout(f64::NAN).validate().is_err());
         let sum_over = FaultConfig {
             dropout: 0.5,
             straggler: 0.4,
@@ -532,7 +519,7 @@ mod tests {
         let same = (0..20).all(|r| (0..8).all(|c| a.fault_at(r, c) == other.fault_at(r, c)));
         assert!(!same, "different seeds must give different schedules");
         // Roughly 60% of 160 cells carry a fault; delays stay in bounds.
-        let n = a.num_scheduled();
+        let n = a.schedule.iter().flatten().flatten().count();
         assert!((40..150).contains(&n), "implausible fault count {n}");
         for r in 0..20 {
             for c in 0..8 {
@@ -546,7 +533,7 @@ mod tests {
     #[test]
     fn zero_rates_schedule_nothing() {
         let plan = FaultPlan::generate(&FaultConfig::default(), 10, 5, 3);
-        assert_eq!(plan.num_scheduled(), 0);
+        assert!(plan.schedule.iter().flatten().all(Option::is_none));
         assert_eq!(plan.fault_at(100, 100), None, "out of range is None");
     }
 

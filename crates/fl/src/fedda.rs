@@ -89,8 +89,8 @@ fn quantile(values: &[f32], q: f64) -> f32 {
     }
 }
 
-/// A unit's mean value, as `Matrix::mean` takes it: one `f32` sum chain,
-/// then the division (0.0 for an empty unit).
+/// A unit's mean value: one `f32` sum chain in index order, then the
+/// division (0.0 for an empty unit).
 fn unit_mean(values: &[f32]) -> f32 {
     if values.is_empty() {
         0.0

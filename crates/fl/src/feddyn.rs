@@ -193,7 +193,7 @@ mod tests {
             rounds * 3 * sys.num_units()
         );
         assert!(result.final_eval.roc_auc > 0.0);
-        assert!(!sys.global.has_non_finite());
+        assert!(sys.global.values().iter().all(|v| v.is_finite()));
     }
 
     #[test]

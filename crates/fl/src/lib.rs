@@ -82,7 +82,7 @@ mod fedavg;
 mod fedda;
 pub mod feddyn;
 pub mod fedopt;
-pub mod fedprox;
+mod fedprox;
 mod protocol;
 pub mod runtime;
 mod system;

@@ -43,6 +43,14 @@ fn chaos_system(seed: u64, edit: impl FnOnce(&mut FlConfig)) -> FlSystem {
     })
 }
 
+/// Dropouts at `rate` and no other fault.
+fn dropouts(rate: f64) -> FaultConfig {
+    FaultConfig {
+        dropout: rate,
+        ..Default::default()
+    }
+}
+
 /// The mixed fault schedule the sweep injects at headline rate `r`:
 /// dropouts at `r`, stragglers and NaN corruption at `r/2` each, stale
 /// reports discounted by `0.5^staleness`.
@@ -322,7 +330,7 @@ fn dropout_point_three_fedavg_matches_injected_schedule_exactly() {
     // The acceptance pin: dropout 0.3 completes all rounds with finite
     // parameters, and the FaultObserved stream equals the schedule cell
     // for cell (FedAvg selects everyone, so every scheduled cell is hit).
-    let fc = FaultConfig::dropout_only(0.3);
+    let fc = dropouts(0.3);
     let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc.clone()));
     let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedAvg::vanilla(), &mut sys, None).unwrap();
     assert_eq!(result.curve.len(), ROUNDS);
@@ -347,7 +355,11 @@ fn dropout_point_three_fedavg_matches_injected_schedule_exactly() {
         ROUNDS * M
     );
     assert_eq!(result.faults, expected);
-    assert_eq!(plan.num_scheduled(), expected.len());
+    let scheduled = (0..ROUNDS)
+        .flat_map(|round| (0..M).map(move |client| (round, client)))
+        .filter(|&(round, client)| plan.fault_at(round, client).is_some())
+        .count();
+    assert_eq!(scheduled, expected.len());
 
     // Only the reports that arrived count as uplink; every selected client
     // still cost a broadcast.
@@ -356,7 +368,7 @@ fn dropout_point_three_fedavg_matches_injected_schedule_exactly() {
         result.comm.total_uplink_units(),
         (ROUNDS * M - expected.len()) * n
     );
-    assert_eq!(result.comm.total_downlink_units(), ROUNDS * M * n);
+    assert_eq!(common::downlink_units(&result), ROUNDS * M * n);
 }
 
 #[test]
@@ -385,7 +397,7 @@ fn fedavg_uplink_counts_only_arrived_bytes_under_mixed_faults() {
         (ROUNDS * M - drops - held + stale) * n,
         "uplink must equal arrived reports × model size"
     );
-    assert_eq!(result.comm.total_downlink_units(), ROUNDS * M * n);
+    assert_eq!(common::downlink_units(&result), ROUNDS * M * n);
 }
 
 #[test]
@@ -417,7 +429,7 @@ fn new_protocol_uplink_counts_only_arrived_bytes_under_mixed_faults() {
             "protocol={which}: uplink must equal arrived reports × model size"
         );
         assert_eq!(
-            result.comm.total_downlink_units(),
+            common::downlink_units(&result),
             ROUNDS * M * n,
             "protocol={which}: downlink"
         );
@@ -725,7 +737,7 @@ fn fully_compressed_away_stale_round_stays_off_the_ledger() {
 fn async_full_dropout_under_compression_still_charges_nothing() {
     // Dropouts transfer nothing whatever the codec: the compressed twin of
     // the full-dropout pin below, under i8.
-    let fc = FaultConfig::dropout_only(1.0);
+    let fc = dropouts(1.0);
     let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
         cfg.faults = Some(fc);
         cfg.compression = Some(Compression::QuantI8);
@@ -751,7 +763,7 @@ fn async_full_dropout_charges_downlink_but_never_uplink() {
     // Buffered-async runtime, every report dropped: each version's wave
     // still costs a broadcast, nothing ever arrives, and the starved queue
     // flushes an empty buffer so the run completes all versions.
-    let fc = FaultConfig::dropout_only(1.0);
+    let fc = dropouts(1.0);
     let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
     let result = fedda_fl::run(
         &RuntimeMode::Async(AsyncConfig::default()),
@@ -769,7 +781,7 @@ fn async_full_dropout_charges_downlink_but_never_uplink() {
         assert_eq!(rc.downlink_units, M * n);
     }
     assert_eq!(result.comm.total_uplink_units(), 0);
-    assert_eq!(result.comm.total_downlink_units(), ROUNDS * M * n);
+    assert_eq!(common::downlink_units(&result), ROUNDS * M * n);
     assert_eq!(result.faults.len(), ROUNDS * M);
     assert!(result
         .faults
@@ -815,7 +827,7 @@ fn async_report_outliving_the_run_is_never_charged() {
     }
     assert_eq!(result.comm.total_uplink_units(), ROUNDS * (M - 1) * n);
     assert_eq!(
-        result.comm.total_downlink_units(),
+        common::downlink_units(&result),
         (M + (ROUNDS - 1) * (M - 1)) * n
     );
 }

@@ -26,12 +26,7 @@ use rand::SeedableRng;
 /// edges cut into `m` non-IID clients (the paper's partition defaults), all
 /// drawn from `seed`.
 pub fn dataset(scale: f64, seed: u64, m: usize) -> (EdgeSplit, Vec<ClientData>) {
-    let g = dblp_like(&PresetOptions {
-        scale,
-        seed,
-        ..Default::default()
-    })
-    .graph;
+    let g = dblp_like(&PresetOptions { scale, seed }).graph;
     let mut rng = StdRng::seed_from_u64(seed);
     let split = split_edges(&g, 0.15, &mut rng);
     let pcfg = PartitionConfig::paper_defaults(m, g.schema().num_edge_types(), seed);
@@ -93,6 +88,11 @@ pub fn fingerprint(result: &RunResult, system: &FlSystem) -> Fingerprint {
             .map(|x| x.to_bits())
             .collect(),
     }
+}
+
+/// Downlink units over the whole run, folded from the per-round ledger.
+pub fn downlink_units(result: &RunResult) -> usize {
+    result.comm.rounds().iter().map(|r| r.downlink_units).sum()
 }
 
 /// The event stream in comparable form: wall time, the one field that is

@@ -7,7 +7,7 @@
 
 mod common;
 
-use fedda_fl::analysis::{codec_byte_factor, report_bytes};
+use fedda_fl::analysis::report_bytes;
 use fedda_fl::{Compression, FedAvg, FlSystem, RuntimeMode};
 
 const SCALE: f64 = 0.0015;
@@ -78,7 +78,8 @@ fn topk_ledger_matches_closed_form() {
     let codec = Compression::TopK { frac: 0.25 };
     let (bytes, lens) = ledgered_bytes(Some(codec));
     assert_eq!(bytes, ROUNDS * M * report_bytes(&lens, Some(&codec)));
-    // The per-unit floor makes TopK strictly cheaper than 2·frac·raw.
-    let factor = codec_byte_factor(&lens, Some(&codec));
-    assert!(factor <= 0.5 + 1e-12, "topk factor {factor}");
+    // The per-unit floor makes TopK no dearer than 2·frac·raw.
+    let topk = report_bytes(&lens, Some(&codec));
+    let raw = report_bytes(&lens, None);
+    assert!(2 * topk <= raw, "topk {topk} B against raw {raw} B");
 }

@@ -65,7 +65,7 @@ fn check_events_against_result(
     let up: usize = sink.events.iter().map(|e| e.comm.uplink_units).sum();
     assert_eq!(up, result.comm.total_uplink_units());
     let down: usize = sink.events.iter().map(|e| e.comm.downlink_units).sum();
-    assert_eq!(down, result.comm.total_downlink_units());
+    assert_eq!(down, common::downlink_units(result));
     // The per-round fault records concatenate to the run's fault log.
     let streamed: Vec<_> = sink
         .events
@@ -135,7 +135,10 @@ fn faults_emptying_the_round_trip_the_safety_net_every_round() {
     let m = 4;
     let rounds = 4;
     let mut sys = tiny_system(m, 47, rounds, |cfg| {
-        cfg.faults = Some(FaultConfig::dropout_only(1.0));
+        cfg.faults = Some(FaultConfig {
+            dropout: 1.0,
+            ..Default::default()
+        });
     });
     let mut sink = MemorySink::new();
     let result = RoundDriver::with_sink(&mut sink)

@@ -131,7 +131,7 @@ fn distinct_data_is_never_merged() {
 
     // The same edges over a universe with one feature changed.
     let nodes = original.graph.nodes();
-    let schema = nodes.schema();
+    let schema = original.graph.schema();
     let counts: Vec<usize> = schema
         .node_type_ids()
         .map(|nt| nodes.num_nodes_of_type(nt))

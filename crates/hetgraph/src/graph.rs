@@ -60,7 +60,7 @@ impl NodeStore {
     }
 
     /// The schema this store instantiates.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.schema
     }
 
@@ -75,7 +75,7 @@ impl NodeStore {
     }
 
     /// Type of a node.
-    pub fn type_of(&self, v: NodeId) -> NodeTypeId {
+    pub(crate) fn type_of(&self, v: NodeId) -> NodeTypeId {
         self.node_type[v as usize]
     }
 
@@ -285,17 +285,6 @@ impl HeteroGraph {
             num_message_types: self_loop_type as usize + usize::from(add_self_loops),
         }
     }
-
-    /// In-degree of each node under the message-passing view (used by tests
-    /// and samplers).
-    pub fn message_in_degrees(&self, add_self_loops: bool) -> Vec<u32> {
-        let me = self.message_edges(add_self_loops);
-        let mut deg = vec![0u32; self.num_nodes()];
-        for &d in &me.dst {
-            deg[d as usize] += 1;
-        }
-        deg
-    }
 }
 
 /// Flattened edge arrays for message passing.
@@ -455,10 +444,17 @@ pub(crate) mod tests {
         let mut g = edgeless(ns);
         g.edges_of_type_mut(EdgeTypeId(0)).push(0, 3);
         g.edges_of_type_mut(EdgeTypeId(0)).push(1, 3);
-        let deg = g.message_in_degrees(false);
+        let in_degrees = |add_self_loops| {
+            let mut deg = vec![0u32; g.num_nodes()];
+            for &d in &g.message_edges(add_self_loops).dst {
+                deg[d as usize] += 1;
+            }
+            deg
+        };
+        let deg = in_degrees(false);
         assert_eq!(deg[3], 2);
         assert_eq!(deg[0], 0);
-        let deg_loops = g.message_in_degrees(true);
+        let deg_loops = in_degrees(true);
         assert_eq!(deg_loops[3], 3);
         assert_eq!(deg_loops[0], 1);
     }

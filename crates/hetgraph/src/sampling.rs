@@ -183,18 +183,6 @@ impl<'g> LinkSampler<'g> {
         }
     }
 
-    /// Sample one negative for a positive edge by corrupting its destination
-    /// with a random node of the same type. Falls back to an unchecked
-    /// corruption after a bounded number of rejections (dense tiny graphs).
-    pub fn corrupt_dst<R: Rng + ?Sized>(
-        &self,
-        etype: EdgeTypeId,
-        src: NodeId,
-        rng: &mut R,
-    ) -> NodeId {
-        self.corruptor(etype, src).draw(rng)
-    }
-
     /// All positive examples of the graph (every edge of every type).
     pub fn all_positives(&self) -> Vec<LinkExample> {
         let mut out = Vec::with_capacity(self.graph.num_edges());
@@ -307,12 +295,12 @@ mod tests {
         let sampler = LinkSampler::new(&g);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let d = sampler.corrupt_dst(EdgeTypeId(0), 0, &mut rng);
+            let d = sampler.corruptor(EdgeTypeId(0), 0).draw(&mut rng);
             assert!((4..10).contains(&d), "negative {d} is not a type-b node");
             assert_ne!(d, 4, "existing edge (0,4) must be rejected");
         }
         for _ in 0..50 {
-            let d = sampler.corrupt_dst(EdgeTypeId(1), 0, &mut rng);
+            let d = sampler.corruptor(EdgeTypeId(1), 0).draw(&mut rng);
             assert!((0..4).contains(&d), "negative {d} is not a type-a node");
         }
     }

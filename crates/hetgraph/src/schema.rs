@@ -23,7 +23,7 @@ impl NodeTypeId {
 
 impl EdgeTypeId {
     /// Raw index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -144,22 +144,6 @@ impl Schema {
     pub fn edge_type_ids(&self) -> impl Iterator<Item = EdgeTypeId> {
         (0..self.edge_types.len()).map(|i| EdgeTypeId(i as u16))
     }
-
-    /// Find a node type by name.
-    pub fn node_type_by_name(&self, name: &str) -> Option<NodeTypeId> {
-        self.node_types
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| NodeTypeId(i as u16))
-    }
-
-    /// Find an edge type by name.
-    pub fn edge_type_by_name(&self, name: &str) -> Option<EdgeTypeId> {
-        self.edge_types
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| EdgeTypeId(i as u16))
-    }
 }
 
 #[cfg(test)]
@@ -178,9 +162,6 @@ mod tests {
         assert_eq!(s.node_type(patient).feat_dim, 32);
         assert_eq!(s.edge_type(prescribes).dst_type, drug);
         assert!(s.edge_type(knows).symmetric);
-        assert_eq!(s.node_type_by_name("drug"), Some(drug));
-        assert_eq!(s.edge_type_by_name("interacts"), Some(knows));
-        assert_eq!(s.node_type_by_name("nope"), None);
     }
 
     #[test]

@@ -413,7 +413,6 @@ mod tests {
         let opts = PresetOptions {
             scale: 0.004,
             seed: 3,
-            ..Default::default()
         };
         let g = amazon_like(&opts).graph;
         let mut rng = StdRng::seed_from_u64(0);
@@ -482,7 +481,6 @@ mod tests {
         let opts = PresetOptions {
             scale: 0.002,
             seed: 3,
-            ..Default::default()
         };
         let g = amazon_like(&opts).graph;
         let mut rng = StdRng::seed_from_u64(0);
@@ -514,7 +512,6 @@ mod tests {
         let g = amazon_like(&PresetOptions {
             scale: 0.002,
             seed: 3,
-            ..Default::default()
         })
         .graph;
         let mut rng = StdRng::seed_from_u64(0);
@@ -553,7 +550,6 @@ mod tests {
         let opts = PresetOptions {
             scale: 0.004,
             seed: 3,
-            ..Default::default()
         };
         let g = amazon_like(&opts).graph;
         let mut rng = StdRng::seed_from_u64(0);
@@ -591,11 +587,7 @@ mod tests {
     /// One client of [`a_reused_workspace_is_invisible`]: its graph at a
     /// scale, the message-passing view and its training positives.
     fn client(scale: f64) -> (fedda_hetgraph::HeteroGraph, GraphView, Vec<LinkExample>) {
-        let opts = PresetOptions {
-            scale,
-            seed: 3,
-            ..Default::default()
-        };
+        let opts = PresetOptions { scale, seed: 3 };
         let g = amazon_like(&opts).graph;
         let view = GraphView::new(&g, true);
         let positives = LinkSampler::new(&g).all_positives();

@@ -85,7 +85,6 @@ mod tests {
         let g = amazon_like(&PresetOptions {
             scale: 0.01,
             seed: 2,
-            ..Default::default()
         })
         .graph;
         let view = GraphView::new(&g, true);
@@ -104,7 +103,6 @@ mod tests {
         let g = amazon_like(&PresetOptions {
             scale: 0.01,
             seed: 2,
-            ..Default::default()
         })
         .graph;
         let with = GraphView::new(&g, true);

@@ -16,7 +16,7 @@ pub struct RankQuery {
 
 impl RankQuery {
     /// Reciprocal rank of the positive within this query.
-    pub fn reciprocal_rank(&self) -> f64 {
+    pub(crate) fn reciprocal_rank(&self) -> f64 {
         reciprocal_rank(self.positive, &self.negatives)
     }
 }

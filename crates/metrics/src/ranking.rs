@@ -6,7 +6,7 @@ use crate::mrr::{midrank, RankQuery};
 
 /// Fraction of queries whose positive ranks within the top `k`
 /// (ties counted optimistically at the midrank, consistent with
-/// [`RankQuery::reciprocal_rank`]).
+/// [`mrr`](crate::mrr())).
 pub fn hits_at_k(queries: &[RankQuery], k: usize) -> f64 {
     assert!(k > 0, "hits_at_k: k must be positive");
     if queries.is_empty() {

@@ -70,11 +70,6 @@ impl CurveRecorder {
         self.runs[run].push(value);
     }
 
-    /// Number of runs recorded.
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Number of complete rounds (minimum across runs; 0 when empty).
     pub fn num_rounds(&self) -> usize {
         self.runs.iter().map(Vec::len).min().unwrap_or(0)
@@ -146,7 +141,7 @@ mod tests {
                 rec.record(run, round, v);
             }
         }
-        assert_eq!(rec.num_runs(), 2);
+        assert_eq!(rec.runs.len(), 2);
         assert_eq!(rec.num_rounds(), 3);
         assert_eq!(rec.mean_curve(), vec![0.2, 0.45, 0.8]);
         assert_eq!(rec.max_curve(), vec![0.3, 0.5, 0.9]);

@@ -53,7 +53,7 @@ proptest! {
     ) {
         let k = negatives.len();
         let q = RankQuery { positive, negatives };
-        let rr = q.reciprocal_rank();
+        let rr = mrr(&[q]);
         prop_assert!(rr <= 1.0 + 1e-12);
         prop_assert!(rr >= 1.0 / (1.0 + k as f64) - 1e-12);
     }
@@ -62,10 +62,10 @@ proptest! {
     fn mrr_monotone_in_positive_score(
         negatives in prop::collection::vec(-10.0f32..10.0, 1..16),
     ) {
-        let weak = RankQuery { positive: -20.0, negatives: negatives.clone() };
-        let strong = RankQuery { positive: 20.0, negatives };
-        prop_assert!(strong.reciprocal_rank() >= weak.reciprocal_rank());
-        prop_assert!((strong.reciprocal_rank() - 1.0).abs() < 1e-12);
+        let weak = mrr(&[RankQuery { positive: -20.0, negatives: negatives.clone() }]);
+        let strong = mrr(&[RankQuery { positive: 20.0, negatives }]);
+        prop_assert!(strong >= weak);
+        prop_assert!((strong - 1.0).abs() < 1e-12);
     }
 
     /// Queries read in place give the bits built `RankQuery`s give, ties

@@ -15,9 +15,10 @@
 //!
 //! No term is skipped: `0·NaN` and `0·Inf` reach the output as NaN in all
 //! three layouts, so a corrupted operand stays visible to the corruption
-//! guard ([`crate::ParamSet::has_non_finite`]). On finite inputs a zero-skip would change
-//! nothing — a chain started at `+0.0` can never become `-0.0` — so
-//! FedDA's exactly-zero masked weights need no special case.
+//! guard (`fedda_fl::faults::detect_rejection`, which reads a report's
+//! per-unit deltas). On finite inputs a zero-skip would change nothing —
+//! a chain started at `+0.0` can never become `-0.0` — so FedDA's
+//! exactly-zero masked weights need no special case.
 //!
 //! # Tiling
 //!

@@ -84,24 +84,6 @@ impl<'a> MatrixRef<'a> {
     pub fn row(&self, r: usize) -> &'a [f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
-
-    /// Iterate over the rows as slices: one per row even when there are no
-    /// columns (each is then the empty slice), where a plain
-    /// `chunks_exact(cols)` would yield none.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &'a [f32]> {
-        let (data, cols) = (self.data, self.cols);
-        (0..self.rows).map(move |r| &data[r * cols..(r + 1) * cols])
-    }
-
-    /// True if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
-
-    /// An owned copy.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, self.data.to_vec())
-    }
 }
 
 impl Matrix {
@@ -137,26 +119,6 @@ impl Matrix {
             cols
         );
         Self { data, rows, cols }
-    }
-
-    /// Create a `1 × n` row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Self {
-            data,
-            rows: 1,
-            cols,
-        }
-    }
-
-    /// Create a `n × 1` column vector.
-    pub fn col_vector(data: Vec<f32>) -> Self {
-        let rows = data.len();
-        Self {
-            data,
-            rows,
-            cols: 1,
-        }
     }
 
     /// Number of rows.
@@ -316,22 +278,6 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rows_iter_yields_every_row_of_zero_width_matrices() {
-        // Regression: the old chunks(cols) implementation yielded zero rows
-        // for any m×0 matrix, silently skipping rows in row-wise loops.
-        let rows: Vec<&[f32]> = MatrixRef::new(3, 0, &[]).rows_iter().collect();
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.is_empty()));
-        // 0×n and 0×0 still yield nothing.
-        assert_eq!(MatrixRef::new(0, 4, &[]).rows_iter().count(), 0);
-        assert_eq!(MatrixRef::new(0, 0, &[]).rows_iter().count(), 0);
-        // Sane shape unchanged: rows come out in order with correct width.
-        let data = [1.0, 2.0, 3.0, 4.0];
-        let rows: Vec<&[f32]> = MatrixRef::new(2, 2, &data).rows_iter().collect();
-        assert_eq!(rows, vec![&[1.0, 2.0][..], &[3.0, 4.0][..]]);
-    }
 
     #[test]
     fn constructors_and_accessors() {

@@ -141,7 +141,7 @@ mod tests {
         let units = varied_units();
         let mut ps = ParamSet::new();
         for (name, (values, _)) in ["a", "b", "c"].into_iter().zip(&units) {
-            ps.add(name, Matrix::row_vector(values.clone()));
+            ps.add(name, Matrix::from_vec(1, values.len(), values.clone()));
         }
         let grads: Vec<f32> = units.iter().flat_map(|(_, g)| g.iter().copied()).collect();
         let (mut want, want_grads): (Vec<Vec<f32>>, Vec<Vec<f32>>) = units.into_iter().unzip();
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn adam_converges_on_quadratic() {
         let mut ps = ParamSet::new();
-        let w_id = ps.add("w", Matrix::row_vector(vec![-5.0, 20.0]));
+        let w_id = ps.add("w", Matrix::from_vec(1, 2, vec![-5.0, 20.0]));
         let mut opt = Adam::new(0.3);
         for _ in 0..500 {
             ps.zero_grads();

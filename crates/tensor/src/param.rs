@@ -263,7 +263,7 @@ impl ParamSet {
 
     /// Squared L2 norm of all gradients (diagnostics / clipping): each
     /// unit's partial sum, then the sum of those.
-    pub fn grad_norm_sq(&self) -> f32 {
+    pub(crate) fn grad_norm_sq(&self) -> f32 {
         self.layout
             .units
             .iter()
@@ -309,14 +309,6 @@ impl ParamSet {
                     .sqrt()
             })
             .collect()
-    }
-
-    /// True if any value or gradient is NaN/inf.
-    pub fn has_non_finite(&self) -> bool {
-        self.values
-            .iter()
-            .chain(&self.grads)
-            .any(|x| !x.is_finite())
     }
 
     /// Whether the two sets share one layout — one is a clone of the other,
@@ -381,7 +373,7 @@ mod tests {
         ps.add("w", Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         ps.add_with_meta(
             "r0",
-            Matrix::row_vector(vec![5.0, 6.0]),
+            Matrix::from_vec(1, 2, vec![5.0, 6.0]),
             ParamMeta::per_edge_type(0),
         );
         ps

@@ -134,7 +134,6 @@ enum Op {
     /// Fused `elu(concat_cols(heads) + res)`: `(heads, res, alpha)`.
     HeadsResidualElu(Vec<Var>, Var, f32),
     SumAll(Var),
-    MeanAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
 }
 
@@ -956,19 +955,6 @@ impl Graph {
         })
     }
 
-    /// Mean of all elements, as a `1x1` node (`0` for an empty input).
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let rg = self.requires(a);
-        self.record((1, 1), None, 0, (Op::MeanAll(a), rg), |v, out, _| {
-            let x = v.of(a);
-            out[0] = if x.is_empty() {
-                0.0
-            } else {
-                x.iter().sum::<f32>() / x.len() as f32
-            };
-        })
-    }
-
     /// Binary cross-entropy with logits, averaged over all elements.
     ///
     /// Uses the standard stable form
@@ -1180,7 +1166,6 @@ impl Op {
             | &Op::L2NormalizeRows(a, _)
             | &Op::PairDot(a, ..)
             | &Op::SumAll(a)
-            | &Op::MeanAll(a)
             | &Op::BceWithLogits(a, _) => f(a),
             Op::ConcatCols(vars) | Op::ConcatRows(vars) => vars.iter().copied().for_each(f),
             &Op::EdgeSoftmax(s_src, s_dst, per_type, ..) => {
@@ -1534,11 +1519,6 @@ impl Node {
                 let n = to.shape(a);
                 to.put(a, std::iter::repeat(g[0]).take(n.0 * n.1));
             }
-            &Op::MeanAll(a) => {
-                let (m, n) = to.shape(a);
-                let len = (m * n).max(1) as f32;
-                to.put(a, std::iter::repeat(g[0] / len).take(m * n));
-            }
             Op::BceWithLogits(a, targets) => {
                 let x = to.value(*a);
                 let scale = g[0] / x.len() as f32;
@@ -1659,7 +1639,7 @@ mod tests {
     #[test]
     fn segment_softmax_sums_to_one_per_segment() {
         let mut g = Graph::new();
-        let x = g.leaf(Matrix::col_vector(vec![1.0, 2.0, 3.0, -1.0, 0.0]));
+        let x = g.leaf(Matrix::from_vec(5, 1, vec![1.0, 2.0, 3.0, -1.0, 0.0]));
         let segs = Arc::new(Segments::new(vec![0, 0, 1, 1, 1], 2));
         let y = g.segment_softmax(x, segs);
         let v = g.value(y).as_slice();
@@ -1671,7 +1651,7 @@ mod tests {
     #[test]
     fn segment_softmax_with_empty_segment() {
         let mut g = Graph::new();
-        let x = g.leaf(Matrix::col_vector(vec![1.0, 2.0]));
+        let x = g.leaf(Matrix::from_vec(2, 1, vec![1.0, 2.0]));
         // segment 1 is empty
         let segs = Arc::new(Segments::new(vec![0, 0], 3));
         let y = g.segment_softmax(x, segs);
@@ -1693,7 +1673,7 @@ mod tests {
     #[test]
     fn bce_matches_manual_value() {
         let mut g = Graph::new();
-        let x = g.leaf(Matrix::row_vector(vec![0.0, 2.0]));
+        let x = g.leaf(Matrix::from_vec(1, 2, vec![0.0, 2.0]));
         let t = Arc::new(vec![1.0, 0.0]);
         let loss = g.bce_with_logits(x, t);
         // -ln(sigmoid(0)) = ln 2; -ln(1 - sigmoid(2)) = ln(1+e^2)
@@ -1706,7 +1686,7 @@ mod tests {
     #[test]
     fn bce_gradient_is_the_logistic_at_extremes() {
         let mut g = Graph::new();
-        let x = g.leaf(Matrix::row_vector(vec![0.0, 100.0, -100.0]));
+        let x = g.leaf(Matrix::from_vec(1, 3, vec![0.0, 100.0, -100.0]));
         let loss = g.bce_with_logits(x, Arc::new(vec![0.0; 3]));
         g.backward(loss);
         let sigmoid: Vec<f32> = (g.grad(x).unwrap().as_slice().iter())
@@ -1753,7 +1733,7 @@ mod tests {
         let mut g = Graph::new();
         for _ in 0..2 {
             g.clear();
-            let x = g.leaf(Matrix::row_vector(vec![1.0, -2.0]));
+            let x = g.leaf(Matrix::from_vec(1, 2, vec![1.0, -2.0]));
             let y = g.scale(x, -0.0);
             let loss = g.sum_all(y);
             g.backward(loss);
@@ -1816,7 +1796,7 @@ mod tests {
     #[test]
     fn backward_leaves_leaf_gradients_and_replaces_earlier_ones() {
         let mut g = Graph::new();
-        let x = g.leaf(Matrix::row_vector(vec![1.0, -2.0]));
+        let x = g.leaf(Matrix::from_vec(1, 2, vec![1.0, -2.0]));
         let y = g.scale(x, 3.0);
         let z = g.mul(y, y);
         let loss = g.sum_all(z);

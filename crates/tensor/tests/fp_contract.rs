@@ -18,8 +18,8 @@ const C: f32 = -(1.0 + 1.0 / 2048.0);
 const UNFUSED: u32 = 0;
 const FUSED: u32 = 0x3380_0000;
 
-fn bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 #[test]
@@ -39,19 +39,31 @@ fn multiply_then_add_is_never_fused() {
         let at = Matrix::from_vec(2, m, [vec![C; m], vec![X; m]].concat());
         let b = Matrix::from_vec(2, n, [vec![1.0; n], vec![X; n]].concat());
         let bt = Matrix::from_vec(n, 2, [1.0, X].repeat(n));
-        assert_eq!(bits(&a.matmul(&b)), want, "gemm_nn fused, n = {n}");
-        assert_eq!(bits(&at.matmul_tn(&b)), want, "gemm_tn fused, n = {n}");
-        assert_eq!(bits(&a.matmul_nt(&bt)), want, "gemm_nt fused, n = {n}");
+        assert_eq!(
+            bits(a.matmul(&b).as_slice()),
+            want,
+            "gemm_nn fused, n = {n}"
+        );
+        assert_eq!(
+            bits(at.matmul_tn(&b).as_slice()),
+            want,
+            "gemm_tn fused, n = {n}"
+        );
+        assert_eq!(
+            bits(a.matmul_nt(&bt).as_slice()),
+            want,
+            "gemm_nt fused, n = {n}"
+        );
     }
 
     // edge_aggregate: two messages into node 0, `C·1` then `X·X`.
     let d = 16;
     let mut g = Graph::new();
     let h = g.input(Matrix::from_vec(2, d, [vec![C; d], vec![X; d]].concat()));
-    let alpha = g.input(Matrix::col_vector(vec![1.0, X]));
+    let alpha = g.input(Matrix::from_vec(2, 1, vec![1.0, X]));
     let out = g.edge_aggregate(h, alpha, Arc::new(vec![0, 1]), Arc::new(vec![0, 0]), 1);
     assert_eq!(
-        bits(&g.value(out).to_matrix()),
+        bits(g.value(out).as_slice()),
         vec![UNFUSED; d],
         "edge_aggregate fused"
     );
@@ -62,7 +74,7 @@ fn multiply_then_add_is_never_fused() {
     let h = g.input(Matrix::from_vec(2, d, [row(C), row(1.0)].concat()));
     let out = g.pair_dot(h, Arc::new(vec![0]), Arc::new(vec![1]));
     assert_eq!(
-        bits(&g.value(out).to_matrix()),
+        bits(g.value(out).as_slice()),
         vec![UNFUSED],
         "pair_dot fused"
     );

@@ -22,10 +22,11 @@ where
     let grads = vars
         .iter()
         .map(|&v| {
-            g.grad(v).map(|m| m.to_matrix()).unwrap_or_else(|| {
-                let (r, c) = g.shape(v);
-                Matrix::zeros(r, c)
-            })
+            let (r, c) = g.shape(v);
+            g.grad(v).map_or_else(
+                || Matrix::zeros(r, c),
+                |m| Matrix::from_vec(r, c, m.as_slice().to_vec()),
+            )
         })
         .collect();
     (value, grads)
@@ -196,7 +197,8 @@ fn grad_scale_and_mean() {
         |g, v| {
             let y = g.scale(v[0], 2.5);
             let sq = g.mul(y, y);
-            g.mean_all(sq)
+            let sum = g.sum_all(sq);
+            g.scale(sum, 1.0 / 10.0)
         },
         1e-2,
     );

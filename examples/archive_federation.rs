@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generated = amazon_like(&PresetOptions {
         scale: 0.004,
         seed: 9,
-        ..Default::default()
     });
     let mut rng = StdRng::seed_from_u64(1);
     let split = split_edges(&generated.graph, 0.10, &mut rng);

@@ -30,7 +30,6 @@ fn main() -> Result<(), String> {
     let generated = dblp_like(&PresetOptions {
         scale: 0.002,
         seed: 5,
-        ..Default::default()
     });
     let graph = generated.graph;
     println!(

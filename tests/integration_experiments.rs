@@ -83,7 +83,7 @@ fn fig5_style_curves_are_complete_and_bounded() {
     let res = exp
         .run_framework(&Framework::FedDa(FedDa::explore()), None)
         .unwrap();
-    assert_eq!(res.auc_curves.num_runs(), 2);
+    assert_eq!(res.runs.len(), 2);
     assert_eq!(res.auc_curves.num_rounds(), 3);
     let mean = res.auc_curves.mean_curve();
     let max = res.auc_curves.max_curve();
