@@ -11,11 +11,11 @@
 //! 7. client-side differential privacy (clip + Gaussian noise) on top of
 //!    FedDA (the conclusion's future-work direction).
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework, FrameworkResult};
 use fedda::fl::{AggWeighting, FedDa, MaskRule, PrivacyConfig, Reactivation};
 use fedda::hgn::Decoder;
-use fedda::table::TextTable;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -27,15 +27,15 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
         table.row(&[
             ablation.into(),
             setting.into(),
-            res.final_auc.fmt_pm(),
-            res.best_auc.fmt_pm(),
-            format!("{:.0}", res.uplink_units.mean),
+            res.final_auc().fmt_pm(),
+            res.best_auc().fmt_pm(),
+            format!("{:.0}", res.uplink_units().mean),
         ]);
         json_blobs.push(json!({
             "ablation": ablation, "setting": setting,
-            "final_auc": res.final_auc.mean, "final_auc_std": res.final_auc.std,
-            "best_auc": res.best_auc.mean,
-            "uplink_units": res.uplink_units.mean,
+            "final_auc": res.final_auc().mean, "final_auc_std": res.final_auc().std,
+            "best_auc": res.best_auc().mean,
+            "uplink_units": res.uplink_units().mean,
         }));
     };
 

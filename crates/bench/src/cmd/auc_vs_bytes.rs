@@ -10,10 +10,10 @@
 //! the sweep. All other shared flags (`--rounds`, `--runs`, `--faults`,
 //! `--runtime async`, …) apply to every cell uniformly.
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{Compression, FedAvg, FedDa};
-use fedda::table::TextTable;
 use serde_json::json;
 
 /// The codec sweep, densest first: `None` is the uncompressed baseline,
@@ -83,10 +83,10 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             );
             let res = opts.run_framework(&exp, framework)?;
             if codec.is_none() {
-                baseline_auc = res.final_auc.mean;
-                baseline_bytes = res.uplink_bytes.mean;
+                baseline_auc = res.final_auc().mean;
+                baseline_bytes = res.uplink_bytes().mean;
             }
-            let ratio = res.uplink_bytes.mean / baseline_bytes;
+            let ratio = res.uplink_bytes().mean / baseline_bytes;
             // The frontier must be a frontier: under a fixed mask schedule
             // a denser codec never ledgers fewer bytes than a sparser one
             // (ident == none exactly). Only FedAvg's masks are
@@ -96,30 +96,30 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             // asserted away.
             if matches!(framework, Framework::FedAvg(_)) {
                 assert!(
-                    res.uplink_bytes.mean <= prev_bytes + 1e-9,
+                    res.uplink_bytes().mean <= prev_bytes + 1e-9,
                     "{} / {label}: ledgered bytes rose along the sweep ({} > {prev_bytes})",
                     framework.name(),
-                    res.uplink_bytes.mean
+                    res.uplink_bytes().mean
                 );
             }
-            prev_bytes = res.uplink_bytes.mean;
+            prev_bytes = res.uplink_bytes().mean;
             table.row(&[
                 res.name.clone(),
                 label.clone(),
-                res.final_auc.fmt_pm(),
-                format!("{:+.4}", res.final_auc.mean - baseline_auc),
-                format!("{:.0}", res.uplink_bytes.mean),
+                res.final_auc().fmt_pm(),
+                format!("{:+.4}", res.final_auc().mean - baseline_auc),
+                format!("{:.0}", res.uplink_bytes().mean),
                 format!("{:.3}", ratio),
-                format!("{:.0}", res.uplink_scalars.mean),
+                format!("{:.0}", res.uplink_scalars().mean),
             ]);
             json_blobs.push(json!({
                 "framework": res.name, "codec": label,
-                "final_auc": res.final_auc.mean, "final_auc_std": res.final_auc.std,
-                "delta_auc": res.final_auc.mean - baseline_auc,
-                "uplink_bytes": res.uplink_bytes.mean,
+                "final_auc": res.final_auc().mean, "final_auc_std": res.final_auc().std,
+                "delta_auc": res.final_auc().mean - baseline_auc,
+                "uplink_bytes": res.uplink_bytes().mean,
                 "bytes_ratio": ratio,
-                "uplink_scalars": res.uplink_scalars.mean,
-                "uplink_units": res.uplink_units.mean,
+                "uplink_scalars": res.uplink_scalars().mean,
+                "uplink_units": res.uplink_units().mean,
             }));
         }
     }

@@ -3,10 +3,10 @@
 //! observed rounds, feed them to the analytic formulas, and compare the
 //! predicted uplink against the measured one.
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{analysis, FedDa, Reactivation};
-use fedda::table::TextTable;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -37,8 +37,8 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
         ("Explore b=0.667", FedDa::explore()),
     ] {
         let res = opts.run_framework(&exp, &Framework::FedDa(fedda.clone()))?;
-        let rounds = res.auc_curves.num_rounds();
-        let measured = res.uplink_units.mean;
+        let rounds = exp.config().rounds;
+        let measured = res.uplink_units().mean;
         let fedavg_total = (rounds * m * n) as f64;
 
         // Estimate r_c: mean ratio of consecutive active-client counts in

@@ -4,10 +4,10 @@
 //! hurts; this subcommand reports the per-type breakdown, the macro/weighted
 //! means and the max−min fairness gap.
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::experiment::{Dataset, Experiment};
 use fedda::fl::{FedAvg, FedDa, FlProtocol};
-use fedda::table::TextTable;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {

@@ -12,10 +12,10 @@
 //! contradict the sweep; pass it to any *other* experiment subcommand to run its
 //! table under a custom fault mix instead.
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{Corruption, FaultConfig, FedAvg, FedDa, StalenessPolicy};
-use fedda::table::TextTable;
 use serde_json::json;
 
 /// The mixed fault schedule at headline dropout rate `r`.
@@ -69,16 +69,16 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             table.row(&[
                 format!("{rate:.2}"),
                 res.name.clone(),
-                res.final_auc.fmt_pm(),
-                res.final_mrr.fmt_pm(),
-                format!("{:.0}", res.uplink_units.mean),
+                res.final_auc().fmt_pm(),
+                res.final_mrr().fmt_pm(),
+                format!("{:.0}", res.uplink_units().mean),
                 faults.to_string(),
             ]);
             json_blobs.push(json!({
                 "rate": rate, "framework": res.name,
-                "final_auc": res.final_auc.mean, "final_auc_std": res.final_auc.std,
-                "final_mrr": res.final_mrr.mean,
-                "uplink_units": res.uplink_units.mean,
+                "final_auc": res.final_auc().mean, "final_auc_std": res.final_auc().std,
+                "final_mrr": res.final_mrr().mean,
+                "uplink_units": res.uplink_units().mean,
                 "fault_events_run0": faults,
             }));
         }

@@ -5,10 +5,9 @@
 //! For each setting we print the per-round best (solid) and worst (dotted)
 //! test ROC-AUC over the repeated runs, exactly the curves the paper plots.
 
-use crate::{base_config, maybe_write_json, render_curve, Failure, Options};
+use crate::{base_config, maybe_write_json, render_curve, report, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::FedAvg;
-use fedda::report;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -35,16 +34,16 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
                 "{}",
                 render_curve(
                     &format!("C={c:.2} best"),
-                    &res.eval_rounds,
-                    &res.auc_curves.max_curve()
+                    &res.eval_rounds(),
+                    &res.auc_max_curve()
                 )
             );
             println!(
                 "{}",
                 render_curve(
                     &format!("C={c:.2} worst"),
-                    &res.eval_rounds,
-                    &res.auc_curves.min_curve()
+                    &res.eval_rounds(),
+                    &res.auc_min_curve()
                 )
             );
             results_json.push((format!("fig2_C_{label}_{c}"), res));
@@ -61,16 +60,16 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
                 "{}",
                 render_curve(
                     &format!("D={d:.2} best"),
-                    &res.eval_rounds,
-                    &res.auc_curves.max_curve()
+                    &res.eval_rounds(),
+                    &res.auc_max_curve()
                 )
             );
             println!(
                 "{}",
                 render_curve(
                     &format!("D={d:.2} worst"),
-                    &res.eval_rounds,
-                    &res.auc_curves.min_curve()
+                    &res.eval_rounds(),
+                    &res.auc_min_curve()
                 )
             );
             results_json.push((format!("fig2_D_{label}_{d}"), res));
@@ -80,8 +79,8 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     // Observations 1 & 2 summary: spread between best and worst final AUC.
     println!("== Summary: best/worst spread at the final round ==");
     for (name, res) in &results_json {
-        let best = res.auc_curves.max_curve().last().copied().unwrap_or(0.0);
-        let worst = res.auc_curves.min_curve().last().copied().unwrap_or(0.0);
+        let best = res.auc_max_curve().last().copied().unwrap_or(0.0);
+        let worst = res.auc_min_curve().last().copied().unwrap_or(0.0);
         println!(
             "{name:<28} best={best:.4} worst={worst:.4} spread={:.4}",
             best - worst

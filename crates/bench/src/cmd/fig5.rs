@@ -3,10 +3,9 @@
 //! best/worst envelopes for the FL frameworks (panels c–d), on both
 //! datasets. Also prints the RQ3 rounds-to-threshold comparison.
 
-use crate::{base_config, maybe_write_json, render_curve, Failure, Options};
+use crate::{base_config, maybe_write_json, render_curve, report, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
-use fedda::report;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -36,15 +35,15 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
                 "{}",
                 render_curve(
                     &format!("{} (mean)", res.name),
-                    &res.eval_rounds,
-                    &res.auc_curves.mean_curve()
+                    &res.eval_rounds(),
+                    &res.auc_mean_curve()
                 )
             );
             results.push(res);
         }
-        let mut chart = fedda::plot::AsciiChart::new(64, 14);
+        let mut chart = crate::plot::AsciiChart::new(64, 14);
         for res in &results {
-            chart.series(res.name.clone(), &res.auc_curves.mean_curve());
+            chart.series(res.name.clone(), &res.auc_mean_curve());
         }
         println!("{}", chart.render());
         println!("-- best/worst envelopes (Fig. 5c/5d style) --");
@@ -53,38 +52,29 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
                 "{}",
                 render_curve(
                     &format!("{} best", res.name),
-                    &res.eval_rounds,
-                    &res.auc_curves.max_curve()
+                    &res.eval_rounds(),
+                    &res.auc_max_curve()
                 )
             );
             println!(
                 "{}",
                 render_curve(
                     &format!("{} worst", res.name),
-                    &res.eval_rounds,
-                    &res.auc_curves.min_curve()
+                    &res.eval_rounds(),
+                    &res.auc_min_curve()
                 )
             );
         }
 
         // RQ3: rounds needed to reach FedAvg's final mean AUC.
-        let fedavg_final = results[1]
-            .auc_curves
-            .mean_curve()
-            .last()
-            .copied()
-            .unwrap_or(0.5);
+        let fedavg_final = results[1].auc_mean_curve().last().copied().unwrap_or(0.5);
         println!("-- rounds to reach FedAvg's final mean AUC ({fedavg_final:.4}) --");
         for res in &results[1..] {
-            // rounds_to_reach returns a curve *position*; translate it to
-            // the true round via eval_rounds (they differ when the eval
-            // cadence is sparse).
-            match res
-                .auc_curves
-                .rounds_to_reach(fedavg_final)
-                .map(|pos| res.eval_rounds.get(pos).copied().unwrap_or(pos))
-            {
-                Some(r) => println!("{:<20} round {}", res.name, r),
+            // The true round of the first evaluation point that reaches it
+            // (positions and rounds differ when the eval cadence is sparse).
+            let mut points = res.eval_rounds().into_iter().zip(res.auc_mean_curve());
+            match points.find(|&(_, auc)| auc >= fedavg_final) {
+                Some((r, _)) => println!("{:<20} round {}", res.name, r),
                 None => println!("{:<20} not reached", res.name),
             }
         }

@@ -3,10 +3,9 @@
 //! (c) `β_e` for the Explore strategy. Prints mean test-AUC curves per
 //! setting plus the final/best summary.
 
-use crate::{base_config, maybe_write_json, render_curve, Failure, Options};
+use crate::{base_config, maybe_write_json, render_curve, report, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedDa, Reactivation};
-use fedda::report;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -31,15 +30,15 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             "{}",
             render_curve(
                 &format!("beta_r={beta_r}"),
-                &res.eval_rounds,
-                &res.auc_curves.mean_curve()
+                &res.eval_rounds(),
+                &res.auc_mean_curve()
             )
         );
         println!(
             "  final={} best={} uplink={:.0}\n",
-            res.final_auc.fmt_pm(),
-            res.best_auc.fmt_pm(),
-            res.uplink_units.mean
+            res.final_auc().fmt_pm(),
+            res.best_auc().fmt_pm(),
+            res.uplink_units().mean
         );
         json_blobs.push(json!({"panel": "a", "beta_r": beta_r,
             "data": report::framework_to_json(&res)}));
@@ -54,15 +53,15 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             "{}",
             render_curve(
                 &format!("alpha={alpha}"),
-                &res.eval_rounds,
-                &res.auc_curves.mean_curve()
+                &res.eval_rounds(),
+                &res.auc_mean_curve()
             )
         );
         println!(
             "  final={} best={} uplink={:.0}\n",
-            res.final_auc.fmt_pm(),
-            res.best_auc.fmt_pm(),
-            res.uplink_units.mean
+            res.final_auc().fmt_pm(),
+            res.best_auc().fmt_pm(),
+            res.uplink_units().mean
         );
         json_blobs.push(json!({"panel": "b", "alpha": alpha,
             "data": report::framework_to_json(&res)}));
@@ -77,15 +76,15 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             "{}",
             render_curve(
                 &format!("beta_e={beta_e}"),
-                &res.eval_rounds,
-                &res.auc_curves.mean_curve()
+                &res.eval_rounds(),
+                &res.auc_mean_curve()
             )
         );
         println!(
             "  final={} best={} uplink={:.0}\n",
-            res.final_auc.fmt_pm(),
-            res.best_auc.fmt_pm(),
-            res.uplink_units.mean
+            res.final_auc().fmt_pm(),
+            res.best_auc().fmt_pm(),
+            res.uplink_units().mean
         );
         json_blobs.push(json!({"panel": "c", "beta_e": beta_e,
             "data": report::framework_to_json(&res)}));

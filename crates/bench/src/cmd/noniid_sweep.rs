@@ -4,11 +4,11 @@
 //! near zero (extreme specialisation) traces the regime where dynamic
 //! activation pays off.
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::data::{non_iidness, partition_non_iid, PartitionConfig};
 use fedda::experiment::{Dataset, Experiment};
 use fedda::fl::{FedAvg, FedDa};
-use fedda::table::TextTable;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {

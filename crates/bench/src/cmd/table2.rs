@@ -7,11 +7,10 @@
 //! FedProx/FedDyn/FedAdam hyper-parameter knobs (`--mu`, `--alpha`,
 //! `--server-lr`, `--beta1`, `--beta2`, `--adam-eps`) apply here too.
 
-use crate::{base_config, maybe_write_json, parse_framework, Failure, Options};
+use crate::table::TextTable;
+use crate::{base_config, maybe_write_json, parse_framework, report, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
-use fedda::report;
-use fedda::table::TextTable;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -65,10 +64,10 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
                 let res = opts.run_framework(&exp, fw)?;
                 table.row(&[
                     res.name.clone(),
-                    res.final_auc.fmt_pm(),
-                    res.final_mrr.fmt_pm(),
-                    res.best_auc.fmt_pm(),
-                    format!("{:.0}", res.uplink_units.mean),
+                    res.final_auc().fmt_pm(),
+                    res.final_mrr().fmt_pm(),
+                    res.best_auc().fmt_pm(),
+                    format!("{:.0}", res.uplink_units().mean),
                 ]);
                 results.push(res);
             }

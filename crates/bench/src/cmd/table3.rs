@@ -2,10 +2,10 @@
 //! units uplinked over the whole run) for FedAvg vs FedDA on both datasets
 //! with varying client counts.
 
+use crate::table::TextTable;
 use crate::{base_config, maybe_write_json, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
-use fedda::table::TextTable;
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
@@ -39,21 +39,21 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
             let fedavg = opts.run_framework(&exp, &Framework::FedAvg(FedAvg::vanilla()))?;
             let fedda1 = opts.run_framework(&exp, &Framework::FedDa(FedDa::restart()))?;
             let fedda2 = opts.run_framework(&exp, &Framework::FedDa(FedDa::explore()))?;
-            let base = fedavg.uplink_units.mean.max(1.0);
+            let base = fedavg.uplink_units().mean.max(1.0);
             table.row(&[
                 dataset.name().into(),
                 m.to_string(),
-                format!("{:.0}", fedavg.uplink_units.mean),
-                format!("{:.0}", fedda1.uplink_units.mean),
-                format!("{:.0}", fedda2.uplink_units.mean),
-                format!("{:.2}", fedda1.uplink_units.mean / base),
-                format!("{:.2}", fedda2.uplink_units.mean / base),
+                format!("{:.0}", fedavg.uplink_units().mean),
+                format!("{:.0}", fedda1.uplink_units().mean),
+                format!("{:.0}", fedda2.uplink_units().mean),
+                format!("{:.2}", fedda1.uplink_units().mean / base),
+                format!("{:.2}", fedda2.uplink_units().mean / base),
             ]);
             json_blobs.push(json!({
                 "dataset": dataset.name(), "clients": m,
-                "fedavg": fedavg.uplink_units.mean,
-                "fedda_restart": fedda1.uplink_units.mean,
-                "fedda_explore": fedda2.uplink_units.mean,
+                "fedavg": fedavg.uplink_units().mean,
+                "fedda_restart": fedda1.uplink_units().mean,
+                "fedda_explore": fedda2.uplink_units().mean,
             }));
         }
     }

@@ -132,11 +132,11 @@ pub(crate) fn train(opts: Options) -> Result<(), Failure> {
     );
     let exp = Experiment::new(cfg);
     let res = opts.run_framework(&exp, &framework)?;
-    println!("final ROC-AUC : {}", res.final_auc.fmt_pm());
-    println!("final MRR     : {}", res.final_mrr.fmt_pm());
-    println!("best ROC-AUC  : {}", res.best_auc.fmt_pm());
-    println!("uplink units  : {:.0}", res.uplink_units.mean);
-    println!("uplink bytes  : {:.0}", res.uplink_bytes.mean);
+    println!("final ROC-AUC : {}", res.final_auc().fmt_pm());
+    println!("final MRR     : {}", res.final_mrr().fmt_pm());
+    println!("best ROC-AUC  : {}", res.best_auc().fmt_pm());
+    println!("uplink units  : {:.0}", res.uplink_units().mean);
+    println!("uplink bytes  : {:.0}", res.uplink_bytes().mean);
     Ok(())
 }
 

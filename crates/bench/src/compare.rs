@@ -14,7 +14,7 @@
 //! passes.
 
 use crate::snapshot::{quartiles, Snapshot};
-use fedda::table::TextTable;
+use crate::table::TextTable;
 
 /// Pairs of runs `perf --ab` takes, each side going first in half of them.
 pub(crate) const PAIRS: usize = 10;

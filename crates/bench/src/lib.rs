@@ -56,14 +56,18 @@ use fedda::fl::{
     FlSystem, RunResult, RuntimeMode, StderrSink,
 };
 use fedda::hgn::{HgnConfig, TrainConfig};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
 mod cmd;
 mod compare;
+mod plot;
+mod report;
 pub mod snapshot;
 mod suite;
+mod table;
 
 pub use cmd::{command, usage, Command, Group, Run, COMMANDS};
 
@@ -132,6 +136,8 @@ pub struct Options {
     /// `--events` present: stream per-round [`fedda::fl::RoundEvent`]s to
     /// stderr via [`fedda::fl::StderrSink`].
     pub events: bool,
+    /// Every cell [`Options::run_framework`] has trained in this command.
+    trained: RefCell<Vec<(ExperimentConfig, Framework, FrameworkResult)>>,
 }
 
 impl Options {
@@ -200,15 +206,24 @@ impl Options {
     }
 
     /// Train one framework of `exp` — every subcommand's one way to fill a
-    /// table cell — streaming round events to stderr under `--events`.
+    /// table cell — streaming round events to stderr under `--events`. A
+    /// cell this command has trained before (the same configuration and
+    /// framework) is read back instead of trained again.
     pub(crate) fn run_framework(
         &self,
         exp: &Experiment,
         framework: &Framework,
     ) -> Result<FrameworkResult, Failure> {
+        let cell = |(cfg, fw, _): &&(_, _, _)| cfg == exp.config() && fw == framework;
+        if let Some((.., res)) = self.trained.borrow().iter().find(cell) {
+            return Ok(res.clone());
+        }
         let mut stderr = StderrSink;
         let sink = self.events.then_some(&mut stderr as &mut dyn EventSink);
-        Ok(exp.run_framework(framework, sink)?)
+        let res = exp.run_framework(framework, sink)?;
+        let cell = (exp.config().clone(), framework.clone(), res.clone());
+        self.trained.borrow_mut().push(cell);
+        Ok(res)
     }
 
     /// One run of [`Options::run_framework`], for subcommands that need the
@@ -407,7 +422,7 @@ pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig,
 /// helper so new ones cannot silently drift from the contract.
 pub(crate) fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Result<(), Failure> {
     if let Some(path) = opts.get_str("json") {
-        fedda::report::write_json(Path::new(path), value)
+        report::write_json(Path::new(path), value)
             .map_err(|e| format!("cannot write --json {path}: {e}"))?;
         println!("wrote {path}");
     }
@@ -416,7 +431,7 @@ pub(crate) fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Res
 
 /// Render a curve as a compact sparkline-style series for the figure
 /// subcommands (round: value pairs, 8 per line). `rounds` carries the true
-/// evaluated round index of each point (`FrameworkResult::eval_rounds`),
+/// evaluated round index of each point (`FrameworkResult::eval_rounds()`),
 /// so sparse `--eval-every > 1` curves label points by the round they
 /// measure rather than fabricating consecutive `r00,r01,…` labels; when a
 /// point has no recorded round (legacy callers), its position is used.
@@ -537,6 +552,26 @@ mod tests {
         let exp = Experiment::new(cfg);
         let got = Options::default().run_framework(&exp, &Framework::Local);
         assert_eq!(got.map(|_| ()), Err(Failure::Run(want.into())));
+    }
+
+    /// A command that names one cell twice trains it once and reads the
+    /// same result back; another framework on the same data is a new cell.
+    #[test]
+    fn a_cell_named_twice_is_trained_once() {
+        let o = opts(&["--quick", "--runs", "1", "--rounds", "1", "--clients", "2"]);
+        let exp = Experiment::new(config(Dataset::DblpLike, &o));
+        let first = o.run_framework(&exp, &Framework::FedDa(FedDa::explore()));
+        let mut same = FedDa::explore();
+        same.alpha = 0.5; // `explore()`'s own α
+        let again = o.run_framework(&exp, &Framework::FedDa(same));
+        assert_eq!(o.trained.borrow().len(), 1);
+        assert_eq!(
+            again.unwrap().runs[0].comm.rounds(),
+            first.unwrap().runs[0].comm.rounds()
+        );
+        let fedavg = Framework::FedAvg(FedAvg::vanilla());
+        o.run_framework(&exp, &fedavg).unwrap();
+        assert_eq!(o.trained.borrow().len(), 2);
     }
 
     #[test]

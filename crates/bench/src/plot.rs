@@ -1,9 +1,9 @@
-//! ASCII line charts for the figure binaries — good-enough plots for a
+//! ASCII line charts for the figure subcommands — good-enough plots for a
 //! terminal, so `fig2`/`fig5`/`fig6` show *figures*, not just number dumps.
 
 /// A multi-series ASCII line chart.
 #[derive(Clone, Debug, Default)]
-pub struct AsciiChart {
+pub(crate) struct AsciiChart {
     series: Vec<(String, Vec<f64>)>,
     width: usize,
     height: usize,
@@ -14,7 +14,7 @@ const GLYPHS: &[char] = &['*', 'o', '+', 'x', '#', '@', '%', '&'];
 
 impl AsciiChart {
     /// A chart with the given plot-area size (default 64×16 if zero).
-    pub fn new(width: usize, height: usize) -> Self {
+    pub(crate) fn new(width: usize, height: usize) -> Self {
         Self {
             series: Vec::new(),
             width: if width == 0 { 64 } else { width },
@@ -23,13 +23,13 @@ impl AsciiChart {
     }
 
     /// Add one named series (x is the index: round number).
-    pub fn series(&mut self, name: impl Into<String>, values: &[f64]) -> &mut Self {
+    pub(crate) fn series(&mut self, name: impl Into<String>, values: &[f64]) -> &mut Self {
         self.series.push((name.into(), values.to_vec()));
         self
     }
 
     /// Render the chart with a y-axis, x-axis and legend.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let max_len = self.series.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
         if max_len == 0 || self.series.is_empty() {
             return String::from("(no data)\n");

@@ -264,7 +264,7 @@ impl Snapshot {
 
     /// Write the snapshot (pretty-printed, trailing newline).
     pub(crate) fn save(&self, path: &Path) -> std::io::Result<()> {
-        fedda::report::write_json(path, &self.to_value())
+        crate::report::write_json(path, &self.to_value())
     }
 }
 

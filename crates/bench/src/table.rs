@@ -1,16 +1,16 @@
-//! Plain-text table rendering for the experiment binaries — fixed-width
+//! Plain-text table rendering for the experiment subcommands — fixed-width
 //! columns so the regenerated tables line up with the paper's.
 
 /// A simple fixed-width text table.
 #[derive(Clone, Debug, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Start a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         Self {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -18,13 +18,13 @@ impl TextTable {
     }
 
     /// Append one row; must match the header arity.
-    pub fn row(&mut self, cells: &[String]) {
+    pub(crate) fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
     }
 
     /// Render with padded columns and a separator under the header.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {

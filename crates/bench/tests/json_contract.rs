@@ -6,12 +6,17 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `fedda <sub>` with `args` plus `--json <tmp>`; return the parsed dump.
+/// Each call writes its own file, so tests running side by side never share
+/// one.
 fn run_with_json(sub: &str, args: &[&str]) -> serde_json::Value {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
     let out_path: PathBuf = std::env::temp_dir().join(format!(
-        "fedda_json_contract_{sub}_{}.json",
-        std::process::id()
+        "fedda_json_contract_{sub}_{}_{}.json",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_file(&out_path);
     let status = Command::new(env!("CARGO_BIN_EXE_fedda"))
@@ -143,4 +148,39 @@ fn faults_emits_json() {
     let v = run_with_json("faults", &args);
     assert_nonempty_array("faults", &v);
     assert!(v[0]["rate"].as_f64().is_some());
+}
+
+/// The analytic model reads the configured round count, not the number of
+/// evaluated rounds: a sparser evaluation cadence predicts the same uplink
+/// and compares against the same FedAvg total.
+#[test]
+fn efficiency_model_ignores_the_eval_cadence() {
+    let run = |every| {
+        let args = [
+            "--scale",
+            "0.001",
+            "--runs",
+            "1",
+            "--quick",
+            "--clients",
+            "2",
+        ];
+        run_with_json(
+            "efficiency_model",
+            &[&args[..], &["--rounds", "4", "--eval-every", every]].concat(),
+        )
+    };
+    let (dense, sparse) = (run("1"), run("2"));
+    assert_nonempty_array("efficiency_model", &dense);
+    for (d, s) in dense
+        .as_array()
+        .unwrap()
+        .iter()
+        .zip(sparse.as_array().unwrap())
+    {
+        for key in ["predicted_uplink", "fedavg_uplink"] {
+            assert!(d[key].as_f64().is_some(), "{key} missing");
+            assert_eq!(d[key], s[key], "{key} moved with --eval-every");
+        }
+    }
 }

@@ -10,8 +10,8 @@ use fedda_fl::{
     FedProx, FlConfig, FlProtocol, FlSystem, GlobalProtocol, PrivacyConfig, RunResult, RuntimeMode,
 };
 use fedda_hetgraph::split::{split_edges, EdgeSplit};
-use fedda_hgn::{HgnConfig, TrainConfig};
-use fedda_metrics::{CurveRecorder, MeanStd};
+use fedda_hgn::{EvalResult, HgnConfig, TrainConfig};
+use fedda_metrics::MeanStd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,7 +47,7 @@ impl Dataset {
 /// framework grid point, repeated over several runs): the grid fields, and
 /// the run configuration every federation of the cell is built with — an
 /// [`FlConfig`], whose fields' meaning and checks live there.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentConfig {
     /// Dataset preset.
     pub dataset: Dataset,
@@ -169,7 +169,7 @@ impl ExperimentConfig {
 }
 
 /// A framework under comparison.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Framework {
     /// Centralised training on the full training graph (upper bound).
     Global,
@@ -214,78 +214,96 @@ impl Framework {
     }
 }
 
-/// Aggregated outcome of running one framework `runs` times.
+/// One framework's runs on one experiment cell. Every summary a table or
+/// figure prints is a method folding `runs` in run order.
 #[derive(Clone, Debug)]
 pub struct FrameworkResult {
     /// Framework display name.
     pub name: String,
-    /// Final-round ROC-AUC over runs.
-    pub final_auc: MeanStd,
-    /// Final-round MRR over runs.
-    pub final_mrr: MeanStd,
-    /// Best-along-training ROC-AUC over runs.
-    pub best_auc: MeanStd,
-    /// Total uplink parameter units over runs (Table 3's measure).
-    pub uplink_units: MeanStd,
-    /// Total uplink encoded scalars over runs (post-mask,
-    /// post-compression entry count; equals the masked scalar count for
-    /// dense codecs, the kept count for top-k).
-    pub uplink_scalars: MeanStd,
-    /// Total uplink payload bytes over runs — post-mask, post-compression;
-    /// the AUC-vs-bytes frontier's x axis.
-    pub uplink_bytes: MeanStd,
-    /// Per-evaluation-point AUC curves across runs (empty for `Local`).
-    /// One point per evaluated round; dense when `eval_every == 1`.
-    pub auc_curves: CurveRecorder,
-    /// Per-evaluation-point MRR curves across runs (empty for `Local`).
-    pub mrr_curves: CurveRecorder,
-    /// The true (0-based) round index behind each curve position — the
-    /// evaluation cadence is shared by every run, so one vector labels
-    /// all curves. Non-consecutive when `eval_every > 1`; empty for
-    /// `Local`.
-    pub eval_rounds: Vec<usize>,
-    /// Each run's full engine result, in run order — what every field
-    /// above summarises. Empty for `Local`, which has no rounds.
+    /// Each run's result, in run order. A `Local` run, which has no rounds,
+    /// holds only its `final_eval`: the mean over its clients' AUC and MRR.
     pub runs: Vec<RunResult>,
 }
 
 impl FrameworkResult {
-    /// Summarise a framework's runs: the engine results of a round protocol,
-    /// or `local` — the `Local` baseline's per-run `(AUC, MRR)`, each the
-    /// mean over its clients; it has no curve and moves no bytes. Exactly
-    /// one of the two is non-empty.
-    fn new(name: String, runs: Vec<RunResult>, local: &[(f64, f64)]) -> Self {
-        let over = |of_run: fn(&RunResult) -> f64, of_local: fn(&(f64, f64)) -> f64| {
-            let per_run = runs.iter().map(of_run).chain(local.iter().map(of_local));
-            MeanStd::of(&per_run.collect::<Vec<_>>())
-        };
-        let mut auc_curves = CurveRecorder::new();
-        let mut mrr_curves = CurveRecorder::new();
-        for (run, result) in runs.iter().enumerate() {
-            // Record by evaluation-point position, not round number: with a
-            // sparse `eval_every` cadence the evaluated rounds are not
-            // consecutive.
-            for (t, eval) in result.curve.iter().enumerate() {
-                auc_curves.record(run, t, eval.roc_auc);
-                mrr_curves.record(run, t, eval.mrr);
+    /// Mean ± std over runs of one per-run value.
+    fn over(&self, of_run: impl Fn(&RunResult) -> f64) -> MeanStd {
+        MeanStd::of(&self.runs.iter().map(of_run).collect::<Vec<_>>())
+    }
+
+    /// Final-round ROC-AUC over runs.
+    pub fn final_auc(&self) -> MeanStd {
+        self.over(|r| r.final_eval.roc_auc)
+    }
+
+    /// Final-round MRR over runs.
+    pub fn final_mrr(&self) -> MeanStd {
+        self.over(|r| r.final_eval.mrr)
+    }
+
+    /// Best-along-training ROC-AUC over runs; a run with no curve (`Local`)
+    /// counts its final AUC.
+    pub fn best_auc(&self) -> MeanStd {
+        self.over(|r| {
+            if r.curve.is_empty() {
+                r.final_eval.roc_auc
+            } else {
+                r.best_auc()
             }
-        }
-        Self {
-            name,
-            final_auc: over(|r| r.final_eval.roc_auc, |l| l.0),
-            final_mrr: over(|r| r.final_eval.mrr, |l| l.1),
-            best_auc: over(RunResult::best_auc, |l| l.0),
-            uplink_units: over(|r| r.comm.total_uplink_units() as f64, |_| 0.0),
-            uplink_scalars: over(|r| r.comm.total_uplink_scalars() as f64, |_| 0.0),
-            uplink_bytes: over(|r| r.comm.total_uplink_bytes() as f64, |_| 0.0),
-            auc_curves,
-            mrr_curves,
-            // The cadence is config-driven and identical across runs.
-            eval_rounds: runs
-                .first()
-                .map_or_else(Vec::new, |r| r.curve.iter().map(|e| e.round).collect()),
-            runs,
-        }
+        })
+    }
+
+    /// Total uplink parameter units over runs (Table 3's measure).
+    pub fn uplink_units(&self) -> MeanStd {
+        self.over(|r| r.comm.total_uplink_units() as f64)
+    }
+
+    /// Total uplink encoded scalars over runs (post-mask, post-compression
+    /// entry count; equals the masked scalar count for dense codecs, the
+    /// kept count for top-k).
+    pub fn uplink_scalars(&self) -> MeanStd {
+        self.over(|r| r.comm.total_uplink_scalars() as f64)
+    }
+
+    /// Total uplink payload bytes over runs — post-mask, post-compression;
+    /// the AUC-vs-bytes frontier's x axis.
+    pub fn uplink_bytes(&self) -> MeanStd {
+        self.over(|r| r.comm.total_uplink_bytes() as f64)
+    }
+
+    /// The true (0-based) round behind each curve position. The evaluation
+    /// cadence is shared by every run, so one vector labels all curves;
+    /// non-consecutive when `eval_every > 1`, empty for `Local`.
+    pub fn eval_rounds(&self) -> Vec<usize> {
+        self.runs
+            .first()
+            .map_or_else(Vec::new, |r| r.curve.iter().map(|e| e.round).collect())
+    }
+
+    /// Per-evaluation-point mean AUC across runs (Fig. 5a/5b).
+    pub fn auc_mean_curve(&self) -> Vec<f64> {
+        let n = self.runs.len() as f64;
+        self.auc_points(|aucs| aucs.sum::<f64>() / n)
+    }
+
+    /// Per-evaluation-point best AUC across runs (Fig. 2 and 5c/5d's solid
+    /// lines).
+    pub fn auc_max_curve(&self) -> Vec<f64> {
+        self.auc_points(|aucs| aucs.fold(f64::NEG_INFINITY, f64::max))
+    }
+
+    /// Per-evaluation-point worst AUC across runs (the dotted lines).
+    pub fn auc_min_curve(&self) -> Vec<f64> {
+        self.auc_points(|aucs| aucs.fold(f64::INFINITY, f64::min))
+    }
+
+    /// `fold` over the runs' AUCs at each curve position the shortest run
+    /// reaches.
+    fn auc_points(&self, fold: impl Fn(&mut dyn Iterator<Item = f64>) -> f64) -> Vec<f64> {
+        let points = self.runs.iter().map(|r| r.curve.len()).min().unwrap_or(0);
+        (0..points)
+            .map(|t| fold(&mut self.runs.iter().map(|r| r.curve[t].roc_auc)))
+            .collect()
     }
 }
 
@@ -369,7 +387,7 @@ impl Experiment {
     }
 
     /// Run one framework across all configured runs under the configured
-    /// runtime and summarise, streaming every round of every run to `sink`
+    /// runtime and keep every run, streaming every round of every run to `sink`
     /// when one is given (`Local` has no rounds and emits nothing). A model
     /// no Simple-HGN can be built from comes back as an error before any
     /// federation is built; an invalid protocol, runtime, fault, codec or
@@ -381,23 +399,33 @@ impl Experiment {
     ) -> Result<FrameworkResult, String> {
         self.cfg.validate_model()?;
         let mut runs = Vec::with_capacity(self.cfg.runs);
-        let mut local = Vec::new();
         for run in 0..self.cfg.runs {
             let mut system = self.system_for_run(run);
-            match framework.protocol() {
+            runs.push(match framework.protocol() {
                 None => {
                     let scores = baselines::run_local_only(&system);
-                    local.push((scores.auc_summary().mean, scores.mrr_summary().mean));
+                    let final_eval = EvalResult {
+                        roc_auc: scores.auc_summary().mean,
+                        mrr: scores.mrr_summary().mean,
+                        num_positives: 0,
+                    };
+                    RunResult {
+                        final_eval,
+                        ..Default::default()
+                    }
                 }
-                Some(mut protocol) => runs.push(fedda_fl::run(
+                Some(mut protocol) => fedda_fl::run(
                     &self.cfg.runtime,
                     protocol.as_mut(),
                     &mut system,
                     sink.as_deref_mut(),
-                )?),
-            }
+                )?,
+            });
         }
-        Ok(FrameworkResult::new(framework.name(), runs, &local))
+        Ok(FrameworkResult {
+            name: framework.name(),
+            runs,
+        })
     }
 }
 
@@ -568,21 +596,93 @@ mod tests {
     fn run_framework_aggregates_over_runs() {
         let exp = Experiment::new(quick_cfg());
         let res = fedavg(&exp);
-        assert_eq!(res.final_auc.n, 2);
+        assert_eq!(res.final_auc().n, 2);
         assert_eq!(res.runs.len(), 2);
-        assert_eq!(res.auc_curves.num_rounds(), 2);
-        assert!(res.uplink_units.mean > 0.0);
-        assert!(res.uplink_bytes.mean > 0.0);
+        assert_eq!(res.auc_mean_curve().len(), 2);
+        assert!(res.uplink_units().mean > 0.0);
+        assert!(res.uplink_bytes().mean > 0.0);
         assert_eq!(res.name, "FedAvg");
-        // Every run's full result is kept, and the summary is a fold over them.
-        assert_eq!(res.runs.len(), 2);
-        let units: Vec<f64> = res
-            .runs
-            .iter()
-            .map(|r| r.comm.total_uplink_units() as f64)
-            .collect();
-        assert_eq!(res.uplink_units, MeanStd::of(&units));
-        assert_eq!(res.runs[0].curve.len(), res.eval_rounds.len());
+        assert_eq!(res.runs[0].curve.len(), res.eval_rounds().len());
+    }
+
+    /// A hand-made run: its AUC curve, final AUC and MRR, and one ledger
+    /// round per uplink-unit count.
+    fn hand_run(aucs: &[f64], final_auc: f64, mrr: f64, uplink: &[usize]) -> RunResult {
+        let curve = aucs.iter().enumerate();
+        let mut comm = fedda_fl::CommLog::default();
+        for &units in uplink {
+            comm.push(fedda_fl::RoundComm {
+                active_clients: 1,
+                uplink_units: units,
+                uplink_scalars: 3 * units,
+                uplink_bytes: 12 * units,
+                ..Default::default()
+            });
+        }
+        RunResult {
+            curve: curve
+                .map(|(t, &roc_auc)| fedda_fl::RoundEval {
+                    round: 2 * t + 1,
+                    roc_auc,
+                    mrr: 0.0,
+                })
+                .collect(),
+            comm,
+            final_eval: EvalResult {
+                roc_auc: final_auc,
+                mrr,
+                num_positives: 1,
+            },
+            ..Default::default()
+        }
+    }
+
+    /// Each summary is its definition, folded over `runs` in run order.
+    #[test]
+    fn folds_match_their_definitions() {
+        let runs = vec![
+            hand_run(&[0.1, 0.5, 0.7], 0.7, 0.3, &[4, 2]),
+            hand_run(&[0.3, 0.4, 0.9], 0.9, 0.5, &[4, 3, 1]),
+            hand_run(&[0.2, 0.6, 0.8], 0.8, 0.4, &[]),
+        ];
+        let res = FrameworkResult {
+            name: "hand".into(),
+            runs: runs.clone(),
+        };
+        // Mean ± std of the final values.
+        assert_eq!(res.final_auc(), MeanStd::of(&[0.7, 0.9, 0.8]));
+        assert_eq!(res.final_auc().fmt_pm(), "0.8000 ± 0.1000");
+        assert_eq!(res.final_mrr(), MeanStd::of(&[0.3, 0.5, 0.4]));
+        assert_eq!(res.best_auc(), MeanStd::of(&[0.7, 0.9, 0.8]));
+        // The curves, and min ≤ mean ≤ max at every position.
+        assert_eq!(res.eval_rounds(), vec![1, 3, 5]);
+        assert_eq!(res.auc_max_curve(), vec![0.3, 0.6, 0.9]);
+        assert_eq!(res.auc_min_curve(), vec![0.1, 0.4, 0.7]);
+        let mean = res.auc_mean_curve();
+        for (t, want) in [0.2, 0.5, 0.8].into_iter().enumerate() {
+            assert!((mean[t] - want).abs() < 1e-12, "{mean:?}");
+            assert!(res.auc_min_curve()[t] <= mean[t] && mean[t] <= res.auc_max_curve()[t]);
+        }
+        // Each uplink total is its ledger's fold.
+        let ledger = |of: fn(&fedda_fl::RoundComm) -> usize| {
+            let per_run = runs
+                .iter()
+                .map(|r| r.comm.rounds().iter().map(of).sum::<usize>());
+            MeanStd::of(&per_run.map(|v| v as f64).collect::<Vec<_>>())
+        };
+        assert_eq!(res.uplink_units(), ledger(|c| c.uplink_units));
+        assert_eq!(res.uplink_units(), MeanStd::of(&[6.0, 8.0, 0.0]));
+        assert_eq!(res.uplink_scalars(), ledger(|c| c.uplink_scalars));
+        assert_eq!(res.uplink_bytes(), ledger(|c| c.uplink_bytes));
+        // A `Local` run has no curve: its best is its final.
+        let local = FrameworkResult {
+            name: "Local".into(),
+            runs: vec![hand_run(&[], 0.6, 0.2, &[]), hand_run(&[], 0.4, 0.1, &[])],
+        };
+        assert_eq!(local.best_auc(), local.final_auc());
+        assert_eq!(local.final_auc(), MeanStd::of(&[0.6, 0.4]));
+        assert!(local.auc_mean_curve().is_empty() && local.eval_rounds().is_empty());
+        assert_eq!(local.uplink_bytes(), MeanStd::of(&[0.0, 0.0]));
     }
 
     #[test]
@@ -613,13 +713,12 @@ mod tests {
         }));
         // Mask-then-compress: the unit/scalar fan-out is mask-driven and
         // unchanged, the byte charge drops 4× under i8.
-        assert_eq!(q8.uplink_units.mean, uncompressed.uplink_units.mean);
-        assert_eq!(q8.uplink_scalars.mean, uncompressed.uplink_scalars.mean);
+        assert_eq!(q8.uplink_units(), uncompressed.uplink_units());
+        assert_eq!(q8.uplink_scalars(), uncompressed.uplink_scalars());
+        let (q8_bytes, raw_bytes) = (q8.uplink_bytes().mean, uncompressed.uplink_bytes().mean);
         assert!(
-            (q8.uplink_bytes.mean - uncompressed.uplink_bytes.mean / 4.0).abs() < 1e-9,
-            "i8 bytes {} vs raw {}",
-            q8.uplink_bytes.mean,
-            uncompressed.uplink_bytes.mean
+            (q8_bytes - raw_bytes / 4.0).abs() < 1e-9,
+            "i8 bytes {q8_bytes} vs raw {raw_bytes}"
         );
     }
 
@@ -631,30 +730,34 @@ mod tests {
         let exp = Experiment::new(cfg);
         let res = fedavg(&exp);
         // Rounds 1 and 2 are evaluated (cadence hit + final round), so the
-        // recorder holds two non-consecutive rounds as two sequential points,
+        // curves hold two non-consecutive rounds as two sequential points,
         // and eval_rounds carries the true round behind each position.
         assert_eq!(res.runs.len(), 2);
-        assert_eq!(res.auc_curves.num_rounds(), 2);
-        assert_eq!(res.final_auc.n, 2);
-        assert_eq!(res.eval_rounds, vec![1, 2]);
+        assert_eq!(res.auc_mean_curve().len(), 2);
+        assert_eq!(res.final_auc().n, 2);
+        assert_eq!(res.eval_rounds(), vec![1, 2]);
     }
 
     #[test]
     fn dense_cadence_has_consecutive_eval_rounds() {
         let exp = Experiment::new(quick_cfg());
         let res = fedavg(&exp);
-        assert_eq!(res.eval_rounds, vec![0, 1]);
+        assert_eq!(res.eval_rounds(), vec![0, 1]);
     }
 
     #[test]
     fn local_framework_has_no_curves() {
         let exp = Experiment::new(quick_cfg());
         let res = run(&exp, Framework::Local);
-        assert!(res.runs.is_empty(), "Local has no engine runs to keep");
-        assert_eq!(res.auc_curves.num_rounds(), 0);
-        assert!(res.eval_rounds.is_empty());
-        assert_eq!(res.final_auc.n, 2);
-        assert_eq!(res.uplink_units.mean, 0.0);
+        for run in &res.runs {
+            assert!(run.curve.is_empty() && run.comm.rounds().is_empty());
+            assert!(run.activation_trace.is_empty() && run.faults.is_empty());
+            assert!(run.final_eval.roc_auc > 0.0 && run.final_eval.mrr > 0.0);
+        }
+        assert!(res.auc_mean_curve().is_empty());
+        assert!(res.eval_rounds().is_empty());
+        assert_eq!(res.final_auc().n, 2);
+        assert_eq!(res.uplink_units().mean, 0.0);
     }
 
     #[test]

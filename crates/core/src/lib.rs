@@ -18,10 +18,12 @@
 //! | ROC-AUC / MRR / run aggregation | [`metrics`] (`fedda-metrics`) |
 //! | FedAvg, FedDA, baselines, comm model | [`fl`] (`fedda-fl`) |
 //!
-//! plus the [`experiment`] drivers and [`table`]/[`report`] rendering used
-//! by the benchmark binaries that regenerate every table and figure (see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for measured
-//! results).
+//! plus the [`experiment`] drivers behind every table and figure: an
+//! experiment cell hands back one framework's runs
+//! ([`experiment::FrameworkResult`]) and every summary is a fold over them.
+//! The `fedda` command (`crates/bench`) renders them as tables, charts and
+//! JSON (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
+//! measured results).
 //!
 //! ## Quickstart
 //!
@@ -42,7 +44,7 @@
 //! let fedavg = exp.run_framework(&Framework::FedAvg(FedAvg::vanilla()), None)?;
 //! let fedda = exp.run_framework(&Framework::FedDa(FedDa::explore()), None)?;
 //! // FedDA never uploads more than FedAvg:
-//! assert!(fedda.uplink_units.mean <= fedavg.uplink_units.mean);
+//! assert!(fedda.uplink_units().mean <= fedavg.uplink_units().mean);
 //! // One protocol value on one federation, through the engine's one entry:
 //! let mut system = exp.system_for_run(0);
 //! let result = run(&RuntimeMode::Sync, &mut FedDa::explore(), &mut system, None)?;
@@ -55,9 +57,6 @@
 #![warn(unreachable_pub)]
 
 pub mod experiment;
-pub mod plot;
-pub mod report;
-pub mod table;
 
 /// Re-export of `fedda-tensor`.
 pub use fedda_tensor as tensor;

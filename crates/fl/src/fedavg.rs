@@ -15,7 +15,7 @@ use crate::system::FlSystem;
 use rand::rngs::StdRng;
 
 /// FedAvg: its configuration, and (having no run state) nothing else.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FedAvg {
     /// Fraction of clients randomly activated each round (Fig. 2's `C`).
     pub client_fraction: f64,

@@ -115,7 +115,7 @@ fn unit_mean(values: &[f32]) -> f32 {
 /// // fedda_fl::run(&RuntimeMode::Sync, &mut fedda, &mut system, None)
 /// // drives the federation.
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FedDa {
     /// Reactivation strategy (the paper's FedDA 1 = `Restart`, FedDA 2 =
     /// `Explore`).

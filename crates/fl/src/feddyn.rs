@@ -39,7 +39,7 @@ use rand::rngs::StdRng;
 
 /// FedDyn: its hyper-parameters and its per-run state (sized by `begin`,
 /// so one value serves one [`run`](crate::run) at a time).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FedDyn {
     /// Regularisation strength α (the exemplar implementation's default is
     /// `0.01`; must be strictly positive — the server correction divides

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 /// FedAdam (the FedOpt paper's server-side Adam): its hyper-parameters
 /// and its per-run state (sized by `begin`, so one value serves one
 /// [`run`](crate::run) at a time).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FedAdam {
     /// Server learning rate `η_s` on the pseudo-gradient.
     pub server_lr: f64,

@@ -21,7 +21,7 @@ use crate::system::FlSystem;
 use rand::rngs::StdRng;
 
 /// FedProx: its configuration, and (having no run state) nothing else.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FedProx {
     /// Proximal coefficient μ on `½‖θ − θ^t‖²` (paper sweeps 1e-3…1;
     /// `0` recovers the FedAvg objective).

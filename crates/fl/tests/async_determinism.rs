@@ -92,12 +92,12 @@ fn assert_invariant_under_execution_strategy(
 }
 
 #[test]
-fn async_fedavg_is_bit_identical_across_threads_and_workers() {
+fn async_fedavg_is_bit_identical_across_workers() {
     assert_invariant_under_execution_strategy(0, None, "async FedAvg");
 }
 
 #[test]
-fn async_fedavg_with_stragglers_is_bit_identical_across_threads_and_workers() {
+fn async_fedavg_with_stragglers_is_bit_identical_across_workers() {
     assert_invariant_under_execution_strategy(
         0,
         Some(straggly_faults()),
@@ -106,12 +106,12 @@ fn async_fedavg_with_stragglers_is_bit_identical_across_threads_and_workers() {
 }
 
 #[test]
-fn async_fedda_explore_is_bit_identical_across_threads_and_workers() {
+fn async_fedda_explore_is_bit_identical_across_workers() {
     assert_invariant_under_execution_strategy(1, None, "async FedDA-Explore");
 }
 
 #[test]
-fn async_runs_under_compression_are_bit_identical_across_threads_and_workers() {
+fn async_runs_under_compression_are_bit_identical_across_workers() {
     // Every codec is deterministic and RNG-free, so a compressed run must
     // be as execution-strategy-independent as an uncompressed one — the
     // lossy codecs included, whose quantization is pure per-scalar

@@ -58,27 +58,27 @@ fn assert_invariant_under_execution_strategy(make: &dyn Fn() -> Box<dyn FlProtoc
 }
 
 #[test]
-fn fedda_restart_is_bit_identical_across_threads_and_dispatch() {
+fn fedda_restart_is_bit_identical_across_workers_and_dispatch() {
     assert_invariant_under_execution_strategy(&|| Box::new(FedDa::restart()), "FedDA-Restart");
 }
 
 #[test]
-fn fedda_explore_is_bit_identical_across_threads_and_dispatch() {
+fn fedda_explore_is_bit_identical_across_workers_and_dispatch() {
     assert_invariant_under_execution_strategy(&|| Box::new(FedDa::explore()), "FedDA-Explore");
 }
 
 #[test]
-fn fedprox_is_bit_identical_across_threads_and_dispatch() {
+fn fedprox_is_bit_identical_across_workers_and_dispatch() {
     assert_invariant_under_execution_strategy(&|| Box::new(FedProx::new(0.1)), "FedProx");
 }
 
 #[test]
-fn feddyn_is_bit_identical_across_threads_and_dispatch() {
+fn feddyn_is_bit_identical_across_workers_and_dispatch() {
     assert_invariant_under_execution_strategy(&|| Box::new(FedDyn::new(0.01)), "FedDyn");
 }
 
 #[test]
-fn fedadam_is_bit_identical_across_threads_and_dispatch() {
+fn fedadam_is_bit_identical_across_workers_and_dispatch() {
     assert_invariant_under_execution_strategy(&|| Box::new(FedAdam::new(0.01)), "FedAdam");
 }
 
@@ -88,7 +88,7 @@ fn fedadam_is_bit_identical_across_threads_and_dispatch() {
 /// report returned at the wrong position aggregate under another client's
 /// mask.
 #[test]
-fn fedavg_random_masks_are_bit_identical_across_threads_and_dispatch() {
+fn fedavg_random_masks_are_bit_identical_across_workers_and_dispatch() {
     assert_invariant_under_execution_strategy(
         &|| Box::new(FedAvg::with_fractions(1.0, 0.67)),
         "FedAvg-random-masks",

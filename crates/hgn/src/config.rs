@@ -21,7 +21,7 @@ pub enum Decoder {
 /// explicitly. The pre-activation residuals (Eq. 3) and the L2-normalised
 /// outputs are always on, and the encoder computes the same function in
 /// training and in inference.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HgnConfig {
     /// Hidden width per attention head.
     pub hidden_dim: usize,

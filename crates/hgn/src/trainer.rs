@@ -14,7 +14,7 @@ use rand::Rng;
 use std::sync::Arc;
 
 /// Local-training hyper-parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrainConfig {
     /// Local epochs per round (`E` in Algorithm 1).
     pub local_epochs: usize,

@@ -7,9 +7,7 @@
 //!   negatives;
 //! * [`hits_at_k`] / [`average_precision`] — additional ranking metrics;
 //! * [`GroupedMetric`] — per-edge-type breakdowns with fairness gaps;
-//! * [`MeanStd`] — mean ± std aggregation over repeated runs (Table 2);
-//! * [`CurveRecorder`] — per-round curves with best/worst envelopes
-//!   (Figures 2 and 5) and rounds-to-threshold queries (RQ3).
+//! * [`MeanStd`] — mean ± std aggregation over repeated runs (Table 2).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,4 +31,4 @@ mod stats;
 pub use auc::roc_auc;
 pub use mrr::{mrr, mrr_of_groups, RankQuery};
 pub use ranking::{average_precision, hits_at_k, GroupedMetric};
-pub use stats::{CurveRecorder, MeanStd};
+pub use stats::MeanStd;

@@ -1,5 +1,4 @@
-//! Aggregation of repeated runs: mean ± std summaries (Table 2's format)
-//! and per-round curve recording with best/worst envelopes (Figures 2 & 5).
+//! Aggregation of repeated runs: mean ± std summaries (Table 2's format).
 
 /// Mean and sample standard deviation of a set of run results.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -38,80 +37,6 @@ impl MeanStd {
     }
 }
 
-/// Per-round metric curves across repeated runs.
-///
-/// `record(run, round, value)` accepts rounds in order within each run;
-/// the accessors produce the curves the paper plots: the per-round mean
-/// (Fig. 5a/5b) and the per-round max/min envelope over runs (Fig. 2,
-/// Fig. 5c/5d).
-#[derive(Clone, Debug, Default)]
-pub struct CurveRecorder {
-    /// `runs[r][t]` = metric of run `r` at round `t`.
-    runs: Vec<Vec<f64>>,
-}
-
-impl CurveRecorder {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a value for `(run, round)`. Runs and rounds must arrive in
-    /// order (round `t` appended after `t-1`).
-    pub fn record(&mut self, run: usize, round: usize, value: f64) {
-        while self.runs.len() <= run {
-            self.runs.push(Vec::new());
-        }
-        assert_eq!(
-            self.runs[run].len(),
-            round,
-            "rounds must be recorded in order"
-        );
-        self.runs[run].push(value);
-    }
-
-    /// Number of complete rounds (minimum across runs; 0 when empty).
-    pub fn num_rounds(&self) -> usize {
-        self.runs.iter().map(Vec::len).min().unwrap_or(0)
-    }
-
-    /// Per-round mean across runs.
-    pub fn mean_curve(&self) -> Vec<f64> {
-        let t = self.num_rounds();
-        (0..t)
-            .map(|i| self.runs.iter().map(|r| r[i]).sum::<f64>() / self.runs.len() as f64)
-            .collect()
-    }
-
-    /// Per-round max across runs ("best model" solid lines).
-    pub fn max_curve(&self) -> Vec<f64> {
-        let t = self.num_rounds();
-        (0..t)
-            .map(|i| {
-                self.runs
-                    .iter()
-                    .map(|r| r[i])
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect()
-    }
-
-    /// Per-round min across runs ("worst model" dotted lines).
-    pub fn min_curve(&self) -> Vec<f64> {
-        let t = self.num_rounds();
-        (0..t)
-            .map(|i| self.runs.iter().map(|r| r[i]).fold(f64::INFINITY, f64::min))
-            .collect()
-    }
-
-    /// First round at which the mean curve reaches `threshold`, if any —
-    /// used by the convergence analysis (RQ3: "FedDA reaches 0.537 within
-    /// 20 rounds where FedAvg needs 40").
-    pub fn rounds_to_reach(&self, threshold: f64) -> Option<usize> {
-        self.mean_curve().iter().position(|&v| v >= threshold)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,29 +56,5 @@ mod tests {
         let one = MeanStd::of(&[5.0]);
         assert_eq!(one.std, 0.0);
         assert_eq!(one.mean, 5.0);
-    }
-
-    #[test]
-    fn curves_and_envelopes() {
-        let mut rec = CurveRecorder::new();
-        for (run, curve) in [[0.1, 0.5, 0.7], [0.3, 0.4, 0.9]].iter().enumerate() {
-            for (round, &v) in curve.iter().enumerate() {
-                rec.record(run, round, v);
-            }
-        }
-        assert_eq!(rec.runs.len(), 2);
-        assert_eq!(rec.num_rounds(), 3);
-        assert_eq!(rec.mean_curve(), vec![0.2, 0.45, 0.8]);
-        assert_eq!(rec.max_curve(), vec![0.3, 0.5, 0.9]);
-        assert_eq!(rec.min_curve(), vec![0.1, 0.4, 0.7]);
-        assert_eq!(rec.rounds_to_reach(0.45), Some(1));
-        assert_eq!(rec.rounds_to_reach(0.95), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "rounds must be recorded in order")]
-    fn out_of_order_rounds_rejected() {
-        let mut rec = CurveRecorder::new();
-        rec.record(0, 1, 0.5);
     }
 }

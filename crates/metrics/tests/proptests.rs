@@ -1,6 +1,6 @@
 //! Property-based tests for metric invariants.
 
-use fedda_metrics::{hits_at_k, mrr, mrr_of_groups, roc_auc, CurveRecorder, MeanStd, RankQuery};
+use fedda_metrics::{hits_at_k, mrr, mrr_of_groups, roc_auc, MeanStd, RankQuery};
 use proptest::prelude::*;
 
 proptest! {
@@ -146,28 +146,5 @@ proptest! {
         let s = MeanStd::of(&vec![x; n]);
         prop_assert!((s.mean - x).abs() < 1e-9);
         prop_assert!(s.std.abs() < 1e-9);
-    }
-
-    #[test]
-    fn envelope_bounds_mean(
-        curves in prop::collection::vec(
-            prop::collection::vec(0.0f64..1.0, 5),
-            1..6,
-        ),
-    ) {
-        let mut rec = CurveRecorder::new();
-        for (run, c) in curves.iter().enumerate() {
-            for (round, &v) in c.iter().enumerate() {
-                rec.record(run, round, v);
-            }
-        }
-        let mean = rec.mean_curve();
-        let max = rec.max_curve();
-        let min = rec.min_curve();
-        for t in 0..rec.num_rounds() {
-            prop_assert!(min[t] <= mean[t] + 1e-12);
-            prop_assert!(mean[t] <= max[t] + 1e-12);
-        }
-        let _ = mrr(&[]);
     }
 }

@@ -47,10 +47,10 @@ fn main() -> Result<(), String> {
         println!(
             "{:<20} final AUC {:.4}  best AUC {:.4}  MRR {:.4}  uplink units {:>7.0}",
             res.name,
-            res.final_auc.mean,
-            res.best_auc.mean,
-            res.final_mrr.mean,
-            res.uplink_units.mean
+            res.final_auc().mean,
+            res.best_auc().mean,
+            res.final_mrr().mean,
+            res.uplink_units().mean
         );
     }
     println!("\nFedDA matches (or beats) FedAvg accuracy while uploading fewer parameters.");

@@ -64,16 +64,16 @@ fn rq2_fedda_transmits_less_than_fedavg() {
         .run_framework(&Framework::FedDa(FedDa::explore()), None)
         .unwrap();
     assert!(
-        restart.uplink_units.mean < fedavg.uplink_units.mean,
+        restart.uplink_units().mean < fedavg.uplink_units().mean,
         "Restart: {} !< {}",
-        restart.uplink_units.mean,
-        fedavg.uplink_units.mean
+        restart.uplink_units().mean,
+        fedavg.uplink_units().mean
     );
     assert!(
-        explore.uplink_units.mean < fedavg.uplink_units.mean,
+        explore.uplink_units().mean < fedavg.uplink_units().mean,
         "Explore: {} !< {}",
-        explore.uplink_units.mean,
-        fedavg.uplink_units.mean
+        explore.uplink_units().mean,
+        fedavg.uplink_units().mean
     );
 }
 
@@ -90,10 +90,10 @@ fn rq1_fedda_stays_in_fedavg_accuracy_range() {
     // FedAvg rather than beat it (the full-scale comparison lives in the
     // table2 bench).
     assert!(
-        explore.best_auc.mean > fedavg.best_auc.mean - 0.10,
+        explore.best_auc().mean > fedavg.best_auc().mean - 0.10,
         "FedDA collapsed: {:.3} vs FedAvg {:.3}",
-        explore.best_auc.mean,
-        fedavg.best_auc.mean
+        explore.best_auc().mean,
+        fedavg.best_auc().mean
     );
 }
 
@@ -354,8 +354,8 @@ fn fedavg_partial_variants_match_fig2_accounting() {
         .run_framework(&Framework::FedAvg(FedAvg::with_fractions(1.0, 0.67)), None)
         .unwrap();
     // C = 0.67 of 6 clients = 4 per round.
-    assert!((c67.uplink_units.mean - full.uplink_units.mean * 4.0 / 6.0).abs() < 1e-6);
+    assert!((c67.uplink_units().mean - full.uplink_units().mean * 4.0 / 6.0).abs() < 1e-6);
     // D = 0.67 masks units per client.
-    assert!(d67.uplink_units.mean < full.uplink_units.mean);
-    assert!(d67.uplink_units.mean > full.uplink_units.mean * 0.5);
+    assert!(d67.uplink_units().mean < full.uplink_units().mean);
+    assert!(d67.uplink_units().mean > full.uplink_units().mean * 0.5);
 }
