@@ -6,8 +6,9 @@ use fedda::data::{
     amazon_like, dblp_like, non_iidness, partition_iid, partition_non_iid, DatasetStats,
     PartitionConfig, PresetOptions,
 };
-use fedda::experiment::{Dataset, Experiment, ExperimentConfig};
+use fedda::experiment::{Dataset, Experiment, ExperimentConfig, Framework};
 use fedda::fl::analysis::{explore_ratio_bound, restart_period, restart_ratio, EfficiencyInputs};
+use fedda::fl::Reactivation;
 use fedda::hetgraph::io;
 use fedda::hetgraph::split::split_edges;
 use rand::rngs::StdRng;
@@ -130,6 +131,7 @@ pub(crate) fn train(opts: Options) -> Result<(), Failure> {
         cfg.rounds,
         cfg.scale
     );
+    println!("{}", run_values(&cfg, &framework));
     let exp = Experiment::new(cfg);
     let res = opts.run_framework(&exp, &framework)?;
     println!("final ROC-AUC : {}", res.final_auc().fmt_pm());
@@ -138,6 +140,33 @@ pub(crate) fn train(opts: Options) -> Result<(), Failure> {
     println!("uplink units  : {:.0}", res.uplink_units().mean);
     println!("uplink bytes  : {:.0}", res.uplink_bytes().mean);
     Ok(())
+}
+
+/// The values a `train` run uses beyond its grid: Algorithm 1's local
+/// update (E epochs, learning rate, batch size B, negatives per positive),
+/// the Simple-HGN shape, and FedDA's occupancy threshold α and reactivation
+/// threshold β where the framework has them.
+fn run_values(cfg: &ExperimentConfig, framework: &Framework) -> String {
+    let (train, model) = (&cfg.train, &cfg.model);
+    let mut line = format!(
+        "  E={} lr={} B={} neg/pos={} | layers={} heads={} hidden={} edge-emb={}",
+        train.local_epochs,
+        train.lr,
+        train.batch_size,
+        train.negatives_per_positive,
+        model.num_layers,
+        model.num_heads,
+        model.hidden_dim,
+        model.edge_emb_dim,
+    );
+    if let Framework::FedDa(fedda) = framework {
+        let beta = match fedda.strategy {
+            Reactivation::Restart { beta_r } => format!("beta_r={beta_r}"),
+            Reactivation::Explore { beta_e } => format!("beta_e={beta_e}"),
+        };
+        line += &format!(" | alpha={} {beta}", fedda.alpha);
+    }
+    line
 }
 
 pub(crate) fn efficiency(opts: Options) -> Result<(), Failure> {

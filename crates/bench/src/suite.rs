@@ -3,7 +3,7 @@
 //! How fast a federated run is, and how its time divides across layers,
 //! is the repo benchmark's question (`benchmark/`, `BENCHMARK.json`). This
 //! suite answers the one that benchmark's probes do not resolve per shape:
-//! how fast is one kernel at a workload's real shape. Six families:
+//! how fast is one kernel at a workload's real shape. Seven families:
 //!
 //! 1. **`gemm/`** — the products an FL round actually issues
 //!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
@@ -17,8 +17,10 @@
 //!    [`DECODER_SHAPE`]);
 //! 4. **`codec/`** — each uplink codec's encode and the q8 arrival decode
 //!    at the fleet model's size;
-//! 5. **`optim/`** — one Adam step over the same model;
-//! 6. **`sample/`** — the negative sampler: one epoch's positives of a
+//! 5. **`fl/fold/`** — Eq. 6 folding one such report into its `f64` sums,
+//!    stored (`f32`) and decoded unit by unit as it is read (`q8`);
+//! 6. **`optim/`** — one Adam step over the same model;
+//! 7. **`sample/`** — the negative sampler: one epoch's positives of a
 //!    `dblp_fedda` client ([`SAMPLE_SCALE`]), each paired with one corrupted
 //!    negative through the client's rejection index.
 //!
@@ -30,7 +32,10 @@ use crate::snapshot::{time_case, CaseResult, MIN_SAMPLES};
 use fedda::data::{partition_non_iid, PartitionConfig};
 use fedda::fl::compress::decode_arrival;
 use fedda::fl::runtime::Delivery;
-use fedda::fl::{ClientReturn, Compressed, Compression, Delta, InFlight, UplinkCharge};
+use fedda::fl::{
+    ClientReturn, Compressed, Compression, Delta, FlConfig, FlSystem, InFlight, UplinkCharge,
+    WeightedReturn,
+};
 use fedda::hetgraph::{HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::SimpleHgn;
 use fedda_tensor::{Adam, Graph, Matrix, ParamSet, Segments, Var};
@@ -191,6 +196,15 @@ fn pair_dot_fwd_bwd(g: &mut Graph, h: &Matrix, src: &Arc<Vec<u32>>, dst: &Arc<Ve
     backward_sum_sq(g, out);
 }
 
+/// The DBLP-like graph the codec and fold cases take their schema from.
+fn codec_graph() -> HeteroGraph {
+    fedda::data::dblp_like(&fedda::data::PresetOptions {
+        scale: 0.0008,
+        seed: 1,
+    })
+    .graph
+}
+
 /// One fleet-sized client report on the uplink path: the repo
 /// benchmark's `fleet_q8_*` model (32 × 4 heads, 2 layers — 87 554 scalars
 /// in 62 units on the DBLP-like schema), a locally-moved copy of it, and
@@ -205,13 +219,7 @@ impl CodecCase {
     /// Seeded reference parameters and an update a few percent away, with
     /// a random gradient on it for the optimiser step.
     fn new(rng: &mut StdRng) -> Self {
-        let schema = fedda::data::dblp_like(&fedda::data::PresetOptions {
-            scale: 0.0008,
-            seed: 1,
-        })
-        .graph
-        .schema()
-        .clone();
+        let schema = codec_graph().schema().clone();
         let model = fedda_hgn::HgnConfig {
             hidden_dim: 32,
             num_heads: 4,
@@ -263,6 +271,7 @@ impl CodecCase {
                 client: 0,
                 params: self.updated.clone(),
                 unit_delta: Vec::new(),
+                encoded: None,
             },
             mask: self.mask.clone(),
             charge: UplinkCharge::default(),
@@ -284,6 +293,45 @@ impl CodecCase {
     fn adam_step(&mut self, adam: &mut Adam) {
         adam.step(&mut self.updated);
     }
+
+    /// The report as Eq. 6 reads it: its values (`None`), or what crossed
+    /// the wire under `codec` — the payload and its reference, no values.
+    fn report(&self, codec: Option<Compression>) -> ClientReturn {
+        let (params, encoded) = match codec {
+            None => {
+                let mut params = self.updated.clone();
+                params.release_grads();
+                (params, None)
+            }
+            Some(codec) => {
+                let report = self.encode(codec);
+                let reference = Arc::clone(&self.reference);
+                (ParamSet::new(), Some(InFlight { report, reference }))
+            }
+        };
+        ClientReturn {
+            client: 0,
+            params,
+            unit_delta: Vec::new(),
+            encoded,
+        }
+    }
+}
+
+/// A one-client federation on the codec case's graph whose global model is
+/// the codec case's reference: what `FlSystem::aggregate_weighted` needs to
+/// fold a fleet-sized report (its weights and its layout).
+fn fold_system(reference: &ParamSet) -> FlSystem {
+    let graph = codec_graph();
+    let config = PartitionConfig::paper_defaults(1, graph.schema().num_edge_types(), 1);
+    let clients = partition_non_iid(&graph, &config);
+    let cfg = FlConfig {
+        workers: Some(1),
+        ..FlConfig::default()
+    };
+    let mut system = FlSystem::new(&graph, &graph, clients, cfg);
+    system.global = reference.clone();
+    system
 }
 
 /// Scale of the sampler case's graph: the `dblp_fedda` workload's
@@ -380,7 +428,7 @@ pub(crate) fn run_suite() -> Vec<CaseResult> {
     }));
 
     // 4. The uplink report path at the fleet model's size: each codec's
-    //    encode, the q8 arrival decode, and one optimiser step.
+    //    encode and the q8 arrival decode.
     let mut codec_case = CodecCase::new(&mut rng);
     let n = codec_case.num_scalars();
     for (label, codec) in [
@@ -400,13 +448,31 @@ pub(crate) fn run_suite() -> Vec<CaseResult> {
         codec_case.decode(&mut delivery, &report);
         black_box(&delivery.ret.unit_delta);
     }));
+
+    // 5. Eq. 6 over one such report: its stored values, then its q8
+    //    encoding decoded unit by unit as the fold reads it.
+    let mut system = fold_system(&codec_case.reference);
+    for (label, codec) in [("f32", None), ("q8", Some(Compression::QuantI8))] {
+        let ret = codec_case.report(codec);
+        let contribution = [WeightedReturn {
+            ret: &ret,
+            mask: &codec_case.mask,
+            scale: 1.0,
+        }];
+        let name = format!("fl/fold/{label}/n{n}");
+        out.push(time_case(&name, MIN_SAMPLES, 8, || {
+            system.aggregate_weighted(&contribution);
+        }));
+    }
+
+    // 6. One optimiser step over the same model.
     let mut adam = Adam::new(5e-3);
     let name = format!("optim/adam_step/n{n}");
     out.push(time_case(&name, MIN_SAMPLES, 8, || {
         codec_case.adam_step(&mut adam)
     }));
 
-    // 6. One epoch's negatives of a `dblp_fedda` client, one per positive
+    // 7. One epoch's negatives of a `dblp_fedda` client, one per positive
     //    (the training default), through an index built once.
     let (graph, positives) = sample_client();
     let sampler = LinkSampler::new(&graph);

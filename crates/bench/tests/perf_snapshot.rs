@@ -1,5 +1,5 @@
 //! End-to-end contract for `fedda perf`: `--out` writes a schema-v2
-//! snapshot of the 26 fixed cases, schema-v1 files are refused by name,
+//! snapshot of the 28 fixed cases, schema-v1 files are refused by name,
 //! and `--ab` runs ten alternating pairs and prints one row per case.
 //! Structure only — no assertion here depends on a measured time.
 
@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 /// The suite, literally: coverage cannot shrink silently, and the names
 /// stay joinable with the v1 history in `BENCH_2026-09-30{,b,c,d}.json`.
-const CASE_NAMES: [&str; 26] = [
+const CASE_NAMES: [&str; 28] = [
     "gemm/nn/2525x48x16",
     "gemm/nn/2525x48x48",
     "gemm/tn/48x2525x16",
@@ -34,6 +34,8 @@ const CASE_NAMES: [&str; 26] = [
     "codec/f16/encode/n87554",
     "codec/topk/encode/n87554",
     "codec/q8/decode/n87554",
+    "fl/fold/f32/n87554",
+    "fl/fold/q8/n87554",
     "optim/adam_step/n87554",
     "sample/negatives/7740xN694",
 ];
@@ -134,7 +136,7 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
         assert_eq!(&cells[5..], ["10", "0", "0", "unresolved"], "{row}");
     }
     assert!(
-        stdout.contains("26 cases over 10 pairs: 26 unresolved, 0 improved, 0 regressed"),
+        stdout.contains("28 cases over 10 pairs: 28 unresolved, 0 improved, 0 regressed"),
         "{stdout}"
     );
 
@@ -150,7 +152,7 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
     assert_eq!(reg.status.code(), Some(1), "2x slower in 10/10 pairs");
     let stdout = String::from_utf8_lossy(&reg.stdout).into_owned();
     assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("25 unresolved, 0 improved, 1 regressed"));
+    assert!(stdout.contains("27 unresolved, 0 improved, 1 regressed"));
 
     let mut shrunk = json.clone();
     shrunk["cases"].as_array_mut().unwrap().pop();

@@ -116,9 +116,9 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
         let mut params = system.global.clone();
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ LOCAL_STREAM_TWEAK ^ (i as u64) << 8);
         let sampler = client.sampler();
-        let mut ws = system.slot0();
+        let mut slot = system.slot0();
         for _round in 0..cfg.rounds {
-            ws.train(
+            slot.workspace.train(
                 system.model.as_ref(),
                 &mut params,
                 &client.view,
@@ -130,7 +130,7 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
             );
         }
         // Released before `evaluate_params` locks slot 0 again.
-        drop(ws);
+        drop(slot);
         let eval = system.evaluate_params(&params, cfg.rounds);
         result.aucs.push(eval.roc_auc);
         result.mrrs.push(eval.mrr);

@@ -31,7 +31,6 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use crate::runtime::Delivery;
-use crate::system::ClientReturn;
 use fedda_tensor::{ParamId, ParamSet};
 use std::sync::Arc;
 
@@ -161,7 +160,9 @@ impl Compressed {
     /// Rebuild a full [`ParamSet`] from the compressed report: a clone of
     /// `reference` with every encoded unit decoded over it. Units the mask
     /// excluded (or the codec dropped entirely) keep the reference values —
-    /// they were never transmitted.
+    /// they were never transmitted. The oracle the in-place decode and the
+    /// unit-by-unit reads are held to.
+    #[cfg(test)]
     pub(crate) fn reconstruct(&self, reference: &ParamSet) -> ParamSet {
         let mut out = reference.clone();
         self.decode_over(&mut out);
@@ -212,14 +213,11 @@ impl UplinkCharge {
     }
 }
 
-/// A compressed report in transit with the dispatch-time broadcast it was
-/// encoded against, so the server can decode a stale arrival against the
-/// *right* reference even after the global model has moved on. Everything a
-/// queued report needs to be rebuilt: while it waits, this is all of it that
-/// stays resident (one reference is shared by a whole dispatch). Only a
-/// report that decodes at arrival travels as one — a straggler or a
-/// buffered-runtime report; a punctual lockstep report was decoded in its
-/// client task.
+/// A compressed report with the dispatch-time broadcast it was encoded
+/// against: everything of an encoded report that stays resident, from its
+/// client task to the end of the round that aggregates it (one reference is
+/// shared by a whole dispatch). A stale arrival still reads its values
+/// against the *right* reference after the global model has moved on.
 pub struct InFlight {
     /// The encoded report.
     pub report: Compressed,
@@ -227,54 +225,55 @@ pub struct InFlight {
     pub reference: Arc<ParamSet>,
 }
 
-/// Decode a delivery's compressed payload (if any) into its [`ClientReturn`]
-/// at the server arrival point, through `decode_report`. A punctual
-/// report of the lockstep runtime was already decoded in the client task
-/// that encoded it and arrives without a payload; a straggler and every
-/// report of the buffered runtime decode here, against the dispatch-time
-/// reference they carried, so a stale arrival is rebuilt against the
-/// *right* broadcast even after the global model has moved on.
+impl InFlight {
+    /// Unit `id` of the report's reconstruction: the reference's unit with
+    /// the unit's payload decoded over it in `scratch`, or the reference's
+    /// unit itself when the report does not carry the unit (masked out, or
+    /// dropped by the codec). The bits of that unit of
+    /// `Compressed::reconstruct`, without building the set.
+    pub(crate) fn unit<'a>(&'a self, id: ParamId, scratch: &'a mut Vec<f32>) -> &'a [f32] {
+        let base = self.reference.unit(id);
+        let units = &self.report.units;
+        let Ok(at) = units.binary_search_by_key(&id.index(), |cu| cu.unit) else {
+            return base;
+        };
+        scratch.clear();
+        scratch.extend_from_slice(base);
+        units[at].payload.decode_into(scratch);
+        scratch
+    }
+}
+
+/// Materialise a delivery's compressed payload (if any) into its
+/// [`ClientReturn`](crate::ClientReturn): the reconstruction against the
+/// reference it carried becomes `ret.params` and `ret.unit_delta` is
+/// recomputed from it. The engine never calls this — its reports carry
+/// their encoding in `ClientReturn::encoded` and are read unit by unit —
+/// but a round loop built from the public pieces (the benchmark's traced
+/// replay) decodes its reports here.
 pub fn decode_arrival(d: &mut Delivery) {
     let Some(InFlight { report, reference }) = d.payload.take() else {
         return;
     };
-    decode_report(&mut d.ret, &report, &reference);
+    d.ret.unit_delta = decode_report(&mut d.ret.params, &report, &reference);
     d.ret.client = d.client;
 }
 
-/// The one decode of an encoded report, exactly once per report: the
-/// decompressed parameters replace `ret`'s and the unit deltas are
-/// recomputed against `reference`, so downstream consumers — the rejection
-/// guard, Eq. 6 aggregation, FedDA's mask scoring — all see the
-/// post-decompression numbers. Called from the client task for a report
-/// that will be admitted in its dispatch round, from [`decode_arrival`]
-/// for any other.
-///
-/// A report decoded in its task, or admitted in the round it was
-/// dispatched, still owns its full-precision value buffer, and the
-/// reconstruction is written into it: the buffer's pre-compression contents
-/// are dead once the report is encoded, so overwriting them with the
-/// reference's values (one copy) and decoding on top gives exactly
-/// `report.reconstruct(reference)` without allocating a set per report. A
-/// report that outlived its dispatch round waited as its payload alone —
-/// the engine released its values — and any buffer not laid out like the
-/// reference, the released one included, is replaced by that
-/// reconstruction: the same bits either way.
-pub(crate) fn decode_report(ret: &mut ClientReturn, report: &Compressed, reference: &ParamSet) {
-    let params = &mut ret.params;
-    if same_layout(params, reference) {
-        params.values_mut().copy_from_slice(reference.values());
-        report.decode_over(params);
-    } else {
-        *params = report.reconstruct(reference);
-    }
-    ret.unit_delta = ret.params.unit_l2_distances(reference);
-}
-
-/// Whether `a` can take `b`'s values in place: one layout, and values held
-/// on both sides (a released report holds none).
-fn same_layout(a: &ParamSet, b: &ParamSet) -> bool {
-    a.shares_layout(b) && a.values().len() == b.values().len()
+/// Write `report`'s reconstruction against `reference` into `out` and
+/// return its per-unit distances to `reference` — the report's
+/// `unit_delta`. `out` takes the reference's values (one copy into a buffer
+/// laid out like it, else a clone) and the decode on top: exactly
+/// `report.reconstruct(reference)`, without allocating a set per report.
+/// Called from the client task, into its worker slot's buffer, and from
+/// [`decode_arrival`].
+pub(crate) fn decode_report(
+    out: &mut ParamSet,
+    report: &Compressed,
+    reference: &ParamSet,
+) -> Vec<f32> {
+    out.copy_from(reference);
+    report.decode_over(out);
+    out.unit_l2_distances(reference)
 }
 
 /// `1.5 · 2⁵²`: adding it to an `f64` of magnitude below `2⁵¹` rounds that
@@ -714,15 +713,13 @@ mod tests {
         // keeps none of its 3 scalars and drops it from the wire entirely.
         let mask = [true, false, true, true];
         // Fewer units, another shape, another name, the same units built
-        // apart (equal in all but the shared layout), and released values.
-        let mut released = updated.clone();
-        released.release();
+        // apart (equal in all but the shared layout), and no values at all.
         let mismatched = [
             layered_set(&SHAPES[..3], 0.011),
             layered_set(&[("a", 4, 6), ("b", 1, 3), ("c", 5, 5), ("d", 1, 3)], 0.011),
             layered_set(&[("a", 6, 4), ("b", 1, 3), ("c", 5, 5), ("e", 1, 3)], 0.011),
             layered_set(SHAPES, 0.011),
-            released,
+            ParamSet::new(),
         ];
         for codec in [
             Compression::Identity,
@@ -750,7 +747,7 @@ mod tests {
             // The matching buffer decodes in place; each mismatched one
             // takes the fallback.
             for (b, buffer) in std::iter::once(&updated).chain(&mismatched).enumerate() {
-                assert_eq!(same_layout(buffer, &reference), b == 0);
+                assert_eq!(buffer.shares_layout(&reference), b == 0);
                 let mut d = Delivery {
                     client: 3,
                     dispatch_pos: 0,
@@ -759,6 +756,7 @@ mod tests {
                         client: 3,
                         params: buffer.clone(),
                         unit_delta: Vec::new(),
+                        encoded: None,
                     },
                     mask: mask.to_vec(),
                     charge: report.charge(),
@@ -778,12 +776,13 @@ mod tests {
         }
     }
 
-    /// The payload-only wait: a report that gave up its parameter buffer in
-    /// the queue decodes to the bits of one that kept it — clean or
-    /// corrupted, under every codec.
+    /// The payload-only report: one that carries no parameter buffer
+    /// decodes to the bits of one that kept its buffer — clean or
+    /// corrupted, under every codec — and reading it unit by unit through
+    /// [`InFlight::unit`] gives those bits too.
     #[test]
     fn released_buffer_decodes_like_the_kept_one() {
-        use crate::faults::{corrupt_return, Corruption};
+        use crate::faults::{corrupt_params, Corruption};
         const SHAPES: &[(&str, usize, usize)] = &[("a", 6, 4), ("b", 1, 3), ("c", 5, 5)];
         let reference = Arc::new(layered_set(SHAPES, 0.0));
         let mask = [true, false, true];
@@ -801,19 +800,19 @@ mod tests {
         ] {
             for corruption in corruptions {
                 // As the worker builds it: train, corrupt, then encode.
-                let mut ret = crate::ClientReturn {
-                    client: 5,
-                    params: moved(&reference, 0.011),
-                    unit_delta: Vec::new(),
-                };
+                let mut params = moved(&reference, 0.011);
                 if let Some(kind) = corruption {
-                    corrupt_return(&mut ret, &reference, kind);
+                    corrupt_params(&mut params, &reference, kind);
                 }
                 let report = codec.compress(&Delta {
-                    updated: &ret.params,
+                    updated: &params,
                     reference: &reference,
                     mask: &mask,
                 });
+                let in_flight = || InFlight {
+                    report: report.clone(),
+                    reference: Arc::clone(&reference),
+                };
                 let decoded = |params: ParamSet| {
                     let mut d = Delivery {
                         client: 5,
@@ -823,24 +822,31 @@ mod tests {
                             client: 5,
                             params,
                             unit_delta: Vec::new(),
+                            encoded: None,
                         },
                         mask: mask.to_vec(),
                         charge: report.charge(),
-                        payload: Some(InFlight {
-                            report: report.clone(),
-                            reference: Arc::clone(&reference),
-                        }),
+                        payload: Some(in_flight()),
                     };
                     decode_arrival(&mut d);
                     let delta: Vec<u32> = d.ret.unit_delta.iter().map(|x| x.to_bits()).collect();
                     (d.ret.client, bits(&d.ret.params), delta)
                 };
-                let kept = decoded(ret.params.clone());
-                let mut params = ret.params.clone();
-                params.release();
-                let released = decoded(params);
+                let kept = decoded(params.clone());
+                let released = decoded(ParamSet::new());
                 assert_eq!(kept, released, "{codec:?}, {corruption:?}");
-                assert_eq!(decoded(ParamSet::new()), released);
+                let reading = in_flight();
+                let mut scratch = Vec::new();
+                let read: Vec<Vec<u32>> = (reference.ids())
+                    .map(|id| {
+                        reading
+                            .unit(id, &mut scratch)
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(read, released.1, "{codec:?}, {corruption:?}");
                 // The corruption is still there for the guard to find.
                 let poisoned = matches!(corruption, Some(Corruption::NaN | Corruption::Inf));
                 let non_finite = released.2.iter().any(|&d| !f32::from_bits(d).is_finite());

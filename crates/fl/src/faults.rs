@@ -385,11 +385,12 @@ impl FaultObserved {
     }
 }
 
-/// Mangle a client's return per the corruption kind: the returned params
-/// become `θ + f(θ_i - θ)` with `f` poisoning or scaling the update, and
-/// `unit_delta` is recomputed so the corruption is visible to the driver's
-/// detection checks exactly as it would be to a real server.
-pub(crate) fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind: Corruption) {
+/// Mangle a client's trained parameters per the corruption kind: they
+/// become `θ + f(θ_i - θ)` with `f` poisoning or scaling the update. The
+/// caller derives the report's `unit_delta` from them afterwards, so the
+/// corruption is visible to the driver's detection checks exactly as it
+/// would be to a real server.
+pub(crate) fn corrupt_params(params: &mut ParamSet, broadcast: &ParamSet, kind: Corruption) {
     let poison = match kind {
         Corruption::NaN => Some(f32::NAN),
         Corruption::Inf => Some(f32::INFINITY),
@@ -397,8 +398,8 @@ pub(crate) fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind:
     };
     match poison {
         Some(v) => {
-            for id in ret.params.ids() {
-                if let Some(first) = ret.params.unit_mut(id).first_mut() {
+            for id in params.ids() {
+                if let Some(first) = params.unit_mut(id).first_mut() {
                     *first = v;
                 }
             }
@@ -407,13 +408,12 @@ pub(crate) fn corrupt_return(ret: &mut ClientReturn, broadcast: &ParamSet, kind:
             let Corruption::Garbage { scale } = kind else {
                 unreachable!()
             };
-            let values = ret.params.values_mut().iter_mut();
+            let values = params.values_mut().iter_mut();
             for (x, &base) in values.zip(broadcast.values()) {
                 *x = base + scale * (*x - base);
             }
         }
     }
-    ret.unit_delta = ret.params.unit_l2_distances(broadcast);
 }
 
 /// Server-side guard applied to every arriving report (fresh or stale), in

@@ -185,6 +185,7 @@ impl FedDa {
     /// until a reactivation resets them (Eq. 7's "otherwise keep" branch).
     fn update_masks(&mut self, system: &FlSystem, returns: &[ClientReturn]) {
         let masks = &mut self.masks;
+        let mut scratch = Vec::new();
         for (k, &is_d) in self.disentangled.iter().enumerate() {
             if !is_d {
                 continue;
@@ -195,7 +196,7 @@ impl FedDa {
                     let agg_mean = unit_mean(system.global.unit(id));
                     for r in returns {
                         if masks[r.client][k] {
-                            let client_mean = unit_mean(r.params.unit(id));
+                            let client_mean = unit_mean(r.unit(id, &mut scratch));
                             if agg_mean > client_mean {
                                 masks[r.client][k] = false;
                             }

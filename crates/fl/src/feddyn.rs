@@ -155,16 +155,20 @@ impl FlProtocol for FedDyn {
         let n = self.h.len();
         let alpha = self.alpha;
         let mut delta_sum = vec![0.0f64; n];
+        let mut scratch = Vec::new();
         for ret in returns {
-            let theta = ret.params.values();
-            debug_assert_eq!(theta.len(), n);
             let state = &mut self.prev_grads[ret.client];
-            for k in 0..n {
-                let d = f64::from(theta[k]) - f64::from(self.broadcast[k]);
-                delta_sum[k] += d;
-                // ∇̂ᵢ ← ∇̂ᵢ − α(θᵢ − θ^t): the state absorbs this round's
-                // regularised drift.
-                state[k] -= (alpha * d) as f32;
+            for id in system.global.ids() {
+                let theta = ret.unit(id, &mut scratch);
+                let range = system.global.range(id);
+                debug_assert_eq!(theta.len(), range.len());
+                for (k, &t) in range.zip(theta) {
+                    let d = f64::from(t) - f64::from(self.broadcast[k]);
+                    delta_sum[k] += d;
+                    // ∇̂ᵢ ← ∇̂ᵢ − α(θᵢ − θ^t): the state absorbs this round's
+                    // regularised drift.
+                    state[k] -= (alpha * d) as f32;
+                }
             }
         }
         update_h(&mut self.h, &delta_sum, alpha, system.num_clients());

@@ -39,9 +39,8 @@
 //! (deterministic virtual clock, ordered event queue, worker pool).
 //! [`run`]`(mode, protocol, system, sink)` is the one way to run it: it
 //! takes the runtime as a [`RuntimeMode`], and the two modes differ in a
-//! five-decision arrival policy and in nothing else that moves a bit (they
-//! also place an encoded report's decode: in its client task for a punctual
-//! lockstep report, at arrival otherwise). ([`RoundDriver`],
+//! five-decision arrival policy and in nothing else that moves a bit.
+//! ([`RoundDriver`],
 //! [`AsyncDriver`], [`FedDa::protocol`] and [`Compression::build`] are
 //! one-line wrappers kept because the benchmark package links them; they go
 //! when it is re-pointed.)

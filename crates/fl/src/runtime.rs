@@ -25,22 +25,17 @@
 //! # What a queued delivery owns
 //!
 //! A [`Delivery`] is scheduled with everything dispatch produced: the
-//! client's [`ClientReturn`] (values only — gradients never leave local
-//! training), its mask, its ledger charge and — under a codec, for a
-//! report that decodes at arrival — the encoded report with its
-//! dispatch-time reference. A punctual report of the lockstep runtime is
-//! admitted in its dispatch round against that same reference, so its
-//! client task decodes it on the worker pool (the same routine
-//! [`decode_arrival`](crate::compress::decode_arrival) calls) and it is
-//! queued decoded, with no payload. Any other encoded report keeps its payload:
-//! its full-precision values are dead once it is encoded, so a delivery
-//! that outlives the round it was dispatched in (a lockstep straggler, a
-//! buffered report beyond the `K`-th) releases them when that round's
-//! admission ends and waits as its payload alone;
-//! [`decode_arrival`](crate::compress::decode_arrival) rebuilds the set from
-//! the reference when it lands. The queue's memory therefore follows the
-//! encoded bytes in flight, not the number of reports. Without a codec the
-//! values *are* the report and stay.
+//! client's [`ClientReturn`], its mask and its ledger charge. Under a codec
+//! the return is what crossed the wire and nothing more: the encoded report,
+//! the dispatch-time reference it was encoded against (one `Arc` per
+//! dispatch) and the `unit_delta` its client task measured on the
+//! reconstruction — never a parameter set. The task decoded the report into
+//! its worker slot's kept buffer only to measure it; the server reads the
+//! values unit by unit as Eq. 6 and `post_aggregate` fold them
+//! (`ClientReturn::unit`), however many rounds the report waited. The
+//! queue's memory therefore follows the encoded bytes in flight, not the
+//! number of reports, from dispatch to commit. Without a codec the values
+//! *are* the report (a copy out of the slot's buffer) and stay.
 
 use crate::system::ClientReturn;
 use std::collections::BTreeMap;
@@ -98,10 +93,10 @@ impl<E> Scheduler<E> {
         self.queue.first_key_value().map(|(&(tick, _), _)| tick)
     }
 
-    /// Every waiting event, in pop order, for editing in place. Keys are
-    /// out of reach: nothing done here can reorder the queue.
-    pub(crate) fn waiting_mut(&mut self) -> impl Iterator<Item = &mut E> {
-        self.queue.values_mut()
+    /// Every waiting event, in pop order.
+    #[cfg(test)]
+    pub(crate) fn waiting(&self) -> impl Iterator<Item = &E> {
+        self.queue.values()
     }
 
     /// Pop the earliest event (ties broken by schedule order) and advance
@@ -126,27 +121,21 @@ pub struct Delivery {
     /// Round (sync) or server version (async) the report was computed
     /// against.
     pub dispatch_round: usize,
-    /// The client's trained return. A report that carries a `payload`
-    /// has no `unit_delta` yet, and its `params` are only a buffer for
-    /// [`decode_arrival`] to write the decompressed reconstruction into:
-    /// the *pre-compression* values while the report can still be admitted
-    /// in its dispatch round, a set holding no values once it has outlived
-    /// that round (the engine releases them; the report waits as
-    /// `payload`). An encoded report its client task decoded — a punctual
-    /// lockstep one — carries that reconstruction and its `unit_delta`
-    /// already. Either way a set of values only: gradients never leave
-    /// local training.
-    ///
-    /// [`decode_arrival`]: crate::compress::decode_arrival
+    /// The client's trained return: values only, gradients never leave
+    /// local training. An encoded report carries no values but its
+    /// encoding ([`ClientReturn::encoded`]).
     pub ret: ClientReturn,
     /// The unit mask the server requested from this client.
     pub mask: Vec<bool>,
     /// What this report costs the ledger, computed at dispatch (it is a
     /// pure function of the report) and charged at arrival.
     pub charge: crate::compress::UplinkCharge,
-    /// The compressed report plus its dispatch-time broadcast reference;
-    /// `None` when no codec is configured, and for a report its client task
-    /// already decoded (its `charge` is still the compressed report's).
+    /// A compressed report still to be materialised into `ret` by
+    /// [`decode_arrival`](crate::compress::decode_arrival): the form a round
+    /// loop built from the public pieces uses (the benchmark's traced
+    /// replay). The engine never sets it — its encoded reports carry their
+    /// payload in `ret.encoded` — and its `charge` is the compressed
+    /// report's either way.
     pub payload: Option<crate::compress::InFlight>,
 }
 

@@ -4,8 +4,8 @@
 //! masked aggregation (Eq. 6) and global evaluation.
 
 use crate::comm::{CommLog, RoundComm};
-use crate::compress::{decode_report, Compressed, Compression, Delta, UplinkCharge};
-use crate::faults::{corrupt_return, Corruption, FaultConfig, FaultObserved};
+use crate::compress::{decode_report, Compression, Delta, InFlight, UplinkCharge};
+use crate::faults::{corrupt_params, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
 use fedda_data::ClientData;
 use fedda_hetgraph::{EdgeIndex, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler};
@@ -112,8 +112,8 @@ pub struct FlConfig {
     /// fault-free driver.
     pub faults: Option<FaultConfig>,
     /// Optional uplink compression (mask-then-compress on the worker at
-    /// dispatch, decompress at server arrival, ledger charged at compressed
-    /// size);
+    /// dispatch, decoded unit by unit where the server reads a report,
+    /// ledger charged at compressed size on arrival);
     /// `None` keeps the pre-compression code path bit for bit.
     pub compression: Option<Compression>,
 }
@@ -247,32 +247,54 @@ impl Client {
 pub struct ClientReturn {
     /// Client index.
     pub client: usize,
-    /// Locally-updated parameters.
+    /// Locally-updated parameters. Empty for a report that crossed the wire
+    /// encoded: its values are what `encoded` reconstructs.
     pub params: ParamSet,
     /// Per-unit L2 distance between the updated and broadcast parameters —
     /// the "returned gradient" magnitude FedDA scores contributions with.
+    /// For an encoded report, the distances of its reconstruction.
     pub unit_delta: Vec<f32>,
+    /// The encoded report and its dispatch-time reference, for a report
+    /// that crossed the wire under a codec; `None` when `params` holds the
+    /// values. Everything that reads a report's values — Eq. 6, a
+    /// protocol's `post_aggregate` — reads them unit by unit, decoding an
+    /// encoded unit over the reference as it goes, so no encoded report
+    /// ever holds a parameter set.
+    pub encoded: Option<InFlight>,
+}
+
+impl ClientReturn {
+    /// Unit `id` of the report's values: the stored unit, or for an encoded
+    /// report the unit decoded over its reference into `scratch` — by
+    /// `to_bits`, what a materialised reconstruction holds there.
+    pub(crate) fn unit<'a>(&'a self, id: ParamId, scratch: &'a mut Vec<f32>) -> &'a [f32] {
+        match &self.encoded {
+            Some(encoded) => encoded.unit(id, scratch),
+            None => self.params.unit(id),
+        }
+    }
 }
 
 /// What dispatch asks of one reporting client beyond local training.
 pub(crate) struct ReportOrder<'a> {
     /// Corruption the fault plan injects into this report.
     pub corruption: Option<Corruption>,
-    /// The unit mask to encode the report under; `None` when the report
-    /// travels uncompressed or the run ends before it would arrive.
-    pub encode: Option<&'a [bool]>,
-    /// Decode the encoded report in the task too, against `self.global` —
-    /// the dispatch-time reference: the engine's choice for a report it
-    /// admits in its dispatch round.
-    pub decode: bool,
+    /// The unit mask the report travels under, which the codec encodes it
+    /// by when `FlConfig::compression` is set; `None` for a report the run
+    /// ends before it would arrive: it trains, but nothing of it is handed
+    /// back.
+    pub mask: Option<&'a [bool]>,
 }
 
-/// One reporting client's result as its pool task hands it back.
-pub(crate) struct TaskReport {
-    /// The trained — and corrupted, and decoded — return.
-    pub ret: ClientReturn,
-    /// The encoded report, when the client's order asked for one.
-    pub encoded: Option<Compressed>,
+/// A worker slot's memory, kept for the whole run: the training workspace
+/// and the parameter buffer every client the slot serves trains in.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// Tape, bindings, gradients and Adam moments.
+    pub workspace: Workspace,
+    /// The broadcast's copy a client trains, corrupts, encodes and decodes
+    /// in; a report that travels uncompressed is copied out of it.
+    params: ParamSet,
 }
 
 /// One contribution to a weighted masked aggregation: a client's return,
@@ -374,13 +396,14 @@ pub struct FlSystem {
     eval_index: EdgeIndex,
     eval_view: GraphView,
     test_positives: Vec<LinkExample>,
-    /// One [`Workspace`] per worker slot, one slot per worker of the
-    /// configured pool ([`FlConfig::workers()`], 1 where that is an error the
-    /// engine refuses), kept for the whole run: slot `s` trains every client
-    /// and runs every evaluation the pool's worker `s` is handed, and slot 0
+    /// One [`Slot`] — a [`Workspace`] and a parameter buffer — per worker
+    /// slot, one slot per worker of the configured pool
+    /// ([`FlConfig::workers()`], 1 where that is an error the engine
+    /// refuses), kept for the whole run: slot `s` trains every client and
+    /// runs every evaluation the pool's worker `s` is handed, and slot 0
     /// also serves the evaluations called from the server thread and the
     /// baselines' training. Its memory follows the largest of them, once.
-    slots: Vec<Mutex<Workspace>>,
+    slots: Vec<Mutex<Slot>>,
 }
 
 impl FlSystem {
@@ -554,7 +577,7 @@ impl FlSystem {
     /// objective — no extra RNG draws, no extra float operations.
     ///
     /// The pool is the only parallelism: each client's matmuls run on the
-    /// worker that trains it.
+    /// worker that trains it. Every return holds its values in `params`.
     ///
     /// [`WorkerPool`]: crate::runtime::WorkerPool
     pub fn run_local_round_with(
@@ -563,31 +586,29 @@ impl FlSystem {
         round: usize,
         penalties: &[Option<LocalPenalty>],
     ) -> Vec<ClientReturn> {
-        let (reports, _) = self.run_reports(active, round, penalties, &[], None);
-        reports.into_iter().map(|report| report.ret).collect()
+        self.run_reports(active, round, penalties, &[], None).0
     }
 
     /// The engine's form of [`FlSystem::run_local_round_with`]: everything
     /// that is per-report and pure runs inside the client's pool task, on
     /// the worker that trained it and while its parameters are cache-hot —
-    /// local training, then the fault plan's corruption (`orders[j]`), then
-    /// mask-then-compress under `FlConfig::compression` for the reports
-    /// `orders[j]` asks to encode. Corruption is injected first, so a
-    /// corrupted report flows *through* the codec and the server guard
-    /// judges the decompressed bytes. An empty `orders` slice trains only.
+    /// local training in the worker slot's kept parameter buffer, then the
+    /// fault plan's corruption (`orders[j]`), then, under
+    /// `FlConfig::compression`, mask-then-compress. Corruption is injected
+    /// first, so a corrupted report flows *through* the codec and the server
+    /// guard judges the reconstruction. An empty `orders` slice trains only.
     ///
-    /// Every path that writes a report's parameters recomputes its
-    /// `unit_delta` from them: this one after privacy,
-    /// [`corrupt_return`] after corruption, [`decode_report`] after a decode.
-    /// A report that `orders[j]` also asks to decode comes back decoded
-    /// against `self.global` beside its encoding, off the server thread. Any
-    /// other report that comes back encoded carries no `unit_delta`:
-    /// [`decode_arrival`](crate::compress::decode_arrival) computes it from
-    /// the decompressed parameters before anything reads it.
+    /// An encoded report comes back as what crosses the wire: its payload,
+    /// the dispatch-time reference (one copy of `self.global` per call,
+    /// shared by every report) and the `unit_delta` of its reconstruction,
+    /// which the task decodes into the slot's buffer only to measure. Any
+    /// other report is a copy of the buffer with its `unit_delta`, and one
+    /// whose order has no mask comes back empty. So a codec run allocates no
+    /// parameter set per client.
     ///
     /// `evaluate` names a round whose [`FlSystem::evaluate_global`] is due:
     /// it runs as one more task of the same pool call — it reads the
-    /// `self.global` the client tasks clone from and its own RNG stream —
+    /// `self.global` the client tasks copy from and its own RNG stream —
     /// and its result comes back beside the reports.
     pub(crate) fn run_reports(
         &self,
@@ -596,7 +617,7 @@ impl FlSystem {
         penalties: &[Option<LocalPenalty>],
         orders: &[ReportOrder<'_>],
         evaluate: Option<usize>,
-    ) -> (Vec<TaskReport>, Option<EvalResult>) {
+    ) -> (Vec<ClientReturn>, Option<EvalResult>) {
         assert!(
             penalties.is_empty() || penalties.len() == active.len(),
             "one penalty slot per active client (or none at all)"
@@ -613,7 +634,7 @@ impl FlSystem {
             Evaluate(usize),
         }
         enum Done {
-            Report(usize, TaskReport),
+            Report(usize, ClientReturn),
             Evaluated(EvalResult),
         }
         // The evaluation first, so it always runs on slot 0 — the slot the
@@ -634,10 +655,17 @@ impl FlSystem {
         let tasks: Vec<Task> = (evaluate.map(Task::Evaluate).into_iter())
             .chain(positions.into_iter().map(Task::Report))
             .collect();
-        let run_report = |pos: usize, ws: &mut Workspace| -> TaskReport {
+        // The codec and the reference its reports are encoded against.
+        let encoding = self
+            .cfg
+            .compression
+            .filter(|_| orders.iter().any(|o| o.mask.is_some()))
+            .map(|codec| (codec, Arc::new(self.global.clone())));
+        let run_report = |pos: usize, slot: &mut Slot| -> ClientReturn {
             let i = active[pos];
             let client = &self.clients[i];
-            let mut params = self.global.clone();
+            let Slot { workspace, params } = slot;
+            params.copy_from(&self.global);
             let mut rng = StdRng::seed_from_u64(
                 client.seed ^ (round as u64).wrapping_mul(CLIENT_ROUND_STRIDE),
             );
@@ -650,9 +678,9 @@ impl FlSystem {
                     reference: &self.global,
                     linear: p.linear.as_deref(),
                 });
-            ws.train(
+            workspace.train(
                 self.model.as_ref(),
-                &mut params,
+                params,
                 &client.view,
                 &sampler,
                 &client.positives,
@@ -661,40 +689,45 @@ impl FlSystem {
                 &mut rng,
             );
             if let Some(privacy) = self.cfg.privacy {
-                apply_privacy(&mut params, &self.global, privacy, &mut rng);
+                apply_privacy(params, &self.global, privacy, &mut rng);
             }
             let order = orders.get(pos);
-            let encode = self.cfg.compression.zip(order.and_then(|o| o.encode));
-            let unit_delta = match encode {
-                Some(_) => Vec::new(),
-                None => params.unit_l2_distances(&self.global),
-            };
+            if let Some(kind) = order.and_then(|o| o.corruption) {
+                corrupt_params(params, &self.global, kind);
+            }
             let mut ret = ClientReturn {
                 client: i,
-                params,
-                unit_delta,
+                params: ParamSet::new(),
+                unit_delta: Vec::new(),
+                encoded: None,
             };
-            if let Some(kind) = order.and_then(|o| o.corruption) {
-                corrupt_return(&mut ret, &self.global, kind);
+            match (order.map(|o| o.mask), &encoding) {
+                // The run ends before the report would land.
+                (Some(None), _) => {}
+                (Some(Some(mask)), Some((codec, reference))) => {
+                    let report = codec.compress(&Delta {
+                        updated: params,
+                        reference,
+                        mask,
+                    });
+                    ret.unit_delta = decode_report(params, &report, reference);
+                    let reference = Arc::clone(reference);
+                    ret.encoded = Some(InFlight { report, reference });
+                }
+                _ => {
+                    ret.unit_delta = params.unit_l2_distances(&self.global);
+                    ret.params = params.clone();
+                }
             }
-            let encoded = encode.map(|(codec, mask)| {
-                codec.compress(&Delta {
-                    updated: &ret.params,
-                    reference: &self.global,
-                    mask,
-                })
-            });
-            if let Some(report) = encoded.as_ref().filter(|_| order.is_some_and(|o| o.decode)) {
-                decode_report(&mut ret, report, &self.global);
-            }
-            TaskReport { ret, encoded }
+            ret
         };
         let work = |slot: usize, task: &Task| {
-            let ws = &mut lock(&self.slots[slot]);
+            let slot = &mut *lock(&self.slots[slot]);
             match *task {
-                Task::Report(pos) => Done::Report(pos, run_report(pos, ws)),
+                Task::Report(pos) => Done::Report(pos, run_report(pos, slot)),
                 Task::Evaluate(round) => {
-                    Done::Evaluated(self.evaluate_on(ws.graph(), &self.global, round))
+                    let graph = slot.workspace.graph();
+                    Done::Evaluated(self.evaluate_on(graph, &self.global, round))
                 }
             }
         };
@@ -712,9 +745,9 @@ impl FlSystem {
         (reports, evaluated)
     }
 
-    /// Worker slot 0's workspace: the server thread's evaluations and the
-    /// baselines' training run in it.
-    pub(crate) fn slot0(&self) -> MutexGuard<'_, Workspace> {
+    /// Worker slot 0: the server thread's evaluations and the baselines'
+    /// training run in its workspace.
+    pub(crate) fn slot0(&self) -> MutexGuard<'_, Slot> {
         lock(&self.slots[0])
     }
 
@@ -723,7 +756,7 @@ impl FlSystem {
     /// workspace.
     pub(crate) fn train_global(&mut self, positives: &[LinkExample], rng: &mut StdRng) {
         let sampler = LinkSampler::with_index(&self.eval_graph, self.eval_index.clone());
-        lock(&self.slots[0]).train(
+        lock(&self.slots[0]).workspace.train(
             self.model.as_ref(),
             &mut self.global,
             &self.eval_view,
@@ -761,13 +794,16 @@ impl FlSystem {
             .collect();
         let mut weight_sums = vec![0.0f64; n];
         // Accumulate into one f64 buffer laid out like the parameters, for
-        // stable averaging: each scalar still sums in contribution order.
+        // stable averaging: each scalar still sums in contribution order. An
+        // encoded report is decoded one unit at a time as it is folded.
         let mut sums = vec![0.0f64; self.global.num_scalars()];
+        let mut scratch = Vec::new();
         for (c, &w) in contributions.iter().zip(&weights) {
             assert_eq!(c.mask.len(), n, "mask length must equal unit count");
-            for (id, values) in c.ret.params.iter() {
+            for id in self.global.ids() {
                 if c.mask[id.index()] {
                     weight_sums[id.index()] += w;
+                    let values = c.ret.unit(id, &mut scratch);
                     for (s, &v) in sums[self.global.range(id)].iter_mut().zip(values) {
                         *s += w * f64::from(v);
                     }
@@ -832,7 +868,7 @@ impl FlSystem {
         let (mut rng, sampler) = self.eval_inputs(round);
         fedda_hgn::evaluate_detailed(
             self.model.as_ref(),
-            self.slot0().graph(),
+            self.slot0().workspace.graph(),
             &self.global,
             &self.eval_view,
             &sampler,
@@ -845,7 +881,7 @@ impl FlSystem {
     /// Evaluate an arbitrary parameter set (used by the Local baseline), in
     /// worker slot 0's workspace.
     pub(crate) fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
-        self.evaluate_on(self.slot0().graph(), params, round)
+        self.evaluate_on(self.slot0().workspace.graph(), params, round)
     }
 
     /// [`FlSystem::evaluate_params`] on the given tape.
@@ -886,10 +922,11 @@ impl FlSystem {
     }
 }
 
-/// A workspace's lock. One poisoned by a task that panicked still hands the
-/// workspace out: every call in it starts from what a fresh one holds, so
-/// nothing the panic left behind is read.
-fn lock(slot: &Mutex<Workspace>) -> MutexGuard<'_, Workspace> {
+/// A worker slot's lock. One poisoned by a task that panicked still hands
+/// the slot out: every call in it starts from what a fresh one holds — a
+/// cleared workspace, a buffer overwritten with the broadcast — so nothing
+/// the panic left behind is read.
+fn lock(slot: &Mutex<Slot>) -> MutexGuard<'_, Slot> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -1057,7 +1094,7 @@ pub(crate) mod tests {
             let sys = tiny_system_with(4, 5, |c| c.workers = Some(workers));
             for active in &orders {
                 let (reports, _) = sys.run_reports(active, 0, &[], &[], None);
-                let got: Vec<usize> = reports.iter().map(|report| report.ret.client).collect();
+                let got: Vec<usize> = reports.iter().map(|report| report.client).collect();
                 assert_eq!(got, active, "workers={workers}");
             }
         }

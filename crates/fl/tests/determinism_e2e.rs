@@ -97,11 +97,11 @@ fn fedavg_random_masks_are_bit_identical_across_workers_and_dispatch() {
 
 #[test]
 fn sync_runs_under_compression_are_bit_identical_across_workers_and_threads() {
-    // The sync driver encodes each report inside its pool task and decodes
-    // it in place at arrival — held straggler reports against the broadcast
-    // of the round they were dispatched in, corrupted ones through the
-    // codec. None of that may depend on which worker ran which client:
-    // codec × workers {1, 2, 4}.
+    // The sync driver encodes and measures each report inside its pool
+    // task, in the worker slot's kept buffer, and Eq. 6 decodes it unit by
+    // unit — held straggler reports against the broadcast of the round they
+    // were dispatched in, corrupted ones through the codec. None of that may
+    // depend on which worker ran which client: codec × workers {1, 2, 4}.
     let faults = FaultConfig {
         straggler: 0.3,
         max_staleness: 2,

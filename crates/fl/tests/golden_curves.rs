@@ -464,8 +464,9 @@ fn golden_async_fedadam() {
 
 /// Run one protocol on the golden federation with and without `Identity`
 /// compression and insist the two runs are byte-for-byte the same — the
-/// whole codec stage (encode at dispatch, decode at arrival, charge
-/// accounting) must be invisible under the lossless codec. The only
+/// whole codec stage (encode in the client task, decode as Eq. 6 and
+/// `post_aggregate` read each unit, charge accounting) must be invisible
+/// under the lossless codec. The only
 /// permitted difference is none at all: even the comm ledger matches,
 /// because `Identity`'s wire cost is exactly the uncompressed 4 bytes per
 /// masked scalar.

@@ -8,17 +8,20 @@
 //! below is written that old way, over `Vec<Vec<f32>>` units, and the two
 //! must agree by `to_bits` on random layouts: 1–6 units of awkward shapes
 //! (empty and single-scalar ones included), signed zeros, subnormals and
-//! one huge value per set.
+//! one huge value per set. Beside them, what reads an encoded report unit by
+//! unit — Eq. 6, FedDyn's drift, FedDA's `LiteralEq7` unit means — must read
+//! the bits of the report's materialised reconstruction.
 
 mod common;
 
 use fedda_fl::compress::{decode_arrival, Compressed, CompressedUnit};
 use fedda_fl::runtime::Delivery;
 use fedda_fl::{
-    AggWeighting, ClientReturn, Compression, Delta, FlConfig, FlSystem, InFlight, WeightedReturn,
+    AggWeighting, ClientReturn, Compression, Delta, FedDa, FedDyn, FlConfig, FlProtocol, FlSystem,
+    InFlight, MaskRule, WeightedReturn,
 };
 use fedda_hgn::{apply_penalty_grads, Penalty, TrainConfig};
-use fedda_tensor::{Adam, Matrix, ParamId, ParamSet};
+use fedda_tensor::{Adam, Matrix, ParamId, ParamMeta, ParamSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,6 +77,17 @@ fn set_of(shapes: &[(usize, usize)], units: &Units) -> ParamSet {
     let mut ps = ParamSet::new();
     for (k, (&(rows, cols), unit)) in shapes.iter().zip(units).enumerate() {
         ps.add(format!("u{k}"), Matrix::from_vec(rows, cols, unit.clone()));
+    }
+    ps
+}
+
+/// A fresh layout holding `units`, every unit disentangled (to edge type
+/// 0), so FedDA's mask rules score each one.
+fn disentangled_set_of(shapes: &[(usize, usize)], units: &Units) -> ParamSet {
+    let mut ps = ParamSet::new();
+    for (k, (&(rows, cols), unit)) in shapes.iter().zip(units).enumerate() {
+        let value = Matrix::from_vec(rows, cols, unit.clone());
+        ps.add_with_meta(format!("u{k}"), value, ParamMeta::per_edge_type(0));
     }
     ps
 }
@@ -278,6 +292,7 @@ fn check_aggregate(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), Te
                     client,
                     params: with_values(&sys.global, units),
                     unit_delta: Vec::new(),
+                    encoded: None,
                 })
                 .collect();
             let contributions: Vec<WeightedReturn<'_>> = (returns.iter().zip(&masks))
@@ -362,7 +377,7 @@ fn check_training_passes(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<
 }
 
 /// Per-unit distances, then every codec's encode and arrival decode — into
-/// the report's own buffer and into a released one — against the per-unit
+/// the report's own buffer and into an empty one — against the per-unit
 /// pipeline.
 fn check_uplink(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestCaseError> {
     let reference_units = units_of(shapes, rng);
@@ -390,9 +405,7 @@ fn check_uplink(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestC
         prop_assert_eq!(&report, &want_report, "{:?}", codec);
         let want = reconstruct_reference(&want_report, &reference_units);
         let want_delta = l2_reference(&want, &reference_units);
-        let mut released = updated.clone();
-        released.release();
-        for buffer in [updated.clone(), released] {
+        for buffer in [updated.clone(), ParamSet::new()] {
             let mut d = Delivery {
                 client: 1,
                 dispatch_pos: 0,
@@ -401,6 +414,7 @@ fn check_uplink(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestC
                     client: 1,
                     params: buffer,
                     unit_delta: Vec::new(),
+                    encoded: None,
                 },
                 mask: mask.clone(),
                 charge: report.charge(),
@@ -426,6 +440,148 @@ fn check_uplink(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestC
     Ok(())
 }
 
+/// What the server reads from `returns` after Eq. 6 over them at `scales`
+/// from `reference`, as bits: the aggregate, FedDA-`LiteralEq7`'s next masks
+/// and step outcome, and FedDyn's corrected global and per-client drift
+/// states (read back as the linear penalties they become).
+type Reads = (Vec<u32>, Vec<Vec<bool>>, String, Vec<u32>, Vec<Vec<u32>>);
+
+fn fold_and_read(
+    sys: &mut FlSystem,
+    reference: &ParamSet,
+    returns: &[ClientReturn],
+    masks: &[Vec<bool>],
+    scales: &[f64],
+) -> Reads {
+    sys.global = reference.clone();
+    let contributions: Vec<WeightedReturn<'_>> = (returns.iter().zip(masks))
+        .zip(scales)
+        .map(|((ret, mask), &scale)| WeightedReturn { ret, mask, scale })
+        .collect();
+    sys.aggregate_weighted(&contributions);
+    let aggregated = sys.global.clone();
+    let active: Vec<usize> = (0..sys.num_clients()).collect();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut fedda = FedDa::explore();
+    fedda.mask_rule = MaskRule::LiteralEq7;
+    fedda.begin(sys, &mut rng);
+    let outcome = fedda.post_aggregate(sys, &active, returns, 0, &mut rng);
+    let fedda_masks = fedda.build_masks(sys, &active, 1, &mut rng);
+    // FedDyn's drift is anchored at the broadcast `begin` takes.
+    sys.global = reference.clone();
+    let mut feddyn = FedDyn::new(0.01);
+    feddyn.begin(sys, &mut rng);
+    sys.global = aggregated.clone();
+    feddyn.post_aggregate(sys, &active, returns, 0, &mut rng);
+    let drift = (active.iter())
+        .map(|&c| {
+            let penalty = feddyn.local_regularizer(sys, c, 1);
+            bits(&penalty.and_then(|p| p.linear).unwrap_or_default())
+        })
+        .collect();
+    (
+        bits(aggregated.values()),
+        fedda_masks,
+        format!("{outcome:?}"),
+        bits(sys.global.values()),
+        drift,
+    )
+}
+
+/// Eq. 6, FedDyn's drift and FedDA's `LiteralEq7` unit means over encoded
+/// returns — read unit by unit through their encoding — against the same
+/// over the reconstructions `decode_arrival` materialises, by `to_bits`:
+/// every codec, 2–5 reports under random masks, clients and staleness
+/// scales, under both weightings, and a single-scalar unit that top-k
+/// always drops from the wire.
+fn check_encoded_reads(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestCaseError> {
+    let shapes: Vec<(usize, usize)> = shapes.iter().copied().chain([(1, 1)]).collect();
+    let n = shapes.len();
+    let reference = Arc::new(disentangled_set_of(&shapes, &units_of(&shapes, rng)));
+    let reports: Vec<Units> = (0..rng.gen_range(2..6))
+        .map(|_| units_of(&shapes, rng))
+        .collect();
+    // Report 0 always requests the single-scalar unit.
+    let masks: Vec<Vec<bool>> = (0..reports.len())
+        .map(|j| {
+            (0..n)
+                .map(|k| (j == 0 && k == n - 1) || rng.gen_range(0u32..4) > 0)
+                .collect()
+        })
+        .collect();
+    let scales: Vec<f64> = (0..reports.len())
+        .map(|_| match rng.gen_range(0u32..3) {
+            0 => 1.0,
+            1 => 0.25,
+            _ => rng.gen_range(0.01f64..3.0),
+        })
+        .collect();
+    let clients: Vec<usize> = reports.iter().map(|_| rng.gen_range(0..4)).collect();
+    let frac = rng.gen_range(0.01f64..=0.5);
+    for codec in [
+        Compression::Identity,
+        Compression::QuantI8,
+        Compression::QuantF16,
+        Compression::TopK { frac },
+    ] {
+        let in_flight: Vec<InFlight> = (reports.iter().zip(&masks))
+            .map(|(units, mask)| InFlight {
+                report: codec.compress(&Delta {
+                    updated: &with_values(&reference, units),
+                    reference: &reference,
+                    mask,
+                }),
+                reference: Arc::clone(&reference),
+            })
+            .collect();
+        let sent_last = in_flight[0].report.units.iter().any(|cu| cu.unit == n - 1);
+        prop_assert_eq!(sent_last, !matches!(codec, Compression::TopK { .. }));
+        let returns = |encoded: bool| -> Vec<ClientReturn> {
+            (in_flight.iter().zip(&masks).zip(&clients))
+                .map(|((sent, mask), &client)| {
+                    let copy = InFlight {
+                        report: sent.report.clone(),
+                        reference: Arc::clone(&sent.reference),
+                    };
+                    let ret = ClientReturn {
+                        client,
+                        params: ParamSet::new(),
+                        unit_delta: Vec::new(),
+                        encoded: None,
+                    };
+                    if encoded {
+                        return ClientReturn {
+                            encoded: Some(copy),
+                            ..ret
+                        };
+                    }
+                    let mut d = Delivery {
+                        client,
+                        dispatch_pos: 0,
+                        dispatch_round: 0,
+                        ret,
+                        mask: mask.clone(),
+                        charge: sent.report.charge(),
+                        payload: Some(copy),
+                    };
+                    decode_arrival(&mut d);
+                    d.ret
+                })
+                .collect()
+        };
+        let (encoded, materialised) = (returns(true), returns(false));
+        FEDERATIONS.with(|federations| {
+            for sys in federations.borrow_mut().iter_mut() {
+                let read = fold_and_read(sys, &reference, &encoded, &masks, &scales);
+                let want = fold_and_read(sys, &reference, &materialised, &masks, &scales);
+                prop_assert_eq!(read, want, "{:?}", codec);
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn flat_passes_equal_their_per_unit_references(
@@ -436,6 +592,7 @@ proptest! {
         check_aggregate(&shapes, &mut rng)?;
         check_training_passes(&shapes, &mut rng)?;
         check_uplink(&shapes, &mut rng)?;
+        check_encoded_reads(&shapes, &mut rng)?;
     }
 }
 

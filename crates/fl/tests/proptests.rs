@@ -260,7 +260,7 @@ proptest! {
         let params = param_set(&case.0);
         let reference = param_set(&case.1);
         let unit_delta = params.unit_l2_distances(&reference);
-        let ret = ClientReturn { client: 0, params, unit_delta };
+        let ret = ClientReturn { client: 0, params, unit_delta, encoded: None };
         for max_update_norm in [None, Some(bound)] {
             prop_assert_eq!(
                 detect_rejection(&ret, max_update_norm),

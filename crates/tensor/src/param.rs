@@ -151,8 +151,7 @@ impl ParamSet {
         self.layout.units.len()
     }
 
-    /// True when the set holds no values: it has no units, or its buffers
-    /// were given up ([`ParamSet::release`]).
+    /// True when the set holds no values.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
@@ -254,11 +253,15 @@ impl ParamSet {
         self.grads = Vec::new();
     }
 
-    /// Free the value and gradient buffers, keeping the layout: the set then
-    /// holds no values ([`ParamSet::is_empty`]).
-    pub fn release(&mut self) {
-        self.values = Vec::new();
-        self.grads = Vec::new();
+    /// Take `other`'s values: copied into this set's own buffer when the
+    /// two share a layout — a buffer kept from call to call is written,
+    /// never reallocated — else by becoming a clone of `other`.
+    pub fn copy_from(&mut self, other: &ParamSet) {
+        if self.shares_layout(other) {
+            self.values.copy_from_slice(&other.values);
+        } else {
+            *self = other.clone();
+        }
     }
 
     /// Squared L2 norm of all gradients (diagnostics / clipping): each
@@ -420,9 +423,16 @@ mod tests {
         assert_eq!(ps.grads(), &[0.0; 6]);
         ps.release_grads();
         assert!(ps.grads().is_empty() && ps.values() == copy.values());
-        ps.release();
-        assert!(ps.is_empty() && ps.shares_layout(&copy));
         assert_eq!((ps.len(), ps.num_scalars()), (2, 6));
+        // Copying in keeps the buffer under a shared layout, clones else.
+        let mut moved = copy.clone();
+        moved.values_mut().fill(9.0);
+        let kept = moved.values().as_ptr();
+        moved.copy_from(&ps);
+        assert!(moved.values() == ps.values() && moved.values().as_ptr() == kept);
+        let mut fresh = ParamSet::new();
+        fresh.copy_from(&ps);
+        assert!(fresh.shares_layout(&ps) && fresh.values() == ps.values());
     }
 
     #[test]
