@@ -23,12 +23,12 @@ mod workflow;
 
 /// Flags one reader consumes. An entry is the flag's name, then after a
 /// space the shape of its value; an entry without one is a switch.
-pub struct Group {
+pub(crate) struct Group {
     /// The name the overview ([`usage`]) lists the group under, when
     /// several rows share it; empty for flags it lists inline.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The flags, in usage order.
-    pub flags: &'static [&'static str],
+    pub(crate) flags: &'static [&'static str],
 }
 
 /// Flags the overview lists inline.
@@ -70,18 +70,18 @@ pub enum Run {
 pub struct Command {
     /// What follows `fedda` on the command line; also the name of the
     /// `results/<name>.json` the experiment loop writes.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// One line for the usage text.
-    pub purpose: &'static str,
+    pub(crate) purpose: &'static str,
     /// Every flag `run` reads, and so every flag the subcommand accepts.
-    pub flags: &'static [Group],
+    pub(crate) flags: &'static [Group],
     /// The body.
     pub run: Run,
 }
 
 /// Every subcommand, in usage order.
 #[rustfmt::skip]
-pub const COMMANDS: &[Command] = &[
+pub(crate) const COMMANDS: &[Command] = &[
     Command { name: "generate", purpose: "synthesize a heterograph and save it as a JSON archive",
         flags: &[DATASET, own(&["scale <f64>", "seed <u64>", "out <path>"])], run: Run::Options(workflow::generate) },
     Command { name: "stats", purpose: "print Table-1 statistics of a saved graph",
@@ -128,14 +128,14 @@ pub fn command(name: &str) -> Option<&'static Command> {
 
 impl Command {
     /// The names of every flag the row's groups list.
-    pub fn flag_names(&self) -> impl Iterator<Item = &'static str> {
+    pub(crate) fn flag_names(&self) -> impl Iterator<Item = &'static str> {
         let name = |flag: &&'static str| flag.split_once(' ').map_or(*flag, |(name, _)| name);
         self.flags.iter().flat_map(|g| g.flags).map(name)
     }
 
     /// `opts`, unless it holds a flag `run` does not read: silently
     /// ignoring one would run defaults the user did not ask for.
-    pub fn admit(&self, opts: Options) -> Result<Options, Failure> {
+    pub(crate) fn admit(&self, opts: Options) -> Result<Options, Failure> {
         let unread = opts.given().find(|&f| !self.flag_names().any(|n| n == f));
         match unread.map(|flag| format!("{} does not read --{flag}", self.name)) {
             Some(msg) => Err(Failure::Usage(msg)),
@@ -144,7 +144,7 @@ impl Command {
     }
 
     /// `usage: fedda <name> [--flag <value>] …`, every flag spelled out.
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let flags = self.flags.iter().flat_map(|g| g.flags).map(bracket);
         wrap(&format!("usage: fedda {}", self.name), flags)
     }

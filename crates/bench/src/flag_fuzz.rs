@@ -3,13 +3,13 @@
 //! stray tokens — go through the whole path a subcommand takes before training
 //! (`Options::try_from_args` → `base_config` → `parse_framework`), and
 //! arbitrary `key=value` lists through the `--faults` / `--compress`
-//! `FromStr` impls; every outcome is a value.
+//! `FromStr` impls; every outcome is a value. A unit test of the crate:
+//! that path is the CLI's own.
 
+use crate::cmd::COMMANDS;
+use crate::{base_config, command, parse_framework, Failure, Options, FRAMEWORK_NAMES};
 use fedda::experiment::Dataset;
-use fedda::fl::{Compression, FaultConfig};
-use fedda_bench::{
-    base_config, command, parse_framework, Failure, Options, COMMANDS, FRAMEWORK_NAMES,
-};
+use fedda::fl::{Compression, FaultConfig, FlConfig};
 use proptest::prelude::*;
 
 /// Values that are well-formed for some flag, out of range for others, or
@@ -121,11 +121,14 @@ proptest! {
         codecs in prop::collection::vec(value(), 16),
     ) {
         for spec in specs.iter().chain(&codecs) {
+            // What parses is fit to configure a federation with.
             if let Ok(faults) = spec.parse::<FaultConfig>() {
-                prop_assert_eq!(faults.validate(), Ok(()));
+                let cfg = FlConfig { faults: Some(faults), ..Default::default() };
+                prop_assert_eq!(cfg.validate(), Ok(()));
             }
             if let Ok(codec) = spec.parse::<Compression>() {
-                prop_assert_eq!(codec.validate(), Ok(()));
+                let cfg = FlConfig { compression: Some(codec), ..Default::default() };
+                prop_assert_eq!(cfg.validate(), Ok(()));
             }
         }
     }

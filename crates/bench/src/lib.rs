@@ -1,12 +1,12 @@
-//! The `fedda` command: one binary, one subcommand per row of [`COMMANDS`]
+//! The `fedda` command: one binary, one subcommand per row of `COMMANDS`
 //! (name, purpose, the flag groups its `run` reads, `run`). A row's groups
 //! are its usage text and the flags it accepts; any other flag is a usage
 //! error. Around the table: a tiny flag parser (no CLI dependency), the
 //! configurations the experiments share, and the kernel probe behind `perf`
-//! (the kernel suite, its [`snapshot`] format, and the paired A/B verdict).
+//! (the kernel suite, its snapshot format, and the paired A/B verdict).
 //!
 //! `train` and every experiment subcommand build their configuration with
-//! [`base_config`] and train through `Options::run_framework` (or
+//! `base_config` and train through `Options::run_framework` (or
 //! `Options::run_on`), so each accepts and honours the `experiment` flag
 //! group:
 //!
@@ -65,11 +65,11 @@ mod cmd;
 mod compare;
 mod plot;
 mod report;
-pub mod snapshot;
+mod snapshot;
 mod suite;
 mod table;
 
-pub use cmd::{command, usage, Command, Group, Run, COMMANDS};
+pub use cmd::{command, usage, Command, Run};
 
 /// Exit with status 2 and the reason when the CPU lacks the
 /// instruction-set level the binary was built for
@@ -144,7 +144,7 @@ impl Options {
     /// Parse an explicit argument list. Rejects positional arguments,
     /// flags missing their value, and duplicate occurrences of the same
     /// flag (previously duplicates silently last-won).
-    pub fn try_from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, Failure> {
+    pub(crate) fn try_from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, Failure> {
         let mut out = Self::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
@@ -290,7 +290,7 @@ pub(crate) fn compression_config(opts: &Options) -> Result<Option<Compression>, 
 /// Every name `--framework` accepts, in the order the usage text lists
 /// them: the one list [`parse_framework`]'s error message, the README's
 /// `--framework` table and `tests/zoo_wiring.rs` share.
-pub const FRAMEWORK_NAMES: &[&str] = &[
+pub(crate) const FRAMEWORK_NAMES: &[&str] = &[
     "global",
     "local",
     "fedavg",
@@ -312,7 +312,7 @@ pub const FRAMEWORK_NAMES: &[&str] = &[
 /// protocol's own `validate()` message, so `train` and the experiment
 /// subcommands fail cleanly before any training starts (the engine
 /// re-validates before round 0 regardless).
-pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure> {
+pub(crate) fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure> {
     let fraction = opts.get::<f64>("client-fraction")?;
     let fw = match name {
         "global" => Framework::Global,
@@ -362,7 +362,7 @@ pub fn parse_framework(name: &str, opts: &Options) -> Result<Framework, Failure>
 /// scale 0.05 with quick rounds/runs. A malformed flag value is a
 /// [`Failure::Usage`], a grid `ExperimentConfig::validate` rejects
 /// (`--clients 0`, `--scale nan`, …) a [`Failure::Run`].
-pub fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig, Failure> {
+pub(crate) fn base_config(dataset: Dataset, opts: &Options) -> Result<ExperimentConfig, Failure> {
     let default_scale = match dataset {
         Dataset::AmazonLike => 0.008,
         Dataset::DblpLike => 0.0025,
@@ -433,21 +433,26 @@ pub(crate) fn maybe_write_json(opts: &Options, value: &serde_json::Value) -> Res
 /// subcommands (round: value pairs, 8 per line). `rounds` carries the true
 /// evaluated round index of each point (`FrameworkResult::eval_rounds()`),
 /// so sparse `--eval-every > 1` curves label points by the round they
-/// measure rather than fabricating consecutive `r00,r01,…` labels; when a
-/// point has no recorded round (legacy callers), its position is used.
+/// measure rather than fabricating consecutive `r00,r01,…` labels. Both
+/// come from the same runs, one round per point.
 pub(crate) fn render_curve(name: &str, rounds: &[usize], curve: &[f64]) -> String {
     let mut out = format!("{name}:\n");
     for (i, chunk) in curve.chunks(8).enumerate() {
         out.push_str("  ");
         for (j, v) in chunk.iter().enumerate() {
-            let pos = i * 8 + j;
-            let round = rounds.get(pos).copied().unwrap_or(pos);
+            let round = rounds[i * 8 + j];
             out.push_str(&format!("r{round:02}={v:.4} "));
         }
         out.push('\n');
     }
     out
 }
+
+#[cfg(test)]
+mod flag_fuzz;
+
+#[cfg(test)]
+mod zoo_wiring;
 
 #[cfg(test)]
 mod tests {
@@ -746,9 +751,6 @@ mod tests {
         assert!(s.contains("r09=0.6000"));
         assert!(s.contains("r10=0.7000"));
         assert!(!s.contains("r00="), "sparse curves must not relabel from 0");
-        // Legacy fallback: missing round info degrades to positions.
-        let s = render_curve("FedAvg", &[], &[0.5, 0.6]);
-        assert!(s.contains("r00=0.5000") && s.contains("r01=0.6000"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `fedda` — the command line of the FedDA reproduction:
 //! `fedda <subcommand> [flags]`, one subcommand per row of
-//! `fedda_bench::COMMANDS`; `fedda help [<subcommand>]` prints the usage
+//! the subcommand table of `fedda_bench`; `fedda help [<subcommand>]` prints the usage
 //! text that table generates.
 
 use fedda_bench::{command, require_isa_level, run_main, usage, Run};

@@ -54,21 +54,21 @@ pub(crate) fn quartiles(samples: &[u64]) -> [f64; 3] {
 /// Wall-time statistics of one benchmark case, in nanoseconds per
 /// iteration.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CaseResult {
+pub(crate) struct CaseResult {
     /// Stable case identifier, e.g. `gemm/nn/2525x48x48`.
-    pub name: String,
+    pub(crate) name: String,
     /// Timed iterations per sample.
-    pub iters: u64,
+    pub(crate) iters: u64,
     /// Number of samples taken (each sample times `iters` iterations).
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// First quartile over samples of per-iteration wall time (ns).
-    pub q1_ns: u64,
+    pub(crate) q1_ns: u64,
     /// Median over samples (ns/iter) — the number `perf --ab` pairs.
-    pub median_ns: u64,
+    pub(crate) median_ns: u64,
     /// Third quartile over samples (ns/iter).
-    pub q3_ns: u64,
+    pub(crate) q3_ns: u64,
     /// Fastest sample (ns/iter) — the low-noise floor.
-    pub min_ns: u64,
+    pub(crate) min_ns: u64,
 }
 
 impl CaseResult {
@@ -115,22 +115,22 @@ impl CaseResult {
 /// comparisons are only order-of-magnitude meaningful; the fingerprint
 /// makes the provenance explicit.
 #[derive(Clone, Debug, PartialEq)]
-pub struct EnvFingerprint {
+pub(crate) struct EnvFingerprint {
     /// `std::env::consts::OS`.
-    pub os: String,
+    pub(crate) os: String,
     /// `std::env::consts::ARCH`.
-    pub arch: String,
+    pub(crate) arch: String,
     /// Logical CPUs visible to the process.
-    pub cpus: u64,
+    pub(crate) cpus: u64,
     /// The default worker-pool size
     /// ([`fedda::fl::runtime::default_workers`]; `0` if `FEDDA_THREADS` is
     /// malformed). The JSON field kept the name of the kernel-thread
     /// budget it used to hold.
-    pub kernel_threads: u64,
+    pub(crate) kernel_threads: u64,
     /// Raw `FEDDA_THREADS` env var, if set.
-    pub fedda_threads_env: Option<String>,
+    pub(crate) fedda_threads_env: Option<String>,
     /// `release` or `debug`.
-    pub profile: String,
+    pub(crate) profile: String,
 }
 
 impl EnvFingerprint {
@@ -188,13 +188,13 @@ impl EnvFingerprint {
 /// One full suite run: capture date, environment fingerprint and per-case
 /// results. Written and read as schema version 2 only.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// UTC capture date, `YYYY-MM-DD`.
-    pub created: String,
+    pub(crate) created: String,
     /// Environment fingerprint.
-    pub env: EnvFingerprint,
+    pub(crate) env: EnvFingerprint,
     /// Per-case timing results, in suite order.
-    pub cases: Vec<CaseResult>,
+    pub(crate) cases: Vec<CaseResult>,
 }
 
 impl Snapshot {
@@ -254,7 +254,7 @@ impl Snapshot {
     }
 
     /// Parse a snapshot file.
-    pub fn load(path: &Path) -> Result<Self, String> {
+    pub(crate) fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let value = serde_json::from_str::<Value>(&text)
@@ -387,6 +387,19 @@ mod tests {
         // The previous schema is refused by name, with both versions.
         v["schema_version"] = json!(1);
         let err = Snapshot::from_value(&v).unwrap_err();
+        assert!(
+            err.contains("schema v1") && err.contains("schema v2"),
+            "{err}"
+        );
+    }
+
+    /// The committed v1 history is refused by the loader with the file's
+    /// name and both schema versions in the message.
+    #[test]
+    fn committed_v1_history_is_refused_naming_the_file() {
+        let v1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_2026-09-30d.json");
+        let err = Snapshot::load(&v1).unwrap_err();
+        assert!(err.contains("BENCH_2026-09-30d.json"), "{err}");
         assert!(
             err.contains("schema v1") && err.contains("schema v2"),
             "{err}"

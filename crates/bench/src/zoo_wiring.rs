@@ -4,11 +4,14 @@
 //! both runtimes (R2), chaos-swept and documented (R3). Adding a protocol
 //! or a stream means adding a row here; each failure names the missing edge.
 //! The README lists every row of the `fedda` subcommand table, too.
+//! A unit test of the crate: the `--framework` names and their parser are
+//! the CLI's own.
 
-use fedda::data::partition::CLIENT_SEEDS_STREAM_TWEAK;
+use crate::cmd::COMMANDS;
+use crate::{parse_framework, Options, FRAMEWORK_NAMES};
+use fedda::data::CLIENT_SEEDS_STREAM_TWEAK;
 use fedda::experiment::{Framework, SPLIT_STREAM_TWEAK};
-use fedda::fl::{baselines::LOCAL_STREAM_TWEAK, faults::FAULT_STREAM_TWEAK, EVAL_STREAM_TWEAK};
-use fedda_bench::{parse_framework, Options, COMMANDS, FRAMEWORK_NAMES};
+use fedda::fl::{baselines::LOCAL_STREAM_TWEAK, EVAL_STREAM_TWEAK, FAULT_STREAM_TWEAK};
 use std::path::{Path, PathBuf};
 
 /// How a protocol meets one coverage requirement.
@@ -38,7 +41,7 @@ const ZOO: &[Row] = &[
     Row { protocol: "FedAvg", names: &["fedavg"], sync_pin: By("fn golden_fedavg_vanilla()"),
         async_pin: By("fn golden_async_fedavg_vanilla()"), chaos: By("FedAvg::vanilla()") },
     Row { protocol: "FedProx", names: &["fedprox"], sync_pin: By("fn golden_fedprox()"),
-        async_pin: By("fn golden_async_fedprox()"), chaos: By("FedProx::new(") },
+        async_pin: By("fn golden_async_fedprox()"), chaos: By("FedProx {") },
     Row { protocol: "FedDyn", names: &["feddyn"], sync_pin: By("fn golden_feddyn()"),
         async_pin: By("fn golden_async_feddyn()"), chaos: By("FedDyn::new(") },
     Row { protocol: "FedAdam", names: &["fedadam"], sync_pin: By("fn golden_fedadam()"),
@@ -74,11 +77,40 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(repo().join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
 }
 
-/// `(path, text above the first #[cfg(test)])` of every `.rs` file under
-/// `dir` whose path has a `/src/` component; every test module in this
-/// workspace closes its file.
+/// The attribute line that gates a test module.
+const CFG_TEST: &str = "\n#[cfg(test)]\n";
+
+/// `text` above its first test module (a `#[cfg(test)]` line whose next
+/// line declares a `mod` of any visibility), and the text after each such
+/// `mod ` keyword.
+fn split_test_modules(text: &str) -> (&str, Vec<&str>) {
+    let mut library = text;
+    let mut modules = Vec::new();
+    let mut at = 0;
+    while let Some(found) = text[at..].find(CFG_TEST) {
+        let start = at + found;
+        at = start + CFG_TEST.len();
+        let item = &text[at..];
+        let item = (["pub(crate) ", "pub(super) ", "pub "].iter())
+            .find_map(|vis| item.strip_prefix(vis))
+            .unwrap_or(item);
+        if let Some(rest) = item.strip_prefix("mod ") {
+            if modules.is_empty() {
+                library = &text[..start];
+            }
+            modules.push(rest);
+        }
+    }
+    (library, modules)
+}
+
+/// `(path, text above its first test module)` of every `.rs` file under
+/// `dir` whose path has a `/src/` component, leaving out the files that are
+/// test modules themselves (a sibling or parent declares them under
+/// `#[cfg(test)]`); every test module in this workspace closes its file.
 fn library_sources(dir: &str) -> Vec<(String, String)> {
     let mut found = Vec::new();
+    let mut test_files = Vec::new();
     let mut pending = vec![dir.to_string()];
     while let Some(rel) = pending.pop() {
         let entries =
@@ -90,11 +122,26 @@ fn library_sources(dir: &str) -> Vec<(String, String)> {
                 pending.push(path);
             } else if path.ends_with(".rs") && path.contains("/src/") {
                 let text = read(&path);
-                let library = text.split("#[cfg(test)]").next().unwrap_or_default();
+                let (library, modules) = split_test_modules(&text);
+                // `mod <name>;` under `#[cfg(test)]`: `<name>.rs` beside a
+                // `lib.rs` or `mod.rs`, else in the directory named after
+                // the declaring file.
+                let dir = match path.strip_suffix(".rs") {
+                    Some(stem) if !stem.ends_with("/lib") && !stem.ends_with("/mod") => stem,
+                    _ => &rel,
+                };
+                for declared in modules {
+                    let name_end = declared.find(|c: char| !c.is_alphanumeric() && c != '_');
+                    if let Some(end) = name_end.filter(|&at| declared[at..].starts_with(';')) {
+                        let module = &declared[..end];
+                        test_files.push(format!("{dir}/{module}.rs"));
+                    }
+                }
                 found.push((path, library.to_string()));
             }
         }
     }
+    found.retain(|(path, _)| !test_files.contains(path));
     found.sort();
     found
 }

@@ -3,7 +3,6 @@
 //! and `--ab` runs ten alternating pairs and prints one row per case.
 //! Structure only — no assertion here depends on a measured time.
 
-use fedda_bench::snapshot::Snapshot;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -94,16 +93,21 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
     let json: serde_json::Value = serde_json::from_str(&text).expect("snapshot parses");
     assert_eq!(json["schema_version"].as_u64(), Some(2));
     assert!(json.get("label").is_none() && json.get("seed").is_none());
-    let snap = Snapshot::load(&base).expect("v2 snapshot loads");
-    assert!(snap.env.cpus >= 1);
-    let names: Vec<&str> = snap.cases.iter().map(|c| c.name.as_str()).collect();
+    assert!(json["env"]["cpus"].as_u64() >= Some(1));
+    let cases = json["cases"].as_array().expect("a case list");
+    let names: Vec<&str> = cases.iter().filter_map(|c| c["name"].as_str()).collect();
     assert_eq!(names, CASE_NAMES);
-    for c in &snap.cases {
-        assert!(c.samples >= 10, "{}: {} samples", c.name, c.samples);
-        assert!(
-            c.min_ns <= c.q1_ns && c.q1_ns <= c.median_ns && c.median_ns <= c.q3_ns,
-            "{c:?}"
+    for c in cases {
+        let field = |key: &str| c[key].as_u64().unwrap_or_else(|| panic!("{key} of {c}"));
+        assert!(field("samples") >= 10, "{c}");
+        assert!(field("iters") >= 1, "{c}");
+        let (min, q1, median, q3) = (
+            field("min_ns"),
+            field("q1_ns"),
+            field("median_ns"),
+            field("q3_ns"),
         );
+        assert!(min <= q1 && q1 <= median && median <= q3, "{c}");
     }
     assert!(json["cases"][0].get("mean_ns").is_none());
 
@@ -165,17 +169,23 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The committed v1 history is refused with both schema versions named —
-/// by the loader, and so by `--ab` when a side writes it.
+/// The committed v1 history is refused with both schema versions named,
+/// by `--ab` when a side writes it: a side that cannot be read is an
+/// error (exit 2), not a verdict.
 #[test]
+#[cfg(unix)]
 fn schema_v1_files_are_refused_by_name() {
+    let dir = scratch("v1");
     let v1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_2026-09-30d.json");
-    let err = Snapshot::load(&v1).unwrap_err();
-    assert!(err.contains("BENCH_2026-09-30d.json"), "{err}");
+    let side = stand_in(&dir, "v1", &v1);
+    let out = perf(&["--ab", &side, &side]);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(
         err.contains("schema v1") && err.contains("schema v2"),
         "{err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -251,12 +251,14 @@ mod tests {
         };
         for t in [EdgeTypeId(0), EdgeTypeId(1)] {
             let list = g.graph.edges_of_type(t);
-            let pos: f32 = list.iter().map(|(u, v)| aff(t, u, v)).sum::<f32>() / list.len() as f32;
+            let edges = list.src.iter().zip(&list.dst);
+            let pos: f32 = edges.map(|(&u, &v)| aff(t, u, v)).sum::<f32>() / list.len() as f32;
             let dst_type = g.graph.schema().edge_type(t).dst_type;
             let dst_nodes = g.graph.nodes().nodes_of_type(dst_type);
             let neg: f32 = list
+                .src
                 .iter()
-                .map(|(u, _)| {
+                .map(|&u| {
                     let v = dst_nodes[rng.gen_range(0..dst_nodes.len())];
                     aff(t, u, v)
                 })
@@ -273,9 +275,10 @@ mod tests {
     fn edge_signatures_respected() {
         let g = generate(&small_config(), 7);
         // from_edges would have panicked otherwise, but assert explicitly:
-        for (u, v) in g.graph.edges_of_type(EdgeTypeId(0)).iter() {
-            assert!(g.graph.nodes().nodes_of_type(NodeTypeId(0)).contains(&u));
-            assert!(g.graph.nodes().nodes_of_type(NodeTypeId(1)).contains(&v));
+        let list = g.graph.edges_of_type(EdgeTypeId(0));
+        for (u, v) in list.src.iter().zip(&list.dst) {
+            assert!(g.graph.nodes().nodes_of_type(NodeTypeId(0)).contains(u));
+            assert!(g.graph.nodes().nodes_of_type(NodeTypeId(1)).contains(v));
         }
     }
 

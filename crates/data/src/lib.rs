@@ -14,7 +14,7 @@
 //!   need;
 //! * [`amazon_like`] and [`dblp_like`] — dataset
 //!   presets (Table 1 schemas, paper-proportioned edge mixes);
-//! * [`partition`] — the paper's §6.1 system synthesis: non-IID clients
+//! * [`partition_non_iid`] — the paper's §6.1 system synthesis: non-IID clients
 //!   specialised in random edge-type subsets (`r_a = 0.3`, `r_b = 0.05`),
 //!   plus an IID variant and a non-IIDness measure;
 //! * [`DatasetStats`] — Table 1 statistics.
@@ -35,12 +35,13 @@
 
 mod datasets;
 pub mod latent;
-pub mod partition;
+mod partition;
 mod stats;
 
 pub use datasets::{amazon_like, dblp_like, PresetOptions};
 pub use latent::{generate, GeneratedGraph, LatentGraphConfig};
 pub use partition::{
     client_seeds, non_iidness, partition_iid, partition_non_iid, ClientData, PartitionConfig,
+    CLIENT_SEEDS_STREAM_TWEAK,
 };
 pub use stats::DatasetStats;

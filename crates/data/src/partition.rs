@@ -166,6 +166,8 @@ pub fn client_seeds(base_seed: u64, num_clients: usize) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::datasets::{dblp_like, PresetOptions};
+    use fedda_hetgraph::EdgeList;
+    use std::sync::Arc;
 
     fn small_global() -> HeteroGraph {
         dblp_like(&PresetOptions {
@@ -208,10 +210,17 @@ mod tests {
             *base, other_task,
             "specialisation order is part of the data"
         );
-        let mut one_edge = base.clone();
+        // One more edge of a specialised type, taken from the global graph.
         let t = base.specialized[0];
-        let (s, d) = g.edges_of_type(t).iter().next().unwrap();
-        one_edge.graph.edges_of_type_mut(t).push(s, d);
+        let (src, dst) = (&g.edges_of_type(t).src, &g.edges_of_type(t).dst);
+        let mut lists: Vec<EdgeList> = (base.graph.schema().edge_type_ids())
+            .map(|t| base.graph.edges_of_type(t).clone())
+            .collect();
+        lists[usize::from(t.0)].push(src[0], dst[0]);
+        let one_edge = ClientData {
+            graph: HeteroGraph::from_edges(Arc::clone(base.graph.nodes()), lists),
+            specialized: base.specialized.clone(),
+        };
         assert_ne!(*base, one_edge);
     }
 
@@ -242,10 +251,8 @@ mod tests {
                 .schema()
                 .edge_type_ids()
                 .flat_map(|t| {
-                    c.graph
-                        .edges_of_type(t)
-                        .iter()
-                        .map(move |(s, d)| (t.0, s, d))
+                    let list = c.graph.edges_of_type(t);
+                    (list.src.iter().zip(&list.dst)).map(move |(&s, &d)| (t.0, s, d))
                 })
                 .collect()
         };

@@ -7,16 +7,11 @@
 //!
 //! The paper's model counts parameter *units*; the ledger
 //! ([`CommLog`](crate::CommLog)) additionally measures wire *bytes*, which
-//! depend on the uplink codec ([`Compression`]). The `*_bytes` functions
-//! below extend the closed forms to byte denominations: [`report_bytes`]
-//! gives the exact wire size of one full (unmasked) report under a codec,
-//! and the ratio variants scale the unit-count ratios by the codec's
-//! byte factor against the uncompressed 4-bytes-per-scalar baseline.
+//! depend on the uplink codec. The byte closed form of one full report is
+//! the oracle `tests/efficiency_bytes.rs` holds the ledger to.
 
 // Invariant D5 (DESIGN.md §6): byte accounting never truncates silently.
 #![warn(clippy::cast_possible_truncation)]
-
-use crate::compress::{k_of, Compression};
 
 /// Inputs of the analytic model.
 #[derive(Clone, Copy, Debug)]
@@ -130,13 +125,10 @@ pub fn explore_ratio_bound(inp: &EfficiencyInputs, beta_e: f64) -> f64 {
 
 /// Eq. 10: expected per-round communicated units for `Explore`, given the
 /// fraction `gamma` of active clients that were already active before the
-/// last round and their (deeper) deactivation fraction `r_p_hat ≥ r_p`.
-pub fn explore_expected_units(
-    inp: &EfficiencyInputs,
-    beta_e: f64,
-    gamma: f64,
-    r_p_hat: f64,
-) -> f64 {
+/// last round and their (deeper) deactivation fraction `r_p_hat ≥ r_p` —
+/// the expectation the tests hold Eq. 11's bound above.
+#[cfg(test)]
+fn explore_expected_units(inp: &EfficiencyInputs, beta_e: f64, gamma: f64, r_p_hat: f64) -> f64 {
     check(inp);
     assert!((0.0..=1.0).contains(&gamma), "gamma in [0,1]");
     assert!(r_p_hat >= inp.r_p - 1e-9, "r_p_hat must be ≥ r_p");
@@ -148,31 +140,10 @@ pub fn explore_expected_units(
         + m * n * beta_e * (1.0 - inp.r_c)
 }
 
-/// Exact wire bytes of one fully-transmitted parameter unit of `len`
-/// scalars under `codec` — the analytic mirror of
-/// [`Payload::wire_bytes`](crate::compress::Payload::wire_bytes):
-/// `None`/`Identity` 4·len, `QuantF16` 2·len, `QuantI8` 1·len, `TopK`
-/// 8 bytes per kept scalar with `k = ⌊frac·len⌋`. Per-unit metadata (the
-/// `QuantI8` scale, the `TopK` length header) is excluded by the same
-/// convention the ledger uses.
-pub(crate) fn unit_bytes(len: usize, codec: Option<&Compression>) -> usize {
-    match codec {
-        None | Some(Compression::Identity) => 4 * len,
-        Some(Compression::QuantF16) => 2 * len,
-        Some(Compression::QuantI8) => len,
-        Some(Compression::TopK { frac }) => 8 * k_of(*frac, len),
-    }
-}
-
-/// Exact wire bytes of one full (all units, no masking) client report
-/// whose units have `unit_lens` scalars each, under `codec`.
-pub fn report_bytes(unit_lens: &[usize], codec: Option<&Compression>) -> usize {
-    unit_lens.iter().map(|&len| unit_bytes(len, codec)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn inputs() -> EfficiencyInputs {
         EfficiencyInputs {
@@ -247,35 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_bytes_matches_codec_wire_format() {
-        assert_eq!(unit_bytes(10, None), 40);
-        assert_eq!(unit_bytes(10, Some(&Compression::Identity)), 40);
-        assert_eq!(unit_bytes(10, Some(&Compression::QuantF16)), 20);
-        assert_eq!(unit_bytes(10, Some(&Compression::QuantI8)), 10);
-        // k = floor(0.25 * 10) = 2 kept scalars at 8 bytes each.
-        assert_eq!(unit_bytes(10, Some(&Compression::TopK { frac: 0.25 })), 16);
-        assert_eq!(unit_bytes(3, Some(&Compression::TopK { frac: 0.25 })), 0);
-    }
-
-    #[test]
-    fn codec_byte_factor_against_raw() {
-        let lens = [10, 7, 3];
-        let raw = report_bytes(&lens, None);
-        assert_eq!(raw, 80);
-        assert_eq!(report_bytes(&lens, Some(&Compression::Identity)), raw);
-        assert_eq!(
-            report_bytes(&lens, Some(&Compression::QuantF16)),
-            raw / 2,
-            "f16 halves the wire"
-        );
-        assert_eq!(report_bytes(&lens, Some(&Compression::QuantI8)), raw / 4);
-        // TopK floors per unit: k = 5 + 3 + 1 = 9 of 20 scalars, 8 B each.
-        let topk = report_bytes(&lens, Some(&Compression::TopK { frac: 0.5 }));
-        assert_eq!(topk, 72);
-        assert_eq!(report_bytes(&[], Some(&Compression::QuantI8)), 0);
-    }
-
-    #[test]
     fn validation_errors() {
         let mut inp = inputs();
         inp.n_d = 100;
@@ -283,5 +225,31 @@ mod tests {
         let mut inp = inputs();
         inp.r_c = 1.5;
         assert!(inp.validate().is_err());
+    }
+
+    fn inputs_strategy() -> impl Strategy<Value = EfficiencyInputs> {
+        (2usize..64, 10usize..200, 0.05f64..0.99, 0.0f64..0.99).prop_flat_map(|(m, n, r_c, r_p)| {
+            (1usize..=n / 2).prop_map(move |n_d| EfficiencyInputs {
+                m,
+                n,
+                n_d,
+                r_c,
+                r_p,
+            })
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn explore_expectation_below_bound(
+            inp in inputs_strategy(), beta_e in 0.05f64..0.95,
+            gamma in 0.0f64..1.0, extra in 0.0f64..1.0,
+        ) {
+            let r_p_hat = inp.r_p + (1.0 - inp.r_p) * extra;
+            let e = explore_expected_units(&inp, beta_e, gamma, r_p_hat);
+            let bound = explore_ratio_bound(&inp, beta_e) * (inp.m * inp.n) as f64;
+            prop_assert!(e <= bound + 1e-6, "{e} > {bound}");
+            prop_assert!(e >= 0.0);
+        }
     }
 }

@@ -58,7 +58,7 @@ pub enum Payload {
     /// Per-unit linearly-quantized deltas: `delta ≈ code · scale` with
     /// `scale = max|delta| / 127` (1 byte per scalar; the scale rides as
     /// metadata and is excluded from the byte charge, see
-    /// [`Payload::wire_bytes`]).
+    /// [`Compressed::charge`]).
     I8 {
         /// Per-unit dequantization step; NaN when the unit carried any
         /// non-finite delta (the corruption-survival poison).
@@ -73,7 +73,7 @@ pub enum Payload {
 
 impl Payload {
     /// Encoded entries — what `uplink_scalars` counts for this unit.
-    pub fn num_entries(&self) -> usize {
+    pub(crate) fn num_entries(&self) -> usize {
         match self {
             Payload::Raw(v) => v.len(),
             Payload::F16(v) => v.len(),
@@ -86,7 +86,7 @@ impl Payload {
     /// the `I8` scale are metadata, excluded by convention — the same
     /// convention under which the uncompressed path charges `4 ×
     /// uplink_scalars` and nothing for the mask itself.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         match self {
             Payload::Raw(v) => 4 * v.len(),
             Payload::F16(v) => 2 * v.len(),
@@ -97,7 +97,7 @@ impl Payload {
 
     /// Decode in place: `out` must be pre-filled with the unit's reference
     /// values (dense codecs add their delta; `Raw` overwrites).
-    pub fn decode_into(&self, out: &mut [f32]) {
+    pub(crate) fn decode_into(&self, out: &mut [f32]) {
         match self {
             Payload::Raw(bits) => {
                 for (o, &b) in out.iter_mut().zip(bits) {
@@ -321,7 +321,7 @@ fn encode_i8(updated: &[f32], reference: &[f32]) -> Payload {
     clippy::cast_possible_truncation,
     reason = "Compression::validate keeps frac in (0, 0.5], so the floor of frac * len lies in [0, len]"
 )]
-pub fn k_of(frac: f64, len: usize) -> usize {
+fn k_of(frac: f64, len: usize) -> usize {
     (frac * len as f64).floor() as usize
 }
 
@@ -329,7 +329,7 @@ pub fn k_of(frac: f64, len: usize) -> usize {
 /// ascending index order (the canonical wire order). Selection ranks by
 /// `|delta|` descending under `total_cmp` — NaN above every finite value —
 /// with ties broken by ascending index.
-pub fn top_k_positions(deltas: &[f32], k: usize) -> Vec<usize> {
+fn top_k_positions(deltas: &[f32], k: usize) -> Vec<usize> {
     let k = k.min(deltas.len());
     if k == 0 {
         return Vec::new();
@@ -472,7 +472,7 @@ pub enum Compression {
 
 impl Compression {
     /// Validate parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if let Compression::TopK { frac } = self {
             if !(frac.is_finite() && *frac > 0.0 && *frac <= 0.5) {
                 return Err(format!("top-k fraction must be in (0, 0.5], got {frac}"));
@@ -490,7 +490,7 @@ impl Compression {
     /// Encode one masked unit given its updated and reference values.
     /// Returning an empty payload drops the unit from the wire entirely
     /// (top-k with `k = 0`): it is neither transmitted nor charged.
-    pub fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
+    fn encode_unit(&self, updated: &[f32], reference: &[f32]) -> Payload {
         let deltas = || updated.iter().zip(reference).map(|(&u, &r)| u - r);
         match *self {
             Compression::Identity => Payload::Raw(updated.iter().map(|v| v.to_bits()).collect()),
@@ -744,10 +744,9 @@ mod tests {
                 .iter()
                 .map(|d| d.to_bits())
                 .collect();
-            // The matching buffer decodes in place; each mismatched one
-            // takes the fallback.
+            // The matching buffer decodes in place, into its own memory;
+            // each mismatched one takes the fallback, a clone.
             for (b, buffer) in std::iter::once(&updated).chain(&mismatched).enumerate() {
-                assert_eq!(buffer.shares_layout(&reference), b == 0);
                 let mut d = Delivery {
                     client: 3,
                     dispatch_pos: 0,
@@ -765,7 +764,13 @@ mod tests {
                         reference: Arc::clone(&reference),
                     }),
                 };
+                let memory = d.ret.params.values().as_ptr();
                 decode_arrival(&mut d);
+                assert_eq!(
+                    d.ret.params.values().as_ptr() == memory,
+                    b == 0,
+                    "buffer {b}"
+                );
                 assert!(d.payload.is_none(), "decoded exactly once");
                 assert_eq!(bits(&d.ret.params), bits(&want), "{codec:?}, buffer {b}");
                 let got_delta: Vec<u32> = d.ret.unit_delta.iter().map(|x| x.to_bits()).collect();

@@ -73,7 +73,7 @@ pub enum StalenessPolicy {
 impl StalenessPolicy {
     /// Aggregation-weight multiplier for a report `staleness` rounds late,
     /// or `None` when the report must be discarded.
-    pub fn weight(&self, staleness: usize) -> Option<f64> {
+    pub(crate) fn weight(&self, staleness: usize) -> Option<f64> {
         match *self {
             StalenessPolicy::Discard => None,
             StalenessPolicy::Discount { gamma } => Some(discount(gamma, staleness)),
@@ -160,7 +160,7 @@ impl Default for FaultConfig {
 
 impl FaultConfig {
     /// Validate rates, bounds and policy parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, rate) in [
             ("dropout", self.dropout),
             ("straggler", self.straggler),
@@ -430,7 +430,10 @@ pub(crate) fn corrupt_params(params: &mut ParamSet, broadcast: &ParamSet, kind: 
 /// with one of those in it is non-finite too. So a non-finite parameter
 /// always shows as a non-finite delta, and one fold of `Σ f64(d)²` — finite
 /// exactly when every delta is — decides both checks.
-pub fn detect_rejection(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
+pub(crate) fn detect_rejection(
+    ret: &ClientReturn,
+    max_update_norm: Option<f32>,
+) -> Option<FaultEffect> {
     let norm_sq = ret
         .unit_delta
         .iter()
@@ -450,6 +453,8 @@ pub fn detect_rejection(ret: &ClientReturn, max_update_norm: Option<f32>) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedda_tensor::Matrix;
+    use proptest::prelude::*;
 
     #[test]
     fn validate_accepts_defaults_and_rejects_bad_rates() {
@@ -605,6 +610,109 @@ mod tests {
                 let weight = policy.weight(s).map(f64::to_bits);
                 assert_eq!(weight, Some(product.to_bits()), "gamma {gamma}, s {s}");
             }
+        }
+    }
+
+    /// The values a report's parameters or its reference can hold beyond the
+    /// ordinary: NaN, both infinities, and finite values whose difference
+    /// overflows `f32`.
+    const SPECIALS: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38, -3e38];
+
+    /// A report's `(params, reference)` as per-unit values: 1–6 units of 0–12
+    /// ordinary values each, then up to three [`SPECIALS`] written into the
+    /// parameters and up to one into the reference, at random positions.
+    fn guard_case_strategy() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<Vec<f32>>)> {
+        let units = prop::collection::vec(
+            prop::collection::vec((-4.0f32..4.0, -4.0f32..4.0), 0..13),
+            1..7,
+        );
+        let inject = |max| prop::collection::vec((any::<usize>(), 0..SPECIALS.len()), 0..max);
+        (units, inject(4), inject(2)).prop_map(|(units, into_params, into_reference)| {
+            let (mut params, mut reference): (Vec<Vec<f32>>, Vec<Vec<f32>>) = units
+                .into_iter()
+                .map(|unit| unit.into_iter().unzip())
+                .unzip();
+            let scalars: usize = params.iter().map(Vec::len).sum();
+            for (side, injections) in [(&mut params, into_params), (&mut reference, into_reference)]
+            {
+                for (at, which) in injections {
+                    if scalars == 0 {
+                        break;
+                    }
+                    let mut at = at % scalars;
+                    for unit in side.iter_mut() {
+                        if at < unit.len() {
+                            unit[at] = SPECIALS[which];
+                            break;
+                        }
+                        at -= unit.len();
+                    }
+                }
+            }
+            (params, reference)
+        })
+    }
+
+    /// One `ParamSet` holding `units`, one unit each.
+    fn param_set(units: &[Vec<f32>]) -> ParamSet {
+        let mut set = ParamSet::new();
+        for (k, unit) in units.iter().enumerate() {
+            set.add(
+                format!("u{k}"),
+                Matrix::from_vec(unit.len(), 1, unit.clone()),
+            );
+        }
+        set
+    }
+
+    /// The guard as it was when it scanned every parameter value beside the
+    /// unit deltas, kept as the oracle of the deltas-only verdict.
+    fn scanning_guard(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
+        let non_finite = ret.unit_delta.iter().any(|d| !d.is_finite())
+            || ret.params.values().iter().any(|v| !v.is_finite());
+        if non_finite {
+            return Some(FaultEffect::CorruptionRejected { non_finite: true });
+        }
+        let bound = max_update_norm?;
+        let norm = (ret.unit_delta.iter())
+            .map(|&d| f64::from(d) * f64::from(d))
+            .sum::<f64>()
+            .sqrt();
+        (norm > f64::from(bound)).then_some(FaultEffect::CorruptionRejected { non_finite: false })
+    }
+
+    proptest! {
+        /// A non-finite parameter always shows in its unit's delta, so the
+        /// guard that reads only the deltas gives the full scan's verdict —
+        /// with and without a norm bound, on either side of it.
+        #[test]
+        fn guard_on_deltas_matches_the_full_scan(
+            case in guard_case_strategy(),
+            bound in prop_oneof![0.01f32..20.0, Just(f32::MAX)],
+        ) {
+            let params = param_set(&case.0);
+            let reference = param_set(&case.1);
+            let unit_delta = params.unit_l2_distances(&reference);
+            let ret = ClientReturn { client: 0, params, unit_delta, encoded: None };
+            for max_update_norm in [None, Some(bound)] {
+                prop_assert_eq!(
+                    detect_rejection(&ret, max_update_norm),
+                    scanning_guard(&ret, max_update_norm),
+                    "bound {:?}", max_update_norm
+                );
+            }
+        }
+
+        #[test]
+        fn staleness_discount_weights_are_monotone_in_staleness(
+            gamma in 0.01f64..=1.0, staleness in 1usize..20,
+        ) {
+            let p = StalenessPolicy::Discount { gamma };
+            let w = p.weight(staleness).unwrap();
+            let w_next = p.weight(staleness + 1).unwrap();
+            prop_assert!(w > 0.0 && w <= 1.0);
+            prop_assert!(w_next <= w + 1e-15, "older reports must not gain weight");
+            prop_assert_eq!(StalenessPolicy::Discard.weight(staleness), None);
         }
     }
 }

@@ -75,12 +75,6 @@ impl FedDyn {
             broadcast: Vec::new(),
         }
     }
-
-    /// The server correction state (values order) — exposed for the chaos
-    /// harness's finiteness checks.
-    pub fn h_state(&self) -> &[f64] {
-        &self.h
-    }
 }
 
 /// One server `h`-state update:
@@ -89,7 +83,7 @@ impl FedDyn {
 /// the total client count. Pure helper shared with the property tests —
 /// applied round after round, `h` telescopes to `−(α/m)·Σ` of every delta
 /// ever admitted.
-pub fn update_h(h: &mut [f64], delta_sum: &[f64], alpha: f64, num_clients: usize) {
+fn update_h(h: &mut [f64], delta_sum: &[f64], alpha: f64, num_clients: usize) {
     debug_assert_eq!(h.len(), delta_sum.len());
     let scale = alpha / (num_clients.max(1) as f64);
     for (hk, &d) in h.iter_mut().zip(delta_sum) {
@@ -185,6 +179,7 @@ impl FlProtocol for FedDyn {
 mod tests {
     use super::*;
     use crate::system::tests::{run_sync, tiny_system};
+    use proptest::prelude::*;
 
     #[test]
     fn feddyn_trains_and_stays_finite() {
@@ -217,9 +212,9 @@ mod tests {
         let mut sys = tiny_system(2, 33);
         let mut proto = FedDyn::new(0.5);
         crate::run(&crate::RuntimeMode::Sync, &mut proto, &mut sys, None).expect("valid config");
-        assert!(proto.h_state().iter().all(|h| h.is_finite()));
+        assert!(proto.h.iter().all(|h| h.is_finite()));
         assert!(
-            proto.h_state().iter().any(|&h| h != 0.0),
+            proto.h.iter().any(|&h| h != 0.0),
             "h must move when clients train"
         );
     }
@@ -261,5 +256,31 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(FedDyn::new(0.01).name(), "FedDyn(alpha=0.01)");
+    }
+
+    proptest! {
+        #[test]
+        fn feddyn_h_updates_telescope(
+            deltas in prop::collection::vec(
+                prop::collection::vec(-100.0f64..100.0, 4), 1..20,
+            ),
+            alpha in 1e-3f64..10.0,
+            clients in 1usize..16,
+        ) {
+            // Applying the per-round h update sequentially over T rounds must
+            // telescope: h_T = −α/m · Σ_t Σ_k delta_t[k], per coordinate.
+            let dim = deltas[0].len();
+            let mut h = vec![0.0f64; dim];
+            for delta_sum in &deltas {
+                update_h(&mut h, delta_sum, alpha, clients);
+            }
+            for k in 0..dim {
+                let total: f64 = deltas.iter().map(|d| d[k]).sum();
+                let expected = -alpha / (clients as f64) * total;
+                prop_assert!((h[k] - expected).abs() <= 1e-9 * expected.abs().max(1.0),
+                    "h[{k}] = {} does not telescope to {expected}", h[k]);
+                prop_assert!(h[k].is_finite());
+            }
+        }
     }
 }

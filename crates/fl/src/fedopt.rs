@@ -88,7 +88,7 @@ impl FedAdam {
     clippy::too_many_arguments,
     reason = "the scalar Adam recurrence: moments, step, four hyper-parameters and two bias terms, each a plain f64"
 )]
-pub fn adam_update(
+fn adam_update(
     m: f64,
     v: f64,
     delta: f64,
@@ -188,6 +188,7 @@ impl FlProtocol for FedAdam {
 mod tests {
     use super::*;
     use crate::system::tests::{run_sync, tiny_system};
+    use proptest::prelude::*;
 
     #[test]
     fn fedadam_trains_and_stays_finite() {
@@ -279,5 +280,42 @@ mod tests {
     #[test]
     fn names_are_stable() {
         assert_eq!(FedAdam::new(0.01).name(), "FedAdam(lr=0.01)");
+    }
+
+    proptest! {
+        #[test]
+        fn adam_moments_stay_finite_and_match_the_scalar_reference(
+            deltas in prop::collection::vec(-1e3f64..1e3, 1..50),
+            lr in 1e-4f64..1.0,
+            beta1 in 0.0f64..0.999,
+            beta2 in 0.0f64..0.999,
+            epsilon in 1e-8f64..1e-2,
+        ) {
+            // Drive one scalar coordinate through T rounds of adam_update and
+            // check the moments against the closed-form EMA (powi-based bias
+            // correction), staying finite throughout.
+            let mut m = 0.0f64;
+            let mut v = 0.0f64;
+            for (t, &delta) in deltas.iter().enumerate() {
+                let steps = (t + 1) as i32;
+                let bias1 = 1.0 - beta1.powi(steps);
+                let bias2 = 1.0 - beta2.powi(steps);
+                let (m_next, v_next, step) =
+                    adam_update(m, v, delta, lr, beta1, beta2, epsilon, bias1, bias2);
+                // Reference EMA recursion, computed independently.
+                let m_ref = beta1 * m + (1.0 - beta1) * delta;
+                let v_ref = beta2 * v + (1.0 - beta2) * delta * delta;
+                prop_assert_eq!(m_next.to_bits(), m_ref.to_bits());
+                prop_assert_eq!(v_next.to_bits(), v_ref.to_bits());
+                let step_ref = lr * (m_ref / bias1) / ((v_ref / bias2).sqrt() + epsilon);
+                prop_assert_eq!(step.to_bits(), step_ref.to_bits());
+                prop_assert!(m_next.is_finite() && v_next.is_finite() && step.is_finite());
+                prop_assert!(v_next >= 0.0, "second moment went negative: {v_next}");
+                // The bias-corrected step is bounded by lr·|m̂|/ε.
+                prop_assert!(step.abs() <= lr * (m_ref / bias1).abs() / epsilon + 1e-12);
+                m = m_next;
+                v = v_next;
+            }
+        }
     }
 }

@@ -39,16 +39,6 @@ impl Default for FedProx {
     }
 }
 
-impl FedProx {
-    /// FedProx with the given proximal coefficient and full participation.
-    pub fn new(mu: f64) -> Self {
-        Self {
-            mu,
-            client_fraction: 1.0,
-        }
-    }
-}
-
 impl FlProtocol for FedProx {
     fn name(&self) -> String {
         format!("FedProx(mu={})", self.mu)
@@ -93,7 +83,13 @@ mod tests {
     #[test]
     fn fedprox_trains_and_transmits_everything() {
         let mut sys = tiny_system(3, 21);
-        let result = run_sync(&mut FedProx::new(0.01), &mut sys);
+        let result = run_sync(
+            &mut FedProx {
+                mu: 0.01,
+                client_fraction: 1.0,
+            },
+            &mut sys,
+        );
         let rounds = sys.config().rounds;
         assert_eq!(result.curve.len(), rounds);
         assert_eq!(
@@ -108,8 +104,20 @@ mod tests {
     fn seeded_runs_reproduce() {
         let mut s1 = tiny_system(3, 22);
         let mut s2 = tiny_system(3, 22);
-        let r1 = run_sync(&mut FedProx::new(0.05), &mut s1);
-        let r2 = run_sync(&mut FedProx::new(0.05), &mut s2);
+        let r1 = run_sync(
+            &mut FedProx {
+                mu: 0.05,
+                client_fraction: 1.0,
+            },
+            &mut s1,
+        );
+        let r2 = run_sync(
+            &mut FedProx {
+                mu: 0.05,
+                client_fraction: 1.0,
+            },
+            &mut s2,
+        );
         for (a, b) in r1.curve.iter().zip(&r2.curve) {
             assert_eq!(a.roc_auc.to_bits(), b.roc_auc.to_bits());
         }
@@ -125,19 +133,41 @@ mod tests {
         // per round (the first step starts exactly at the anchor).
         let mut free = tiny_system_with(3, 23, |cfg| cfg.train.local_epochs = 2);
         let mut pinned = tiny_system_with(3, 23, |cfg| cfg.train.local_epochs = 2);
-        let _ = run_sync(&mut FedProx::new(0.0), &mut free);
-        let _ = run_sync(&mut FedProx::new(10.0), &mut pinned);
+        let _ = run_sync(
+            &mut FedProx {
+                mu: 0.0,
+                client_fraction: 1.0,
+            },
+            &mut free,
+        );
+        let _ = run_sync(
+            &mut FedProx {
+                mu: 10.0,
+                client_fraction: 1.0,
+            },
+            &mut pinned,
+        );
         assert_ne!(free.global.flatten(), pinned.global.flatten());
     }
 
     #[test]
     fn validation_pins_rejection_messages() {
         assert_eq!(
-            FedProx::new(-0.1).validate().unwrap_err(),
+            FedProx {
+                mu: -0.1,
+                client_fraction: 1.0
+            }
+            .validate()
+            .unwrap_err(),
             "mu must be finite and non-negative, got -0.1"
         );
         assert_eq!(
-            FedProx::new(f64::NAN).validate().unwrap_err(),
+            FedProx {
+                mu: f64::NAN,
+                client_fraction: 1.0
+            }
+            .validate()
+            .unwrap_err(),
             "mu must be finite and non-negative, got NaN"
         );
         let bad_fraction = FedProx {
@@ -148,11 +178,23 @@ mod tests {
             bad_fraction.validate().unwrap_err(),
             "client_fraction must be in (0,1], got 0"
         );
-        assert!(FedProx::new(0.0).validate().is_ok());
+        assert!(FedProx {
+            mu: 0.0,
+            client_fraction: 1.0
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(FedProx::new(0.01).name(), "FedProx(mu=0.01)");
+        assert_eq!(
+            FedProx {
+                mu: 0.01,
+                client_fraction: 1.0
+            }
+            .name(),
+            "FedProx(mu=0.01)"
+        );
     }
 }

@@ -22,7 +22,7 @@
 //! * [`baselines`] — centralised `Global` and isolated `Local` training;
 //! * [`analysis`] — the closed-form efficiency model of §5.4.3
 //!   (Eqs. 8–11);
-//! * [`faults`] — deterministic fault injection (client dropout, straggler
+//! * `faults` ([`FaultConfig`]) — deterministic fault injection (client dropout, straggler
 //!   delay, update corruption) with its own RNG stream, structured
 //!   [`FaultObserved`] records and graceful degradation guarantees
 //!   (exercised by the `chaos` test harness);
@@ -76,11 +76,11 @@ mod comm;
 pub mod compress;
 mod engine;
 mod events;
-pub mod faults;
+mod faults;
 mod fedavg;
 mod fedda;
-pub mod feddyn;
-pub mod fedopt;
+mod feddyn;
+mod fedopt;
 mod fedprox;
 mod protocol;
 pub mod runtime;
@@ -93,7 +93,7 @@ pub use engine::{run, AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
 pub use events::{EventSink, MemorySink, RoundEvent, StderrSink};
 pub use faults::{
     Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan, ScriptedFault,
-    StalenessPolicy,
+    StalenessPolicy, FAULT_STREAM_TWEAK,
 };
 pub use fedavg::FedAvg;
 pub use fedda::{FedDa, MaskRule, Reactivation};

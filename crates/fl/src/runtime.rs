@@ -1,7 +1,7 @@
 //! The deterministic event-driven simulation runtime under the round
 //! engine.
 //!
-//! Everything here runs on *virtual time*: an integer [`Tick`] clock that
+//! Everything here runs on *virtual time*: an integer `Tick` clock that
 //! only advances when the [`Scheduler`] pops an event, never from a wall
 //! clock (`clippy.toml`'s `disallowed-methods` keeps `Instant` /
 //! `SystemTime` out of this crate's logic). Determinism falls out of two
@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 /// Virtual time, in integer ticks. Lockstep execution maps round `r` to
 /// tick `r`; buffered execution charges one tick of latency per healthy
 /// report plus the fault plan's straggler delay.
-pub type Tick = u64;
+pub(crate) type Tick = u64;
 
 /// A deterministic discrete-event queue over virtual time.
 ///

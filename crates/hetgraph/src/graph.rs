@@ -123,7 +123,7 @@ impl EdgeList {
     }
 
     /// Iterate `(src, dst)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.src.iter().copied().zip(self.dst.iter().copied())
     }
 }
@@ -210,7 +210,8 @@ impl HeteroGraph {
     }
 
     /// Mutable edges of one type.
-    pub fn edges_of_type_mut(&mut self, t: EdgeTypeId) -> &mut EdgeList {
+    #[cfg(test)]
+    pub(crate) fn edges_of_type_mut(&mut self, t: EdgeTypeId) -> &mut EdgeList {
         &mut self.edges[t.index()]
     }
 
@@ -302,11 +303,6 @@ pub struct MessageEdges {
 }
 
 impl MessageEdges {
-    /// Number of messages.
-    pub fn len(&self) -> usize {
-        self.src.len()
-    }
-
     /// True when there are no messages.
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
@@ -367,7 +363,7 @@ pub(crate) mod tests {
         g.edges_of_type_mut(EdgeTypeId(1)).push(0, 2); // symmetric
         let me = g.message_edges(true);
         // 1 directed + 2 mirrored + 5 self-loops
-        assert_eq!(me.len(), 1 + 2 + 5);
+        assert_eq!(me.src.len(), 1 + 2 + 5);
         assert_eq!(me.num_message_types, 3);
         // the mirrored copy exists
         assert!(me
@@ -387,7 +383,7 @@ pub(crate) mod tests {
         let mut g = edgeless(ns);
         g.edges_of_type_mut(EdgeTypeId(1)).push(1, 1);
         let me = g.message_edges(false);
-        assert_eq!(me.len(), 1);
+        assert_eq!(me.src.len(), 1);
     }
 
     #[test]

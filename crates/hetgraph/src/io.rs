@@ -174,7 +174,7 @@ impl From<serde_json::Error> for IoError {
 
 impl GraphDoc {
     /// Current format version.
-    pub const VERSION: u32 = 1;
+    pub(crate) const VERSION: u32 = 1;
 
     /// Snapshot a heterograph.
     pub fn from_graph(graph: &HeteroGraph) -> Self {
@@ -224,7 +224,7 @@ impl GraphDoc {
     /// most as many nodes as the document lists edge endpoints, plus 65 536
     /// for isolated ones: `feat_dim: 0, count: 4000000000` is a few bytes of
     /// JSON that would otherwise size the node store in gigabytes.
-    pub fn into_graph(self) -> Result<HeteroGraph, IoError> {
+    pub(crate) fn into_graph(self) -> Result<HeteroGraph, IoError> {
         if self.version != Self::VERSION {
             return Err(IoError::Invalid(format!(
                 "unsupported version {} (expected {})",
@@ -359,6 +359,10 @@ pub fn load_json(path: &Path) -> Result<HeteroGraph, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EdgeList;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample_graph() -> HeteroGraph {
         let mut schema = Schema::new();
@@ -540,5 +544,123 @@ mod tests {
         doc.edge_types[0].src.push(0);
         doc.edge_types[0].dst.push(1);
         assert!(doc.into_graph().is_err());
+    }
+
+    /// Random two-type heterograph with a directed a→b type and a symmetric a–a
+    /// type.
+    fn random_graph(na: usize, nb: usize, n_ab: usize, n_aa: usize, seed: u64) -> HeteroGraph {
+        let mut s = Schema::new();
+        let a = s.add_node_type("a", 2);
+        let b = s.add_node_type("b", 2);
+        s.add_edge_type("ab", a, b, false);
+        s.add_edge_type("aa", a, a, true);
+        let store = Arc::new(NodeStore::new(
+            s,
+            &[na, nb],
+            vec![vec![0.0; na * 2], vec![0.0; nb * 2]],
+        ));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ab = EdgeList::new();
+        for _ in 0..n_ab {
+            ab.push(
+                rng.gen_range(0..na) as u32,
+                (na + rng.gen_range(0..nb)) as u32,
+            );
+        }
+        let mut aa = EdgeList::new();
+        for _ in 0..n_aa {
+            aa.push(rng.gen_range(0..na) as u32, rng.gen_range(0..na) as u32);
+        }
+        HeteroGraph::from_edges(store, vec![ab, aa])
+    }
+
+    /// A count or dimension a hostile archive may claim.
+    fn claimed_size() -> impl Strategy<Value = usize> {
+        (0usize..5).prop_map(|i| [0, 1, 7, usize::MAX / 2, usize::MAX][i])
+    }
+
+    /// A node type whose feature list matches its claimed `count × feat_dim`
+    /// when `honest` (and the product is small enough to write down), and is
+    /// seven values otherwise.
+    fn node_type_doc() -> impl Strategy<Value = NodeTypeDoc> {
+        (claimed_size(), claimed_size(), any::<bool>()).prop_map(|(count, feat_dim, honest)| {
+            let len = count.checked_mul(feat_dim).filter(|&n| honest && n <= 49);
+            NodeTypeDoc {
+                name: "n".to_string(),
+                feat_dim,
+                count,
+                features: vec![0.5; len.unwrap_or(7)],
+            }
+        })
+    }
+
+    /// An edge type over node-type indices and endpoints that may or may not
+    /// exist, with `src` / `dst` lists of independent lengths.
+    fn edge_type_doc() -> impl Strategy<Value = EdgeTypeDoc> {
+        let endpoints = || prop::collection::vec(0u32..16, 0..4);
+        (
+            0usize..4,
+            0usize..4,
+            any::<bool>(),
+            endpoints(),
+            endpoints(),
+        )
+            .prop_map(|(src_type, dst_type, symmetric, src, dst)| EdgeTypeDoc {
+                name: "e".to_string(),
+                src_type,
+                dst_type,
+                symmetric,
+                src,
+                dst,
+            })
+    }
+
+    proptest! {
+        /// An archive is outside input: whatever it claims, loading it ends in
+        /// a graph or in `IoError::Invalid`, never in a panic or an abort.
+        #[test]
+        fn arbitrary_graph_docs_load_or_are_refused(
+            node_types in prop::collection::vec(node_type_doc(), 0..3),
+            edge_types in prop::collection::vec(edge_type_doc(), 0..3),
+        ) {
+            let doc = GraphDoc { version: GraphDoc::VERSION, node_types, edge_types };
+            match doc.clone().into_graph() {
+                Ok(graph) => prop_assert_eq!(GraphDoc::from_graph(&graph), doc),
+                Err(IoError::Invalid(_)) => {}
+                Err(other) => prop_assert!(false, "unexpected error: {}", other),
+            }
+        }
+
+        /// The same one level down, on the archive's bytes: every truncation of
+        /// a saved graph's JSON text and every single-byte substitution from
+        /// the grammar's own alphabet parses into a graph or is refused.
+        #[test]
+        fn truncated_and_byte_flipped_archives_load_or_are_refused(
+            na in 1usize..4, nb in 1usize..3,
+            n_ab in 0usize..4, n_aa in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            let doc = GraphDoc::from_graph(&random_graph(na, nb, n_ab, n_aa, seed));
+            let text = serde_json::to_string(&doc).expect("serialise");
+            let load = |bytes: &[u8]| -> Result<(), IoError> {
+                // Bytes that are not UTF-8 (a cut or a flip inside a character)
+                // never reach the parser: `read_to_string` refuses them first.
+                let Ok(text) = std::str::from_utf8(bytes) else { return Ok(()) };
+                serde_json::from_str::<GraphDoc>(text)?.into_graph().map(drop)
+            };
+            let mut bytes = text.into_bytes();
+            prop_assert!(load(&bytes).is_ok());
+            for end in 0..bytes.len() {
+                let _ = load(&bytes[..end]);
+            }
+            for at in 0..bytes.len() {
+                let original = bytes[at];
+                for &flip in b"\"\\{[}],:e-.u\0" {
+                    bytes[at] = flip;
+                    let _ = load(&bytes);
+                }
+                bytes[at] = original;
+            }
+        }
     }
 }

@@ -101,7 +101,8 @@ impl EdgeIndex {
     }
 
     /// Whether `src → dst` exists as an edge of type `etype`.
-    pub fn contains(&self, etype: EdgeTypeId, src: NodeId, dst: NodeId) -> bool {
+    #[cfg(test)]
+    fn contains(&self, etype: EdgeTypeId, src: NodeId, dst: NodeId) -> bool {
         self.edges.binary_search(&(etype.0, src, dst)).is_ok()
     }
 
@@ -268,8 +269,9 @@ mod tests {
     use super::*;
     use crate::graph::{EdgeList, NodeStore};
     use crate::schema::Schema;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn bipartite() -> HeteroGraph {
@@ -469,5 +471,126 @@ mod tests {
         let batches = LinkSampler::batches(&mut examples, 3, &mut rng);
         assert_eq!(batches.iter().map(|b| b.len()).sum::<usize>(), total);
         assert!(batches.iter().all(|b| b.len() <= 3));
+    }
+
+    /// Four edge types over `na` type-a and `nb` type-b nodes — "ab" and "ab2"
+    /// (both a→b, so they share sources), a symmetric "aa" and a "ba" that
+    /// never holds an edge — from index pairs taken modulo the node counts;
+    /// repeated pairs are multi-edges. With `saturate`, a-node 0 is
+    /// "ab"-adjacent to *every* b-node, so all 32 rejection draws for it fail
+    /// and the unchecked fallback fires.
+    fn typed_graph(
+        na: usize,
+        nb: usize,
+        pairs: [&[(usize, usize)]; 3],
+        saturate: bool,
+    ) -> HeteroGraph {
+        let mut s = Schema::new();
+        let a = s.add_node_type("a", 1);
+        let b = s.add_node_type("b", 1);
+        s.add_edge_type("ab", a, b, false);
+        s.add_edge_type("aa", a, a, true);
+        s.add_edge_type("ab2", a, b, false);
+        s.add_edge_type("ba", b, a, false);
+        let store = Arc::new(NodeStore::new(
+            s,
+            &[na, nb],
+            vec![vec![0.0; na], vec![0.0; nb]],
+        ));
+        // type-a nodes are global 0..na, type-b nodes na..na+nb.
+        let dst_base = [na, 0, na];
+        let dst_count = [nb, na, nb];
+        let mut lists = vec![EdgeList::new(); 4];
+        for (t, list) in lists.iter_mut().take(3).enumerate() {
+            for &(src, dst) in pairs[t] {
+                list.push((src % na) as u32, (dst_base[t] + dst % dst_count[t]) as u32);
+            }
+        }
+        if saturate {
+            for d in 0..nb {
+                lists[0].push(0, (na + d) as u32);
+            }
+        }
+        HeteroGraph::from_edges(store, lists)
+    }
+
+    /// The reference for `LinkSampler::with_negatives`: every drawn candidate is
+    /// looked up in the whole edge index through `contains`.
+    fn reference_with_negatives(
+        graph: &HeteroGraph,
+        index: &EdgeIndex,
+        positives: &[LinkExample],
+        negatives_per_positive: usize,
+        rng: &mut StdRng,
+    ) -> Vec<LinkExample> {
+        let mut out = Vec::new();
+        for &p in positives {
+            out.push(p);
+            let dst_type = graph.schema().edge_type(p.etype).dst_type;
+            let candidates = graph.nodes().nodes_of_type(dst_type);
+            for _ in 0..negatives_per_positive {
+                let accepted = (0..32).find_map(|_| {
+                    let d = candidates[rng.gen_range(0..candidates.len())];
+                    (!index.contains(p.etype, p.src, d)).then_some(d)
+                });
+                let dst =
+                    accepted.unwrap_or_else(|| candidates[rng.gen_range(0..candidates.len())]);
+                out.push(LinkExample {
+                    dst,
+                    label: false,
+                    ..p
+                });
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Rejecting against one source's edges draws what rejecting against the
+        /// whole index drew: the same examples from the same RNG draws.
+        #[test]
+        fn negatives_match_the_whole_index_reference(
+            na in 1usize..5, nb in 1usize..5,
+            ab in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+            aa in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+            ab2 in prop::collection::vec((0usize..8, 0usize..8), 0..12),
+            edits in prop::collection::vec((0u16..3, 0usize..16, 0usize..16), 0..6),
+            saturate in any::<bool>(),
+            negatives in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let mut g = typed_graph(na, nb, [&ab, &aa, &ab2], saturate);
+            // Edges added after construction skip `from_edges`' type checks:
+            // sources and destinations of either node type, the highest node id
+            // as a source, and a repeat of an edge already there. "ba" stays
+            // empty.
+            let n = na + nb;
+            let last = (n - 1) as u32;
+            for &(t, src, dst) in &edits {
+                g.edges_of_type_mut(EdgeTypeId(t)).push((src % n) as u32, (dst % n) as u32);
+            }
+            g.edges_of_type_mut(EdgeTypeId(2)).push(last, 0);
+            if let Some(&(t, src, dst)) = edits.first() {
+                g.edges_of_type_mut(EdgeTypeId(t)).push((src % n) as u32, (dst % n) as u32);
+            }
+            let index = EdgeIndex::new(&g);
+            let sampler = LinkSampler::with_index(&g, index.clone());
+            // Every edge, then every (edge type, node) pair whether or not the
+            // node has such an edge: sources with no out-edges and sources of
+            // the other node type are queried.
+            let mut positives = sampler.all_positives();
+            for etype in g.schema().edge_type_ids() {
+                let dst_type = g.schema().edge_type(etype).dst_type;
+                let dst = g.nodes().nodes_of_type(dst_type)[0];
+                positives.extend((0..n as u32).map(|src| LinkExample { src, dst, etype, label: true }));
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = rng.clone();
+            let got = sampler.with_negatives(&positives, negatives, &mut rng);
+            let expect =
+                reference_with_negatives(&g, &index, &positives, negatives, &mut reference_rng);
+            prop_assert_eq!(got, expect);
+            prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG states differ");
+        }
     }
 }

@@ -41,7 +41,7 @@ pub use config::{Decoder, HgnConfig};
 pub use model::SimpleHgn;
 pub use predictor::LinkPredictor;
 pub use trainer::{
-    apply_penalty_grads, evaluate, evaluate_detailed, train_local, DetailedEvalResult, EvalResult,
-    Penalty, TrainConfig, TrainStats, Workspace,
+    evaluate, evaluate_detailed, train_local, DetailedEvalResult, EvalResult, Penalty, TrainConfig,
+    TrainStats, Workspace,
 };
 pub use view::GraphView;

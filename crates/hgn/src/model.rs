@@ -365,9 +365,10 @@ mod tests {
         let mut graph = Graph::new();
         let mut tb = TapeBindings::new();
         let emb = model.encode(&mut graph, &mut tb, &params, &view);
-        let (n, d) = graph.shape(emb);
-        assert_eq!(n, view.num_nodes);
-        assert_eq!(d, model.config().out_dim());
+        let (n, d) = (view.num_nodes, model.config().out_dim());
+        // The shape, as the view's `Debug` form names it.
+        let shape = format!("{:?}", graph.value(emb));
+        assert!(shape.starts_with(&format!("MatrixRef({n}x{d})")), "{shape}");
         for row in graph.value(emb).as_slice().chunks(d) {
             let norm: f32 = row.iter().map(|&x| x * x).sum::<f32>().sqrt();
             assert!(norm <= 1.0 + 1e-4, "row norm {norm}");
@@ -386,7 +387,10 @@ mod tests {
         let mut tb = TapeBindings::new();
         let emb = model.encode(&mut graph, &mut tb, &params, &view);
         let logits = model.score_links(&mut graph, &mut tb, &params, emb, &examples);
-        assert_eq!(graph.shape(logits), (examples.len(), 1));
+        // One logit per example, a column.
+        let shape = format!("{:?}", graph.value(logits));
+        let want = format!("MatrixRef({}x1)", examples.len());
+        assert!(shape.starts_with(&want), "{shape}");
         let targets: Vec<f32> = examples
             .iter()
             .map(|e| if e.label { 1.0 } else { 0.0 })
@@ -491,7 +495,7 @@ mod tests {
 
         // Attention weights remain a convex combination: still normalised
         // per destination, so embeddings stay bounded after L2 norm.
-        for row in blended_vals.chunks(graph2.shape(blended).1) {
+        for row in blended_vals.chunks(with_res.config().out_dim()) {
             let norm: f32 = row.iter().map(|&x| x * x).sum::<f32>().sqrt();
             assert!(norm <= 1.0 + 1e-4);
         }

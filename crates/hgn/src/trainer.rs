@@ -92,7 +92,7 @@ pub struct Penalty<'a> {
 
 /// Add the penalty gradient `μ·(θ − θ_ref) + linear` to every accumulated
 /// gradient: one pass over the flat value and gradient buffers.
-pub fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
+fn apply_penalty_grads(params: &mut ParamSet, penalty: &Penalty<'_>) {
     let reference = penalty.reference.values();
     let (theta, grads) = params.values_and_grads_mut();
     assert_eq!(theta.len(), reference.len(), "penalty reference layout");
@@ -405,8 +405,9 @@ mod tests {
     use crate::SimpleHgn;
     use fedda_data::{amazon_like, PresetOptions};
     use fedda_hetgraph::split::split_edges;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn training_reduces_loss_and_beats_chance() {
@@ -538,10 +539,15 @@ mod tests {
         );
         assert!(stats.steps > 0);
         assert!(
-            params.grads().is_empty(),
+            params.take_grads().is_empty(),
             "a trained set kept its gradients"
         );
-        assert!(params.shares_layout(&global));
+        // Under the global layout: the global values are copied into the
+        // set's own memory, not cloned over it.
+        let mut probe = params.clone();
+        let memory = probe.values().as_ptr();
+        probe.copy_from(&global);
+        assert_eq!(probe.values().as_ptr(), memory);
         assert_ne!(params.values(), global.values());
     }
 
@@ -594,10 +600,11 @@ mod tests {
         (g, view, positives)
     }
 
-    /// One workspace trains client A, then a larger client B, then A again:
-    /// parameters and losses match fresh workspaces by `to_bits`. After a
-    /// client's first step neither tape arena grows over its remaining
-    /// steps, nor over a second round of the same clients.
+    /// One workspace trains client A, then a larger client B, then A again,
+    /// in batches and in one whole-client step: parameters and losses match
+    /// fresh workspaces by `to_bits`. (That the tape stops growing across
+    /// this pattern is the tape's own unit test,
+    /// `a_cleared_tape_stops_growing_across_clients_and_rounds`.)
     #[test]
     fn a_reused_workspace_is_invisible() {
         let (a, b) = (client(0.002), client(0.004));
@@ -645,17 +652,71 @@ mod tests {
             batch_size: usize::MAX,
             ..tc.clone()
         };
+        let fresh_whole = |c| train(&mut Workspace::default(), c, &whole);
         let mut ws = Workspace::default();
-        let mut held = Vec::new();
         for c in [&a, &b] {
-            assert_eq!(train(&mut ws, c, &whole).2, 1);
-            held.push(ws.graph.arena_capacity());
-            train(&mut ws, c, &tc);
-            assert_eq!(ws.graph.arena_capacity(), held[held.len() - 1]);
+            let whole_step = train(&mut ws, c, &whole);
+            assert_eq!(whole_step.2, 1);
+            assert_eq!(whole_step, fresh_whole(c));
+            assert_eq!(train(&mut ws, c, &tc), fresh(c));
         }
-        for c in [&a, &b] {
-            train(&mut ws, c, &tc);
-            assert_eq!(ws.graph.arena_capacity(), held[1]);
+    }
+
+    /// A scalar from the families a reordered pass would betray: signed
+    /// zeros, subnormals, and magnitudes over seven decades.
+    fn awkward(rng: &mut StdRng) -> f32 {
+        let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+        match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => sign * f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+            _ => sign * rng.gen_range(0.0f32..1.0) * 10f32.powi(rng.gen_range(-3i32..4)),
+        }
+    }
+
+    proptest! {
+        /// The penalty pass over the flat buffers gives each gradient what
+        /// it got when every unit was a matrix of its own — `μ·(θ − θ_ref)
+        /// + linear`, the linear term read at a running offset — by
+        /// `to_bits`, with and without the linear term, on 1–6 units of
+        /// awkward shapes (empty ones included).
+        #[test]
+        fn penalty_pass_equals_its_per_unit_reference(
+            shapes in prop::collection::vec((0usize..4, 1usize..14), 1..7),
+            mu in prop_oneof![Just(0.0f32), Just(0.01f32), Just(1.0f32)],
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut units = || -> Vec<Vec<f32>> {
+                (shapes.iter())
+                    .map(|&(r, c)| (0..r * c).map(|_| awkward(&mut rng)).collect())
+                    .collect()
+            };
+            let (theta, anchor, grads, linear) = (units(), units(), units(), units().concat());
+            let set = |values: &[Vec<f32>]| {
+                let mut ps = ParamSet::new();
+                for (k, (&(r, c), unit)) in shapes.iter().zip(values).enumerate() {
+                    ps.add(format!("u{k}"), fedda_tensor::Matrix::from_vec(r, c, unit.clone()));
+                }
+                ps
+            };
+            let reference = set(&anchor);
+            for linear in [None, Some(linear.as_slice())] {
+                let mut ps = set(&theta);
+                ps.values_and_grads_mut().1.copy_from_slice(&grads.concat());
+                apply_penalty_grads(&mut ps, &Penalty { prox_mu: mu, reference: &reference, linear });
+                let mut want = grads.clone();
+                let mut offset = 0;
+                for ((t, g), r) in theta.iter().zip(&mut want).zip(&anchor) {
+                    for i in 0..t.len() {
+                        let lin = linear.map_or(0.0, |l| l[offset + i]);
+                        g[i] += mu * (t[i] - r[i]) + lin;
+                    }
+                    offset += t.len();
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&ps.take_grads()), bits(&want.concat()));
+            }
         }
     }
 }

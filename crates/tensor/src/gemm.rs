@@ -15,7 +15,7 @@
 //!
 //! No term is skipped: `0·NaN` and `0·Inf` reach the output as NaN in all
 //! three layouts, so a corrupted operand stays visible to the corruption
-//! guard (`fedda_fl::faults::detect_rejection`, which reads a report's
+//! guard (`fedda-fl`'s `detect_rejection`, which reads a report's
 //! per-unit deltas). On finite inputs a zero-skip would change nothing —
 //! a chain started at `+0.0` can never become `-0.0` — so FedDA's
 //! exactly-zero masked weights need no special case.
@@ -336,14 +336,10 @@ fn load<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
     v
 }
 
-/// The scalar triple-loop oracle the tests compare against, bit for bit.
-#[cfg(test)]
-#[path = "../tests/oracle/mod.rs"]
-mod oracle;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -74,13 +74,13 @@ mod tests {
     fn normal_has_roughly_right_moments() {
         let mut rng = StdRng::seed_from_u64(7);
         let m = normal(&mut rng, 100, 100, 1.0, 2.0);
-        let mean = m.as_slice().iter().sum::<f32>() / m.len() as f32;
+        let mean = m.as_slice().iter().sum::<f32>() / m.as_slice().len() as f32;
         let var = m
             .as_slice()
             .iter()
             .map(|&x| (x - mean) * (x - mean))
             .sum::<f32>()
-            / (m.len() - 1) as f32;
+            / (m.as_slice().len() - 1) as f32;
         assert!((mean - 1.0).abs() < 0.1, "mean was {mean}");
         assert!((var - 4.0).abs() < 0.3, "var was {var}");
     }
@@ -96,7 +96,7 @@ mod tests {
     fn odd_element_count_normal() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = normal(&mut rng, 3, 3, 0.0, 1.0);
-        assert_eq!(m.len(), 9);
+        assert_eq!(m.as_slice().len(), 9);
         assert!(m.as_slice().iter().all(|x| x.is_finite()));
     }
 }

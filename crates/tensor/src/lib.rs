@@ -108,6 +108,12 @@ fn refuse_if_missing(cpuinfo: &str) -> Result<(), String> {
     ))
 }
 
+/// The scalar oracles and input families the unit tests compare against,
+/// bit for bit (shared with `tests/proptests.rs`).
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;

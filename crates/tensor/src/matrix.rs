@@ -16,7 +16,8 @@ use std::fmt;
 /// use fedda_tensor::Matrix;
 /// let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
 /// let b = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
-/// assert_eq!(a.matmul(&b).as_slice(), &[3.0, 7.0]);
+/// let c = a.matmul(&b);
+/// assert_eq!((c.get(0, 0), c.get(1, 0)), (3.0, 7.0));
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -79,11 +80,6 @@ impl<'a> MatrixRef<'a> {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
     }
-
-    /// Row `r` as a slice.
-    pub fn row(&self, r: usize) -> &'a [f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
 }
 
 impl Matrix {
@@ -135,32 +131,19 @@ impl Matrix {
 
     /// `(rows, cols)` pair.
     #[inline]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Total number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the matrix holds no elements. Public beside `len`, as
-    /// clippy's `len_without_is_empty` asks.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Flat row-major view of the data.
     #[inline]
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable flat row-major view of the data.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -183,13 +166,6 @@ impl Matrix {
     fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Matrix transpose (allocates).
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        crate::gemm::transpose_into(&self.data, self.shape(), &mut out.data);
-        out
     }
 
     /// `self @ other` — plain matrix multiply on the register-tiled kernel
@@ -215,13 +191,6 @@ impl Matrix {
     /// Panics when the column counts differ.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         crate::gemm::gemm_nt(self, other)
-    }
-
-    /// Elementwise sum (allocates).
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "add shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(&a, &b)| a + b);
-        Matrix::from_vec(self.rows, self.cols, data.collect())
     }
 
     /// Scalar product (allocates).
@@ -278,6 +247,13 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+
+    /// `m` transposed by the naive loop.
+    fn transposed(m: &Matrix) -> Matrix {
+        let (r, c) = m.shape();
+        Matrix::from_vec(c, r, oracle::transpose(m.as_slice(), (r, c)))
+    }
 
     #[test]
     fn constructors_and_accessors() {
@@ -285,9 +261,8 @@ mod tests {
         assert_eq!(m.shape(), (2, 3));
         assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(m.len(), 6);
-        assert!(!m.is_empty());
-        assert!(Matrix::zeros(0, 4).is_empty());
+        assert_eq!(m.as_slice().len(), 6);
+        assert_eq!(Matrix::zeros(0, 4).shape(), (0, 4));
     }
 
     #[test]
@@ -298,11 +273,18 @@ mod tests {
 
     #[test]
     fn transpose_roundtrip() {
+        // The blocked kernel `gemm_nt` transposes its right operand with.
+        let transpose = |m: &Matrix| {
+            let mut out = Matrix::zeros(m.cols, m.rows);
+            crate::gemm::transpose_into(&m.data, m.shape(), &mut out.data);
+            out
+        };
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = m.transpose();
+        let t = transpose(&m);
+        assert_eq!(t, transposed(&m));
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t.get(2, 1), 6.0);
-        assert_eq!(t.transpose(), m);
+        assert_eq!(transpose(&t), m);
     }
 
     #[test]
@@ -317,21 +299,19 @@ mod tests {
     fn matmul_tn_equals_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 4, (0..12).map(|x| x as f32).collect());
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
+        assert_eq!(a.matmul_tn(&b), transposed(&a).matmul(&b));
     }
 
     #[test]
     fn matmul_nt_equals_explicit_transpose() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(4, 3, (0..12).map(|x| x as f32).collect());
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
+        assert_eq!(a.matmul_nt(&b), a.matmul(&transposed(&b)));
     }
 
     #[test]
     fn elementwise_ops() {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
     }
 

@@ -214,7 +214,8 @@ impl ParamSet {
 
     /// Every accumulated gradient, laid out like [`ParamSet::values`]; empty
     /// while the set holds no gradients.
-    pub fn grads(&self) -> &[f32] {
+    #[cfg(test)]
+    fn grads(&self) -> &[f32] {
         &self.grads
     }
 
@@ -316,7 +317,7 @@ impl ParamSet {
 
     /// Whether the two sets share one layout — one is a clone of the other,
     /// or both are of one original.
-    pub fn shares_layout(&self, other: &ParamSet) -> bool {
+    pub(crate) fn shares_layout(&self, other: &ParamSet) -> bool {
         Arc::ptr_eq(&self.layout, &other.layout)
     }
 }

@@ -9,9 +9,10 @@
 //! networks: besides dense algebra it has the two fused per-edge kernels of
 //! attention message passing — `edge_softmax` (Eq. 2 scores → LeakyReLU →
 //! per-destination softmax) and `edge_aggregate` (gather · scale ·
-//! scatter-add) — the unfused primitives they replay bit for bit
-//! (`gather_rows`, `scatter_add_rows`, `leaky_relu`, `segment_softmax`,
-//! `mul_col_broadcast`: their test oracle; DESIGN §8 "Edge kernels"),
+//! scatter-add), which replay unfused chains bit for bit (`gather_rows`,
+//! `scatter_add_rows`, `leaky_relu`, `segment_softmax`,
+//! `mul_col_broadcast`; the ops only those chains use are the test-only
+//! `reference` module; DESIGN §8 "Edge kernels"),
 //! row-wise L2 normalisation (the Simple-HGN output head), the fused
 //! dot-product decoder `pair_dot`, which replays `gather_rows`×2 →
 //! `row_dot`, and the encoder's two stage ops (DESIGN §8 "Stage ops"):
@@ -101,15 +102,10 @@ enum Op {
     Mul(Var, Var),
     /// `[m,n] + [1,n]` (bias row broadcast over rows).
     AddRowBroadcast(Var, Var),
-    /// `[m,n] * [m,1]` (per-row scalar, e.g. attention weight).
-    MulColBroadcast(Var, Var),
     Scale(Var, f32),
-    LeakyRelu(Var, f32),
     Elu(Var, f32),
-    ConcatCols(Vec<Var>),
     ConcatRows(Vec<Var>),
     GatherRows(Var, Arc<Vec<u32>>),
-    ScatterAddRows(Var, Arc<Vec<u32>>),
     SegmentSoftmax(Var, Arc<Segments>),
     /// Fused per-edge attention scores → LeakyReLU → segment softmax.
     /// `(s_src, s_dst, per_type, src, etype, segments, slope)`.
@@ -135,6 +131,9 @@ enum Op {
     HeadsResidualElu(Vec<Var>, Var, f32),
     SumAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
+    /// An unfused op of the fused ops' test oracle.
+    #[cfg(test)]
+    Reference(reference::Reference),
 }
 
 /// One part of [`Graph::project_rows`]: features `x` (`[n, f]`), weight `w`
@@ -175,16 +174,21 @@ const UNPLACED: usize = usize::MAX;
 
 /// A define-by-run autodiff tape.
 ///
-/// Typical usage:
+/// Typical usage: parameters enter as leaves bound to their
+/// [`crate::ParamSet`] units, and their gradients come back there.
 /// ```
-/// use fedda_tensor::{Graph, Matrix};
-/// let mut g = Graph::new();
-/// let x = g.leaf(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
-/// let w = g.leaf(Matrix::from_vec(2, 1, vec![0.5, -0.5]));
+/// use fedda_tensor::{Graph, Matrix, ParamSet, TapeBindings};
+/// let mut params = ParamSet::new();
+/// let w_id = params.add("w", Matrix::from_vec(2, 1, vec![0.5, -0.5]));
+/// let (mut g, mut bindings) = (Graph::new(), TapeBindings::new());
+/// let x = g.input(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+/// let w = bindings.leaf(&mut g, &params, w_id);
 /// let y = g.matmul(x, w);
 /// let loss = g.sum_all(y);
 /// g.backward(loss);
-/// assert_eq!(g.grad(w).unwrap().as_slice(), &[1.0, 2.0]);
+/// params.zero_grads();
+/// bindings.accumulate_grads(&g, &mut params);
+/// assert_eq!(params.take_grads(), vec![1.0, 2.0]);
 /// ```
 #[derive(Default)]
 pub struct Graph {
@@ -352,13 +356,6 @@ impl Graph {
         self.live.clear();
     }
 
-    /// How many floats the value arena and the gradient arena (with the
-    /// scratch range) hold without growing.
-    pub fn arena_capacity(&self) -> (usize, usize) {
-        let grads = self.grads.capacity() + self.scratch.capacity();
-        (self.values.capacity(), grads)
-    }
-
     fn push(&mut self, (rows, cols): (usize, usize), value: usize, op: Op, rg: bool) -> Var {
         self.nodes.push(Node {
             rows,
@@ -435,14 +432,14 @@ impl Graph {
     /// Gradient of a leaf, if backward has reached it. An interior node's
     /// gradient is spent once passed on to its parents: its range is reused
     /// within the same `backward`, and this is `None`.
-    pub fn grad(&self, v: Var) -> Option<MatrixRef<'_>> {
+    pub(crate) fn grad(&self, v: Var) -> Option<MatrixRef<'_>> {
         let node = &self.nodes[v.0];
         (node.has_grad)
             .then(|| MatrixRef::new(node.rows, node.cols, &self.grads[node.grad_range()]))
     }
 
     /// Shape of a node's value.
-    pub fn shape(&self, v: Var) -> (usize, usize) {
+    pub(crate) fn shape(&self, v: Var) -> (usize, usize) {
         let node = &self.nodes[v.0];
         (node.rows, node.cols)
     }
@@ -506,26 +503,6 @@ impl Graph {
         })
     }
 
-    /// `[m,n] * [m,1]`: scale each row of `a` by the matching scalar in `c`.
-    pub fn mul_col_broadcast(&mut self, a: Var, c: Var) -> Var {
-        let shape @ (m, n) = self.shape(a);
-        let (cr, cc) = self.shape(c);
-        assert_eq!(
-            (cr, cc),
-            (m, 1),
-            "mul_col_broadcast: scale must be {m}x1, got {cr}x{cc}"
-        );
-        let rg = self.requires(a) || self.requires(c);
-        let op = Op::MulColBroadcast(a, c);
-        self.record(shape, Some(a), 0, (op, rg), |v, out, _| {
-            for (row, &s) in out.chunks_exact_mut(n.max(1)).zip(v.of(c)) {
-                for x in row {
-                    *x *= s;
-                }
-            }
-        })
-    }
-
     /// Multiply by a compile-time constant scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
         let rg = self.requires(a);
@@ -543,19 +520,6 @@ impl Graph {
     }
 
     // ---- nonlinearities ----------------------------------------------------
-
-    /// LeakyReLU with the given negative slope.
-    pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let rg = self.requires(a);
-        let op = Op::LeakyRelu(a, slope);
-        self.record(self.shape(a), Some(a), 0, (op, rg), |_, out, _| {
-            for x in out {
-                if *x < 0.0 {
-                    *x *= slope;
-                }
-            }
-        })
-    }
 
     /// ELU: `x` for `x >= 0`, `alpha * (e^x - 1)` for `x < 0`. The
     /// exponential runs over every entry, then a select keeps `x` itself
@@ -577,28 +541,6 @@ impl Graph {
     }
 
     // ---- structure ops -----------------------------------------------------
-
-    /// Concatenate along columns: all inputs must share the row count.
-    pub fn concat_cols(&mut self, vars: &[Var]) -> Var {
-        assert!(!vars.is_empty(), "concat_cols: no inputs");
-        let m = self.shape(vars[0]).0;
-        for &v in vars {
-            assert_eq!(self.shape(v).0, m, "concat_cols: row mismatch");
-        }
-        let total: usize = vars.iter().map(|&v| self.shape(v).1).sum();
-        let rg = vars.iter().any(|&v| self.requires(v));
-        let op = Op::ConcatCols(vars.to_vec());
-        self.record((m, total), None, 0, (op, rg), |v, out, _| {
-            let mut off = 0;
-            for &var in vars {
-                let vc = v.nodes[var.0].cols;
-                for (r, src) in rows_of(v.of(var), m, vc).enumerate() {
-                    out[r * total + off..][..vc].copy_from_slice(src);
-                }
-                off += vc;
-            }
-        })
-    }
 
     /// Concatenate along rows (vertical stack): all inputs must share the
     /// column count. Used to assemble per-edge-type embedding matrices from
@@ -644,30 +586,6 @@ impl Graph {
                 }
             },
         )
-    }
-
-    /// Scatter-add rows: `out[idx[i]] += a[i]`, output has `out_rows` rows.
-    ///
-    /// # Panics
-    /// Panics when `idx` is not one index per row of `a`, or on an index
-    /// out of range.
-    pub fn scatter_add_rows(&mut self, a: Var, idx: Arc<Vec<u32>>, out_rows: usize) -> Var {
-        let (rows, c) = self.shape(a);
-        assert_eq!(idx.len(), rows, "scatter_add_rows: index count mismatch");
-        let rg = self.requires(a);
-        let op = Op::ScatterAddRows(a, Arc::clone(&idx));
-        self.record((out_rows, c), None, 0, (op, rg), |v, out, _| {
-            for (&j, src) in idx.iter().zip(rows_of(v.of(a), rows, c)) {
-                let j = j as usize;
-                assert!(
-                    j < out_rows,
-                    "scatter_add_rows: index {j} out of {out_rows} rows"
-                );
-                for (o, &s) in out[j * c..][..c].iter_mut().zip(src) {
-                    *o += s;
-                }
-            }
-        })
     }
 
     /// Numerically-stable softmax over segments of a column vector `[m,1]`.
@@ -1151,23 +1069,20 @@ impl Op {
             | &Op::Add(a, b)
             | &Op::Mul(a, b)
             | &Op::AddRowBroadcast(a, b)
-            | &Op::MulColBroadcast(a, b)
             | &Op::RowDot(a, b)
             | &Op::EdgeAggregate(a, b, ..) => {
                 f(a);
                 f(b);
             }
             &Op::Scale(a, _)
-            | &Op::LeakyRelu(a, _)
             | &Op::Elu(a, _)
             | &Op::GatherRows(a, _)
-            | &Op::ScatterAddRows(a, _)
             | &Op::SegmentSoftmax(a, _)
             | &Op::L2NormalizeRows(a, _)
             | &Op::PairDot(a, ..)
             | &Op::SumAll(a)
             | &Op::BceWithLogits(a, _) => f(a),
-            Op::ConcatCols(vars) | Op::ConcatRows(vars) => vars.iter().copied().for_each(f),
+            Op::ConcatRows(vars) => vars.iter().copied().for_each(f),
             &Op::EdgeSoftmax(s_src, s_dst, per_type, ..) => {
                 f(s_src);
                 f(s_dst);
@@ -1184,6 +1099,8 @@ impl Op {
                 heads.iter().copied().for_each(&mut f);
                 f(*res);
             }
+            #[cfg(test)]
+            Op::Reference(op) => op.for_each_parent(f),
         }
     }
 }
@@ -1261,31 +1178,7 @@ impl Node {
                     });
                 }
             }
-            &Op::MulColBroadcast(a, c) => {
-                let (m, n) = (self.rows, self.cols);
-                if to.wants(a) {
-                    let per_row = rows_of(g, m, n).zip(to.value(c));
-                    to.put(
-                        a,
-                        per_row.flat_map(|(row, &s)| row.iter().map(move |&x| x * s)),
-                    );
-                }
-                if to.wants(c) {
-                    let pairs = rows_of(g, m, n).zip(rows_of(to.value(a), m, n));
-                    let dot =
-                        |(x, y): (&[f32], &[f32])| x.iter().zip(y).map(|(&x, &y)| x * y).sum();
-                    to.put(c, pairs.map(dot));
-                }
-            }
             &Op::Scale(a, s) => to.put(a, g.iter().map(|&d| d * s)),
-            &Op::LeakyRelu(a, slope) => {
-                let x = to.value(a);
-                let share = g
-                    .iter()
-                    .zip(x)
-                    .map(|(&d, &x)| if x < 0.0 { d * slope } else { d });
-                to.put(a, share);
-            }
             &Op::Elu(a, alpha) => {
                 let x = to.value(a);
                 // d/dx alpha(e^x - 1) = alpha e^x = y + alpha. A select, not
@@ -1293,24 +1186,6 @@ impl Node {
                 let share = (g.iter().zip(x).zip(y))
                     .map(|((&d, &x), &y)| if x < 0.0 { d * (y + alpha) } else { d });
                 to.put(a, share);
-            }
-            Op::ConcatCols(vars) => {
-                let (m, total) = (self.rows, self.cols);
-                let mut off = 0;
-                for &v in vars {
-                    let (lo, vc) = (off, to.shape(v).1);
-                    off += vc;
-                    if to.wants(v) {
-                        let (dst, add) = to.slot(v);
-                        for (r, row) in rows_of(g, m, total).enumerate() {
-                            write(
-                                &mut dst[r * vc..][..vc],
-                                add,
-                                row[lo..lo + vc].iter().copied(),
-                            );
-                        }
-                    }
-                }
             }
             Op::ConcatRows(vars) => {
                 let mut off = 0;
@@ -1333,14 +1208,6 @@ impl Node {
                         }
                     }
                 });
-            }
-            Op::ScatterAddRows(a, idx) => {
-                let c = self.cols;
-                let (dst, add) = to.slot(*a);
-                for (i, &j) in idx.iter().enumerate() {
-                    let j = j as usize;
-                    write(&mut dst[i * c..][..c], add, g[j * c..][..c].iter().copied());
-                }
             }
             Op::SegmentSoftmax(a, segs) => {
                 let dot = &mut scratch[..segs.n_segments];
@@ -1539,9 +1406,14 @@ impl Node {
                     }
                 });
             }
+            #[cfg(test)]
+            Op::Reference(op) => op.backprop((self.rows, self.cols), g, to),
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1665,9 +1537,9 @@ mod tests {
         let x = g.leaf(Matrix::from_vec(2, 2, vec![3.0, 4.0, 0.0, 2.0]));
         let y = g.l2_normalize_rows(x, 1e-12);
         let v = g.value(y);
-        assert!((v.row(0)[0] - 0.6).abs() < 1e-6);
-        assert!((v.row(0)[1] - 0.8).abs() < 1e-6);
-        assert!((v.row(1)[1] - 1.0).abs() < 1e-6);
+        assert!((v.get(0, 0) - 0.6).abs() < 1e-6);
+        assert!((v.get(0, 1) - 0.8).abs() < 1e-6);
+        assert!((v.get(1, 1) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1774,6 +1646,13 @@ mod tests {
         out
     }
 
+    /// How many floats the value arena and the gradient arena (with the
+    /// scratch range) hold without growing.
+    fn arena_capacity(g: &Graph) -> (usize, usize) {
+        let grads = g.grads.capacity() + g.scratch.capacity();
+        (g.values.capacity(), grads)
+    }
+
     /// A cleared tape records into the memory a larger step left behind and
     /// gives what a fresh tape gives, bit for bit; once it has held a step,
     /// the same step grows neither arena.
@@ -1784,10 +1663,32 @@ mod tests {
         mixed_step(&mut reused, 9);
         reused.clear();
         assert_eq!(mixed_step(&mut reused, 5), fresh);
-        let held = reused.arena_capacity();
+        let held = arena_capacity(&reused);
         reused.clear();
         assert_eq!(mixed_step(&mut reused, 5), fresh);
-        assert_eq!(reused.arena_capacity(), held);
+        assert_eq!(arena_capacity(&reused), held);
+    }
+
+    /// The trainer's pattern on one workspace tape: a small client, then a
+    /// larger one, each cleared before every step and stepped twice (its
+    /// first batch and a later one), then a second round of both. Only a
+    /// client's first step of the first round may grow an arena.
+    #[test]
+    fn a_cleared_tape_stops_growing_across_clients_and_rounds() {
+        let mut g = Graph::new();
+        let mut step = |n| {
+            g.clear();
+            mixed_step(&mut g, n);
+            arena_capacity(&g)
+        };
+        let mut held = Vec::new();
+        for n in [5, 9] {
+            held.push(step(n));
+            assert_eq!(step(n), held[held.len() - 1], "{n}-row step regrew");
+        }
+        for n in [5, 9] {
+            assert_eq!(step(n), held[1], "{n}-row step regrew in round two");
+        }
     }
 
     /// After `backward`, only leaves keep a gradient: an interior node's

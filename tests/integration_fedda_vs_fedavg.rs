@@ -210,16 +210,16 @@ impl LinkPredictor for TypedProjection {
         view: &GraphView,
         _dropout_rng: Option<&mut dyn RngCore>,
     ) -> Var {
+        // Each type's `x·W` placed at its nodes' rows (no bias).
         let per_type = view.type_features.iter().zip(&view.type_global_ids);
-        let mut h = graph.input(Matrix::zeros(view.num_nodes, self.dim));
+        let no_bias = graph.input(Matrix::zeros(1, self.dim));
+        let mut parts = Vec::new();
         for ((feats, ids), &w) in per_type.zip(&self.proj) {
             let x = graph.input(feats.clone());
             let w = bindings.leaf(graph, params, w);
-            let xw = graph.matmul(x, w);
-            let rows = graph.scatter_add_rows(xw, ids.clone(), view.num_nodes);
-            h = graph.add(h, rows);
+            parts.push((x, w, no_bias, ids.clone()));
         }
-        h
+        graph.project_rows(&parts, view.num_nodes)
     }
 
     fn score_examples(
