@@ -9,12 +9,14 @@
 //!    ([`GEMM_SHAPES`]): tall-skinny `N×d · d×d` forward shapes, their
 //!    `tn`/`nt` backward forms and the single-column attention
 //!    projections;
-//! 2. **`edge/`** — the fused per-edge tape ops, forward + backward, at
-//!    the message-graph shapes of a real client ([`EDGE_SHAPES`]);
-//! 3. **`act/`, `loss/`, `decoder/`** — the rest of a training step's
-//!    non-GEMM tail, forward + backward: ELU, the BCE loss and the fused
-//!    dot-product decoder at real batch shapes ([`ELU_SHAPE`], [`TAIL_BATCH`],
-//!    [`DECODER_SHAPE`]);
+//! 2. **`edge/`** — the tape ops that walk a message graph, forward +
+//!    backward, at the shapes of a real client's attention layer
+//!    ([`EDGE_SHAPES`]): one head's `edge_softmax`, and the layer's
+//!    `aggregate_residual_elu` (every head's aggregation, the residual
+//!    product and the ELU);
+//! 3. **`loss/`, `decoder/`** — the rest of a training step's non-GEMM
+//!    tail, forward + backward: the BCE loss and the fused dot-product
+//!    decoder at real batch shapes ([`TAIL_BATCH`], [`DECODER_SHAPE`]);
 //! 4. **`codec/`** — each uplink codec's encode and the q8 arrival decode
 //!    at the fleet model's size;
 //! 5. **`fl/fold/`** — Eq. 6 folding one such report into its `f64` sums,
@@ -85,22 +87,22 @@ fn gemm_case(
     (rand_matrix(rng, ar, ac), rand_matrix(rng, br, bc), kernel)
 }
 
-/// The per-edge shapes of one attention head, as `(nodes, message edges,
-/// message types, head width)`, taken from the repo benchmark's clients
-/// (self-loops included): the commonest `dblp_fedda` client under its
-/// 8-wide heads, `amazon_large`'s under the paper model's 16-wide, and the
-/// commonest `fleet_q8_*` client under the fleet model's 32-wide — one case
-/// per width the edge kernel has an instance for.
-pub(crate) const EDGE_SHAPES: &[(usize, usize, usize, usize)] = &[
-    (694, 12_467, 6, 8),
-    (2_525, 17_019, 3, 16),
-    (101, 1_465, 6, 32),
+/// The message graph of one attention layer, as `(nodes, message edges,
+/// message types, heads, head width)`, taken from the repo benchmark's
+/// clients (self-loops included) under each workload's model: the
+/// commonest `dblp_fedda` client (2 heads of 8), `amazon_large`'s (the
+/// paper model, 3 heads of 16: its `[2525, 48]` output is the ELU a step
+/// takes there) and the commonest `fleet_q8_*` client (4 heads of 32) —
+/// one case per width the edge kernel has an instance for.
+pub(crate) const EDGE_SHAPES: &[(usize, usize, usize, usize, usize)] = &[
+    (694, 12_467, 6, 2, 8),
+    (2_525, 17_019, 3, 3, 16),
+    (101, 1_465, 6, 4, 32),
 ];
 
 /// Random inputs of one [`EDGE_SHAPES`] entry and the forward + backward
-/// pass of each fused edge op over them.
+/// pass of each edge op over them.
 struct EdgeCase {
-    nodes: usize,
     src: Arc<Vec<u32>>,
     dst: Arc<Vec<u32>>,
     etype: Arc<Vec<u32>>,
@@ -108,18 +110,24 @@ struct EdgeCase {
     s_src: Matrix,
     s_dst: Matrix,
     per_type: Matrix,
+    /// Each head's `(hw, alpha)`.
+    heads: Vec<(Matrix, Matrix)>,
+    /// The layer's input `h` and residual weight `W_res`.
     h: Matrix,
-    alpha: Matrix,
+    w_res: Matrix,
 }
 
 impl EdgeCase {
     /// Uniformly random endpoints, types, scores and features.
-    fn new(rng: &mut StdRng, (nodes, edges, types, width): (usize, usize, usize, usize)) -> Self {
+    fn new(
+        rng: &mut StdRng,
+        (nodes, edges, types, heads, width): (usize, usize, usize, usize, usize),
+    ) -> Self {
         let mut pick =
             |hi: usize| -> Vec<u32> { (0..edges).map(|_| rng.gen_range(0..hi as u32)).collect() };
         let (src, dst, etype) = (pick(nodes), pick(nodes), pick(types));
+        let model = heads * width;
         Self {
-            nodes,
             segments: Arc::new(Segments::new(dst.clone(), nodes)),
             src: Arc::new(src),
             dst: Arc::new(dst),
@@ -127,8 +135,11 @@ impl EdgeCase {
             s_src: rand_matrix(rng, nodes, 1),
             s_dst: rand_matrix(rng, nodes, 1),
             per_type: rand_matrix(rng, types, 1),
-            h: rand_matrix(rng, nodes, width),
-            alpha: rand_matrix(rng, edges, 1),
+            heads: (0..heads)
+                .map(|_| (rand_matrix(rng, nodes, width), rand_matrix(rng, edges, 1)))
+                .collect(),
+            h: rand_matrix(rng, nodes, model),
+            w_res: rand_matrix(rng, model, model),
         }
     }
 
@@ -150,19 +161,19 @@ impl EdgeCase {
         backward_sum_sq(g, alpha);
     }
 
-    /// `edge_aggregate` and its backward under a `Σ out²` loss, on `g`.
-    fn aggregate_fwd_bwd(&self, g: &mut Graph) {
+    /// `aggregate_residual_elu` and its backward under a `Σ out²` loss,
+    /// on `g`.
+    fn epilogue_fwd_bwd(&self, g: &mut Graph) {
         g.clear();
-        let h = g.leaf(&self.h);
-        let alpha = g.leaf(&self.alpha);
-        let out = g.edge_aggregate(h, alpha, self.src.clone(), self.dst.clone(), self.nodes);
+        let (hws, alphas): (Vec<Var>, Vec<Var>) = (self.heads.iter())
+            .map(|(hw, a)| (g.leaf(hw), g.leaf(a)))
+            .unzip();
+        let (h, w_res) = (g.leaf(&self.h), g.leaf(&self.w_res));
+        let (src, dst) = (self.src.clone(), self.dst.clone());
+        let out = g.aggregate_residual_elu(&hws, &alphas, src, dst, h, w_res);
         backward_sum_sq(g, out);
     }
 }
-
-/// The ELU case's input: one `amazon_large` layer output under the paper
-/// model (2 525 nodes × 16 × 3 heads).
-pub(crate) const ELU_SHAPE: (usize, usize) = (2_525, 48);
 
 /// Logits in the BCE case and pairs in the decoder case.
 pub(crate) const TAIL_BATCH: usize = 4_096;
@@ -170,14 +181,6 @@ pub(crate) const TAIL_BATCH: usize = 4_096;
 /// The decoder case's embedding matrix: a `dblp_fedda` client's 694 nodes
 /// at the default 16-wide output.
 pub(crate) const DECODER_SHAPE: (usize, usize) = (694, 16);
-
-/// `elu` and its backward under a `Σ y²` loss, on `g`.
-fn elu_fwd_bwd(g: &mut Graph, x: &Matrix) {
-    g.clear();
-    let xv = g.leaf(x);
-    let y = g.elu(xv, 1.0);
-    backward_sum_sq(g, y);
-}
 
 /// `bce_with_logits` and its backward, on `g`.
 fn bce_fwd_bwd(g: &mut Graph, logits: &Matrix, targets: &Arc<Vec<f32>>) {
@@ -384,31 +387,27 @@ pub(crate) fn run_suite() -> Vec<CaseResult> {
         }));
     }
 
-    // 2. The fused edge kernels, forward + backward, at real client shapes.
-    //    Each tape case keeps one `Graph` and clears it between calls, as a
+    // 2. The edge ops, forward + backward, at real client shapes. Each
+    //    tape case keeps one `Graph` and clears it between calls, as a
     //    worker slot does: the warm-up call grows its arenas, no sample
     //    times that growth.
     for &shape in EDGE_SHAPES {
-        let (nodes, edges, _, width) = shape;
+        let (nodes, edges, _, heads, width) = shape;
         let edge = EdgeCase::new(&mut rng, shape);
         let name = format!("edge/softmax/E{edges}xN{nodes}");
         let mut g = Graph::new();
         out.push(time_case(&name, MIN_SAMPLES, 4, || {
             edge.softmax_fwd_bwd(&mut g)
         }));
-        let name = format!("edge/aggregate/E{edges}xN{nodes}xd{width}");
+        let name = format!("edge/aggregate_residual_elu/E{edges}xN{nodes}xH{heads}xd{width}");
         let mut g = Graph::new();
         out.push(time_case(&name, MIN_SAMPLES, 4, || {
-            edge.aggregate_fwd_bwd(&mut g)
+            edge.epilogue_fwd_bwd(&mut g)
         }));
     }
 
     // 3. The rest of a step's non-GEMM tail, forward + backward.
-    let ((rows, cols), batch, (nodes, width)) = (ELU_SHAPE, TAIL_BATCH, DECODER_SHAPE);
-    let x = rand_matrix(&mut rng, rows, cols);
-    let name = format!("act/elu/{rows}x{cols}");
-    let mut g = Graph::new();
-    out.push(time_case(&name, MIN_SAMPLES, 4, || elu_fwd_bwd(&mut g, &x)));
+    let (batch, (nodes, width)) = (TAIL_BATCH, DECODER_SHAPE);
     let logits = rand_matrix(&mut rng, batch, 1).scale(4.0);
     let targets = Arc::new((0..batch).map(|i| (i % 2) as f32).collect());
     let name = format!("loss/bce/B{batch}");

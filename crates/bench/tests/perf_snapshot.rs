@@ -1,5 +1,5 @@
 //! End-to-end contract for `fedda perf`: `--out` writes a schema-v2
-//! snapshot of the 28 fixed cases, schema-v1 files are refused by name,
+//! snapshot of the 27 fixed cases, schema-v1 files are refused by name,
 //! and `--ab` runs ten alternating pairs and prints one row per case.
 //! Structure only — no assertion here depends on a measured time.
 
@@ -7,8 +7,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The suite, literally: coverage cannot shrink silently, and the names
-/// stay joinable with the v1 history in `BENCH_2026-09-30{,b,c,d}.json`.
-const CASE_NAMES: [&str; 28] = [
+/// stay joinable with the v1 history in `BENCH_2026-09-30{,b,c,d}.json`
+/// (the `edge/aggregate_residual_elu/*` cases replaced that history's
+/// `edge/aggregate/*` and `act/elu/*`, whose ops the encoder no longer
+/// records).
+const CASE_NAMES: [&str; 27] = [
     "gemm/nn/2525x48x16",
     "gemm/nn/2525x48x48",
     "gemm/tn/48x2525x16",
@@ -21,12 +24,11 @@ const CASE_NAMES: [&str; 28] = [
     "gemm/tn/128x101x32",
     "gemm/nt/101x32x128",
     "edge/softmax/E12467xN694",
-    "edge/aggregate/E12467xN694xd8",
+    "edge/aggregate_residual_elu/E12467xN694xH2xd8",
     "edge/softmax/E17019xN2525",
-    "edge/aggregate/E17019xN2525xd16",
+    "edge/aggregate_residual_elu/E17019xN2525xH3xd16",
     "edge/softmax/E1465xN101",
-    "edge/aggregate/E1465xN101xd32",
-    "act/elu/2525x48",
+    "edge/aggregate_residual_elu/E1465xN101xH4xd32",
     "loss/bce/B4096",
     "decoder/pair_dot/B4096xN694xd16",
     "codec/q8/encode/n87554",
@@ -140,7 +142,7 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
         assert_eq!(&cells[5..], ["10", "0", "0", "unresolved"], "{row}");
     }
     assert!(
-        stdout.contains("28 cases over 10 pairs: 28 unresolved, 0 improved, 0 regressed"),
+        stdout.contains("27 cases over 10 pairs: 27 unresolved, 0 improved, 0 regressed"),
         "{stdout}"
     );
 
@@ -156,7 +158,7 @@ fn out_writes_schema_v2_and_ab_pairs_every_case() {
     assert_eq!(reg.status.code(), Some(1), "2x slower in 10/10 pairs");
     let stdout = String::from_utf8_lossy(&reg.stdout).into_owned();
     assert!(stdout.contains("REGRESSION"), "{stdout}");
-    assert!(stdout.contains("27 unresolved, 0 improved, 1 regressed"));
+    assert!(stdout.contains("26 unresolved, 0 improved, 1 regressed"));
 
     let mut shrunk = json.clone();
     shrunk["cases"].as_array_mut().unwrap().pop();

@@ -9,10 +9,16 @@
 //!    decomposed here as `a_src·Wh_u + a_dst·Wh_v + a_edge·W_r r_ψ(e)`:
 //!    three small matmuls give one score per node / per edge type, and
 //!    the tape's fused `edge_softmax` sums them per edge, applies the
-//!    LeakyReLU and normalises per destination; `edge_aggregate` then
-//!    forms `Σ_u α_uv · W h_u` (both without per-edge intermediates);
-//! 2. **pre-activation residual connections** between layers (Eq. 3);
+//!    LeakyReLU and normalises per destination (without per-edge
+//!    intermediates);
+//! 2. **pre-activation residual connections** between layers (Eq. 3): one
+//!    tape op per layer, `aggregate_residual_elu`, forms every head's
+//!    `Σ_u α_uv · W h_u`, adds the residual `h·W_res` and applies the ELU,
+//!    recording only the layer's output;
 //! 3. **L2 normalisation** of the final embeddings.
+//!
+//! On a tape cleared for inference the encoder keeps one layer at a time:
+//! at each layer's end it retains only what the next layer reads.
 //!
 //! The decoder scores node pairs with dot product or DistMult. Edge-type
 //! embeddings and DistMult relation vectors are registered as *disentangled*
@@ -197,7 +203,8 @@ impl SimpleHgn {
     }
 
     /// Encode all nodes of a graph view into `[num_nodes, out_dim]`
-    /// embeddings on the given tape.
+    /// embeddings on the given tape. On a tape cleared for inference only
+    /// the last layer's values stay (`Graph::retain`).
     pub(crate) fn encode(
         &self,
         graph: &mut Graph,
@@ -243,7 +250,7 @@ impl SimpleHgn {
                 None
             };
 
-            let mut head_outputs = Vec::with_capacity(layer.heads.len());
+            let mut hws = Vec::with_capacity(layer.heads.len());
             let mut new_alphas = Vec::with_capacity(layer.heads.len());
             for head in &layer.heads {
                 let w = bindings.leaf(graph, params, head.w);
@@ -271,26 +278,27 @@ impl SimpleHgn {
                     NEGATIVE_SLOPE,
                 ); // [E, 1]
                 if cfg.attn_residual > 0.0 {
-                    if let Some(&prev) = prev_alphas.get(head_outputs.len()) {
+                    if let Some(&prev) = prev_alphas.get(hws.len()) {
                         let fresh = graph.scale(alpha, 1.0 - cfg.attn_residual);
                         let carried = graph.scale(prev, cfg.attn_residual);
                         alpha = graph.add(fresh, carried);
                     }
                 }
                 new_alphas.push(alpha);
-                head_outputs.push(graph.edge_aggregate(
-                    hw,
-                    alpha,
-                    view.src.clone(),
-                    view.dst.clone(),
-                    view.num_nodes,
-                )); // [n, hidden]
+                hws.push(hw);
             }
-            prev_alphas = new_alphas;
-            // Eq. 3: heads concatenated, pre-activation residual, ELU.
+            // Eq. 3: heads aggregated and concatenated, pre-activation
+            // residual, ELU.
             let w_res = bindings.leaf(graph, params, layer.w_res);
-            let res = graph.matmul(h, w_res);
-            h = graph.heads_residual_elu(&head_outputs, res, 1.0);
+            let (src, dst) = (view.src.clone(), view.dst.clone());
+            h = graph.aggregate_residual_elu(&hws, &new_alphas, src, dst, h, w_res);
+            prev_alphas = new_alphas;
+            let carried = if cfg.attn_residual > 0.0 {
+                &prev_alphas[..]
+            } else {
+                &[]
+            };
+            graph.retain(&[&[h], carried].concat());
         }
         graph.l2_normalize_rows(h, 1e-12)
     }
@@ -335,6 +343,7 @@ impl SimpleHgn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LinkPredictor;
     use fedda_data::{dblp_like, PresetOptions};
     use fedda_hetgraph::LinkSampler;
     use rand::rngs::StdRng;
@@ -404,6 +413,79 @@ mod tests {
         assert!(gnorm > 0.0, "no gradient reached the parameters");
         assert!(gnorm.is_finite());
         assert!(params.values().iter().all(|v| v.is_finite()));
+    }
+
+    /// Examples, targets and a whole training step on `graph`: encode,
+    /// score, BCE, backward.
+    fn training_step(
+        model: &SimpleHgn,
+        params: &ParamSet,
+        view: &GraphView,
+        examples: &[LinkExample],
+        graph: &mut Graph,
+    ) -> Var {
+        let mut tb = TapeBindings::new();
+        let emb = model.encode(graph, &mut tb, params, view);
+        let logits = model.score_links(graph, &mut tb, params, emb, examples);
+        let targets = examples.iter().map(|e| f32::from(u8::from(e.label)));
+        let loss = graph.bce_with_logits(logits, Arc::new(targets.collect()));
+        graph.backward(loss);
+        logits
+    }
+
+    /// Eight positives of `g` and one negative each.
+    fn examples(g: &fedda_hetgraph::HeteroGraph) -> Vec<LinkExample> {
+        let sampler = LinkSampler::new(g);
+        let pos = sampler.all_positives();
+        sampler.with_negatives(&pos[..8.min(pos.len())], 1, &mut StdRng::seed_from_u64(1))
+    }
+
+    /// A training step's tape, node by node: per node type the features,
+    /// `W` and `b`, then the projection; per layer the message types'
+    /// embeddings and their `concat_rows`, per head `W`, `hw`, `a_src`,
+    /// `a_dst`, both scores, `W_r`, `a_edge`, the two type-score products
+    /// and `edge_softmax`, then `W_res` and the layer op; the output
+    /// normalisation; the decoder's `pair_dot`, scale, bias, product and
+    /// sum; the loss. Per layer that is `H + 1` fewer nodes than the
+    /// `edge_aggregate` per head, residual `matmul` and epilogue it fuses.
+    #[test]
+    fn a_training_step_records_the_closed_form_node_count() {
+        let (model, params, view, g) = tiny_setup();
+        let (t, m) = (g.schema().num_node_types(), view.num_message_types);
+        let cfg = model.config();
+        let (l, h) = (cfg.num_layers, cfg.num_heads);
+        let mut graph = Graph::new();
+        training_step(&model, &params, &view, &examples(&g), &mut graph);
+        assert_eq!(
+            graph.len(),
+            3 * t + 1 + l * (m + 1 + 11 * h + 2) + 1 + 5 + 1
+        );
+    }
+
+    /// `logits_on` clears the tape for inference and keeps one layer at a
+    /// time, on a fresh tape and on one that held a training step: its
+    /// logits are a training tape's, bit for bit, with and without the
+    /// attention residual whose alphas a layer carries to the next.
+    #[test]
+    fn inference_logits_match_a_training_tape() {
+        for attn_residual in [0.0, 0.5] {
+            let (model, params, view, g) = tiny_setup();
+            let model = SimpleHgn {
+                config: HgnConfig {
+                    attn_residual,
+                    ..model.config.clone()
+                },
+                ..model
+            };
+            let examples = examples(&g);
+            let mut graph = Graph::new();
+            let logits = training_step(&model, &params, &view, &examples, &mut graph);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = bits(graph.value(logits).as_slice());
+            assert_eq!(bits(&model.logits(&params, &view, &examples)), want);
+            let reused = model.logits_on(&mut graph, &params, &view, &examples);
+            assert_eq!(bits(&reused), want, "attn_residual {attn_residual}");
+        }
     }
 
     #[test]

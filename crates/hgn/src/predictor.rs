@@ -56,8 +56,9 @@ pub trait LinkPredictor: Send + Sync {
         self.logits_on(&mut Graph::new(), params, view, examples)
     }
 
-    /// [`LinkPredictor::logits`] on `graph`, which is cleared first: a
-    /// reused tape gives the same bits as a fresh one.
+    /// [`LinkPredictor::logits`] on `graph`, which is cleared for
+    /// inference first (no backward follows, so an encoder may drop what
+    /// it has read): a reused tape gives the same bits as a fresh one.
     fn logits_on(
         &self,
         graph: &mut Graph,
@@ -65,7 +66,7 @@ pub trait LinkPredictor: Send + Sync {
         view: &GraphView,
         examples: &[LinkExample],
     ) -> Vec<f32> {
-        graph.clear();
+        graph.clear_for_inference();
         let mut bindings = TapeBindings::new();
         let emb = self.encode_nodes(graph, &mut bindings, params, view, None);
         let scores = self.score_examples(graph, &mut bindings, params, emb, examples);

@@ -1,9 +1,12 @@
 //! Local training and evaluation of a Simple-HGN link predictor.
 //!
-//! This is the `ClientUpdate` inner loop of Algorithm 1: split the local
-//! positives into batches of size `B`, pair each with sampled negatives,
-//! and run `E` epochs of gradient steps. Evaluation computes the paper's
-//! two metrics (ROC-AUC and MRR) on held-out edges.
+//! This is the `ClientUpdate` inner loop of Algorithm 1, run for `E`
+//! epochs: each epoch pairs every local positive with freshly sampled
+//! negatives, shuffles positives and negatives together, and takes one
+//! gradient step per batch of `B` examples — `⌈(1 + negatives) ·
+//! positives / B⌉` steps, each of which encodes the whole local graph.
+//! Evaluation computes the paper's two metrics (ROC-AUC and MRR) on
+//! held-out edges.
 
 use crate::predictor::LinkPredictor;
 use crate::view::GraphView;
@@ -18,7 +21,9 @@ use std::sync::Arc;
 pub struct TrainConfig {
     /// Local epochs per round (`E` in Algorithm 1).
     pub local_epochs: usize,
-    /// Mini-batch size (`B`); positives per batch before negatives.
+    /// Mini-batch size (`B`): examples per gradient step, positives and
+    /// their negatives shuffled together, so an epoch takes
+    /// `⌈(1 + negatives_per_positive) · positives / B⌉` steps.
     pub batch_size: usize,
     /// Learning rate (paper: 5e-4 with Adam at full scale).
     pub lr: f32,

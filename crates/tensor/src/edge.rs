@@ -1,5 +1,7 @@
-//! The row kernel behind [`Graph::edge_aggregate`](crate::Graph::edge_aggregate):
-//! one width-generic source, monomorphised per row width the way the GEMM's
+//! The row kernel behind the edge aggregation of
+//! [`Graph::aggregate_residual_elu`](crate::Graph::aggregate_residual_elu)
+//! and behind [`Graph::pair_dot`](crate::Graph::pair_dot): one
+//! width-generic source, monomorphised per row width the way the GEMM's
 //! `tile::<TN, M, N>` is per tile.
 //!
 //! Every pass walks the edge list once and touches one `d`-wide row per

@@ -6,26 +6,25 @@
 //! reverse and accumulates gradients into every node that requires them.
 //!
 //! The op set is deliberately specialised for heterogeneous-graph neural
-//! networks: besides dense algebra it has the two fused per-edge kernels of
-//! attention message passing — `edge_softmax` (Eq. 2 scores → LeakyReLU →
-//! per-destination softmax) and `edge_aggregate` (gather · scale ·
-//! scatter-add), which replay unfused chains bit for bit (`gather_rows`,
-//! `scatter_add_rows`, `leaky_relu`, `segment_softmax`,
-//! `mul_col_broadcast`; the ops only those chains use are the test-only
-//! `reference` module; DESIGN §8 "Edge kernels"),
-//! row-wise L2 normalisation (the Simple-HGN output head), the fused
-//! dot-product decoder `pair_dot`, which replays `gather_rows`×2 →
-//! `row_dot`, and the encoder's two stage ops (DESIGN §8 "Stage ops"):
-//! `project_rows`, the per-type input projection (`matmul` →
-//! `add_row_broadcast` → `scatter_add_rows` per type, `add` across types),
-//! and `heads_residual_elu`, a layer's epilogue (`concat_cols` → `add` →
-//! `elu`).
+//! networks: besides dense algebra it has the fused per-edge attention
+//! weight `edge_softmax` (Eq. 2 scores → LeakyReLU → per-destination
+//! softmax), which replays an unfused chain bit for bit (`gather_rows`,
+//! `leaky_relu`, `segment_softmax`; the ops only such chains use are the
+//! test-only `reference` module; DESIGN §8 "Edge kernels"), row-wise L2
+//! normalisation (the Simple-HGN output head), the fused dot-product
+//! decoder `pair_dot`, which replays `gather_rows`×2 → `row_dot`, and the
+//! encoder's two stage ops (DESIGN §8 "Stage ops"): `project_rows`, the
+//! per-type input projection (`matmul` → `add_row_broadcast` →
+//! `scatter_add_rows` per type, `add` across types), and
+//! `aggregate_residual_elu`, a whole attention layer after its weights
+//! (`edge_aggregate` per head, `matmul` for the residual, then
+//! `concat_cols` → `add` → `elu`).
 //!
-//! `edge_aggregate`'s forward and both gradients, and `pair_dot`'s forward
-//! and gradient, run the width-generic row kernel in `edge.rs`, with
-//! compile-time instances for 8-, 16- and 32-wide rows and a runtime-width
-//! one for the rest; the fused ops range-check their indices in one pass
-//! before their loops.
+//! `aggregate_residual_elu`'s per-head aggregation and both of its edge
+//! gradients, and `pair_dot`'s forward and gradient, run the width-generic
+//! row kernel in `edge.rs`, with compile-time instances for 8-, 16- and
+//! 32-wide rows and a runtime-width one for the rest; the fused ops
+//! range-check their indices in one pass before their loops.
 //!
 //! Every exponential — ELU, both softmaxes, BCE and its logistic — runs
 //! `expf.rs`, a bit-exact copy of glibc's `expf` whose slice form
@@ -44,13 +43,18 @@
 //! exponentials, the `gemm_nt` operand's transpose, a later gradient share
 //! — goes into one scratch range the tape keeps beside its arenas.
 //!
+//! A tape cleared with [`Graph::clear_for_inference`] is forward-only:
+//! `backward` refuses it, and [`Graph::retain`] drops every value but the
+//! ones named and compacts the arena, so a deep forward pass holds one
+//! layer's values at a time.
+//!
 //! `backward` writes each parent's gradient in place. A parent's first
 //! share is *stored* into its range — not added to a `+0.0`, which would
 //! turn a `-0.0` share into `+0.0` — and every later share is added in the
 //! order the shares were always added in: an element-wise share (GEMM,
-//! ELU, the pass-throughs) in its kernel's final store, a scatter share
-//! (`edge_aggregate`, `gather_rows`, `pair_dot`, `edge_softmax`'s index
-//! sums) by building it in the scratch range first.
+//! the pass-throughs) in its kernel's final store, a scatter share
+//! (`aggregate_residual_elu`'s edge gradients, `gather_rows`, `pair_dot`,
+//! `edge_softmax`'s index sums) by building it in the scratch range first.
 
 use crate::edge;
 use crate::expf;
@@ -103,7 +107,6 @@ enum Op {
     /// `[m,n] + [1,n]` (bias row broadcast over rows).
     AddRowBroadcast(Var, Var),
     Scale(Var, f32),
-    Elu(Var, f32),
     ConcatRows(Vec<Var>),
     GatherRows(Var, Arc<Vec<u32>>),
     SegmentSoftmax(Var, Arc<Segments>),
@@ -118,8 +121,6 @@ enum Op {
         Arc<Segments>,
         f32,
     ),
-    /// Fused gather · per-edge scale · scatter-add: `(h, alpha, src, dst)`.
-    EdgeAggregate(Var, Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
     L2NormalizeRows(Var, f32),
     RowDot(Var, Var),
     /// Fused gather ×2 · row dot over one matrix: `(h, src, dst)`.
@@ -127,13 +128,23 @@ enum Op {
     /// Fused per-part `x·W + b` placed at the part's rows: one
     /// `(x, w, b, rows)` per part.
     ProjectRows(Vec<Projection>),
-    /// Fused `elu(concat_cols(heads) + res)`: `(heads, res, alpha)`.
-    HeadsResidualElu(Vec<Var>, Var, f32),
+    /// Fused `elu(concat_h(Σ_e α_h[e]·hw_h[src_e] → dst_e) + h·W_res)`.
+    AggregateResidualElu(Box<Epilogue>),
     SumAll(Var),
     BceWithLogits(Var, Arc<Vec<f32>>),
     /// An unfused op of the fused ops' test oracle.
     #[cfg(test)]
     Reference(reference::Reference),
+}
+
+/// The parents and edges of an [`Op::AggregateResidualElu`].
+struct Epilogue {
+    /// Each head's `(hw, alpha)`.
+    heads: Vec<(Var, Var)>,
+    src: Arc<Vec<u32>>,
+    dst: Arc<Vec<u32>>,
+    h: Var,
+    w_res: Var,
 }
 
 /// One part of [`Graph::project_rows`]: features `x` (`[n, f]`), weight `w`
@@ -161,6 +172,10 @@ impl Node {
     }
 
     fn value_range(&self) -> Range<usize> {
+        assert!(
+            self.value != DROPPED,
+            "a value dropped by `Graph::retain` was read"
+        );
         self.value..self.value + self.len()
     }
 
@@ -171,6 +186,9 @@ impl Node {
 
 /// [`Node::grad`] of a node `backward` has not given a gradient range.
 const UNPLACED: usize = usize::MAX;
+
+/// [`Node::value`] of a node whose value [`Graph::retain`] dropped.
+const DROPPED: usize = usize::MAX;
 
 /// A define-by-run autodiff tape.
 ///
@@ -202,6 +220,8 @@ pub struct Graph {
     live: Vec<(usize, usize, usize)>,
     /// Every op's temporaries, one op at a time.
     scratch: Vec<f32>,
+    /// Cleared for inference: no `backward`, and `retain` compacts.
+    forward_only: bool,
 }
 
 /// The rows of a row-major `rows × cols` buffer: `rows` of them even when
@@ -304,9 +324,26 @@ fn edge_scores(
 /// one dot-product chain, so the chunking moves no bit.
 const PROJECT_CHUNK: usize = 64;
 
-/// Floats of `heads_residual_elu`'s forward scratch: the pre-activation's
+/// Floats of `aggregate_residual_elu`'s ELU scratch: the pre-activation's
 /// exponentials are taken this many at a time, not over an `[n, H·d]` copy.
 const ELU_BLOCK: usize = 1024;
+
+/// ELU over `y` in place: `elu`'s exponential over a copy, then its select
+/// (`x` itself where it is not negative, NaN payloads included),
+/// [`ELU_BLOCK`] floats at a time through `e`. `expf` is elementwise, so
+/// the blocking moves no bit.
+fn elu_in_blocks(y: &mut [f32], alpha: f32, e: &mut [f32]) {
+    for block in y.chunks_mut(ELU_BLOCK) {
+        let e = &mut e[..block.len()];
+        e.copy_from_slice(block);
+        expf::exp_in_place(e);
+        for (y, &e) in block.iter_mut().zip(&*e) {
+            if *y < 0.0 {
+                *y = alpha * (e - 1.0);
+            }
+        }
+    }
+}
 
 /// The values recorded so far, read while a new node's range is written.
 #[derive(Clone, Copy)]
@@ -349,11 +386,51 @@ impl Graph {
     /// Forget every node, keeping both arenas' memory: the next step
     /// records into the same ranges, and a tape that has held its largest
     /// step allocates nothing more. Every [`Var`] of the tape is invalid
-    /// afterwards.
+    /// afterwards. The tape records for training: `backward` may run and
+    /// [`Graph::retain`] keeps everything.
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.values.clear();
         self.live.clear();
+        self.forward_only = false;
+    }
+
+    /// [`Graph::clear`] for a forward pass alone: until the next `clear`,
+    /// [`Graph::backward`] panics and [`Graph::retain`] drops values.
+    /// Only the tape's owner knows that no backward will follow, so this
+    /// state is set here and never inferred.
+    pub fn clear_for_inference(&mut self) {
+        self.clear();
+        self.forward_only = true;
+    }
+
+    /// On a tape cleared for inference, drop the value of every node
+    /// recorded so far except `keep`'s and move the kept values to the
+    /// front of the arena, in tape order: what is recorded next reuses the
+    /// memory. A dropped node's value must not be read again (reading it
+    /// panics); a kept one reads the same bits. On a training tape, where
+    /// `backward` reads values from anywhere on the tape, this does nothing.
+    pub fn retain(&mut self, keep: &[Var]) {
+        if !self.forward_only {
+            return;
+        }
+        let mut kept: Vec<usize> = keep.iter().map(|v| v.0).collect();
+        kept.sort_unstable_by_key(|&i| (self.nodes[i].value, i));
+        kept.dedup();
+        let mut end = 0;
+        for &i in &kept {
+            let range = self.nodes[i].value_range();
+            let len = range.len();
+            self.values.copy_within(range, end);
+            self.nodes[i].value = end;
+            end += len;
+        }
+        self.values.truncate(end);
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if !kept.contains(&i) {
+                node.value = DROPPED;
+            }
+        }
     }
 
     fn push(&mut self, (rows, cols): (usize, usize), value: usize, op: Op, rg: bool) -> Var {
@@ -519,27 +596,6 @@ impl Graph {
         )
     }
 
-    // ---- nonlinearities ----------------------------------------------------
-
-    /// ELU: `x` for `x >= 0`, `alpha * (e^x - 1)` for `x < 0`. The
-    /// exponential runs over every entry, then a select keeps `x` itself
-    /// where it is not negative, NaN payloads included.
-    pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        let rg = self.requires(a);
-        self.record(
-            self.shape(a),
-            Some(a),
-            0,
-            (Op::Elu(a, alpha), rg),
-            |v, out, _| {
-                expf::exp_in_place(out);
-                for (y, &x) in out.iter_mut().zip(v.of(a)) {
-                    *y = if x < 0.0 { alpha * (*y - 1.0) } else { x };
-                }
-            },
-        )
-    }
-
     // ---- structure ops -----------------------------------------------------
 
     /// Concatenate along rows (vertical stack): all inputs must share the
@@ -668,39 +724,6 @@ impl Graph {
         })
     }
 
-    /// Message aggregation `out[dst_e] += h[src_e] · alpha_e` in edge order,
-    /// fused: the f32 sequence of `gather_rows` → `mul_col_broadcast` →
-    /// `scatter_add_rows` without that chain's two `[E,d]` intermediates.
-    pub fn edge_aggregate(
-        &mut self,
-        h: Var,
-        alpha: Var,
-        src: Arc<Vec<u32>>,
-        dst: Arc<Vec<u32>>,
-        out_rows: usize,
-    ) -> Var {
-        let (rows, d) = self.shape(h);
-        assert_eq!(dst.len(), src.len(), "edge_aggregate: dst length mismatch");
-        assert_eq!(
-            self.shape(alpha),
-            (src.len(), 1),
-            "edge_aggregate: alpha must be one weight per edge"
-        );
-        if !(all_below(&src, rows) && all_below(&dst, out_rows)) {
-            for (&s, &t) in src.iter().zip(dst.iter()) {
-                assert!(
-                    (s as usize) < rows && (t as usize) < out_rows,
-                    "edge_aggregate: edge {s}->{t} out of range"
-                );
-            }
-        }
-        let rg = self.requires(h) || self.requires(alpha);
-        let op = Op::EdgeAggregate(h, alpha, Arc::clone(&src), Arc::clone(&dst));
-        self.record((out_rows, d), None, 0, (op, rg), |v, out, _| {
-            edge::aggregate(v.of(h), d, v.of(alpha), (&src, &dst), out);
-        })
-    }
-
     /// Row-wise L2 normalisation: `y_i = x_i / max(||x_i||, eps)`.
     pub fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
         let shape @ (_, n) = self.shape(a);
@@ -812,55 +835,103 @@ impl Graph {
         })
     }
 
-    /// The epilogue of a multi-head attention layer with a residual,
-    /// fused: `elu(concat_cols(heads) + res)`, written once. The heads
-    /// share `res`'s row count and their widths sum to its width. Replays
-    /// `concat_cols` → `add` → `elu` (one head: `add` → `elu`) bit for bit,
-    /// gradients included, without the chain's two `[n, H·d]`
-    /// intermediates; the backward recomputes the pre-activation for ELU's
-    /// sign.
+    /// A multi-head attention layer after its weights, fused (Simple-HGN
+    /// Eq. 3 with ELU's `α = 1`): `elu(concat_h(agg_h) + h·W_res)`, where
+    /// head `k`'s `agg_k[dst_e] += hw_k[src_e]·alphas_k[e]` in edge order,
+    /// for `hws[k]` `[n, d_k]` and `alphas[k]` `[E, 1]` over the edges
+    /// `src → dst` of `h`'s `n` nodes, and `W_res` is `[f, Σ d_k]`.
+    ///
+    /// Replays `edge_aggregate` per head, `matmul(h, W_res)` and
+    /// `concat_cols` → `add` → `elu` bit for bit, gradients included, and
+    /// records only its `[n, Σ d_k]` output: the forward writes the
+    /// residual product into it, aggregates one head at a time into
+    /// scratch and adds it (`agg + res`), then takes the ELU. The backward
+    /// reads ELU's slope from the output (DESIGN §8 "Stage ops").
     ///
     /// # Panics
-    /// Panics on no heads or a shape mismatch.
-    pub fn heads_residual_elu(&mut self, heads: &[Var], res: Var, alpha: f32) -> Var {
-        assert!(!heads.is_empty(), "heads_residual_elu: no heads");
-        let shape @ (m, total) = self.shape(res);
-        for &h in heads {
-            assert_eq!(self.shape(h).0, m, "heads_residual_elu: row mismatch");
+    /// Panics on no heads, a shape mismatch, or naming the first edge out
+    /// of range for `n` nodes.
+    pub fn aggregate_residual_elu(
+        &mut self,
+        hws: &[Var],
+        alphas: &[Var],
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        h: Var,
+        w_res: Var,
+    ) -> Var {
+        const NAME: &str = "aggregate_residual_elu";
+        assert!(!hws.is_empty(), "{NAME}: no heads");
+        assert_eq!(hws.len(), alphas.len(), "{NAME}: one alpha per head");
+        assert_eq!(dst.len(), src.len(), "{NAME}: dst length mismatch");
+        let ((n, f), (wf, total)) = (self.shape(h), self.shape(w_res));
+        assert_eq!(wf, f, "{NAME}: {n}x{f} @ {wf}x{total} residual");
+        let mut width = 0;
+        for (&hw, &alpha) in hws.iter().zip(alphas) {
+            assert_eq!(self.shape(hw).0, n, "{NAME}: head row mismatch");
+            assert_eq!(
+                self.shape(alpha),
+                (src.len(), 1),
+                "{NAME}: alpha must be one weight per edge"
+            );
+            width += self.shape(hw).1;
         }
-        let width: usize = heads.iter().map(|&h| self.shape(h).1).sum();
         assert_eq!(
             width, total,
-            "heads_residual_elu: head widths sum to {width}, res is {total} wide"
+            "{NAME}: head widths sum to {width}, W_res is {total} wide"
         );
-        let rg = self.requires(res) || heads.iter().any(|&h| self.requires(h));
-        let op = Op::HeadsResidualElu(heads.to_vec(), res, alpha);
-        let block = (m * total).min(ELU_BLOCK);
-        self.record(shape, None, block, (op, rg), |v, out, e| {
-            let mut off = 0;
-            for &h in heads {
-                let hc = v.nodes[h.0].cols;
-                for (r, src) in rows_of(v.of(h), m, hc).enumerate() {
-                    out[r * total + off..][..hc].copy_from_slice(src);
-                }
-                off += hc;
+        if !(all_below(&src, n) && all_below(&dst, n)) {
+            for (&s, &t) in src.iter().zip(dst.iter()) {
+                assert!(
+                    (s as usize) < n && (t as usize) < n,
+                    "{NAME}: edge {s}->{t} out of range for {n} nodes"
+                );
             }
-            for (x, &r) in out.iter_mut().zip(v.of(res)) {
-                *x += r;
-            }
-            // `elu`'s exponential over a copy, then its select, a block at
-            // a time.
-            for block in out.chunks_mut(ELU_BLOCK) {
-                let e = &mut e[..block.len()];
-                e.copy_from_slice(block);
-                expf::exp_in_place(e);
-                for (y, &e) in block.iter_mut().zip(&*e) {
-                    if *y < 0.0 {
-                        *y = alpha * (e - 1.0);
+        }
+        let rg = [h, w_res]
+            .iter()
+            .chain(hws)
+            .chain(alphas)
+            .any(|&v| self.requires(v));
+        let block = hws
+            .iter()
+            .map(|&hw| n * self.shape(hw).1)
+            .max()
+            .unwrap_or(0);
+        let scratch_len = block + (n * total).min(ELU_BLOCK);
+        let op = Op::AggregateResidualElu(Box::new(Epilogue {
+            heads: hws.iter().copied().zip(alphas.iter().copied()).collect(),
+            src: Arc::clone(&src),
+            dst: Arc::clone(&dst),
+            h,
+            w_res,
+        }));
+        self.record(
+            (n, total),
+            None,
+            scratch_len,
+            (op, rg),
+            |v, out, scratch| {
+                let (agg, e) = scratch.split_at_mut(block);
+                gemm::nn_into(v.of(h), v.of(w_res), (n, f, total), out, false);
+                let mut off = 0;
+                for (&hw, &alpha) in hws.iter().zip(alphas) {
+                    let d = v.nodes[hw.0].cols;
+                    let agg = &mut agg[..n * d];
+                    agg.fill(0.0);
+                    edge::aggregate(v.of(hw), d, v.of(alpha), (&src, &dst), agg);
+                    // `agg + res`, in the chain's operand order.
+                    for (r, a) in rows_of(agg, n, d).enumerate() {
+                        for (o, &a) in out[r * total + off..][..d].iter_mut().zip(a) {
+                            let res = *o;
+                            *o = a + res;
+                        }
                     }
+                    off += d;
                 }
-            }
-        })
+                elu_in_blocks(out, 1.0, e);
+            },
+        )
     }
 
     // ---- reductions & losses ------------------------------------------------
@@ -913,8 +984,13 @@ impl Graph {
     /// (the module docs' store-then-add rule).
     ///
     /// # Panics
-    /// Panics if `loss` is not `1x1` or does not require grad.
+    /// Panics if `loss` is not `1x1` or does not require grad, or on a tape
+    /// cleared for inference.
     pub fn backward(&mut self, loss: Var) {
+        assert!(
+            !self.forward_only,
+            "backward: the tape was cleared for inference"
+        );
         assert_eq!(self.shape(loss), (1, 1), "backward: loss must be scalar");
         assert!(self.requires(loss), "backward: loss does not require grad");
         let Self {
@@ -923,6 +999,7 @@ impl Graph {
             grads,
             live,
             scratch: buffer,
+            forward_only: _,
         } = self;
         let values: &[f32] = values;
         for node in nodes.iter_mut() {
@@ -1069,13 +1146,11 @@ impl Op {
             | &Op::Add(a, b)
             | &Op::Mul(a, b)
             | &Op::AddRowBroadcast(a, b)
-            | &Op::RowDot(a, b)
-            | &Op::EdgeAggregate(a, b, ..) => {
+            | &Op::RowDot(a, b) => {
                 f(a);
                 f(b);
             }
             &Op::Scale(a, _)
-            | &Op::Elu(a, _)
             | &Op::GatherRows(a, _)
             | &Op::SegmentSoftmax(a, _)
             | &Op::L2NormalizeRows(a, _)
@@ -1095,9 +1170,13 @@ impl Op {
                     f(b);
                 }
             }
-            Op::HeadsResidualElu(heads, res, _) => {
-                heads.iter().copied().for_each(&mut f);
-                f(*res);
+            Op::AggregateResidualElu(op) => {
+                f(op.h);
+                f(op.w_res);
+                for &(hw, alpha) in &op.heads {
+                    f(hw);
+                    f(alpha);
+                }
             }
             #[cfg(test)]
             Op::Reference(op) => op.for_each_parent(f),
@@ -1117,14 +1196,21 @@ impl Node {
             Op::EdgeSoftmax(s_src, s_dst, per_type, _, _, segs, _) => {
                 self.len() + segs.n_segments + len(*s_src) + len(*s_dst) + per_type.map_or(0, len)
             }
-            &Op::EdgeAggregate(h, alpha, ..) => len(h).max(len(alpha)),
-            // One head's `δ` block, as large as the head.
-            Op::HeadsResidualElu(heads, ..) => heads.iter().map(|&h| len(h)).max().unwrap_or(0),
+            // `W_res`'s transpose for `h`'s share; then one head's `δ`
+            // block beside its `dα` or `dhw`.
+            Op::AggregateResidualElu(op) => (op.heads.iter())
+                .map(|&(hw, alpha)| len(hw) + len(hw).max(len(alpha)))
+                .fold(
+                    usize::from(nodes[op.h.0].requires_grad) * len(op.w_res),
+                    usize::max,
+                ),
             // A part's rows of `g`, then the bias share or `wᵀ`.
             Op::ProjectRows(parts) => (parts.iter())
                 .map(|&(x, w, ..)| nodes[x.0].rows * self.cols + len(w).max(self.cols))
                 .max()
                 .unwrap_or(0),
+            #[cfg(test)]
+            Op::Reference(op) => op.scratch_len(nodes),
             _ => 0,
         }
     }
@@ -1134,7 +1220,23 @@ impl Node {
     /// takes no gradient: its share is never computed. A one-parent node
     /// has a gradient only when its parent takes one, so only the
     /// multi-parent arms ask `wants`.
-    fn backprop(&self, y: &[f32], g: &[f32], to: &mut Shares<'_>, scratch: &mut [f32]) {
+    ///
+    /// `g` is this node's own range, which is spent once its shares are
+    /// written; `aggregate_residual_elu` turns it into the pre-activation's
+    /// gradient in place.
+    fn backprop(&self, y: &[f32], g: &mut [f32], to: &mut Shares<'_>, scratch: &mut [f32]) {
+        if let Op::AggregateResidualElu(_) = self.op {
+            // ELU's slope from its output (`α = 1`): `y < 0` exactly where
+            // the chain took `g·(y + 1)`, except a negative `x` whose
+            // `e^x` rounds to 1, where `y = +0.0` and the chain's
+            // `g·(0 + 1)` is `g` itself, as no gradient is a signalling NaN.
+            for (g, &y) in g.iter_mut().zip(y) {
+                if y < 0.0 {
+                    *g *= y + 1.0;
+                }
+            }
+        }
+        let g: &[f32] = g;
         match &self.op {
             Op::Leaf => {}
             &Op::MatMul(a, b) => {
@@ -1179,14 +1281,6 @@ impl Node {
                 }
             }
             &Op::Scale(a, s) => to.put(a, g.iter().map(|&d| d * s)),
-            &Op::Elu(a, alpha) => {
-                let x = to.value(a);
-                // d/dx alpha(e^x - 1) = alpha e^x = y + alpha. A select, not
-                // `d * 1.0` where x >= 0: that would quiet an sNaN.
-                let share = (g.iter().zip(x).zip(y))
-                    .map(|((&d, &x), &y)| if x < 0.0 { d * (y + alpha) } else { d });
-                to.put(a, share);
-            }
             Op::ConcatRows(vars) => {
                 let mut off = 0;
                 for &v in vars {
@@ -1268,17 +1362,6 @@ impl Node {
                     }
                 }
             }
-            Op::EdgeAggregate(h, alpha, src, dst) => {
-                let (hv, av, d) = (to.value(*h), to.value(*alpha), to.shape(*h).1);
-                if to.wants(*alpha) {
-                    to.built(*alpha, scratch, |da| {
-                        edge::alpha_grad(g, hv, d, (src, dst), da);
-                    });
-                }
-                if to.wants(*h) {
-                    to.built(*h, scratch, |dh| edge::aggregate(g, d, av, (dst, src), dh));
-                }
-            }
             &Op::L2NormalizeRows(a, eps) => {
                 let (m, n) = (self.rows, self.cols);
                 let x = to.value(a);
@@ -1343,45 +1426,6 @@ impl Node {
                     }
                 }
             }
-            &Op::HeadsResidualElu(ref heads, res, alpha) => {
-                // Every parent's share is the pre-activation's gradient `δ`,
-                // recomputed from the same `head + res` sum the forward
-                // took, one head's `[n, d]` block at a time: no `[n, H·d]`
-                // buffer. Each block goes to `res`'s columns, then to the
-                // head.
-                let (m, total) = (self.rows, self.cols);
-                let rv = to.value(res);
-                let res_held = to.wants(res).then(|| to.held(res));
-                let mut off = 0;
-                for &h in heads {
-                    let (hv, hc) = (to.value(h), to.shape(h).1);
-                    let delta = &mut scratch[..m * hc];
-                    for r in 0..m {
-                        let at = r * total + off;
-                        let (hx, rx) = (&hv[r * hc..][..hc], &rv[at..][..hc]);
-                        let (gy, yv) = (&g[at..][..hc], &y[at..][..hc]);
-                        let d = &mut delta[r * hc..][..hc];
-                        for c in 0..hc {
-                            d[c] = if hx[c] + rx[c] < 0.0 {
-                                gy[c] * (yv[c] + alpha)
-                            } else {
-                                gy[c]
-                            };
-                        }
-                    }
-                    let delta: &[f32] = delta;
-                    if let Some(add) = res_held {
-                        let dst = to.range(res);
-                        for (r, d) in rows_of(delta, m, hc).enumerate() {
-                            write(&mut dst[r * total + off..][..hc], add, d.iter().copied());
-                        }
-                    }
-                    if to.wants(h) {
-                        to.put(h, delta.iter().copied());
-                    }
-                    off += hc;
-                }
-            }
             &Op::SumAll(a) => {
                 let n = to.shape(a);
                 to.put(a, std::iter::repeat(g[0]).take(n.0 * n.1));
@@ -1406,8 +1450,50 @@ impl Node {
                     }
                 });
             }
+            Op::AggregateResidualElu(op) => {
+                // The chain's backward order: the residual's `matmul`
+                // (`h`, then `W_res`), then each head's `edge_aggregate`,
+                // last first (`dα`, then `dhw`), every one reading `δ`.
+                let Epilogue {
+                    heads,
+                    src,
+                    dst,
+                    h,
+                    w_res,
+                } = &**op;
+                let (n, total) = (self.rows, self.cols);
+                let ((_, f), hv, wv) = (to.shape(*h), to.value(*h), to.value(*w_res));
+                if to.wants(*h) {
+                    let (out, add) = to.slot(*h);
+                    gemm::nt_into(g, wv, (n, total, f), out, add, scratch);
+                }
+                if to.wants(*w_res) {
+                    let (out, add) = to.slot(*w_res);
+                    gemm::tn_into(hv, g, (f, n, total), out, add);
+                }
+                let (src, dst) = (&src[..], &dst[..]);
+                let mut end = total;
+                for &(hw, alpha) in heads.iter().rev() {
+                    let d = to.shape(hw).1;
+                    end -= d;
+                    let (delta, rest) = scratch.split_at_mut(n * d);
+                    for (r, out) in delta.chunks_exact_mut(d.max(1)).enumerate() {
+                        out.copy_from_slice(&g[r * total + end..][..d]);
+                    }
+                    let delta: &[f32] = delta;
+                    let (hwv, av) = (to.value(hw), to.value(alpha));
+                    if to.wants(alpha) {
+                        to.built(alpha, rest, |da| {
+                            edge::alpha_grad(delta, hwv, d, (src, dst), da);
+                        });
+                    }
+                    if to.wants(hw) {
+                        to.built(hw, rest, |dh| edge::aggregate(delta, d, av, (dst, src), dh));
+                    }
+                }
+            }
             #[cfg(test)]
-            Op::Reference(op) => op.backprop((self.rows, self.cols), g, to),
+            Op::Reference(op) => op.backprop((self.rows, self.cols), y, g, to, scratch),
         }
     }
 }
@@ -1442,7 +1528,7 @@ mod tests {
         const SRC: [u32; 5] = [0, 1, 2, 0, 2];
         const DST: [u32; 5] = [1, 1, 0, 2, 2];
         #[rustfmt::skip]
-        let cases: [Case; 13] = [
+        let cases: [Case; 14] = [
             ("matmul", &[(3, 2), (2, 4)], |g, p| g.matmul(p[0], p[1])),
             ("add", &[(3, 2), (3, 2)], |g, p| g.add(p[0], p[1])),
             ("mul", &[(3, 2), (3, 2)], |g, p| g.mul(p[0], p[1])),
@@ -1470,6 +1556,11 @@ mod tests {
             // A constant `res` among the heads' parents.
             ("heads_residual_elu", &[(3, 2), (3, 1), (3, 3)], |g, p| {
                 g.heads_residual_elu(&p[..2], p[2], 1.0)
+            }),
+            // Two heads (`hw`, `α` each), the layer input and `W_res`.
+            ("aggregate_residual_elu", &[(3, 2), (5, 1), (3, 8), (5, 1), (3, 4), (4, 10)], |g, p| {
+                let (src, dst) = (Arc::new(SRC.to_vec()), Arc::new(DST.to_vec()));
+                g.aggregate_residual_elu(&[p[0], p[2]], &[p[1], p[3]], src, dst, p[4], p[5])
             }),
         ];
         for (name, shapes, build) in cases {
@@ -1672,7 +1763,10 @@ mod tests {
     /// The trainer's pattern on one workspace tape: a small client, then a
     /// larger one, each cleared before every step and stepped twice (its
     /// first batch and a later one), then a second round of both. Only a
-    /// client's first step of the first round may grow an arena.
+    /// client's first step of the first round may grow an arena. Worker
+    /// slot 0 also evaluates on its tape, a forward-only pass over a larger
+    /// graph: train, evaluate, then train again, and after each size's
+    /// first step nothing regrows.
     #[test]
     fn a_cleared_tape_stops_growing_across_clients_and_rounds() {
         let mut g = Graph::new();
@@ -1689,6 +1783,188 @@ mod tests {
         for n in [5, 9] {
             assert_eq!(step(n), held[1], "{n}-row step regrew in round two");
         }
+
+        let slot_0 = |g: &mut Graph| {
+            let mut held = Vec::new();
+            for n in [5, 9] {
+                g.clear();
+                mixed_step(g, n);
+                held.push(arena_capacity(g));
+            }
+            g.clear_for_inference();
+            layers(g, 13);
+            held.push(arena_capacity(g));
+            held
+        };
+        let mut g = Graph::new();
+        let first = slot_0(&mut g);
+        for round in ["round two", "round three"] {
+            assert_eq!(
+                slot_0(&mut g),
+                vec![first[2]; 3],
+                "slot 0 regrew in {round}"
+            );
+        }
+    }
+
+    /// One encoder layer of `n` nodes on `g`, after `h` (`[n, f]`):
+    /// `heads` heads of width 3, each `hw = h·W` with its attention weights
+    /// from `edge_softmax` over a ring of self- and neighbour edges, then
+    /// `aggregate_residual_elu` with `W_res`. Returns the layer's output.
+    fn layer(g: &mut Graph, h: Var, heads: usize, seed: usize) -> Var {
+        let (n, f) = g.shape(h);
+        let data = |rows: usize, cols: usize, k: usize| {
+            let v = (0..rows * cols).map(|i| ((i * 5 + k * 7 + seed) % 11) as f32 * 0.2 - 1.0);
+            Matrix::from_vec(rows, cols, v.collect())
+        };
+        let src: Vec<u32> = (0..2 * n as u32).map(|e| e / 2).collect();
+        let dst: Vec<u32> = (0..2 * n as u32)
+            .map(|e| (e / 2 + e % 2) % n as u32)
+            .collect();
+        let (src, dst) = (Arc::new(src), Arc::new(dst));
+        let segs = Arc::new(Segments::new(dst.to_vec(), n));
+        let etype = Arc::new(vec![0; 2 * n]);
+        let (mut hws, mut alphas) = (Vec::new(), Vec::new());
+        for k in 0..heads {
+            let w = g.leaf(data(f, 3, 3 * k));
+            let hw = g.matmul(h, w);
+            let a = g.leaf(data(3, 1, 3 * k + 1));
+            let s = g.matmul(hw, a);
+            let alpha = g.edge_softmax(s, s, None, src.clone(), etype.clone(), segs.clone(), 0.2);
+            hws.push(hw);
+            alphas.push(alpha);
+        }
+        let w_res = g.leaf(data(f, 3 * heads, 5));
+        g.aggregate_residual_elu(&hws, &alphas, src, dst, h, w_res)
+    }
+
+    /// A three-layer forward pass of `n` nodes, two heads a layer, with
+    /// `retain` after each layer as the encoder calls it; returns the
+    /// output's bits and the arena's length just before each `retain`.
+    fn layers(g: &mut Graph, n: usize) -> (Vec<u32>, Vec<usize>) {
+        let x = g.input(Matrix::from_vec(
+            n,
+            6,
+            (0..n * 6).map(|i| (i % 5) as f32).collect(),
+        ));
+        let mut h = x;
+        let mut before = Vec::new();
+        for seed in 0..3 {
+            h = layer(g, h, 2, seed);
+            before.push(g.values.len());
+            g.retain(&[h]);
+        }
+        let bits = g.value(h).as_slice().iter().map(|v| v.to_bits()).collect();
+        (bits, before)
+    }
+
+    /// The stage op records one value, its `[n, H·d]` output: no per-head
+    /// aggregate and no residual product.
+    #[test]
+    fn the_layer_op_records_only_its_output() {
+        let mut g = Graph::new();
+        let h = g.input(Matrix::full(7, 4, 0.5));
+        let (hws, alphas): (Vec<Var>, Vec<Var>) = (0..3)
+            .map(|k| {
+                (
+                    g.leaf(Matrix::full(7, 2 + k, 0.25)),
+                    g.leaf(Matrix::full(9, 1, 0.5)),
+                )
+            })
+            .unzip();
+        let w_res = g.leaf(Matrix::full(4, 9, -0.5));
+        let (src, dst) = (
+            Arc::new(vec![0, 1, 2, 3, 4, 5, 6, 0, 6]),
+            Arc::new(vec![6; 9]),
+        );
+        let (values, nodes) = (g.values.len(), g.len());
+        let out = g.aggregate_residual_elu(&hws, &alphas, src, dst, h, w_res);
+        assert_eq!(g.shape(out), (7, 9));
+        assert_eq!(g.values.len() - values, 7 * 9);
+        assert_eq!(g.len() - nodes, 1);
+    }
+
+    /// On a tape cleared for inference, each `retain` leaves only the kept
+    /// layer output, so the arena never holds more than that plus one
+    /// layer's values; the output is a training tape's, bit for bit.
+    #[test]
+    fn a_forward_only_tape_holds_one_layer_at_a_time() {
+        let n = 6;
+        let mut training = Graph::new();
+        let (want, grown) = layers(&mut training, n);
+        // A training tape keeps everything: its arena only grows.
+        assert!(grown.windows(2).all(|w| w[0] < w[1]));
+        let mut g = Graph::new();
+        g.clear_for_inference();
+        let (bits, before) = layers(&mut g, n);
+        assert_eq!(bits, want);
+        // Every layer reads an `[n, 6]` input (the features, then two heads
+        // of 3) and records this much after it, on a fresh tape.
+        let layer_len = {
+            let mut fresh = Graph::new();
+            let h = fresh.input(Matrix::zeros(n, 6));
+            layer(&mut fresh, h, 2, 0);
+            fresh.values.len() - n * 6
+        };
+        assert_eq!(before, vec![n * 6 + layer_len; 3]);
+        assert_eq!(g.values.len(), n * 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward: the tape was cleared for inference")]
+    fn backward_refuses_a_tape_cleared_for_inference() {
+        let mut g = Graph::new();
+        g.clear_for_inference();
+        let x = g.leaf(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let loss = g.sum_all(x);
+        g.backward(loss);
+    }
+
+    /// A value `retain` dropped cannot be read by mistake.
+    #[test]
+    #[should_panic(expected = "a value dropped by `Graph::retain` was read")]
+    fn a_dropped_value_is_never_read() {
+        let mut g = Graph::new();
+        g.clear_for_inference();
+        let x = g.input(Matrix::full(2, 2, 1.0));
+        let y = g.scale(x, 2.0);
+        g.retain(&[y]);
+        assert_eq!(g.value(y).as_slice(), &[2.0; 4]);
+        g.value(x);
+    }
+
+    /// On a training tape `retain` is a no-op: every value, the arena and
+    /// the gradients stay as they were.
+    #[test]
+    fn retain_on_a_training_tape_changes_nothing() {
+        let run = |retain: bool| {
+            let mut g = Graph::new();
+            let x = g.leaf(Matrix::from_vec(
+                4,
+                6,
+                (0..24).map(|i| (i % 7) as f32 * 0.3 - 1.0).collect(),
+            ));
+            let mut h = x;
+            for seed in 0..2 {
+                h = layer(&mut g, h, 2, seed);
+                if retain {
+                    g.retain(&[h]);
+                }
+            }
+            let values: Vec<u32> = g.values.iter().map(|v| v.to_bits()).collect();
+            let arena = g.values.capacity();
+            let loss = g.sum_all(h);
+            g.backward(loss);
+            let grad: Vec<u32> = g
+                .grad(x)
+                .unwrap()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            (values, arena, grad)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     /// After `backward`, only leaves keep a gradient: an interior node's

@@ -1,10 +1,14 @@
 //! The unfused ops the fused ones replay bit for bit: `mul_col_broadcast`,
-//! `leaky_relu`, `concat_cols` and `scatter_add_rows` (DESIGN §8 "Edge
-//! kernels", "Stage ops"). The program records only the fused ops, so
-//! these exist in test builds alone, beside the gradchecks of their own
-//! backward and the properties that hold each fused op to its chain.
+//! `leaky_relu`, `concat_cols`, `scatter_add_rows`, `elu`,
+//! `edge_aggregate` and `heads_residual_elu` (DESIGN §8 "Edge kernels",
+//! "Stage ops"). The program records only the fused ops, so these exist in
+//! test builds alone, beside the gradchecks and checks of their own, and
+//! the properties that hold each fused op to its chain.
 
-use super::{rows_of, write, Graph, Op, Projection, Segments, Shares, Var};
+use super::{
+    all_below, edge, elu_in_blocks, expf, rows_of, write, Graph, Node, Op, Projection, Segments,
+    Shares, Var, ELU_BLOCK,
+};
 use crate::{oracle, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,23 +22,55 @@ pub(super) enum Reference {
     LeakyRelu(Var, f32),
     ConcatCols(Vec<Var>),
     ScatterAddRows(Var, Arc<Vec<u32>>),
+    Elu(Var, f32),
+    /// Gather · per-edge scale · scatter-add: `(h, alpha, src, dst)`.
+    EdgeAggregate(Var, Var, Arc<Vec<u32>>, Arc<Vec<u32>>),
+    /// `elu(concat_cols(heads) + res)`: `(heads, res, alpha)`.
+    HeadsResidualElu(Vec<Var>, Var, f32),
 }
 
 impl Reference {
     /// Call `f` on every parent handle.
     pub(super) fn for_each_parent(&self, mut f: impl FnMut(Var)) {
         match self {
-            &Reference::MulColBroadcast(a, c) => {
+            &Reference::MulColBroadcast(a, c) | &Reference::EdgeAggregate(a, c, ..) => {
                 f(a);
                 f(c);
             }
-            &Reference::LeakyRelu(a, _) | &Reference::ScatterAddRows(a, _) => f(a),
+            &Reference::LeakyRelu(a, _)
+            | &Reference::ScatterAddRows(a, _)
+            | &Reference::Elu(a, _) => f(a),
             Reference::ConcatCols(vars) => vars.iter().copied().for_each(f),
+            Reference::HeadsResidualElu(heads, res, _) => {
+                heads.iter().copied().for_each(&mut f);
+                f(*res);
+            }
         }
     }
 
-    /// Each parent's share of the gradient `g` of an `m × n` node.
-    pub(super) fn backprop(&self, (m, n): (usize, usize), g: &[f32], to: &mut Shares<'_>) {
+    /// Floats of scratch this op's backward uses.
+    pub(super) fn scratch_len(&self, nodes: &[Node]) -> usize {
+        let len = |v: Var| nodes[v.0].len();
+        match self {
+            &Reference::EdgeAggregate(h, alpha, ..) => len(h).max(len(alpha)),
+            // One head's `δ` block, as large as the head.
+            Reference::HeadsResidualElu(heads, ..) => {
+                heads.iter().map(|&h| len(h)).max().unwrap_or(0)
+            }
+            _ => 0,
+        }
+    }
+
+    /// Each parent's share of the gradient `g` of an `m × n` node whose
+    /// value is `y`.
+    pub(super) fn backprop(
+        &self,
+        (m, n): (usize, usize),
+        y: &[f32],
+        g: &[f32],
+        to: &mut Shares<'_>,
+        scratch: &mut [f32],
+    ) {
         match self {
             &Reference::MulColBroadcast(a, c) => {
                 if to.wants(a) {
@@ -81,6 +117,63 @@ impl Reference {
                 for (i, &j) in idx.iter().enumerate() {
                     let j = j as usize;
                     write(&mut dst[i * n..][..n], add, g[j * n..][..n].iter().copied());
+                }
+            }
+            &Reference::Elu(a, alpha) => {
+                let x = to.value(a);
+                // d/dx alpha(e^x - 1) = alpha e^x = y + alpha. A select, not
+                // `d * 1.0` where x >= 0: that would quiet an sNaN.
+                let share = (g.iter().zip(x).zip(y))
+                    .map(|((&d, &x), &y)| if x < 0.0 { d * (y + alpha) } else { d });
+                to.put(a, share);
+            }
+            Reference::EdgeAggregate(h, alpha, src, dst) => {
+                let (hv, av, d) = (to.value(*h), to.value(*alpha), to.shape(*h).1);
+                if to.wants(*alpha) {
+                    to.built(*alpha, scratch, |da| {
+                        edge::alpha_grad(g, hv, d, (src, dst), da);
+                    });
+                }
+                if to.wants(*h) {
+                    to.built(*h, scratch, |dh| edge::aggregate(g, d, av, (dst, src), dh));
+                }
+            }
+            &Reference::HeadsResidualElu(ref heads, res, alpha) => {
+                // Every parent's share is the pre-activation's gradient `δ`,
+                // recomputed from the same `head + res` sum the forward
+                // took, one head's `[m, d]` block at a time. Each block goes
+                // to `res`'s columns, then to the head.
+                let total = n;
+                let rv = to.value(res);
+                let res_held = to.wants(res).then(|| to.held(res));
+                let mut off = 0;
+                for &h in heads {
+                    let (hv, hc) = (to.value(h), to.shape(h).1);
+                    let delta = &mut scratch[..m * hc];
+                    for r in 0..m {
+                        let at = r * total + off;
+                        let (hx, rx) = (&hv[r * hc..][..hc], &rv[at..][..hc]);
+                        let (gy, yv) = (&g[at..][..hc], &y[at..][..hc]);
+                        let d = &mut delta[r * hc..][..hc];
+                        for c in 0..hc {
+                            d[c] = if hx[c] + rx[c] < 0.0 {
+                                gy[c] * (yv[c] + alpha)
+                            } else {
+                                gy[c]
+                            };
+                        }
+                    }
+                    let delta: &[f32] = delta;
+                    if let Some(add) = res_held {
+                        let dst = to.range(res);
+                        for (r, d) in rows_of(delta, m, hc).enumerate() {
+                            write(&mut dst[r * total + off..][..hc], add, d.iter().copied());
+                        }
+                    }
+                    if to.wants(h) {
+                        to.put(h, delta.iter().copied());
+                    }
+                    off += hc;
                 }
             }
         }
@@ -164,6 +257,95 @@ impl Graph {
                     *o += s;
                 }
             }
+        })
+    }
+
+    /// ELU: `x` for `x >= 0`, `alpha * (e^x - 1)` for `x < 0`. The
+    /// exponential runs over every entry, then a select keeps `x` itself
+    /// where it is not negative, NaN payloads included.
+    pub(crate) fn elu(&mut self, a: Var, alpha: f32) -> Var {
+        let rg = self.requires(a);
+        let op = Op::Reference(Reference::Elu(a, alpha));
+        self.record(self.shape(a), Some(a), 0, (op, rg), |v, out, _| {
+            expf::exp_in_place(out);
+            for (y, &x) in out.iter_mut().zip(v.of(a)) {
+                *y = if x < 0.0 { alpha * (*y - 1.0) } else { x };
+            }
+        })
+    }
+
+    /// Message aggregation `out[dst_e] += h[src_e] · alpha_e` in edge order,
+    /// fused: the f32 sequence of `gather_rows` → `mul_col_broadcast` →
+    /// `scatter_add_rows` without that chain's two `[E,d]` intermediates.
+    pub(crate) fn edge_aggregate(
+        &mut self,
+        h: Var,
+        alpha: Var,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        out_rows: usize,
+    ) -> Var {
+        let (rows, d) = self.shape(h);
+        assert_eq!(dst.len(), src.len(), "edge_aggregate: dst length mismatch");
+        assert_eq!(
+            self.shape(alpha),
+            (src.len(), 1),
+            "edge_aggregate: alpha must be one weight per edge"
+        );
+        if !(all_below(&src, rows) && all_below(&dst, out_rows)) {
+            for (&s, &t) in src.iter().zip(dst.iter()) {
+                assert!(
+                    (s as usize) < rows && (t as usize) < out_rows,
+                    "edge_aggregate: edge {s}->{t} out of range"
+                );
+            }
+        }
+        let rg = self.requires(h) || self.requires(alpha);
+        let op = Reference::EdgeAggregate(h, alpha, Arc::clone(&src), Arc::clone(&dst));
+        self.record(
+            (out_rows, d),
+            None,
+            0,
+            (Op::Reference(op), rg),
+            |v, out, _| {
+                edge::aggregate(v.of(h), d, v.of(alpha), (&src, &dst), out);
+            },
+        )
+    }
+
+    /// The epilogue of a multi-head attention layer with a residual,
+    /// fused: `elu(concat_cols(heads) + res)`, written once. The heads
+    /// share `res`'s row count and their widths sum to its width. Replays
+    /// `concat_cols` → `add` → `elu` (one head: `add` → `elu`) bit for bit,
+    /// gradients included; the backward recomputes the pre-activation for
+    /// ELU's sign.
+    pub(crate) fn heads_residual_elu(&mut self, heads: &[Var], res: Var, alpha: f32) -> Var {
+        assert!(!heads.is_empty(), "heads_residual_elu: no heads");
+        let shape @ (m, total) = self.shape(res);
+        for &h in heads {
+            assert_eq!(self.shape(h).0, m, "heads_residual_elu: row mismatch");
+        }
+        let width: usize = heads.iter().map(|&h| self.shape(h).1).sum();
+        assert_eq!(
+            width, total,
+            "heads_residual_elu: head widths sum to {width}, res is {total} wide"
+        );
+        let rg = self.requires(res) || heads.iter().any(|&h| self.requires(h));
+        let op = Op::Reference(Reference::HeadsResidualElu(heads.to_vec(), res, alpha));
+        let block = (m * total).min(ELU_BLOCK);
+        self.record(shape, None, block, (op, rg), |v, out, e| {
+            let mut off = 0;
+            for &h in heads {
+                let hc = v.nodes[h.0].cols;
+                for (r, src) in rows_of(v.of(h), m, hc).enumerate() {
+                    out[r * total + off..][..hc].copy_from_slice(src);
+                }
+                off += hc;
+            }
+            for (x, &r) in out.iter_mut().zip(v.of(res)) {
+                *x += r;
+            }
+            elu_in_blocks(out, alpha, e);
         })
     }
 }
@@ -342,6 +524,143 @@ fn grad_composite_attention_like_unfused_chain() {
     );
 }
 
+#[test]
+fn grad_elu() {
+    let mut rng = StdRng::seed_from_u64(8);
+    let a = randn_away_from_zero(&mut rng, 3, 3);
+    gradcheck(
+        &[a],
+        |g, v| {
+            let y = g.elu(v[0], 1.0);
+            let sq = g.mul(y, y);
+            g.sum_all(sq)
+        },
+        1e-2,
+    );
+}
+
+#[test]
+fn grad_edge_aggregate() {
+    // The toy message graph of `tests/gradcheck.rs`: a duplicate edge, a
+    // singleton destination, two empty ones and an isolated source.
+    let src = Arc::new(vec![0u32, 0, 2, 3, 1, 2]);
+    let dst = Arc::new(vec![1u32, 1, 1, 0, 2, 2]);
+    let mut rng = StdRng::seed_from_u64(24);
+    // A runtime width, and one with a compile-time row kernel.
+    for d in [3, 16] {
+        let h = randn(&mut rng, 5, d);
+        let alpha = randn(&mut rng, 6, 1);
+        gradcheck(
+            &[h, alpha],
+            |g, v| {
+                let out = g.edge_aggregate(v[0], v[1], src.clone(), dst.clone(), 5);
+                let sq = g.mul(out, out);
+                g.sum_all(sq)
+            },
+            1e-2,
+        );
+    }
+}
+
+#[test]
+fn grad_heads_residual_elu() {
+    let mut rng = StdRng::seed_from_u64(28);
+    // Heads away from ELU's kink and a small residual: no pre-activation
+    // crosses zero under the finite-difference step.
+    let (h0, h1) = (
+        randn_away_from_zero(&mut rng, 4, 2),
+        randn_away_from_zero(&mut rng, 4, 3),
+    );
+    let res = randn(&mut rng, 4, 5).scale(0.05);
+    gradcheck(
+        &[h0, h1, res],
+        |g, v| {
+            let y = g.heads_residual_elu(&v[..2], v[2], 1.0);
+            let sq = g.mul(y, y);
+            g.sum_all(sq)
+        },
+        1e-2,
+    );
+}
+
+// ---- the reference ops' own argument checks --------------------------------
+
+/// `edge_aggregate` with `alpha_len` weights over three edges whose `dst`
+/// has `dst_len` entries.
+fn edge_aggregate_with_lengths(alpha_len: usize, dst_len: usize) {
+    let idx = |len: usize| Arc::new(vec![0u32; len]);
+    let mut g = Graph::new();
+    let h = g.leaf(Matrix::zeros(2, 1));
+    let alpha = g.leaf(Matrix::zeros(alpha_len, 1));
+    g.edge_aggregate(h, alpha, idx(3), idx(dst_len), 2);
+}
+
+#[test]
+#[should_panic(expected = "edge_aggregate: alpha must be one weight per edge")]
+fn edge_aggregate_rejects_wrong_alpha_length() {
+    edge_aggregate_with_lengths(2, 3);
+}
+
+#[test]
+#[should_panic(expected = "edge_aggregate: dst length mismatch")]
+fn edge_aggregate_rejects_short_dst() {
+    edge_aggregate_with_lengths(3, 2);
+}
+
+#[test]
+#[should_panic(expected = "edge_aggregate: edge 0->5 out of range")]
+fn edge_aggregate_names_an_out_of_range_edge() {
+    let mut g = Graph::new();
+    let h = g.leaf(Matrix::zeros(2, 1));
+    let alpha = g.leaf(Matrix::zeros(1, 1));
+    g.edge_aggregate(h, alpha, Arc::new(vec![0]), Arc::new(vec![5]), 2);
+}
+
+/// The libm loops ELU ran before the vector `expf` (DESIGN.md §8 "One
+/// `expf`"): the oracle `elu_matches_libm_loop` holds it to by `to_bits`.
+mod libm_loops {
+    pub(super) fn elu(x: &[f32], alpha: f32) -> Vec<f32> {
+        let mut y = x.to_vec();
+        for v in &mut y {
+            if *v < 0.0 {
+                *v = alpha * (v.exp() - 1.0);
+            }
+        }
+        y
+    }
+
+    pub(super) fn elu_grad(d: &[f32], x: &[f32], y: &[f32], alpha: f32) -> Vec<f32> {
+        let mut da = d.to_vec();
+        for ((d, &x), &y) in da.iter_mut().zip(x).zip(y) {
+            if x < 0.0 {
+                *d *= y + alpha;
+            }
+        }
+        da
+    }
+}
+
+proptest! {
+    /// ELU through the vector `expf`, value and gradient, against the libm
+    /// loop it replaced: NaN payloads, infinities, signed zeros and the
+    /// underflow band included.
+    #[test]
+    fn elu_matches_libm_loop(len in 0usize..80, alpha in 0.1f32..2.0, seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = oracle::exp_inputs(&mut rng, len);
+        let w: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let mut g = Graph::new();
+        let xv = g.leaf(Matrix::from_vec(x.len(), 1, x.clone()));
+        let y = g.elu(xv, alpha);
+        let w_matrix = Matrix::from_vec(len, 1, w.clone());
+        let (value, grads) = value_and_grad_bits(&mut g, y, &w_matrix, &[xv]);
+        let want = libm_loops::elu(&x, alpha);
+        let want_grad = libm_loops::elu_grad(&w, &x, &want, alpha);
+        prop_assert_eq!(value, oracle::bits(&want));
+        prop_assert_eq!(grads, vec![Some(oracle::bits(&want_grad))]);
+    }
+}
+
 // ---- each fused op against the chain it replays ---------------------------
 
 /// A random message graph for the fused edge ops: `n` nodes, `t` edge
@@ -426,6 +745,23 @@ fn chain_heads_residual_elu(g: &mut Graph, heads: &[Var], res: Var, alpha: f32) 
     };
     let pre = g.add(concat, res);
     g.elu(pre, alpha)
+}
+
+/// The unfused layer `aggregate_residual_elu` must replay, as
+/// `SimpleHgn::encode` recorded it: `edge_aggregate` per head, then
+/// `matmul(h, W_res)`, then the epilogue with ELU's `α = 1`.
+fn chain_aggregate_residual_elu(
+    g: &mut Graph,
+    heads: &[(Var, Var)],
+    case: &EdgeCase,
+    h: Var,
+    w_res: Var,
+) -> Var {
+    let aggs: Vec<Var> = (heads.iter())
+        .map(|&(hw, alpha)| g.edge_aggregate(hw, alpha, case.src.clone(), case.dst.clone(), case.n))
+        .collect();
+    let res = g.matmul(h, w_res);
+    g.heads_residual_elu(&aggs, res, 1.0)
 }
 
 /// Back-propagate `Σ out ⊙ w` (a non-uniform upstream gradient) and return
@@ -615,6 +951,62 @@ proptest! {
                 chain_project_rows(&mut g, &specs, n)
             };
             value_nan_as_one(value_and_grad_bits(&mut g, out, &w, &leaves))
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+
+    /// `aggregate_residual_elu` against the layer it fuses, every gradient
+    /// by `to_bits` and the value up to NaN payloads: 1–4 heads of unequal
+    /// widths (runtime and compile-time row kernels), duplicate edges and
+    /// isolated nodes, NaN / ±inf / ±0 inputs, and each group of parents —
+    /// the heads' `hw`, their `α`, the layer input `h` — possibly constant.
+    /// One `hw` entry in four is a negative so small that its aggregate
+    /// over a `+0.0` residual gives `e^x = 1` and ELU `+0.0`: there the
+    /// output's sign says `x ≥ 0` while the chain took `g·(y + 1)`, which
+    /// is `g` itself.
+    #[test]
+    fn aggregate_residual_elu_matches_unfused_chain(
+        n in 1usize..9, widths in prop::collection::vec(edge_width(1..6), 1..5),
+        f in 1usize..5, e in 0usize..25, consts in 0u8..8, seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let case = edge_case(&mut rng, n, 1, e);
+        let total: usize = widths.iter().sum();
+        let heads: Vec<(Matrix, Matrix)> = (widths.iter())
+            .map(|&d| {
+                let mut hw = hostile(&mut rng, n, d);
+                for v in hw.as_mut_slice() {
+                    if rng.gen_range(0u8..4) == 0 {
+                        *v = -rng.gen_range(1e-12f32..1e-9);
+                    }
+                }
+                (hw, zero_heavy(&mut rng, e, 1))
+            })
+            .collect();
+        let (h, w_res) = (hostile(&mut rng, n, f), hostile(&mut rng, f, total));
+        let w = zero_heavy(&mut rng, n, total);
+        let [const_hw, const_alpha, const_h] = [1, 2, 4].map(|bit| consts & bit != 0);
+        let run = |fused: bool| {
+            let mut g = Graph::new();
+            let leaf = |g: &mut Graph, m: &Matrix, constant: bool| {
+                if constant { g.input(m.clone()) } else { g.leaf(m.clone()) }
+            };
+            let vars: Vec<(Var, Var)> = (heads.iter())
+                .map(|(hw, a)| (leaf(&mut g, hw, const_hw), leaf(&mut g, a, const_alpha)))
+                .collect();
+            let (hv, wv) = (leaf(&mut g, &h, const_h), g.leaf(w_res.clone()));
+            let out = if fused {
+                let (hws, alphas): (Vec<Var>, Vec<Var>) = vars.iter().copied().unzip();
+                let (src, dst) = (case.src.clone(), case.dst.clone());
+                g.aggregate_residual_elu(&hws, &alphas, src, dst, hv, wv)
+            } else {
+                chain_aggregate_residual_elu(&mut g, &vars, &case, hv, wv)
+            };
+            let inputs: Vec<Var> = (vars.iter())
+                .flat_map(|&(hw, a)| [hw, a])
+                .chain([hv, wv])
+                .collect();
+            value_nan_as_one(value_and_grad_bits(&mut g, out, &w, &inputs))
         };
         prop_assert_eq!(run(true), run(false));
     }

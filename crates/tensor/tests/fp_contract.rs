@@ -59,16 +59,20 @@ fn multiply_then_add_is_never_fused() {
         );
     }
 
-    // edge_aggregate: two messages into node 0, `C·1` then `X·X`.
+    // The edge aggregation of an encoder layer: two messages into node 0,
+    // `C·1` then `X·X`, over a `+0.0` residual; ELU keeps a `+0.0` (and
+    // would keep the fused `2⁻²⁴`).
     let d = 16;
     let mut g = Graph::new();
-    let h = g.input(Matrix::from_vec(2, d, [vec![C; d], vec![X; d]].concat()));
+    let hw = g.input(Matrix::from_vec(2, d, [vec![C; d], vec![X; d]].concat()));
     let alpha = g.input(Matrix::from_vec(2, 1, vec![1.0, X]));
-    let out = g.edge_aggregate(h, alpha, Arc::new(vec![0, 1]), Arc::new(vec![0, 0]), 1);
+    let (h, w_res) = (g.input(Matrix::zeros(2, 1)), g.input(Matrix::zeros(1, d)));
+    let (src, dst) = (Arc::new(vec![0, 1]), Arc::new(vec![0, 0]));
+    let out = g.aggregate_residual_elu(&[hw], &[alpha], src, dst, h, w_res);
     assert_eq!(
         bits(g.value(out).as_slice()),
-        vec![UNFUSED; d],
-        "edge_aggregate fused"
+        vec![UNFUSED; 2 * d],
+        "aggregate_residual_elu fused"
     );
 
     // pair_dot: the pair (0, 1) is `C·1 + X·X`, then zeros, at the 16-wide

@@ -191,21 +191,6 @@ fn grad_scale_and_mean() {
 }
 
 #[test]
-fn grad_elu() {
-    let mut rng = StdRng::seed_from_u64(8);
-    let a = randn_away_from_zero(&mut rng, 3, 3);
-    gradcheck(
-        &[a],
-        |g, v| {
-            let y = g.elu(v[0], 1.0);
-            let sq = g.mul(y, y);
-            g.sum_all(sq)
-        },
-        1e-2,
-    );
-}
-
-#[test]
 fn grad_concat_rows() {
     let mut rng = StdRng::seed_from_u64(18);
     let a = randn(&mut rng, 1, 3);
@@ -287,18 +272,22 @@ fn grad_edge_softmax() {
     }
 }
 
+/// Two heads over the toy message graph at a runtime width and at one with
+/// a compile-time row kernel, every parent a leaf: both heads' `hw` and
+/// `α`, the layer input and the residual weight.
 #[test]
-fn grad_edge_aggregate() {
+fn grad_aggregate_residual_elu() {
     let ([src, dst, _], _) = edge_fixture();
-    let mut rng = StdRng::seed_from_u64(24);
-    // A runtime width, and one with a compile-time row kernel.
+    let mut rng = StdRng::seed_from_u64(29);
     for d in [3, 16] {
-        let h = randn(&mut rng, 5, d);
-        let alpha = randn(&mut rng, 6, 1);
+        let shapes = [(5, d), (6, 1), (5, d), (6, 1), (5, 4), (4, 2 * d)];
+        let inputs: Vec<Matrix> = shapes.iter().map(|&(r, c)| randn(&mut rng, r, c)).collect();
         gradcheck(
-            &[h, alpha],
+            &inputs,
             |g, v| {
-                let out = g.edge_aggregate(v[0], v[1], src.clone(), dst.clone(), 5);
+                let (hws, alphas) = ([v[0], v[2]], [v[1], v[3]]);
+                let out =
+                    g.aggregate_residual_elu(&hws, &alphas, src.clone(), dst.clone(), v[4], v[5]);
                 let sq = g.mul(out, out);
                 g.sum_all(sq)
             },
@@ -323,27 +312,6 @@ fn grad_project_rows() {
             ];
             let out = g.project_rows(&parts, 6);
             let sq = g.mul(out, out);
-            g.sum_all(sq)
-        },
-        1e-2,
-    );
-}
-
-#[test]
-fn grad_heads_residual_elu() {
-    let mut rng = StdRng::seed_from_u64(28);
-    // Heads away from ELU's kink and a small residual: no pre-activation
-    // crosses zero under the finite-difference step.
-    let (h0, h1) = (
-        randn_away_from_zero(&mut rng, 4, 2),
-        randn_away_from_zero(&mut rng, 4, 3),
-    );
-    let res = randn(&mut rng, 4, 5).scale(0.05);
-    gradcheck(
-        &[h0, h1, res],
-        |g, v| {
-            let y = g.heads_residual_elu(&v[..2], v[2], 1.0);
-            let sq = g.mul(y, y);
             g.sum_all(sq)
         },
         1e-2,
@@ -422,25 +390,27 @@ fn grad_bce_with_logits() {
 #[test]
 fn grad_composite_attention_like_network() {
     // A miniature single-head GAT layer, recorded the way Simple-HGN
-    // records one: the fused attention weights and aggregation between a
-    // projection and the output head.
+    // records one: the fused attention weights, then the layer's
+    // aggregation, residual and ELU in one op, between a projection and the
+    // output head.
     let mut rng = StdRng::seed_from_u64(17);
     let h = randn(&mut rng, 4, 3); // 4 nodes, dim 3
     let w = randn(&mut rng, 3, 2); // projection
     let attn = randn(&mut rng, 2, 1); // attention vector
+    let w_res = randn(&mut rng, 3, 2); // residual projection
     let src = Arc::new(vec![0u32, 1, 2, 3, 0]);
     let dst = Arc::new(vec![1u32, 2, 3, 0, 2]);
     let etype = Arc::new(vec![0u32; 5]);
     let segs = Arc::new(Segments::new(dst.to_vec(), 4));
     gradcheck(
-        &[h, w, attn],
+        &[h, w, attn, w_res],
         |g, v| {
             let wh = g.matmul(v[0], v[1]); // [4,2]
             let s = g.matmul(wh, v[2]); // [4,1]: a^T·wh per node
                                         // Per edge a^T(wh[src] + wh[dst]), LeakyReLU, softmax per dst.
             let alpha = g.edge_softmax(s, s, None, src.clone(), etype.clone(), segs.clone(), 0.2);
-            let agg = g.edge_aggregate(wh, alpha, src.clone(), dst.clone(), 4);
-            let out = g.elu(agg, 1.0);
+            let (ends, h) = ((src.clone(), dst.clone()), v[0]);
+            let out = g.aggregate_residual_elu(&[wh], &[alpha], ends.0, ends.1, h, v[3]);
             let normed = g.l2_normalize_rows(out, 1e-12);
             let sq = g.mul(normed, normed);
             g.sum_all(sq)

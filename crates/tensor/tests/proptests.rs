@@ -98,28 +98,9 @@ fn edge_width(widths: std::ops::Range<usize>) -> impl Strategy<Value = usize> {
 }
 
 /// The libm loops the tape ran before its vector `expf` (DESIGN.md §8 "One
-/// `expf`"): the oracles its ELU, softmax and BCE must match by `to_bits`.
+/// `expf`"): the oracles its softmax and BCE must match by `to_bits` (ELU's
+/// is `elu_matches_libm_loop`'s, in `src/tape/reference.rs`).
 mod libm_loops {
-    pub fn elu(x: &[f32], alpha: f32) -> Vec<f32> {
-        let mut y = x.to_vec();
-        for v in &mut y {
-            if *v < 0.0 {
-                *v = alpha * (v.exp() - 1.0);
-            }
-        }
-        y
-    }
-
-    pub fn elu_grad(d: &[f32], x: &[f32], y: &[f32], alpha: f32) -> Vec<f32> {
-        let mut da = d.to_vec();
-        for ((d, &x), &y) in da.iter_mut().zip(x).zip(y) {
-            if x < 0.0 {
-                *d *= y + alpha;
-            }
-        }
-        da
-    }
-
     pub fn segment_softmax(x: &[f32], seg_of_row: &[u32], n_segments: usize) -> Vec<f32> {
         let mut maxes = vec![f32::NEG_INFINITY; n_segments];
         for (&v, &s) in x.iter().zip(seg_of_row) {
@@ -325,26 +306,6 @@ proptest! {
         }
     }
 
-    /// ELU through the vector `expf`, value and gradient, against the libm
-    /// loop it replaced: NaN payloads, infinities, signed zeros and the
-    /// underflow band included.
-    #[test]
-    fn elu_matches_libm_loop(len in 0usize..80, alpha in 0.1f32..2.0, seed in any::<u64>()) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let x = oracle::exp_inputs(&mut rng, len);
-        let w: Vec<f32> = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let mut g = Graph::new();
-        let (params, bindings, xv) = bind(&mut g, &[&Matrix::from_vec(x.len(), 1, x.clone())]);
-        let y = g.elu(xv[0], alpha);
-        let w_matrix = Matrix::from_vec(len, 1, w.clone());
-        let (value, grads) = value_and_grad_bits(&mut g, y, &w_matrix, (&params, &bindings));
-        let want = libm_loops::elu(&x, alpha);
-        let want_grad = libm_loops::elu_grad(&w, &x, &want, alpha);
-        prop_assert_eq!(value, oracle::bits(&want));
-        prop_assert_eq!(grads, vec![oracle::bits(&want_grad)]);
-    }
-
     /// `segment_softmax` (and so `edge_softmax`) through the vector `expf`,
     /// against the libm loop it replaced; a segment's sum may meet several
     /// NaNs, so NaN payloads are not compared.
@@ -479,7 +440,11 @@ proptest! {
         let mut g = Graph::new();
         let (params, bindings, leaves) = bind(&mut g, &[&x, &w]);
         let y = g.matmul(leaves[0], leaves[1]);
-        let a = g.elu(y, 1.0);
+        // One head over a ring of self- and neighbour edges, with `x·w` as
+        // its residual too: a layer the encoder records.
+        let (src, dst) = (Arc::new(vec![0, 1, 2, 0, 1, 2]), Arc::new(vec![0, 1, 2, 1, 2, 0]));
+        let alpha = g.input(Matrix::full(6, 1, 0.5));
+        let a = g.aggregate_residual_elu(&[y], &[alpha], src, dst, leaves[0], leaves[1]);
         let loss = g.sum_all(a);
         g.backward(loss);
         for grad in grad_bits(&g, (&params, &bindings)) {
@@ -517,13 +482,18 @@ fn edge_ops_propagate_non_finite_inputs() {
     }
     assert_eq!(alpha_for(f32::NEG_INFINITY), vec![0.0, 1.0, 1.0]);
 
-    // A NaN / Inf feature row times a zero weight is NaN, not 0.
+    // A NaN / Inf feature row times a zero weight is NaN, not 0; the
+    // aggregation runs inside the encoder's layer op, over a `+0.0`
+    // residual.
+    let zero_residual =
+        |g: &mut Graph, d: usize| (g.input(Matrix::zeros(3, 1)), g.input(Matrix::zeros(1, d)));
     for bad in [f32::NAN, f32::NEG_INFINITY] {
         let mut g = Graph::new();
         let h = g.leaf(Matrix::from_vec(3, 2, vec![bad, 1.0, 2.0, 3.0, 4.0, 5.0]));
         let (params, bindings, alpha) =
             bind(&mut g, &[&Matrix::from_vec(3, 1, vec![0.0, 1.0, 1.0])]);
-        let out = g.edge_aggregate(h, alpha[0], src.clone(), dst.clone(), 3);
+        let (x, w_res) = zero_residual(&mut g, 2);
+        let out = g.aggregate_residual_elu(&[h], &alpha, src.clone(), dst.clone(), x, w_res);
         let loss = g.sum_all(out);
         g.backward(loss);
         assert!(g.value(out).get(0, 0).is_nan());
@@ -544,7 +514,8 @@ fn edge_ops_propagate_non_finite_inputs() {
             let h = g.leaf(Matrix::from_vec(3, d, feats));
             let alpha = Matrix::from_vec(3, 1, vec![0.0, 1.0, 1.0]);
             let (params, bindings, alpha) = bind(&mut g, &[&alpha]);
-            let out = g.edge_aggregate(h, alpha[0], src.clone(), dst.clone(), 3);
+            let (x, w_res) = zero_residual(&mut g, d);
+            let out = g.aggregate_residual_elu(&[h], &alpha, src.clone(), dst.clone(), x, w_res);
             let w = g.input(Matrix::from_vec(3, d, upstream));
             let weighted = g.mul(out, w);
             let loss = g.sum_all(weighted);
@@ -560,6 +531,8 @@ fn edge_ops_propagate_non_finite_inputs() {
 /// `Iterator::sum` (the unfused chain's reduction) starts: an edge whose
 /// every product is `-0.0` keeps the sign, at every width and in both the
 /// side-by-side chains and the ragged tail. A `+0.0` start gives `+0.0`.
+/// The aggregation is the encoder's layer op's, over a `+0.0` residual, so
+/// the layer's output is `+0.0` and its gradient reaches `dα` unscaled.
 #[test]
 fn dalpha_keeps_the_negative_zero_start() {
     let (n, e) = (3, 11);
@@ -569,7 +542,11 @@ fn dalpha_keeps_the_negative_zero_start() {
         let mut g = Graph::new();
         let h = g.leaf(Matrix::full(n as usize, d, -0.0));
         let (params, bindings, alpha) = bind(&mut g, &[&Matrix::full(e as usize, 1, 0.5)]);
-        let out = g.edge_aggregate(h, alpha[0], src.clone(), dst.clone(), n as usize);
+        let (x, w_res) = (
+            g.input(Matrix::zeros(n as usize, 1)),
+            g.input(Matrix::zeros(1, d)),
+        );
+        let out = g.aggregate_residual_elu(&[h], &alpha, src.clone(), dst.clone(), x, w_res);
         let w = g.input(Matrix::full(n as usize, d, 2.0));
         let weighted = g.mul(out, w);
         let loss = g.sum_all(weighted);
@@ -585,8 +562,11 @@ fn edge_op_with_lengths(src_len: usize, etype_len: usize, alpha_len: usize, dst_
     let s = g.leaf(Matrix::zeros(2, 1));
     let segs = Arc::new(Segments::new(vec![0; 3], 2));
     g.edge_softmax(s, s, None, idx(src_len), idx(etype_len), segs, 0.2);
-    let alpha = g.leaf(Matrix::zeros(alpha_len, 1));
-    g.edge_aggregate(s, alpha, idx(3), idx(dst_len), 2);
+    let (alpha, w_res) = (
+        g.leaf(Matrix::zeros(alpha_len, 1)),
+        g.leaf(Matrix::zeros(1, 1)),
+    );
+    g.aggregate_residual_elu(&[s], &[alpha], idx(3), idx(dst_len), s, w_res);
 }
 
 #[test]
@@ -602,14 +582,14 @@ fn edge_softmax_rejects_short_etype() {
 }
 
 #[test]
-#[should_panic(expected = "edge_aggregate: alpha must be one weight per edge")]
-fn edge_aggregate_rejects_wrong_alpha_length() {
+#[should_panic(expected = "aggregate_residual_elu: alpha must be one weight per edge")]
+fn aggregate_residual_elu_rejects_wrong_alpha_length() {
     edge_op_with_lengths(3, 3, 2, 3);
 }
 
 #[test]
-#[should_panic(expected = "edge_aggregate: dst length mismatch")]
-fn edge_aggregate_rejects_short_dst() {
+#[should_panic(expected = "aggregate_residual_elu: dst length mismatch")]
+fn aggregate_residual_elu_rejects_short_dst() {
     edge_op_with_lengths(3, 3, 3, 2);
 }
 
@@ -651,12 +631,19 @@ fn edge_softmax_names_an_out_of_range_etype() {
 }
 
 #[test]
-#[should_panic(expected = "edge_aggregate: edge 0->5 out of range")]
-fn edge_aggregate_names_an_out_of_range_edge() {
+#[should_panic(expected = "aggregate_residual_elu: edge 0->5 out of range for 2 nodes")]
+fn aggregate_residual_elu_names_an_out_of_range_edge() {
     let mut g = Graph::new();
-    let h = g.leaf(Matrix::zeros(2, 1));
+    let (h, w_res) = (g.leaf(Matrix::zeros(2, 1)), g.leaf(Matrix::zeros(1, 1)));
     let alpha = g.leaf(Matrix::zeros(1, 1));
-    g.edge_aggregate(h, alpha, Arc::new(vec![0]), Arc::new(vec![5]), 2);
+    g.aggregate_residual_elu(
+        &[h],
+        &[alpha],
+        Arc::new(vec![0]),
+        Arc::new(vec![5]),
+        h,
+        w_res,
+    );
 }
 
 /// The range check is a real assert: release builds run it too.
