@@ -40,31 +40,22 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
         // The breakdown needs the trained system itself, not a run summary.
         let mut system = exp.system_for_run(0);
         opts.run_on(&exp, protocol.as_mut(), &mut system)?;
-        let detail = system.evaluate_global_detailed(exp.config().rounds);
+        let by_type = system.auc_by_edge_type(exp.config().rounds);
         let name = protocol.name();
         let mut row = vec![name.clone()];
-        row.extend(
-            detail
-                .auc_by_edge_type
-                .groups
-                .iter()
-                .map(|(_, v, n)| format!("{v:.4} (n={n})")),
-        );
-        row.push(format!("{:.4}", detail.auc_by_edge_type.macro_mean()));
-        row.push(format!("{:.4}", detail.auc_by_edge_type.weighted_mean()));
-        row.push(format!("{:.4}", detail.auc_by_edge_type.gap()));
+        row.extend((by_type.groups.iter()).map(|(_, v, n)| format!("{v:.4} (n={n})")));
+        row.push(format!("{:.4}", by_type.macro_mean()));
+        row.push(format!("{:.4}", by_type.weighted_mean()));
+        row.push(format!("{:.4}", by_type.gap()));
         table.row(&row);
         json_blobs.push(json!({
             "framework": name,
-            "auc_by_edge_type": detail
-                .auc_by_edge_type
-                .groups
-                .iter()
+            "auc_by_edge_type": (by_type.groups.iter())
                 .map(|(t, v, n)| json!({"edge_type": t.as_str(), "auc": *v, "n": *n}))
                 .collect::<Vec<_>>(),
-            "macro_mean": detail.auc_by_edge_type.macro_mean(),
-            "weighted_mean": detail.auc_by_edge_type.weighted_mean(),
-            "gap": detail.auc_by_edge_type.gap(),
+            "macro_mean": by_type.macro_mean(),
+            "weighted_mean": by_type.weighted_mean(),
+            "gap": by_type.gap(),
         }));
     }
     println!("{}", table.render());

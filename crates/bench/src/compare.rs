@@ -52,16 +52,16 @@ impl Verdict {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Paired {
     /// Pairs the old side won (strictly lower time).
-    pub old_wins: usize,
+    pub(crate) old_wins: usize,
     /// Pairs the new side won.
-    pub new_wins: usize,
+    pub(crate) new_wins: usize,
     /// Quartiles of the old side's samples.
-    pub old: [f64; 3],
+    pub(crate) old: [f64; 3],
     /// Quartiles of the new side's samples.
-    pub new: [f64; 3],
+    pub(crate) new: [f64; 3],
     /// [`Verdict::Regression`], [`Verdict::Improvement`] or
     /// [`Verdict::Unresolved`].
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
 }
 
 /// The pairing rule: `old[i]` and `new[i]` are the two sides of pair `i`
@@ -98,20 +98,20 @@ pub(crate) fn paired(old: &[u64], new: &[u64]) -> Paired {
 #[derive(Clone, Debug)]
 pub(crate) struct CaseDelta {
     /// Case name.
-    pub name: String,
+    pub(crate) name: String,
     /// The pairing rule's view, when both sides ran the case.
-    pub paired: Option<Paired>,
+    pub(crate) paired: Option<Paired>,
     /// The verdict.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
 }
 
 /// The result of one A/B comparison.
 #[derive(Clone, Debug)]
 pub(crate) struct Comparison {
     /// Per-case rows: old-side suite order, then any new cases.
-    pub deltas: Vec<CaseDelta>,
+    pub(crate) deltas: Vec<CaseDelta>,
     /// Pairs run.
-    pub pairs: usize,
+    pub(crate) pairs: usize,
 }
 
 impl Comparison {

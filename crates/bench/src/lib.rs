@@ -130,12 +130,12 @@ pub fn run_main(
 pub struct Options {
     flags: BTreeMap<String, String>,
     /// `--quick` present.
-    pub quick: bool,
+    pub(crate) quick: bool,
     /// `--paper` present.
-    pub paper: bool,
+    pub(crate) paper: bool,
     /// `--events` present: stream per-round [`fedda::fl::RoundEvent`]s to
     /// stderr via [`fedda::fl::StderrSink`].
-    pub events: bool,
+    pub(crate) events: bool,
     /// Every cell [`Options::run_framework`] has trained in this command.
     trained: RefCell<Vec<(ExperimentConfig, Framework, FrameworkResult)>>,
 }

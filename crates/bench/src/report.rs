@@ -66,7 +66,6 @@ mod tests {
         let final_eval = EvalResult {
             roc_auc: 0.6,
             mrr: 0.8,
-            num_positives: 1,
         };
         FrameworkResult {
             name: "FedAvg".into(),

@@ -371,6 +371,15 @@ fn rand_matrix(rng: &mut StdRng, r: usize, c: usize) -> Matrix {
     )
 }
 
+/// A tape case: [`time_case`] over a `Graph` of its own, kept and cleared
+/// between calls as a worker slot keeps its tape (the warm-up call grows
+/// its arenas, no sample times that growth) and freed when the case ends,
+/// so no later case runs beside its memory.
+fn time_tape_case(name: &str, iters: u64, mut f: impl FnMut(&mut Graph)) -> CaseResult {
+    let mut g = Graph::new();
+    time_case(name, MIN_SAMPLES, iters, || f(&mut g))
+}
+
 /// Run the whole suite and return per-case results in suite order.
 pub(crate) fn run_suite() -> Vec<CaseResult> {
     let mut out = Vec::new();
@@ -387,23 +396,14 @@ pub(crate) fn run_suite() -> Vec<CaseResult> {
         }));
     }
 
-    // 2. The edge ops, forward + backward, at real client shapes. Each
-    //    tape case keeps one `Graph` and clears it between calls, as a
-    //    worker slot does: the warm-up call grows its arenas, no sample
-    //    times that growth.
+    // 2. The edge ops, forward + backward, at real client shapes.
     for &shape in EDGE_SHAPES {
         let (nodes, edges, _, heads, width) = shape;
         let edge = EdgeCase::new(&mut rng, shape);
         let name = format!("edge/softmax/E{edges}xN{nodes}");
-        let mut g = Graph::new();
-        out.push(time_case(&name, MIN_SAMPLES, 4, || {
-            edge.softmax_fwd_bwd(&mut g)
-        }));
+        out.push(time_tape_case(&name, 4, |g| edge.softmax_fwd_bwd(g)));
         let name = format!("edge/aggregate_residual_elu/E{edges}xN{nodes}xH{heads}xd{width}");
-        let mut g = Graph::new();
-        out.push(time_case(&name, MIN_SAMPLES, 4, || {
-            edge.epilogue_fwd_bwd(&mut g)
-        }));
+        out.push(time_tape_case(&name, 4, |g| edge.epilogue_fwd_bwd(g)));
     }
 
     // 3. The rest of a step's non-GEMM tail, forward + backward.
@@ -411,9 +411,8 @@ pub(crate) fn run_suite() -> Vec<CaseResult> {
     let logits = rand_matrix(&mut rng, batch, 1).scale(4.0);
     let targets = Arc::new((0..batch).map(|i| (i % 2) as f32).collect());
     let name = format!("loss/bce/B{batch}");
-    let mut g = Graph::new();
-    out.push(time_case(&name, MIN_SAMPLES, 32, || {
-        bce_fwd_bwd(&mut g, &logits, &targets)
+    out.push(time_tape_case(&name, 32, |g| {
+        bce_fwd_bwd(g, &logits, &targets)
     }));
     let h = rand_matrix(&mut rng, nodes, width);
     let mut pick = || -> Arc<Vec<u32>> {
@@ -421,9 +420,8 @@ pub(crate) fn run_suite() -> Vec<CaseResult> {
     };
     let (src, dst) = (pick(), pick());
     let name = format!("decoder/pair_dot/B{batch}xN{nodes}xd{width}");
-    let mut g = Graph::new();
-    out.push(time_case(&name, MIN_SAMPLES, 16, || {
-        pair_dot_fwd_bwd(&mut g, &h, &src, &dst)
+    out.push(time_tape_case(&name, 16, |g| {
+        pair_dot_fwd_bwd(g, &h, &src, &dst)
     }));
 
     // 4. The uplink report path at the fleet model's size: each codec's

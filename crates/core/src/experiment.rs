@@ -407,7 +407,6 @@ impl Experiment {
                     let final_eval = EvalResult {
                         roc_auc: scores.auc_summary().mean,
                         mrr: scores.mrr_summary().mean,
-                        num_positives: 0,
                     };
                     RunResult {
                         final_eval,
@@ -631,7 +630,6 @@ mod tests {
             final_eval: EvalResult {
                 roc_auc: final_auc,
                 mrr,
-                num_positives: 1,
             },
             ..Default::default()
         }

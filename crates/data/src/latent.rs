@@ -40,11 +40,11 @@ const CANDIDATES_PER_EDGE: usize = 8;
 #[derive(Clone, Debug)]
 pub struct LatentGraphConfig {
     /// The heterograph schema to instantiate.
-    pub schema: Schema,
+    pub(crate) schema: Schema,
     /// Node count per node type (parallel to the schema's node types).
-    pub nodes_per_type: Vec<usize>,
+    pub(crate) nodes_per_type: Vec<usize>,
     /// Edge count per edge type (parallel to the schema's edge types).
-    pub edges_per_type: Vec<usize>,
+    pub(crate) edges_per_type: Vec<usize>,
 }
 
 impl LatentGraphConfig {
@@ -60,15 +60,10 @@ impl LatentGraphConfig {
     }
 }
 
-/// A generated heterograph together with the ground-truth latents (exposed
-/// for tests that verify the planted signal).
+/// A generated heterograph.
 pub struct GeneratedGraph {
     /// The generated heterograph.
     pub graph: HeteroGraph,
-    /// Latent vector of each global node, row-major `[num_nodes, 8]`.
-    pub latents: Vec<f32>,
-    /// Per-edge-type modulation vectors, row-major `[num_edge_types, 8]`.
-    pub relation_mods: Vec<f32>,
 }
 
 /// Planted affinity `Σ_j z_u[j]·z_v[j]·r_t[j]` of a candidate edge `(u, v)`
@@ -87,6 +82,15 @@ fn affinity(latents: &[f32], relation_mods: &[f32], d: usize, t: usize, u: usize
 /// Generate a heterograph from a latent-factor model. Deterministic given
 /// the seed.
 pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
+    GeneratedGraph {
+        graph: planted(config, seed).0,
+    }
+}
+
+/// [`generate`]'s graph with the signal planted in it: the latent vector of
+/// each global node (row-major `[num_nodes, 8]`) and the per-edge-type
+/// modulation vectors (row-major `[num_edge_types, 8]`).
+fn planted(config: &LatentGraphConfig, seed: u64) -> (HeteroGraph, Vec<f32>, Vec<f32>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = config.schema.clone();
     let d = LATENT_DIM;
@@ -195,11 +199,7 @@ pub fn generate(config: &LatentGraphConfig, seed: u64) -> GeneratedGraph {
 
     let store = Arc::new(NodeStore::new(schema, &config.nodes_per_type, features));
     let graph = HeteroGraph::from_edges(store, edge_lists);
-    GeneratedGraph {
-        graph,
-        latents,
-        relation_mods,
-    }
+    (graph, latents, relation_mods)
 }
 
 #[cfg(test)]
@@ -217,44 +217,44 @@ mod tests {
 
     #[test]
     fn generates_requested_sizes() {
-        let g = generate(&small_config(), 11);
-        assert_eq!(g.graph.num_nodes(), 70);
-        assert_eq!(g.graph.edge_counts(), vec![120, 80]);
-        assert_eq!(g.latents.len(), 70 * LATENT_DIM);
+        let (graph, latents, _) = planted(&small_config(), 11);
+        assert_eq!(graph.num_nodes(), 70);
+        assert_eq!(graph.edge_counts(), vec![120, 80]);
+        assert_eq!(latents.len(), 70 * LATENT_DIM);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let c = small_config();
-        let g1 = generate(&c, 5);
-        let g2 = generate(&c, 5);
+        let g1 = planted(&c, 5);
+        let g2 = planted(&c, 5);
         assert_eq!(
-            g1.graph.edges_of_type(EdgeTypeId(0)),
-            g2.graph.edges_of_type(EdgeTypeId(0))
+            g1.0.edges_of_type(EdgeTypeId(0)),
+            g2.0.edges_of_type(EdgeTypeId(0))
         );
-        assert_eq!(g1.latents, g2.latents);
-        let g3 = generate(&c, 6);
+        assert_eq!(g1.1, g2.1);
+        let g3 = generate(&c, 6).graph;
         assert_ne!(
-            g1.graph.edges_of_type(EdgeTypeId(0)),
-            g3.graph.edges_of_type(EdgeTypeId(0))
+            g1.0.edges_of_type(EdgeTypeId(0)),
+            g3.edges_of_type(EdgeTypeId(0))
         );
     }
 
     #[test]
     fn planted_signal_real_edges_beat_random_pairs() {
         let c = small_config();
-        let g = generate(&c, 3);
+        let (graph, latents, relation_mods) = planted(&c, 3);
         let mut rng = StdRng::seed_from_u64(99);
         let aff = |t: EdgeTypeId, u: u32, v: u32| {
             let (t, u, v) = (usize::from(t.0), u as usize, v as usize);
-            affinity(&g.latents, &g.relation_mods, LATENT_DIM, t, u, v)
+            affinity(&latents, &relation_mods, LATENT_DIM, t, u, v)
         };
         for t in [EdgeTypeId(0), EdgeTypeId(1)] {
-            let list = g.graph.edges_of_type(t);
+            let list = graph.edges_of_type(t);
             let edges = list.src.iter().zip(&list.dst);
             let pos: f32 = edges.map(|(&u, &v)| aff(t, u, v)).sum::<f32>() / list.len() as f32;
-            let dst_type = g.graph.schema().edge_type(t).dst_type;
-            let dst_nodes = g.graph.nodes().nodes_of_type(dst_type);
+            let dst_type = graph.schema().edge_type(t).dst_type;
+            let dst_nodes = graph.nodes().nodes_of_type(dst_type);
             let neg: f32 = list
                 .src
                 .iter()

@@ -185,7 +185,7 @@ impl Compressed {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UplinkCharge {
     /// Units with any payload on the wire.
-    pub units: usize,
+    pub(crate) units: usize,
     /// Encoded entries (the paper's scalar measure, post-compression).
     pub scalars: usize,
     /// Payload bytes on the wire.

@@ -278,12 +278,12 @@ impl ClientReturn {
 /// What dispatch asks of one reporting client beyond local training.
 pub(crate) struct ReportOrder<'a> {
     /// Corruption the fault plan injects into this report.
-    pub corruption: Option<Corruption>,
+    pub(crate) corruption: Option<Corruption>,
     /// The unit mask the report travels under, which the codec encodes it
     /// by when `FlConfig::compression` is set; `None` for a report the run
     /// ends before it would arrive: it trains, but nothing of it is handed
     /// back.
-    pub mask: Option<&'a [bool]>,
+    pub(crate) mask: Option<&'a [bool]>,
 }
 
 /// A worker slot's memory, kept for the whole run: the training workspace
@@ -291,7 +291,7 @@ pub(crate) struct ReportOrder<'a> {
 #[derive(Default)]
 pub(crate) struct Slot {
     /// Tape, bindings, gradients and Adam moments.
-    pub workspace: Workspace,
+    pub(crate) workspace: Workspace,
     /// The broadcast's copy a client trains, corrupts, encodes and decodes
     /// in; a report that travels uncompressed is copied out of it.
     params: ParamSet,
@@ -839,11 +839,11 @@ impl FlSystem {
         self.evaluate_params(&self.global, round)
     }
 
-    /// Detailed evaluation of the current global model: per-edge-type AUC
-    /// breakdown (the fairness view), Hits@K and average precision.
-    pub fn evaluate_global_detailed(&self, round: usize) -> fedda_hgn::DetailedEvalResult {
+    /// The current global model's test ROC-AUC per edge type (the fairness
+    /// view), on the inputs [`FlSystem::evaluate_global`] scores.
+    pub fn auc_by_edge_type(&self, round: usize) -> fedda_metrics::GroupedMetric {
         let (mut rng, sampler) = self.eval_inputs(round);
-        fedda_hgn::evaluate_detailed(
+        fedda_hgn::auc_by_edge_type(
             self.model.as_ref(),
             self.slot0().workspace.graph(),
             &self.global,

@@ -16,41 +16,41 @@ use std::sync::Arc;
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodeTypeDoc {
     /// Type name.
-    pub name: String,
+    pub(crate) name: String,
     /// Feature dimensionality.
-    pub feat_dim: usize,
+    pub(crate) feat_dim: usize,
     /// Number of nodes of this type.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Row-major features, `count × feat_dim`.
-    pub features: Vec<f32>,
+    pub(crate) features: Vec<f32>,
 }
 
 /// Serializable edge-type description with its edges.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EdgeTypeDoc {
     /// Type name.
-    pub name: String,
+    pub(crate) name: String,
     /// Source node-type index.
-    pub src_type: usize,
+    pub(crate) src_type: usize,
     /// Destination node-type index.
-    pub dst_type: usize,
+    pub(crate) dst_type: usize,
     /// Whether the relation is symmetric.
-    pub symmetric: bool,
+    pub(crate) symmetric: bool,
     /// Source endpoints (global node ids).
-    pub src: Vec<u32>,
+    pub(crate) src: Vec<u32>,
     /// Destination endpoints (global node ids).
-    pub dst: Vec<u32>,
+    pub(crate) dst: Vec<u32>,
 }
 
 /// A self-contained heterograph snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphDoc {
     /// Format version for forward compatibility.
-    pub version: u32,
+    pub(crate) version: u32,
     /// Node types in schema order.
-    pub node_types: Vec<NodeTypeDoc>,
+    pub(crate) node_types: Vec<NodeTypeDoc>,
     /// Edge types (with edges) in schema order.
-    pub edge_types: Vec<EdgeTypeDoc>,
+    pub(crate) edge_types: Vec<EdgeTypeDoc>,
 }
 
 /// Pull a required field out of a JSON object.

@@ -51,7 +51,7 @@ pub struct EdgeTypeMeta {
     pub dst_type: NodeTypeId,
     /// Whether the relation is symmetric (co-view, co-author, …); symmetric
     /// relations get reverse copies when building message-passing edges.
-    pub symmetric: bool,
+    pub(crate) symmetric: bool,
 }
 
 /// The type universe of a heterograph.

@@ -41,7 +41,7 @@ pub use config::{Decoder, HgnConfig};
 pub use model::SimpleHgn;
 pub use predictor::LinkPredictor;
 pub use trainer::{
-    evaluate, evaluate_detailed, train_local, DetailedEvalResult, EvalResult, Penalty, TrainConfig,
-    TrainStats, Workspace,
+    auc_by_edge_type, evaluate, train_local, EvalResult, Penalty, TrainConfig, TrainStats,
+    Workspace,
 };
 pub use view::GraphView;

@@ -11,7 +11,7 @@
 use crate::predictor::LinkPredictor;
 use crate::view::GraphView;
 use fedda_hetgraph::{LinkExample, LinkSampler};
-use fedda_metrics::{mrr_of_groups, roc_auc, RankQuery};
+use fedda_metrics::{mrr_of_groups, roc_auc, GroupedMetric};
 use fedda_tensor::{Adam, Graph, ParamSet, TapeBindings};
 use rand::Rng;
 use std::sync::Arc;
@@ -68,8 +68,6 @@ impl TrainConfig {
 /// Summary of one local training call.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TrainStats {
-    /// Mean loss over all batches.
-    pub mean_loss: f32,
     /// Number of gradient steps taken.
     pub steps: usize,
 }
@@ -201,7 +199,6 @@ impl Workspace {
         params.zero_grads_in(std::mem::take(grads));
         let adam = adam.get_or_insert_with(|| Adam::new(config.lr));
         adam.restart(config.lr, params);
-        let mut total_loss = 0.0f64;
         let mut steps = 0usize;
         for _epoch in 0..config.local_epochs {
             let mut examples =
@@ -218,7 +215,6 @@ impl Workspace {
                     .map(|e| if e.label { 1.0 } else { 0.0 })
                     .collect();
                 let loss = graph.bce_with_logits(logits, Arc::new(targets));
-                total_loss += f64::from(graph.value(loss).get(0, 0));
                 graph.backward(loss);
                 params.zero_grads();
                 bindings.accumulate_grads(graph, params);
@@ -233,10 +229,7 @@ impl Workspace {
             }
         }
         *grads = params.take_grads();
-        TrainStats {
-            mean_loss: (total_loss / steps.max(1) as f64) as f32,
-            steps,
-        }
+        TrainStats { steps }
     }
 }
 
@@ -247,22 +240,12 @@ pub struct EvalResult {
     pub roc_auc: f64,
     /// Mean reciprocal rank of each positive against its negatives.
     pub mrr: f64,
-    /// Positives evaluated.
-    pub num_positives: usize,
 }
 
-/// What [`evaluate`] and [`evaluate_detailed`] share: the positives and
-/// their sampled negatives, scored and labelled, plus the overall metrics.
-/// `None` when there is nothing to score.
-struct Scored {
-    examples: Vec<LinkExample>,
-    logits: Vec<f32>,
-    labels: Vec<bool>,
-    /// Scores per ranking query: the positive, then its negatives.
-    group: usize,
-    overall: EvalResult,
-}
-
+/// What [`evaluate`] and [`auc_by_edge_type`] score: the positives and
+/// their sampled negatives, laid out positive-first per ranking query by
+/// `with_negatives`, and one logit each. `None` when there is nothing to
+/// score.
 #[allow(
     clippy::too_many_arguments,
     reason = "evaluate's seven arguments plus the tape"
@@ -276,7 +259,7 @@ fn score<R: Rng + ?Sized>(
     test_positives: &[LinkExample],
     negatives_per_positive: usize,
     rng: &mut R,
-) -> Option<Scored> {
+) -> Option<(Vec<LinkExample>, Vec<f32>)> {
     assert!(
         negatives_per_positive > 0,
         "need at least one negative per positive"
@@ -286,22 +269,7 @@ fn score<R: Rng + ?Sized>(
     }
     let examples = sampler.with_negatives(test_positives, negatives_per_positive, rng);
     let logits = model.logits_on(graph, params, view, &examples);
-    let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
-    // Examples are laid out positive-first per group by `with_negatives`,
-    // so the ranking queries are read in place.
-    let group = 1 + negatives_per_positive;
-    let overall = EvalResult {
-        roc_auc: roc_auc(&logits, &labels),
-        mrr: mrr_of_groups(&logits, group),
-        num_positives: test_positives.len(),
-    };
-    Some(Scored {
-        examples,
-        logits,
-        labels,
-        group,
-        overall,
-    })
+    Some((examples, logits))
 }
 
 /// Evaluate on held-out positives: each is scored against
@@ -326,34 +294,29 @@ pub fn evaluate<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> EvalResult {
     let n = negatives_per_positive;
-    score(model, graph, params, view, sampler, test_positives, n, rng)
-        .map(|s| s.overall)
-        .unwrap_or_default()
+    let Some((examples, logits)) =
+        score(model, graph, params, view, sampler, test_positives, n, rng)
+    else {
+        return EvalResult::default();
+    };
+    let labels: Vec<bool> = examples.iter().map(|e| e.label).collect();
+    EvalResult {
+        roc_auc: roc_auc(&logits, &labels),
+        // The examples are read in place as ranking queries: the positive,
+        // then its negatives.
+        mrr: mrr_of_groups(&logits, 1 + n),
+    }
 }
 
-/// Extended evaluation: overall metrics plus a per-edge-type breakdown —
-/// the fairness view (does the global model serve rare link types?).
-#[derive(Clone, Debug, Default)]
-pub struct DetailedEvalResult {
-    /// Overall metrics.
-    pub overall: EvalResult,
-    /// Hits@1 over the ranking queries.
-    pub hits_at_1: f64,
-    /// Hits@3 over the ranking queries.
-    pub hits_at_3: f64,
-    /// Average precision over all scored examples.
-    pub average_precision: f64,
-    /// ROC-AUC per edge type (label, value, positive count).
-    pub auc_by_edge_type: fedda_metrics::GroupedMetric,
-}
-
-/// Evaluate with per-edge-type breakdowns and extra ranking metrics, on
-/// `graph` as in [`evaluate`].
+/// ROC-AUC per edge type (label, value, positive count) over the same
+/// scored examples as [`evaluate`], on `graph` as there — the fairness view
+/// (does the global model serve rare link types?). A type whose examples
+/// are all of one class scores 0.5.
 #[allow(
     clippy::too_many_arguments,
     reason = "the evaluation inputs plus the tape that scores them"
 )]
-pub fn evaluate_detailed<R: Rng + ?Sized>(
+pub fn auc_by_edge_type<R: Rng + ?Sized>(
     model: &dyn LinkPredictor,
     graph: &mut Graph,
     params: &ParamSet,
@@ -362,18 +325,19 @@ pub fn evaluate_detailed<R: Rng + ?Sized>(
     test_positives: &[LinkExample],
     negatives_per_positive: usize,
     rng: &mut R,
-) -> DetailedEvalResult {
+) -> GroupedMetric {
     let n = negatives_per_positive;
-    let Some(s) = score(model, graph, params, view, sampler, test_positives, n, rng) else {
-        return DetailedEvalResult::default();
+    let Some((examples, logits)) =
+        score(model, graph, params, view, sampler, test_positives, n, rng)
+    else {
+        return GroupedMetric::default();
     };
-
-    // Per-edge-type AUC: slice the flat example/logit arrays by type.
+    // Slice the flat example/logit arrays by type.
     let schema = sampler.graph().schema();
     let mut by_type = Vec::new();
     for t in schema.edge_type_ids() {
         let (mut scores, mut labs) = (Vec::new(), Vec::new());
-        for (e, &logit) in s.examples.iter().zip(&s.logits) {
+        for (e, &logit) in examples.iter().zip(&logits) {
             if e.etype == t {
                 scores.push(logit);
                 labs.push(e.label);
@@ -387,20 +351,7 @@ pub fn evaluate_detailed<R: Rng + ?Sized>(
         };
         by_type.push((schema.edge_type(t).name.clone(), value, n_pos));
     }
-
-    let queries: Vec<RankQuery> = (s.logits.chunks(s.group))
-        .map(|chunk| RankQuery {
-            positive: chunk[0],
-            negatives: chunk[1..].to_vec(),
-        })
-        .collect();
-    DetailedEvalResult {
-        overall: s.overall,
-        hits_at_1: fedda_metrics::hits_at_k(&queries, 1),
-        hits_at_3: fedda_metrics::hits_at_k(&queries, 3),
-        average_precision: fedda_metrics::average_precision(&s.logits, &s.labels),
-        auc_by_edge_type: fedda_metrics::GroupedMetric::new(by_type),
-    }
+    GroupedMetric::new(by_type)
 }
 
 #[cfg(test)]
@@ -508,7 +459,7 @@ mod tests {
         assert_eq!(params.flatten(), before);
         let g = &mut Graph::new();
         let eval = evaluate(&model, g, &params, &view, &sampler, &[], 3, &mut rng);
-        assert_eq!(eval.num_positives, 0);
+        assert_eq!(eval, EvalResult::default());
     }
 
     /// A trained set comes back as values only, under the layout it went in
@@ -577,22 +528,81 @@ mod tests {
         let test_sampler = LinkSampler::new(&split.test);
         let test_pos = test_sampler.all_positives();
         let g = &mut Graph::new();
-        let detail = evaluate_detailed(&model, g, &params, &view, &sampler, &test_pos, 4, &mut rng);
-        assert_eq!(detail.auc_by_edge_type.groups.len(), 2);
-        let support: usize = detail
-            .auc_by_edge_type
-            .groups
-            .iter()
-            .map(|(_, _, n)| n)
-            .sum();
+        let by_type = auc_by_edge_type(&model, g, &params, &view, &sampler, &test_pos, 4, &mut rng);
+        assert_eq!(by_type.groups.len(), 2);
+        let support: usize = by_type.groups.iter().map(|(_, _, n)| n).sum();
         assert_eq!(support, test_pos.len());
-        assert!((0.0..=1.0).contains(&detail.hits_at_1));
-        assert!(detail.hits_at_1 <= detail.hits_at_3 + 1e-12);
-        assert!((0.0..=1.0).contains(&detail.average_precision));
-        assert!(detail.overall.roc_auc.is_finite());
+        assert!(by_type.groups.iter().all(|(_, v, _)| v.is_finite()));
         // empty input is safe
-        let empty = evaluate_detailed(&model, g, &params, &view, &sampler, &[], 4, &mut rng);
-        assert_eq!(empty.overall.num_positives, 0);
+        let empty = auc_by_edge_type(&model, g, &params, &view, &sampler, &[], 4, &mut rng);
+        assert_eq!(empty, GroupedMetric::default());
+    }
+
+    /// Each edge type's value is `roc_auc` over that type's scored examples
+    /// — the positives and the negatives drawn for them, re-drawn here from
+    /// the same RNG state — or 0.5 when they are of one class, and the
+    /// supports sum to the test positives.
+    #[test]
+    fn auc_by_edge_type_is_roc_auc_over_each_types_examples() {
+        let g = amazon_like(&PresetOptions {
+            scale: 0.004,
+            seed: 5,
+        })
+        .graph;
+        let mut rng = StdRng::seed_from_u64(2);
+        let split = split_edges(&g, 0.2, &mut rng);
+        let cfg = HgnConfig {
+            hidden_dim: 4,
+            num_layers: 1,
+            num_heads: 1,
+            ..Default::default()
+        };
+        let (model, params) = SimpleHgn::init_params(g.schema(), &cfg, &mut rng);
+        let view = GraphView::new(&split.train, cfg.add_self_loops);
+        let sampler = LinkSampler::new(&split.train);
+        let schema = split.train.schema();
+        let mut test_pos = LinkSampler::new(&split.test).all_positives();
+        // Two cases: every test positive, and only the first edge type's,
+        // which leaves the second type with no examples at all.
+        let first = schema.edge_type_ids().next().unwrap();
+        let only_first: Vec<LinkExample> = (test_pos.iter())
+            .filter(|e| e.etype == first)
+            .cloned()
+            .collect();
+        for positives in [std::mem::take(&mut test_pos), only_first] {
+            let g = &mut Graph::new();
+            let seed = StdRng::seed_from_u64(9);
+            let got = auc_by_edge_type(
+                &model,
+                g,
+                &params,
+                &view,
+                &sampler,
+                &positives,
+                3,
+                &mut seed.clone(),
+            );
+            let examples = sampler.with_negatives(&positives, 3, &mut seed.clone());
+            let logits = model.logits_on(g, &params, &view, &examples);
+            assert_eq!(got.groups.len(), schema.num_edge_types());
+            for ((name, value, support), t) in got.groups.iter().zip(schema.edge_type_ids()) {
+                assert_eq!(name, &schema.edge_type(t).name);
+                let (scores, labels): (Vec<f32>, Vec<bool>) = (examples.iter().zip(&logits))
+                    .filter(|(e, _)| e.etype == t)
+                    .map(|(e, &l)| (l, e.label))
+                    .unzip();
+                let positives_of_t = labels.iter().filter(|&&l| l).count();
+                assert_eq!(*support, positives_of_t);
+                let want = if positives_of_t == 0 || positives_of_t == labels.len() {
+                    0.5
+                } else {
+                    roc_auc(&scores, &labels)
+                };
+                assert_eq!(value.to_bits(), want.to_bits(), "edge type {name}");
+            }
+            let total: usize = got.groups.iter().map(|(_, _, n)| n).sum();
+            assert_eq!(total, positives.len());
+        }
     }
 
     /// One client of [`a_reused_workspace_is_invisible`]: its graph at a
@@ -606,8 +616,8 @@ mod tests {
     }
 
     /// One workspace trains client A, then a larger client B, then A again,
-    /// in batches and in one whole-client step: parameters and losses match
-    /// fresh workspaces by `to_bits`. (That the tape stops growing across
+    /// in batches and in one whole-client step: parameters match fresh
+    /// workspaces by `to_bits`, and step counts match. (That the tape stops growing across
     /// this pattern is the tape's own unit test,
     /// `a_cleared_tape_stops_growing_across_clients_and_rounds`.)
     #[test]
@@ -641,11 +651,11 @@ mod tests {
                 &mut rng,
             );
             let bits: Vec<u32> = params.values().iter().map(|v| v.to_bits()).collect();
-            (bits, stats.mean_loss.to_bits(), stats.steps)
+            (bits, stats.steps)
         };
         let fresh = |c| train(&mut Workspace::default(), c, &tc);
         let (fresh_a, fresh_b) = (fresh(&a), fresh(&b));
-        assert!(fresh_a.2 > 2 && fresh_b.2 > fresh_a.2);
+        assert!(fresh_a.1 > 2 && fresh_b.1 > fresh_a.1);
         let mut ws = Workspace::default();
         assert_eq!(train(&mut ws, &a, &tc), fresh_a);
         assert_eq!(train(&mut ws, &b, &tc), fresh_b);
@@ -661,7 +671,7 @@ mod tests {
         let mut ws = Workspace::default();
         for c in [&a, &b] {
             let whole_step = train(&mut ws, c, &whole);
-            assert_eq!(whole_step.2, 1);
+            assert_eq!(whole_step.1, 1);
             assert_eq!(whole_step, fresh_whole(c));
             assert_eq!(train(&mut ws, c, &tc), fresh(c));
         }

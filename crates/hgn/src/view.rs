@@ -18,13 +18,11 @@ pub struct GraphView {
     /// Destination node of each message edge.
     pub dst: Arc<Vec<u32>>,
     /// Edge type of each message edge (self-loops use the pseudo type).
-    pub etype: Arc<Vec<u32>>,
+    pub(crate) etype: Arc<Vec<u32>>,
     /// Softmax segments: one segment per destination node.
     pub segments: Arc<Segments>,
     /// Number of message edge types (real types + self-loop pseudo type).
-    pub num_message_types: usize,
-    /// Number of real edge types in the schema.
-    pub num_edge_types: usize,
+    pub(crate) num_message_types: usize,
     /// Per node type: raw feature matrix `[count_t, feat_dim_t]`.
     pub type_features: Vec<Matrix>,
     /// Per node type: global ids of its nodes (row order of
@@ -63,7 +61,6 @@ impl GraphView {
             etype: Arc::new(me.etype),
             segments,
             num_message_types: me.num_message_types,
-            num_edge_types: schema.num_edge_types(),
             type_features,
             type_global_ids,
         }
@@ -90,7 +87,6 @@ mod tests {
         let view = GraphView::new(&g, true);
         assert_eq!(view.num_nodes, g.num_nodes());
         assert_eq!(view.type_features.len(), 1);
-        assert_eq!(view.num_edge_types, 2);
         assert_eq!(view.num_message_types, 3);
         // symmetric types are mirrored + self loops
         assert!(view.num_messages() > g.num_edges());

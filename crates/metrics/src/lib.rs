@@ -5,7 +5,6 @@
 //! * [`roc_auc`] — exact, tie-aware ROC-AUC (Mann–Whitney formulation);
 //! * [`mrr`] / [`RankQuery`] — Mean Reciprocal Rank against sampled
 //!   negatives;
-//! * [`hits_at_k`] / [`average_precision`] — additional ranking metrics;
 //! * [`GroupedMetric`] — per-edge-type breakdowns with fairness gaps;
 //! * [`MeanStd`] — mean ± std aggregation over repeated runs (Table 2).
 
@@ -30,5 +29,5 @@ mod stats;
 
 pub use auc::roc_auc;
 pub use mrr::{mrr, mrr_of_groups, RankQuery};
-pub use ranking::{average_precision, hits_at_k, GroupedMetric};
+pub use ranking::GroupedMetric;
 pub use stats::MeanStd;

@@ -27,9 +27,8 @@ fn reciprocal_rank(positive: f32, negatives: &[f32]) -> f64 {
 }
 
 /// Rank of `positive` among `negatives` by the midrank convention:
-/// `1 + #negatives strictly above it + half the exact ties`. The one
-/// definition both [`mrr`] and [`crate::hits_at_k`] rank by.
-pub(crate) fn midrank(positive: f32, negatives: &[f32]) -> f64 {
+/// `1 + #negatives strictly above it + half the exact ties`.
+fn midrank(positive: f32, negatives: &[f32]) -> f64 {
     let above = negatives.iter().filter(|&&n| n > positive).count() as f64;
     #[expect(
         clippy::float_cmp,

@@ -1,51 +1,5 @@
-//! Additional ranking metrics beyond the paper's ROC-AUC / MRR: Hits@K and
-//! average precision, plus per-group (e.g. per-edge-type) breakdowns used
-//! by the fairness analysis.
-
-use crate::mrr::{midrank, RankQuery};
-
-/// Fraction of queries whose positive ranks within the top `k`
-/// (ties counted optimistically at the midrank, consistent with
-/// [`mrr`](crate::mrr())).
-pub fn hits_at_k(queries: &[RankQuery], k: usize) -> f64 {
-    assert!(k > 0, "hits_at_k: k must be positive");
-    if queries.is_empty() {
-        return 0.0;
-    }
-    let hits = queries
-        .iter()
-        .filter(|q| midrank(q.positive, &q.negatives) <= k as f64)
-        .count();
-    hits as f64 / queries.len() as f64
-}
-
-/// Average precision of a scored binary ranking (area under the
-/// precision–recall curve by the step-wise convention).
-///
-/// Returns 0 when there are no positives.
-pub fn average_precision(scores: &[f32], labels: &[bool]) -> f64 {
-    assert_eq!(
-        scores.len(),
-        labels.len(),
-        "average_precision: length mismatch"
-    );
-    let n_pos = labels.iter().filter(|&&l| l).count();
-    if n_pos == 0 {
-        return 0.0;
-    }
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    // Descending by score; stable so equal scores keep input order.
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-    let mut hits = 0usize;
-    let mut sum_prec = 0.0f64;
-    for (rank0, &i) in order.iter().enumerate() {
-        if labels[i] {
-            hits += 1;
-            sum_prec += hits as f64 / (rank0 + 1) as f64;
-        }
-    }
-    sum_prec / n_pos as f64
-}
+//! Per-group (e.g. per-edge-type) breakdowns of a metric, used by the
+//! fairness analysis.
 
 /// A metric value broken down by group (e.g. edge type), with the overall
 /// dispersion used as a fairness measure: a federation that only serves the
@@ -110,44 +64,6 @@ impl GroupedMetric {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hits_at_k_counts_top_ranks() {
-        let queries = vec![
-            RankQuery {
-                positive: 0.9,
-                negatives: vec![0.1, 0.2],
-            }, // rank 1
-            RankQuery {
-                positive: 0.15,
-                negatives: vec![0.3, 0.2],
-            }, // rank 3
-        ];
-        assert!((hits_at_k(&queries, 1) - 0.5).abs() < 1e-12);
-        assert!((hits_at_k(&queries, 3) - 1.0).abs() < 1e-12);
-        assert_eq!(hits_at_k(&[], 5), 0.0);
-    }
-
-    #[test]
-    fn hits_at_k_midrank_ties() {
-        // positive ties with both negatives: rank = 1 + 0 + 1 = 2
-        let q = vec![RankQuery {
-            positive: 0.5,
-            negatives: vec![0.5, 0.5],
-        }];
-        assert_eq!(hits_at_k(&q, 1), 0.0);
-        assert_eq!(hits_at_k(&q, 2), 1.0);
-    }
-
-    #[test]
-    fn average_precision_perfect_and_worst() {
-        let perfect = average_precision(&[0.9, 0.8, 0.2, 0.1], &[true, true, false, false]);
-        assert!((perfect - 1.0).abs() < 1e-12);
-        let worst = average_precision(&[0.9, 0.8, 0.2, 0.1], &[false, false, true, true]);
-        // positives at ranks 3 and 4: (1/3 + 2/4) / 2
-        assert!((worst - (1.0 / 3.0 + 0.5) / 2.0).abs() < 1e-12);
-        assert_eq!(average_precision(&[0.5], &[false]), 0.0);
-    }
 
     #[test]
     fn grouped_metric_means_and_gap() {

@@ -19,7 +19,7 @@ const EPS: f32 = 1e-8;
 #[derive(Clone, Debug)]
 pub struct Adam {
     /// Learning rate.
-    pub lr: f32,
+    pub(crate) lr: f32,
     t: u64,
     m: Vec<f32>,
     v: Vec<f32>,

@@ -48,7 +48,7 @@ pub struct ParamMeta {
     /// (paper §5.3).
     pub disentangled: bool,
     /// The edge type the unit belongs to, when disentangled.
-    pub edge_type: Option<usize>,
+    pub(crate) edge_type: Option<usize>,
 }
 
 impl ParamMeta {

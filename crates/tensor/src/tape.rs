@@ -75,9 +75,9 @@ pub struct Var(pub(crate) usize);
 #[derive(Clone, Debug)]
 pub struct Segments {
     /// Segment id of each row.
-    pub seg_of_row: Vec<u32>,
+    pub(crate) seg_of_row: Vec<u32>,
     /// Total number of segments (ids must be `< n_segments`).
-    pub n_segments: usize,
+    pub(crate) n_segments: usize,
 }
 
 impl Segments {
