@@ -11,7 +11,7 @@
 //! `--runtime async`, …) apply to every cell uniformly.
 
 use crate::table::TextTable;
-use crate::{base_config, maybe_write_json, Failure, Options};
+use crate::{base_config, maybe_write_json, parse_dataset, Failure, Options};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{Compression, FedAvg, FedDa};
 use serde_json::json;
@@ -39,10 +39,7 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
         let msg = "auc_vs_bytes sweeps every codec itself; drop --compress";
         return Err(Failure::Usage(msg.into()));
     }
-    let dataset = match opts.get_str("dataset").unwrap_or("dblp") {
-        d if d.eq_ignore_ascii_case("amazon") => Dataset::AmazonLike,
-        _ => Dataset::DblpLike,
-    };
+    let dataset = parse_dataset(&opts)?.unwrap_or(Dataset::DblpLike);
     let frameworks = if opts.quick {
         vec![
             Framework::FedAvg(FedAvg::vanilla()),

@@ -23,8 +23,8 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     let mut table = TextTable::new(&[
         "r_b",
         "non-IIDness",
-        "FedAvg AUC",
-        "FedDA AUC",
+        "FedAvg best AUC",
+        "FedDA best AUC",
         "gain",
         "uplink ratio",
     ]);

@@ -8,13 +8,15 @@
 //! `--server-lr`, `--beta1`, `--beta2`, `--adam-eps`) apply here too.
 
 use crate::table::TextTable;
-use crate::{base_config, maybe_write_json, parse_framework, report, Failure, Options};
+use crate::{
+    base_config, maybe_write_json, parse_dataset, parse_framework, report, Failure, Options,
+};
 use fedda::experiment::{Dataset, Experiment, Framework};
 use fedda::fl::{FedAvg, FedDa};
 use serde_json::json;
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
-    let which = opts.get_str("dataset").map(str::to_string);
+    let which = parse_dataset(&opts)?;
     let mut json_blobs = Vec::new();
     let frameworks = [
         Framework::Global,
@@ -36,14 +38,8 @@ pub(crate) fn run(opts: Options) -> Result<(), Failure> {
     ];
 
     for &(dataset, client_counts) in grid {
-        if let Some(w) = &which {
-            let keep = match dataset {
-                Dataset::DblpLike => w.eq_ignore_ascii_case("dblp"),
-                Dataset::AmazonLike => w.eq_ignore_ascii_case("amazon"),
-            };
-            if !keep {
-                continue;
-            }
+        if which.is_some_and(|w| w != dataset) {
+            continue;
         }
         for &m in client_counts {
             let mut cfg = base_config(dataset, &opts)?;

@@ -1,7 +1,7 @@
 //! The archive-and-train workflow: `generate`, `stats`, `partition`,
 //! `train` and `efficiency`. All of them are deterministic given `--seed`.
 
-use crate::{base_config, parse_framework, Failure, Options};
+use crate::{base_config, parse_dataset, parse_framework, Failure, Options};
 use fedda::data::{
     amazon_like, dblp_like, non_iidness, partition_iid, partition_non_iid, DatasetStats,
     PartitionConfig, PresetOptions,
@@ -15,16 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
 
-fn parse_dataset(opts: &Options) -> Result<Dataset, Failure> {
-    match opts.get_str("dataset").unwrap_or("dblp") {
-        d if d.eq_ignore_ascii_case("amazon") => Ok(Dataset::AmazonLike),
-        d if d.eq_ignore_ascii_case("dblp") => Ok(Dataset::DblpLike),
-        other => Err(format!("unknown dataset '{other}' (expected amazon|dblp)").into()),
-    }
-}
-
 pub(crate) fn generate(opts: Options) -> Result<(), Failure> {
-    let dataset = parse_dataset(&opts)?;
+    let dataset = parse_dataset(&opts)?.unwrap_or(Dataset::DblpLike);
     let out = opts.get_str("out").ok_or("--out <path> is required")?;
     let preset = PresetOptions {
         scale: opts.get("scale")?.unwrap_or(0.005),
@@ -119,7 +111,7 @@ pub(crate) fn partition(opts: Options) -> Result<(), Failure> {
 }
 
 pub(crate) fn train(opts: Options) -> Result<(), Failure> {
-    let dataset = parse_dataset(&opts)?;
+    let dataset = parse_dataset(&opts)?.unwrap_or(Dataset::DblpLike);
     let framework = parse_framework(opts.get_str("framework").unwrap_or("fedda-explore"), &opts)?;
     let cfg = base_config(dataset, &opts)?;
     println!(

@@ -355,6 +355,19 @@ pub(crate) fn parse_framework(name: &str, opts: &Options) -> Result<Framework, F
     Ok(fw)
 }
 
+/// The `--dataset amazon|dblp` flag (any case), or `None` when it is
+/// absent. Any other value is a [`Failure::Usage`].
+pub(crate) fn parse_dataset(opts: &Options) -> Result<Option<Dataset>, Failure> {
+    match opts.get_str("dataset") {
+        None => Ok(None),
+        Some(d) if d.eq_ignore_ascii_case("amazon") => Ok(Some(Dataset::AmazonLike)),
+        Some(d) if d.eq_ignore_ascii_case("dblp") => Ok(Some(Dataset::DblpLike)),
+        Some(other) => Err(Failure::Usage(format!(
+            "unknown dataset '{other}' (expected amazon|dblp)"
+        ))),
+    }
+}
+
 /// Build a baseline [`ExperimentConfig`] for a dataset from parsed options.
 ///
 /// `--quick` shrinks only the *defaults*: an explicit `--scale`,

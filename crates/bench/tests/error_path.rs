@@ -168,6 +168,26 @@ fn malformed_train_flags_are_usage_errors_not_panics() {
     }
 }
 
+/// Every subcommand that reads `--dataset` parses it one way: a typo is a
+/// usage error naming the two datasets, before anything runs — not an
+/// empty `table2` that exits 0, nor an `auc_vs_bytes` that quietly runs DBLP.
+#[test]
+fn a_dataset_typo_is_a_usage_error() {
+    for (sub, typo) in [
+        ("table2", "foo"),
+        ("auc_vs_bytes", "amzon"),
+        ("train", "foo"),
+        ("generate", "foo"),
+    ] {
+        let out = run(sub, &["--dataset", typo]);
+        let stderr = clean_error(sub, &out);
+        assert_eq!(out.status.code(), Some(2), "{sub}: {stderr}");
+        let want = format!("error: unknown dataset '{typo}' (expected amazon|dblp)\nusage: ");
+        assert!(stderr.starts_with(&want), "{sub}: {stderr}");
+        assert!(out.stdout.is_empty(), "{sub} printed before refusing");
+    }
+}
+
 /// A zero evaluation cadence or worker pool is refused like `--clients 0`:
 /// `error: <message>` and exit status 1 before any data is generated, not
 /// silently read as 1.

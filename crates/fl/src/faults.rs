@@ -21,7 +21,12 @@
 //!   [`RoundEvent`](crate::RoundEvent) and accumulated in
 //!   `RunResult::faults`, so the chaos harness (`tests/chaos.rs`) can
 //!   cross-check the observed stream against the injected schedule
-//!   exactly.
+//!   exactly;
+//! * in this crate's test build only, a fault can be pinned to one exact
+//!   `(round, client)` cell on top of the sampled schedule. The
+//!   exact-fault tests that pin cells sit in this module's tests and run
+//!   on the integration suites' federation (`tests/common`). Outside the
+//!   test build a [`FaultConfig`] is exactly its `--faults` spec.
 //!
 //! The driver guarantees the failure-semantics invariants the chaos tests
 //! pin: dropped clients are excluded from the masked aggregation (Eq. 6)
@@ -102,19 +107,22 @@ pub enum FaultKind {
 }
 
 /// A fault pinned to an exact `(round, client)` cell, layered on top of
-/// the sampled schedule — the deterministic handle tests use to corrupt
-/// *one specific* update.
+/// the sampled schedule — the deterministic handle this crate's tests use
+/// to strike *one specific* report. It exists only in the test build: a
+/// [`FaultConfig`] outside it is exactly its `--faults` spec.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScriptedFault {
+pub(crate) struct ScriptedFault {
     /// Round the fault strikes in.
-    pub round: usize,
+    pub(crate) round: usize,
     /// Client it strikes.
-    pub client: usize,
+    pub(crate) client: usize,
     /// What happens.
-    pub kind: FaultKind,
+    pub(crate) kind: FaultKind,
 }
 
-/// Fault-injection configuration (`FlConfig::faults`).
+/// Fault-injection configuration (`FlConfig::faults`): one field per key of
+/// the `--faults` spec it parses from (see its [`FromStr`](std::str::FromStr)).
 ///
 /// Per round and per client, at most one fault fires; the three rates are
 /// probabilities of disjoint outcomes and must sum to at most 1.
@@ -140,7 +148,8 @@ pub struct FaultConfig {
     /// Faults pinned to exact `(round, client)` cells, applied after (and
     /// overriding) the sampled schedule. Entries outside the run's
     /// round/client grid are ignored.
-    pub scripted: Vec<ScriptedFault>,
+    #[cfg(test)]
+    pub(crate) scripted: Vec<ScriptedFault>,
 }
 
 impl Default for FaultConfig {
@@ -153,6 +162,7 @@ impl Default for FaultConfig {
             corruption_kind: Corruption::NaN,
             staleness: StalenessPolicy::Discard,
             max_update_norm: None,
+            #[cfg(test)]
             scripted: Vec::new(),
         }
     }
@@ -200,6 +210,7 @@ impl FaultConfig {
                 return Err(format!("max_update_norm must be positive, got {bound}"));
             }
         }
+        #[cfg(test)]
         for s in &self.scripted {
             if let FaultKind::Straggler { delay } = s.kind {
                 if delay == 0 {
@@ -282,8 +293,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Sample the schedule for `rounds × clients` cells, then overlay the
-    /// scripted faults.
+    /// Sample the schedule for `rounds × clients` cells. In the test build,
+    /// faults the tests pin to exact cells then override those cells.
     pub fn generate(cfg: &FaultConfig, rounds: usize, clients: usize, run_seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(run_seed ^ FAULT_STREAM_TWEAK);
         let mut schedule = vec![vec![None; clients]; rounds];
@@ -302,6 +313,7 @@ impl FaultPlan {
                 };
             }
         }
+        #[cfg(test)]
         for s in &cfg.scripted {
             if s.round < rounds && s.client < clients {
                 schedule[s.round][s.client] = Some(s.kind);
@@ -453,6 +465,12 @@ pub(crate) fn detect_rejection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common;
+    use crate::system::tests::tiny_system_with;
+    use crate::{
+        run, AsyncConfig, Compression, FedAvg, FedDa, FlConfig, FlProtocol, FlSystem, MemorySink,
+        RoundDriver, RuntimeMode,
+    };
     use fedda_tensor::Matrix;
     use proptest::prelude::*;
 
@@ -574,6 +592,20 @@ mod tests {
         assert_eq!(cfg.corruption_kind, Corruption::Garbage { scale: 1e6 });
         assert_eq!(cfg.staleness, StalenessPolicy::Discount { gamma: 0.5 });
         assert_eq!(cfg.max_update_norm, Some(10.0));
+        // Every field by name, with no `..Default::default()`: a field added
+        // to `FaultConfig` must be named here, beside the spec key that sets
+        // it in the parsed spec above.
+        let every_field = FaultConfig {
+            dropout: 0.2,
+            straggler: 0.1,
+            max_staleness: 3,
+            corruption: 0.05,
+            corruption_kind: Corruption::Garbage { scale: 1e6 },
+            staleness: StalenessPolicy::Discount { gamma: 0.5 },
+            max_update_norm: Some(10.0),
+            scripted: Vec::new(),
+        };
+        assert_eq!(cfg, every_field);
         let nan: FaultConfig = "corrupt=0.1,kind=nan,stale=discard".parse().unwrap();
         assert_eq!(nan.corruption_kind, Corruption::NaN);
         assert_eq!(nan.staleness, StalenessPolicy::Discard);
@@ -714,5 +746,287 @@ mod tests {
             prop_assert!(w_next <= w + 1e-15, "older reports must not gain weight");
             prop_assert_eq!(StalenessPolicy::Discard.weight(staleness), None);
         }
+    }
+
+    // The exact-fault tests: each pins one scripted `(round, client)` cell
+    // on the integration suites' federation (`crate::common`, through
+    // `tiny_system_with`), at the chaos suite's scale 0.0015, M = 5,
+    // 5 rounds and seed 42 unless it says otherwise.
+
+    const M: usize = 5;
+    const ROUNDS: usize = 5;
+    const GOLDEN_SEED: u64 = 42;
+
+    /// `chaos.rs`'s federation at `seed`, with `edit` applied to its
+    /// configuration.
+    fn chaos_system(seed: u64, edit: impl FnOnce(&mut FlConfig)) -> FlSystem {
+        tiny_system_with(M, seed, |cfg| {
+            cfg.rounds = ROUNDS;
+            edit(cfg);
+        })
+    }
+
+    /// Selects every client in round 0 and nobody afterwards — the minimal
+    /// protocol for pinning what the ledger does with a stale report that
+    /// arrives in a round with no active clients.
+    struct FirstRoundOnly;
+
+    impl FlProtocol for FirstRoundOnly {
+        fn name(&self) -> String {
+            "FirstRoundOnly".into()
+        }
+
+        fn select_clients(
+            &mut self,
+            system: &FlSystem,
+            round: usize,
+            _rng: &mut StdRng,
+        ) -> Vec<usize> {
+            if round == 0 {
+                (0..system.num_clients()).collect()
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn build_masks(
+            &mut self,
+            system: &FlSystem,
+            active: &[usize],
+            _round: usize,
+            _rng: &mut StdRng,
+        ) -> Vec<Vec<bool>> {
+            vec![vec![true; system.num_units()]; active.len()]
+        }
+    }
+
+    #[test]
+    fn sync_stale_arrival_in_an_inactive_round_stays_on_the_ledger() {
+        // The accounting fix this pins: a straggler report landing in a round
+        // where nobody was selected used to vanish from the comm log entirely
+        // (the round was keyed out on `active.is_empty()`), understating total
+        // uplink. Bytes that arrive must stay on the ledger.
+        let fc = FaultConfig {
+            staleness: StalenessPolicy::Discount { gamma: 0.5 },
+            scripted: vec![ScriptedFault {
+                round: 0,
+                client: 0,
+                kind: FaultKind::Straggler { delay: 1 },
+            }],
+            ..Default::default()
+        };
+        let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
+        let mut sink = MemorySink::new();
+        let result = RoundDriver::with_sink(&mut sink)
+            .run(&mut FirstRoundOnly, &mut sys)
+            .unwrap();
+        let n = sys.num_units();
+        // Round 0: all M dispatched, client 0 held. Round 1: nobody active but
+        // the held report arrives. Rounds 2+: silent, off the ledger.
+        let logged = result.comm.rounds();
+        assert_eq!(logged.len(), 2, "dispatch round + stale-arrival round");
+        assert_eq!(logged[0].active_clients, M);
+        assert_eq!(logged[0].uplink_units, (M - 1) * n);
+        assert_eq!(logged[0].downlink_units, M * n);
+        assert_eq!(logged[1].active_clients, 0);
+        assert_eq!(logged[1].downlink_units, 0);
+        assert_eq!(
+            logged[1].uplink_units, n,
+            "arrived stale bytes must be charged"
+        );
+        assert_eq!(result.comm.total_uplink_units(), M * n);
+        // The event stream mirrors the ledger entry for the inactive round.
+        assert!(sink.events[1].active_clients.is_empty());
+        assert_eq!(&sink.events[1].comm, &logged[1]);
+        // And the observation stream records held-then-applied.
+        assert_eq!(
+            result.faults,
+            vec![
+                FaultObserved {
+                    round: 0,
+                    client: 0,
+                    effect: FaultEffect::StragglerHeld { arrival: Some(1) },
+                },
+                FaultObserved {
+                    round: 1,
+                    client: 0,
+                    effect: FaultEffect::StaleApplied {
+                        staleness: 1,
+                        weight: 0.5,
+                    },
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn sync_stale_arrival_charges_compressed_bytes() {
+        // The compressed twin of the stale-arrival pin above: under f16 the
+        // straggler's report crosses the round boundary carrying its encoded
+        // payload, and the arrival round's ledger entry charges the
+        // *compressed* wire size — exactly 2 bytes per masked scalar, half
+        // the raw 4.
+        let fc = FaultConfig {
+            staleness: StalenessPolicy::Discount { gamma: 0.5 },
+            scripted: vec![ScriptedFault {
+                round: 0,
+                client: 0,
+                kind: FaultKind::Straggler { delay: 1 },
+            }],
+            ..Default::default()
+        };
+        let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
+            cfg.faults = Some(fc);
+            cfg.compression = Some(Compression::QuantF16);
+        });
+        let result = run(&RuntimeMode::Sync, &mut FirstRoundOnly, &mut sys, None).unwrap();
+        let n = sys.num_units();
+        let logged = result.comm.rounds();
+        assert_eq!(logged.len(), 2, "dispatch round + stale-arrival round");
+        assert_eq!(logged[0].uplink_units, (M - 1) * n);
+        assert_eq!(
+            logged[0].uplink_bytes,
+            2 * logged[0].uplink_scalars,
+            "fresh arrivals charge the f16 rate"
+        );
+        assert_eq!(logged[1].active_clients, 0);
+        assert_eq!(logged[1].uplink_units, n);
+        assert!(logged[1].uplink_scalars > 0);
+        assert_eq!(
+            logged[1].uplink_bytes,
+            2 * logged[1].uplink_scalars,
+            "the stale arrival must charge its compressed byte size"
+        );
+    }
+
+    #[test]
+    fn fully_compressed_away_stale_round_stays_off_the_ledger() {
+        // The accounting bugfix this test pins: the empty-active-round ledger
+        // condition must key on the *compressed* charge, not the mask. A top-k
+        // fraction too small to keep a single scalar of any unit compresses
+        // the straggler's report away entirely — its arrival round moves zero
+        // bytes, so it must not mint a ledger entry (keyed on the mask it
+        // would have, double-counting a round that charged nothing).
+        let fc = FaultConfig {
+            staleness: StalenessPolicy::Discount { gamma: 0.5 },
+            scripted: vec![ScriptedFault {
+                round: 0,
+                client: 0,
+                kind: FaultKind::Straggler { delay: 1 },
+            }],
+            ..Default::default()
+        };
+        let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
+            cfg.faults = Some(fc);
+            // Valid (0 < frac ≤ 0.5) but smaller than 1/len for every unit
+            // here: k = floor(frac · len) = 0 everywhere, every payload is
+            // empty.
+            cfg.compression = Some(Compression::TopK { frac: 1e-9 });
+        });
+        let mut sink = MemorySink::new();
+        let result = RoundDriver::with_sink(&mut sink)
+            .run(&mut FirstRoundOnly, &mut sys)
+            .unwrap();
+        let logged = result.comm.rounds();
+        assert_eq!(
+            logged.len(),
+            1,
+            "only the dispatch round may appear: the stale arrival charged nothing"
+        );
+        assert_eq!(logged[0].active_clients, M);
+        assert_eq!(logged[0].uplink_units, 0, "every report compressed away");
+        assert_eq!(logged[0].uplink_scalars, 0);
+        assert_eq!(logged[0].uplink_bytes, 0);
+        assert!(
+            logged[0].downlink_units > 0,
+            "the broadcast still cost a full model per client"
+        );
+        assert_eq!(result.comm.total_uplink_bytes(), 0);
+        // The event stream still reports every round; the arrival round's
+        // comm view is all-zero.
+        assert_eq!(sink.events.len(), ROUNDS);
+        assert!(!sink.events[1].comm.has_uplink());
+    }
+
+    #[test]
+    fn async_report_outliving_the_run_is_never_charged() {
+        // Client 0's scripted straggler report would land ~1000 ticks after the
+        // run's final aggregation: its uplink bytes must never be charged, and
+        // the async concurrency rule keeps the client out of every later wave.
+        let fc = FaultConfig {
+            scripted: vec![ScriptedFault {
+                round: 0,
+                client: 0,
+                kind: FaultKind::Straggler { delay: 1000 },
+            }],
+            ..Default::default()
+        };
+        let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
+        let acfg = AsyncConfig {
+            k: M - 1,
+            gamma: 1.0,
+        };
+        let result = run(
+            &RuntimeMode::Async(acfg),
+            &mut FedAvg::vanilla(),
+            &mut sys,
+            None,
+        )
+        .unwrap();
+        let n = sys.num_units();
+        let logged = result.comm.rounds();
+        assert_eq!(logged.len(), ROUNDS);
+        assert_eq!(logged[0].active_clients, M);
+        assert_eq!(logged[0].downlink_units, M * n);
+        assert_eq!(logged[0].uplink_units, (M - 1) * n);
+        for (v, rc) in logged.iter().enumerate().skip(1) {
+            assert_eq!(rc.active_clients, M - 1, "v{v}: client 0 stays in flight");
+            assert_eq!(rc.uplink_units, (M - 1) * n, "v{v}");
+            assert_eq!(rc.downlink_units, (M - 1) * n, "v{v}");
+        }
+        assert_eq!(result.comm.total_uplink_units(), ROUNDS * (M - 1) * n);
+        assert_eq!(
+            common::downlink_units(&result),
+            (M + (ROUNDS - 1) * (M - 1)) * n
+        );
+    }
+
+    #[test]
+    fn scripted_nan_corruption_is_rejected_and_never_reaches_the_model() {
+        // The NaN grad-check: script a single NaN-corrupted update at an exact
+        // (round, client) cell and require the server to reject it — the run
+        // completes, the global model stays finite, and exactly one
+        // CorruptionRejected record appears at the scripted cell.
+        let faults = FaultConfig {
+            scripted: vec![ScriptedFault {
+                round: 1,
+                client: 0,
+                kind: FaultKind::Corruption(Corruption::NaN),
+            }],
+            ..Default::default()
+        };
+        let mut system = tiny_system_with(4, 8, |cfg| {
+            cfg.rounds = 5;
+            cfg.faults = Some(faults);
+        });
+        let mut protocol = FedDa::explore();
+        let result = run(&RuntimeMode::Sync, &mut protocol, &mut system, None)
+            .expect("scripted-fault run must complete");
+
+        assert_eq!(result.curve.len(), 5);
+        assert!(
+            system.global.values().iter().all(|v| v.is_finite()),
+            "NaN leaked into the model"
+        );
+        for eval in &result.curve {
+            assert!(eval.roc_auc.is_finite() && eval.mrr.is_finite());
+        }
+        assert_eq!(result.faults.len(), 1, "exactly the scripted fault");
+        let f = &result.faults[0];
+        assert_eq!((f.round, f.client), (1, 0));
+        assert_eq!(
+            f.effect,
+            FaultEffect::CorruptionRejected { non_finite: true }
+        );
     }
 }

@@ -86,14 +86,27 @@ mod protocol;
 pub mod runtime;
 mod system;
 
+// The test federation the integration suites build through
+// (`tests/common/mod.rs`), compiled into the in-crate tests too, so the two
+// run on one fixture. It names this crate as its suites do, `fedda_fl::…`.
+#[cfg(test)]
+extern crate self as fedda_fl;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+#[allow(
+    unreachable_pub,
+    reason = "the fixture's items are `pub` for the integration suites"
+)]
+mod common;
+
 pub use baselines::GlobalProtocol;
 pub use comm::{CommLog, RoundComm};
 pub use compress::{Compressed, Compression, Delta, InFlight, UplinkCharge};
 pub use engine::{run, AsyncConfig, AsyncDriver, RoundDriver, RuntimeMode};
 pub use events::{EventSink, MemorySink, RoundEvent, StderrSink};
 pub use faults::{
-    Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan, ScriptedFault,
-    StalenessPolicy, FAULT_STREAM_TWEAK,
+    Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved, FaultPlan, StalenessPolicy,
+    FAULT_STREAM_TWEAK,
 };
 pub use fedavg::FedAvg;
 pub use fedda::{FedDa, MaskRule, Reactivation};

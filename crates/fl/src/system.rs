@@ -944,8 +944,6 @@ fn apply_privacy<R: rand::Rng + ?Sized>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use fedda_data::{dblp_like, partition_non_iid, PartitionConfig, PresetOptions};
-    use fedda_hetgraph::split::split_edges;
 
     pub(crate) fn tiny_system(m: usize, seed: u64) -> FlSystem {
         tiny_system_with(m, seed, |_| {})
@@ -959,47 +957,19 @@ pub(crate) mod tests {
         crate::run(&crate::RuntimeMode::Sync, protocol, system, None).unwrap()
     }
 
-    /// [`tiny_system`] with `edit` applied to its configuration.
+    /// [`tiny_system`] with `edit` applied to its configuration: the
+    /// integration suites' federation (`crate::common`) at scale 0.0015,
+    /// `m` clients and 2 rounds.
     pub(crate) fn tiny_system_with(
         m: usize,
         seed: u64,
         edit: impl FnOnce(&mut FlConfig),
     ) -> FlSystem {
-        let g = dblp_like(&PresetOptions {
-            scale: 0.0015,
-            seed,
+        let (split, clients) = crate::common::dataset(0.0015, seed, m);
+        crate::common::system(&split, clients, seed, |cfg| {
+            cfg.rounds = 2;
+            edit(cfg);
         })
-        .graph;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let split = split_edges(&g, 0.15, &mut rng);
-        let pcfg = PartitionConfig::paper_defaults(m, g.schema().num_edge_types(), seed);
-        let clients = partition_non_iid(&split.train, &pcfg);
-        let mut cfg = FlConfig {
-            rounds: 2,
-            model: HgnConfig {
-                hidden_dim: 4,
-                num_layers: 1,
-                num_heads: 2,
-                edge_emb_dim: 4,
-                ..Default::default()
-            },
-            train: TrainConfig {
-                local_epochs: 1,
-                lr: 5e-3,
-                ..Default::default()
-            },
-            eval_negatives: 3,
-            eval_every: 1,
-            seed,
-            parallel: true,
-            workers: None,
-            privacy: None,
-            weighting: AggWeighting::Uniform,
-            faults: None,
-            compression: None,
-        };
-        edit(&mut cfg);
-        FlSystem::new(&split.train, &split.test, clients, cfg)
     }
 
     /// Eq. 6 over `returns[j]` under `masks[j]`, every report at scale 1.

@@ -18,15 +18,21 @@
 //! * `faults: None` and an all-zero `FaultConfig` are bit-identical to the
 //!   pre-fault engine (the `golden_curves` pins), because the fault stream
 //!   is orthogonal to every other RNG stream.
+//!
+//! Every fault here is drawn from a `--faults`-style rate spec. The tests
+//! that pin one exact `(round, client)` cell (a straggler whose stale
+//! report lands in an inactive round, under a codec, or after the run; a
+//! NaN report) need the test-only `FaultConfig::scripted` overlay, so they
+//! live in `src/faults.rs`' tests, on this suite's federation through the
+//! same `common` fixture.
 
 mod common;
 
 use fedda_fl::{
     AsyncConfig, Compression, Corruption, FaultConfig, FaultEffect, FaultKind, FaultObserved,
     FaultPlan, FedAdam, FedAvg, FedDa, FedDyn, FedProx, FlConfig, FlProtocol, FlSystem, MemorySink,
-    RoundDriver, RunResult, RuntimeMode, ScriptedFault, StalenessPolicy,
+    RoundDriver, RunResult, RuntimeMode, StalenessPolicy,
 };
-use rand::rngs::StdRng;
 
 const SCALE: f64 = 0.0015;
 const M: usize = 5;
@@ -489,94 +495,6 @@ fn feddyn_h_state_stays_finite_under_garbage_corruption() {
     }
 }
 
-/// Selects every client in round 0 and nobody afterwards — the minimal
-/// protocol for pinning what the ledger does with a stale report that
-/// arrives in a round with no active clients.
-struct FirstRoundOnly;
-
-impl FlProtocol for FirstRoundOnly {
-    fn name(&self) -> String {
-        "FirstRoundOnly".into()
-    }
-
-    fn select_clients(&mut self, system: &FlSystem, round: usize, _rng: &mut StdRng) -> Vec<usize> {
-        if round == 0 {
-            (0..system.num_clients()).collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn build_masks(
-        &mut self,
-        system: &FlSystem,
-        active: &[usize],
-        _round: usize,
-        _rng: &mut StdRng,
-    ) -> Vec<Vec<bool>> {
-        vec![vec![true; system.num_units()]; active.len()]
-    }
-}
-
-#[test]
-fn sync_stale_arrival_in_an_inactive_round_stays_on_the_ledger() {
-    // The accounting fix this pins: a straggler report landing in a round
-    // where nobody was selected used to vanish from the comm log entirely
-    // (the round was keyed out on `active.is_empty()`), understating total
-    // uplink. Bytes that arrive must stay on the ledger.
-    let fc = FaultConfig {
-        staleness: StalenessPolicy::Discount { gamma: 0.5 },
-        scripted: vec![ScriptedFault {
-            round: 0,
-            client: 0,
-            kind: FaultKind::Straggler { delay: 1 },
-        }],
-        ..Default::default()
-    };
-    let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
-    let mut sink = MemorySink::new();
-    let result = RoundDriver::with_sink(&mut sink)
-        .run(&mut FirstRoundOnly, &mut sys)
-        .unwrap();
-    let n = sys.num_units();
-    // Round 0: all M dispatched, client 0 held. Round 1: nobody active but
-    // the held report arrives. Rounds 2+: silent, off the ledger.
-    let logged = result.comm.rounds();
-    assert_eq!(logged.len(), 2, "dispatch round + stale-arrival round");
-    assert_eq!(logged[0].active_clients, M);
-    assert_eq!(logged[0].uplink_units, (M - 1) * n);
-    assert_eq!(logged[0].downlink_units, M * n);
-    assert_eq!(logged[1].active_clients, 0);
-    assert_eq!(logged[1].downlink_units, 0);
-    assert_eq!(
-        logged[1].uplink_units, n,
-        "arrived stale bytes must be charged"
-    );
-    assert_eq!(result.comm.total_uplink_units(), M * n);
-    // The event stream mirrors the ledger entry for the inactive round.
-    assert!(sink.events[1].active_clients.is_empty());
-    assert_eq!(&sink.events[1].comm, &logged[1]);
-    // And the observation stream records held-then-applied.
-    assert_eq!(
-        result.faults,
-        vec![
-            FaultObserved {
-                round: 0,
-                client: 0,
-                effect: FaultEffect::StragglerHeld { arrival: Some(1) },
-            },
-            FaultObserved {
-                round: 1,
-                client: 0,
-                effect: FaultEffect::StaleApplied {
-                    staleness: 1,
-                    weight: 0.5,
-                },
-            },
-        ]
-    );
-}
-
 /// Run protocol `which` under the async runtime (K = 2, γ = 0.9).
 fn run_protocol_async(which: usize, sys: &mut FlSystem) -> RunResult {
     let acfg = AsyncConfig { k: 2, gamma: 0.9 };
@@ -661,95 +579,6 @@ fn corruption_is_rejected_after_decompression_across_protocols_and_runtimes() {
 }
 
 #[test]
-fn sync_stale_arrival_charges_compressed_bytes() {
-    // The compressed twin of the stale-arrival pin above: under f16 the
-    // straggler's report crosses the round boundary carrying its encoded
-    // payload, and the arrival round's ledger entry charges the
-    // *compressed* wire size — exactly 2 bytes per masked scalar, half
-    // the raw 4.
-    let fc = FaultConfig {
-        staleness: StalenessPolicy::Discount { gamma: 0.5 },
-        scripted: vec![ScriptedFault {
-            round: 0,
-            client: 0,
-            kind: FaultKind::Straggler { delay: 1 },
-        }],
-        ..Default::default()
-    };
-    let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
-        cfg.faults = Some(fc);
-        cfg.compression = Some(Compression::QuantF16);
-    });
-    let result = fedda_fl::run(&RuntimeMode::Sync, &mut FirstRoundOnly, &mut sys, None).unwrap();
-    let n = sys.num_units();
-    let logged = result.comm.rounds();
-    assert_eq!(logged.len(), 2, "dispatch round + stale-arrival round");
-    assert_eq!(logged[0].uplink_units, (M - 1) * n);
-    assert_eq!(
-        logged[0].uplink_bytes,
-        2 * logged[0].uplink_scalars,
-        "fresh arrivals charge the f16 rate"
-    );
-    assert_eq!(logged[1].active_clients, 0);
-    assert_eq!(logged[1].uplink_units, n);
-    assert!(logged[1].uplink_scalars > 0);
-    assert_eq!(
-        logged[1].uplink_bytes,
-        2 * logged[1].uplink_scalars,
-        "the stale arrival must charge its compressed byte size"
-    );
-}
-
-#[test]
-fn fully_compressed_away_stale_round_stays_off_the_ledger() {
-    // The accounting bugfix this PR pins: the empty-active-round ledger
-    // condition must key on the *compressed* charge, not the mask. A top-k
-    // fraction too small to keep a single scalar of any unit compresses
-    // the straggler's report away entirely — its arrival round moves zero
-    // bytes, so it must not mint a ledger entry (keyed on the mask it
-    // would have, double-counting a round that charged nothing).
-    let fc = FaultConfig {
-        staleness: StalenessPolicy::Discount { gamma: 0.5 },
-        scripted: vec![ScriptedFault {
-            round: 0,
-            client: 0,
-            kind: FaultKind::Straggler { delay: 1 },
-        }],
-        ..Default::default()
-    };
-    let mut sys = chaos_system(GOLDEN_SEED, |cfg| {
-        cfg.faults = Some(fc);
-        // Valid (0 < frac ≤ 0.5) but smaller than 1/len for every unit
-        // here: k = floor(frac · len) = 0 everywhere, every payload is
-        // empty.
-        cfg.compression = Some(Compression::TopK { frac: 1e-9 });
-    });
-    let mut sink = MemorySink::new();
-    let result = RoundDriver::with_sink(&mut sink)
-        .run(&mut FirstRoundOnly, &mut sys)
-        .unwrap();
-    let logged = result.comm.rounds();
-    assert_eq!(
-        logged.len(),
-        1,
-        "only the dispatch round may appear: the stale arrival charged nothing"
-    );
-    assert_eq!(logged[0].active_clients, M);
-    assert_eq!(logged[0].uplink_units, 0, "every report compressed away");
-    assert_eq!(logged[0].uplink_scalars, 0);
-    assert_eq!(logged[0].uplink_bytes, 0);
-    assert!(
-        logged[0].downlink_units > 0,
-        "the broadcast still cost a full model per client"
-    );
-    assert_eq!(result.comm.total_uplink_bytes(), 0);
-    // The event stream still reports every round; the arrival round's
-    // comm view is all-zero.
-    assert_eq!(sink.events.len(), ROUNDS);
-    assert!(!sink.events[1].comm.has_uplink());
-}
-
-#[test]
 fn async_full_dropout_under_compression_still_charges_nothing() {
     // Dropouts transfer nothing whatever the codec: the compressed twin of
     // the full-dropout pin below, under i8.
@@ -803,49 +632,6 @@ fn async_full_dropout_charges_downlink_but_never_uplink() {
         .faults
         .iter()
         .all(|f| matches!(f.effect, FaultEffect::Dropout)));
-}
-
-#[test]
-fn async_report_outliving_the_run_is_never_charged() {
-    // Client 0's scripted straggler report would land ~1000 ticks after the
-    // run's final aggregation: its uplink bytes must never be charged, and
-    // the async concurrency rule keeps the client out of every later wave.
-    let fc = FaultConfig {
-        scripted: vec![ScriptedFault {
-            round: 0,
-            client: 0,
-            kind: FaultKind::Straggler { delay: 1000 },
-        }],
-        ..Default::default()
-    };
-    let mut sys = chaos_system(GOLDEN_SEED, |cfg| cfg.faults = Some(fc));
-    let acfg = AsyncConfig {
-        k: M - 1,
-        gamma: 1.0,
-    };
-    let result = fedda_fl::run(
-        &RuntimeMode::Async(acfg),
-        &mut FedAvg::vanilla(),
-        &mut sys,
-        None,
-    )
-    .unwrap();
-    let n = sys.num_units();
-    let logged = result.comm.rounds();
-    assert_eq!(logged.len(), ROUNDS);
-    assert_eq!(logged[0].active_clients, M);
-    assert_eq!(logged[0].downlink_units, M * n);
-    assert_eq!(logged[0].uplink_units, (M - 1) * n);
-    for (v, rc) in logged.iter().enumerate().skip(1) {
-        assert_eq!(rc.active_clients, M - 1, "v{v}: client 0 stays in flight");
-        assert_eq!(rc.uplink_units, (M - 1) * n, "v{v}");
-        assert_eq!(rc.downlink_units, (M - 1) * n, "v{v}");
-    }
-    assert_eq!(result.comm.total_uplink_units(), ROUNDS * (M - 1) * n);
-    assert_eq!(
-        common::downlink_units(&result),
-        (M + (ROUNDS - 1) * (M - 1)) * n
-    );
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! train, and one bit-exact fingerprint of a run to compare two runs by.
 //! Each suite keeps its own constants (scale, seed, clients, rounds) and
 //! states its differences from the baseline configuration as an `edit`.
-//! Included by `mod common;` from each suite; never linked into the
-//! library.
+//! Included by `mod common;` from each suite, and by `#[path]` into the
+//! crate's own test build (`src/lib.rs`, where `fedda_fl` names the crate
+//! itself), so the in-crate tests run on the same federation; never in the
+//! library proper.
 
 #![allow(
     dead_code,
-    reason = "each suite is its own crate and uses a subset of the fixture"
+    reason = "each suite, and the in-crate tests, use a subset of the fixture"
 )]
 
 use fedda_data::{dblp_like, partition_non_iid, ClientData, PartitionConfig, PresetOptions};

@@ -186,7 +186,6 @@ fn fault_config_strategy() -> impl Strategy<Value = FaultConfig> {
                 corruption_kind: kind,
                 staleness: policy,
                 max_update_norm: maxnorm,
-                ..Default::default()
             }
         })
 }

@@ -1,8 +1,9 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the subset of proptest 1.x this workspace's test suites use:
-//! the [`Strategy`] trait with `prop_map` / `prop_flat_map`, range and tuple
-//! strategies, [`collection::vec`], [`option::of`], [`any`], and the
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map` /
+//! `prop_flat_map`, range and tuple strategies, [`collection::vec`],
+//! [`option::of`], [`any`](arbitrary::any), and the
 //! `proptest!` / `prop_oneof!` / `prop_assert*` / `prop_assume!` macros.
 //!
 //! Differences from upstream: cases are sampled from a deterministic
@@ -18,9 +19,6 @@ pub mod option;
 pub mod prelude;
 pub mod strategy;
 pub mod test_runner;
-
-pub use arbitrary::any;
-pub use strategy::{Just, Strategy};
 
 /// Define property tests. Each `fn name(arg in strategy, ...) { body }`
 /// becomes a `#[test]` that samples the strategies for a number of cases and

@@ -10,10 +10,6 @@ pub struct StdRng {
     s: [u64; 4],
 }
 
-/// Alias — the workspace never relies on `SmallRng` being a different
-/// algorithm, only on it being small and seedable.
-pub type SmallRng = StdRng;
-
 impl RngCore for StdRng {
     fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32

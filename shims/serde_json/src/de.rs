@@ -20,7 +20,7 @@ pub fn from_reader<R: std::io::Read, T: Deserialize>(mut reader: R) -> Result<T,
 }
 
 /// Parse a JSON document into a [`Value`], rejecting trailing garbage.
-pub fn parse_value(text: &str) -> Result<Value, Error> {
+pub(crate) fn parse_value(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,

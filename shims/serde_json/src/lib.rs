@@ -18,8 +18,8 @@ mod de;
 mod ser;
 mod value;
 
-pub use de::{from_reader, from_str, parse_value};
-pub use ser::{to_string, to_string_pretty, to_writer, to_writer_pretty};
+pub use de::{from_reader, from_str};
+pub use ser::{to_string, to_string_pretty, to_writer};
 pub use value::{Number, Value};
 
 /// Error produced by JSON (de)serialisation.
@@ -327,8 +327,8 @@ mod tests {
         assert_eq!(v["final_auc"]["n"], 5.0);
         assert_eq!(v["curve"].as_array().unwrap().len(), 2);
         assert_eq!(v["ok"], true);
-        assert!(v["none"].is_null());
-        assert!(v["missing"].is_null());
+        assert_eq!(v["none"], Value::Null);
+        assert_eq!(v["missing"], Value::Null);
     }
 
     #[test]

@@ -29,17 +29,6 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
         .map_err(|e| Error::new(e.to_string()))
 }
 
-/// Serialise prettily into a writer.
-pub fn to_writer_pretty<W: std::io::Write, T: Serialize + ?Sized>(
-    mut writer: W,
-    value: &T,
-) -> Result<(), Error> {
-    let text = to_string_pretty(value)?;
-    writer
-        .write_all(text.as_bytes())
-        .map_err(|e| Error::new(e.to_string()))
-}
-
 fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
     match value {
         Value::Null => out.push_str("null"),

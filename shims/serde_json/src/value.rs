@@ -60,14 +60,6 @@ impl Value {
         }
     }
 
-    /// Mutably borrow as object entries.
-    pub fn as_object_mut(&mut self) -> Option<&mut Vec<(String, Value)>> {
-        match self {
-            Value::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-
     /// Borrow as string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -95,30 +87,17 @@ impl Value {
     }
 
     /// Boolean value.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
 
-    /// True for `Value::Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Object field lookup; `None` when absent or not an object.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Mutable object field lookup; `None` when absent or not an object.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        match self {
-            Value::Object(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
