@@ -36,14 +36,24 @@ const fn own(flags: &'static [&'static str]) -> Group {
     Group { name: "", flags }
 }
 
-/// [`base_config`](crate::base_config)'s flags, plus the `--events` switch
-/// of [`Options::run_framework`].
+/// [`base_config`](crate::base_config)'s flags other than [`CHANNEL`]'s,
+/// plus the `--events` switch of [`Options::run_framework`].
 #[rustfmt::skip]
 pub(crate) const EXPERIMENT: Group = Group { name: "experiment", flags: &[
     "scale <f64>", "rounds <n>", "runs <n>", "clients <n>", "seed <u64>", "eval-every <n>",
-    "faults <spec>", "runtime sync|async", "async-k <n>", "async-gamma <f64>", "workers <n>",
-    "compress ident|q8|f16|topk:<frac>", "quick", "paper", "events",
+    "runtime sync|async", "async-k <n>", "async-gamma <f64>", "workers <n>", "quick", "paper",
+    "events",
 ] };
+
+const FAULTS: &str = "faults <spec>";
+const COMPRESS: &str = "compress ident|q8|f16|topk:<frac>";
+
+/// What the uplink suffers and how it is encoded: read by every experiment
+/// but the two that sweep one of them (`faults`, `auc_vs_bytes`).
+const CHANNEL: Group = Group {
+    name: "channel",
+    flags: &[FAULTS, COMPRESS],
+};
 
 /// The hyper-parameters [`parse_framework`](crate::parse_framework) reads.
 #[rustfmt::skip]
@@ -90,33 +100,33 @@ pub(crate) const COMMANDS: &[Command] = &[
         flags: &[own(&["graph <path>", "out-dir <dir>", "clients <n>", "mode iid|biased", "seed <u64>", "test-fraction <f64>"])],
         run: Run::Options(workflow::partition) },
     Command { name: "train", purpose: "run one federated training experiment and print its summary",
-        flags: &[DATASET, own(&["framework <name>"]), PROTOCOL, EXPERIMENT], run: Run::Options(workflow::train) },
+        flags: &[DATASET, own(&["framework <name>"]), PROTOCOL, EXPERIMENT, CHANNEL], run: Run::Options(workflow::train) },
     Command { name: "efficiency", purpose: "evaluate the Eqs. 8-11 communication model",
         flags: &[own(&["m <n>", "n <n>", "nd <n>", "rc <f64>", "rp <f64>"])], run: Run::Options(workflow::efficiency) },
     Command { name: "table1", purpose: "Table 1: dataset statistics",
         flags: &[own(&["scale <f64>", "seed <u64>"]), JSON], run: Run::Options(table1::run) },
     Command { name: "table2", purpose: "Table 2: ROC-AUC and MRR of the whole protocol zoo",
-        flags: &[DATASET, PROTOCOL, EXPERIMENT, JSON], run: Run::Options(table2::run) },
+        flags: &[DATASET, PROTOCOL, EXPERIMENT, CHANNEL, JSON], run: Run::Options(table2::run) },
     Command { name: "table3", purpose: "Table 3: transmitted parameter units, FedAvg vs FedDA",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(table3::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(table3::run) },
     Command { name: "fig2", purpose: "Fig. 2: FedAvg with random client (C) and parameter (D) rates",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(fig2::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(fig2::run) },
     Command { name: "fig5", purpose: "Fig. 5: convergence curves and rounds to FedAvg's final AUC",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(fig5::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(fig5::run) },
     Command { name: "fig6", purpose: "Fig. 6: beta_r / alpha / beta_e hyper-parameter sweeps",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(fig6::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(fig6::run) },
     Command { name: "efficiency_model", purpose: "Eqs. 8-11 against a simulated run",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(efficiency_model::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(efficiency_model::run) },
     Command { name: "ablations", purpose: "design-choice ablations",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(ablations::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(ablations::run) },
     Command { name: "fairness", purpose: "per-edge-type AUC of the final global model",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(fairness::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(fairness::run) },
     Command { name: "noniid_sweep", purpose: "FedDA's gain over FedAvg as the local bias grows",
-        flags: &[EXPERIMENT, JSON], run: Run::Options(noniid_sweep::run) },
+        flags: &[EXPERIMENT, CHANNEL, JSON], run: Run::Options(noniid_sweep::run) },
     Command { name: "faults", purpose: "degradation under injected faults",
-        flags: &[EXPERIMENT, own(&["rate-steps <n>"]), JSON], run: Run::Options(faults::run) },
+        flags: &[EXPERIMENT, own(&[COMPRESS, "rate-steps <n>"]), JSON], run: Run::Options(faults::run) },
     Command { name: "auc_vs_bytes", purpose: "accuracy against ledgered uplink bytes per codec",
-        flags: &[DATASET, EXPERIMENT, JSON], run: Run::Options(auc_vs_bytes::run) },
+        flags: &[DATASET, EXPERIMENT, own(&[FAULTS]), JSON], run: Run::Options(auc_vs_bytes::run) },
     Command { name: "perf", purpose: "kernel probe: snapshot (--out) or A/B two builds (--ab)",
         flags: &[own(&["out <path>", "ab <old-binary> <new-binary>"])], run: Run::Args(perf::run) },
 ];
@@ -170,7 +180,7 @@ pub fn usage() -> String {
         let flags = wrap(&" ".repeat(18), flags);
         out += &format!("  {:<17}{}\n{flags}\n", c.name, c.purpose);
     }
-    for g in [EXPERIMENT, PROTOCOL] {
+    for g in [EXPERIMENT, CHANNEL, PROTOCOL] {
         let flags = g.flags.iter().map(bracket);
         out += &format!("\n{}", wrap(&format!("<{}> =", g.name), flags));
     }

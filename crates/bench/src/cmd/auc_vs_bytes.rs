@@ -35,10 +35,6 @@ fn codecs(quick: bool) -> Vec<Option<Compression>> {
 }
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
-    if opts.has("compress") {
-        let msg = "auc_vs_bytes sweeps every codec itself; drop --compress";
-        return Err(Failure::Usage(msg.into()));
-    }
     let dataset = parse_dataset(&opts)?.unwrap_or(Dataset::DblpLike);
     let frameworks = if opts.quick {
         vec![

@@ -35,10 +35,6 @@ fn mix(rate: f64) -> Option<FaultConfig> {
 }
 
 pub(crate) fn run(opts: Options) -> Result<(), Failure> {
-    if opts.has("faults") {
-        let msg = "faults sweeps its own fault mix; drop --faults";
-        return Err(Failure::Usage(msg.into()));
-    }
     let rates: Vec<f64> = match opts.get::<usize>("rate-steps")? {
         Some(n) => (0..n)
             .map(|i| 0.4 * i as f64 / (n - 1).max(1) as f64)

@@ -4,6 +4,7 @@
 //! text that table generates.
 
 use fedda_bench::{command, require_isa_level, run_main, usage, Run};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -38,14 +39,22 @@ fn main() -> ExitCode {
     }
 }
 
-/// Usage asked for: on stdout, exit status 0.
+/// Usage asked for: on stdout, exit status 0 — also when the reader has
+/// stopped reading (`fedda help | head -1`), where `println!` would panic
+/// on the closed pipe.
 fn help(text: String) -> ExitCode {
-    println!("{text}");
-    ExitCode::SUCCESS
+    match writeln!(std::io::stdout(), "{text}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            drop(writeln!(std::io::stderr(), "error: {e}"));
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
 }
 
-/// No subcommand to run: the overview on stderr, exit status 2.
+/// No subcommand to run: the overview on stderr, exit status 2. A stderr
+/// that cannot be written leaves nowhere to say so.
 fn refuse(msg: String) -> ExitCode {
-    eprintln!("error: {msg}\n\n{}", usage());
+    drop(writeln!(std::io::stderr(), "error: {msg}\n\n{}", usage()));
     ExitCode::from(2)
 }

@@ -18,6 +18,7 @@ use fedda_hetgraph::{LinkExample, LinkSampler};
 use fedda_metrics::MeanStd;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// XOR tweak (with the client index shifted left 8) deriving each isolated
 /// client's training RNG in [`run_local_only`] from `FlConfig::seed`.
@@ -30,14 +31,14 @@ pub const LOCAL_STREAM_TWEAK: u64 = 0x0001_0CA1;
 /// evaluation graph (the global training split).
 pub struct GlobalProtocol {
     /// Every edge of the evaluation graph, read in `begin`.
-    positives: Vec<LinkExample>,
+    positives: Arc<[LinkExample]>,
 }
 
 impl GlobalProtocol {
     /// A fresh per-run instance (its positives are read in `begin`).
     pub fn new() -> Self {
         Self {
-            positives: Vec::new(),
+            positives: Arc::new([]),
         }
     }
 }
@@ -59,7 +60,9 @@ impl FlProtocol for GlobalProtocol {
 
     fn begin(&mut self, system: &FlSystem, _rng: &mut StdRng) {
         let index = system.eval_index().clone();
-        self.positives = LinkSampler::with_index(system.eval_graph(), index).all_positives();
+        self.positives = LinkSampler::with_index(system.eval_graph(), index)
+            .all_positives()
+            .into();
     }
 
     fn select_clients(
@@ -113,24 +116,26 @@ pub fn run_local_only(system: &FlSystem) -> LocalResult {
     let cfg = system.config();
     let mut result = LocalResult::default();
     for (i, client) in system.clients.iter().enumerate() {
-        let mut params = system.global.clone();
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ LOCAL_STREAM_TWEAK ^ (i as u64) << 8);
-        let sampler = client.sampler();
-        let mut slot = system.slot0();
-        for _round in 0..cfg.rounds {
-            slot.workspace.train(
-                system.model.as_ref(),
-                &mut params,
-                &client.view,
-                &sampler,
-                &client.positives,
-                &cfg.train,
-                None,
-                &mut rng,
-            );
-        }
-        // Released before `evaluate_params` locks slot 0 again.
-        drop(slot);
+        let seed = cfg.seed ^ LOCAL_STREAM_TWEAK ^ (i as u64) << 8;
+        let (model, client) = (Arc::clone(&system.model), client.clone());
+        let (global, train, rounds) = (system.global.clone(), cfg.train.clone(), cfg.rounds);
+        let params = system.on_slot0(move |slot| {
+            let (mut params, mut rng) = (global.clone(), StdRng::seed_from_u64(seed));
+            let sampler = client.sampler();
+            for _round in 0..rounds {
+                slot.workspace.train(
+                    model.as_ref(),
+                    &mut params,
+                    &client.view,
+                    &sampler,
+                    &client.positives,
+                    &train,
+                    None,
+                    &mut rng,
+                );
+            }
+            params
+        });
         let eval = system.evaluate_params(&params, cfg.rounds);
         result.aucs.push(eval.roc_auc);
         result.mrrs.push(eval.mrr);

@@ -37,15 +37,16 @@
 //! call (`FlSystem::run_reports`); when the pool has joined, the engine
 //! pushes the curve point, sets `final_eval` and emits round `t`'s event —
 //! still before round `t + 1`'s. The last round's evaluation has no
-//! dispatch to ride and runs after its commit, on the server thread in
-//! worker slot 0's workspace (`FlSystem::evaluate_global`).
-//! Two facts make this safe: `system.global` is frozen between a commit and
-//! the next pool's join (every hook dispatch calls takes `&FlSystem`; only
-//! `post_aggregate` and Eq. 6 write it), and `eval_inputs(round)` owns its
-//! RNG stream. A one-worker pool runs the same tasks inline on the server
-//! thread. A round's `wall_ms` is the time since the previous event was
-//! emitted (since the run's start for round 0), so the events' `wall_ms`
-//! still sum to the run's wall time.
+//! dispatch to ride and runs after its commit as a pool call of its own
+//! (`FlSystem::evaluate_global`) — so every evaluation runs in worker slot
+//! 0's workspace, on worker 0's thread. Two facts make this safe: each pool
+//! call reads its own snapshot of `system.global`, taken at dispatch while
+//! the global is frozen between a commit and the next dispatch (every hook
+//! dispatch calls takes `&FlSystem`; only `post_aggregate` and Eq. 6 write
+//! it), and each evaluation round owns its RNG stream. A one-worker pool
+//! runs the same tasks inline on the server thread. A round's `wall_ms` is
+//! the time since the previous event was emitted (since the run's start for
+//! round 0), so the events' `wall_ms` still sum to the run's wall time.
 //!
 //! # The arrival policy
 //!
@@ -479,19 +480,19 @@ impl<'a> Engine<'a> {
         // Mask-then-compress: the protocol's mask picked the units, the
         // codec prices them. A report that never lands is trained but
         // neither encoded nor charged: its bytes never transfer.
-        let orders: Vec<ReportOrder<'_>> = reporting
+        let orders: Vec<ReportOrder> = reporting
             .iter()
             .map(|&pos| ReportOrder {
                 corruption: match verdicts[pos] {
                     Some(FaultKind::Corruption(kind)) => Some(kind),
                     _ => None,
                 },
-                mask: lands[pos].map(|_| masks[pos].as_slice()),
+                mask: lands[pos].map(|_| masks[pos].clone()),
             })
             .collect();
         let (reports, eval) = self
             .system
-            .run_reports(&clients, index, &penalties, &orders, evaluate);
+            .run_reports(&clients, index, penalties, orders, evaluate);
 
         let sizes = self.system.unit_sizes();
         for (pos, ret) in reporting.into_iter().zip(reports) {

@@ -4,7 +4,8 @@
 //! simulated federation of heterograph clients plus the training protocols
 //! the paper compares.
 //!
-//! * [`FlSystem`] — server + clients, parallel local updates (scoped threads),
+//! * [`FlSystem`] — server + clients, parallel local updates (one worker
+//!   thread per slot for the system's life),
 //!   masked aggregation (Eq. 6), deterministic per-round evaluation and
 //!   communication accounting (units *and* scalars, uplink and downlink);
 //! * [`FedAvg`] — the baseline protocol, with the random client-fraction

@@ -17,6 +17,13 @@
 //!    any pool size and any interleaving; `run_slotted` additionally
 //!    returns results in submission order.
 //!
+//! The pool's threads are the system's: worker `s` is one thread from the
+//! first call that hands slot `s` a task until the pool drops, so a slot's
+//! memory — its workspace, and the C allocator's arena that backs it —
+//! stays with one thread for the run instead of moving to a new thread
+//! every round. A task therefore owns what it reads (`'static`): the
+//! system hands it `Arc`s and one snapshot of the global model per call.
+//!
 //! Under [`RuntimeMode::Sync`](crate::RuntimeMode) round `r` occupies tick
 //! `r` and flushes when nothing more is due at it; under
 //! [`RuntimeMode::Async`](crate::RuntimeMode) deliveries span many ticks
@@ -39,6 +46,11 @@
 
 use crate::system::ClientReturn;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 /// Virtual time, in integer ticks. Lockstep execution maps round `r` to
 /// tick `r`; buffered execution charges one tick of latency per healthy
@@ -158,21 +170,56 @@ pub fn default_workers() -> Result<usize, String> {
         .ok_or_else(|| format!("{DEFAULT_WORKERS_VAR} must be a positive integer, got {raw:?}"))
 }
 
+/// A job on a worker's queue: it owns everything it reads.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// One result of a pool call: the item's index and what its task returned
+/// or the payload it panicked with.
+type Done<R> = (usize, std::thread::Result<R>);
+
+/// A worker thread of a [`WorkerPool`] and the queue it runs jobs from.
+#[derive(Debug)]
+struct Worker {
+    jobs: Sender<Job>,
+    thread: JoinHandle<()>,
+}
+
+impl Worker {
+    /// A thread that runs every job sent to it, in order, until its queue
+    /// closes.
+    fn start() -> Self {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the worker pool is the program's one parallelism layer (DESIGN.md §11)"
+        )]
+        let thread = std::thread::spawn(move || queue.into_iter().for_each(|job| job()));
+        Self { jobs, thread }
+    }
+}
+
 /// A fixed-size pool executing client tasks: the program's one
 /// parallelism layer (every kernel runs on the thread that calls it).
 ///
 /// With one worker, tasks run inline on the caller's thread. With more,
-/// tasks are pulled from a shared index by scoped worker threads.
-#[derive(Clone, Copy, Debug)]
+/// worker slot `s` is one thread for the pool's whole life: started by the
+/// first call that hands slot `s` a task, joined when the pool drops.
+#[derive(Debug)]
 pub struct WorkerPool {
     workers: usize,
+    /// Worker `s`, once a call has handed slot `s` a task.
+    threads: Vec<OnceLock<Worker>>,
 }
 
 impl WorkerPool {
     /// A pool of `workers` threads (min 1).
     pub fn new(workers: usize) -> Self {
+        let workers = workers.max(1);
         Self {
-            workers: workers.max(1),
+            workers,
+            threads: std::iter::repeat_with(OnceLock::new)
+                .take(workers)
+                .collect(),
         }
     }
 
@@ -180,11 +227,11 @@ impl WorkerPool {
     /// only because the benchmark package's pool probe calls it.
     pub fn run_ordered<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
+        T: Clone + Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&T) -> R + Send + Sync + 'static,
     {
-        self.run_slotted(items, |_, item| f(item))
+        self.run_slotted(items, move |_, item| f(item))
     }
 
     /// Run `f` over every item, returning results in item order.
@@ -192,58 +239,91 @@ impl WorkerPool {
     /// Tasks must be pure: results are placed by item index, so any number
     /// of workers yields the identical output vector. Each task is told its
     /// worker slot: `0` for every task of an inline pool, else the index
-    /// (below the pool's worker count) of the one thread that runs it. A
-    /// slot runs one task at a time, so state kept per slot — a training
-    /// workspace — is never contended. Slot `s` starts with item `s`, so the
-    /// first items have fixed slots; which slot serves any later item varies
-    /// from run to run, so a task's result must not depend on its slot.
+    /// (below the pool's worker count) of the one thread that runs it —
+    /// the same thread in every call of this pool, so a single task, too,
+    /// runs on worker 0's thread and not the caller's. A slot runs one task
+    /// at a time, so state kept per slot — a training workspace — is never
+    /// contended. Slot `s` starts with item `s`, so the first items have
+    /// fixed slots; which slot serves any later item varies from run to
+    /// run, so a task's result must not depend on its slot.
+    ///
+    /// The call owns what its tasks read (the items are copied, `f` is
+    /// shared), because the workers outlive it. It returns once every task
+    /// has ended; a task that panicked re-raises its panic here — the
+    /// lowest-indexed one's — and leaves its worker ready for the next
+    /// call. A task must not call the pool that runs it.
     pub(crate) fn run_slotted<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
+        T: Clone + Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &T) -> R + Send + Sync + 'static,
     {
-        let effective = self.workers.min(items.len());
-        if effective <= 1 {
+        if self.workers == 1 {
             return items.iter().map(|item| f(0, item)).collect();
         }
-        let next = std::sync::atomic::AtomicUsize::new(effective);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the worker pool is the program's one parallelism layer (DESIGN.md §11)"
-        )]
-        std::thread::scope(|s| {
-            for slot in 0..effective {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                s.spawn(move || {
+        let effective = self.workers.min(items.len());
+        let items: Arc<[T]> = items.into();
+        let f = Arc::new(f);
+        let next = Arc::new(AtomicUsize::new(effective));
+        let (tx, rx) = mpsc::channel::<Done<R>>();
+        for slot in 0..effective {
+            let (items, f, next, tx) = (
+                Arc::clone(&items),
+                Arc::clone(&f),
+                Arc::clone(&next),
+                tx.clone(),
+            );
+            self.submit(
+                slot,
+                Box::new(move || {
                     let mut i = slot;
-                    while i < items.len() && tx.send((i, f(slot, &items[i]))).is_ok() {
-                        i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    while i < items.len() {
+                        let result = panic::catch_unwind(AssertUnwindSafe(|| f(slot, &items[i])));
+                        // The caller holds the receiver until every task
+                        // of the call has ended.
+                        drop(tx.send((i, result)));
+                        i = next.fetch_add(1, Ordering::Relaxed);
                     }
-                });
-            }
-        });
-        drop(tx);
-        let mut out: Vec<Option<R>> = Vec::new();
-        out.resize_with(items.len(), || None);
-        for (i, r) in rx {
-            out[i] = Some(r);
+                }),
+            );
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "every index is sent exactly once by the workers above; an empty slot is pool-internal corruption"
-        )]
-        let filled = |slot: Option<R>| slot.expect("missing worker result");
-        out.into_iter().map(filled).collect()
+        drop(tx);
+        // The channel closes when the last task's sender goes: every task
+        // of the call has ended by then, panicked or not.
+        let mut done: Vec<Done<R>> = rx.into_iter().collect();
+        assert_eq!(done.len(), items.len(), "every item is run exactly once");
+        done.sort_unstable_by_key(|&(i, _)| i);
+        let result = |(_, r): Done<R>| r.unwrap_or_else(|payload| panic::resume_unwind(payload));
+        done.into_iter().map(result).collect()
+    }
+
+    /// Queue `job` on worker `slot`, starting its thread on first use.
+    fn submit(&self, slot: usize, job: Job) {
+        let worker = self.threads[slot].get_or_init(Worker::start);
+        // A worker's queue closes only when the pool drops, and its jobs
+        // catch their tasks' panics, so the send cannot fail; a job it did
+        // not take would show as a missing result in `run_slotted`.
+        drop(worker.jobs.send(job));
+    }
+}
+
+impl Drop for WorkerPool {
+    /// Close every started worker's queue and join its thread.
+    fn drop(&mut self) {
+        for worker in self.threads.drain(..).filter_map(OnceLock::into_inner) {
+            let Worker { jobs, thread } = worker;
+            drop(jobs);
+            // Jobs catch their tasks' panics, so a worker cannot have died
+            // of one; there is nothing to report.
+            thread.join().ok();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
 
     #[test]
     fn clock_is_monotonic() {
@@ -304,9 +384,9 @@ mod tests {
         // Each task learns a slot below the pool size, and no two tasks
         // hold one slot at once.
         for workers in [1, 2, 4] {
-            let busy: Vec<std::sync::atomic::AtomicBool> =
-                (0..workers).map(|_| Default::default()).collect();
-            let slots = WorkerPool::new(workers).run_slotted(&items, |slot, _| {
+            let busy: Arc<Vec<std::sync::atomic::AtomicBool>> =
+                Arc::new((0..workers).map(|_| Default::default()).collect());
+            let slots = WorkerPool::new(workers).run_slotted(&items, move |slot, _| {
                 use std::sync::atomic::Ordering::SeqCst;
                 assert!(!busy[slot].swap(true, SeqCst), "slot {slot} shared");
                 std::thread::yield_now();
@@ -320,5 +400,64 @@ mod tests {
         let empty: Vec<u64> = Vec::new();
         assert!(WorkerPool::new(4).run_slotted(&empty, |_, &x| x).is_empty());
         assert_eq!(WorkerPool::new(0).workers, 1);
+    }
+
+    /// The thread that runs each task of one call, by slot.
+    fn threads_by_slot(pool: &WorkerPool, items: usize) -> Vec<(usize, ThreadId)> {
+        let items: Vec<usize> = (0..items).collect();
+        pool.run_slotted(&items, |slot, _| {
+            std::thread::yield_now();
+            (slot, std::thread::current().id())
+        })
+    }
+
+    #[test]
+    fn a_slot_runs_on_one_thread_for_the_pools_life() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 3] {
+            let pool = WorkerPool::new(workers);
+            let mut seen: BTreeMap<usize, ThreadId> = BTreeMap::new();
+            for _call in 0..4 {
+                for (slot, thread) in threads_by_slot(&pool, 7) {
+                    assert_eq!(*seen.entry(slot).or_insert(thread), thread, "slot {slot}");
+                }
+            }
+            assert_eq!(seen.len(), workers);
+            let threads: Vec<ThreadId> = seen.values().copied().collect();
+            for (slot, thread) in threads.iter().enumerate() {
+                assert!(
+                    !threads[..slot].contains(thread),
+                    "slot {slot} shares a thread"
+                );
+            }
+            // Inline with one worker; never on the caller with more, not
+            // even for a single task, which runs on worker 0's thread.
+            assert_eq!(threads.contains(&caller), workers == 1);
+            assert_eq!(threads_by_slot(&pool, 1), vec![(0, seen[&0])]);
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_re_raises_on_the_caller_and_spares_its_worker() {
+        let pool = WorkerPool::new(2);
+        let before = threads_by_slot(&pool, 2);
+        let items: Vec<u32> = (0..6).collect();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_slotted(
+                &items,
+                |_, &x| if x % 2 == 1 { panic!("task {x}") } else { x },
+            )
+        }));
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        // The lowest-indexed panic, with its own payload.
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("task 1")
+        );
+        assert_eq!(
+            pool.run_slotted(&items, |_, &x| x + 1),
+            vec![1, 2, 3, 4, 5, 6]
+        );
+        assert_eq!(threads_by_slot(&pool, 2), before, "the workers survived");
     }
 }

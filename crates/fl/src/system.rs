@@ -7,6 +7,7 @@ use crate::comm::{CommLog, RoundComm};
 use crate::compress::{decode_report, Compression, Delta, InFlight, UplinkCharge};
 use crate::faults::{corrupt_params, Corruption, FaultConfig, FaultObserved};
 use crate::protocol::LocalPenalty;
+use crate::runtime::WorkerPool;
 use fedda_data::ClientData;
 use fedda_hetgraph::{EdgeIndex, EdgeTypeId, HeteroGraph, LinkExample, LinkSampler};
 use fedda_hgn::{
@@ -93,7 +94,7 @@ pub struct FlConfig {
     pub eval_every: usize,
     /// Run seed: drives model init, client sampling and evaluation.
     pub seed: u64,
-    /// Run client updates on scoped worker threads; `false` is
+    /// Run client updates on the system's worker threads; `false` is
     /// `workers: Some(1)`.
     pub parallel: bool,
     /// Worker-pool size for parallel client updates, fixed at
@@ -276,14 +277,96 @@ impl ClientReturn {
 }
 
 /// What dispatch asks of one reporting client beyond local training.
-pub(crate) struct ReportOrder<'a> {
+pub(crate) struct ReportOrder {
     /// Corruption the fault plan injects into this report.
     pub(crate) corruption: Option<Corruption>,
     /// The unit mask the report travels under, which the codec encodes it
     /// by when `FlConfig::compression` is set; `None` for a report the run
     /// ends before it would arrive: it trains, but nothing of it is handed
     /// back.
-    pub(crate) mask: Option<&'a [bool]>,
+    pub(crate) mask: Option<Vec<bool>>,
+}
+
+/// One [`FlSystem::run_reports`] call as its report tasks read it: handles
+/// on the system's model, clients and configuration, the call's snapshot of
+/// `global` — the broadcast every client trains from, the anchor of its
+/// penalty and, under a codec, the reference its report is encoded against
+/// — and each position's penalty and order.
+struct ReportCall {
+    model: Arc<dyn LinkPredictor>,
+    clients: Arc<[Client]>,
+    cfg: Arc<FlConfig>,
+    global: Arc<ParamSet>,
+    active: Vec<usize>,
+    round: usize,
+    penalties: Vec<Option<LocalPenalty>>,
+    orders: Vec<ReportOrder>,
+}
+
+impl ReportCall {
+    /// The local update and report of `active[pos]`, in `slot`.
+    fn report(&self, pos: usize, slot: &mut Slot) -> ClientReturn {
+        let i = self.active[pos];
+        let client = &self.clients[i];
+        let global = &*self.global;
+        let Slot { workspace, params } = slot;
+        params.copy_from(global);
+        let mut rng = StdRng::seed_from_u64(
+            client.seed ^ (self.round as u64).wrapping_mul(CLIENT_ROUND_STRIDE),
+        );
+        let sampler = client.sampler();
+        let penalty =
+            self.penalties
+                .get(pos)
+                .and_then(|p| p.as_ref())
+                .map(|p| fedda_hgn::Penalty {
+                    prox_mu: p.prox_mu,
+                    reference: global,
+                    linear: p.linear.as_deref(),
+                });
+        workspace.train(
+            self.model.as_ref(),
+            params,
+            &client.view,
+            &sampler,
+            &client.positives,
+            &self.cfg.train,
+            penalty.as_ref(),
+            &mut rng,
+        );
+        if let Some(privacy) = self.cfg.privacy {
+            apply_privacy(params, global, privacy, &mut rng);
+        }
+        let order = self.orders.get(pos);
+        if let Some(kind) = order.and_then(|o| o.corruption) {
+            corrupt_params(params, global, kind);
+        }
+        let mut ret = ClientReturn {
+            client: i,
+            params: ParamSet::new(),
+            unit_delta: Vec::new(),
+            encoded: None,
+        };
+        match (order.map(|o| o.mask.as_deref()), self.cfg.compression) {
+            // The run ends before the report would land.
+            (Some(None), _) => {}
+            (Some(Some(mask)), Some(codec)) => {
+                let report = codec.compress(&Delta {
+                    updated: params,
+                    reference: global,
+                    mask,
+                });
+                ret.unit_delta = decode_report(params, &report, global);
+                let reference = Arc::clone(&self.global);
+                ret.encoded = Some(InFlight { report, reference });
+            }
+            _ => {
+                ret.unit_delta = params.unit_l2_distances(global);
+                ret.params = params.clone();
+            }
+        }
+        ret
+    }
 }
 
 /// A worker slot's memory, kept for the whole run: the training workspace
@@ -371,28 +454,82 @@ impl RunResult {
     }
 }
 
+/// What every global evaluation reads, built once at set-up: the global
+/// training graph (evaluation-time message passing) with its view and
+/// negative-rejection index, the test positives, and the run's seed and
+/// negatives per positive.
+struct EvalSet {
+    graph: HeteroGraph,
+    index: EdgeIndex,
+    view: GraphView,
+    test_positives: Vec<LinkExample>,
+    seed: u64,
+    negatives: usize,
+}
+
+impl EvalSet {
+    /// A sampler over the evaluation graph, sharing the index built at
+    /// set-up.
+    fn sampler(&self) -> LinkSampler<'_> {
+        LinkSampler::with_index(&self.graph, self.index.clone())
+    }
+
+    /// Round `round`'s evaluation RNG: deterministic, so frameworks sharing
+    /// a seed are comparable.
+    fn rng(&self, round: usize) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ EVAL_STREAM_TWEAK ^ (round as u64).wrapping_mul(31))
+    }
+
+    /// Score `params` on the test positives, on the tape `graph`.
+    fn evaluate(
+        &self,
+        model: &dyn LinkPredictor,
+        graph: &mut Graph,
+        params: &ParamSet,
+        round: usize,
+    ) -> EvalResult {
+        #[cfg(test)]
+        tests::EVALUATIONS.with(|n| n.set(n.get() + 1));
+        evaluate(
+            model,
+            graph,
+            params,
+            &self.view,
+            &self.sampler(),
+            &self.test_positives,
+            self.negatives,
+            &mut self.rng(round),
+        )
+    }
+}
+
 /// The simulated federation.
+///
+/// What a pool task reads it holds by `Arc` — the model, the clients, the
+/// configuration, the evaluation inputs and the worker slots — because the
+/// pool's threads live as long as the system and outlive every call.
 pub struct FlSystem {
     /// The shared model architecture (Simple-HGN by default; any
     /// [`LinkPredictor`] via [`FlSystem::with_model`]).
-    pub model: Box<dyn LinkPredictor>,
+    pub model: Arc<dyn LinkPredictor>,
     /// Server-side global parameters.
     pub global: ParamSet,
     /// Clients.
-    pub clients: Vec<Client>,
-    cfg: FlConfig,
-    eval_graph: HeteroGraph,
-    eval_index: EdgeIndex,
-    eval_view: GraphView,
-    test_positives: Vec<LinkExample>,
+    pub clients: Arc<[Client]>,
+    cfg: Arc<FlConfig>,
+    eval: Arc<EvalSet>,
     /// One [`Slot`] — a [`Workspace`] and a parameter buffer — per worker
     /// slot, one slot per worker of the configured pool
     /// ([`FlConfig::workers()`], 1 where that is an error the engine
     /// refuses), kept for the whole run: slot `s` trains every client and
     /// runs every evaluation the pool's worker `s` is handed, and slot 0
-    /// also serves the evaluations called from the server thread and the
-    /// baselines' training. Its memory follows the largest of them, once.
-    slots: Vec<Mutex<Slot>>,
+    /// also serves every evaluation and the baselines' training
+    /// ([`FlSystem::on_slot0`]). Its memory follows the largest of them,
+    /// once.
+    slots: Arc<[Mutex<Slot>]>,
+    /// The pool every slot's work runs on: slot `s` on its worker `s`, one
+    /// thread from the first call until the system drops.
+    pool: WorkerPool,
 }
 
 impl FlSystem {
@@ -466,25 +603,26 @@ impl FlSystem {
             };
             clients.push(client);
         }
-        let eval_view = GraphView::new(global_train, self_loops);
-        let test_sampler = LinkSampler::new(global_test);
-        let test_positives = test_sampler.all_positives();
-        let mut system = Self {
-            model,
-            global,
-            clients,
-            cfg,
-            eval_index: EdgeIndex::new(global_train),
-            eval_graph: global_train.clone(),
-            eval_view,
-            test_positives,
-            slots: Vec::new(),
+        let eval = EvalSet {
+            graph: global_train.clone(),
+            index: EdgeIndex::new(global_train),
+            view: GraphView::new(global_train, self_loops),
+            test_positives: LinkSampler::new(global_test).all_positives(),
+            seed: cfg.seed,
+            negatives: cfg.eval_negatives,
         };
-        let workers = system.cfg.workers().unwrap_or(1);
-        system.slots = std::iter::repeat_with(Mutex::default)
-            .take(workers)
-            .collect();
-        system
+        let workers = cfg.workers().unwrap_or(1);
+        Self {
+            model: Arc::from(model),
+            global,
+            clients: clients.into(),
+            cfg: Arc::new(cfg),
+            eval: Arc::new(eval),
+            slots: std::iter::repeat_with(Mutex::default)
+                .take(workers)
+                .collect(),
+            pool: WorkerPool::new(workers),
+        }
     }
 
     /// The run configuration.
@@ -495,24 +633,13 @@ impl FlSystem {
     /// The global training graph (evaluation-time message passing; also
     /// what the `Global` baseline trains on).
     pub(crate) fn eval_graph(&self) -> &HeteroGraph {
-        &self.eval_graph
+        &self.eval.graph
     }
 
     /// Negative-rejection index of [`FlSystem::eval_graph`], built once at
     /// set-up and shared by every evaluation.
     pub(crate) fn eval_index(&self) -> &EdgeIndex {
-        &self.eval_index
-    }
-
-    /// What every global evaluation starts from: the per-round RNG
-    /// (deterministic, so frameworks sharing a seed are comparable) and a
-    /// sampler over the evaluation graph.
-    fn eval_inputs(&self, round: usize) -> (StdRng, LinkSampler<'_>) {
-        let rng = StdRng::seed_from_u64(
-            self.cfg.seed ^ EVAL_STREAM_TWEAK ^ (round as u64).wrapping_mul(31),
-        );
-        let sampler = LinkSampler::with_index(&self.eval_graph, self.eval_index.clone());
-        (rng, sampler)
+        &self.eval.index
     }
 
     /// Number of clients `M`.
@@ -563,7 +690,8 @@ impl FlSystem {
         round: usize,
         penalties: &[Option<LocalPenalty>],
     ) -> Vec<ClientReturn> {
-        self.run_reports(active, round, penalties, &[], None).0
+        self.run_reports(active, round, penalties.to_vec(), Vec::new(), None)
+            .0
     }
 
     /// The engine's form of [`FlSystem::run_local_round_with`]: everything
@@ -585,14 +713,15 @@ impl FlSystem {
     ///
     /// `evaluate` names a round whose [`FlSystem::evaluate_global`] is due:
     /// it runs as one more task of the same pool call — it reads the
-    /// `self.global` the client tasks copy from and its own RNG stream —
-    /// and its result comes back beside the reports.
+    /// call's snapshot of `self.global` that the client tasks copy from,
+    /// and its own RNG stream — and its result comes back beside the
+    /// reports.
     pub(crate) fn run_reports(
         &self,
         active: &[usize],
         round: usize,
-        penalties: &[Option<LocalPenalty>],
-        orders: &[ReportOrder<'_>],
+        penalties: Vec<Option<LocalPenalty>>,
+        orders: Vec<ReportOrder>,
         evaluate: Option<usize>,
     ) -> (Vec<ClientReturn>, Option<EvalResult>) {
         assert!(
@@ -604,6 +733,7 @@ impl FlSystem {
             "one report order per active client (or none at all)"
         );
         /// One pure task of the pool call.
+        #[derive(Clone, Copy)]
         enum Task {
             /// The local update and report of `active[pos]`.
             Report(usize),
@@ -614,8 +744,8 @@ impl FlSystem {
             Report(usize, ClientReturn),
             Evaluated(EvalResult),
         }
-        // The evaluation first, so it always runs on slot 0 — the slot the
-        // server thread evaluates in — and only one workspace grows to the
+        // The evaluation first, so it always runs on slot 0 — the slot every
+        // evaluation runs in — and only one workspace grows to the
         // evaluation graph's size; then the clients largest first: the pool
         // pulls tasks in slice order, and a round ends when its slowest
         // task does, so that task must not be the last to start. Local
@@ -632,86 +762,30 @@ impl FlSystem {
         let tasks: Vec<Task> = (evaluate.map(Task::Evaluate).into_iter())
             .chain(positions.into_iter().map(Task::Report))
             .collect();
-        // The codec and the reference its reports are encoded against.
-        let encoding = self
-            .cfg
-            .compression
-            .filter(|_| orders.iter().any(|o| o.mask.is_some()))
-            .map(|codec| (codec, Arc::new(self.global.clone())));
-        let run_report = |pos: usize, slot: &mut Slot| -> ClientReturn {
-            let i = active[pos];
-            let client = &self.clients[i];
-            let Slot { workspace, params } = slot;
-            params.copy_from(&self.global);
-            let mut rng = StdRng::seed_from_u64(
-                client.seed ^ (round as u64).wrapping_mul(CLIENT_ROUND_STRIDE),
-            );
-            let sampler = client.sampler();
-            let penalty = penalties
-                .get(pos)
-                .and_then(|p| p.as_ref())
-                .map(|p| fedda_hgn::Penalty {
-                    prox_mu: p.prox_mu,
-                    reference: &self.global,
-                    linear: p.linear.as_deref(),
-                });
-            workspace.train(
-                self.model.as_ref(),
-                params,
-                &client.view,
-                &sampler,
-                &client.positives,
-                &self.cfg.train,
-                penalty.as_ref(),
-                &mut rng,
-            );
-            if let Some(privacy) = self.cfg.privacy {
-                apply_privacy(params, &self.global, privacy, &mut rng);
-            }
-            let order = orders.get(pos);
-            if let Some(kind) = order.and_then(|o| o.corruption) {
-                corrupt_params(params, &self.global, kind);
-            }
-            let mut ret = ClientReturn {
-                client: i,
-                params: ParamSet::new(),
-                unit_delta: Vec::new(),
-                encoded: None,
-            };
-            match (order.map(|o| o.mask), &encoding) {
-                // The run ends before the report would land.
-                (Some(None), _) => {}
-                (Some(Some(mask)), Some((codec, reference))) => {
-                    let report = codec.compress(&Delta {
-                        updated: params,
-                        reference,
-                        mask,
-                    });
-                    ret.unit_delta = decode_report(params, &report, reference);
-                    let reference = Arc::clone(reference);
-                    ret.encoded = Some(InFlight { report, reference });
-                }
-                _ => {
-                    ret.unit_delta = params.unit_l2_distances(&self.global);
-                    ret.params = params.clone();
-                }
-            }
-            ret
+        let call = ReportCall {
+            model: Arc::clone(&self.model),
+            clients: Arc::clone(&self.clients),
+            cfg: Arc::clone(&self.cfg),
+            global: Arc::new(self.global.clone()),
+            active: active.to_vec(),
+            round,
+            penalties,
+            orders,
         };
-        let work = |slot: usize, task: &Task| {
-            let slot = &mut *lock(&self.slots[slot]);
+        let (eval, slots) = (Arc::clone(&self.eval), Arc::clone(&self.slots));
+        let work = move |slot: usize, task: &Task| {
+            let slot = &mut *lock(&slots[slot]);
             match *task {
-                Task::Report(pos) => Done::Report(pos, run_report(pos, slot)),
+                Task::Report(pos) => Done::Report(pos, call.report(pos, slot)),
                 Task::Evaluate(round) => {
                     let graph = slot.workspace.graph();
-                    Done::Evaluated(self.evaluate_on(graph, &self.global, round))
+                    Done::Evaluated(eval.evaluate(call.model.as_ref(), graph, &call.global, round))
                 }
             }
         };
         let mut placed = Vec::with_capacity(active.len());
         let mut evaluated = None;
-        let pool = crate::runtime::WorkerPool::new(self.slots.len());
-        for done in pool.run_slotted(&tasks, work) {
+        for done in self.pool.run_slotted(&tasks, work) {
             match done {
                 Done::Report(pos, report) => placed.push((pos, report)),
                 Done::Evaluated(eval) => evaluated = Some(eval),
@@ -722,27 +796,44 @@ impl FlSystem {
         (reports, evaluated)
     }
 
-    /// Worker slot 0: the server thread's evaluations and the baselines'
-    /// training run in its workspace.
-    pub(crate) fn slot0(&self) -> MutexGuard<'_, Slot> {
-        lock(&self.slots[0])
+    /// Run `job` in worker slot 0 on the pool's worker 0 — the thread every
+    /// slot-0 task runs on, the caller's for a one-worker pool — and return
+    /// what it returns. Every evaluation called from the server thread and
+    /// the baselines' training run here.
+    pub(crate) fn on_slot0<R: Send + 'static>(
+        &self,
+        job: impl Fn(&mut Slot) -> R + Send + Sync + 'static,
+    ) -> R {
+        let slots = Arc::clone(&self.slots);
+        let mut done = self
+            .pool
+            .run_slotted(&[()], move |_, _| job(&mut lock(&slots[0])));
+        done.swap_remove(0)
     }
 
     /// The `Global` baseline's round: `self.global` trains on `positives` of
     /// the evaluation graph, through its view and index, in worker slot 0's
     /// workspace.
-    pub(crate) fn train_global(&mut self, positives: &[LinkExample], rng: &mut StdRng) {
-        let sampler = LinkSampler::with_index(&self.eval_graph, self.eval_index.clone());
-        lock(&self.slots[0]).workspace.train(
-            self.model.as_ref(),
-            &mut self.global,
-            &self.eval_view,
-            &sampler,
-            positives,
-            &self.cfg.train,
-            None,
-            rng,
-        );
+    pub(crate) fn train_global(&mut self, positives: &Arc<[LinkExample]>, rng: &mut StdRng) {
+        let (model, eval) = (Arc::clone(&self.model), Arc::clone(&self.eval));
+        let (cfg, positives) = (Arc::clone(&self.cfg), Arc::clone(positives));
+        let (global, start) = (std::mem::take(&mut self.global), rng.clone());
+        let (trained, end) = self.on_slot0(move |slot| {
+            let (mut params, mut rng) = (global.clone(), start.clone());
+            slot.workspace.train(
+                model.as_ref(),
+                &mut params,
+                &eval.view,
+                &eval.sampler(),
+                &positives,
+                &cfg.train,
+                None,
+                &mut rng,
+            );
+            (params, rng)
+        });
+        self.global = trained;
+        *rng = end;
     }
 
     /// Masked federated averaging (Eq. 6): for every unit `k`,
@@ -842,38 +933,36 @@ impl FlSystem {
     /// The current global model's test ROC-AUC per edge type (the fairness
     /// view), on the inputs [`FlSystem::evaluate_global`] scores.
     pub fn auc_by_edge_type(&self, round: usize) -> fedda_metrics::GroupedMetric {
-        let (mut rng, sampler) = self.eval_inputs(round);
-        fedda_hgn::auc_by_edge_type(
-            self.model.as_ref(),
-            self.slot0().workspace.graph(),
-            &self.global,
-            &self.eval_view,
-            &sampler,
-            &self.test_positives,
-            self.cfg.eval_negatives,
-            &mut rng,
-        )
+        let (model, eval, params) = (
+            Arc::clone(&self.model),
+            Arc::clone(&self.eval),
+            self.global.clone(),
+        );
+        self.on_slot0(move |slot| {
+            fedda_hgn::auc_by_edge_type(
+                model.as_ref(),
+                slot.workspace.graph(),
+                &params,
+                &eval.view,
+                &eval.sampler(),
+                &eval.test_positives,
+                eval.negatives,
+                &mut eval.rng(round),
+            )
+        })
     }
 
     /// Evaluate an arbitrary parameter set (used by the Local baseline), in
     /// worker slot 0's workspace.
     pub(crate) fn evaluate_params(&self, params: &ParamSet, round: usize) -> EvalResult {
-        self.evaluate_on(self.slot0().workspace.graph(), params, round)
-    }
-
-    /// [`FlSystem::evaluate_params`] on the given tape.
-    fn evaluate_on(&self, graph: &mut Graph, params: &ParamSet, round: usize) -> EvalResult {
-        let (mut rng, sampler) = self.eval_inputs(round);
-        evaluate(
-            self.model.as_ref(),
-            graph,
-            params,
-            &self.eval_view,
-            &sampler,
-            &self.test_positives,
-            self.cfg.eval_negatives,
-            &mut rng,
-        )
+        let (model, eval, params) = (
+            Arc::clone(&self.model),
+            Arc::clone(&self.eval),
+            params.clone(),
+        );
+        self.on_slot0(move |slot| {
+            eval.evaluate(model.as_ref(), slot.workspace.graph(), &params, round)
+        })
     }
 
     /// An all-true mask set for `m` clients (vanilla FedAvg's request).
@@ -944,6 +1033,13 @@ fn apply_privacy<R: rand::Rng + ?Sized>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+    thread_local! {
+        /// Global evaluations run on this thread.
+        pub(super) static EVALUATIONS: Cell<usize> = const { Cell::new(0) };
+    }
 
     pub(crate) fn tiny_system(m: usize, seed: u64) -> FlSystem {
         tiny_system_with(m, seed, |_| {})
@@ -1040,7 +1136,7 @@ pub(crate) mod tests {
         for workers in [1, 2, 4] {
             let sys = tiny_system_with(4, 5, |c| c.workers = Some(workers));
             for active in &orders {
-                let (reports, _) = sys.run_reports(active, 0, &[], &[], None);
+                let (reports, _) = sys.run_reports(active, 0, Vec::new(), Vec::new(), None);
                 let got: Vec<usize> = reports.iter().map(|report| report.client).collect();
                 assert_eq!(got, active, "workers={workers}");
             }
@@ -1059,11 +1155,61 @@ pub(crate) mod tests {
                 c.workers = workers;
             });
             assert_eq!(sys.slots.len(), expect);
-            sys.run_reports(&[0, 1, 2], 0, &[], &[], Some(0));
-            sys.run_reports(&[0, 1, 2], 0, &[], &[], None);
+            sys.run_reports(&[0, 1, 2], 0, Vec::new(), Vec::new(), Some(0));
+            sys.run_reports(&[0, 1, 2], 0, Vec::new(), Vec::new(), None);
             sys.evaluate_global(0);
             assert_eq!(sys.slots.len(), expect);
         }
+    }
+
+    /// With two workers no evaluation runs on the caller — not the
+    /// pipelined ones, not the engine's last, not a direct call — and all
+    /// of them run on worker 0's thread; with one, all run inline.
+    #[test]
+    fn every_evaluation_runs_on_worker_0() {
+        let here = || EVALUATIONS.with(Cell::get);
+        for workers in [1, 2] {
+            let mut sys = tiny_system_with(3, 16, |c| {
+                c.rounds = 3;
+                c.workers = Some(workers);
+            });
+            let before = here();
+            let result = run_sync(&mut crate::FedAvg::vanilla(), &mut sys);
+            sys.evaluate_global(0);
+            let evaluations = result.curve.len() + 1;
+            if workers == 1 {
+                assert_eq!(here() - before, evaluations, "inline on the caller");
+            } else {
+                assert_eq!(here(), before, "none on the caller");
+                let on_worker_0 = sys.on_slot0(|_| EVALUATIONS.with(Cell::get));
+                assert_eq!(on_worker_0, evaluations);
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_the_system_joins_every_worker() {
+        /// Counts its thread's exit.
+        struct Exit(Arc<AtomicUsize>);
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT: RefCell<Option<Exit>> = const { RefCell::new(None) };
+        }
+        let exited = Arc::new(AtomicUsize::new(0));
+        let sys = tiny_system_with(3, 17, |c| c.workers = Some(3));
+        let exits = Arc::clone(&exited);
+        // Item `s` runs on worker `s`: each worker learns to count its exit.
+        sys.pool.run_slotted(&[0, 1, 2], move |_, _| {
+            EXIT.with(|e| *e.borrow_mut() = Some(Exit(Arc::clone(&exits))));
+        });
+        sys.evaluate_global(0);
+        assert_eq!(exited.load(SeqCst), 0);
+        drop(sys);
+        assert_eq!(exited.load(SeqCst), 3, "a worker outlived its system");
     }
 
     #[test]

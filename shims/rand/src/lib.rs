@@ -22,18 +22,6 @@ pub trait RngCore {
     fn next_u32(&mut self) -> u32;
     /// Next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
-    /// Fill `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -42,9 +30,6 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest)
     }
 }
 
@@ -247,13 +232,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let heads = (0..10_000).filter(|_| rng.gen::<bool>()).count();
         assert!((4_000..6_000).contains(&heads), "{heads}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -4,31 +4,15 @@ use crate::Rng;
 
 /// Random operations on slices.
 pub trait SliceRandom {
-    /// Element type.
-    type Item;
-
     /// Fisher–Yates shuffle in place.
     fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R);
-
-    /// Uniformly random element, `None` when empty.
-    fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
 }
 
 impl<T> SliceRandom for [T] {
-    type Item = T;
-
     fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         for i in (1..self.len()).rev() {
             let j = rng.gen_range(0..=i);
             self.swap(i, j);
-        }
-    }
-
-    fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[rng.gen_range(0..self.len())])
         }
     }
 }
@@ -51,14 +35,5 @@ mod tests {
         let mut v2: Vec<u32> = (0..50).collect();
         v2.shuffle(&mut StdRng::seed_from_u64(5));
         assert_eq!(v, v2);
-    }
-
-    #[test]
-    fn choose_handles_empty_and_full() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let empty: [u8; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
-        let v = [1, 2, 3];
-        assert!(v.contains(v.choose(&mut rng).unwrap()));
     }
 }
